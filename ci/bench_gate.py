@@ -34,7 +34,10 @@ Two subcommands, shared by CI and local use:
       fails when its count exceeds the baseline by the same threshold
       factor AND by more than 8 allocations — the absolute slack keeps
       tiny counts (2 -> 3 allocs) from tripping a ratio meant for real
-      pool regressions.
+      pool regressions. bytes/op is gated by the same rule with a 32 KiB
+      absolute slack: heap traffic is as machine-independent as the count,
+      and a pooled buffer turning back into a per-call allocation moves
+      bytes long before it moves the count.
 
       Ratios are normalized by the MEDIAN ratio across all methods
       before gating: the baseline and the CI runner are different
@@ -60,6 +63,10 @@ LINE = re.compile(
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"
 )
+
+
+# Absolute slack of the bytes/op gate (see check in the module docstring).
+BYTES_SLACK = 32 << 10
 
 
 def parse(bench_out, out_json):
@@ -139,12 +146,16 @@ def delta_table(cur, base, threshold=None):
             failures.append("%s allocs/op grew %d -> %d (pooled hot path leaking?)"
                             % (method, b_allocs, c_allocs))
         allocs = "%d->%d" % (b_allocs, c_allocs)
-        # Heap traffic is machine-independent like allocs; it is printed
-        # (and recorded in the trajectory) but not gated — the alloc-count
-        # gate plus TestMethodRunAllocBudget's explicit byte ceilings
-        # already cover the pooled hot path.
-        nbytes = "%d->%d" % (base[method].get("bytes_per_op", 0),
-                             cur[method].get("bytes_per_op", 0))
+        # Heap traffic is machine-independent like allocs and gated the
+        # same way: ratio over threshold AND more than BYTES_SLACK extra.
+        b_bytes = base[method].get("bytes_per_op", 0)
+        c_bytes = cur[method].get("bytes_per_op", 0)
+        if (threshold is not None and c_bytes > b_bytes * threshold
+                and c_bytes - b_bytes > BYTES_SLACK):
+            flag = "  << BYTES REGRESSION"
+            failures.append("%s bytes/op grew %d -> %d (a pooled buffer allocated per call?)"
+                            % (method, b_bytes, c_bytes))
+        nbytes = "%d->%d" % (b_bytes, c_bytes)
         print("%-16s %14.0f %14.0f %6.2fx %9.2fx %13s %17s%s"
               % (method, b, c, ratios[method], norm, allocs, nbytes, flag))
     for method in sorted(set(cur) - set(base)):

@@ -4,7 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
+
+// extend grows dst by n bytes and returns the whole slice plus the new
+// tail, for the fixed-width codecs that index into their payload.
+func extend(dst []byte, n int) (all, tail []byte) {
+	all = slices.Grow(dst, n)[:len(dst)+n]
+	return all, all[len(dst):]
+}
 
 // Verbatim marks codecs whose Decode(Encode(w)) round-trip reproduces w
 // bit-for-bit and whose payload size depends only on the vector length.
@@ -29,12 +37,15 @@ func (Raw) Name() string { return "raw" }
 func (Raw) MaxError() float64 { return 0 }
 
 // Encode implements Codec.
-func (Raw) Encode(w []float64) []byte {
-	out := make([]byte, 8*len(w))
+func (c Raw) Encode(w []float64) []byte { return c.AppendEncode(nil, w) }
+
+// AppendEncode implements Codec.
+func (Raw) AppendEncode(dst []byte, w []float64) []byte {
+	dst, out := extend(dst, 8*len(w))
 	for i, v := range w {
 		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 // Decode implements Codec.
@@ -63,12 +74,15 @@ func (Float32) Name() string { return "float32" }
 func (Float32) MaxError() float64 { return 1e-5 }
 
 // Encode implements Codec.
-func (Float32) Encode(w []float64) []byte {
-	out := make([]byte, 4*len(w))
+func (c Float32) Encode(w []float64) []byte { return c.AppendEncode(nil, w) }
+
+// AppendEncode implements Codec.
+func (Float32) AppendEncode(dst []byte, w []float64) []byte {
+	dst, out := extend(dst, 4*len(w))
 	for i, v := range w {
 		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
 	}
-	return out
+	return dst
 }
 
 // Decode implements Codec.
@@ -95,9 +109,12 @@ func (Quant8) Name() string { return "quant8" }
 // MaxError implements Codec: input-dependent.
 func (Quant8) MaxError() float64 { return math.Inf(1) }
 
-// Encode implements Codec. Payload: min, max float64 then one code byte per
-// value.
-func (Quant8) Encode(w []float64) []byte {
+// Encode implements Codec.
+func (c Quant8) Encode(w []float64) []byte { return c.AppendEncode(nil, w) }
+
+// AppendEncode implements Codec. Payload: min, max float64 then one code
+// byte per value.
+func (Quant8) AppendEncode(dst []byte, w []float64) []byte {
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range w {
 		if v < lo {
@@ -110,7 +127,7 @@ func (Quant8) Encode(w []float64) []byte {
 	if len(w) == 0 {
 		lo, hi = 0, 0
 	}
-	out := make([]byte, 16+len(w))
+	dst, out := extend(dst, 16+len(w))
 	binary.LittleEndian.PutUint64(out, math.Float64bits(lo))
 	binary.LittleEndian.PutUint64(out[8:], math.Float64bits(hi))
 	span := hi - lo
@@ -121,7 +138,7 @@ func (Quant8) Encode(w []float64) []byte {
 		code := math.Round((v - lo) / span * 255)
 		out[16+i] = byte(code)
 	}
-	return out
+	return dst
 }
 
 // Decode implements Codec.

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Codec turns a weight vector into bytes and back. Encodings may be lossy;
@@ -22,6 +23,11 @@ import (
 // lossless, +Inf when input-dependent).
 type Codec interface {
 	Name() string
+	// AppendEncode appends the encoding of w to dst and returns the extended
+	// slice — the allocation-free entry point: a caller that recycles dst
+	// encodes without touching the heap once dst has grown to size.
+	AppendEncode(dst []byte, w []float64) []byte
+	// Encode is AppendEncode into a fresh slice.
 	Encode(w []float64) []byte
 	// Decode reconstructs into out, which must have the original length.
 	Decode(data []byte, out []float64) error
@@ -77,10 +83,13 @@ func (p *Polyline) MaxError() float64 {
 func (p *Polyline) scale() float64 { return math.Pow(10, float64(p.Precision)) }
 
 // Encode implements Codec.
-func (p *Polyline) Encode(w []float64) []byte {
+func (p *Polyline) Encode(w []float64) []byte { return p.AppendEncode(nil, w) }
+
+// AppendEncode implements Codec.
+func (p *Polyline) AppendEncode(out []byte, w []float64) []byte {
 	s := p.scale()
 	// Typical weights in (-1,1) at precision 4 need 3-4 chars; reserve 4.
-	out := make([]byte, 0, 4*len(w))
+	out = slices.Grow(out, 4*len(w))
 	prev := int64(0)
 	for _, v := range w {
 		q := quantize(v, s)

@@ -36,9 +36,14 @@ func (t *TopK) Name() string { return fmt.Sprintf("topk%.2f", t.Frac) }
 // so the bound is input-dependent.
 func (t *TopK) MaxError() float64 { return math.Inf(1) }
 
-// Encode implements Codec. Payload: count u32, then count × (index u32,
-// value float32).
-func (t *TopK) Encode(w []float64) []byte {
+// Encode implements Codec.
+func (t *TopK) Encode(w []float64) []byte { return t.AppendEncode(nil, w) }
+
+// AppendEncode implements Codec. Payload: count u32, then count × (index
+// u32, value float32). The payload lands in dst; the index sort below still
+// allocates its scratch — top-k is the opt-in uplink, not the steady-state
+// path.
+func (t *TopK) AppendEncode(dst []byte, w []float64) []byte {
 	k := int(t.Frac * float64(len(w)))
 	if k < 1 && len(w) > 0 {
 		k = 1
@@ -55,13 +60,13 @@ func (t *TopK) Encode(w []float64) []byte {
 	})
 	keep := idx[:k]
 	sort.Ints(keep)
-	out := make([]byte, 4+8*k)
+	dst, out := extend(dst, 4+8*k)
 	binary.LittleEndian.PutUint32(out, uint32(k))
 	for i, j := range keep {
 		binary.LittleEndian.PutUint32(out[4+8*i:], uint32(j))
 		binary.LittleEndian.PutUint32(out[8+8*i:], math.Float32bits(float32(w[j])))
 	}
-	return out
+	return dst
 }
 
 // Decode implements Codec.

@@ -119,6 +119,13 @@ type Cloud struct {
 	epoch           int // cloud folds so far
 	global          []float64
 
+	// Uplink scratch, reused under mu: the wire message of a simulated
+	// push, the top-k delta, and the reconstructed arrival (which
+	// insertLocked copies into the edge's slot before the next push).
+	wire    []byte
+	delta   []float64
+	arrival []float64
+
 	run *metrics.Run // cloud-level accounting (folds, staleness, bytes, evals)
 }
 
@@ -159,44 +166,57 @@ func (c *Cloud) uplinkCodec() codec.Codec {
 	return codec.Raw{}
 }
 
-// EncodeUplink marshals edge e's model for the uplink exactly as the cloud
-// will decode it: the top-k-sparsified delta against the shared reference
-// when compression is on, the raw model otherwise. The reference is NOT
-// advanced — DecodeUplink (or Push, which uses it) advances both ends.
-// The live edge uplink uses this to build its push frames; the simulated
-// hierarchy pushes in-process through Push and never materializes bytes
-// for K = 1.
-func EncodeUplink(cdc codec.Codec, shapes []codec.ShapeInfo, ref, w []float64) ([]byte, error) {
+// AppendUplink appends edge e's marshalled model to dst exactly as the
+// cloud will decode it: the top-k-sparsified delta against the shared
+// reference when compression is on, the raw model otherwise. The reference
+// is NOT advanced — DecodeUplinkInto (or Push, which uses it) advances both
+// ends. delta is the caller's scratch for the top-k difference (grown when
+// short, untouched under a plain codec); it is returned for reuse. The live
+// edge uplink and the flat top-k client build their frames with this; the
+// simulated hierarchy pushes in-process through Push and never
+// materializes bytes for K = 1.
+func AppendUplink(dst []byte, cdc codec.Codec, shapes []codec.ShapeInfo, ref, w, delta []float64) ([]byte, []float64, error) {
 	if _, ok := cdc.(*codec.TopK); ok {
-		delta := make([]float64, len(w))
+		delta = tensor.EnsureVec(delta, len(w))
 		for i := range w {
 			delta[i] = w[i] - ref[i]
 		}
-		return codec.MarshalModel(cdc, shapes, delta)
+		w = delta
 	}
-	return codec.MarshalModel(cdc, shapes, w)
+	dst, err := codec.AppendModel(dst, cdc, shapes, w)
+	return dst, delta, err
 }
 
-// DecodeUplink reconstructs a pushed model from its wire message and
-// advances the shared reference in place: under the delta codec the
+// EncodeUplink is AppendUplink into fresh slices.
+func EncodeUplink(cdc codec.Codec, shapes []codec.ShapeInfo, ref, w []float64) ([]byte, error) {
+	msg, _, err := AppendUplink(nil, cdc, shapes, ref, w, nil)
+	return msg, err
+}
+
+// DecodeUplinkInto reconstructs a pushed model from its wire message into
+// dst and advances the shared reference in place: under the delta codec the
 // payload is ref+delta and ref becomes the reconstruction (both ends
 // compute the identical new reference); under a plain codec the payload is
-// the model itself. Returns the reconstructed model (a fresh slice).
-func DecodeUplink(data []byte, ref []float64) ([]float64, error) {
-	_, w, err := codec.UnmarshalModel(data)
-	if err != nil {
-		return nil, err
+// the model itself. dst must not alias ref; a message of any other size
+// than the reference is corrupt.
+func DecodeUplinkInto(data []byte, ref, dst []float64) error {
+	if len(dst) != len(ref) {
+		return fmt.Errorf("edge: uplink buffer holds %d weights, reference %d", len(dst), len(ref))
 	}
-	if len(w) != len(ref) {
-		return nil, fmt.Errorf("edge: uplink carries %d weights, want %d", len(w), len(ref))
+	if err := codec.UnmarshalModelInto(data, dst); err != nil {
+		return err
 	}
 	if codec.IsTopKMessage(data) {
-		for i := range w {
-			w[i] += ref[i]
-		}
+		tensor.AddTo(dst, ref)
 	}
-	copy(ref, w)
-	return w, nil
+	copy(ref, dst)
+	return nil
+}
+
+// DecodeUplink is DecodeUplinkInto a fresh slice.
+func DecodeUplink(data []byte, ref []float64) ([]float64, error) {
+	w := make([]float64, len(ref))
+	return w, DecodeUplinkInto(data, ref, w)
 }
 
 // Push folds edge e's freshly trained model into the cloud state at time
@@ -220,15 +240,17 @@ func (c *Cloud) Push(e int, w []float64, now float64) (fl.EdgeFoldEvent, bool) {
 		if c.refs[e] == nil {
 			c.refs[e] = tensor.Copy(c.cfg.W0)
 		}
-		msg, err := EncodeUplink(c.uplinkCodec(), c.cfg.Shapes, c.refs[e], w)
+		var err error
+		c.wire, c.delta, err = AppendUplink(c.wire[:0], c.uplinkCodec(), c.cfg.Shapes, c.refs[e], w, c.delta)
 		if err != nil {
 			panic(fmt.Sprintf("edge: uplink encode: %v", err))
 		}
-		arrival, err = DecodeUplink(msg, c.refs[e])
-		if err != nil {
+		c.arrival = tensor.EnsureVec(c.arrival, len(c.refs[e]))
+		if err := DecodeUplinkInto(c.wire, c.refs[e], c.arrival); err != nil {
 			panic(fmt.Sprintf("edge: uplink decode: %v", err))
 		}
-		c.run.UpBytes += int64(len(msg))
+		arrival = c.arrival
+		c.run.UpBytes += int64(len(c.wire))
 	}
 	return c.arriveLocked(e, arrival, now)
 }
@@ -246,12 +268,12 @@ func (c *Cloud) PushWire(e int, data []byte, now float64) (fl.EdgeFoldEvent, boo
 	if c.refs[e] == nil {
 		c.refs[e] = tensor.Copy(c.cfg.W0)
 	}
-	arrival, err := DecodeUplink(data, c.refs[e])
-	if err != nil {
+	c.arrival = tensor.EnsureVec(c.arrival, len(c.refs[e]))
+	if err := DecodeUplinkInto(data, c.refs[e], c.arrival); err != nil {
 		return fl.EdgeFoldEvent{}, false, err
 	}
 	c.run.UpBytes += int64(len(data))
-	ev, folded := c.arriveLocked(e, arrival, now)
+	ev, folded := c.arriveLocked(e, c.arrival, now)
 	return ev, folded, nil
 }
 
@@ -456,9 +478,5 @@ func staleWeight(staleness, exp float64) float64 {
 // rawWireBytes is the marshalled size of a raw-float64 model message — the
 // adoption downlink's accounting (adoptions are never compressed).
 func rawWireBytes(shapes []codec.ShapeInfo, n int) int {
-	header := 4
-	for _, s := range shapes {
-		header += 1 + len(s.Name) + 1 + 4*len(s.Dims)
-	}
-	return header + 4 + 8*n
+	return codec.ModelHeaderBytes(shapes) + 8*n
 }

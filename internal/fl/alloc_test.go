@@ -1,8 +1,10 @@
 package fl
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/testutil"
 )
@@ -165,6 +167,59 @@ func TestEngineRoundAllocCeiling(t *testing.T) {
 					m, perRun, rounds, perRun/rounds, ceiling)
 			}
 			t.Logf("%s: %.1f allocs/round steady state", m, perRun/rounds)
+		})
+	}
+}
+
+// TestEngineRoundByteCeiling is the byte twin of the count ceiling above,
+// under the paper's lossy codec (the count test's default Raw channel never
+// encodes): once a run's pools and scratch are warm, a global update must
+// allocate less than ONE model's worth of bytes, whatever the pacing — a
+// per-transmit encode buffer, a per-member downlink copy or a per-arrival
+// decode buffer each cost a multiple of that. Heap bytes are read from
+// inside the run (between two folds), so per-run set-up is excluded.
+func TestEngineRoundByteCeiling(t *testing.T) {
+	skipUnderRace(t)
+	if testing.Short() {
+		t.Skip("full engine runs in -short")
+	}
+	const warm, rounds = 10, 40
+	fedbuff, err := Compose("fedasync", "", "fedbuff", "", "fedbuff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{Methods["fedavg"], Methods["fedat"], fedbuff} {
+		t.Run(m.Name, func(t *testing.T) {
+			cfg := baseCfg()
+			cfg.Rounds = rounds
+			cfg.EvalEvery = 8
+			cfg.BufferK = 4
+			cfg.Codec = codec.NewPolyline(4)
+			env := testEnv(t, 0, cfg)
+			var before, after runtime.MemStats
+			folds := 0
+			if _, err := m.Run(env, ObserverFunc(func(ev Event) {
+				if _, ok := ev.(TierFoldEvent); !ok {
+					return
+				}
+				switch folds++; folds {
+				case warm:
+					runtime.ReadMemStats(&before)
+				case rounds:
+					runtime.ReadMemStats(&after)
+				}
+			})); err != nil {
+				t.Fatal(err)
+			}
+			if folds < rounds {
+				t.Fatalf("only %d of %d folds", folds, rounds)
+			}
+			perRound := float64(after.TotalAlloc-before.TotalAlloc) / (rounds - warm)
+			model := float64(8 * len(env.InitialWeights()))
+			if perRound >= model {
+				t.Errorf("%s: %.0f bytes allocated per update in steady state, one model is %.0f", m.Name, perRound, model)
+			}
+			t.Logf("%s: %.0f B/update steady state (model %.0f B)", m.Name, perRound, model)
 		})
 	}
 }

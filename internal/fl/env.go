@@ -307,17 +307,21 @@ func (e *Env) ResetState() {
 
 // Comm applies a codec to every model exchange and tallies the bytes, which
 // is both the lossy channel (§4.3) and the measurement for Table 2 /
-// Figure 4.
+// Figure 4. A Comm belongs to its run's engine goroutine; only the weight
+// pool it hands out (Pool) may be used from other goroutines.
 type Comm struct {
 	codec       codec.Codec
 	headerBytes int
 	Up, Down    int64
 
 	// verb is non-nil when the codec round-trips bit-exactly with a
-	// length-determined payload size (codec.Verbatim): pooled transmits then
-	// skip materializing the byte payload — numerics and byte accounting are
+	// length-determined payload size (codec.Verbatim): transmits then skip
+	// materializing the byte payload — numerics and byte accounting are
 	// provably identical to the real Encode/Decode.
 	verb codec.Verbatim
+	// enc is the encode scratch every non-verbatim transmit reuses: the
+	// payload only lives until it is decoded again a line later.
+	enc []byte
 	// pool recycles receiver-side weight buffers across rounds and cohorts
 	// (see tensor.Pool for the ownership contract). Sized lazily from the
 	// first transmitted vector.
@@ -326,85 +330,73 @@ type Comm struct {
 
 // NewComm builds the channel for one run.
 func NewComm(c codec.Codec, shapes []codec.ShapeInfo) *Comm {
-	// Header cost mirrors MarshalModel's wire format: codec id, precision,
-	// shape table, payload length.
-	hdr := 2 + 2 + 4
-	for _, s := range shapes {
-		hdr += 1 + len(s.Name) + 1 + 4*len(s.Dims)
-	}
 	verb, _ := c.(codec.Verbatim)
-	return &Comm{codec: c, headerBytes: hdr, verb: verb}
+	return &Comm{codec: c, headerBytes: codec.ModelHeaderBytes(shapes), verb: verb}
 }
 
-// Transmit passes w through the lossy channel in the given direction,
-// returning the weights the receiver reconstructs and the marshalled
-// message size in bytes. Byte counters accumulate the size. A codec that
+// Pool returns the run's weight pool for length-n vectors, creating it on
+// first use. The pool itself is safe for concurrent Get/Put: the live
+// fabric's collector goroutines decode arrivals into buffers drawn from it,
+// and the engine's Release calls after each fold hand them back.
+func (cm *Comm) Pool(n int) *tensor.Pool {
+	if cm.pool == nil || cm.pool.Size() != n {
+		cm.pool = tensor.NewPool(n)
+	}
+	return cm.pool
+}
+
+// TransmitPooled passes w through the lossy channel in the given direction,
+// returning the weights the receiver reconstructs — in a buffer drawn from
+// the run's weight pool — and the marshalled message size in bytes, which
+// the byte counters accumulate. The returned slice is owned by the caller
+// until it hands it back with Release; in steady state no allocation
+// happens. Verbatim codecs (Raw) additionally skip the encode/decode
+// round-trip — the reconstruction is a straight copy and the byte
+// accounting uses the codec's exact payload size, so both the numerics and
+// the Up/Down totals are bit-identical to the real round-trip. A codec that
 // fails to decode its own payload reports an error (propagated out through
 // Method.Run) rather than panicking.
-func (cm *Comm) Transmit(w []float64, uplink bool) ([]float64, int, error) {
-	payload := cm.codec.Encode(w)
-	size := cm.headerBytes + len(payload)
-	if uplink {
-		cm.Up += int64(size)
-	} else {
-		cm.Down += int64(size)
-	}
-	out := make([]float64, len(w))
-	if err := cm.codec.Decode(payload, out); err != nil {
-		return nil, 0, fmt.Errorf("fl: codec %s failed to decode its own payload: %w", cm.codec.Name(), err)
-	}
-	return out, size, nil
-}
-
-// TransmitPooled is Transmit with the receiver buffer drawn from the run's
-// weight pool instead of freshly allocated. The returned slice is owned by
-// the caller until it hands it back with Release; in steady state no
-// allocation happens. Verbatim codecs (Raw) additionally skip the
-// encode/decode round-trip — the reconstruction is a straight copy and the
-// byte accounting uses the codec's exact payload size, so both the numerics
-// and the Up/Down totals are bit-identical to Transmit's.
 func (cm *Comm) TransmitPooled(w []float64, uplink bool) ([]float64, int, error) {
-	if cm.pool == nil || cm.pool.Size() != len(w) {
-		cm.pool = tensor.NewPool(len(w))
-	}
-	out := cm.pool.Get()
+	pool := cm.Pool(len(w))
+	out := pool.Get()
 	var size int
 	if cm.verb != nil {
 		size = cm.headerBytes + cm.verb.PayloadBytes(len(w))
 		copy(out, w)
 	} else {
-		payload := cm.codec.Encode(w)
-		size = cm.headerBytes + len(payload)
-		if err := cm.codec.Decode(payload, out); err != nil {
-			cm.pool.Put(out)
+		cm.enc = cm.codec.AppendEncode(cm.enc[:0], w)
+		size = cm.headerBytes + len(cm.enc)
+		if err := cm.codec.Decode(cm.enc, out); err != nil {
+			pool.Put(out)
 			return nil, 0, fmt.Errorf("fl: codec %s failed to decode its own payload: %w", cm.codec.Name(), err)
 		}
 	}
-	if uplink {
-		cm.Up += int64(size)
-	} else {
-		cm.Down += int64(size)
-	}
+	cm.CountControl(int64(size), uplink)
 	return out, size, nil
 }
 
-// Release returns a buffer obtained from TransmitPooled to the pool. It
-// tolerates foreign buffers of the right length (the live fabric's results
-// are transport-allocated; recycling them is harmless) and ignores
-// everything else.
+// Broadcast is the downlink of one model to n receivers: the model crosses
+// the codec once and every receiver reads the same reconstruction (they all
+// would decode the identical bytes), while Down is charged n messages. The
+// snapshot is shared and read-only; the caller releases it once, when the
+// last reader is done.
+func (cm *Comm) Broadcast(w []float64, n int) ([]float64, int, error) {
+	snap, size, err := cm.TransmitPooled(w, false)
+	if err != nil {
+		return nil, 0, err
+	}
+	cm.CountControl(int64(size)*int64(n-1), false)
+	return snap, size, nil
+}
+
+// Release returns a buffer obtained from TransmitPooled, Broadcast or the
+// weight pool (the live fabric's decoded arrivals) to the pool; buffers of
+// any other length are ignored.
 func (cm *Comm) Release(w []float64) {
 	if cm.pool == nil || len(w) == 0 {
 		return
 	}
 	cm.pool.Put(w)
-}
-
-// MessageBytes returns the marshalled size of w without transmitting.
-func (cm *Comm) MessageBytes(w []float64) int {
-	if cm.verb != nil {
-		return cm.headerBytes + cm.verb.PayloadBytes(len(w))
-	}
-	return cm.headerBytes + len(cm.codec.Encode(w))
 }
 
 // CountControl adds small control-plane traffic (e.g. TiFL's accuracy

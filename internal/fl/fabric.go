@@ -181,18 +181,30 @@ func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []flo
 }
 
 func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, replyBytes int) (float64, error) {
-	latest := now
-	for _, id := range ids {
-		c := f.env.Clients[id]
-		probed, bytes, err := comm.TransmitPooled(w, false)
-		if err != nil {
-			return 0, err
-		}
-		comm.Release(probed) // probes only need the byte accounting
+	return probeSweep(comm, f.env.Cluster, len(ids), func(i int) *simnet.ClientRuntime {
+		return f.env.Clients[ids[i]].Runtime
+	}, now, w, replyBytes)
+}
 
-		done := f.env.Cluster.DownloadArrival(now, c.Runtime, bytes)
-		comm.CountControl(int64(replyBytes), true)
-		done = f.env.Cluster.UploadArrival(done, c.Runtime, replyBytes)
+// probeSweep is the simulated fabrics' Probe body over n resolved client
+// runtimes: w crosses the codec once for the whole sweep (every client
+// would receive the same bytes, and a probe only needs their count), then
+// each client is charged the download, its reply and the link time.
+func probeSweep(comm *Comm, cl *simnet.Cluster, n int, runtime func(i int) *simnet.ClientRuntime, now float64, w []float64, replyBytes int) (float64, error) {
+	if n == 0 {
+		return now, nil
+	}
+	probed, bytes, err := comm.Broadcast(w, n)
+	if err != nil {
+		return 0, err
+	}
+	comm.Release(probed) // probes only need the byte accounting
+	comm.CountControl(int64(replyBytes)*int64(n), true)
+	latest := now
+	for i := 0; i < n; i++ {
+		rt := runtime(i)
+		done := cl.DownloadArrival(now, rt, bytes)
+		done = cl.UploadArrival(done, rt, replyBytes)
 		if done > latest {
 			latest = done
 		}

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -272,11 +273,12 @@ func TestSelectAvailableExcludesDropped(t *testing.T) {
 	env.Clients[3].Runtime.DropAt = 0
 	fab := env.Fabric()
 	ids := []int{3}
-	if got := selectAvailable(rng.New(1), ids, fab, 1, 5); got != nil {
+	var scratch []int
+	if got := selectAvailable(&scratch, rng.New(1), ids, fab, 1, 5); got != nil {
 		t.Fatalf("dropped client selected: %v", got)
 	}
 	ids = []int{2, 3, 4}
-	got := selectAvailable(rng.New(1), ids, fab, 1, 5)
+	got := selectAvailable(&scratch, rng.New(1), ids, fab, 1, 5)
 	if len(got) != 2 {
 		t.Fatalf("selection %v, want the two online clients", got)
 	}
@@ -287,34 +289,80 @@ func TestSelectAvailableExcludesDropped(t *testing.T) {
 	}
 }
 
-func TestCommAccounting(t *testing.T) {
-	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{4}}}
-	cm := NewComm(codec.Raw{}, shapes)
-	w := []float64{1, 2, 3, 4}
-	got, n, err := cm.Transmit(w, true)
-	if err != nil {
-		t.Fatal(err)
+// TestSelectAvailableMatchesChoose pins the in-place shuffle to the law it
+// replaced — Choose over a fresh permutation of the online list — pick for
+// pick and draw for draw, with the scratch reused (and dirty) across calls.
+func TestSelectAvailableMatchesChoose(t *testing.T) {
+	cfg := baseCfg()
+	env := testEnv(t, 0, cfg)
+	for _, off := range []int{3, 7, 12} {
+		env.Clients[off].Runtime.DropAt = 0
 	}
-	if n != cm.MessageBytes(w) {
-		t.Fatalf("Transmit size %d != MessageBytes %d", n, cm.MessageBytes(w))
-	}
-	if cm.Up != int64(n) || cm.Down != 0 {
-		t.Fatalf("uplink accounting wrong: up=%d down=%d", cm.Up, cm.Down)
-	}
-	for i := range w {
-		if got[i] != w[i] {
-			t.Fatal("raw transmit corrupted weights")
+	fab := env.Fabric()
+	ids := allClientIDs(fab)
+	var scratch []int
+	got, want := rng.New(5), rng.New(5)
+	for k := 1; k <= len(ids)+1; k++ {
+		var avail []int
+		for _, id := range ids {
+			if fab.Available(id, 1) {
+				avail = append(avail, id)
+			}
+		}
+		kk := min(k, len(avail))
+		ref := make([]int, kk)
+		for i, p := range want.Choose(len(avail), kk) {
+			ref[i] = avail[p]
+		}
+		sel := selectAvailable(&scratch, got, ids, fab, 1, k)
+		if !slices.Equal(sel, ref) {
+			t.Fatalf("k=%d: picked %v, Choose picks %v", k, sel, ref)
 		}
 	}
-	if _, _, err := cm.Transmit(w, false); err != nil {
-		t.Fatal(err)
+	if got.Uint64() != want.Uint64() {
+		t.Fatal("the in-place shuffle consumed a different number of draws than Choose")
 	}
-	if cm.Down != int64(n) {
-		t.Fatalf("downlink accounting wrong: %d", cm.Down)
-	}
-	cm.CountControl(10, true)
-	if cm.Up != int64(n)+10 {
-		t.Fatal("control accounting wrong")
+}
+
+func TestCommAccounting(t *testing.T) {
+	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{4}}}
+	w := []float64{1, 2, 3, 4}
+	// Raw takes the verbatim shortcut, polyline the real encode/decode; both
+	// must charge exactly the marshalled message's size.
+	for _, c := range []codec.Codec{codec.Raw{}, codec.NewPolyline(4)} {
+		cm := NewComm(c, shapes)
+		msg, err := codec.MarshalModel(c, shapes, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := cm.TransmitPooled(w, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != len(msg) {
+			t.Fatalf("%s: transmit size %d != marshalled message %d", c.Name(), n, len(msg))
+		}
+		if cm.Up != int64(n) || cm.Down != 0 {
+			t.Fatalf("uplink accounting wrong: up=%d down=%d", cm.Up, cm.Down)
+		}
+		for i := range w {
+			if got[i] != w[i] {
+				t.Fatalf("%s transmit corrupted weights", c.Name())
+			}
+		}
+		cm.Release(got)
+		snap, _, err := cm.Broadcast(w, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm.Release(snap)
+		if cm.Down != 3*int64(n) {
+			t.Fatalf("broadcast to 3 charged %d bytes down, want %d", cm.Down, 3*n)
+		}
+		cm.CountControl(10, true)
+		if cm.Up != int64(n)+10 {
+			t.Fatal("control accounting wrong")
+		}
 	}
 }
 

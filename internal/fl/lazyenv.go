@@ -257,23 +257,9 @@ func (f *lazyFabric) Dispatch(comm *Comm, cohort []int, now float64, global []fl
 }
 
 func (f *lazyFabric) Probe(comm *Comm, ids []int, now float64, w []float64, replyBytes int) (float64, error) {
-	latest := now
-	for _, id := range ids {
-		rt := f.env.Pop.Materialize(id)
-		probed, bytes, err := comm.TransmitPooled(w, false)
-		if err != nil {
-			return 0, err
-		}
-		comm.Release(probed) // probes only need the byte accounting
-
-		done := f.env.links.DownloadArrival(now, rt, bytes)
-		comm.CountControl(int64(replyBytes), true)
-		done = f.env.links.UploadArrival(done, rt, replyBytes)
-		if done > latest {
-			latest = done
-		}
-	}
-	return latest, nil
+	return probeSweep(comm, f.env.links, len(ids), func(i int) *simnet.ClientRuntime {
+		return f.env.Pop.Materialize(ids[i])
+	}, now, w, replyBytes)
 }
 
 func (f *lazyFabric) Evaluate(w []float64) (Result, bool) {

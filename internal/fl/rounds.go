@@ -8,26 +8,27 @@ import (
 )
 
 // selectAvailable samples up to k distinct clients from ids that are still
-// online on the fabric at time now.
-func selectAvailable(r *rng.RNG, ids []int, fab Fabric, now float64, k int) []int {
-	avail := make([]int, 0, len(ids))
+// online on the fabric at time now. The online list is built in the
+// selector's scratch and shuffled in place — the same Intn draws as
+// Choose over a fresh permutation, so scratch[i] ends up as avail[perm[i]]
+// and the picks are unchanged. The k picks are copied out: tier rounds
+// overlap, so a cohort must outlive the next call on the same scratch.
+func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now float64, k int) []int {
+	avail := (*scratch)[:0]
 	for _, id := range ids {
 		if fab.Available(id, now) {
 			avail = append(avail, id)
 		}
 	}
+	*scratch = avail
 	if len(avail) == 0 {
 		return nil
 	}
 	if k > len(avail) {
 		k = len(avail)
 	}
-	picked := r.Choose(len(avail), k)
-	out := make([]int, k)
-	for i, p := range picked {
-		out[i] = avail[p]
-	}
-	return out
+	r.Shuffle(avail)
+	return append([]int(nil), avail[:k]...)
 }
 
 // trainGroup runs one synchronous round over the selected clients, starting
@@ -59,18 +60,21 @@ func (e *Env) trainGroup(sel []int, start float64, global []float64, comm *Comm,
 // workers bound to the cohort for exactly this round. cl provides the link
 // model — only its server links are touched, so a Links-only shell works.
 func runCohort(group []*Client, cl *simnet.Cluster, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
-	// Downlink: every client receives its own copy of the snapshot. The
-	// copies are pooled — they only need to live until local training ends
-	// (TrainLocal reads the snapshot as its proximal anchor throughout), so
-	// they go back to the pool before this function returns.
-	received := make([][]float64, len(group))
+	if len(group) == 0 {
+		return nil, nil
+	}
+	// Downlink: the snapshot crosses the codec once and every member trains
+	// from the same pooled reconstruction — TrainLocal only reads it (as
+	// start point and proximal anchor), and each member would have decoded
+	// the identical bytes. Bytes and link time are still charged per
+	// member. The snapshot only needs to live until local training ends, so
+	// it goes back to the pool before this function returns.
+	received, bytes, err := comm.Broadcast(global, len(group))
+	if err != nil {
+		return nil, err
+	}
 	downDone := make([]float64, len(group))
 	for i, c := range group {
-		w, bytes, err := comm.TransmitPooled(global, false)
-		if err != nil {
-			return nil, err
-		}
-		received[i] = w
 		downDone[i] = cl.DownloadArrival(start, c.Runtime, bytes)
 	}
 
@@ -84,14 +88,11 @@ func runCohort(group []*Client, cl *simnet.Cluster, start float64, global []floa
 	results := make([]TrainResult, len(group))
 	parallel.Dynamic(len(group), parallel.Workers(len(group)), func(i int) {
 		c := group[i]
-		w, steps := c.TrainLocal(received[i], lc)
+		w, steps := c.TrainLocal(received, lc)
 		results[i] = TrainResult{Client: c.ID, Weights: w, N: c.Data.NumTrain(), Steps: steps}
 	})
-	// All training is done; the downlink snapshots are dead.
-	for i := range received {
-		comm.Release(received[i])
-		received[i] = nil
-	}
+	// All training is done; the downlink snapshot is dead.
+	comm.Release(received)
 
 	// Sequential post-pass: delays, drops and uplink in selection order.
 	// Compute time is evaluated at the round's download-arrival instant, so

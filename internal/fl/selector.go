@@ -76,6 +76,7 @@ type randomSelector struct {
 	selRNG  *rng.RNG
 	root    *rng.RNG
 	tierRNG []*rng.RNG
+	avail   []int // selectAvailable's scratch
 }
 
 func (s *randomSelector) Init(rs *runState) error {
@@ -86,7 +87,7 @@ func (s *randomSelector) Init(rs *runState) error {
 }
 
 func (s *randomSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
-	sel := selectAvailable(s.selRNG, s.all, rs.fab, now, rs.cfg.ClientsPerRound)
+	sel := selectAvailable(&s.avail, s.selRNG, s.all, rs.fab, now, rs.cfg.ClientsPerRound)
 	if len(sel) == 0 {
 		return nil, -1, now, SelectStop, nil // everyone is offline; training cannot continue
 	}
@@ -94,7 +95,7 @@ func (s *randomSelector) Pick(rs *runState, now float64) ([]int, int, float64, S
 }
 
 func (s *randomSelector) PickTier(rs *runState, m int, now float64) []int {
-	return selectAvailable(s.tierStream(m), rs.tiers.Members[m], rs.fab, now, rs.cfg.ClientsPerRound)
+	return selectAvailable(&s.avail, s.tierStream(m), rs.tiers.Members[m], rs.fab, now, rs.cfg.ClientsPerRound)
 }
 
 // tierStream lazily derives tier m's RNG stream, labelled by tier index —
@@ -126,7 +127,7 @@ func (s *overselSelector) overCount(rs *runState) int {
 }
 
 func (s *overselSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
-	sel := selectAvailable(s.selRNG, s.all, rs.fab, now, s.overCount(rs))
+	sel := selectAvailable(&s.avail, s.selRNG, s.all, rs.fab, now, s.overCount(rs))
 	if len(sel) == 0 {
 		return nil, -1, now, SelectStop, nil
 	}
@@ -134,7 +135,7 @@ func (s *overselSelector) Pick(rs *runState, now float64) ([]int, int, float64, 
 }
 
 func (s *overselSelector) PickTier(rs *runState, m int, now float64) []int {
-	return selectAvailable(s.tierStream(m), rs.tiers.Members[m], rs.fab, now, s.overCount(rs))
+	return selectAvailable(&s.avail, s.tierStream(m), rs.tiers.Members[m], rs.fab, now, s.overCount(rs))
 }
 
 func (s *overselSelector) Harvest(rs *runState, results []TrainResult) ([]TrainResult, float64) {
@@ -173,6 +174,7 @@ type tiflSelector struct {
 	sel     *tiering.TiFLSelector
 	tierRNG *rng.RNG
 	selRNG  *rng.RNG
+	avail   []int // selectAvailable's scratch
 }
 
 func (s *tiflSelector) Init(rs *runState) error {
@@ -196,7 +198,7 @@ func (s *tiflSelector) Pick(rs *runState, now float64) ([]int, int, float64, Sel
 		}
 	}
 	tier := s.sel.Select(s.tierRNG)
-	sel := selectAvailable(s.selRNG, rs.tiers.Members[tier], rs.fab, now, rs.cfg.ClientsPerRound)
+	sel := selectAvailable(&s.avail, s.selRNG, rs.tiers.Members[tier], rs.fab, now, rs.cfg.ClientsPerRound)
 	if len(sel) == 0 {
 		return nil, 0, now, SelectSkip, nil // tier fully offline; the selector will pick others
 	}

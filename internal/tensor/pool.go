@@ -17,9 +17,10 @@ import (
 // before reading it, and must not touch a buffer after putting it. Put of a
 // buffer that is already in the pool panics (double-release), which turns
 // the classic silent pool corruption into an immediate, attributable
-// failure. Pool is safe for concurrent use; the free list is bounded so a
-// producer that puts without ever getting (the live fabric's
-// transport-allocated results) cannot grow it without bound.
+// failure. Pool is safe for concurrent use (the live fabric's collector
+// goroutines Get decode buffers the engine goroutine later Puts); the free
+// list is bounded so a producer that puts without ever getting cannot grow
+// it without bound.
 type Pool struct {
 	mu   sync.Mutex
 	size int

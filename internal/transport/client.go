@@ -108,77 +108,124 @@ func RunClient(cfg ClientConfig) error {
 		return err
 	}
 
-	trainer := fl.NewLocalClient(int(cfg.ID), cfg.Data, cfg.Net, cfg.Opt, cfg.Seed)
-	shapes := make([]codec.ShapeInfo, 0, len(cfg.Net.ParamShapes()))
+	c := &client{cfg: cfg, conn: conn}
+	c.trainer = fl.NewLocalClient(int(cfg.ID), cfg.Data, cfg.Net, cfg.Opt, cfg.Seed)
 	for _, s := range cfg.Net.ParamShapes() {
-		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
+		c.shapes = append(c.shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
 	}
+	c.global = make([]float64, cfg.Net.NumParams())
+	if cfg.UplinkTopKFrac > 0 {
+		c.topk = &codec.TopK{Frac: cfg.UplinkTopKFrac}
+	}
+	limit := frameLimit(c.shapes)
 
 	for {
-		typ, payload, err := ReadFrame(conn)
+		// The frame buffer is borrowed once the push's header arrives and
+		// goes back as soon as the model is decoded out of it: the client
+		// holds no wire buffer while it waits or trains.
+		typ, payload, err := readFrame(conn, &c.rhdr, limit)
 		if err != nil {
 			return fmt.Errorf("transport: client %d read: %w", cfg.ID, err)
 		}
 		switch typ {
 		case MsgShutdown:
+			frames.Put(payload)
 			cfg.Logf("client %d: shutdown", cfg.ID)
 			return nil
 		case MsgModelPush:
-			spec, modelMsg, err := ParseModelPush(payload)
+			spec, err := c.receive(payload)
+			frames.Put(payload)
 			if err != nil {
 				return err
 			}
-			_, global, err := codec.UnmarshalModel(modelMsg)
-			if err != nil {
-				return fmt.Errorf("transport: client %d unmarshal: %w", cfg.ID, err)
-			}
-			// A locally forced attack wins; otherwise follow the server's
-			// per-push directive (honest when the directive byte is 0).
-			atk := cfg.Attack
-			if !atk.Active() && spec.Attack != 0 {
-				atk = robust.Attack{
-					Kind:    robust.Kind(spec.Attack),
-					Scale:   spec.AttackScale,
-					Classes: cfg.Attack.Classes,
-				}
-			}
-			trainer.Attack = atk
-			lc := fl.LocalConfig{
-				Epochs:    spec.Epochs,
-				BatchSize: spec.Batch,
-				Lambda:    spec.Lambda,
-				Round:     spec.Round,
-				DPClip:    spec.DPClip,
-				DPNoise:   spec.DPNoise,
-				LRScale:   spec.LRScale,
-			}
-			if cfg.DPClip > 0 {
-				lc.DPClip, lc.DPNoise = cfg.DPClip, cfg.DPNoise
-			}
-			w, steps := trainer.TrainLocal(global, lc)
-			if cfg.ArtificialDelay > 0 {
-				time.Sleep(cfg.ArtificialDelay)
-			}
-			var up []byte
-			if cfg.UplinkTopKFrac > 0 {
-				// Stateless per-round delta against the decoded push: the
-				// server reconstructs against the decode of its own frame,
-				// so lossy downlink codecs cancel exactly and a dropped
-				// update desynchronizes nothing.
-				up, err = edge.EncodeUplink(&codec.TopK{Frac: cfg.UplinkTopKFrac}, shapes, global, w)
-			} else {
-				up, err = codec.MarshalModel(cfg.Codec, shapes, w)
-			}
-			if err != nil {
+			if err := c.round(spec); err != nil {
 				return err
 			}
-			msg := ModelUpdate(cfg.ID, uint32(cfg.Data.NumTrain()), spec.Round, up)
-			if err := WriteFrame(conn, MsgModelUpdate, msg); err != nil {
-				return err
-			}
-			cfg.Logf("client %d: round %d done (%d steps, %d epochs)", cfg.ID, spec.Round, steps, spec.Epochs)
 		default:
+			frames.Put(payload)
 			return fmt.Errorf("transport: client %d unexpected message type %d", cfg.ID, typ)
 		}
 	}
+}
+
+// client is RunClient's per-connection state.
+type client struct {
+	cfg     ClientConfig
+	conn    net.Conn
+	trainer *fl.Client
+	shapes  []codec.ShapeInfo
+	rhdr    [frameHeaderLen]byte
+	// global is the pushed model this client trains from: decoded out of the
+	// push frame, read by TrainLocal for the whole round (start point and
+	// proximal anchor) and by the top-k uplink as its delta reference.
+	global []float64
+	topk   *codec.TopK // uplink codec override (UplinkTopKFrac), else nil
+	delta  []float64   // top-k delta scratch
+}
+
+// receive parses a push payload and decodes its model into c.global.
+func (c *client) receive(payload []byte) (PushSpec, error) {
+	spec, modelMsg, err := ParseModelPush(payload)
+	if err != nil {
+		return spec, err
+	}
+	if err := codec.UnmarshalModelInto(modelMsg, c.global); err != nil {
+		return spec, fmt.Errorf("transport: client %d unmarshal: %w", c.cfg.ID, err)
+	}
+	return spec, nil
+}
+
+// round trains one local round from c.global as the push instructs and
+// uploads the result in a frame built in place in a borrowed buffer.
+func (c *client) round(spec PushSpec) error {
+	cfg := c.cfg
+	// A locally forced attack wins; otherwise follow the server's
+	// per-push directive (honest when the directive byte is 0).
+	atk := cfg.Attack
+	if !atk.Active() && spec.Attack != 0 {
+		atk = robust.Attack{
+			Kind:    robust.Kind(spec.Attack),
+			Scale:   spec.AttackScale,
+			Classes: cfg.Attack.Classes,
+		}
+	}
+	c.trainer.Attack = atk
+	lc := fl.LocalConfig{
+		Epochs:    spec.Epochs,
+		BatchSize: spec.Batch,
+		Lambda:    spec.Lambda,
+		Round:     spec.Round,
+		DPClip:    spec.DPClip,
+		DPNoise:   spec.DPNoise,
+		LRScale:   spec.LRScale,
+	}
+	if cfg.DPClip > 0 {
+		lc.DPClip, lc.DPNoise = cfg.DPClip, cfg.DPNoise
+	}
+	w, steps := c.trainer.TrainLocal(c.global, lc)
+	if cfg.ArtificialDelay > 0 {
+		time.Sleep(cfg.ArtificialDelay)
+	}
+
+	frame := appendUpdateHeader(beginFrame(frames.Get(0), MsgModelUpdate),
+		cfg.ID, uint32(cfg.Data.NumTrain()), spec.Round)
+	var err error
+	if c.topk != nil {
+		// Stateless per-round delta against the decoded push: the server
+		// reconstructs against the decode of its own frame, so lossy
+		// downlink codecs cancel exactly and a dropped update
+		// desynchronizes nothing.
+		frame, c.delta, err = edge.AppendUplink(frame, c.topk, c.shapes, c.global, w, c.delta)
+	} else {
+		frame, err = codec.AppendModel(frame, cfg.Codec, c.shapes, w)
+	}
+	if err == nil {
+		err = writeFrame(c.conn, frame)
+	}
+	frames.Put(frame)
+	if err != nil {
+		return err
+	}
+	cfg.Logf("client %d: round %d done (%d steps, %d epochs)", cfg.ID, spec.Round, steps, spec.Epochs)
+	return nil
 }

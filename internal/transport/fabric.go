@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/fl"
+	"repro/internal/tensor"
 	"repro/internal/tiering"
 )
 
@@ -31,15 +32,20 @@ func (f *liveFabric) NumClients() int { return f.s.cfg.NumClients }
 // survives a disconnect so update rules keyed on n_k stay consistent.
 func (f *liveFabric) SampleCount(id int) int { return int(f.s.regs[id].NumSamples) }
 
-// Available means "still connected": a live client has no simulated drop
-// schedule, it is available until its connection goes away.
+// Available means "still connected and not mid-round": a live client has no
+// simulated drop schedule, it can take work until its connection goes away,
+// one round at a time.
 func (f *liveFabric) Available(id int, _ float64) bool {
-	return f.s.client(uint32(id)) != nil
+	cc := f.s.client(uint32(id))
+	return cc != nil && !cc.inRound
 }
 
 // NextAvailable is now for connected clients and +Inf otherwise: the live
 // fabric has no rejoin schedule — registration happens once, so a
-// disconnected client is gone for the rest of the run.
+// disconnected client is gone for the rest of the run. A client that is only
+// mid-round also reports now (its return has no known time); a tier loop
+// that finds every member busy elsewhere exits like any drained tier and is
+// restarted by the next retier pass.
 func (f *liveFabric) NextAvailable(id int, now float64) float64 {
 	if f.s.client(uint32(id)) != nil {
 		return now
@@ -89,24 +95,35 @@ func (f *liveFabric) Repartition(t *tiering.Tiers) {
 // members see a directive-free push, so the byte stream they receive is
 // identical to an attack-free deployment.
 func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global []float64, lc fl.LocalConfig, deliver func([]fl.TrainResult, error)) {
-	msg, err := codec.MarshalModel(f.s.codec, f.s.cfg.Shapes, global)
-	if err != nil {
-		deliver(nil, fmt.Errorf("transport: marshal model: %w", err))
-		return
-	}
 	spec := PushSpec{
 		Round: lc.Round, Epochs: lc.Epochs, Batch: lc.BatchSize, Lambda: lc.Lambda,
 		DPClip: lc.DPClip, DPNoise: lc.DPNoise, LRScale: lc.LRScale,
 	}
-	payload := ModelPush(spec, msg)
-	var atkPayload []byte
+	// The push is encoded once, in place, into a frame buffer borrowed for
+	// the round: it goes back only after the last collector resolves,
+	// because pushRef below decodes it lazily.
+	push, err := codec.AppendModel(beginPush(frames.Get(0), spec), f.s.codec, f.s.cfg.Shapes, global)
+	if err != nil {
+		frames.Put(push)
+		deliver(nil, fmt.Errorf("transport: marshal model: %w", err))
+		return
+	}
+	var atkPush []byte
 	if len(f.s.attackers) > 0 {
 		aspec := spec
 		aspec.Attack = uint8(f.s.cfg.Attack.Kind)
 		aspec.AttackScale = f.s.cfg.Attack.Scale
-		atkPayload = ModelPush(aspec, msg) // same length as payload: byte accounting unchanged
+		// Same bytes under a directive header — same length as push, so
+		// the byte accounting is unchanged.
+		atkPush = append(frames.Get(len(push)), push...)
+		putPushHeader(atkPush[frameHeaderLen:], aspec)
 	}
-	downBytes := int64(frameBytes(len(payload)))
+	downBytes := int64(len(push))
+
+	// Arrivals decode into buffers from the run's weight pool, which the
+	// engine's releases after each fold feed; the pool is resolved here, on
+	// the engine goroutine, and only Get/Put from the collectors.
+	pool := comm.Pool(len(global))
 
 	// Top-k uplinks are deltas against the round's push. Reconstructing
 	// against the decode of the server's OWN marshaled frame (not `global`,
@@ -119,7 +136,10 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 		refErr  error
 	)
 	pushRef := func() ([]float64, error) {
-		refOnce.Do(func() { _, refVec, refErr = codec.UnmarshalModel(msg) })
+		refOnce.Do(func() {
+			refVec = pool.Get()
+			refErr = codec.UnmarshalModelInto(push[frameHeaderLen+pushHeaderLen:], refVec)
+		})
 		return refVec, refErr
 	}
 
@@ -133,20 +153,21 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 		if cc == nil {
 			continue
 		}
-		p := payload
-		if atkPayload != nil && f.s.attackers[id] {
-			p = atkPayload
+		p := push
+		if atkPush != nil && f.s.attackers[id] {
+			p = atkPush
 		}
-		if err := cc.send(MsgModelPush, p); err != nil {
+		if err := cc.send(p); err != nil {
 			f.s.dropClient(cc, err)
 			results[i].Arrive = f.Now()
 			continue
 		}
 		pushed++
+		cc.inRound = true
 		wg.Add(1)
 		go func(i int, id int, cc *clientConn) {
 			defer wg.Done()
-			r, up, err := f.collect(cc, lc.Round, pushRef)
+			r, up, err := f.collect(cc, lc.Round, pool, pushRef)
 			if err != nil {
 				f.s.dropClient(cc, err)
 				results[i] = fl.TrainResult{Client: id, Dropped: true, Arrive: f.Now()}
@@ -162,12 +183,21 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 	go func() {
 		defer f.release()
 		wg.Wait()
+		// Every collector has resolved: nothing reads the push any more.
+		frames.Put(push)
+		frames.Put(atkPush)
+		pool.Put(refVec)
 		f.post(func() {
 			// Byte accounting happens on the engine goroutine: comm is not
 			// safe for concurrent use.
 			comm.CountControl(downBytes*int64(pushed), false)
 			for _, up := range upBytes {
 				comm.CountControl(up, true)
+			}
+			for _, id := range cohort {
+				if cc := f.s.client(uint32(id)); cc != nil {
+					cc.inRound = false
+				}
 			}
 			deliver(results, nil)
 		})
@@ -177,18 +207,22 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 // collect reads one client's trained response for the given round. The
 // round timeout bounds the read so a silent peer cannot stall its round
 // (and the shutdown drain) forever; hitting it drops the client like any
-// other connection failure. pushRef resolves the round's pushed reference
-// model, needed to reconstruct a top-k delta uplink.
-func (f *liveFabric) collect(cc *clientConn, round uint64, pushRef func() ([]float64, error)) (fl.TrainResult, int64, error) {
+// other connection failure, as does a frame longer than the model allows.
+// The frame is held in a borrowed buffer only from its header's arrival
+// until the weights are decoded out of it, into a buffer from pool that the
+// result carries to the engine. pushRef resolves the round's pushed
+// reference model, needed to reconstruct a top-k delta uplink.
+func (f *liveFabric) collect(cc *clientConn, round uint64, pool *tensor.Pool, pushRef func() ([]float64, error)) (fl.TrainResult, int64, error) {
 	if t := f.s.cfg.RoundTimeout; t > 0 {
 		if err := cc.conn.SetReadDeadline(time.Now().Add(t)); err != nil {
 			return fl.TrainResult{}, 0, err
 		}
 	}
-	typ, payload, err := ReadFrame(cc.conn)
+	typ, payload, err := readFrame(cc.conn, &cc.rhdr, f.s.limit)
 	if err != nil {
 		return fl.TrainResult{}, 0, err
 	}
+	defer frames.Put(payload)
 	if typ != MsgModelUpdate {
 		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d sent message type %d mid-round", cc.reg.ClientID, typ)
 	}
@@ -202,21 +236,18 @@ func (f *liveFabric) collect(cc *clientConn, round uint64, pushRef func() ([]flo
 	if numSamples == 0 {
 		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d update with zero samples", cc.reg.ClientID)
 	}
-	_, w, err := codec.UnmarshalModel(model)
-	if err != nil {
+	w := pool.Get()
+	if err := codec.UnmarshalModelInto(model, w); err != nil {
+		pool.Put(w)
 		return fl.TrainResult{}, 0, err
 	}
 	if codec.IsTopKMessage(model) {
 		ref, err := pushRef()
 		if err != nil {
+			pool.Put(w)
 			return fl.TrainResult{}, 0, err
 		}
-		if len(w) != len(ref) {
-			return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d top-k uplink carries %d weights, want %d", cc.reg.ClientID, len(w), len(ref))
-		}
-		for i := range w {
-			w[i] += ref[i]
-		}
+		tensor.AddTo(w, ref)
 	}
 	return fl.TrainResult{
 		Weights: w,
@@ -233,11 +264,12 @@ func (f *liveFabric) Probe(comm *fl.Comm, ids []int, now float64, w []float64, r
 	if len(ids) == 0 {
 		return now, nil
 	}
-	msg, err := codec.MarshalModel(f.s.codec, f.s.cfg.Shapes, w)
+	msg, err := codec.AppendModel(frames.Get(0), f.s.codec, f.s.cfg.Shapes, w)
+	size := int64(frameBytes(len(msg)))
+	frames.Put(msg)
 	if err != nil {
 		return 0, fmt.Errorf("transport: marshal model: %w", err)
 	}
-	size := int64(frameBytes(len(msg)))
 	comm.CountControl(size*int64(len(ids)), false)
 	comm.CountControl(int64(replyBytes)*int64(len(ids)), true)
 	return now, nil
@@ -260,4 +292,4 @@ func (f *liveFabric) EvaluateSubset(w []float64, ids []int) float64 {
 }
 
 // frameBytes is the on-wire size of a frame with the given payload length.
-func frameBytes(payloadLen int) int { return 5 + payloadLen }
+func frameBytes(payloadLen int) int { return frameHeaderLen + payloadLen }

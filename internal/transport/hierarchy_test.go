@@ -224,7 +224,7 @@ func (se *scriptedEdge) push(shapes []codec.ShapeInfo, w []float64) {
 		return
 	}
 	se.seq++
-	if err := se.conn.send(MsgModelUpdate, ModelUpdate(se.conn.reg.ClientID, 0, se.seq, msg)); err != nil {
+	if err := WriteFrame(se.conn.conn, MsgModelUpdate, ModelUpdate(se.conn.reg.ClientID, 0, se.seq, msg)); err != nil {
 		se.t.Logf("scripted edge push: %v", err)
 	}
 }

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"repro/internal/codec"
 )
 
 // Message types.
@@ -42,42 +44,82 @@ const (
 	MsgShutdown
 )
 
-// maxFrame bounds a frame so a corrupt peer cannot make us allocate
-// unboundedly.
+// maxFrame bounds a frame on a connection whose model is not known; an
+// established connection is held to frameLimit of its declared shapes.
 const maxFrame = 64 << 20
 
-// WriteFrame sends one message.
-func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload)+1 > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
+// frameHeaderLen is the [len u32][type u8] prefix; the length counts the
+// type byte and the payload.
+const frameHeaderLen = 5
+
+// registerLimit is the only frame length a not yet registered peer may
+// announce.
+const registerLimit = 1 + registerLen
+
+// frameLimit is the largest frame length a peer exchanging models of the
+// given shapes can legitimately announce: the type byte, the larger of the
+// push and update headers, and the biggest model message any codec
+// produces for them. Reads check it before borrowing a buffer, so what a
+// peer can make us hold is bounded by the model, not by maxFrame.
+func frameLimit(shapes []codec.ShapeInfo) int {
+	return 1 + pushHeaderLen + codec.MaxModelBytes(shapes)
+}
+
+// beginFrame starts a frame in dst: the header with its length left blank
+// for writeFrame to patch once the payload has been appended behind it.
+func beginFrame(dst []byte, typ byte) []byte { return append(dst, 0, 0, 0, 0, typ) }
+
+// writeFrame patches the length of a frame built behind beginFrame and
+// sends it with a single Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - 4
+	if n > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	var hdr [5]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write payload: %w", err)
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	if _, err := w.Write(frame); err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame receives one message.
-func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
+// WriteFrame sends one message whose payload was built elsewhere.
+func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+	frame := append(beginFrame(frames.Get(frameHeaderLen+len(payload)), typ), payload...)
+	defer frames.Put(frame)
+	return writeFrame(w, frame)
+}
+
+// readFrame receives one message. The payload lands in a buffer borrowed
+// from the frame pool only once the header has announced its length — a
+// connection blocked waiting for its next frame holds no buffer — and the
+// caller owns it until frames.Put(payload). limit is the largest length
+// the peer may announce, checked before anything is borrowed. hdr is the
+// connection's header scratch (a local array would escape through the
+// io.Reader on every call).
+func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, limit int) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
-	if n == 0 || n > maxFrame {
-		return 0, nil, fmt.Errorf("transport: invalid frame length %d", n)
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
+	if n == 0 || n > limit {
+		return 0, nil, fmt.Errorf("transport: invalid frame length %d (limit %d)", n, limit)
 	}
-	payload := make([]byte, n-1)
+	if n == 1 {
+		return hdr[4], nil, nil
+	}
+	payload := frames.Get(n - 1)[:n-1]
 	if _, err := io.ReadFull(r, payload); err != nil {
+		frames.Put(payload)
 		return 0, nil, fmt.Errorf("transport: read payload: %w", err)
 	}
 	return hdr[4], payload, nil
+}
+
+// ReadFrame receives one message into a buffer the caller keeps.
+func ReadFrame(r io.Reader) (byte, []byte, error) {
+	var hdr [frameHeaderLen]byte
+	return readFrame(r, &hdr, maxFrame)
 }
 
 // Register is the client hello.
@@ -87,9 +129,12 @@ type Register struct {
 	LatencyHintMs uint32
 }
 
+// registerLen is the fixed Register payload.
+const registerLen = 12
+
 // Marshal encodes the register payload.
 func (m Register) Marshal() []byte {
-	out := make([]byte, 12)
+	out := make([]byte, registerLen)
 	binary.LittleEndian.PutUint32(out[0:], m.ClientID)
 	binary.LittleEndian.PutUint32(out[4:], m.NumSamples)
 	binary.LittleEndian.PutUint32(out[8:], m.LatencyHintMs)
@@ -98,8 +143,8 @@ func (m Register) Marshal() []byte {
 
 // ParseRegister decodes a register payload.
 func ParseRegister(p []byte) (Register, error) {
-	if len(p) != 12 {
-		return Register{}, fmt.Errorf("transport: register payload %d bytes, want 12", len(p))
+	if len(p) != registerLen {
+		return Register{}, fmt.Errorf("transport: register payload %d bytes, want %d", len(p), registerLen)
 	}
 	return Register{
 		ClientID:      binary.LittleEndian.Uint32(p[0:]),
@@ -137,9 +182,8 @@ type PushSpec struct {
 // dpNoise f64, lrScale f64.
 const pushHeaderLen = 8 + 4 + 4 + 8 + 1 + 8 + 8 + 8 + 8
 
-// ModelPush frames a global model plus its local-training instruction.
-func ModelPush(spec PushSpec, model []byte) []byte {
-	out := make([]byte, pushHeaderLen+len(model))
+// putPushHeader writes spec into out[:pushHeaderLen].
+func putPushHeader(out []byte, spec PushSpec) {
 	binary.LittleEndian.PutUint64(out[0:], spec.Round)
 	binary.LittleEndian.PutUint32(out[8:], uint32(spec.Epochs))
 	binary.LittleEndian.PutUint32(out[12:], uint32(spec.Batch))
@@ -149,8 +193,22 @@ func ModelPush(spec PushSpec, model []byte) []byte {
 	binary.LittleEndian.PutUint64(out[33:], math.Float64bits(spec.DPClip))
 	binary.LittleEndian.PutUint64(out[41:], math.Float64bits(spec.DPNoise))
 	binary.LittleEndian.PutUint64(out[49:], math.Float64bits(spec.LRScale))
-	copy(out[pushHeaderLen:], model)
-	return out
+}
+
+// beginPush starts a model-push frame in dst: frame header and push header,
+// ready for the model message to be appended in place.
+func beginPush(dst []byte, spec PushSpec) []byte {
+	dst = beginFrame(dst, MsgModelPush)
+	dst = append(dst, make([]byte, pushHeaderLen)...)
+	putPushHeader(dst[len(dst)-pushHeaderLen:], spec)
+	return dst
+}
+
+// ModelPush builds a push payload around a model message built elsewhere.
+func ModelPush(spec PushSpec, model []byte) []byte {
+	out := make([]byte, pushHeaderLen, pushHeaderLen+len(model))
+	putPushHeader(out, spec)
+	return append(out, model...)
 }
 
 // ParseModelPush splits a push payload.
@@ -172,23 +230,31 @@ func ParseModelPush(p []byte) (spec PushSpec, model []byte, err error) {
 	return spec, p[pushHeaderLen:], nil
 }
 
-// ModelUpdate frames a client's trained model.
+// updateHeaderLen is the fixed ModelUpdate header: clientID u32,
+// numSamples u32, round u64.
+const updateHeaderLen = 16
+
+// appendUpdateHeader appends a ModelUpdate header to dst.
+func appendUpdateHeader(dst []byte, clientID, numSamples uint32, round uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, clientID)
+	dst = binary.LittleEndian.AppendUint32(dst, numSamples)
+	return binary.LittleEndian.AppendUint64(dst, round)
+}
+
+// ModelUpdate builds an update payload around a model message built
+// elsewhere.
 func ModelUpdate(clientID, numSamples uint32, round uint64, model []byte) []byte {
-	out := make([]byte, 16+len(model))
-	binary.LittleEndian.PutUint32(out[0:], clientID)
-	binary.LittleEndian.PutUint32(out[4:], numSamples)
-	binary.LittleEndian.PutUint64(out[8:], round)
-	copy(out[16:], model)
-	return out
+	out := make([]byte, 0, updateHeaderLen+len(model))
+	return append(appendUpdateHeader(out, clientID, numSamples, round), model...)
 }
 
 // ParseModelUpdate splits an update payload.
 func ParseModelUpdate(p []byte) (clientID, numSamples uint32, round uint64, model []byte, err error) {
-	if len(p) < 16 {
+	if len(p) < updateHeaderLen {
 		return 0, 0, 0, nil, fmt.Errorf("transport: model update payload too short")
 	}
 	return binary.LittleEndian.Uint32(p[0:]),
 		binary.LittleEndian.Uint32(p[4:]),
 		binary.LittleEndian.Uint64(p[8:]),
-		p[16:], nil
+		p[updateHeaderLen:], nil
 }

@@ -180,12 +180,7 @@ func (r *RootServer) acceptEdges() error {
 			}
 			return fmt.Errorf("transport: root accept: %w", err)
 		}
-		typ, payload, err := ReadFrame(conn)
-		if err != nil || typ != MsgRegister {
-			conn.Close()
-			continue
-		}
-		reg, err := ParseRegister(payload)
+		reg, err := readRegister(conn)
 		if err != nil {
 			conn.Close()
 			continue
@@ -212,8 +207,9 @@ func (r *RootServer) acceptEdges() error {
 // immediately inside Retire).
 func (r *RootServer) serveEdge(ec *clientConn) {
 	id := int(ec.reg.ClientID)
+	limit := frameLimit(r.cfg.Shapes)
 	for {
-		typ, payload, err := ReadFrame(ec.conn)
+		typ, payload, err := readFrame(ec.conn, &ec.rhdr, limit)
 		if err != nil {
 			if !r.stopping.Load() {
 				r.cfg.Logf("fed root: edge %d departed: %v", id, err)
@@ -229,27 +225,35 @@ func (r *RootServer) serveEdge(ec *clientConn) {
 			}
 			return
 		}
-		switch typ {
-		case MsgModelUpdate:
-			edgeID, _, _, model, err := ParseModelUpdate(payload)
-			if err != nil || int(edgeID) != id {
-				r.cfg.Logf("fed root: edge %d sent a malformed update", id)
-				continue
-			}
-			ev, folded, err := r.cloud.PushWire(id, model, r.now())
-			if err != nil {
-				r.cfg.Logf("fed root: edge %d push rejected: %v", id, err)
-				continue
-			}
-			if folded {
-				r.cfg.Logf("fed root: cloud fold %d (%d members, staleness %.0f)", ev.Round, ev.Members, ev.Staleness)
-				r.broadcastAdoption()
-				r.checkFinished()
-			}
-		default:
+		if typ != MsgModelUpdate {
 			r.cfg.Logf("fed root: edge %d sent unexpected message type %d", id, typ)
+		} else if r.edgePush(id, payload) {
+			r.broadcastAdoption()
+			r.checkFinished()
 		}
+		// PushWire decoded the model into the cloud's own state.
+		frames.Put(payload)
 	}
+}
+
+// edgePush folds one update payload from edge id into the cloud and reports
+// whether it triggered a cloud fold. Malformed or rejected pushes are
+// logged and skipped — the edge stays connected.
+func (r *RootServer) edgePush(id int, payload []byte) bool {
+	edgeID, _, _, model, err := ParseModelUpdate(payload)
+	if err != nil || int(edgeID) != id {
+		r.cfg.Logf("fed root: edge %d sent a malformed update", id)
+		return false
+	}
+	ev, folded, err := r.cloud.PushWire(id, model, r.now())
+	if err != nil {
+		r.cfg.Logf("fed root: edge %d push rejected: %v", id, err)
+		return false
+	}
+	if folded {
+		r.cfg.Logf("fed root: cloud fold %d (%d members, staleness %.0f)", ev.Round, ev.Members, ev.Staleness)
+	}
+	return folded
 }
 
 // broadcastAdoption offers every connected edge the merged model it has
@@ -267,13 +271,13 @@ func (r *RootServer) broadcastAdoption() {
 		if !ok {
 			continue
 		}
-		model, err := codec.MarshalModel(codec.Raw{}, r.cfg.Shapes, w)
-		if err != nil {
-			r.cfg.Logf("fed root: marshal adoption: %v", err)
-			return
-		}
 		spec := PushSpec{Round: uint64(epoch), Epochs: r.cloud.Live()}
-		if err := ec.send(MsgModelPush, ModelPush(spec, model)); err != nil {
+		push, err := codec.AppendModel(beginPush(frames.Get(0), spec), codec.Raw{}, r.cfg.Shapes, w)
+		if err == nil {
+			err = ec.send(push)
+		}
+		frames.Put(push)
+		if err != nil {
 			r.cfg.Logf("fed root: adoption to edge %d: %v", ec.reg.ClientID, err)
 		}
 	}
@@ -306,7 +310,7 @@ func (r *RootServer) shutdownEdges() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ec := range r.edges {
-		if err := ec.send(MsgShutdown, nil); err != nil {
+		if err := ec.sendShutdown(); err != nil {
 			r.cfg.Logf("fed root: shutdown to edge %d: %v", ec.reg.ClientID, err)
 		}
 		ec.conn.Close()

@@ -81,6 +81,10 @@ type Server struct {
 	fab     *liveFabric
 	regs    []Register // by client id; survives disconnects
 
+	// limit is the longest frame a registered client may announce (see
+	// frameLimit).
+	limit int
+
 	// attackers is the deterministic adversary subset (nil when the attack
 	// regime is off); fixed at construction, read-only afterwards.
 	attackers map[int]bool
@@ -94,14 +98,45 @@ type clientConn struct {
 	reg  Register
 	conn net.Conn
 	wmu  sync.Mutex
+	// rhdr is readFrame's header scratch; a connection has one reader at a
+	// time (its round's collector, or the root's per-edge loop).
+	rhdr [frameHeaderLen]byte
+	// inRound marks a client between a push and the delivery of its round.
+	// Engine goroutine only. Such a client is not Available: a second push
+	// (a runtime retier can migrate it into another tier's cohort mid-round)
+	// would put two collectors on one connection.
+	inRound bool
 }
 
-// send writes one frame; a mutex serializes writers (the engine's dispatch
-// and the final shutdown broadcast) so frames never interleave.
-func (cc *clientConn) send(typ byte, payload []byte) error {
+// send writes one frame built behind beginFrame; a mutex serializes writers
+// (the engine's dispatch and the final shutdown broadcast) so frames never
+// interleave.
+func (cc *clientConn) send(frame []byte) error {
 	cc.wmu.Lock()
 	defer cc.wmu.Unlock()
-	return WriteFrame(cc.conn, typ, payload)
+	return writeFrame(cc.conn, frame)
+}
+
+// sendShutdown writes the empty shutdown frame.
+func (cc *clientConn) sendShutdown() error {
+	var frame [frameHeaderLen]byte
+	return cc.send(beginFrame(frame[:0], MsgShutdown))
+}
+
+// readRegister reads and parses the hello a fresh connection must open
+// with; anything else — including a frame longer than a Register — is an
+// error.
+func readRegister(conn net.Conn) (Register, error) {
+	var hdr [frameHeaderLen]byte
+	typ, payload, err := readFrame(conn, &hdr, registerLimit)
+	if err != nil {
+		return Register{}, err
+	}
+	defer frames.Put(payload)
+	if typ != MsgRegister {
+		return Register{}, fmt.Errorf("transport: message type %d before registration", typ)
+	}
+	return ParseRegister(payload)
 }
 
 // NewServer binds the listener; call Run to serve.
@@ -152,6 +187,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		ln:        ln,
 		clients:   map[uint32]*clientConn{},
 		regs:      make([]Register, cfg.NumClients),
+		limit:     frameLimit(cfg.Shapes),
 		attackers: attackers,
 	}, nil
 }
@@ -250,12 +286,7 @@ func (s *Server) acceptClients() error {
 			}
 			return fmt.Errorf("transport: accept: %w", err)
 		}
-		typ, payload, err := ReadFrame(conn)
-		if err != nil || typ != MsgRegister {
-			conn.Close()
-			continue
-		}
-		reg, err := ParseRegister(payload)
+		reg, err := readRegister(conn)
 		if err != nil {
 			conn.Close()
 			continue
@@ -307,7 +338,7 @@ func (s *Server) shutdownClients() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, cc := range s.clients {
-		if err := cc.send(MsgShutdown, nil); err != nil {
+		if err := cc.sendShutdown(); err != nil {
 			s.cfg.Logf("fed server: shutdown to client %d: %v", cc.reg.ClientID, err)
 		}
 		cc.conn.Close()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/edge"
 	"repro/internal/fl"
+	"repro/internal/tensor"
 )
 
 // UplinkConfig configures an edge aggregator's connection to the root.
@@ -48,6 +49,15 @@ type EdgeUplink struct {
 	wmu  sync.Mutex
 	cdc  codec.Codec
 	ref  []float64 // shared delta reference, advanced on every sent push
+	rhdr [frameHeaderLen]byte
+
+	// Engine-goroutine scratch: the top-k delta and the reconstruction that
+	// advances ref.
+	delta, recon []float64
+	// models recycles adoption buffers between the reader (Get, decode,
+	// mailbox) and the engine (rebase from it, Put at the next fold).
+	models *tensor.Pool
+	lent   []float64 // adoption handed to the engine at the previous fold
 
 	folds  int
 	pushes uint64
@@ -87,6 +97,7 @@ func DialUplink(cfg UplinkConfig) (*EdgeUplink, error) {
 		u.cdc = &codec.TopK{Frac: cfg.TopKFrac}
 	}
 	u.ref = append([]float64(nil), cfg.W0...)
+	u.models = tensor.NewPool(len(cfg.W0))
 	go u.readLoop()
 	return u, nil
 }
@@ -103,36 +114,51 @@ func (u *EdgeUplink) Degraded() bool {
 
 // readLoop fills the adoption mailbox until the root disconnects.
 func (u *EdgeUplink) readLoop() {
+	limit := frameLimit(u.cfg.Shapes)
 	for {
-		typ, payload, err := ReadFrame(u.conn)
+		typ, payload, err := readFrame(u.conn, &u.rhdr, limit)
 		if err != nil {
 			u.degrade("root connection lost: %v", err)
 			return
 		}
 		switch typ {
 		case MsgShutdown:
+			frames.Put(payload)
 			u.degrade("root completed its fold budget")
 			return
 		case MsgModelPush:
-			spec, modelMsg, err := ParseModelPush(payload)
+			err := u.receiveAdoption(payload)
+			frames.Put(payload)
 			if err != nil {
-				u.degrade("malformed adoption push: %v", err)
+				u.degrade("%v", err)
 				return
 			}
-			_, w, err := codec.UnmarshalModel(modelMsg)
-			if err != nil {
-				u.degrade("adoption model corrupt: %v", err)
-				return
-			}
-			u.mu.Lock()
-			u.adoption = w
-			u.adoptEpoch = int(spec.Round)
-			u.members = spec.Epochs
-			u.mu.Unlock()
 		default:
+			frames.Put(payload)
 			u.cfg.Logf("edge uplink %d: unexpected message type %d", u.cfg.EdgeID, typ)
 		}
 	}
+}
+
+// receiveAdoption decodes one adoption push into a pooled model and leaves
+// it in the mailbox, recycling an adoption the engine never picked up.
+func (u *EdgeUplink) receiveAdoption(payload []byte) error {
+	spec, modelMsg, err := ParseModelPush(payload)
+	if err != nil {
+		return fmt.Errorf("malformed adoption push: %w", err)
+	}
+	w := u.models.Get()
+	if err := codec.UnmarshalModelInto(modelMsg, w); err != nil {
+		u.models.Put(w)
+		return fmt.Errorf("adoption model corrupt: %w", err)
+	}
+	u.mu.Lock()
+	u.models.Put(u.adoption)
+	u.adoption = w
+	u.adoptEpoch = int(spec.Round)
+	u.members = spec.Epochs
+	u.mu.Unlock()
+	return nil
 }
 
 func (u *EdgeUplink) degrade(format string, args ...any) {
@@ -157,30 +183,13 @@ func (u *EdgeUplink) AfterFold(f fl.FoldInfo) fl.SyncDirective {
 	if u.Degraded() {
 		return d
 	}
+	// The engine rebased from the previous fold's adoption before it got
+	// here again: that buffer is free.
+	u.models.Put(u.lent)
+	u.lent = nil
 	u.folds++
-	if u.folds%u.cfg.PushEvery == 0 {
-		msg, err := edge.EncodeUplink(u.cdc, u.cfg.Shapes, u.ref, f.Global)
-		if err != nil {
-			u.degrade("encode push: %v", err)
-			return d
-		}
-		u.pushes++
-		frame := ModelUpdate(uint32(u.cfg.EdgeID), 0, u.pushes, msg)
-		u.wmu.Lock()
-		err = WriteFrame(u.conn, MsgModelUpdate, frame)
-		u.wmu.Unlock()
-		if err != nil {
-			// An unsent push must not advance the shared reference — the
-			// root never saw it, so continuing would corrupt every later
-			// delta. Degrade instead.
-			u.degrade("push write: %v", err)
-			return d
-		}
-		// Advance our reference exactly as the root reconstructs it.
-		if _, err := edge.DecodeUplink(msg, u.ref); err != nil {
-			u.degrade("reference advance: %v", err)
-			return d
-		}
+	if u.folds%u.cfg.PushEvery == 0 && !u.push(f.Global) {
+		return d
 	}
 	u.mu.Lock()
 	if u.adoption != nil && u.adoptEpoch > u.lastAdopted {
@@ -194,8 +203,46 @@ func (u *EdgeUplink) AfterFold(f fl.FoldInfo) fl.SyncDirective {
 			Members:   u.members,
 		})
 		u.lastAdopted = u.adoptEpoch
-		u.adoption = nil
+		u.lent, u.adoption = u.adoption, nil
 	}
 	u.mu.Unlock()
 	return d
+}
+
+// push sends the edge model to the root in a frame built in place in a
+// borrowed buffer, then advances the shared reference exactly as the root
+// reconstructs it. It reports false after degrading.
+func (u *EdgeUplink) push(global []float64) bool {
+	frame, err := u.pushFrame(frames.Get(0), global)
+	frames.Put(frame)
+	if err != nil {
+		u.degrade("%v", err)
+		return false
+	}
+	return true
+}
+
+func (u *EdgeUplink) pushFrame(frame []byte, global []float64) ([]byte, error) {
+	frame = appendUpdateHeader(beginFrame(frame, MsgModelUpdate), uint32(u.cfg.EdgeID), 0, u.pushes+1)
+	msgAt := len(frame)
+	var err error
+	frame, u.delta, err = edge.AppendUplink(frame, u.cdc, u.cfg.Shapes, u.ref, global, u.delta)
+	if err != nil {
+		return frame, fmt.Errorf("encode push: %w", err)
+	}
+	u.pushes++
+	u.wmu.Lock()
+	err = writeFrame(u.conn, frame)
+	u.wmu.Unlock()
+	if err != nil {
+		// An unsent push must not advance the shared reference — the
+		// root never saw it, so continuing would corrupt every later
+		// delta. Degrade instead.
+		return frame, fmt.Errorf("push write: %w", err)
+	}
+	u.recon = tensor.EnsureVec(u.recon, len(u.ref))
+	if err := edge.DecodeUplinkInto(frame[msgAt:], u.ref, u.recon); err != nil {
+		return frame, fmt.Errorf("reference advance: %w", err)
+	}
+	return frame, nil
 }
