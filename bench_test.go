@@ -120,19 +120,21 @@ func benchEnv(b testing.TB, c codec.Codec, seed uint64) *fl.Env {
 	return env
 }
 
-// benchRun executes one registry method repeatedly over a reusable bench
+// benchRun executes one method repeatedly over a reusable bench
 // environment: the env is built once outside the timed region and reset
 // between iterations, so the measurement is the run itself — training,
-// aggregation, simulation — not dataset generation or model construction.
+// aggregation, simulation — not dataset generation. (The environment builds
+// its cohort-sized pool of training replicas on the first iteration's
+// dispatches; that one-off cost is amortized over b.N like pool growth.)
 // TestEnvReuseDeterministic pins that every iteration is bit-identical to
 // a run on a freshly built env.
-func benchRun(b *testing.B, name string, c codec.Codec, seed uint64) {
+func benchRun(b *testing.B, m fl.Method, c codec.Codec, seed uint64) {
 	b.Helper()
 	env := benchEnv(b, c, seed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.ResetState()
-		if _, err := fl.Run(name, env); err != nil {
+		if _, err := m.Run(env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,11 +146,14 @@ func benchRun(b *testing.B, name string, c codec.Codec, seed uint64) {
 // as aggregation specs (DESIGN.md §1g): the per-update staleness fold and
 // the asyncsgd server step, both through the fedbuff buffered pacer.
 func BenchmarkMethod(b *testing.B) {
-	for _, name := range fl.MethodNames() {
+	run := func(name string, m fl.Method) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			benchRun(b, name, codec.Raw{}, 7)
+			benchRun(b, m, codec.Raw{}, 7)
 		})
+	}
+	for _, name := range fl.MethodNames() {
+		run(name, fl.Methods[name])
 	}
 	for _, c := range []struct{ name, agg string }{
 		{"fedasync-fedbuff", "fedasync:poly:0.5"},
@@ -158,17 +163,7 @@ func BenchmarkMethod(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			env := benchEnv(b, codec.Raw{}, 7)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				env.ResetState()
-				if _, err := m.Run(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		run(c.name, m)
 	}
 }
 
@@ -230,9 +225,9 @@ func TestMethodRunAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkPopulation measures constructing the LAZY environment — dataset
-// source, population, pooled-worker env — at three population sizes up to
-// one million clients. The custom bytes/client metric is the per-client
+// BenchmarkPopulation measures constructing an environment over a DERIVED
+// population — dataset source, lazy population, fl.NewLazyEnv — at three
+// population sizes up to one million clients. The custom bytes/client metric is the per-client
 // footprint of what construction actually retains (prototype tables, size
 // and part arrays, drop times); laziness holding means it stays a few
 // dozen bytes flat while n grows 1000x, where the eager construction costs
@@ -288,17 +283,17 @@ func BenchmarkPopulation(b *testing.B) {
 
 // BenchmarkAblationFedATRun measures one full FedAT run end to end.
 func BenchmarkAblationFedATRun(b *testing.B) {
-	benchRun(b, "fedat", codec.NewPolyline(4), 9)
+	benchRun(b, fl.Methods["fedat"], codec.NewPolyline(4), 9)
 }
 
 // BenchmarkAblationCompression compares the per-run cost of the polyline
 // channel against raw transmission (the codec CPU vs bytes tradeoff).
 func BenchmarkAblationCompression(b *testing.B) {
 	b.Run("polyline4", func(b *testing.B) {
-		benchRun(b, "fedat", codec.NewPolyline(4), 9)
+		benchRun(b, fl.Methods["fedat"], codec.NewPolyline(4), 9)
 	})
 	b.Run("raw", func(b *testing.B) {
-		benchRun(b, "fedat", codec.Raw{}, 9)
+		benchRun(b, fl.Methods["fedat"], codec.Raw{}, 9)
 	})
 }
 

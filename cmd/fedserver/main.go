@@ -92,7 +92,7 @@ func main() {
 		edgeID     = flag.Int("edge-id", 0, "edge role: this edge's id in the root's 0..edges-1 space")
 		edgeFold   = flag.String("edge-fold", "sync", "edge→cloud fold policy: sync (barrier) or async (buffered, staleness-weighted)")
 		edgeBuffer = flag.Int("edge-buffer", 1, "async fold: edge pushes buffered per cloud fold")
-		edgeStale  = flag.Float64("edge-stale-exp", 0.5, "async fold: staleness discount exponent")
+		edgeStale  = flag.Float64("edge-stale-exp", 0.5, "async fold: staleness discount exponent (0 = no discount)")
 		pushEvery  = flag.Int("edge-push-every", 1, "edge role: engine folds per cloud push")
 		topk       = flag.Float64("uplink-topk", 0, "edge→cloud top-k delta compression: fraction of coordinates kept per push (0 = raw, bit-lossless; must match on root and edges)")
 	)
@@ -101,13 +101,17 @@ func main() {
 	// An EXPLICIT "-lambda 0" has always meant "no proximal term" and must
 	// keep meaning that, even though an unset flag (also 0) now inherits
 	// the engine default. "-stale-alpha 0" gets the same treatment: an
-	// explicit zero means "no staleness discount", not "use the default".
+	// explicit zero means "no staleness discount", not "use the default" —
+	// at the engine (-stale-alpha) and at the cloud (-edge-stale-exp) alike.
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "lambda" && *lambda == 0 {
 			*lambda = fl.LambdaOff
 		}
 		if f.Name == "stale-alpha" && *staleAlpha == 0 {
 			*staleAlpha = fl.StaleExpOff
+		}
+		if f.Name == "edge-stale-exp" && *edgeStale == 0 {
+			*edgeStale = fl.StaleExpOff
 		}
 	})
 	if *dataSeed == 0 {

@@ -61,6 +61,13 @@ func (f *Federated) TotalTrain() int {
 	return n
 }
 
+// NumTrain returns client i's local training-set size n_k.
+func (f *Federated) NumTrain(i int) int { return f.Clients[i].NumTrain() }
+
+// Client returns client i's retained shard — the same surface a lazy Source
+// answers by synthesis, so the federation layer runs over either.
+func (f *Federated) Client(i int) *ClientData { return f.Clients[i] }
+
 // Config drives the synthetic generators.
 type Config struct {
 	Name             string

@@ -20,7 +20,6 @@ package edge
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/codec"
@@ -53,7 +52,11 @@ type CloudConfig struct {
 	// Buffer is FoldAsync's push budget per fold (buffered-K); default 1 —
 	// fold on every push. Ignored under FoldSync.
 	Buffer int
-	// StaleExp is FoldAsync's staleness exponent; default 0.5.
+	// StaleExp is FoldAsync's staleness exponent a in fl's polynomial
+	// weight (s+1)^(−a), with the same unset/off convention as
+	// fl.StalenessConfig.Alpha: 0 inherits the 0.5 default, fl.StaleExpOff
+	// (any negative value) means exactly 0 — stale and fresh pushes weigh
+	// the same.
 	StaleExp float64
 	// W0 is the initial global model, the implicit first cloud model and
 	// the uplink codec's initial shared reference.
@@ -84,7 +87,9 @@ func (c CloudConfig) withDefaults() CloudConfig {
 	if c.Buffer <= 0 {
 		c.Buffer = 1
 	}
-	if c.StaleExp <= 0 {
+	if c.StaleExp == 0 {
+		// Negative (fl.StaleExpOff) passes through; Weight clamps it to 0
+		// at the point of use, so an explicit zero is not re-defaulted.
 		c.StaleExp = 0.5
 	}
 	if c.EvalEvery <= 0 {
@@ -297,8 +302,9 @@ func (c *Cloud) arriveLocked(e int, arrival []float64, now float64) (fl.EdgeFold
 
 // insertLocked blends the arrival into edge e's slot. FoldSync replaces the
 // slot (the barrier guarantees every fold sees each edge's latest); under
-// FoldAsync a stale push is discounted by α = (staleness+1)^(−exp), the
-// cross-edge version of FedAsync's mixing. α = 1 (fresh push) is an exact
+// FoldAsync a stale push is discounted by α = (staleness+1)^(−exp) — fl's
+// polynomial staleness weight, the one law the engine's async rules use —
+// the cross-edge version of FedAsync's mixing. α = 1 (fresh push) is an exact
 // copy — Lerp with t=1 is not bit-exact, and single-edge pass-through
 // equality depends on the copy.
 func (c *Cloud) insertLocked(e int, arrival []float64, staleness float64) {
@@ -308,7 +314,7 @@ func (c *Cloud) insertLocked(e int, arrival []float64, staleness float64) {
 	}
 	alpha := 1.0
 	if c.cfg.Fold == FoldAsync {
-		alpha = staleWeight(staleness, c.cfg.StaleExp)
+		alpha = fl.StalenessConfig{Alpha: c.cfg.StaleExp}.Weight(staleness)
 	}
 	if alpha >= 1 {
 		copy(c.slots[e], arrival)
@@ -465,14 +471,6 @@ func (c *Cloud) Record() *metrics.Run {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.run
-}
-
-// staleWeight is the async discount α = (staleness+1)^(−exp).
-func staleWeight(staleness, exp float64) float64 {
-	if staleness <= 0 {
-		return 1
-	}
-	return math.Pow(staleness+1, -exp)
 }
 
 // rawWireBytes is the marshalled size of a raw-float64 model message — the

@@ -312,6 +312,30 @@ func TestCloudFoldPolicies(t *testing.T) {
 		}
 	})
 
+	t.Run("async with StaleExpOff weighs stale and fresh pushes alike", func(t *testing.T) {
+		// The same script as above with the discount switched off: an
+		// explicit zero exponent must mean zero, not the 0.5 default, so
+		// the stale second push replaces edge 1's slot outright.
+		c, err := edge.NewCloud(edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 2, StaleExp: fl.StaleExpOff, W0: w0, Shapes: shapes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Push(0, []float64{2, 2}, 1)
+		c.Push(0, []float64{4, 4}, 2)
+		if _, _, ok := c.Adopt(0); !ok {
+			t.Fatal("edge 0 could not adopt after a fold")
+		}
+		c.Push(1, []float64{10, 10}, 3)
+		ev, folded := c.Push(1, []float64{20, 20}, 4)
+		if !folded || ev.Staleness != 1 {
+			t.Fatalf("folded=%v staleness=%v, want a fold at staleness 1", folded, ev.Staleness)
+		}
+		want := (3*4 + 3*20.0) / 6
+		if g := c.Global(); g[0] != want {
+			t.Fatalf("merged model = %v, want %v (stale push at full weight)", g[0], want)
+		}
+	})
+
 	t.Run("single edge is an exact pass-through", func(t *testing.T) {
 		c, err := edge.NewCloud(edge.CloudConfig{Edges: 1, Fold: edge.FoldSync, W0: w0, Shapes: shapes, TopKFrac: 0.5})
 		if err != nil {

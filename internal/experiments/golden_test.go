@@ -26,8 +26,10 @@ var update = flag.Bool("update", false, "rewrite golden files from current outpu
 // runs; the machine-dependent wall/heap figures are data-only scalars and
 // never reach the text), and the async-family sweep (staleness — pins the
 // weight-function × discount grid, the per-update-vs-batch anchor
-// comparison and the adaptive-LR stage).
-var goldenIDs = []string{"table1", "fig2", "ablation-lambda", "hierarchy", "robustness", "scale", "staleness"}
+// comparison and the adaptive-LR stage), and the Reddit LSTM (fig8 — the
+// only model with a Dropout layer, so the only report that depends on the
+// per-(client, round) mask streams TrainLocal reseeds).
+var goldenIDs = []string{"table1", "fig2", "ablation-lambda", "hierarchy", "robustness", "scale", "staleness", "fig8"}
 
 func TestGoldenText(t *testing.T) {
 	if testing.Short() {

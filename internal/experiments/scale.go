@@ -65,27 +65,30 @@ func scaleConfigs(p Preset, n int) (dataset.Config, simnet.ClusterConfig, fl.Run
 		NumTiers:        5,
 		EvalEvery:       2,
 		Seed:            p.Seed,
-		// EvalSample unset: the lazy evaluator's fixed default sample. The
-		// table's accuracy column measures the sample at every rung, so
+		// EvalSample unset: the derived environment's fixed default panel.
+		// The table's accuracy column measures the panel at every rung, so
 		// rungs are comparable to each other (not to full-population runs).
 	}
 	return dcfg, ccfg, rcfg
 }
 
-// buildLazyEnv assembles the lazy environment for one rung. It
-// deliberately bypasses the run cache: the experiment IS the construction
-// cost, and a cached 1M-client record would measure nothing.
-func buildLazyEnv(p Preset, n int) (*fl.LazyEnv, error) {
+// buildLazyEnv assembles the environment over a derived population for one
+// rung, returning the population too so the table can report how much of it
+// a run touched. It deliberately bypasses the run cache: the experiment IS
+// the construction cost, and a cached 1M-client record would measure
+// nothing.
+func buildLazyEnv(p Preset, n int) (*fl.Env, *simnet.Population, error) {
 	dcfg, ccfg, rcfg := scaleConfigs(p, n)
 	src, err := dataset.NewSource(dcfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pop, err := simnet.NewPopulation(ccfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return fl.NewLazyEnv(src, pop, scaleFactory(src), rcfg)
+	env, err := fl.NewLazyEnv(src, pop, scaleFactory(src), rcfg)
+	return env, pop, err
 }
 
 // scaleFactory is the standard MLP stand-in (modelFactory's default
@@ -129,22 +132,20 @@ func Scale(p Preset) (*Report, error) {
 		fmt.Sprintf("fedat on scalelike(#2), %d global updates per rung, sampled evaluation", scaleRounds),
 		"clients", "updates", "best acc", "virtual time", "client MB up", "touched", "touched frac")
 	for _, n := range scaleLadder(p) {
-		le, err := buildLazyEnv(p, n)
+		env, pop, err := buildLazyEnv(p, n)
 		if err != nil {
 			return nil, err
 		}
 		sampler := &heapSampler{}
 		start := time.Now()
-		run, err := func() (*metrics.Run, error) {
-			return simulateDirect(func() (*metrics.Run, error) {
-				return m.RunOn(le.Fabric(), le.Cfg, sampler)
-			})
-		}()
+		run, err := simulateDirect(func() (*metrics.Run, error) {
+			return m.Run(env, sampler)
+		})
 		if err != nil {
 			return nil, err
 		}
 		wall := time.Since(start)
-		touched := le.Pop.Materialized()
+		touched := pop.Materialized()
 		lastTime := 0.0
 		if len(run.Points) > 0 {
 			lastTime = run.Points[len(run.Points)-1].Time

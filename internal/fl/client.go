@@ -23,9 +23,14 @@ import (
 	"repro/internal/tensor"
 )
 
-// Client couples one participant's local data, model replica, optimizer and
-// simulated runtime. A Client is owned by one goroutine at a time; the
-// round runners enforce that.
+// Client couples one participant's local data and simulated runtime with
+// the training machinery that runs its round: a model replica, an optimizer
+// and scratch. The machinery carries nothing from one TrainLocal to the
+// next — weights are overwritten, optimizer moments and dropout masks
+// restart — so the simulated environment keeps a cohort-sized pool of
+// Clients and rebinds them (ID, Data, Runtime, Attack, streams) every
+// dispatch. A Client is owned by one goroutine at a time; the round runners
+// enforce that.
 type Client struct {
 	ID      int
 	Data    *dataset.ClientData
@@ -37,8 +42,11 @@ type Client struct {
 	// identically.
 	Attack robust.Attack
 
-	scheduleRNG *rng.RNG // fixed pseudo-random mini-batch schedule (§6)
-	dpRNG       *rng.RNG // differential-privacy noise stream (dpStreamBase)
+	// The client's labeled streams, stored by value so rebinding a pooled
+	// Client allocates nothing. Neither is ever advanced: each round draws
+	// from a child labeled by the round.
+	scheduleRNG rng.RNG // fixed pseudo-random mini-batch schedule (§6)
+	dpRNG       rng.RNG // differential-privacy noise stream (dpStreamBase)
 	batchX      *tensor.Mat
 	batchY      []int
 	batchView   tensor.Mat // retargeted remainder-batch view over batchX
@@ -63,8 +71,8 @@ func NewLocalClient(id int, data *dataset.ClientData, net *nn.Network, o opt.Opt
 		Data:        data,
 		Net:         net,
 		Opt:         o,
-		scheduleRNG: rng.New(seed).SplitLabeled(uint64(scheduleStreamBase + id)),
-		dpRNG:       rng.New(seed).SplitLabeled(uint64(dpStreamBase + id)),
+		scheduleRNG: rng.New(seed).SplitLabeledValue(uint64(scheduleStreamBase + id)),
+		dpRNG:       rng.New(seed).SplitLabeledValue(uint64(dpStreamBase + id)),
 	}
 }
 
@@ -126,13 +134,12 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 		defer scaleLR(c.Opt, lc.LRScale)()
 	}
 
-	bs := lc.BatchSize
-	if bs > n {
-		bs = n
-	}
-	if c.batchX == nil || c.batchX.R != bs || c.batchX.C != c.Data.TrainX.C {
-		c.batchX = tensor.NewMat(bs, c.Data.TrainX.C)
-		c.batchY = make([]int, bs)
+	// The batch scratch is sized by capacity — BatchSize rows whatever this
+	// client's n — and a short batch views its first m rows, so a pooled
+	// replica rebinding across clients with n < BatchSize never reallocates.
+	if c.batchX == nil || c.batchX.R != lc.BatchSize || c.batchX.C != c.Data.TrainX.C {
+		c.batchX = tensor.NewMat(lc.BatchSize, c.Data.TrainX.C)
+		c.batchY = make([]int, lc.BatchSize)
 	}
 	if cap(c.perm) >= n {
 		c.perm = c.perm[:n]
@@ -141,19 +148,25 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 	}
 
 	sched := c.scheduleRNG.SplitLabeledValue(lc.Round)
+	// Dropout masks are the one thing SetWeights and Opt.Reset leave behind
+	// in a replica. Restart them from labeled children of this (client,
+	// round)'s schedule stream — a split, so the permutation draws below do
+	// not move and a dropout-free network draws nothing — and the round is a
+	// function of (client, round, globalW), whichever replica runs it.
+	c.Net.Reseed(&sched)
 	steps := 0
 	for e := 0; e < lc.Epochs; e++ {
 		sched.PermInto(c.perm)
 		order := c.perm
-		for lo := 0; lo < n; lo += bs {
-			hi := lo + bs
+		for lo := 0; lo < n; lo += lc.BatchSize {
+			hi := lo + lc.BatchSize
 			if hi > n {
 				hi = n
 			}
 			m := hi - lo
 			bx := c.batchX
 			by := c.batchY
-			if m != bs {
+			if m != lc.BatchSize {
 				bx = c.batchView.View(m, c.Data.TrainX.C, c.batchX.Data[:m*c.Data.TrainX.C])
 				by = c.batchY[:m]
 			}
@@ -172,7 +185,7 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 	c.wOut = tensor.EnsureVec(c.wOut, len(globalW))
 	copy(c.wOut, c.Net.Weights())
 	c.Attack.ApplyDelta(c.wOut, globalW)
-	if lc.DPClip > 0 && c.dpRNG != nil {
+	if lc.DPClip > 0 {
 		g := c.dpRNG.SplitLabeledValue(lc.Round)
 		robust.Sanitize(c.wOut, globalW, lc.DPClip, lc.DPNoise, &g)
 	}
@@ -196,16 +209,4 @@ func scaleLR(o opt.Optimizer, s float64) func() {
 		return func() { v.LR = old }
 	}
 	return func() {}
-}
-
-// EvalLocal evaluates weights w on the client's held-out split and returns
-// (correct, total, loss·total) so callers can aggregate.
-func (c *Client) EvalLocal(w []float64) (correct, total int, lossSum float64) {
-	total = c.Data.NumTest()
-	if total == 0 {
-		return 0, 0, 0
-	}
-	c.Net.SetWeights(w)
-	correct, loss := c.Net.Eval(c.Data.TestX, c.Data.TestY)
-	return correct, total, loss * float64(total)
 }

@@ -2,9 +2,8 @@ package fl
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 // TestAllMethodsDeterministic runs every registered method twice on
@@ -37,32 +36,42 @@ func TestAllMethodsDeterministic(t *testing.T) {
 
 // TestEnvReuseDeterministic pins the reuse contract the benchmarks lean
 // on: after ResetState, a second run on the SAME Env is bit-identical to a
-// run on a freshly built one — no optimizer state, link reservation or
-// delay-stream position survives a run.
+// run on a freshly built one — no optimizer state, dropout-mask position,
+// link reservation or delay-stream position survives a run. The LSTM case
+// is the one with a stochastic layer: its mask stream restarts per (client,
+// round), so a worker that already trained replays the same masks.
 func TestEnvReuseDeterministic(t *testing.T) {
-	for _, name := range []string{"fedavg", "fedprox", "fedat", "fedasync", "asofed"} {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			sig := func(r *metrics.Run) [2]int64 {
-				s := [2]int64{r.UpBytes, int64(r.GlobalRounds)}
-				for _, p := range r.Points {
-					s[0] += int64(p.Acc * 1e12)
-					s[1] += int64(p.Var * 1e12)
-				}
-				return s
-			}
-			cfg := baseCfg()
-			cfg.Rounds = 10
-			fresh := sig(mustRun(t, name, testEnv(t, 2, cfg)))
-			env := testEnv(t, 2, cfg)
-			first := sig(mustRun(t, name, env))
+	cfg := baseCfg()
+	cfg.Rounds = 10
+	mlp := func() *Env { return testEnv(t, 2, cfg) }
+	lstm := func() *Env {
+		c := baseSourceCase(cfg.Seed)
+		c.useLSTM()
+		c.rcfg = cfg
+		return c.retained(t)
+	}
+	for _, tc := range []struct {
+		name, method string
+		build        func() *Env
+	}{
+		{"fedavg", "fedavg", mlp}, {"fedprox", "fedprox", mlp}, {"fedat", "fedat", mlp},
+		{"fedasync", "fedasync", mlp}, {"asofed", "asofed", mlp},
+		{"lstm-fedat", "fedat", lstm}, {"lstm-fedprox", "fedprox", lstm},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := mustRun(t, tc.method, tc.build())
+			env := tc.build()
+			first := mustRun(t, tc.method, env)
 			env.ResetState()
-			second := sig(mustRun(t, name, env))
-			if first != fresh {
-				t.Fatalf("%s: first run on reusable env differs from fresh env: %v vs %v", name, first, fresh)
+			second := mustRun(t, tc.method, env)
+			if len(fresh.Points) == 0 {
+				t.Fatal("run recorded no evaluations; the comparison is vacuous")
 			}
-			if second != fresh {
-				t.Fatalf("%s: run after ResetState differs from fresh env: %v vs %v", name, second, fresh)
+			if !reflect.DeepEqual(first, fresh) {
+				t.Fatalf("%s: first run on reusable env differs from fresh env:\n%+v\nvs\n%+v", tc.name, first, fresh)
+			}
+			if !reflect.DeepEqual(second, fresh) {
+				t.Fatalf("%s: run after ResetState differs from fresh env:\n%+v\nvs\n%+v", tc.name, second, fresh)
 			}
 		})
 	}
@@ -116,18 +125,18 @@ func TestSeedChangesResults(t *testing.T) {
 func TestDropoutsReduceParticipants(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Rounds = 20
-	env := testEnv(t, 0, cfg)
+	env, _, cluster := testEnvParts(t, 0, cfg)
 	// Force ALL clients to drop very early.
-	for _, c := range env.Clients {
-		c.Runtime.DropAt = 3.0
+	for _, c := range cluster.Clients {
+		c.DropAt = 3.0
 	}
 	run := mustRun(t, "fedavg", env)
 	if run.GlobalRounds > 3 {
 		t.Fatalf("rounds kept completing after universal dropout: %d", run.GlobalRounds)
 	}
-	env2 := testEnv(t, 0, cfg)
-	for _, c := range env2.Clients {
-		c.Runtime.DropAt = 3.0
+	env2, _, cluster2 := testEnvParts(t, 0, cfg)
+	for _, c := range cluster2.Clients {
+		c.DropAt = 3.0
 	}
 	run2 := mustRun(t, "fedat", env2)
 	if run2.GlobalRounds > 10 {

@@ -184,7 +184,7 @@ func TestRetierRevivesDeadTier(t *testing.T) {
 	cfg.NumTiers = 2
 	cfg.RetierEvery = 2
 	cfg.RetierAlpha = 0.5
-	env := testEnv(t, 0, cfg)
+	env, _, cluster := testEnvParts(t, 0, cfg)
 	tiers := mustTiers(t, env)
 	// Tier 0 dies at t=5 — during its FIRST round, well before the slow
 	// tier's first fold (~t=30) produces the observation that promotes the
@@ -206,12 +206,12 @@ func TestRetierRevivesDeadTier(t *testing.T) {
 		if !dropsSet {
 			dropsSet = true
 			for _, id := range tiers.Members[0] {
-				env.Clients[id].Runtime.DropAt = dropAt
+				cluster.Clients[id].DropAt = dropAt
 			}
 		}
 		if e, ok := ev.(ClientDoneEvent); ok && !fastSet && e.Time >= 10 {
 			fastSet = true
-			fast := env.Clients[tiers.Members[1][0]].Runtime
+			fast := cluster.Clients[tiers.Members[1][0]]
 			fast.SecPerBatch = 0.001
 			fast.DelayLo, fast.DelayHi = 0, 0
 		}

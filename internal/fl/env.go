@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"repro/internal/codec"
@@ -72,12 +73,13 @@ type RunConfig struct {
 	// EvalEvery evaluates the global model every this many global updates
 	// (1 = every update).
 	EvalEvery int
-	// EvalSample caps how many clients the lazy environment's evaluator
-	// measures per evaluation (0 = DefaultEvalSample, capped by the
-	// population). A huge population cannot afford a full-population test
-	// pass every eval; a fixed deterministic sample keeps evaluation O(1)
-	// in N. The eager Env always evaluates the full population and ignores
-	// this field, so existing runs are unaffected.
+	// EvalSample caps how many clients an environment over a derived
+	// population (NewLazyEnv) measures per evaluation (0 =
+	// DefaultEvalSample, capped by the population). A huge population
+	// cannot afford a full-population test pass every eval; a fixed
+	// deterministic panel keeps evaluation O(1) in N. An environment over a
+	// retained population (NewEnv) holds every shard anyway, evaluates all
+	// of them and ignores this field.
 	EvalSample int
 	// MaxSimTime stops a run after this much virtual time (0 = no limit).
 	MaxSimTime float64
@@ -206,68 +208,121 @@ func (c RunConfig) withDefaults() RunConfig {
 // initialization.
 type ModelFactory func(seed uint64) *nn.Network
 
-// Env is everything a method needs to run: the population, the virtual
-// cluster, per-client state and the shared evaluation harness.
+// DefaultEvalSample is the evaluation panel size of an environment over a
+// derived population when RunConfig.EvalSample is unset. Populations at or
+// below it are evaluated in full — which is why a small derived run is
+// bit-identical to the retained one (TestLazyEnvMatchesEagerRun pins that).
+const DefaultEvalSample = 256
+
+// shardSource is where an environment's client data lives: a retained
+// *dataset.Federated hands out the shard it has held since construction, a
+// *dataset.Source synthesizes a fresh one per call from (seed, id).
+type shardSource interface {
+	NumTrain(id int) int
+	Client(id int) *dataset.ClientData
+}
+
+// runtimeSource is where an environment's simulated clients live: a
+// *simnet.Cluster built every runtime up front, a *simnet.Population
+// answers the pure queries from index tables and builds (then caches) a
+// runtime on first Materialize. Reset rewinds link reservations and delay
+// streams to time zero.
+type runtimeSource interface {
+	Available(id int, t float64) bool
+	NextOnline(id int, t float64) float64
+	ExpectedLatency(id, batchSteps int) float64
+	Materialize(id int) *simnet.ClientRuntime
+	Reset()
+}
+
+// Env is the simulated environment a method runs on: a population of
+// (shard, runtime) pairs addressed by id, the shared server links, an
+// evaluation harness and a pool of training workers.
+//
+// There is one implementation over two kinds of source. NewEnv takes a
+// retained population — every shard and runtime already built, the shape
+// the paper-scale experiments use. NewLazyEnv takes a derived one — a
+// client is (seed, id) until a dispatch touches it, its shard is
+// synthesized at dispatch and dropped after the fold — whose steady-state
+// memory is O(cohort + model) whatever N is (TestLazyEnvMemoryCeiling).
+// Both are bit-identical in everything the engine observes; they differ
+// only in that a derived population is evaluated on a fixed panel of
+// RunConfig.EvalSample clients rather than all N.
+//
+// Either way the training machinery — model replica, optimizer, batch
+// scratch — belongs to a worker, not to a client: the pool grows to the
+// largest cohort dispatched and each worker is bound to one cohort member
+// for exactly one round. A worker carries nothing between rounds (see
+// Client), so which worker serves which client cannot be observed.
+//
+// An Env is single-run-at-a-time: the worker pool, the link reservations
+// and the runtimes' delay streams are not safe for concurrent runs.
 type Env struct {
-	Fed     *dataset.Federated
-	Cluster *simnet.Cluster
-	Clients []*Client
-	Eval    *Evaluator
-	Cfg     RunConfig
+	Eval *Evaluator
+	Cfg  RunConfig
+
+	dataset    string
+	n, classes int
+	shards     shardSource
+	runtimes   runtimeSource
+	links      *simnet.Cluster // only the server links are read through it
 
 	factory ModelFactory
 	w0      []float64
 	shapes  []codec.ShapeInfo
-	group   []*Client // cohort-resolution scratch, reused across rounds
+	root    *rng.RNG // never advanced; anchors per-client stream derivation
+
+	workers []*Client // pooled, rebound per dispatch; also the cohort handed to runCohort
 }
 
-// NewEnv wires a federated dataset to a simulated cluster and constructs
-// per-client model replicas. The cluster must have exactly one runtime per
-// dataset client.
+// NewEnv wires a retained federated dataset to a materialized cluster. The
+// cluster must have exactly one runtime per dataset client. Evaluation
+// covers every client.
 func NewEnv(fed *dataset.Federated, cluster *simnet.Cluster, factory ModelFactory, cfg RunConfig) (*Env, error) {
 	if len(cluster.Clients) != len(fed.Clients) {
 		return nil, fmt.Errorf("fl: cluster has %d clients, dataset has %d", len(cluster.Clients), len(fed.Clients))
 	}
-	cfg = cfg.withDefaults()
-	root := rng.New(cfg.Seed)
+	n := len(fed.Clients)
+	return newEnv(fed.Name, n, fed.Classes, fed, cluster, cluster, n, factory, cfg), nil
+}
 
+// NewLazyEnv wires a synthesizing dataset source to a lazy population. The
+// two must agree on the population size. Evaluation covers a fixed panel
+// of cfg.EvalSample clients whose shards are synthesized per pass.
+func NewLazyEnv(src *dataset.Source, pop *simnet.Population, factory ModelFactory, cfg RunConfig) (*Env, error) {
+	if src.NumClients() != pop.NumClients() {
+		return nil, fmt.Errorf("fl: population has %d clients, dataset has %d", pop.NumClients(), src.NumClients())
+	}
+	panel := cfg.EvalSample
+	if panel <= 0 {
+		panel = DefaultEvalSample
+	}
+	return newEnv(src.Name(), src.NumClients(), src.Classes(), src, pop, pop.Links(), panel, factory, cfg), nil
+}
+
+// newEnv is the one construction path: n clients of the named dataset,
+// their two sources, the links shell, and the evaluation panel size.
+func newEnv(name string, n, classes int, shards shardSource, runtimes runtimeSource, links *simnet.Cluster, panel int, factory ModelFactory, cfg RunConfig) *Env {
+	cfg = cfg.withDefaults()
 	ref := factory(cfg.Seed)
 	shapes := make([]codec.ShapeInfo, 0, len(ref.ParamShapes()))
 	for _, s := range ref.ParamShapes() {
 		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
 	}
-
-	env := &Env{
-		Fed:     fed,
-		Cluster: cluster,
-		Cfg:     cfg,
-		factory: factory,
-		w0:      ref.WeightsCopy(),
-		shapes:  shapes,
+	return &Env{
+		Eval:     newEvaluator(factory, cfg.Seed, n, panel, shards.Client),
+		Cfg:      cfg,
+		dataset:  name,
+		n:        n,
+		classes:  classes,
+		shards:   shards,
+		runtimes: runtimes,
+		links:    links,
+		factory:  factory,
+		w0:       ref.WeightsCopy(),
+		shapes:   shapes,
+		root:     rng.New(cfg.Seed),
 	}
-	env.Clients = make([]*Client, len(fed.Clients))
-	for i := range fed.Clients {
-		var o opt.Optimizer
-		if cfg.UseSGD {
-			o = opt.NewSGD(cfg.LearningRate)
-		} else {
-			o = opt.NewAdam(cfg.LearningRate)
-		}
-		attack := cluster.Clients[i].Attack
-		attack.Classes = fed.Classes // simnet can't know the label space
-		env.Clients[i] = &Client{
-			ID:          i,
-			Data:        fed.Clients[i],
-			Net:         factory(cfg.Seed), // same init everywhere; server state rules
-			Opt:         o,
-			Runtime:     cluster.Clients[i],
-			Attack:      attack,
-			scheduleRNG: root.SplitLabeled(uint64(scheduleStreamBase + i)),
-			dpRNG:       root.SplitLabeled(uint64(dpStreamBase + i)),
-		}
-	}
-	env.Eval = NewEvaluator(factory, cfg.Seed, env.Clients)
-	return env, nil
 }
 
 // InitialWeights returns a copy of w0.
@@ -293,13 +348,57 @@ func (e *Env) LocalConfig(lambda float64, round uint64) LocalConfig {
 	}
 }
 
-// ResetState restores per-client and cluster link state so one Env can run
-// several methods back-to-back under identical conditions.
-func (e *Env) ResetState() {
-	e.Cluster.Reset()
-	for _, c := range e.Clients {
-		c.Opt.Reset()
+// ResetState rewinds link reservations and delay streams so one Env can
+// run several methods back-to-back under identical conditions. Workers
+// need no reset: TrainLocal restarts everything they carry at every round
+// entry.
+func (e *Env) ResetState() { e.runtimes.Reset() }
+
+// newWorker builds one pooled training slot — the only place the simulated
+// environment constructs a model replica for training, or an optimizer.
+func (e *Env) newWorker() *Client {
+	var o opt.Optimizer
+	if e.Cfg.UseSGD {
+		o = opt.NewSGD(e.Cfg.LearningRate)
+	} else {
+		o = opt.NewAdam(e.Cfg.LearningRate)
 	}
+	return &Client{Net: e.factory(e.Cfg.Seed), Opt: o} // same init everywhere; server state rules
+}
+
+// bind points a pooled worker at client id: fetch (or synthesize) the
+// shard, resolve the runtime, and rederive the labeled RNG streams. Stream
+// derivation is pure in (seed, id), so a rebound worker is
+// indistinguishable from a client that owned its replica forever.
+func (e *Env) bind(w *Client, id int) {
+	w.ID = id
+	w.Data = e.shards.Client(id)
+	w.Runtime = e.runtimes.Materialize(id)
+	w.Attack = w.Runtime.Attack
+	w.Attack.Classes = e.classes // simnet can't know the label space
+	w.scheduleRNG = e.root.SplitLabeledValue(uint64(scheduleStreamBase + id))
+	w.dpRNG = e.root.SplitLabeledValue(uint64(dpStreamBase + id))
+}
+
+// trainCohort is the simulated Dispatch body: bind a worker per cohort
+// member, run the round, let go of the shards. The simulated fabric
+// delivers synchronously, so one cohort is in flight at a time and the pool
+// never grows past the largest cohort. Surviving results carry pooled comm
+// buffers and dropped results are never read after delivery, so workers are
+// reusable the moment this returns.
+func (e *Env) trainCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
+	for len(e.workers) < len(sel) {
+		e.workers = append(e.workers, e.newWorker())
+	}
+	group := e.workers[:len(sel)]
+	for i, id := range sel {
+		e.bind(group[i], id)
+	}
+	results, err := runCohort(group, e.links, start, global, comm, lc)
+	for _, w := range group {
+		w.Data = nil // a synthesized shard dies with the round
+	}
+	return results, err
 }
 
 // ---------------------------------------------------------------------------
@@ -412,37 +511,62 @@ func (cm *Comm) CountControl(bytes int64, uplink bool) {
 // ---------------------------------------------------------------------------
 // Evaluation harness
 
-// Evaluator measures a weight vector against every client's held-out data,
-// producing the three robustness metrics of Definition 3.1: prediction
-// accuracy (sample-weighted mean), cross-client accuracy variance, and —
-// through the caller's time series — convergence speed. Evaluation costs no
-// virtual time and no simulated communication; the paper likewise excludes
-// test-set evaluation from its measurements.
+// Evaluator measures a weight vector against the held-out data of a fixed
+// panel of clients, producing the three robustness metrics of Definition
+// 3.1: prediction accuracy (sample-weighted mean), cross-client accuracy
+// variance, and — through the caller's time series — convergence speed.
+// Shards are fetched through a function and dropped right after they are
+// measured, so a pass over synthesized shards costs O(1) memory in the
+// population size. Evaluation costs no virtual time and no simulated
+// communication; the paper likewise excludes test-set evaluation from its
+// measurements.
 type Evaluator struct {
-	clients []*Client
-	nets    []*nn.Network
+	ids   []int // the panel, ascending
+	shard func(id int) *dataset.ClientData
+	nets  []*nn.Network
 
-	// Per-client scratch reused across Evaluate calls. Evaluate is not safe
-	// for concurrent use (the run loops serialize evaluation).
+	// Per-panel-member scratch reused across Evaluate calls. Evaluate is
+	// not safe for concurrent use (the run loops serialize evaluation).
 	accs    []float64
 	correct []int
 	totals  []int
 	losses  []float64
 }
 
-// NewEvaluator builds the harness with one model replica per parallel
-// worker. The worker count follows GOMAXPROCS capped by the client count:
-// per-client results are written to disjoint indices and summed in id
-// order afterwards, so the count affects only wall time, never the result.
-func NewEvaluator(factory ModelFactory, seed uint64, clients []*Client) *Evaluator {
+// evalSampleIDs picks the evaluation panel: the full population in id order
+// when k covers it, otherwise k ids drawn once from a dedicated labeled
+// stream and sorted — fixed for the whole run so the accuracy series
+// measures one consistent panel.
+func evalSampleIDs(n, k int, seed uint64) []int {
+	if k >= n {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = i
+		}
+		return ids
+	}
+	r := rng.New(seed).SplitLabeled(hashName("evalsample"))
+	// Choose retains an O(N) permutation; copy the prefix so the sample is
+	// all that survives.
+	ids := append([]int(nil), r.Choose(n, k)...)
+	sort.Ints(ids)
+	return ids
+}
+
+// newEvaluator builds the harness over a k-client panel of an n-client
+// population, with one model replica per parallel worker. The worker count
+// follows GOMAXPROCS capped by the panel size: per-client results are
+// written to disjoint indices and summed in id order afterwards, so the
+// count affects only wall time, never the result.
+func newEvaluator(factory ModelFactory, seed uint64, n, k int, shard func(id int) *dataset.ClientData) *Evaluator {
+	e := &Evaluator{ids: evalSampleIDs(n, k, seed), shard: shard}
 	workers := runtime.GOMAXPROCS(0)
-	if len(clients) < workers {
-		workers = len(clients)
+	if len(e.ids) < workers {
+		workers = len(e.ids)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	e := &Evaluator{clients: clients}
 	for i := 0; i < workers; i++ {
 		e.nets = append(e.nets, factory(seed))
 	}
@@ -450,14 +574,11 @@ func NewEvaluator(factory ModelFactory, seed uint64, clients []*Client) *Evaluat
 }
 
 // NewDataEvaluator builds an Evaluator directly over dataset shards, for
-// callers without simulated clients — the live transport's server-side
-// evaluation of a mirrored federation.
+// callers without a simulated environment — the live transport's
+// server-side evaluation of a mirrored federation.
 func NewDataEvaluator(factory ModelFactory, seed uint64, shards []*dataset.ClientData) *Evaluator {
-	clients := make([]*Client, len(shards))
-	for i, d := range shards {
-		clients[i] = &Client{ID: i, Data: d}
-	}
-	return NewEvaluator(factory, seed, clients)
+	return newEvaluator(factory, seed, len(shards), len(shards),
+		func(id int) *dataset.ClientData { return shards[id] })
 }
 
 // Result is one evaluation of a global model.
@@ -467,13 +588,14 @@ type Result struct {
 	Variance float64 // population variance of per-client accuracies
 }
 
-// Evaluate runs the model on every client's test split.
+// Evaluate runs the model on every panel member's test split, strided
+// across the replicas.
 func (e *Evaluator) Evaluate(w []float64) Result {
-	if len(e.accs) != len(e.clients) {
-		e.accs = make([]float64, len(e.clients))
-		e.correct = make([]int, len(e.clients))
-		e.totals = make([]int, len(e.clients))
-		e.losses = make([]float64, len(e.clients))
+	if len(e.accs) != len(e.ids) {
+		e.accs = make([]float64, len(e.ids))
+		e.correct = make([]int, len(e.ids))
+		e.totals = make([]int, len(e.ids))
+		e.losses = make([]float64, len(e.ids))
 	}
 	accs, correct, totals, losses := e.accs, e.correct, e.totals, e.losses
 	for i := range accs {
@@ -488,14 +610,14 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 			defer wg.Done()
 			net := e.nets[wk]
 			net.SetWeights(w)
-			for i := wk; i < len(e.clients); i += nw {
-				c := e.clients[i]
-				if c.Data.NumTest() == 0 {
+			for i := wk; i < len(e.ids); i += nw {
+				d := e.shard(e.ids[i])
+				if d.NumTest() == 0 {
 					continue
 				}
-				cor, loss := net.Eval(c.Data.TestX, c.Data.TestY)
+				cor, loss := net.Eval(d.TestX, d.TestY)
 				correct[i] = cor
-				totals[i] = c.Data.NumTest()
+				totals[i] = d.NumTest()
 				losses[i] = loss * float64(totals[i])
 				accs[i] = float64(cor) / float64(totals[i])
 			}
@@ -505,7 +627,7 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 
 	totCorrect, totSamples := 0, 0
 	totLoss := 0.0
-	for i := range e.clients {
+	for i := range e.ids {
 		totCorrect += correct[i]
 		totSamples += totals[i]
 		totLoss += losses[i]
@@ -520,20 +642,21 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 	}
 }
 
-// EvaluateSubset measures the model on a subset of clients (TiFL's per-tier
-// accuracy collection). It returns the subset's sample-weighted accuracy.
+// EvaluateSubset measures the model on an explicit subset of clients
+// (TiFL's per-tier accuracy collection), panel member or not. It returns
+// the subset's sample-weighted accuracy.
 func (e *Evaluator) EvaluateSubset(w []float64, ids []int) float64 {
 	net := e.nets[0]
 	net.SetWeights(w)
 	correct, total := 0, 0
 	for _, id := range ids {
-		c := e.clients[id]
-		if c.Data.NumTest() == 0 {
+		d := e.shard(id)
+		if d.NumTest() == 0 {
 			continue
 		}
-		cor, _ := net.Eval(c.Data.TestX, c.Data.TestY)
+		cor, _ := net.Eval(d.TestX, d.TestY)
 		correct += cor
-		total += c.Data.NumTest()
+		total += d.NumTest()
 	}
 	if total == 0 {
 		return 0

@@ -27,8 +27,9 @@ type TrainResult struct {
 // policy decisions; the fabric owns execution and time.
 //
 // Two implementations exist: the simulated fabric below (virtual clock,
-// lossy-channel modeling, per-round injected delays) and the live TCP
-// fabric in internal/transport (wall clock, real connections). Every policy
+// lossy-channel modeling, per-round injected delays; the only one in this
+// package, whatever the Env was built from) and the live TCP fabric in
+// internal/transport (wall clock, real connections). Every policy
 // composition in the registry runs unchanged on both.
 //
 // Threading contract: the engine calls fabric methods only from the clock
@@ -106,11 +107,13 @@ type SyncFabric interface {
 // ---------------------------------------------------------------------------
 // Simulated fabric
 
-// simFabric runs methods on the discrete-event simulator: trainGroup
+// simFabric runs methods on the discrete-event simulator: trainCohort
 // computes each round's outcome synchronously (virtual link reservations,
 // injected delays, the lossy codec channel) and a simnet clock is the
 // timeline. It is the reference fabric: the bit-pinned golden runs define
-// its behavior.
+// its behavior. Every per-client question is answered by the
+// environment's sources, so a derived population is queried without
+// materializing anyone.
 type simFabric struct {
 	simnet.Clock
 	env *Env
@@ -129,16 +132,16 @@ func (e *Env) Fabric() Fabric { return e.FabricOn(simnet.New()) }
 // availability) stays per-environment.
 func (e *Env) FabricOn(c simnet.Clock) Fabric { return &simFabric{Clock: c, env: e} }
 
-func (f *simFabric) Dataset() string { return f.env.Fed.Name }
-func (f *simFabric) NumClients() int { return len(f.env.Clients) }
+func (f *simFabric) Dataset() string { return f.env.dataset }
+func (f *simFabric) NumClients() int { return f.env.n }
 func (f *simFabric) SampleCount(id int) int {
-	return f.env.Clients[id].Data.NumTrain()
+	return f.env.shards.NumTrain(id)
 }
 func (f *simFabric) Available(id int, now float64) bool {
-	return f.env.Clients[id].Runtime.Available(now)
+	return f.env.runtimes.Available(id, now)
 }
 func (f *simFabric) NextAvailable(id int, now float64) float64 {
-	return f.env.Clients[id].Runtime.NextOnline(now)
+	return f.env.runtimes.NextOnline(id, now)
 }
 func (f *simFabric) InitialWeights() []float64 { return f.env.InitialWeights() }
 func (f *simFabric) Shapes() []codec.ShapeInfo { return f.env.Shapes() }
@@ -177,34 +180,27 @@ func (f *simFabric) AtSync(t float64, fn func()) {
 }
 
 func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error)) {
-	deliver(f.env.trainGroup(cohort, now, global, comm, lc))
+	deliver(f.env.trainCohort(cohort, now, global, comm, lc))
 }
 
-func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, replyBytes int) (float64, error) {
-	return probeSweep(comm, f.env.Cluster, len(ids), func(i int) *simnet.ClientRuntime {
-		return f.env.Clients[ids[i]].Runtime
-	}, now, w, replyBytes)
-}
-
-// probeSweep is the simulated fabrics' Probe body over n resolved client
-// runtimes: w crosses the codec once for the whole sweep (every client
+// Probe sends w across the codec once for the whole sweep (every client
 // would receive the same bytes, and a probe only needs their count), then
-// each client is charged the download, its reply and the link time.
-func probeSweep(comm *Comm, cl *simnet.Cluster, n int, runtime func(i int) *simnet.ClientRuntime, now float64, w []float64, replyBytes int) (float64, error) {
-	if n == 0 {
+// charges each client the download, its reply and the link time.
+func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, replyBytes int) (float64, error) {
+	if len(ids) == 0 {
 		return now, nil
 	}
-	probed, bytes, err := comm.Broadcast(w, n)
+	probed, bytes, err := comm.Broadcast(w, len(ids))
 	if err != nil {
 		return 0, err
 	}
 	comm.Release(probed) // probes only need the byte accounting
-	comm.CountControl(int64(replyBytes)*int64(n), true)
+	comm.CountControl(int64(replyBytes)*int64(len(ids)), true)
 	latest := now
-	for i := 0; i < n; i++ {
-		rt := runtime(i)
-		done := cl.DownloadArrival(now, rt, bytes)
-		done = cl.UploadArrival(done, rt, replyBytes)
+	for _, id := range ids {
+		rt := f.env.runtimes.Materialize(id)
+		done := f.env.links.DownloadArrival(now, rt, bytes)
+		done = f.env.links.UploadArrival(done, rt, replyBytes)
 		if done > latest {
 			latest = done
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
@@ -16,6 +17,15 @@ import (
 // testEnv builds a small but non-trivial environment: 20 clients over the
 // Fashion-MNIST stand-in with the paper's five delay tiers.
 func testEnv(t *testing.T, classesPerClient int, cfg RunConfig) *Env {
+	t.Helper()
+	env, _, _ := testEnvParts(t, classesPerClient, cfg)
+	return env
+}
+
+// testEnvParts is testEnv returning the retained population as well: tests
+// that script a client going off-profile edit cluster.Clients[id] (the Env
+// reads runtimes live), and tests of local training take shards from fed.
+func testEnvParts(t *testing.T, classesPerClient int, cfg RunConfig) (*Env, *dataset.Federated, *simnet.Cluster) {
 	t.Helper()
 	fed, err := dataset.FashionLike(20, classesPerClient, dataset.ScaleSmall, 11)
 	if err != nil {
@@ -34,14 +44,23 @@ func testEnv(t *testing.T, classesPerClient int, cfg RunConfig) *Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factory := func(seed uint64) *nn.Network {
-		return nn.NewMLP(rng.New(seed), fed.InDim, 16, fed.Classes)
-	}
-	env, err := NewEnv(fed, cluster, factory, cfg)
+	env, err := NewEnv(fed, cluster, testFactory(fed), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env
+	return env, fed, cluster
+}
+
+func testFactory(fed *dataset.Federated) ModelFactory {
+	return func(seed uint64) *nn.Network {
+		return nn.NewMLP(rng.New(seed), fed.InDim, 16, fed.Classes)
+	}
+}
+
+// testLocalClient is client id of the test federation as a standalone
+// trainer, the way the live transport builds one.
+func testLocalClient(fed *dataset.Federated, id int, cfg RunConfig) *Client {
+	return NewLocalClient(id, fed.Clients[id], testFactory(fed)(cfg.Seed), opt.NewAdam(cfg.LearningRate), cfg.Seed)
 }
 
 func baseCfg() RunConfig {
@@ -201,8 +220,8 @@ func TestWeightedVsUniformAggregationDiffer(t *testing.T) {
 
 func TestTrainLocalFixedSchedule(t *testing.T) {
 	cfg := baseCfg()
-	env := testEnv(t, 0, cfg)
-	c := env.Clients[0]
+	env, fed, _ := testEnvParts(t, 0, cfg)
+	c := testLocalClient(fed, 0, cfg)
 	w0 := env.InitialWeights()
 	lc := env.LocalConfig(0.4, 7)
 	// TrainLocal reuses its result buffer across calls; copy to compare.
@@ -233,8 +252,8 @@ func TestTrainLocalFixedSchedule(t *testing.T) {
 
 func TestTrainLocalProximalPullsTowardAnchor(t *testing.T) {
 	cfg := baseCfg()
-	env := testEnv(t, 0, cfg)
-	c := env.Clients[1]
+	env, fed, _ := testEnvParts(t, 0, cfg)
+	c := testLocalClient(fed, 1, cfg)
 	w0 := env.InitialWeights()
 	lc := env.LocalConfig(0, 1)
 	lc.Epochs = 4
@@ -268,9 +287,9 @@ func TestLocalConfigSteps(t *testing.T) {
 
 func TestSelectAvailableExcludesDropped(t *testing.T) {
 	cfg := baseCfg()
-	env := testEnv(t, 0, cfg)
+	env, _, cluster := testEnvParts(t, 0, cfg)
 	// Force one client offline.
-	env.Clients[3].Runtime.DropAt = 0
+	cluster.Clients[3].DropAt = 0
 	fab := env.Fabric()
 	ids := []int{3}
 	var scratch []int
@@ -294,9 +313,9 @@ func TestSelectAvailableExcludesDropped(t *testing.T) {
 // pick and draw for draw, with the scratch reused (and dirty) across calls.
 func TestSelectAvailableMatchesChoose(t *testing.T) {
 	cfg := baseCfg()
-	env := testEnv(t, 0, cfg)
+	env, _, cluster := testEnvParts(t, 0, cfg)
 	for _, off := range []int{3, 7, 12} {
-		env.Clients[off].Runtime.DropAt = 0
+		cluster.Clients[off].DropAt = 0
 	}
 	fab := env.Fabric()
 	ids := allClientIDs(fab)
@@ -380,10 +399,7 @@ func TestEvaluatorWeightsAndVariance(t *testing.T) {
 		t.Fatal("NaN loss")
 	}
 	// Subset evaluation should match full evaluation when given all ids.
-	all := make([]int, len(env.Clients))
-	for i := range all {
-		all[i] = i
-	}
+	all := allClientIDs(env.Fabric())
 	sub := env.Eval.EvaluateSubset(env.InitialWeights(), all)
 	if math.Abs(sub-res.Acc) > 1e-12 {
 		t.Fatalf("subset accuracy %v != full %v", sub, res.Acc)

@@ -10,13 +10,15 @@ import (
 // by TiFL and FedAT, which reuses TiFL's tiering approach (§2.1). When
 // MisTierFrac > 0 that fraction of the profiles is replaced with random
 // values, modelling the mis-profiling §2.1 describes ("a portion of clients
-// are incorrectly profiled and assigned to a wrong tier").
+// are incorrectly profiled and assigned to a wrong tier"). Latencies and
+// sample counts are pure queries on the environment's sources: profiling a
+// derived population materializes no client.
 func ProfileTiers(env *Env) (*tiering.Tiers, error) {
 	lc := env.LocalConfig(0, 0)
-	lat := make([]float64, len(env.Clients))
+	lat := make([]float64, env.n)
 	lo, hi := 1e300, 0.0
-	for i, c := range env.Clients {
-		lat[i] = c.Runtime.ExpectedLatency(lc.Steps(c.Data.NumTrain()))
+	for i := range lat {
+		lat[i] = env.runtimes.ExpectedLatency(i, lc.Steps(env.shards.NumTrain(i)))
 		if lat[i] < lo {
 			lo = lat[i]
 		}

@@ -31,8 +31,8 @@ func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now floa
 	return append([]int(nil), avail[:k]...)
 }
 
-// trainGroup runs one synchronous round over the selected clients, starting
-// at virtual time start from the global snapshot:
+// runCohort runs one synchronous round over a cohort of bound workers,
+// starting at virtual time start from the global snapshot:
 //
 //	download (client link + shared server downlink) → local training
 //	(batch steps × per-batch time + the injected tier delay) → upload
@@ -42,23 +42,8 @@ func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now floa
 // link reservations happen sequentially in selection order, so results are
 // deterministic. Clients that drop mid-round lose their update (§6's
 // unstable clients). Weights in the results are what the server
-// reconstructs after the (possibly lossy) uplink. This is the simulated
-// fabric's Dispatch body.
-func (e *Env) trainGroup(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
-	if cap(e.group) < len(sel) {
-		e.group = make([]*Client, len(sel))
-	}
-	group := e.group[:len(sel)]
-	for i, id := range sel {
-		group[i] = e.Clients[id]
-	}
-	return runCohort(group, e.Cluster, start, global, comm, lc)
-}
-
-// runCohort is trainGroup's body over resolved clients: the eager Env hands
-// it permanent per-client state, the lazy environment hands it pooled
-// workers bound to the cohort for exactly this round. cl provides the link
-// model — only its server links are touched, so a Links-only shell works.
+// reconstructs after the (possibly lossy) uplink. cl provides the link
+// model — only its server links are touched, so a links-only shell works.
 func runCohort(group []*Client, cl *simnet.Cluster, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
 	if len(group) == 0 {
 		return nil, nil

@@ -1,0 +1,299 @@
+package fl
+
+import (
+	"reflect"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/nn"
+	"repro/internal/rng"
+	"repro/internal/simnet"
+)
+
+// sourceCase is one paired (dataset, cluster, run) configuration from which
+// both kinds of environment are built: NewEnv over the generated federation
+// and materialized cluster, NewLazyEnv over the source and population.
+type sourceCase struct {
+	dcfg    dataset.Config
+	ccfg    simnet.ClusterConfig
+	rcfg    RunConfig
+	factory ModelFactory
+}
+
+// baseSourceCase is a small static population — image shards, unstable
+// clients, finite links — with every optional stage off. The variants below
+// switch one stage on each, so a divergence names the stream that moved.
+func baseSourceCase(seed uint64) sourceCase {
+	return sourceCase{
+		dcfg: dataset.Config{
+			Name: "lazylike", NumClients: 20, Classes: 10, SamplesPerClient: 24,
+			ClassesPerClient: 2, Seed: seed, ImgC: 1, ImgH: 6, ImgW: 6,
+			Signal: 0.3, Noise: 1.0,
+		},
+		ccfg: simnet.ClusterConfig{
+			NumClients: 20, NumUnstable: 3, DropHorizon: 600,
+			SecPerBatch: 0.05, UpBW: 1 << 20, DownBW: 1 << 20, ServerBW: 8 << 20,
+			Seed: seed,
+		},
+		rcfg: RunConfig{
+			Rounds: 8, ClientsPerRound: 4, LocalEpochs: 1, BatchSize: 6,
+			LearningRate: 0.02, NumTiers: 3, EvalEvery: 2,
+			Seed: seed,
+		},
+		factory: func(seed uint64) *nn.Network { return nn.NewMLP(rng.New(seed), 36, 8, 10) },
+	}
+}
+
+// adversarialSourceCase switches everything on at once: drift + churn +
+// late joins, a scaling attack and the DP stage, so every derived stream
+// (speed, delay, drift, churn, schedule, DP noise, attack membership) is
+// exercised in one run.
+func adversarialSourceCase(seed uint64) sourceCase {
+	c := baseSourceCase(seed)
+	c.ccfg.Behavior = simnet.BehaviorConfig{
+		DriftMag: 0.2, DriftInterval: 40,
+		ChurnFrac: 0.25, LateJoinFrac: 0.15,
+		AttackFrac: 0.2, AttackKind: "scale", AttackScale: -2,
+	}
+	c.rcfg.DPClip, c.rcfg.DPNoise = 0.5, 0.01
+	return c
+}
+
+// retained builds the environment over a retained population.
+func (c sourceCase) retained(t testing.TB) *Env {
+	t.Helper()
+	fed, err := dataset.Generate(c.dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster, err := simnet.NewCluster(c.ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewEnv(fed, cluster, c.factory, c.rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
+// derived builds the environment over a derived population, returning the
+// population so a test can count what a run materialized.
+func (c sourceCase) derived(t testing.TB) (*Env, *simnet.Population) {
+	t.Helper()
+	src, err := dataset.NewSource(c.dcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pop, err := simnet.NewPopulation(c.ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := NewLazyEnv(src, pop, c.factory, c.rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env, pop
+}
+
+// TestLazyEnvMatchesEagerRun pins retained ≡ derived: a full run over an
+// environment built by NewLazyEnv — on-demand shards, runtimes materialized
+// at dispatch, an evaluation panel covering the whole (small) population —
+// produces a run record bit-identical to one over NewEnv's retained
+// federation and cluster. Every registry method and a composed fedbuff
+// method run on the base case; then one case each switches on DP, an
+// attack regime, churn/drift/late joins, and the dropout LSTM (whose mask
+// stream is the only training state a weight vector does not carry).
+func TestLazyEnvMatchesEagerRun(t *testing.T) {
+	type variant struct {
+		name   string
+		method string
+		edit   func(*sourceCase)
+	}
+	var variants []variant
+	for _, name := range MethodNames() {
+		variants = append(variants, variant{name: name, method: name})
+	}
+	variants = append(variants,
+		variant{name: "fedbuff:fedasync:hinge", method: "fedbuff"},
+		variant{name: "dp", method: "fedat", edit: func(c *sourceCase) {
+			c.rcfg.DPClip, c.rcfg.DPNoise = 0.5, 0.01
+		}},
+		variant{name: "attack", method: "fedavg", edit: func(c *sourceCase) {
+			c.ccfg.Behavior = simnet.BehaviorConfig{AttackFrac: 0.2, AttackKind: "labelflip"}
+		}},
+		variant{name: "dynamics", method: "fedat", edit: func(c *sourceCase) {
+			c.ccfg.Behavior = simnet.BehaviorConfig{
+				DriftMag: 0.2, DriftInterval: 40, ChurnFrac: 0.25, LateJoinFrac: 0.15,
+			}
+			c.rcfg.RetierEvery = 3
+		}},
+		variant{name: "lstm", method: "fedprox", edit: (*sourceCase).useLSTM},
+	)
+	for _, v := range variants {
+		t.Run(v.name, func(t *testing.T) {
+			c := baseSourceCase(17)
+			if v.edit != nil {
+				v.edit(&c)
+			}
+			var m Method
+			var err error
+			if v.method == "fedbuff" {
+				m, err = Compose("fedasync", "", "fedbuff", "fedasync:hinge:0.5:2", "")
+			} else {
+				m, err = Lookup(v.method)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := m.Run(c.retained(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			env, _ := c.derived(t)
+			got, err := m.Run(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Points) == 0 {
+				t.Fatal("run recorded no evaluations; the comparison is vacuous")
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("derived run diverged from retained run:\nretained: %+v\nderived:  %+v", want, got)
+			}
+		})
+	}
+}
+
+// useLSTM swaps the case's task for next-token prediction over the Reddit
+// model in miniature — embedding, LSTM, dropout, batch norm, dense — the
+// one architecture with a stochastic layer.
+func (c *sourceCase) useLSTM() {
+	const vocab, seqLen = 16, 6
+	c.dcfg = dataset.Config{
+		Name: "tokenlike", NumClients: c.dcfg.NumClients, Classes: vocab, SamplesPerClient: 24,
+		ClassesPerClient: 4, PowerLaw: true, Seed: c.dcfg.Seed, Vocab: vocab, SeqLen: seqLen,
+	}
+	cfg := nn.LSTMConfig{
+		Vocab: vocab, Emb: 4, Hidden: 6, SeqLen: seqLen, Classes: vocab,
+		Dropout: 0.1, BatchNorm: true,
+	}
+	c.factory = func(seed uint64) *nn.Network { return nn.NewLSTMClassifier(rng.New(seed), cfg) }
+}
+
+// TestLazyEnvResetReuse pins the reuse contract on a derived population:
+// after ResetState a second run on the SAME Env is bit-identical to the
+// first — no worker binding, materialized runtime, delay-stream position or
+// link reservation survives a run.
+func TestLazyEnvResetReuse(t *testing.T) {
+	env, _ := adversarialSourceCase(29).derived(t)
+	first := mustRun(t, "fedat", env)
+	env.ResetState()
+	second := mustRun(t, "fedat", env)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("run after ResetState diverged:\nfirst:  %+v\nsecond: %+v", first, second)
+	}
+}
+
+// TestEnvReplicasBoundedByCohort pins what replaced per-client replicas: a
+// retained 100-client environment constructs one reference model, one
+// evaluation replica per GOMAXPROCS and one training replica per member of
+// the largest cohort ever dispatched — not one per client.
+func TestEnvReplicasBoundedByCohort(t *testing.T) {
+	c := baseSourceCase(5)
+	c.dcfg.NumClients, c.ccfg.NumClients = 100, 100
+	c.ccfg.NumUnstable = 10
+	c.rcfg.Rounds, c.rcfg.ClientsPerRound, c.rcfg.NumTiers = 30, 6, 5
+	var built atomic.Int64
+	inner := c.factory
+	c.factory = func(seed uint64) *nn.Network {
+		built.Add(1)
+		return inner(seed)
+	}
+	env := c.retained(t)
+	cohort := &largestCohort{}
+	for _, name := range []string{"fedat", "fedavg", "tifl"} {
+		env.ResetState()
+		run := mustRun(t, name, env, cohort)
+		if run.GlobalRounds == 0 {
+			t.Fatalf("%s: no global rounds completed", name)
+		}
+	}
+	if cohort.n == 0 {
+		t.Fatal("no dispatch observed")
+	}
+	if limit := int64(cohort.n + runtime.GOMAXPROCS(0) + 1); built.Load() > limit {
+		t.Fatalf("%d model replicas constructed for a 100-client population; want ≤ %d (largest cohort %d + GOMAXPROCS + 1)",
+			built.Load(), limit, cohort.n)
+	}
+}
+
+// largestCohort records the largest cohort any RoundStartEvent dispatched.
+type largestCohort struct{ n int }
+
+func (l *largestCohort) OnEvent(ev Event) {
+	if e, ok := ev.(RoundStartEvent); ok && len(e.Clients) > l.n {
+		l.n = len(e.Clients)
+	}
+}
+
+// heapWatcher samples the live heap at every fold and evaluation — the
+// points where a derived run's footprint peaks (cohort shards just released,
+// eval shards in flight).
+type heapWatcher struct{ peak uint64 }
+
+func (h *heapWatcher) OnEvent(ev Event) {
+	switch ev.(type) {
+	case TierFoldEvent, EvalEvent:
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		if m.HeapAlloc > h.peak {
+			h.peak = m.HeapAlloc
+		}
+	}
+}
+
+// TestLazyEnvMemoryCeiling is the scale guarantee: a one-million-client
+// FedAT run completes with the heap bounded by a fixed ceiling independent
+// of N — clients exist as (seed, id) until dispatched, shards die with
+// their round, and evaluation touches a fixed sample. 256MB is ~40x what
+// the run actually holds live; an accidental O(N) materialization (eager
+// clients are ~10KB each) blows through it immediately.
+func TestLazyEnvMemoryCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("1M-client run; skipped in -short")
+	}
+	const n = 1_000_000
+	dcfg := dataset.Config{
+		Name: "hugelike", NumClients: n, Classes: 10, SamplesPerClient: 24,
+		ClassesPerClient: 2, Seed: 1, ImgC: 1, ImgH: 6, ImgW: 6,
+		Signal: 0.3, Noise: 1.0,
+	}
+	ccfg := simnet.ClusterConfig{
+		NumClients: n, NumUnstable: 1000, DropHorizon: 20000,
+		SecPerBatch: 0.05, UpBW: 1 << 20, DownBW: 1 << 20, ServerBW: 16 << 20,
+		Seed: 1,
+	}
+	rcfg := RunConfig{
+		Rounds: 3, ClientsPerRound: 10, LocalEpochs: 1, BatchSize: 10,
+		LearningRate: 0.02, NumTiers: 5, EvalEvery: 1, EvalSample: 64,
+		Seed: 1,
+	}
+	c := sourceCase{dcfg: dcfg, ccfg: ccfg, rcfg: rcfg, factory: baseSourceCase(1).factory}
+	env, pop := c.derived(t)
+	watch := &heapWatcher{}
+	run := mustRun(t, "fedat", env, watch)
+	if run.GlobalRounds < rcfg.Rounds {
+		t.Fatalf("1M-client run completed only %d/%d global rounds", run.GlobalRounds, rcfg.Rounds)
+	}
+	const ceiling = 256 << 20
+	if watch.peak > ceiling {
+		t.Fatalf("peak heap %dMB exceeds the %dMB ceiling — the environment is materializing O(N) state",
+			watch.peak>>20, ceiling>>20)
+	}
+	if got := pop.Materialized(); got >= n/100 {
+		t.Fatalf("run materialized %d of %d runtimes; the population should stay lazy", got, n)
+	}
+}

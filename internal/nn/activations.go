@@ -112,7 +112,7 @@ func (l *Tanh) Backward(dout *tensor.Mat) *tensor.Mat {
 type Dropout struct {
 	Rate float64
 
-	r       *rng.RNG
+	r       rng.RNG
 	out, dx *tensor.Mat
 	mask    []float64
 }
@@ -132,7 +132,13 @@ func (l *Dropout) ParamShapes() []Shape { return nil }
 func (l *Dropout) Bind(w, g []float64) { checkBind(l, w, g) }
 
 // Init implements Layer; it seeds the layer's private mask stream.
-func (l *Dropout) Init(r *rng.RNG) { l.r = r.Split() }
+func (l *Dropout) Init(r *rng.RNG) { l.r = *r.Split() }
+
+// Reseed restarts the mask stream. The stream is the one piece of layer
+// state SetWeights cannot overwrite, so whoever needs a replica's training
+// pass to be a function of its inputs alone reseeds it first
+// (Network.Reseed).
+func (l *Dropout) Reseed(r rng.RNG) { l.r = r }
 
 // OutDim implements Layer.
 func (l *Dropout) OutDim(in int) int { return in }

@@ -59,6 +59,20 @@ func NewNetwork(r *rng.RNG, loss Loss, layers ...Layer) *Network {
 	return n
 }
 
+// Reseed restarts the random streams of the stack's stochastic layers
+// (Dropout masks), giving layer i the child of r labeled i. r is not
+// advanced and a network without such layers draws nothing, so calling it
+// before a training pass costs a deterministic network nothing and makes a
+// stochastic one a pure function of (weights, batches, r) — independent of
+// what the replica trained before.
+func (n *Network) Reseed(r *rng.RNG) {
+	for i, l := range n.layers {
+		if s, ok := l.(interface{ Reseed(rng.RNG) }); ok {
+			s.Reseed(r.SplitLabeledValue(uint64(i)))
+		}
+	}
+}
+
 // NumParams returns the total parameter count.
 func (n *Network) NumParams() int { return len(n.weights) }
 

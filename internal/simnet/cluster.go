@@ -286,6 +286,25 @@ func (c *Cluster) Reset() {
 	}
 }
 
+// The per-id queries below give a materialized cluster the same surface a
+// lazy Population answers from its index tables, so the federation layer
+// runs one environment over either. Each reads the live runtime, so a test
+// that edits cl.Clients[id] sees its edit.
+
+// Available reports whether client id is online at time t.
+func (c *Cluster) Available(id int, t float64) bool { return c.Clients[id].Available(t) }
+
+// NextOnline returns the earliest time >= t at which client id is online.
+func (c *Cluster) NextOnline(id int, t float64) float64 { return c.Clients[id].NextOnline(t) }
+
+// ExpectedLatency is the profiling estimate for client id.
+func (c *Cluster) ExpectedLatency(id, batchSteps int) float64 {
+	return c.Clients[id].ExpectedLatency(batchSteps)
+}
+
+// Materialize returns client id's runtime, which a cluster built up front.
+func (c *Cluster) Materialize(id int) *ClientRuntime { return c.Clients[id] }
+
 // UploadArrival models a client→server transfer started at now: the client
 // pushes at its own link speed while the server link serializes concurrent
 // transfers; the payload lands when both are done.

@@ -54,6 +54,7 @@ type Population struct {
 
 	churnTracks map[int]*churnTrack    // lazily built, shared with runtimes
 	runtimes    map[int]*ClientRuntime // touched-client cache
+	links       *Cluster               // the server's shared links (no clients)
 }
 
 // NewPopulation validates the configuration and builds the lazy population:
@@ -107,6 +108,10 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 		dropAt:      map[int]float64{},
 		churnTracks: map[int]*churnTrack{},
 		runtimes:    map[int]*ClientRuntime{},
+		links: &Cluster{
+			ServerUp:   &Link{Bandwidth: cfg.ServerBW},
+			ServerDown: &Link{Bandwidth: cfg.ServerBW},
+		},
 	}
 
 	// Part assignment: the same permutation walk NewCluster does, stored
@@ -298,24 +303,21 @@ func (p *Population) Materialize(id int) *ClientRuntime {
 // memory-ceiling assertions watch.
 func (p *Population) Materialized() int { return len(p.runtimes) }
 
-// Reset rewinds the consumable randomness of every touched runtime, so a
-// fresh run over the same population draws the same delays. Untouched
-// clients have no consumable state yet.
+// Reset clears the population's mutable simulation state — server link
+// reservations and the delay stream of every touched runtime — so a fresh
+// run over the same population sees identical conditions from time zero,
+// as Cluster.Reset does. Untouched clients have no consumable state yet.
 func (p *Population) Reset() {
+	p.links.Reset()
 	for _, c := range p.runtimes {
 		c.Reset()
 	}
 }
 
-// Links returns a Cluster shell carrying only the server's shared links —
-// the piece of Cluster the transfer-arrival model needs. Its Clients slice
-// is empty: lazy environments resolve runtimes through the population.
-func (p *Population) Links() *Cluster {
-	return &Cluster{
-		ServerUp:   &Link{Bandwidth: p.serverBW},
-		ServerDown: &Link{Bandwidth: p.serverBW},
-	}
-}
+// Links returns the population's Cluster shell carrying only the server's
+// shared links — the piece of Cluster the transfer-arrival model needs. Its
+// Clients slice is empty: runtimes are resolved through Materialize.
+func (p *Population) Links() *Cluster { return p.links }
 
 // Cluster materializes the entire population — the eager construction,
 // now expressed as "touch every client". NewCluster delegates here.

@@ -36,7 +36,7 @@ func (f *liveFabric) SampleCount(id int) int { return int(f.s.regs[id].NumSample
 // simulated drop schedule, it can take work until its connection goes away,
 // one round at a time.
 func (f *liveFabric) Available(id int, _ float64) bool {
-	cc := f.s.client(uint32(id))
+	cc := f.s.get(uint32(id))
 	return cc != nil && !cc.inRound
 }
 
@@ -47,7 +47,7 @@ func (f *liveFabric) Available(id int, _ float64) bool {
 // that finds every member busy elsewhere exits like any drained tier and is
 // restarted by the next retier pass.
 func (f *liveFabric) NextAvailable(id int, now float64) float64 {
-	if f.s.client(uint32(id)) != nil {
+	if f.s.get(uint32(id)) != nil {
 		return now
 	}
 	return math.Inf(1)
@@ -149,7 +149,7 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 	var wg sync.WaitGroup
 	for i, id := range cohort {
 		results[i] = fl.TrainResult{Client: id, Dropped: true, Arrive: now}
-		cc := f.s.client(uint32(id))
+		cc := f.s.get(uint32(id))
 		if cc == nil {
 			continue
 		}
@@ -158,7 +158,7 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 			p = atkPush
 		}
 		if err := cc.send(p); err != nil {
-			f.s.dropClient(cc, err)
+			f.s.drop(cc, err)
 			results[i].Arrive = f.Now()
 			continue
 		}
@@ -169,7 +169,7 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 			defer wg.Done()
 			r, up, err := f.collect(cc, lc.Round, pool, pushRef)
 			if err != nil {
-				f.s.dropClient(cc, err)
+				f.s.drop(cc, err)
 				results[i] = fl.TrainResult{Client: id, Dropped: true, Arrive: f.Now()}
 				return
 			}
@@ -195,7 +195,7 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 				comm.CountControl(up, true)
 			}
 			for _, id := range cohort {
-				if cc := f.s.client(uint32(id)); cc != nil {
+				if cc := f.s.get(uint32(id)); cc != nil {
 					cc.inRound = false
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -53,16 +52,12 @@ type RootConfig struct {
 // Server it runs no method engine — the engines run on the edges; the root
 // is the edge.Cloud overlay plus a wire.
 type RootServer struct {
+	peers    // the registered edges
 	cfg      RootConfig
 	cloud    *edge.Cloud
-	ln       net.Listener
 	start    time.Time
-	stopping atomic.Bool
 	done     chan struct{}
 	stopOnce sync.Once
-
-	mu    sync.Mutex
-	edges map[uint32]*clientConn
 }
 
 // NewRoot binds the listener; call Run to serve.
@@ -94,11 +89,10 @@ func NewRoot(cfg RootConfig) (*RootServer, error) {
 		return nil, fmt.Errorf("transport: root listen: %w", err)
 	}
 	return &RootServer{
+		peers: newPeers(ln, cfg.Edges, "root", "edge", cfg.Logf),
 		cfg:   cfg,
 		cloud: cloud,
-		ln:    ln,
 		done:  make(chan struct{}),
-		edges: map[uint32]*clientConn{},
 	}, nil
 }
 
@@ -114,25 +108,26 @@ func (r *RootServer) now() float64 { return time.Since(r.start).Seconds() }
 func (r *RootServer) Run() (*metrics.Run, []float64, error) {
 	defer r.ln.Close()
 	r.start = time.Now()
-	if err := r.acceptEdges(); err != nil {
-		r.shutdownEdges()
+	err := r.accept(func(reg Register) {
+		r.cfg.Logf("fed root: edge %d registered (%d clients)", reg.ClientID, reg.NumSamples)
+	})
+	if err != nil {
+		r.shutdown()
 		return nil, nil, err
 	}
 	r.cfg.Logf("fed root: %d edges registered; folding %s (budget %d)", r.cfg.Edges, r.cloudFold(), r.cfg.Rounds)
 
 	var wg sync.WaitGroup
-	r.mu.Lock()
-	for _, ec := range r.edges {
+	for _, ec := range r.all() {
 		wg.Add(1)
 		go func(ec *clientConn) {
 			defer wg.Done()
 			r.serveEdge(ec)
 		}(ec)
 	}
-	r.mu.Unlock()
 
 	<-r.done
-	r.shutdownEdges()
+	r.shutdown()
 	wg.Wait()
 	return r.cloud.Record(), r.cloud.Global(), nil
 }
@@ -146,15 +141,8 @@ func (r *RootServer) cloudFold() string {
 
 // Shutdown stops the root from another goroutine.
 func (r *RootServer) Shutdown() {
-	r.stopping.Store(true)
-	r.ln.Close()
 	r.finish()
-	r.mu.Lock()
-	now := time.Now()
-	for _, ec := range r.edges {
-		ec.conn.SetReadDeadline(now)
-	}
-	r.mu.Unlock()
+	r.interrupt()
 }
 
 func (r *RootServer) finish() {
@@ -163,42 +151,6 @@ func (r *RootServer) finish() {
 	// post-budget fold).
 	r.stopping.Store(true)
 	r.stopOnce.Do(func() { close(r.done) })
-}
-
-func (r *RootServer) acceptEdges() error {
-	for {
-		r.mu.Lock()
-		n := len(r.edges)
-		r.mu.Unlock()
-		if n >= r.cfg.Edges {
-			return nil
-		}
-		conn, err := r.ln.Accept()
-		if err != nil {
-			if r.stopping.Load() {
-				return fmt.Errorf("transport: root shut down during registration (%d/%d edges)", n, r.cfg.Edges)
-			}
-			return fmt.Errorf("transport: root accept: %w", err)
-		}
-		reg, err := readRegister(conn)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		if int(reg.ClientID) >= r.cfg.Edges {
-			conn.Close()
-			return fmt.Errorf("transport: edge id %d out of range [0,%d)", reg.ClientID, r.cfg.Edges)
-		}
-		r.mu.Lock()
-		if _, dup := r.edges[reg.ClientID]; dup {
-			r.mu.Unlock()
-			conn.Close()
-			return fmt.Errorf("transport: duplicate edge id %d", reg.ClientID)
-		}
-		r.edges[reg.ClientID] = &clientConn{reg: reg, conn: conn}
-		r.mu.Unlock()
-		r.cfg.Logf("fed root: edge %d registered (%d clients)", reg.ClientID, reg.NumSamples)
-	}
 }
 
 // serveEdge reads one edge's pushes until its connection dies or the run
@@ -215,7 +167,7 @@ func (r *RootServer) serveEdge(ec *clientConn) {
 				r.cfg.Logf("fed root: edge %d departed: %v", id, err)
 				before := r.cloud.Epoch()
 				r.cloud.Retire(id, r.now())
-				r.dropEdge(ec)
+				r.drop(ec, nil)
 				if r.cloud.Epoch() > before {
 					// Its departure completed the barrier: the survivors'
 					// fold happened inside Retire; broadcast it.
@@ -260,13 +212,7 @@ func (r *RootServer) edgePush(id int, payload []byte) bool {
 // not yet adopted. Adoption rides MsgModelPush with the cloud epoch as the
 // round — the edge's uplink uses it to stamp staleness.
 func (r *RootServer) broadcastAdoption() {
-	r.mu.Lock()
-	conns := make([]*clientConn, 0, len(r.edges))
-	for _, ec := range r.edges {
-		conns = append(conns, ec)
-	}
-	r.mu.Unlock()
-	for _, ec := range conns {
+	for _, ec := range r.all() {
 		w, epoch, ok := r.cloud.Adopt(int(ec.reg.ClientID))
 		if !ok {
 			continue
@@ -292,27 +238,5 @@ func (r *RootServer) checkFinished() {
 	}
 	if r.cloud.Live() == 0 {
 		r.finish()
-	}
-}
-
-func (r *RootServer) dropEdge(ec *clientConn) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.edges[ec.reg.ClientID]; !ok {
-		return
-	}
-	delete(r.edges, ec.reg.ClientID)
-	ec.conn.Close()
-}
-
-func (r *RootServer) shutdownEdges() {
-	r.stopping.Store(true)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, ec := range r.edges {
-		if err := ec.sendShutdown(); err != nil {
-			r.cfg.Logf("fed root: shutdown to edge %d: %v", ec.reg.ClientID, err)
-		}
-		ec.conn.Close()
 	}
 }

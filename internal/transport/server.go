@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -71,15 +70,12 @@ type ServerConfig struct {
 
 // Server drives the method engine over live TCP connections.
 type Server struct {
-	cfg      ServerConfig
-	codec    codec.Codec
-	ln       net.Listener
-	stopping atomic.Bool
+	peers // the registered clients; its mu also guards fab
+	cfg   ServerConfig
+	codec codec.Codec
 
-	mu      sync.Mutex
-	clients map[uint32]*clientConn
-	fab     *liveFabric
-	regs    []Register // by client id; survives disconnects
+	fab  *liveFabric
+	regs []Register // by client id; survives disconnects
 
 	// limit is the longest frame a registered client may announce (see
 	// frameLimit).
@@ -182,10 +178,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
 	return &Server{
+		peers:     newPeers(ln, cfg.NumClients, "server", "client", cfg.Logf),
 		cfg:       cfg,
 		codec:     cfg.Run.Codec,
-		ln:        ln,
-		clients:   map[uint32]*clientConn{},
 		regs:      make([]Register, cfg.NumClients),
 		limit:     frameLimit(cfg.Shapes),
 		attackers: attackers,
@@ -196,11 +191,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Registered reports how many clients have registered so far.
-func (s *Server) Registered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.clients)
-}
+func (s *Server) Registered() int { return s.count() }
 
 // Run accepts registrations, then hands the loop to the method engine over
 // the live fabric: the engine selects cohorts, this server ships them the
@@ -208,8 +199,12 @@ func (s *Server) Registered() int {
 // returns the run record and the final global model.
 func (s *Server) Run() (*metrics.Run, []float64, error) {
 	defer s.ln.Close()
-	if err := s.acceptClients(); err != nil {
-		s.shutdownClients()
+	err := s.accept(func(reg Register) {
+		s.regs[reg.ClientID] = reg
+		s.cfg.Logf("fed server: client %d registered (%d samples, %dms hint)", reg.ClientID, reg.NumSamples, reg.LatencyHintMs)
+	})
+	if err != nil {
+		s.shutdown()
 		return nil, nil, err
 	}
 	s.cfg.Logf("fed server: %d clients registered; running %s (%s) for %d global updates",
@@ -241,7 +236,7 @@ func (s *Server) Run() (*metrics.Run, []float64, error) {
 	// Let in-flight collectors finish reading their last responses before
 	// connections close, so idle clients get a clean shutdown frame.
 	fab.drain()
-	s.shutdownClients()
+	s.shutdown()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -251,96 +246,13 @@ func (s *Server) Run() (*metrics.Run, []float64, error) {
 // Shutdown stops the server from another goroutine: the engine loop halts
 // after its current callback, registration stops accepting, in-flight
 // response reads are interrupted (clients mid-round are dropped rather
-// than waited for), and Run proceeds to notify the remaining registered
-// clients.
+// than waited for, so Run's drain cannot stall behind a slow or silent
+// peer), and Run proceeds to notify the remaining registered clients.
 func (s *Server) Shutdown() {
-	s.stopping.Store(true)
-	s.ln.Close()
+	s.interrupt()
 	s.mu.Lock()
 	if s.fab != nil {
 		s.fab.Stop()
 	}
-	// Expire any blocked ReadFrame immediately so collectors resolve and
-	// Run's drain cannot stall behind a slow or silent peer. Idle
-	// connections are unaffected (no read in progress server-side) and
-	// still receive a clean shutdown frame.
-	now := time.Now()
-	for _, cc := range s.clients {
-		cc.conn.SetReadDeadline(now)
-	}
 	s.mu.Unlock()
-}
-
-func (s *Server) acceptClients() error {
-	for {
-		s.mu.Lock()
-		n := len(s.clients)
-		s.mu.Unlock()
-		if n >= s.cfg.NumClients {
-			return nil
-		}
-		conn, err := s.ln.Accept()
-		if err != nil {
-			if s.stopping.Load() {
-				return fmt.Errorf("transport: server shut down during registration (%d/%d clients)", n, s.cfg.NumClients)
-			}
-			return fmt.Errorf("transport: accept: %w", err)
-		}
-		reg, err := readRegister(conn)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		// A well-formed registration with a bad id means the fleet is
-		// misconfigured (two clients sharing -id, or an id outside the
-		// engine's 0..N-1 identity space): fail fast instead of waiting
-		// forever for an Nth distinct id that will never arrive.
-		// Connections that never send a valid Register (port scanners,
-		// protocol mismatches) are merely closed above.
-		if int(reg.ClientID) >= s.cfg.NumClients {
-			conn.Close()
-			return fmt.Errorf("transport: client id %d out of range [0,%d)", reg.ClientID, s.cfg.NumClients)
-		}
-		s.mu.Lock()
-		if _, dup := s.clients[reg.ClientID]; dup {
-			s.mu.Unlock()
-			conn.Close()
-			return fmt.Errorf("transport: duplicate client id %d", reg.ClientID)
-		}
-		s.clients[reg.ClientID] = &clientConn{reg: reg, conn: conn}
-		s.regs[reg.ClientID] = reg
-		s.mu.Unlock()
-		s.cfg.Logf("fed server: client %d registered (%d samples, %dms hint)", reg.ClientID, reg.NumSamples, reg.LatencyHintMs)
-	}
-}
-
-func (s *Server) client(id uint32) *clientConn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.clients[id]
-}
-
-func (s *Server) dropClient(cc *clientConn, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.clients[cc.reg.ClientID]; !ok {
-		return
-	}
-	delete(s.clients, cc.reg.ClientID)
-	cc.conn.Close()
-	if err != nil {
-		s.cfg.Logf("fed server: dropping client %d: %v", cc.reg.ClientID, err)
-	}
-}
-
-func (s *Server) shutdownClients() {
-	s.stopping.Store(true)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, cc := range s.clients {
-		if err := cc.sendShutdown(); err != nil {
-			s.cfg.Logf("fed server: shutdown to client %d: %v", cc.reg.ClientID, err)
-		}
-		cc.conn.Close()
-	}
 }

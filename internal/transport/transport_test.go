@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -150,23 +151,27 @@ func moved(w0, w []float64) bool {
 
 // TestEndToEndFedAT runs the registry's FedAT — tier-paced, Eq. 5 fold —
 // over real localhost TCP, driven by the same policy engine as the
-// simulator. All tiers contribute, the budget completes and the model moves.
+// simulator. It asserts what the engine guarantees on a wall clock: every
+// tier's loop dispatches a round, the budget completes and the model moves.
+// Which tier's rounds land inside a six-update budget is a scheduling race
+// between loopback clients — one tier regularly takes all six — so fold
+// counts per tier are not asserted.
 func TestEndToEndFedAT(t *testing.T) {
 	lf := newLiveFederation(t, 6, 0, 21)
 	cfg := liveCfg(5)
 	cfg.Rounds = 6
-	var tierFolds [2]int
+	var tierStarts [2]int
 	run, final, clientErrs := lf.runLiveObserved(t, fl.Methods["fedat"], cfg, nil, fl.ObserverFunc(func(ev fl.Event) {
-		if e, ok := ev.(fl.TierFoldEvent); ok && e.Tier >= 0 && e.Tier < 2 {
-			tierFolds[e.Tier]++
+		if e, ok := ev.(fl.RoundStartEvent); ok && e.Tier >= 0 && e.Tier < 2 {
+			tierStarts[e.Tier]++
 		}
 	}))
 	if run.GlobalRounds < cfg.Rounds {
 		t.Fatalf("only %d global rounds completed", run.GlobalRounds)
 	}
-	for m, c := range tierFolds {
+	for m, c := range tierStarts {
 		if c == 0 {
-			t.Fatalf("tier %d never contributed: %v", m, tierFolds)
+			t.Fatalf("tier %d never started a round: %v", m, tierStarts)
 		}
 	}
 	if !moved(lf.factory(cfg.Seed).WeightsCopy(), final) {
@@ -617,6 +622,73 @@ func TestSilentPeerTimesOut(t *testing.T) {
 		if err != nil {
 			t.Fatalf("honest client %d error: %v", i, err)
 		}
+	}
+}
+
+// TestSilentRegistrantDoesNotStallFleet: a peer that connects ahead of the
+// fleet and never sends its Register holds the serial accept loop only for
+// registerTimeout; it is then closed, and the real clients queued behind it
+// register and finish the run.
+func TestSilentRegistrantDoesNotStallFleet(t *testing.T) {
+	const n = 3
+	lf := newLiveFederation(t, n, 0, 43)
+	cfg := liveCfg(3)
+	cfg.Rounds = 2
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumClients: n, Method: fl.Methods["fedavg"], Run: cfg,
+		Shapes: lf.shapes, W0: lf.factory(cfg.Seed).WeightsCopy(), Dataset: lf.fed.Name,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Dialled before anyone else, so it is first out of the accept queue.
+	silent, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+
+	var wg sync.WaitGroup
+	clientErrs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			clientErrs[i] = RunClient(ClientConfig{
+				Addr: srv.Addr(), ID: uint32(i), LatencyHintMs: 10,
+				Data: lf.fed.Clients[i], Net: lf.factory(cfg.Seed),
+				Opt: opt.NewAdam(cfg.LearningRate), Seed: cfg.Seed,
+			})
+		}(i)
+	}
+	done := make(chan struct{})
+	var run *metrics.Run
+	var srvErr error
+	go func() {
+		run, _, srvErr = srv.Run()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(registerTimeout + 30*time.Second):
+		t.Fatal("a silent connection stalled registration")
+	}
+	wg.Wait()
+	if srvErr != nil {
+		t.Fatalf("server error: %v", srvErr)
+	}
+	if run.GlobalRounds < cfg.Rounds {
+		t.Fatalf("only %d global rounds completed behind a silent registrant", run.GlobalRounds)
+	}
+	for i, err := range clientErrs {
+		if err != nil {
+			t.Fatalf("client %d error: %v", i, err)
+		}
+	}
+	// The server hung up on the silent peer without ever writing to it.
+	silent.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := silent.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+		t.Fatalf("silent peer read (%d, %v), want the connection closed with nothing sent", n, err)
 	}
 }
 
