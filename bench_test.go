@@ -1,11 +1,10 @@
-// Package repro's top-level benchmarks regenerate every table and figure of
-// the paper at the tiny preset — one bench per artifact, so
-//
-//	go test -bench=. -benchmem
-//
-// exercises the full harness. DESIGN.md maps each bench to its paper
-// artifact; run cmd/fedsim with -preset medium/paper for report-quality
-// numbers.
+// Package repro's top-level benchmarks are the two CI records into
+// BENCH_baseline.json / BENCH_trajectory.json (ci/bench_gate.py):
+// BenchmarkMethod, one full run per registry method on a small reusable
+// environment, and BenchmarkPopulation, environment construction over a
+// derived population up to one million clients. The end-to-end workloads and
+// the per-layer ledger live in bench/ (BENCHMARK.json); report-quality
+// experiment numbers come from cmd/fedsim.
 package repro
 
 import (
@@ -15,7 +14,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -23,77 +21,11 @@ import (
 	"repro/internal/testutil"
 )
 
-func benchExperiment(b *testing.B, id string) {
+// benchEnv builds the small environment BenchmarkMethod and
+// TestMethodRunAllocBudget share.
+func benchEnv(b testing.TB) *fl.Env {
 	b.Helper()
-	for i := 0; i < b.N; i++ {
-		experiments.ClearCache() // honest timing: no memoized runs
-		if _, err := experiments.RunByID(id, experiments.Tiny); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates paper Table 1 (accuracy + variance, 5 methods
-// × 7 dataset configurations).
-func BenchmarkTable1(b *testing.B) { benchExperiment(b, "table1") }
-
-// BenchmarkTable2 regenerates paper Table 2 (bytes to target accuracy).
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-
-// BenchmarkFigure2 regenerates paper Figure 2 (convergence timelines +
-// time-to-target bars).
-func BenchmarkFigure2(b *testing.B) { benchExperiment(b, "fig2") }
-
-// BenchmarkFigure3 regenerates paper Figure 3 (non-IID level sweep).
-func BenchmarkFigure3(b *testing.B) { benchExperiment(b, "fig3") }
-
-// BenchmarkFigure4 regenerates paper Figure 4 (accuracy vs uploaded bytes).
-func BenchmarkFigure4(b *testing.B) { benchExperiment(b, "fig4") }
-
-// BenchmarkFigure5 regenerates paper Figure 5 (compression precision sweep).
-func BenchmarkFigure5(b *testing.B) { benchExperiment(b, "fig5") }
-
-// BenchmarkFigure6 regenerates paper Figure 6 (weighted vs uniform
-// aggregation).
-func BenchmarkFigure6(b *testing.B) { benchExperiment(b, "fig6") }
-
-// BenchmarkFigure7 regenerates paper Figure 7 (large-scale FEMNIST, six
-// methods including ASO-Fed).
-func BenchmarkFigure7(b *testing.B) { benchExperiment(b, "fig7") }
-
-// BenchmarkFigure8 regenerates paper Figure 8 (Reddit LSTM accuracy/loss).
-func BenchmarkFigure8(b *testing.B) { benchExperiment(b, "fig8") }
-
-// BenchmarkFigure9 regenerates paper Figure 9 (client participation sweep).
-func BenchmarkFigure9(b *testing.B) { benchExperiment(b, "fig9") }
-
-// BenchmarkFigure10 regenerates paper Figure 10 (tier-size distributions).
-func BenchmarkFigure10(b *testing.B) { benchExperiment(b, "fig10") }
-
-// BenchmarkSchedulerWorkers measures the experiment scheduler's parallel
-// dispatch: the same Figure 6 cell batch with one worker vs GOMAXPROCS
-// workers. Reports are byte-identical either way (see
-// internal/experiments/scheduler_test.go); only wall-clock changes.
-func BenchmarkSchedulerWorkers(b *testing.B) {
-	run := func(b *testing.B, workers int) {
-		experiments.SetWorkers(workers)
-		defer experiments.SetWorkers(0)
-		for i := 0; i < b.N; i++ {
-			experiments.ClearCache()
-			if _, err := experiments.RunByID("fig6", experiments.Tiny); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("serial", func(b *testing.B) { run(b, 1) })
-	b.Run("parallel", func(b *testing.B) { run(b, 0) })
-}
-
-// ---------------------------------------------------------------------------
-// Ablation benches for the design choices DESIGN.md calls out.
-
-func benchEnv(b testing.TB, c codec.Codec, seed uint64) *fl.Env {
-	b.Helper()
+	const seed = 7
 	fed, err := dataset.FashionLike(15, 2, dataset.ScaleSmall, seed)
 	if err != nil {
 		b.Fatal(err)
@@ -112,7 +44,7 @@ func benchEnv(b testing.TB, c codec.Codec, seed uint64) *fl.Env {
 	env, err := fl.NewEnv(fed, cluster, factory, fl.RunConfig{
 		Rounds: 20, ClientsPerRound: 5, LocalEpochs: 2, BatchSize: 8,
 		Lambda: 0.4, LearningRate: 0.005, NumTiers: 5,
-		Codec: c, EvalEvery: 5, Seed: seed,
+		Codec: codec.Raw{}, EvalEvery: 5, Seed: seed,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -128,9 +60,9 @@ func benchEnv(b testing.TB, c codec.Codec, seed uint64) *fl.Env {
 // dispatches; that one-off cost is amortized over b.N like pool growth.)
 // TestEnvReuseDeterministic pins that every iteration is bit-identical to
 // a run on a freshly built env.
-func benchRun(b *testing.B, m fl.Method, c codec.Codec, seed uint64) {
+func benchRun(b *testing.B, m fl.Method) {
 	b.Helper()
-	env := benchEnv(b, c, seed)
+	env := benchEnv(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		env.ResetState()
@@ -142,14 +74,15 @@ func benchRun(b *testing.B, m fl.Method, c codec.Codec, seed uint64) {
 
 // BenchmarkMethod measures one full run of every registry method at the
 // tiny-scale environment — the per-method perf trajectory CI records into
-// BENCH_fl.json — plus the composed async-family variants that exist only
-// as aggregation specs (DESIGN.md §1g): the per-update staleness fold and
-// the asyncsgd server step, both through the fedbuff buffered pacer.
+// BENCH_trajectory.json — plus the composed async-family variants that
+// exist only as aggregation specs (DESIGN.md §1g): the per-update staleness
+// fold and the asyncsgd server step, both through the fedbuff buffered
+// pacer.
 func BenchmarkMethod(b *testing.B) {
 	run := func(name string, m fl.Method) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
-			benchRun(b, m, codec.Raw{}, 7)
+			benchRun(b, m)
 		})
 	}
 	for _, name := range fl.MethodNames() {
@@ -207,7 +140,7 @@ func TestMethodRunAllocBudget(t *testing.T) {
 	}
 	for _, bud := range budgets {
 		t.Run(bud.method, func(t *testing.T) {
-			env := benchEnv(t, codec.Raw{}, 7)
+			env := benchEnv(t)
 			run := func() {
 				env.ResetState()
 				if _, err := fl.Run(bud.method, env); err != nil {
@@ -279,45 +212,4 @@ func BenchmarkPopulation(b *testing.B) {
 			b.ReportMetric(perClient, "bytes/client")
 		})
 	}
-}
-
-// BenchmarkAblationFedATRun measures one full FedAT run end to end.
-func BenchmarkAblationFedATRun(b *testing.B) {
-	benchRun(b, fl.Methods["fedat"], codec.NewPolyline(4), 9)
-}
-
-// BenchmarkAblationCompression compares the per-run cost of the polyline
-// channel against raw transmission (the codec CPU vs bytes tradeoff).
-func BenchmarkAblationCompression(b *testing.B) {
-	b.Run("polyline4", func(b *testing.B) {
-		benchRun(b, fl.Methods["fedat"], codec.NewPolyline(4), 9)
-	})
-	b.Run("raw", func(b *testing.B) {
-		benchRun(b, fl.Methods["fedat"], codec.Raw{}, 9)
-	})
-}
-
-// BenchmarkAblationDeltaEncoding compares absolute vs delta polyline
-// payload sizes on trained weights.
-func BenchmarkAblationDeltaEncoding(b *testing.B) {
-	net := nn.NewMLP(rng.New(1), 100, 32, 10)
-	w := net.WeightsCopy()
-	abs := codec.NewPolyline(4)
-	del := codec.NewPolylineDelta(4)
-	b.Run("absolute", func(b *testing.B) {
-		b.ReportAllocs()
-		var n int
-		for i := 0; i < b.N; i++ {
-			n = len(abs.Encode(w))
-		}
-		b.ReportMetric(float64(n), "payload-bytes")
-	})
-	b.Run("delta", func(b *testing.B) {
-		b.ReportAllocs()
-		var n int
-		for i := 0; i < b.N; i++ {
-			n = len(del.Encode(w))
-		}
-		b.ReportMetric(float64(n), "payload-bytes")
-	})
 }

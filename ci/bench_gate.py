@@ -24,30 +24,29 @@ Two subcommands, shared by CI and local use:
       table but do not duplicate the entry.
 
   check <current.json> <baseline.json> [threshold]
-      Fail (exit 1) when any method's ns/op regressed more than the
-      threshold factor (default 1.25, i.e. >25% slower) against the
+      Gate what repeats. Fail (exit 1) when a method's allocs/op or
+      bytes/op grew past the threshold factor (default 1.25) against the
       committed baseline, or when the baseline lists a method the current
       suite no longer has (stale baseline — regenerate it).
 
-      allocs/op is gated too, directly (allocation counts are
-      machine-independent, so no host normalization applies): a method
-      fails when its count exceeds the baseline by the same threshold
-      factor AND by more than 8 allocations — the absolute slack keeps
-      tiny counts (2 -> 3 allocs) from tripping a ratio meant for real
-      pool regressions. bytes/op is gated by the same rule with a 32 KiB
-      absolute slack: heap traffic is as machine-independent as the count,
-      and a pooled buffer turning back into a per-call allocation moves
-      bytes long before it moves the count.
+      Allocation counts and heap traffic are machine-independent, so they
+      are gated raw: a method fails when its allocs/op exceeds the
+      baseline by the threshold factor AND by more than 8 allocations —
+      the absolute slack keeps tiny counts (2 -> 3 allocs) from tripping
+      a ratio meant for real pool regressions. bytes/op is gated by the
+      same rule with a 32 KiB absolute slack: a pooled buffer turning
+      back into a per-call allocation moves bytes long before it moves
+      the count.
 
-      Ratios are normalized by the MEDIAN ratio across all methods
-      before gating: the baseline and the CI runner are different
-      machines, so a uniform speed difference (hardware, load) cancels
-      out and the gate fires on a METHOD regressing relative to the
-      suite — which is what a code change looks like. The median (not a
-      mean) keeps one method's genuine big win or loss from dragging the
-      normalizer and mis-flagging the others. The raw host-speed factor
-      is printed; a genuinely uniform slowdown shows up there and in the
-      per-method raw columns, not as a gate failure.
+      ns/op is printed, never gated. On the shared 2-vCPU box a 5x run's
+      ns/op spreads wider than any sensible threshold — the parent tree
+      failed its own 1.25x gate on some runs — so a timing failure said
+      nothing about the change. The table still shows the raw ratio and
+      the ratio normalized by the MEDIAN ratio across all methods (the
+      uniform host-speed factor between the baseline box and this one;
+      median, so one method's genuine big move cannot drag it), and the
+      trajectory file keeps the history. A timing claim needs paired,
+      alternating-order runs of the two trees, not this table.
 
 Regenerate the committed baseline after a deliberate perf change:
 
@@ -113,8 +112,9 @@ def delta_table(cur, base, threshold=None):
     """Print the per-method delta-vs-baseline table; return gate failures.
 
     With threshold=None the table is informational (the append path);
-    with a threshold, normalized ratios above it are flagged and
-    collected as failures (the check path).
+    with a threshold, allocs/op and bytes/op growth beyond it is flagged
+    and collected as failures (the check path). The ns/op columns are
+    context on both paths.
     """
     failures = []
     common = [m for m in sorted(base) if m in cur]
@@ -131,10 +131,6 @@ def delta_table(cur, base, threshold=None):
         b, c = base[method]["ns_per_op"], cur[method]["ns_per_op"]
         norm = ratios[method] / host
         flag = ""
-        if threshold is not None and norm > threshold:
-            flag = "  << REGRESSION"
-            failures.append("%s regressed %.0f%% vs the suite (%.0f -> %.0f ns/op raw)"
-                            % (method, (norm - 1) * 100, b, c))
         b_allocs = base[method].get("allocs_per_op", 0)
         c_allocs = cur[method].get("allocs_per_op", 0)
         # Allocation counts are deterministic per code path, so gate them
@@ -178,7 +174,7 @@ def check(current_json, baseline_json, threshold):
         for f in failures:
             print("  - " + f)
         sys.exit(1)
-    print("\nbench_gate: ok (threshold %.2fx, host-normalized)" % threshold)
+    print("\nbench_gate: ok (allocs/op and bytes/op within %.2fx; ns/op shown, not gated)" % threshold)
 
 
 def append(current_json, baseline_json, trajectory_json, label):

@@ -52,15 +52,6 @@ type Federated struct {
 	Vocab, SeqLen int
 }
 
-// TotalTrain returns N = Σ n_k.
-func (f *Federated) TotalTrain() int {
-	n := 0
-	for _, c := range f.Clients {
-		n += c.NumTrain()
-	}
-	return n
-}
-
 // NumTrain returns client i's local training-set size n_k.
 func (f *Federated) NumTrain(i int) int { return f.Clients[i].NumTrain() }
 

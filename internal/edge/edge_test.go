@@ -3,6 +3,7 @@ package edge_test
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/codec"
@@ -418,41 +419,19 @@ func TestUplinkRoundTrip(t *testing.T) {
 	})
 }
 
-// TestComposeFabricRunsMethods checks the composite fl.Fabric: any engine
-// composition runs over K shards as one union population, deterministically.
-func TestComposeFabricRunsMethods(t *testing.T) {
-	for _, name := range []string{"fedat", "fedavg", "fedasync"} {
-		t.Run(name, func(t *testing.T) {
-			once := func() (*metrics.Run, []float64) {
-				cfg := edgeCfg()
-				env0 := buildEnv(t, 8, 11, cfg, simnet.BehaviorConfig{})
-				env1 := buildEnv(t, 8, 12, cfg, simnet.BehaviorConfig{})
-				clock := simnet.New()
-				fab, err := edge.Compose(clock, []fl.Fabric{env0.FabricOn(clock), env1.FabricOn(clock)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fab.NumClients() != 16 {
-					t.Fatalf("union population = %d, want 16", fab.NumClients())
-				}
-				var final []float64
-				run, err := fl.Methods[name].RunOn(fab, cfg, finalCapture(&final))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return run, final
-			}
-			a, wa := once()
-			b, wb := once()
-			if a.GlobalRounds == 0 {
-				t.Fatal("composite run folded nothing")
-			}
-			if sig(a) != sig(b) {
-				t.Errorf("composite runs diverged across same-seed invocations")
-			}
-			if weightsBits(wa) != weightsBits(wb) {
-				t.Error("composite final models diverged across same-seed invocations")
-			}
-		})
+// TestAsofedRefusesHierarchicalRebase: ASO-Fed's rule is deliberately not a
+// Rebaser (its global is a derived average of per-client copies), so the
+// first cloud merge a two-edge hierarchy hands back must fail the run with
+// the engine's error rather than be silently undone by the next arrival.
+func TestAsofedRefusesHierarchicalRebase(t *testing.T) {
+	cfg := edgeCfg()
+	env0 := buildEnv(t, 8, 11, cfg, simnet.BehaviorConfig{})
+	env1 := buildEnv(t, 8, 12, cfg, simnet.BehaviorConfig{})
+	_, err := edge.Run(fl.Methods["asofed"], cfg, []edge.Child{
+		{Fabric: env0.FabricOn},
+		{Fabric: env1.FabricOn},
+	}, edge.Options{})
+	if err == nil || !strings.Contains(err.Error(), "cannot adopt a hierarchical rebase") {
+		t.Fatalf("two-edge asofed hierarchy returned %v, want the rebase refusal", err)
 	}
 }

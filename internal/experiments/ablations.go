@@ -15,13 +15,16 @@ import (
 func Figure6(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig6", Title: "Weighted vs uniform cross-tier aggregation (paper Figure 6)"}
 	// Both aggregation variants across all three datasets, each cell
-	// defined once and collected back via cellRun.
+	// defined once and collected back via cellRun. The ablation is FedAT
+	// under the "uniform" rule; it keeps FedAT's name because the name
+	// labels the run's RNG streams.
+	uniformFedAT := fl.Methods["fedat"]
+	uniformFedAT.Update = "uniform"
 	weighted := make([]cell, len(figure2Specs))
 	uniform := make([]cell, len(figure2Specs))
 	for i, spec := range figure2Specs {
 		weighted[i] = cell{p: p, d: spec, method: "fedat"}
-		uniform[i] = cell{p: p, d: spec, method: "fedat", variant: "agg=uniform",
-			mutate: func(cfg *fl.RunConfig) { cfg.UniformAgg = true }}
+		uniform[i] = cell{p: p, d: spec, method: "fedat", variant: "agg=uniform", spec: &uniformFedAT}
 	}
 	if err := scheduleCells(append(append([]cell{}, weighted...), uniform...)); err != nil {
 		return nil, err

@@ -152,11 +152,11 @@ func methodRoundCap(m fl.Method, base int) int {
 
 // applyRoundBudget scales the round cap and evaluation cadence to the
 // method's pacing granularity — one definition shared by scheduler cells
-// and RunComposed, so -compose runs stay comparable to cached experiment
-// cells. Evaluation cadence grows with the round cap, but only half as
-// fast: cheap-update methods produce updates faster in TIME too, so
-// halving keeps the wall-clock eval density of their timelines comparable
-// to the synchronous baselines'.
+// and RunComposedDynamics, so -compose runs stay comparable to cached
+// experiment cells. Evaluation cadence grows with the round cap, but only
+// half as fast: cheap-update methods produce updates faster in TIME too,
+// so halving keeps the wall-clock eval density of their timelines
+// comparable to the synchronous baselines'.
 func applyRoundBudget(cfg *fl.RunConfig, m fl.Method) {
 	base := cfg.Rounds
 	cfg.Rounds = methodRoundCap(m, base)
@@ -233,21 +233,10 @@ func simulateCell(c cell) (*metrics.Run, error) {
 	return method.Run(env)
 }
 
-// RunComposed runs an explicit policy composition on the standard ablation
-// testbed (cifar10, 2 classes per client) at preset p — cmd/fedsim's
-// -compose mode, where novel method variants are assembled from flags. The
-// round cap and evaluation cadence scale with the composition's pacer
-// exactly as they do for registry methods, so results are comparable to the
-// cached experiment cells. Observers subscribe to the run's event stream.
-func RunComposed(p Preset, m fl.Method, obs ...fl.Observer) (*metrics.Run, error) {
-	return RunComposedDynamics(p, m, ComposeDynamics{}, obs...)
-}
-
 // ComposeDynamics are the optional dynamic-population knobs of fedsim's
 // compose mode (-drift / -churn / -retier-every, plus the adversarial and
-// privacy knobs). The zero value runs the static testbed, bit-identical to
-// RunComposed before dynamics existed. Kept comparable: fedsim detects "any
-// knob set" by comparing against the zero value.
+// privacy knobs). The zero value runs the static testbed. Kept comparable:
+// fedsim detects "any knob set" by comparing against the zero value.
 type ComposeDynamics struct {
 	// Drift is the speed random-walk magnitude per interval (0 = off); the
 	// interval, clamp and churn windows are the dynamics experiment's.
@@ -308,8 +297,14 @@ func (dyn ComposeDynamics) applyRun(cfg *fl.RunConfig) {
 	cfg.AdaptiveLR = dyn.AdaptiveLR
 }
 
-// RunComposedDynamics is RunComposed over an optionally drifting, churning
-// (and possibly adversarial) population with runtime re-tiering.
+// RunComposedDynamics runs an explicit policy composition on the standard
+// ablation testbed (cifar10, 2 classes per client) at preset p — cmd/fedsim's
+// -compose mode, where novel method variants are assembled from flags —
+// over an optionally drifting, churning (and possibly adversarial)
+// population with runtime re-tiering. The round cap and evaluation cadence
+// scale with the composition's pacer exactly as they do for registry
+// methods, so results are comparable to the cached experiment cells.
+// Observers subscribe to the run's event stream.
 func RunComposedDynamics(p Preset, m fl.Method, dyn ComposeDynamics, obs ...fl.Observer) (*metrics.Run, error) {
 	return simulateDirect(func() (*metrics.Run, error) {
 		env, err := buildEnvFull(p, dsSpec{name: "cifar10", classesPerClient: 2}, nil,

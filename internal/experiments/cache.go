@@ -94,8 +94,7 @@ var runCache = struct {
 // probes. Tests use deltas of it to assert the exactly-once property.
 var simulations atomic.Int64
 
-// SimulationCount reports how many simulations have executed since the
-// last ClearCache.
+// SimulationCount reports how many simulations this process has executed.
 func SimulationCount() int64 { return simulations.Load() }
 
 // cacheHits counts cell REQUESTS served from an existing (cached or
@@ -107,8 +106,8 @@ func SimulationCount() int64 { return simulations.Load() }
 // experiments.
 var cacheHits atomic.Int64
 
-// CacheHitCount reports how many cell requests the cache absorbed since
-// the last ClearCache (see cacheHits for what counts as a hit).
+// CacheHitCount reports how many cell requests the cache has absorbed (see
+// cacheHits for what counts as a hit).
 func CacheHitCount() int64 { return cacheHits.Load() }
 
 // SchedulerMeta snapshots the scheduler's account of the process so far:
@@ -348,16 +347,4 @@ func prefetch(p Preset, specs []dsSpec, names []string, variant string, mutate f
 
 func cacheKey(p Preset, d dsSpec, method, variant string) string {
 	return strings.Join([]string{p.Name, d.label(), fmt.Sprint(d.large), method, variant}, "|")
-}
-
-// ClearCache drops memoized runs and resets the simulation and cache-hit
-// counters (tests and benchmarks use it to force fresh runs). In-flight
-// cells keep running and publish to their waiters, but later requests will
-// re-simulate.
-func ClearCache() {
-	runCache.Lock()
-	runCache.m = map[string]*cellState{}
-	runCache.Unlock()
-	simulations.Store(0)
-	cacheHits.Store(0)
 }

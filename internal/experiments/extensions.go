@@ -77,7 +77,7 @@ func AblationStaleness(p Preset) (*Report, error) {
 	cellFor := func(a float64) cell {
 		return cell{p: p, d: spec, method: "fedasync",
 			variant: fmt.Sprintf("staleexp=%.2f", a),
-			mutate:  func(cfg *fl.RunConfig) { cfg.AsyncStaleExp = a }}
+			mutate:  func(cfg *fl.RunConfig) { cfg.Staleness.Alpha = a }}
 	}
 	cells := make([]cell, len(exps))
 	for i, a := range exps {

@@ -91,7 +91,7 @@ func TestFoldAllocFree(t *testing.T) {
 	}
 
 	t.Run("staleness", func(t *testing.T) {
-		rule := &stalenessRule{global: fuzzVec(1, dim), alpha: 0.6, sc: StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5}}
+		rule := &stalenessRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5})}
 		us := cohort(1)
 		assertFoldAllocs(t, "staleness fold", 0, func() {
 			if _, err := rule.Fold(Fold{Tier: -1, Updates: us}); err != nil {
@@ -101,7 +101,7 @@ func TestFoldAllocFree(t *testing.T) {
 	})
 
 	t.Run("fedasync", func(t *testing.T) {
-		rule := &fedasyncRule{global: fuzzVec(1, dim), alpha: 0.6, sc: StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5}}
+		rule := &stalenessRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5}), perUpdate: true}
 		us := cohort(4)
 		assertFoldAllocs(t, "fedasync fold", 0, func() {
 			if _, err := rule.Fold(Fold{Tier: -1, Updates: us}); err != nil {
@@ -111,7 +111,7 @@ func TestFoldAllocFree(t *testing.T) {
 	})
 
 	t.Run("asyncsgd", func(t *testing.T) {
-		rule := &asyncSGDRule{global: fuzzVec(1, dim), delta: make([]float64, dim), alpha: 0.6, sc: StalenessConfig{Func: StaleFuncExp, Alpha: 0.3}}
+		rule := &asyncSGDRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncExp, Alpha: 0.3}), delta: make([]float64, dim)}
 		us := cohort(4)
 		assertFoldAllocs(t, "asyncsgd fold", 0, func() {
 			if _, err := rule.Fold(Fold{Tier: -1, Updates: us}); err != nil {

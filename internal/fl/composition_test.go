@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/util"
 )
 
 // TestNovelCompositionsRun assembles method variants that exist nowhere in
@@ -168,5 +170,84 @@ func TestObserverEventStream(t *testing.T) {
 			e.UpBytes != p.UpBytes || e.DownBytes != p.DownBytes {
 			t.Fatalf("eval event %d disagrees with recorded point: %+v vs %+v", i, e, p)
 		}
+	}
+}
+
+// TestClientPacingIgnoresBufferK: "client" is the wait-free loop at K = 1
+// as a registry datum, not as a default — a configured BufferK (which the
+// "fedbuff" key obeys) must not turn per-arrival folding into buffering.
+func TestClientPacingIgnoresBufferK(t *testing.T) {
+	folds := func(pace string) (n, maxKept int) {
+		cfg := baseCfg()
+		cfg.Rounds = 12
+		cfg.BufferK = 7
+		m := Methods["fedasync"]
+		m.Pace = pace
+		_, err := m.Run(testEnv(t, 0, cfg), ObserverFunc(func(ev Event) {
+			if tf, ok := ev.(TierFoldEvent); ok {
+				n++
+				if tf.Kept > maxKept {
+					maxKept = tf.Kept
+				}
+			}
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, maxKept
+	}
+	if n, kept := folds("client"); n == 0 || kept != 1 {
+		t.Fatalf("client pacing with BufferK=7: %d folds, largest of %d updates; want every fold to hold exactly 1", n, kept)
+	}
+	if n, kept := folds("fedbuff"); n == 0 || kept != 7 {
+		t.Fatalf("fedbuff pacing with BufferK=7: %d folds, largest of %d updates; want 7", n, kept)
+	}
+}
+
+// TestRebaseContract pins what the hierarchy relies on, for every registry
+// rule: a Rebaser's Global() becomes exactly the merged model while its
+// update count survives, and asofed — whose global is derived from
+// per-client copies — is not a Rebaser at all.
+func TestRebaseContract(t *testing.T) {
+	cfg := baseCfg().withDefaults()
+	env := testEnv(t, 0, cfg)
+	for _, key := range util.SortedKeys(UpdateRules) {
+		t.Run(key, func(t *testing.T) {
+			rule, err := ParseAgg(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := &runState{fab: env.Fabric(), cfg: cfg}
+			if err := rule.Init(rs); err != nil {
+				t.Fatal(err)
+			}
+			rb, ok := rule.(Rebaser)
+			if key == "asofed" {
+				if ok {
+					t.Fatal("asofed must not be a Rebaser")
+				}
+				return
+			}
+			if !ok {
+				t.Fatalf("rule %q is not a Rebaser", key)
+			}
+			dim := len(rule.Global())
+			if _, err := rule.Fold(Fold{Tier: 0, Updates: []core.ClientUpdate{{Weights: fuzzVec(3, dim), N: 5, Client: 1}}}); err != nil {
+				t.Fatal(err)
+			}
+			if rule.Rounds() != 1 {
+				t.Fatalf("one fold left Rounds() = %d", rule.Rounds())
+			}
+			w := fuzzVec(4, dim)
+			g := rb.Rebase(w)
+			for i := range w {
+				if g[i] != w[i] || rule.Global()[i] != w[i] {
+					t.Fatalf("after Rebase, global[%d] = %v / %v, want %v", i, g[i], rule.Global()[i], w[i])
+				}
+			}
+			if rule.Rounds() != 1 {
+				t.Fatalf("Rebase moved Rounds() to %d", rule.Rounds())
+			}
+		})
 	}
 }

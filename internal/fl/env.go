@@ -38,21 +38,12 @@ type RunConfig struct {
 	// FedAT compresses.
 	Codec codec.Codec
 
-	// UniformAgg disables Eq. 5 in favour of uniform tier weights — the
-	// Figure 6 ablation.
-	UniformAgg bool
-
 	// AsyncAlpha is the async family's server blend weight α (FedAsync's
 	// mixing rate; asyncsgd's server step size).
 	AsyncAlpha float64
-	// AsyncStaleExp is the deprecated flat alias for Staleness.Alpha: when
-	// the typed config leaves Alpha unset (0), this still feeds the decay
-	// parameter, so pre-redesign configs keep working. 0 inherits the 0.5
-	// default; StaleExpOff pins it to exactly 0. Prefer Staleness.
-	AsyncStaleExp float64
 	// Staleness parameterizes the async family's staleness discount g(s):
 	// the weight function, its decay parameter, and hinge's flat region.
-	// The zero value inherits poly with AsyncStaleExp's default.
+	// The zero value inherits poly with decay 0.5.
 	Staleness StalenessConfig
 	// AdaptiveLR scales each dispatch's local learning rate by the weight
 	// function at the dispatch loop's last observed staleness, so chronic
@@ -164,20 +155,16 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.AsyncAlpha <= 0 {
 		c.AsyncAlpha = 0.6
 	}
-	if c.AsyncStaleExp == 0 {
+	if c.Staleness.Func == "" {
+		c.Staleness.Func = StaleFuncPoly
+	}
+	if c.Staleness.Alpha == 0 {
 		// StaleExpOff (negative) passes through so withDefaults stays
 		// idempotent (configs traverse it twice: NewEnv and RunOn);
 		// StalenessConfig.Weight clamps it to exactly 0 at the point of
 		// use — the LambdaOff pattern. An explicit 0 therefore survives
 		// instead of being silently re-defaulted to 0.5.
-		c.AsyncStaleExp = 0.5
-	}
-	if c.Staleness.Func == "" {
-		c.Staleness.Func = StaleFuncPoly
-	}
-	if c.Staleness.Alpha == 0 {
-		// The deprecated flat alias feeds the typed config.
-		c.Staleness.Alpha = c.AsyncStaleExp
+		c.Staleness.Alpha = 0.5
 	}
 	if c.TiFLCredits <= 0 {
 		c.TiFLCredits = 20

@@ -198,10 +198,14 @@ func TestWeightedVsUniformAggregationDiffer(t *testing.T) {
 	envW := testEnv(t, 2, cfg)
 	w := mustRun(t, "fedat", envW)
 
-	cfgU := cfg
-	cfgU.UniformAgg = true
-	envU := testEnv(t, 2, cfgU)
-	u := mustRun(t, "fedat", envU)
+	// The uniform ablation is FedAT under the "uniform" rule, keeping
+	// FedAT's name (its RNG stream label) so only the fold weights differ.
+	uniform := Methods["fedat"]
+	uniform.Update = "uniform"
+	u, err := uniform.Run(testEnv(t, 2, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(w.Points) == 0 || len(u.Points) == 0 {
 		t.Fatal("missing evaluations")
@@ -214,7 +218,7 @@ func TestWeightedVsUniformAggregationDiffer(t *testing.T) {
 		}
 	}
 	if same {
-		t.Fatal("uniform aggregation produced identical accuracy series — flag has no effect")
+		t.Fatal("uniform aggregation produced identical accuracy series — the rule has no effect")
 	}
 }
 

@@ -190,7 +190,7 @@ func FuzzFoldInPlace(f *testing.F) {
 			}
 
 		case 3: // staleness — FedAsync's α_t-blended in-place Lerp
-			rule := &stalenessRule{global: append([]float64(nil), w0...), alpha: 0.6, sc: StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5}}
+			rule := &stalenessRule{asyncState: asyncAt(append([]float64(nil), w0...), 0, 0.6, StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5})}
 			refG := append([]float64(nil), w0...)
 			version := 0
 			for fd := 0; fd < folds; fd++ {

@@ -18,6 +18,12 @@ func mustRun(t testing.TB, name string, env *Env, obs ...Observer) *metrics.Run 
 	return run
 }
 
+// asyncAt builds the async family's shared rule state directly, skipping
+// Init: the tests that construct rules by hand pin a model and a version.
+func asyncAt(global []float64, version int, alpha float64, sc StalenessConfig) asyncState {
+	return asyncState{modelState: modelState{global: global, version: version}, alpha: alpha, sc: sc}
+}
+
 // mustTiers profiles the environment's latency tiers.
 func mustTiers(t testing.TB, env *Env) *tiering.Tiers {
 	t.Helper()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/tiering"
@@ -193,6 +194,12 @@ type runState struct {
 	tiers      *tiering.Tiers // memoized latency partition
 	nextEvalAt int
 
+	// done is set once the run is over — budget reached (finish) or failed
+	// (fail, which also records runErr) — so callbacks that were already in
+	// flight on the fabric return without touching the model.
+	done   bool
+	runErr error
+
 	// Runtime re-tiering state (RetierEvery > 0): the EWMA latency tracker
 	// fed by observed round latencies, and the global update count at the
 	// last retier pass.
@@ -328,19 +335,43 @@ func (rs *runState) emitClientDones(tier int, start float64, results []TrainResu
 	}
 }
 
-// releaseResults hands the pooled uplink buffers of delivered results back
-// to the run's weight pool, after the fold that consumed them. Dropped
-// results are skipped: their upload never happened, so they still carry the
-// client's own training buffer, which must never enter the pool. Pacers
-// call this with the FULL delivery (not just the kept subset) so buffers
-// discarded by a selector — over-selection's late arrivals — recycle too.
-func (rs *runState) releaseResults(results []TrainResult) {
-	for i := range results {
-		if !results[i].Dropped {
-			rs.comm.Release(results[i].Weights)
-			results[i].Weights = nil
-		}
+// finish ends the run: the pacer's loops see done and the fabric's run loop
+// returns.
+func (rs *runState) finish() {
+	rs.done = true
+	rs.fab.Stop()
+}
+
+// fail ends the run with err, which the pacer's Run returns.
+func (rs *runState) fail(err error) {
+	rs.runErr = err
+	rs.finish()
+}
+
+// fold is the engine's one fold site, called by every pacer: the update
+// rule folds the batch, the batch's pooled uplink buffers go back to the
+// run's weight pool (the rule retains none of them), postFold tells the
+// observers and syncers, and the fresh model is evaluated at the configured
+// cadence. now is the fold's timestamp — the round's completion time under
+// sync pacing, the fabric clock under the others; on the live clock those
+// differ. It reports false when the fold failed, in which case the run has
+// already been failed.
+func (rs *runState) fold(tier int, updates []core.ClientUpdate, now float64) bool {
+	g, err := rs.rule.Fold(Fold{Tier: tier, Updates: updates})
+	if err != nil {
+		rs.fail(err)
+		return false
 	}
+	for i := range updates {
+		rs.comm.Release(updates[i].Weights)
+	}
+	t := rs.rule.Rounds()
+	if g, err = rs.postFold(tier, t, now, len(updates), g); err != nil {
+		rs.fail(err)
+		return false
+	}
+	rs.maybeEval(t, now, g)
+	return true
 }
 
 // postFold finishes one engine fold: it emits the TierFoldEvent every
@@ -348,8 +379,8 @@ func (rs *runState) releaseResults(results []TrainResult) {
 // fresh model toward the cloud and hand back a merged model to adopt. It
 // returns the global model training continues from — g itself on the flat
 // fast path (no syncers: byte-identical to the pre-hierarchy engine), or
-// the rebased rule state after an adoption. All three pacers call it at
-// their fold sites, so hierarchical sync policy lives in exactly one place.
+// the rebased rule state after an adoption. Its one caller is fold, so
+// hierarchical sync policy lives in exactly one place.
 func (rs *runState) postFold(tier, round int, now float64, kept int, g []float64) ([]float64, error) {
 	rs.emit(TierFoldEvent{Tier: tier, Round: round, Time: now, Kept: kept, Global: g})
 	for _, s := range rs.syncers {

@@ -22,10 +22,11 @@ func earliestRejoin(rs *runState, ids []int, now float64) float64 {
 }
 
 // Pacer is the loop-structure policy of a method: it decides when cohorts
-// train and when the update rule folds. The three pacers below are the
+// train and when the update rule folds. The three loops below are the
 // paper's three temporal regimes — lock-step synchronous rounds (FedAvg,
 // FedProx, TiFL, over-selection), concurrent per-tier round loops (FedAT),
-// and wait-free per-client loops (FedAsync, ASO-Fed).
+// and wait-free per-client loops folding every K arrivals (FedBuff; FedAsync
+// and ASO-Fed are its K = 1 case).
 //
 // Pacers are written once against the Fabric interface in continuation
 // style: work is started with Dispatch, folds are sequenced with atSync,
@@ -35,19 +36,22 @@ func earliestRejoin(rs *runState, ids []int, now float64) float64 {
 // runs pin. On the live fabric Dispatch trains real clients over TCP while
 // other cohorts proceed, and deliveries serialize on the wall-clock run
 // loop. Fold callbacks touch shared state (the update rule, the
-// hierarchical cloud), so they go through rs.atSync; the continuation that
-// starts the NEXT round is split out through rs.resume so that dispatch
-// and local training stay in plain owner-local events a parallel timeline
-// driver may overlap across edges.
+// hierarchical cloud), so they go through rs.atSync and fold through
+// rs.fold, the engine's one fold site; the continuation that starts the
+// NEXT round is split out through rs.resume so that dispatch and local
+// training stay in plain owner-local events a parallel timeline driver may
+// overlap across edges.
 type Pacer interface {
 	Run(rs *runState) error
 }
 
-// Pacers is the registry of pacing policies.
+// Pacers is the registry of pacing policies: three loops under four keys.
+// "client" is the wait-free loop at K = 1 — a registry datum, so it folds
+// on every arrival whatever cfg.BufferK says.
 var Pacers = map[string]Pacer{
 	"sync":    syncPacer{},
 	"tier":    tierPacer{},
-	"client":  clientPacer{},
+	"client":  bufferPacer{k: 1},
 	"fedbuff": bufferPacer{},
 }
 
@@ -64,11 +68,6 @@ func (syncPacer) Run(rs *runState) error {
 		return fmt.Errorf("sync pacing needs a round selector, %q is not one", rs.method.Select)
 	}
 	cfg := rs.cfg
-	var runErr error
-	fail := func(err error) {
-		runErr = err
-		rs.fab.Stop()
-	}
 	// Attempt budget guards against a fully-dropped population.
 	attempt := 0
 	var step func(now float64)
@@ -83,7 +82,7 @@ func (syncPacer) Run(rs *runState) error {
 			attempt++
 			cohort, tier, selNow, outcome, err := sel.Pick(rs, now)
 			if err != nil {
-				fail(err)
+				rs.fail(err)
 				return
 			}
 			now = selNow
@@ -98,31 +97,17 @@ func (syncPacer) Run(rs *runState) error {
 			start := now
 			rs.fab.Dispatch(rs.comm, cohort, now, rs.rule.Global(), rs.localConfig(uint64(round), lrSyncLoop), func(results []TrainResult, err error) {
 				if err != nil {
-					fail(err)
+					rs.fail(err)
 					return
 				}
 				rs.emitClientDones(tier, start, results)
 				kept, comp := sel.Harvest(rs, results)
 				rs.atSync(comp, func() {
-					if len(kept) == 0 {
-						rs.releaseResults(results)
-						// Every counted client dropped; no update this round.
-						rs.resume(func() { step(comp) })
+					// No kept update: every counted client dropped, and the
+					// round folds nothing.
+					if len(kept) > 0 && !rs.fold(tier, toUpdates(kept, round), comp) {
 						return
 					}
-					g, err := rs.rule.Fold(Fold{Tier: tier, Updates: toUpdates(kept, round)})
-					if err != nil {
-						fail(err)
-						return
-					}
-					rs.releaseResults(results)
-					t := rs.rule.Rounds()
-					g, err = rs.postFold(tier, t, comp, len(kept), g)
-					if err != nil {
-						fail(err)
-						return
-					}
-					rs.maybeEval(t, comp, g)
 					rs.resume(func() { step(comp) })
 				})
 			})
@@ -131,7 +116,7 @@ func (syncPacer) Run(rs *runState) error {
 	}
 	step(0)
 	rs.fab.Run()
-	return runErr
+	return rs.runErr
 }
 
 // ---------------------------------------------------------------------------
@@ -151,16 +136,6 @@ func (tierPacer) Run(rs *runState) error {
 		return err
 	}
 	cfg := rs.cfg
-	done := false
-	var runErr error
-	finish := func() {
-		done = true
-		rs.fab.Stop()
-	}
-	fail := func(err error) {
-		runErr = err
-		finish()
-	}
 
 	// active[m] tracks whether tier m's loop is running (a round in flight
 	// or a rejoin resume scheduled). A loop exits only when the tier has
@@ -169,13 +144,13 @@ func (tierPacer) Run(rs *runState) error {
 	active := make([]bool, tiers.M())
 	var tierRound func(m int)
 	tierRound = func(m int) {
-		if done {
+		if rs.done {
 			return
 		}
 		active[m] = true
 		now := rs.fab.Now()
 		if cfg.MaxSimTime > 0 && now >= cfg.MaxSimTime {
-			finish()
+			rs.finish()
 			return
 		}
 		cohort := tsel.PickTier(rs, m, now)
@@ -194,41 +169,31 @@ func (tierPacer) Run(rs *runState) error {
 		round := rs.rule.Rounds()
 		rs.emit(RoundStartEvent{Tier: m, Round: round, Time: now, Clients: cohort})
 		rs.fab.Dispatch(rs.comm, cohort, now, rs.rule.Global(), rs.localConfig(uint64(round), m), func(results []TrainResult, err error) {
-			if done {
+			if rs.done {
 				return
 			}
 			if err != nil {
-				fail(err)
+				rs.fail(err)
 				return
 			}
 			rs.emitClientDones(m, now, results)
 			kept, comp := tsel.Harvest(rs, results)
 			rs.atSync(comp, func() {
-				if done {
+				if rs.done {
 					return
 				}
 				if len(kept) > 0 {
 					rs.observeStale(m, round)
-					g, err := rs.rule.Fold(Fold{Tier: m, Updates: toUpdates(kept, round)})
-					if err != nil {
-						fail(err)
+					if !rs.fold(m, toUpdates(kept, round), rs.fab.Now()) {
 						return
 					}
-					rs.releaseResults(results)
-					t := rs.rule.Rounds()
-					g, err = rs.postFold(m, t, rs.fab.Now(), len(kept), g)
-					if err != nil {
-						fail(err)
-						return
-					}
-					rs.maybeEval(t, rs.fab.Now(), g)
-					if t >= cfg.Rounds {
-						finish()
+					if rs.rule.Rounds() >= cfg.Rounds {
+						rs.finish()
 						return
 					}
 					retiered, err := rs.maybeRetier(rs.fab.Now())
 					if err != nil {
-						fail(err)
+						rs.fail(err)
 						return
 					}
 					if retiered {
@@ -245,8 +210,6 @@ func (tierPacer) Run(rs *runState) error {
 							}
 						}
 					}
-				} else {
-					rs.releaseResults(results)
 				}
 				rs.resume(func() { tierRound(m) })
 			})
@@ -256,55 +219,68 @@ func (tierPacer) Run(rs *runState) error {
 		tierRound(m)
 	}
 	rs.fab.Run()
-	return runErr
+	return rs.runErr
 }
 
 // ---------------------------------------------------------------------------
-// client: the wait-free regime — every client trains continuously; each
-// arrival folds immediately and the fresh model returns to that client
-// alone. With the whole population talking to the server at once, the
-// shared server links become the bottleneck the paper demonstrates.
+// client, fedbuff: the wait-free regime — every client trains continuously
+// and the server folds once every K arrivals. At K = 1 ("client": FedAsync,
+// ASO-Fed) each arrival folds immediately and the fresh model returns to
+// that client alone; with the whole population talking to the server at
+// once, the shared server links become the bottleneck the paper
+// demonstrates. At K > 1 ("fedbuff", buffered asynchrony) the update rule
+// is handed a real cohort, which turns the wait-free loop into something
+// robust statistics can work with (a median over one update is that update;
+// over K it is a defense), at the cost of each arrival waiting up to K-1
+// peers before it reaches the global model.
 
-type clientPacer struct{}
+// bufferPacer folds every k arrivals; k = 0 takes cfg.BufferK.
+type bufferPacer struct{ k int }
 
-func (clientPacer) Run(rs *runState) error {
+func (p bufferPacer) Run(rs *runState) error {
 	if _, ok := rs.sel.(FreeSelector); !ok {
-		return fmt.Errorf("client pacing performs no cohort selection, so selector %q would be ignored; use \"all\"", rs.method.Select)
+		return fmt.Errorf("%s pacing performs no cohort selection, so selector %q would be ignored; use \"all\"", rs.method.Pace, rs.method.Select)
 	}
 	cfg := rs.cfg
-	done := false
-	var runErr error
-	fail := func(err error) {
-		runErr = err
-		done = true
-		rs.fab.Stop()
+	k := p.k
+	if k == 0 {
+		k = cfg.BufferK
+	}
+	if n := rs.fab.NumClients(); k > n {
+		// Never demand more distinct arrivals than the population can
+		// deliver concurrently.
+		k = n
 	}
 
-	// retryAt resumes a client's loop when transient churn or a late join
-	// will bring it back online (a no-op for permanent departures, whose
-	// rejoin time is +Inf — the static population's only case).
+	// The arrival buffer. Buffered weights are pooled transmit buffers the
+	// engine recycles only after the fold that consumes them; each arrival
+	// carries its own start round, so per-update rules discount buffer
+	// members individually (batch-anchored rules recover the oldest via
+	// Fold.StartRound).
+	buf := make([]core.ClientUpdate, 0, k)
+
 	var startClient func(id int)
-	retryAt := func(id int, now float64) {
-		if rejoin := rs.fab.NextAvailable(id, now); rejoin > now && !math.IsInf(rejoin, 1) {
-			rs.fab.At(rejoin, func() { startClient(id) })
-		}
-	}
 	startClient = func(id int) {
-		if done {
+		if rs.done {
 			return
 		}
 		now := rs.fab.Now()
 		if !rs.fab.Available(id, now) {
-			retryAt(id, now)
+			// Resume the client's loop when transient churn or a late join
+			// brings it back online (never for permanent departures, whose
+			// rejoin time is +Inf — the static population's only case).
+			if rejoin := rs.fab.NextAvailable(id, now); rejoin > now && !math.IsInf(rejoin, 1) {
+				rs.fab.At(rejoin, func() { startClient(id) })
+			}
 			return
 		}
 		startRound := rs.rule.Rounds()
 		rs.fab.Dispatch(rs.comm, []int{id}, now, rs.rule.Global(), rs.localConfig(uint64(startRound), id), func(results []TrainResult, err error) {
-			if done {
+			if rs.done {
 				return
 			}
 			if err != nil {
-				fail(err)
+				rs.fail(err)
 				return
 			}
 			r := results[0]
@@ -320,118 +296,7 @@ func (clientPacer) Run(rs *runState) error {
 				return
 			}
 			rs.atSync(r.Arrive, func() {
-				if done {
-					return
-				}
-				rs.emit(ClientDoneEvent{Client: r.Client, Tier: -1, Time: r.Arrive})
-				rs.observeStale(id, startRound)
-				update := core.ClientUpdate{Weights: r.Weights, N: r.N, Client: r.Client, StartRound: startRound}
-				g, err := rs.rule.Fold(Fold{Tier: -1, Updates: []core.ClientUpdate{update}})
-				if err != nil {
-					fail(err)
-					return
-				}
-				rs.comm.Release(r.Weights)
-				t := rs.rule.Rounds()
-				g, err = rs.postFold(-1, t, rs.fab.Now(), 1, g)
-				if err != nil {
-					fail(err)
-					return
-				}
-				rs.maybeEval(t, rs.fab.Now(), g)
-				if t >= cfg.Rounds || (cfg.MaxSimTime > 0 && rs.fab.Now() >= cfg.MaxSimTime) {
-					done = true
-					rs.fab.Stop()
-					return
-				}
-				if _, err := rs.maybeRetier(rs.fab.Now()); err != nil {
-					fail(err)
-					return
-				}
-				rs.resume(func() { startClient(id) })
-			})
-		})
-	}
-	for id := 0; id < rs.fab.NumClients(); id++ {
-		startClient(id)
-	}
-	rs.fab.Run()
-	return runErr
-}
-
-// ---------------------------------------------------------------------------
-// fedbuff: buffered asynchrony (FedBuff) — clients train wait-free exactly
-// as under client pacing, but the server folds only once every K arrivals,
-// handing the update rule a real cohort. That turns a wait-free loop into
-// something robust statistics can work with (a median over one update is
-// that update; over K it is a defense), at the cost of each arrival waiting
-// up to K-1 peers before it reaches the global model.
-
-type bufferPacer struct{}
-
-func (bufferPacer) Run(rs *runState) error {
-	if _, ok := rs.sel.(FreeSelector); !ok {
-		return fmt.Errorf("fedbuff pacing performs no cohort selection, so selector %q would be ignored; use \"all\"", rs.method.Select)
-	}
-	cfg := rs.cfg
-	k := cfg.BufferK
-	if n := rs.fab.NumClients(); k > n {
-		// Never demand more distinct arrivals than the population can
-		// deliver concurrently.
-		k = n
-	}
-	done := false
-	var runErr error
-	fail := func(err error) {
-		runErr = err
-		done = true
-		rs.fab.Stop()
-	}
-
-	// The arrival buffer. Buffered weights are pooled transmit buffers the
-	// engine recycles only after the fold that consumes them; each arrival
-	// carries its own start round, so per-update rules discount buffer
-	// members individually (batch-anchored rules recover the oldest via
-	// Fold.StartRound).
-	buf := make([]core.ClientUpdate, 0, k)
-
-	var startClient func(id int)
-	retryAt := func(id int, now float64) {
-		if rejoin := rs.fab.NextAvailable(id, now); rejoin > now && !math.IsInf(rejoin, 1) {
-			rs.fab.At(rejoin, func() { startClient(id) })
-		}
-	}
-	startClient = func(id int) {
-		if done {
-			return
-		}
-		now := rs.fab.Now()
-		if !rs.fab.Available(id, now) {
-			retryAt(id, now)
-			return
-		}
-		startRound := rs.rule.Rounds()
-		rs.fab.Dispatch(rs.comm, []int{id}, now, rs.rule.Global(), rs.localConfig(uint64(startRound), id), func(results []TrainResult, err error) {
-			if done {
-				return
-			}
-			if err != nil {
-				fail(err)
-				return
-			}
-			r := results[0]
-			if rs.lat != nil && !r.Dropped {
-				rs.lat.Observe(r.Client, r.Arrive-now)
-			}
-			if r.Dropped {
-				rs.emit(ClientDoneEvent{Client: r.Client, Tier: -1, Time: r.Arrive, Dropped: true})
-				if rejoin := rs.fab.NextAvailable(id, r.Arrive); !math.IsInf(rejoin, 1) {
-					rs.fab.At(rejoin, func() { startClient(id) })
-				}
-				return
-			}
-			rs.atSync(r.Arrive, func() {
-				if done {
+				if rs.done {
 					return
 				}
 				rs.emit(ClientDoneEvent{Client: r.Client, Tier: -1, Time: r.Arrive})
@@ -440,30 +305,16 @@ func (bufferPacer) Run(rs *runState) error {
 					for _, u := range buf {
 						rs.observeStale(u.Client, u.StartRound)
 					}
-					g, err := rs.rule.Fold(Fold{Tier: -1, Updates: buf})
-					if err != nil {
-						fail(err)
+					if !rs.fold(-1, buf, rs.fab.Now()) {
 						return
 					}
-					for _, u := range buf {
-						rs.comm.Release(u.Weights)
-					}
-					folded := len(buf)
 					buf = buf[:0]
-					t := rs.rule.Rounds()
-					g, err = rs.postFold(-1, t, rs.fab.Now(), folded, g)
-					if err != nil {
-						fail(err)
-						return
-					}
-					rs.maybeEval(t, rs.fab.Now(), g)
-					if t >= cfg.Rounds || (cfg.MaxSimTime > 0 && rs.fab.Now() >= cfg.MaxSimTime) {
-						done = true
-						rs.fab.Stop()
+					if rs.rule.Rounds() >= cfg.Rounds || (cfg.MaxSimTime > 0 && rs.fab.Now() >= cfg.MaxSimTime) {
+						rs.finish()
 						return
 					}
 					if _, err := rs.maybeRetier(rs.fab.Now()); err != nil {
-						fail(err)
+						rs.fail(err)
 						return
 					}
 				}
@@ -475,5 +326,5 @@ func (bufferPacer) Run(rs *runState) error {
 		startClient(id)
 	}
 	rs.fab.Run()
-	return runErr
+	return rs.runErr
 }

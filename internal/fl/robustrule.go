@@ -20,13 +20,12 @@ import (
 // so folding retains nothing from the update buffers the engine recycles
 // and allocates nothing in steady state (the PR 6 budgets).
 type robustRule struct {
-	kind    string // "median", "trimmed" or "krum"
-	global  []float64
-	version int
-	beta    float64 // trimmed: per-side trim fraction
-	f       int     // krum: tolerated byzantine count (-1 = adaptive)
-	scratch robust.FoldScratch
-	vecs    [][]float64 // cohort view, reused across folds
+	modelState         // a rebased model is just the next cohort's snapshot
+	kind       string  // "median", "trimmed" or "krum"
+	beta       float64 // trimmed: per-side trim fraction
+	f          int     // krum: tolerated byzantine count (-1 = adaptive)
+	scratch    robust.FoldScratch
+	vecs       [][]float64 // cohort view, reused across folds
 }
 
 func (r *robustRule) Init(rs *runState) error {
@@ -37,16 +36,6 @@ func (r *robustRule) Init(rs *runState) error {
 		r.f = -1 // adaptive (cohort-3)/2 per fold
 	}
 	return nil
-}
-
-func (r *robustRule) Global() []float64 { return r.global }
-func (r *robustRule) Rounds() int       { return r.version }
-
-// Rebase implements Rebaser: the next cohort aggregates against the merged
-// model like any other snapshot.
-func (r *robustRule) Rebase(w []float64) []float64 {
-	copy(r.global, w)
-	return r.global
 }
 
 func (r *robustRule) Fold(f Fold) ([]float64, error) {

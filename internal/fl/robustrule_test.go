@@ -23,7 +23,7 @@ func TestRobustRulesFoldHandComputed(t *testing.T) {
 	}
 	fold := func(kind string, beta float64, f int) []float64 {
 		t.Helper()
-		rule := &robustRule{kind: kind, global: make([]float64, 2), beta: beta, f: f}
+		rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind, beta: beta, f: f}
 		g, err := rule.Fold(Fold{Tier: -1, Updates: cohort})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -62,7 +62,7 @@ func TestRobustFoldAllocFree(t *testing.T) {
 	}
 	for _, kind := range []string{"median", "trimmed", "krum"} {
 		t.Run(kind, func(t *testing.T) {
-			rule := &robustRule{kind: kind, global: fuzzVec(1, dim), beta: 0.2, f: -1}
+			rule := &robustRule{modelState: modelState{global: fuzzVec(1, dim)}, kind: kind, beta: 0.2, f: -1}
 			us := cohort(5)
 			assertFoldAllocs(t, kind+" cohort fold", 0, func() {
 				if _, err := rule.Fold(Fold{Tier: 0, Updates: us}); err != nil {
@@ -272,7 +272,7 @@ func TestFedBuffPacer(t *testing.T) {
 // TestRobustRuleRebase: robust rules adopt an external global (the
 // hierarchical fold path) without losing their version counters.
 func TestRobustRuleRebase(t *testing.T) {
-	rule := &robustRule{kind: "median", global: []float64{1, 2}}
+	rule := &robustRule{modelState: modelState{global: []float64{1, 2}}, kind: "median"}
 	if _, err := rule.Fold(Fold{Updates: []core.ClientUpdate{{Weights: []float64{5, 6}, N: 1}}}); err != nil {
 		t.Fatal(err)
 	}

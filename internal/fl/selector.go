@@ -29,6 +29,8 @@ type RoundSelector interface {
 	// Harvest filters the round's results down to the updates that count
 	// and returns the round's completion time — over-selection keeps only
 	// the earliest arrivals, so the straggler tail stops gating the clock.
+	// A delivered update Harvest discards never reaches the fold site, so
+	// Harvest hands its buffer back (rs.comm.Release) itself.
 	Harvest(rs *runState, results []TrainResult) (kept []TrainResult, now float64)
 }
 
@@ -61,7 +63,7 @@ const (
 // Selectors is the registry of selection policies.
 var Selectors = map[string]func() Selector{
 	"random":  func() Selector { return &randomSelector{} },
-	"oversel": func() Selector { return &overselSelector{} },
+	"oversel": func() Selector { return &overselSelector{randomSelector{over: overFactor}} },
 	"tifl":    func() Selector { return &tiflSelector{} },
 	"all":     func() Selector { return allSelector{} },
 }
@@ -76,7 +78,16 @@ type randomSelector struct {
 	selRNG  *rng.RNG
 	root    *rng.RNG
 	tierRNG []*rng.RNG
-	avail   []int // selectAvailable's scratch
+	avail   []int   // selectAvailable's scratch
+	over    float64 // over-selection factor on the cohort size (0 = none)
+}
+
+// cohortSize is how many clients one round samples.
+func (s *randomSelector) cohortSize(rs *runState) int {
+	if s.over == 0 {
+		return rs.cfg.ClientsPerRound
+	}
+	return int(float64(rs.cfg.ClientsPerRound)*s.over + 0.5)
 }
 
 func (s *randomSelector) Init(rs *runState) error {
@@ -87,7 +98,7 @@ func (s *randomSelector) Init(rs *runState) error {
 }
 
 func (s *randomSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
-	sel := selectAvailable(&s.avail, s.selRNG, s.all, rs.fab, now, rs.cfg.ClientsPerRound)
+	sel := selectAvailable(&s.avail, s.selRNG, s.all, rs.fab, now, s.cohortSize(rs))
 	if len(sel) == 0 {
 		return nil, -1, now, SelectStop, nil // everyone is offline; training cannot continue
 	}
@@ -95,7 +106,7 @@ func (s *randomSelector) Pick(rs *runState, now float64) ([]int, int, float64, S
 }
 
 func (s *randomSelector) PickTier(rs *runState, m int, now float64) []int {
-	return selectAvailable(&s.avail, s.tierStream(m), rs.tiers.Members[m], rs.fab, now, rs.cfg.ClientsPerRound)
+	return selectAvailable(&s.avail, s.tierStream(m), rs.tiers.Members[m], rs.fab, now, s.cohortSize(rs))
 }
 
 // tierStream lazily derives tier m's RNG stream, labelled by tier index —
@@ -119,23 +130,7 @@ func (s *randomSelector) Harvest(rs *runState, results []TrainResult) ([]TrainRe
 const overFactor = 1.3
 
 type overselSelector struct {
-	randomSelector // reuses the population/tier sampling streams
-}
-
-func (s *overselSelector) overCount(rs *runState) int {
-	return int(float64(rs.cfg.ClientsPerRound)*overFactor + 0.5)
-}
-
-func (s *overselSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
-	sel := selectAvailable(&s.avail, s.selRNG, s.all, rs.fab, now, s.overCount(rs))
-	if len(sel) == 0 {
-		return nil, -1, now, SelectStop, nil
-	}
-	return sel, -1, now, SelectOK, nil
-}
-
-func (s *overselSelector) PickTier(rs *runState, m int, now float64) []int {
-	return selectAvailable(&s.avail, s.tierStream(m), rs.tiers.Members[m], rs.fab, now, s.overCount(rs))
+	randomSelector // samples the enlarged cohorts (over = overFactor); only the harvest differs
 }
 
 func (s *overselSelector) Harvest(rs *runState, results []TrainResult) ([]TrainResult, float64) {
@@ -144,12 +139,17 @@ func (s *overselSelector) Harvest(rs *runState, results []TrainResult) ([]TrainR
 		return nil, completionTime(results)
 	}
 	// Keep the earliest arrivals up to the target count; the rest are
-	// received later but ignored (their bytes were already counted).
+	// received later but ignored (their bytes were already counted), so
+	// their uplink buffers recycle here — the fold site only sees, and
+	// releases, the kept ones.
 	keep := rs.cfg.ClientsPerRound
 	if keep > len(surv) {
 		keep = len(surv)
 	}
 	sortByArrival(surv)
+	for _, late := range surv[keep:] {
+		rs.comm.Release(late.Weights)
+	}
 	kept := surv[:keep]
 	return kept, completionTime(kept)
 }

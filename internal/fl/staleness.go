@@ -23,9 +23,8 @@ const (
 var StaleFuncs = []string{StaleFuncPoly, StaleFuncExp, StaleFuncConst, StaleFuncHinge}
 
 // StaleExpOff explicitly pins the staleness decay to 0 — constant
-// weighting through the polynomial form. StalenessConfig.Alpha 0 (and the
-// deprecated RunConfig.AsyncStaleExp 0) means "use the default", so an
-// explicit zero needs a sentinel, mirroring LambdaOff.
+// weighting through the polynomial form. StalenessConfig.Alpha 0 means "use
+// the default", so an explicit zero needs a sentinel, mirroring LambdaOff.
 const StaleExpOff = -1.0
 
 // StalenessConfig parameterizes the async family's staleness discount
@@ -34,9 +33,8 @@ const StaleExpOff = -1.0
 type StalenessConfig struct {
 	// Func names the weight function (StaleFuncPoly & co). "" means poly.
 	Func string
-	// Alpha is the decay parameter a. 0 inherits the run-level default
-	// (the deprecated AsyncStaleExp alias, then 0.5); StaleExpOff (any
-	// negative value) pins it to exactly 0.
+	// Alpha is the decay parameter a. 0 inherits the 0.5 default;
+	// StaleExpOff (any negative value) pins it to exactly 0.
 	Alpha float64
 	// Threshold is hinge's flat region: staleness up to it is not
 	// discounted at all.
@@ -169,53 +167,64 @@ func (s stalenessSpec) resolve(cfg StalenessConfig) StalenessConfig {
 }
 
 // ---------------------------------------------------------------------------
-// fedasync: the per-update staleness fold — each arriving update blends
-// into the global model with its OWN weight α·g(t − τ_k), τ_k the global
-// update count when client k downloaded its snapshot
-// (core.ClientUpdate.StartRound). The legacy "staleness" rule anchors a
-// whole fold at its oldest member; with single-update folds (client
-// pacing) the two are identical, but under fedbuff buffering (K > 1) this
-// rule discounts each buffered update individually instead of dragging
-// fresh members down to the batch's most stale one.
+// asyncState is what the async family's rules share: one model vector, the
+// server blend weight α and the resolved staleness discount g.
 
-type fedasyncRule struct {
-	global  []float64
-	version int
-	alpha   float64
-	sc      StalenessConfig
-	spec    stalenessSpec
+type asyncState struct {
+	modelState
+	alpha float64
+	sc    StalenessConfig
+	spec  stalenessSpec
 }
 
-func (r *fedasyncRule) Init(rs *runState) error {
-	r.global = rs.fab.InitialWeights()
-	r.alpha = rs.cfg.AsyncAlpha
-	r.sc = r.spec.resolve(rs.cfg.Staleness)
+func (a *asyncState) Init(rs *runState) error {
+	a.global = rs.fab.InitialWeights()
+	a.alpha = rs.cfg.AsyncAlpha
+	a.sc = a.spec.resolve(rs.cfg.Staleness)
 	return nil
 }
 
-func (r *fedasyncRule) Global() []float64 { return r.global }
-func (r *fedasyncRule) Rounds() int       { return r.version }
-
-// Rebase implements Rebaser: the blend target becomes the merged model;
-// staleness anchors (version) persist.
-func (r *fedasyncRule) Rebase(w []float64) []float64 {
-	copy(r.global, w)
-	return r.global
+// weight is g(t − start): the discount of an update anchored at global
+// update count start, folded now. An anchor ahead of the clock counts as
+// fresh (it cannot happen for the oldest-member anchor: StartRound is a
+// past Rounds() and version only grows).
+func (a *asyncState) weight(start int) float64 {
+	s := float64(a.version - start)
+	if s < 0 {
+		s = 0
+	}
+	return a.sc.Weight(s)
 }
 
-func (r *fedasyncRule) Fold(f Fold) ([]float64, error) {
+// ---------------------------------------------------------------------------
+// staleness, fedasync: Xie et al.'s FedAsync mixing — each arriving update
+// blends into the global model with weight α·g(t − τ), g the configured
+// weight function (polynomial (s+1)^(−a) by default). The two registry keys
+// are one rule with two anchors τ: "staleness" measures the whole fold from
+// its OLDEST member's download (the batch anchor, Fold.StartRound),
+// "fedasync" each update from its OWN (core.ClientUpdate.StartRound). On a
+// fold of one (client pacing) they are identical; under fedbuff buffering
+// (K > 1) the per-update anchor discounts each buffered update individually
+// instead of dragging fresh members down to the batch's most stale one.
+
+type stalenessRule struct {
+	asyncState
+	perUpdate bool
+}
+
+func (r *stalenessRule) Fold(f Fold) ([]float64, error) {
 	if len(f.Updates) == 0 {
-		return nil, fmt.Errorf("fedasync fold with no client updates")
+		return nil, fmt.Errorf("staleness fold with no client updates")
 	}
+	start := f.StartRound()
 	for _, u := range f.Updates {
 		if len(u.Weights) != len(r.global) {
-			return nil, fmt.Errorf("fedasync fold: update has %d weights, want %d", len(u.Weights), len(r.global))
+			return nil, fmt.Errorf("staleness fold: update has %d weights, want %d", len(u.Weights), len(r.global))
 		}
-		s := float64(r.version - u.StartRound)
-		if s < 0 {
-			s = 0
+		if r.perUpdate {
+			start = u.StartRound
 		}
-		tensor.Lerp(r.global, u.Weights, r.alpha*r.sc.Weight(s))
+		tensor.Lerp(r.global, u.Weights, r.alpha*r.weight(start))
 	}
 	r.version++
 	return r.global, nil
@@ -232,29 +241,14 @@ func (r *fedasyncRule) Fold(f Fold) ([]float64, error) {
 // buffer's members all measure their delta against the same pre-fold model.
 
 type asyncSGDRule struct {
-	global  []float64
-	delta   []float64 // fold scratch, reused — the fold stays alloc-free
-	version int
-	alpha   float64
-	sc      StalenessConfig
-	spec    stalenessSpec
+	asyncState
+	delta []float64 // fold scratch, reused — the fold stays alloc-free
 }
 
 func (r *asyncSGDRule) Init(rs *runState) error {
-	r.global = rs.fab.InitialWeights()
+	err := r.asyncState.Init(rs)
 	r.delta = make([]float64, len(r.global))
-	r.alpha = rs.cfg.AsyncAlpha
-	r.sc = r.spec.resolve(rs.cfg.Staleness)
-	return nil
-}
-
-func (r *asyncSGDRule) Global() []float64 { return r.global }
-func (r *asyncSGDRule) Rounds() int       { return r.version }
-
-// Rebase implements Rebaser: the step base becomes the merged model.
-func (r *asyncSGDRule) Rebase(w []float64) []float64 {
-	copy(r.global, w)
-	return r.global
+	return err
 }
 
 func (r *asyncSGDRule) Fold(f Fold) ([]float64, error) {
@@ -266,11 +260,7 @@ func (r *asyncSGDRule) Fold(f Fold) ([]float64, error) {
 		if len(u.Weights) != len(r.global) {
 			return nil, fmt.Errorf("asyncsgd fold: update has %d weights, want %d", len(u.Weights), len(r.global))
 		}
-		s := float64(r.version - u.StartRound)
-		if s < 0 {
-			s = 0
-		}
-		g := r.sc.Weight(s)
+		g := r.weight(u.StartRound)
 		for i, w := range u.Weights {
 			r.delta[i] += g * (w - r.global[i])
 		}

@@ -135,29 +135,26 @@ func TestStalenessSpecResolve(t *testing.T) {
 }
 
 // TestStaleExpDefaulting mirrors TestLambdaDefaulting for the staleness
-// decay: unset inherits 0.5 through to Staleness.Alpha, an explicit value
-// flows through the deprecated flat alias, and StaleExpOff survives the
-// double defaulting (NewEnv then RunOn) instead of being silently reset —
-// the bug this sentinel exists to fix.
+// decay: unset inherits 0.5, an explicit value is kept, and StaleExpOff
+// survives the double defaulting (NewEnv then RunOn) instead of being
+// silently reset — the bug this sentinel exists to fix.
 func TestStaleExpDefaulting(t *testing.T) {
 	def := (RunConfig{}).withDefaults()
-	if def.AsyncStaleExp != 0.5 || def.Staleness.Alpha != 0.5 {
-		t.Fatalf("unset staleness decay defaulted to %v/%v, want 0.5/0.5",
-			def.AsyncStaleExp, def.Staleness.Alpha)
+	if def.Staleness.Alpha != 0.5 {
+		t.Fatalf("unset staleness decay defaulted to %v, want 0.5", def.Staleness.Alpha)
 	}
 	if def.Staleness.Func != StaleFuncPoly {
 		t.Fatalf("unset staleness func defaulted to %q, want poly", def.Staleness.Func)
 	}
 
-	alias := (RunConfig{AsyncStaleExp: 0.25}).withDefaults()
-	if alias.Staleness.Alpha != 0.25 {
-		t.Fatalf("deprecated alias did not feed Staleness.Alpha: %v", alias.Staleness.Alpha)
+	set := (RunConfig{Staleness: StalenessConfig{Alpha: 0.25}}).withDefaults().withDefaults()
+	if set.Staleness.Alpha != 0.25 {
+		t.Fatalf("explicit staleness decay re-defaulted: %v", set.Staleness.Alpha)
 	}
 
-	twice := (RunConfig{AsyncStaleExp: StaleExpOff}).withDefaults().withDefaults()
-	if twice.AsyncStaleExp >= 0 || twice.Staleness.Alpha >= 0 {
-		t.Fatalf("StaleExpOff did not survive double defaulting: %v/%v",
-			twice.AsyncStaleExp, twice.Staleness.Alpha)
+	twice := (RunConfig{Staleness: StalenessConfig{Alpha: StaleExpOff}}).withDefaults().withDefaults()
+	if twice.Staleness.Alpha >= 0 {
+		t.Fatalf("StaleExpOff did not survive double defaulting: %v", twice.Staleness.Alpha)
 	}
 	if got := twice.Staleness.Weight(37); got != 1 {
 		t.Fatalf("StaleExpOff weight = %v, want 1 at any staleness", got)
@@ -183,7 +180,7 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 		staleUpdate(5, 0.5, 8), // fresh
 	}
 
-	r := &fedasyncRule{global: []float64{0.25, -0.75}, version: 8, alpha: alpha, sc: sc}
+	r := &stalenessRule{asyncState: asyncAt([]float64{0.25, -0.75}, 8, alpha, sc), perUpdate: true}
 	got, err := r.Fold(Fold{Tier: -1, Updates: updates})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +202,7 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 		t.Fatalf("fold advanced version to %d, want 9", r.Rounds())
 	}
 
-	legacy := &stalenessRule{global: []float64{0.25, -0.75}, version: 8, alpha: alpha, sc: sc}
+	legacy := &stalenessRule{asyncState: asyncAt([]float64{0.25, -0.75}, 8, alpha, sc)}
 	lgot, err := legacy.Fold(Fold{Tier: -1, Updates: updates})
 	if err != nil {
 		t.Fatal(err)
@@ -222,8 +219,8 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 
 	// Single-update folds (client pacing) are where the two rules coincide.
 	one := []core.ClientUpdate{staleUpdate(1, -2, 5)}
-	ra := &fedasyncRule{global: []float64{0, 0}, version: 9, alpha: alpha, sc: sc}
-	rb := &stalenessRule{global: []float64{0, 0}, version: 9, alpha: alpha, sc: sc}
+	ra := &stalenessRule{asyncState: asyncAt([]float64{0, 0}, 9, alpha, sc), perUpdate: true}
+	rb := &stalenessRule{asyncState: asyncAt([]float64{0, 0}, 9, alpha, sc)}
 	ga, _ := ra.Fold(Fold{Tier: -1, Updates: one})
 	gb, _ := rb.Fold(Fold{Tier: -1, Updates: one})
 	for i := range ga {
@@ -245,7 +242,7 @@ func TestAsyncSGDFold(t *testing.T) {
 		staleUpdate(-3, 4, 5),
 	}
 
-	r := &asyncSGDRule{global: append([]float64(nil), global...), delta: make([]float64, 2), version: 5, alpha: alpha, sc: sc}
+	r := &asyncSGDRule{asyncState: asyncAt(append([]float64(nil), global...), 5, alpha, sc), delta: make([]float64, 2)}
 	got, err := r.Fold(Fold{Tier: -1, Updates: updates})
 	if err != nil {
 		t.Fatal(err)

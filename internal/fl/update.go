@@ -84,22 +84,39 @@ var UpdateRules = map[string]func(args []string) (UpdateRule, error){
 	"avg":       zeroArg("avg", func() UpdateRule { return &avgRule{} }),
 	"eq5":       zeroArg("eq5", func() UpdateRule { return &eq5Rule{} }),
 	"uniform":   zeroArg("uniform", func() UpdateRule { return &eq5Rule{forceUniform: true} }),
-	"staleness": stalenessArgs(func(s stalenessSpec) UpdateRule { return &stalenessRule{spec: s} }),
-	"fedasync":  stalenessArgs(func(s stalenessSpec) UpdateRule { return &fedasyncRule{spec: s} }),
-	"asyncsgd":  stalenessArgs(func(s stalenessSpec) UpdateRule { return &asyncSGDRule{spec: s} }),
+	"staleness": stalenessArgs(func(a asyncState) UpdateRule { return &stalenessRule{asyncState: a} }),
+	"fedasync":  stalenessArgs(func(a asyncState) UpdateRule { return &stalenessRule{asyncState: a, perUpdate: true} }),
+	"asyncsgd":  stalenessArgs(func(a asyncState) UpdateRule { return &asyncSGDRule{asyncState: a} }),
 	"asofed":    zeroArg("asofed", func() UpdateRule { return &asoRule{} }),
 }
 
 // stalenessArgs adapts an async-family constructor: the spec's parameters
 // parse as func:alpha:threshold and override RunConfig.Staleness at Init.
-func stalenessArgs(fn func(stalenessSpec) UpdateRule) func([]string) (UpdateRule, error) {
+func stalenessArgs(fn func(asyncState) UpdateRule) func([]string) (UpdateRule, error) {
 	return func(args []string) (UpdateRule, error) {
 		s, err := parseStalenessSpec(args)
 		if err != nil {
 			return nil, err
 		}
-		return fn(s), nil
+		return fn(asyncState{spec: s}), nil
 	}
+}
+
+// modelState is the server state of every rule whose global model is one
+// plain vector — the async family and the robust rules embed it. Rebase
+// makes them Rebasers: the model becomes the merged one, version (the
+// staleness anchors' clock) persists.
+type modelState struct {
+	global  []float64
+	version int
+}
+
+func (m *modelState) Global() []float64 { return m.global }
+func (m *modelState) Rounds() int       { return m.version }
+
+func (m *modelState) Rebase(w []float64) []float64 {
+	copy(m.global, w)
+	return m.global
 }
 
 // ---------------------------------------------------------------------------
@@ -133,9 +150,9 @@ func (r *avgRule) Rebase(w []float64) []float64 { return r.agg.Rebase(w) }
 
 // ---------------------------------------------------------------------------
 // eq5: FedAT's cross-tier fold — one model per tier, global model the Eq. 5
-// update-count-weighted average (uniform weights under cfg.UniformAgg or the
-// "uniform" registry key, the Figure 6 ablation). Tier count comes from the
-// profiled latency partition.
+// update-count-weighted average (uniform weights under the "uniform"
+// registry key, the Figure 6 ablation). Tier count comes from the profiled
+// latency partition.
 
 type eq5Rule struct {
 	agg          *core.Aggregator
@@ -148,8 +165,7 @@ func (r *eq5Rule) Init(rs *runState) error {
 	if err != nil {
 		return err
 	}
-	weighted := !rs.cfg.UniformAgg && !r.forceUniform
-	agg, err := core.NewAggregator(tiers.M(), rs.fab.InitialWeights(), weighted)
+	agg, err := core.NewAggregator(tiers.M(), rs.fab.InitialWeights(), !r.forceUniform)
 	if err != nil {
 		return err
 	}
@@ -211,59 +227,11 @@ func (r *eq5Rule) Fold(f Fold) ([]float64, error) {
 }
 
 // ---------------------------------------------------------------------------
-// staleness: Xie et al.'s FedAsync mixing — each arriving update is blended
-// into the global model with weight α_t = α·g(staleness), staleness
-// measured in global updates since the fold's OLDEST member downloaded its
-// snapshot (the batch anchor; fedasync in staleness.go is the per-update
-// variant). g is the configured weight function, polynomial
-// (staleness+1)^(−a) by default.
-
-type stalenessRule struct {
-	global  []float64
-	version int
-	alpha   float64
-	sc      StalenessConfig
-	spec    stalenessSpec
-}
-
-func (r *stalenessRule) Init(rs *runState) error {
-	r.global = rs.fab.InitialWeights()
-	r.alpha = rs.cfg.AsyncAlpha
-	r.sc = r.spec.resolve(rs.cfg.Staleness)
-	return nil
-}
-
-func (r *stalenessRule) Global() []float64 { return r.global }
-func (r *stalenessRule) Rounds() int       { return r.version }
-
-// Rebase implements Rebaser: the blend target simply becomes the merged
-// model; staleness anchors (version) persist.
-func (r *stalenessRule) Rebase(w []float64) []float64 {
-	copy(r.global, w)
-	return r.global
-}
-
-func (r *stalenessRule) Fold(f Fold) ([]float64, error) {
-	if len(f.Updates) == 0 {
-		return nil, fmt.Errorf("staleness fold with no client updates")
-	}
-	start := f.StartRound()
-	for _, u := range f.Updates {
-		if len(u.Weights) != len(r.global) {
-			return nil, fmt.Errorf("staleness fold: update has %d weights, want %d", len(u.Weights), len(r.global))
-		}
-		staleness := float64(r.version - start)
-		alpha := r.alpha * r.sc.Weight(staleness)
-		tensor.Lerp(r.global, u.Weights, alpha)
-	}
-	r.version++
-	return r.global, nil
-}
-
-// ---------------------------------------------------------------------------
 // asofed: Chen et al.'s ASO-Fed server — a per-client model copy and a
 // running n_k-weighted sum, so each arrival updates the global average in
-// O(params) instead of O(clients·params).
+// O(params) instead of O(clients·params). It spells out its own
+// global/version instead of embedding modelState because it must not be a
+// Rebaser (see Rebaser).
 
 type asoRule struct {
 	copies  [][]float64

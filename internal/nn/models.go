@@ -19,11 +19,6 @@ type CNNConfig struct {
 	PoolEvery int // insert a 2×2 max-pool after every PoolEvery convs (0 = none)
 }
 
-// PaperCNN returns the paper-shaped config for the given input geometry.
-func PaperCNN(inC, h, w, classes int) CNNConfig {
-	return CNNConfig{InC: inC, H: h, W: w, ConvC: []int{32, 64, 64}, Kernel: 3, Hidden: 64, Classes: classes, PoolEvery: 1}
-}
-
 // SmallCNN returns a reduced config that preserves the three-conv shape.
 func SmallCNN(inC, h, w, classes int) CNNConfig {
 	return CNNConfig{InC: inC, H: h, W: w, ConvC: []int{8, 16, 16}, Kernel: 3, Hidden: 32, Classes: classes, PoolEvery: 1}

@@ -37,9 +37,6 @@ type SGD struct {
 // NewSGD returns plain SGD with the given learning rate.
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
-// NewSGDMomentum returns SGD with classical momentum.
-func NewSGDMomentum(lr, momentum float64) *SGD { return &SGD{LR: lr, Momentum: momentum} }
-
 // Step implements Optimizer.
 func (s *SGD) Step(w, g []float64) {
 	if len(w) != len(g) {

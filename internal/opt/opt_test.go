@@ -31,7 +31,7 @@ func runToConvergence(t *testing.T, o Optimizer, steps int) []float64 {
 }
 
 func TestSGDConverges(t *testing.T)         { runToConvergence(t, NewSGD(0.1), 200) }
-func TestSGDMomentumConverges(t *testing.T) { runToConvergence(t, NewSGDMomentum(0.05, 0.9), 300) }
+func TestSGDMomentumConverges(t *testing.T) { runToConvergence(t, &SGD{LR: 0.05, Momentum: 0.9}, 300) }
 func TestAdamConverges(t *testing.T)        { runToConvergence(t, NewAdam(0.1), 400) }
 
 func TestSGDStepDirection(t *testing.T) {
@@ -78,7 +78,7 @@ func TestResetClearsState(t *testing.T) {
 		t.Fatalf("Adam after Reset diverges from fresh: %v vs %v", wReset, wFresh)
 	}
 
-	s := NewSGDMomentum(0.1, 0.9)
+	s := &SGD{LR: 0.1, Momentum: 0.9}
 	s.Step(w, []float64{1, 1})
 	s.Reset()
 	for i := range s.vel {

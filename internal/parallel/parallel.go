@@ -120,79 +120,3 @@ func Dynamic(n, workers int, body func(i int)) {
 	}
 	wg.Wait()
 }
-
-// ForChunked runs body(lo, hi) over contiguous chunks covering [0, n).
-// Useful when the body wants to amortize per-call setup across a range.
-func ForChunked(n int, body func(lo, hi int)) {
-	workers := Workers(n)
-	if n <= 0 {
-		return
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			wg.Done()
-			continue
-		}
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// MapReduce applies body(i) for i in [0, n) and combines the per-worker
-// partial results with combine. body returns a partial value that combine
-// folds; combine must be associative and commutative. The zero value of T
-// must be the identity for combine.
-func MapReduce[T any](n int, body func(i int) T, combine func(a, b T) T) T {
-	var zero T
-	if n <= 0 {
-		return zero
-	}
-	workers := Workers(n)
-	if workers <= 1 {
-		acc := zero
-		for i := 0; i < n; i++ {
-			acc = combine(acc, body(i))
-		}
-		return acc
-	}
-	partials := make([]T, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := zero
-			for i := lo; i < hi; i++ {
-				acc = combine(acc, body(i))
-			}
-			partials[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	acc := zero
-	for _, p := range partials {
-		acc = combine(acc, p)
-	}
-	return acc
-}

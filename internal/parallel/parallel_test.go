@@ -3,7 +3,6 @@ package parallel
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -42,43 +41,6 @@ func TestDynamicCoversAllIndicesOnce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestForChunkedCoverage(t *testing.T) {
-	f := func(nRaw uint16) bool {
-		n := int(nRaw % 2048)
-		seen := make([]int32, n)
-		ForChunked(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&seen[i], 1)
-			}
-		})
-		for _, c := range seen {
-			if c != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMapReduceSum(t *testing.T) {
-	n := 10000
-	got := MapReduce(n, func(i int) int64 { return int64(i) }, func(a, b int64) int64 { return a + b })
-	want := int64(n) * int64(n-1) / 2
-	if got != want {
-		t.Fatalf("MapReduce sum = %d, want %d", got, want)
-	}
-}
-
-func TestMapReduceEmpty(t *testing.T) {
-	got := MapReduce(0, func(i int) int { return 1 }, func(a, b int) int { return a + b })
-	if got != 0 {
-		t.Fatalf("MapReduce over empty range = %d, want 0", got)
 	}
 }
 

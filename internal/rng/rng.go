@@ -114,11 +114,6 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// NormScaled returns mean + stddev*Norm().
-func (r *RNG) NormScaled(mean, stddev float64) float64 {
-	return mean + stddev*r.Norm()
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -85,9 +85,6 @@ func NewMultiClock(k int) *MultiClock {
 	return m
 }
 
-// Children reports k.
-func (m *MultiClock) Children() int { return len(m.arrived) }
-
 // Child returns child i's Clock handle. All handles share one timeline:
 // Now is the merged clock, At schedules on the shared heap, Run parks until
 // the driver releases the child, Stop discards the child's queued events.

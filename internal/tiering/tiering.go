@@ -24,49 +24,6 @@ type Tiers struct {
 // M returns the number of tiers.
 func (t *Tiers) M() int { return len(t.Members) }
 
-// Concat merges per-shard partitions into one partition over the union
-// population: shard s's client ids are translated by offsets[s] (its first
-// client's global id), and tier m of the result is the union of every
-// shard's tier m. Hierarchical composites use it to expose K per-edge
-// partitions as a single partition over the global id space; tier counts
-// may differ across shards — the result has the maximum.
-func Concat(parts []*Tiers, offsets []int, n int) (*Tiers, error) {
-	if len(parts) == 0 || len(parts) != len(offsets) {
-		return nil, fmt.Errorf("tiering: Concat with %d partitions and %d offsets", len(parts), len(offsets))
-	}
-	m := 0
-	for _, p := range parts {
-		if p.M() > m {
-			m = p.M()
-		}
-	}
-	t := &Tiers{Members: make([][]int, m), Assignment: make([]int, n)}
-	for i := range t.Assignment {
-		t.Assignment[i] = -1
-	}
-	for s, p := range parts {
-		for tier, members := range p.Members {
-			for _, id := range members {
-				g := offsets[s] + id
-				if g < 0 || g >= n {
-					return nil, fmt.Errorf("tiering: Concat shard %d client %d maps to %d, outside [0,%d)", s, id, g, n)
-				}
-				if t.Assignment[g] != -1 {
-					return nil, fmt.Errorf("tiering: Concat shards overlap at global client %d", g)
-				}
-				t.Members[tier] = append(t.Members[tier], g)
-				t.Assignment[g] = tier
-			}
-		}
-	}
-	for i, a := range t.Assignment {
-		if a == -1 {
-			return nil, fmt.Errorf("tiering: Concat leaves global client %d unassigned", i)
-		}
-	}
-	return t, nil
-}
-
 // Partition splits clients into m equal-count tiers by ascending latency
 // (latencies[i] belongs to client i). Remainders go to the fastest tiers,
 // matching an even profiling split.
