@@ -32,6 +32,12 @@ import (
 type ClientData struct {
 	TrainX, TestX *tensor.Mat
 	TrainY, TestY []int
+
+	// Synthesis scratch of Source.ClientInto — the shard's class subset and
+	// its sample stream — kept here so refilling a reused shard allocates
+	// nothing.
+	classes []int
+	stream  rng.RNG
 }
 
 // NumTrain returns the local training-set size n_k.
@@ -55,9 +61,10 @@ type Federated struct {
 // NumTrain returns client i's local training-set size n_k.
 func (f *Federated) NumTrain(i int) int { return f.Clients[i].NumTrain() }
 
-// Client returns client i's retained shard — the same surface a lazy Source
-// answers by synthesis, so the federation layer runs over either.
-func (f *Federated) Client(i int) *ClientData { return f.Clients[i] }
+// ClientInto returns client i's retained shard and ignores dst — the same
+// surface a lazy Source answers by synthesizing into dst, so the federation
+// layer runs over either.
+func (f *Federated) ClientInto(_ *ClientData, i int) *ClientData { return f.Clients[i] }
 
 // Config drives the synthetic generators.
 type Config struct {
@@ -102,17 +109,16 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
-// assignClasses gives client i its class subset. Classes rotate so every
-// class is covered and clients overlap the way the shard partitioning in
-// McMahan et al. produces. For token data the "classes" are walk start
+// appendClasses appends client i's class subset to dst. Classes rotate so
+// every class is covered and clients overlap the way the shard partitioning
+// in McMahan et al. produces. For token data the "classes" are walk start
 // tokens, so a subset confines the client to a region of the chain.
-func assignClasses(client, perClient, classes int) []int {
-	out := make([]int, perClient)
+func appendClasses(dst []int, client, perClient, classes int) []int {
 	start := (client * perClient) % classes
 	for j := 0; j < perClient; j++ {
-		out[j] = (start + j) % classes
+		dst = append(dst, (start+j)%classes)
 	}
-	return out
+	return dst
 }
 
 // sampleGen writes one sample of a given class seed into row and returns
@@ -168,9 +174,10 @@ func generateEager(cfg Config) (*Federated, error) {
 	sizes := clientSizes(root.SplitLabeled(2), cfg)
 	fed.Clients = make([]*ClientData, cfg.NumClients)
 	for i := 0; i < cfg.NumClients; i++ {
-		classes := assignClasses(i, perClient, cfg.Classes)
+		classes := appendClasses(nil, i, perClient, cfg.Classes)
 		cr := root.SplitLabeled(uint64(100 + i))
-		fed.Clients[i] = genClient(cr, gen, classes, sizes[i], cfg.TrainFrac, fed.InDim)
+		fed.Clients[i] = new(ClientData)
+		genClientInto(fed.Clients[i], cr, gen, classes, sizes[i], cfg.TrainFrac, fed.InDim)
 	}
 	return fed, nil
 }
@@ -211,11 +218,13 @@ func clientSizes(r *rng.RNG, cfg Config) []int {
 	return sizes
 }
 
-// genClient draws n samples for a client restricted to its class subset and
-// splits them train/test. The split keeps at least one sample on each side
-// so the evaluation harness always has per-client accuracies to aggregate
-// (Definition 3.1 needs them for the variance metric).
-func genClient(r *rng.RNG, gen sampleGen, classes []int, n int, trainFrac float64, inDim int) *ClientData {
+// genClientInto draws n samples for a client restricted to its class subset
+// and splits them train/test into c, reusing c's matrices and label slices
+// when their capacity suffices. Every element is overwritten, so a dirty c
+// yields the shard a fresh one would. The split keeps at least one sample
+// on each side so the evaluation harness always has per-client accuracies
+// to aggregate (Definition 3.1 needs them for the variance metric).
+func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n int, trainFrac float64, inDim int) {
 	nTrain := int(float64(n) * trainFrac)
 	if nTrain >= n {
 		nTrain = n - 1
@@ -225,12 +234,10 @@ func genClient(r *rng.RNG, gen sampleGen, classes []int, n int, trainFrac float6
 	}
 	nTest := n - nTrain
 
-	c := &ClientData{
-		TrainX: tensor.NewMat(nTrain, inDim),
-		TestX:  tensor.NewMat(nTest, inDim),
-		TrainY: make([]int, nTrain),
-		TestY:  make([]int, nTest),
-	}
+	c.TrainX = tensor.EnsureMat(c.TrainX, nTrain, inDim)
+	c.TestX = tensor.EnsureMat(c.TestX, nTest, inDim)
+	c.TrainY = ensureInts(c.TrainY, nTrain)
+	c.TestY = ensureInts(c.TestY, nTest)
 	for i := 0; i < n; i++ {
 		cls := classes[r.Intn(len(classes))]
 		if i < nTrain {
@@ -239,5 +246,13 @@ func genClient(r *rng.RNG, gen sampleGen, classes []int, n int, trainFrac float6
 			c.TestY[i-nTrain] = gen.sample(r, cls, c.TestX.Row(i-nTrain))
 		}
 	}
-	return c
+}
+
+// ensureInts returns a length-n slice over buf's storage when its capacity
+// suffices, allocating otherwise; contents are unspecified.
+func ensureInts(buf []int, n int) []int {
+	if cap(buf) >= n {
+		return buf[:n]
+	}
+	return make([]int, n)
 }

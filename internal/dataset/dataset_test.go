@@ -243,7 +243,7 @@ func TestAssignClassesProperties(t *testing.T) {
 		classes := int(classesRaw%30) + 2
 		per := int(perRaw)%classes + 1
 		client := int(clientRaw)
-		got := assignClasses(client, per, classes)
+		got := appendClasses(nil, client, per, classes)
 		if len(got) != per {
 			return false
 		}

@@ -15,8 +15,8 @@ import "repro/internal/rng"
 //
 // The prototype table is O(Classes · InDim) and the size table O(N) ints;
 // nothing else is retained, so a million-client dataset costs megabytes
-// until shards are requested — and a released shard is garbage the moment
-// the caller drops it.
+// until shards are requested — and a caller that synthesizes into its own
+// scratch shard (ClientInto) generates no garbage per request either.
 type Source struct {
 	cfg       Config // resolved: TrainFrac and ClassesPerClient normalized
 	perClient int
@@ -64,7 +64,7 @@ func (s *Source) Classes() int { return s.cfg.Classes }
 
 // NumTrain returns client i's local training-set size n_k without
 // generating the shard — the same clamp-to-[1, n-1] split arithmetic
-// genClient applies, over the precomputed size table.
+// genClientInto applies, over the precomputed size table.
 func (s *Source) NumTrain(i int) int {
 	n := s.sizes[i]
 	nTrain := int(float64(n) * s.cfg.TrainFrac)
@@ -77,13 +77,21 @@ func (s *Source) NumTrain(i int) int {
 	return nTrain
 }
 
-// Client synthesizes client i's shard. Each call generates a fresh copy —
-// callers that dispatch a cohort hold the shards only for the round and
-// drop them after the fold.
-func (s *Source) Client(i int) *ClientData {
-	classes := assignClasses(i, s.perClient, s.cfg.Classes)
-	cr := s.root.SplitLabeled(uint64(100 + i))
-	return genClient(cr, s.gen, classes, s.sizes[i], s.cfg.TrainFrac, s.inDim)
+// Client synthesizes client i's shard into fresh storage the caller owns
+// outright — the form for shards that are retained.
+func (s *Source) Client(i int) *ClientData { return s.ClientInto(new(ClientData), i) }
+
+// ClientInto synthesizes client i's shard into dst and returns dst, reusing
+// dst's matrices and label slices when their capacity suffices — once dst
+// has held the largest shard it will see, a call allocates nothing. The
+// shard is the one Client(i) builds, bit for bit, whatever dst held before;
+// it is valid until dst's owner passes dst here again. Calls on distinct
+// dsts may run concurrently.
+func (s *Source) ClientInto(dst *ClientData, i int) *ClientData {
+	dst.classes = appendClasses(dst.classes[:0], i, s.perClient, s.cfg.Classes)
+	dst.stream = s.root.SplitLabeledValue(uint64(100 + i))
+	genClientInto(dst, &dst.stream, s.gen, dst.classes, s.sizes[i], s.cfg.TrainFrac, s.inDim)
+	return dst
 }
 
 // Federated materializes every shard — the eager construction, now

@@ -1,6 +1,9 @@
 package dataset
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // sourceConfigs spans the generator modes: image prototypes, token walks,
 // power-law sizes, non-IID class subsets.
@@ -107,4 +110,63 @@ func TestGenerateDelegatesToSource(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClientIntoMatchesClient pins the write-into form to Client, bit for
+// bit, over ONE scratch shard reused across clients in scrambled order —
+// power-law sizes make it grow and shrink — and poisoned between uses, so
+// any element a refill fails to overwrite shows. Once the scratch has held
+// the largest shard, a refill allocates nothing.
+func TestClientIntoMatchesClient(t *testing.T) {
+	for name, cfg := range sourceConfigs() {
+		t.Run(name, func(t *testing.T) {
+			src, err := NewSource(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := cfg.NumClients
+			var scratch ClientData
+			grew, shrank := false, false
+			for j := 0; j < 2*n; j++ {
+				i := (j*7 + 3) % n
+				prev := cap(scratch.TrainY)
+				got := src.ClientInto(&scratch, i)
+				if got != &scratch {
+					t.Fatal("ClientInto did not return its destination")
+				}
+				sameClient(t, name, i, src.Client(i), got)
+				grew = grew || (prev > 0 && got.NumTrain() > prev)
+				shrank = shrank || got.NumTrain() < prev
+				poison(&scratch)
+			}
+			if cfg.PowerLaw && !(grew && shrank) {
+				t.Fatalf("the scratch never had to grow (%v) and shrink (%v); the reuse paths are untested", grew, shrank)
+			}
+			next := 0
+			if allocs := testing.AllocsPerRun(3*n, func() {
+				src.ClientInto(&scratch, next%n)
+				next++
+			}); allocs != 0 {
+				t.Fatalf("refilling a grown scratch allocates %.1f times per shard", allocs)
+			}
+		})
+	}
+}
+
+// poison overwrites everything a shard holds, including the spare capacity
+// behind its slices.
+func poison(c *ClientData) {
+	for _, x := range [][]float64{c.TrainX.Data, c.TestX.Data} {
+		x = x[:cap(x)]
+		for i := range x {
+			x[i] = math.NaN()
+		}
+	}
+	for _, y := range [][]int{c.TrainY, c.TestY, c.classes} {
+		y = y[:cap(y)]
+		for i := range y {
+			y[i] = -1
+		}
+	}
+	c.stream.Uint64()
 }

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/nn"
+	"repro/internal/rng"
 	"repro/internal/testutil"
 )
 
@@ -177,7 +179,11 @@ func TestEngineRoundAllocCeiling(t *testing.T) {
 // allocate less than ONE model's worth of bytes, whatever the pacing — a
 // per-transmit encode buffer, a per-member downlink copy or a per-arrival
 // decode buffer each cost a multiple of that. Heap bytes are read from
-// inside the run (between two folds), so per-run set-up is excluded.
+// inside the run (between two folds), so per-run set-up is excluded. The
+// last row runs FedAT over a derived population at the 1M-client
+// benchmark's shapes (100-32-10 MLP, cohorts of ten 24-sample shards): one
+// cohort's shards alone are seven models' worth, so it holds only while
+// shards are synthesized into worker and evaluator scratch.
 func TestEngineRoundByteCeiling(t *testing.T) {
 	skipUnderRace(t)
 	if testing.Short() {
@@ -188,17 +194,37 @@ func TestEngineRoundByteCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{Methods["fedavg"], Methods["fedat"], fedbuff} {
-		t.Run(m.Name, func(t *testing.T) {
+	retained := func(t *testing.T, cfg RunConfig) *Env { return testEnv(t, 0, cfg) }
+	derived := func(t *testing.T, cfg RunConfig) *Env {
+		c := baseSourceCase(cfg.Seed)
+		c.dcfg.NumClients, c.ccfg.NumClients, c.ccfg.NumUnstable = 2000, 2000, 200
+		c.dcfg.ImgH, c.dcfg.ImgW = 10, 10
+		c.factory = func(seed uint64) *nn.Network { return nn.NewMLP(rng.New(seed), 100, 32, 10) }
+		cfg.ClientsPerRound, cfg.LocalEpochs, cfg.BatchSize = 10, 1, 10
+		c.rcfg = cfg
+		env, _ := c.derived(t)
+		return env
+	}
+	for _, tc := range []struct {
+		name string
+		m    Method
+		env  func(*testing.T, RunConfig) *Env
+	}{
+		{"fedavg", Methods["fedavg"], retained},
+		{"fedat", Methods["fedat"], retained},
+		{"fedbuff", fedbuff, retained},
+		{"fedat-derived", Methods["fedat"], derived},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseCfg()
 			cfg.Rounds = rounds
 			cfg.EvalEvery = 8
 			cfg.BufferK = 4
 			cfg.Codec = codec.NewPolyline(4)
-			env := testEnv(t, 0, cfg)
+			env := tc.env(t, cfg)
 			var before, after runtime.MemStats
 			folds := 0
-			if _, err := m.Run(env, ObserverFunc(func(ev Event) {
+			if _, err := tc.m.Run(env, ObserverFunc(func(ev Event) {
 				if _, ok := ev.(TierFoldEvent); !ok {
 					return
 				}
@@ -217,9 +243,9 @@ func TestEngineRoundByteCeiling(t *testing.T) {
 			perRound := float64(after.TotalAlloc-before.TotalAlloc) / (rounds - warm)
 			model := float64(8 * len(env.InitialWeights()))
 			if perRound >= model {
-				t.Errorf("%s: %.0f bytes allocated per update in steady state, one model is %.0f", m.Name, perRound, model)
+				t.Errorf("%s: %.0f bytes allocated per update in steady state, one model is %.0f", tc.name, perRound, model)
 			}
-			t.Logf("%s: %.0f B/update steady state (model %.0f B)", m.Name, perRound, model)
+			t.Logf("%s: %.0f B/update steady state (model %.0f B)", tc.name, perRound, model)
 		})
 	}
 }

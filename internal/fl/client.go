@@ -52,6 +52,11 @@ type Client struct {
 	batchView   tensor.Mat // retargeted remainder-batch view over batchX
 	perm        []int      // per-epoch shuffle order, reused across rounds
 	wOut        []float64  // result buffer, reused across rounds
+
+	// shard is the scratch a derived population's shard is synthesized
+	// into at bind — Data then points here and is valid until the next
+	// bind. A retained population never touches it.
+	shard dataset.ClientData
 }
 
 // Per-client stream bases off the run seed. The schedule base predates the

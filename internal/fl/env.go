@@ -202,11 +202,14 @@ type ModelFactory func(seed uint64) *nn.Network
 const DefaultEvalSample = 256
 
 // shardSource is where an environment's client data lives: a retained
-// *dataset.Federated hands out the shard it has held since construction, a
-// *dataset.Source synthesizes a fresh one per call from (seed, id).
+// *dataset.Federated hands out the shard it has held since construction
+// and ignores dst, a *dataset.Source synthesizes the shard from (seed, id)
+// into dst and returns dst. Callers pass a scratch shard they own — one per
+// training worker, one per evaluation replica — and may read the result
+// until they next pass the same scratch.
 type shardSource interface {
 	NumTrain(id int) int
-	Client(id int) *dataset.ClientData
+	ClientInto(dst *dataset.ClientData, id int) *dataset.ClientData
 }
 
 // runtimeSource is where an environment's simulated clients live: a
@@ -230,8 +233,9 @@ type runtimeSource interface {
 // retained population — every shard and runtime already built, the shape
 // the paper-scale experiments use. NewLazyEnv takes a derived one — a
 // client is (seed, id) until a dispatch touches it, its shard is
-// synthesized at dispatch and dropped after the fold — whose steady-state
-// memory is O(cohort + model) whatever N is (TestLazyEnvMemoryCeiling).
+// synthesized at dispatch into the scratch of the worker that trains it —
+// whose steady-state memory and heap traffic are O(cohort + model)
+// whatever N is (TestLazyEnvMemoryCeiling, TestEngineRoundByteCeiling).
 // Both are bit-identical in everything the engine observes; they differ
 // only in that a derived population is evaluated on a fixed panel of
 // RunConfig.EvalSample clients rather than all N.
@@ -297,7 +301,7 @@ func newEnv(name string, n, classes int, shards shardSource, runtimes runtimeSou
 		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
 	}
 	return &Env{
-		Eval:     newEvaluator(factory, cfg.Seed, n, panel, shards.Client),
+		Eval:     newEvaluator(factory, cfg.Seed, n, panel, shards.ClientInto),
 		Cfg:      cfg,
 		dataset:  name,
 		n:        n,
@@ -353,13 +357,14 @@ func (e *Env) newWorker() *Client {
 	return &Client{Net: e.factory(e.Cfg.Seed), Opt: o} // same init everywhere; server state rules
 }
 
-// bind points a pooled worker at client id: fetch (or synthesize) the
-// shard, resolve the runtime, and rederive the labeled RNG streams. Stream
-// derivation is pure in (seed, id), so a rebound worker is
-// indistinguishable from a client that owned its replica forever.
+// bind points a pooled worker at client id: fetch the shard (or synthesize
+// it into the worker's scratch, overwriting the previous binding's),
+// resolve the runtime, and rederive the labeled RNG streams. Shard and
+// stream derivation are pure in (seed, id), so a rebound worker is
+// indistinguishable from a client that owned its data and replica forever.
 func (e *Env) bind(w *Client, id int) {
 	w.ID = id
-	w.Data = e.shards.Client(id)
+	w.Data = e.shards.ClientInto(&w.shard, id)
 	w.Runtime = e.runtimes.Materialize(id)
 	w.Attack = w.Runtime.Attack
 	w.Attack.Classes = e.classes // simnet can't know the label space
@@ -368,7 +373,7 @@ func (e *Env) bind(w *Client, id int) {
 }
 
 // trainCohort is the simulated Dispatch body: bind a worker per cohort
-// member, run the round, let go of the shards. The simulated fabric
+// member, run the round, unbind the shards. The simulated fabric
 // delivers synchronously, so one cohort is in flight at a time and the pool
 // never grows past the largest cohort. Surviving results carry pooled comm
 // buffers and dropped results are never read after delivery, so workers are
@@ -383,7 +388,7 @@ func (e *Env) trainCohort(sel []int, start float64, global []float64, comm *Comm
 	}
 	results, err := runCohort(group, e.links, start, global, comm, lc)
 	for _, w := range group {
-		w.Data = nil // a synthesized shard dies with the round
+		w.Data = nil // a synthesized shard is only valid until the next bind
 	}
 	return results, err
 }
@@ -502,15 +507,17 @@ func (cm *Comm) CountControl(bytes int64, uplink bool) {
 // panel of clients, producing the three robustness metrics of Definition
 // 3.1: prediction accuracy (sample-weighted mean), cross-client accuracy
 // variance, and — through the caller's time series — convergence speed.
-// Shards are fetched through a function and dropped right after they are
-// measured, so a pass over synthesized shards costs O(1) memory in the
-// population size. Evaluation costs no virtual time and no simulated
-// communication; the paper likewise excludes test-set evaluation from its
-// measurements.
+// Shards are fetched through a function that may synthesize into the
+// calling replica's scratch shard, and each is measured before the replica
+// fetches the next, so a pass over synthesized shards costs O(1) memory —
+// and, once the scratch has grown, no allocation — in the population size.
+// Evaluation costs no virtual time and no simulated communication; the
+// paper likewise excludes test-set evaluation from its measurements.
 type Evaluator struct {
-	ids   []int // the panel, ascending
-	shard func(id int) *dataset.ClientData
-	nets  []*nn.Network
+	ids     []int // the panel, ascending
+	shard   func(dst *dataset.ClientData, id int) *dataset.ClientData
+	nets    []*nn.Network
+	scratch []dataset.ClientData // one per replica, index-aligned with nets
 
 	// Per-panel-member scratch reused across Evaluate calls. Evaluate is
 	// not safe for concurrent use (the run loops serialize evaluation).
@@ -545,7 +552,7 @@ func evalSampleIDs(n, k int, seed uint64) []int {
 // follows GOMAXPROCS capped by the panel size: per-client results are
 // written to disjoint indices and summed in id order afterwards, so the
 // count affects only wall time, never the result.
-func newEvaluator(factory ModelFactory, seed uint64, n, k int, shard func(id int) *dataset.ClientData) *Evaluator {
+func newEvaluator(factory ModelFactory, seed uint64, n, k int, shard func(dst *dataset.ClientData, id int) *dataset.ClientData) *Evaluator {
 	e := &Evaluator{ids: evalSampleIDs(n, k, seed), shard: shard}
 	workers := runtime.GOMAXPROCS(0)
 	if len(e.ids) < workers {
@@ -557,6 +564,7 @@ func newEvaluator(factory ModelFactory, seed uint64, n, k int, shard func(id int
 	for i := 0; i < workers; i++ {
 		e.nets = append(e.nets, factory(seed))
 	}
+	e.scratch = make([]dataset.ClientData, workers)
 	return e
 }
 
@@ -565,7 +573,7 @@ func newEvaluator(factory ModelFactory, seed uint64, n, k int, shard func(id int
 // server-side evaluation of a mirrored federation.
 func NewDataEvaluator(factory ModelFactory, seed uint64, shards []*dataset.ClientData) *Evaluator {
 	return newEvaluator(factory, seed, len(shards), len(shards),
-		func(id int) *dataset.ClientData { return shards[id] })
+		func(_ *dataset.ClientData, id int) *dataset.ClientData { return shards[id] })
 }
 
 // Result is one evaluation of a global model.
@@ -598,7 +606,7 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 			net := e.nets[wk]
 			net.SetWeights(w)
 			for i := wk; i < len(e.ids); i += nw {
-				d := e.shard(e.ids[i])
+				d := e.shard(&e.scratch[wk], e.ids[i])
 				if d.NumTest() == 0 {
 					continue
 				}
@@ -637,7 +645,7 @@ func (e *Evaluator) EvaluateSubset(w []float64, ids []int) float64 {
 	net.SetWeights(w)
 	correct, total := 0, 0
 	for _, id := range ids {
-		d := e.shard(id)
+		d := e.shard(&e.scratch[0], id)
 		if d.NumTest() == 0 {
 			continue
 		}

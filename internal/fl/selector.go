@@ -192,7 +192,7 @@ func (s *tiflSelector) Init(rs *runState) error {
 func (s *tiflSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
 	if s.sel.NeedsAccuracyRefresh() {
 		var err error
-		now, err = tiflAccuracyRefresh(rs, s.sel, rs.rule.Global(), now)
+		now, err = s.accuracyRefresh(rs, rs.rule.Global(), now)
 		if err != nil {
 			return nil, 0, now, SelectStop, err
 		}
@@ -209,22 +209,25 @@ func (s *tiflSelector) Harvest(rs *runState, results []TrainResult) ([]TrainResu
 	return survivors(results), completionTime(results)
 }
 
-// tiflAccuracyRefresh models TiFL's adaptive-selection bookkeeping: the
+// accuracyRefresh models TiFL's adaptive-selection bookkeeping: the
 // current model goes out to every available client, each evaluates locally
 // and reports its test accuracy (a small control message). The fabric
 // accounts the cost — on the simulator the transfers serialize on the
 // server downlink and advance the clock; the live fabric tallies the bytes.
-func tiflAccuracyRefresh(rs *runState, selector *tiering.TiFLSelector, global []float64, now float64) (float64, error) {
+// Each tier's online list is built in the selector's scratch and is dead
+// before the next tier's (or the following selectAvailable) reuses it.
+func (s *tiflSelector) accuracyRefresh(rs *runState, global []float64, now float64) (float64, error) {
 	const accMsgBytes = 32
 	latest := now
 	accs := make([]float64, rs.tiers.M())
 	for m, members := range rs.tiers.Members {
-		online := members[:0:0]
+		online := s.avail[:0]
 		for _, id := range members {
 			if rs.fab.Available(id, now) {
 				online = append(online, id)
 			}
 		}
+		s.avail = online
 		done, err := rs.fab.Probe(rs.comm, online, now, global, accMsgBytes)
 		if err != nil {
 			return 0, err
@@ -234,7 +237,7 @@ func tiflAccuracyRefresh(rs *runState, selector *tiering.TiFLSelector, global []
 		}
 		accs[m] = rs.fab.EvaluateSubset(global, online)
 	}
-	selector.UpdateAccuracies(accs)
+	s.sel.UpdateAccuracies(accs)
 	return latest, nil
 }
 

@@ -6,8 +6,9 @@
 package tiering
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -61,7 +62,14 @@ func PartitionSizes(latencies []float64, sizes []int) (*Tiers, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return latencies[order[a]] < latencies[order[b]] })
+	// Latency, then id: a total order, so the unstable sort lands where a
+	// stable sort by latency over ascending ids does.
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(latencies[a], latencies[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 
 	t := &Tiers{
 		Members:    make([][]int, len(sizes)),

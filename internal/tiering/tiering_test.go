@@ -1,6 +1,8 @@
 package tiering
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -61,6 +63,38 @@ func TestPartitionOrdersByLatency(t *testing.T) {
 		for _, id := range tiers.Members[k+1] {
 			if lat[id] < maxK {
 				t.Fatalf("tier %d member %d (lat %v) faster than tier %d max %v", k+1, id, lat[id], k, maxK)
+			}
+		}
+	}
+}
+
+// TestPartitionMatchesStableSort pins the partition to the order it has
+// always had — a stable sort by latency over ascending ids — now that it is
+// computed by an unstable sort on (latency, id), across sizes and under
+// heavy ties (latencies drawn from a handful of values).
+func TestPartitionMatchesStableSort(t *testing.T) {
+	for _, n := range []int{1, 2, 17, 1000, 1_000_000} {
+		if n > 1000 && testing.Short() {
+			continue
+		}
+		for _, distinct := range []int{3, n} {
+			r := rng.New(uint64(n + distinct))
+			lat := make([]float64, n)
+			for i := range lat {
+				lat[i] = float64(r.Intn(distinct)) * 0.25
+			}
+			want := make([]int, n)
+			for i := range want {
+				want[i] = i
+			}
+			sort.SliceStable(want, func(a, b int) bool { return lat[want[a]] < lat[want[b]] })
+
+			tiers, err := Partition(lat, min(n, 5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := slices.Concat(tiers.Members...); !slices.Equal(got, want) {
+				t.Fatalf("n=%d, %d distinct latencies: partition order differs from the stable sort by latency", n, distinct)
 			}
 		}
 	}
