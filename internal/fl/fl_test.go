@@ -312,38 +312,145 @@ func TestSelectAvailableExcludesDropped(t *testing.T) {
 	}
 }
 
-// TestSelectAvailableMatchesChoose pins the in-place shuffle to the law it
-// replaced — Choose over a fresh permutation of the online list — pick for
-// pick and draw for draw, with the scratch reused (and dirty) across calls.
-func TestSelectAvailableMatchesChoose(t *testing.T) {
-	cfg := baseCfg()
-	env, _, cluster := testEnvParts(t, 0, cfg)
-	for _, off := range []int{3, 7, 12} {
-		cluster.Clients[off].DropAt = 0
+// onlineFabric answers Available from a predicate and counts the probes;
+// selectAvailable asks a fabric nothing else.
+type onlineFabric struct {
+	Fabric
+	online func(id int) bool
+	probes int
+}
+
+func (f *onlineFabric) Available(id int, _ float64) bool {
+	f.probes++
+	return f.online(id)
+}
+
+// TestSelectAvailableUniform checks the sampling law's distribution over a
+// fixed set of seeds: every online id is equally likely to be in a cohort,
+// and equally likely to be its first member (chi-square, 31 degrees of
+// freedom, 99.9 % critical value — the streams are fixed, so this cannot
+// flake); an offline id never is.
+func TestSelectAvailableUniform(t *testing.T) {
+	const n, k, seeds, perSeed = 40, 6, 8, 500
+	fab := &onlineFabric{online: func(id int) bool { return id%5 != 0 }}
+	ids := make([]int, n)
+	online := 0
+	for i := range ids {
+		ids[i] = i
+		if fab.online(i) {
+			online++
+		}
 	}
-	fab := env.Fabric()
-	ids := allClientIDs(fab)
+	included, first := make([]float64, n), make([]float64, n)
 	var scratch []int
-	got, want := rng.New(5), rng.New(5)
-	for k := 1; k <= len(ids)+1; k++ {
-		var avail []int
-		for _, id := range ids {
-			if fab.Available(id, 1) {
-				avail = append(avail, id)
+	for seed := uint64(1); seed <= seeds; seed++ {
+		r := rng.New(seed)
+		for trial := 0; trial < perSeed; trial++ {
+			sel := selectAvailable(&scratch, r, ids, fab, 0, k)
+			if len(sel) != k {
+				t.Fatalf("picked %d of %d online, want %d", len(sel), online, k)
+			}
+			first[sel[0]]++
+			for _, id := range sel {
+				included[id]++
 			}
 		}
-		kk := min(k, len(avail))
-		ref := make([]int, kk)
-		for i, p := range want.Choose(len(avail), kk) {
-			ref[i] = avail[p]
+	}
+	const trials, critical = seeds * perSeed, 61.1 // chi-square(31) at p = 0.001
+	for what, c := range map[string]struct {
+		counts []float64
+		expect float64
+	}{
+		"inclusion":  {included, trials * k / float64(online)},
+		"first pick": {first, trials / float64(online)},
+	} {
+		chi2 := 0.0
+		for id, got := range c.counts {
+			if !fab.online(id) {
+				if got != 0 {
+					t.Fatalf("%s: offline client %d sampled %v times", what, id, got)
+				}
+				continue
+			}
+			chi2 += (got - c.expect) * (got - c.expect) / c.expect
 		}
-		sel := selectAvailable(&scratch, got, ids, fab, 1, k)
-		if !slices.Equal(sel, ref) {
-			t.Fatalf("k=%d: picked %v, Choose picks %v", k, sel, ref)
+		if chi2 > critical {
+			t.Errorf("%s counts are not uniform over the online clients: chi-square %.1f > %.1f", what, chi2, critical)
 		}
 	}
-	if got.Uint64() != want.Uint64() {
-		t.Fatal("the in-place shuffle consumed a different number of draws than Choose")
+}
+
+// TestSelectAvailableInvariants checks what must hold on every call, across
+// tier sizes, cohort sizes on both sides of the online count, and tiers that
+// are fully online, partly online and fully offline: ids come back element
+// for element, picks are distinct online members, the result is nil iff
+// nobody is online (or k <= 0, which draws nothing), every online member is
+// returned when k covers them, and at most len(ids) draws are consumed.
+func TestSelectAvailableInvariants(t *testing.T) {
+	var scratch []int
+	r := rng.New(9)
+	for _, n := range []int{0, 1, 2, 7, 50} {
+		for _, offlineEvery := range []int{0, 3, 1} { // nobody, every third, everybody offline
+			fab := &onlineFabric{online: func(id int) bool { return offlineEvery == 0 || id%offlineEvery != 0 }}
+			ids := make([]int, n)
+			online := map[int]bool{}
+			for i := range ids {
+				ids[i] = 100 + (i*37)%n // arbitrary ids in arbitrary order
+				if fab.online(ids[i]) {
+					online[ids[i]] = true
+				}
+			}
+			before := slices.Clone(ids)
+			for _, k := range []int{-1, 0, 1, 3, n, n + 5} {
+				at := *r
+				sel := selectAvailable(&scratch, r, ids, fab, 0, k)
+				draws := 0
+				for ; at != *r && draws <= n; draws++ {
+					at.Uint64()
+				}
+				if draws > n || (k <= 0 && draws != 0) {
+					t.Fatalf("n=%d k=%d: consumed %d draws", n, k, draws)
+				}
+				if !slices.Equal(ids, before) {
+					t.Fatalf("n=%d k=%d: ids left as %v, were %v", n, k, ids, before)
+				}
+				want := max(0, min(k, len(online)))
+				if len(sel) != want || (sel == nil) != (want == 0) {
+					t.Fatalf("n=%d k=%d, %d online: picked %v", n, k, len(online), sel)
+				}
+				seen := map[int]bool{}
+				for _, id := range sel {
+					if !online[id] || seen[id] {
+						t.Fatalf("n=%d k=%d: picks %v are not distinct online members", n, k, sel)
+					}
+					seen[id] = true
+				}
+			}
+		}
+	}
+}
+
+// TestSelectAvailableProbesOnlyCandidates pins the O(k) property itself: a
+// cohort of 10 from a 200,000-member tier with a tenth of it offline asks
+// the fabric about the candidates it drew — a dozen or so — never about the
+// tier.
+func TestSelectAvailableProbesOnlyCandidates(t *testing.T) {
+	const n, k = 200_000, 10
+	fab := &onlineFabric{online: func(id int) bool { return id%10 != 0 }}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	var scratch []int
+	r := rng.New(4)
+	for round := 0; round < 20; round++ {
+		fab.probes = 0
+		if sel := selectAvailable(&scratch, r, ids, fab, 0, k); len(sel) != k {
+			t.Fatalf("picked %d, want %d", len(sel), k)
+		}
+		if fab.probes >= 100 {
+			t.Fatalf("%d availability probes for a cohort of %d: selection is walking the tier", fab.probes, k)
+		}
 	}
 }
 

@@ -7,28 +7,44 @@ import (
 	"repro/internal/simnet"
 )
 
-// selectAvailable samples up to k distinct clients from ids that are still
-// online on the fabric at time now. The online list is built in the
-// selector's scratch and shuffled in place — the same Intn draws as
-// Choose over a fresh permutation, so scratch[i] ends up as avail[perm[i]]
-// and the picks are unchanged. The k picks are copied out: tier rounds
-// overlap, so a cohort must outlive the next call on the same scratch.
+// selectAvailable samples up to k distinct clients from ids that are online
+// on the fabric at time now — the sampling law (DESIGN.md §2): a partial
+// forward Fisher–Yates over ids itself. Step t draws j = t + Intn(n−t) from
+// r, swaps ids[t] and ids[j], and asks the fabric about the drawn candidate
+// only: online, it is the next pick; offline, it is skipped. The walk stops
+// at k picks or when ids is exhausted, so the picks are a uniform ordered
+// sample without replacement of the online members, nil iff none is online,
+// and a cohort costs O(k) draws and availability probes while most of ids
+// is online — O(len(ids)) only when most of it is not. The swaps are then
+// undone in reverse from the log kept in the selector's scratch, leaving
+// ids exactly as found. The picks are a fresh slice: tier rounds overlap,
+// so a cohort must outlive the next call.
 func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now float64, k int) []int {
-	avail := (*scratch)[:0]
-	for _, id := range ids {
-		if fab.Available(id, now) {
-			avail = append(avail, id)
-		}
-	}
-	*scratch = avail
-	if len(avail) == 0 {
+	if k <= 0 {
 		return nil
 	}
-	if k > len(avail) {
-		k = len(avail)
+	n := len(ids)
+	var picks []int
+	swaps := (*scratch)[:0]
+	for t := 0; t < n && len(picks) < k; t++ {
+		j := t + r.Intn(n-t)
+		ids[t], ids[j] = ids[j], ids[t]
+		swaps = append(swaps, j)
+		if fab.Available(ids[t], now) {
+			if picks == nil {
+				// One allocation, at the first accept: growing from nil
+				// by append would cost several per cohort.
+				picks = make([]int, 0, min(k, n))
+			}
+			picks = append(picks, ids[t])
+		}
 	}
-	r.Shuffle(avail)
-	return append([]int(nil), avail[:k]...)
+	for t := len(swaps) - 1; t >= 0; t-- {
+		j := swaps[t]
+		ids[t], ids[j] = ids[j], ids[t]
+	}
+	*scratch = swaps
+	return picks
 }
 
 // runCohort runs one synchronous round over a cohort of bound workers,

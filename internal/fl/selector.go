@@ -78,7 +78,7 @@ type randomSelector struct {
 	selRNG  *rng.RNG
 	root    *rng.RNG
 	tierRNG []*rng.RNG
-	avail   []int   // selectAvailable's scratch
+	avail   []int   // selectAvailable's swap log
 	over    float64 // over-selection factor on the cohort size (0 = none)
 }
 
@@ -174,7 +174,7 @@ type tiflSelector struct {
 	sel     *tiering.TiFLSelector
 	tierRNG *rng.RNG
 	selRNG  *rng.RNG
-	avail   []int // selectAvailable's scratch
+	avail   []int // selectAvailable's swap log; accuracyRefresh's online list
 }
 
 func (s *tiflSelector) Init(rs *runState) error {
