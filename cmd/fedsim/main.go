@@ -133,8 +133,8 @@ func main() {
 	topo.Workers = *simWorkers
 
 	// The huge preset simulates a million clients lazily; an unbounded heap
-	// lets the GC defer collection of per-round shard garbage far past the
-	// lazy design's steady state. Respect an explicit GOMEMLIMIT, and
+	// lets the GC defer collection of per-round garbage far past the lazy
+	// design's steady state. Respect an explicit GOMEMLIMIT, and
 	// default to a soft 512MiB limit when the operator set none.
 	if *preset == "huge" && os.Getenv("GOMEMLIMIT") == "" {
 		debug.SetMemoryLimit(512 << 20)

@@ -17,8 +17,8 @@ import (
 // The scale experiment: how far up does the simulated substrate go? The
 // paper's evaluation stops at 500 clients because that is where a real
 // testbed stops being affordable; the lazy population (clients exist as
-// (seed, id) until dispatched, shards die with their round, evaluation
-// touches a fixed sample) makes the limit CPU, not memory. Each rung of an
+// (seed, id) until dispatched, shards live in cohort-many scratch buffers,
+// evaluation touches a fixed sample) makes the limit CPU, not memory. Each rung of an
 // 8x ladder rebuilds the standard testbed at a larger population and runs
 // the same bounded FedAT schedule; under -preset huge the top rung is one
 // million simulated clients on a single core.

@@ -257,10 +257,11 @@ func (h *heapWatcher) OnEvent(ev Event) {
 
 // TestLazyEnvMemoryCeiling is the scale guarantee: a one-million-client
 // FedAT run completes with the heap bounded by a fixed ceiling independent
-// of N — clients exist as (seed, id) until dispatched, shards die with
-// their round, and evaluation touches a fixed sample. 256MB is ~40x what
-// the run actually holds live; an accidental O(N) materialization (eager
-// clients are ~10KB each) blows through it immediately.
+// of N — clients exist as (seed, id) until dispatched, shards live in
+// cohort-many scratch buffers, and evaluation touches a fixed sample. 256MB
+// is ~40x what the run actually holds live; an accidental O(N)
+// materialization (eager clients are ~10KB each) blows through it
+// immediately.
 func TestLazyEnvMemoryCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-client run; skipped in -short")
