@@ -22,6 +22,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -236,8 +237,8 @@ func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n in
 
 	c.TrainX = tensor.EnsureMat(c.TrainX, nTrain, inDim)
 	c.TestX = tensor.EnsureMat(c.TestX, nTest, inDim)
-	c.TrainY = ensureInts(c.TrainY, nTrain)
-	c.TestY = ensureInts(c.TestY, nTest)
+	c.TrainY = slices.Grow(c.TrainY[:0], nTrain)[:nTrain]
+	c.TestY = slices.Grow(c.TestY[:0], nTest)[:nTest]
 	for i := 0; i < n; i++ {
 		cls := classes[r.Intn(len(classes))]
 		if i < nTrain {
@@ -246,13 +247,4 @@ func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n in
 			c.TestY[i-nTrain] = gen.sample(r, cls, c.TestX.Row(i-nTrain))
 		}
 	}
-}
-
-// ensureInts returns a length-n slice over buf's storage when its capacity
-// suffices, allocating otherwise; contents are unspecified.
-func ensureInts(buf []int, n int) []int {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]int, n)
 }

@@ -210,10 +210,10 @@ func TestEngineRoundByteCeiling(t *testing.T) {
 		m    Method
 		env  func(*testing.T, RunConfig) *Env
 	}{
-		{"fedavg", Methods["fedavg"], retained},
-		{"fedat", Methods["fedat"], retained},
-		{"fedbuff", fedbuff, retained},
-		{"fedat-derived", Methods["fedat"], derived},
+		{Methods["fedavg"].Name, Methods["fedavg"], retained},
+		{Methods["fedat"].Name, Methods["fedat"], retained},
+		{fedbuff.Name, fedbuff, retained},
+		{Methods["fedat"].Name + "-derived", Methods["fedat"], derived},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseCfg()
