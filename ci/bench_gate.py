@@ -11,7 +11,11 @@ Two subcommands, shared by CI and local use:
       "population/<n>" with their custom bytes/client metric carried in
       bytes_per_client — so BENCH_trajectory.json tracks the per-client
       footprint of the million-client substrate alongside the method
-      suite.
+      suite. BenchmarkPolyline{Encode,Decode,Transmit}/<params> rows
+      (internal/codec: the wire kernels and the simulator's fused
+      channel) are recorded as "codec/Polyline<Op>/<params>"; their
+      MB/s column is skipped, and check gates their allocs/op and B/op
+      (both 0) like any other row.
 
   append <current.json> <baseline.json> <trajectory.json> [label]
       Append the current suite as one entry to the committed trajectory
@@ -51,6 +55,7 @@ Two subcommands, shared by CI and local use:
 Regenerate the committed baseline after a deliberate perf change:
 
   go test -run '^$' -bench 'BenchmarkMethod/|BenchmarkPopulation/' -benchtime 5x -count 1 . > bench.out
+  go test -run '^$' -bench 'BenchmarkPolyline(Encode|Decode|Transmit)$' -benchtime 2000x -count 1 ./internal/codec >> bench.out
   python3 ci/bench_gate.py parse bench.out BENCH_baseline.json
 """
 import json
@@ -58,7 +63,8 @@ import re
 import sys
 
 LINE = re.compile(
-    r"Benchmark(Method|Population)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|Transmit))/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"(?:\s+\d+(?:\.\d+)? MB/s)?"
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"
 )
@@ -75,10 +81,14 @@ def parse(bench_out, out_json):
             m = LINE.match(line)
             if m:
                 suite, name = m.group(1), m.group(2)
+                # Population rungs and codec kernels are namespaced so they
+                # can never collide with a registry method name.
+                if suite == "Population":
+                    name = "population/" + name
+                elif suite != "Method":
+                    name = "codec/%s/%s" % (suite, name)
                 row = {
-                    # Population rungs are namespaced so they can never
-                    # collide with a registry method name.
-                    "method": name if suite == "Method" else "population/" + name,
+                    "method": name,
                     "iterations": int(m.group(3)),
                     "ns_per_op": float(m.group(4)),
                     "bytes_per_op": int(m.group(6)),
@@ -124,7 +134,7 @@ def delta_table(cur, base, threshold=None):
         ratios[method] = c / b if b else float("inf")
     host = host_factor(ratios)
     print("host speed factor vs baseline: %.2fx" % host)
-    print("%-16s %14s %14s %7s %11s %13s %17s" % (
+    print("%-28s %14s %14s %7s %11s %13s %17s" % (
         "method", "baseline ns/op", "current ns/op", "raw", "normalized",
         "allocs (b->c)", "bytes/op (b->c)"))
     for method in common:
@@ -152,10 +162,10 @@ def delta_table(cur, base, threshold=None):
             failures.append("%s bytes/op grew %d -> %d (a pooled buffer allocated per call?)"
                             % (method, b_bytes, c_bytes))
         nbytes = "%d->%d" % (b_bytes, c_bytes)
-        print("%-16s %14.0f %14.0f %6.2fx %9.2fx %13s %17s%s"
+        print("%-28s %14.0f %14.0f %6.2fx %9.2fx %13s %17s%s"
               % (method, b, c, ratios[method], norm, allocs, nbytes, flag))
     for method in sorted(set(cur) - set(base)):
-        print("%-16s %14s %14.0f   (new; not gated — add to the baseline)"
+        print("%-28s %14s %14.0f   (new; not gated — add to the baseline)"
               % (method, "-", cur[method]["ns_per_op"]))
     return failures
 

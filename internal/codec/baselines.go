@@ -15,11 +15,9 @@ func extend(dst []byte, n int) (all, tail []byte) {
 }
 
 // Verbatim marks codecs whose Decode(Encode(w)) round-trip reproduces w
-// bit-for-bit and whose payload size depends only on the vector length.
-// The simulated channel uses this to skip materializing the byte payload on
-// the hot path — the decoded weights are copied directly and the byte
-// accounting uses PayloadBytes, so metrics and numerics are identical to
-// the real round-trip.
+// bit-for-bit and whose payload size depends only on the vector length —
+// the codecs whose cost a ledger can leave out. The simulated channel's own
+// shortcut is Channel, which these codecs also implement.
 type Verbatim interface {
 	Codec
 	// PayloadBytes returns len(Encode(w)) for any w with len(w) == n.
@@ -61,6 +59,12 @@ func (Raw) Decode(data []byte, out []float64) error {
 
 // PayloadBytes implements Verbatim: 8 bytes per coordinate.
 func (Raw) PayloadBytes(n int) int { return 8 * n }
+
+// Transmit implements Channel: the round-trip is the identity.
+func (c Raw) Transmit(dst, w []float64) int {
+	copy(dst, w)
+	return c.PayloadBytes(len(w))
+}
 
 // Float32 halves the payload by casting to float32, a common cheap
 // baseline.

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -193,6 +195,28 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 	if err := c.Decode(append(enc, 'a'), out); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	// Hostile bytes the encoder never emits: anything above the alphabet
+	// (0x7F used to decode as a terminator chunk of 0), in the decoder's
+	// four-byte window and in its byte-at-a-time tail alike, and a 13th
+	// chunk whose bits would land above bit 63.
+	for _, b := range []byte{62, 127, 128, 255} {
+		for _, at := range []int{0, len(enc) - 1} {
+			bad := append([]byte{}, enc...)
+			bad[at] = b
+			if err := c.Decode(bad, out); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("byte %d at %d of %d: %v, want ErrCorrupt", b, at, len(enc), err)
+			}
+		}
+	}
+	long := bytes.Repeat([]byte{'~'}, 13) // twelve full continuation chunks
+	for last, ok := range map[byte]bool{63 + 0x0F: true, 63 + 0x10: false, 63 + 0x1F: false, 63 + 0x2F: false} {
+		long[12] = last
+		if err := c.Decode(long, out[:1]); (err == nil) != ok {
+			t.Fatalf("13-chunk varint ending in %d: %v, want accepted=%v", last, err, ok)
+		} else if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("13-chunk varint ending in %d: %v, want ErrCorrupt", last, err)
+		}
+	}
 }
 
 func TestMarshalModelRoundTrip(t *testing.T) {
@@ -252,29 +276,5 @@ func TestUnmarshalModelCorrupt(t *testing.T) {
 	bad[0] = 99
 	if _, _, err := UnmarshalModel(bad); err == nil {
 		t.Fatal("unknown codec id accepted")
-	}
-}
-
-func BenchmarkPolylineEncode(b *testing.B) {
-	w := randWeights(rng.New(1), 10000, 0.2)
-	c := NewPolyline(4)
-	b.ReportAllocs()
-	b.SetBytes(int64(8 * len(w)))
-	for i := 0; i < b.N; i++ {
-		c.Encode(w)
-	}
-}
-
-func BenchmarkPolylineDecode(b *testing.B) {
-	w := randWeights(rng.New(1), 10000, 0.2)
-	c := NewPolyline(4)
-	enc := c.Encode(w)
-	out := make([]float64, len(w))
-	b.ReportAllocs()
-	b.SetBytes(int64(len(enc)))
-	for i := 0; i < b.N; i++ {
-		if err := c.Decode(enc, out); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

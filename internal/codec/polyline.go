@@ -12,9 +12,11 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -33,6 +35,16 @@ type Codec interface {
 	Decode(data []byte, out []float64) error
 	// MaxError is the absolute error bound per coordinate.
 	MaxError() float64
+}
+
+// Channel is the simulated channel's shortcut through a codec: Transmit
+// writes into dst what Decode(AppendEncode(nil, w), dst) would and returns
+// len(AppendEncode(nil, w)), without materialising the payload. dst has the
+// length of w and does not overlap it. The simulator charges the returned
+// size, so an implementation is held to the real round-trip bit for bit
+// (FuzzPolylineAgainstReference, TestCommChannelMatchesWire).
+type Channel interface {
+	Transmit(dst, w []float64) (payloadBytes int)
 }
 
 // ErrCorrupt is returned when a payload cannot be decoded.
@@ -85,33 +97,96 @@ func (p *Polyline) scale() float64 { return math.Pow(10, float64(p.Precision)) }
 // Encode implements Codec.
 func (p *Polyline) Encode(w []float64) []byte { return p.AppendEncode(nil, w) }
 
-// AppendEncode implements Codec.
-func (p *Polyline) AppendEncode(out []byte, w []float64) []byte {
+// Transmit implements Channel in one pass: quantize, count the chunks the
+// value (or, in delta mode, its difference) takes on the wire, rescale.
+// Decode's running sum of differences is the quantized value itself, so
+// both modes reconstruct float64(q)/s.
+func (p *Polyline) Transmit(dst, w []float64) int {
 	s := p.scale()
-	// Typical weights in (-1,1) at precision 4 need 3-4 chars; reserve 4.
-	out = slices.Grow(out, 4*len(w))
+	dst = dst[:len(w)]
+	n := 0
 	prev := int64(0)
-	for _, v := range w {
-		q := quantize(v, s)
+	for i, v := range w {
+		q := quantize(v * s)
 		enc := q
 		if p.Delta {
 			enc = q - prev
 			prev = q
 		}
-		out = appendVarint(out, zigzag(enc))
+		n += int(chunkCount[bits.Len64(zigzag(enc))])
+		dst[i] = float64(q) / s
 	}
-	return out
+	return n
 }
 
-// Decode implements Codec.
+// AppendEncode implements Codec. A value of up to four chunks — at
+// precision 4, any weight below 52 — is emitted as one 32-bit store of its
+// four spread 5-bit groups, of which the first chunkCount bytes are kept;
+// the rest, and the last values of a buffer without four spare bytes, take
+// the byte loop.
+func (p *Polyline) AppendEncode(out []byte, w []float64) []byte {
+	s := p.scale()
+	// Typical weights in (-1,1) at precision 4 need 3-4 chars; reserve 4.
+	out = slices.Grow(out, 4*len(w))
+	n := len(out)
+	buf := out[:cap(out)]
+	prev := int64(0)
+	for _, v := range w {
+		q := quantize(v * s)
+		enc := q
+		if p.Delta {
+			enc = q - prev
+			prev = q
+		}
+		u := zigzag(enc)
+		if u >= 1<<(4*chunkBits) || n+4 > len(buf) {
+			buf = appendVarint(buf[:n], u)
+			n = len(buf)
+			buf = buf[:cap(buf)]
+			continue
+		}
+		k := chunkCount[bits.Len64(u)] & 7 // at most 4 here; the mask spares wordBase's bounds check
+		x := uint32(u)
+		spread := x&0x1F | x&0x3E0<<3 | x&0x7C00<<6 | x&0xF8000<<9
+		binary.LittleEndian.PutUint32(buf[n:n+4], spread+wordBase[k])
+		n += int(k)
+	}
+	return buf[:n]
+}
+
+// Decode implements Codec. While four bytes remain they are loaded and
+// validated together, and a value of up to four chunks is resolved without
+// a loop. Everything else — longer values, the payload's tail, any byte
+// outside the alphabet — goes through readVarint, which owns the errors.
 func (p *Polyline) Decode(data []byte, out []float64) error {
 	s := p.scale()
 	pos := 0
 	prev := int64(0)
 	for i := range out {
-		u, n, err := readVarint(data[pos:])
-		if err != nil {
-			return err
+		u, n := uint64(0), 0
+		if pos+4 <= len(data) {
+			// Every byte of t has 01 in its top two bits exactly when all
+			// four bytes are in 63..126 (a 255 wraps to 0 and fails itself);
+			// its low six bits are then the chunk and continuation flag.
+			t := binary.LittleEndian.Uint32(data[pos:]) + 0x01010101
+			if t&0xC0C0C0C0 == 0x40404040 {
+				switch {
+				case t&0x20 == 0:
+					u, n = uint64(t&0x1F), 1
+				case t&0x2000 == 0:
+					u, n = uint64(t&0x1F|t>>3&0x3E0), 2
+				case t&0x200000 == 0:
+					u, n = uint64(t&0x1F|t>>3&0x3E0|t>>6&0x7C00), 3
+				case t&0x20000000 == 0:
+					u, n = uint64(t&0x1F|t>>3&0x3E0|t>>6&0x7C00|t>>9&0xF8000), 4
+				}
+			}
+		}
+		if n == 0 {
+			var err error
+			if u, n, err = readVarint(data[pos:]); err != nil {
+				return err
+			}
 		}
 		pos += n
 		v := unzigzag(u)
@@ -127,25 +202,47 @@ func (p *Polyline) Decode(data []byte, out []float64) error {
 	return nil
 }
 
-// quantize rounds v*s to the nearest integer, clamping non-finite and
-// out-of-range values so a diverged weight cannot corrupt a payload.
-func quantize(v float64, s float64) int64 {
-	x := v * s
-	if math.IsNaN(x) {
-		return 0
+// roundBias is the largest float64 below one half. Adding it with the sign
+// of x and truncating rounds half away from zero as math.Round does, and —
+// unlike adding 0.5 — keeps 0.49999999999999994 from rounding up.
+const roundBias = 0.49999999999999994
+
+// quantize rounds x, a weight already scaled to fixed point, to the nearest
+// integer, clamping non-finite and out-of-range values so a diverged weight
+// cannot corrupt a payload. Inside the clamp range the biased truncation is
+// bit-identical to math.Round.
+func quantize(x float64) int64 {
+	if x > -maxMagnitude && x < maxMagnitude {
+		return int64(x + math.Copysign(roundBias, x))
 	}
-	if x > maxMagnitude {
-		x = maxMagnitude
-	} else if x < -maxMagnitude {
-		x = -maxMagnitude
+	switch {
+	case x >= maxMagnitude:
+		return maxMagnitude
+	case x <= -maxMagnitude:
+		return -maxMagnitude
 	}
-	return int64(math.Round(x))
+	return 0 // NaN
 }
 
 // zigzag maps signed to unsigned so small magnitudes stay small.
 func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// chunkCount maps bits.Len64 of a zigzagged value to the number of 5-bit
+// chunks, and so bytes, it takes on the wire.
+var chunkCount = func() (t [65]uint8) {
+	t[0] = 1
+	for l := 1; l < len(t); l++ {
+		t[l] = uint8((l + chunkBits - 1) / chunkBits)
+	}
+	return t
+}()
+
+// wordBase is what a k-chunk value's spread groups are added to in the
+// four-byte store: the ASCII offset on every byte and the continuation bit
+// on the low k-1.
+var wordBase = [8]uint32{1: 0x3F3F3F3F, 2: 0x3F3F3F5F, 3: 0x3F3F5F5F, 4: 0x3F5F5F5F}
 
 // appendVarint emits u in little-endian 5-bit chunks, each offset by 63 and
 // flagged with the continuation bit except the last — the polyline wire
@@ -158,16 +255,23 @@ func appendVarint(out []byte, u uint64) []byte {
 	return append(out, byte(u)+asciiOffset)
 }
 
-// readVarint decodes one value, returning it and the bytes consumed.
+// readVarint decodes one value, returning it and the bytes consumed. A byte
+// outside the alphabet 63..126, or a 13th chunk with bits that would land
+// above bit 63, marks a hostile or damaged payload: the encoder emits
+// neither.
 func readVarint(data []byte) (uint64, int, error) {
 	var u uint64
 	shift := uint(0)
 	for i, b := range data {
-		if b < asciiOffset {
-			return 0, 0, fmt.Errorf("%w: byte %d below offset", ErrCorrupt, b)
+		c := b - asciiOffset // wraps above the alphabet for b < 63
+		if c > chunkMask|continueBit {
+			return 0, 0, fmt.Errorf("%w: byte %d outside the polyline alphabet", ErrCorrupt, b)
 		}
-		c := b - asciiOffset
-		u |= uint64(c&chunkMask) << shift
+		v := uint64(c & chunkMask)
+		if v<<shift>>shift != v {
+			return 0, 0, fmt.Errorf("%w: varint overflow", ErrCorrupt)
+		}
+		u |= v << shift
 		if c&continueBit == 0 {
 			return u, i + 1, nil
 		}

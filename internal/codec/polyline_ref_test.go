@@ -1,0 +1,267 @@
+package codec
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/rng"
+)
+
+// The reference polyline codec: the plain bodies the kernels in polyline.go
+// replaced — math.Round behind a clamp ladder, one appendVarint or
+// readVarint per value. They define the wire format; the fuzz target below
+// holds AppendEncode, Decode and Transmit to them bit for bit.
+
+func refQuantize(v float64, s float64) int64 {
+	x := v * s
+	if math.IsNaN(x) {
+		return 0
+	}
+	if x > maxMagnitude {
+		x = maxMagnitude
+	} else if x < -maxMagnitude {
+		x = -maxMagnitude
+	}
+	return int64(math.Round(x))
+}
+
+func refAppendEncode(p *Polyline, out []byte, w []float64) []byte {
+	s := p.scale()
+	prev := int64(0)
+	for _, v := range w {
+		q := refQuantize(v, s)
+		enc := q
+		if p.Delta {
+			enc = q - prev
+			prev = q
+		}
+		out = appendVarint(out, zigzag(enc))
+	}
+	return out
+}
+
+func refDecode(p *Polyline, data []byte, out []float64) error {
+	s := p.scale()
+	pos := 0
+	prev := int64(0)
+	for i := range out {
+		u, n, err := readVarint(data[pos:])
+		if err != nil {
+			return err
+		}
+		pos += n
+		v := unzigzag(u)
+		if p.Delta {
+			v += prev
+			prev = v
+		}
+		out[i] = float64(v) / s
+	}
+	if pos != len(data) {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+	}
+	return nil
+}
+
+// edgeWeights is the fuzz seed for one scale: every input class the
+// quantizer and the size classes distinguish.
+func edgeWeights(s float64) []float64 {
+	w := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1e300, -1e300, 0.5, -0.25}
+	both := func(v float64) { w = append(w, v, -v) }
+	for _, k := range []float64{0, 1, 2, 7, 1000, 1 << 30} {
+		both((k + 0.5) / s) // ties, to within the rounding of the division
+	}
+	both(roundBias / s)
+	for _, x := range []float64{maxMagnitude, maxMagnitude - 1, maxMagnitude - 0.5, maxMagnitude + 1, 1 << 52, 1 << 62, 1 << 63} {
+		both(x / s)
+		both(math.Nextafter(x, 0) / s)
+	}
+	// Both sides of every size-class boundary, up to ten chunks.
+	for k := 1; k <= 9; k++ {
+		u := uint64(1) << (chunkBits * k)
+		for _, z := range []uint64{u - 2, u - 1, u, u + 1} {
+			w = append(w, float64(unzigzag(z))/s)
+		}
+	}
+	// A five-chunk value before small ones leaves fewer than four spare
+	// bytes in a buffer grown to exactly 4 per value.
+	return append(w, 1e9/s, 0.1, -0.1, 0)
+}
+
+// decodeBoth runs the reference and the fast decoder over one payload into
+// dirty destinations and requires the same error-ness and, on success, the
+// same floats bit for bit.
+func decodeBoth(t *testing.T, p *Polyline, data []byte, n int) []float64 {
+	t.Helper()
+	want, got := make([]float64, n), make([]float64, n)
+	for i := range want {
+		want[i], got[i] = math.NaN(), math.Inf(1)
+	}
+	refErr, err := refDecode(p, data, want), p.Decode(data, got)
+	if (refErr == nil) != (err == nil) {
+		t.Fatalf("%s: Decode(%q) error %v, reference %v", p.Name(), data, err, refErr)
+	}
+	if err != nil {
+		return nil
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: Decode value %d = %v, reference %v", p.Name(), i, got[i], want[i])
+		}
+	}
+	return got
+}
+
+// FuzzPolylineAgainstReference holds the three kernels to the reference
+// over (precision, mode, raw float bits): AppendEncode emits the reference's
+// bytes; Decode agrees with the reference on the valid payload, on a copy
+// with one byte replaced and on a truncated copy; Transmit returns the
+// payload's length and the decoded floats.
+func FuzzPolylineAgainstReference(f *testing.F) {
+	for prec := 0; prec <= 8; prec++ {
+		raw := Raw{}.Encode(edgeWeights(math.Pow(10, float64(prec)))) // the float bits, little-endian
+		f.Add(uint8(prec), false, raw, uint16(prec), byte(0x7F))
+		f.Add(uint8(prec), true, raw, uint16(3*prec+1), byte(62))
+	}
+	f.Add(uint8(4), false, Raw{}.Encode(randWeights(rng.New(1), 64, 0.2)), uint16(9), byte('~'+1))
+	f.Fuzz(func(t *testing.T, prec uint8, delta bool, raw []byte, at uint16, with byte) {
+		p := &Polyline{Precision: int(prec % 9), Delta: delta}
+		w := make([]float64, len(raw)/8)
+		if err := (Raw{}).Decode(raw[:8*len(w)], w); err != nil {
+			t.Fatal(err)
+		}
+
+		want := refAppendEncode(p, nil, w)
+		if got := p.AppendEncode(nil, w); !bytes.Equal(got, want) {
+			t.Fatalf("%s: AppendEncode %q, reference %q", p.Name(), got, want)
+		}
+		decoded := decodeBoth(t, p, want, len(w))
+		if decoded == nil {
+			t.Fatalf("%s: the reference payload %q does not decode", p.Name(), want)
+		}
+
+		sent := make([]float64, len(w))
+		if n := p.Transmit(sent, w); n != len(want) {
+			t.Fatalf("%s: Transmit charges %d bytes, payload has %d", p.Name(), n, len(want))
+		}
+		for i := range sent {
+			if math.Float64bits(sent[i]) != math.Float64bits(decoded[i]) {
+				t.Fatalf("%s: Transmit value %d = %v, Decode gives %v", p.Name(), i, sent[i], decoded[i])
+			}
+		}
+
+		if len(want) == 0 {
+			return
+		}
+		cut := int(at) % len(want)
+		bad := bytes.Clone(want)
+		bad[cut] = with
+		decodeBoth(t, p, bad, len(w))
+		decodeBoth(t, p, want[:cut], len(w))
+		decodeBoth(t, p, want, len(w)+1)
+	})
+}
+
+// TestQuantizeMatchesReference: the biased truncation equals math.Round
+// behind the clamp on every magnitude the clamp lets through, on the ties
+// and their neighbours, and on everything the clamp catches.
+func TestQuantizeMatchesReference(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := quantize(x), refQuantize(x, 1); got != want {
+			t.Fatalf("quantize(%v) = %d, reference %d", x, got, want)
+		}
+	}
+	for _, x := range edgeWeights(1) {
+		check(x)
+	}
+	r := rng.New(17)
+	for e := -60; e <= 64; e++ {
+		for i := 0; i < 2000; i++ {
+			x := math.Ldexp(r.Float64()*2-1, e)
+			check(x)
+			// The nearest tie and the floats on either side of it.
+			tie := math.Trunc(x) + math.Copysign(0.5, x)
+			check(tie)
+			check(math.Nextafter(tie, 0))
+			check(math.Nextafter(tie, math.Inf(1)))
+			check(math.Nextafter(tie, math.Inf(-1)))
+		}
+	}
+}
+
+// benchSizes are the benchmarked vector lengths: the historical 10k and the
+// 56,842 parameters of the wide MLP the codec-bound workloads transmit.
+var benchSizes = []int{10000, 56842}
+
+// polyBench is one benchmark case: a weight vector, its payload, and
+// destinations of both kinds grown to size.
+type polyBench struct {
+	p   *Polyline
+	w   []float64
+	enc []byte
+	dst []byte
+	out []float64
+}
+
+// benchPolyline runs op at every size; MB/s is float64 bytes through the
+// kernel, the same base for all of them.
+func benchPolyline(b *testing.B, op func(c *polyBench) error) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			c := &polyBench{p: NewPolyline(4), w: randWeights(rng.New(1), n, 0.2), out: make([]float64, n)}
+			c.enc = c.p.Encode(c.w)
+			c.dst = make([]byte, 0, 2*len(c.enc))
+			b.ReportAllocs()
+			b.SetBytes(int64(8 * n))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := op(c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+var benchSink int
+
+func BenchmarkPolylineEncode(b *testing.B) {
+	benchPolyline(b, func(c *polyBench) error {
+		benchSink += len(c.p.AppendEncode(c.dst, c.w))
+		return nil
+	})
+}
+
+func BenchmarkPolylineDecode(b *testing.B) {
+	benchPolyline(b, func(c *polyBench) error { return c.p.Decode(c.enc, c.out) })
+}
+
+func BenchmarkPolylineTransmit(b *testing.B) {
+	benchPolyline(b, func(c *polyBench) error {
+		benchSink += c.p.Transmit(c.out, c.w)
+		return nil
+	})
+}
+
+// The reference bodies under the same harness: the denominators of the
+// kernels' speed-ups (encode, decode, and encode+decode for Transmit).
+
+func BenchmarkPolylineEncodeReference(b *testing.B) {
+	benchPolyline(b, func(c *polyBench) error {
+		benchSink += len(refAppendEncode(c.p, c.dst, c.w))
+		return nil
+	})
+}
+
+func BenchmarkPolylineDecodeReference(b *testing.B) {
+	benchPolyline(b, func(c *polyBench) error { return refDecode(c.p, c.enc, c.out) })
+}
+
+func BenchmarkPolylineTransmitReference(b *testing.B) {
+	benchPolyline(b, func(c *polyBench) error {
+		return refDecode(c.p, refAppendEncode(c.p, c.dst, c.w), c.out)
+	})
+}

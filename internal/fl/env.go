@@ -405,12 +405,12 @@ type Comm struct {
 	headerBytes int
 	Up, Down    int64
 
-	// verb is non-nil when the codec round-trips bit-exactly with a
-	// length-determined payload size (codec.Verbatim): transmits then skip
-	// materializing the byte payload — numerics and byte accounting are
-	// provably identical to the real Encode/Decode.
-	verb codec.Verbatim
-	// enc is the encode scratch every non-verbatim transmit reuses: the
+	// channel is non-nil when the codec can produce the receiver's weights
+	// and the payload size without materializing the payload
+	// (codec.Channel: polyline, raw) — numerics and byte accounting are
+	// identical to the real Encode/Decode by the interface's contract.
+	channel codec.Channel
+	// enc is the encode scratch every other codec's transmit reuses: the
 	// payload only lives until it is decoded again a line later.
 	enc []byte
 	// pool recycles receiver-side weight buffers across rounds and cohorts
@@ -421,8 +421,8 @@ type Comm struct {
 
 // NewComm builds the channel for one run.
 func NewComm(c codec.Codec, shapes []codec.ShapeInfo) *Comm {
-	verb, _ := c.(codec.Verbatim)
-	return &Comm{codec: c, headerBytes: codec.ModelHeaderBytes(shapes), verb: verb}
+	channel, _ := c.(codec.Channel)
+	return &Comm{codec: c, headerBytes: codec.ModelHeaderBytes(shapes), channel: channel}
 }
 
 // Pool returns the run's weight pool for length-n vectors, creating it on
@@ -441,19 +441,18 @@ func (cm *Comm) Pool(n int) *tensor.Pool {
 // the run's weight pool — and the marshalled message size in bytes, which
 // the byte counters accumulate. The returned slice is owned by the caller
 // until it hands it back with Release; in steady state no allocation
-// happens. Verbatim codecs (Raw) additionally skip the encode/decode
-// round-trip — the reconstruction is a straight copy and the byte
-// accounting uses the codec's exact payload size, so both the numerics and
-// the Up/Down totals are bit-identical to the real round-trip. A codec that
-// fails to decode its own payload reports an error (propagated out through
-// Method.Run) rather than panicking.
+// happens. The simulator never materializes a payload for a codec.Channel
+// (polyline, raw): one pass writes the reconstruction and returns the size
+// the encoder would have produced, so both the numerics and the Up/Down
+// totals are bit-identical to the real round-trip the other codecs take. A
+// codec that fails to decode its own payload reports an error (propagated
+// out through Method.Run) rather than panicking.
 func (cm *Comm) TransmitPooled(w []float64, uplink bool) ([]float64, int, error) {
 	pool := cm.Pool(len(w))
 	out := pool.Get()
 	var size int
-	if cm.verb != nil {
-		size = cm.headerBytes + cm.verb.PayloadBytes(len(w))
-		copy(out, w)
+	if cm.channel != nil {
+		size = cm.headerBytes + cm.channel.Transmit(out, w)
 	} else {
 		cm.enc = cm.codec.AppendEncode(cm.enc[:0], w)
 		size = cm.headerBytes + len(cm.enc)

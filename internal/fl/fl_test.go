@@ -457,7 +457,7 @@ func TestSelectAvailableProbesOnlyCandidates(t *testing.T) {
 func TestCommAccounting(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{4}}}
 	w := []float64{1, 2, 3, 4}
-	// Raw takes the verbatim shortcut, polyline the real encode/decode; both
+	// Both take the codec.Channel arm, which never builds the message; both
 	// must charge exactly the marshalled message's size.
 	for _, c := range []codec.Codec{codec.Raw{}, codec.NewPolyline(4)} {
 		cm := NewComm(c, shapes)
@@ -492,6 +492,64 @@ func TestCommAccounting(t *testing.T) {
 		cm.CountControl(10, true)
 		if cm.Up != int64(n)+10 {
 			t.Fatal("control accounting wrong")
+		}
+	}
+}
+
+// wireOnly hides a codec's Channel method, leaving Comm the real
+// encode→decode arm.
+type wireOnly struct{ codec.Codec }
+
+// TestCommChannelMatchesWire: the fused channel and the real round-trip of
+// the same codec hand the receiver the same bits and charge the same bytes,
+// in both directions, and neither allocates once the pool and the encode
+// scratch have grown.
+func TestCommChannelMatchesWire(t *testing.T) {
+	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{60, 50}}, {Name: "b", Dims: []int{50}}}
+	r := rng.New(6)
+	w := make([]float64, 3050)
+	for i := range w {
+		w[i] = 0.3 * r.Norm()
+	}
+	w[0], w[1], w[2], w[3] = math.NaN(), math.Inf(-1), 1e300, 12345.678949999 // clamped and long values
+
+	fused, wire := NewComm(codec.NewPolyline(4), shapes), NewComm(wireOnly{codec.NewPolyline(4)}, shapes)
+	if fused.channel == nil || wire.channel != nil {
+		t.Fatalf("channel arms: fused %v, wire-only %v", fused.channel, wire.channel)
+	}
+	for round, uplink := range []bool{true, false, true} {
+		a, na, err := fused.TransmitPooled(w, uplink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, nb, err := wire.TransmitPooled(w, uplink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if na != nb || fused.Up != wire.Up || fused.Down != wire.Down {
+			t.Fatalf("round %d: fused charges %d (up %d, down %d), wire %d (up %d, down %d)",
+				round, na, fused.Up, fused.Down, nb, wire.Up, wire.Down)
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("round %d: weight %d is %v through the channel, %v over the wire", round, i, a[i], b[i])
+			}
+		}
+		w = append(w[:0:0], a...) // the next round retransmits the reconstruction
+		fused.Release(a)
+		wire.Release(b)
+	}
+
+	skipUnderRace(t)
+	for name, cm := range map[string]*Comm{"fused": fused, "wire": wire} {
+		if allocs := testing.AllocsPerRun(20, func() {
+			out, _, err := cm.TransmitPooled(w, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cm.Release(out)
+		}); allocs != 0 {
+			t.Errorf("%s TransmitPooled allocates %.0f times in steady state", name, allocs)
 		}
 	}
 }
