@@ -69,3 +69,41 @@ func TestConvHotPathAllocFree(t *testing.T) {
 		net.Backprop(x, labels)
 	})
 }
+
+// TestConvColCacheSurvivesBatchGrowth: a batch larger than any seen before
+// grows the per-sample im2col cache without dropping the matrices it
+// already holds. Over batch sizes 2→5→3→5 exactly five cols×p matrices are
+// ever allocated (not seven), and once the largest size has been seen,
+// alternating sizes allocates nothing.
+func TestConvColCacheSurvivesBatchGrowth(t *testing.T) {
+	conv := NewConv2D(1, 10, 10, 4, 3, 1, 1)
+	c, h, w := conv.OutShape()
+	net := NewNetwork(rng.New(3), NewSoftmaxCE(), conv, NewDense(c*h*w, 2))
+	batches := map[int]*tensor.Mat{}
+	for _, b := range []int{2, 3, 5} {
+		batches[b], _ = randBatch(uint64(b), b, 100, 2)
+	}
+	seen := map[*tensor.Mat]bool{}
+	for _, b := range []int{2, 5, 3, 5} {
+		net.Forward(batches[b], false)
+		for s := 0; s < b; s++ {
+			m := conv.colCache[s]
+			if m == nil || m.R != 9 || m.C != 100 {
+				t.Fatalf("batch %d: colCache[%d] = %+v, want a 9x100 matrix", b, s, m)
+			}
+			seen[m] = true
+		}
+	}
+	if len(seen) != 5 {
+		t.Errorf("batches 2,5,3,5 allocated %d im2col matrices, want 5: growing the cache dropped cached ones", len(seen))
+	}
+	if testutil.RaceEnabled {
+		return // AllocsPerRun is meaningless under -race
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		net.Forward(batches[3], false)
+		net.Forward(batches[5], false)
+	}); got != 0 {
+		t.Errorf("alternating batch sizes 3 and 5 allocates %.1f times per pair, want 0", got)
+	}
+}

@@ -96,8 +96,10 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	b := x.R
 	p := c.outH * c.outW
 	c.out = tensor.EnsureMat(c.out, b, c.OutC*p)
-	if len(c.colCache) < b {
-		c.colCache = make([]*tensor.Mat, b)
+	if n := len(c.colCache); n < b {
+		// Grow, keeping the im2col matrices already cached: batch sizes
+		// wander upward (the evaluator feeds whole test splits).
+		c.colCache = append(c.colCache, make([]*tensor.Mat, b-n)...)
 	}
 	w := c.weight()
 	bias := c.bias()

@@ -16,6 +16,75 @@ func Im2Col(img []float64, channels, h, w, kh, kw, stride, pad int, dst *Mat) {
 	if len(img) != channels*h*w {
 		panic("tensor: Im2Col img length mismatch")
 	}
+	if stride == 1 {
+		im2colUnit(img, channels, h, w, kh, kw, pad, outH, outW, dst)
+		return
+	}
+	im2colStrided(img, channels, h, w, kh, kw, stride, pad, outH, outW, dst)
+}
+
+// unitRange returns the [lo, hi) output range of one stride-1 kernel tap k
+// whose source index o + k - pad falls inside an image axis of length size;
+// everything below lo and from hi up reads padding. The range is empty
+// (lo == hi) when the tap hangs entirely off the image; a non-empty one
+// satisfies 0 <= lo+k-pad < hi+k-pad <= size.
+func unitRange(size, k, pad, outSize int) (lo, hi int) {
+	lo = min(max(pad-k, 0), outSize)
+	hi = min(max(size+pad-k, lo), outSize)
+	return lo, hi
+}
+
+// im2colUnit is Im2Col at stride 1, where every output line is a
+// contiguous run of one image row: the in-image ranges are found once per
+// kernel tap and each line becomes zeros, a copy, zeros — the same cells
+// written with the same values as im2colStrided, without a bounds branch
+// per pixel. When the output is as wide as the image ("same" padding, the
+// geometry nn's models use) consecutive lines are also consecutive image
+// rows, so a tap's whole in-image block is one shifted copy; the pixels
+// that copy drags across the line ends land on padding cells, which are
+// zeroed after it.
+func im2colUnit(img []float64, channels, h, w, kh, kw, pad, outH, outW int, dst *Mat) {
+	row := 0
+	for c := 0; c < channels; c++ {
+		chn := img[c*h*w : (c+1)*h*w]
+		for ky := 0; ky < kh; ky++ {
+			oyLo, oyHi := unitRange(h, ky, pad, outH)
+			for kx := 0; kx < kw; kx++ {
+				out := dst.Row(row)
+				row++
+				lo, hi := unitRange(w, kx, pad, outW)
+				if lo == hi || oyLo == oyHi {
+					Zero(out)
+					continue
+				}
+				Zero(out[:oyLo*outW])
+				Zero(out[oyHi*outW:])
+				shift := (ky-pad)*w + kx - pad
+				if outW == w {
+					first, end := oyLo*w+lo, (oyHi-1)*w+hi
+					copy(out[first:end], chn[first+shift:])
+				}
+				for oy := oyLo; oy < oyHi; oy++ {
+					line := out[oy*outW : (oy+1)*outW]
+					// The padding runs are at most pad long: plain stores,
+					// not a memclr call each.
+					for j := 0; j < lo; j++ {
+						line[j] = 0
+					}
+					if outW != w {
+						copy(line[lo:hi], chn[oy*w+lo+shift:])
+					}
+					for j := hi; j < len(line); j++ {
+						line[j] = 0
+					}
+				}
+			}
+		}
+	}
+}
+
+// im2colStrided is the general per-pixel loop, any stride.
+func im2colStrided(img []float64, channels, h, w, kh, kw, stride, pad, outH, outW int, dst *Mat) {
 	row := 0
 	for c := 0; c < channels; c++ {
 		chn := img[c*h*w : (c+1)*h*w]
@@ -61,6 +130,41 @@ func Col2Im(cols *Mat, channels, h, w, kh, kw, stride, pad int, img []float64) {
 	if len(img) != channels*h*w {
 		panic("tensor: Col2Im img length mismatch")
 	}
+	if stride == 1 {
+		col2imUnit(cols, channels, h, w, kh, kw, pad, outH, outW, img)
+		return
+	}
+	col2imStrided(cols, channels, h, w, kh, kw, stride, pad, outH, outW, img)
+}
+
+// col2imUnit is Col2Im at stride 1: each line's in-image range (unitRange)
+// is added to its image row as one contiguous AddTo, taps and lines visited
+// in col2imStrided's order, so every pixel receives the same terms in the
+// same sequence.
+func col2imUnit(cols *Mat, channels, h, w, kh, kw, pad, outH, outW int, img []float64) {
+	row := 0
+	for c := 0; c < channels; c++ {
+		chn := img[c*h*w : (c+1)*h*w]
+		for ky := 0; ky < kh; ky++ {
+			oyLo, oyHi := unitRange(h, ky, pad, outH)
+			for kx := 0; kx < kw; kx++ {
+				in := cols.Row(row)
+				row++
+				lo, hi := unitRange(w, kx, pad, outW)
+				if lo == hi {
+					continue
+				}
+				for oy := oyLo; oy < oyHi; oy++ {
+					base := (oy+ky-pad)*w + kx - pad
+					AddTo(chn[base+lo:base+hi], in[oy*outW+lo:oy*outW+hi])
+				}
+			}
+		}
+	}
+}
+
+// col2imStrided is the general per-pixel loop, any stride.
+func col2imStrided(cols *Mat, channels, h, w, kh, kw, stride, pad, outH, outW int, img []float64) {
 	row := 0
 	for c := 0; c < channels; c++ {
 		chn := img[c*h*w : (c+1)*h*w]

@@ -69,6 +69,12 @@ func FuzzIm2colScratch(f *testing.F) {
 	f.Add(uint64(1), 1, 5, 5, 3, 3, 1, 1, math.NaN())
 	f.Add(uint64(2), 3, 8, 6, 2, 4, 2, 0, 1e300)
 	f.Add(uint64(3), 2, 4, 4, 4, 4, 3, 2, -0.0)
+	// Stride 1 takes the range-copy path; these pin its range arithmetic
+	// where the in-image run of a kernel column is empty or the whole line.
+	f.Add(uint64(4), 1, 3, 2, 3, 6, 1, 3, math.NaN())  // kw > w+pad: the last taps never touch the image
+	f.Add(uint64(5), 2, 5, 1, 2, 3, 1, 3, math.Inf(1)) // pad >= kw: the first taps start right of every output
+	f.Add(uint64(6), 1, 6, 7, 3, 2, 1, 0, -0.0)        // pad = 0: every line is all image
+	f.Add(uint64(7), 3, 10, 10, 3, 3, 1, 1, 1e300)     // the CNN's own geometry
 	f.Fuzz(func(t *testing.T, seed uint64, channels, h, w, kh, kw, stride, pad int, dirt float64) {
 		if channels < 1 || channels > 4 || h < 1 || h > 12 || w < 1 || w > 12 {
 			t.Skip()
@@ -118,5 +124,56 @@ func FuzzIm2colScratch(f *testing.F) {
 					math.Float64bits(gotImg[i]), math.Float64bits(wantImg[i]))
 			}
 		}
+	})
+}
+
+// im2colBenches: the benchmark CNN's first convolution (the shape bench/'s
+// tensor.im2col_us probe times) and the 3×32×32 image BenchmarkIm2Col has
+// always used.
+var im2colBenches = []struct {
+	name           string
+	channels, h, w int
+}{
+	{"1x10x10", 1, 10, 10},
+	{"3x32x32", 3, 32, 32},
+}
+
+// benchIm2col runs one lowering (3×3 kernel, stride 1, pad 1, so outH = h
+// and outW = w) over im2colBenches with a prepared image and column matrix.
+func benchIm2col(b *testing.B, op func(img []float64, channels, h, w int, cols *Mat)) {
+	for _, s := range im2colBenches {
+		b.Run(s.name, func(b *testing.B) {
+			img := fillVec(1, s.channels*s.h*s.w)
+			cols := MatFrom(s.channels*9, s.h*s.w, fillVec(2, s.channels*9*s.h*s.w))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(img, s.channels, s.h, s.w, cols)
+			}
+		})
+	}
+}
+
+// The …Reference benchmarks run the per-pixel loops (what stride 1 ran
+// before the range-copy paths, and what strided geometries still run) in
+// the same process: the denominators of the speed-ups.
+
+func BenchmarkIm2Col(b *testing.B) {
+	benchIm2col(b, func(img []float64, c, h, w int, cols *Mat) { Im2Col(img, c, h, w, 3, 3, 1, 1, cols) })
+}
+
+func BenchmarkIm2ColReference(b *testing.B) {
+	benchIm2col(b, func(img []float64, c, h, w int, cols *Mat) {
+		im2colStrided(img, c, h, w, 3, 3, 1, 1, h, w, cols)
+	})
+}
+
+func BenchmarkCol2Im(b *testing.B) {
+	benchIm2col(b, func(img []float64, c, h, w int, cols *Mat) { Col2Im(cols, c, h, w, 3, 3, 1, 1, img) })
+}
+
+func BenchmarkCol2ImReference(b *testing.B) {
+	benchIm2col(b, func(img []float64, c, h, w int, cols *Mat) {
+		col2imStrided(cols, c, h, w, 3, 3, 1, 1, h, w, img)
 	})
 }

@@ -97,13 +97,3 @@ func TestIm2ColShapePanics(t *testing.T) {
 	}()
 	Im2Col(make([]float64, 9), 1, 3, 3, 2, 2, 1, 0, NewMat(3, 3))
 }
-
-func BenchmarkIm2Col(b *testing.B) {
-	img := make([]float64, 3*32*32)
-	outH := ConvOutSize(32, 3, 1, 1)
-	dst := NewMat(3*3*3, outH*outH)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Im2Col(img, 3, 32, 32, 3, 3, 1, 1, dst)
-	}
-}

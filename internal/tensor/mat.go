@@ -84,39 +84,76 @@ func (m *Mat) T() *Mat {
 // fan-out costs more than it saves.
 const parallelRowThreshold = 16 * 1024
 
-// mulIntoRow computes one output row of dst = a·b: out_i = Σ_k a_ik · b_k.
-// k-outer loop: stream through b row-by-row, which keeps the inner loop a
-// contiguous axpy (same summation order as the historical nested loop).
-func mulIntoRow(dst, a, b *Mat, i int) {
-	out := dst.Row(i)
-	Zero(out)
-	arow := a.Row(i)
-	for k, av := range arow {
-		if av == 0 {
-			continue
+// gemmStrides describes how output row i of a GEMM reads its a operand:
+// the row's terms are a.Data[i*rowStep + k*lda] for k in [0, kn). Plain a·b
+// walks row i of a; aᵀ·b walks column i.
+func gemmStrides(a *Mat, transA bool) (rowStep, lda, kn int) {
+	if transA {
+		return 1, a.C, a.R
+	}
+	return a.C, 1, a.C
+}
+
+// gemmRowsGo computes rows [lo, hi) of dst = a·b (or aᵀ·b):
+// out_i = Σ_k a_ik · b_k, k ascending, terms with a_ik == 0 skipped. The
+// k-outer loop streams through b row by row, so the inner loop is a
+// contiguous axpy. This is the portable body behind MulInto and
+// MulTransAInto and the oracle the amd64 row kernel is held to bit for bit
+// (TestGemmMatchesReference, FuzzGemmRow).
+func gemmRowsGo(dst, a, b *Mat, transA bool, lo, hi int) {
+	rowStep, lda, kn := gemmStrides(a, transA)
+	for i := lo; i < hi; i++ {
+		out := dst.Row(i)
+		Zero(out)
+		for k := 0; k < kn; k++ {
+			av := a.Data[i*rowStep+k*lda]
+			if av == 0 {
+				continue
+			}
+			Axpy(av, b.Row(k), out)
 		}
-		Axpy(av, b.Data[k*b.C:(k+1)*b.C], out)
+	}
+}
+
+// rowBlock returns worker c's share of n output rows when a GEMM is split
+// over parallel.Workers(n) workers: one contiguous block each (the split
+// parallel.For itself would make), so the row kernel's scratch is set up
+// once per worker rather than once per row. It is recomputed inside the
+// worker instead of captured: the closures below capture exactly dst, a
+// and b, which keeps them in the allocation size class they always had.
+func rowBlock(n, c int) (lo, hi int) {
+	w := parallel.Workers(n)
+	per := (n + w - 1) / w
+	return min(c*per, n), min((c+1)*per, n)
+}
+
+// checkNoAlias panics when dst shares storage with an operand. The GEMMs
+// read a and b while dst is partly written — the row kernel even holds
+// output columns in registers — so an aliased call has no defined result.
+func checkNoAlias(op string, dst, a, b *Mat) {
+	if overlaps(dst.Data, a.Data) || overlaps(dst.Data, b.Data) {
+		panic("tensor: " + op + " dst aliases an operand")
 	}
 }
 
 // MulInto computes dst = a·b. Shapes must satisfy a.C == b.R,
-// dst.R == a.R, dst.C == b.C. dst must not alias a or b.
+// dst.R == a.R, dst.C == b.C. dst must not alias a or b (panics).
 func MulInto(dst, a, b *Mat) {
 	if a.C != b.R || dst.R != a.R || dst.C != b.C {
 		panic(fmt.Sprintf("tensor: MulInto shape mismatch (%dx%d)·(%dx%d)→(%dx%d)",
 			a.R, a.C, b.R, b.C, dst.R, dst.C))
 	}
+	checkNoAlias("MulInto", dst, a, b)
 	if dst.R*dst.C >= parallelRowThreshold && dst.R > 1 {
-		parallel.For(a.R, func(i int) { mulIntoRow(dst, a, b, i) })
+		parallel.For(parallel.Workers(dst.R), func(c int) {
+			lo, hi := rowBlock(dst.R, c)
+			gemmRows(dst, a, b, false, lo, hi)
+		})
 		return
 	}
-	// Serial path: a named row kernel instead of a shared closure, so small
-	// multiplies (every batch step of the training hot path) allocate
-	// nothing — a func literal that also escapes into parallel.For would be
-	// heap-allocated on every call.
-	for i := 0; i < a.R; i++ {
-		mulIntoRow(dst, a, b, i)
-	}
+	// Serial path: no closure, so small multiplies (every batch step of the
+	// training hot path) allocate nothing.
+	gemmRows(dst, a, b, false, 0, dst.R)
 }
 
 // Mul returns a·b in a fresh matrix.
@@ -127,48 +164,33 @@ func Mul(a, b *Mat) *Mat {
 }
 
 // MulTransAInto computes dst = aᵀ·b without materializing aᵀ.
-// Shapes: a is K×M, b is K×N, dst is M×N.
+// Shapes: a is K×M, b is K×N, dst is M×N. dst must not alias a or b
+// (panics).
 func MulTransAInto(dst, a, b *Mat) {
 	if a.R != b.R || dst.R != a.C || dst.C != b.C {
 		panic(fmt.Sprintf("tensor: MulTransAInto shape mismatch (%dx%d)ᵀ·(%dx%d)→(%dx%d)",
 			a.R, a.C, b.R, b.C, dst.R, dst.C))
 	}
-	Zero(dst.Data)
-	// Parallelizing over k would race on dst; parallelize over dst rows
-	// instead when it is worth it, otherwise run serial.
+	checkNoAlias("MulTransAInto", dst, a, b)
 	if dst.R >= 4 && dst.R*dst.C >= parallelRowThreshold {
-		parallel.For(dst.R, func(i int) {
-			out := dst.Row(i)
-			for k := 0; k < a.R; k++ {
-				av := a.At(k, i)
-				if av == 0 {
-					continue
-				}
-				Axpy(av, b.Row(k), out)
-			}
+		parallel.For(parallel.Workers(dst.R), func(c int) {
+			lo, hi := rowBlock(dst.R, c)
+			gemmRows(dst, a, b, true, lo, hi)
 		})
 		return
 	}
-	// Serial path kept closure-free for the per-batch-step callers.
-	for k := 0; k < a.R; k++ {
-		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			Axpy(av, brow, dst.Data[i*dst.C:(i+1)*dst.C])
-		}
-	}
+	gemmRows(dst, a, b, true, 0, dst.R)
 }
 
 // MulTransBInto computes dst = a·bᵀ without materializing bᵀ.
-// Shapes: a is M×K, b is N×K, dst is M×N.
+// Shapes: a is M×K, b is N×K, dst is M×N. dst must not alias a or b
+// (panics).
 func MulTransBInto(dst, a, b *Mat) {
 	if a.C != b.C || dst.R != a.R || dst.C != b.R {
 		panic(fmt.Sprintf("tensor: MulTransBInto shape mismatch (%dx%d)·(%dx%d)ᵀ→(%dx%d)",
 			a.R, a.C, b.R, b.C, dst.R, dst.C))
 	}
+	checkNoAlias("MulTransBInto", dst, a, b)
 	if dst.R*dst.C >= parallelRowThreshold && dst.R > 1 {
 		parallel.For(a.R, func(i int) { mulTransBRow(dst, a, b, i) })
 		return

@@ -2,13 +2,24 @@
 // substrate is built on: vector primitives, a 2-D matrix type with blocked,
 // parallel multiplication, and the im2col transform used by convolution.
 //
+// What is blocked is the output row: a·b and aᵀ·b hold a 16-column tile of
+// one output row in registers across the whole inner-dimension loop and
+// store it once (an SSE2 kernel on amd64, gemm_amd64.s; elsewhere the
+// portable loop streams one axpy per inner index), and a·bᵀ produces four
+// output columns per pass from four independent dot-product chains. Large
+// products give each GOMAXPROCS worker one contiguous block of output rows
+// via internal/parallel. No kernel reorders a floating-point sum: every
+// fast path is bit-identical to the plain loop it replaced (DESIGN.md §2a).
+//
 // Everything operates on float64. The federated-learning experiments spend
 // almost all of their CPU time in these kernels, so the hot paths avoid
-// bounds checks where the compiler can prove ranges and split large
-// operations across GOMAXPROCS workers via internal/parallel.
+// bounds checks where the compiler can prove ranges.
 package tensor
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // The element-wise kernels below are unrolled 4-wide with the length
 // equality hoisted into a reslice, which lets the compiler drop the
@@ -27,6 +38,18 @@ func Axpy(a float64, x, y []float64) {
 		return
 	}
 	axpyKernel(a, x, y)
+}
+
+// overlaps reports whether x and y share at least one element — the
+// pointer-range test behind Axpy's scalar fallback for skewed views and the
+// GEMMs' no-alias panic.
+func overlaps(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	xs := uintptr(unsafe.Pointer(&x[0]))
+	ys := uintptr(unsafe.Pointer(&y[0]))
+	return xs < ys+uintptr(len(y))*8 && ys < xs+uintptr(len(x))*8
 }
 
 // axpyGo is the scalar reference for Axpy. On amd64 the hot path runs the

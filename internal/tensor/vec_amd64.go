@@ -2,8 +2,6 @@
 
 package tensor
 
-import "unsafe"
-
 // axpyAsm is the SSE2 two-wide y += a*x in vec_amd64.s. Each lane performs
 // the scalar loop's exact mul-then-add on its own element, so results are
 // bit-identical to axpyGo for disjoint (or perfectly identical) x and y.
@@ -17,14 +15,9 @@ func axpyAsm(a float64, x, y *float64, n int)
 // a pair before storing and would diverge. Perfect aliasing (same base) is
 // safe — each element still only depends on itself.
 func axpyKernel(a float64, x, y []float64) {
-	xs := uintptr(unsafe.Pointer(&x[0]))
-	ys := uintptr(unsafe.Pointer(&y[0]))
-	if xs != ys {
-		span := uintptr(len(x)) * 8
-		if xs < ys+span && ys < xs+span {
-			axpyGo(a, x, y)
-			return
-		}
+	if &x[0] != &y[0] && overlaps(x, y) {
+		axpyGo(a, x, y)
+		return
 	}
 	axpyAsm(a, &x[0], &y[0], len(x))
 }
