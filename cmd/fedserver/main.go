@@ -35,13 +35,13 @@ import (
 	"os"
 	"strings"
 
+	"repro/internal/cliflags"
 	"repro/internal/codec"
 	"repro/internal/dataset"
 	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/rng"
-	"repro/internal/robust"
 	"repro/internal/transport"
 )
 
@@ -58,68 +58,24 @@ func main() {
 		prec     = flag.Int("precision", 4, "polyline compression precision (<=0 = raw)")
 		epochs   = flag.Int("epochs", 3, "local epochs per round (shipped to clients)")
 		batch    = flag.Int("batch", 10, "local batch size (shipped to clients)")
-		lambda   = flag.Float64("lambda", 0, "proximal coefficient for Prox methods (Eq. 3); 0 inherits the engine default, negative disables")
-		retier   = flag.Int("retier-every", 0, "re-tier from measured client latencies every N global updates (0 = static hint tiers)")
-
-		// Method composition, mirroring fedsim -compose.
-		method  = flag.String("method", "fedat", "registry method to run: "+strings.Join(fl.MethodNames(), ", "))
-		selName = flag.String("select", "", "override the selection policy: random, oversel, tifl, all")
-		pacer   = flag.String("pacer", "", "override the pacing policy: sync, tier, client, fedbuff")
-		agg     = flag.String("agg", "", "override the aggregation rule spec: avg, eq5, uniform, staleness, asofed, fedasync, asyncsgd, median, trimmed, krum; the staleness family takes params rule[:func[:alpha[:threshold]]], e.g. fedasync:poly:0.5")
-		name    = flag.String("name", "", "display name for the composed method")
-		bufferK = flag.Int("buffer-k", 0, "fedbuff pacer: arrivals buffered per fold (0 = clients per round)")
-
-		// Staleness knobs, mirroring fedsim's compose mode: the weight
-		// function shared by the async update rules and the adaptive-LR stage.
-		staleFunc  = flag.String("stale-func", "", "staleness weight function for async aggregation: poly, exp, const, hinge (default poly; an -agg spec's func wins)")
-		staleAlpha = flag.Float64("stale-alpha", 0, "staleness discount exponent/rate (unset = engine default 0.5; explicit 0 = no discount)")
-		adaptiveLR = flag.Bool("adaptive-lr", false, "scale each dispatch's local learning rate by the staleness weight of its tier/client (shipped to clients in the push header)")
-
-		// Adversarial regime + defenses (the live analogue of fedsim's
-		// attack knobs): the server directs a deterministic subset of the
-		// population — simnet.AttackTargets over -seed, the same subset the
-		// simulator poisons — to attack during local training.
-		attackKind  = flag.String("attack", "", "direct an attack regime: labelflip, scale, freeride")
-		attackFrac  = flag.Float64("attack-frac", 0, "fraction of the population directed to attack")
-		attackScale = flag.Float64("attack-scale", 0, "scale attack amplification factor (0 = default 10x)")
-		dpClip      = flag.Float64("dp-clip", 0, "per-client DP delta clip norm shipped with every push (0 = off)")
-		dpNoise     = flag.Float64("dp-noise", 0, "DP Gaussian noise multiplier (noise sigma = multiplier * clip)")
+		method   = flag.String("method", "fedat", "registry method to run: "+strings.Join(fl.MethodNames(), ", "))
 
 		// Hierarchical topology.
-		role       = flag.String("role", "flat", "server role: flat (standalone), edge (serves clients, folds up to -root), root (cloud: folds edge pushes)")
-		edges      = flag.Int("edges", 2, "root role: number of edge aggregators")
-		rootAddr   = flag.String("root", "", "edge role: the root server's address")
-		edgeID     = flag.Int("edge-id", 0, "edge role: this edge's id in the root's 0..edges-1 space")
-		edgeFold   = flag.String("edge-fold", "sync", "edge→cloud fold policy: sync (barrier) or async (buffered, staleness-weighted)")
-		edgeBuffer = flag.Int("edge-buffer", 1, "async fold: edge pushes buffered per cloud fold")
-		edgeStale  = flag.Float64("edge-stale-exp", 0.5, "async fold: staleness discount exponent (0 = no discount)")
-		pushEvery  = flag.Int("edge-push-every", 1, "edge role: engine folds per cloud push")
-		topk       = flag.Float64("uplink-topk", 0, "edge→cloud top-k delta compression: fraction of coordinates kept per push (0 = raw, bit-lossless; must match on root and edges)")
+		role      = flag.String("role", "flat", "server role: flat (standalone), edge (serves clients, folds up to -root), root (cloud: folds edge pushes)")
+		edges     = flag.Int("edges", 2, "root role: number of edge aggregators")
+		rootAddr  = flag.String("root", "", "edge role: the root server's address")
+		edgeID    = flag.Int("edge-id", 0, "edge role: this edge's id in the root's 0..edges-1 space")
+		pushEvery = flag.Int("edge-push-every", 1, "edge role: engine folds per cloud push")
 	)
+	// Method composition, staleness, attack/DP and edge→cloud policy flags
+	// are fedsim's: the attack regime directs simnet.AttackTargets over
+	// -seed, the same subset the simulator poisons.
+	shared := cliflags.Bind(flag.CommandLine)
+	shared.BindServer()
 	flag.Parse()
 
-	// An EXPLICIT "-lambda 0" has always meant "no proximal term" and must
-	// keep meaning that, even though an unset flag (also 0) now inherits
-	// the engine default. "-stale-alpha 0" gets the same treatment: an
-	// explicit zero means "no staleness discount", not "use the default" —
-	// at the engine (-stale-alpha) and at the cloud (-edge-stale-exp) alike.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "lambda" && *lambda == 0 {
-			*lambda = fl.LambdaOff
-		}
-		if f.Name == "stale-alpha" && *staleAlpha == 0 {
-			*staleAlpha = fl.StaleExpOff
-		}
-		if f.Name == "edge-stale-exp" && *edgeStale == 0 {
-			*edgeStale = fl.StaleExpOff
-		}
-	})
 	if *dataSeed == 0 {
 		*dataSeed = *seed
-	}
-	akind, err := robust.ParseKind(*attackKind)
-	if err != nil {
-		log.Fatal("fedserver: ", err)
 	}
 
 	fed, factory, err := buildFederation(*ds, *clients, *dataSeed)
@@ -133,16 +89,17 @@ func main() {
 	}
 
 	if *role == "root" {
-		runRoot(rootParams{
-			addr: *addr, edges: *edges, rounds: *rounds,
-			fold: *edgeFold, buffer: *edgeBuffer, staleExp: *edgeStale, topk: *topk,
-			w0: ref.WeightsCopy(), shapes: shapes,
-			fed: fed, factory: factory, seed: *seed, method: *method,
-		})
+		ev := fl.NewDataEvaluator(factory, *seed, fed.Clients)
+		cloud := shared.Cloud
+		cloud.Edges = *edges
+		cloud.W0, cloud.Shapes = ref.WeightsCopy(), shapes
+		cloud.Eval = func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true }
+		cloud.Dataset, cloud.Method = fed.Name, *method
+		runRoot(transport.RootConfig{Addr: *addr, Rounds: *rounds, Cloud: cloud, Logf: log.Printf})
 		return
 	}
 
-	m, err := fl.Compose(*method, *selName, *pacer, *agg, *name)
+	m, err := fl.Compose(*method, shared.Select, shared.Pacer, shared.Agg, shared.Name)
 	if err != nil {
 		log.Fatal("fedserver: ", err)
 	}
@@ -152,54 +109,49 @@ func main() {
 	}
 
 	var observers []fl.Observer
+	var up *transport.EdgeUplink
 	switch *role {
 	case "flat":
 	case "edge":
 		if *rootAddr == "" {
 			log.Fatal("fedserver: -role edge requires -root <addr>")
 		}
-		up, err := transport.DialUplink(transport.UplinkConfig{
+		up, err = transport.DialUplink(transport.UplinkConfig{
 			Root: *rootAddr, EdgeID: *edgeID, NumClients: *clients,
-			PushEvery: *pushEvery, TopKFrac: *topk,
+			PushEvery: *pushEvery, TopKFrac: shared.Cloud.TopKFrac,
 			W0: ref.WeightsCopy(), Shapes: shapes,
 			Logf: log.Printf,
 		})
 		if err != nil {
 			log.Fatal("fedserver: ", err)
 		}
-		defer up.Close()
 		observers = append(observers, up)
 		log.Printf("fedserver: edge %d folding up to root %s", *edgeID, *rootAddr)
 	default:
 		log.Fatalf("fedserver: unknown -role %q (have flat, edge, root)", *role)
 	}
 
+	run := fl.RunConfig{
+		Rounds:          *rounds,
+		ClientsPerRound: *perRound,
+		NumTiers:        *tiers,
+		LocalEpochs:     *epochs,
+		BatchSize:       *batch,
+		Codec:           wire,
+		Seed:            *seed,
+	}
+	shared.ApplyRun(&run) // an unset -lambda stays 0 → fl.DefaultLambda
 	srv, err := transport.NewServer(transport.ServerConfig{
 		Addr:       *addr,
 		NumClients: *clients,
 		Method:     m,
-		Run: fl.RunConfig{
-			Rounds:          *rounds,
-			ClientsPerRound: *perRound,
-			NumTiers:        *tiers,
-			LocalEpochs:     *epochs,
-			BatchSize:       *batch,
-			Lambda:          *lambda, // 0 → fl.DefaultLambda via withDefaults
-			RetierEvery:     *retier,
-			BufferK:         *bufferK,
-			Staleness:       fl.StalenessConfig{Func: *staleFunc, Alpha: *staleAlpha},
-			AdaptiveLR:      *adaptiveLR,
-			DPClip:          *dpClip,
-			DPNoise:         *dpNoise,
-			Codec:           wire,
-			Seed:            *seed,
-		},
+		Run:        run,
 		Shapes:     shapes,
 		W0:         ref.WeightsCopy(),
 		Dataset:    fed.Name,
 		Observers:  observers,
-		Attack:     robust.Attack{Kind: akind, Scale: *attackScale},
-		AttackFrac: *attackFrac,
+		Attack:     shared.Attack(),
+		AttackFrac: shared.Behavior.AttackFrac,
 		// The server mirrors the federation from the shared seed, so it can
 		// evaluate the global model (and feed TiFL's accuracy-driven
 		// selection) without extra client traffic.
@@ -210,53 +162,26 @@ func main() {
 		log.Fatal("fedserver: ", err)
 	}
 	log.Printf("fedserver: listening on %s for %d clients, method %s (%s)", srv.Addr(), *clients, m.Name, m)
-	run, final, err := srv.Run()
+	res, final, err := srv.Run()
+	if up != nil {
+		// Explicitly, not deferred: main leaves through os.Exit.
+		up.Close()
+	}
 	if err != nil {
 		log.Fatal("fedserver: ", err)
 	}
-	reportFinal(run, final, fed, factory, *seed)
+	reportFinal(res, final, fed, factory, *seed)
 	os.Exit(0)
-}
-
-type rootParams struct {
-	addr     string
-	edges    int
-	rounds   int
-	fold     string
-	buffer   int
-	staleExp float64
-	topk     float64
-	w0       []float64
-	shapes   []codec.ShapeInfo
-	fed      *dataset.Federated
-	factory  fl.ModelFactory
-	seed     uint64
-	method   string
 }
 
 // runRoot serves the cloud tier: no engine, no clients of its own — it
 // folds the K edges' pushed models and broadcasts the merged model back.
-func runRoot(p rootParams) {
-	ev := fl.NewDataEvaluator(p.factory, p.seed, p.fed.Clients)
-	root, err := transport.NewRoot(transport.RootConfig{
-		Addr:     p.addr,
-		Edges:    p.edges,
-		Rounds:   p.rounds,
-		Fold:     p.fold,
-		Buffer:   p.buffer,
-		StaleExp: p.staleExp,
-		TopKFrac: p.topk,
-		W0:       p.w0,
-		Shapes:   p.shapes,
-		Eval:     func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true },
-		Dataset:  p.fed.Name,
-		Method:   p.method,
-		Logf:     log.Printf,
-	})
+func runRoot(cfg transport.RootConfig) {
+	root, err := transport.NewRoot(cfg)
 	if err != nil {
 		log.Fatal("fedserver: ", err)
 	}
-	log.Printf("fedserver: root listening on %s for %d edges (%s fold)", root.Addr(), p.edges, p.fold)
+	log.Printf("fedserver: root listening on %s for %d edges", root.Addr(), cfg.Cloud.Edges)
 	run, final, err := root.Run()
 	if err != nil {
 		log.Fatal("fedserver: ", err)

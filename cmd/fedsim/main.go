@@ -32,12 +32,16 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"time"
 
+	"repro/internal/cliflags"
 	"repro/internal/experiments"
 	"repro/internal/fl"
 	"repro/internal/parallel"
 	"repro/internal/report"
+	"repro/internal/simnet"
 )
 
 func main() {
@@ -54,44 +58,23 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit (after a final GC)")
 		simWorkers = flag.Int("sim-workers", 0, "with -compose -topology edge:K, drive the merged virtual timeline on this many workers (edge-local events overlap; results are bit-identical at any value; <=1 = serial)")
 
-		// Composition mode: run one method assembled from policies.
+		// Composition mode: run one method assembled from policies. The
+		// -select/-pacer/-agg overrides and the staleness, re-tiering,
+		// attack/DP and edge→cloud policy knobs are the shared flags
+		// (internal/cliflags); the rest are the simulator's own.
 		compose = flag.String("compose", "", "run a single method composition: a registry method name used as the base spec (see -select/-pacer/-agg)")
-		selName = flag.String("select", "", "override the selection policy: random, oversel, tifl, all")
-		pacer   = flag.String("pacer", "", "override the pacing policy: sync, tier, client, fedbuff")
-		agg     = flag.String("agg", "", "override the aggregation rule spec: avg, eq5, uniform, staleness, asofed, fedasync, asyncsgd, median, trimmed, krum; the staleness family takes params rule[:func[:alpha[:threshold]]], e.g. fedasync:poly:0.5")
-		name    = flag.String("name", "", "display name for the composed method (default derived from overrides)")
 		trace   = flag.Bool("trace", false, "with -compose, print the run's event stream to stderr")
 
-		// Staleness knobs (compose mode): the weight function shared by the
-		// async update rules and the adaptive-LR stage; see the 'staleness'
-		// experiment.
-		staleFunc  = flag.String("stale-func", "", "with -compose, staleness weight function: poly, exp, const, hinge (default poly; an -agg spec's func wins)")
-		staleAlpha = flag.Float64("stale-alpha", 0, "with -compose, staleness discount exponent/rate (unset = engine default 0.5; explicit 0 = no discount)")
-		adaptiveLR = flag.Bool("adaptive-lr", false, "with -compose, scale each dispatch's local learning rate by the staleness weight of its tier/client")
-
-		// Dynamic-population knobs (compose mode): time-varying client
-		// behavior plus runtime re-tiering; see the 'dynamics' experiment.
-		drift  = flag.Float64("drift", 0, "with -compose, speed-drift magnitude per interval (e.g. 0.45; 0 = static speeds)")
-		churn  = flag.Float64("churn", 0, "with -compose, fraction of clients cycling offline (e.g. 0.2; 0 = no churn)")
-		retier = flag.Int("retier-every", 0, "with -compose, re-tier from observed latencies every N global updates (0 = static tiers)")
-
-		// Adversarial / privacy knobs (compose mode); see the 'robustness'
-		// experiment.
-		attackKind  = flag.String("attack", "", "with -compose, attack regime: labelflip, scale, freeride")
-		attackFrac  = flag.Float64("attack-frac", 0, "with -compose, fraction of clients attacking (e.g. 0.3)")
-		attackScale = flag.Float64("attack-scale", 0, "with -compose, scale attack amplification (0 = default 10x)")
-		attackTail  = flag.Bool("attack-tail", false, "with -compose, aim the attack at the slowest clients instead of a seed-drawn subset")
-		dpClip      = flag.Float64("dp-clip", 0, "with -compose, per-client DP delta clip norm (0 = off)")
-		dpNoise     = flag.Float64("dp-noise", 0, "with -compose, DP Gaussian noise multiplier (sigma = multiplier * clip)")
-		bufferK     = flag.Int("buffer-k", 0, "with -compose -pacer fedbuff, arrivals buffered per fold (0 = clients per round)")
-
-		// Hierarchical-topology knobs (compose mode): shard the population
+		// Hierarchical topology (compose mode): shard the population
 		// across K edge aggregators; see the 'hierarchy' experiment.
-		topology   = flag.String("topology", "flat", "with -compose, client topology: flat, or edge:K (K edge aggregators over sharded clients; edge:1 is bit-identical to flat)")
-		edgeFold   = flag.String("edge-fold", "sync", "with -topology edge:K, the edge→cloud fold policy: sync (barrier) or async (buffered, staleness-weighted)")
-		edgeBuffer = flag.Int("edge-buffer", 1, "with -edge-fold async, edge pushes buffered per cloud fold")
-		uplinkTopK = flag.Float64("uplink-topk", 0, "with -topology edge:K, top-k delta compression on the edge→cloud uplink: fraction of coordinates kept (0 = raw, bit-lossless)")
+		topology = flag.String("topology", "flat", "with -compose, client topology: flat, or edge:K (K edge aggregators over sharded clients; edge:1 is bit-identical to flat)")
 	)
+	shared := cliflags.Bind(flag.CommandLine)
+	// Dynamic-population knobs (compose mode): time-varying client behavior
+	// beside the shared -retier-every; see the 'dynamics' experiment.
+	flag.Float64Var(&shared.Behavior.DriftMag, "drift", 0, "with -compose, speed-drift magnitude per interval (e.g. 0.45; 0 = static speeds)")
+	flag.Float64Var(&shared.Behavior.ChurnFrac, "churn", 0, "with -compose, fraction of clients cycling offline (e.g. 0.2; 0 = no churn)")
+	flag.BoolVar(&shared.Behavior.AttackTail, "attack-tail", false, "with -compose, aim the attack at the slowest clients instead of a seed-drawn subset")
 	flag.Parse()
 
 	if *list {
@@ -108,29 +91,21 @@ func main() {
 		}
 		return
 	}
-	// An EXPLICIT "-stale-alpha 0" means "no staleness discount" and must
-	// survive the engine's defaulting, which treats 0 as unset.
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "stale-alpha" && *staleAlpha == 0 {
-			*staleAlpha = fl.StaleExpOff
-		}
-	})
-	dyn := experiments.ComposeDynamics{
-		Drift: *drift, Churn: *churn, RetierEvery: *retier,
-		AttackKind: *attackKind, AttackFrac: *attackFrac, AttackScale: *attackScale, AttackTail: *attackTail,
-		DPClip: *dpClip, DPNoise: *dpNoise, BufferK: *bufferK,
-		StaleFunc: *staleFunc, StaleAlpha: *staleAlpha, AdaptiveLR: *adaptiveLR,
-	}
-	topo, err := parseTopology(*topology, *edgeFold, *edgeBuffer, *uplinkTopK)
+	edges, err := parseTopology(*topology)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedsim:", err)
 		os.Exit(2)
 	}
-	if *simWorkers > 1 && topo.Edges == 0 {
-		fmt.Fprintln(os.Stderr, "fedsim: -sim-workers requires -compose with -topology edge:K (only a merged multi-edge timeline has events to overlap)")
+	edgeOnly := shared.GivenCloud
+	if *simWorkers > 1 {
+		edgeOnly = append(edgeOnly, "-sim-workers")
+	}
+	if edges == 0 && len(edgeOnly) > 0 {
+		fmt.Fprintf(os.Stderr, "fedsim: %s given without -compose -topology edge:K (only a hierarchy has an edge→cloud hop, and only a merged multi-edge timeline has events to overlap)\n", strings.Join(edgeOnly, ", "))
 		os.Exit(2)
 	}
-	topo.Workers = *simWorkers
+	topo := experiments.ComposeTopology{Cloud: shared.Cloud, Workers: *simWorkers}
+	topo.Cloud.Edges = edges
 
 	// The huge preset simulates a million clients lazily; an unbounded heap
 	// lets the GC defer collection of per-round garbage far past the lazy
@@ -148,21 +123,19 @@ func main() {
 	defer stopProfiles()
 
 	if *compose != "" {
-		code := runComposition(*compose, *selName, *pacer, *agg, *name, *preset, *trace, dyn, topo)
+		code := runComposition(*compose, shared, *preset, *trace, topo)
 		stopProfiles()
 		os.Exit(code)
 	}
-	for _, f := range []struct{ name, val string }{{"-select", *selName}, {"-pacer", *pacer}, {"-agg", *agg}} {
-		if f.val != "" {
-			fmt.Fprintf(os.Stderr, "fedsim: %s requires -compose\n", f.name)
-			os.Exit(2)
-		}
-	}
-	if dyn != (experiments.ComposeDynamics{}) {
-		fmt.Fprintln(os.Stderr, "fedsim: -drift/-churn/-retier-every/-attack*/-dp-*/-buffer-k/-stale-*/-adaptive-lr require -compose (the 'dynamics', 'robustness' and 'staleness' experiments carry their own)")
+	if len(shared.Given) > 0 {
+		fmt.Fprintf(os.Stderr, "fedsim: %s given without -compose (the 'dynamics', 'robustness', 'staleness' and 'hierarchy' experiments carry their own)\n", strings.Join(shared.Given, ", "))
 		os.Exit(2)
 	}
-	if topo.Edges > 0 {
+	if shared.Behavior != (simnet.BehaviorConfig{}) {
+		fmt.Fprintln(os.Stderr, "fedsim: -drift/-churn/-attack-tail require -compose (the 'dynamics' and 'robustness' experiments carry their own)")
+		os.Exit(2)
+	}
+	if edges > 0 {
 		fmt.Fprintln(os.Stderr, "fedsim: -topology requires -compose (the 'hierarchy' experiment carries its own)")
 		os.Exit(2)
 	}
@@ -289,37 +262,38 @@ func main() {
 	}
 }
 
-// parseTopology parses -topology (flat | edge:K) plus its companions into
-// a ComposeTopology. Flat is the zero value.
-func parseTopology(s, fold string, buffer int, topk float64) (experiments.ComposeTopology, error) {
+// parseTopology parses -topology (flat | edge:K) into the edge count K;
+// flat is 0. Anything but a whole K >= 1 after "edge:" is an error.
+func parseTopology(s string) (int, error) {
 	if s == "" || s == "flat" {
-		return experiments.ComposeTopology{}, nil
+		return 0, nil
 	}
-	var k int
-	if _, err := fmt.Sscanf(s, "edge:%d", &k); err != nil || k <= 0 {
-		return experiments.ComposeTopology{}, fmt.Errorf("-topology %q: want flat or edge:K with K >= 1", s)
+	if rest, ok := strings.CutPrefix(s, "edge:"); ok {
+		if k, err := strconv.Atoi(rest); err == nil && k >= 1 {
+			return k, nil
+		}
 	}
-	return experiments.ComposeTopology{Edges: k, Fold: fold, Buffer: buffer, TopKFrac: topk}, nil
+	return 0, fmt.Errorf("-topology %q: want flat or edge:K with K >= 1", s)
 }
 
 // runComposition assembles a method from the base registry spec plus the
 // policy overrides, runs it on the standard ablation testbed at the given
 // preset, and prints a run summary. It returns the process exit code;
 // composition and aggregation errors surface here rather than panicking.
-func runComposition(base, sel, pacer, agg, name, preset string, trace bool, dyn experiments.ComposeDynamics, topo experiments.ComposeTopology) int {
+func runComposition(base string, over *cliflags.Shared, preset string, trace bool, topo experiments.ComposeTopology) int {
 	p, err := experiments.PresetByName(preset)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedsim:", err)
 		return 2
 	}
-	m, err := fl.Compose(base, sel, pacer, agg, name)
+	m, err := fl.Compose(base, over.Select, over.Pacer, over.Agg, over.Name)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedsim:", err)
 		return 2
 	}
 
 	var obs []fl.Observer
-	if trace && topo.Edges > 0 {
+	if trace && topo.Cloud.Edges > 0 {
 		fmt.Fprintln(os.Stderr, "fedsim: -trace is a flat-topology feature (a hierarchy has one event stream per edge)")
 		return 2
 	}
@@ -347,6 +321,7 @@ func runComposition(base, sel, pacer, agg, name, preset string, trace bool, dyn 
 	}
 
 	start := time.Now()
+	dyn := experiments.ComposeDynamics{Run: over.ApplyRun, Behavior: over.Behavior}
 	run, err := experiments.RunComposedTopology(p, m, dyn, topo, obs...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedsim:", err)

@@ -1,0 +1,173 @@
+// Package cliflags is the one declaration of the flags cmd/fedsim and
+// cmd/fedserver have in common: the name, the help text and where the value
+// goes. Every flag is a flag.Func, so "was it given" is a fact recorded at
+// parse time rather than a flag.Visit pass afterwards, and the explicit-zero
+// law (zeroOff) lives beside the declarations it governs.
+package cliflags
+
+import (
+	"flag"
+	"strconv"
+
+	"repro/internal/edge"
+	"repro/internal/fl"
+	"repro/internal/robust"
+	"repro/internal/simnet"
+)
+
+// Shared is what the common flags bind onto. A flag that was not given
+// leaves its destination at the zero value, so the engine's own defaults
+// apply.
+type Shared struct {
+	// Select, Pacer, Agg and Name are fl.Compose's override arguments.
+	Select, Pacer, Agg, Name string
+	// Behavior receives the adversarial regime (-attack, -attack-frac,
+	// -attack-scale); Attack is the same regime in the live fabric's terms.
+	Behavior simnet.BehaviorConfig
+	// Cloud receives the edge→cloud policy: -edge-fold, -edge-buffer,
+	// -uplink-topk and, where BindServer declared it, -edge-stale-exp.
+	Cloud edge.CloudConfig
+
+	// Given lists, dash included and in command-line order, the flags
+	// declared here that were given; GivenCloud the ones among them that
+	// only an edge topology consumes.
+	Given, GivenCloud []string
+
+	fs     *flag.FlagSet
+	attack robust.Kind
+	run    []func(*fl.RunConfig) // one setter per engine flag given
+}
+
+// zeroOff is the explicit-zero law. RunConfig.Lambda, StalenessConfig.Alpha
+// and CloudConfig.StaleExp read 0 as "unset, use the default", so a flag
+// GIVEN as 0 — which has always meant "none" — is stored as the field's
+// negative off sentinel. An unset flag never gets here.
+func zeroOff(v, off float64) float64 {
+	if v == 0 {
+		return off
+	}
+	return v
+}
+
+// Bind declares the shared flags on fs.
+func Bind(fs *flag.FlagSet) *Shared {
+	s := &Shared{fs: fs}
+
+	// Method composition.
+	s.str("select", "override the selection `policy`: random, oversel, tifl, all", &s.Select)
+	s.str("pacer", "override the pacing `policy`: sync, tier, client, fedbuff", &s.Pacer)
+	s.str("agg", "override the aggregation rule `spec`: avg, eq5, uniform, staleness, asofed, fedasync, asyncsgd, median, trimmed, krum; the staleness family takes params rule[:func[:alpha[:threshold]]], e.g. fedasync:poly:0.5", &s.Agg)
+	s.str("name", "display `name` for the composed method (default derived from the overrides)", &s.Name)
+	s.runInt("buffer-k", "fedbuff pacer: buffer `K` arrivals per fold (0 = clients per round)",
+		func(c *fl.RunConfig, v int) { c.BufferK = v })
+
+	// The staleness weight function shared by the async update rules and
+	// the adaptive-LR stage.
+	s.declare("stale-func", "staleness weight `function` for async aggregation: poly, exp, const, hinge (default poly; an -agg spec's func wins)",
+		func(v string) error {
+			s.run = append(s.run, func(c *fl.RunConfig) { c.Staleness.Func = v })
+			return nil
+		})
+	s.runFloat("stale-alpha", "staleness discount exponent/rate `a` (unset = engine default 0.5; explicit 0 = no discount)",
+		func(c *fl.RunConfig, v float64) { c.Staleness.Alpha = zeroOff(v, fl.StaleExpOff) })
+	s.declareVia(fs.BoolFunc, "adaptive-lr", "scale each dispatch's local learning rate by the staleness weight of its tier/client", func(v string) error {
+		on, err := strconv.ParseBool(v)
+		s.run = append(s.run, func(c *fl.RunConfig) { c.AdaptiveLR = on })
+		return err
+	})
+	s.runInt("retier-every", "re-tier from observed client latencies every `N` global updates (0 = static tiers)",
+		func(c *fl.RunConfig, v int) { c.RetierEvery = v })
+
+	// Adversarial regime and the per-client DP stage.
+	s.declare("attack", "attack `regime` a deterministic subset of the population runs: labelflip, scale, freeride", func(v string) error {
+		kind, err := robust.ParseKind(v)
+		s.attack, s.Behavior.AttackKind = kind, v
+		return err
+	})
+	s.float("attack-frac", "`fraction` of the population attacking (e.g. 0.3)", &s.Behavior.AttackFrac)
+	s.float("attack-scale", "scale attack amplification `factor` (0 = default 10x)", &s.Behavior.AttackScale)
+	s.runFloat("dp-clip", "per-client DP: clip each local delta to this L2 `norm` (0 = off)",
+		func(c *fl.RunConfig, v float64) { c.DPClip = v })
+	s.runFloat("dp-noise", "DP Gaussian noise `multiplier` (sigma = multiplier * clip)",
+		func(c *fl.RunConfig, v float64) { c.DPNoise = v })
+
+	// The edge→cloud policy of a hierarchy.
+	s.cloudFlag("edge-fold", "edge→cloud fold `policy`: sync (barrier, the default) or async (buffered, staleness-weighted)",
+		func(v string) error { s.Cloud.Fold = v; return nil })
+	s.cloudFlag("edge-buffer", "async fold: buffer `K` edge pushes per cloud fold (default 1)",
+		func(v string) (err error) { s.Cloud.Buffer, err = strconv.Atoi(v); return err })
+	s.cloudFlag("uplink-topk", "edge→cloud top-k delta compression: `fraction` of coordinates kept per push (0 = raw, bit-lossless; root and edges must agree)",
+		func(v string) (err error) { s.Cloud.TopKFrac, err = strconv.ParseFloat(v, 64); return err })
+	return s
+}
+
+// BindServer declares the two flags only fedserver has that fall under the
+// explicit-zero law.
+func (s *Shared) BindServer() {
+	s.runFloat("lambda", "proximal `coefficient` for Prox methods (Eq. 3); unset inherits the engine default, explicit 0 or negative disables",
+		func(c *fl.RunConfig, v float64) { c.Lambda = zeroOff(v, fl.LambdaOff) })
+	s.declare("edge-stale-exp", "async fold: staleness discount `exponent` (unset = default 0.5; explicit 0 = no discount)", func(v string) error {
+		a, err := strconv.ParseFloat(v, 64)
+		s.Cloud.StaleExp = zeroOff(a, fl.StaleExpOff)
+		return err
+	})
+}
+
+// ApplyRun writes every engine flag that was given into cfg and leaves the
+// rest of cfg alone.
+func (s *Shared) ApplyRun(cfg *fl.RunConfig) {
+	for _, set := range s.run {
+		set(cfg)
+	}
+}
+
+// Attack is the -attack/-attack-scale regime as the live fabric takes it.
+func (s *Shared) Attack() robust.Attack {
+	return robust.Attack{Kind: s.attack, Scale: s.Behavior.AttackScale}
+}
+
+// declare registers one value flag whose parse records that it was given;
+// declareVia is the same over fs.Func or fs.BoolFunc.
+func (s *Shared) declare(name, usage string, set func(string) error) {
+	s.declareVia(s.fs.Func, name, usage, set)
+}
+
+func (s *Shared) declareVia(register func(name, usage string, fn func(string) error), name, usage string, set func(string) error) {
+	register(name, usage, func(v string) error {
+		s.Given = append(s.Given, "-"+name)
+		return set(v)
+	})
+}
+
+func (s *Shared) cloudFlag(name, usage string, set func(string) error) {
+	s.declare(name, usage, func(v string) error {
+		s.GivenCloud = append(s.GivenCloud, "-"+name)
+		return set(v)
+	})
+}
+
+func (s *Shared) str(name, usage string, dst *string) {
+	s.declare(name, usage, func(v string) error { *dst = v; return nil })
+}
+
+func (s *Shared) float(name, usage string, dst *float64) {
+	s.declare(name, usage, func(v string) (err error) { *dst, err = strconv.ParseFloat(v, 64); return err })
+}
+
+// runInt and runFloat declare an engine flag: giving it records a setter
+// that ApplyRun replays onto whichever RunConfig the binary assembles.
+func (s *Shared) runInt(name, usage string, set func(*fl.RunConfig, int)) {
+	s.declare(name, usage, func(v string) error {
+		n, err := strconv.Atoi(v)
+		s.run = append(s.run, func(c *fl.RunConfig) { set(c, n) })
+		return err
+	})
+}
+
+func (s *Shared) runFloat(name, usage string, set func(*fl.RunConfig, float64)) {
+	s.declare(name, usage, func(v string) error {
+		f, err := strconv.ParseFloat(v, 64)
+		s.run = append(s.run, func(c *fl.RunConfig) { set(c, f) })
+		return err
+	})
+}

@@ -161,13 +161,3 @@ func (Quant8) Decode(data []byte, out []float64) error {
 	}
 	return nil
 }
-
-// CompressionRatio reports uncompressed float64 bytes divided by encoded
-// bytes for a given payload — the metric the paper quotes (up to 3.5×).
-func CompressionRatio(c Codec, w []float64) float64 {
-	enc := c.Encode(w)
-	if len(enc) == 0 {
-		return 0
-	}
-	return float64(8*len(w)) / float64(len(enc))
-}

@@ -149,10 +149,10 @@ func TestEdgeTwoDeterministic(t *testing.T) {
 				return edge.Run(fl.Methods["fedat"], cfg, []edge.Child{
 					{Fabric: env0.FabricOn},
 					{Fabric: env1.FabricOn},
-				}, edge.Options{
+				}, edge.Options{Cloud: edge.CloudConfig{
 					Fold: fold,
 					Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
-				})
+				}})
 			}
 			a, err := once()
 			if err != nil {
@@ -206,10 +206,10 @@ func TestChurnedEdgeRevives(t *testing.T) {
 	res, err := edge.Run(fl.Methods["fedat"], cfg, []edge.Child{
 		{Fabric: env0.FabricOn},
 		{Fabric: env1.FabricOn},
-	}, edge.Options{
+	}, edge.Options{Cloud: edge.CloudConfig{
 		Fold: edge.FoldSync,
 		Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

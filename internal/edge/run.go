@@ -19,32 +19,26 @@ type Child struct {
 
 // Options configures a hierarchical run.
 type Options struct {
-	// Fold is the edge→cloud policy (FoldSync default) and Buffer /
-	// StaleExp its async parameters, as in CloudConfig.
-	Fold     string
-	Buffer   int
-	StaleExp float64
+	// Cloud is the edge→cloud policy: the fold, its async parameters, the
+	// uplink compressor and the merged-model evaluator. Run derives Edges,
+	// W0, Shapes, Dataset and Method from the children and the method.
+	Cloud CloudConfig
 	// PushEvery is how many of its own folds an edge completes per cloud
 	// push; default 1 (push every fold).
 	PushEvery int
-	// TopKFrac enables the top-k delta uplink compressor (CloudConfig).
-	TopKFrac float64
-	// Eval evaluates the merged cloud model over the union population
-	// (optional), every EvalEvery-th cloud fold.
-	Eval      func(w []float64) (fl.Result, bool)
-	EvalEvery int
-	// SeedStride offsets edge e's engine seed by e*SeedStride, so edges
-	// draw uncorrelated selection streams; edge 0 always keeps cfg.Seed,
-	// which is what makes a 1-edge hierarchy replay the flat run exactly.
-	// Default 1_000_003.
-	SeedStride uint64
 	// Workers sets how many edge-local events the merged timeline may
 	// execute concurrently (simnet.MultiClock.DriveWorkers). <=1 keeps the
 	// fully serial driver. Any value produces bit-identical results — fold
-	// sites serialize at quiescent points — so Workers trades nothing but
-	// CPU for wall clock.
+	// sites serialize at quiescent points. What it buys in wall clock
+	// depends on how much of the machine cohort training already fills
+	// (DESIGN.md, "Sharded virtual time", has the measured figures).
 	Workers int
 }
+
+// seedStride offsets edge e's engine seed by e*seedStride, so edges draw
+// uncorrelated selection streams; edge 0 always keeps cfg.Seed, which is
+// what makes a 1-edge hierarchy replay the flat run exactly.
+const seedStride = 1_000_003
 
 // Result is a hierarchical run's record: the cloud-level run (edge folds,
 // staleness, cloud traffic, merged-model evaluations), each edge engine's
@@ -68,7 +62,7 @@ type Result struct {
 // order, so same seed → bit-identical runs regardless of goroutine
 // scheduling. With opts.Workers > 1 edge-local events of distinct edges
 // overlap on worker goroutines while fold sites still execute alone at
-// quiescent points — same ordering guarantees, shorter wall clock.
+// quiescent points — same ordering guarantees.
 func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result, error) {
 	k := len(children)
 	if k == 0 {
@@ -76,9 +70,6 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result
 	}
 	if opts.PushEvery <= 0 {
 		opts.PushEvery = 1
-	}
-	if opts.SeedStride == 0 {
-		opts.SeedStride = 1_000_003
 	}
 
 	mc := simnet.NewMultiClock(k)
@@ -91,19 +82,13 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result
 			return nil, fmt.Errorf("edge: child %d built a nil fabric", e)
 		}
 	}
-	cloud, err := NewCloud(CloudConfig{
-		Edges:     k,
-		Fold:      opts.Fold,
-		Buffer:    opts.Buffer,
-		StaleExp:  opts.StaleExp,
-		W0:        fabrics[0].InitialWeights(),
-		Shapes:    fabrics[0].Shapes(),
-		TopKFrac:  opts.TopKFrac,
-		Eval:      opts.Eval,
-		EvalEvery: opts.EvalEvery,
-		Dataset:   fabrics[0].Dataset(),
-		Method:    m.Name,
-	})
+	ccfg := opts.Cloud
+	ccfg.Edges = k
+	ccfg.W0 = fabrics[0].InitialWeights()
+	ccfg.Shapes = fabrics[0].Shapes()
+	ccfg.Dataset = fabrics[0].Dataset()
+	ccfg.Method = m.Name
+	cloud, err := NewCloud(ccfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +103,7 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result
 	var wg sync.WaitGroup
 	for e := 0; e < k; e++ {
 		cfgE := cfg
-		cfgE.Seed = cfg.Seed + uint64(e)*opts.SeedStride
+		cfgE.Seed = cfg.Seed + uint64(e)*seedStride
 		syncer := &edgeSyncer{cloud: cloud, edge: e, pushEvery: opts.PushEvery}
 		wg.Add(1)
 		go func(e int, syncer *edgeSyncer) {

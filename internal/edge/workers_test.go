@@ -49,8 +49,10 @@ func runHierarchyMethodAt(t *testing.T, m fl.Method, mutate func(*fl.RunConfig),
 		children[e] = edge.Child{Fabric: env.FabricOn}
 	}
 	res, err := edge.Run(m, cfg, children, edge.Options{
-		Fold:    edge.FoldSync,
-		Eval:    func([]float64) (fl.Result, bool) { return fl.Result{}, true },
+		Cloud: edge.CloudConfig{
+			Fold: edge.FoldSync,
+			Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
+		},
 		Workers: workers,
 	})
 	if err != nil {

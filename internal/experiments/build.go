@@ -39,21 +39,7 @@ func buildFed(p Preset, d dsSpec) (*dataset.Federated, error) {
 	if d.large {
 		clients = p.LargeClients
 	}
-	seed := p.Seed + uint64(d.classesPerClient)
-	switch d.name {
-	case "cifar10":
-		return dataset.CIFAR10Like(clients, d.classesPerClient, p.DataScale, seed)
-	case "fashion":
-		return dataset.FashionLike(clients, d.classesPerClient, p.DataScale, seed)
-	case "sent140":
-		return dataset.Sent140Like(clients, d.classesPerClient, p.DataScale, seed)
-	case "femnist":
-		return dataset.FEMNISTLike(clients, p.DataScale, seed)
-	case "reddit":
-		return dataset.RedditLike(clients, p.DataScale, seed)
-	default:
-		return nil, fmt.Errorf("experiments: unknown dataset %q", d.name)
-	}
+	return buildFedSized(p, d, clients, 0)
 }
 
 // modelFactory picks the paper's architecture for a dataset (§6 "Models").
@@ -233,68 +219,31 @@ func simulateCell(c cell) (*metrics.Run, error) {
 	return method.Run(env)
 }
 
-// ComposeDynamics are the optional dynamic-population knobs of fedsim's
-// compose mode (-drift / -churn / -retier-every, plus the adversarial and
-// privacy knobs). The zero value runs the static testbed. Kept comparable:
-// fedsim detects "any knob set" by comparing against the zero value.
+// ComposeDynamics is what fedsim's compose mode lays over the standard
+// testbed, in the two shapes the testbed is built from. The zero value
+// runs the static testbed.
 type ComposeDynamics struct {
-	// Drift is the speed random-walk magnitude per interval (0 = off); the
-	// interval, clamp and churn windows are the dynamics experiment's.
-	Drift float64
-	// Churn is the fraction of clients cycling offline (0 = off).
-	Churn float64
-	// RetierEvery re-tiers from observed latencies every N global updates
-	// (0 = static tiers).
-	RetierEvery int
-	// AttackKind/AttackFrac/AttackScale switch on an adversarial subpopulation
-	// (internal/robust attack kinds); AttackTail aims it at the slowest
-	// clients instead of a seed-drawn subset.
-	AttackKind  string
-	AttackFrac  float64
-	AttackScale float64
-	AttackTail  bool
-	// DPClip/DPNoise enable the per-client DP stage (clip norm, noise
-	// multiplier).
-	DPClip  float64
-	DPNoise float64
-	// BufferK sizes the fedbuff pacer's fold buffer (0 = clients per round).
-	BufferK int
-	// StaleFunc/StaleAlpha configure the staleness weight function shared by
-	// the async update rules and the adaptive-LR stage ("" / 0 = engine
-	// defaults; an -agg spec's own parameters win over these).
-	StaleFunc  string
-	StaleAlpha float64
-	// AdaptiveLR scales each dispatch's local learning rate by the staleness
-	// weight of its tier/client.
-	AdaptiveLR bool
+	// Run writes the engine-side knobs (re-tiering, DP, fedbuff buffer,
+	// staleness, adaptive LR) into the preset's RunConfig; nil leaves it
+	// alone.
+	Run func(*fl.RunConfig)
+	// Behavior is the population regime: DriftMag, ChurnFrac and the
+	// Attack* fields are the caller's; the drift interval, clamp and churn
+	// windows are always the dynamics experiment's.
+	Behavior simnet.BehaviorConfig
 }
 
-// behavior assembles the simnet behavior regime these knobs describe; the
-// drift interval, clamp and churn windows are the dynamics experiment's.
-func (dyn ComposeDynamics) behavior() simnet.BehaviorConfig {
-	return simnet.BehaviorConfig{
-		DriftMag:      dyn.Drift,
-		DriftInterval: dynBehavior.DriftInterval,
-		DriftClamp:    dynBehavior.DriftClamp,
-		ChurnFrac:     dyn.Churn,
-		ChurnOn:       dynBehavior.ChurnOn,
-		ChurnOff:      dynBehavior.ChurnOff,
-		AttackKind:    dyn.AttackKind,
-		AttackFrac:    dyn.AttackFrac,
-		AttackScale:   dyn.AttackScale,
-		AttackTail:    dyn.AttackTail,
+func (dyn ComposeDynamics) applyRun(cfg *fl.RunConfig) {
+	if dyn.Run != nil {
+		dyn.Run(cfg)
 	}
 }
 
-// applyRun writes the engine-side knobs into a RunConfig.
-func (dyn ComposeDynamics) applyRun(cfg *fl.RunConfig) {
-	cfg.RetierEvery = dyn.RetierEvery
-	cfg.DPClip = dyn.DPClip
-	cfg.DPNoise = dyn.DPNoise
-	cfg.BufferK = dyn.BufferK
-	cfg.Staleness.Func = dyn.StaleFunc
-	cfg.Staleness.Alpha = dyn.StaleAlpha
-	cfg.AdaptiveLR = dyn.AdaptiveLR
+func (dyn ComposeDynamics) behavior() simnet.BehaviorConfig {
+	b := dyn.Behavior
+	b.DriftInterval, b.DriftClamp = dynBehavior.DriftInterval, dynBehavior.DriftClamp
+	b.ChurnOn, b.ChurnOff = dynBehavior.ChurnOn, dynBehavior.ChurnOff
+	return b
 }
 
 // RunComposedDynamics runs an explicit policy composition on the standard

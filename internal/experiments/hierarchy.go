@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/edge"
 	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -34,9 +35,8 @@ type hierarchyRow struct {
 func Hierarchy(p Preset) (*Report, error) {
 	rep := &Report{ID: "hierarchy", Title: "Hierarchical edge fabric: flat vs K-edge topologies"}
 	dyn := ComposeDynamics{
-		Drift:       dynBehavior.DriftMag,
-		Churn:       dynBehavior.ChurnFrac,
-		RetierEvery: dynRetierEvery,
+		Run:      func(cfg *fl.RunConfig) { cfg.RetierEvery = dynRetierEvery },
+		Behavior: dynBehavior,
 	}
 	m, err := fl.Lookup("fedat")
 	if err != nil {
@@ -45,10 +45,10 @@ func Hierarchy(p Preset) (*Report, error) {
 
 	rows := []hierarchyRow{
 		{"flat", ComposeTopology{}},
-		{"edge1/sync", ComposeTopology{Edges: 1, Fold: "sync"}},
-		{"edge2/sync", ComposeTopology{Edges: 2, Fold: "sync"}},
-		{"edge2/async", ComposeTopology{Edges: 2, Fold: "async", Buffer: 1}},
-		{"edge2/async+topk", ComposeTopology{Edges: 2, Fold: "async", Buffer: 1, TopKFrac: 0.25}},
+		{"edge1/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}}},
+		{"edge2/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}}},
+		{"edge2/async", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1}}},
+		{"edge2/async+topk", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1, TopKFrac: 0.25}}},
 	}
 
 	tb := report.NewTable("fedat on cifar10(#2) under speed drift + churn",
@@ -75,11 +75,11 @@ func Hierarchy(p Preset) (*Report, error) {
 		folds := report.Str("-")
 		stale := report.Str("-")
 		cloudMB := report.Str("-")
-		if row.topo.Edges > 0 {
+		if row.topo.Cloud.Edges > 0 {
 			folds = report.Num(float64(run.EdgeFolds), fmt.Sprint(run.EdgeFolds))
 			stale = report.Numf("%.2f", staleness)
 		}
-		if row.topo.Edges > 1 {
+		if row.topo.Cloud.Edges > 1 {
 			cloudMB = report.Numf("%.2f", float64(run.UpBytes)/1e6)
 		}
 		tb.AddRow(report.Str(row.key),

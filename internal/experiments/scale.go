@@ -65,9 +65,10 @@ func scaleConfigs(p Preset, n int) (dataset.Config, simnet.ClusterConfig, fl.Run
 		NumTiers:        5,
 		EvalEvery:       2,
 		Seed:            p.Seed,
-		// EvalSample unset: the derived environment's fixed default panel.
-		// The table's accuracy column measures the panel at every rung, so
-		// rungs are comparable to each other (not to full-population runs).
+		// The derived environment evaluates its fixed fl.DefaultEvalSample
+		// panel: the table's accuracy column measures the panel at every
+		// rung, so rungs are comparable to each other (not to
+		// full-population runs).
 	}
 	return dcfg, ccfg, rcfg
 }

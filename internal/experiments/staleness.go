@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/edge"
 	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/report"
@@ -310,8 +311,11 @@ func Staleness(p Preset) (*Report, error) {
 	// the population). The staleness knobs ride through ComposeDynamics —
 	// the same path fedsim's -stale-* flags take.
 	dyn := ComposeDynamics{
-		Drift: dynBehavior.DriftMag, Churn: dynBehavior.ChurnFrac,
-		BufferK: staleBufferK, StaleFunc: fl.StaleFuncPoly, StaleAlpha: 0.5,
+		Run: func(cfg *fl.RunConfig) {
+			cfg.BufferK = staleBufferK
+			cfg.Staleness = fl.StalenessConfig{Func: fl.StaleFuncPoly, Alpha: 0.5}
+		},
+		Behavior: dynBehavior,
 	}
 	edgeMethod, err := fl.Compose("fedasync", "", "fedbuff", staleSpec("fedasync", fl.StaleFuncPoly, 0.5), "fedasync:poly:0.5@fedbuff")
 	if err != nil {
@@ -323,8 +327,8 @@ func Staleness(p Preset) (*Report, error) {
 		key  string
 		topo ComposeTopology
 	}{
-		{"edge1/sync", ComposeTopology{Edges: 1, Fold: "sync"}},
-		{"edge2/sync", ComposeTopology{Edges: 2, Fold: "sync"}},
+		{"edge1/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}}},
+		{"edge2/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}}},
 	} {
 		run, err := RunComposedTopology(p, edgeMethod, dyn, row.topo)
 		if err != nil {

@@ -15,15 +15,12 @@ import (
 // the population is sharded across K edge aggregators, each running the
 // full unmodified method engine, folding up into a cloud model.
 type ComposeTopology struct {
-	// Edges is K; 0 means flat (no hierarchy layer at all). Edges=1 runs
+	// Cloud is the edge→cloud policy (Fold, Buffer, StaleExp, TopKFrac).
+	// Cloud.Edges is K; 0 means flat (no hierarchy layer at all), 1 runs
 	// the hierarchy machinery as a pass-through, bit-identical to flat.
-	Edges int
-	// Fold is the edge→cloud policy (edge.FoldSync / edge.FoldAsync);
-	// Buffer its async push budget.
-	Fold   string
-	Buffer int
-	// TopKFrac enables the top-k delta uplink compressor (0 = raw).
-	TopKFrac float64
+	// The model, the labels and the merged-model evaluator are filled in
+	// from the testbed.
+	Cloud edge.CloudConfig
 	// Workers lets edge-local events of distinct edges execute on that
 	// many OS workers (simnet.MultiClock.DriveWorkers); <=1 keeps the
 	// serial driver. Results are bit-identical at any value.
@@ -39,8 +36,8 @@ const edgeSeedStride = 1009
 // population contiguously — edge e gets its own federated dataset and its
 // own cluster, seeds offset by e so shards draw distinct data and latency
 // populations — and runs the simulated hierarchy on one merged timeline.
-func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, topo ComposeTopology, mutate func(*fl.RunConfig)) (*edge.Result, error) {
-	k := topo.Edges
+func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, topo ComposeTopology) (*edge.Result, error) {
+	k := topo.Cloud.Edges
 	if k <= 0 {
 		return nil, fmt.Errorf("experiments: hierarchy needs at least one edge")
 	}
@@ -54,9 +51,6 @@ func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, topo Com
 
 	cfg := runConfig(p, d)
 	dyn.applyRun(&cfg)
-	if mutate != nil {
-		mutate(&cfg)
-	}
 	applyRoundBudget(&cfg, m)
 
 	behavior := dyn.behavior()
@@ -94,25 +88,20 @@ func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, topo Com
 		children[e] = edge.Child{Fabric: env.FabricOn}
 	}
 
-	opts := edge.Options{
-		Fold:     topo.Fold,
-		Buffer:   topo.Buffer,
-		TopKFrac: topo.TopKFrac,
-		Workers:  topo.Workers,
-	}
+	opts := edge.Options{Cloud: topo.Cloud, Workers: topo.Workers}
 	if k > 1 {
 		// The cloud evaluates its merged model over the union population.
 		// A 1-edge hierarchy skips this: its record IS the edge engine's,
 		// already evaluated on the engine's own cadence.
 		ev := fl.NewDataEvaluator(factory, p.Seed, allShards)
-		opts.Eval = func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true }
-		opts.EvalEvery = cfg.EvalEvery
+		opts.Cloud.Eval = func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true }
+		opts.Cloud.EvalEvery = cfg.EvalEvery
 	}
 	return edge.Run(m, cfg, children, opts)
 }
 
 // buildFedSized is buildFed with an explicit client count and a data-seed
-// offset — the per-edge shard construction.
+// offset — the per-edge shard construction; buildFed is the offset-0 case.
 func buildFedSized(p Preset, d dsSpec, clients int, seedOffset uint64) (*dataset.Federated, error) {
 	seed := p.Seed + uint64(d.classesPerClient) + seedOffset
 	switch d.name {
@@ -138,14 +127,14 @@ func buildFedSized(p Preset, d dsSpec, clients int, seedOffset uint64) (*dataset
 // merged-model evaluations). Event observers are a flat-topology feature —
 // a hierarchy has K event streams, so -trace style observers are rejected.
 func RunComposedTopology(p Preset, m fl.Method, dyn ComposeDynamics, topo ComposeTopology, obs ...fl.Observer) (*metrics.Run, error) {
-	if topo.Edges <= 0 {
+	if topo.Cloud.Edges <= 0 {
 		return RunComposedDynamics(p, m, dyn, obs...)
 	}
 	if len(obs) > 0 {
 		return nil, fmt.Errorf("experiments: event observers are not supported with an edge topology (a hierarchy has one stream per edge)")
 	}
 	return simulateDirect(func() (*metrics.Run, error) {
-		res, err := runHierarchy(p, dsSpec{name: "cifar10", classesPerClient: 2}, m, dyn, topo, nil)
+		res, err := runHierarchy(p, dsSpec{name: "cifar10", classesPerClient: 2}, m, dyn, topo)
 		if err != nil {
 			return nil, err
 		}

@@ -183,7 +183,6 @@ func TestRetierRevivesDeadTier(t *testing.T) {
 	cfg.Rounds = 60
 	cfg.NumTiers = 2
 	cfg.RetierEvery = 2
-	cfg.RetierAlpha = 0.5
 	env, _, cluster := testEnvParts(t, 0, cfg)
 	tiers := mustTiers(t, env)
 	// Tier 0 dies at t=5 — during its FIRST round, well before the slow

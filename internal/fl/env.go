@@ -29,7 +29,6 @@ type RunConfig struct {
 	// inherit the default from here rather than re-declaring 0.4.
 	Lambda       float64
 	LearningRate float64
-	UseSGD       bool // default is Adam, the paper's local solver
 
 	NumTiers int // M (5 in the paper)
 
@@ -38,9 +37,6 @@ type RunConfig struct {
 	// FedAT compresses.
 	Codec codec.Codec
 
-	// AsyncAlpha is the async family's server blend weight α (FedAsync's
-	// mixing rate; asyncsgd's server step size).
-	AsyncAlpha float64
 	// Staleness parameterizes the async family's staleness discount g(s):
 	// the weight function, its decay parameter, and hinge's flat region.
 	// The zero value inherits poly with decay 0.5.
@@ -52,10 +48,6 @@ type RunConfig struct {
 	// LRScale, and stays bit-identical to builds without the stage.
 	AdaptiveLR bool
 
-	// TiFL adaptive selection parameters.
-	TiFLCredits  int
-	TiFLInterval int
-
 	// MisTierFrac corrupts this fraction of the profiled latencies before
 	// tiering (clients land in arbitrary tiers) — the mis-profiling
 	// scenario §2.1 argues FedAT tolerates but TiFL does not. 0 disables.
@@ -64,14 +56,6 @@ type RunConfig struct {
 	// EvalEvery evaluates the global model every this many global updates
 	// (1 = every update).
 	EvalEvery int
-	// EvalSample caps how many clients an environment over a derived
-	// population (NewLazyEnv) measures per evaluation (0 =
-	// DefaultEvalSample, capped by the population). A huge population
-	// cannot afford a full-population test pass every eval; a fixed
-	// deterministic panel keeps evaluation O(1) in N. An environment over a
-	// retained population (NewEnv) holds every shard anyway, evaluates all
-	// of them and ignores this field.
-	EvalSample int
 	// MaxSimTime stops a run after this much virtual time (0 = no limit).
 	MaxSimTime float64
 
@@ -85,13 +69,6 @@ type RunConfig struct {
 	// staleness, ASO-Fed) has no partition to re-tier, so the knob is
 	// likewise inert there.
 	RetierEvery int
-	// RetierAlpha is the EWMA weight of each new latency observation
-	// (default 0.3).
-	RetierAlpha float64
-	// RetierMargin is the relative hysteresis band a smoothed latency must
-	// clear beyond a tier boundary before the client migrates
-	// (default 0.15).
-	RetierMargin float64
 
 	// DPClip > 0 enables the per-client differential-privacy stage on
 	// every local update: clip the delta to this L2 norm, then add
@@ -100,13 +77,6 @@ type RunConfig struct {
 	// draws nothing and stays byte-identical to builds without the stage.
 	DPClip  float64
 	DPNoise float64
-
-	// TrimBeta is the per-side trim fraction of the "trimmed" robust
-	// update rule (default 0.2).
-	TrimBeta float64
-	// KrumF is the byzantine count the "krum" rule tolerates; 0 picks the
-	// standard (cohort-3)/2 adaptively per fold.
-	KrumF int
 
 	// BufferK is the "fedbuff" pacer's buffer size: the global model folds
 	// once every K client arrivals (default ClientsPerRound).
@@ -123,6 +93,29 @@ const DefaultLambda = 0.4
 // (RunConfig.Lambda 0 means "use DefaultLambda", so disabling needs a
 // sentinel).
 const LambdaOff = -1.0
+
+// Hyperparameters no caller varies, so constants rather than RunConfig
+// fields; each is read at the one site that uses it (DESIGN.md §1h).
+const (
+	// tiflCredits and tiflInterval are TiFL's per-tier selection budget
+	// and its accuracy-refresh period in rounds (Chai et al., taken as
+	// given by the paper's §6 comparison).
+	tiflCredits  = 20
+	tiflInterval = 10
+	// retierAlpha is the EWMA weight of each new latency observation under
+	// RetierEvery; retierMargin the relative hysteresis band a smoothed
+	// latency must clear beyond a tier boundary before the client migrates.
+	retierAlpha  = 0.3
+	retierMargin = 0.15
+	// trimBeta is the "trimmed" rule's per-side trim fraction.
+	trimBeta = 0.2
+	// krumAdaptive asks robust.Krum for the standard (cohort-3)/2
+	// byzantine count, resolved per fold from the cohort it sees.
+	krumAdaptive = -1
+	// asyncAlpha is the async family's server blend weight α (FedAsync's
+	// mixing rate; asyncsgd's server step size).
+	asyncAlpha = 0.6
+)
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Rounds <= 0 {
@@ -152,9 +145,6 @@ func (c RunConfig) withDefaults() RunConfig {
 	if c.Codec == nil {
 		c.Codec = codec.Raw{}
 	}
-	if c.AsyncAlpha <= 0 {
-		c.AsyncAlpha = 0.6
-	}
 	if c.Staleness.Func == "" {
 		c.Staleness.Func = StaleFuncPoly
 	}
@@ -166,23 +156,8 @@ func (c RunConfig) withDefaults() RunConfig {
 		// instead of being silently re-defaulted to 0.5.
 		c.Staleness.Alpha = 0.5
 	}
-	if c.TiFLCredits <= 0 {
-		c.TiFLCredits = 20
-	}
-	if c.TiFLInterval <= 0 {
-		c.TiFLInterval = 10
-	}
 	if c.EvalEvery <= 0 {
 		c.EvalEvery = 1
-	}
-	if c.RetierAlpha <= 0 || c.RetierAlpha > 1 {
-		c.RetierAlpha = 0.3
-	}
-	if c.RetierMargin <= 0 {
-		c.RetierMargin = 0.15
-	}
-	if c.TrimBeta <= 0 {
-		c.TrimBeta = 0.2
 	}
 	if c.BufferK <= 0 {
 		c.BufferK = c.ClientsPerRound
@@ -196,9 +171,11 @@ func (c RunConfig) withDefaults() RunConfig {
 type ModelFactory func(seed uint64) *nn.Network
 
 // DefaultEvalSample is the evaluation panel size of an environment over a
-// derived population when RunConfig.EvalSample is unset. Populations at or
-// below it are evaluated in full — which is why a small derived run is
-// bit-identical to the retained one (TestLazyEnvMatchesEagerRun pins that).
+// derived population (NewLazyEnv). A huge population cannot afford a
+// full-population test pass every eval; a fixed deterministic panel keeps
+// evaluation O(1) in N. Populations at or below it are evaluated in full —
+// which is why a small derived run is bit-identical to the retained one
+// (TestLazyEnvMatchesEagerRun pins that).
 const DefaultEvalSample = 256
 
 // shardSource is where an environment's client data lives: a retained
@@ -238,7 +215,7 @@ type runtimeSource interface {
 // whatever N is (TestLazyEnvMemoryCeiling, TestEngineRoundByteCeiling).
 // Both are bit-identical in everything the engine observes; they differ
 // only in that a derived population is evaluated on a fixed panel of
-// RunConfig.EvalSample clients rather than all N.
+// DefaultEvalSample clients rather than all N.
 //
 // Either way the training machinery — model replica, optimizer, batch
 // scratch — belongs to a worker, not to a client: the pool grows to the
@@ -279,16 +256,12 @@ func NewEnv(fed *dataset.Federated, cluster *simnet.Cluster, factory ModelFactor
 
 // NewLazyEnv wires a synthesizing dataset source to a lazy population. The
 // two must agree on the population size. Evaluation covers a fixed panel
-// of cfg.EvalSample clients whose shards are synthesized per pass.
+// of DefaultEvalSample clients whose shards are synthesized per pass.
 func NewLazyEnv(src *dataset.Source, pop *simnet.Population, factory ModelFactory, cfg RunConfig) (*Env, error) {
 	if src.NumClients() != pop.NumClients() {
 		return nil, fmt.Errorf("fl: population has %d clients, dataset has %d", pop.NumClients(), src.NumClients())
 	}
-	panel := cfg.EvalSample
-	if panel <= 0 {
-		panel = DefaultEvalSample
-	}
-	return newEnv(src.Name(), src.NumClients(), src.Classes(), src, pop, pop.Links(), panel, factory, cfg), nil
+	return newEnv(src.Name(), src.NumClients(), src.Classes(), src, pop, pop.Links(), DefaultEvalSample, factory, cfg), nil
 }
 
 // newEnv is the one construction path: n clients of the named dataset,
@@ -348,13 +321,9 @@ func (e *Env) ResetState() { e.runtimes.Reset() }
 // newWorker builds one pooled training slot — the only place the simulated
 // environment constructs a model replica for training, or an optimizer.
 func (e *Env) newWorker() *Client {
-	var o opt.Optimizer
-	if e.Cfg.UseSGD {
-		o = opt.NewSGD(e.Cfg.LearningRate)
-	} else {
-		o = opt.NewAdam(e.Cfg.LearningRate)
-	}
-	return &Client{Net: e.factory(e.Cfg.Seed), Opt: o} // same init everywhere; server state rules
+	// Adam is the paper's local solver (§6); the same init everywhere,
+	// server state rules.
+	return &Client{Net: e.factory(e.Cfg.Seed), Opt: opt.NewAdam(e.Cfg.LearningRate)}
 }
 
 // bind points a pooled worker at client id: fetch the shard (or synthesize

@@ -159,7 +159,7 @@ func (m Method) RunOn(fab Fabric, cfg RunConfig, obs ...Observer) (*metrics.Run,
 		}
 	}
 	if cfg.RetierEvery > 0 {
-		rs.lat = tiering.NewTracker(fab.NumClients(), cfg.RetierAlpha)
+		rs.lat = tiering.NewTracker(fab.NumClients(), retierAlpha)
 	}
 	// The update rule initializes before the selector: selectors that adapt
 	// to the global state (TiFL's accuracy-driven credits) may read it from
@@ -416,7 +416,7 @@ func (rs *runState) maybeRetier(now float64) (bool, error) {
 		return false, nil
 	}
 	rs.lastRetier = t
-	next, moved, err := tiering.Retier(rs.lat.Estimates(), rs.tiers, tiering.RetierOpts{Margin: rs.cfg.RetierMargin})
+	next, moved, err := tiering.Retier(rs.lat.Estimates(), rs.tiers, tiering.RetierOpts{Margin: retierMargin})
 	if err != nil {
 		return false, err
 	}

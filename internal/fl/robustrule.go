@@ -20,21 +20,14 @@ import (
 // so folding retains nothing from the update buffers the engine recycles
 // and allocates nothing in steady state (the PR 6 budgets).
 type robustRule struct {
-	modelState         // a rebased model is just the next cohort's snapshot
-	kind       string  // "median", "trimmed" or "krum"
-	beta       float64 // trimmed: per-side trim fraction
-	f          int     // krum: tolerated byzantine count (-1 = adaptive)
+	modelState        // a rebased model is just the next cohort's snapshot
+	kind       string // "median", "trimmed" or "krum"
 	scratch    robust.FoldScratch
 	vecs       [][]float64 // cohort view, reused across folds
 }
 
 func (r *robustRule) Init(rs *runState) error {
 	r.global = rs.fab.InitialWeights()
-	r.beta = rs.cfg.TrimBeta
-	r.f = rs.cfg.KrumF
-	if r.f <= 0 {
-		r.f = -1 // adaptive (cohort-3)/2 per fold
-	}
 	return nil
 }
 
@@ -51,9 +44,9 @@ func (r *robustRule) Fold(f Fold) ([]float64, error) {
 	case "median":
 		err = r.scratch.Median(r.global, r.vecs)
 	case "trimmed":
-		err = r.scratch.TrimmedMean(r.global, r.vecs, r.beta)
+		err = r.scratch.TrimmedMean(r.global, r.vecs, trimBeta)
 	case "krum":
-		_, err = r.scratch.Krum(r.global, r.vecs, r.f)
+		_, err = r.scratch.Krum(r.global, r.vecs, krumAdaptive)
 	default:
 		err = fmt.Errorf("unknown robust rule %q", r.kind)
 	}

@@ -12,18 +12,20 @@ import (
 )
 
 // TestRobustRulesFoldHandComputed drives the registered robust rules over a
-// tiny cohort with known aggregates: an honest pair at 1 and 3 plus one
-// large outlier. Median kills the outlier, trimmed-mean with β=0.4 trims it
-// (and the smallest), Krum picks an honest member verbatim.
+// tiny cohort with known aggregates: honest members at 1, 2 and 6 plus two
+// large outliers. Median kills the outliers, trimmed-mean at the fixed
+// β=0.2 trims one per side, adaptive Krum picks an honest member verbatim.
 func TestRobustRulesFoldHandComputed(t *testing.T) {
 	cohort := []core.ClientUpdate{
 		{Weights: []float64{1, 1}, N: 5, Client: 0},
-		{Weights: []float64{3, 3}, N: 5, Client: 1},
+		{Weights: []float64{6, 6}, N: 5, Client: 1},
 		{Weights: []float64{100, -100}, N: 5, Client: 2},
+		{Weights: []float64{2, 2}, N: 5, Client: 3},
+		{Weights: []float64{-50, 50}, N: 5, Client: 4},
 	}
-	fold := func(kind string, beta float64, f int) []float64 {
+	fold := func(kind string) []float64 {
 		t.Helper()
-		rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind, beta: beta, f: f}
+		rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind}
 		g, err := rule.Fold(Fold{Tier: -1, Updates: cohort})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
@@ -33,17 +35,17 @@ func TestRobustRulesFoldHandComputed(t *testing.T) {
 		}
 		return g
 	}
-	if g := fold("median", 0, -1); g[0] != 3 || g[1] != 1 {
-		t.Fatalf("median = %v, want [3 1]", g)
+	if g := fold("median"); g[0] != 2 || g[1] != 2 {
+		t.Fatalf("median = %v, want [2 2]", g)
 	}
-	// β=0.4, k=3 trims one per side: the middle value survives alone.
-	if g := fold("trimmed", 0.4, -1); g[0] != 3 || g[1] != 1 {
-		t.Fatalf("trimmed = %v, want [3 1]", g)
+	// β=0.2, k=5 trims one per side: the honest three average to 3.
+	if g := fold("trimmed"); g[0] != 3 || g[1] != 3 {
+		t.Fatalf("trimmed = %v, want [3 3]", g)
 	}
-	// Krum f=1, m=k-f-2 clamps to 1: honest neighbors are 2√2 apart, the
-	// outlier ~137 away — client 0 wins the tie.
-	if g := fold("krum", 0, 1); g[0] != 1 || g[1] != 1 {
-		t.Fatalf("krum = %v, want [1 1]", g)
+	// Adaptive f=(5-3)/2=1 scores each candidate on its 2 nearest
+	// neighbors: client 3 (2+32) beats client 0 (2+50) and client 1 (32+50).
+	if g := fold("krum"); g[0] != 2 || g[1] != 2 {
+		t.Fatalf("krum = %v, want [2 2]", g)
 	}
 }
 
@@ -62,7 +64,7 @@ func TestRobustFoldAllocFree(t *testing.T) {
 	}
 	for _, kind := range []string{"median", "trimmed", "krum"} {
 		t.Run(kind, func(t *testing.T) {
-			rule := &robustRule{modelState: modelState{global: fuzzVec(1, dim)}, kind: kind, beta: 0.2, f: -1}
+			rule := &robustRule{modelState: modelState{global: fuzzVec(1, dim)}, kind: kind}
 			us := cohort(5)
 			assertFoldAllocs(t, kind+" cohort fold", 0, func() {
 				if _, err := rule.Fold(Fold{Tier: 0, Updates: us}); err != nil {

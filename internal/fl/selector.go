@@ -182,8 +182,7 @@ func (s *tiflSelector) Init(rs *runState) error {
 	if err != nil {
 		return err
 	}
-	cfg := rs.cfg
-	s.sel = tiering.NewTiFLSelector(tiers.M(), cfg.TiFLCredits, cfg.TiFLInterval)
+	s.sel = tiering.NewTiFLSelector(tiers.M(), tiflCredits, tiflInterval)
 	s.tierRNG = rs.root.SplitLabeled(1)
 	s.selRNG = rs.root.SplitLabeled(2)
 	return nil

@@ -279,7 +279,7 @@ func TestLazyEnvMemoryCeiling(t *testing.T) {
 	}
 	rcfg := RunConfig{
 		Rounds: 3, ClientsPerRound: 10, LocalEpochs: 1, BatchSize: 10,
-		LearningRate: 0.02, NumTiers: 5, EvalEvery: 1, EvalSample: 64,
+		LearningRate: 0.02, NumTiers: 5, EvalEvery: 1,
 		Seed: 1,
 	}
 	c := sourceCase{dcfg: dcfg, ccfg: ccfg, rcfg: rcfg, factory: baseSourceCase(1).factory}

@@ -179,7 +179,7 @@ type asyncState struct {
 
 func (a *asyncState) Init(rs *runState) error {
 	a.global = rs.fab.InitialWeights()
-	a.alpha = rs.cfg.AsyncAlpha
+	a.alpha = asyncAlpha
 	a.sc = a.spec.resolve(rs.cfg.Staleness)
 	return nil
 }

@@ -67,45 +67,6 @@ func (l *ReLU) Backward(dout *tensor.Mat) *tensor.Mat {
 	return l.dx
 }
 
-// Tanh applies tanh element-wise.
-type Tanh struct {
-	out, dx *tensor.Mat
-}
-
-// NewTanh constructs a Tanh activation.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// ParamShapes implements Layer.
-func (l *Tanh) ParamShapes() []Shape { return nil }
-
-// Bind implements Layer.
-func (l *Tanh) Bind(w, g []float64) { checkBind(l, w, g) }
-
-// Init implements Layer.
-func (l *Tanh) Init(*rng.RNG) {}
-
-// OutDim implements Layer.
-func (l *Tanh) OutDim(in int) int { return in }
-
-// Forward implements Layer.
-func (l *Tanh) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	l.out = tensor.EnsureMat(l.out, x.R, x.C)
-	for i, v := range x.Data {
-		l.out.Data[i] = math.Tanh(v)
-	}
-	return l.out
-}
-
-// Backward implements Layer.
-func (l *Tanh) Backward(dout *tensor.Mat) *tensor.Mat {
-	l.dx = tensor.EnsureMat(l.dx, dout.R, dout.C)
-	for i, v := range dout.Data {
-		y := l.out.Data[i]
-		l.dx.Data[i] = v * (1 - y*y)
-	}
-	return l.dx
-}
-
 // Dropout randomly zeroes activations during training with probability Rate
 // and rescales survivors by 1/(1-Rate) (inverted dropout), matching the
 // dropout used inside the paper's Reddit LSTM model.

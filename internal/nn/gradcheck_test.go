@@ -36,16 +36,6 @@ func TestGradCheckMLP(t *testing.T) {
 	gradCheckNet(t, n, 6, 4, 4, 1e-5)
 }
 
-func TestGradCheckTanh(t *testing.T) {
-	n := NewNetwork(rng.New(3), NewSoftmaxCE(), NewDense(4, 5), NewTanh(), NewDense(5, 3))
-	gradCheckNet(t, n, 4, 3, 3, 1e-5)
-}
-
-func TestGradCheckMSE(t *testing.T) {
-	n := NewNetwork(rng.New(4), NewMSE(), NewDense(4, 3))
-	gradCheckNet(t, n, 4, 3, 3, 1e-5)
-}
-
 func TestGradCheckConv(t *testing.T) {
 	conv := NewConv2D(2, 5, 5, 3, 3, 1, 1)
 	c, h, w := conv.OutShape()

@@ -57,35 +57,3 @@ func (l *SoftmaxCE) Compute(logits *tensor.Mat, labels []int, dlogits *tensor.Ma
 	}
 	return total * invN
 }
-
-// MSE is mean squared error against one-hot targets; included for the
-// convex-objective experiments and for testing optimizers on quadratic
-// bowls.
-type MSE struct{}
-
-// NewMSE constructs the loss.
-func NewMSE() *MSE { return &MSE{} }
-
-// Compute implements Loss.
-func (l *MSE) Compute(logits *tensor.Mat, labels []int, dlogits *tensor.Mat) float64 {
-	if len(labels) != logits.R {
-		panic("nn: MSE label count mismatch")
-	}
-	n := logits.R
-	invN := 1 / float64(n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		row := logits.Row(i)
-		drow := dlogits.Row(i)
-		for j, v := range row {
-			target := 0.0
-			if j == labels[i] {
-				target = 1
-			}
-			diff := v - target
-			total += diff * diff * invN
-			drow[j] = 2 * diff * invN
-		}
-	}
-	return total
-}

@@ -142,13 +142,3 @@ func (n *Network) Eval(x *tensor.Mat, labels []int) (correct int, loss float64) 
 	}
 	return correct, loss
 }
-
-// Predict returns the argmax class for each row of x.
-func (n *Network) Predict(x *tensor.Mat) []int {
-	logits := n.Forward(x, false)
-	out := make([]int, logits.R)
-	for i := range out {
-		out[i] = tensor.ArgMax(logits.Row(i))
-	}
-	return out
-}

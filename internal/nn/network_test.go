@@ -151,20 +151,6 @@ func TestDeterministicInit(t *testing.T) {
 	}
 }
 
-func TestPredictShape(t *testing.T) {
-	n := NewMLP(rng.New(32), 3, 4)
-	x := tensor.NewMat(5, 3)
-	p := n.Predict(x)
-	if len(p) != 5 {
-		t.Fatalf("Predict returned %d results for 5 rows", len(p))
-	}
-	for _, c := range p {
-		if c < 0 || c >= 4 {
-			t.Fatalf("predicted class out of range: %d", c)
-		}
-	}
-}
-
 func TestLSTMClassifierLearnsTokenPattern(t *testing.T) {
 	// Class 0 sequences use tokens {0..3}, class 1 uses {4..7}: trivially
 	// separable, the model should fit it quickly.

@@ -173,15 +173,6 @@ func Copy(x []float64) []float64 {
 	return out
 }
 
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // SqDist returns the squared Euclidean distance between x and y.
 func SqDist(x, y []float64) float64 {
 	if len(x) != len(y) {
@@ -222,17 +213,6 @@ func Max(x []float64) (float64, int) {
 func ArgMax(x []float64) int {
 	_, i := Max(x)
 	return i
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
 }
 
 // Lerp linearly interpolates dst = (1-t)*dst + t*src, in place on dst.

@@ -53,9 +53,6 @@ func TestScaleFillZeroCopy(t *testing.T) {
 }
 
 func TestNorm2SqDist(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); !almostEq(got, 5, 1e-12) {
-		t.Fatalf("Norm2 = %v", got)
-	}
 	if got := SqDist([]float64{1, 1}, []float64{4, 5}); got != 25 {
 		t.Fatalf("SqDist = %v", got)
 	}
@@ -68,12 +65,6 @@ func TestMaxArgMax(t *testing.T) {
 	}
 	if ArgMax([]float64{-5, -1, -9}) != 1 {
 		t.Fatal("ArgMax wrong")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Fatal("Clamp wrong")
 	}
 }
 

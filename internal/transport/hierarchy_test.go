@@ -106,9 +106,11 @@ func TestLiveEdgeMatchesSimulated(t *testing.T) {
 
 	// Live hierarchy: root ← edge ← leaf clients.
 	root, err := NewRoot(RootConfig{
-		Addr: "127.0.0.1:0", Edges: 1,
-		W0: tensor.Copy(w0), Shapes: lf.shapes,
-		Dataset: lf.fed.Name, Method: "fedavg",
+		Addr: "127.0.0.1:0",
+		Cloud: edge.CloudConfig{
+			Edges: 1, W0: tensor.Copy(w0), Shapes: lf.shapes,
+			Dataset: lf.fed.Name, Method: "fedavg",
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,8 +247,8 @@ func TestRootSurvivesEdgeDisconnect(t *testing.T) {
 	const budget = 4
 
 	root, err := NewRoot(RootConfig{
-		Addr: "127.0.0.1:0", Edges: 2, Rounds: budget,
-		Fold: edge.FoldSync, W0: w0, Shapes: shapes,
+		Addr: "127.0.0.1:0", Rounds: budget,
+		Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync, W0: w0, Shapes: shapes},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,8 +319,8 @@ func TestUplinkDegradesToStandalone(t *testing.T) {
 	w0 := lf.factory(cfg.Seed).WeightsCopy()
 
 	root, err := NewRoot(RootConfig{
-		Addr: "127.0.0.1:0", Edges: 1, Rounds: 1, // budget far below the edge's
-		W0: tensor.Copy(w0), Shapes: lf.shapes,
+		Addr: "127.0.0.1:0", Rounds: 1, // budget far below the edge's
+		Cloud: edge.CloudConfig{Edges: 1, W0: tensor.Copy(w0), Shapes: lf.shapes},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/edge"
-	"repro/internal/fl"
 	"repro/internal/metrics"
 )
 
@@ -20,32 +19,16 @@ import (
 type RootConfig struct {
 	// Addr to listen on; port 0 binds an ephemeral port (see Addr).
 	Addr string
-	// Edges is K; edge aggregators register with ids 0..K-1.
-	Edges int
 	// Rounds is the cloud fold budget: after this many cloud folds the root
 	// shuts the hierarchy down. 0 runs until every edge departs.
 	Rounds int
-	// Fold, Buffer, StaleExp select the edge→cloud policy (edge.FoldSync /
-	// edge.FoldAsync semantics).
-	Fold     string
-	Buffer   int
-	StaleExp float64
-	// TopKFrac enables the top-k delta uplink; it must match the edges'
-	// -uplink-topk, since the shared per-edge reference advances in
-	// lockstep on both ends.
-	TopKFrac float64
-	// W0 is the initial model (the shared reference's base); Shapes its
-	// layout. Both must match the edges' (derived from the shared seed).
-	W0     []float64
-	Shapes []codec.ShapeInfo
-	// Eval optionally evaluates the merged model after each EvalEvery-th
-	// cloud fold.
-	Eval      func(w []float64) (fl.Result, bool)
-	EvalEvery int
-	// Dataset and Method label the cloud run record.
-	Dataset string
-	Method  string
-	Logf    func(format string, args ...any)
+	// Cloud is the edge→cloud policy, handed to edge.NewCloud as is. Edge
+	// aggregators register with ids 0..Cloud.Edges-1. TopKFrac must match
+	// the edges' -uplink-topk, since the shared per-edge reference advances
+	// in lockstep on both ends; W0 and Shapes must match the edges' (both
+	// derive from the shared seed).
+	Cloud edge.CloudConfig
+	Logf  func(format string, args ...any)
 }
 
 // RootServer drives the cloud fold loop over live edge connections. Unlike
@@ -62,25 +45,13 @@ type RootServer struct {
 
 // NewRoot binds the listener; call Run to serve.
 func NewRoot(cfg RootConfig) (*RootServer, error) {
-	if cfg.Edges <= 0 {
+	if cfg.Cloud.Edges <= 0 {
 		return nil, fmt.Errorf("transport: root needs at least one edge")
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	cloud, err := edge.NewCloud(edge.CloudConfig{
-		Edges:     cfg.Edges,
-		Fold:      cfg.Fold,
-		Buffer:    cfg.Buffer,
-		StaleExp:  cfg.StaleExp,
-		W0:        cfg.W0,
-		Shapes:    cfg.Shapes,
-		TopKFrac:  cfg.TopKFrac,
-		Eval:      cfg.Eval,
-		EvalEvery: cfg.EvalEvery,
-		Dataset:   cfg.Dataset,
-		Method:    cfg.Method,
-	})
+	cloud, err := edge.NewCloud(cfg.Cloud)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +60,7 @@ func NewRoot(cfg RootConfig) (*RootServer, error) {
 		return nil, fmt.Errorf("transport: root listen: %w", err)
 	}
 	return &RootServer{
-		peers: newPeers(ln, cfg.Edges, "root", "edge", cfg.Logf),
+		peers: newPeers(ln, cfg.Cloud.Edges, "root", "edge", cfg.Logf),
 		cfg:   cfg,
 		cloud: cloud,
 		done:  make(chan struct{}),
@@ -115,7 +86,7 @@ func (r *RootServer) Run() (*metrics.Run, []float64, error) {
 		r.shutdown()
 		return nil, nil, err
 	}
-	r.cfg.Logf("fed root: %d edges registered; folding %s (budget %d)", r.cfg.Edges, r.cloudFold(), r.cfg.Rounds)
+	r.cfg.Logf("fed root: %d edges registered; folding %s (budget %d)", r.cfg.Cloud.Edges, r.cloudFold(), r.cfg.Rounds)
 
 	var wg sync.WaitGroup
 	for _, ec := range r.all() {
@@ -133,10 +104,10 @@ func (r *RootServer) Run() (*metrics.Run, []float64, error) {
 }
 
 func (r *RootServer) cloudFold() string {
-	if r.cfg.Fold == "" {
+	if r.cfg.Cloud.Fold == "" {
 		return edge.FoldSync
 	}
-	return r.cfg.Fold
+	return r.cfg.Cloud.Fold
 }
 
 // Shutdown stops the root from another goroutine.
@@ -159,7 +130,7 @@ func (r *RootServer) finish() {
 // immediately inside Retire).
 func (r *RootServer) serveEdge(ec *clientConn) {
 	id := int(ec.reg.ClientID)
-	limit := frameLimit(r.cfg.Shapes)
+	limit := frameLimit(r.cfg.Cloud.Shapes)
 	for {
 		typ, payload, err := readFrame(ec.conn, &ec.rhdr, limit)
 		if err != nil {
@@ -218,7 +189,7 @@ func (r *RootServer) broadcastAdoption() {
 			continue
 		}
 		spec := PushSpec{Round: uint64(epoch), Epochs: r.cloud.Live()}
-		push, err := codec.AppendModel(beginPush(frames.Get(0), spec), codec.Raw{}, r.cfg.Shapes, w)
+		push, err := codec.AppendModel(beginPush(frames.Get(0), spec), codec.Raw{}, r.cfg.Cloud.Shapes, w)
 		if err == nil {
 			err = ec.send(push)
 		}

@@ -84,10 +84,6 @@ type Server struct {
 	// attackers is the deterministic adversary subset (nil when the attack
 	// regime is off); fixed at construction, read-only afterwards.
 	attackers map[int]bool
-
-	// extraObs subscribe to the engine's run event stream alongside the
-	// built-in recorder (tests, dashboards). Set before calling Run.
-	extraObs []fl.Observer
 }
 
 type clientConn struct {
@@ -232,7 +228,7 @@ func (s *Server) Run() (*metrics.Run, []float64, error) {
 	})
 
 	obs := append([]fl.Observer{capture}, s.cfg.Observers...)
-	run, err := s.cfg.Method.RunOn(fab, s.cfg.Run, append(obs, s.extraObs...)...)
+	run, err := s.cfg.Method.RunOn(fab, s.cfg.Run, obs...)
 	// Let in-flight collectors finish reading their last responses before
 	// connections close, so idle clients get a clean shutdown frame.
 	fab.drain()

@@ -201,11 +201,11 @@ func (lf *liveFederation) runLiveObserved(t *testing.T, method fl.Method, cfg fl
 		W0:         lf.factory(cfg.Seed).WeightsCopy(),
 		Dataset:    lf.fed.Name,
 		Eval:       eval,
+		Observers:  obs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.extraObs = obs
 
 	var wg sync.WaitGroup
 	clientErrs := make([]error, lf.n)
@@ -927,8 +927,8 @@ func TestLiveRetierFromMeasuredLatencies(t *testing.T) {
 	cfg.Rounds = 24
 	cfg.ClientsPerRound = 3
 	cfg.RetierEvery = 2
-	cfg.RetierAlpha = 0.5
 
+	var retiers, migrations int
 	srv, err := NewServer(ServerConfig{
 		Addr:       "127.0.0.1:0",
 		NumClients: lf.n,
@@ -937,17 +937,16 @@ func TestLiveRetierFromMeasuredLatencies(t *testing.T) {
 		Shapes:     lf.shapes,
 		W0:         lf.factory(cfg.Seed).WeightsCopy(),
 		Dataset:    lf.fed.Name,
+		Observers: []fl.Observer{fl.ObserverFunc(func(ev fl.Event) {
+			if e, ok := ev.(fl.RetierEvent); ok {
+				retiers++
+				migrations += e.Migrations
+			}
+		})},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var retiers, migrations int
-	srv.extraObs = []fl.Observer{fl.ObserverFunc(func(ev fl.Event) {
-		if e, ok := ev.(fl.RetierEvent); ok {
-			retiers++
-			migrations += e.Migrations
-		}
-	})}
 
 	var wg sync.WaitGroup
 	clientErrs := make([]error, lf.n)
