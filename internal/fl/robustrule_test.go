@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -46,6 +47,34 @@ func TestRobustRulesFoldHandComputed(t *testing.T) {
 	// neighbors: client 3 (2+32) beats client 0 (2+50) and client 1 (32+50).
 	if g := fold("krum"); g[0] != 2 || g[1] != 2 {
 		t.Fatalf("krum = %v, want [2 2]", g)
+	}
+}
+
+// TestRobustRulesFoldFiniteUnderNaNUpdate: a cohort of five with one
+// update of NaNs — an attacker's cheapest message — folds to a finite
+// global under every robust kind (the gather law of internal/robust: a
+// non-finite value is the largest of its coordinate; a NaN distance is the
+// farthest). Through PR 21 all three kinds returned NaN or elected it.
+func TestRobustRulesFoldFiniteUnderNaNUpdate(t *testing.T) {
+	nan := math.NaN()
+	for _, kind := range []string{"median", "trimmed", "krum"} {
+		for pos := 0; pos < 5; pos++ {
+			cohort := make([]core.ClientUpdate, 5)
+			for i := range cohort {
+				cohort[i] = core.ClientUpdate{Weights: []float64{float64(i), -float64(i)}, N: 5, Client: i}
+			}
+			cohort[pos].Weights = []float64{nan, nan}
+			rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind}
+			g, err := rule.Fold(Fold{Tier: -1, Updates: cohort})
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			for _, v := range g {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s with the NaN update at %d folded to %v", kind, pos, g)
+				}
+			}
+		}
 	}
 }
 

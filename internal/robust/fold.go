@@ -3,6 +3,7 @@ package robust
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/tensor"
 )
@@ -39,6 +40,20 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// canon is the gather law every fold applies to a value it reads from an
+// update: -0 counts as +0 and NaN as +Inf. A non-finite update is thereby
+// the largest value of its coordinate — the side a median or a trimmed mean
+// discards — where a raw NaN, unordered against everything, used to stop
+// insertionSort in its tracks and come out as the aggregate. It also makes
+// "sorted" unique to the bit: equal values are then identical values.
+func canon(v float64) float64 {
+	v += 0 // -0 + +0 = +0 under round-to-nearest; every other value is kept
+	if v != v {
+		v = math.Inf(1)
+	}
+	return v
+}
+
 // insertionSort keeps the per-coordinate sort allocation-free; cohorts are
 // small (tens of updates), so O(k²) beats sort.Float64s' interface cost.
 func insertionSort(a []float64) {
@@ -54,7 +69,8 @@ func insertionSort(a []float64) {
 }
 
 // Median writes the coordinate-wise median of vecs into dst (the even-
-// cohort median averages the two middle values). dst must not alias vecs.
+// cohort median averages the two middle values), reading every value under
+// the gather law (canon). dst must not alias vecs.
 func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
 	k, err := s.cohort(dst, vecs)
 	if err != nil {
@@ -62,7 +78,7 @@ func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
 	}
 	for j := range dst {
 		for i, v := range vecs {
-			s.col[i] = v[j]
+			s.col[i] = canon(v[j])
 		}
 		insertionSort(s.col)
 		if k%2 == 1 {
@@ -76,8 +92,9 @@ func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
 
 // TrimmedMean writes the coordinate-wise β-trimmed mean of vecs into dst:
 // per coordinate the floor(β·k) smallest and largest values are discarded
-// and the rest averaged. β is clamped so at least one value survives; β=0
-// degrades to the plain coordinate mean. dst must not alias vecs.
+// and the rest averaged, values read under the gather law (canon). β is
+// clamped so at least one value survives; β=0 degrades to the plain
+// coordinate mean. dst must not alias vecs.
 func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64) error {
 	k, err := s.cohort(dst, vecs)
 	if err != nil {
@@ -92,7 +109,7 @@ func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64)
 	}
 	for j := range dst {
 		for i, v := range vecs {
-			s.col[i] = v[j]
+			s.col[i] = canon(v[j])
 		}
 		insertionSort(s.col)
 		sum := 0.0
@@ -107,9 +124,11 @@ func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64)
 // Krum copies the Krum(f) winner of vecs into dst and returns its index:
 // each candidate is scored by the sum of its k-f-2 smallest squared
 // distances to the other candidates (clamped to at least one neighbor for
-// tiny cohorts) and the lowest score wins, ties to the lowest index. f is
-// the number of byzantine updates the fold should tolerate; f<0 picks the
-// standard (k-3)/2. dst must not alias vecs.
+// tiny cohorts) and the lowest score wins, ties to the lowest index. A NaN
+// distance counts as +Inf, so an update carrying NaN scores +Inf and the
+// honest candidates drop it among their farthest neighbors. f is the number
+// of byzantine updates the fold should tolerate; f<0 picks the standard
+// (k-3)/2. dst must not alias vecs.
 func (s *FoldScratch) Krum(dst []float64, vecs [][]float64, f int) (int, error) {
 	k, err := s.cohort(dst, vecs)
 	if err != nil {
@@ -138,6 +157,9 @@ func (s *FoldScratch) Krum(dst []float64, vecs [][]float64, f int) (int, error) 
 		s.dists[i*k+i] = 0
 		for j := i + 1; j < k; j++ {
 			d := tensor.SqDist(vecs[i], vecs[j])
+			if d != d {
+				d = math.Inf(1)
+			}
 			s.dists[i*k+j] = d
 			s.dists[j*k+i] = d
 		}

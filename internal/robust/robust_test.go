@@ -236,3 +236,118 @@ func TestSanitizeNoiseDeterministic(t *testing.T) {
 		t.Fatal("noise multiplier 0.5 should change the sanitized delta")
 	}
 }
+
+// nanCohort returns k honest updates of dimension dim and, at position
+// pos, one update that is bad in every coordinate.
+func nanCohort(k, dim, pos int, bad float64) [][]float64 {
+	g := rng.New(uint64(k))
+	vecs := make([][]float64, k)
+	for i := range vecs {
+		vecs[i] = make([]float64, dim)
+		for j := range vecs[i] {
+			vecs[i][j] = g.Norm()
+			if i == pos {
+				vecs[i][j] = bad
+			}
+		}
+	}
+	return vecs
+}
+
+func allFinite(w []float64) bool {
+	for _, v := range w {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFoldsSurviveOneNaNUpdate: the cheapest attack there is — one update
+// of NaNs — at every cohort position. The gather law reads it as +Inf, so
+// median and trimmed mean equal, bit for bit, the fold of the honest
+// updates plus one +Inf update, and Krum never elects it. Before the law a
+// NaN at position 4 of 10 came out of both coordinate folds on every
+// coordinate, and a NaN at position 0 won Krum with every score NaN.
+func TestFoldsSurviveOneNaNUpdate(t *testing.T) {
+	const dim = 37
+	var s FoldScratch
+	got, want := make([]float64, dim), make([]float64, dim)
+	same := func(name string, k, pos int) {
+		t.Helper()
+		for j := range got {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s k=%d NaN at %d: coordinate %d = %v, with +Inf in its place %v", name, k, pos, j, got[j], want[j])
+			}
+		}
+	}
+	for _, k := range []int{3, 4, 10} {
+		for pos := 0; pos < k; pos++ {
+			nan, inf := nanCohort(k, dim, pos, math.NaN()), nanCohort(k, dim, pos, math.Inf(1))
+
+			if err := s.Median(got, nan); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Median(want, inf); err != nil {
+				t.Fatal(err)
+			}
+			same("median", k, pos)
+			if !allFinite(got) {
+				t.Fatalf("median k=%d NaN at %d is not finite: %v", k, pos, got)
+			}
+
+			if err := s.TrimmedMean(got, nan, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.TrimmedMean(want, inf, 0.2); err != nil {
+				t.Fatal(err)
+			}
+			same("trimmed", k, pos)
+			// β=0.2 trims nothing below five updates; the mean of a cohort
+			// that keeps its +Inf is +Inf, which is the honest answer.
+			if k >= 5 && !allFinite(got) {
+				t.Fatalf("trimmed k=%d NaN at %d is not finite: %v", k, pos, got)
+			}
+
+			idx, err := s.Krum(got, nan, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if idx == pos || !allFinite(got) {
+				t.Fatalf("krum k=%d elected %d with the NaN update at %d: %v", k, idx, pos, got)
+			}
+		}
+	}
+}
+
+// TestGatherLawZeroSign pins -0 → +0 by bits, through the folds themselves:
+// if the compiler ever folded canon's v + 0 away, the median of negative
+// zeros would come out negative.
+func TestGatherLawZeroSign(t *testing.T) {
+	var s FoldScratch
+	negZero := math.Copysign(0, -1)
+	dst := []float64{1}
+	for k := 1; k <= 4; k++ {
+		vecs := make([][]float64, k)
+		for i := range vecs {
+			vecs[i] = []float64{negZero}
+		}
+		if err := s.Median(dst, vecs); err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(dst[0]) != 0 {
+			t.Fatalf("median of %d negative zeros has bits %#x, want +0", k, math.Float64bits(dst[0]))
+		}
+	}
+	if got := canon(negZero); math.Float64bits(got) != 0 {
+		t.Fatalf("canon(-0) has bits %#x, want +0", math.Float64bits(got))
+	}
+	if got := canon(math.NaN()); !math.IsInf(got, 1) {
+		t.Fatalf("canon(NaN) = %v, want +Inf", got)
+	}
+	for _, v := range []float64{0, 1, -1, math.Inf(1), math.Inf(-1), 5e-324, -5e-324, math.MaxFloat64} {
+		if got := canon(v); math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("canon(%v) = %v, want it unchanged", v, got)
+		}
+	}
+}
