@@ -18,8 +18,12 @@ Two subcommands, shared by CI and local use:
       (both 0) like any other row. Benchmark{Gemm,Im2Col,Col2Im}/<shape>
       rows (internal/tensor: the GEMM row kernel and the convolution
       lowering) are recorded as "tensor/<Op>/<shape>", gated the same
-      way. The ...Reference benchmarks beside the codec and tensor
-      kernels are same-process denominators and are not recorded.
+      way, and BenchmarkFold/<fold>/<cohort>x<dim> rows (internal/robust:
+      coordinate median and trimmed mean on the tile kernel) as
+      "robust/Fold/<fold>/<cohort>x<dim>", also at 0 B/op and 0
+      allocs/op. The ...Reference benchmarks beside the codec, tensor
+      and robust kernels are same-process denominators and are not
+      recorded.
 
   append <current.json> <baseline.json> <trajectory.json> [label]
       Append the current suite as one entry to the committed trajectory
@@ -61,6 +65,7 @@ Regenerate the committed baseline after a deliberate perf change:
   go test -run '^$' -bench 'BenchmarkMethod/|BenchmarkPopulation/' -benchtime 5x -count 1 . > bench.out
   go test -run '^$' -bench 'BenchmarkPolyline(Encode|Decode|Transmit)$' -benchtime 2000x -count 1 ./internal/codec >> bench.out
   go test -run '^$' -bench 'Benchmark(Gemm|Im2Col|Col2Im)$' -benchtime 500x -count 1 ./internal/tensor >> bench.out
+  go test -run '^$' -bench 'BenchmarkFold$' -benchtime 500x -count 1 ./internal/robust >> bench.out
   python3 ci/bench_gate.py parse bench.out BENCH_baseline.json
 """
 import json
@@ -68,7 +73,7 @@ import re
 import sys
 
 LINE = re.compile(
-    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|Transmit)|Gemm|Im2Col|Col2Im)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|Transmit)|Gemm|Im2Col|Col2Im|Fold)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
     r"(?:\s+\d+(?:\.\d+)? MB/s)?"
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"
@@ -86,13 +91,15 @@ def parse(bench_out, out_json):
             m = LINE.match(line)
             if m:
                 suite, name = m.group(1), m.group(2)
-                # Population rungs and the codec and tensor kernels are
-                # namespaced so they can never collide with a registry
+                # Population rungs and the codec, robust and tensor kernels
+                # are namespaced so they can never collide with a registry
                 # method name.
                 if suite == "Population":
                     name = "population/" + name
                 elif suite.startswith("Polyline"):
                     name = "codec/%s/%s" % (suite, name)
+                elif suite == "Fold":
+                    name = "robust/Fold/" + name
                 elif suite != "Method":
                     name = "tensor/%s/%s" % (suite, name)
                 row = {

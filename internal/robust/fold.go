@@ -10,16 +10,20 @@ import (
 
 // FoldScratch carries the reusable buffers the robust aggregation kernels
 // need. The zero value is ready; buffers grow to the largest cohort seen
-// and are then reused, so steady-state folds allocate nothing.
+// and are then reused, and the sorting network of every cohort size seen is
+// kept, so steady-state folds allocate nothing — also when drop-outs make
+// the cohort size wander.
 type FoldScratch struct {
-	col    []float64 // per-coordinate gather column, len = cohort size
-	dists  []float64 // Krum pairwise squared distances, cohort² entries
-	scores []float64 // Krum per-candidate scores
+	tile   []float64       // Median/TrimmedMean: cohort rows × foldTile coordinates
+	nets   map[int][]cmpEx // sorting network by cohort size
+	col    []float64       // Krum: one candidate's neighbor distances
+	dists  []float64       // Krum pairwise squared distances, cohort² entries
+	scores []float64       // Krum per-candidate scores
 }
 
 var errEmptyCohort = errors.New("robust: fold over empty cohort")
 
-func (s *FoldScratch) cohort(dst []float64, vecs [][]float64) (int, error) {
+func cohort(dst []float64, vecs [][]float64) (int, error) {
 	k := len(vecs)
 	if k == 0 {
 		return 0, errEmptyCohort
@@ -29,7 +33,6 @@ func (s *FoldScratch) cohort(dst []float64, vecs [][]float64) (int, error) {
 			return 0, fmt.Errorf("robust: update %d has %d weights, want %d", i, len(v), len(dst))
 		}
 	}
-	s.col = growFloats(s.col, k)
 	return k, nil
 }
 
@@ -40,22 +43,9 @@ func growFloats(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// canon is the gather law every fold applies to a value it reads from an
-// update: -0 counts as +0 and NaN as +Inf. A non-finite update is thereby
-// the largest value of its coordinate — the side a median or a trimmed mean
-// discards — where a raw NaN, unordered against everything, used to stop
-// insertionSort in its tracks and come out as the aggregate. It also makes
-// "sorted" unique to the bit: equal values are then identical values.
-func canon(v float64) float64 {
-	v += 0 // -0 + +0 = +0 under round-to-nearest; every other value is kept
-	if v != v {
-		v = math.Inf(1)
-	}
-	return v
-}
-
-// insertionSort keeps the per-coordinate sort allocation-free; cohorts are
-// small (tens of updates), so O(k²) beats sort.Float64s' interface cost.
+// insertionSort orders one Krum candidate's neighbor distances without
+// allocating; cohorts are small (tens of updates), so O(k²) beats
+// sort.Float64s' interface cost.
 func insertionSort(a []float64) {
 	for i := 1; i < len(a); i++ {
 		v := a[i]
@@ -68,23 +58,114 @@ func insertionSort(a []float64) {
 	}
 }
 
+// The coordinate folds sort every coordinate's k values — one per update —
+// and read order statistics off the result. They do it a tile of foldTile
+// coordinates at a time: the k updates' slices of the tile are copied into
+// k scratch rows (loadRow, which applies the gather law below), a sorting
+// network runs over the rows — each comparator one element-wise (min, max)
+// pass over two rows (cmpExRows), no branch on any value — and the
+// statistic is read out of the sorted rows in one more pass. loadRow and
+// cmpExRows are two-wide SSE2 in fold_amd64.s and plain Go loops in
+// fold_generic.go, chosen by GOARCH alone.
+//
+// The gather law: a value read from an update counts -0 as +0 and NaN as
+// +Inf. A non-finite update is thereby the largest value of its coordinate
+// — the side a median or a trimmed mean discards — where a raw NaN,
+// unordered against everything, would poison every comparator it met. It
+// also makes "sorted" unique to the bit: with no NaN and one zero, equal
+// values are identical values, so any correct way of sorting yields the
+// same k rows and the folds are bit-identical to the per-coordinate
+// insertion sort they replaced (fold_ref_test.go keeps that loop as the
+// oracle).
+//
+// foldTile·8 B rows put a cohort of ten in 20 kB, inside L1. The folds run
+// serially: the whole fold is about a millisecond at 10 × 57k, and handing
+// tiles to parallel.For would cost closure allocations on a path pinned at
+// zero.
+const foldTile = 256
+
+// cmpEx is one comparator of a sorting network: it leaves the smaller of
+// rows lo and hi in lo and the larger in hi, coordinate by coordinate.
+type cmpEx struct{ lo, hi int }
+
+// sortNetwork generates Batcher's odd-even merge sort for the next power
+// of two at or above k and drops every comparator that touches an index
+// >= k. Those inputs can be read as +Inf: every comparator points upward
+// (lo < hi), so a +Inf at hi never moves and the comparator is a no-op.
+// Nothing here is transcribed from a table — TestSortNetworkZeroOne is the
+// proof that what comes out sorts.
+func sortNetwork(k int) []cmpEx {
+	n := 1
+	for n < k {
+		n *= 2
+	}
+	var net []cmpEx
+	for p := 1; p < n; p *= 2 { // merge sorted runs of p into runs of 2p
+		for d := p; d >= 1; d /= 2 {
+			for j := d % p; j+d < n; j += 2 * d {
+				for i := j; i < j+d && i+d < k; i++ {
+					if i/(2*p) == (i+d)/(2*p) {
+						net = append(net, cmpEx{i, i + d})
+					}
+				}
+			}
+		}
+	}
+	return net
+}
+
+// sortRows readies the scratch for folding a cohort of k: k tile rows and
+// k's sorting network, built on first sight of k and kept.
+func (s *FoldScratch) sortRows(k int) []cmpEx {
+	s.tile = growFloats(s.tile, k*foldTile)
+	net, ok := s.nets[k]
+	if !ok {
+		if s.nets == nil {
+			s.nets = make(map[int][]cmpEx)
+		}
+		net = sortNetwork(k)
+		s.nets[k] = net
+	}
+	return net
+}
+
+// row is the first w coordinates of tile row r.
+func (s *FoldScratch) row(r, w int) []float64 {
+	return s.tile[r*foldTile : r*foldTile+w]
+}
+
+// sortTile loads coordinates [j0, j0+w) of every update into the tile rows
+// and sorts them: afterwards row r holds, per coordinate, the r-th smallest
+// of the cohort's values under the gather law.
+func (s *FoldScratch) sortTile(vecs [][]float64, j0, w int, net []cmpEx) {
+	for r, v := range vecs {
+		loadRow(s.row(r, w), v[j0:j0+w])
+	}
+	for _, c := range net {
+		cmpExRows(s.row(c.lo, w), s.row(c.hi, w))
+	}
+}
+
 // Median writes the coordinate-wise median of vecs into dst (the even-
 // cohort median averages the two middle values), reading every value under
-// the gather law (canon). dst must not alias vecs.
+// the gather law. dst must not alias vecs.
 func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
-	k, err := s.cohort(dst, vecs)
+	k, err := cohort(dst, vecs)
 	if err != nil {
 		return err
 	}
-	for j := range dst {
-		for i, v := range vecs {
-			s.col[i] = canon(v[j])
-		}
-		insertionSort(s.col)
+	net := s.sortRows(k)
+	for j0 := 0; j0 < len(dst); j0 += foldTile {
+		out := dst[j0:min(j0+foldTile, len(dst))]
+		s.sortTile(vecs, j0, len(out), net)
+		hi := s.row(k/2, len(out))
 		if k%2 == 1 {
-			dst[j] = s.col[k/2]
-		} else {
-			dst[j] = (s.col[k/2-1] + s.col[k/2]) / 2
+			copy(out, hi)
+			continue
+		}
+		lo := s.row(k/2-1, len(out))
+		for j := range out {
+			out[j] = (lo[j] + hi[j]) / 2
 		}
 	}
 	return nil
@@ -92,11 +173,11 @@ func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
 
 // TrimmedMean writes the coordinate-wise β-trimmed mean of vecs into dst:
 // per coordinate the floor(β·k) smallest and largest values are discarded
-// and the rest averaged, values read under the gather law (canon). β is
-// clamped so at least one value survives; β=0 degrades to the plain
-// coordinate mean. dst must not alias vecs.
+// and the rest averaged, values read under the gather law. β is clamped so
+// at least one value survives; β=0 degrades to the plain coordinate mean.
+// dst must not alias vecs.
 func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64) error {
-	k, err := s.cohort(dst, vecs)
+	k, err := cohort(dst, vecs)
 	if err != nil {
 		return err
 	}
@@ -107,16 +188,25 @@ func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64)
 	if 2*t >= k {
 		t = (k - 1) / 2
 	}
-	for j := range dst {
-		for i, v := range vecs {
-			s.col[i] = canon(v[j])
+	net := s.sortRows(k)
+	kept := float64(k - 2*t)
+	for j0 := 0; j0 < len(dst); j0 += foldTile {
+		out := dst[j0:min(j0+foldTile, len(dst))]
+		s.sortTile(vecs, j0, len(out), net)
+		// Per coordinate: ((0 + row[t]) + row[t+1]) + … left to right, then
+		// one division — the sum the per-coordinate loop formed.
+		for j := range out {
+			out[j] = 0
 		}
-		insertionSort(s.col)
-		sum := 0.0
-		for i := t; i < k-t; i++ {
-			sum += s.col[i]
+		for r := t; r < k-t; r++ {
+			row := s.row(r, len(out))
+			for j := range out {
+				out[j] += row[j]
+			}
 		}
-		dst[j] = sum / float64(k-2*t)
+		for j := range out {
+			out[j] /= kept
+		}
 	}
 	return nil
 }
@@ -130,7 +220,7 @@ func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64)
 // of byzantine updates the fold should tolerate; f<0 picks the standard
 // (k-3)/2. dst must not alias vecs.
 func (s *FoldScratch) Krum(dst []float64, vecs [][]float64, f int) (int, error) {
-	k, err := s.cohort(dst, vecs)
+	k, err := cohort(dst, vecs)
 	if err != nil {
 		return 0, err
 	}
@@ -151,6 +241,7 @@ func (s *FoldScratch) Krum(dst []float64, vecs [][]float64, f int) (int, error) 
 	if m > k-1 {
 		m = k - 1
 	}
+	s.col = growFloats(s.col, k)
 	s.dists = growFloats(s.dists, k*k)
 	s.scores = growFloats(s.scores, k)
 	for i := 0; i < k; i++ {
