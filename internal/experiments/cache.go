@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,7 +16,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/simnet"
-	"repro/internal/util"
 )
 
 // Runs are deterministic given (preset, dataset spec, method, config
@@ -123,7 +124,7 @@ func SchedulerMeta() *report.SchedulerMeta {
 	}
 	runCache.Lock()
 	defer runCache.Unlock()
-	for _, k := range util.SortedKeys(runCache.m) {
+	for _, k := range slices.Sorted(maps.Keys(runCache.m)) {
 		st := runCache.m[k]
 		select {
 		case <-st.done:
@@ -255,7 +256,7 @@ func scheduleCells(cells []cell) error {
 	// (a large-scale reddit cell is orders slower than a sent140 one), so
 	// chunking would let one worker serialize the expensive cells while
 	// the others idle.
-	keys := util.SortedKeys(owned)
+	keys := slices.Sorted(maps.Keys(owned))
 	parallel.Dynamic(len(keys), schedulerWorkers(len(keys)), func(i int) {
 		oc := owned[keys[i]]
 		st := oc.st

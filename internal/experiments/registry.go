@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-
-	"repro/internal/util"
+	"maps"
+	"slices"
 )
 
 // Experiment is a runnable paper artifact reproduction.
@@ -42,7 +42,7 @@ var Registry = map[string]Experiment{
 }
 
 // IDs returns the experiment ids in a stable order.
-func IDs() []string { return util.SortedKeys(Registry) }
+func IDs() []string { return slices.Sorted(maps.Keys(Registry)) }
 
 // RunByID executes one experiment.
 func RunByID(id string, p Preset) (*Report, error) {

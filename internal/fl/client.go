@@ -198,17 +198,12 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 }
 
 // scaleLR multiplies the optimizer's learning rate for the duration of one
-// local round and returns the restore function. Both solvers export their
-// rate, so the scale composes with per-coordinate state (Adam's moments
-// are rate-independent); unknown optimizer types train unscaled — the
+// local round and returns the restore function. Adam exports its rate, so
+// the scale composes with its per-coordinate state (the moments are
+// rate-independent); any other optimizer type trains unscaled — the
 // engine's LR scale is an optimization hint, not a correctness contract.
 func scaleLR(o opt.Optimizer, s float64) func() {
-	switch v := o.(type) {
-	case *opt.SGD:
-		old := v.LR
-		v.LR *= s
-		return func() { v.LR = old }
-	case *opt.Adam:
+	if v, ok := o.(*opt.Adam); ok {
 		old := v.LR
 		v.LR *= s
 		return func() { v.LR = old }

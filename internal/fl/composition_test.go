@@ -1,12 +1,13 @@
 package fl
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/util"
 )
 
 // TestNovelCompositionsRun assembles method variants that exist nowhere in
@@ -211,7 +212,7 @@ func TestClientPacingIgnoresBufferK(t *testing.T) {
 func TestRebaseContract(t *testing.T) {
 	cfg := baseCfg().withDefaults()
 	env := testEnv(t, 0, cfg)
-	for _, key := range util.SortedKeys(UpdateRules) {
+	for _, key := range slices.Sorted(maps.Keys(UpdateRules)) {
 		t.Run(key, func(t *testing.T) {
 			rule, err := ParseAgg(key)
 			if err != nil {

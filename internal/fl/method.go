@@ -2,13 +2,14 @@ package fl
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/tiering"
-	"repro/internal/util"
 )
 
 // Method is a federated-learning method expressed as a declarative
@@ -55,7 +56,7 @@ var Methods = map[string]Method{
 }
 
 // MethodNames returns the registry keys in deterministic order.
-func MethodNames() []string { return util.SortedKeys(Methods) }
+func MethodNames() []string { return slices.Sorted(maps.Keys(Methods)) }
 
 // Lookup resolves a method spec by its registry name.
 func Lookup(name string) (Method, error) {
@@ -125,11 +126,11 @@ func (m Method) RunOn(fab Fabric, cfg RunConfig, obs ...Observer) (*metrics.Run,
 	}
 	selFac, ok := Selectors[m.Select]
 	if !ok {
-		return nil, fmt.Errorf("fl: method %s: unknown selector %q (have %v)", m.Name, m.Select, util.SortedKeys(Selectors))
+		return nil, fmt.Errorf("fl: method %s: unknown selector %q (have %v)", m.Name, m.Select, slices.Sorted(maps.Keys(Selectors)))
 	}
 	pacer, ok := Pacers[m.Pace]
 	if !ok {
-		return nil, fmt.Errorf("fl: method %s: unknown pacer %q (have %v)", m.Name, m.Pace, util.SortedKeys(Pacers))
+		return nil, fmt.Errorf("fl: method %s: unknown pacer %q (have %v)", m.Name, m.Pace, slices.Sorted(maps.Keys(Pacers)))
 	}
 	rule, err := ParseAgg(m.Update)
 	if err != nil {

@@ -2,12 +2,13 @@ package fl
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/tensor"
-	"repro/internal/util"
 )
 
 // The staleness weight-function names accepted by StalenessConfig.Func,
@@ -89,7 +90,7 @@ func ParseAgg(spec string) (UpdateRule, error) {
 	fields := strings.Split(spec, ":")
 	fac, ok := UpdateRules[fields[0]]
 	if !ok {
-		return nil, fmt.Errorf("unknown update rule %q (have %v)", fields[0], util.SortedKeys(UpdateRules))
+		return nil, fmt.Errorf("unknown update rule %q (have %v)", fields[0], slices.Sorted(maps.Keys(UpdateRules)))
 	}
 	rule, err := fac(fields[1:])
 	if err != nil {

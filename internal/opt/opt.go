@@ -1,7 +1,6 @@
-// Package opt implements the local solvers used by federated clients: SGD
-// with optional momentum and Adam (the paper's local solver, §6
-// "Hyperparameters"), plus the proximal-term helper that implements the
-// constrained local objective of Eq. 3,
+// Package opt implements the local solver used by federated clients — Adam
+// (the paper's local solver, §6 "Hyperparameters") — plus the proximal-term
+// helper that implements the constrained local objective of Eq. 3,
 //
 //	h_k(w) = F_k(w) + λ/2·‖w − w_global‖².
 //
@@ -25,41 +24,6 @@ type Optimizer interface {
 	// Reset clears accumulated state (momentum, moment estimates).
 	Reset()
 }
-
-// SGD is stochastic gradient descent with optional classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel []float64
-}
-
-// NewSGD returns plain SGD with the given learning rate.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(w, g []float64) {
-	if len(w) != len(g) {
-		panic("opt: SGD weight/gradient length mismatch")
-	}
-	if s.Momentum == 0 {
-		tensor.Axpy(-s.LR, g, w)
-		return
-	}
-	if len(s.vel) != len(w) {
-		s.vel = tensor.EnsureVec(s.vel, len(w))
-		tensor.Zero(s.vel)
-	}
-	for i, gv := range g {
-		s.vel[i] = s.Momentum*s.vel[i] - s.LR*gv
-		w[i] += s.vel[i]
-	}
-}
-
-// Reset implements Optimizer. State is zeroed in place, not freed: a client
-// reused across rounds keeps its buffers, which removes two model-sized
-// allocations per local training run.
-func (s *SGD) Reset() { tensor.Zero(s.vel) }
 
 // Adam implements Kingma & Ba's optimizer with bias correction.
 type Adam struct {

@@ -30,17 +30,7 @@ func runToConvergence(t *testing.T, o Optimizer, steps int) []float64 {
 	return w
 }
 
-func TestSGDConverges(t *testing.T)         { runToConvergence(t, NewSGD(0.1), 200) }
-func TestSGDMomentumConverges(t *testing.T) { runToConvergence(t, &SGD{LR: 0.05, Momentum: 0.9}, 300) }
-func TestAdamConverges(t *testing.T)        { runToConvergence(t, NewAdam(0.1), 400) }
-
-func TestSGDStepDirection(t *testing.T) {
-	w := []float64{1}
-	NewSGD(0.5).Step(w, []float64{2})
-	if w[0] != 0 {
-		t.Fatalf("SGD step wrong: %v", w[0])
-	}
-}
+func TestAdamConverges(t *testing.T) { runToConvergence(t, NewAdam(0.1), 400) }
 
 func TestAdamFirstStepIsLRSized(t *testing.T) {
 	// With bias correction the first Adam step has magnitude ≈ LR
@@ -76,15 +66,6 @@ func TestResetClearsState(t *testing.T) {
 	NewAdam(0.1).Step(wFresh, []float64{1, 1})
 	if wReset[0] != wFresh[0] || wReset[1] != wFresh[1] {
 		t.Fatalf("Adam after Reset diverges from fresh: %v vs %v", wReset, wFresh)
-	}
-
-	s := &SGD{LR: 0.1, Momentum: 0.9}
-	s.Step(w, []float64{1, 1})
-	s.Reset()
-	for i := range s.vel {
-		if s.vel[i] != 0 {
-			t.Fatal("SGD Reset left nonzero velocity")
-		}
 	}
 }
 
@@ -133,15 +114,16 @@ func TestProximalLossMatchesGradient(t *testing.T) {
 }
 
 func TestProximalPullsTowardAnchor(t *testing.T) {
-	// Minimizing only the proximal term should drive w to the anchor.
+	// Minimizing only the proximal term (plain gradient steps of 0.5)
+	// should drive w to the anchor.
 	w := []float64{10, -10}
 	anchor := []float64{2, 3}
-	s := NewSGD(0.5)
 	g := make([]float64, 2)
 	for i := 0; i < 100; i++ {
 		g[0], g[1] = 0, 0
 		AddProximal(g, w, anchor, 1.0)
-		s.Step(w, g)
+		w[0] -= 0.5 * g[0]
+		w[1] -= 0.5 * g[1]
 	}
 	if math.Abs(w[0]-2) > 1e-6 || math.Abs(w[1]-3) > 1e-6 {
 		t.Fatalf("proximal descent did not reach anchor: %v", w)
@@ -154,5 +136,5 @@ func TestStepLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch did not panic")
 		}
 	}()
-	NewSGD(0.1).Step([]float64{1}, []float64{1, 2})
+	NewAdam(0.1).Step([]float64{1}, []float64{1, 2})
 }

@@ -4,12 +4,13 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"repro/internal/metrics"
-	"repro/internal/util"
 )
 
 // WriteCSV emits the table as CSV: the header row then one row per data
@@ -147,7 +148,7 @@ func WriteCSVDir(dir string, r *Report) ([]string, error) {
 			}
 		}
 	}
-	for _, key := range util.SortedKeys(r.Runs) {
+	for _, key := range slices.Sorted(maps.Keys(r.Runs)) {
 		run := r.Runs[key]
 		name := fmt.Sprintf("%s__run_%s.csv", r.ID, Slug(key))
 		if err := emit(name, func(w io.Writer) error { return WriteRunCSV(w, run) }); err != nil {

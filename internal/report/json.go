@@ -4,9 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"repro/internal/metrics"
-	"repro/internal/util"
 )
 
 // SchemaVersion identifies the JSON layout; bump on breaking changes so
@@ -126,7 +127,7 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	for _, a := range r.Artifacts {
 		jr.Artifacts = append(jr.Artifacts, a.json().(jsonArtifact))
 	}
-	for _, key := range util.SortedKeys(r.Runs) {
+	for _, key := range slices.Sorted(maps.Keys(r.Runs)) {
 		jr.Runs = append(jr.Runs, runJSON(key, r.Runs[key]))
 	}
 	return json.Marshal(jr)
