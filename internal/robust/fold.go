@@ -36,13 +36,6 @@ func cohort(dst []float64, vecs [][]float64) (int, error) {
 	return k, nil
 }
 
-func growFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
 // insertionSort orders one Krum candidate's neighbor distances without
 // allocating; cohorts are small (tens of updates), so O(k²) beats
 // sort.Float64s' interface cost.
@@ -117,7 +110,7 @@ func sortNetwork(k int) []cmpEx {
 // sortRows readies the scratch for folding a cohort of k: k tile rows and
 // k's sorting network, built on first sight of k and kept.
 func (s *FoldScratch) sortRows(k int) []cmpEx {
-	s.tile = growFloats(s.tile, k*foldTile)
+	s.tile = tensor.EnsureVec(s.tile, k*foldTile)
 	net, ok := s.nets[k]
 	if !ok {
 		if s.nets == nil {
@@ -158,14 +151,14 @@ func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
 	for j0 := 0; j0 < len(dst); j0 += foldTile {
 		out := dst[j0:min(j0+foldTile, len(dst))]
 		s.sortTile(vecs, j0, len(out), net)
-		hi := s.row(k/2, len(out))
+		mid := s.row(k/2, len(out))
 		if k%2 == 1 {
-			copy(out, hi)
+			copy(out, mid)
 			continue
 		}
-		lo := s.row(k/2-1, len(out))
+		below := s.row(k/2-1, len(out))
 		for j := range out {
-			out[j] = (lo[j] + hi[j]) / 2
+			out[j] = (below[j] + mid[j]) / 2
 		}
 	}
 	return nil
@@ -195,14 +188,9 @@ func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64)
 		s.sortTile(vecs, j0, len(out), net)
 		// Per coordinate: ((0 + row[t]) + row[t+1]) + … left to right, then
 		// one division — the sum the per-coordinate loop formed.
-		for j := range out {
-			out[j] = 0
-		}
+		tensor.Zero(out)
 		for r := t; r < k-t; r++ {
-			row := s.row(r, len(out))
-			for j := range out {
-				out[j] += row[j]
-			}
+			tensor.AddTo(out, s.row(r, len(out)))
 		}
 		for j := range out {
 			out[j] /= kept
@@ -241,9 +229,9 @@ func (s *FoldScratch) Krum(dst []float64, vecs [][]float64, f int) (int, error) 
 	if m > k-1 {
 		m = k - 1
 	}
-	s.col = growFloats(s.col, k)
-	s.dists = growFloats(s.dists, k*k)
-	s.scores = growFloats(s.scores, k)
+	s.col = tensor.EnsureVec(s.col, k)
+	s.dists = tensor.EnsureVec(s.dists, k*k)
+	s.scores = tensor.EnsureVec(s.scores, k)
 	for i := 0; i < k; i++ {
 		s.dists[i*k+i] = 0
 		for j := i + 1; j < k; j++ {
