@@ -70,8 +70,8 @@ func TestPartitionOrdersByLatency(t *testing.T) {
 
 // TestPartitionMatchesStableSort pins the partition to the order it has
 // always had — a stable sort by latency over ascending ids — now that it is
-// computed by an unstable sort on (latency, id), across sizes and under
-// heavy ties (latencies drawn from a handful of values).
+// computed by a radix sort on a float key, across sizes and under heavy ties
+// (latencies drawn from a handful of values).
 func TestPartitionMatchesStableSort(t *testing.T) {
 	for _, n := range []int{1, 2, 17, 1000, 1_000_000} {
 		if n > 1000 && testing.Short() {
@@ -134,19 +134,19 @@ func TestPartitionRemainderGoesToFastTiers(t *testing.T) {
 	}
 }
 
-func TestPartitionSizesValidation(t *testing.T) {
+func TestPartitionValidation(t *testing.T) {
 	lat := []float64{1, 2, 3}
-	if _, err := PartitionSizes(lat, []int{2, 2}); err == nil {
-		t.Fatal("wrong total accepted")
-	}
-	if _, err := PartitionSizes(lat, []int{3, 0}); err == nil {
-		t.Fatal("zero tier size accepted")
-	}
 	if _, err := Partition(lat, 0); err == nil {
 		t.Fatal("zero tiers accepted")
 	}
+	if _, err := Partition(lat, -1); err == nil {
+		t.Fatal("negative tier count accepted")
+	}
 	if _, err := Partition(lat, 4); err == nil {
 		t.Fatal("more tiers than clients accepted")
+	}
+	if _, err := Partition(nil, 1); err == nil {
+		t.Fatal("a tier over no clients accepted")
 	}
 }
 
