@@ -21,9 +21,13 @@ Two subcommands, shared by CI and local use:
       way, and BenchmarkFold/<fold>/<cohort>x<dim> rows (internal/robust:
       coordinate median and trimmed mean on the tile kernel) as
       "robust/Fold/<fold>/<cohort>x<dim>", also at 0 B/op and 0
-      allocs/op. The ...Reference benchmarks beside the codec, tensor
-      and robust kernels are same-process denominators and are not
-      recorded.
+      allocs/op. BenchmarkPartition/<clients> rows (internal/tiering:
+      the radix partition of a profiled population into five tiers) are
+      recorded as "tiering/Partition/<clients>"; they allocate their
+      outputs, so the gate holds their B/op and allocs/op to the
+      baseline rather than to zero. The ...Reference benchmarks beside
+      the codec, tensor, robust and tiering kernels are same-process
+      denominators and are not recorded.
 
   append <current.json> <baseline.json> <trajectory.json> [label]
       Append the current suite as one entry to the committed trajectory
@@ -66,6 +70,7 @@ Regenerate the committed baseline after a deliberate perf change:
   go test -run '^$' -bench 'BenchmarkPolyline(Encode|Decode|Transmit)$' -benchtime 2000x -count 1 ./internal/codec >> bench.out
   go test -run '^$' -bench 'Benchmark(Gemm|Im2Col|Col2Im)$' -benchtime 500x -count 1 ./internal/tensor >> bench.out
   go test -run '^$' -bench 'BenchmarkFold$' -benchtime 500x -count 1 ./internal/robust >> bench.out
+  go test -run '^$' -bench 'BenchmarkPartition$' -benchtime 20x -count 1 ./internal/tiering >> bench.out
   python3 ci/bench_gate.py parse bench.out BENCH_baseline.json
 """
 import json
@@ -73,7 +78,7 @@ import re
 import sys
 
 LINE = re.compile(
-    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|Transmit)|Gemm|Im2Col|Col2Im|Fold)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|Transmit)|Gemm|Im2Col|Col2Im|Fold|Partition)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
     r"(?:\s+\d+(?:\.\d+)? MB/s)?"
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"
@@ -91,15 +96,17 @@ def parse(bench_out, out_json):
             m = LINE.match(line)
             if m:
                 suite, name = m.group(1), m.group(2)
-                # Population rungs and the codec, robust and tensor kernels
-                # are namespaced so they can never collide with a registry
-                # method name.
+                # Population rungs and the codec, robust, tiering and tensor
+                # kernels are namespaced so they can never collide with a
+                # registry method name.
                 if suite == "Population":
                     name = "population/" + name
                 elif suite.startswith("Polyline"):
                     name = "codec/%s/%s" % (suite, name)
                 elif suite == "Fold":
                     name = "robust/Fold/" + name
+                elif suite == "Partition":
+                    name = "tiering/Partition/" + name
                 elif suite != "Method":
                     name = "tensor/%s/%s" % (suite, name)
                 row = {
