@@ -56,7 +56,6 @@ func main() {
 		// Profiling and scale knobs.
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit (after a final GC)")
-		simWorkers = flag.Int("sim-workers", 0, "with -compose -topology edge:K, drive the merged virtual timeline on this many workers (edge-local events overlap; results are bit-identical at any value; <=1 = serial)")
 
 		// Composition mode: run one method assembled from policies. The
 		// -select/-pacer/-agg overrides and the staleness, re-tiering,
@@ -96,16 +95,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fedsim:", err)
 		os.Exit(2)
 	}
-	edgeOnly := shared.GivenCloud
-	if *simWorkers > 1 {
-		edgeOnly = append(edgeOnly, "-sim-workers")
-	}
-	if edges == 0 && len(edgeOnly) > 0 {
-		fmt.Fprintf(os.Stderr, "fedsim: %s given without -compose -topology edge:K (only a hierarchy has an edge→cloud hop, and only a merged multi-edge timeline has events to overlap)\n", strings.Join(edgeOnly, ", "))
+	if edges == 0 && len(shared.GivenCloud) > 0 {
+		fmt.Fprintf(os.Stderr, "fedsim: %s given without -compose -topology edge:K (only a hierarchy has an edge→cloud hop)\n", strings.Join(shared.GivenCloud, ", "))
 		os.Exit(2)
 	}
-	topo := experiments.ComposeTopology{Cloud: shared.Cloud, Workers: *simWorkers}
-	topo.Cloud.Edges = edges
+	shared.Cloud.Edges = edges
 
 	// The huge preset simulates a million clients lazily; an unbounded heap
 	// lets the GC defer collection of per-round garbage far past the lazy
@@ -123,7 +117,7 @@ func main() {
 	defer stopProfiles()
 
 	if *compose != "" {
-		code := runComposition(*compose, shared, *preset, *trace, topo)
+		code := runComposition(*compose, shared, *preset, *trace)
 		stopProfiles()
 		os.Exit(code)
 	}
@@ -280,7 +274,7 @@ func parseTopology(s string) (int, error) {
 // policy overrides, runs it on the standard ablation testbed at the given
 // preset, and prints a run summary. It returns the process exit code;
 // composition and aggregation errors surface here rather than panicking.
-func runComposition(base string, over *cliflags.Shared, preset string, trace bool, topo experiments.ComposeTopology) int {
+func runComposition(base string, over *cliflags.Shared, preset string, trace bool) int {
 	p, err := experiments.PresetByName(preset)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedsim:", err)
@@ -293,7 +287,7 @@ func runComposition(base string, over *cliflags.Shared, preset string, trace boo
 	}
 
 	var obs []fl.Observer
-	if trace && topo.Cloud.Edges > 0 {
+	if trace && over.Cloud.Edges > 0 {
 		fmt.Fprintln(os.Stderr, "fedsim: -trace is a flat-topology feature (a hierarchy has one event stream per edge)")
 		return 2
 	}
@@ -322,7 +316,7 @@ func runComposition(base string, over *cliflags.Shared, preset string, trace boo
 
 	start := time.Now()
 	dyn := experiments.ComposeDynamics{Run: over.ApplyRun, Behavior: over.Behavior}
-	run, err := experiments.RunComposedTopology(p, m, dyn, topo, obs...)
+	run, err := experiments.RunComposedTopology(p, m, dyn, over.Cloud, obs...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedsim:", err)
 		return 1

@@ -114,7 +114,7 @@ func TestEdgeOneEqualsFlat(t *testing.T) {
 			}
 
 			edgeEnv := buildEnv(t, 16, 11, cfg, simnet.BehaviorConfig{})
-			res, err := edge.Run(m, cfg, []edge.Child{{Fabric: edgeEnv.FabricOn}}, edge.Options{})
+			res, err := edge.Run(m, cfg, []edge.Child{{Fabric: edgeEnv.FabricOn}}, edge.CloudConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,27 +132,77 @@ func TestEdgeOneEqualsFlat(t *testing.T) {
 	}
 }
 
-// TestEdgeTwoDeterministic runs a 2-edge hierarchy twice from identically
-// rebuilt environments and requires bit-identical results — the merged
-// timeline must make goroutine scheduling invisible. Covers both fold
-// policies and exercises per-edge runtime re-tiering.
+// dynamicsBehavior is the full client-dynamics stack — speed drift,
+// transient churn, late joins and a scaling attack — the harshest regime
+// the merged timeline has to keep deterministic.
+func dynamicsBehavior() simnet.BehaviorConfig {
+	return simnet.BehaviorConfig{
+		DriftMag:      0.2,
+		DriftInterval: 40,
+		ChurnFrac:     0.25,
+		ChurnOn:       [2]float64{40, 120},
+		ChurnOff:      [2]float64{10, 40},
+		LateJoinFrac:  0.15,
+		AttackFrac:    0.2,
+		AttackKind:    "scale",
+		AttackScale:   -2,
+	}
+}
+
+// TestEdgeTwoDeterministic runs multi-edge hierarchies twice from
+// identically rebuilt environments and requires bit-identical results — the
+// merged timeline must make goroutine scheduling invisible. Covers both fold
+// policies with per-edge runtime re-tiering, and a 3-edge hierarchy under
+// the full dynamics stack for the async family: buffered per-update
+// staleness with the adaptive-LR stage, and the gradient-style asyncsgd
+// rule, whose per-update anchors and per-dispatch LR scales would expose
+// any schedule dependence.
 func TestEdgeTwoDeterministic(t *testing.T) {
-	for _, fold := range []string{edge.FoldSync, edge.FoldAsync} {
-		t.Run(fold, func(t *testing.T) {
+	compose := func(pacer, agg, name string) fl.Method {
+		m, err := fl.Compose("fedasync", "", pacer, agg, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cases := []struct {
+		name     string
+		method   fl.Method
+		edges    int
+		fold     string
+		behavior simnet.BehaviorConfig
+		mutate   func(*fl.RunConfig)
+	}{
+		{name: edge.FoldSync, method: fl.Methods["fedat"], edges: 2, fold: edge.FoldSync},
+		{name: edge.FoldAsync, method: fl.Methods["fedat"], edges: 2, fold: edge.FoldAsync},
+		{name: "dynamics/fedat", method: fl.Methods["fedat"], edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior()},
+		{name: "dynamics/fedasync", method: fl.Methods["fedasync"], edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior()},
+		{name: "dynamics/fedasync-fedbuff-adaptive", method: compose("fedbuff", "fedasync:poly:0.5", "fedasync-fedbuff-adaptive"),
+			edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior(), mutate: func(cfg *fl.RunConfig) {
+				cfg.BufferK = 3
+				cfg.AdaptiveLR = true
+			}},
+		{name: "dynamics/asyncsgd", method: compose("", "asyncsgd:exp:0.3", "asyncsgd"), edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
 			once := func() (*edge.Result, error) {
 				cfg := edgeCfg()
 				cfg.RetierEvery = 4
-				env0 := buildEnv(t, 8, 11, cfg, simnet.BehaviorConfig{})
-				cfg1 := cfg
-				cfg1.Seed = cfg.Seed + 1
-				env1 := buildEnv(t, 8, 12, cfg1, simnet.BehaviorConfig{})
-				return edge.Run(fl.Methods["fedat"], cfg, []edge.Child{
-					{Fabric: env0.FabricOn},
-					{Fabric: env1.FabricOn},
-				}, edge.Options{Cloud: edge.CloudConfig{
-					Fold: fold,
+				if c.mutate != nil {
+					c.mutate(&cfg)
+				}
+				children := make([]edge.Child, c.edges)
+				for e := range children {
+					cfgE := cfg
+					cfgE.Seed = cfg.Seed + uint64(e)
+					env := buildEnv(t, 8, 11+uint64(e), cfgE, c.behavior)
+					children[e] = edge.Child{Fabric: env.FabricOn}
+				}
+				return edge.Run(c.method, cfg, children, edge.CloudConfig{
+					Fold: c.fold,
 					Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
-				}})
+				})
 			}
 			a, err := once()
 			if err != nil {
@@ -175,6 +225,9 @@ func TestEdgeTwoDeterministic(t *testing.T) {
 			}
 			if a.Cloud.EdgeFolds == 0 {
 				t.Error("no cloud folds recorded")
+			}
+			if c.method.Pace != "tier" {
+				return
 			}
 			retiers := 0
 			for _, r := range a.Edges {
@@ -206,10 +259,10 @@ func TestChurnedEdgeRevives(t *testing.T) {
 	res, err := edge.Run(fl.Methods["fedat"], cfg, []edge.Child{
 		{Fabric: env0.FabricOn},
 		{Fabric: env1.FabricOn},
-	}, edge.Options{Cloud: edge.CloudConfig{
+	}, edge.CloudConfig{
 		Fold: edge.FoldSync,
 		Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +483,7 @@ func TestAsofedRefusesHierarchicalRebase(t *testing.T) {
 	_, err := edge.Run(fl.Methods["asofed"], cfg, []edge.Child{
 		{Fabric: env0.FabricOn},
 		{Fabric: env1.FabricOn},
-	}, edge.Options{})
+	}, edge.CloudConfig{})
 	if err == nil || !strings.Contains(err.Error(), "cannot adopt a hierarchical rebase") {
 		t.Fatalf("two-edge asofed hierarchy returned %v, want the rebase refusal", err)
 	}

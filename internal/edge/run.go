@@ -17,24 +17,6 @@ type Child struct {
 	Fabric func(c simnet.Clock) fl.Fabric
 }
 
-// Options configures a hierarchical run.
-type Options struct {
-	// Cloud is the edge→cloud policy: the fold, its async parameters, the
-	// uplink compressor and the merged-model evaluator. Run derives Edges,
-	// W0, Shapes, Dataset and Method from the children and the method.
-	Cloud CloudConfig
-	// PushEvery is how many of its own folds an edge completes per cloud
-	// push; default 1 (push every fold).
-	PushEvery int
-	// Workers sets how many edge-local events the merged timeline may
-	// execute concurrently (simnet.MultiClock.DriveWorkers). <=1 keeps the
-	// fully serial driver. Any value produces bit-identical results — fold
-	// sites serialize at quiescent points. What it buys in wall clock
-	// depends on how much of the machine cohort training already fills
-	// (DESIGN.md, "Sharded virtual time", has the measured figures).
-	Workers int
-}
-
 // seedStride offsets edge e's engine seed by e*seedStride, so edges draw
 // uncorrelated selection streams; edge 0 always keeps cfg.Seed, which is
 // what makes a 1-edge hierarchy replay the flat run exactly.
@@ -57,19 +39,18 @@ type Result struct {
 // edge models per the fold policy and each edge rebasing onto the merged
 // model it later adopts.
 //
+// ccfg is the edge→cloud policy: the fold, its async parameters, the uplink
+// compressor and the merged-model evaluator. Run derives Edges, W0, Shapes,
+// Dataset and Method from the children and the method.
+//
 // Engine start is serialized (edge e's event scheduling completes before
 // edge e+1 starts) and all callbacks interleave in global (time, seq)
 // order, so same seed → bit-identical runs regardless of goroutine
-// scheduling. With opts.Workers > 1 edge-local events of distinct edges
-// overlap on worker goroutines while fold sites still execute alone at
-// quiescent points — same ordering guarantees.
-func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result, error) {
+// scheduling.
+func Run(m fl.Method, cfg fl.RunConfig, children []Child, ccfg CloudConfig) (*Result, error) {
 	k := len(children)
 	if k == 0 {
 		return nil, fmt.Errorf("edge: hierarchy with zero edges")
-	}
-	if opts.PushEvery <= 0 {
-		opts.PushEvery = 1
 	}
 
 	mc := simnet.NewMultiClock(k)
@@ -82,7 +63,6 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result
 			return nil, fmt.Errorf("edge: child %d built a nil fabric", e)
 		}
 	}
-	ccfg := opts.Cloud
 	ccfg.Edges = k
 	ccfg.W0 = fabrics[0].InitialWeights()
 	ccfg.Shapes = fabrics[0].Shapes()
@@ -104,7 +84,7 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result
 	for e := 0; e < k; e++ {
 		cfgE := cfg
 		cfgE.Seed = cfg.Seed + uint64(e)*seedStride
-		syncer := &edgeSyncer{cloud: cloud, edge: e, pushEvery: opts.PushEvery}
+		syncer := &edgeSyncer{cloud: cloud, edge: e}
 		wg.Add(1)
 		go func(e int, syncer *edgeSyncer) {
 			defer wg.Done()
@@ -113,7 +93,7 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result
 		}(e, syncer)
 		mc.WaitArrive(e)
 	}
-	mc.DriveWorkers(opts.Workers)
+	mc.Drive()
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
@@ -130,16 +110,14 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, opts Options) (*Result
 	return res, nil
 }
 
-// edgeSyncer connects one edge's engine to the cloud: after every
-// PushEvery-th of the edge's own folds it pushes the fresh model up
-// (emitting the cloud's EdgeFoldEvent into this edge's stream when the
-// push triggers a fold), and whenever the cloud has moved past the edge's
-// last adoption it hands the merged model back for a rebase.
+// edgeSyncer connects one edge's engine to the cloud: after each of the
+// edge's own folds it pushes the fresh model up (emitting the cloud's
+// EdgeFoldEvent into this edge's stream when the push triggers a fold),
+// and whenever the cloud has moved past the edge's last adoption it hands
+// the merged model back for a rebase.
 type edgeSyncer struct {
-	cloud     *Cloud
-	edge      int
-	pushEvery int
-	folds     int
+	cloud *Cloud
+	edge  int
 }
 
 // OnEvent implements fl.Observer (the Syncer capability rides on the
@@ -148,12 +126,9 @@ func (s *edgeSyncer) OnEvent(fl.Event) {}
 
 // AfterFold implements fl.Syncer.
 func (s *edgeSyncer) AfterFold(f fl.FoldInfo) fl.SyncDirective {
-	s.folds++
 	var d fl.SyncDirective
-	if s.folds%s.pushEvery == 0 {
-		if ev, folded := s.cloud.Push(s.edge, f.Global, f.Time); folded {
-			d.Events = append(d.Events, ev)
-		}
+	if ev, folded := s.cloud.Push(s.edge, f.Global, f.Time); folded {
+		d.Events = append(d.Events, ev)
 	}
 	if w, _, ok := s.cloud.Adopt(s.edge); ok {
 		d.Rebase = w

@@ -23,8 +23,8 @@ import (
 // baseline; TopKFrac enables the sparsified delta uplink on the edge→cloud
 // hop only (client→edge traffic is untouched).
 type hierarchyRow struct {
-	key  string
-	topo ComposeTopology
+	key   string
+	cloud edge.CloudConfig
 }
 
 // Hierarchy compares flat FedAT against K-edge topologies under speed
@@ -44,18 +44,18 @@ func Hierarchy(p Preset) (*Report, error) {
 	}
 
 	rows := []hierarchyRow{
-		{"flat", ComposeTopology{}},
-		{"edge1/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}}},
-		{"edge2/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}}},
-		{"edge2/async", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1}}},
-		{"edge2/async+topk", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1, TopKFrac: 0.25}}},
+		{"flat", edge.CloudConfig{}},
+		{"edge1/sync", edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}},
+		{"edge2/sync", edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}},
+		{"edge2/async", edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1}},
+		{"edge2/async+topk", edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1, TopKFrac: 0.25}},
 	}
 
 	tb := report.NewTable("fedat on cifar10(#2) under speed drift + churn",
 		"topology", "best acc", "final acc", "sec/update", "edge folds", "mean staleness", "cloud MB up")
 	timeline := map[string]*metrics.Run{}
 	for _, row := range rows {
-		run, err := RunComposedTopology(p, m, dyn, row.topo)
+		run, err := RunComposedTopology(p, m, dyn, row.cloud)
 		if err != nil {
 			return nil, err
 		}
@@ -75,11 +75,11 @@ func Hierarchy(p Preset) (*Report, error) {
 		folds := report.Str("-")
 		stale := report.Str("-")
 		cloudMB := report.Str("-")
-		if row.topo.Cloud.Edges > 0 {
+		if row.cloud.Edges > 0 {
 			folds = report.Num(float64(run.EdgeFolds), fmt.Sprint(run.EdgeFolds))
 			stale = report.Numf("%.2f", staleness)
 		}
-		if row.topo.Cloud.Edges > 1 {
+		if row.cloud.Edges > 1 {
 			cloudMB = report.Numf("%.2f", float64(run.UpBytes)/1e6)
 		}
 		tb.AddRow(report.Str(row.key),

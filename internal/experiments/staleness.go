@@ -324,13 +324,13 @@ func Staleness(p Preset) (*Report, error) {
 	et := report.NewTable("fedasync:poly:0.5@fedbuff across topologies",
 		"topology", "best acc", "final acc", "edge folds", "mean staleness")
 	for _, row := range []struct {
-		key  string
-		topo ComposeTopology
+		key   string
+		cloud edge.CloudConfig
 	}{
-		{"edge1/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}}},
-		{"edge2/sync", ComposeTopology{Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}}},
+		{"edge1/sync", edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}},
+		{"edge2/sync", edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}},
 	} {
-		run, err := RunComposedTopology(p, edgeMethod, dyn, row.topo)
+		run, err := RunComposedTopology(p, edgeMethod, dyn, row.cloud)
 		if err != nil {
 			return nil, err
 		}

@@ -10,23 +10,6 @@ import (
 	"repro/internal/simnet"
 )
 
-// ComposeTopology selects the client topology for compose mode and the
-// hierarchy experiment: flat (the zero value) or a K-edge hierarchy where
-// the population is sharded across K edge aggregators, each running the
-// full unmodified method engine, folding up into a cloud model.
-type ComposeTopology struct {
-	// Cloud is the edge→cloud policy (Fold, Buffer, StaleExp, TopKFrac).
-	// Cloud.Edges is K; 0 means flat (no hierarchy layer at all), 1 runs
-	// the hierarchy machinery as a pass-through, bit-identical to flat.
-	// The model, the labels and the merged-model evaluator are filled in
-	// from the testbed.
-	Cloud edge.CloudConfig
-	// Workers lets edge-local events of distinct edges execute on that
-	// many OS workers (simnet.MultiClock.DriveWorkers); <=1 keeps the
-	// serial driver. Results are bit-identical at any value.
-	Workers int
-}
-
 // edgeSeedStride separates the per-edge data and cluster seeds. Edge 0
 // keeps the flat seeds unchanged — with one edge, the hierarchy's single
 // shard IS the flat population, which is what makes edge:1 ≡ flat exact.
@@ -36,8 +19,8 @@ const edgeSeedStride = 1009
 // population contiguously — edge e gets its own federated dataset and its
 // own cluster, seeds offset by e so shards draw distinct data and latency
 // populations — and runs the simulated hierarchy on one merged timeline.
-func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, topo ComposeTopology) (*edge.Result, error) {
-	k := topo.Cloud.Edges
+func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, cloud edge.CloudConfig) (*edge.Result, error) {
+	k := cloud.Edges
 	if k <= 0 {
 		return nil, fmt.Errorf("experiments: hierarchy needs at least one edge")
 	}
@@ -88,16 +71,15 @@ func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, topo Com
 		children[e] = edge.Child{Fabric: env.FabricOn}
 	}
 
-	opts := edge.Options{Cloud: topo.Cloud, Workers: topo.Workers}
 	if k > 1 {
 		// The cloud evaluates its merged model over the union population.
 		// A 1-edge hierarchy skips this: its record IS the edge engine's,
 		// already evaluated on the engine's own cadence.
 		ev := fl.NewDataEvaluator(factory, p.Seed, allShards)
-		opts.Cloud.Eval = func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true }
-		opts.Cloud.EvalEvery = cfg.EvalEvery
+		cloud.Eval = func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true }
+		cloud.EvalEvery = cfg.EvalEvery
 	}
-	return edge.Run(m, cfg, children, opts)
+	return edge.Run(m, cfg, children, cloud)
 }
 
 // buildFedSized is buildFed with an explicit client count and a data-seed
@@ -120,21 +102,24 @@ func buildFedSized(p Preset, d dsSpec, clients int, seedOffset uint64) (*dataset
 	}
 }
 
-// RunComposedTopology is RunComposedDynamics over an optional hierarchy:
-// with a flat topology it is exactly RunComposedDynamics; with edge:K it
-// runs K engines over sharded populations on one merged timeline and
-// returns the cloud-level run (edge folds, staleness, cloud traffic,
+// RunComposedTopology is RunComposedDynamics over an optional hierarchy.
+// cloud is the edge→cloud policy (Fold, Buffer, StaleExp, TopKFrac) and
+// cloud.Edges is K; the model, the labels and the merged-model evaluator
+// come from the testbed. K = 0 is flat: exactly RunComposedDynamics. K = 1
+// runs the hierarchy machinery as a pass-through, bit-identical to flat.
+// Larger K runs K engines over sharded populations on one merged timeline
+// and returns the cloud-level run (edge folds, staleness, cloud traffic,
 // merged-model evaluations). Event observers are a flat-topology feature —
 // a hierarchy has K event streams, so -trace style observers are rejected.
-func RunComposedTopology(p Preset, m fl.Method, dyn ComposeDynamics, topo ComposeTopology, obs ...fl.Observer) (*metrics.Run, error) {
-	if topo.Cloud.Edges <= 0 {
+func RunComposedTopology(p Preset, m fl.Method, dyn ComposeDynamics, cloud edge.CloudConfig, obs ...fl.Observer) (*metrics.Run, error) {
+	if cloud.Edges <= 0 {
 		return RunComposedDynamics(p, m, dyn, obs...)
 	}
 	if len(obs) > 0 {
 		return nil, fmt.Errorf("experiments: event observers are not supported with an edge topology (a hierarchy has one stream per edge)")
 	}
 	return simulateDirect(func() (*metrics.Run, error) {
-		res, err := runHierarchy(p, dsSpec{name: "cifar10", classesPerClient: 2}, m, dyn, topo)
+		res, err := runHierarchy(p, dsSpec{name: "cifar10", classesPerClient: 2}, m, dyn, cloud)
 		if err != nil {
 			return nil, err
 		}

@@ -94,16 +94,6 @@ type Fabric interface {
 	EvaluateSubset(w []float64, ids []int) float64
 }
 
-// SyncFabric is the optional fabric capability mirroring
-// simnet.SyncScheduler: AtSync schedules a fold-site callback — one that
-// may touch cross-engine state (the hierarchical cloud) — which a parallel
-// timeline driver executes alone at a quiescent point. The engine prefers
-// it over At at every fold site and falls back to At when the fabric (or
-// its clock) has no such distinction.
-type SyncFabric interface {
-	AtSync(t float64, fn func())
-}
-
 // ---------------------------------------------------------------------------
 // Simulated fabric
 
@@ -156,28 +146,6 @@ func (f *simFabric) Partition(RunConfig) (*tiering.Tiers, error) {
 // Repartition is a no-op on the simulator: the engine owns the partition,
 // and the simulated cluster has no per-tier execution state to update.
 func (f *simFabric) Repartition(*tiering.Tiers) {}
-
-// SyncDriven reports whether the fabric's clock actually distinguishes
-// synchronization events — a MultiClock child, whose timeline a parallel
-// driver may interleave with siblings. The engine uses it to decide
-// whether pacer continuations must be deferred out of fold callbacks
-// (they must, so training stays overlappable) or may run inline (the flat
-// fast path, where deferral would only add event-heap traffic).
-func (f *simFabric) SyncDriven() bool {
-	_, ok := f.Clock.(simnet.SyncScheduler)
-	return ok
-}
-
-// AtSync forwards fold-site scheduling to the clock's synchronization
-// capability when it has one (a MultiClock child), and degrades to At
-// otherwise (flat Sim) — where the flag would be meaningless anyway.
-func (f *simFabric) AtSync(t float64, fn func()) {
-	if s, ok := f.Clock.(simnet.SyncScheduler); ok {
-		s.AtSync(t, fn)
-		return
-	}
-	f.Clock.At(t, fn)
-}
 
 func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error)) {
 	deliver(f.env.trainCohort(cohort, now, global, comm, lc))

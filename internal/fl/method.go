@@ -151,9 +151,6 @@ func (m Method) RunOn(fab Fabric, cfg RunConfig, obs ...Observer) (*metrics.Run,
 		rule:     rule,
 		obs:      append([]Observer{rec}, obs...),
 	}
-	if sd, ok := fab.(interface{ SyncDriven() bool }); ok {
-		rs.deferResume = sd.SyncDriven()
-	}
 	for _, o := range obs {
 		if s, ok := o.(Syncer); ok {
 			rs.syncers = append(rs.syncers, s)
@@ -214,12 +211,6 @@ type runState struct {
 	// scale stays g(0) = 1). The next dispatch of the same loop trains with
 	// LR scaled by the weight function at that staleness.
 	lrStale map[int]int
-
-	// deferResume is set when the fabric's clock distinguishes
-	// synchronization events (a MultiClock child): pacer continuations are
-	// then deferred out of fold callbacks into their own owner-local events
-	// (see resume). Plain clocks keep the inline fast path.
-	deferResume bool
 }
 
 // Tiers returns the fabric's latency partition, computing it on first use —
@@ -283,37 +274,6 @@ func (rs *runState) observeStale(loop, startRound int) {
 		s = 0
 	}
 	rs.lrStale[loop] = s
-}
-
-// atSync schedules a fold-site callback: an event that folds into the
-// global model and may reach cross-engine state (the hierarchical cloud via
-// postFold). Fabrics that distinguish synchronization events (SyncFabric —
-// a MultiClock child under a parallel driver) run it alone at a quiescent
-// point of the merged timeline; everywhere else this is exactly At.
-func (rs *runState) atSync(t float64, fn func()) {
-	if s, ok := rs.fab.(SyncFabric); ok {
-		s.AtSync(t, fn)
-		return
-	}
-	rs.fab.At(t, fn)
-}
-
-// resume runs a pacer continuation — selecting and dispatching the next
-// round. Under a synchronization-driven clock (a MultiClock child that may
-// be driven in parallel) the continuation is deferred into its own event at
-// the current time: keeping dispatch out of the fold-site callbacks means
-// local training runs as an ordinary owner-local event, which is what a
-// parallel timeline driver is allowed to overlap across engines, and the
-// deferred event fires immediately after the fold at the same timestamp so
-// results are unchanged. On every other fabric the continuation runs
-// inline — the fold callback IS an ordinary event there, and deferral
-// would only add per-fold event-heap traffic on the hot path.
-func (rs *runState) resume(fn func()) {
-	if rs.deferResume {
-		rs.fab.At(rs.fab.Now(), fn)
-		return
-	}
-	fn()
 }
 
 // emit broadcasts one event to every observer.

@@ -29,18 +29,15 @@ func earliestRejoin(rs *runState, ids []int, now float64) float64 {
 // and ASO-Fed are its K = 1 case).
 //
 // Pacers are written once against the Fabric interface in continuation
-// style: work is started with Dispatch, folds are sequenced with atSync,
-// and the fabric's clock decides what "concurrent" means. On the simulated
-// fabric Dispatch delivers synchronously and scheduling queues on the
-// virtual event loop — exactly the discrete-event structure the golden
-// runs pin. On the live fabric Dispatch trains real clients over TCP while
-// other cohorts proceed, and deliveries serialize on the wall-clock run
-// loop. Fold callbacks touch shared state (the update rule, the
-// hierarchical cloud), so they go through rs.atSync and fold through
-// rs.fold, the engine's one fold site; the continuation that starts the
-// NEXT round is split out through rs.resume so that dispatch and local
-// training stay in plain owner-local events a parallel timeline driver may
-// overlap across edges.
+// style: work is started with Dispatch, folds are scheduled with the
+// fabric's At, and the fabric's clock decides what "concurrent" means. On
+// the simulated fabric Dispatch delivers synchronously and scheduling
+// queues on the virtual event loop — exactly the discrete-event structure
+// the golden runs pin. On the live fabric Dispatch trains real clients over
+// TCP while other cohorts proceed, and deliveries serialize on the
+// wall-clock run loop. Every fold goes through rs.fold, the engine's one
+// fold site, and the continuation that starts the next round runs inline
+// in the same callback.
 type Pacer interface {
 	Run(rs *runState) error
 }
@@ -102,13 +99,13 @@ func (syncPacer) Run(rs *runState) error {
 				}
 				rs.emitClientDones(tier, start, results)
 				kept, comp := sel.Harvest(rs, results)
-				rs.atSync(comp, func() {
+				rs.fab.At(comp, func() {
 					// No kept update: every counted client dropped, and the
 					// round folds nothing.
 					if len(kept) > 0 && !rs.fold(tier, toUpdates(kept, round), comp) {
 						return
 					}
-					rs.resume(func() { step(comp) })
+					step(comp)
 				})
 			})
 			return // the round is in flight; resume from its completion
@@ -178,7 +175,7 @@ func (tierPacer) Run(rs *runState) error {
 			}
 			rs.emitClientDones(m, now, results)
 			kept, comp := tsel.Harvest(rs, results)
-			rs.atSync(comp, func() {
+			rs.fab.At(comp, func() {
 				if rs.done {
 					return
 				}
@@ -200,18 +197,18 @@ func (tierPacer) Run(rs *runState) error {
 						// The pass may have migrated live clients into a
 						// tier whose loop exited (all previous members
 						// gone); restart those loops so no one silently
-						// leaves the training. Mark them active before the
-						// deferred kick runs so a fold landing in between
-						// cannot re-kick the same tier twice.
+						// leaves the training. Mark each active before its
+						// kick so a later fold cannot re-kick the same tier
+						// twice.
 						for m2 := range active {
 							if !active[m2] {
 								active[m2] = true
-								rs.resume(func() { tierRound(m2) })
+								tierRound(m2)
 							}
 						}
 					}
 				}
-				rs.resume(func() { tierRound(m) })
+				tierRound(m)
 			})
 		})
 	}
@@ -295,7 +292,7 @@ func (p bufferPacer) Run(rs *runState) error {
 				}
 				return
 			}
-			rs.atSync(r.Arrive, func() {
+			rs.fab.At(r.Arrive, func() {
 				if rs.done {
 					return
 				}
@@ -318,7 +315,7 @@ func (p bufferPacer) Run(rs *runState) error {
 						return
 					}
 				}
-				rs.resume(func() { startClient(id) })
+				startClient(id)
 			})
 		})
 	}

@@ -39,18 +39,7 @@ type Clock interface {
 	Stop()
 }
 
-// SyncScheduler is the optional clock capability behind parallel timeline
-// driving: AtSync schedules a callback that may touch state shared across
-// timelines (an engine fold, a cloud push), which a parallel driver
-// (MultiClock.DriveWorkers) executes alone at a quiescent point. Clocks
-// without the capability — Sim, the live transport — treat every event that
-// way already, so callers fall back to At.
-type SyncScheduler interface {
-	AtSync(t float64, fn func())
-}
-
 var _ Clock = (*Sim)(nil)
-var _ SyncScheduler = (*childClock)(nil)
 
 // event is a scheduled callback.
 type event struct {
