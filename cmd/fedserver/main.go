@@ -61,11 +61,10 @@ func main() {
 		method   = flag.String("method", "fedat", "registry method to run: "+strings.Join(fl.MethodNames(), ", "))
 
 		// Hierarchical topology.
-		role      = flag.String("role", "flat", "server role: flat (standalone), edge (serves clients, folds up to -root), root (cloud: folds edge pushes)")
-		edges     = flag.Int("edges", 2, "root role: number of edge aggregators")
-		rootAddr  = flag.String("root", "", "edge role: the root server's address")
-		edgeID    = flag.Int("edge-id", 0, "edge role: this edge's id in the root's 0..edges-1 space")
-		pushEvery = flag.Int("edge-push-every", 1, "edge role: engine folds per cloud push")
+		role     = flag.String("role", "flat", "server role: flat (standalone), edge (serves clients, folds up to -root), root (cloud: folds edge pushes)")
+		edges    = flag.Int("edges", 2, "root role: number of edge aggregators")
+		rootAddr = flag.String("root", "", "edge role: the root server's address")
+		edgeID   = flag.Int("edge-id", 0, "edge role: this edge's id in the root's 0..edges-1 space")
 	)
 	// Method composition, staleness, attack/DP and edge→cloud policy flags
 	// are fedsim's: the attack regime directs simnet.AttackTargets over
@@ -118,8 +117,7 @@ func main() {
 		}
 		up, err = transport.DialUplink(transport.UplinkConfig{
 			Root: *rootAddr, EdgeID: *edgeID, NumClients: *clients,
-			PushEvery: *pushEvery, TopKFrac: shared.Cloud.TopKFrac,
-			W0: ref.WeightsCopy(), Shapes: shapes,
+			TopKFrac: shared.Cloud.TopKFrac, W0: ref.WeightsCopy(), Shapes: shapes,
 			Logf: log.Printf,
 		})
 		if err != nil {

@@ -16,11 +16,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Aggregator is FedAT's server state. It is safe for concurrent use
-// (checkpointing and status readers may race the update path), though the
-// method engine serializes UpdateTier calls through its run loop — the
-// paper likewise serializes aggregation through the server (Figure 1's
-// aggregation box).
+// Aggregator is FedAT's server state. It is safe for concurrent use,
+// though the method engine serializes its folds through the fabric's run
+// loop — the paper likewise serializes aggregation through the server
+// (Figure 1's aggregation box).
 type Aggregator struct {
 	mu sync.Mutex
 
@@ -31,7 +30,6 @@ type Aggregator struct {
 	counts []int       // T_tier m
 	total  int         // T = Σ counts
 	global []float64   // cached weighted average
-	w0     []float64
 
 	wScratch []float64 // reused Eq. 5 weight vector for the fold path
 }
@@ -51,16 +49,12 @@ func NewAggregator(m int, w0 []float64, weighted bool) (*Aggregator, error) {
 		tierW:    make([][]float64, m),
 		counts:   make([]int, m),
 		global:   tensor.Copy(w0),
-		w0:       tensor.Copy(w0),
 	}
 	for i := range a.tierW {
 		a.tierW[i] = tensor.Copy(w0)
 	}
 	return a, nil
 }
-
-// M returns the tier count.
-func (a *Aggregator) M() int { return a.m }
 
 // Rounds returns t, the number of global updates so far.
 func (a *Aggregator) Rounds() int {
@@ -69,27 +63,10 @@ func (a *Aggregator) Rounds() int {
 	return a.total
 }
 
-// TierCounts returns a copy of the per-tier update counters T_tier.
-func (a *Aggregator) TierCounts() []int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]int, a.m)
-	copy(out, a.counts)
-	return out
-}
-
-// Global returns a copy of the current global model w_t.
-func (a *Aggregator) Global() []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return tensor.Copy(a.global)
-}
-
 // GlobalRef returns the live global-model buffer without copying. The
-// buffer is rewritten in place by the next UpdateTier/UpdateTierRef, so the
-// reference is read-only and valid only until the next fold — callers that
-// retain it across folds must copy. This is the zero-alloc accessor the
-// update rules use on the hot path; external readers should prefer Global.
+// buffer is rewritten in place by the next UpdateTierRef, so the reference
+// is read-only and valid only until the next fold — callers that retain it
+// across folds must copy.
 func (a *Aggregator) GlobalRef() []float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -116,15 +93,8 @@ func (a *Aggregator) Rebase(w []float64) []float64 {
 	return a.global
 }
 
-// TierModel returns a copy of tier m's current model.
-func (a *Aggregator) TierModel(m int) []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return tensor.Copy(a.tierW[m])
-}
-
-// TierWeights returns the Eq. 5 aggregation weights that the NEXT global
-// average will use: weight of tier m is proportional to T_tier(M+1−m)
+// tierWeightsIntoLocked writes the Eq. 5 aggregation weights that the NEXT
+// global average will use into w: weight of tier m is proportional to T_tier(M+1−m)
 // (1-indexed in the paper; mirrored index here), with add-one smoothing —
 // weight_m = (T_tier(M+1−m)+1)/(T+M).
 //
@@ -136,18 +106,6 @@ func (a *Aggregator) TierModel(m int) []float64 {
 // more), keeps Σ weights = 1, reduces to exactly 1 for a single tier
 // (FedAT = FedAvg, §4.1), and converges to the literal Eq. 5 as T grows.
 // In uniform mode every tier weighs 1/M (the Figure 6 ablation).
-func (a *Aggregator) TierWeights() []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.tierWeightsLocked()
-}
-
-func (a *Aggregator) tierWeightsLocked() []float64 {
-	w := make([]float64, a.m)
-	a.tierWeightsIntoLocked(w)
-	return w
-}
-
 func (a *Aggregator) tierWeightsIntoLocked(w []float64) {
 	if !a.weighted {
 		for i := range w {
@@ -179,28 +137,12 @@ type ClientUpdate struct {
 	StartRound int
 }
 
-// UpdateTier performs one tier-m round (the body of Algorithm 2): the
+// UpdateTierRef performs one tier-m round (the body of Algorithm 2): the
 // clients' models are n_k-weighted into w_tier m, the counters advance, and
 // the global model is recomputed as the cross-tier weighted average. It
-// returns a copy of the fresh global model.
-func (a *Aggregator) UpdateTier(m int, updates []ClientUpdate) ([]float64, error) {
-	g, err := a.updateTier(m, updates, true)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// UpdateTierRef is UpdateTier without the defensive copy: the returned
-// slice is the aggregator's live global buffer, rewritten in place by the
-// next fold. Same read-only-until-next-fold contract as GlobalRef. Folds
-// run in the exact summation order of UpdateTier, so the numeric result is
-// bit-identical.
+// returns the aggregator's live global buffer, with GlobalRef's
+// read-only-until-next-fold contract.
 func (a *Aggregator) UpdateTierRef(m int, updates []ClientUpdate) ([]float64, error) {
-	return a.updateTier(m, updates, false)
-}
-
-func (a *Aggregator) updateTier(m int, updates []ClientUpdate, copyOut bool) ([]float64, error) {
 	if m < 0 || m >= a.m {
 		return nil, fmt.Errorf("core: tier %d out of range [0,%d)", m, a.m)
 	}
@@ -229,9 +171,6 @@ func (a *Aggregator) updateTier(m int, updates []ClientUpdate, copyOut bool) ([]
 	a.counts[m]++
 	a.total++
 	a.recomputeGlobalLocked()
-	if copyOut {
-		return tensor.Copy(a.global), nil
-	}
 	return a.global, nil
 }
 
@@ -241,19 +180,4 @@ func (a *Aggregator) recomputeGlobalLocked() {
 	}
 	a.tierWeightsIntoLocked(a.wScratch)
 	tensor.WeightedSumInto(a.global, a.wScratch, a.tierW)
-}
-
-// Reset restores the aggregator to its initial state (used between
-// experiment repetitions).
-func (a *Aggregator) Reset() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for i := range a.tierW {
-		copy(a.tierW[i], a.w0)
-	}
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.total = 0
-	copy(a.global, a.w0)
 }

@@ -16,10 +16,17 @@ func newAgg(t *testing.T, m int, w0 []float64, weighted bool) *Aggregator {
 	return a
 }
 
+// tierWeights reads the Eq. 5 weights the next fold will use.
+func tierWeights(a *Aggregator) []float64 {
+	w := make([]float64, a.m)
+	a.tierWeightsIntoLocked(w)
+	return w
+}
+
 func TestInitialGlobalIsW0(t *testing.T) {
 	w0 := []float64{1, 2, 3}
 	a := newAgg(t, 3, w0, true)
-	g := a.Global()
+	g := a.GlobalRef()
 	for i := range w0 {
 		if g[i] != w0[i] {
 			t.Fatalf("initial global %v", g)
@@ -36,12 +43,12 @@ func TestTierWeightsSumToOne(t *testing.T) {
 		counts := []int{int(c0 % 20), int(c1 % 20), int(c2 % 20)}
 		for m, n := range counts {
 			for i := 0; i < n; i++ {
-				if _, err := a.UpdateTier(m, []ClientUpdate{{Weights: []float64{1}, N: 1}}); err != nil {
+				if _, err := a.UpdateTierRef(m, []ClientUpdate{{Weights: []float64{1}, N: 1}}); err != nil {
 					return false
 				}
 			}
 		}
-		w := a.TierWeights()
+		w := tierWeights(a)
 		sum := 0.0
 		for _, v := range w {
 			if v < 0 {
@@ -65,10 +72,10 @@ func TestEq5MirrorsCounts(t *testing.T) {
 	counts := []int{8, 1, 1}
 	for m, n := range counts {
 		for i := 0; i < n; i++ {
-			a.UpdateTier(m, []ClientUpdate{{Weights: []float64{0}, N: 1}})
+			a.UpdateTierRef(m, []ClientUpdate{{Weights: []float64{0}, N: 1}})
 		}
 	}
-	w := a.TierWeights()
+	w := tierWeights(a)
 	if math.Abs(w[0]-2.0/13) > 1e-12 || math.Abs(w[1]-2.0/13) > 1e-12 || math.Abs(w[2]-9.0/13) > 1e-12 {
 		t.Fatalf("Eq.5 weights wrong: %v", w)
 	}
@@ -80,11 +87,11 @@ func TestSlowTierGetsHigherWeightThanFastTier(t *testing.T) {
 	a := newAgg(t, 2, []float64{0}, true)
 	// tier 0 updates 9 times with weights 1, tier 1 once with weights -1
 	for i := 0; i < 9; i++ {
-		a.UpdateTier(0, []ClientUpdate{{Weights: []float64{1}, N: 1}})
+		a.UpdateTierRef(0, []ClientUpdate{{Weights: []float64{1}, N: 1}})
 	}
-	a.UpdateTier(1, []ClientUpdate{{Weights: []float64{-1}, N: 1}})
+	a.UpdateTierRef(1, []ClientUpdate{{Weights: []float64{-1}, N: 1}})
 	// smoothed: tier0 ← (counts[1]+1)/12 = 2/12, tier1 ← (counts[0]+1)/12 = 10/12
-	g := a.Global()
+	g := a.GlobalRef()
 	want := 2.0/12*1 + 10.0/12*(-1)
 	if math.Abs(g[0]-want) > 1e-12 {
 		t.Fatalf("global %v, want %v (slow tier should dominate)", g[0], want)
@@ -97,7 +104,7 @@ func TestEarlyUpdateDoesNotCollapseToW0(t *testing.T) {
 	// T_tierM/T = 0 and return exactly w0. The smoothed weights must let
 	// the first real update move the global model.
 	a := newAgg(t, 5, []float64{0}, true)
-	g, err := a.UpdateTier(0, []ClientUpdate{{Weights: []float64{6}, N: 1}})
+	g, err := a.UpdateTierRef(0, []ClientUpdate{{Weights: []float64{6}, N: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +117,10 @@ func TestEarlyUpdateDoesNotCollapseToW0(t *testing.T) {
 func TestUniformModeIgnoresCounts(t *testing.T) {
 	a := newAgg(t, 2, []float64{0}, false)
 	for i := 0; i < 9; i++ {
-		a.UpdateTier(0, []ClientUpdate{{Weights: []float64{1}, N: 1}})
+		a.UpdateTierRef(0, []ClientUpdate{{Weights: []float64{1}, N: 1}})
 	}
-	a.UpdateTier(1, []ClientUpdate{{Weights: []float64{-1}, N: 1}})
-	g := a.Global()
+	a.UpdateTierRef(1, []ClientUpdate{{Weights: []float64{-1}, N: 1}})
+	g := a.GlobalRef()
 	if math.Abs(g[0]-0) > 1e-12 {
 		t.Fatalf("uniform global %v, want 0", g[0])
 	}
@@ -122,7 +129,7 @@ func TestUniformModeIgnoresCounts(t *testing.T) {
 func TestIntraTierSampleWeighting(t *testing.T) {
 	// Within a tier, clients aggregate n_k-weighted (Algorithm 2).
 	a := newAgg(t, 1, []float64{0}, true)
-	g, err := a.UpdateTier(0, []ClientUpdate{
+	g, err := a.UpdateTierRef(0, []ClientUpdate{
 		{Weights: []float64{1}, N: 30},
 		{Weights: []float64{5}, N: 10},
 	})
@@ -139,7 +146,7 @@ func TestSingleTierIsFedAvg(t *testing.T) {
 	// §4.1: with one tier FedAT degenerates to FedAvg — the global model
 	// is exactly the n_k-weighted client average each round.
 	a := newAgg(t, 1, []float64{10, 10}, true)
-	g, _ := a.UpdateTier(0, []ClientUpdate{
+	g, _ := a.UpdateTierRef(0, []ClientUpdate{
 		{Weights: []float64{2, 4}, N: 1},
 		{Weights: []float64{4, 8}, N: 1},
 	})
@@ -156,35 +163,17 @@ func TestValidation(t *testing.T) {
 		t.Fatal("empty weights accepted")
 	}
 	a := newAgg(t, 2, []float64{1}, true)
-	if _, err := a.UpdateTier(5, []ClientUpdate{{Weights: []float64{1}, N: 1}}); err == nil {
+	if _, err := a.UpdateTierRef(5, []ClientUpdate{{Weights: []float64{1}, N: 1}}); err == nil {
 		t.Fatal("out-of-range tier accepted")
 	}
-	if _, err := a.UpdateTier(0, nil); err == nil {
+	if _, err := a.UpdateTierRef(0, nil); err == nil {
 		t.Fatal("empty round accepted")
 	}
-	if _, err := a.UpdateTier(0, []ClientUpdate{{Weights: []float64{1, 2}, N: 1}}); err == nil {
+	if _, err := a.UpdateTierRef(0, []ClientUpdate{{Weights: []float64{1, 2}, N: 1}}); err == nil {
 		t.Fatal("wrong weight length accepted")
 	}
-	if _, err := a.UpdateTier(0, []ClientUpdate{{Weights: []float64{1}, N: 0}}); err == nil {
+	if _, err := a.UpdateTierRef(0, []ClientUpdate{{Weights: []float64{1}, N: 0}}); err == nil {
 		t.Fatal("zero sample count accepted")
-	}
-}
-
-func TestReset(t *testing.T) {
-	a := newAgg(t, 2, []float64{7}, true)
-	a.UpdateTier(0, []ClientUpdate{{Weights: []float64{1}, N: 1}})
-	a.Reset()
-	if a.Rounds() != 0 || a.Global()[0] != 7 || a.TierModel(0)[0] != 7 {
-		t.Fatal("Reset incomplete")
-	}
-}
-
-func TestGlobalReturnsCopy(t *testing.T) {
-	a := newAgg(t, 1, []float64{1}, true)
-	g := a.Global()
-	g[0] = 99
-	if a.Global()[0] == 99 {
-		t.Fatal("Global leaks internal state")
 	}
 }
 
@@ -202,7 +191,7 @@ func TestConcurrentUpdates(t *testing.T) {
 				w[i] = float64(m)
 			}
 			for i := 0; i < perTier; i++ {
-				if _, err := a.UpdateTier(m, []ClientUpdate{{Weights: w, N: 1}}); err != nil {
+				if _, err := a.UpdateTierRef(m, []ClientUpdate{{Weights: w, N: 1}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -213,14 +202,13 @@ func TestConcurrentUpdates(t *testing.T) {
 	if a.Rounds() != 4*perTier {
 		t.Fatalf("rounds %d, want %d", a.Rounds(), 4*perTier)
 	}
-	counts := a.TierCounts()
-	for m, c := range counts {
+	for m, c := range a.counts {
 		if c != perTier {
 			t.Fatalf("tier %d count %d", m, c)
 		}
 	}
 	sum := 0.0
-	for _, v := range a.TierWeights() {
+	for _, v := range tierWeights(a) {
 		sum += v
 	}
 	if math.Abs(sum-1) > 1e-12 {

@@ -1,6 +1,7 @@
 package edge_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/simnet"
+	"repro/internal/tiering"
 )
 
 // buildEnv constructs a small deterministic environment. Building twice
@@ -151,7 +153,7 @@ func dynamicsBehavior() simnet.BehaviorConfig {
 
 // TestEdgeTwoDeterministic runs multi-edge hierarchies twice from
 // identically rebuilt environments and requires bit-identical results — the
-// merged timeline must make goroutine scheduling invisible. Covers both fold
+// merged timeline must leave no trace of host scheduling. Covers both fold
 // policies with per-edge runtime re-tiering, and a 3-edge hierarchy under
 // the full dynamics stack for the async family: buffered per-update
 // staleness with the adaptive-LR stage, and the gradient-style asyncsgd
@@ -470,6 +472,54 @@ func TestUplinkRoundTrip(t *testing.T) {
 			}
 		}
 	})
+}
+
+// countingFabric counts the callbacks scheduled on and fired by its clock.
+type countingFabric struct {
+	fl.Fabric
+	scheduled, fired *int
+}
+
+func (f countingFabric) At(t float64, fn func()) {
+	*f.scheduled++
+	f.Fabric.At(t, func() { *f.fired++; fn() })
+}
+
+// failingPartition is a fabric whose latency profiling fails.
+type failingPartition struct{ fl.Fabric }
+
+var errPartition = errors.New("profiling failed")
+
+func (failingPartition) Partition(fl.RunConfig) (*tiering.Tiers, error) { return nil, errPartition }
+
+// TestEdgeStartFailureSkipsDrive: when the last edge's engine cannot start
+// (its fabric fails the tier partition FedAT needs), edge.Run returns that
+// error before driving the merged timeline — the edges started before it
+// scheduled work, none of which runs.
+func TestEdgeStartFailureSkipsDrive(t *testing.T) {
+	cfg := edgeCfg()
+	var scheduled, fired int
+	children := make([]edge.Child, 3)
+	for e := range children {
+		env := buildEnv(t, 8, 11+uint64(e), cfg, simnet.BehaviorConfig{})
+		children[e] = edge.Child{Fabric: func(c simnet.Clock) fl.Fabric {
+			var fab fl.Fabric = countingFabric{Fabric: env.FabricOn(c), scheduled: &scheduled, fired: &fired}
+			if e == 2 {
+				fab = failingPartition{fab}
+			}
+			return fab
+		}}
+	}
+	_, err := edge.Run(fl.Methods["fedat"], cfg, children, edge.CloudConfig{})
+	if !errors.Is(err, errPartition) {
+		t.Fatalf("edge.Run returned %v, want the partition failure", err)
+	}
+	if scheduled == 0 {
+		t.Error("edges 0 and 1 scheduled nothing before edge 2 failed to start")
+	}
+	if fired != 0 {
+		t.Errorf("%d callbacks fired: the timeline was driven after a failed start", fired)
+	}
 }
 
 // TestAsofedRefusesHierarchicalRebase: ASO-Fed's rule is deliberately not a

@@ -3,7 +3,6 @@ package edge
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/fl"
 	"repro/internal/metrics"
@@ -43,10 +42,11 @@ type Result struct {
 // compressor and the merged-model evaluator. Run derives Edges, W0, Shapes,
 // Dataset and Method from the children and the method.
 //
-// Engine start is serialized (edge e's event scheduling completes before
-// edge e+1 starts) and all callbacks interleave in global (time, seq)
-// order, so same seed → bit-identical runs regardless of goroutine
-// scheduling.
+// Every engine starts (fl.Method.Start) and runs on the caller's goroutine:
+// edge e schedules its initial events before edge e+1 starts, then one
+// Drive interleaves all callbacks in global (time, seq) order, so same seed
+// → bit-identical runs. An edge that fails to start fails the run before
+// the timeline is driven.
 func Run(m fl.Method, cfg fl.RunConfig, children []Child, ccfg CloudConfig) (*Result, error) {
 	k := len(children)
 	if k == 0 {
@@ -73,28 +73,24 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, ccfg CloudConfig) (*Re
 		return nil, err
 	}
 	// An edge whose engine finishes leaves the fold barrier. The hook runs
-	// on the driver goroutine at a deterministic point of the merged
-	// timeline, so a retirement-completed barrier folds identically on
-	// every same-seed run.
+	// at a deterministic point of the merged timeline, so a
+	// retirement-completed barrier folds identically on every same-seed run.
 	mc.OnChildDone = func(e int) { cloud.Retire(e, handles[e].Now()) }
 
-	runs := make([]*metrics.Run, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
+	finishers := make([]func() (*metrics.Run, error), k)
 	for e := 0; e < k; e++ {
 		cfgE := cfg
 		cfgE.Seed = cfg.Seed + uint64(e)*seedStride
-		syncer := &edgeSyncer{cloud: cloud, edge: e}
-		wg.Add(1)
-		go func(e int, syncer *edgeSyncer) {
-			defer wg.Done()
-			defer mc.MarkDone(e)
-			runs[e], errs[e] = m.RunOn(fabrics[e], cfgE, syncer)
-		}(e, syncer)
-		mc.WaitArrive(e)
+		if finishers[e], err = m.Start(fabrics[e], cfgE, &edgeSyncer{cloud: cloud, edge: e}); err != nil {
+			return nil, err
+		}
 	}
 	mc.Drive()
-	wg.Wait()
+	runs := make([]*metrics.Run, k)
+	errs := make([]error, k)
+	for e, finish := range finishers {
+		runs[e], errs[e] = finish()
+	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}

@@ -33,8 +33,9 @@ type TrainResult struct {
 // composition in the registry runs unchanged on both.
 //
 // Threading contract: the engine calls fabric methods only from the clock
-// goroutine (the caller of Run and the callbacks it executes). The fabric
-// must deliver Dispatch results back on that same goroutine.
+// goroutine (the caller of Method.Start and Run, and the callbacks Run
+// executes). The fabric must deliver Dispatch results back on that same
+// goroutine.
 type Fabric interface {
 	simnet.Clock
 
@@ -118,8 +119,9 @@ func (e *Env) Fabric() Fabric { return e.FabricOn(simnet.New()) }
 // externally owned clock — a child handle of a simnet.MultiClock when the
 // environment is one edge of a hierarchical topology, so K edge fabrics
 // share one deterministically merged timeline. The caller owns the clock's
-// lifecycle; everything else (training arithmetic, link reservations,
-// availability) stays per-environment.
+// lifecycle: a hierarchy starts each edge's engine with Method.Start and
+// drives the merged timeline itself. Everything else (training arithmetic,
+// link reservations, availability) stays per-environment.
 func (e *Env) FabricOn(c simnet.Clock) Fabric { return &simFabric{Clock: c, env: e} }
 
 func (f *simFabric) Dataset() string { return f.env.dataset }

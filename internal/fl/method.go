@@ -121,6 +121,19 @@ func (m Method) Run(env *Env, obs ...Observer) (*metrics.Run, error) {
 // Composition errors (unknown policy keys, a pacer/selector mismatch),
 // aggregation errors and channel errors surface here instead of panicking.
 func (m Method) RunOn(fab Fabric, cfg RunConfig, obs ...Observer) (*metrics.Run, error) {
+	finish, err := m.Start(fab, cfg, obs...)
+	if err != nil {
+		return nil, err
+	}
+	fab.Run()
+	return finish()
+}
+
+// Start is RunOn up to the pacer's initial scheduling, leaving the clock to
+// the caller (a hierarchy drives every edge's clock from one merged
+// timeline). After the clock has run, finish returns the run record, or the
+// error that failed the run.
+func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func() (*metrics.Run, error), err error) {
 	if m.Name == "" {
 		return nil, fmt.Errorf("fl: method has no name")
 	}
@@ -168,10 +181,15 @@ func (m Method) RunOn(fab Fabric, cfg RunConfig, obs ...Observer) (*metrics.Run,
 	if err := rs.sel.Init(rs); err != nil {
 		return nil, fmt.Errorf("fl: method %s: %w", m.Name, err)
 	}
-	if err := pacer.Run(rs); err != nil {
+	if err := pacer.Start(rs); err != nil {
 		return nil, fmt.Errorf("fl: method %s: %w", m.Name, err)
 	}
-	return rec.finish(rs.comm, rs.rule.Rounds()), nil
+	return func() (*metrics.Run, error) {
+		if rs.runErr != nil {
+			return nil, fmt.Errorf("fl: method %s: %w", m.Name, rs.runErr)
+		}
+		return rec.finish(rs.comm, rs.rule.Rounds()), nil
+	}, nil
 }
 
 // runState is the per-run engine state shared by the policies: the fabric,
@@ -303,7 +321,7 @@ func (rs *runState) finish() {
 	rs.fab.Stop()
 }
 
-// fail ends the run with err, which the pacer's Run returns.
+// fail ends the run with err, which Start's finish returns.
 func (rs *runState) fail(err error) {
 	rs.runErr = err
 	rs.finish()

@@ -29,7 +29,8 @@ func earliestRejoin(rs *runState, ids []int, now float64) float64 {
 // and ASO-Fed are its K = 1 case).
 //
 // Pacers are written once against the Fabric interface in continuation
-// style: work is started with Dispatch, folds are scheduled with the
+// style: Start kicks off the loops without running the clock (its caller
+// does), work is started with Dispatch, folds are scheduled with the
 // fabric's At, and the fabric's clock decides what "concurrent" means. On
 // the simulated fabric Dispatch delivers synchronously and scheduling
 // queues on the virtual event loop — exactly the discrete-event structure
@@ -39,7 +40,7 @@ func earliestRejoin(rs *runState, ids []int, now float64) float64 {
 // fold site, and the continuation that starts the next round runs inline
 // in the same callback.
 type Pacer interface {
-	Run(rs *runState) error
+	Start(rs *runState) error
 }
 
 // Pacers is the registry of pacing policies: three loops under four keys.
@@ -59,7 +60,7 @@ var Pacers = map[string]Pacer{
 
 type syncPacer struct{}
 
-func (syncPacer) Run(rs *runState) error {
+func (syncPacer) Start(rs *runState) error {
 	sel, ok := rs.sel.(RoundSelector)
 	if !ok {
 		return fmt.Errorf("sync pacing needs a round selector, %q is not one", rs.method.Select)
@@ -112,8 +113,7 @@ func (syncPacer) Run(rs *runState) error {
 		}
 	}
 	step(0)
-	rs.fab.Run()
-	return rs.runErr
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ func (syncPacer) Run(rs *runState) error {
 
 type tierPacer struct{}
 
-func (tierPacer) Run(rs *runState) error {
+func (tierPacer) Start(rs *runState) error {
 	tsel, ok := rs.sel.(TierSelector)
 	if !ok {
 		return fmt.Errorf("tier pacing needs a tier selector, %q is not one", rs.method.Select)
@@ -215,8 +215,7 @@ func (tierPacer) Run(rs *runState) error {
 	for m := 0; m < tiers.M(); m++ {
 		tierRound(m)
 	}
-	rs.fab.Run()
-	return rs.runErr
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -234,7 +233,7 @@ func (tierPacer) Run(rs *runState) error {
 // bufferPacer folds every k arrivals; k = 0 takes cfg.BufferK.
 type bufferPacer struct{ k int }
 
-func (p bufferPacer) Run(rs *runState) error {
+func (p bufferPacer) Start(rs *runState) error {
 	if _, ok := rs.sel.(FreeSelector); !ok {
 		return fmt.Errorf("%s pacing performs no cohort selection, so selector %q would be ignored; use \"all\"", rs.method.Pace, rs.method.Select)
 	}
@@ -322,6 +321,5 @@ func (p bufferPacer) Run(rs *runState) error {
 	for id := 0; id < rs.fab.NumClients(); id++ {
 		startClient(id)
 	}
-	rs.fab.Run()
-	return rs.runErr
+	return nil
 }

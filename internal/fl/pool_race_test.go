@@ -42,7 +42,7 @@ func TestSharedPoolConcurrentTierFolds(t *testing.T) {
 		buf := pool.Get()
 		src := fuzzVec(uint64(i)+100, dim)
 		copy(buf, src)
-		if _, err := agg.UpdateTier(i%tiers, []core.ClientUpdate{{Weights: buf, N: i%5 + 1, Client: i % 20}}); err != nil {
+		if _, err := agg.UpdateTierRef(i%tiers, []core.ClientUpdate{{Weights: buf, N: i%5 + 1, Client: i % 20}}); err != nil {
 			t.Error(err)
 		}
 		pool.Put(buf)
@@ -56,7 +56,7 @@ func TestSharedPoolConcurrentTierFolds(t *testing.T) {
 	if agg.Rounds() != folds {
 		t.Fatalf("aggregator counted %d folds, want %d", agg.Rounds(), folds)
 	}
-	for i, v := range agg.Global() {
+	for i, v := range agg.GlobalRef() {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("global[%d] = %v after pooled folds — a fold retained a released buffer", i, v)
 		}

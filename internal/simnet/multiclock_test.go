@@ -3,26 +3,16 @@ package simnet
 import (
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 )
 
-// runChildren starts each child's body on its own goroutine with the
-// serial-start protocol, drives the merged timeline and waits for every
-// child to finish.
+// runChildren starts each child's body in order — a body only schedules
+// its initial events — then drives the merged timeline.
 func runChildren(m *MultiClock, bodies []func(c Clock)) {
-	var wg sync.WaitGroup
 	for i, body := range bodies {
-		wg.Add(1)
-		go func(i int, body func(Clock)) {
-			defer wg.Done()
-			defer m.MarkDone(i)
-			body(m.Child(i))
-		}(i, body)
-		m.WaitArrive(i)
+		body(m.Child(i))
 	}
 	m.Drive()
-	wg.Wait()
 }
 
 // TestMultiClockMergesTimelines checks that events from different children
@@ -35,16 +25,14 @@ func TestMultiClockMergesTimelines(t *testing.T) {
 		body := func(id int) func(c Clock) {
 			return func(c Clock) {
 				var tick func(n int)
-				clock := c
 				tick = func(n int) {
 					if n >= 4 {
 						return
 					}
-					log = append(log, fmt.Sprintf("c%d@%g", id, clock.Now()))
-					clock.At(clock.Now()+float64(1+id), func() { tick(n + 1) })
+					log = append(log, fmt.Sprintf("c%d@%g", id, c.Now()))
+					c.At(c.Now()+float64(1+id), func() { tick(n + 1) })
 				}
-				clock.At(float64(id), func() { tick(0) })
-				clock.Run()
+				c.At(float64(id), func() { tick(0) })
 			}
 		}
 		runChildren(m, []func(c Clock){body(0), body(1)})
@@ -65,15 +53,14 @@ func TestMultiClockMergesTimelines(t *testing.T) {
 }
 
 // TestMultiClockFIFOAmongTies pins the tie-break: equal timestamps fire in
-// scheduling order, and the serial-start protocol makes that order the
-// child-start order.
+// scheduling order, and starting the children in order makes that order
+// the child-start order.
 func TestMultiClockFIFOAmongTies(t *testing.T) {
 	var log []string
 	m := NewMultiClock(3)
 	body := func(id int) func(c Clock) {
 		return func(c Clock) {
 			c.At(1, func() { log = append(log, fmt.Sprintf("c%d", id)) })
-			c.Run()
 		}
 	}
 	runChildren(m, []func(c Clock){body(0), body(1), body(2)})
@@ -93,11 +80,9 @@ func TestMultiClockStopDiscardsOneChild(t *testing.T) {
 			c.Stop()
 		})
 		c.At(2, func() { log = append(log, "quitter@2 (must not fire)") })
-		c.Run()
 	}
 	stayer := func(c Clock) {
 		c.At(3, func() { log = append(log, "stayer@3") })
-		c.Run()
 	}
 	runChildren(m, []func(c Clock){quitter, stayer})
 	if want := []string{"quit@1", "stayer@3"}; !reflect.DeepEqual(log, want) {
@@ -105,60 +90,34 @@ func TestMultiClockStopDiscardsOneChild(t *testing.T) {
 	}
 }
 
-// TestMultiClockOnChildDone checks the release hook fires once per child on
-// the driver goroutine, in deterministic order: first the child whose queue
-// drains earliest, then the rest.
+// TestMultiClockOnChildDone checks the retirement hook fires once per child
+// in deterministic order: first the child whose queue drains earliest, then
+// the rest.
 func TestMultiClockOnChildDone(t *testing.T) {
 	var order []int
 	m := NewMultiClock(2)
 	m.OnChildDone = func(i int) { order = append(order, i) }
-	short := func(c Clock) {
-		c.At(1, func() {})
-		c.Run()
-	}
-	long := func(c Clock) {
-		c.At(5, func() {})
-		c.Run()
-	}
+	short := func(c Clock) { c.At(1, func() {}) }
+	long := func(c Clock) { c.At(5, func() {}) }
 	runChildren(m, []func(c Clock){long, short})
 	if want := []int{1, 0}; !reflect.DeepEqual(order, want) {
-		t.Fatalf("release order = %v, want %v", order, want)
-	}
-}
-
-// TestMultiClockDeadChildBeforeRun checks that a child goroutine erroring
-// out before reaching Run (MarkDone without arrival) neither blocks
-// WaitArrive nor stalls Drive.
-func TestMultiClockDeadChildBeforeRun(t *testing.T) {
-	fired := false
-	m := NewMultiClock(2)
-	dead := func(c Clock) { /* returns without calling Run */ }
-	live := func(c Clock) {
-		c.At(1, func() { fired = true })
-		c.Run()
-	}
-	runChildren(m, []func(c Clock){dead, live})
-	if !fired {
-		t.Fatal("live child's event did not fire")
+		t.Fatalf("retirement order = %v, want %v", order, want)
 	}
 }
 
 // TestMultiClockPastSchedulingPanics mirrors Sim.At's causality guard.
 func TestMultiClockPastSchedulingPanics(t *testing.T) {
 	m := NewMultiClock(2)
-	panicked := make(chan bool, 1)
+	panicked := false
 	scheduler := func(c Clock) {
 		c.At(5, func() {
-			func() {
-				defer func() { panicked <- recover() != nil }()
-				c.At(1, func() {}) // the merged clock is already at 5
-			}()
+			defer func() { panicked = recover() != nil }()
+			c.At(1, func() {}) // the merged clock is already at 5
 		})
-		c.Run()
 	}
-	idle := func(c Clock) { c.Run() }
+	idle := func(c Clock) {}
 	runChildren(m, []func(c Clock){scheduler, idle})
-	if !<-panicked {
+	if !panicked {
 		t.Fatal("scheduling in the past did not panic")
 	}
 }

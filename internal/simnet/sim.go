@@ -26,12 +26,13 @@ import (
 // it with a virtual clock (the simulated fabric); the live TCP transport
 // implements it with a wall clock behind a serialized run loop. Both promise
 // the same discipline: every callback runs on the single goroutine inside
-// Run, so engine state never needs locking.
+// Run (for a MultiClock child, inside the merged Drive), so engine state
+// never needs locking.
 type Clock interface {
 	// Now returns the current time in seconds.
 	Now() float64
-	// At schedules fn at absolute time t. fn runs inside Run, never
-	// concurrently with another callback.
+	// At schedules fn at absolute time t. fn runs inside Run (or Drive),
+	// never concurrently with another callback.
 	At(t float64, fn func())
 	// Run executes callbacks until the timeline drains or Stop is called.
 	Run()
@@ -91,50 +92,17 @@ func (s *Sim) At(t float64, fn func()) {
 	heap.Push(&s.events, event{at: t, seq: s.seq, fn: fn})
 }
 
-// After schedules fn d seconds from now.
-func (s *Sim) After(d float64, fn func()) {
-	if d < 0 {
-		panic("simnet: negative delay")
-	}
-	s.At(s.now+d, fn)
-}
-
-// Pending reports the number of queued events.
-func (s *Sim) Pending() int { return len(s.events) }
-
-// Step fires the next event; it reports false when the queue is empty or
-// the simulation has been stopped.
-func (s *Sim) Step() bool {
-	if s.stopped || len(s.events) == 0 {
-		return false
-	}
-	e := heap.Pop(&s.events).(event)
-	s.now = e.at
-	e.fn()
-	return true
-}
-
 // Run fires events until the queue drains or Stop is called.
 func (s *Sim) Run() {
-	for s.Step() {
-	}
-}
-
-// RunUntil fires events with timestamps <= t, then advances the clock to t.
-func (s *Sim) RunUntil(t float64) {
-	for !s.stopped && len(s.events) > 0 && s.events[0].at <= t {
-		s.Step()
-	}
-	if t > s.now {
-		s.now = t
+	for !s.stopped && len(s.events) > 0 {
+		e := heap.Pop(&s.events).(event)
+		s.now = e.at
+		e.fn()
 	}
 }
 
 // Stop halts the loop; queued events are discarded by the next Run.
 func (s *Sim) Stop() { s.stopped = true }
-
-// Stopped reports whether Stop was called.
-func (s *Sim) Stopped() bool { return s.stopped }
 
 // Link is a serialized bandwidth resource (bytes/second). Concurrent
 // transfers queue for capacity — this is what turns "all clients talk to
@@ -214,14 +182,6 @@ func maxFloat(a, b float64) float64 {
 		return a
 	}
 	return b
-}
-
-// Busy reports the time the last reservation ends (0 when idle).
-func (l *Link) Busy() float64 {
-	if len(l.busy) == 0 {
-		return 0
-	}
-	return l.busy[len(l.busy)-1].end
 }
 
 // Reservations reports the current busy-interval count (for tests).

@@ -20,9 +20,6 @@ type UplinkConfig struct {
 	EdgeID int
 	// NumClients is advisory (the root logs it).
 	NumClients int
-	// PushEvery is how many of the edge engine's own folds pass between
-	// cloud pushes; default 1.
-	PushEvery int
 	// TopKFrac enables the top-k delta uplink; must match the root's.
 	TopKFrac float64
 	// W0 is the initial model (the delta codec's reference base); Shapes
@@ -37,7 +34,7 @@ type UplinkConfig struct {
 
 // EdgeUplink connects one edge server's engine to the live root: as an
 // fl.Syncer on the engine's observer list it pushes the fresh edge model
-// up after each PushEvery-th fold and rebases the engine onto whatever
+// up after each of its folds and rebases the engine onto whatever
 // merged model the root has broadcast since. If the root goes away (or a
 // write fails, which would desynchronize the shared delta reference), the
 // uplink degrades permanently to standalone: the edge keeps serving its
@@ -59,7 +56,6 @@ type EdgeUplink struct {
 	models *tensor.Pool
 	lent   []float64 // adoption handed to the engine at the previous fold
 
-	folds  int
 	pushes uint64
 
 	mu          sync.Mutex
@@ -74,9 +70,6 @@ type EdgeUplink struct {
 // starts delivers adoption broadcasts into a mailbox the engine drains at
 // its own fold points, so the engine's loop never blocks on the root.
 func DialUplink(cfg UplinkConfig) (*EdgeUplink, error) {
-	if cfg.PushEvery <= 0 {
-		cfg.PushEvery = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -187,8 +180,7 @@ func (u *EdgeUplink) AfterFold(f fl.FoldInfo) fl.SyncDirective {
 	// here again: that buffer is free.
 	u.models.Put(u.lent)
 	u.lent = nil
-	u.folds++
-	if u.folds%u.cfg.PushEvery == 0 && !u.push(f.Global) {
+	if !u.push(f.Global) {
 		return d
 	}
 	u.mu.Lock()
