@@ -55,9 +55,10 @@ func benchEnv(b testing.TB) *fl.Env {
 // benchRun executes one method repeatedly over a reusable bench
 // environment: the env is built once outside the timed region and reset
 // between iterations, so the measurement is the run itself — training,
-// aggregation, simulation — not dataset generation. (The environment builds
-// its cohort-sized pool of training replicas on the first iteration's
-// dispatches; that one-off cost is amortized over b.N like pool growth.)
+// aggregation, simulation — not dataset generation, and not the model
+// replicas, which fl.NewEnv builds with the environment. (The replicas' and
+// member slots' scratch grows on the first iteration's dispatches; that
+// one-off cost is amortized over b.N like pool growth.)
 // TestEnvReuseDeterministic pins that every iteration is bit-identical to
 // a run on a freshly built env.
 func benchRun(b *testing.B, m fl.Method) {

@@ -160,7 +160,7 @@ func TestEngineRoundAllocCeiling(t *testing.T) {
 				env.ResetState()
 				mustRun(t, m, env)
 			}
-			run() // warm up pools, caches, per-client model replicas
+			run() // warm up pools, caches, replica and member-slot scratch
 			run()
 			perRun := testing.AllocsPerRun(3, run)
 			ceiling := 80.0 * rounds // measured ~33/round fedavg, ~51/round fedat

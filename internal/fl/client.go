@@ -19,24 +19,22 @@ import (
 	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/robust"
-	"repro/internal/simnet"
 	"repro/internal/tensor"
 )
 
-// Client couples one participant's local data and simulated runtime with
-// the training machinery that runs its round: a model replica, an optimizer
-// and scratch. The machinery carries nothing from one TrainLocal to the
-// next — weights are overwritten, optimizer moments and dropout masks
-// restart — so the simulated environment keeps a cohort-sized pool of
-// Clients and rebinds them (ID, Data, Runtime, Attack, streams) every
-// dispatch. A Client is owned by one goroutine at a time; the round runners
+// Client couples one participant's local data with the training machinery
+// that runs its round: a model replica, an optimizer and scratch. The
+// machinery carries nothing from one TrainLocal to the next — weights are
+// overwritten, optimizer moments and dropout masks restart — so the
+// simulated environment builds min(GOMAXPROCS, N) Clients as its replicas
+// and rebinds one (ID, Data, Attack, streams) for every cohort member it
+// trains. A Client is owned by one goroutine at a time; the round runners
 // enforce that.
 type Client struct {
-	ID      int
-	Data    *dataset.ClientData
-	Net     *nn.Network
-	Opt     opt.Optimizer
-	Runtime *simnet.ClientRuntime
+	ID   int
+	Data *dataset.ClientData
+	Net  *nn.Network
+	Opt  opt.Optimizer
 	// Attack is the client's malicious behavior (zero value = honest).
 	// Applied inside TrainLocal, so the simulated and live fabrics poison
 	// identically.
@@ -51,11 +49,12 @@ type Client struct {
 	batchY      []int
 	batchView   tensor.Mat // retargeted remainder-batch view over batchX
 	perm        []int      // per-epoch shuffle order, reused across rounds
-	wOut        []float64  // result buffer, reused across rounds
+	wOut        []float64  // result buffer: a live client's own, lent per round to a simulated replica
 
-	// shard is the scratch a derived population's shard is synthesized
-	// into at bind — Data then points here and is valid until the next
-	// bind. A retained population never touches it.
+	// shard is the scratch a derived population's shards are synthesized
+	// into, for the member the replica trains (Data then points here) or
+	// the panel member it evaluates; each use overwrites the last. A
+	// retained population never touches it.
 	shard dataset.ClientData
 }
 

@@ -2,7 +2,7 @@ package fl
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -11,6 +11,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/parallel"
 	"repro/internal/rng"
 	"repro/internal/simnet"
 	"repro/internal/tensor"
@@ -181,8 +182,8 @@ const DefaultEvalSample = 256
 // shardSource is where an environment's client data lives: a retained
 // *dataset.Federated hands out the shard it has held since construction
 // and ignores dst, a *dataset.Source synthesizes the shard from (seed, id)
-// into dst and returns dst. Callers pass a scratch shard they own — one per
-// training worker, one per evaluation replica — and may read the result
+// into dst and returns dst. Callers pass a scratch shard they own — the
+// replica's, whether it is training or evaluating — and may read the result
 // until they next pass the same scratch.
 type shardSource interface {
 	NumTrain(id int) int
@@ -204,27 +205,30 @@ type runtimeSource interface {
 
 // Env is the simulated environment a method runs on: a population of
 // (shard, runtime) pairs addressed by id, the shared server links, an
-// evaluation harness and a pool of training workers.
+// evaluation harness and one pool of model replicas.
 //
 // There is one implementation over two kinds of source. NewEnv takes a
 // retained population — every shard and runtime already built, the shape
 // the paper-scale experiments use. NewLazyEnv takes a derived one — a
 // client is (seed, id) until a dispatch touches it, its shard is
-// synthesized at dispatch into the scratch of the worker that trains it —
+// synthesized at dispatch into the scratch of the replica that trains it —
 // whose steady-state memory and heap traffic are O(cohort + model)
 // whatever N is (TestLazyEnvMemoryCeiling, TestEngineRoundByteCeiling).
 // Both are bit-identical in everything the engine observes; they differ
 // only in that a derived population is evaluated on a fixed panel of
 // DefaultEvalSample clients rather than all N.
 //
-// Either way the training machinery — model replica, optimizer, batch
-// scratch — belongs to a worker, not to a client: the pool grows to the
-// largest cohort dispatched and each worker is bound to one cohort member
-// for exactly one round. A worker carries nothing between rounds (see
-// Client), so which worker serves which client cannot be observed.
+// Either way the training machinery — model replica, optimizer, batch and
+// shard scratch — belongs to the environment, not to a client. newEnv
+// builds min(GOMAXPROCS, N) replicas and no others: a dispatch lends one
+// to each cohort member for the length of its TrainLocal, and evaluation
+// runs on the first of them, since on the simulated fabric evaluation and
+// training never overlap. A replica carries nothing from one TrainLocal to
+// the next (see Client), so which replica serves which member, or
+// evaluates, cannot be observed.
 //
-// An Env is single-run-at-a-time: the worker pool, the link reservations
-// and the runtimes' delay streams are not safe for concurrent runs.
+// An Env is single-run-at-a-time: the replicas, the link reservations and
+// the runtimes' delay streams are not safe for concurrent runs.
 type Env struct {
 	Eval *Evaluator
 	Cfg  RunConfig
@@ -235,12 +239,53 @@ type Env struct {
 	runtimes   runtimeSource
 	links      *simnet.Cluster // only the server links are read through it
 
-	factory ModelFactory
-	w0      []float64
-	shapes  []codec.ShapeInfo
-	root    *rng.RNG // never advanced; anchors per-client stream derivation
+	w0     []float64
+	shapes []codec.ShapeInfo
+	root   *rng.RNG // never advanced; anchors per-client stream derivation
 
-	workers []*Client // pooled, rebound per dispatch; also the cohort handed to runCohort
+	// replicas holds every model replica the environment owns, built in
+	// newEnv; pool lends them to the training bodies of a dispatch.
+	replicas []*Client
+	pool     replicaPool
+	// members holds one slot per position of the largest cohort dispatched
+	// (see runCohort).
+	members []member
+}
+
+// replicaPool is the set of idle replicas a dispatch's training bodies
+// borrow from. It is a LIFO: a serial run takes and returns the same
+// replica every time, so only that one grows optimizer moments and layer
+// scratch, where a FIFO would rotate through all of them.
+type replicaPool struct {
+	mu   sync.Mutex
+	idle []*Client
+}
+
+func (p *replicaPool) get() *Client {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	c := p.idle[len(p.idle)-1]
+	p.idle = p.idle[:len(p.idle)-1]
+	return c
+}
+
+func (p *replicaPool) put(c *Client) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle = append(p.idle, c)
+}
+
+// member is one cohort position's state for the dispatch in flight: the
+// member's id, runtime and download arrival, and the result buffer its
+// local round writes into. The buffer belongs to the position, not to the
+// replica that trained it, so the replica is free for the next member the
+// moment TrainLocal returns while the result waits for the sequential
+// uplink.
+type member struct {
+	id       int
+	rt       *simnet.ClientRuntime
+	downDone float64
+	out      []float64
 }
 
 // NewEnv wires a retained federated dataset to a materialized cluster. The
@@ -265,16 +310,26 @@ func NewLazyEnv(src *dataset.Source, pop *simnet.Population, factory ModelFactor
 }
 
 // newEnv is the one construction path: n clients of the named dataset,
-// their two sources, the links shell, and the evaluation panel size.
+// their two sources, the links shell, and the evaluation panel size. It is
+// also the one place a simulated environment builds model replicas and
+// optimizers: min(GOMAXPROCS, n) of them, the most a dispatch can train
+// at once.
 func newEnv(name string, n, classes int, shards shardSource, runtimes runtimeSource, links *simnet.Cluster, panel int, factory ModelFactory, cfg RunConfig) *Env {
 	cfg = cfg.withDefaults()
-	ref := factory(cfg.Seed)
+	replicas := make([]*Client, parallel.Workers(n))
+	for i := range replicas {
+		// Adam is the paper's local solver (§6); the same init everywhere,
+		// server state rules.
+		replicas[i] = &Client{Net: factory(cfg.Seed), Opt: opt.NewAdam(cfg.LearningRate)}
+	}
+	ref := replicas[0].Net // untrained: w0 and the shapes are read off it
 	shapes := make([]codec.ShapeInfo, 0, len(ref.ParamShapes()))
 	for _, s := range ref.ParamShapes() {
 		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
 	}
+	ids := evalSampleIDs(n, panel, cfg.Seed)
 	return &Env{
-		Eval:     newEvaluator(factory, cfg.Seed, n, panel, shards.ClientInto),
+		Eval:     &Evaluator{ids: ids, shard: shards.ClientInto, reps: replicas[:min(len(replicas), len(ids))]},
 		Cfg:      cfg,
 		dataset:  name,
 		n:        n,
@@ -282,10 +337,11 @@ func newEnv(name string, n, classes int, shards shardSource, runtimes runtimeSou
 		shards:   shards,
 		runtimes: runtimes,
 		links:    links,
-		factory:  factory,
 		w0:       ref.WeightsCopy(),
 		shapes:   shapes,
 		root:     rng.New(cfg.Seed),
+		replicas: replicas,
+		pool:     replicaPool{idle: slices.Clone(replicas)},
 	}
 }
 
@@ -313,53 +369,37 @@ func (e *Env) LocalConfig(lambda float64, round uint64) LocalConfig {
 }
 
 // ResetState rewinds link reservations and delay streams so one Env can
-// run several methods back-to-back under identical conditions. Workers
+// run several methods back-to-back under identical conditions. Replicas
 // need no reset: TrainLocal restarts everything they carry at every round
 // entry.
 func (e *Env) ResetState() { e.runtimes.Reset() }
 
-// newWorker builds one pooled training slot — the only place the simulated
-// environment constructs a model replica for training, or an optimizer.
-func (e *Env) newWorker() *Client {
-	// Adam is the paper's local solver (§6); the same init everywhere,
-	// server state rules.
-	return &Client{Net: e.factory(e.Cfg.Seed), Opt: opt.NewAdam(e.Cfg.LearningRate)}
-}
-
-// bind points a pooled worker at client id: fetch the shard (or synthesize
-// it into the worker's scratch, overwriting the previous binding's),
-// resolve the runtime, and rederive the labeled RNG streams. Shard and
-// stream derivation are pure in (seed, id), so a rebound worker is
+// trainMember is one training body of a dispatch: borrow an idle replica,
+// bind it to cohort member m, run the member's local round into the
+// member's result buffer, and return the replica to the pool. Binding
+// fetches the shard (or synthesizes it into the replica's scratch,
+// overwriting the previous binding's) and rederives the labeled RNG
+// streams; both are pure in (seed, id), so a borrowed replica is
 // indistinguishable from a client that owned its data and replica forever.
-func (e *Env) bind(w *Client, id int) {
-	w.ID = id
-	w.Data = e.shards.ClientInto(&w.shard, id)
-	w.Runtime = e.runtimes.Materialize(id)
-	w.Attack = w.Runtime.Attack
-	w.Attack.Classes = e.classes // simnet can't know the label space
-	w.scheduleRNG = e.root.SplitLabeledValue(uint64(scheduleStreamBase + id))
-	w.dpRNG = e.root.SplitLabeledValue(uint64(dpStreamBase + id))
-}
-
-// trainCohort is the simulated Dispatch body: bind a worker per cohort
-// member, run the round, unbind the shards. The simulated fabric
-// delivers synchronously, so one cohort is in flight at a time and the pool
-// never grows past the largest cohort. Surviving results carry pooled comm
-// buffers and dropped results are never read after delivery, so workers are
-// reusable the moment this returns.
-func (e *Env) trainCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
-	for len(e.workers) < len(sel) {
-		e.workers = append(e.workers, e.newWorker())
-	}
-	group := e.workers[:len(sel)]
-	for i, id := range sel {
-		e.bind(group[i], id)
-	}
-	results, err := runCohort(group, e.links, start, global, comm, lc)
-	for _, w := range group {
-		w.Data = nil // a synthesized shard is only valid until the next bind
-	}
-	return results, err
+// Distinct members may train concurrently: each body writes only its
+// replica and its own slot.
+func (e *Env) trainMember(m *member, global []float64, lc LocalConfig) TrainResult {
+	c, id := e.pool.get(), m.id
+	c.ID = id
+	c.Data = e.shards.ClientInto(&c.shard, id)
+	c.Attack = m.rt.Attack
+	c.Attack.Classes = e.classes // simnet can't know the label space
+	c.scheduleRNG = e.root.SplitLabeledValue(uint64(scheduleStreamBase + id))
+	c.dpRNG = e.root.SplitLabeledValue(uint64(dpStreamBase + id))
+	c.wOut = m.out
+	w, steps := c.TrainLocal(global, lc)
+	res := TrainResult{Client: id, Weights: w, N: c.Data.NumTrain(), Steps: steps}
+	m.out = w
+	// The replica keeps neither the result buffer nor the shard: a
+	// synthesized shard is only valid until the replica's next binding.
+	c.wOut, c.Data = nil, nil
+	e.pool.put(c)
+	return res
 }
 
 // ---------------------------------------------------------------------------
@@ -482,10 +522,12 @@ func (cm *Comm) CountControl(bytes int64, uplink bool) {
 // Evaluation costs no virtual time and no simulated communication; the
 // paper likewise excludes test-set evaluation from its measurements.
 type Evaluator struct {
-	ids     []int // the panel, ascending
-	shard   func(dst *dataset.ClientData, id int) *dataset.ClientData
-	nets    []*nn.Network
-	scratch []dataset.ClientData // one per replica, index-aligned with nets
+	ids   []int // the panel, ascending
+	shard func(dst *dataset.ClientData, id int) *dataset.ClientData
+	// reps are the replicas a pass runs on, one per parallel worker; a pass
+	// touches only their Net and shard scratch. A simulated environment
+	// lends its training replicas, NewDataEvaluator builds its own.
+	reps []*Client
 
 	// Per-panel-member scratch reused across Evaluate calls. Evaluate is
 	// not safe for concurrent use (the run loops serialize evaluation).
@@ -515,33 +557,20 @@ func evalSampleIDs(n, k int, seed uint64) []int {
 	return ids
 }
 
-// newEvaluator builds the harness over a k-client panel of an n-client
-// population, with one model replica per parallel worker. The worker count
-// follows GOMAXPROCS capped by the panel size: per-client results are
-// written to disjoint indices and summed in id order afterwards, so the
-// count affects only wall time, never the result.
-func newEvaluator(factory ModelFactory, seed uint64, n, k int, shard func(dst *dataset.ClientData, id int) *dataset.ClientData) *Evaluator {
-	e := &Evaluator{ids: evalSampleIDs(n, k, seed), shard: shard}
-	workers := runtime.GOMAXPROCS(0)
-	if len(e.ids) < workers {
-		workers = len(e.ids)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for i := 0; i < workers; i++ {
-		e.nets = append(e.nets, factory(seed))
-	}
-	e.scratch = make([]dataset.ClientData, workers)
-	return e
-}
-
 // NewDataEvaluator builds an Evaluator directly over dataset shards, for
 // callers without a simulated environment — the live transport's
-// server-side evaluation of a mirrored federation.
+// server-side evaluation of a mirrored federation — with a model replica
+// of its own per parallel worker: min(GOMAXPROCS, shards).
 func NewDataEvaluator(factory ModelFactory, seed uint64, shards []*dataset.ClientData) *Evaluator {
-	return newEvaluator(factory, seed, len(shards), len(shards),
-		func(_ *dataset.ClientData, id int) *dataset.ClientData { return shards[id] })
+	reps := make([]*Client, parallel.Workers(len(shards)))
+	for i := range reps {
+		reps[i] = &Client{Net: factory(seed)}
+	}
+	return &Evaluator{
+		ids:   evalSampleIDs(len(shards), len(shards), seed),
+		shard: func(_ *dataset.ClientData, id int) *dataset.ClientData { return shards[id] },
+		reps:  reps,
+	}
 }
 
 // Result is one evaluation of a global model.
@@ -552,7 +581,9 @@ type Result struct {
 }
 
 // Evaluate runs the model on every panel member's test split, strided
-// across the replicas.
+// across the replicas. Per-client results are written to disjoint indices
+// and summed in id order afterwards, so the replica count affects only wall
+// time, never the result.
 func (e *Evaluator) Evaluate(w []float64) Result {
 	if len(e.accs) != len(e.ids) {
 		e.accs = make([]float64, len(e.ids))
@@ -566,19 +597,19 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 	}
 
 	var wg sync.WaitGroup
-	nw := len(e.nets)
+	nw := len(e.reps)
 	wg.Add(nw)
 	for wk := 0; wk < nw; wk++ {
 		go func(wk int) {
 			defer wg.Done()
-			net := e.nets[wk]
-			net.SetWeights(w)
+			rep := e.reps[wk]
+			rep.Net.SetWeights(w)
 			for i := wk; i < len(e.ids); i += nw {
-				d := e.shard(&e.scratch[wk], e.ids[i])
+				d := e.shard(&rep.shard, e.ids[i])
 				if d.NumTest() == 0 {
 					continue
 				}
-				cor, loss := net.Eval(d.TestX, d.TestY)
+				cor, loss := rep.Net.Eval(d.TestX, d.TestY)
 				correct[i] = cor
 				totals[i] = d.NumTest()
 				losses[i] = loss * float64(totals[i])
@@ -609,15 +640,15 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 // (TiFL's per-tier accuracy collection), panel member or not. It returns
 // the subset's sample-weighted accuracy.
 func (e *Evaluator) EvaluateSubset(w []float64, ids []int) float64 {
-	net := e.nets[0]
-	net.SetWeights(w)
+	rep := e.reps[0]
+	rep.Net.SetWeights(w)
 	correct, total := 0, 0
 	for _, id := range ids {
-		d := e.shard(&e.scratch[0], id)
+		d := e.shard(&rep.shard, id)
 		if d.NumTest() == 0 {
 			continue
 		}
-		cor, _ := net.Eval(d.TestX, d.TestY)
+		cor, _ := rep.Net.Eval(d.TestX, d.TestY)
 		correct += cor
 		total += d.NumTest()
 	}

@@ -98,7 +98,7 @@ type Fabric interface {
 // ---------------------------------------------------------------------------
 // Simulated fabric
 
-// simFabric runs methods on the discrete-event simulator: trainCohort
+// simFabric runs methods on the discrete-event simulator: runCohort
 // computes each round's outcome synchronously (virtual link reservations,
 // injected delays, the lossy codec channel) and a simnet clock is the
 // timeline. It is the reference fabric: the bit-pinned golden runs define
@@ -150,7 +150,7 @@ func (f *simFabric) Partition(RunConfig) (*tiering.Tiers, error) {
 func (f *simFabric) Repartition(*tiering.Tiers) {}
 
 func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error)) {
-	deliver(f.env.trainCohort(cohort, now, global, comm, lc))
+	deliver(f.env.runCohort(cohort, now, global, comm, lc))
 }
 
 // Probe sends w across the codec once for the whole sweep (every client

@@ -143,7 +143,7 @@ func attackEnv(t *testing.T, cfg RunConfig, b simnet.BehaviorConfig) *Env {
 
 // TestAttackDeterministicAcrossWorkers: with every attack kind active, two
 // same-seed runs are bit-identical even when GOMAXPROCS (which sizes the
-// evaluator's and trainer's worker pools) differs between them.
+// environment's replica pool) differs between them.
 func TestAttackDeterministicAcrossWorkers(t *testing.T) {
 	for _, kind := range []string{"labelflip", "scale", "freeride"} {
 		t.Run(kind, func(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/rng"
-	"repro/internal/simnet"
 )
 
 // selectAvailable samples up to k distinct clients from ids that are online
@@ -47,21 +46,24 @@ func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now floa
 	return picks
 }
 
-// runCohort runs one synchronous round over a cohort of bound workers,
-// starting at virtual time start from the global snapshot:
+// runCohort is the simulated Dispatch body: one synchronous round over the
+// cohort sel, starting at virtual time start from the global snapshot:
 //
 //	download (client link + shared server downlink) → local training
 //	(batch steps × per-batch time + the injected tier delay) → upload
 //	(client link + shared server uplink).
 //
-// Local training executes in parallel across clients; all timing, RNG and
-// link reservations happen sequentially in selection order, so results are
-// deterministic. Clients that drop mid-round lose their update (§6's
-// unstable clients). Weights in the results are what the server
-// reconstructs after the (possibly lossy) uplink. cl provides the link
-// model — only its server links are touched, so a links-only shell works.
-func runCohort(group []*Client, cl *simnet.Cluster, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
-	if len(group) == 0 {
+// Local training executes in parallel on the environment's replicas; all
+// timing, RNG and link reservations happen sequentially in selection
+// order, so results are deterministic. Clients that drop mid-round lose
+// their update (§6's unstable clients). Weights in the results are what
+// the server reconstructs after the (possibly lossy) uplink. The simulated
+// fabric delivers synchronously, so one cohort is in flight at a time:
+// surviving results carry pooled comm buffers and a dropped result — which
+// still points at its member slot's buffer — is never read after delivery,
+// so the slots are reusable the moment this returns.
+func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
+	if len(sel) == 0 {
 		return nil, nil
 	}
 	// Downlink: the snapshot crosses the codec once and every member trains
@@ -70,27 +72,35 @@ func runCohort(group []*Client, cl *simnet.Cluster, start float64, global []floa
 	// the identical bytes. Bytes and link time are still charged per
 	// member. The snapshot only needs to live until local training ends, so
 	// it goes back to the pool before this function returns.
-	received, bytes, err := comm.Broadcast(global, len(group))
+	received, bytes, err := comm.Broadcast(global, len(sel))
 	if err != nil {
 		return nil, err
 	}
-	downDone := make([]float64, len(group))
-	for i, c := range group {
-		downDone[i] = cl.DownloadArrival(start, c.Runtime, bytes)
+	if len(e.members) < len(sel) {
+		e.members = append(e.members, make([]member, len(sel)-len(e.members))...)
+	}
+	members := e.members[:len(sel)]
+	for i, id := range sel {
+		m := &members[i]
+		m.id = id
+		m.rt = e.runtimes.Materialize(id) // not safe to call concurrently
+		m.downDone = e.links.DownloadArrival(start, m.rt, bytes)
 	}
 
-	// Per-client local training is the eligible parallel section: client i
-	// only touches its own model replica, optimizer and RNG stream (the
-	// determinism contract documented in internal/parallel), and writes its
-	// result at index i. Dynamic dispatch, because non-IID clients have
-	// wildly different local data sizes — static chunks would serialize
-	// the expensive clients on one worker. Selection, timing and link
-	// reservations stay sequential around it.
-	results := make([]TrainResult, len(group))
-	parallel.Dynamic(len(group), parallel.Workers(len(group)), func(i int) {
-		c := group[i]
-		w, steps := c.TrainLocal(received, lc)
-		results[i] = TrainResult{Client: c.ID, Weights: w, N: c.Data.NumTrain(), Steps: steps}
+	// Per-member local training is the eligible parallel section: body i
+	// holds one replica for its whole TrainLocal, derives member i's RNG
+	// streams, and writes only member i's slot and result (the determinism
+	// contract documented in internal/parallel). Dynamic dispatch, because
+	// non-IID clients have wildly different local data sizes — static
+	// chunks would serialize the expensive clients on one worker. No more
+	// workers run than there are replicas, whatever GOMAXPROCS has become
+	// since newEnv, so a body always finds one idle. Selection, timing and
+	// link reservations stay sequential around it. The body's closure is
+	// allocated every dispatch, so it captures only what it cannot reach
+	// through e.
+	results := make([]TrainResult, len(sel))
+	parallel.Dynamic(len(sel), min(parallel.Workers(len(sel)), len(e.replicas)), func(i int) {
+		results[i] = e.trainMember(&e.members[i], received, lc)
 	})
 	// All training is done; the downlink snapshot is dead.
 	comm.Release(received)
@@ -101,27 +111,27 @@ func runCohort(group []*Client, cl *simnet.Cluster, start float64, global []floa
 	// ComputeTimeAt is exactly the static arithmetic.
 	for i := range results {
 		r := &results[i]
-		c := group[i]
-		computeDone := downDone[i] + c.Runtime.ComputeTimeAt(r.Steps, downDone[i]) + c.Runtime.RoundDelay()
+		rt, downDone := members[i].rt, members[i].downDone
+		computeDone := downDone + rt.ComputeTimeAt(r.Steps, downDone) + rt.RoundDelay()
 		// A round is lost if the client is offline at ANY point of it —
 		// a churn window wholly inside the round disrupts training even
 		// though the client is back by the end. Without churn this is
 		// exactly the historical endpoint check.
-		if c.Runtime.OfflineWithin(start, computeDone) {
+		if rt.OfflineWithin(start, computeDone) {
 			r.Dropped = true
 			r.Arrive = computeDone
 			continue
 		}
-		// The uplink replaces the client-owned training buffer with a pooled
+		// The uplink replaces the member's training buffer with a pooled
 		// server-side reconstruction; the engine releases it after the fold.
-		// Dropped results above keep the client's buffer (no upload
+		// Dropped results above keep the member's buffer (no upload
 		// happened), which is why releases must skip them.
 		w, bytes, err := comm.TransmitPooled(r.Weights, true)
 		if err != nil {
 			return nil, err
 		}
 		r.Weights = w
-		r.Arrive = cl.UploadArrival(computeDone, c.Runtime, bytes)
+		r.Arrive = e.links.UploadArrival(computeDone, rt, bytes)
 	}
 	return results, nil
 }

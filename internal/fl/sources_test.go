@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/simnet"
@@ -197,36 +198,138 @@ func TestLazyEnvResetReuse(t *testing.T) {
 	}
 }
 
-// TestEnvReplicasBoundedByCohort pins what replaced per-client replicas: a
-// retained 100-client environment constructs one reference model, one
-// evaluation replica per GOMAXPROCS and one training replica per member of
-// the largest cohort ever dispatched — not one per client.
-func TestEnvReplicasBoundedByCohort(t *testing.T) {
-	c := baseSourceCase(5)
-	c.dcfg.NumClients, c.ccfg.NumClients = 100, 100
-	c.ccfg.NumUnstable = 10
-	c.rcfg.Rounds, c.rcfg.ClientsPerRound, c.rcfg.NumTiers = 30, 6, 5
-	var built atomic.Int64
-	inner := c.factory
-	c.factory = func(seed uint64) *nn.Network {
-		built.Add(1)
-		return inner(seed)
+// withProcs runs f at GOMAXPROCS n and restores the previous setting.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestEnvReplicasBoundedByCores pins the replica ceiling: a retained
+// 100-client environment constructs at most min(GOMAXPROCS, N) model
+// replicas plus a reference model over a whole fedat, fedavg and tifl
+// sequence — for training and evaluation together — and the same number at
+// cohort 6 as at cohort 30, both larger than the core count.
+func TestEnvReplicasBoundedByCores(t *testing.T) {
+	const procs, n = 4, 100
+	built := func(cohortSize int) int64 {
+		c := baseSourceCase(5)
+		c.dcfg.NumClients, c.ccfg.NumClients = n, n
+		c.ccfg.NumUnstable = 10
+		c.rcfg.Rounds, c.rcfg.ClientsPerRound, c.rcfg.NumTiers = 30, cohortSize, 5
+		var count atomic.Int64
+		inner := c.factory
+		c.factory = func(seed uint64) *nn.Network {
+			count.Add(1)
+			return inner(seed)
+		}
+		cohort := &largestCohort{}
+		withProcs(procs, func() {
+			env := c.retained(t)
+			for _, name := range []string{"fedat", "fedavg", "tifl"} {
+				env.ResetState()
+				if run := mustRun(t, name, env, cohort); run.GlobalRounds == 0 {
+					t.Fatalf("cohort %d, %s: no global rounds completed", cohortSize, name)
+				}
+			}
+		})
+		if cohort.n <= procs {
+			t.Fatalf("cohort %d: largest dispatch was %d, not above GOMAXPROCS %d; the bound is untested", cohortSize, cohort.n, procs)
+		}
+		if limit := int64(min(procs, n) + 1); count.Load() > limit {
+			t.Fatalf("cohort %d: %d model replicas constructed; want ≤ %d (min(GOMAXPROCS, N) + 1)", cohortSize, count.Load(), limit)
+		}
+		return count.Load()
 	}
-	env := c.retained(t)
-	cohort := &largestCohort{}
-	for _, name := range []string{"fedat", "fedavg", "tifl"} {
-		env.ResetState()
-		run := mustRun(t, name, env, cohort)
-		if run.GlobalRounds == 0 {
-			t.Fatalf("%s: no global rounds completed", name)
+	if small, large := built(6), built(30); small != large {
+		t.Fatalf("cohort 6 built %d model replicas, cohort 30 built %d; the count must not follow the cohort", small, large)
+	}
+}
+
+// TestEnvWorkersBoundedByReplicas: raising GOMAXPROCS after an environment
+// is built neither panics on an empty replica pool nor deadlocks — a
+// dispatch runs no more workers than there are replicas — and the run is
+// the one the environment gives at the core count it was built with. A
+// serial run keeps taking the same replica, so on a two-replica environment
+// only one ever trains.
+func TestEnvWorkersBoundedByReplicas(t *testing.T) {
+	c := baseSourceCase(23)
+	var want, got *metrics.Run
+	var env *Env
+	withProcs(1, func() { want = mustRun(t, "fedat", c.retained(t)) })
+	withProcs(1, func() { env = c.retained(t) })
+	withProcs(4, func() { got = mustRun(t, "fedat", env) })
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("run at GOMAXPROCS 4 on an env built at 1 diverged:\nwant: %+v\ngot:  %+v", want, got)
+	}
+
+	withProcs(2, func() { env = c.retained(t) })
+	if len(env.replicas) != 2 {
+		t.Fatalf("env built at GOMAXPROCS 2 holds %d replicas", len(env.replicas))
+	}
+	withProcs(1, func() { mustRun(t, "fedat", env) })
+	trained := 0
+	for _, r := range env.replicas {
+		if r.batchX != nil {
+			trained++
 		}
 	}
-	if cohort.n == 0 {
-		t.Fatal("no dispatch observed")
+	if trained != 1 {
+		t.Fatalf("a serial run trained on %d of 2 replicas; want 1", trained)
 	}
-	if limit := int64(cohort.n + runtime.GOMAXPROCS(0) + 1); built.Load() > limit {
-		t.Fatalf("%d model replicas constructed for a 100-client population; want ≤ %d (largest cohort %d + GOMAXPROCS + 1)",
-			built.Load(), limit, cohort.n)
+}
+
+// TestRunsIdenticalAcrossCores: a same-seed run gives an identical record
+// whether its environment is built and run at GOMAXPROCS 1, 2 or 4 — that
+// is, with one, two or four replicas shared by training and evaluation.
+// The cases cover the CNN (whose im2col caches the evaluator reuses), FedAT's
+// overlapping tiers, a buffered-async robust fold under attack, and the
+// dropout LSTM (the one stochastic layer).
+func TestRunsIdenticalAcrossCores(t *testing.T) {
+	smallCNN := func(c *sourceCase) {
+		c.factory = func(seed uint64) *nn.Network {
+			return nn.NewCNN(rng.New(seed), nn.SmallCNN(c.dcfg.ImgC, c.dcfg.ImgH, c.dcfg.ImgW, c.dcfg.Classes))
+		}
+	}
+	fedbuffMedian, err := Compose("fedasync", "", "fedbuff", "median", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		m    Method
+		edit func(*sourceCase)
+	}{
+		{"fedavg-cnn", Methods["fedavg"], smallCNN},
+		{"fedat", Methods["fedat"], nil},
+		{"fedbuff-median-attack", fedbuffMedian, func(c *sourceCase) {
+			c.ccfg.Behavior = simnet.BehaviorConfig{AttackFrac: 0.2, AttackKind: "scale", AttackScale: -2}
+		}},
+		{"fedprox-lstm", Methods["fedprox"], (*sourceCase).useLSTM},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := baseSourceCase(31)
+			if tc.edit != nil {
+				tc.edit(&c)
+			}
+			var runs []*metrics.Run
+			for _, procs := range []int{1, 2, 4} {
+				withProcs(procs, func() {
+					run, err := tc.m.Run(c.retained(t))
+					if err != nil {
+						t.Fatal(err)
+					}
+					runs = append(runs, run)
+				})
+			}
+			if len(runs[0].Points) == 0 {
+				t.Fatal("run recorded no evaluations; the comparison is vacuous")
+			}
+			for i, procs := range []int{2, 4} {
+				if !reflect.DeepEqual(runs[0], runs[i+1]) {
+					t.Fatalf("GOMAXPROCS %d diverged from 1:\n1: %+v\n%d: %+v", procs, runs[0], procs, runs[i+1])
+				}
+			}
+		})
 	}
 }
 

@@ -6,11 +6,13 @@
 // disjoint index ranges, so the outcome never depends on scheduling. That
 // property is what lets the experiment harness train many federated clients
 // concurrently while staying bit-reproducible. Callers uphold their half of
-// the contract by giving each index its own state — in this repo every
-// federated client owns a private model replica, optimizer and labeled RNG
-// stream (see fl.Client), and every experiment scheduler cell builds a
-// fresh Env — so body(i) and body(j) never race and results are identical
-// to a serial loop. DESIGN.md §2 documents the full determinism contract.
+// the contract by giving each index its own state — in this repo a cohort
+// member's training body holds one of its environment's model replicas for
+// the whole local round, derives the member's own labeled RNG streams and
+// writes only the member's slot (see fl.Client), and every experiment
+// scheduler cell builds a fresh Env — so body(i) and body(j) never race and
+// results are identical to a serial loop. DESIGN.md §2 documents the full
+// determinism contract.
 package parallel
 
 import (
