@@ -119,6 +119,44 @@ func (p *Polyline) Transmit(dst, w []float64) int {
 	return n
 }
 
+// TransmitFixed is Transmit stopped before the rescale: q receives the
+// quantized integers and the return is the same payload size, so
+// Reconstruct(dst, q) later writes Transmit's floats bit for bit. A
+// simulated upload held this way costs 4 bytes a parameter while it is in
+// flight instead of 8. ok is false when some quantized value does not fit in
+// an int32 — a weight of magnitude about 2³¹·10⁻ᴾ or more, ±Inf included —
+// and q and the size are then unspecified; the caller takes Transmit.
+func (p *Polyline) TransmitFixed(q []int32, w []float64) (payloadBytes int, ok bool) {
+	s := p.scale()
+	q = q[:len(w)]
+	n := 0
+	prev := int64(0)
+	for i, v := range w {
+		x := quantize(v * s)
+		if x != int64(int32(x)) {
+			return 0, false
+		}
+		enc := x
+		if p.Delta {
+			enc = x - prev
+			prev = x
+		}
+		n += int(chunkCount[bits.Len64(zigzag(enc))])
+		q[i] = int32(x)
+	}
+	return n, true
+}
+
+// Reconstruct writes the weights TransmitFixed's integers decode to,
+// float64(q)/s each — what Transmit would have written.
+func (p *Polyline) Reconstruct(dst []float64, q []int32) {
+	s := p.scale()
+	dst = dst[:len(q)]
+	for i, x := range q {
+		dst[i] = float64(x) / s
+	}
+}
+
 // AppendEncode implements Codec. A value of up to four chunks — at
 // precision 4, any weight below 52 — is emitted as one 32-bit store of its
 // four spread 5-bit groups, of which the first chunkCount bytes are kept;

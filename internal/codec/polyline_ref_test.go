@@ -164,6 +164,66 @@ func FuzzPolylineAgainstReference(f *testing.F) {
 	})
 }
 
+// FuzzTransmitFixed holds the fixed-point channel to Transmit over
+// (precision 3..6, mode, raw float bits): ok is false exactly when some
+// reference-quantized value falls outside int32, and when it is true the
+// payload size and Reconstruct's floats are Transmit's bit for bit.
+func FuzzTransmitFixed(f *testing.F) {
+	for prec := 3; prec <= 6; prec++ {
+		s := math.Pow(10, float64(prec))
+		for _, delta := range []bool{false, true} {
+			f.Add(uint8(prec), delta, Raw{}.Encode([]float64{
+				math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1030, 0.3, -0.7,
+			}))
+			for _, v := range []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64} {
+				f.Add(uint8(prec), delta, Raw{}.Encode([]float64{0.1, v}))
+			}
+			// Both sides of the int32 edge: ±2³¹·10⁻ᵖ, the ties half a unit
+			// inside, and their neighbours.
+			for _, x := range []float64{1 << 31, 1<<31 - 0.5, 1<<31 - 1, 1<<31 + 0.5} {
+				for _, v := range []float64{x / s, -x / s, math.Nextafter(x/s, 0), math.Nextafter(-x/s, 0)} {
+					f.Add(uint8(prec), delta, Raw{}.Encode([]float64{-0.2, v, 0.4}))
+				}
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, prec uint8, delta bool, raw []byte) {
+		p := &Polyline{Precision: 3 + int(prec%4), Delta: delta}
+		w := make([]float64, len(raw)/8)
+		if err := (Raw{}).Decode(raw[:8*len(w)], w); err != nil {
+			t.Fatal(err)
+		}
+		fits := true
+		for _, v := range w {
+			if q := refQuantize(v, p.scale()); q != int64(int32(q)) {
+				fits = false
+			}
+		}
+		q := make([]int32, len(w))
+		n, ok := p.TransmitFixed(q, w)
+		if ok != fits {
+			t.Fatalf("%s: TransmitFixed ok = %v, every value fits int32 = %v", p.Name(), ok, fits)
+		}
+		if !ok {
+			return
+		}
+		want := make([]float64, len(w))
+		if wn := p.Transmit(want, w); n != wn {
+			t.Fatalf("%s: TransmitFixed charges %d bytes, Transmit %d", p.Name(), n, wn)
+		}
+		got := make([]float64, len(w))
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		p.Reconstruct(got, q)
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: Reconstruct value %d = %v, Transmit gives %v", p.Name(), i, got[i], want[i])
+			}
+		}
+	})
+}
+
 // TestQuantizeMatchesReference: the biased truncation equals math.Round
 // behind the clamp on every magnitude the clamp lets through, on the ties
 // and their neighbours, and on everything the clamp catches.
@@ -242,6 +302,25 @@ func BenchmarkPolylineDecode(b *testing.B) {
 func BenchmarkPolylineTransmit(b *testing.B) {
 	benchPolyline(b, func(c *polyBench) error {
 		benchSink += c.p.Transmit(c.out, c.w)
+		return nil
+	})
+}
+
+// BenchmarkPolylineTransmitFixed is the simulator's polyline uplink: the
+// quantizing pass into int32 fixed point, then the rescale the server does
+// when it reads the update.
+func BenchmarkPolylineTransmitFixed(b *testing.B) {
+	var q []int32
+	benchPolyline(b, func(c *polyBench) error {
+		if len(q) != len(c.w) {
+			q = make([]int32, len(c.w))
+		}
+		n, ok := c.p.TransmitFixed(q, c.w)
+		if !ok {
+			return fmt.Errorf("weights overflow int32")
+		}
+		c.p.Reconstruct(c.out, q)
+		benchSink += n
 		return nil
 	})
 }

@@ -130,8 +130,8 @@ type sampleGen interface {
 
 // Generate builds a federated dataset from cfg. It is a thin shell over
 // the lazy Source — "generate every shard" — so the eager and lazy
-// construction paths cannot drift apart. generateEager below keeps the
-// original direct construction as the reference the equivalence test pins
+// construction paths cannot drift apart. The original direct construction
+// survives as a test oracle (dataset_ref_test.go) the equivalence test pins
 // Source against.
 func Generate(cfg Config) (*Federated, error) {
 	src, err := NewSource(cfg)
@@ -139,48 +139,6 @@ func Generate(cfg Config) (*Federated, error) {
 		return nil, err
 	}
 	return src.Federated(), nil
-}
-
-// generateEager is the pre-lazy construction, byte-for-byte: every draw in
-// its original order. It exists as the specification the lazy Source is
-// tested against (TestSourceMatchesEagerGenerate).
-func generateEager(cfg Config) (*Federated, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.8
-	}
-	perClient := cfg.ClassesPerClient
-	if perClient <= 0 || perClient > cfg.Classes {
-		perClient = cfg.Classes // IID
-	}
-	root := rng.New(cfg.Seed)
-
-	fed := &Federated{
-		Name:    cfg.Name,
-		Classes: cfg.Classes,
-		ImgC:    cfg.ImgC, ImgH: cfg.ImgH, ImgW: cfg.ImgW,
-		Vocab: cfg.Vocab, SeqLen: cfg.SeqLen,
-	}
-	var gen sampleGen
-	if cfg.ImgC > 0 {
-		fed.InDim = cfg.ImgC * cfg.ImgH * cfg.ImgW
-		gen = newImageGen(root.SplitLabeled(1), cfg)
-	} else {
-		fed.InDim = cfg.SeqLen
-		gen = newTokenGen(cfg)
-	}
-
-	sizes := clientSizes(root.SplitLabeled(2), cfg)
-	fed.Clients = make([]*ClientData, cfg.NumClients)
-	for i := 0; i < cfg.NumClients; i++ {
-		classes := appendClasses(nil, i, perClient, cfg.Classes)
-		cr := root.SplitLabeled(uint64(100 + i))
-		fed.Clients[i] = new(ClientData)
-		genClientInto(fed.Clients[i], cr, gen, classes, sizes[i], cfg.TrainFrac, fed.InDim)
-	}
-	return fed, nil
 }
 
 // clientSizes draws per-client sample counts: uniform-ish by default, a

@@ -407,8 +407,11 @@ func (e *Env) trainMember(m *member, global []float64, lc LocalConfig) TrainResu
 
 // Comm applies a codec to every model exchange and tallies the bytes, which
 // is both the lossy channel (§4.3) and the measurement for Table 2 /
-// Figure 4. A Comm belongs to its run's engine goroutine; only the weight
-// pool it hands out (Pool) may be used from other goroutines.
+// Figure 4. It also holds the simulator's uploads in flight: under polyline
+// an upload is its quantized integers in a fixed-point slot, and becomes a
+// float64 vector only when the server reads it (Receive). A Comm belongs to
+// its run's engine goroutine; only the weight pool it hands out (Pool) may
+// be used from other goroutines.
 type Comm struct {
 	codec       codec.Codec
 	headerBytes int
@@ -426,12 +429,21 @@ type Comm struct {
 	// (see tensor.Pool for the ownership contract). Sized lazily from the
 	// first transmitted vector.
 	pool *tensor.Pool
+
+	// fixed is the codec when it is polyline, whose uploads can wait in
+	// flight as int32 fixed point. Slot id k is slots[k-1]; free lists the
+	// idle ids, so the slots grow to the most uploads ever in flight at once
+	// and are then reused.
+	fixed *codec.Polyline
+	slots [][]int32
+	free  []int32
 }
 
 // NewComm builds the channel for one run.
 func NewComm(c codec.Codec, shapes []codec.ShapeInfo) *Comm {
 	channel, _ := c.(codec.Channel)
-	return &Comm{codec: c, headerBytes: codec.ModelHeaderBytes(shapes), channel: channel}
+	fixed, _ := c.(*codec.Polyline)
+	return &Comm{codec: c, headerBytes: codec.ModelHeaderBytes(shapes), channel: channel, fixed: fixed}
 }
 
 // Pool returns the run's weight pool for length-n vectors, creating it on
@@ -472,6 +484,68 @@ func (cm *Comm) TransmitPooled(w []float64, uplink bool) ([]float64, int, error)
 	}
 	cm.CountControl(int64(size), uplink)
 	return out, size, nil
+}
+
+// upload is the simulated uplink of a trained result: it passes r.Weights
+// through the channel, charges the bytes, and leaves in r what is in flight.
+// Under polyline that is a fixed-point slot (r.Weights nil), unless some
+// weight overflows int32; otherwise it is TransmitPooled's reconstruction.
+// It returns the message size.
+func (cm *Comm) upload(r *TrainResult) (int, error) {
+	if cm.fixed != nil {
+		slot := cm.takeSlot(len(r.Weights))
+		if n, ok := cm.fixed.TransmitFixed(cm.slots[slot-1], r.Weights); ok {
+			size := cm.headerBytes + n
+			cm.CountControl(int64(size), true)
+			r.Weights, r.slot = nil, slot
+			return size, nil
+		}
+		cm.free = append(cm.free, slot)
+	}
+	w, size, err := cm.TransmitPooled(r.Weights, true)
+	if err != nil {
+		return 0, err
+	}
+	r.Weights = w
+	return size, nil
+}
+
+// takeSlot returns an idle fixed-point slot for a length-n upload, adding
+// one when none is idle.
+func (cm *Comm) takeSlot(n int) int32 {
+	if k := len(cm.free); k > 0 {
+		slot := cm.free[k-1]
+		cm.free = cm.free[:k-1]
+		return slot
+	}
+	cm.slots = append(cm.slots, make([]int32, n))
+	return int32(len(cm.slots))
+}
+
+// Receive is where the server reads a delivered update: it returns the
+// weights the server reconstructs, in a buffer the caller hands back with
+// Release after the fold. A slot-held upload is rebuilt into a pooled buffer
+// and its slot freed; any other result already holds that buffer. r is taken
+// by value so the arrival callbacks that call it capture nothing new.
+func (cm *Comm) Receive(r TrainResult) []float64 {
+	if r.slot == 0 {
+		return r.Weights
+	}
+	q := cm.slots[r.slot-1]
+	w := cm.Pool(len(q)).Get()
+	cm.fixed.Reconstruct(w, q)
+	cm.free = append(cm.free, r.slot)
+	return w
+}
+
+// Discard gives back what a delivered update holds without reading it — a
+// selector that drops an arrival calls it instead of Receive.
+func (cm *Comm) Discard(r TrainResult) {
+	if r.slot == 0 {
+		cm.Release(r.Weights)
+		return
+	}
+	cm.free = append(cm.free, r.slot)
 }
 
 // Broadcast is the downlink of one model to n receivers: the model crosses
@@ -549,10 +623,7 @@ func evalSampleIDs(n, k int, seed uint64) []int {
 		}
 		return ids
 	}
-	r := rng.New(seed).SplitLabeled(hashName("evalsample"))
-	// Choose retains an O(N) permutation; copy the prefix so the sample is
-	// all that survives.
-	ids := append([]int(nil), r.Choose(n, k)...)
+	ids := rng.New(seed).SplitLabeled(hashName("evalsample")).Choose(n, k)
 	sort.Ints(ids)
 	return ids
 }

@@ -7,10 +7,17 @@ import (
 )
 
 // TrainResult is one client's resolved local round as the server observes
-// it: the weights the server reconstructs after the uplink, the client's
-// sample count, and the arrival stamp on the fabric's clock. Dropped marks
-// a client that went offline (or disconnected) before its update landed;
-// Arrive then holds the time the loss was discovered.
+// it: the update in flight, the client's sample count, and the arrival stamp
+// on the fabric's clock. Dropped marks a client that went offline (or
+// disconnected) before its update landed; Arrive then holds the time the
+// loss was discovered.
+//
+// The update is read only through Comm.Receive, which returns the weights
+// the server reconstructs after the uplink. A live result arrives already
+// decoded, in Weights. A simulated polyline upload is still its quantized
+// integers in one of the Comm's fixed-point slots (slot > 0, Weights nil)
+// until the server reads it; the slot id sits in the padding after Dropped,
+// so the struct stays 64 bytes.
 type TrainResult struct {
 	Client  int
 	Weights []float64
@@ -18,6 +25,7 @@ type TrainResult struct {
 	Steps   int // batch steps executed (simulated fabrics use it for compute time)
 	Arrive  float64
 	Dropped bool
+	slot    int32 // 1-based Comm fixed-point slot; 0 means Weights holds the update
 }
 
 // Fabric is the execution substrate a method runs on — the small surface a

@@ -554,6 +554,81 @@ func TestCommChannelMatchesWire(t *testing.T) {
 	}
 }
 
+// TestCommUploadMatchesTransmit: a simulated upload that waits in a
+// fixed-point slot reads back as exactly what TransmitPooled hands the
+// server, at the same byte charge, and one with a weight that overflows
+// int32 (1e6 at precision 4) or is infinite takes TransmitPooled's float64
+// path itself. Discarded and read slots are reused, so the steady state
+// allocates nothing.
+func TestCommUploadMatchesTransmit(t *testing.T) {
+	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{300}}}
+	r := rng.New(8)
+	inRange := make([]float64, 300)
+	for i := range inRange {
+		inRange[i] = 0.4 * r.Norm()
+	}
+	inRange[7] = math.NaN()
+	overflow := slices.Clone(inRange)
+	overflow[100] = 1e6
+	infinite := slices.Clone(inRange)
+	infinite[200] = math.Inf(-1)
+
+	for name, tc := range map[string]struct {
+		w     []float64
+		fixed bool
+	}{
+		"in-range": {inRange, true},
+		"overflow": {overflow, false},
+		"infinite": {infinite, false},
+	} {
+		cm, ref := NewComm(codec.NewPolyline(4), shapes), NewComm(codec.NewPolyline(4), shapes)
+		res := TrainResult{Weights: slices.Clone(tc.w)}
+		n, err := cm.upload(&res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.slot != 0) != tc.fixed || (res.Weights == nil) != tc.fixed {
+			t.Fatalf("%s: slot %d, weights held %v; want the fixed-point path %v", name, res.slot, res.Weights != nil, tc.fixed)
+		}
+		want, wn, err := ref.TransmitPooled(tc.w, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != wn || cm.Up != ref.Up {
+			t.Fatalf("%s: upload charges %d (up %d), TransmitPooled %d (up %d)", name, n, cm.Up, wn, ref.Up)
+		}
+		got := cm.Receive(res)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: weight %d reads back %v, TransmitPooled gives %v", name, i, got[i], want[i])
+			}
+		}
+		cm.Release(got)
+	}
+
+	skipUnderRace(t)
+	cm := NewComm(codec.NewPolyline(4), shapes)
+	var res [2]TrainResult
+	for i := range res {
+		res[i].Weights = slices.Clone(inRange)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for i := range res {
+			res[i].Weights, res[i].slot = inRange, 0
+			if _, err := cm.upload(&res[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cm.Discard(res[0])
+		cm.Release(cm.Receive(res[1]))
+	}); allocs != 0 {
+		t.Errorf("upload, Receive and Discard allocate %.0f times in steady state", allocs)
+	}
+	if len(cm.slots) != 2 {
+		t.Errorf("two uploads in flight at a time grew %d slots", len(cm.slots))
+	}
+}
+
 func TestEvaluatorWeightsAndVariance(t *testing.T) {
 	cfg := baseCfg()
 	env := testEnv(t, 2, cfg)

@@ -103,7 +103,7 @@ func (syncPacer) Start(rs *runState) error {
 				rs.fab.At(comp, func() {
 					// No kept update: every counted client dropped, and the
 					// round folds nothing.
-					if len(kept) > 0 && !rs.fold(tier, toUpdates(kept, round), comp) {
+					if len(kept) > 0 && !rs.fold(tier, toUpdates(rs.comm, kept, round), comp) {
 						return
 					}
 					step(comp)
@@ -181,7 +181,7 @@ func (tierPacer) Start(rs *runState) error {
 				}
 				if len(kept) > 0 {
 					rs.observeStale(m, round)
-					if !rs.fold(m, toUpdates(kept, round), rs.fab.Now()) {
+					if !rs.fold(m, toUpdates(rs.comm, kept, round), rs.fab.Now()) {
 						return
 					}
 					if rs.rule.Rounds() >= cfg.Rounds {
@@ -248,11 +248,12 @@ func (p bufferPacer) Start(rs *runState) error {
 		k = n
 	}
 
-	// The arrival buffer. Buffered weights are pooled transmit buffers the
-	// engine recycles only after the fold that consumes them; each arrival
-	// carries its own start round, so per-update rules discount buffer
-	// members individually (batch-anchored rules recover the oldest via
-	// Fold.StartRound).
+	// The arrival buffer. An update is read (Comm.Receive) as it arrives,
+	// into a pooled buffer the engine recycles only after the fold that
+	// consumes it; until then it waits in flight at the Comm's cost. Each
+	// arrival carries its own start round, so per-update rules discount
+	// buffer members individually (batch-anchored rules recover the oldest
+	// via Fold.StartRound).
 	buf := make([]core.ClientUpdate, 0, k)
 
 	var startClient func(id int)
@@ -296,7 +297,7 @@ func (p bufferPacer) Start(rs *runState) error {
 					return
 				}
 				rs.emit(ClientDoneEvent{Client: r.Client, Tier: -1, Time: r.Arrive})
-				buf = append(buf, core.ClientUpdate{Weights: r.Weights, N: r.N, Client: r.Client, StartRound: startRound})
+				buf = append(buf, core.ClientUpdate{Weights: rs.comm.Receive(r), N: r.N, Client: r.Client, StartRound: startRound})
 				if len(buf) >= k {
 					for _, u := range buf {
 						rs.observeStale(u.Client, u.StartRound)

@@ -56,12 +56,12 @@ func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now floa
 // Local training executes in parallel on the environment's replicas; all
 // timing, RNG and link reservations happen sequentially in selection
 // order, so results are deterministic. Clients that drop mid-round lose
-// their update (§6's unstable clients). Weights in the results are what
-// the server reconstructs after the (possibly lossy) uplink. The simulated
-// fabric delivers synchronously, so one cohort is in flight at a time:
-// surviving results carry pooled comm buffers and a dropped result — which
-// still points at its member slot's buffer — is never read after delivery,
-// so the slots are reusable the moment this returns.
+// their update (§6's unstable clients). A surviving result holds its upload
+// as the Comm holds it in flight — a fixed-point slot under polyline, a
+// pooled reconstruction otherwise — and the server's weights exist only once
+// a pacer reads it with Comm.Receive. A dropped result still points at its
+// member position's buffer and is never read after delivery, so the
+// positions are reusable the moment this returns.
 func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
 	if len(sel) == 0 {
 		return nil, nil
@@ -122,15 +122,14 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 			r.Arrive = computeDone
 			continue
 		}
-		// The uplink replaces the member's training buffer with a pooled
-		// server-side reconstruction; the engine releases it after the fold.
-		// Dropped results above keep the member's buffer (no upload
-		// happened), which is why releases must skip them.
-		w, bytes, err := comm.TransmitPooled(r.Weights, true)
+		// The uplink replaces the member's training buffer with the upload in
+		// flight, which the engine reads at arrival and releases after the
+		// fold. Dropped results above keep the member's buffer (no upload
+		// happened), which is why reads and releases must skip them.
+		bytes, err := comm.upload(r)
 		if err != nil {
 			return nil, err
 		}
-		r.Weights = w
 		r.Arrive = e.links.UploadArrival(computeDone, rt, bytes)
 	}
 	return results, nil
@@ -161,13 +160,13 @@ func completionTime(results []TrainResult) float64 {
 	return t
 }
 
-// toUpdates converts surviving results into aggregator updates, stamping
-// the cohort's shared staleness anchor (the global update count at
+// toUpdates reads surviving results into aggregator updates (Comm.Receive),
+// stamping the cohort's shared staleness anchor (the global update count at
 // dispatch) on each.
-func toUpdates(results []TrainResult, startRound int) []core.ClientUpdate {
+func toUpdates(comm *Comm, results []TrainResult, startRound int) []core.ClientUpdate {
 	ups := make([]core.ClientUpdate, 0, len(results))
 	for _, r := range results {
-		ups = append(ups, core.ClientUpdate{Weights: r.Weights, N: r.N, Client: r.Client, StartRound: startRound})
+		ups = append(ups, core.ClientUpdate{Weights: comm.Receive(r), N: r.N, Client: r.Client, StartRound: startRound})
 	}
 	return ups
 }

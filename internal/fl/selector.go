@@ -30,7 +30,7 @@ type RoundSelector interface {
 	// and returns the round's completion time — over-selection keeps only
 	// the earliest arrivals, so the straggler tail stops gating the clock.
 	// A delivered update Harvest discards never reaches the fold site, so
-	// Harvest hands its buffer back (rs.comm.Release) itself.
+	// Harvest hands it back (rs.comm.Discard) itself.
 	Harvest(rs *runState, results []TrainResult) (kept []TrainResult, now float64)
 }
 
@@ -74,7 +74,7 @@ var Selectors = map[string]func() Selector{
 // that tier's own stream (FedAT's per-tier rounds).
 
 type randomSelector struct {
-	all     []int
+	all     []int // every client id, built on the first Pick: tier rounds never read it
 	selRNG  *rng.RNG
 	root    *rng.RNG
 	tierRNG []*rng.RNG
@@ -91,13 +91,15 @@ func (s *randomSelector) cohortSize(rs *runState) int {
 }
 
 func (s *randomSelector) Init(rs *runState) error {
-	s.all = allClientIDs(rs.fab)
 	s.root = rs.root
 	s.selRNG = rs.root.SplitLabeled(1)
 	return nil
 }
 
 func (s *randomSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
+	if s.all == nil {
+		s.all = allClientIDs(rs.fab)
+	}
 	sel := selectAvailable(&s.avail, s.selRNG, s.all, rs.fab, now, s.cohortSize(rs))
 	if len(sel) == 0 {
 		return nil, -1, now, SelectStop, nil // everyone is offline; training cannot continue
@@ -140,15 +142,15 @@ func (s *overselSelector) Harvest(rs *runState, results []TrainResult) ([]TrainR
 	}
 	// Keep the earliest arrivals up to the target count; the rest are
 	// received later but ignored (their bytes were already counted), so
-	// their uplink buffers recycle here — the fold site only sees, and
-	// releases, the kept ones.
+	// what their uploads hold goes back here — the fold site only reads,
+	// and releases, the kept ones.
 	keep := rs.cfg.ClientsPerRound
 	if keep > len(surv) {
 		keep = len(surv)
 	}
 	sortByArrival(surv)
 	for _, late := range surv[keep:] {
-		rs.comm.Release(late.Weights)
+		rs.comm.Discard(late)
 	}
 	kept := surv[:keep]
 	return kept, completionTime(kept)

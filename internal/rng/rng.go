@@ -11,7 +11,10 @@
 // parent's output.
 package rng
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // goldenGamma is the SplitMix64 increment (odd, 2^64/phi).
 const goldenGamma = 0x9E3779B97F4A7C15
@@ -139,13 +142,13 @@ func (r *RNG) Shuffle(p []int) {
 }
 
 // Choose returns k distinct values sampled uniformly from [0, n) in random
-// order. It panics if k > n or k < 0.
+// order. It panics if k > n or k < 0. The picks are copied out of the n-entry
+// permutation they are drawn from, so holding them does not hold it.
 func (r *RNG) Choose(n, k int) []int {
 	if k < 0 || k > n {
 		panic("rng: Choose requires 0 <= k <= n")
 	}
-	p := r.Perm(n)
-	return p[:k]
+	return slices.Clone(r.Perm(n)[:k])
 }
 
 // ChooseWeighted returns one index in [0, len(weights)) drawn with

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,19 @@ func TestChooseDistinct(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChooseCopiesPicks: Choose draws exactly Perm's prefix, and the picks
+// it returns are a k-entry copy that does not keep the permutation alive.
+func TestChooseCopiesPicks(t *testing.T) {
+	const n, k = 1000, 7
+	c, p := New(5).Choose(n, k), New(5).Perm(n)
+	if !slices.Equal(c, p[:k]) {
+		t.Fatalf("Choose picks %v, Perm prefix %v", c, p[:k])
+	}
+	if cap(c) >= n {
+		t.Fatalf("Choose returned capacity %d for %d picks; the %d-entry permutation is still attached", cap(c), k, n)
 	}
 }
 

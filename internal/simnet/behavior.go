@@ -1,11 +1,6 @@
 package simnet
 
-import (
-	"sort"
-
-	"repro/internal/rng"
-	"repro/internal/robust"
-)
+import "repro/internal/rng"
 
 // Time-varying client behavior. The static population NewCluster builds —
 // fixed per-client speeds, permanent DropAt departures — matches the paper's
@@ -232,53 +227,8 @@ func (c *churnTrack) NextOnline(t float64) float64 {
 // ---------------------------------------------------------------------------
 // Wiring into the cluster
 
-// applyBehavior decorates the built population with dynamic behavior. It
-// draws from streams labeled disjointly from everything NewCluster used, so
-// the static population (parts, speeds, delays, drop times) is unchanged.
-func applyBehavior(cl *Cluster, cfg ClusterConfig) error {
-	b := cfg.Behavior.withDefaults()
-	root := rng.New(cfg.Seed)
-	pop := root.SplitLabeled(behaviorPopLabel)
-	n := len(cl.Clients)
-
-	if b.DriftMag > 0 {
-		for _, c := range cl.Clients {
-			cr := root.SplitLabeled(uint64(1000 + c.ID))
-			c.drift = newDriftTrack(cr.SplitLabeled(clientDriftLabel), b)
-		}
-	}
-	if b.ChurnFrac > 0 {
-		for _, id := range pop.Choose(n, fracCount(b.ChurnFrac, n)) {
-			cr := root.SplitLabeled(uint64(1000 + id))
-			cl.Clients[id].churn = newChurnTrack(cr.SplitLabeled(clientChurnLabel), b)
-		}
-	}
-	if b.LateJoinFrac > 0 {
-		for _, id := range pop.Choose(n, fracCount(b.LateJoinFrac, n)) {
-			cr := root.SplitLabeled(uint64(1000 + id))
-			cl.Clients[id].JoinAt = cr.SplitLabeled(clientLateJoinLabel).Uniform(0, b.LateJoinHorizon)
-		}
-	}
-	if b.attackOn() {
-		kind, err := robust.ParseKind(b.AttackKind)
-		if err != nil {
-			return err
-		}
-		var ids []int
-		if b.AttackTail {
-			ids = tailClients(cl.Clients, fracCount(b.AttackFrac, n))
-		} else {
-			ids = AttackTargets(cfg.Seed, n, b.AttackFrac)
-		}
-		for _, id := range ids {
-			cl.Clients[id].Attack = robust.Attack{Kind: kind, Scale: b.AttackScale}
-		}
-	}
-	return nil
-}
-
 // AttackTargets returns the uniform attacker set for a population of n
-// clients under the given seed — the exact ids applyBehavior marks. It is
+// clients under the given seed — the exact ids Population marks. It is
 // exported so the live transport fabric can select the same deterministic
 // attacker population from (seed, clients, frac) without a Cluster.
 func AttackTargets(seed uint64, n int, frac float64) []int {
@@ -286,26 +236,6 @@ func AttackTargets(seed uint64, n int, frac float64) []int {
 		return nil
 	}
 	return rng.New(seed).SplitLabeled(attackPopLabel).Choose(n, fracCount(frac, n))
-}
-
-// tailClients picks the k slowest clients — largest Part wins, ties to the
-// lower id — giving the deterministic latency-correlated attacker set.
-func tailClients(clients []*ClientRuntime, k int) []int {
-	ids := make([]int, len(clients))
-	for i := range ids {
-		ids[i] = i
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		pa, pb := clients[ids[a]].Part, clients[ids[b]].Part
-		if pa != pb {
-			return pa > pb
-		}
-		return ids[a] < ids[b]
-	})
-	if k > len(ids) {
-		k = len(ids)
-	}
-	return ids[:k]
 }
 
 // fracCount rounds frac·n to a count clamped to [0, n] — fractions above 1

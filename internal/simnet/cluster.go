@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"fmt"
-
 	"repro/internal/rng"
 	"repro/internal/robust"
 )
@@ -171,95 +169,14 @@ type Cluster struct {
 //
 // It is now a thin shell over the lazy Population — "materialize every
 // client" — so the eager and lazy construction paths cannot drift apart.
-// newClusterEager below keeps the original direct construction as the
-// reference the equivalence test pins Population against.
+// The original direct construction survives as a test oracle
+// (cluster_ref_test.go) the equivalence test pins Population against.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	p, err := NewPopulation(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return p.Cluster(), nil
-}
-
-// newClusterEager is the pre-lazy construction, byte-for-byte: every draw
-// in its original order. It exists as the specification the lazy
-// Population is tested against (TestPopulationMatchesEagerCluster) — if
-// the two ever disagree, the lazy derivation broke the RNG contract.
-func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
-	if cfg.NumClients <= 0 {
-		return nil, fmt.Errorf("simnet: NumClients must be positive")
-	}
-	ranges := cfg.DelayRanges
-	if len(ranges) == 0 {
-		ranges = DefaultDelayRanges
-	}
-	parts := cfg.PartSizes
-	if len(parts) == 0 {
-		parts = evenSplit(cfg.NumClients, len(ranges))
-	}
-	if len(parts) != len(ranges) {
-		return nil, fmt.Errorf("simnet: %d part sizes for %d delay ranges", len(parts), len(ranges))
-	}
-	total := 0
-	for _, p := range parts {
-		total += p
-	}
-	if total != cfg.NumClients {
-		return nil, fmt.Errorf("simnet: part sizes sum to %d, want %d", total, cfg.NumClients)
-	}
-	if cfg.NumUnstable > cfg.NumClients {
-		return nil, fmt.Errorf("simnet: more unstable clients than clients")
-	}
-	secPerBatch := cfg.SecPerBatch
-	if secPerBatch <= 0 {
-		secPerBatch = 0.05
-	}
-	dropHorizon := cfg.DropHorizon
-	if dropHorizon <= 0 {
-		dropHorizon = 1000
-	}
-
-	root := rng.New(cfg.Seed)
-	order := root.SplitLabeled(1).Perm(cfg.NumClients)
-
-	cl := &Cluster{
-		Clients:    make([]*ClientRuntime, cfg.NumClients),
-		ServerUp:   &Link{Bandwidth: cfg.ServerBW},
-		ServerDown: &Link{Bandwidth: cfg.ServerBW},
-	}
-	idx := 0
-	for part, size := range parts {
-		for j := 0; j < size; j++ {
-			id := order[idx]
-			idx++
-			cr := root.SplitLabeled(uint64(1000 + id))
-			speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
-			dr := cr.SplitLabeled(7)
-			cl.Clients[id] = &ClientRuntime{
-				ID:          id,
-				Part:        part,
-				DelayLo:     ranges[part][0],
-				DelayHi:     ranges[part][1],
-				SecPerBatch: secPerBatch * speed,
-				UpBW:        cfg.UpBW,
-				DownBW:      cfg.DownBW,
-				DropAt:      Inf,
-				delayRNG:    dr,
-				delayRNG0:   *dr,
-			}
-		}
-	}
-	// Unstable clients: uniform choice, uniform drop times.
-	ur := root.SplitLabeled(2)
-	for _, id := range ur.Choose(cfg.NumClients, cfg.NumUnstable) {
-		cl.Clients[id].DropAt = ur.Uniform(0, dropHorizon)
-	}
-	if cfg.Behavior.Enabled() {
-		if err := applyBehavior(cl, cfg); err != nil {
-			return nil, err
-		}
-	}
-	return cl, nil
 }
 
 func evenSplit(n, parts int) []int {

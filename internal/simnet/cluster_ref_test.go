@@ -1,0 +1,155 @@
+package simnet
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/rng"
+	"repro/internal/robust"
+)
+
+// newClusterEager is the pre-lazy construction, byte-for-byte: every draw
+// in its original order. It exists as the specification the lazy
+// Population is tested against (TestPopulationMatchesEagerCluster) — if
+// the two ever disagree, the lazy derivation broke the RNG contract.
+func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
+	if cfg.NumClients <= 0 {
+		return nil, fmt.Errorf("simnet: NumClients must be positive")
+	}
+	ranges := cfg.DelayRanges
+	if len(ranges) == 0 {
+		ranges = DefaultDelayRanges
+	}
+	parts := cfg.PartSizes
+	if len(parts) == 0 {
+		parts = evenSplit(cfg.NumClients, len(ranges))
+	}
+	if len(parts) != len(ranges) {
+		return nil, fmt.Errorf("simnet: %d part sizes for %d delay ranges", len(parts), len(ranges))
+	}
+	total := 0
+	for _, p := range parts {
+		total += p
+	}
+	if total != cfg.NumClients {
+		return nil, fmt.Errorf("simnet: part sizes sum to %d, want %d", total, cfg.NumClients)
+	}
+	if cfg.NumUnstable > cfg.NumClients {
+		return nil, fmt.Errorf("simnet: more unstable clients than clients")
+	}
+	secPerBatch := cfg.SecPerBatch
+	if secPerBatch <= 0 {
+		secPerBatch = 0.05
+	}
+	dropHorizon := cfg.DropHorizon
+	if dropHorizon <= 0 {
+		dropHorizon = 1000
+	}
+
+	root := rng.New(cfg.Seed)
+	order := root.SplitLabeled(1).Perm(cfg.NumClients)
+
+	cl := &Cluster{
+		Clients:    make([]*ClientRuntime, cfg.NumClients),
+		ServerUp:   &Link{Bandwidth: cfg.ServerBW},
+		ServerDown: &Link{Bandwidth: cfg.ServerBW},
+	}
+	idx := 0
+	for part, size := range parts {
+		for j := 0; j < size; j++ {
+			id := order[idx]
+			idx++
+			cr := root.SplitLabeled(uint64(1000 + id))
+			speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
+			dr := cr.SplitLabeled(7)
+			cl.Clients[id] = &ClientRuntime{
+				ID:          id,
+				Part:        part,
+				DelayLo:     ranges[part][0],
+				DelayHi:     ranges[part][1],
+				SecPerBatch: secPerBatch * speed,
+				UpBW:        cfg.UpBW,
+				DownBW:      cfg.DownBW,
+				DropAt:      Inf,
+				delayRNG:    dr,
+				delayRNG0:   *dr,
+			}
+		}
+	}
+	// Unstable clients: uniform choice, uniform drop times.
+	ur := root.SplitLabeled(2)
+	for _, id := range ur.Choose(cfg.NumClients, cfg.NumUnstable) {
+		cl.Clients[id].DropAt = ur.Uniform(0, dropHorizon)
+	}
+	if cfg.Behavior.Enabled() {
+		if err := applyBehavior(cl, cfg); err != nil {
+			return nil, err
+		}
+	}
+	return cl, nil
+}
+
+// applyBehavior decorates the built population with dynamic behavior. It
+// draws from streams labeled disjointly from everything NewCluster used, so
+// the static population (parts, speeds, delays, drop times) is unchanged.
+func applyBehavior(cl *Cluster, cfg ClusterConfig) error {
+	b := cfg.Behavior.withDefaults()
+	root := rng.New(cfg.Seed)
+	pop := root.SplitLabeled(behaviorPopLabel)
+	n := len(cl.Clients)
+
+	if b.DriftMag > 0 {
+		for _, c := range cl.Clients {
+			cr := root.SplitLabeled(uint64(1000 + c.ID))
+			c.drift = newDriftTrack(cr.SplitLabeled(clientDriftLabel), b)
+		}
+	}
+	if b.ChurnFrac > 0 {
+		for _, id := range pop.Choose(n, fracCount(b.ChurnFrac, n)) {
+			cr := root.SplitLabeled(uint64(1000 + id))
+			cl.Clients[id].churn = newChurnTrack(cr.SplitLabeled(clientChurnLabel), b)
+		}
+	}
+	if b.LateJoinFrac > 0 {
+		for _, id := range pop.Choose(n, fracCount(b.LateJoinFrac, n)) {
+			cr := root.SplitLabeled(uint64(1000 + id))
+			cl.Clients[id].JoinAt = cr.SplitLabeled(clientLateJoinLabel).Uniform(0, b.LateJoinHorizon)
+		}
+	}
+	if b.attackOn() {
+		kind, err := robust.ParseKind(b.AttackKind)
+		if err != nil {
+			return err
+		}
+		var ids []int
+		if b.AttackTail {
+			ids = tailClients(cl.Clients, fracCount(b.AttackFrac, n))
+		} else {
+			ids = AttackTargets(cfg.Seed, n, b.AttackFrac)
+		}
+		for _, id := range ids {
+			cl.Clients[id].Attack = robust.Attack{Kind: kind, Scale: b.AttackScale}
+		}
+	}
+	return nil
+}
+
+// tailClients picks the k slowest clients — largest Part wins, ties to the
+// lower id — giving the deterministic latency-correlated attacker set.
+func tailClients(clients []*ClientRuntime, k int) []int {
+	ids := make([]int, len(clients))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.SliceStable(ids, func(a, b int) bool {
+		pa, pb := clients[ids[a]].Part, clients[ids[b]].Part
+		if pa != pb {
+			return pa > pb
+		}
+		return ids[a] < ids[b]
+	})
+	if k > len(ids) {
+		k = len(ids)
+	}
+	return ids[:k]
+}

@@ -137,7 +137,7 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 		p.behavior = b
 		p.behaviorOn = true
 		// The population stream is sequential: churn membership first,
-		// then late-join membership, exactly as applyBehavior draws them.
+		// then late-join membership, exactly as the eager reference draws them.
 		pop := p.root.SplitLabeled(behaviorPopLabel)
 		if b.ChurnFrac > 0 {
 			p.churnSet = map[int]struct{}{}
@@ -334,8 +334,8 @@ func (p *Population) Cluster() *Cluster {
 }
 
 // tailParts picks the k slowest clients from the part table — largest part
-// wins, ties to the lower id — the same ranking tailClients applies to
-// materialized runtimes.
+// wins, ties to the lower id — the same ranking the eager reference applies
+// to materialized runtimes.
 func tailParts(part []int32, k int) []int {
 	ids := make([]int, len(part))
 	for i := range ids {
@@ -343,7 +343,7 @@ func tailParts(part []int32, k int) []int {
 	}
 	// Stable two-key sort without materializing runtimes: part descending
 	// with index ascending as the tie-break, which is exactly what the
-	// stable sort over ids in tailClients produces.
+	// eager reference's stable sort over runtimes produces.
 	sort.SliceStable(ids, func(a, b int) bool {
 		pa, pb := part[ids[a]], part[ids[b]]
 		if pa != pb {
