@@ -26,6 +26,10 @@
 //	fedserver -role edge -edge-id 0 -root 127.0.0.1:7070 -addr :7071 -clients 3 ... &
 //	fedserver -role edge -edge-id 1 -root 127.0.0.1:7070 -addr :7072 -clients 3 -data-seed 2 ... &
 //	fedclient -addr 127.0.0.1:7071 -id 0 -clients 3 ... &   # leaf under edge 0
+//
+// SIGINT or SIGTERM shuts any role down cleanly: registered peers receive
+// the shutdown frame instead of a broken connection. A second signal kills
+// the process.
 package main
 
 import (
@@ -33,7 +37,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 
 	"repro/internal/cliflags"
 	"repro/internal/codec"
@@ -159,6 +165,7 @@ func main() {
 	if err != nil {
 		log.Fatal("fedserver: ", err)
 	}
+	stopOnSignal(srv.Shutdown)
 	log.Printf("fedserver: listening on %s for %d clients, method %s (%s)", srv.Addr(), *clients, m.Name, m)
 	res, final, err := srv.Run()
 	if up != nil {
@@ -179,6 +186,7 @@ func runRoot(cfg transport.RootConfig) {
 	if err != nil {
 		log.Fatal("fedserver: ", err)
 	}
+	stopOnSignal(root.Shutdown)
 	log.Printf("fedserver: root listening on %s for %d edges", root.Addr(), cfg.Cloud.Edges)
 	run, final, err := root.Run()
 	if err != nil {
@@ -189,6 +197,19 @@ func runRoot(cfg transport.RootConfig) {
 		float64(run.UpBytes)/1e6, float64(run.DownBytes)/1e6)
 	_ = final
 	os.Exit(0)
+}
+
+// stopOnSignal calls stop on the first SIGINT or SIGTERM and then restores
+// the default handling, so a second signal kills the process.
+func stopOnSignal(stop func()) {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		s := <-sig
+		signal.Stop(sig)
+		log.Printf("fedserver: %v: shutting down", s)
+		stop()
+	}()
 }
 
 func meanStaleness(total float64, folds int) float64 {

@@ -11,7 +11,7 @@ import (
 
 // allCodecs is every wire codec, in both polyline modes.
 func allCodecs() []Codec {
-	return []Codec{Raw{}, Float32{}, Quant8{}, NewPolyline(4), NewPolylineDelta(5), NewTopK(0.25)}
+	return []Codec{Raw{}, Float32{}, Quant8{}, NewPolyline(4), &Polyline{Precision: 5, Delta: true}, NewTopK(0.25)}
 }
 
 // TestAppendEncodeMatchesEncode: appending behind a dirty, non-empty prefix

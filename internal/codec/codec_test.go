@@ -138,7 +138,7 @@ func TestDeltaHelpsOnSmoothData(t *testing.T) {
 		w[i] = 5 + 0.0001*float64(i%7)
 	}
 	abs := len(NewPolyline(4).Encode(w))
-	del := len(NewPolylineDelta(4).Encode(w))
+	del := len((&Polyline{Precision: 4, Delta: true}).Encode(w))
 	if del >= abs {
 		t.Fatalf("delta (%d bytes) not smaller than absolute (%d) on smooth data", del, abs)
 	}
@@ -228,7 +228,7 @@ func TestMarshalModelRoundTrip(t *testing.T) {
 		{Name: "b", Dims: []int{4}},
 	}
 	w := randWeights(rng.New(5), 16, 0.5)
-	for _, c := range []Codec{Raw{}, Float32{}, Quant8{}, NewPolyline(4), NewPolylineDelta(5)} {
+	for _, c := range []Codec{Raw{}, Float32{}, Quant8{}, NewPolyline(4), &Polyline{Precision: 5, Delta: true}} {
 		msg, err := MarshalModel(c, shapes, w)
 		if err != nil {
 			t.Fatalf("%s marshal: %v", c.Name(), err)

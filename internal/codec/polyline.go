@@ -72,11 +72,6 @@ type Polyline struct {
 // NewPolyline returns the codec at the given precision in absolute mode.
 func NewPolyline(precision int) *Polyline { return &Polyline{Precision: precision} }
 
-// NewPolylineDelta returns the codec in delta mode.
-func NewPolylineDelta(precision int) *Polyline {
-	return &Polyline{Precision: precision, Delta: true}
-}
-
 // Name implements Codec.
 func (p *Polyline) Name() string {
 	mode := ""

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -99,7 +100,7 @@ func TestDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range a.Clients {
-		if !tensor.Equal(a.Clients[i].TrainX, b.Clients[i].TrainX, 0) {
+		if !slices.Equal(a.Clients[i].TrainX.Data, b.Clients[i].TrainX.Data) {
 			t.Fatalf("client %d data differs across identical generations", i)
 		}
 	}
@@ -107,7 +108,7 @@ func TestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tensor.Equal(a.Clients[0].TrainX, c.Clients[0].TrainX, 0) {
+	if slices.Equal(a.Clients[0].TrainX.Data, c.Clients[0].TrainX.Data) {
 		t.Fatal("different seeds produced identical data")
 	}
 }

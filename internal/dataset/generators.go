@@ -196,7 +196,7 @@ func FEMNISTLike(numClients int, scale Scale, seed uint64) (*Federated, error) {
 func RedditLike(numClients int, scale Scale, seed uint64) (*Federated, error) {
 	vocab := 64
 	if scale == ScalePaper {
-		vocab = 625 // PaperLSTM(16) vocabulary
+		vocab = 625 // the paper's 10,000-token vocabulary at 1/16 scale
 	}
 	return Generate(Config{
 		Name:             "redditlike",

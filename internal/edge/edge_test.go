@@ -135,8 +135,8 @@ func TestEdgeOneEqualsFlat(t *testing.T) {
 }
 
 // dynamicsBehavior is the full client-dynamics stack — speed drift,
-// transient churn, late joins and a scaling attack — the harshest regime
-// the merged timeline has to keep deterministic.
+// transient churn and a scaling attack — the harshest regime the merged
+// timeline has to keep deterministic.
 func dynamicsBehavior() simnet.BehaviorConfig {
 	return simnet.BehaviorConfig{
 		DriftMag:      0.2,
@@ -144,7 +144,6 @@ func dynamicsBehavior() simnet.BehaviorConfig {
 		ChurnFrac:     0.25,
 		ChurnOn:       [2]float64{40, 120},
 		ChurnOff:      [2]float64{10, 40},
-		LateJoinFrac:  0.15,
 		AttackFrac:    0.2,
 		AttackKind:    "scale",
 		AttackScale:   -2,

@@ -153,14 +153,9 @@ func applyRoundBudget(cfg *fl.RunConfig, m fl.Method) {
 	}
 }
 
-// buildEnv assembles a ready environment for (preset, dataset spec) with
-// optional RunConfig mutation.
-func buildEnv(p Preset, d dsSpec, mutate func(*fl.RunConfig)) (*fl.Env, error) {
-	return buildEnvFull(p, d, nil, mutate, nil)
-}
-
-// buildEnvParts is buildEnv with an explicit tier-size distribution (the
-// Figure 10 configurations).
+// buildEnvParts assembles a ready environment for (preset, dataset spec)
+// with an explicit tier-size distribution (the Figure 10 configurations)
+// and optional RunConfig mutation.
 func buildEnvParts(p Preset, d dsSpec, partSizes []int, mutate func(*fl.RunConfig)) (*fl.Env, error) {
 	return buildEnvFull(p, d, partSizes, mutate, nil)
 }
@@ -271,22 +266,6 @@ func RunComposedDynamics(p Preset, m fl.Method, dyn ComposeDynamics, obs ...fl.O
 	})
 }
 
-// runMethods executes the named methods serially, bypassing the run cache
-// (diagnostic probes use it for honest standalone runs). It still draws
-// from the global -workers gate and counts toward SimulationCount, like
-// every other simulation in the process.
-func runMethods(p Preset, d dsSpec, names []string, mutate func(*fl.RunConfig)) (map[string]*metrics.Run, error) {
-	out := make(map[string]*metrics.Run, len(names))
-	for _, name := range names {
-		run, err := simulateCell(cell{p: p, d: d, method: name, mutate: mutate})
-		if err != nil {
-			return nil, err
-		}
-		out[name] = run
-	}
-	return out, nil
-}
-
 // fmtAcc renders an accuracy like the paper's tables.
 func fmtAcc(a float64) string { return fmt.Sprintf("%.3f", a) }
 
@@ -351,11 +330,4 @@ func timelineHeader(rows int) []string {
 		h[i] = fmt.Sprintf("t%d", i)
 	}
 	return h
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

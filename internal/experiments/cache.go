@@ -91,8 +91,8 @@ var runCache = struct {
 
 // simulations counts every simulation executed in-process (not served
 // from cache or deduped onto another experiment's in-flight run):
-// scheduler cells, Figure 10's direct runs, and diagnostic runMethods
-// probes. Tests use deltas of it to assert the exactly-once property.
+// scheduler cells and simulateDirect's runs. Tests use deltas of it to
+// assert the exactly-once property.
 var simulations atomic.Int64
 
 // SimulationCount reports how many simulations this process has executed.

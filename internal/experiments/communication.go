@@ -129,14 +129,14 @@ func Figure5(p Preset) (*Report, error) {
 		rep.Keep(entry.label, run)
 		runsByLabel[entry.label] = run
 		if entry.label == "No Compression" {
-			rawPerUpdate = float64(run.UpBytes) / float64(maxI(run.GlobalRounds, 1))
+			rawPerUpdate = float64(run.UpBytes) / float64(max(run.GlobalRounds, 1))
 		}
 	}
 	tb := report.NewTable("FedAT on cifar10(#2) across compressor precisions",
 		"codec", "best acc", "total up-bytes", "compression ratio vs raw")
 	for _, entry := range figure5Codecs {
 		run := runsByLabel[entry.label]
-		perUpdate := float64(run.UpBytes) / float64(maxI(run.GlobalRounds, 1))
+		perUpdate := float64(run.UpBytes) / float64(max(run.GlobalRounds, 1))
 		ratio := rawPerUpdate / perUpdate
 		tb.AddRow(report.Str(entry.label), accCell(run.BestAcc()), bytesCell(run.UpBytes),
 			report.Numf("%.2fx", ratio))
@@ -151,10 +151,3 @@ func Figure5(p Preset) (*Report, error) {
 // bytesCell renders a byte count the way Table 2 does, keeping the raw
 // count as the typed value.
 func bytesCell(b int64) report.Cell { return report.Num(float64(b), metrics.FormatBytes(b)) }
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -64,7 +64,7 @@ func Table1(p Preset) (*Report, error) {
 				varRows[m] = append(varRows[m], report.Num(fedatVar, fmt.Sprintf("%.2e (abs)", fedatVar)))
 				continue
 			}
-			norm := run.MeanVariance() / maxF(fedatVar, 1e-12)
+			norm := run.MeanVariance() / max(fedatVar, 1e-12)
 			varRows[m] = append(varRows[m], report.Numf("%.2f", norm))
 			if run.BestAcc() > bestBase {
 				bestBase, bestName = run.BestAcc(), methodLabel(m)
@@ -121,10 +121,3 @@ func pct(delta float64) string { return fmt.Sprintf("%+.2f%%", 100*delta) }
 
 // pctCell is pct as a typed cell carrying the raw (fractional) delta.
 func pctCell(delta float64) report.Cell { return report.Num(delta, pct(delta)) }
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -50,7 +50,7 @@ func TheoryValidation(p Preset) (*Report, error) {
 		"global round t", "loss f(w_t)", "gap f(w_t)−f*")
 	gapSeries := report.Series{Name: "convex/gap_vs_round", X: "round", Y: "gap"}
 	gaps := make([]float64, 0, len(run.Points))
-	for i := 0; i < len(run.Points); i += maxI(1, len(run.Points)/8) {
+	for i := 0; i < len(run.Points); i += max(1, len(run.Points)/8) {
 		pt := run.Points[i]
 		gap := pt.Loss - fStar
 		gaps = append(gaps, gap)

@@ -11,7 +11,7 @@ import (
 	"repro/internal/simnet"
 )
 
-// dynamicEnv is testEnv over a drifting, churning, late-joining population.
+// dynamicEnv is testEnv over a drifting, churning population.
 func dynamicEnv(t *testing.T, cfg RunConfig) *Env {
 	t.Helper()
 	fed, err := dataset.FashionLike(20, 2, dataset.ScaleSmall, 11)
@@ -27,13 +27,11 @@ func dynamicEnv(t *testing.T, cfg RunConfig) *Env {
 		DownBW:      1 << 20,
 		ServerBW:    8 << 20,
 		Behavior: simnet.BehaviorConfig{
-			DriftMag:        0.5,
-			DriftInterval:   10,
-			ChurnFrac:       0.25,
-			ChurnOn:         [2]float64{30, 80},
-			ChurnOff:        [2]float64{10, 40},
-			LateJoinFrac:    0.1,
-			LateJoinHorizon: 60,
+			DriftMag:      0.5,
+			DriftInterval: 10,
+			ChurnFrac:     0.25,
+			ChurnOn:       [2]float64{30, 80},
+			ChurnOff:      [2]float64{10, 40},
 		},
 		Seed: cfg.Seed,
 	})
@@ -61,8 +59,8 @@ func runSig(r *metrics.Run) string {
 	return s
 }
 
-// TestDynamicsDeterministic: with drift, churn, late joins AND runtime
-// re-tiering all enabled, two identical seeded runs are bit-identical — the
+// TestDynamicsDeterministic: with drift, churn AND runtime re-tiering all
+// enabled, two identical seeded runs are bit-identical — the
 // repository-wide reproducibility guarantee extends to the dynamic regime.
 func TestDynamicsDeterministic(t *testing.T) {
 	for _, name := range []string{"fedat", "fedasync"} {

@@ -263,9 +263,9 @@ func (p bufferPacer) Start(rs *runState) error {
 		}
 		now := rs.fab.Now()
 		if !rs.fab.Available(id, now) {
-			// Resume the client's loop when transient churn or a late join
-			// brings it back online (never for permanent departures, whose
-			// rejoin time is +Inf — the static population's only case).
+			// Resume the client's loop when transient churn brings it back
+			// online (never for permanent departures, whose rejoin time is
+			// +Inf — the static population's only case).
 			if rejoin := rs.fab.NextAvailable(id, now); rejoin > now && !math.IsInf(rejoin, 1) {
 				rs.fab.At(rejoin, func() { startClient(id) })
 			}

@@ -47,15 +47,15 @@ func baseSourceCase(seed uint64) sourceCase {
 	}
 }
 
-// adversarialSourceCase switches everything on at once: drift + churn +
-// late joins, a scaling attack and the DP stage, so every derived stream
-// (speed, delay, drift, churn, schedule, DP noise, attack membership) is
-// exercised in one run.
+// adversarialSourceCase switches everything on at once: drift + churn, a
+// scaling attack and the DP stage, so every derived stream (speed, delay,
+// drift, churn, schedule, DP noise, attack membership) is exercised in one
+// run.
 func adversarialSourceCase(seed uint64) sourceCase {
 	c := baseSourceCase(seed)
 	c.ccfg.Behavior = simnet.BehaviorConfig{
 		DriftMag: 0.2, DriftInterval: 40,
-		ChurnFrac: 0.25, LateJoinFrac: 0.15,
+		ChurnFrac:  0.25,
 		AttackFrac: 0.2, AttackKind: "scale", AttackScale: -2,
 	}
 	c.rcfg.DPClip, c.rcfg.DPNoise = 0.5, 0.01
@@ -105,7 +105,7 @@ func (c sourceCase) derived(t testing.TB) (*Env, *simnet.Population) {
 // produces a run record bit-identical to one over NewEnv's retained
 // federation and cluster. Every registry method and a composed fedbuff
 // method run on the base case; then one case each switches on DP, an
-// attack regime, churn/drift/late joins, and the dropout LSTM (whose mask
+// attack regime, churn/drift, and the dropout LSTM (whose mask
 // stream is the only training state a weight vector does not carry).
 func TestLazyEnvMatchesEagerRun(t *testing.T) {
 	type variant struct {
@@ -127,7 +127,7 @@ func TestLazyEnvMatchesEagerRun(t *testing.T) {
 		}},
 		variant{name: "dynamics", method: "fedat", edit: func(c *sourceCase) {
 			c.ccfg.Behavior = simnet.BehaviorConfig{
-				DriftMag: 0.2, DriftInterval: 40, ChurnFrac: 0.25, LateJoinFrac: 0.15,
+				DriftMag: 0.2, DriftInterval: 40, ChurnFrac: 0.25,
 			}
 			c.rcfg.RetierEvery = 3
 		}},

@@ -1,11 +1,53 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
+
+// GradCheck verifies a network's analytic gradients against central finite
+// differences on the given batch. It returns the worst relative error over
+// all parameters. Networks with stochastic layers (Dropout) must be checked
+// with them off, as TestGradCheckEmbeddingLSTM does.
+//
+// The relative error uses the standard symmetric normalization
+// |a−n| / max(1e-8, |a|+|n|).
+func GradCheck(n *Network, x *tensor.Mat, labels []int, eps float64) float64 {
+	n.ZeroGrad()
+	n.Backprop(x, labels)
+	analytic := tensor.Copy(n.Grads())
+
+	w := n.Weights()
+	worst := 0.0
+	for i := range w {
+		orig := w[i]
+		w[i] = orig + eps
+		lp := n.lossOnly(x, labels)
+		w[i] = orig - eps
+		lm := n.lossOnly(x, labels)
+		w[i] = orig
+		numeric := (lp - lm) / (2 * eps)
+		den := math.Abs(analytic[i]) + math.Abs(numeric)
+		if den < 1e-8 {
+			den = 1e-8
+		}
+		rel := math.Abs(analytic[i]-numeric) / den
+		if rel > worst {
+			worst = rel
+		}
+	}
+	return worst
+}
+
+// lossOnly evaluates the training-mode loss without touching gradients.
+func (n *Network) lossOnly(x *tensor.Mat, labels []int) float64 {
+	logits := n.Forward(x, true)
+	d := tensor.NewMat(logits.R, logits.C)
+	return n.loss.Compute(logits, labels, d)
+}
 
 // gradCheckNet verifies the full analytic backward pass of a network
 // against central differences. tol is loose-ish because float64 central

@@ -79,23 +79,6 @@ type LSTMConfig struct {
 	BatchNorm                           bool
 }
 
-// PaperLSTM returns the paper-shaped Reddit config at the given scale
-// divisor (1 = paper scale).
-func PaperLSTM(scaleDiv int) LSTMConfig {
-	if scaleDiv < 1 {
-		scaleDiv = 1
-	}
-	return LSTMConfig{
-		Vocab:     10000 / scaleDiv,
-		Emb:       128 / scaleDiv,
-		Hidden:    128 / scaleDiv,
-		SeqLen:    10,
-		Classes:   10000 / scaleDiv,
-		Dropout:   0.1,
-		BatchNorm: true,
-	}
-}
-
 // NewLSTMClassifier builds the sequence classifier.
 func NewLSTMClassifier(r *rng.RNG, cfg LSTMConfig) *Network {
 	layers := []Layer{

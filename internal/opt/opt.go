@@ -107,12 +107,3 @@ func AddProximal(g, w, anchor []float64, lambda float64) {
 		g[i] += lambda * (w[i] - anchor[i])
 	}
 }
-
-// ProximalLoss returns λ/2·‖w−anchor‖², the penalty value itself, for
-// logging the full surrogate objective h_k.
-func ProximalLoss(w, anchor []float64, lambda float64) float64 {
-	if lambda == 0 {
-		return 0
-	}
-	return lambda / 2 * tensor.SqDist(w, anchor)
-}

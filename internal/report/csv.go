@@ -54,30 +54,6 @@ func (s Series) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ParseSeriesCSV reads back a series written by Series.WriteCSV.
-func ParseSeriesCSV(r io.Reader) (Series, error) {
-	recs, err := csv.NewReader(r).ReadAll()
-	if err != nil {
-		return Series{}, fmt.Errorf("report: parse series csv: %w", err)
-	}
-	if len(recs) == 0 || len(recs[0]) != 2 {
-		return Series{}, fmt.Errorf("report: series csv missing x,y header")
-	}
-	s := Series{X: recs[0][0], Y: recs[0][1]}
-	for _, rec := range recs[1:] {
-		x, err := strconv.ParseFloat(rec[0], 64)
-		if err != nil {
-			return Series{}, fmt.Errorf("report: series csv x %q: %w", rec[0], err)
-		}
-		y, err := strconv.ParseFloat(rec[1], 64)
-		if err != nil {
-			return Series{}, fmt.Errorf("report: series csv y %q: %w", rec[1], err)
-		}
-		s.Pts = append(s.Pts, XY{X: x, Y: y})
-	}
-	return s, nil
-}
-
 // WriteRunCSV emits a run's evaluation points as CSV (one row per point),
 // the format the plotting scripts and spreadsheet users consume. Columns:
 // round, time_s, up_bytes, down_bytes, acc, loss, var.

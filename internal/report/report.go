@@ -37,9 +37,6 @@ type Report struct {
 	WallMS float64
 }
 
-// New creates an empty report.
-func New(id, title string) *Report { return &Report{ID: id, Title: title} }
-
 // Artifact is one typed element of a report. Its text form is either a
 // self-contained block ending in exactly one blank line, or "" for
 // data-only artifacts (Series, Scalar) that exist for the machine-readable

@@ -2,15 +2,43 @@ package report
 
 import (
 	"bytes"
+	"encoding/csv"
 	"encoding/json"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/metrics"
 )
+
+// ParseSeriesCSV reads back a series written by Series.WriteCSV.
+func ParseSeriesCSV(r io.Reader) (Series, error) {
+	recs, err := csv.NewReader(r).ReadAll()
+	if err != nil {
+		return Series{}, fmt.Errorf("report: parse series csv: %w", err)
+	}
+	if len(recs) == 0 || len(recs[0]) != 2 {
+		return Series{}, fmt.Errorf("report: series csv missing x,y header")
+	}
+	s := Series{X: recs[0][0], Y: recs[0][1]}
+	for _, rec := range recs[1:] {
+		x, err := strconv.ParseFloat(rec[0], 64)
+		if err != nil {
+			return Series{}, fmt.Errorf("report: series csv x %q: %w", rec[0], err)
+		}
+		y, err := strconv.ParseFloat(rec[1], 64)
+		if err != nil {
+			return Series{}, fmt.Errorf("report: series csv y %q: %w", rec[1], err)
+		}
+		s.Pts = append(s.Pts, XY{X: x, Y: y})
+	}
+	return s, nil
+}
 
 func sampleRun() *metrics.Run {
 	r := &metrics.Run{Method: "fedat", Dataset: "cifar10like"}
@@ -28,7 +56,7 @@ func sampleRun() *metrics.Run {
 
 // sampleReport exercises every artifact kind.
 func sampleReport() *Report {
-	rep := New("demo", "Artifact model demo")
+	rep := &Report{ID: "demo", Title: "Artifact model demo"}
 	tb := NewTable("Best accuracy", "method", "acc", "note")
 	tb.AddRow(Str("FedAT"), Numf("%.3f", 0.591), Str("winner"))
 	tb.AddRow(Str("FedAvg"), Numf("%.3f", 0.547)) // short row: padded
@@ -45,7 +73,7 @@ func TestTextGrid(t *testing.T) {
 	tb := NewTable("Best accuracy", "method", "acc")
 	tb.AddRow(Str("FedAT"), Numf("%.3f", 0.591))
 	tb.AddRow(Str("FedAvg"), Numf("%.3f", 0.547))
-	rep := New("demo", "Grid")
+	rep := &Report{ID: "demo", Title: "Grid"}
 	rep.AddTable(tb)
 	want := "# demo — Grid\n\n" +
 		"## Best accuracy\n\n" +
@@ -59,7 +87,7 @@ func TestTextGrid(t *testing.T) {
 }
 
 func TestDataOnlyArtifactsInvisibleInText(t *testing.T) {
-	rep := New("demo", "Data only")
+	rep := &Report{ID: "demo", Title: "Data only"}
 	base := Text(rep)
 	rep.AddSeries(Series{Name: "s", X: "x", Y: "y", Pts: []XY{{1, 2}}})
 	rep.AddScalar("v", 1.5, "")
@@ -69,7 +97,7 @@ func TestDataOnlyArtifactsInvisibleInText(t *testing.T) {
 }
 
 func TestNoteOwnsSpacing(t *testing.T) {
-	rep := New("demo", "Spacing")
+	rep := &Report{ID: "demo", Title: "Spacing"}
 	rep.AddNote("no trailing newline")
 	rep.AddNote("trailing newline\n")
 	s := Text(rep)

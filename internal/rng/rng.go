@@ -177,12 +177,3 @@ func (r *RNG) ChooseWeighted(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Exp returns an exponential variate with the given rate (mean 1/rate).
-func (r *RNG) Exp(rate float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1-u) / rate
-}

@@ -200,23 +200,6 @@ func TestUniformRange(t *testing.T) {
 	}
 }
 
-func TestExpPositiveMean(t *testing.T) {
-	r := New(29)
-	sum := 0.0
-	n := 100000
-	for i := 0; i < n; i++ {
-		v := r.Exp(2)
-		if v < 0 {
-			t.Fatalf("Exp produced negative value %v", v)
-		}
-		sum += v
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-0.5) > 0.02 {
-		t.Fatalf("Exp(2) mean %v, want ~0.5", mean)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64

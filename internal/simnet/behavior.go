@@ -6,15 +6,14 @@ import "repro/internal/rng"
 // fixed per-client speeds, permanent DropAt departures — matches the paper's
 // §6 testbed, where clients are profiled once and stay in character. Real
 // populations drift, churn and get mis-profiled; BehaviorConfig switches on
-// three dynamic regimes, all driven off the virtual clock so runs remain
+// two dynamic regimes, all driven off the virtual clock so runs remain
 // bit-for-bit deterministic:
 //
 //   - speed drift: each client's compute multiplier takes a multiplicative
 //     random-walk step every DriftInterval virtual seconds (step-change
 //     behavior is the same walk with a large magnitude and long interval);
 //   - transient churn: a fraction of clients cycle through offline windows
-//     and come back — generalizing the permanent DropAt departure;
-//   - late join: a fraction of clients are offline until a start time.
+//     and come back — generalizing the permanent DropAt departure.
 //
 // The zero value disables everything, and a disabled population is
 // bit-identical to one built before this model existed: no extra RNG draws
@@ -40,16 +39,10 @@ type BehaviorConfig struct {
 	// ChurnOff bounds the offline-window length (default [50, 200)).
 	ChurnOff [2]float64
 
-	// LateJoinFrac of clients (rounded) join late, at a uniform time in
-	// (0, LateJoinHorizon]. 0 disables late joins.
-	LateJoinFrac float64
-	// LateJoinHorizon bounds join times (default 500).
-	LateJoinHorizon float64
-
 	// AttackFrac of clients (rounded) behave maliciously according to
 	// AttackKind ("labelflip", "scale" or "freeride" — see internal/robust).
 	// The attacker set is drawn from its own population stream, so churn
-	// and late-join membership are untouched at any attack fraction.
+	// membership is untouched at any attack fraction.
 	// Either AttackFrac=0 or AttackKind=""/"none" disables the regime.
 	AttackFrac float64
 	AttackKind string
@@ -67,7 +60,7 @@ type BehaviorConfig struct {
 
 // Enabled reports whether any dynamic regime is switched on.
 func (b BehaviorConfig) Enabled() bool {
-	return b.DriftMag > 0 || b.ChurnFrac > 0 || b.LateJoinFrac > 0 || b.attackOn()
+	return b.DriftMag > 0 || b.ChurnFrac > 0 || b.attackOn()
 }
 
 func (b BehaviorConfig) attackOn() bool {
@@ -87,9 +80,6 @@ func (b BehaviorConfig) withDefaults() BehaviorConfig {
 	if b.ChurnOff == [2]float64{} {
 		b.ChurnOff = [2]float64{50, 200}
 	}
-	if b.LateJoinHorizon <= 0 {
-		b.LateJoinHorizon = 500
-	}
 	return b
 }
 
@@ -101,14 +91,13 @@ func (b BehaviorConfig) withDefaults() BehaviorConfig {
 // streams cannot perturb the static population's randomness.
 // The attacker population draws from its own root label (4) rather than
 // sharing behaviorPopLabel, so the attacker set is a pure function of
-// (seed, n, AttackFrac) — turning attacks on or off cannot move churn or
-// late-join membership, and vice versa.
+// (seed, n, AttackFrac) — turning attacks on or off cannot move churn
+// membership, and vice versa.
 const (
-	behaviorPopLabel    = 3
-	attackPopLabel      = 4
-	clientDriftLabel    = 8
-	clientChurnLabel    = 9
-	clientLateJoinLabel = 10
+	behaviorPopLabel = 3
+	attackPopLabel   = 4
+	clientDriftLabel = 8
+	clientChurnLabel = 9
 )
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,15 @@ import (
 	"repro/internal/robust"
 )
 
+// SpeedMultiplier reports the drift multiplier in effect at time t (1 for
+// clients without drift).
+func (c *ClientRuntime) SpeedMultiplier(t float64) float64 {
+	if c.drift == nil {
+		return 1
+	}
+	return c.drift.MultAt(t)
+}
+
 func behaviorCluster(t *testing.T, b BehaviorConfig) *Cluster {
 	t.Helper()
 	cl, err := NewCluster(ClusterConfig{
@@ -24,7 +33,7 @@ func behaviorCluster(t *testing.T, b BehaviorConfig) *Cluster {
 func TestBehaviorDisabledIsStatic(t *testing.T) {
 	cl := behaviorCluster(t, BehaviorConfig{})
 	for _, c := range cl.Clients {
-		if c.drift != nil || c.churn != nil || c.JoinAt != 0 {
+		if c.drift != nil || c.churn != nil {
 			t.Fatalf("client %d has dynamic state without behavior config", c.ID)
 		}
 		for _, at := range []float64{0, 17.3, 5000} {
@@ -114,32 +123,6 @@ func TestChurnWindows(t *testing.T) {
 	}
 }
 
-// TestLateJoin: late joiners are offline before JoinAt and join by the
-// horizon; NextOnline from 0 is the join time.
-func TestLateJoin(t *testing.T) {
-	b := BehaviorConfig{LateJoinFrac: 0.25, LateJoinHorizon: 300}
-	cl := behaviorCluster(t, b)
-	late := 0
-	for _, c := range cl.Clients {
-		if c.JoinAt == 0 {
-			continue
-		}
-		late++
-		if c.JoinAt < 0 || c.JoinAt > 300 {
-			t.Fatalf("client %d: JoinAt %v outside (0, 300]", c.ID, c.JoinAt)
-		}
-		if c.Available(c.JoinAt / 2) {
-			t.Fatalf("client %d available before joining", c.ID)
-		}
-		if got := c.NextOnline(0); got != c.JoinAt {
-			t.Fatalf("client %d: NextOnline(0)=%v, want JoinAt %v", c.ID, got, c.JoinAt)
-		}
-	}
-	if late != 5 {
-		t.Fatalf("%d late joiners, want 5 of 20", late)
-	}
-}
-
 // TestOfflineWithin: a churn window wholly inside a span disrupts it even
 // though both endpoints are online; spans clear of windows are undisturbed;
 // without churn the check reduces to the endpoint rule.
@@ -186,19 +169,15 @@ func TestOfflineWithin(t *testing.T) {
 // TestFracClamped: behavior fractions above 1 (a CLI typo) mean "everyone",
 // not a Choose panic.
 func TestFracClamped(t *testing.T) {
-	cl := behaviorCluster(t, BehaviorConfig{ChurnFrac: 1.5, LateJoinFrac: 2})
-	churned, late := 0, 0
+	cl := behaviorCluster(t, BehaviorConfig{ChurnFrac: 1.5})
+	churned := 0
 	for _, c := range cl.Clients {
 		if c.churn != nil {
 			churned++
 		}
-		if c.JoinAt > 0 {
-			late++
-		}
 	}
-	if churned != len(cl.Clients) || late != len(cl.Clients) {
-		t.Fatalf("fractions above 1 covered %d/%d churned, %d/%d late; want all",
-			churned, len(cl.Clients), late, len(cl.Clients))
+	if churned != len(cl.Clients) {
+		t.Fatalf("a fraction above 1 churned %d/%d clients; want all", churned, len(cl.Clients))
 	}
 }
 

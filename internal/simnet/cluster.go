@@ -23,9 +23,6 @@ type ClientRuntime struct {
 	// DropAt is the virtual time at which the client permanently leaves
 	// (+Inf for stable clients).
 	DropAt float64
-	// JoinAt is when the client first comes online (0 = from the start;
-	// the late-join regime of BehaviorConfig).
-	JoinAt float64
 	// Attack is the client's malicious behavior (zero value = honest; the
 	// attack regime of BehaviorConfig). The federation layer reads it when
 	// building trainers — the simnet clock model itself never does:
@@ -72,19 +69,10 @@ func (c *ClientRuntime) ComputeTimeAt(batchSteps int, t float64) float64 {
 	return float64(batchSteps) * c.SecPerBatch * c.drift.MultAt(t)
 }
 
-// SpeedMultiplier reports the drift multiplier in effect at time t (1 for
-// clients without drift) — diagnostics and tests.
-func (c *ClientRuntime) SpeedMultiplier(t float64) float64 {
-	if c.drift == nil {
-		return 1
-	}
-	return c.drift.MultAt(t)
-}
-
-// Available reports whether the client is online at time t: it has joined,
-// has not permanently dropped, and is not inside a churn window.
+// Available reports whether the client is online at time t: it has not
+// permanently dropped and is not inside a churn window.
 func (c *ClientRuntime) Available(t float64) bool {
-	if t >= c.DropAt || t < c.JoinAt {
+	if t >= c.DropAt {
 		return false
 	}
 	return c.churn == nil || !c.churn.OfflineAt(t)
@@ -93,9 +81,9 @@ func (c *ClientRuntime) Available(t float64) bool {
 // OfflineWithin reports whether the client is offline at any instant in
 // (start, end] — the round-disruption test: a client that blinked through
 // a churn window mid-round loses that round's update even if it is back by
-// the end. Without churn this reduces to the endpoint check (DropAt and
-// JoinAt are monotone, and start is an instant the caller already knows the
-// client was online).
+// the end. Without churn this reduces to the endpoint check (DropAt is
+// monotone, and start is an instant the caller already knows the client was
+// online).
 func (c *ClientRuntime) OfflineWithin(start, end float64) bool {
 	if !c.Available(end) {
 		return true
@@ -105,12 +93,9 @@ func (c *ClientRuntime) OfflineWithin(start, end float64) bool {
 
 // NextOnline returns the earliest time >= t at which the client is online
 // (+Inf if it never is again). For the static population this is t while
-// the client lives and +Inf after its permanent drop — churn windows and
-// late joins are the only sources of finite waits.
+// the client lives and +Inf after its permanent drop — churn windows are
+// the only source of finite waits.
 func (c *ClientRuntime) NextOnline(t float64) float64 {
-	if t < c.JoinAt {
-		t = c.JoinAt
-	}
 	if c.churn != nil {
 		t = c.churn.NextOnline(t)
 	}
@@ -126,15 +111,12 @@ func (c *ClientRuntime) ExpectedLatency(batchSteps int) float64 {
 	return c.ComputeTime(batchSteps) + (c.DelayLo+c.DelayHi)/2
 }
 
-// DefaultDelayRanges are the paper's five injected-delay groups (§6).
-var DefaultDelayRanges = [][2]float64{{0, 0}, {0, 5}, {6, 10}, {11, 15}, {20, 30}}
+// delayRanges are the paper's five injected-delay groups (§6), one per part.
+var delayRanges = [][2]float64{{0, 0}, {0, 5}, {6, 10}, {11, 15}, {20, 30}}
 
 // ClusterConfig configures the simulated client population.
 type ClusterConfig struct {
 	NumClients int
-	// DelayRanges lists the per-part injected delay bounds; defaults to
-	// DefaultDelayRanges.
-	DelayRanges [][2]float64
 	// PartSizes optionally fixes how many clients land in each part (the
 	// Figure 10 Uniform/Slow/Medium/Fast distributions). Defaults to an
 	// even split. Must sum to NumClients when set.
@@ -150,7 +132,7 @@ type ClusterConfig struct {
 	// speed (bytes/second; <= 0 = infinite).
 	UpBW, DownBW, ServerBW float64
 	// Behavior switches on time-varying client dynamics (speed drift,
-	// transient churn, late joins). The zero value keeps the population
+	// transient churn, attackers). The zero value keeps the population
 	// static and bit-identical to the pre-dynamics model.
 	Behavior BehaviorConfig
 	Seed     uint64

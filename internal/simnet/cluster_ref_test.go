@@ -16,16 +16,12 @@ func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("simnet: NumClients must be positive")
 	}
-	ranges := cfg.DelayRanges
-	if len(ranges) == 0 {
-		ranges = DefaultDelayRanges
-	}
 	parts := cfg.PartSizes
 	if len(parts) == 0 {
-		parts = evenSplit(cfg.NumClients, len(ranges))
+		parts = evenSplit(cfg.NumClients, len(delayRanges))
 	}
-	if len(parts) != len(ranges) {
-		return nil, fmt.Errorf("simnet: %d part sizes for %d delay ranges", len(parts), len(ranges))
+	if len(parts) != len(delayRanges) {
+		return nil, fmt.Errorf("simnet: %d part sizes for %d delay ranges", len(parts), len(delayRanges))
 	}
 	total := 0
 	for _, p := range parts {
@@ -65,8 +61,8 @@ func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
 			cl.Clients[id] = &ClientRuntime{
 				ID:          id,
 				Part:        part,
-				DelayLo:     ranges[part][0],
-				DelayHi:     ranges[part][1],
+				DelayLo:     delayRanges[part][0],
+				DelayHi:     delayRanges[part][1],
 				SecPerBatch: secPerBatch * speed,
 				UpBW:        cfg.UpBW,
 				DownBW:      cfg.DownBW,
@@ -108,12 +104,6 @@ func applyBehavior(cl *Cluster, cfg ClusterConfig) error {
 		for _, id := range pop.Choose(n, fracCount(b.ChurnFrac, n)) {
 			cr := root.SplitLabeled(uint64(1000 + id))
 			cl.Clients[id].churn = newChurnTrack(cr.SplitLabeled(clientChurnLabel), b)
-		}
-	}
-	if b.LateJoinFrac > 0 {
-		for _, id := range pop.Choose(n, fracCount(b.LateJoinFrac, n)) {
-			cr := root.SplitLabeled(uint64(1000 + id))
-			cl.Clients[id].JoinAt = cr.SplitLabeled(clientLateJoinLabel).Uniform(0, b.LateJoinHorizon)
 		}
 	}
 	if b.attackOn() {

@@ -20,7 +20,7 @@ import (
 //
 //   - the part-assignment permutation (root label 1),
 //   - the unstable-client choice and its interleaved drop times (label 2),
-//   - the churn and late-join membership choices (population label 3),
+//   - the churn membership choice (population label 3),
 //   - the attacker set (label 4, or the part-ranked tail).
 //
 // These are small index tables — O(N) ids and O(dynamic fraction · N)
@@ -34,7 +34,6 @@ import (
 // simulator it lives on the single clock goroutine.
 type Population struct {
 	n                      int
-	ranges                 [][2]float64
 	secPerBatch            float64
 	dropHorizon            float64
 	upBW, downBW, serverBW float64
@@ -49,7 +48,6 @@ type Population struct {
 	part     []int32          // id → delay part
 	dropAt   map[int]float64  // finite permanent-drop times
 	churnSet map[int]struct{} // churn membership (population draw)
-	joinAt   map[int]float64  // late joiners' start times
 	attacked map[int]struct{} // attacker membership
 
 	churnTracks map[int]*churnTrack    // lazily built, shared with runtimes
@@ -64,16 +62,12 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("simnet: NumClients must be positive")
 	}
-	ranges := cfg.DelayRanges
-	if len(ranges) == 0 {
-		ranges = DefaultDelayRanges
-	}
 	parts := cfg.PartSizes
 	if len(parts) == 0 {
-		parts = evenSplit(cfg.NumClients, len(ranges))
+		parts = evenSplit(cfg.NumClients, len(delayRanges))
 	}
-	if len(parts) != len(ranges) {
-		return nil, fmt.Errorf("simnet: %d part sizes for %d delay ranges", len(parts), len(ranges))
+	if len(parts) != len(delayRanges) {
+		return nil, fmt.Errorf("simnet: %d part sizes for %d delay ranges", len(parts), len(delayRanges))
 	}
 	total := 0
 	for _, p := range parts {
@@ -96,7 +90,6 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 
 	p := &Population{
 		n:           cfg.NumClients,
-		ranges:      ranges,
 		secPerBatch: secPerBatch,
 		dropHorizon: dropHorizon,
 		upBW:        cfg.UpBW,
@@ -136,20 +129,10 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 		b := cfg.Behavior.withDefaults()
 		p.behavior = b
 		p.behaviorOn = true
-		// The population stream is sequential: churn membership first,
-		// then late-join membership, exactly as the eager reference draws them.
-		pop := p.root.SplitLabeled(behaviorPopLabel)
 		if b.ChurnFrac > 0 {
 			p.churnSet = map[int]struct{}{}
-			for _, id := range pop.Choose(p.n, fracCount(b.ChurnFrac, p.n)) {
+			for _, id := range p.root.SplitLabeled(behaviorPopLabel).Choose(p.n, fracCount(b.ChurnFrac, p.n)) {
 				p.churnSet[id] = struct{}{}
-			}
-		}
-		if b.LateJoinFrac > 0 {
-			p.joinAt = map[int]float64{}
-			for _, id := range pop.Choose(p.n, fracCount(b.LateJoinFrac, p.n)) {
-				cr := p.root.SplitLabeled(uint64(1000 + id))
-				p.joinAt[id] = cr.SplitLabeled(clientLateJoinLabel).Uniform(0, b.LateJoinHorizon)
 			}
 		}
 		if b.attackOn() {
@@ -176,9 +159,6 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 // NumClients returns the population size.
 func (p *Population) NumClients() int { return p.n }
 
-// Part returns the delay part of client id without materializing it.
-func (p *Population) Part(id int) int { return int(p.part[id]) }
-
 // Speed returns the client's persistent compute-speed factor — the first
 // draw of its labeled stream, derived without allocation.
 func (p *Population) Speed(id int) float64 {
@@ -196,9 +176,6 @@ func (p *Population) DropTime(id int) float64 {
 	}
 	return Inf
 }
-
-// JoinTime returns when the client first comes online (0 unless late-joining).
-func (p *Population) JoinTime(id int) float64 { return p.joinAt[id] }
 
 // AttackOf returns the client's malicious role (zero value = honest).
 func (p *Population) AttackOf(id int) robust.Attack {
@@ -225,7 +202,7 @@ func (p *Population) churnFor(id int) *churnTrack {
 // of ClientRuntime.Available, answered from the index tables plus the
 // client's (cached) churn schedule, without building a runtime.
 func (p *Population) Available(id int, t float64) bool {
-	if t >= p.DropTime(id) || t < p.JoinTime(id) {
+	if t >= p.DropTime(id) {
 		return false
 	}
 	if p.churnSet != nil {
@@ -239,9 +216,6 @@ func (p *Population) Available(id int, t float64) bool {
 // NextOnline returns the earliest time >= t at which client id is online
 // (+Inf if never again) — the lazy twin of ClientRuntime.NextOnline.
 func (p *Population) NextOnline(id int, t float64) float64 {
-	if j := p.JoinTime(id); t < j {
-		t = j
-	}
 	if p.churnSet != nil {
 		if _, ok := p.churnSet[id]; ok {
 			t = p.churnFor(id).NextOnline(t)
@@ -256,7 +230,7 @@ func (p *Population) NextOnline(id int, t float64) float64 {
 // ExpectedLatency is the profiling estimate for client id — nominal
 // compute plus mean injected delay — derived without materializing it.
 func (p *Population) ExpectedLatency(id int, batchSteps int) float64 {
-	rg := p.ranges[p.part[id]]
+	rg := delayRanges[p.part[id]]
 	return float64(batchSteps)*p.SecPerBatch(id) + (rg[0]+rg[1])/2
 }
 
@@ -272,7 +246,7 @@ func (p *Population) Materialize(id int) *ClientRuntime {
 	cr := p.root.SplitLabeled(uint64(1000 + id))
 	speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
 	dr := cr.SplitLabeled(7)
-	rg := p.ranges[p.part[id]]
+	rg := delayRanges[p.part[id]]
 	c := &ClientRuntime{
 		ID:          id,
 		Part:        int(p.part[id]),
@@ -282,7 +256,6 @@ func (p *Population) Materialize(id int) *ClientRuntime {
 		UpBW:        p.upBW,
 		DownBW:      p.downBW,
 		DropAt:      p.DropTime(id),
-		JoinAt:      p.JoinTime(id),
 		Attack:      p.AttackOf(id),
 		delayRNG:    dr,
 		delayRNG0:   *dr,

@@ -5,9 +5,12 @@ import (
 	"testing"
 )
 
+// Part returns the delay part of client id without materializing it.
+func (p *Population) Part(id int) int { return int(p.part[id]) }
+
 // populationConfigs spans the regimes the lazy derivation must reproduce:
 // the static paper population, explicit part sizes, and every dynamic
-// regime at once (drift + churn + late join + attack, uniform and tail).
+// regime at once (drift + churn + attack, uniform and tail).
 func populationConfigs() map[string]ClusterConfig {
 	return map[string]ClusterConfig{
 		"static": {
@@ -25,7 +28,7 @@ func populationConfigs() map[string]ClusterConfig {
 			Seed: 23,
 			Behavior: BehaviorConfig{
 				DriftMag: 0.2, DriftInterval: 40,
-				ChurnFrac: 0.3, LateJoinFrac: 0.2,
+				ChurnFrac:  0.3,
 				AttackFrac: 0.25, AttackKind: "scale", AttackScale: -3,
 			},
 		},
@@ -40,7 +43,7 @@ func populationConfigs() map[string]ClusterConfig {
 
 // TestPopulationMatchesEagerCluster pins the lazy contract: a client
 // materialized on demand from (seed, id) is byte-for-byte the client the
-// original eager NewCluster built — same part, speed, drop/join times,
+// original eager NewCluster built — same part, speed, drop time,
 // same delay stream state, same drift multipliers and churn windows, same
 // attack role.
 func TestPopulationMatchesEagerCluster(t *testing.T) {
@@ -74,9 +77,6 @@ func TestPopulationMatchesEagerCluster(t *testing.T) {
 				}
 				if e.DropAt != l.DropAt && !(math.IsInf(e.DropAt, 1) && math.IsInf(l.DropAt, 1)) {
 					t.Fatalf("client %d: DropAt %v vs %v", id, e.DropAt, l.DropAt)
-				}
-				if e.JoinAt != l.JoinAt {
-					t.Fatalf("client %d: JoinAt %v vs %v", id, e.JoinAt, l.JoinAt)
 				}
 				if e.Attack != l.Attack {
 					t.Fatalf("client %d: attack %+v vs %+v", id, e.Attack, l.Attack)

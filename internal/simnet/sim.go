@@ -167,21 +167,14 @@ func (l *Link) insert(idx int, iv interval) {
 	const eps = 1e-9
 	i := idx
 	if i > 0 && l.busy[i-1].end+eps >= l.busy[i].start {
-		l.busy[i-1].end = maxFloat(l.busy[i-1].end, l.busy[i].end)
+		l.busy[i-1].end = max(l.busy[i-1].end, l.busy[i].end)
 		l.busy = append(l.busy[:i], l.busy[i+1:]...)
 		i--
 	}
 	for i+1 < len(l.busy) && l.busy[i].end+eps >= l.busy[i+1].start {
-		l.busy[i].end = maxFloat(l.busy[i].end, l.busy[i+1].end)
+		l.busy[i].end = max(l.busy[i].end, l.busy[i+1].end)
 		l.busy = append(l.busy[:i+1], l.busy[i+2:]...)
 	}
-}
-
-func maxFloat(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Reservations reports the current busy-interval count (for tests).

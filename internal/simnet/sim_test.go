@@ -189,7 +189,7 @@ func TestClusterPartSizesAndRanges(t *testing.T) {
 	unstable := 0
 	for _, c := range cl.Clients {
 		counts[c.Part]++
-		want := DefaultDelayRanges[c.Part]
+		want := delayRanges[c.Part]
 		if c.DelayLo != want[0] || c.DelayHi != want[1] {
 			t.Fatalf("client %d delay range %v-%v for part %d", c.ID, c.DelayLo, c.DelayHi, c.Part)
 		}

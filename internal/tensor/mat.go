@@ -63,23 +63,6 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.C+j] = v }
 // Row returns a view of row i (no copy).
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.C : (i+1)*m.C] }
 
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	return &Mat{R: m.R, C: m.C, Data: Copy(m.Data)}
-}
-
-// T returns a newly allocated transpose of m.
-func (m *Mat) T() *Mat {
-	t := NewMat(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.C+i] = v
-		}
-	}
-	return t
-}
-
 // parallelRowThreshold: below this many result elements the goroutine
 // fan-out costs more than it saves.
 const parallelRowThreshold = 16 * 1024
@@ -154,13 +137,6 @@ func MulInto(dst, a, b *Mat) {
 	// Serial path: no closure, so small multiplies (every batch step of the
 	// training hot path) allocate nothing.
 	gemmRows(dst, a, b, false, 0, dst.R)
-}
-
-// Mul returns a·b in a fresh matrix.
-func Mul(a, b *Mat) *Mat {
-	dst := NewMat(a.R, b.C)
-	MulInto(dst, a, b)
-	return dst
 }
 
 // MulTransAInto computes dst = aᵀ·b without materializing aᵀ.
@@ -254,18 +230,4 @@ func (m *Mat) ColSumsInto(out []float64) {
 	for i := 0; i < m.R; i++ {
 		AddTo(out, m.Row(i))
 	}
-}
-
-// Equal reports whether a and b have identical shape and elements within tol.
-func Equal(a, b *Mat, tol float64) bool {
-	if a.R != b.R || a.C != b.C {
-		return false
-	}
-	for i, v := range a.Data {
-		d := v - b.Data[i]
-		if d < -tol || d > tol {
-			return false
-		}
-	}
-	return true
 }

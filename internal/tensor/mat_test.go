@@ -31,6 +31,38 @@ func naiveMul(a, b *Mat) *Mat {
 	return dst
 }
 
+// Mul returns a·b in a fresh matrix.
+func Mul(a, b *Mat) *Mat {
+	dst := NewMat(a.R, b.C)
+	MulInto(dst, a, b)
+	return dst
+}
+
+// T returns a newly allocated transpose of m.
+func (m *Mat) T() *Mat {
+	t := NewMat(m.C, m.R)
+	for i := 0; i < m.R; i++ {
+		for j, v := range m.Row(i) {
+			t.Data[j*t.C+i] = v
+		}
+	}
+	return t
+}
+
+// Equal reports whether a and b have identical shape and elements within tol.
+func Equal(a, b *Mat, tol float64) bool {
+	if a.R != b.R || a.C != b.C {
+		return false
+	}
+	for i, v := range a.Data {
+		d := v - b.Data[i]
+		if d < -tol || d > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestMulMatchesNaive(t *testing.T) {
 	r := rng.New(1)
 	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 5, 5}, {7, 1, 9}, {33, 17, 29}} {
@@ -144,15 +176,6 @@ func TestAddRowVecAndColSums(t *testing.T) {
 	m.ColSumsInto(sums)
 	if sums[0] != 25 || sums[1] != 47 || sums[2] != 69 {
 		t.Fatalf("ColSumsInto: %v", sums)
-	}
-}
-
-func TestCloneIndependent(t *testing.T) {
-	m := MatFrom(1, 2, []float64{1, 2})
-	c := m.Clone()
-	c.Data[0] = 99
-	if m.Data[0] != 1 {
-		t.Fatal("Clone shares backing array")
 	}
 }
 

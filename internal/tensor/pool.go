@@ -101,11 +101,3 @@ func (p *Pool) SetPoison(on bool) {
 	p.poison = on
 	p.mu.Unlock()
 }
-
-// FreeLen reports how many buffers are currently in the free list (for
-// tests asserting recycling actually happens).
-func (p *Pool) FreeLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}

@@ -8,6 +8,13 @@ import (
 	"repro/internal/parallel"
 )
 
+// FreeLen reports how many buffers are currently in the free list.
+func (p *Pool) FreeLen() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.free)
+}
+
 // TestPoolRecycles pins the basic contract: Get after Put returns the same
 // storage instead of allocating, and FreeLen tracks the free list.
 func TestPoolRecycles(t *testing.T) {

@@ -124,24 +124,6 @@ func AddTo(dst, src []float64) {
 	}
 }
 
-// SubTo computes dst[i] -= src[i].
-func SubTo(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("tensor: SubTo length mismatch")
-	}
-	dst = dst[:len(src)]
-	i := 0
-	for ; i+4 <= len(src); i += 4 {
-		dst[i] -= src[i]
-		dst[i+1] -= src[i+1]
-		dst[i+2] -= src[i+2]
-		dst[i+3] -= src[i+3]
-	}
-	for ; i < len(src); i++ {
-		dst[i] -= src[i]
-	}
-}
-
 // Fill sets every element of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {

@@ -26,7 +26,6 @@ type Tracker struct {
 	alpha float64
 	est   []float64
 	seen  []bool
-	n     int
 }
 
 // NewTracker builds a tracker for n clients with smoothing weight alpha in
@@ -46,14 +45,10 @@ func (tr *Tracker) Observe(id int, latency float64) {
 	if !tr.seen[id] {
 		tr.est[id] = latency
 		tr.seen[id] = true
-		tr.n++
 		return
 	}
 	tr.est[id] += tr.alpha * (latency - tr.est[id])
 }
-
-// Observed reports how many distinct clients have at least one observation.
-func (tr *Tracker) Observed() int { return tr.n }
 
 // Estimates returns a copy of the smoothed latencies, NaN where no
 // observation has arrived yet.

@@ -7,6 +7,17 @@ import (
 	"repro/internal/rng"
 )
 
+// Observed reports how many distinct clients have at least one observation.
+func (tr *Tracker) Observed() int {
+	n := 0
+	for _, seen := range tr.seen {
+		if seen {
+			n++
+		}
+	}
+	return n
+}
+
 // staticLat builds n latencies in two clear groups: ids < n/2 fast (around
 // lo), the rest slow (around hi).
 func twoGroups(n int, lo, hi float64) []float64 {

@@ -200,13 +200,6 @@ func NewTiFLSelector(m, creditsPerTier, interval int) *TiFLSelector {
 	return s
 }
 
-// Credits returns the remaining credits of each tier (copy).
-func (s *TiFLSelector) Credits() []int {
-	out := make([]int, len(s.credits))
-	copy(out, s.credits)
-	return out
-}
-
 // UpdateAccuracies records fresh per-tier test accuracies; the next
 // refresh interval converts them into selection probabilities ∝ (1−acc).
 func (s *TiFLSelector) UpdateAccuracies(accs []float64) {

@@ -9,6 +9,9 @@ import (
 	"repro/internal/rng"
 )
 
+// Credits returns the remaining credits of each tier (copy).
+func (s *TiFLSelector) Credits() []int { return slices.Clone(s.credits) }
+
 func TestPartitionIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%60) + 5

@@ -52,29 +52,24 @@ type ClientConfig struct {
 	// decodes it statelessly per round (the model message self-describes),
 	// so no server flag is needed.
 	UplinkTopKFrac float64
-	// DialTimeout bounds how long the initial connect retries before giving
-	// up — clients routinely start before the server's listener is up, so a
-	// refused connection is retried until the window closes. 0 means the
-	// 5-second default; negative gives up after the first attempt.
-	DialTimeout time.Duration
-	Logf        func(format string, args ...any)
+	Logf           func(format string, args ...any)
 }
 
-// dialRetry connects to addr, retrying failed attempts until the timeout
-// window closes (server and clients start concurrently in real
-// deployments; "connection refused" during the server's first moments is
-// expected, not fatal). A negative timeout tries exactly once.
-func dialRetry(addr string, timeout time.Duration) (net.Conn, error) {
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+// dialWindow bounds how long the initial connect retries before giving up.
+const dialWindow = 5 * time.Second
+
+// dialRetry connects to addr, retrying failed attempts until dialWindow
+// closes (server and clients start concurrently in real deployments;
+// "connection refused" during the server's first moments is expected, not
+// fatal).
+func dialRetry(addr string) (net.Conn, error) {
+	deadline := time.Now().Add(dialWindow)
 	for {
 		conn, err := net.Dial("tcp", addr)
 		if err == nil {
 			return conn, nil
 		}
-		if timeout < 0 || !time.Now().Before(deadline) {
+		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 		}
 		time.Sleep(100 * time.Millisecond)
@@ -93,7 +88,7 @@ func RunClient(cfg ClientConfig) error {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	conn, err := dialRetry(cfg.Addr, cfg.DialTimeout)
+	conn, err := dialRetry(cfg.Addr)
 	if err != nil {
 		return err
 	}

@@ -186,7 +186,7 @@ type scriptedEdge struct {
 
 func dialScriptedEdge(t *testing.T, addr string, id int, w0 []float64) *scriptedEdge {
 	t.Helper()
-	conn, err := dialRetry(addr, 0)
+	conn, err := dialRetry(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,9 +186,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Addr returns the bound listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// Registered reports how many clients have registered so far.
-func (s *Server) Registered() int { return s.count() }
-
 // Run accepts registrations, then hands the loop to the method engine over
 // the live fabric: the engine selects cohorts, this server ships them the
 // model and folds what comes back, exactly as the simulator does. It

@@ -783,6 +783,9 @@ func TestShutdownMidRun(t *testing.T) {
 	wg.Wait()
 }
 
+// Registered reports how many clients have registered so far.
+func (s *Server) Registered() int { return s.count() }
+
 // TestShutdownWithRegisteredClients: the operator shuts the server down
 // while registration is still open. Run returns an error that says so, and
 // the already-registered clients receive a clean shutdown frame instead of

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/codec"
 	"repro/internal/edge"
@@ -26,10 +25,7 @@ type UplinkConfig struct {
 	// its layout. Must match the root's.
 	W0     []float64
 	Shapes []codec.ShapeInfo
-	// DialTimeout bounds the initial connect retries (root and edges start
-	// concurrently); 0 means the 5-second default, negative tries once.
-	DialTimeout time.Duration
-	Logf        func(format string, args ...any)
+	Logf   func(format string, args ...any)
 }
 
 // EdgeUplink connects one edge server's engine to the live root: as an
@@ -76,7 +72,7 @@ func DialUplink(cfg UplinkConfig) (*EdgeUplink, error) {
 	if len(cfg.W0) == 0 {
 		return nil, fmt.Errorf("transport: uplink needs the initial model")
 	}
-	conn, err := dialRetry(cfg.Root, cfg.DialTimeout)
+	conn, err := dialRetry(cfg.Root)
 	if err != nil {
 		return nil, err
 	}
