@@ -108,7 +108,7 @@ func main() {
 	if err != nil {
 		log.Fatal("fedserver: ", err)
 	}
-	var wire codec.Codec = codec.Raw{}
+	var wire codec.Channel = codec.Raw{}
 	if *prec > 0 {
 		wire = codec.NewPolyline(*prec)
 	}

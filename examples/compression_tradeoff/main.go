@@ -21,7 +21,7 @@ import (
 func main() {
 	codecs := []struct {
 		label string
-		c     codec.Codec
+		c     codec.Channel
 	}{
 		{"polyline-3", codec.NewPolyline(3)},
 		{"polyline-4", codec.NewPolyline(4)},
@@ -59,7 +59,7 @@ func main() {
 	}
 }
 
-func trainWith(c codec.Codec) *metrics.Run {
+func trainWith(c codec.Channel) *metrics.Run {
 	fed, err := dataset.FashionLike(25, 2, dataset.ScaleSmall, 5)
 	if err != nil {
 		log.Fatal(err)

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -9,9 +10,10 @@ import (
 	"repro/internal/rng"
 )
 
-// allCodecs is every wire codec, in both polyline modes.
+// allCodecs is every wire codec, polyline and top-k at their default and
+// widest settings.
 func allCodecs() []Codec {
-	return []Codec{Raw{}, Float32{}, Quant8{}, NewPolyline(4), &Polyline{Precision: 5, Delta: true}, NewTopK(0.25)}
+	return []Codec{Raw{}, NewPolyline(4), NewPolyline(12), NewTopK(0.25), NewTopK(1)}
 }
 
 // TestAppendEncodeMatchesEncode: appending behind a dirty, non-empty prefix
@@ -102,20 +104,15 @@ func TestAppendModelReusesBuffer(t *testing.T) {
 
 // TestMaxModelBytesBoundsEveryCodec: the closed-form frame bound receivers
 // enforce must hold for the worst inputs each codec can see — values that
-// clamp to the widest polyline varints, at the highest precision, in both
-// modes.
+// clamp to the widest polyline varints, at the highest precision.
 func TestMaxModelBytesBoundsEveryCodec(t *testing.T) {
 	shapes := []ShapeInfo{{Name: "some.layer/W", Dims: []int{16, 4}}, {Name: "b", Dims: []int{3}}}
 	worst := make([]float64, 67)
 	for i := range worst {
 		worst[i] = math.MaxFloat64
-		if i%2 == 1 {
-			worst[i] = -math.MaxFloat64 // delta mode: alternate to maximize differences
-		}
 	}
-	cs := append(allCodecs(), &Polyline{Precision: 12}, &Polyline{Precision: 12, Delta: true}, NewTopK(1))
 	for _, w := range [][]float64{worst, randWeights(rng.New(2), 67, 0.5), make([]float64, 67)} {
-		for _, c := range cs {
+		for _, c := range allCodecs() {
 			msg, err := MarshalModel(c, shapes, w)
 			if err != nil {
 				t.Fatal(err)
@@ -125,12 +122,59 @@ func TestMaxModelBytesBoundsEveryCodec(t *testing.T) {
 			}
 		}
 	}
-	if got := MaxModelBytes(nil); got < len(Quant8{}.Encode(nil))+ModelHeaderBytes(nil) {
-		t.Errorf("MaxModelBytes(nil) = %d does not cover an empty quant8 message", got)
+	if msg, _ := MarshalModel(NewTopK(1), nil, nil); len(msg) > MaxModelBytes(nil) {
+		t.Errorf("MaxModelBytes(nil) = %d does not cover an empty top-k message of %d bytes", MaxModelBytes(nil), len(msg))
 	}
 }
 
-// FuzzUnmarshalModelInto feeds arbitrary bytes to the wire decoder — the
+// wireMessage is a well-formed model message naming codec id and precision
+// prec over shapes, around an arbitrary payload.
+func wireMessage(t testing.TB, id, prec byte, shapes []ShapeInfo, payload []byte) []byte {
+	n := 0
+	for _, s := range shapes {
+		n += s.Size()
+	}
+	raw, err := MarshalModel(Raw{}, shapes, make([]float64, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := append(raw[:ModelHeaderBytes(shapes):ModelHeaderBytes(shapes)], payload...)
+	msg[0], msg[1] = id, prec
+	binary.LittleEndian.PutUint32(msg[ModelHeaderBytes(shapes)-4:], uint32(len(payload)))
+	return msg
+}
+
+// deletedWireIDs are well-formed messages of eight elements naming codec ids
+// no codec has, each around the payload its id's decoder once accepted:
+// float32 (1) four bytes a value, quant8 (2) a 16-byte range and a code
+// byte a value, delta polyline (4) one varint a value; and two ids never
+// assigned around a raw payload.
+func deletedWireIDs(t testing.TB) [][]byte {
+	shapes := []ShapeInfo{{Name: "W", Dims: []int{3, 2}}, {Name: "b", Dims: []int{2}}}
+	w := randWeights(rng.New(13), 8, 0.5)
+	return [][]byte{
+		wireMessage(t, 1, 0, shapes, make([]byte, 4*8)),
+		wireMessage(t, 2, 0, shapes, make([]byte, 16+8)),
+		wireMessage(t, 4, 4, shapes, NewPolyline(4).Encode(w)),
+		wireMessage(t, 6, 0, shapes, Raw{}.Encode(w)),
+		wireMessage(t, 255, 0, shapes, Raw{}.Encode(w)),
+	}
+}
+
+// TestDeletedWireIDsRejected: a message naming a codec id no codec has is
+// corrupt, however well-formed its header and payload.
+func TestDeletedWireIDsRejected(t *testing.T) {
+	for _, msg := range deletedWireIDs(t) {
+		if err := UnmarshalModelInto(msg, make([]float64, 8)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("id %d: UnmarshalModelInto gives %v, want ErrCorrupt", msg[0], err)
+		}
+		if _, _, err := UnmarshalModel(msg); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("id %d: UnmarshalModel gives %v, want ErrCorrupt", msg[0], err)
+		}
+	}
+}
+
+// FuzzUnmarshalModelInto arbitrary bytes to the wire decoder — the
 // first thing a peer's frame reaches. It must never panic or read past the
 // message, and it must agree with UnmarshalModel: whenever the allocating
 // form accepts a message of exactly len(dst) elements, the into form
@@ -145,6 +189,9 @@ func FuzzUnmarshalModelInto(f *testing.F) {
 		}
 		f.Add(msg, 8)
 		f.Add(msg[:len(msg)/2], 8)
+	}
+	for _, msg := range deletedWireIDs(f) {
+		f.Add(msg, 8)
 	}
 	f.Add([]byte{wireRaw, 0, 1, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, 0)
 	f.Fuzz(func(t *testing.T, data []byte, n int) {

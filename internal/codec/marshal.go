@@ -24,30 +24,21 @@ func (s ShapeInfo) Size() int {
 	return n
 }
 
-// codec wire ids
+// codec wire ids. The gaps are ids of deleted codecs (float32 1, quant8 2,
+// delta polyline 4); a message naming one is corrupt.
 const (
-	wireRaw = iota
-	wireFloat32
-	wireQuant8
-	wirePolyline
-	wirePolylineDelta
-	wireTopK
+	wireRaw      = 0
+	wirePolyline = 3
+	wireTopK     = 5
 )
 
 func codecWireID(c Codec) (id byte, precision byte, err error) {
 	switch v := c.(type) {
 	case Raw, *Raw:
 		return wireRaw, 0, nil
-	case Float32, *Float32:
-		return wireFloat32, 0, nil
-	case Quant8, *Quant8:
-		return wireQuant8, 0, nil
 	case *Polyline:
 		if v.Precision < 0 || v.Precision > 12 {
 			return 0, 0, fmt.Errorf("codec: polyline precision %d out of range", v.Precision)
-		}
-		if v.Delta {
-			return wirePolylineDelta, byte(v.Precision), nil
 		}
 		return wirePolyline, byte(v.Precision), nil
 	case *TopK:
@@ -70,12 +61,8 @@ func decodeWire(id, precision byte, payload []byte, out []float64) error {
 	switch id {
 	case wireRaw:
 		return Raw{}.Decode(payload, out)
-	case wireFloat32:
-		return Float32{}.Decode(payload, out)
-	case wireQuant8:
-		return Quant8{}.Decode(payload, out)
-	case wirePolyline, wirePolylineDelta:
-		p := Polyline{Precision: int(precision), Delta: id == wirePolylineDelta}
+	case wirePolyline:
+		p := Polyline{Precision: int(precision)}
 		return p.Decode(payload, out)
 	case wireTopK:
 		if precision < 1 || precision > 100 {
@@ -110,8 +97,9 @@ func ModelHeaderBytes(shapes []ShapeInfo) int {
 // MaxModelBytes bounds the model message any codec can produce for the
 // given shapes: the header plus 16 bytes per element (a polyline varint of a
 // full 64-bit value is 13 characters; raw is 8, top-k 8 per kept
-// coordinate) plus Quant8's 16-byte range prefix. Receivers that know the
-// shapes use it to refuse an oversized frame before buffering any of it.
+// coordinate) plus 16 bytes, which covers top-k's 4-byte count. The bound is
+// a safety limit, not a tight one: receivers that know the shapes use it to
+// refuse an oversized frame before buffering any of it.
 func MaxModelBytes(shapes []ShapeInfo) int {
 	elems := 0
 	for _, s := range shapes {

@@ -3,12 +3,10 @@
 // each float is rounded to a configurable decimal precision, zigzag-encoded
 // and emitted as base64-ish ASCII in 5-bit chunks with a continuation bit —
 // Google's polyline format generalized from coordinates to weight vectors.
-// An optional delta mode encodes successive differences, which shrinks
-// payloads further when neighbouring weights are correlated.
 //
-// Baselines for the compression experiments: Raw (uncompressed float64),
-// Float32 (half-width floats) and Quant8 (linear 8-bit quantization, the
-// kind of scheme §4.3 argues loses too much under non-IID divergence).
+// Raw (uncompressed float64) is the "No Compression" baseline. Both are
+// Channels, the only codecs a run transmits with. TopK sparsifies the
+// edge→cloud and client delta uplinks and never carries a whole model.
 package codec
 
 import (
@@ -37,13 +35,15 @@ type Codec interface {
 	MaxError() float64
 }
 
-// Channel is the simulated channel's shortcut through a codec: Transmit
-// writes into dst what Decode(AppendEncode(nil, w), dst) would and returns
-// len(AppendEncode(nil, w)), without materialising the payload. dst has the
-// length of w and does not overlap it. The simulator charges the returned
-// size, so an implementation is held to the real round-trip bit for bit
+// Channel is a codec the simulated channel can take a shortcut through, and
+// the only kind a run transmits models with: Transmit writes into dst what
+// Decode(AppendEncode(nil, w), dst) would and returns len(AppendEncode(nil,
+// w)), without materialising the payload. dst has the length of w and does
+// not overlap it. The simulator charges the returned size, so an
+// implementation is held to the real round-trip bit for bit
 // (FuzzPolylineAgainstReference, TestCommChannelMatchesWire).
 type Channel interface {
+	Codec
 	Transmit(dst, w []float64) (payloadBytes int)
 }
 
@@ -63,23 +63,15 @@ const (
 
 // Polyline is the paper's compressor. Precision is the number of decimal
 // places kept (the paper evaluates 3..6 in Figure 5 and defaults to 4).
-// Delta switches to successive-difference encoding.
 type Polyline struct {
 	Precision int
-	Delta     bool
 }
 
-// NewPolyline returns the codec at the given precision in absolute mode.
+// NewPolyline returns the codec at the given precision.
 func NewPolyline(precision int) *Polyline { return &Polyline{Precision: precision} }
 
 // Name implements Codec.
-func (p *Polyline) Name() string {
-	mode := ""
-	if p.Delta {
-		mode = "-delta"
-	}
-	return fmt.Sprintf("polyline%d%s", p.Precision, mode)
-}
+func (p *Polyline) Name() string { return fmt.Sprintf("polyline%d", p.Precision) }
 
 // MaxError implements Codec: rounding to Precision decimals is off by at
 // most half a unit in the last place.
@@ -93,22 +85,14 @@ func (p *Polyline) scale() float64 { return math.Pow(10, float64(p.Precision)) }
 func (p *Polyline) Encode(w []float64) []byte { return p.AppendEncode(nil, w) }
 
 // Transmit implements Channel in one pass: quantize, count the chunks the
-// value (or, in delta mode, its difference) takes on the wire, rescale.
-// Decode's running sum of differences is the quantized value itself, so
-// both modes reconstruct float64(q)/s.
+// value takes on the wire, rescale.
 func (p *Polyline) Transmit(dst, w []float64) int {
 	s := p.scale()
 	dst = dst[:len(w)]
 	n := 0
-	prev := int64(0)
 	for i, v := range w {
 		q := quantize(v * s)
-		enc := q
-		if p.Delta {
-			enc = q - prev
-			prev = q
-		}
-		n += int(chunkCount[bits.Len64(zigzag(enc))])
+		n += int(chunkCount[bits.Len64(zigzag(q))])
 		dst[i] = float64(q) / s
 	}
 	return n
@@ -125,18 +109,12 @@ func (p *Polyline) TransmitFixed(q []int32, w []float64) (payloadBytes int, ok b
 	s := p.scale()
 	q = q[:len(w)]
 	n := 0
-	prev := int64(0)
 	for i, v := range w {
 		x := quantize(v * s)
 		if x != int64(int32(x)) {
 			return 0, false
 		}
-		enc := x
-		if p.Delta {
-			enc = x - prev
-			prev = x
-		}
-		n += int(chunkCount[bits.Len64(zigzag(enc))])
+		n += int(chunkCount[bits.Len64(zigzag(x))])
 		q[i] = int32(x)
 	}
 	return n, true
@@ -163,15 +141,8 @@ func (p *Polyline) AppendEncode(out []byte, w []float64) []byte {
 	out = slices.Grow(out, 4*len(w))
 	n := len(out)
 	buf := out[:cap(out)]
-	prev := int64(0)
 	for _, v := range w {
-		q := quantize(v * s)
-		enc := q
-		if p.Delta {
-			enc = q - prev
-			prev = q
-		}
-		u := zigzag(enc)
+		u := zigzag(quantize(v * s))
 		if u >= 1<<(4*chunkBits) || n+4 > len(buf) {
 			buf = appendVarint(buf[:n], u)
 			n = len(buf)
@@ -194,7 +165,6 @@ func (p *Polyline) AppendEncode(out []byte, w []float64) []byte {
 func (p *Polyline) Decode(data []byte, out []float64) error {
 	s := p.scale()
 	pos := 0
-	prev := int64(0)
 	for i := range out {
 		u, n := uint64(0), 0
 		if pos+4 <= len(data) {
@@ -222,12 +192,7 @@ func (p *Polyline) Decode(data []byte, out []float64) error {
 			}
 		}
 		pos += n
-		v := unzigzag(u)
-		if p.Delta {
-			v += prev
-			prev = v
-		}
-		out[i] = float64(v) / s
+		out[i] = float64(unzigzag(u)) / s
 	}
 	if pos != len(data) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)

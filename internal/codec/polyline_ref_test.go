@@ -29,15 +29,8 @@ func refQuantize(v float64, s float64) int64 {
 
 func refAppendEncode(p *Polyline, out []byte, w []float64) []byte {
 	s := p.scale()
-	prev := int64(0)
 	for _, v := range w {
-		q := refQuantize(v, s)
-		enc := q
-		if p.Delta {
-			enc = q - prev
-			prev = q
-		}
-		out = appendVarint(out, zigzag(enc))
+		out = appendVarint(out, zigzag(refQuantize(v, s)))
 	}
 	return out
 }
@@ -45,19 +38,13 @@ func refAppendEncode(p *Polyline, out []byte, w []float64) []byte {
 func refDecode(p *Polyline, data []byte, out []float64) error {
 	s := p.scale()
 	pos := 0
-	prev := int64(0)
 	for i := range out {
 		u, n, err := readVarint(data[pos:])
 		if err != nil {
 			return err
 		}
 		pos += n
-		v := unzigzag(u)
-		if p.Delta {
-			v += prev
-			prev = v
-		}
-		out[i] = float64(v) / s
+		out[i] = float64(unzigzag(u)) / s
 	}
 	if pos != len(data) {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
@@ -115,19 +102,19 @@ func decodeBoth(t *testing.T, p *Polyline, data []byte, n int) []float64 {
 }
 
 // FuzzPolylineAgainstReference holds the three kernels to the reference
-// over (precision, mode, raw float bits): AppendEncode emits the reference's
+// over (precision, raw float bits): AppendEncode emits the reference's
 // bytes; Decode agrees with the reference on the valid payload, on a copy
 // with one byte replaced and on a truncated copy; Transmit returns the
 // payload's length and the decoded floats.
 func FuzzPolylineAgainstReference(f *testing.F) {
 	for prec := 0; prec <= 8; prec++ {
 		raw := Raw{}.Encode(edgeWeights(math.Pow(10, float64(prec)))) // the float bits, little-endian
-		f.Add(uint8(prec), false, raw, uint16(prec), byte(0x7F))
-		f.Add(uint8(prec), true, raw, uint16(3*prec+1), byte(62))
+		f.Add(uint8(prec), raw, uint16(prec), byte(0x7F))
+		f.Add(uint8(prec), raw, uint16(3*prec+1), byte(62))
 	}
-	f.Add(uint8(4), false, Raw{}.Encode(randWeights(rng.New(1), 64, 0.2)), uint16(9), byte('~'+1))
-	f.Fuzz(func(t *testing.T, prec uint8, delta bool, raw []byte, at uint16, with byte) {
-		p := &Polyline{Precision: int(prec % 9), Delta: delta}
+	f.Add(uint8(4), Raw{}.Encode(randWeights(rng.New(1), 64, 0.2)), uint16(9), byte('~'+1))
+	f.Fuzz(func(t *testing.T, prec uint8, raw []byte, at uint16, with byte) {
+		p := NewPolyline(int(prec % 9))
 		w := make([]float64, len(raw)/8)
 		if err := (Raw{}).Decode(raw[:8*len(w)], w); err != nil {
 			t.Fatal(err)
@@ -165,30 +152,35 @@ func FuzzPolylineAgainstReference(f *testing.F) {
 }
 
 // FuzzTransmitFixed holds the fixed-point channel to Transmit over
-// (precision 3..6, mode, raw float bits): ok is false exactly when some
+// (precision 3..6, raw float bits): ok is false exactly when some
 // reference-quantized value falls outside int32, and when it is true the
-// payload size and Reconstruct's floats are Transmit's bit for bit.
+// payload size and Reconstruct's floats are Transmit's bit for bit. Every
+// seed vector is also added negated: int32's range is one wider below zero
+// than above, and zigzag gives the signs different lengths.
 func FuzzTransmitFixed(f *testing.F) {
+	add := func(prec int, w ...float64) {
+		f.Add(uint8(prec), Raw{}.Encode(w))
+		for i := range w {
+			w[i] = -w[i]
+		}
+		f.Add(uint8(prec), Raw{}.Encode(w))
+	}
 	for prec := 3; prec <= 6; prec++ {
 		s := math.Pow(10, float64(prec))
-		for _, delta := range []bool{false, true} {
-			f.Add(uint8(prec), delta, Raw{}.Encode([]float64{
-				math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1030, 0.3, -0.7,
-			}))
-			for _, v := range []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64} {
-				f.Add(uint8(prec), delta, Raw{}.Encode([]float64{0.1, v}))
-			}
-			// Both sides of the int32 edge: ±2³¹·10⁻ᵖ, the ties half a unit
-			// inside, and their neighbours.
-			for _, x := range []float64{1 << 31, 1<<31 - 0.5, 1<<31 - 1, 1<<31 + 0.5} {
-				for _, v := range []float64{x / s, -x / s, math.Nextafter(x/s, 0), math.Nextafter(-x/s, 0)} {
-					f.Add(uint8(prec), delta, Raw{}.Encode([]float64{-0.2, v, 0.4}))
-				}
+		add(prec, math.NaN(), math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1030, 0.3, -0.7)
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64} {
+			add(prec, 0.1, v)
+		}
+		// Both sides of the int32 edge: ±2³¹·10⁻ᵖ, the ties half a unit
+		// inside, and their neighbours.
+		for _, x := range []float64{1 << 31, 1<<31 - 0.5, 1<<31 - 1, 1<<31 + 0.5} {
+			for _, v := range []float64{x / s, -x / s, math.Nextafter(x/s, 0), math.Nextafter(-x/s, 0)} {
+				add(prec, -0.2, v, 0.4)
 			}
 		}
 	}
-	f.Fuzz(func(t *testing.T, prec uint8, delta bool, raw []byte) {
-		p := &Polyline{Precision: 3 + int(prec%4), Delta: delta}
+	f.Fuzz(func(t *testing.T, prec uint8, raw []byte) {
+		p := NewPolyline(3 + int(prec%4))
 		w := make([]float64, len(raw)/8)
 		if err := (Raw{}).Decode(raw[:8*len(w)], w); err != nil {
 			t.Fatal(err)

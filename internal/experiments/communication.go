@@ -91,7 +91,7 @@ func Table2(p Preset) (*Report, error) {
 // uncompressed baseline.
 var figure5Codecs = []struct {
 	label string
-	c     codec.Codec
+	c     codec.Channel
 }{
 	{"Precision 3", codec.NewPolyline(3)},
 	{"Precision 4", codec.NewPolyline(4)},

@@ -36,7 +36,7 @@ type RunConfig struct {
 	// Codec compresses FedAT's uplink and downlink (§4.3); nil means
 	// codec.Raw. Baselines always use Raw, matching the paper where only
 	// FedAT compresses.
-	Codec codec.Codec
+	Codec codec.Channel
 
 	// Staleness parameterizes the async family's staleness discount g(s):
 	// the weight function, its decay parameter, and hinge's flat region.
@@ -355,19 +355,6 @@ func (e *Env) InitialWeights() []float64 {
 // Shapes returns the model's parameter-block shapes (for the codec).
 func (e *Env) Shapes() []codec.ShapeInfo { return e.shapes }
 
-// LocalConfig derives the per-round local training settings with the given
-// proximal coefficient.
-func (e *Env) LocalConfig(lambda float64, round uint64) LocalConfig {
-	return LocalConfig{
-		Epochs:    e.Cfg.LocalEpochs,
-		BatchSize: e.Cfg.BatchSize,
-		Lambda:    lambda,
-		Round:     round,
-		DPClip:    e.Cfg.DPClip,
-		DPNoise:   e.Cfg.DPNoise,
-	}
-}
-
 // ResetState rewinds link reservations and delay streams so one Env can
 // run several methods back-to-back under identical conditions. Replicas
 // need no reset: TrainLocal restarts everything they carry at every round
@@ -407,24 +394,18 @@ func (e *Env) trainMember(m *member, global []float64, lc LocalConfig) TrainResu
 
 // Comm applies a codec to every model exchange and tallies the bytes, which
 // is both the lossy channel (§4.3) and the measurement for Table 2 /
-// Figure 4. It also holds the simulator's uploads in flight: under polyline
-// an upload is its quantized integers in a fixed-point slot, and becomes a
-// float64 vector only when the server reads it (Receive). A Comm belongs to
-// its run's engine goroutine; only the weight pool it hands out (Pool) may
-// be used from other goroutines.
+// Figure 4. The codec is a codec.Channel (polyline, raw), so no payload is
+// ever materialized: numerics and byte accounting are identical to the real
+// Encode/Decode by the interface's contract. It also holds the simulator's
+// uploads in flight: under polyline an upload is its quantized integers in
+// a fixed-point slot, and becomes a float64 vector only when the server
+// reads it (Receive). A Comm belongs to its run's engine goroutine; only the
+// weight pool it hands out (Pool) may be used from other goroutines.
 type Comm struct {
-	codec       codec.Codec
+	channel     codec.Channel
 	headerBytes int
 	Up, Down    int64
 
-	// channel is non-nil when the codec can produce the receiver's weights
-	// and the payload size without materializing the payload
-	// (codec.Channel: polyline, raw) — numerics and byte accounting are
-	// identical to the real Encode/Decode by the interface's contract.
-	channel codec.Channel
-	// enc is the encode scratch every other codec's transmit reuses: the
-	// payload only lives until it is decoded again a line later.
-	enc []byte
 	// pool recycles receiver-side weight buffers across rounds and cohorts
 	// (see tensor.Pool for the ownership contract). Sized lazily from the
 	// first transmitted vector.
@@ -440,10 +421,9 @@ type Comm struct {
 }
 
 // NewComm builds the channel for one run.
-func NewComm(c codec.Codec, shapes []codec.ShapeInfo) *Comm {
-	channel, _ := c.(codec.Channel)
+func NewComm(c codec.Channel, shapes []codec.ShapeInfo) *Comm {
 	fixed, _ := c.(*codec.Polyline)
-	return &Comm{codec: c, headerBytes: codec.ModelHeaderBytes(shapes), channel: channel, fixed: fixed}
+	return &Comm{channel: c, headerBytes: codec.ModelHeaderBytes(shapes), fixed: fixed}
 }
 
 // Pool returns the run's weight pool for length-n vectors, creating it on
@@ -457,57 +437,46 @@ func (cm *Comm) Pool(n int) *tensor.Pool {
 	return cm.pool
 }
 
-// TransmitPooled passes w through the lossy channel in the given direction,
+// TransmitPooled is transmit for callers outside the package; its error is
+// always nil.
+func (cm *Comm) TransmitPooled(w []float64, uplink bool) ([]float64, int, error) {
+	out, size := cm.transmit(w, uplink)
+	return out, size, nil
+}
+
+// transmit passes w through the lossy channel in the given direction,
 // returning the weights the receiver reconstructs — in a buffer drawn from
 // the run's weight pool — and the marshalled message size in bytes, which
-// the byte counters accumulate. The returned slice is owned by the caller
-// until it hands it back with Release; in steady state no allocation
-// happens. The simulator never materializes a payload for a codec.Channel
-// (polyline, raw): one pass writes the reconstruction and returns the size
-// the encoder would have produced, so both the numerics and the Up/Down
-// totals are bit-identical to the real round-trip the other codecs take. A
-// codec that fails to decode its own payload reports an error (propagated
-// out through Method.Run) rather than panicking.
-func (cm *Comm) TransmitPooled(w []float64, uplink bool) ([]float64, int, error) {
-	pool := cm.Pool(len(w))
-	out := pool.Get()
-	var size int
-	if cm.channel != nil {
-		size = cm.headerBytes + cm.channel.Transmit(out, w)
-	} else {
-		cm.enc = cm.codec.AppendEncode(cm.enc[:0], w)
-		size = cm.headerBytes + len(cm.enc)
-		if err := cm.codec.Decode(cm.enc, out); err != nil {
-			pool.Put(out)
-			return nil, 0, fmt.Errorf("fl: codec %s failed to decode its own payload: %w", cm.codec.Name(), err)
-		}
-	}
+// the byte counters accumulate. One pass writes the reconstruction and
+// returns the size the encoder would have produced. The returned slice is
+// owned by the caller until it hands it back with Release; in steady state
+// no allocation happens.
+func (cm *Comm) transmit(w []float64, uplink bool) ([]float64, int) {
+	out := cm.Pool(len(w)).Get()
+	size := cm.headerBytes + cm.channel.Transmit(out, w)
 	cm.CountControl(int64(size), uplink)
-	return out, size, nil
+	return out, size
 }
 
 // upload is the simulated uplink of a trained result: it passes r.Weights
 // through the channel, charges the bytes, and leaves in r what is in flight.
 // Under polyline that is a fixed-point slot (r.Weights nil), unless some
-// weight overflows int32; otherwise it is TransmitPooled's reconstruction.
-// It returns the message size.
-func (cm *Comm) upload(r *TrainResult) (int, error) {
+// weight overflows int32; otherwise it is transmit's reconstruction. It
+// returns the message size.
+func (cm *Comm) upload(r *TrainResult) int {
 	if cm.fixed != nil {
 		slot := cm.takeSlot(len(r.Weights))
 		if n, ok := cm.fixed.TransmitFixed(cm.slots[slot-1], r.Weights); ok {
 			size := cm.headerBytes + n
 			cm.CountControl(int64(size), true)
 			r.Weights, r.slot = nil, slot
-			return size, nil
+			return size
 		}
 		cm.free = append(cm.free, slot)
 	}
-	w, size, err := cm.TransmitPooled(r.Weights, true)
-	if err != nil {
-		return 0, err
-	}
-	r.Weights = w
-	return size, nil
+	var size int
+	r.Weights, size = cm.transmit(r.Weights, true)
+	return size
 }
 
 // takeSlot returns an idle fixed-point slot for a length-n upload, adding
@@ -553,16 +522,13 @@ func (cm *Comm) Discard(r TrainResult) {
 // would decode the identical bytes), while Down is charged n messages. The
 // snapshot is shared and read-only; the caller releases it once, when the
 // last reader is done.
-func (cm *Comm) Broadcast(w []float64, n int) ([]float64, int, error) {
-	snap, size, err := cm.TransmitPooled(w, false)
-	if err != nil {
-		return nil, 0, err
-	}
+func (cm *Comm) Broadcast(w []float64, n int) ([]float64, int) {
+	snap, size := cm.transmit(w, false)
 	cm.CountControl(int64(size)*int64(n-1), false)
-	return snap, size, nil
+	return snap, size
 }
 
-// Release returns a buffer obtained from TransmitPooled, Broadcast or the
+// Release returns a buffer obtained from transmit, Broadcast or the
 // weight pool (the live fabric's decoded arrivals) to the pool; buffers of
 // any other length are ignored.
 func (cm *Comm) Release(w []float64) {

@@ -158,7 +158,7 @@ func (f *simFabric) Partition(RunConfig) (*tiering.Tiers, error) {
 func (f *simFabric) Repartition(*tiering.Tiers) {}
 
 func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error)) {
-	deliver(f.env.runCohort(cohort, now, global, comm, lc))
+	deliver(f.env.runCohort(cohort, now, global, comm, lc), nil)
 }
 
 // Probe sends w across the codec once for the whole sweep (every client
@@ -168,10 +168,7 @@ func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, reply
 	if len(ids) == 0 {
 		return now, nil
 	}
-	probed, bytes, err := comm.Broadcast(w, len(ids))
-	if err != nil {
-		return 0, err
-	}
+	probed, bytes := comm.Broadcast(w, len(ids))
 	comm.Release(probed) // probes only need the byte accounting
 	comm.CountControl(int64(replyBytes)*int64(len(ids)), true)
 	latest := now

@@ -227,7 +227,7 @@ func TestTrainLocalFixedSchedule(t *testing.T) {
 	env, fed, _ := testEnvParts(t, 0, cfg)
 	c := testLocalClient(fed, 0, cfg)
 	w0 := env.InitialWeights()
-	lc := env.LocalConfig(0.4, 7)
+	lc := LocalConfig{Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, Lambda: 0.4, Round: 7}
 	// TrainLocal reuses its result buffer across calls; copy to compare.
 	w1t, s1 := c.TrainLocal(w0, lc)
 	w1 := tensor.Copy(w1t)
@@ -241,7 +241,8 @@ func TestTrainLocalFixedSchedule(t *testing.T) {
 			t.Fatal("same (client, round, weights) produced different results")
 		}
 	}
-	w3, _ := c.TrainLocal(w0, env.LocalConfig(0.4, 8))
+	lc.Round = 8
+	w3, _ := c.TrainLocal(w0, lc)
 	diff := false
 	for i := range w1 {
 		if w1[i] != w3[i] {
@@ -259,8 +260,7 @@ func TestTrainLocalProximalPullsTowardAnchor(t *testing.T) {
 	env, fed, _ := testEnvParts(t, 0, cfg)
 	c := testLocalClient(fed, 1, cfg)
 	w0 := env.InitialWeights()
-	lc := env.LocalConfig(0, 1)
-	lc.Epochs = 4
+	lc := LocalConfig{Epochs: 4, BatchSize: cfg.BatchSize, Round: 1}
 	freeT, _ := c.TrainLocal(w0, lc)
 	free := tensor.Copy(freeT) // TrainLocal reuses its result buffer
 	lcProx := lc
@@ -457,18 +457,14 @@ func TestSelectAvailableProbesOnlyCandidates(t *testing.T) {
 func TestCommAccounting(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{4}}}
 	w := []float64{1, 2, 3, 4}
-	// Both take the codec.Channel arm, which never builds the message; both
-	// must charge exactly the marshalled message's size.
-	for _, c := range []codec.Codec{codec.Raw{}, codec.NewPolyline(4)} {
+	// Neither builds the message; both must charge exactly its size.
+	for _, c := range []codec.Channel{codec.Raw{}, codec.NewPolyline(4)} {
 		cm := NewComm(c, shapes)
 		msg, err := codec.MarshalModel(c, shapes, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, n, err := cm.TransmitPooled(w, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got, n := cm.transmit(w, true)
 		if n != len(msg) {
 			t.Fatalf("%s: transmit size %d != marshalled message %d", c.Name(), n, len(msg))
 		}
@@ -481,10 +477,7 @@ func TestCommAccounting(t *testing.T) {
 			}
 		}
 		cm.Release(got)
-		snap, _, err := cm.Broadcast(w, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
+		snap, _ := cm.Broadcast(w, 3)
 		cm.Release(snap)
 		if cm.Down != 3*int64(n) {
 			t.Fatalf("broadcast to 3 charged %d bytes down, want %d", cm.Down, 3*n)
@@ -496,69 +489,72 @@ func TestCommAccounting(t *testing.T) {
 	}
 }
 
-// wireOnly hides a codec's Channel method, leaving Comm the real
-// encode→decode arm.
-type wireOnly struct{ codec.Codec }
-
-// TestCommChannelMatchesWire: the fused channel and the real round-trip of
-// the same codec hand the receiver the same bits and charge the same bytes,
-// in both directions, and neither allocates once the pool and the encode
-// scratch have grown.
+// TestCommChannelMatchesWire: for every run codec, Comm hands the receiver
+// the bits the real message decodes to — codec.MarshalModel, then
+// codec.UnmarshalModelInto — and charges that message's length, in both
+// directions and on clamped and long values; once the pool has grown it
+// allocates nothing.
 func TestCommChannelMatchesWire(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{60, 50}}, {Name: "b", Dims: []int{50}}}
 	r := rng.New(6)
-	w := make([]float64, 3050)
-	for i := range w {
-		w[i] = 0.3 * r.Norm()
+	w0 := make([]float64, 3050)
+	for i := range w0 {
+		w0[i] = 0.3 * r.Norm()
 	}
-	w[0], w[1], w[2], w[3] = math.NaN(), math.Inf(-1), 1e300, 12345.678949999 // clamped and long values
+	w0[0], w0[1], w0[2], w0[3], w0[4] = math.NaN(), math.Inf(1), math.Inf(-1), 1e300, 12345.678949999
 
-	fused, wire := NewComm(codec.NewPolyline(4), shapes), NewComm(wireOnly{codec.NewPolyline(4)}, shapes)
-	if fused.channel == nil || wire.channel != nil {
-		t.Fatalf("channel arms: fused %v, wire-only %v", fused.channel, wire.channel)
-	}
-	for round, uplink := range []bool{true, false, true} {
-		a, na, err := fused.TransmitPooled(w, uplink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, nb, err := wire.TransmitPooled(w, uplink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if na != nb || fused.Up != wire.Up || fused.Down != wire.Down {
-			t.Fatalf("round %d: fused charges %d (up %d, down %d), wire %d (up %d, down %d)",
-				round, na, fused.Up, fused.Down, nb, wire.Up, wire.Down)
-		}
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				t.Fatalf("round %d: weight %d is %v through the channel, %v over the wire", round, i, a[i], b[i])
+	var comms []*Comm
+	for _, c := range []codec.Channel{codec.Raw{}, codec.NewPolyline(4)} {
+		cm := NewComm(c, shapes)
+		comms = append(comms, cm)
+		w, want := slices.Clone(w0), make([]float64, len(w0))
+		var up, down int64
+		for round, uplink := range []bool{true, false, true} {
+			msg, err := codec.MarshalModel(c, shapes, w)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if err := codec.UnmarshalModelInto(msg, want); err != nil {
+				t.Fatal(err)
+			}
+			got, n := cm.transmit(w, uplink)
+			if uplink {
+				up += int64(len(msg))
+			} else {
+				down += int64(len(msg))
+			}
+			if n != len(msg) || cm.Up != up || cm.Down != down {
+				t.Fatalf("%s round %d: charges %d (up %d, down %d), message is %d (up %d, down %d)",
+					c.Name(), round, n, cm.Up, cm.Down, len(msg), up, down)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s round %d: weight %d is %v through the channel, %v over the wire", c.Name(), round, i, got[i], want[i])
+				}
+			}
+			w = append(w[:0], got...) // the next round retransmits the reconstruction
+			cm.Release(got)
 		}
-		w = append(w[:0:0], a...) // the next round retransmits the reconstruction
-		fused.Release(a)
-		wire.Release(b)
 	}
 
 	skipUnderRace(t)
-	for name, cm := range map[string]*Comm{"fused": fused, "wire": wire} {
+	for _, cm := range comms {
 		if allocs := testing.AllocsPerRun(20, func() {
-			out, _, err := cm.TransmitPooled(w, true)
+			out, _, err := cm.TransmitPooled(w0, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cm.Release(out)
 		}); allocs != 0 {
-			t.Errorf("%s TransmitPooled allocates %.0f times in steady state", name, allocs)
+			t.Errorf("%s TransmitPooled allocates %.0f times in steady state", cm.channel.Name(), allocs)
 		}
 	}
 }
 
 // TestCommUploadMatchesTransmit: a simulated upload that waits in a
-// fixed-point slot reads back as exactly what TransmitPooled hands the
-// server, at the same byte charge, and one with a weight that overflows
-// int32 (1e6 at precision 4) or is infinite takes TransmitPooled's float64
-// path itself. Discarded and read slots are reused, so the steady state
+// fixed-point slot reads back as exactly what transmit hands the server, at
+// the same byte charge, and one with a weight that overflows int32 (1e6 at
+// precision 4) or is infinite takes transmit's float64 path itself. Discarded and read slots are reused, so the steady state
 // allocates nothing.
 func TestCommUploadMatchesTransmit(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{300}}}
@@ -583,24 +579,18 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 	} {
 		cm, ref := NewComm(codec.NewPolyline(4), shapes), NewComm(codec.NewPolyline(4), shapes)
 		res := TrainResult{Weights: slices.Clone(tc.w)}
-		n, err := cm.upload(&res)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := cm.upload(&res)
 		if (res.slot != 0) != tc.fixed || (res.Weights == nil) != tc.fixed {
 			t.Fatalf("%s: slot %d, weights held %v; want the fixed-point path %v", name, res.slot, res.Weights != nil, tc.fixed)
 		}
-		want, wn, err := ref.TransmitPooled(tc.w, true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, wn := ref.transmit(tc.w, true)
 		if n != wn || cm.Up != ref.Up {
-			t.Fatalf("%s: upload charges %d (up %d), TransmitPooled %d (up %d)", name, n, cm.Up, wn, ref.Up)
+			t.Fatalf("%s: upload charges %d (up %d), transmit %d (up %d)", name, n, cm.Up, wn, ref.Up)
 		}
 		got := cm.Receive(res)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: weight %d reads back %v, TransmitPooled gives %v", name, i, got[i], want[i])
+				t.Fatalf("%s: weight %d reads back %v, transmit gives %v", name, i, got[i], want[i])
 			}
 		}
 		cm.Release(got)
@@ -615,9 +605,7 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() {
 		for i := range res {
 			res[i].Weights, res[i].slot = inRange, 0
-			if _, err := cm.upload(&res[i]); err != nil {
-				t.Fatal(err)
-			}
+			cm.upload(&res[i])
 		}
 		cm.Discard(res[0])
 		cm.Release(cm.Receive(res[1]))

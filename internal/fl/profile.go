@@ -14,7 +14,7 @@ import (
 // sample counts are pure queries on the environment's sources: profiling a
 // derived population materializes no client.
 func ProfileTiers(env *Env) (*tiering.Tiers, error) {
-	lc := env.LocalConfig(0, 0)
+	lc := LocalConfig{Epochs: env.Cfg.LocalEpochs, BatchSize: env.Cfg.BatchSize}
 	lat := make([]float64, env.n)
 	lo, hi := 1e300, 0.0
 	for i := range lat {

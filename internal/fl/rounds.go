@@ -62,9 +62,9 @@ func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now floa
 // a pacer reads it with Comm.Receive. A dropped result still points at its
 // member position's buffer and is never read after delivery, so the
 // positions are reusable the moment this returns.
-func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) ([]TrainResult, error) {
+func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) []TrainResult {
 	if len(sel) == 0 {
-		return nil, nil
+		return nil
 	}
 	// Downlink: the snapshot crosses the codec once and every member trains
 	// from the same pooled reconstruction — TrainLocal only reads it (as
@@ -72,10 +72,7 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	// the identical bytes. Bytes and link time are still charged per
 	// member. The snapshot only needs to live until local training ends, so
 	// it goes back to the pool before this function returns.
-	received, bytes, err := comm.Broadcast(global, len(sel))
-	if err != nil {
-		return nil, err
-	}
+	received, bytes := comm.Broadcast(global, len(sel))
 	if len(e.members) < len(sel) {
 		e.members = append(e.members, make([]member, len(sel)-len(e.members))...)
 	}
@@ -126,13 +123,9 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 		// flight, which the engine reads at arrival and releases after the
 		// fold. Dropped results above keep the member's buffer (no upload
 		// happened), which is why reads and releases must skip them.
-		bytes, err := comm.upload(r)
-		if err != nil {
-			return nil, err
-		}
-		r.Arrive = e.links.UploadArrival(computeDone, rt, bytes)
+		r.Arrive = e.links.UploadArrival(computeDone, rt, comm.upload(r))
 	}
-	return results, nil
+	return results
 }
 
 // survivors filters out dropped results.

@@ -33,7 +33,7 @@ type ClientConfig struct {
 	// Codec compresses uploads; defaults to polyline precision 4. It must
 	// match the server's Run.Codec for the deployment to reproduce the
 	// simulator's channel.
-	Codec codec.Codec
+	Codec codec.Channel
 	// Seed anchors the fixed pseudo-random mini-batch schedule (§6); it
 	// must match the server's Run.Seed for cross-fabric reproducibility.
 	Seed uint64

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"io"
+	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -352,5 +355,59 @@ func TestUplinkDegradesToStandalone(t *testing.T) {
 	}
 	if !up.Degraded() {
 		t.Fatal("uplink should have degraded after the root's shutdown")
+	}
+}
+
+// TestUplinkDropsOlderAdoption: the root sends an edge its adoptions from
+// the reader goroutine of whichever edge's push folded, so epoch 3 can reach
+// the edge before epoch 2. The older adoption must not replace the newer
+// one in the mailbox: the next fold rebases onto epoch 3 and stamps it.
+func TestUplinkDropsOlderAdoption(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		go io.Copy(io.Discard, c) // the registration and the edge's pushes
+		accepted <- c
+	}()
+	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{4}}}
+	up, err := DialUplink(UplinkConfig{Root: ln.Addr().String(), W0: make([]float64, 4), Shapes: shapes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer up.Close()
+	root, ok := <-accepted
+	if !ok {
+		t.Fatal("the test root accepted no connection")
+	}
+	defer root.Close()
+
+	for _, epoch := range []int{3, 2} {
+		v := float64(epoch)
+		model, err := codec.MarshalModel(codec.Raw{}, shapes, []float64{v, v, v, v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := up.receiveAdoption(ModelPush(PushSpec{Round: uint64(epoch), Epochs: 2}, model)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := up.AfterFold(fl.FoldInfo{Round: 1, Global: make([]float64, 4)})
+	if want := []float64{3, 3, 3, 3}; !slices.Equal(d.Rebase, want) {
+		t.Fatalf("rebased onto %v, want epoch 3's %v", d.Rebase, want)
+	}
+	if len(d.Events) != 1 {
+		t.Fatalf("%d events, want one adoption", len(d.Events))
+	}
+	if ev, ok := d.Events[0].(fl.EdgeFoldEvent); !ok || ev.Round != 3 {
+		t.Fatalf("adoption event %+v, want an EdgeFoldEvent of round 3", d.Events[0])
 	}
 }

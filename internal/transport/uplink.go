@@ -130,7 +130,10 @@ func (u *EdgeUplink) readLoop() {
 }
 
 // receiveAdoption decodes one adoption push into a pooled model and leaves
-// it in the mailbox, recycling an adoption the engine never picked up.
+// it in the mailbox, recycling an adoption the engine never picked up. The
+// root sends each edge's adoptions from whichever edge's reader folded, so
+// they can arrive out of epoch order: one no newer than the mailbox's epoch
+// is dropped.
 func (u *EdgeUplink) receiveAdoption(payload []byte) error {
 	spec, modelMsg, err := ParseModelPush(payload)
 	if err != nil {
@@ -142,11 +145,15 @@ func (u *EdgeUplink) receiveAdoption(payload []byte) error {
 		return fmt.Errorf("adoption model corrupt: %w", err)
 	}
 	u.mu.Lock()
+	defer u.mu.Unlock()
+	if int(spec.Round) <= u.adoptEpoch {
+		u.models.Put(w)
+		return nil
+	}
 	u.models.Put(u.adoption)
 	u.adoption = w
 	u.adoptEpoch = int(spec.Round)
 	u.members = spec.Epochs
-	u.mu.Unlock()
 	return nil
 }
 
