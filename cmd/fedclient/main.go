@@ -1,8 +1,9 @@
 // Command fedclient joins a fedserver as one federated participant: it
 // derives its local shard of the synthetic federation from the shared
 // flags, then trains whenever the server pushes the global model. Local
-// training settings (epochs, batch size, proximal λ) arrive with each push
-// — the server's method composition decides them, not client flags.
+// training settings (epochs, batch size, proximal λ, the DP stage, any
+// attack directive) arrive with each push — the server's method composition
+// decides them, not client flags.
 //
 // In a hierarchical deployment (fedserver -role edge/root) a client joins
 // ITS EDGE's server, not the root: -addr points at the edge aggregator,
@@ -22,7 +23,6 @@ import (
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/rng"
-	"repro/internal/robust"
 	"repro/internal/transport"
 )
 
@@ -43,14 +43,6 @@ func main() {
 		// the server's RunConfig when comparing fabrics.
 		lr   = flag.Float64("lr", 0.01, "local learning rate (Adam); match the simulator's LearningRate for cross-fabric comparisons")
 		prec = flag.Int("precision", 4, "polyline upload compression precision (<=0 = raw; must match the server)")
-
-		// Adversarial / privacy knobs. A forced local attack overrides any
-		// server directive; DP flags override the pushed DP stage.
-		attackKind  = flag.String("attack", "", "force this client malicious: labelflip, scale, freeride (overrides server directives)")
-		attackScale = flag.Float64("attack-scale", 0, "scale attack amplification factor (0 = default 10x)")
-		dpClip      = flag.Float64("dp-clip", 0, "force the local DP stage: delta clip norm (overrides the server's pushed value)")
-		dpNoise     = flag.Float64("dp-noise", 0, "DP Gaussian noise multiplier alongside -dp-clip")
-		uplinkTopK  = flag.Float64("uplink-topk", 0, "upload top-k sparsified deltas instead of -precision: fraction of coordinates kept (server decodes without flags)")
 	)
 	flag.Parse()
 
@@ -63,10 +55,6 @@ func main() {
 	}
 	if *id < 0 || *id >= len(fed.Clients) {
 		log.Fatalf("fedclient: id %d out of range [0,%d)", *id, len(fed.Clients))
-	}
-	akind, err := robust.ParseKind(*attackKind)
-	if err != nil {
-		log.Fatal("fedclient: ", err)
 	}
 	var wire codec.Channel = codec.Raw{}
 	if *prec > 0 {
@@ -83,13 +71,8 @@ func main() {
 		Opt:             opt.NewAdam(*lr),
 		Codec:           wire,
 		Seed:            *seed,
-		// Classes is always filled so a server-directed label flip can
-		// execute; the kind stays None unless -attack forces it.
-		Attack:         robust.Attack{Kind: akind, Scale: *attackScale, Classes: fed.Classes},
-		DPClip:         *dpClip,
-		DPNoise:        *dpNoise,
-		UplinkTopKFrac: *uplinkTopK,
-		Logf:           log.Printf,
+		Classes:         fed.Classes,
+		Logf:            log.Printf,
 	})
 	if err != nil {
 		log.Fatal("fedclient: ", err)

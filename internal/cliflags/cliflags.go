@@ -96,7 +96,7 @@ func Bind(fs *flag.FlagSet) *Shared {
 		func(v string) error { s.Cloud.Fold = v; return nil })
 	s.cloudFlag("edge-buffer", "async fold: buffer `K` edge pushes per cloud fold (default 1)",
 		func(v string) (err error) { s.Cloud.Buffer, err = strconv.Atoi(v); return err })
-	s.cloudFlag("uplink-topk", "edge→cloud top-k delta compression: `fraction` of coordinates kept per push (0 = raw, bit-lossless; root and edges must agree)",
+	s.cloudFlag("uplink-topk", "edge→cloud top-k delta compression: `fraction` of coordinates kept per push (0 = raw, bit-lossless; an edge's setting, the root decodes whichever codec a push names)",
 		func(v string) (err error) { s.Cloud.TopKFrac, err = strconv.ParseFloat(v, 64); return err })
 	return s
 }

@@ -12,8 +12,8 @@ import (
 // compression): only the k largest-magnitude coordinates are transmitted as
 // (index, float32) pairs; the receiver fills the rest with zeros.
 //
-// It compresses the opt-in delta uplinks (edge→cloud pushes, client uploads
-// under -uplink-topk) and is not a Channel, so it cannot be a run's model
+// It compresses the opt-in edge→cloud delta uplink (-uplink-topk) and is
+// not a Channel, so it cannot be a run's model
 // codec: under non-IID FL the dropped coordinates are exactly the
 // small-but-systematic updates the slow tiers contribute, which is why the
 // paper prefers a precision-bounded codec over a sparsity-bounded one.

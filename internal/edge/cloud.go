@@ -2,13 +2,11 @@
 // aggregators, edge aggregators fold into a cloud model — the two-tier
 // architecture of asynchronous semi-decentralized federated edge learning,
 // layered on top of FedAT's tiered asynchrony inside each edge. The package
-// provides three pieces:
+// provides two pieces:
 //
 //   - Cloud: the edge→cloud fold state machine (sync barrier or buffered
 //     async with staleness-weighted folding), shared verbatim by the
 //     simulated hierarchy and the live TCP root server,
-//   - Fabric: an fl.Fabric composing K child fabrics into one union
-//     population, so any engine composition also runs over shards,
 //   - Run: the simulated hierarchy runner — K unmodified engines, one per
 //     edge, interleaved on one deterministically merged virtual timeline.
 //
@@ -68,6 +66,7 @@ type CloudConfig struct {
 	// shared per-edge reference (last reconstructed push), never the
 	// absolute model — top-k zero-fills dropped coordinates, so absolute
 	// models would be destroyed. 0 transmits raw float64 (bit-lossless).
+	// Push encodes with it; the live root's PushWire never reads it.
 	TopKFrac float64
 	// Eval, when set, evaluates the merged model after each EvalEvery-th
 	// fold (cloud-level accuracy points over the union population).
@@ -177,9 +176,8 @@ func (c *Cloud) uplinkCodec() codec.Codec {
 // is NOT advanced — DecodeUplinkInto (or Push, which uses it) advances both
 // ends. delta is the caller's scratch for the top-k difference (grown when
 // short, untouched under a plain codec); it is returned for reuse. The live
-// edge uplink and the flat top-k client build their frames with this; the
-// simulated hierarchy pushes in-process through Push and never
-// materializes bytes for K = 1.
+// edge uplink builds its frames with this; the simulated hierarchy pushes
+// in-process through Push and never materializes bytes for K = 1.
 func AppendUplink(dst []byte, cdc codec.Codec, shapes []codec.ShapeInfo, ref, w, delta []float64) ([]byte, []float64, error) {
 	if _, ok := cdc.(*codec.TopK); ok {
 		delta = tensor.EnsureVec(delta, len(w))

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
-	"repro/internal/edge"
 	"repro/internal/fl"
 	"repro/internal/nn"
 	"repro/internal/opt"
@@ -15,9 +14,10 @@ import (
 )
 
 // ClientConfig configures a federated training client. Local-training
-// settings (epochs, batch size, proximal λ, mini-batch schedule) are NOT
-// configured here: the server's method composition ships them with every
-// model push, so the engine controls local training on both fabrics.
+// settings (epochs, batch size, proximal λ, LR scale, the DP stage and any
+// attack directive) are NOT configured here: the server's method
+// composition ships them with every model push, so the engine controls
+// local training on both fabrics.
 type ClientConfig struct {
 	Addr          string
 	ID            uint32
@@ -31,28 +31,16 @@ type ClientConfig struct {
 	Opt  opt.Optimizer
 
 	// Codec compresses uploads; defaults to polyline precision 4. It must
-	// match the server's Run.Codec for the deployment to reproduce the
-	// simulator's channel.
+	// match the server's Run.Codec: the server drops a client whose update
+	// arrives in any other codec than the push it answers.
 	Codec codec.Channel
 	// Seed anchors the fixed pseudo-random mini-batch schedule (§6); it
 	// must match the server's Run.Seed for cross-fabric reproducibility.
 	Seed uint64
-	// Attack forces this client's malicious behavior regardless of server
-	// directives (fedclient -attack). When only Classes is set the client
-	// is honest but can execute a server-directed label flip — fedclient
-	// always fills Classes from its dataset.
-	Attack robust.Attack
-	// DPClip > 0 forces the local DP stage (clip norm DPClip, noise
-	// multiplier DPNoise), overriding whatever the server's push carries.
-	DPClip  float64
-	DPNoise float64
-	// UplinkTopKFrac > 0 compresses uploads as a top-k sparsified delta
-	// against the round's pushed global instead of Codec — the flat
-	// client→server leg of the PR 7 edge uplink compression. The server
-	// decodes it statelessly per round (the model message self-describes),
-	// so no server flag is needed.
-	UplinkTopKFrac float64
-	Logf           func(format string, args ...any)
+	// Classes is the size of the label space, which a server-directed label
+	// flip needs; fedclient fills it from its dataset.
+	Classes int
+	Logf    func(format string, args ...any)
 }
 
 // dialWindow bounds how long the initial connect retries before giving up.
@@ -109,9 +97,6 @@ func RunClient(cfg ClientConfig) error {
 		c.shapes = append(c.shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
 	}
 	c.global = make([]float64, cfg.Net.NumParams())
-	if cfg.UplinkTopKFrac > 0 {
-		c.topk = &codec.TopK{Frac: cfg.UplinkTopKFrac}
-	}
 	limit := frameLimit(c.shapes)
 
 	for {
@@ -152,10 +137,8 @@ type client struct {
 	rhdr    [frameHeaderLen]byte
 	// global is the pushed model this client trains from: decoded out of the
 	// push frame, read by TrainLocal for the whole round (start point and
-	// proximal anchor) and by the top-k uplink as its delta reference.
+	// proximal anchor).
 	global []float64
-	topk   *codec.TopK // uplink codec override (UplinkTopKFrac), else nil
-	delta  []float64   // top-k delta scratch
 }
 
 // receive parses a push payload and decodes its model into c.global.
@@ -174,17 +157,13 @@ func (c *client) receive(payload []byte) (PushSpec, error) {
 // uploads the result in a frame built in place in a borrowed buffer.
 func (c *client) round(spec PushSpec) error {
 	cfg := c.cfg
-	// A locally forced attack wins; otherwise follow the server's
-	// per-push directive (honest when the directive byte is 0).
-	atk := cfg.Attack
-	if !atk.Active() && spec.Attack != 0 {
-		atk = robust.Attack{
-			Kind:    robust.Kind(spec.Attack),
-			Scale:   spec.AttackScale,
-			Classes: cfg.Attack.Classes,
-		}
+	// The push is this round's only orders: local work, the DP stage and the
+	// attack directive (honest when the directive byte is 0).
+	c.trainer.Attack = robust.Attack{
+		Kind:    robust.Kind(spec.Attack),
+		Scale:   spec.AttackScale,
+		Classes: cfg.Classes,
 	}
-	c.trainer.Attack = atk
 	lc := fl.LocalConfig{
 		Epochs:    spec.Epochs,
 		BatchSize: spec.Batch,
@@ -194,9 +173,6 @@ func (c *client) round(spec PushSpec) error {
 		DPNoise:   spec.DPNoise,
 		LRScale:   spec.LRScale,
 	}
-	if cfg.DPClip > 0 {
-		lc.DPClip, lc.DPNoise = cfg.DPClip, cfg.DPNoise
-	}
 	w, steps := c.trainer.TrainLocal(c.global, lc)
 	if cfg.ArtificialDelay > 0 {
 		time.Sleep(cfg.ArtificialDelay)
@@ -204,16 +180,7 @@ func (c *client) round(spec PushSpec) error {
 
 	frame := appendUpdateHeader(beginFrame(frames.Get(0), MsgModelUpdate),
 		cfg.ID, uint32(cfg.Data.NumTrain()), spec.Round)
-	var err error
-	if c.topk != nil {
-		// Stateless per-round delta against the decoded push: the server
-		// reconstructs against the decode of its own frame, so lossy
-		// downlink codecs cancel exactly and a dropped update
-		// desynchronizes nothing.
-		frame, c.delta, err = edge.AppendUplink(frame, c.topk, c.shapes, c.global, w, c.delta)
-	} else {
-		frame, err = codec.AppendModel(frame, cfg.Codec, c.shapes, w)
-	}
+	frame, err := codec.AppendModel(frame, cfg.Codec, c.shapes, w)
 	if err == nil {
 		err = writeFrame(c.conn, frame)
 	}

@@ -99,15 +99,15 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 		Round: lc.Round, Epochs: lc.Epochs, Batch: lc.BatchSize, Lambda: lc.Lambda,
 		DPClip: lc.DPClip, DPNoise: lc.DPNoise, LRScale: lc.LRScale,
 	}
-	// The push is encoded once, in place, into a frame buffer borrowed for
-	// the round: it goes back only after the last collector resolves,
-	// because pushRef below decodes it lazily.
+	// The push is encoded once, in place, into a frame buffer borrowed until
+	// the sends return; wire is its model message's codec id and precision.
 	push, err := codec.AppendModel(beginPush(frames.Get(0), spec), f.s.codec, f.s.cfg.Shapes, global)
 	if err != nil {
 		frames.Put(push)
 		deliver(nil, fmt.Errorf("transport: marshal model: %w", err))
 		return
 	}
+	wire := [2]byte(push[frameHeaderLen+pushHeaderLen:])
 	var atkPush []byte
 	if len(f.s.attackers) > 0 {
 		aspec := spec
@@ -124,24 +124,6 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 	// engine's releases after each fold feed; the pool is resolved here, on
 	// the engine goroutine, and only Get/Put from the collectors.
 	pool := comm.Pool(len(global))
-
-	// Top-k uplinks are deltas against the round's push. Reconstructing
-	// against the decode of the server's OWN marshaled frame (not `global`,
-	// which aliases rule state that may mutate before collection) makes a
-	// lossy downlink codec cancel exactly. Computed lazily: runs only if a
-	// client actually uplinks top-k this round.
-	var (
-		refOnce sync.Once
-		refVec  []float64
-		refErr  error
-	)
-	pushRef := func() ([]float64, error) {
-		refOnce.Do(func() {
-			refVec = pool.Get()
-			refErr = codec.UnmarshalModelInto(push[frameHeaderLen+pushHeaderLen:], refVec)
-		})
-		return refVec, refErr
-	}
 
 	results := make([]fl.TrainResult, len(cohort))
 	upBytes := make([]int64, len(cohort))
@@ -167,7 +149,7 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 		wg.Add(1)
 		go func(i int, id int, cc *clientConn) {
 			defer wg.Done()
-			r, up, err := f.collect(cc, lc.Round, pool, pushRef)
+			r, up, err := f.collect(cc, lc.Round, wire, pool)
 			if err != nil {
 				f.s.drop(cc, err)
 				results[i] = fl.TrainResult{Client: id, Dropped: true, Arrive: f.Now()}
@@ -178,15 +160,13 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 			upBytes[i] = up
 		}(i, id, cc)
 	}
+	frames.Put(push)
+	frames.Put(atkPush)
 
 	f.hold()
 	go func() {
 		defer f.release()
 		wg.Wait()
-		// Every collector has resolved: nothing reads the push any more.
-		frames.Put(push)
-		frames.Put(atkPush)
-		pool.Put(refVec)
 		f.post(func() {
 			// Byte accounting happens on the engine goroutine: comm is not
 			// safe for concurrent use.
@@ -207,12 +187,13 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 // collect reads one client's trained response for the given round. The
 // round timeout bounds the read so a silent peer cannot stall its round
 // (and the shutdown drain) forever; hitting it drops the client like any
-// other connection failure, as does a frame longer than the model allows.
-// The frame is held in a borrowed buffer only from its header's arrival
-// until the weights are decoded out of it, into a buffer from pool that the
-// result carries to the engine. pushRef resolves the round's pushed
-// reference model, needed to reconstruct a top-k delta uplink.
-func (f *liveFabric) collect(cc *clientConn, round uint64, pool *tensor.Pool, pushRef func() ([]float64, error)) (fl.TrainResult, int64, error) {
+// other connection failure, as does a frame longer than the model allows,
+// or a model message in any other codec than wire, the push's: a top-k delta
+// or a lossier polyline would otherwise fold as if it were the model. The
+// frame is held in a borrowed buffer only from its header's arrival until
+// the weights are decoded out of it, into a buffer from pool that the result
+// carries to the engine.
+func (f *liveFabric) collect(cc *clientConn, round uint64, wire [2]byte, pool *tensor.Pool) (fl.TrainResult, int64, error) {
 	if t := f.s.cfg.RoundTimeout; t > 0 {
 		if err := cc.conn.SetReadDeadline(time.Now().Add(t)); err != nil {
 			return fl.TrainResult{}, 0, err
@@ -236,18 +217,13 @@ func (f *liveFabric) collect(cc *clientConn, round uint64, pool *tensor.Pool, pu
 	if numSamples == 0 {
 		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d update with zero samples", cc.reg.ClientID)
 	}
+	if len(model) < 2 || [2]byte(model) != wire {
+		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d update is not in the push's codec", cc.reg.ClientID)
+	}
 	w := pool.Get()
 	if err := codec.UnmarshalModelInto(model, w); err != nil {
 		pool.Put(w)
 		return fl.TrainResult{}, 0, err
-	}
-	if codec.IsTopKMessage(model) {
-		ref, err := pushRef()
-		if err != nil {
-			pool.Put(w)
-			return fl.TrainResult{}, 0, err
-		}
-		tensor.AddTo(w, ref)
 	}
 	return fl.TrainResult{
 		Weights: w,

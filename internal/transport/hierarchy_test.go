@@ -175,12 +175,15 @@ func TestLiveEdgeMatchesSimulated(t *testing.T) {
 }
 
 // scriptedEdge is a raw protocol driver standing in for an edge
-// aggregator: it registers, then pushes synthetic models on demand.
+// aggregator: it registers, then pushes synthetic models on demand, raw
+// unless cdc is set. It never advances ref, so a top-k script pushes once.
 type scriptedEdge struct {
 	t    *testing.T
 	conn *clientConn
+	cdc  codec.Codec
 	ref  []float64
 	seq  uint64
+	gone chan struct{} // closed when the root closes the connection
 
 	mu        sync.Mutex
 	adoptions int
@@ -200,9 +203,12 @@ func dialScriptedEdge(t *testing.T, addr string, id int, w0 []float64) *scripted
 	se := &scriptedEdge{
 		t:    t,
 		conn: &clientConn{reg: reg, conn: conn},
+		cdc:  codec.Raw{},
 		ref:  tensor.Copy(w0),
+		gone: make(chan struct{}),
 	}
 	go func() {
+		defer close(se.gone)
 		for {
 			typ, _, err := ReadFrame(conn)
 			if err != nil {
@@ -223,7 +229,7 @@ func dialScriptedEdge(t *testing.T, addr string, id int, w0 []float64) *scripted
 
 func (se *scriptedEdge) push(shapes []codec.ShapeInfo, w []float64) {
 	se.t.Helper()
-	msg, err := edge.EncodeUplink(codec.Raw{}, shapes, se.ref, w)
+	msg, err := edge.EncodeUplink(se.cdc, shapes, se.ref, w)
 	if err != nil {
 		se.t.Error(err)
 		return
@@ -308,6 +314,101 @@ func TestRootSurvivesEdgeDisconnect(t *testing.T) {
 		t.Fatal("survivor never received an adoption broadcast")
 	}
 	survivor.conn.conn.Close()
+}
+
+// TestRootRetiresRejectedEdge: an edge whose push the cloud cannot fold (here
+// a model of the wrong size, as from an edge built with another -seed) is
+// retired like a departed one. Kept in the sync barrier, it would stall every
+// cloud fold; retired, its connection closes without a shutdown frame and
+// the other edge folds alone up to the budget.
+func TestRootRetiresRejectedEdge(t *testing.T) {
+	w0 := []float64{1, 2, 3, 4}
+	shapes := []codec.ShapeInfo{{Name: "w", Dims: []int{4}}}
+	const budget = 3
+
+	root, err := NewRoot(RootConfig{
+		Addr: "127.0.0.1:0", Rounds: budget,
+		Cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync, W0: w0, Shapes: shapes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootDone := make(chan error, 1)
+	go func() {
+		_, _, err := root.Run()
+		rootDone <- err
+	}()
+
+	good := dialScriptedEdge(t, root.Addr(), 0, w0)
+	defer good.conn.conn.Close()
+	bad := dialScriptedEdge(t, root.Addr(), 1, w0)
+	defer bad.conn.conn.Close()
+	bad.push([]codec.ShapeInfo{{Name: "w", Dims: []int{3}}}, []float64{7, 7, 7})
+
+	deadline := time.After(30 * time.Second)
+	for !good.done() {
+		select {
+		case <-deadline:
+			t.Fatal("root never completed its fold budget past the rejected edge")
+		case <-time.After(20 * time.Millisecond):
+			good.push(shapes, []float64{5, 5, 5, 5})
+		}
+	}
+	if err := <-rootDone; err != nil {
+		t.Fatalf("root error: %v", err)
+	}
+	select {
+	case <-bad.gone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the rejected edge's connection stayed open")
+	}
+	if bad.done() {
+		t.Fatal("the rejected edge got the shutdown frame of a kept edge")
+	}
+}
+
+// TestRootDecodesEdgeCodec: the root decodes each push by the codec its
+// model message names, whatever its own TopKFrac. A root configured raw
+// folds an edge's top-k push as reference + delta, not as the mostly-zero
+// absolute model the delta would be on its own.
+func TestRootDecodesEdgeCodec(t *testing.T) {
+	w0 := []float64{1, 2, 3, 4}
+	shapes := []codec.ShapeInfo{{Name: "w", Dims: []int{4}}}
+	root, err := NewRoot(RootConfig{
+		Addr: "127.0.0.1:0", Rounds: 1,
+		Cloud: edge.CloudConfig{Edges: 1, W0: w0, Shapes: shapes},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type rootOut struct {
+		final []float64
+		err   error
+	}
+	rootDone := make(chan rootOut, 1)
+	go func() {
+		_, final, err := root.Run()
+		rootDone <- rootOut{final, err}
+	}()
+
+	se := dialScriptedEdge(t, root.Addr(), 0, w0)
+	defer se.conn.conn.Close()
+	se.cdc = codec.NewTopK(0.5)
+	// The delta against w0 is {0, 0, 10, 20}: top-k 0.5 keeps all of it.
+	se.push(shapes, []float64{1, 2, 13, 24})
+
+	var ro rootOut
+	select {
+	case ro = <-rootDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("root did not fold the top-k push")
+	}
+	if ro.err != nil {
+		t.Fatalf("root error: %v", ro.err)
+	}
+	if want := []float64{1, 2, 13, 24}; !slices.Equal(ro.final, want) {
+		t.Fatalf("root folded %v, want reference + delta %v", ro.final, want)
+	}
 }
 
 // TestUplinkDegradesToStandalone: the root completes its fold budget and

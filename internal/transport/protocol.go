@@ -159,8 +159,7 @@ func ParseRegister(p []byte) (Register, error) {
 // plus an optional attack directive (Attack, AttackScale) for simulated-
 // adversary deployments: the server marks the deterministic attacker
 // subset of the cohort and ships them a directive header; honest members
-// get Attack 0. A fedclient may also force an attack locally, which
-// overrides the directive.
+// get Attack 0. The push is a client's only source of these orders.
 type PushSpec struct {
 	Round  uint64
 	Epochs int

@@ -13,11 +13,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// runLiveRobust deploys a method over loopback TCP with the adversarial
-// knobs exposed: a server-side attack regime and per-client config hooks
-// (forced attacks, DP overrides, top-k uplink). All clients are honest
-// unless the server directs or clientCfg forces otherwise.
-func (lf *liveFederation) runLiveRobust(t *testing.T, method fl.Method, cfg fl.RunConfig, attack robust.Attack, attackFrac float64, clientCfg func(id int, cc *ClientConfig)) (*metrics.Run, []float64) {
+// runLiveRobust deploys a method over loopback TCP under a server-side
+// attack regime. All clients are honest unless the server's push directs
+// otherwise.
+func (lf *liveFederation) runLiveRobust(t *testing.T, method fl.Method, cfg fl.RunConfig, attack robust.Attack, attackFrac float64) (*metrics.Run, []float64) {
 	t.Helper()
 	srv, err := NewServer(ServerConfig{
 		Addr:       "127.0.0.1:0",
@@ -40,18 +39,14 @@ func (lf *liveFederation) runLiveRobust(t *testing.T, method fl.Method, cfg fl.R
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cc := ClientConfig{
+			clientErrs[i] = RunClient(ClientConfig{
 				Addr: srv.Addr(), ID: uint32(i), LatencyHintMs: 10,
 				Data: lf.fed.Clients[i], Net: lf.factory(cfg.Seed),
 				Opt: opt.NewAdam(cfg.LearningRate), Codec: cfg.Codec, Seed: cfg.Seed,
-				// Honest clients still need the class count to execute a
-				// server-directed label flip (fedclient always fills this).
-				Attack: robust.Attack{Classes: lf.fed.Classes},
-			}
-			if clientCfg != nil {
-				clientCfg(i, &cc)
-			}
-			clientErrs[i] = RunClient(cc)
+				// A server-directed label flip needs the class count
+				// (fedclient always fills this).
+				Classes: lf.fed.Classes,
+			})
 		}(i)
 	}
 
@@ -118,7 +113,7 @@ func TestLiveAttackAndDPMatchSimulated(t *testing.T) {
 
 	// Live run: the server marks the attacker subset per push.
 	_, liveFinal := lf.runLiveRobust(t, fl.Methods["fedavg"], cfg,
-		robust.Attack{Kind: robust.LabelFlip}, 0.5, nil)
+		robust.Attack{Kind: robust.LabelFlip}, 0.5)
 
 	if len(simFinal) == 0 || len(simFinal) != len(liveFinal) {
 		t.Fatalf("weight vectors missing or mismatched: sim=%d live=%d", len(simFinal), len(liveFinal))
@@ -144,62 +139,11 @@ func TestLiveRobustFoldOverLoopback(t *testing.T) {
 	cfg := liveCfg(17)
 	cfg.Rounds = 3
 	cfg.ClientsPerRound = 4
-	run, final := lf.runLiveRobust(t, m, cfg, robust.Attack{Kind: robust.ScaleUpdate}, 0.34, nil)
+	run, final := lf.runLiveRobust(t, m, cfg, robust.Attack{Kind: robust.ScaleUpdate}, 0.34)
 	if run.GlobalRounds < cfg.Rounds {
 		t.Fatalf("only %d global rounds completed", run.GlobalRounds)
 	}
 	if !moved(lf.factory(cfg.Seed).WeightsCopy(), final) {
 		t.Fatal("global model never moved")
-	}
-}
-
-// TestLiveTopKUplink puts the PR 7 top-k codec on the flat client→server
-// leg: every client uplinks a sparsified delta against the round's push,
-// the server reconstructs statelessly, and the upload stream shrinks
-// relative to the dense codec while training still completes.
-func TestLiveTopKUplink(t *testing.T) {
-	lf := newLiveFederation(t, 4, 0, 43)
-	cfg := liveCfg(9)
-	cfg.Rounds = 3
-	cfg.ClientsPerRound = 4
-
-	dense, denseFinal := lf.runLiveRobust(t, fl.Methods["fedavg"], cfg, robust.Attack{}, 0, nil)
-	sparse, sparseFinal := lf.runLiveRobust(t, fl.Methods["fedavg"], cfg, robust.Attack{}, 0,
-		func(id int, cc *ClientConfig) { cc.UplinkTopKFrac = 0.1 })
-
-	if sparse.GlobalRounds < cfg.Rounds {
-		t.Fatalf("only %d global rounds completed with top-k uplink", sparse.GlobalRounds)
-	}
-	if !moved(lf.factory(cfg.Seed).WeightsCopy(), sparseFinal) {
-		t.Fatal("global model never moved under top-k uplink")
-	}
-	if sparse.UpBytes >= dense.UpBytes {
-		t.Fatalf("top-k uplink did not shrink uploads: %d >= %d bytes", sparse.UpBytes, dense.UpBytes)
-	}
-	// Lossy compression must actually change the trajectory (it is not a
-	// no-op path).
-	if !moved(denseFinal, sparseFinal) {
-		t.Fatal("top-k uplink produced a bit-identical run — suspicious pass-through")
-	}
-}
-
-// TestLocalAttackOverridesDirective: a fedclient-forced attack wins over
-// the server's honest (directive-free) push — the run differs from an
-// all-honest deployment with the same seed.
-func TestLocalAttackOverridesDirective(t *testing.T) {
-	lf := newLiveFederation(t, 4, 0, 53)
-	cfg := liveCfg(11)
-	cfg.Rounds = 2
-	cfg.ClientsPerRound = 4
-
-	_, honest := lf.runLiveRobust(t, fl.Methods["fedavg"], cfg, robust.Attack{}, 0, nil)
-	_, forced := lf.runLiveRobust(t, fl.Methods["fedavg"], cfg, robust.Attack{}, 0,
-		func(id int, cc *ClientConfig) {
-			if id == 0 {
-				cc.Attack = robust.Attack{Kind: robust.ScaleUpdate, Scale: 5, Classes: lf.fed.Classes}
-			}
-		})
-	if !moved(honest, forced) {
-		t.Fatal("locally forced attack left the run unchanged")
 	}
 }

@@ -23,10 +23,10 @@ type RootConfig struct {
 	// shuts the hierarchy down. 0 runs until every edge departs.
 	Rounds int
 	// Cloud is the edge→cloud policy, handed to edge.NewCloud as is. Edge
-	// aggregators register with ids 0..Cloud.Edges-1. TopKFrac must match
-	// the edges' -uplink-topk, since the shared per-edge reference advances
-	// in lockstep on both ends; W0 and Shapes must match the edges' (both
-	// derive from the shared seed).
+	// aggregators register with ids 0..Cloud.Edges-1. The root does not read
+	// TopKFrac: it decodes each push by the codec its model message names,
+	// so each edge picks its own -uplink-topk. W0 and Shapes must match the
+	// edges' (both derive from the shared seed).
 	Cloud edge.CloudConfig
 	Logf  func(format string, args ...any)
 }
@@ -124,59 +124,63 @@ func (r *RootServer) finish() {
 	r.stopOnce.Do(func() { close(r.done) })
 }
 
-// serveEdge reads one edge's pushes until its connection dies or the run
-// ends. A departing edge retires from the fold barrier — the survivors
-// keep folding (and a retirement that completes the sync barrier folds
-// immediately inside Retire).
+// serveEdge reads one edge's pushes until its connection dies, it sends a
+// frame the cloud cannot fold, or the run ends. Either way the edge retires
+// from the fold barrier and the survivors keep folding (a retirement that
+// completes the sync barrier folds inside Retire): a kept edge whose pushes
+// never fold would stall a sync cloud forever.
 func (r *RootServer) serveEdge(ec *clientConn) {
 	id := int(ec.reg.ClientID)
 	limit := frameLimit(r.cfg.Cloud.Shapes)
 	for {
 		typ, payload, err := readFrame(ec.conn, &ec.rhdr, limit)
-		if err != nil {
-			if !r.stopping.Load() {
-				r.cfg.Logf("fed root: edge %d departed: %v", id, err)
-				before := r.cloud.Epoch()
-				r.cloud.Retire(id, r.now())
-				r.drop(ec, nil)
-				if r.cloud.Epoch() > before {
-					// Its departure completed the barrier: the survivors'
-					// fold happened inside Retire; broadcast it.
-					r.broadcastAdoption()
-				}
-				r.checkFinished()
-			}
-			return
+		if err == nil {
+			err = r.edgePush(id, typ, payload)
+			frames.Put(payload) // PushWire decoded the model into the cloud's own state
 		}
-		if typ != MsgModelUpdate {
-			r.cfg.Logf("fed root: edge %d sent unexpected message type %d", id, typ)
-		} else if r.edgePush(id, payload) {
-			r.broadcastAdoption()
+		if err == nil {
+			continue
+		}
+		if !r.stopping.Load() {
+			r.cfg.Logf("fed root: edge %d departed: %v", id, err)
+			before := r.cloud.Epoch()
+			r.cloud.Retire(id, r.now())
+			r.drop(ec, nil)
+			if r.cloud.Epoch() > before {
+				// Its departure completed the barrier: the survivors' fold
+				// happened inside Retire; broadcast it.
+				r.broadcastAdoption()
+			}
 			r.checkFinished()
 		}
-		// PushWire decoded the model into the cloud's own state.
-		frames.Put(payload)
+		return
 	}
 }
 
-// edgePush folds one update payload from edge id into the cloud and reports
-// whether it triggered a cloud fold. Malformed or rejected pushes are
-// logged and skipped — the edge stays connected.
-func (r *RootServer) edgePush(id int, payload []byte) bool {
+// edgePush folds one frame from edge id into the cloud and broadcasts the
+// merged model if that completed a fold. A frame that is not a well-formed
+// update from edge id, or that the cloud rejects, is an error.
+func (r *RootServer) edgePush(id int, typ byte, payload []byte) error {
+	if typ != MsgModelUpdate {
+		return fmt.Errorf("unexpected message type %d", typ)
+	}
 	edgeID, _, _, model, err := ParseModelUpdate(payload)
-	if err != nil || int(edgeID) != id {
-		r.cfg.Logf("fed root: edge %d sent a malformed update", id)
-		return false
+	if err == nil && int(edgeID) != id {
+		err = fmt.Errorf("update names edge %d", edgeID)
+	}
+	if err != nil {
+		return err
 	}
 	ev, folded, err := r.cloud.PushWire(id, model, r.now())
 	if err != nil {
-		r.cfg.Logf("fed root: edge %d push rejected: %v", id, err)
-		return false
+		return fmt.Errorf("push rejected: %w", err)
 	}
 	if folded {
 		r.cfg.Logf("fed root: cloud fold %d (%d members, staleness %.0f)", ev.Round, ev.Members, ev.Staleness)
+		r.broadcastAdoption()
+		r.checkFinished()
 	}
-	return folded
+	return nil
 }
 
 // broadcastAdoption offers every connected edge the merged model it has

@@ -54,8 +54,7 @@ type ServerConfig struct {
 	// fabric's version of the simulator's adversarial behavior regime.
 	// Membership is simnet.AttackTargets over Run.Seed, so a simulation and
 	// a deployment sharing a seed poison the same client ids. Honest cohort
-	// members receive a directive-free push. A fedclient may also force an
-	// attack locally with -attack, which overrides the directive.
+	// members receive a directive-free push.
 	Attack     robust.Attack
 	AttackFrac float64
 	// RoundTimeout bounds how long the server waits for one client's

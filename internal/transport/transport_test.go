@@ -11,12 +11,14 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
+	"repro/internal/edge"
 	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/simnet"
+	"repro/internal/tensor"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -483,8 +485,9 @@ func flakyClient(t *testing.T, addr string, id uint32, respond func(conn net.Con
 }
 
 // runWithFlaky deploys fedavg with clients 0,1 honest and client 2 driven
-// by the given misbehavior, asserting the run completes without it.
-func runWithFlaky(t *testing.T, respond func(conn net.Conn, payload []byte)) {
+// by the given misbehavior, asserting the run completes without it. obs
+// watch the server's event stream.
+func runWithFlaky(t *testing.T, respond func(conn net.Conn, payload []byte), obs ...fl.Observer) {
 	lf := newLiveFederation(t, 3, 0, 41)
 	cfg := liveCfg(3)
 	cfg.Rounds = 3
@@ -493,6 +496,7 @@ func runWithFlaky(t *testing.T, respond func(conn net.Conn, payload []byte)) {
 	srv, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", NumClients: 3, Method: fl.Methods["fedavg"], Run: cfg,
 		Shapes: lf.shapes, W0: lf.factory(cfg.Seed).WeightsCopy(), Dataset: lf.fed.Name,
+		Observers: obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -555,6 +559,57 @@ func TestDecodeErrorOnPush(t *testing.T) {
 		}
 		WriteFrame(conn, MsgModelUpdate, ModelUpdate(2, 50, spec.Round, []byte{0xde, 0xad}))
 	})
+}
+
+// TestUpdateInAnotherCodecDropsClient: the server folds only updates in the
+// codec its push went out in (polyline 4 here). A top-k delta would decode
+// as an absolute, mostly-zero model, and a coarser polyline as a model
+// quantized off the run's channel; either way client 2 is dropped, every
+// one of its rounds resolves as dropped, and the survivors finish the run.
+func TestUpdateInAnotherCodecDropsClient(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec codec.Codec
+	}{
+		{"topk delta", codec.NewTopK(0.5)},
+		{"polyline 3", codec.NewPolyline(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var kept, dropped int
+			watch := fl.ObserverFunc(func(ev fl.Event) {
+				if e, ok := ev.(fl.ClientDoneEvent); ok && e.Client == 2 {
+					if e.Dropped {
+						dropped++
+					} else {
+						kept++
+					}
+				}
+			})
+			runWithFlaky(t, func(conn net.Conn, payload []byte) {
+				spec, pushed, err := ParseModelPush(payload)
+				if err != nil {
+					return
+				}
+				shapes, ref, err := codec.UnmarshalModel(pushed)
+				if err != nil {
+					return
+				}
+				w := tensor.Copy(ref)
+				for i := range w {
+					w[i] += 0.01 * float64(i%7)
+				}
+				msg, _, err := edge.AppendUplink(nil, tc.codec, shapes, ref, w, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				WriteFrame(conn, MsgModelUpdate, ModelUpdate(2, 50, spec.Round, msg))
+			}, watch)
+			if kept != 0 || dropped == 0 {
+				t.Fatalf("client 2 rounds: %d kept, %d dropped; want every one dropped", kept, dropped)
+			}
+		})
+	}
 }
 
 // TestSilentPeerTimesOut: a client that accepts the model push and then

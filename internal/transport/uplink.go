@@ -19,7 +19,8 @@ type UplinkConfig struct {
 	EdgeID int
 	// NumClients is advisory (the root logs it).
 	NumClients int
-	// TopKFrac enables the top-k delta uplink; must match the root's.
+	// TopKFrac enables the top-k delta uplink. The root needs no matching
+	// setting: it decodes each push by the codec its message names.
 	TopKFrac float64
 	// W0 is the initial model (the delta codec's reference base); Shapes
 	// its layout. Must match the root's.
