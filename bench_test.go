@@ -75,10 +75,10 @@ func benchRun(b *testing.B, m fl.Method) {
 
 // BenchmarkMethod measures one full run of every registry method at the
 // tiny-scale environment — the per-method perf trajectory CI records into
-// BENCH_trajectory.json — plus the composed async-family variants that
-// exist only as aggregation specs (DESIGN.md §1g): the per-update staleness
-// fold and the asyncsgd server step, both through the fedbuff buffered
-// pacer.
+// BENCH_trajectory.json — plus the composed async-family variants no
+// registry method uses (DESIGN.md §1g): the per-update staleness fold and
+// the asyncsgd server step, both through the fedbuff buffered pacer at the
+// default poly:0.5 discount.
 func BenchmarkMethod(b *testing.B) {
 	run := func(name string, m fl.Method) {
 		b.Run(name, func(b *testing.B) {
@@ -90,8 +90,8 @@ func BenchmarkMethod(b *testing.B) {
 		run(name, fl.Methods[name])
 	}
 	for _, c := range []struct{ name, agg string }{
-		{"fedasync-fedbuff", "fedasync:poly:0.5"},
-		{"asyncsgd-fedbuff", "asyncsgd:poly:0.5"},
+		{"fedasync-fedbuff", "fedasync"},
+		{"asyncsgd-fedbuff", "asyncsgd"},
 	} {
 		m, err := fl.Compose("fedasync", "", "fedbuff", c.agg, c.name)
 		if err != nil {

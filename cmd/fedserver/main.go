@@ -193,7 +193,7 @@ func runRoot(cfg transport.RootConfig) {
 		log.Fatal("fedserver: ", err)
 	}
 	fmt.Printf("fedserver: root done after %d cloud folds (mean staleness %.2f); best recorded accuracy %.3f; %.2f MB up, %.2f MB down\n",
-		run.EdgeFolds, meanStaleness(run.EdgeStaleness, run.EdgeFolds), run.BestAcc(),
+		run.EdgeFolds, run.MeanEdgeStaleness(), run.BestAcc(),
 		float64(run.UpBytes)/1e6, float64(run.DownBytes)/1e6)
 	_ = final
 	os.Exit(0)
@@ -210,13 +210,6 @@ func stopOnSignal(stop func()) {
 		log.Printf("fedserver: %v: shutting down", s)
 		stop()
 	}()
-}
-
-func meanStaleness(total float64, folds int) float64 {
-	if folds == 0 {
-		return 0
-	}
-	return total / float64(folds)
 }
 
 // reportFinal prints the flat/edge server's closing summary: the final

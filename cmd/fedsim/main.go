@@ -321,19 +321,16 @@ func runComposition(base string, over *cliflags.Shared, preset string, trace boo
 		fmt.Fprintln(os.Stderr, "fedsim:", err)
 		return 1
 	}
-	finalTime, perUpdate := 0.0, 0.0
+	finalTime := 0.0
 	if len(run.Points) > 0 {
 		finalTime = run.Points[len(run.Points)-1].Time
-	}
-	if run.GlobalRounds > 0 {
-		perUpdate = finalTime / float64(run.GlobalRounds)
 	}
 	fmt.Printf("method %s (%s) on cifar10(#2) at preset %s\n", run.Method, m, p.Name)
 	fmt.Printf("global updates    %d\n", run.GlobalRounds)
 	fmt.Printf("best accuracy     %.3f\n", run.BestAcc())
 	fmt.Printf("final accuracy    %.3f\n", run.FinalAcc())
 	fmt.Printf("accuracy variance %.2e\n", run.MeanVariance())
-	fmt.Printf("sec/update        %.1fs (%.1fs virtual total)\n", perUpdate, finalTime)
+	fmt.Printf("sec/update        %.1fs (%.1fs virtual total)\n", run.SecPerUpdate(), finalTime)
 	fmt.Printf("communication     %.2f MB up, %.2f MB down\n",
 		float64(run.UpBytes)/1e6, float64(run.DownBytes)/1e6)
 	if run.Retiers > 0 {
@@ -341,7 +338,7 @@ func runComposition(base string, over *cliflags.Shared, preset string, trace boo
 	}
 	if run.EdgeFolds > 0 {
 		fmt.Printf("edge folds        %d cloud folds, mean staleness %.2f\n",
-			run.EdgeFolds, run.EdgeStaleness/float64(run.EdgeFolds))
+			run.EdgeFolds, run.MeanEdgeStaleness())
 	}
 	fmt.Fprintf(os.Stderr, "(completed in %s)\n", time.Since(start).Round(time.Millisecond))
 	return 0

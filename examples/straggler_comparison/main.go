@@ -84,17 +84,9 @@ func main() {
 			log.Fatal(err)
 		}
 
-		finalTime := 0.0
-		if n := len(run.Points); n > 0 {
-			finalTime = run.Points[n-1].Time
-		}
-		perUpdate := 0.0
-		if run.GlobalRounds > 0 {
-			perUpdate = finalTime / float64(run.GlobalRounds)
-		}
 		fmt.Printf("%-8s  %7d  %8.3f  %9.2e  %9.2fs  %6.1f\n",
 			run.Method, run.GlobalRounds, run.BestAcc(), run.MeanVariance(),
-			perUpdate, float64(run.UpBytes)/1e6)
+			run.SecPerUpdate(), float64(run.UpBytes)/1e6)
 	}
 	fmt.Println("\nExpected shape (paper Table 1 / Figure 2): FedAT produces global updates an order of")
 	fmt.Println("magnitude faster than FedAvg/FedProx, whose rounds stall on stragglers, while matching")

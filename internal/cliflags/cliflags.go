@@ -7,6 +7,9 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
+	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/edge"
@@ -56,20 +59,33 @@ func Bind(fs *flag.FlagSet) *Shared {
 	// Method composition.
 	s.str("select", "override the selection `policy`: random, oversel, tifl, all", &s.Select)
 	s.str("pacer", "override the pacing `policy`: sync, tier, client, fedbuff", &s.Pacer)
-	s.str("agg", "override the aggregation rule `spec`: avg, eq5, uniform, staleness, asofed, fedasync, asyncsgd, median, trimmed, krum; the staleness family takes params rule[:func[:alpha[:threshold]]], e.g. fedasync:poly:0.5", &s.Agg)
+	s.str("agg", "override the aggregation `rule`: avg, eq5, uniform, staleness, asofed, fedasync, asyncsgd, median, trimmed, krum", &s.Agg)
 	s.str("name", "display `name` for the composed method (default derived from the overrides)", &s.Name)
 	s.runInt("buffer-k", "fedbuff pacer: buffer `K` arrivals per fold (0 = clients per round)",
 		func(c *fl.RunConfig, v int) { c.BufferK = v })
 
-	// The staleness weight function shared by the async update rules and
-	// the adaptive-LR stage.
-	s.declare("stale-func", "staleness weight `function` for async aggregation: poly, exp, const, hinge (default poly; an -agg spec's func wins)",
+	// The staleness weight function g(s), the one value the async update
+	// rules and the adaptive-LR stage both read.
+	s.declare("stale-func", "staleness weight `function` g(s) of the async rules and -adaptive-lr: poly, exp, const, hinge (default poly)",
 		func(v string) error {
+			if !slices.Contains(fl.StaleFuncs, v) {
+				return fmt.Errorf("unknown weight function %q (have %v)", v, fl.StaleFuncs)
+			}
 			s.run = append(s.run, func(c *fl.RunConfig) { c.Staleness.Func = v })
 			return nil
 		})
-	s.runFloat("stale-alpha", "staleness discount exponent/rate `a` (unset = engine default 0.5; explicit 0 = no discount)",
-		func(c *fl.RunConfig, v float64) { c.Staleness.Alpha = zeroOff(v, fl.StaleExpOff) })
+	s.declare("stale-alpha", "staleness discount exponent/rate `a` (unset = engine default 0.5; explicit 0 = no discount)",
+		func(v string) error {
+			a, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				return err
+			}
+			if a < 0 || math.IsNaN(a) || math.IsInf(a, 0) {
+				return fmt.Errorf("want a finite a >= 0, got %v", a)
+			}
+			s.run = append(s.run, func(c *fl.RunConfig) { c.Staleness.Alpha = zeroOff(a, fl.StaleExpOff) })
+			return nil
+		})
 	s.declareVia(fs.BoolFunc, "adaptive-lr", "scale each dispatch's local learning rate by the staleness weight of its tier/client", func(v string) error {
 		on, err := strconv.ParseBool(v)
 		s.run = append(s.run, func(c *fl.RunConfig) { c.AdaptiveLR = on })

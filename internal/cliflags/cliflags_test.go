@@ -40,12 +40,12 @@ func TestBind(t *testing.T) {
 			run:   fl.RunConfig{Lambda: 0.1, Staleness: fl.StalenessConfig{Alpha: 0.3}},
 			cloud: edge.CloudConfig{StaleExp: 0.7},
 			given: []string{"-stale-alpha", "-lambda", "-edge-stale-exp"}},
-		// Both reach the engine untouched; the rule's Init lets the spec's
-		// function win (fl's TestStalenessSpecResolve).
-		{name: "agg spec beside stale-func", args: []string{"-agg", "fedasync:exp:0.3", "-stale-func", "poly"},
-			run:   fl.RunConfig{Staleness: fl.StalenessConfig{Func: fl.StaleFuncPoly}},
-			agg:   "fedasync:exp:0.3",
-			given: []string{"-agg", "-stale-func"}},
+		// -agg names a rule; g(s) is the run's, for the fold and the
+		// adaptive-LR stage alike.
+		{name: "agg rule beside stale flags", args: []string{"-agg", "asyncsgd", "-stale-func", "exp", "-stale-alpha", "0.3"},
+			run:   fl.RunConfig{Staleness: fl.StalenessConfig{Func: fl.StaleFuncExp, Alpha: 0.3}},
+			agg:   "asyncsgd",
+			given: []string{"-agg", "-stale-func", "-stale-alpha"}},
 		{name: "engine knobs", args: []string{"-buffer-k", "4", "-retier-every", "8", "-adaptive-lr", "-dp-clip", "1.5", "-dp-noise", "0.1"},
 			run:   fl.RunConfig{BufferK: 4, RetierEvery: 8, AdaptiveLR: true, DPClip: 1.5, DPNoise: 0.1},
 			given: []string{"-buffer-k", "-retier-every", "-adaptive-lr", "-dp-clip", "-dp-noise"}},
@@ -57,6 +57,10 @@ func TestBind(t *testing.T) {
 			given:  []string{"-attack", "-attack-scale", "-attack-frac"}},
 		{name: "unknown attack kind", args: []string{"-attack", "bogus"}, wantError: true},
 		{name: "malformed number", args: []string{"-buffer-k", "four"}, wantError: true},
+		{name: "unknown stale-func", args: []string{"-stale-func", "bogus"}, wantError: true},
+		{name: "negative stale-alpha", args: []string{"-stale-alpha", "-0.5"}, wantError: true},
+		{name: "NaN stale-alpha", args: []string{"-stale-alpha", "NaN"}, wantError: true},
+		{name: "infinite stale-alpha", args: []string{"-stale-alpha", "+Inf"}, wantError: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)

@@ -178,12 +178,13 @@ func TestEdgeTwoDeterministic(t *testing.T) {
 		{name: edge.FoldAsync, method: fl.Methods["fedat"], edges: 2, fold: edge.FoldAsync},
 		{name: "dynamics/fedat", method: fl.Methods["fedat"], edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior()},
 		{name: "dynamics/fedasync", method: fl.Methods["fedasync"], edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior()},
-		{name: "dynamics/fedasync-fedbuff-adaptive", method: compose("fedbuff", "fedasync:poly:0.5", "fedasync-fedbuff-adaptive"),
+		{name: "dynamics/fedasync-fedbuff-adaptive", method: compose("fedbuff", "fedasync", "fedasync-fedbuff-adaptive"),
 			edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior(), mutate: func(cfg *fl.RunConfig) {
 				cfg.BufferK = 3
 				cfg.AdaptiveLR = true
 			}},
-		{name: "dynamics/asyncsgd", method: compose("", "asyncsgd:exp:0.3", "asyncsgd"), edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior()},
+		{name: "dynamics/asyncsgd", method: compose("", "asyncsgd", "asyncsgd"), edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior(),
+			mutate: func(cfg *fl.RunConfig) { cfg.Staleness = fl.StalenessConfig{Func: fl.StaleFuncExp, Alpha: 0.3} }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

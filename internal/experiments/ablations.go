@@ -175,7 +175,7 @@ func Figure10(p Preset) (*Report, error) {
 			accCell(run.BestAcc()), timeCell(finalTime))
 	}
 	rep.AddTable(tb)
-	rep.AddTable(timelineTable("Smoothed accuracy over time", tl, order, p.SmoothWindow, 6))
+	rep.AddTable(timelineTable("Smoothed accuracy over time", tl, order, p.SmoothWindow, false))
 	timelineSeries(rep, "", tl, order, p.SmoothWindow)
 	rep.AddNote("Paper shape: all four distributions converge to close accuracy; Slow/Medium " +
 		"converge slightly faster than Fast (fast-heavy tiers hold less total data per round of work).")

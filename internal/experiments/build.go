@@ -279,26 +279,38 @@ func fmtTime(t float64) string { return fmt.Sprintf("%.1fs", t) }
 func timeCell(t float64) report.Cell { return report.Num(t, fmtTime(t)) }
 
 // timelineTable renders a smoothed accuracy-vs-time series for several
-// runs, sampled at a fixed number of rows — the textual form of the paper's
-// timeline figures. Each sampled cell carries the accuracy as its typed
-// value; the full-resolution curves ride along as series artifacts (see
-// timelineSeries).
-func timelineTable(caption string, runs map[string]*metrics.Run, order []string, window, rows int) *report.Table {
-	tb := report.NewTable(caption, append([]string{"method"}, timelineHeader(rows)...)...)
+// runs, sampled at six points — the textual form of the paper's timeline
+// figures. Rows are labelled by run.Method under a "method" column or, with
+// byKey, by their key in runs under a "run" column. Each sampled cell
+// carries the accuracy as its typed value; the full-resolution curves ride
+// along as series artifacts (see timelineSeries).
+func timelineTable(caption string, runs map[string]*metrics.Run, order []string, window int, byKey bool) *report.Table {
+	const rows = 6
+	header := []string{"method"}
+	if byKey {
+		header[0] = "run"
+	}
+	for i := 0; i < rows; i++ {
+		header = append(header, fmt.Sprintf("t%d", i))
+	}
+	tb := report.NewTable(caption, header...)
 	for _, name := range order {
 		run, ok := runs[name]
 		if !ok {
 			continue
 		}
+		label := run.Method
+		if byKey {
+			label = name
+		}
 		sm := run.Smooth(window)
-		cells := []report.Cell{report.Str(run.Method)}
+		cells := []report.Cell{report.Str(label)}
 		for i := 0; i < rows; i++ {
-			idx := i * (len(sm) - 1) / max(1, rows-1)
 			if len(sm) == 0 {
 				cells = append(cells, report.Str("-"))
 				continue
 			}
-			p := sm[idx]
+			p := sm[i*(len(sm)-1)/(rows-1)]
 			cells = append(cells, report.Num(p.Acc, fmt.Sprintf("%.3f@%.0fs", p.Acc, p.Time)))
 		}
 		tb.AddRow(cells...)
@@ -322,12 +334,4 @@ func timelineSeries(rep *Report, prefix string, runs map[string]*metrics.Run, or
 		}
 		rep.AddSeries(report.SmoothedAccSeries(key, run, window))
 	}
-}
-
-func timelineHeader(rows int) []string {
-	h := make([]string, rows)
-	for i := range h {
-		h[i] = fmt.Sprintf("t%d", i)
-	}
-	return h
 }

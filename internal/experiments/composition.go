@@ -72,12 +72,8 @@ func AblationCompose(p Preset) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		perUpdate := 0.0
-		if run.GlobalRounds > 0 && len(run.Points) > 0 {
-			perUpdate = run.Points[len(run.Points)-1].Time / float64(run.GlobalRounds)
-		}
 		tb.AddRow(report.Str(run.Method), report.Str(m.String()), accCell(run.BestAcc()),
-			report.Numf("%.2e", run.MeanVariance()), report.Numf("%.1fs", perUpdate),
+			report.Numf("%.2e", run.MeanVariance()), report.Numf("%.1fs", run.SecPerUpdate()),
 			report.Num(float64(run.UpBytes)/1e6, fmt.Sprintf("%.1f", float64(run.UpBytes)/1e6)))
 	}
 	rep.AddTable(tb)

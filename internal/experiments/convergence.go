@@ -34,7 +34,7 @@ func Figure2(p Preset) (*Report, error) {
 		}
 		rep.AddTable(timelineTable(
 			fmt.Sprintf("%s: smoothed test accuracy over virtual time", spec.label()),
-			runs, table1Methods, p.SmoothWindow, 6))
+			runs, table1Methods, p.SmoothWindow, false))
 		timelineSeries(rep, spec.label(), runs, table1Methods, p.SmoothWindow)
 
 		target := 0.9 * runs["fedat"].BestAcc()
@@ -92,7 +92,7 @@ func Figure3(p Preset) (*Report, error) {
 		}
 		rep.AddTable(timelineTable(
 			fmt.Sprintf("%s: smoothed accuracy over time", spec.label()),
-			runs, table1Methods, p.SmoothWindow, 6))
+			runs, table1Methods, p.SmoothWindow, false))
 		timelineSeries(rep, spec.label(), runs, table1Methods, p.SmoothWindow)
 	}
 	for _, m := range table1Methods {

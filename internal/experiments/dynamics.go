@@ -87,13 +87,9 @@ func Dynamics(p Preset) (*Report, error) {
 			key := m + "/" + mode.name
 			rep.Keep(key, run)
 			timeline[key] = run
-			perUpdate := 0.0
-			if run.GlobalRounds > 0 && len(run.Points) > 0 {
-				perUpdate = run.Points[len(run.Points)-1].Time / float64(run.GlobalRounds)
-			}
 			tb.AddRow(report.Str(run.Method), report.Str(mode.name),
 				accCell(run.BestAcc()), accCell(run.FinalAcc()),
-				report.Numf("%.1fs", perUpdate),
+				report.Numf("%.1fs", run.SecPerUpdate()),
 				report.Num(float64(run.Retiers), fmt.Sprint(run.Retiers)),
 				report.Num(float64(run.TierMigrations), fmt.Sprint(run.TierMigrations)))
 		}
@@ -103,25 +99,8 @@ func Dynamics(p Preset) (*Report, error) {
 	// Accuracy-over-virtual-time for the tier-paced pair — the curves the
 	// static-vs-retier claim rides on — plus the synchronous control.
 	order := []string{"fedat/static", "fedat/retier", "fedavg/static"}
-	tl := report.NewTable("smoothed accuracy over virtual time",
-		append([]string{"run"}, timelineHeader(6)...)...)
-	for _, key := range order {
-		run := timeline[key]
-		sm := run.Smooth(p.SmoothWindow)
-		cells := []report.Cell{report.Str(key)}
-		for i := 0; i < 6; i++ {
-			if len(sm) == 0 {
-				cells = append(cells, report.Str("-"))
-				continue
-			}
-			idx := i * (len(sm) - 1) / 5
-			pt := sm[idx]
-			cells = append(cells, report.Num(pt.Acc, fmt.Sprintf("%.3f@%.0fs", pt.Acc, pt.Time)))
-		}
-		tl.AddRow(cells...)
-		rep.AddSeries(report.SmoothedAccSeries(key, run, p.SmoothWindow))
-	}
-	rep.AddTable(tl)
+	timelineSeries(rep, "", timeline, order, p.SmoothWindow)
+	rep.AddTable(timelineTable("smoothed accuracy over virtual time", timeline, order, p.SmoothWindow, true))
 
 	rep.AddNote("All runs share one drifting, churning population (speed random-walk ×[0.55,1.45] per 40s " +
 		"clamped to [1/4,4]; 20% of clients cycle offline). With static tiers FedAT's fast tiers inherit " +

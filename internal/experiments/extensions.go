@@ -52,11 +52,7 @@ func AblationMisTier(p Preset) (*Report, error) {
 				return nil, err
 			}
 			rep.Keep(fmt.Sprintf("%s/%.0f%%", m, 100*f), run)
-			perUpdate := 0.0
-			if run.GlobalRounds > 0 && len(run.Points) > 0 {
-				perUpdate = run.Points[len(run.Points)-1].Time / float64(run.GlobalRounds)
-			}
-			row = append(row, accCell(run.BestAcc()), report.Numf("%.1fs", perUpdate))
+			row = append(row, accCell(run.BestAcc()), report.Numf("%.1fs", run.SecPerUpdate()))
 		}
 		tb.AddRow(row...)
 	}
@@ -157,13 +153,12 @@ func AblationOverSelect(p Preset) (*Report, error) {
 	for _, m := range methods {
 		run := runs[m]
 		rep.Keep(m, run)
-		perUpdate, bytesPer := 0.0, 0.0
+		bytesPer := 0.0
 		if run.GlobalRounds > 0 && len(run.Points) > 0 {
-			perUpdate = run.Points[len(run.Points)-1].Time / float64(run.GlobalRounds)
 			bytesPer = float64(run.UpBytes) / float64(run.GlobalRounds)
 		}
 		tb.AddRow(report.Str(methodLabel2(m)), accCell(run.BestAcc()),
-			report.Numf("%.1fs", perUpdate), report.Num(bytesPer, fmt.Sprintf("%.0f B", bytesPer)))
+			report.Numf("%.1fs", run.SecPerUpdate()), report.Num(bytesPer, fmt.Sprintf("%.0f B", bytesPer)))
 	}
 	rep.AddTable(tb)
 	rep.AddNote("Expected shape: over-selection shortens FedAvg's rounds but uploads ~30% more per " +

@@ -61,14 +61,6 @@ func Hierarchy(p Preset) (*Report, error) {
 		}
 		rep.Keep(row.key, run)
 		timeline[row.key] = run
-		perUpdate := 0.0
-		if run.GlobalRounds > 0 && len(run.Points) > 0 {
-			perUpdate = run.Points[len(run.Points)-1].Time / float64(run.GlobalRounds)
-		}
-		staleness := 0.0
-		if run.EdgeFolds > 0 {
-			staleness = run.EdgeStaleness / float64(run.EdgeFolds)
-		}
 		// Flat has no edge→cloud hop at all; its telemetry columns are
 		// structurally absent, not zero. A 1-edge pass-through folds (the
 		// events are real) but moves no cloud bytes by construction.
@@ -77,39 +69,22 @@ func Hierarchy(p Preset) (*Report, error) {
 		cloudMB := report.Str("-")
 		if row.cloud.Edges > 0 {
 			folds = report.Num(float64(run.EdgeFolds), fmt.Sprint(run.EdgeFolds))
-			stale = report.Numf("%.2f", staleness)
+			stale = report.Numf("%.2f", run.MeanEdgeStaleness())
 		}
 		if row.cloud.Edges > 1 {
 			cloudMB = report.Numf("%.2f", float64(run.UpBytes)/1e6)
 		}
 		tb.AddRow(report.Str(row.key),
 			accCell(run.BestAcc()), accCell(run.FinalAcc()),
-			report.Numf("%.1fs", perUpdate), folds, stale, cloudMB)
+			report.Numf("%.1fs", run.SecPerUpdate()), folds, stale, cloudMB)
 	}
 	rep.AddTable(tb)
 
 	// Accuracy-over-virtual-time for the topology spread: the flat baseline,
 	// the pass-through proof, and the two genuine 2-edge policies.
 	order := []string{"flat", "edge1/sync", "edge2/sync", "edge2/async"}
-	tl := report.NewTable("smoothed accuracy over virtual time",
-		append([]string{"run"}, timelineHeader(6)...)...)
-	for _, key := range order {
-		run := timeline[key]
-		sm := run.Smooth(p.SmoothWindow)
-		cells := []report.Cell{report.Str(key)}
-		for i := 0; i < 6; i++ {
-			if len(sm) == 0 {
-				cells = append(cells, report.Str("-"))
-				continue
-			}
-			idx := i * (len(sm) - 1) / 5
-			pt := sm[idx]
-			cells = append(cells, report.Num(pt.Acc, fmt.Sprintf("%.3f@%.0fs", pt.Acc, pt.Time)))
-		}
-		tl.AddRow(cells...)
-		rep.AddSeries(report.SmoothedAccSeries(key, run, p.SmoothWindow))
-	}
-	rep.AddTable(tl)
+	timelineSeries(rep, "", timeline, order, p.SmoothWindow)
+	rep.AddTable(timelineTable("smoothed accuracy over virtual time", timeline, order, p.SmoothWindow, true))
 
 	rep.AddNote("Every topology runs the same unmodified FedAT engine; the hierarchy only changes who it " +
 		"answers to. edge:1 is the flat run routed through the full edge machinery (cloud overlay, fold " +

@@ -23,7 +23,7 @@ func Figure7(p Preset) (*Report, error) {
 		rep.Keep(m, run)
 	}
 	rep.AddTable(timelineTable("Smoothed accuracy over virtual time",
-		runs, figure7Methods, p.SmoothWindow, 6))
+		runs, figure7Methods, p.SmoothWindow, false))
 	timelineSeries(rep, "", runs, figure7Methods, p.SmoothWindow)
 
 	tb := report.NewTable("Accuracy vs communication",
@@ -60,7 +60,7 @@ func Figure8(p Preset) (*Report, error) {
 		rep.Keep(m, run)
 	}
 	rep.AddTable(timelineTable("Smoothed accuracy over virtual time",
-		runs, figure8Methods, p.SmoothWindow, 6))
+		runs, figure8Methods, p.SmoothWindow, false))
 	timelineSeries(rep, "", runs, figure8Methods, p.SmoothWindow)
 
 	loss := report.NewTable("Test loss trajectory", "method", "first loss", "final loss", "best acc")

@@ -12,7 +12,7 @@ import (
 
 // The staleness experiment: the paper's FedAsync baseline discounts stale
 // updates with one fixed polynomial weight; this extension sweeps the whole
-// staleness-aware async family the parameterized spec API exposes —
+// staleness-aware async family —
 // fedasync's weight functions (poly, exp, hinge and the const no-discount
 // control) across discount strengths, the asyncsgd gradient-style fold, the
 // per-update vs oldest-member staleness anchor on the buffered pacer, and
@@ -34,20 +34,20 @@ var staleWeightFuncs = []string{fl.StaleFuncPoly, fl.StaleFuncExp, fl.StaleFuncH
 // what separates the per-update anchor from the oldest-member one.
 const staleBufferK = 4
 
-// staleSpec formats a parameterized aggregation spec for ParseAgg.
-func staleSpec(rule, fn string, alpha float64) string {
-	return fmt.Sprintf("%s:%s:%g", rule, fn, alpha)
-}
-
 // staleCell assembles one cell of the grid: the composition's base is
-// always fedasync (all-selection, wait-free client pacing), with the
-// aggregation spec and optionally the pacer overridden. The spec@pacer
-// label keys the run cache, so identical compositions share one simulation
-// across tables. Every cell runs on the dynamics population.
-func staleCell(p Preset, pacer, spec, variant string, mutate func(*fl.RunConfig)) (cell, error) {
-	label := spec
+// always fedasync (all-selection, wait-free client pacing), with the update
+// rule and optionally the pacer overridden, and the run's staleness discount
+// set to fn at alpha (0 keeps the engine default). The
+// rule:func[:alpha][@pacer] label is the method's name, so it names the
+// run's RNG streams and keys the run cache: identical compositions share one
+// simulation across tables. Every cell runs on the dynamics population.
+func staleCell(p Preset, pacer, rule, fn string, alpha float64, variant string, mutate func(*fl.RunConfig)) (cell, error) {
+	label := rule + ":" + fn
+	if alpha != 0 {
+		label += fmt.Sprintf(":%g", alpha)
+	}
 	if pacer != "" {
-		label = spec + "@" + pacer
+		label += "@" + pacer
 	}
 	// The fedasync base selects "all" (every client loops wait-free); the
 	// round-paced policies need a per-round cohort selector instead.
@@ -55,12 +55,18 @@ func staleCell(p Preset, pacer, spec, variant string, mutate func(*fl.RunConfig)
 	if pacer == "sync" || pacer == "tier" {
 		sel = "random"
 	}
-	m, err := fl.Compose("fedasync", sel, pacer, spec, label)
+	m, err := fl.Compose("fedasync", sel, pacer, rule, label)
 	if err != nil {
 		return cell{}, err
 	}
 	return cell{p: p, d: dsSpec{name: "cifar10", classesPerClient: 2},
-		method: label, variant: variant, spec: &m, mutate: mutate,
+		method: label, variant: variant, spec: &m,
+		mutate: func(cfg *fl.RunConfig) {
+			cfg.Staleness = fl.StalenessConfig{Func: fn, Alpha: alpha}
+			if mutate != nil {
+				mutate(cfg)
+			}
+		},
 		cmutate: func(cc *simnet.ClusterConfig) { cc.Behavior = dynBehavior },
 	}, nil
 }
@@ -77,14 +83,10 @@ func staleBufMutate(cfg *fl.RunConfig) {
 
 // staleRow renders the shared metric columns for one run.
 func staleRow(run *metrics.Run) []report.Cell {
-	perUpdate := 0.0
-	if run.GlobalRounds > 0 && len(run.Points) > 0 {
-		perUpdate = run.Points[len(run.Points)-1].Time / float64(run.GlobalRounds)
-	}
 	return []report.Cell{
 		accCell(run.BestAcc()), accCell(run.FinalAcc()),
 		report.Num(float64(run.GlobalRounds), fmt.Sprint(run.GlobalRounds)),
-		report.Numf("%.1fs", perUpdate),
+		report.Numf("%.1fs", run.SecPerUpdate()),
 	}
 }
 
@@ -114,14 +116,14 @@ func Staleness(p Preset) (*Report, error) {
 	grid := map[gridKey]cell{}
 	for _, fn := range staleWeightFuncs {
 		for _, alpha := range staleAlphas {
-			c, err := collect(staleCell(p, "", staleSpec("fedasync", fn, alpha), "stale", nil))
+			c, err := collect(staleCell(p, "", "fedasync", fn, alpha, "stale", nil))
 			if err != nil {
 				return nil, err
 			}
 			grid[gridKey{fn, alpha}] = c
 		}
 	}
-	constCell, err := collect(staleCell(p, "", "fedasync:const", "stale", nil))
+	constCell, err := collect(staleCell(p, "", "fedasync", fl.StaleFuncConst, 0, "stale", nil))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +149,7 @@ func Staleness(p Preset) (*Report, error) {
 		if pr.pacer == "fedbuff" {
 			variant, mutate = "stale-buf", staleBufMutate
 		}
-		c, err := collect(staleCell(p, pr.pacer, staleSpec(pr.rule, fl.StaleFuncPoly, 0.5), variant, mutate))
+		c, err := collect(staleCell(p, pr.pacer, pr.rule, fl.StaleFuncPoly, 0.5, variant, mutate))
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +159,7 @@ func Staleness(p Preset) (*Report, error) {
 	// Anchor comparison: the legacy staleness rule discounts a buffered
 	// cohort by its OLDEST member's anchor; fedasync weights each buffered
 	// update by its own. Same pacer, same buffer, same weight function.
-	batchCell, err := collect(staleCell(p, "fedbuff", staleSpec("staleness", fl.StaleFuncPoly, 0.5), "stale-buf", staleBufMutate))
+	batchCell, err := collect(staleCell(p, "fedbuff", "staleness", fl.StaleFuncPoly, 0.5, "stale-buf", staleBufMutate))
 	if err != nil {
 		return nil, err
 	}
@@ -166,11 +168,11 @@ func Staleness(p Preset) (*Report, error) {
 	// scaled by the staleness weight of the dispatched tier/client.
 	alrMutate := func(cfg *fl.RunConfig) { cfg.AdaptiveLR = true }
 	alrBufMutate := func(cfg *fl.RunConfig) { staleBufMutate(cfg); cfg.AdaptiveLR = true }
-	alrClient, err := collect(staleCell(p, "", staleSpec("fedasync", fl.StaleFuncPoly, 0.5), "stale-alr", alrMutate))
+	alrClient, err := collect(staleCell(p, "", "fedasync", fl.StaleFuncPoly, 0.5, "stale-alr", alrMutate))
 	if err != nil {
 		return nil, err
 	}
-	alrBuf, err := collect(staleCell(p, "fedbuff", staleSpec("fedasync", fl.StaleFuncPoly, 0.5), "stale-buf-alr", alrBufMutate))
+	alrBuf, err := collect(staleCell(p, "fedbuff", "fedasync", fl.StaleFuncPoly, 0.5, "stale-buf-alr", alrBufMutate))
 	if err != nil {
 		return nil, err
 	}
@@ -220,29 +222,20 @@ func Staleness(p Preset) (*Report, error) {
 
 	// Staleness-vs-accuracy curves behind the grid: the poly sweep's
 	// smoothed timelines, the figure the discount-strength claim rides on.
-	tl := report.NewTable("smoothed accuracy over virtual time (poly discount sweep)",
-		append([]string{"run"}, timelineHeader(6)...)...)
+	polyRuns := map[string]*metrics.Run{}
+	var polyOrder []string
 	for _, alpha := range staleAlphas {
 		run, err := cellRun(grid[gridKey{fl.StaleFuncPoly, alpha}])
 		if err != nil {
 			return nil, err
 		}
 		key := fmt.Sprintf("poly/a%g", alpha)
-		sm := run.Smooth(p.SmoothWindow)
-		rowCells := []report.Cell{report.Str(key)}
-		for i := 0; i < 6; i++ {
-			if len(sm) == 0 {
-				rowCells = append(rowCells, report.Str("-"))
-				continue
-			}
-			idx := i * (len(sm) - 1) / 5
-			pt := sm[idx]
-			rowCells = append(rowCells, report.Num(pt.Acc, fmt.Sprintf("%.3f@%.0fs", pt.Acc, pt.Time)))
-		}
-		tl.AddRow(rowCells...)
-		rep.AddSeries(report.SmoothedAccSeries(key, run, p.SmoothWindow))
+		polyRuns[key] = run
+		polyOrder = append(polyOrder, key)
 	}
-	rep.AddTable(tl)
+	timelineSeries(rep, "", polyRuns, polyOrder, p.SmoothWindow)
+	rep.AddTable(timelineTable("smoothed accuracy over virtual time (poly discount sweep)",
+		polyRuns, polyOrder, p.SmoothWindow, true))
 
 	// Rule × pacer table.
 	pt := report.NewTable("rule x pacer at poly:0.5",
@@ -317,7 +310,7 @@ func Staleness(p Preset) (*Report, error) {
 		},
 		Behavior: dynBehavior,
 	}
-	edgeMethod, err := fl.Compose("fedasync", "", "fedbuff", staleSpec("fedasync", fl.StaleFuncPoly, 0.5), "fedasync:poly:0.5@fedbuff")
+	edgeMethod, err := fl.Compose("fedasync", "", "fedbuff", "fedasync", "fedasync:poly:0.5@fedbuff")
 	if err != nil {
 		return nil, err
 	}
@@ -335,20 +328,17 @@ func Staleness(p Preset) (*Report, error) {
 			return nil, err
 		}
 		rep.Keep("topo/"+row.key, run)
-		staleness := 0.0
-		if run.EdgeFolds > 0 {
-			staleness = run.EdgeStaleness / float64(run.EdgeFolds)
-		}
 		et.AddRow(report.Str(row.key),
 			accCell(run.BestAcc()), accCell(run.FinalAcc()),
 			report.Num(float64(run.EdgeFolds), fmt.Sprint(run.EdgeFolds)),
-			report.Numf("%.2f", staleness))
+			report.Numf("%.2f", run.MeanEdgeStaleness()))
 	}
 	rep.AddTable(et)
 
 	rep.AddNote("Every cell shares the dynamics experiment's drifting, churning population — the regime where " +
-		"update staleness actually spreads. Specs are the parameterized form rule[:func[:alpha[:threshold]]] " +
-		"resolved by fl.ParseAgg, the same strings fedsim/fedserver take via -agg. The grid sweeps fedasync's " +
+		"update staleness actually spreads. A label rule:func:alpha names the update rule (fedsim/fedserver -agg) " +
+		"and the run's one staleness discount g (-stale-func, -stale-alpha), which the fold and the adaptive-LR " +
+		"stage both read. The grid sweeps fedasync's " +
 		"weight function and discount strength under wait-free client pacing; const is the no-discount control " +
 		"(every stale update folds at full alpha), so columns read as how much discounting buys. The rule x " +
 		"pacer table shows the family is pacing-agnostic: under sync pacing staleness is 0 by construction and " +

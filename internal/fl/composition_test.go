@@ -108,6 +108,38 @@ func TestCompositionValidation(t *testing.T) {
 	}
 }
 
+// TestComposeRejectsUnknownKeys: Compose looks each policy key up through
+// the lookup Start uses, so a mistyped key fails when the method is
+// composed — before fedserver waits for its clients — and so does -agg's
+// removed rule:func:alpha form. Every registry method resolves the same
+// way, and the run-level staleness function is checked when a run starts.
+func TestComposeRejectsUnknownKeys(t *testing.T) {
+	for _, c := range []struct{ sel, pace, update, want string }{
+		{"bogus", "", "", "unknown selector"},
+		{"", "bogus", "", "unknown pacer"},
+		{"", "", "bogus", "unknown update rule"},
+		{"", "", "fedasync:poly:0.5", "unknown update rule"},
+	} {
+		if _, err := Compose("fedasync", c.sel, c.pace, c.update, ""); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Compose(select=%q, pacer=%q, agg=%q) = %v, want an error naming %q", c.sel, c.pace, c.update, err, c.want)
+		}
+	}
+	for name, m := range Methods {
+		if _, _, _, err := m.policies(); err != nil {
+			t.Errorf("registry method %q: %v", name, err)
+		}
+	}
+	if _, err := Compose("fedasync", "", "fedbuff", "median", "FedBuff-median"); err != nil {
+		t.Errorf("a valid composition was rejected: %v", err)
+	}
+
+	cfg := baseCfg()
+	cfg.Staleness.Func = "bogus"
+	if _, err := Methods["fedasync"].Run(testEnv(t, 0, cfg)); err == nil || !strings.Contains(err.Error(), "unknown staleness weight function") {
+		t.Errorf("run with staleness function %q: err = %v", cfg.Staleness.Func, err)
+	}
+}
+
 // TestTieringErrorPropagates forces the latency partition to fail (more
 // tiers than clients) and requires the error to come back through Run —
 // this used to be a panic inside FedAT and TiFL.
@@ -214,10 +246,7 @@ func TestRebaseContract(t *testing.T) {
 	env := testEnv(t, 0, cfg)
 	for _, key := range slices.Sorted(maps.Keys(UpdateRules)) {
 		t.Run(key, func(t *testing.T) {
-			rule, err := ParseAgg(key)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rule := UpdateRules[key]()
 			rs := &runState{fab: env.Fabric(), cfg: cfg}
 			if err := rule.Init(rs); err != nil {
 				t.Fatal(err)

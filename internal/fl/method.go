@@ -23,7 +23,7 @@ type Method struct {
 	Name   string // display name, also the method's RNG stream label
 	Select string // key into Selectors
 	Pace   string // key into Pacers
-	Update string // aggregation spec resolved by ParseAgg, e.g. "eq5" or "fedasync:poly:0.5"
+	Update string // key into UpdateRules
 	Local  LocalPolicy
 }
 
@@ -69,10 +69,10 @@ func Lookup(name string) (Method, error) {
 
 // Compose resolves a base registry method and applies policy overrides
 // (empty strings keep the base's policy), deriving a display name like
-// "FedAT[select=oversel]" unless an explicit name is given. It is the
-// single implementation behind fedsim's -compose flags and fedserver's
-// -select/-pacer/-agg flags, so the two CLIs' composition surfaces cannot
-// drift.
+// "FedAT[select=oversel]" unless an explicit name is given, and rejects a
+// key no registry holds. It is the single implementation behind fedsim's
+// -compose flags and fedserver's -select/-pacer/-agg flags, so the two
+// CLIs' composition surfaces cannot drift.
 func Compose(base, sel, pace, update, name string) (Method, error) {
 	m, err := Lookup(base)
 	if err != nil {
@@ -96,7 +96,29 @@ func Compose(base, sel, pace, update, name string) (Method, error) {
 	} else if len(overrides) > 0 {
 		m.Name = fmt.Sprintf("%s[%s]", m.Name, strings.Join(overrides, ","))
 	}
+	if _, _, _, err := m.policies(); err != nil {
+		return Method{}, fmt.Errorf("fl: %w", err)
+	}
 	return m, nil
+}
+
+// policies looks the method's three policy keys up in their registries and
+// builds fresh instances. Compose and Start share it, so a mistyped key
+// fails when the method is composed, before a server waits for clients.
+func (m Method) policies() (Selector, Pacer, UpdateRule, error) {
+	sel, ok := Selectors[m.Select]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("unknown selector %q (have %v)", m.Select, slices.Sorted(maps.Keys(Selectors)))
+	}
+	pacer, ok := Pacers[m.Pace]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("unknown pacer %q (have %v)", m.Pace, slices.Sorted(maps.Keys(Pacers)))
+	}
+	rule, ok := UpdateRules[m.Update]
+	if !ok {
+		return nil, nil, nil, fmt.Errorf("unknown update rule %q (have %v)", m.Update, slices.Sorted(maps.Keys(UpdateRules)))
+	}
+	return sel(), pacer, rule(), nil
 }
 
 // Run looks up a registry method and runs it — the common path for callers
@@ -137,20 +159,15 @@ func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func()
 	if m.Name == "" {
 		return nil, fmt.Errorf("fl: method has no name")
 	}
-	selFac, ok := Selectors[m.Select]
-	if !ok {
-		return nil, fmt.Errorf("fl: method %s: unknown selector %q (have %v)", m.Name, m.Select, slices.Sorted(maps.Keys(Selectors)))
-	}
-	pacer, ok := Pacers[m.Pace]
-	if !ok {
-		return nil, fmt.Errorf("fl: method %s: unknown pacer %q (have %v)", m.Name, m.Pace, slices.Sorted(maps.Keys(Pacers)))
-	}
-	rule, err := ParseAgg(m.Update)
+	sel, pacer, rule, err := m.policies()
 	if err != nil {
 		return nil, fmt.Errorf("fl: method %s: %w", m.Name, err)
 	}
-
 	cfg = cfg.withDefaults()
+	if !slices.Contains(StaleFuncs, cfg.Staleness.Func) {
+		return nil, fmt.Errorf("fl: method %s: unknown staleness weight function %q (have %v)", m.Name, cfg.Staleness.Func, StaleFuncs)
+	}
+
 	root := rng.New(cfg.Seed).SplitLabeled(hashName(m.Name))
 	rec := newRecorder(m.Name, fab.Dataset())
 	rs := &runState{
@@ -160,7 +177,7 @@ func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func()
 		comm:     NewComm(cfg.Codec, fab.Shapes()),
 		root:     root,
 		epochRNG: root.SplitLabeled(epochLabel(m, cfg)),
-		sel:      selFac(),
+		sel:      sel,
 		rule:     rule,
 		obs:      append([]Observer{rec}, obs...),
 	}

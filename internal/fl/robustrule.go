@@ -56,9 +56,3 @@ func (r *robustRule) Fold(f Fold) ([]float64, error) {
 	r.version++
 	return r.global, nil
 }
-
-func init() {
-	UpdateRules["median"] = zeroArg("median", func() UpdateRule { return &robustRule{kind: "median"} })
-	UpdateRules["trimmed"] = zeroArg("trimmed", func() UpdateRule { return &robustRule{kind: "trimmed"} })
-	UpdateRules["krum"] = zeroArg("krum", func() UpdateRule { return &robustRule{kind: "krum"} })
-}

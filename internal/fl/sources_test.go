@@ -118,7 +118,9 @@ func TestLazyEnvMatchesEagerRun(t *testing.T) {
 		variants = append(variants, variant{name: name, method: name})
 	}
 	variants = append(variants,
-		variant{name: "fedbuff:fedasync:hinge", method: "fedbuff"},
+		variant{name: "fedbuff:fedasync:hinge", method: "fedbuff", edit: func(c *sourceCase) {
+			c.rcfg.Staleness = StalenessConfig{Func: StaleFuncHinge, Alpha: 0.5}
+		}},
 		variant{name: "dp", method: "fedat", edit: func(c *sourceCase) {
 			c.rcfg.DPClip, c.rcfg.DPNoise = 0.5, 0.01
 		}},
@@ -142,7 +144,7 @@ func TestLazyEnvMatchesEagerRun(t *testing.T) {
 			var m Method
 			var err error
 			if v.method == "fedbuff" {
-				m, err = Compose("fedasync", "", "fedbuff", "fedasync:hinge:0.5:2", "")
+				m, err = Compose("fedasync", "", "fedbuff", "fedasync", "")
 			} else {
 				m, err = Lookup(v.method)
 			}

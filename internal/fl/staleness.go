@@ -2,22 +2,18 @@ package fl
 
 import (
 	"fmt"
-	"maps"
 	"math"
-	"slices"
-	"strconv"
-	"strings"
 
 	"repro/internal/tensor"
 )
 
-// The staleness weight-function names accepted by StalenessConfig.Func,
-// ParseAgg specs and the CLIs' -stale-func flag.
+// The staleness weight-function names accepted by StalenessConfig.Func and
+// the CLIs' -stale-func flag.
 const (
 	StaleFuncPoly  = "poly"  // (s+1)^(−a), Xie et al.'s polynomial discount
 	StaleFuncExp   = "exp"   // e^(−a·s)
 	StaleFuncConst = "const" // 1 — no discount
-	StaleFuncHinge = "hinge" // 1 up to Threshold, then 1/(a·(s−Threshold)+1)
+	StaleFuncHinge = "hinge" // 1/(a·s+1), harmonic decay
 )
 
 // StaleFuncs lists the weight-function names in display order.
@@ -37,9 +33,6 @@ type StalenessConfig struct {
 	// Alpha is the decay parameter a. 0 inherits the 0.5 default;
 	// StaleExpOff (any negative value) pins it to exactly 0.
 	Alpha float64
-	// Threshold is hinge's flat region: staleness up to it is not
-	// discounted at all.
-	Threshold int
 }
 
 // Weight evaluates the weight function at staleness s ≥ 0. A negative
@@ -55,133 +48,28 @@ func (sc StalenessConfig) Weight(s float64) float64 {
 	case StaleFuncConst:
 		return 1
 	case StaleFuncHinge:
-		if s <= float64(sc.Threshold) {
-			return 1
-		}
-		return 1 / (a*(s-float64(sc.Threshold)) + 1)
+		return 1 / (a*s + 1)
 	default: // "" and StaleFuncPoly
 		return math.Pow(s+1, -a)
 	}
 }
 
-func validStaleFunc(name string) bool {
-	for _, f := range StaleFuncs {
-		if name == f {
-			return true
-		}
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation specs
-
-// ParseAgg resolves an aggregation spec to a fresh UpdateRule — the single
-// parse path behind fedsim's -agg, fedserver's -agg and the experiments'
-// cell specs. A spec is a registry rule name optionally followed by
-// colon-separated staleness parameters:
-//
-//	rule[:func[:alpha[:threshold]]]
-//
-// e.g. "avg", "staleness:poly", "fedasync:exp:0.3", "asyncsgd:hinge:0.5:4".
-// Empty parameter fields (and omitted ones) inherit RunConfig.Staleness at
-// Init time; rules outside the async family reject parameters.
-func ParseAgg(spec string) (UpdateRule, error) {
-	fields := strings.Split(spec, ":")
-	fac, ok := UpdateRules[fields[0]]
-	if !ok {
-		return nil, fmt.Errorf("unknown update rule %q (have %v)", fields[0], slices.Sorted(maps.Keys(UpdateRules)))
-	}
-	rule, err := fac(fields[1:])
-	if err != nil {
-		return nil, fmt.Errorf("agg spec %q: %w", spec, err)
-	}
-	return rule, nil
-}
-
-// zeroArg adapts a parameterless rule constructor to the registry's
-// parameterized shape, rejecting any spec arguments.
-func zeroArg(name string, fn func() UpdateRule) func([]string) (UpdateRule, error) {
-	return func(args []string) (UpdateRule, error) {
-		if len(args) > 0 {
-			return nil, fmt.Errorf("rule %q takes no parameters", name)
-		}
-		return fn(), nil
-	}
-}
-
-// stalenessSpec is a partial StalenessConfig parsed from an agg spec's
-// arguments. Only explicitly given fields override the run-level
-// RunConfig.Staleness at Init (an explicit alpha of 0 overrides: the spec
-// says exactly what it means, no sentinel needed).
-type stalenessSpec struct {
-	fn        string
-	alpha     float64
-	threshold int
-	hasAlpha  bool
-	hasThresh bool
-}
-
-func parseStalenessSpec(args []string) (stalenessSpec, error) {
-	var s stalenessSpec
-	if len(args) > 3 {
-		return s, fmt.Errorf("want at most func:alpha:threshold, got %d parameters", len(args))
-	}
-	if len(args) > 0 && args[0] != "" {
-		if !validStaleFunc(args[0]) {
-			return s, fmt.Errorf("unknown weight function %q (have %v)", args[0], StaleFuncs)
-		}
-		s.fn = args[0]
-	}
-	if len(args) > 1 && args[1] != "" {
-		v, err := strconv.ParseFloat(args[1], 64)
-		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return s, fmt.Errorf("bad staleness alpha %q", args[1])
-		}
-		s.alpha, s.hasAlpha = v, true
-	}
-	if len(args) > 2 && args[2] != "" {
-		n, err := strconv.Atoi(args[2])
-		if err != nil || n < 0 {
-			return s, fmt.Errorf("bad staleness threshold %q", args[2])
-		}
-		s.threshold, s.hasThresh = n, true
-	}
-	return s, nil
-}
-
-// resolve overlays the spec's explicit fields on the run-level config.
-func (s stalenessSpec) resolve(cfg StalenessConfig) StalenessConfig {
-	if s.fn != "" {
-		cfg.Func = s.fn
-	}
-	if s.hasAlpha {
-		cfg.Alpha = s.alpha
-	}
-	if s.hasThresh {
-		cfg.Threshold = s.threshold
-	}
-	if cfg.Func == "" {
-		cfg.Func = StaleFuncPoly
-	}
-	return cfg
-}
-
 // ---------------------------------------------------------------------------
 // asyncState is what the async family's rules share: one model vector, the
-// server blend weight α and the resolved staleness discount g.
+// server blend weight α and the staleness discount g. g is the run's
+// RunConfig.Staleness, the value the adaptive-LR stage reads too, so the
+// fold and the learning-rate scale cannot disagree.
 
 type asyncState struct {
 	modelState
 	alpha float64
 	sc    StalenessConfig
-	spec  stalenessSpec
 }
 
 func (a *asyncState) Init(rs *runState) error {
 	a.global = rs.fab.InitialWeights()
 	a.alpha = asyncAlpha
-	a.sc = a.spec.resolve(rs.cfg.Staleness)
+	a.sc = rs.cfg.Staleness
 	return nil
 }
 

@@ -25,112 +25,16 @@ func TestStalenessWeightFunctions(t *testing.T) {
 		{"exp fresh", StalenessConfig{Func: StaleFuncExp, Alpha: 0.5}, 0, 1},
 		{"exp a=0.5 s=2", StalenessConfig{Func: StaleFuncExp, Alpha: 0.5}, 2, math.Exp(-1)},
 		{"const ignores staleness", StalenessConfig{Func: StaleFuncConst, Alpha: 9}, 100, 1},
-		{"hinge flat region", StalenessConfig{Func: StaleFuncHinge, Alpha: 0.5, Threshold: 4}, 4, 1},
-		{"hinge past threshold", StalenessConfig{Func: StaleFuncHinge, Alpha: 0.5, Threshold: 4}, 6, 0.5}, // 1/(0.5·2+1)
+		{"hinge fresh", StalenessConfig{Func: StaleFuncHinge, Alpha: 0.5}, 0, 1},
+		{"hinge a=0.5 s=2", StalenessConfig{Func: StaleFuncHinge, Alpha: 0.5}, 2, 0.5}, // 1/(0.5·2+1)
 		{"StaleExpOff poly", StalenessConfig{Func: StaleFuncPoly, Alpha: StaleExpOff}, 50, 1},
 		{"StaleExpOff exp", StalenessConfig{Func: StaleFuncExp, Alpha: StaleExpOff}, 50, 1},
-		{"StaleExpOff hinge", StalenessConfig{Func: StaleFuncHinge, Alpha: StaleExpOff, Threshold: 2}, 50, 1},
+		{"StaleExpOff hinge", StalenessConfig{Func: StaleFuncHinge, Alpha: StaleExpOff}, 50, 1},
 	}
 	for _, c := range cases {
 		if got := c.sc.Weight(c.s); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("%s: Weight(%v) = %v, want %v", c.name, c.s, got, c.want)
 		}
-	}
-}
-
-// TestParseAggSpecs: the single parse path accepts every registry rule bare,
-// accepts parameterized async-family specs (with empty fields inheriting),
-// and rejects malformed specs with an error naming the problem.
-func TestParseAggSpecs(t *testing.T) {
-	valid := []string{
-		"avg", "eq5", "uniform", "asofed",
-		"staleness", "fedasync", "asyncsgd",
-		"staleness:poly", "fedasync:exp:0.3", "asyncsgd:hinge:0.5:4",
-		"fedasync::0.25",  // empty func field inherits, alpha explicit
-		"fedasync:poly:0", // explicit zero alpha is a statement, not a default
-	}
-	for _, spec := range valid {
-		if _, err := ParseAgg(spec); err != nil {
-			t.Errorf("ParseAgg(%q) rejected a valid spec: %v", spec, err)
-		}
-	}
-	invalid := []string{
-		"nope",                // unknown rule
-		"avg:poly",            // parameterless rule with parameters
-		"fedasync:bogus",      // unknown weight function
-		"fedasync:poly:-1",    // negative alpha (use fedasync:poly:0 for none)
-		"fedasync:poly:x",     // non-numeric alpha
-		"fedasync:poly:1:-2",  // negative threshold
-		"fedasync:poly:1:2:3", // too many parameters
-	}
-	for _, spec := range invalid {
-		if _, err := ParseAgg(spec); err == nil {
-			t.Errorf("ParseAgg(%q) accepted a malformed spec", spec)
-		}
-	}
-}
-
-// TestParseAggThreeSurfaces: the same spec string round-trips through every
-// composition surface — direct ParseAgg (fedsim/fedserver -agg), Compose's
-// update override (experiment cells), and the Update field of every
-// registry method. One parse path, no per-binary drift.
-func TestParseAggThreeSurfaces(t *testing.T) {
-	const spec = "fedasync:exp:0.3"
-	if _, err := ParseAgg(spec); err != nil {
-		t.Fatalf("direct ParseAgg(%q): %v", spec, err)
-	}
-	m, err := Compose("fedasync", "", "fedbuff", spec, "")
-	if err != nil {
-		t.Fatalf("Compose with agg override: %v", err)
-	}
-	if m.Update != spec {
-		t.Fatalf("Compose stored Update %q, want %q", m.Update, spec)
-	}
-	if _, err := ParseAgg(m.Update); err != nil {
-		t.Fatalf("ParseAgg of composed Update %q: %v", m.Update, err)
-	}
-	for name, reg := range Methods {
-		if _, err := ParseAgg(reg.Update); err != nil {
-			t.Errorf("registry method %q carries unparseable Update %q: %v", name, reg.Update, err)
-		}
-	}
-}
-
-// TestStalenessSpecResolve: only explicitly given spec fields override the
-// run-level config, and an explicit alpha of 0 overrides (the spec says
-// exactly what it means — no sentinel at the spec layer).
-func TestStalenessSpecResolve(t *testing.T) {
-	base := StalenessConfig{Func: StaleFuncExp, Alpha: 0.7, Threshold: 3}
-
-	s, err := parseStalenessSpec(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.resolve(base); got != base {
-		t.Fatalf("empty spec rewrote the run config: %+v", got)
-	}
-
-	s, err = parseStalenessSpec([]string{"hinge", "0", "5"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := s.resolve(base)
-	want := StalenessConfig{Func: StaleFuncHinge, Alpha: 0, Threshold: 5}
-	if got != want {
-		t.Fatalf("full spec resolved to %+v, want %+v", got, want)
-	}
-
-	s, err = parseStalenessSpec([]string{"", "0.25"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = s.resolve(base)
-	if got.Func != StaleFuncExp || got.Alpha != 0.25 || got.Threshold != 3 {
-		t.Fatalf("partial spec resolved to %+v, want exp/0.25/3", got)
-	}
-
-	if got := (stalenessSpec{}).resolve(StalenessConfig{}); got.Func != StaleFuncPoly {
-		t.Fatalf("unset func resolved to %q, want poly", got.Func)
 	}
 }
 
@@ -277,5 +181,48 @@ func TestFoldStartRound(t *testing.T) {
 	}
 	if got := (Fold{}).StartRound(); got != 0 {
 		t.Fatalf("empty fold StartRound() = %d, want 0", got)
+	}
+}
+
+// lrFabric forwards to a fabric and records each dispatch's LR scale.
+type lrFabric struct {
+	Fabric
+	scales []float64
+}
+
+func (f *lrFabric) Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error)) {
+	f.scales = append(f.scales, lc.LRScale)
+	f.Fabric.Dispatch(comm, cohort, now, global, lc, deliver)
+}
+
+// TestAdaptiveLRReadsRunStaleness: the adaptive-LR stage scales each
+// dispatch by the run's g(s), the value the async fold reads, so under
+// exp:0.3 every scale is e^(−0.3·s) for a whole staleness s (1 for a loop
+// not yet folded), and real staleness occurs.
+func TestAdaptiveLRReadsRunStaleness(t *testing.T) {
+	cfg := baseCfg()
+	cfg.Staleness = StalenessConfig{Func: StaleFuncExp, Alpha: 0.3}
+	cfg.AdaptiveLR = true
+	m, err := Compose("fedasync", "", "client", "asyncsgd", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := testEnv(t, 0, cfg)
+	fab := &lrFabric{Fabric: env.Fabric()}
+	if _, err := m.RunOn(fab, env.Cfg); err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for i, scale := range fab.scales {
+		s := math.Round(-math.Log(scale) / 0.3)
+		if scale != math.Exp(-0.3*s) {
+			t.Fatalf("dispatch %d: LR scale %v is not e^(-0.3·s) for a whole s", i, scale)
+		}
+		if s >= 1 {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatalf("none of %d dispatches trained stale; the check is vacuous", len(fab.scales))
 	}
 }

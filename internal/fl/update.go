@@ -75,31 +75,20 @@ type Rebaser interface {
 	Rebase(w []float64) []float64
 }
 
-// UpdateRules is the registry of aggregation policies. Each constructor
-// receives the parameters of its spec — the colon-separated fields after
-// the rule name in ParseAgg's input — and may reject them; parameterless
-// rules register through zeroArg. Callers resolve specs with ParseAgg
-// rather than indexing the map directly.
-var UpdateRules = map[string]func(args []string) (UpdateRule, error){
-	"avg":       zeroArg("avg", func() UpdateRule { return &avgRule{} }),
-	"eq5":       zeroArg("eq5", func() UpdateRule { return &eq5Rule{} }),
-	"uniform":   zeroArg("uniform", func() UpdateRule { return &eq5Rule{forceUniform: true} }),
-	"staleness": stalenessArgs(func(a asyncState) UpdateRule { return &stalenessRule{asyncState: a} }),
-	"fedasync":  stalenessArgs(func(a asyncState) UpdateRule { return &stalenessRule{asyncState: a, perUpdate: true} }),
-	"asyncsgd":  stalenessArgs(func(a asyncState) UpdateRule { return &asyncSGDRule{asyncState: a} }),
-	"asofed":    zeroArg("asofed", func() UpdateRule { return &asoRule{} }),
-}
-
-// stalenessArgs adapts an async-family constructor: the spec's parameters
-// parse as func:alpha:threshold and override RunConfig.Staleness at Init.
-func stalenessArgs(fn func(asyncState) UpdateRule) func([]string) (UpdateRule, error) {
-	return func(args []string) (UpdateRule, error) {
-		s, err := parseStalenessSpec(args)
-		if err != nil {
-			return nil, err
-		}
-		return fn(asyncState{spec: s}), nil
-	}
+// UpdateRules is the registry of aggregation policies, keyed by the names
+// Method.Update takes. No rule takes parameters: the async family's
+// staleness discount is the run-level RunConfig.Staleness.
+var UpdateRules = map[string]func() UpdateRule{
+	"avg":       func() UpdateRule { return &avgRule{} },
+	"eq5":       func() UpdateRule { return &eq5Rule{} },
+	"uniform":   func() UpdateRule { return &eq5Rule{forceUniform: true} },
+	"staleness": func() UpdateRule { return &stalenessRule{} },
+	"fedasync":  func() UpdateRule { return &stalenessRule{perUpdate: true} },
+	"asyncsgd":  func() UpdateRule { return &asyncSGDRule{} },
+	"asofed":    func() UpdateRule { return &asoRule{} },
+	"median":    func() UpdateRule { return &robustRule{kind: "median"} },
+	"trimmed":   func() UpdateRule { return &robustRule{kind: "trimmed"} },
+	"krum":      func() UpdateRule { return &robustRule{kind: "krum"} },
 }
 
 // modelState is the server state of every rule whose global model is one

@@ -74,6 +74,24 @@ func (r *Run) FinalLoss() float64 {
 	return r.Points[len(r.Points)-1].Loss
 }
 
+// SecPerUpdate returns the virtual seconds per global update: the last
+// evaluation's time over GlobalRounds, 0 when the run has neither.
+func (r *Run) SecPerUpdate() float64 {
+	if r.GlobalRounds == 0 || len(r.Points) == 0 {
+		return 0
+	}
+	return r.Points[len(r.Points)-1].Time / float64(r.GlobalRounds)
+}
+
+// MeanEdgeStaleness returns the mean staleness, in cloud epochs, of the
+// pushes that triggered the run's edge→cloud folds; 0 for a flat run.
+func (r *Run) MeanEdgeStaleness() float64 {
+	if r.EdgeFolds == 0 {
+		return 0
+	}
+	return r.EdgeStaleness / float64(r.EdgeFolds)
+}
+
 // MeanVariance averages the cross-client accuracy variance over the run's
 // second half (after warm-up), the quantity Table 1 normalizes.
 func (r *Run) MeanVariance() float64 {

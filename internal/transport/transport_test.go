@@ -308,7 +308,7 @@ func TestLiveMatchesSimulated(t *testing.T) {
 	// training. (The non-unit scale itself is pinned bit-exactly by
 	// TestAdaptiveLRScaleOverTCP; wait-free pacing has no cross-fabric
 	// bit contract to compare under.)
-	adaptive, err := fl.Compose("fedasync", "random", "sync", "fedasync:poly:0.5", "fedasync-sync-adaptive")
+	adaptive, err := fl.Compose("fedasync", "random", "sync", "fedasync", "fedasync-sync-adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}
