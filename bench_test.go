@@ -162,10 +162,11 @@ func TestMethodRunAllocBudget(t *testing.T) {
 // BenchmarkPopulation measures constructing an environment over a DERIVED
 // population — dataset source, lazy population, fl.NewLazyEnv — at three
 // population sizes up to one million clients. The custom bytes/client metric is the per-client
-// footprint of what construction actually retains (prototype tables, size
-// and part arrays, drop times); laziness holding means it stays a few
-// dozen bytes flat while n grows 1000x, where the eager construction costs
-// ~10KB per client before the first round starts. CI records the standard
+// heap construction allocates: the one-byte part table, the drop table and
+// the int32 permutation scratches the shared-stream draws need
+// (TestDerivedPopulationFootprint itemizes them); laziness holding means it
+// stays under 18 bytes from 100k clients up while n grows, where the eager
+// construction costs ~10KB per client before the first round starts. CI records the standard
 // bytes-per-op column into BENCH_trajectory.json, so an accidental O(n)
 // materialization shows up as a step in the 1M rung's trajectory.
 func BenchmarkPopulation(b *testing.B) {

@@ -21,7 +21,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/rng"
@@ -139,42 +138,6 @@ func Generate(cfg Config) (*Federated, error) {
 		return nil, err
 	}
 	return src.Federated(), nil
-}
-
-// clientSizes draws per-client sample counts: uniform-ish by default, a
-// heavy-tailed power law when PowerLaw is set (FEMNIST/Reddit
-// heterogeneity).
-func clientSizes(r *rng.RNG, cfg Config) []int {
-	sizes := make([]int, cfg.NumClients)
-	if !cfg.PowerLaw {
-		for i := range sizes {
-			// ±20% jitter around the mean.
-			jitter := 0.8 + 0.4*r.Float64()
-			sizes[i] = int(float64(cfg.SamplesPerClient) * jitter)
-			if sizes[i] < 5 {
-				sizes[i] = 5
-			}
-		}
-		return sizes
-	}
-	raw := make([]float64, cfg.NumClients)
-	total := 0.0
-	for i := range raw {
-		u := r.Float64()
-		if u < 1e-9 {
-			u = 1e-9
-		}
-		raw[i] = 1 / math.Pow(u, 0.6)
-		total += raw[i]
-	}
-	want := float64(cfg.SamplesPerClient * cfg.NumClients)
-	for i := range sizes {
-		sizes[i] = int(raw[i] / total * want)
-		if sizes[i] < 5 {
-			sizes[i] = 5
-		}
-	}
-	return sizes
 }
 
 // genClientInto draws n samples for a client restricted to its class subset

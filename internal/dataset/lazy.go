@@ -1,29 +1,36 @@
 package dataset
 
-import "repro/internal/rng"
+import (
+	"math"
+
+	"repro/internal/rng"
+)
 
 // Source is the lazy form of a federated dataset: client shards are
 // synthesized on demand from (seed, id) instead of being generated up
-// front. The only draws that are sequential on a shared stream — the
-// image prototypes (root label 1) and the per-client sample counts (root
-// label 2) — are taken at construction; each shard's own samples come
-// from the client's labeled stream (100+id), so Client(i) is a pure
-// function of (cfg, i) and generation order cannot matter. A shard built
-// lazily is byte-for-byte the shard Generate builds (Generate now
-// delegates here; TestSourceMatchesEagerGenerate pins the equivalence
-// against the original eager construction).
+// front. Each shard's samples come from the client's labeled stream
+// (100+id), and its sample count is draw id of the shared root label-2
+// stream, which SplitMix64 reaches in O(1) (rng.Float64At); so Client(i)
+// and NumTrain(i) are pure functions of (cfg, i) and generation order
+// cannot matter. The one draw that is sequential on a shared stream — the
+// image prototypes (root label 1) — is taken at construction, and a
+// power-law dataset sums its N raw size weights once, in id order, to keep
+// their total. A shard built lazily is byte-for-byte the shard Generate
+// builds (Generate delegates here; TestSourceMatchesEagerGenerate pins the
+// equivalence against the original eager construction).
 //
-// The prototype table is O(Classes · InDim) and the size table O(N) ints;
-// nothing else is retained, so a million-client dataset costs megabytes
-// until shards are requested — and a caller that synthesizes into its own
-// scratch shard (ClientInto) generates no garbage per request either.
+// The prototype table is O(Classes · InDim); nothing per client is
+// retained, so a million-client dataset costs kilobytes until shards are
+// requested — and a caller that synthesizes into its own scratch shard
+// (ClientInto) generates no garbage per request either.
 type Source struct {
 	cfg       Config // resolved: TrainFrac and ClassesPerClient normalized
 	perClient int
 	inDim     int
 	gen       sampleGen
 	root      *rng.RNG // never advanced; anchors the per-client splits
-	sizes     []int
+	sizes     rng.RNG  // root label 2, never advanced: draw i sizes client i
+	rawTotal  float64  // PowerLaw: the sum of every client's raw size weight
 }
 
 // NewSource validates cfg and builds the lazy dataset source.
@@ -46,7 +53,12 @@ func NewSource(cfg Config) (*Source, error) {
 		s.inDim = cfg.SeqLen
 		s.gen = newTokenGen(cfg)
 	}
-	s.sizes = clientSizes(s.root.SplitLabeled(2), cfg)
+	s.sizes = s.root.SplitLabeledValue(2)
+	if cfg.PowerLaw {
+		for i := range cfg.NumClients {
+			s.rawTotal += powerLawRaw(s.sizes.Float64At(i))
+		}
+	}
 	return s, nil
 }
 
@@ -64,9 +76,9 @@ func (s *Source) Classes() int { return s.cfg.Classes }
 
 // NumTrain returns client i's local training-set size n_k without
 // generating the shard — the same clamp-to-[1, n-1] split arithmetic
-// genClientInto applies, over the precomputed size table.
+// genClientInto applies, over the client's derived sample count.
 func (s *Source) NumTrain(i int) int {
-	n := s.sizes[i]
+	n := s.size(i)
 	nTrain := int(float64(n) * s.cfg.TrainFrac)
 	if nTrain >= n {
 		nTrain = n - 1
@@ -75,6 +87,31 @@ func (s *Source) NumTrain(i int) int {
 		nTrain = 1
 	}
 	return nTrain
+}
+
+// size returns client i's sample count (train + test), at least 5: ±20%
+// jitter around the mean by default, a heavy-tailed power law when
+// PowerLaw is set (FEMNIST/Reddit heterogeneity), scaled so the counts sum
+// to about SamplesPerClient·N.
+func (s *Source) size(i int) int {
+	u := s.sizes.Float64At(i)
+	var n int
+	if !s.cfg.PowerLaw {
+		jitter := 0.8 + 0.4*u
+		n = int(float64(s.cfg.SamplesPerClient) * jitter)
+	} else {
+		want := float64(s.cfg.SamplesPerClient * s.cfg.NumClients)
+		n = int(powerLawRaw(u) / s.rawTotal * want)
+	}
+	return max(n, 5)
+}
+
+// powerLawRaw is a power-law client's raw size weight for uniform draw u.
+func powerLawRaw(u float64) float64 {
+	if u < 1e-9 {
+		u = 1e-9
+	}
+	return 1 / math.Pow(u, 0.6)
 }
 
 // Client synthesizes client i's shard into fresh storage the caller owns
@@ -90,7 +127,7 @@ func (s *Source) Client(i int) *ClientData { return s.ClientInto(new(ClientData)
 func (s *Source) ClientInto(dst *ClientData, i int) *ClientData {
 	dst.classes = appendClasses(dst.classes[:0], i, s.perClient, s.cfg.Classes)
 	dst.stream = s.root.SplitLabeledValue(uint64(100 + i))
-	genClientInto(dst, &dst.stream, s.gen, dst.classes, s.sizes[i], s.cfg.TrainFrac, s.inDim)
+	genClientInto(dst, &dst.stream, s.gen, dst.classes, s.size(i), s.cfg.TrainFrac, s.inDim)
 	return dst
 }
 

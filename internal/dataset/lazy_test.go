@@ -3,6 +3,8 @@ package dataset
 import (
 	"math"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 // sourceConfigs spans the generator modes: image prototypes, token walks,
@@ -85,6 +87,44 @@ func TestSourceMatchesEagerGenerate(t *testing.T) {
 			// Regeneration is idempotent: a dropped-and-rebuilt shard is
 			// identical to its first synthesis.
 			sameClient(t, name, 0, src.Client(0), src.Client(0))
+		})
+	}
+	// At population scale the indexed size draw must still be the
+	// sequential stream's: every NumTrain against the oracle's counts, for
+	// a uniform and a power-law dataset (whose every size divides by the
+	// sum over all N).
+	for name, cfg := range map[string]Config{
+		"uniform-20k": {
+			Name: "scalelike", NumClients: 20_000, Classes: 10, SamplesPerClient: 24,
+			ClassesPerClient: 2, TrainFrac: 0.8, Seed: 42, ImgC: 1, ImgH: 4, ImgW: 4,
+		},
+		"powerlaw-20k": {
+			Name: "femnistlike", NumClients: 20_000, Classes: 12, SamplesPerClient: 30,
+			ClassesPerClient: 4, PowerLaw: true, TrainFrac: 0.8, Seed: 31, ImgC: 1, ImgH: 4, ImgW: 4,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			src, err := NewSource(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.PowerLaw {
+				// Every size divides by the total, so a sum in another order
+				// can move a count by one; hold it to the stream's order.
+				r, total := rng.New(cfg.Seed).SplitLabeled(2), 0.0
+				for range cfg.NumClients {
+					total += powerLawRaw(r.Float64())
+				}
+				if src.rawTotal != total {
+					t.Fatalf("raw size total %v, the id-order sum over the stream is %v", src.rawTotal, total)
+				}
+			}
+			for i, n := range clientSizes(rng.New(cfg.Seed).SplitLabeled(2), cfg) {
+				want := max(min(int(float64(n)*cfg.TrainFrac), n-1), 1)
+				if got := src.NumTrain(i); got != want {
+					t.Fatalf("client %d: NumTrain %d, oracle size %d splits to %d", i, got, n, want)
+				}
+			}
 		})
 	}
 }

@@ -213,7 +213,7 @@ type runtimeSource interface {
 // client is (seed, id) until a dispatch touches it, its shard is
 // synthesized at dispatch into the scratch of the replica that trains it —
 // whose steady-state memory and heap traffic are O(cohort + model)
-// whatever N is (TestLazyEnvMemoryCeiling, TestEngineRoundByteCeiling).
+// whatever N is (TestDerivedPopulationFootprint, TestEngineRoundByteCeiling).
 // Both are bit-identical in everything the engine observes; they differ
 // only in that a derived population is evaluated on a fixed panel of
 // DefaultEvalSample clients rather than all N.

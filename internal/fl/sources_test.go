@@ -9,8 +9,10 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/simnet"
+	"repro/internal/tiering"
 )
 
 // sourceCase is one paired (dataset, cluster, run) configuration from which
@@ -344,42 +346,50 @@ func (l *largestCohort) OnEvent(ev Event) {
 	}
 }
 
-// heapWatcher samples the live heap at every fold and evaluation — the
-// points where a derived run's footprint peaks (cohort shards just released,
-// eval shards in flight).
-type heapWatcher struct{ peak uint64 }
-
-func (h *heapWatcher) OnEvent(ev Event) {
-	switch ev.(type) {
-	case TierFoldEvent, EvalEvent:
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		if m.HeapAlloc > h.peak {
-			h.peak = m.HeapAlloc
-		}
-	}
+// heapDelta runs f between two full collections and returns the heap f
+// left live and the bytes it allocated. What f builds must stay reachable
+// from the caller afterwards, or it counts as allocated but not live.
+func heapDelta(f func()) (live, alloc int64) {
+	var before, after runtime.MemStats
+	runtime.GC() // twice: the first may leave sync.Pool victims for the second
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
-// TestLazyEnvMemoryCeiling is the scale guarantee: a one-million-client
-// FedAT run completes with the heap bounded by a fixed ceiling independent
-// of N — clients exist as (seed, id) until dispatched, shards live in
-// cohort-many scratch buffers, and evaluation touches a fixed sample. 140MB
-// is twice the 70MB resident set bench/'s fedat_pop1m_sim reads for the
-// same population (the heap peak here is ~50MB); an accidental O(N)
-// materialization (eager clients are ~10KB each) blows through it
-// immediately.
-func TestLazyEnvMemoryCeiling(t *testing.T) {
+// TestDerivedPopulationFootprint is the memory ledger of a one-million-client
+// derived environment: each owner's bytes are measured and held to a
+// formula in N clients and U unstable ones.
+//
+//   - Retained after NewSource, NewPopulation and NewLazyEnv, model replicas
+//     excluded: ≤ N·1 B (the part table) + U·12 B (the id-sorted drop
+//     table) + 1 MB. Sample counts are derived per id, not stored.
+//   - Allocated by that construction: ≤ 18 B per client — chiefly the three
+//     n-entry int32 permutation scratches (part order, unstable choice,
+//     evaluation panel), 12 B, on top of what is retained.
+//   - Allocated by the run's first tier partition: ≤ N·24 B + 1 MB — the
+//     profiled float64 latencies, then the radix sort's two int outputs,
+//     which Members and Assignment keep for the run.
+//
+// It logs each owner's share of the set-up peak (construction plus the
+// partition on top of it), then runs FedAT at that scale to check the
+// population stays lazy.
+func TestDerivedPopulationFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-client run; skipped in -short")
 	}
-	const n = 1_000_000
+	const n, unstable = 1_000_000, 100_000
+	const mb = 1 << 20
 	dcfg := dataset.Config{
 		Name: "hugelike", NumClients: n, Classes: 10, SamplesPerClient: 24,
 		ClassesPerClient: 2, Seed: 1, ImgC: 1, ImgH: 6, ImgW: 6,
 		Signal: 0.3, Noise: 1.0,
 	}
 	ccfg := simnet.ClusterConfig{
-		NumClients: n, NumUnstable: 1000, DropHorizon: 20000,
+		NumClients: n, NumUnstable: unstable, DropHorizon: 20000,
 		SecPerBatch: 0.05, UpBW: 1 << 20, DownBW: 1 << 20, ServerBW: 16 << 20,
 		Seed: 1,
 	}
@@ -388,17 +398,73 @@ func TestLazyEnvMemoryCeiling(t *testing.T) {
 		LearningRate: 0.02, NumTiers: 5, EvalEvery: 1,
 		Seed: 1,
 	}
-	c := sourceCase{dcfg: dcfg, ccfg: ccfg, rcfg: rcfg, factory: baseSourceCase(1).factory}
-	env, pop := c.derived(t)
-	watch := &heapWatcher{}
-	run := mustRun(t, "fedat", env, watch)
+	factory := baseSourceCase(1).factory
+
+	var (
+		src *dataset.Source
+		pop *simnet.Population
+		env *Env
+		err error
+	)
+	srcLive, srcAlloc := heapDelta(func() { src, err = dataset.NewSource(dcfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	popLive, popAlloc := heapDelta(func() { pop, err = simnet.NewPopulation(ccfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	envLive, envAlloc := heapDelta(func() { env, err = NewLazyEnv(src, pop, factory, rcfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The replicas are model-sized, not population-sized: price the same
+	// number built the same way and take them out of the environment's row.
+	var reps []*Client
+	repLive, repAlloc := heapDelta(func() {
+		for range env.replicas {
+			reps = append(reps, &Client{Net: factory(env.Cfg.Seed), Opt: opt.NewAdam(env.Cfg.LearningRate)})
+		}
+	})
+	envLive, envAlloc = envLive-repLive, envAlloc-repAlloc
+	var tiers *tiering.Tiers
+	partLive, partAlloc := heapDelta(func() { tiers, err = ProfileTiers(env) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(reps)
+	runtime.KeepAlive(tiers)
+
+	live := srcLive + popLive + envLive
+	alloc := srcAlloc + popAlloc + envAlloc
+	peak := live + partAlloc
+	// At the set-up peak each constructor holds what it retained, and the
+	// partition everything it allocated.
+	for _, o := range []struct {
+		owner              string
+		live, alloc, share int64
+	}{
+		{"dataset.Source", srcLive, srcAlloc, srcLive},
+		{"simnet.Population", popLive, popAlloc, popLive},
+		{"fl.Env (no replicas)", envLive, envAlloc, envLive},
+		{"first tier partition", partLive, partAlloc, partAlloc},
+	} {
+		t.Logf("%-21s live %6.2f MB, allocated %6.2f MB (%5.2f B/client), %5.1f%% of the %.1f MB set-up peak",
+			o.owner, float64(o.live)/mb, float64(o.alloc)/mb, float64(o.alloc)/n, 100*float64(o.share)/float64(peak), float64(peak)/mb)
+	}
+	if limit := int64(n*1 + unstable*12 + mb); live > limit {
+		t.Errorf("construction retains %d B; want ≤ N·1 + U·12 + 1 MB = %d B", live, limit)
+	}
+	if perClient := float64(alloc) / n; perClient > 18 {
+		t.Errorf("construction allocates %.2f B/client; want ≤ 18", perClient)
+	}
+	if limit := int64(n*24 + mb); partAlloc > limit {
+		t.Errorf("the first partition allocates %d B; want ≤ N·24 + 1 MB = %d B", partAlloc, limit)
+	}
+
+	run := mustRun(t, "fedat", env)
 	if run.GlobalRounds < rcfg.Rounds {
 		t.Fatalf("1M-client run completed only %d/%d global rounds", run.GlobalRounds, rcfg.Rounds)
-	}
-	const ceiling = 140 << 20
-	if watch.peak > ceiling {
-		t.Fatalf("peak heap %dMB exceeds the %dMB ceiling — the environment is materializing O(N) state",
-			watch.peak>>20, ceiling>>20)
 	}
 	if got := pop.Materialized(); got >= n/100 {
 		t.Fatalf("run materialized %d of %d runtimes; the population should stay lazy", got, n)

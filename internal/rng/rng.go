@@ -11,10 +11,7 @@
 // parent's output.
 package rng
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // goldenGamma is the SplitMix64 increment (odd, 2^64/phi).
 const goldenGamma = 0x9E3779B97F4A7C15
@@ -95,9 +92,18 @@ func mulHiLo(a, b uint64) (hi, lo uint64) {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// Float64At returns the value Float64 would return after i earlier draws —
+// draw i of r's stream, counting from r's current position — without
+// advancing r. SplitMix64's state after i+1 steps is state + (i+1)·γ, so
+// the draw costs one mix whatever i is.
+func (r *RNG) Float64At(i int) float64 {
+	return unit(mix(r.state + goldenGamma*(uint64(i)+1)))
 }
+
+// unit maps 64 uniform bits to a uniform float64 in [0, 1).
+func unit(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 
 // Uniform returns a uniform float64 in [lo, hi).
 func (r *RNG) Uniform(lo, hi float64) float64 {
@@ -117,24 +123,34 @@ func (r *RNG) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Perm returns a uniformly random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	r.PermInto(p)
+// PermInto fills p with a uniformly random permutation of [0, len(p)).
+//
+// It is kept out of line: inlined into another package, the call to the
+// generic loop loses its escape information, and a caller's stack RNG —
+// a training round's schedule stream — would move to the heap.
+//
+//go:noinline
+func (r *RNG) PermInto(p []int) { permute(r, p) }
+
+// Perm32 returns a uniformly random permutation of [0, n) as int32s: the
+// permutation PermInto draws for a length-n slice, at half the memory, for
+// population-sized orders. It panics if n > math.MaxInt32.
+func (r *RNG) Perm32(n int) []int32 {
+	if n > math.MaxInt32 {
+		panic("rng: Perm32 requires n <= math.MaxInt32")
+	}
+	p := make([]int32, n)
+	permute(r, p)
 	return p
 }
 
-// PermInto fills p with a uniformly random permutation of [0, len(p)) —
-// the allocation-free counterpart of Perm, drawing the identical sequence.
-func (r *RNG) PermInto(p []int) {
+// permute fills p with the identity and shuffles it by Fisher–Yates. It is
+// the one loop every permutation here is drawn by, so PermInto, Perm32 and
+// Choose consume the identical Intn sequence whatever the element type.
+func permute[T int | int32](r *RNG, p []T) {
 	for i := range p {
-		p[i] = i
+		p[i] = T(i)
 	}
-	r.Shuffle(p)
-}
-
-// Shuffle permutes p in place (Fisher–Yates).
-func (r *RNG) Shuffle(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
@@ -142,13 +158,18 @@ func (r *RNG) Shuffle(p []int) {
 }
 
 // Choose returns k distinct values sampled uniformly from [0, n) in random
-// order. It panics if k > n or k < 0. The picks are copied out of the n-entry
-// permutation they are drawn from, so holding them does not hold it.
+// order: the first k entries of Perm32(n), copied out of that n-entry
+// scratch so holding the picks does not hold it. It panics if k > n, k < 0
+// or n > math.MaxInt32.
 func (r *RNG) Choose(n, k int) []int {
 	if k < 0 || k > n {
 		panic("rng: Choose requires 0 <= k <= n")
 	}
-	return slices.Clone(r.Perm(n)[:k])
+	picks := make([]int, k)
+	for i, v := range r.Perm32(n)[:k] {
+		picks[i] = int(v)
+	}
+	return picks
 }
 
 // ChooseWeighted returns one index in [0, len(weights)) drawn with

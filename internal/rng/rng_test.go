@@ -163,6 +163,113 @@ func TestChooseCopiesPicks(t *testing.T) {
 	}
 }
 
+// Perm returns a uniformly random permutation of [0, n): PermInto into
+// fresh storage.
+func (r *RNG) Perm(n int) []int {
+	p := make([]int, n)
+	r.PermInto(p)
+	return p
+}
+
+// legacyPerm is the permutation draw before the generic loop, byte for
+// byte: identity fill, then Fisher–Yates over an []int in a loop of its
+// own. It is the oracle PermInto, Perm32 and Choose are held to.
+func legacyPerm(r *RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := len(p) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+// TestPermutationsMatchLegacy: PermInto, Perm32 and Choose — every k —
+// return the values the []int loop returned, and leave the stream where it
+// left it, so no draw after them moves.
+func TestPermutationsMatchLegacy(t *testing.T) {
+	for _, seed := range []uint64{0, 5, 42} {
+		for _, n := range []int{0, 1, 2, 67, 1000} {
+			want := legacyPerm(New(seed), n)
+			next := func(f func(r *RNG)) uint64 {
+				r := New(seed)
+				f(r)
+				return r.Uint64()
+			}
+			wantNext := next(func(r *RNG) { legacyPerm(r, n) })
+			got := make([]int, n)
+			if gotNext := next(func(r *RNG) { r.PermInto(got) }); !slices.Equal(got, want) || gotNext != wantNext {
+				t.Fatalf("seed %d n %d: PermInto %v (next %x), legacy %v (next %x)", seed, n, got, gotNext, want, wantNext)
+			}
+			var got32 []int32
+			if gotNext := next(func(r *RNG) { got32 = r.Perm32(n) }); gotNext != wantNext {
+				t.Fatalf("seed %d n %d: Perm32 left the stream at %x, legacy at %x", seed, n, gotNext, wantNext)
+			}
+			for i, v := range got32 {
+				if int(v) != want[i] {
+					t.Fatalf("seed %d n %d: Perm32[%d] = %d, legacy %d", seed, n, i, v, want[i])
+				}
+			}
+			for k := 0; k <= n; k++ {
+				var picks []int
+				if gotNext := next(func(r *RNG) { picks = r.Choose(n, k) }); !slices.Equal(picks, want[:k]) || gotNext != wantNext {
+					t.Fatalf("seed %d n %d k %d: Choose %v (next %x), legacy prefix %v (next %x)", seed, n, k, picks, gotNext, want[:k], wantNext)
+				}
+			}
+		}
+	}
+}
+
+// TestIndexedDrawMatchesStream: Float64At(i) is draw i of the sequential
+// stream from the generator's current position — at every i below 10k, at
+// random i up to 2²², after the generator has advanced, and, where
+// stepping is out of reach, at i near the top of int's range by the shift
+// law At(i+k) = At(i) after k draws. It does not advance the generator.
+func TestIndexedDrawMatchesStream(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42, 1 << 63} {
+		for _, skip := range []int{0, 3} {
+			r := New(seed)
+			for range skip {
+				r.Uint64()
+			}
+			seq := *r
+			for i := range 10_000 {
+				if got, want := r.Float64At(i), seq.Float64(); got != want {
+					t.Fatalf("seed %d skip %d: Float64At(%d) = %v, stream %v", seed, skip, i, got, want)
+				}
+			}
+			pick := New(seed ^ 0x5eed)
+			large := []int{10_000 + pick.Intn(1<<22), 10_000 + pick.Intn(1<<22), 1<<22 - 1}
+			slices.Sort(large)
+			seq = *r
+			var u float64
+			at := 0
+			for _, i := range large {
+				for ; at <= i; at++ {
+					u = seq.Float64()
+				}
+				if got := r.Float64At(i); got != u {
+					t.Fatalf("seed %d skip %d: Float64At(%d) = %v, stream %v", seed, skip, i, got, u)
+				}
+			}
+			if r.Float64At(0) != New(seed).Float64At(skip) {
+				t.Fatalf("seed %d skip %d: indexed draws advanced the generator", seed, skip)
+			}
+		}
+		for _, i := range []int{math.MaxInt32 - 100, math.MaxInt - 100} {
+			a, b := New(seed), New(seed)
+			for k := 1; k <= 50; k++ {
+				b.Uint64()
+				if got, want := b.Float64At(i), a.Float64At(i+k); got != want {
+					t.Fatalf("seed %d: after %d draws Float64At(%d) = %v, want Float64At(%d) = %v", seed, k, i, got, i+k, want)
+				}
+			}
+		}
+	}
+}
+
 func TestChooseWeighted(t *testing.T) {
 	r := New(17)
 	w := []float64{0, 1, 3, 0}

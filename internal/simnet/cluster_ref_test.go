@@ -43,7 +43,8 @@ func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
 	}
 
 	root := rng.New(cfg.Seed)
-	order := root.SplitLabeled(1).Perm(cfg.NumClients)
+	order := make([]int, cfg.NumClients)
+	root.SplitLabeled(1).PermInto(order)
 
 	cl := &Cluster{
 		Clients:    make([]*ClientRuntime, cfg.NumClients),

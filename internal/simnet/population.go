@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rng"
@@ -23,12 +25,13 @@ import (
 //   - the churn membership choice (population label 3),
 //   - the attacker set (label 4, or the part-ranked tail).
 //
-// These are small index tables — O(N) ids and O(dynamic fraction · N)
-// map entries, a few bytes per client — while everything heavy (the delay
-// stream, drift/churn tracks, the ClientRuntime itself) stays un-built
-// until a dispatch touches the client. Steady-state live state is
-// O(touched clients), which under cohort sampling is O(cohort · rounds),
-// not O(N).
+// These are small index tables — one byte of part per client, and 12 bytes
+// (an int32 id and a float64 time) per unstable client, sorted by id —
+// while everything heavy (the delay stream, drift/churn tracks, the
+// ClientRuntime itself) stays un-built until a dispatch touches the client.
+// Ids are stored as int32, so a population holds at most math.MaxInt32
+// clients. Steady-state live state is O(touched clients), which under
+// cohort sampling is O(cohort · rounds), not O(N).
 //
 // Population is not safe for concurrent use: like the rest of the
 // simulator it lives on the single clock goroutine.
@@ -45,8 +48,8 @@ type Population struct {
 
 	root *rng.RNG // never advanced; anchors the pure labeled splits
 
-	part     []int32          // id → delay part
-	dropAt   map[int]float64  // finite permanent-drop times
+	part     []uint8          // id → delay part
+	drops    dropTable        // unstable clients by ascending id, with their drop times
 	churnSet map[int]struct{} // churn membership (population draw)
 	attacked map[int]struct{} // attacker membership
 
@@ -61,6 +64,9 @@ type Population struct {
 func NewPopulation(cfg ClusterConfig) (*Population, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("simnet: NumClients must be positive")
+	}
+	if cfg.NumClients > math.MaxInt32 {
+		return nil, fmt.Errorf("simnet: %d clients do not fit the population's int32 ids", cfg.NumClients)
 	}
 	parts := cfg.PartSizes
 	if len(parts) == 0 {
@@ -97,8 +103,7 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 		serverBW:    cfg.ServerBW,
 		seed:        cfg.Seed,
 		root:        rng.New(cfg.Seed),
-		part:        make([]int32, cfg.NumClients),
-		dropAt:      map[int]float64{},
+		part:        make([]uint8, cfg.NumClients),
 		churnTracks: map[int]*churnTrack{},
 		runtimes:    map[int]*ClientRuntime{},
 		links: &Cluster{
@@ -109,21 +114,24 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 
 	// Part assignment: the same permutation walk NewCluster does, stored
 	// as an id-indexed table instead of N runtimes.
-	order := p.root.SplitLabeled(1).Perm(p.n)
+	order := p.root.SplitLabeled(1).Perm32(p.n)
 	idx := 0
 	for part, size := range parts {
 		for j := 0; j < size; j++ {
-			p.part[order[idx]] = int32(part)
+			p.part[order[idx]] = uint8(part)
 			idx++
 		}
 	}
 
 	// Unstable clients: the choice and the drop times interleave on one
-	// stream, so both are drawn here, in the eager order.
+	// stream, so both are drawn here, in the eager order, then sorted by id.
 	ur := p.root.SplitLabeled(2)
-	for _, id := range ur.Choose(p.n, cfg.NumUnstable) {
-		p.dropAt[id] = ur.Uniform(0, dropHorizon)
+	unstable := ur.Choose(p.n, cfg.NumUnstable)
+	p.drops = dropTable{ids: make([]int32, len(unstable)), times: make([]float64, len(unstable))}
+	for k, id := range unstable {
+		p.drops.ids[k], p.drops.times[k] = int32(id), ur.Uniform(0, dropHorizon)
 	}
+	sort.Sort(p.drops)
 
 	if cfg.Behavior.Enabled() {
 		b := cfg.Behavior.withDefaults()
@@ -171,10 +179,24 @@ func (p *Population) SecPerBatch(id int) float64 { return p.secPerBatch * p.Spee
 
 // DropTime returns the client's permanent departure time (+Inf if stable).
 func (p *Population) DropTime(id int) float64 {
-	if t, ok := p.dropAt[id]; ok {
-		return t
+	if k, ok := slices.BinarySearch(p.drops.ids, int32(id)); ok {
+		return p.drops.times[k]
 	}
 	return Inf
+}
+
+// dropTable holds the unstable clients' ids and drop times, index for index;
+// it sorts the two together by id.
+type dropTable struct {
+	ids   []int32
+	times []float64
+}
+
+func (d dropTable) Len() int           { return len(d.ids) }
+func (d dropTable) Less(a, b int) bool { return d.ids[a] < d.ids[b] }
+func (d dropTable) Swap(a, b int) {
+	d.ids[a], d.ids[b] = d.ids[b], d.ids[a]
+	d.times[a], d.times[b] = d.times[b], d.times[a]
 }
 
 // AttackOf returns the client's malicious role (zero value = honest).
@@ -309,7 +331,7 @@ func (p *Population) Cluster() *Cluster {
 // tailParts picks the k slowest clients from the part table — largest part
 // wins, ties to the lower id — the same ranking the eager reference applies
 // to materialized runtimes.
-func tailParts(part []int32, k int) []int {
+func tailParts(part []uint8, k int) []int {
 	ids := make([]int, len(part))
 	for i := range ids {
 		ids[i] = i

@@ -151,6 +151,30 @@ func TestPopulationPureQueries(t *testing.T) {
 	}
 }
 
+// TestPopulationValidation: NewPopulation rejects what NewCluster rejects,
+// and a population too large for its int32 id tables — before it allocates
+// them.
+func TestPopulationValidation(t *testing.T) {
+	rows := map[string]ClusterConfig{
+		"zero clients":        {NumClients: 0},
+		"too few part sizes":  {NumClients: 10, PartSizes: []int{3, 3}},
+		"part sizes sum":      {NumClients: 10, PartSizes: []int{2, 2, 2, 2, 3}},
+		"too many unstable":   {NumClients: 3, NumUnstable: 5},
+		"unknown attack kind": {NumClients: 10, Behavior: BehaviorConfig{AttackFrac: 0.2, AttackKind: "bogus"}},
+	}
+	// The bound is only reachable where int is wider than int32.
+	if huge := int64(math.MaxInt32) + 1; int64(int(huge)) == huge {
+		rows["more clients than int32 ids"] = ClusterConfig{NumClients: int(huge)}
+	}
+	for name, cfg := range rows {
+		t.Run(name, func(t *testing.T) {
+			if _, err := NewPopulation(cfg); err == nil {
+				t.Fatalf("NewPopulation accepted %+v", cfg)
+			}
+		})
+	}
+}
+
 // TestPopulationResetRewindsTouchedStreams mirrors Cluster.Reset for the
 // lazy path: after Reset, a touched client's delay stream replays.
 func TestPopulationResetRewindsTouchedStreams(t *testing.T) {

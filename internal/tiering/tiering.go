@@ -37,11 +37,15 @@ func (t *Tiers) M() int { return len(t.Members) }
 // smallest key, 11 bits a pass. It sorts 8-byte words that hold key digits
 // above the client id, so a pass moves one word per client, and its
 // ping-pong buffers are its two outputs, the array behind every Members[t]
-// and Assignment.
+// and Assignment. Those words are ints, so Partition returns an error on a
+// 32-bit platform.
 func Partition(latencies []float64, m int) (*Tiers, error) {
 	n := len(latencies)
 	if m <= 0 || m > n {
 		return nil, fmt.Errorf("tiering: cannot split %d clients into %d tiers", n, m)
+	}
+	if bits.UintSize < 64 {
+		return nil, fmt.Errorf("tiering: Partition needs a 64-bit platform: its radix sort packs key digits and the client id into one int")
 	}
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("tiering: %d clients do not fit the radix sort's 31-bit ids", n)

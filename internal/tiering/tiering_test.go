@@ -1,8 +1,10 @@
 package tiering
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +152,23 @@ func TestPartitionValidation(t *testing.T) {
 	}
 	if _, err := Partition(nil, 1); err == nil {
 		t.Fatal("a tier over no clients accepted")
+	}
+}
+
+// TestPartitionNeeds64BitInts: the radix sort packs key digits and the
+// client id into one int, so on a 32-bit platform Partition refuses with an
+// error that names the requirement instead of indexing out of range, and on
+// a 64-bit one it partitions.
+func TestPartitionNeeds64BitInts(t *testing.T) {
+	_, err := Partition([]float64{3, 1, 2}, 2)
+	if bits.UintSize == 64 {
+		if err != nil {
+			t.Fatalf("64-bit platform: %v", err)
+		}
+		return
+	}
+	if err == nil || !strings.Contains(err.Error(), "64-bit") {
+		t.Fatalf("%d-bit platform: error %v, want one naming the 64-bit requirement", bits.UintSize, err)
 	}
 }
 
