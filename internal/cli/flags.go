@@ -1,16 +1,18 @@
-// Package cliflags is the one declaration of the flags cmd/fedsim and
-// cmd/fedserver have in common: the name, the help text and where the value
-// goes. Every flag is a flag.Func, so "was it given" is a fact recorded at
-// parse time rather than a flag.Visit pass afterwards, and the explicit-zero
-// law (zeroOff) lives beside the declarations it governs.
-package cliflags
+// Package cli holds the bodies of cmd/fedsim (Sim), cmd/fedserver (Server)
+// and cmd/fedclient (Client), and the one declaration of the flags fedsim
+// and fedserver share: name, help text and where the value goes. Each shared
+// flag is a flag.Func, so "was it given" is recorded at parse time, and the
+// explicit-zero law (zeroOff) lives beside the declarations it governs.
+package cli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/edge"
 	"repro/internal/fl"
@@ -122,11 +124,20 @@ func Bind(fs *flag.FlagSet) *Shared {
 func (s *Shared) BindServer() {
 	s.runFloat("lambda", "proximal `coefficient` for Prox methods (Eq. 3); unset inherits the engine default, explicit 0 or negative disables",
 		func(c *fl.RunConfig, v float64) { c.Lambda = zeroOff(v, fl.LambdaOff) })
-	s.declare("edge-stale-exp", "async fold: staleness discount `exponent` (unset = default 0.5; explicit 0 = no discount)", func(v string) error {
+	s.cloudFlag("edge-stale-exp", "async fold: staleness discount `exponent` (unset = default 0.5; explicit 0 = no discount)", func(v string) error {
 		a, err := strconv.ParseFloat(v, 64)
 		s.Cloud.StaleExp = zeroOff(a, fl.StaleExpOff)
 		return err
 	})
+}
+
+// cloudUnused is the usage error for edge→cloud flags given where no
+// hierarchy consumes them; without names what would build one.
+func (s *Shared) cloudUnused(hierarchy bool, without string) error {
+	if hierarchy || len(s.GivenCloud) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s given without %s (only a hierarchy has an edge→cloud hop)", strings.Join(s.GivenCloud, ", "), without)
 }
 
 // ApplyRun writes every engine flag that was given into cfg and leaves the
@@ -186,4 +197,13 @@ func (s *Shared) runFloat(name, usage string, set func(*fl.RunConfig, float64)) 
 		s.run = append(s.run, func(c *fl.RunConfig) { set(c, f) })
 		return err
 	})
+}
+
+// parseExit is the exit code of a failed fs.Parse: 0 for -h, 2 for a usage
+// error, which fs has already printed.
+func parseExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	return 2
 }

@@ -176,7 +176,7 @@ func Scale(p Preset) (*Report, error) {
 		"the laziness actually working. Accuracy is measured on the evaluator's fixed deterministic sample, " +
 		"comparable across rungs. Wall-clock and peak-heap figures ride along as data-only scalars (JSON/CSV); " +
 		"they are machine-dependent, so the pinned text report carries only the deterministic columns. Under " +
-		"-preset huge the top rung is 1,000,000 clients; the fl memory-ceiling test asserts such a run's peak " +
-		"heap stays under 256MB.")
+		"-preset huge the top rung is 1,000,000 clients; at that scale the fl memory ledger " +
+		"(TestDerivedPopulationFootprint) holds each set-up owner's bytes to a per-client formula.")
 	return rep, nil
 }
