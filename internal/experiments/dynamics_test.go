@@ -1,22 +1,13 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestDynamicsTiny pins the dynamics experiment's headline claims at the
 // tiny preset. Runs are deterministic, so the comparisons are fixed for a
 // given code version — if a legitimate engine change flips one, the
 // experiment's note (and this test) need re-examining together.
 func TestDynamicsTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := Dynamics(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := tinyReport(t, "dynamics")
 	if len(rep.Runs) != 6 {
 		t.Fatalf("dynamics kept %d runs, want 6", len(rep.Runs))
 	}
@@ -45,13 +36,6 @@ func TestDynamicsTiny(t *testing.T) {
 		}
 		if b.Retiers != 0 {
 			t.Fatalf("%s: synchronous run performed %d retier passes", m, b.Retiers)
-		}
-	}
-
-	s := rep.String()
-	for _, want := range []string{"re-tiers", "migrations", "fedat/retier", "smoothed accuracy over virtual time"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("dynamics report missing %q:\n%s", want, s)
 		}
 	}
 }

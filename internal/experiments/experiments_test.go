@@ -1,13 +1,11 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// The experiment tests run everything at the Tiny preset: they validate
-// structure (every section renders, every run learns something, registry
-// coverage) rather than paper-scale numbers.
+// The experiment tests read the Tiny batch (golden_test.go): TestGoldenText
+// pins every report's bytes, and the tests here check the properties of the
+// runs behind them (every run learns, shared cells are shared, compression
+// shrinks payloads) rather than paper-scale numbers.
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 	want := []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"}
@@ -38,19 +36,7 @@ func TestPresetByName(t *testing.T) {
 }
 
 func TestTable1Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := Table1(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	for _, want := range []string{"FedAT", "FedAvg", "FedProx", "FedAsync", "TiFL", "cifar10(#2)", "sent140"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("table1 report missing %q:\n%s", want, s)
-		}
-	}
+	rep := tinyReport(t, "table1")
 	if len(rep.Runs) < 5*len(table1Specs) {
 		t.Fatalf("table1 kept %d runs, want %d", len(rep.Runs), 5*len(table1Specs))
 	}
@@ -65,62 +51,30 @@ func TestTable1Tiny(t *testing.T) {
 }
 
 func TestFigure2And4AndTable2ShareRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	// These three analyze the same training runs; the cache must make the
-	// later ones cheap and identical.
-	rep2, err := Figure2(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep4, err := Figure4(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repT2, err := Table2(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// These three analyze the same training runs; the cache must serve the
+	// one simulation to all of them.
+	rep2, rep4, repT2 := tinyReport(t, "fig2"), tinyReport(t, "fig4"), tinyReport(t, "table2")
 	k := "cifar10(#2)/fedat"
-	if rep2.Runs[k] != rep4.Runs[k] || rep4.Runs[k] != repT2.Runs[k] {
+	if rep2.Runs[k] == nil || rep2.Runs[k] != rep4.Runs[k] || rep4.Runs[k] != repT2.Runs[k] {
 		t.Fatal("shared runs were re-simulated instead of cached")
-	}
-	if !strings.Contains(rep2.String(), "time to") {
-		t.Fatal("fig2 missing time-to-target section")
-	}
-	if !strings.Contains(repT2.String(), "MB") && !strings.Contains(repT2.String(), "-") {
-		t.Fatal("table2 missing byte cells")
 	}
 }
 
 func TestFigure3Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
+	rep := tinyReport(t, "fig3")
+	// Every method trains at every non-IID level, IID included.
+	if len(rep.Runs) != len(figure3Specs)*len(table1Methods) {
+		t.Fatalf("fig3 kept %d runs, want %d", len(rep.Runs), len(figure3Specs)*len(table1Methods))
 	}
-	rep, err := Figure3(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "cifar10(iid)") {
-		t.Fatal("fig3 missing IID column")
+	for key, run := range rep.Runs {
+		if run.GlobalRounds == 0 {
+			t.Fatalf("run %s completed no rounds", key)
+		}
 	}
 }
 
 func TestFigure5Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := Figure5(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	for _, want := range []string{"Precision 3", "Precision 4", "No Compression", "ratio"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("fig5 missing %q", want)
-		}
-	}
+	rep := tinyReport(t, "fig5")
 	// Compression must actually reduce bytes vs raw.
 	raw := rep.Runs["No Compression"]
 	p4 := rep.Runs["Precision 4"]
@@ -136,49 +90,21 @@ func TestFigure5Tiny(t *testing.T) {
 }
 
 func TestFigure6Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := Figure6(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "Uniform") {
-		t.Fatal("fig6 missing uniform column")
-	}
+	rep := tinyReport(t, "fig6")
 	if rep.Runs["cifar10(#2)/weighted"] == rep.Runs["cifar10(#2)/uniform"] {
 		t.Fatal("weighted and uniform runs are the same object")
 	}
 }
 
 func TestFigure7Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := Figure7(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "ASO-Fed") {
-		t.Fatal("fig7 missing ASO-Fed")
-	}
+	rep := tinyReport(t, "fig7")
 	if len(rep.Runs) != 6 {
 		t.Fatalf("fig7 kept %d runs, want 6", len(rep.Runs))
 	}
 }
 
 func TestFigure8Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := Figure8(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	if !strings.Contains(s, "loss") && !strings.Contains(s, "Loss") {
-		t.Fatal("fig8 missing loss section")
-	}
+	rep := tinyReport(t, "fig8")
 	for _, m := range figure8Methods {
 		run := rep.Runs[m]
 		if run == nil || len(run.Points) == 0 {
@@ -188,35 +114,20 @@ func TestFigure8Tiny(t *testing.T) {
 }
 
 func TestFigure9Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
+	rep := tinyReport(t, "fig9")
+	// Every method trains at every participation level on both datasets.
+	if want := 2 * len(figure9Participation) * len(figure9Methods); len(rep.Runs) != want {
+		t.Fatalf("fig9 kept %d runs, want %d", len(rep.Runs), want)
 	}
-	rep, err := Figure9(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	for _, want := range []string{"2 clients", "15 clients"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("fig9 missing %q", want)
+	for key, run := range rep.Runs {
+		if run.GlobalRounds == 0 {
+			t.Fatalf("run %s completed no rounds", key)
 		}
 	}
 }
 
 func TestFigure10Tiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := Figure10(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	for _, want := range []string{"Uniform", "Slow", "Medium", "Fast"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("fig10 missing %q", want)
-		}
-	}
+	rep := tinyReport(t, "fig10")
 	// All four distributions must actually train.
 	for _, cfg := range figure10Configs {
 		if rep.Runs[cfg.label].GlobalRounds == 0 {

@@ -8,9 +8,8 @@ import (
 )
 
 // The experiments in this file go beyond the paper's figures: they are
-// ablations of claims the paper makes in prose (§2.1's mis-tiering
-// tolerance, the over-selection strategy it critiques) and of design
-// parameters it fixes without sweeping (FedAsync's staleness discount, the
+// ablations of a claim the paper makes in prose (§2.1's mis-tiering
+// tolerance) and of a design parameter it fixes without sweeping (the
 // proximal coefficient λ). DESIGN.md lists them as extension work.
 
 // AblationMisTier corrupts a growing fraction of the latency profiles
@@ -63,42 +62,6 @@ func AblationMisTier(p Preset) (*Report, error) {
 	return rep, nil
 }
 
-// AblationStaleness sweeps FedAsync's polynomial staleness exponent a in
-// α_t = α·(staleness+1)^(−a): a=0 ignores staleness entirely; larger a
-// discounts stale updates harder.
-func AblationStaleness(p Preset) (*Report, error) {
-	rep := &Report{ID: "ablation-staleness", Title: "FedAsync staleness-discount sweep (design-choice ablation)"}
-	spec := dsSpec{name: "cifar10", classesPerClient: 2}
-	exps := []float64{0.01, 0.25, 0.5, 1.0}
-	cellFor := func(a float64) cell {
-		return cell{p: p, d: spec, method: "fedasync",
-			variant: fmt.Sprintf("staleexp=%.2f", a),
-			mutate:  func(cfg *fl.RunConfig) { cfg.Staleness.Alpha = a }}
-	}
-	cells := make([]cell, len(exps))
-	for i, a := range exps {
-		cells[i] = cellFor(a)
-	}
-	if err := scheduleCells(cells); err != nil {
-		return nil, err
-	}
-	tb := report.NewTable("FedAsync on cifar10(#2)",
-		"staleness exponent a", "best acc", "final acc", "acc variance")
-	for _, a := range exps {
-		run, err := cellRun(cellFor(a))
-		if err != nil {
-			return nil, err
-		}
-		rep.Keep(fmt.Sprintf("a=%.2f", a), run)
-		tb.AddRow(report.Numf("%.2f", a), accCell(run.BestAcc()), accCell(run.FinalAcc()),
-			report.Numf("%.2e", run.MeanVariance()))
-	}
-	rep.AddTable(tb)
-	rep.AddNote("Too little discounting lets 30s-stale single-client updates whipsaw the global model; " +
-		"too much freezes it. The 0.5 default is the paper-era convention.")
-	return rep, nil
-}
-
 // AblationLambda sweeps the proximal coefficient λ of Eq. 3 for FedAT. The
 // paper fixes λ=0.4; the sweep shows the tradeoff it balances: λ=0 lets
 // non-IID clients drift, large λ blocks local learning.
@@ -136,40 +99,4 @@ func AblationLambda(p Preset) (*Report, error) {
 	}
 	rep.AddTable(tb)
 	return rep, nil
-}
-
-// AblationOverSelect compares the over-selection strategy (Bonawitz et al.,
-// discussed in §2.1) against FedAvg and FedAT: it buys shorter rounds by
-// wasting the slowest 30% of selected clients' work.
-func AblationOverSelect(p Preset) (*Report, error) {
-	rep := &Report{ID: "ablation-oversel", Title: "Over-selection baseline (§2.1's discussed strategy)"}
-	spec := dsSpec{name: "cifar10", classesPerClient: 2}
-	methods := []string{"fedat", "fedavg", "fedavg-oversel"}
-	runs, err := cachedRunMethods(p, spec, methods, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	tb := report.NewTable("cifar10(#2)", "method", "best acc", "sec/update", "up-bytes/update")
-	for _, m := range methods {
-		run := runs[m]
-		rep.Keep(m, run)
-		bytesPer := 0.0
-		if run.GlobalRounds > 0 && len(run.Points) > 0 {
-			bytesPer = float64(run.UpBytes) / float64(run.GlobalRounds)
-		}
-		tb.AddRow(report.Str(methodLabel2(m)), accCell(run.BestAcc()),
-			report.Numf("%.1fs", run.SecPerUpdate()), report.Num(bytesPer, fmt.Sprintf("%.0f B", bytesPer)))
-	}
-	rep.AddTable(tb)
-	rep.AddNote("Expected shape: over-selection shortens FedAvg's rounds but uploads ~30% more per " +
-		"update and systematically drops the slowest clients' contributions; FedAT gets the speed " +
-		"without discarding work.")
-	return rep, nil
-}
-
-func methodLabel2(name string) string {
-	if name == "fedavg-oversel" {
-		return "FedAvg+oversel"
-	}
-	return methodLabel(name)
 }

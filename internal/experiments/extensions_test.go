@@ -6,53 +6,14 @@ import (
 )
 
 func TestAblationMisTierTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := AblationMisTier(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	for _, want := range []string{"FedAT", "TiFL", "0% mis-tiered", "40% mis-tiered"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("mistier report missing %q", want)
-		}
-	}
+	rep := tinyReport(t, "ablation-mistier")
 	if len(rep.Runs) != 6 {
 		t.Fatalf("mistier kept %d runs, want 6", len(rep.Runs))
 	}
 }
 
-func TestAblationStalenessTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := AblationStaleness(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "staleness") {
-		t.Fatal("staleness report malformed")
-	}
-	if len(rep.Runs) != 4 {
-		t.Fatalf("staleness kept %d runs, want 4", len(rep.Runs))
-	}
-	// Different exponents must actually change the run.
-	if rep.Runs["a=0.01"].BestAcc() == rep.Runs["a=1.00"].BestAcc() &&
-		rep.Runs["a=0.01"].FinalAcc() == rep.Runs["a=1.00"].FinalAcc() {
-		t.Fatal("staleness exponent has no effect")
-	}
-}
-
 func TestAblationLambdaTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := AblationLambda(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := tinyReport(t, "ablation-lambda")
 	if len(rep.Runs) != 5 {
 		t.Fatalf("lambda sweep kept %d runs, want 5", len(rep.Runs))
 	}
@@ -61,31 +22,8 @@ func TestAblationLambdaTiny(t *testing.T) {
 	}
 }
 
-func TestAblationOverSelectTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := AblationOverSelect(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(rep.String(), "FedAvg+oversel") {
-		t.Fatal("over-selection row missing")
-	}
-}
-
 func TestTheoryValidationTiny(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
-	}
-	rep, err := TheoryValidation(Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rep.String()
-	if !strings.Contains(s, "Theorem 5.1") || !strings.Contains(s, "Theorem 5.2") {
-		t.Fatalf("theory report missing theorem sections:\n%s", s)
-	}
+	s := tinyReport(t, "theory").String()
 	if !strings.Contains(s, "DECREASING") {
 		t.Fatalf("convex gap did not decrease:\n%s", s)
 	}

@@ -4,45 +4,64 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // update regenerates the golden files from the current renderer:
 //
 //	go test ./internal/experiments -run TestGoldenText -update
 //
-// Only do this for a deliberate output change; the goldens exist to prove
-// the text renderer reproduces the pre-artifact-model reports byte for
-// byte.
+// Only do this for a deliberate output change: every registry id's
+// tiny-preset text report is pinned byte for byte in testdata/<id>.golden,
+// so any change that moves a cell of any experiment shows up here.
 var update = flag.Bool("update", false, "rewrite golden files from current output")
 
-// goldenIDs are the experiments whose tiny-preset text output is pinned:
-// a table-heavy report (table1), a timeline + free-text report (fig2), a
-// variant sweep (ablation-lambda), the edge-topology comparison (hierarchy
-// — its flat and edge1 rows must stay bit-identical), the adversarial
-// grid (robustness — pins each fold family's degradation curve and the
-// tiering×attackers comparison) and the lazy-population ladder (scale —
-// its deterministic columns pin the lazy substrate's short-population
-// runs; the machine-dependent wall/heap figures are data-only scalars and
-// never reach the text), and the async-family sweep (staleness — pins the
-// weight-function × discount grid, the per-update-vs-batch anchor
-// comparison and the adaptive-LR stage), and the Reddit LSTM (fig8 — the
-// only model with a Dropout layer, so the only report that depends on the
-// per-(client, round) mask streams TrainLocal reseeds).
-var goldenIDs = []string{"table1", "fig2", "ablation-lambda", "hierarchy", "robustness", "scale", "staleness", "fig8"}
+type tinyResult struct {
+	rep *Report
+	err error
+}
+
+// tinyBatch runs every registry id at the Tiny preset as one concurrent
+// batch, the way fedsim -exp all does, once per test binary: cells that
+// several experiments request are simulated once by the scheduler's shared
+// cache. TestGoldenText and the per-experiment tests all read from it.
+var tinyBatch = sync.OnceValue(func() map[string]tinyResult {
+	ids := IDs()
+	results := make([]tinyResult, len(ids))
+	parallel.Dynamic(len(ids), parallel.Workers(len(ids)), func(i int) {
+		results[i].rep, results[i].err = RunByID(ids[i], Tiny)
+	})
+	out := make(map[string]tinyResult, len(ids))
+	for i, id := range ids {
+		out[id] = results[i]
+	}
+	return out
+})
+
+// tinyReport is experiment id's report from the Tiny batch.
+func tinyReport(t *testing.T, id string) *Report {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
+	}
+	r := tinyBatch()[id]
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return r.rep
+}
 
 func TestGoldenText(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full artifact regeneration; the -race -short CI pass covers the scheduler tests")
 	}
-	for _, id := range goldenIDs {
-		id := id
+	for _, id := range IDs() {
 		t.Run(id, func(t *testing.T) {
-			rep, err := RunByID(id, Tiny)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := rep.String()
+			got := tinyReport(t, id).String()
 			path := filepath.Join("testdata", id+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
@@ -62,5 +81,17 @@ func TestGoldenText(t *testing.T) {
 					id, len(got), len(want), got, want)
 			}
 		})
+	}
+	// A golden whose experiment left the registry pins nothing; it must
+	// leave with it.
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		id := strings.TrimSuffix(filepath.Base(path), ".golden")
+		if _, ok := Registry[id]; !ok {
+			t.Errorf("%s pins %q, which is not in the registry; delete it", path, id)
+		}
 	}
 }

@@ -27,17 +27,15 @@ var Registry = map[string]Experiment{
 	"fig10":  {"Tier-size distributions", Figure10},
 
 	// Extensions beyond the paper's figures (see DESIGN.md §3).
-	"ablation-compose":   {"Novel policy compositions", AblationCompose},
-	"dynamics":           {"Dynamic clients: static vs runtime re-tiering", Dynamics},
-	"hierarchy":          {"Hierarchical edge fabric: flat vs K-edge topologies", Hierarchy},
-	"ablation-mistier":   {"Mis-tiering tolerance", AblationMisTier},
-	"robustness":         {"Adversarial robustness: attacks, robust folds, DP", Robustness},
-	"ablation-staleness": {"FedAsync staleness sweep", AblationStaleness},
-	"staleness":          {"Staleness-aware async family: weight functions, anchors, adaptive LR", Staleness},
-	"ablation-lambda":    {"Proximal λ sweep", AblationLambda},
-	"ablation-oversel":   {"Over-selection baseline", AblationOverSelect},
-	"theory":             {"Empirical §5 convergence check", TheoryValidation},
-	"scale":              {"Million-client simnet: lazy population ladder", Scale},
+	"ablation-compose": {"Novel policy compositions", AblationCompose},
+	"dynamics":         {"Dynamic clients: static vs runtime re-tiering", Dynamics},
+	"hierarchy":        {"Hierarchical edge fabric: flat vs K-edge topologies", Hierarchy},
+	"ablation-mistier": {"Mis-tiering tolerance", AblationMisTier},
+	"robustness":       {"Adversarial robustness: attacks, robust folds, DP", Robustness},
+	"staleness":        {"Staleness-aware async family: weight functions, anchors, adaptive LR", Staleness},
+	"ablation-lambda":  {"Proximal λ sweep", AblationLambda},
+	"theory":           {"Empirical §5 convergence check", TheoryValidation},
+	"scale":            {"Million-client simnet: lazy population ladder", Scale},
 }
 
 // IDs returns the experiment ids in a stable order.

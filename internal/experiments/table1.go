@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/fl"
 	"repro/internal/report"
 )
 
@@ -99,20 +100,10 @@ func specLabels(specs []dsSpec) []string {
 	return out
 }
 
+// methodLabel is a registry method's display name.
 func methodLabel(name string) string {
-	switch name {
-	case "fedat":
-		return "FedAT"
-	case "fedavg":
-		return "FedAvg"
-	case "fedprox":
-		return "FedProx"
-	case "fedasync":
-		return "FedAsync"
-	case "tifl":
-		return "TiFL"
-	case "asofed":
-		return "ASO-Fed"
+	if m, ok := fl.Methods[name]; ok {
+		return m.Name
 	}
 	return name
 }
