@@ -62,6 +62,12 @@ func (a *Adam) Step(w, g []float64) {
 	adamStep(w[:len(g)], g, a.m[:len(g)], a.v[:len(g)], &c)
 }
 
+// adamConsts carries the per-step scalars into adamStep. Field order is
+// load-bearing: step_amd64.s reads the fields by byte offset.
+type adamConsts struct {
+	b1, b2, u1, u2, c1, c2, lr, eps float64
+}
+
 // adamStepGo is the scalar reference update: one Adam step with bias
 // correction over every coordinate. The amd64 build runs the SSE2 kernel
 // in step_amd64.s instead — two lanes of exactly these operations in

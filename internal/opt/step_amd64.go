@@ -2,12 +2,6 @@
 
 package opt
 
-// adamConsts carries the per-step scalars into the assembly kernel. Field
-// order is load-bearing: step_amd64.s reads them by byte offset.
-type adamConsts struct {
-	b1, b2, u1, u2, c1, c2, lr, eps float64
-}
-
 // adamStepAsm is the SSE2 two-wide Adam update in step_amd64.s. It applies
 // exactly the per-element operation sequence of adamStepGo; packed IEEE
 // ops are correctly rounded per lane, so results are bit-identical

@@ -2,11 +2,4 @@
 
 package opt
 
-// adamConsts carries the per-step scalars shared with the amd64 kernel.
-type adamConsts struct {
-	b1, b2, u1, u2, c1, c2, lr, eps float64
-}
-
-func adamStep(w, g, m, v []float64, c *adamConsts) {
-	adamStepGo(w, g, m, v, c)
-}
+func adamStep(w, g, m, v []float64, c *adamConsts) { adamStepGo(w, g, m, v, c) }

@@ -58,8 +58,9 @@ func insertionSort(a []float64) {
 // network runs over the rows — each comparator one element-wise (min, max)
 // pass over two rows (cmpExRows), no branch on any value — and the
 // statistic is read out of the sorted rows in one more pass. loadRow and
-// cmpExRows are two-wide SSE2 in fold_amd64.s and plain Go loops in
-// fold_generic.go, chosen by GOARCH alone.
+// cmpExRows are two-wide SSE2 on amd64 (fold_amd64.s); their Go twins
+// loadRowGo and cmpExRowsGo below run on every other GOARCH, and on amd64
+// TestFoldRowsMatchGo holds the assembly to them bit for bit.
 //
 // The gather law: a value read from an update counts -0 as +0 and NaN as
 // +Inf. A non-finite update is thereby the largest value of its coordinate
@@ -76,6 +77,32 @@ func insertionSort(a []float64) {
 // tiles to parallel.For would cost closure allocations on a path pinned at
 // zero.
 const foldTile = 256
+
+// loadRowGo copies src into dst under the gather law: -0 becomes +0 (v + 0)
+// and NaN becomes +Inf.
+func loadRowGo(dst, src []float64) {
+	inf := math.Inf(1)
+	dst = dst[:len(src)]
+	for i, v := range src {
+		v += 0
+		if v != v {
+			v = inf
+		}
+		dst[i] = v
+	}
+}
+
+// cmpExRowsGo leaves min(lo[i], hi[i]) in lo[i] and the max in hi[i]. The
+// rows hold no NaN and no -0 (loadRow), so the builtins' special cases
+// never fire and the pair of results is the pair of inputs, ordered.
+func cmpExRowsGo(lo, hi []float64) {
+	hi = hi[:len(lo)]
+	for i, a := range lo {
+		b := hi[i]
+		lo[i] = min(a, b)
+		hi[i] = max(a, b)
+	}
+}
 
 // cmpEx is one comparator of a sorting network: it leaves the smaller of
 // rows lo and hi in lo and the larger in hi, coordinate by coordinate.

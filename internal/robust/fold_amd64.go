@@ -2,6 +2,8 @@
 
 package robust
 
+import "unsafe"
+
 // foldLoadAsm copies src[0:n] to dst[0:n] under the gather law
 // (fold_amd64.s): one ADDPD with +0 turns -0 into +0 and keeps every other
 // value, one MINPD against +Inf — which returns its second operand when
@@ -18,10 +20,12 @@ func foldLoadAsm(dst, src *float64, n int)
 //go:noescape
 func foldCmpExAsm(lo, hi *float64, n int)
 
+// The shims pass slice data pointers, not &x[0], so an empty row is a call
+// that touches nothing rather than an index panic.
 func loadRow(dst, src []float64) {
-	foldLoadAsm(&dst[0], &src[0], len(src))
+	foldLoadAsm(unsafe.SliceData(dst), unsafe.SliceData(src), len(src))
 }
 
 func cmpExRows(lo, hi []float64) {
-	foldCmpExAsm(&lo[0], &hi[0], len(lo))
+	foldCmpExAsm(unsafe.SliceData(lo), unsafe.SliceData(hi), len(lo))
 }

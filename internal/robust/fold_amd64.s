@@ -1,6 +1,6 @@
 // SSE2 two-wide bodies of the coordinate folds' tile kernel (fold.go).
 //
-// Bit-exactness contract (same discipline as vec_amd64.s, step_amd64.s and
+// Bit-exactness contract (same discipline as step_amd64.s and
 // gemm_amd64.s): every lane is one coordinate and no lane reads another.
 // foldLoadAsm applies the gather law with two IEEE operations per value —
 // v + (+0), which is v for every v except -0, where it is +0; then
@@ -10,7 +10,8 @@
 // which MINPD/MAXPD return one of their two operands unchanged, and two
 // operands that compare equal have equal bits — so a comparator permutes
 // each coordinate's pair exactly as Go's min/max do. No AVX, no CPUID test:
-// one body on amd64, the Go loops of fold_generic.go everywhere else.
+// one body on amd64; the Go twins loadRowGo and cmpExRowsGo (fold.go) run
+// everywhere else, and TestFoldRowsMatchGo holds these bodies to them.
 
 //go:build amd64
 

@@ -120,10 +120,13 @@ func TestSortNetworkZeroOne(t *testing.T) {
 }
 
 // foldSpecials are the values a comparator could mishandle: the unordered
-// one, both infinities, both zeros, the denormal range's ends and the
-// extremes.
+// one (with both signs and other payloads, signalling ones included — the
+// gather law must turn each into the same +Inf), both infinities, both
+// zeros, the denormal range's ends and the extremes.
 var foldSpecials = []float64{
-	math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	math.NaN(), math.Float64frombits(0xfff8000000000000),
+	math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff00000deadbeef),
+	math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 	5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
 	math.MaxFloat64, -math.MaxFloat64,
 }

@@ -2,10 +2,10 @@
 // e ascending. A 16/8/4/2/1-column tile of out lives in XMM accumulators
 // across the whole term loop and is stored once.
 //
-// Bit-exactness contract (same as axpyAsm, vec_amd64.s): one MULPD lane is
-// one a*b[j], one ADDPD lane is one out[j] += ·, each correctly rounded per
-// lane, and every column's accumulator receives its terms in list order.
-// Column j therefore sees exactly the scalar sequence
+// Bit-exactness contract (same as step_amd64.s and fold_amd64.s): one
+// MULPD lane is one a*b[j], one ADDPD lane is one out[j] += ·, each
+// correctly rounded per lane, and every column's accumulator receives its
+// terms in list order. Column j therefore sees exactly the scalar sequence
 // out[j] = (…((out[j] + a₀·b₀[j]) + a₁·b₁[j]) + …), whichever tile width it
 // falls in. No FMA (fused rounding would diverge), no AVX. The Go wrapper
 // zeroes out, compacts the non-zero a values into terms, and never calls

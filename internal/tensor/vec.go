@@ -30,33 +30,12 @@ import (
 // this).
 
 // Axpy computes y += a*x element-wise. x and y must have equal length.
+// The loop writes y[i] before it reads x[i+1], so when x and y overlap with
+// a skew, later reads see earlier writes, exactly as in the plain loop.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("tensor: Axpy length mismatch")
 	}
-	if len(x) == 0 {
-		return
-	}
-	axpyKernel(a, x, y)
-}
-
-// overlaps reports whether x and y share at least one element — the
-// pointer-range test behind Axpy's scalar fallback for skewed views and the
-// GEMMs' no-alias panic.
-func overlaps(x, y []float64) bool {
-	if len(x) == 0 || len(y) == 0 {
-		return false
-	}
-	xs := uintptr(unsafe.Pointer(&x[0]))
-	ys := uintptr(unsafe.Pointer(&y[0]))
-	return xs < ys+uintptr(len(y))*8 && ys < xs+uintptr(len(x))*8
-}
-
-// axpyGo is the scalar reference for Axpy. On amd64 the hot path runs the
-// SSE2 kernel in vec_amd64.s instead; equivalence — including for aliased
-// inputs, where the packed kernel steps aside — is pinned by
-// TestAxpyAsmMatchesGo and FuzzAXPY.
-func axpyGo(a float64, x, y []float64) {
 	y = y[:len(x)]
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
@@ -68,6 +47,17 @@ func axpyGo(a float64, x, y []float64) {
 	for ; i < len(x); i++ {
 		y[i] += a * x[i]
 	}
+}
+
+// overlaps reports whether x and y share at least one element: the
+// pointer-range test behind the GEMMs' no-alias panic (checkNoAlias).
+func overlaps(x, y []float64) bool {
+	if len(x) == 0 || len(y) == 0 {
+		return false
+	}
+	xs := uintptr(unsafe.Pointer(&x[0]))
+	ys := uintptr(unsafe.Pointer(&y[0]))
+	return xs < ys+uintptr(len(y))*8 && ys < xs+uintptr(len(x))*8
 }
 
 // Dot returns the inner product of x and y. The unroll keeps a single
