@@ -74,7 +74,7 @@ func TestFoldAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rule := &eq5Rule{agg: agg, assignment: []int{0, 1, 2, 0, 1}, forceUniform: uniform}
+			rule := &eq5Rule{agg: agg, assignment: []int32{0, 1, 2, 0, 1}, forceUniform: uniform}
 			us := cohort(3)
 			tier := 0
 			assertFoldAllocs(t, name+" tiered fold", 0, func() {

@@ -121,7 +121,7 @@ func TestRetierFiresAndMigrates(t *testing.T) {
 				t.Fatalf("retier pass emptied tier %d", tier)
 			}
 			for _, id := range members {
-				if e.Tiers.Assignment[id] != tier {
+				if int(e.Tiers.Assignment[id]) != tier {
 					t.Fatalf("member/assignment mismatch for client %d", id)
 				}
 			}

@@ -95,9 +95,9 @@ func FuzzFoldInPlace(f *testing.F) {
 		}
 		w0 := fuzzVec(seed, dim)
 		numClients := 2 * m
-		assignment := make([]int, numClients)
+		assignment := make([]int32, numClients)
 		for c := range assignment {
-			assignment[c] = c % m
+			assignment[c] = int32(c % m)
 		}
 
 		mkUpdates := func(fold, count int, implGlobal, naiveGlobal []float64) (impl, naive []core.ClientUpdate) {
@@ -170,7 +170,7 @@ func FuzzFoldInPlace(f *testing.F) {
 					var order []int
 					byTier := map[int][]core.ClientUpdate{}
 					for _, u := range nu {
-						tt := assignment[u.Client]
+						tt := int(assignment[u.Client])
 						if _, ok := byTier[tt]; !ok {
 							order = append(order, tt)
 						}

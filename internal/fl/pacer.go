@@ -11,10 +11,10 @@ import (
 // (back) online after now — +Inf when none ever will. Static populations
 // only ever produce +Inf here (departures are permanent), so the rejoin
 // paths below never schedule anything on the pre-dynamics timeline.
-func earliestRejoin(rs *runState, ids []int, now float64) float64 {
+func earliestRejoin(rs *runState, ids []int32, now float64) float64 {
 	earliest := math.Inf(1)
 	for _, id := range ids {
-		if t := rs.fab.NextAvailable(id, now); t < earliest {
+		if t := rs.fab.NextAvailable(int(id), now); t < earliest {
 			earliest = t
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // is online — O(len(ids)) only when most of it is not. The swaps are then
 // undone in reverse from the log kept in the selector's scratch, leaving
 // ids exactly as found. The picks are a fresh slice: tier rounds overlap,
-// so a cohort must outlive the next call.
-func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now float64, k int) []int {
+// so a cohort must outlive the next call. ids is a tier's int32 members or
+// the whole population's int ids.
+func selectAvailable[ID int | int32](scratch *[]int, r *rng.RNG, ids []ID, fab Fabric, now float64, k int) []int {
 	if k <= 0 {
 		return nil
 	}
@@ -29,13 +30,13 @@ func selectAvailable(scratch *[]int, r *rng.RNG, ids []int, fab Fabric, now floa
 		j := t + r.Intn(n-t)
 		ids[t], ids[j] = ids[j], ids[t]
 		swaps = append(swaps, j)
-		if fab.Available(ids[t], now) {
+		if fab.Available(int(ids[t]), now) {
 			if picks == nil {
 				// One allocation, at the first accept: growing from nil
 				// by append would cost several per cohort.
 				picks = make([]int, 0, min(k, n))
 			}
-			picks = append(picks, ids[t])
+			picks = append(picks, int(ids[t]))
 		}
 	}
 	for t := len(swaps) - 1; t >= 0; t-- {

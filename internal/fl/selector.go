@@ -224,8 +224,8 @@ func (s *tiflSelector) accuracyRefresh(rs *runState, global []float64, now float
 	for m, members := range rs.tiers.Members {
 		online := s.avail[:0]
 		for _, id := range members {
-			if rs.fab.Available(id, now) {
-				online = append(online, id)
+			if rs.fab.Available(int(id), now) {
+				online = append(online, int(id))
 			}
 		}
 		s.avail = online

@@ -360,6 +360,27 @@ func heapDelta(f func()) (live, alloc int64) {
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
+// TestProfileTiersIndependentOfWorkers: ProfileTiers fills its latency
+// slice on parallel workers, so the partition must not depend on how many
+// there are. A 50k-client derived population is profiled under GOMAXPROCS
+// 1 and 4, without and with mis-profiling (whose range pass reads the
+// finished profile), and Members and Assignment must match exactly.
+func TestProfileTiersIndependentOfWorkers(t *testing.T) {
+	for _, frac := range []float64{0, 0.3} {
+		c := baseSourceCase(7)
+		c.dcfg.NumClients, c.ccfg.NumClients, c.ccfg.NumUnstable = 50_000, 50_000, 5_000
+		c.rcfg.NumTiers, c.rcfg.MisTierFrac = 5, frac
+		env, _ := c.derived(t)
+		profile := func(procs int) *tiering.Tiers {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			return mustTiers(t, env)
+		}
+		if serial, wide := profile(1), profile(4); !reflect.DeepEqual(serial, wide) {
+			t.Fatalf("MisTierFrac %v: the partition under GOMAXPROCS 4 differs from the one under 1", frac)
+		}
+	}
+}
+
 // TestDerivedPopulationFootprint is the memory ledger of a one-million-client
 // derived environment: each owner's bytes are measured and held to a
 // formula in N clients and U unstable ones.
@@ -370,9 +391,11 @@ func heapDelta(f func()) (live, alloc int64) {
 //   - Allocated by that construction: ≤ 18 B per client — chiefly the three
 //     n-entry int32 permutation scratches (part order, unstable choice,
 //     evaluation panel), 12 B, on top of what is retained.
-//   - Allocated by the run's first tier partition: ≤ N·24 B + 1 MB — the
-//     profiled float64 latencies, then the radix sort's two int outputs,
-//     which Members and Assignment keep for the run.
+//   - Allocated by the run's first tier partition: ≤ N·16 B + 1 MB — the
+//     profiled float64 latencies, then the radix sort's two int32 id
+//     buffers.
+//   - Retained by that partition: ≤ N·8 B + 1 MB — the two buffers, which
+//     Members and Assignment keep for the run.
 //
 // It logs each owner's share of the set-up peak (construction plus the
 // partition on top of it), then runs FedAT at that scale to check the
@@ -458,8 +481,11 @@ func TestDerivedPopulationFootprint(t *testing.T) {
 	if perClient := float64(alloc) / n; perClient > 18 {
 		t.Errorf("construction allocates %.2f B/client; want ≤ 18", perClient)
 	}
-	if limit := int64(n*24 + mb); partAlloc > limit {
-		t.Errorf("the first partition allocates %d B; want ≤ N·24 + 1 MB = %d B", partAlloc, limit)
+	if limit := int64(n*16 + mb); partAlloc > limit {
+		t.Errorf("the first partition allocates %d B; want ≤ N·16 + 1 MB = %d B", partAlloc, limit)
+	}
+	if limit := int64(n*8 + mb); partLive > limit {
+		t.Errorf("the first partition retains %d B; want ≤ N·8 + 1 MB = %d B", partLive, limit)
 	}
 
 	run := mustRun(t, "fedat", env)

@@ -145,7 +145,7 @@ func (r *avgRule) Rebase(w []float64) []float64 { return r.agg.Rebase(w) }
 
 type eq5Rule struct {
 	agg          *core.Aggregator
-	assignment   []int // client id → tier, for folds that don't name a tier
+	assignment   []int32 // client id → tier, for folds that don't name a tier
 	forceUniform bool
 }
 
@@ -191,7 +191,7 @@ func (r *eq5Rule) Fold(f Fold) ([]float64, error) {
 		if u.Client < 0 || u.Client >= len(r.assignment) {
 			return nil, fmt.Errorf("eq5 fold: client %d out of range [0,%d)", u.Client, len(r.assignment))
 		}
-		return r.agg.UpdateTierRef(r.assignment[u.Client], f.Updates)
+		return r.agg.UpdateTierRef(int(r.assignment[u.Client]), f.Updates)
 	}
 	var g []float64
 	var order []int
@@ -200,7 +200,7 @@ func (r *eq5Rule) Fold(f Fold) ([]float64, error) {
 		if u.Client < 0 || u.Client >= len(r.assignment) {
 			return nil, fmt.Errorf("eq5 fold: client %d out of range [0,%d)", u.Client, len(r.assignment))
 		}
-		t := r.assignment[u.Client]
+		t := int(r.assignment[u.Client])
 		if _, ok := byTier[t]; !ok {
 			order = append(order, t)
 		}

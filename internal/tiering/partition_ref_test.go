@@ -22,13 +22,13 @@ func refPartition(latencies []float64, m int) (*Tiers, error) {
 	if m <= 0 || m > n {
 		return nil, fmt.Errorf("tiering: cannot split %d clients into %d tiers", n, m)
 	}
-	order := make([]int, n)
+	order := make([]int32, n)
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
 	// Latency, then id: a total order, so the unstable sort lands where a
 	// stable sort by latency over ascending ids does.
-	slices.SortFunc(order, func(a, b int) int {
+	slices.SortFunc(order, func(a, b int32) int {
 		if c := cmp.Compare(latencies[a], latencies[b]); c != 0 {
 			return c
 		}
@@ -36,8 +36,8 @@ func refPartition(latencies []float64, m int) (*Tiers, error) {
 	})
 
 	t := &Tiers{
-		Members:    make([][]int, m),
-		Assignment: make([]int, n),
+		Members:    make([][]int32, m),
+		Assignment: make([]int32, n),
 	}
 	base, rem := n/m, n%m
 	pos := 0
@@ -46,11 +46,11 @@ func refPartition(latencies []float64, m int) (*Tiers, error) {
 		if tier < rem {
 			size++
 		}
-		t.Members[tier] = make([]int, size)
+		t.Members[tier] = make([]int32, size)
 		copy(t.Members[tier], order[pos:pos+size])
 		pos += size
 		for _, id := range t.Members[tier] {
-			t.Assignment[id] = tier
+			t.Assignment[id] = int32(tier)
 		}
 	}
 	return t, nil
@@ -122,12 +122,12 @@ var latencyFamilies = []struct {
 }
 
 // TestPartitionMatchesReference: the radix partition against the
-// comparison sort across sizes on both sides of a digit (256) and of the
-// 11-bit radix (2049), tier counts from one to one tier per client, and
-// every latency family.
+// comparison sort across sizes on both sides of a byte (256), past an
+// 11-bit (2049) and a 14-bit (16385) count and up to 10⁶, tier counts
+// from one to one tier per client, and every latency family.
 func TestPartitionMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 17, 255, 256, 257, 2049, 100_000, 1_000_000} {
-		if n > 2049 && testing.Short() {
+	for _, n := range []int{1, 2, 17, 255, 256, 257, 2049, 16385, 100_000, 1_000_000} {
+		if n > 16385 && testing.Short() {
 			continue
 		}
 		for fi, fam := range latencyFamilies {
@@ -174,8 +174,8 @@ func FuzzPartitionAgainstReference(f *testing.F) {
 	f.Add(word(0.25, 0.5, 0.25, 0.5, 0.75, 0.25), uint16(4))                 // three distinct values
 	f.Add([]byte{0xf8, 0xff, 0x01, 0x7f, 0x80, 0x00, 0x00, 0x80}, uint16(0)) // one raw word
 	f.Fuzz(func(t *testing.T, raw []byte, m uint16) {
-		// 4096 clients are enough for 12-bit ids, which push a 64-bit key
-		// spread two digits out of the words.
+		// 4096 clients are enough for buckets that outgrow the insertion
+		// sort at every digit of a 64-bit key spread.
 		n := min(len(raw)/8, 1<<12)
 		if n == 0 {
 			return

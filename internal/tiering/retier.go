@@ -15,6 +15,7 @@ package tiering
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -97,35 +98,29 @@ func Retier(smoothed []float64, prev *Tiers, opts RetierOpts) (*Tiers, int, erro
 	if margin <= 0 {
 		margin = 0.15
 	}
-	observed := 0
-	for _, v := range smoothed {
-		if !math.IsNaN(v) {
-			observed++
-		}
-	}
-	if observed == 0 {
+	if !slices.ContainsFunc(smoothed, func(v float64) bool { return !math.IsNaN(v) }) {
 		return prev, 0, nil // nothing measured yet; keep the profile
 	}
 	med := tierMedians(smoothed, prev)
 
-	assign := make([]int, n)
+	assign := make([]int32, n)
 	moved := 0
 	for i, est := range smoothed {
-		p := prev.Assignment[i]
-		assign[i] = p
+		p := int(prev.Assignment[i])
+		assign[i] = int32(p)
 		if math.IsNaN(est) {
 			continue // no evidence, no movement
 		}
 		if p > 0 {
 			if b := (med[p-1] + med[p]) / 2; est < b*(1-margin) {
-				assign[i] = p - 1
+				assign[i]--
 				moved++
 				continue
 			}
 		}
 		if p < m-1 {
 			if b := (med[p] + med[p+1]) / 2; est > b*(1+margin) {
-				assign[i] = p + 1
+				assign[i]++
 				moved++
 			}
 		}
@@ -134,31 +129,39 @@ func Retier(smoothed []float64, prev *Tiers, opts RetierOpts) (*Tiers, int, erro
 		return prev, 0, nil
 	}
 
-	next := &Tiers{Members: make([][]int, m), Assignment: assign}
-	for id, tier := range assign {
-		next.Members[tier] = append(next.Members[tier], id)
+	sizes := make([]int, m)
+	for _, tier := range assign {
+		sizes[tier]++
 	}
 	// Hysteresis can empty a tier in tiny populations (everyone cleared the
 	// band in the same direction). An empty tier would silently leave the
 	// training loop, so fall back to the plain equal-split partition of the
 	// current estimates (unobserved clients standing in at their previous
 	// tier's median) — every tier stays populated by construction.
-	for _, members := range next.Members {
-		if len(members) == 0 {
-			filled := make([]float64, n)
-			for i, v := range smoothed {
-				if math.IsNaN(v) {
-					filled[i] = med[prev.Assignment[i]]
-				} else {
-					filled[i] = v
-				}
+	if slices.Contains(sizes, 0) {
+		filled := slices.Clone(smoothed)
+		for i, v := range filled {
+			if math.IsNaN(v) {
+				filled[i] = med[prev.Assignment[i]]
 			}
-			flat, err := Partition(filled, m)
-			if err != nil {
-				return nil, 0, err
-			}
-			return flat, migrations(prev, flat), nil
 		}
+		flat, err := Partition(filled, m)
+		if err != nil {
+			return nil, 0, err
+		}
+		return flat, migrations(prev, flat), nil
+	}
+	// The tiers are views of one id array, as Partition's are: each starts
+	// empty with its size as capacity, and the appends fill it in id order.
+	ids := make([]int32, n)
+	next := &Tiers{Members: make([][]int32, m), Assignment: assign}
+	pos := 0
+	for tier, size := range sizes {
+		next.Members[tier] = ids[pos : pos : pos+size]
+		pos += size
+	}
+	for id, tier := range assign {
+		next.Members[tier] = append(next.Members[tier], int32(id))
 	}
 	return next, moved, nil
 }

@@ -2,6 +2,7 @@ package tiering
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -139,13 +140,63 @@ func TestRetierStepChangeMigrates(t *testing.T) {
 	if cur.Assignment[2] != 1 {
 		t.Fatal("client 2 did not stay in the slow tier")
 	}
-	// Membership lists must be consistent with assignments.
-	for tier, members := range cur.Members {
+	membersMatchAssignment(t, cur)
+}
+
+// TestRetierMigrationAtScale: over 10k clients in five tiers, the fastest
+// hundred of tier 0 turn slow and the slowest hundred of tier 4 turn fast.
+// Each walks one tier, nobody else moves, and the new member lists list
+// every client once, in the tier its assignment names, in id order.
+func TestRetierMigrationAtScale(t *testing.T) {
+	const n, m, walkers = 10_000, 5, 100
+	lat := make([]float64, n)
+	for i := range lat {
+		lat[i] = 1 + float64(i)*0.001
+	}
+	prev := mustPartition(t, lat, m)
+	smoothed := slices.Clone(lat)
+	for i := range walkers {
+		smoothed[i] = 100
+		smoothed[n-1-i] = 0.01
+	}
+	next, moved, err := Retier(smoothed, prev, RetierOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if moved != 2*walkers {
+		t.Fatalf("%d clients moved, want %d", moved, 2*walkers)
+	}
+	for i := range walkers {
+		if next.Assignment[i] != 1 || next.Assignment[n-1-i] != m-2 {
+			t.Fatalf("walkers %d and %d are in tiers %d and %d, want 1 and %d", i, n-1-i, next.Assignment[i], next.Assignment[n-1-i], m-2)
+		}
+	}
+	membersMatchAssignment(t, next)
+	for tier, members := range next.Members {
+		if !slices.IsSorted(members) {
+			t.Fatalf("tier %d's members are not in id order", tier)
+		}
+	}
+}
+
+// membersMatchAssignment requires every client in exactly one member list,
+// the one its Assignment names, and every list clipped to its length.
+func membersMatchAssignment(t *testing.T, tiers *Tiers) {
+	t.Helper()
+	seen := make([]bool, len(tiers.Assignment))
+	for tier, members := range tiers.Members {
+		if cap(members) != len(members) {
+			t.Fatalf("tier %d: len %d cap %d, want a clipped view", tier, len(members), cap(members))
+		}
 		for _, id := range members {
-			if cur.Assignment[id] != tier {
+			if seen[id] || int(tiers.Assignment[id]) != tier {
 				t.Fatalf("member list / assignment mismatch for client %d", id)
 			}
+			seen[id] = true
 		}
+	}
+	if i := slices.Index(seen, false); i >= 0 {
+		t.Fatalf("client %d is in no member list", i)
 	}
 }
 

@@ -16,12 +16,12 @@ import (
 // Tiers is a partition of clients into latency tiers. Tier 0 is the
 // fastest (the paper's tier 1).
 type Tiers struct {
-	// Members lists the client ids in each tier. Partition's tiers are
-	// views of one array, each clipped to its own length: a caller may
-	// permute ids inside one tier but never appends to one.
-	Members [][]int
+	// Members lists the client ids in each tier. The tiers are views of
+	// one array, each clipped to its own length: a caller may permute ids
+	// inside one tier but never appends to one.
+	Members [][]int32
 	// Assignment maps client id → tier index.
-	Assignment []int
+	Assignment []int32
 }
 
 // M returns the number of tiers.
@@ -33,125 +33,119 @@ func (t *Tiers) M() int { return len(t.Members) }
 // order and equal latencies keep ascending ids; latencies compare the way
 // cmp.Compare does (NaN below −Inf, −0 equal to +0).
 //
-// The order comes from a stable LSD radix sort of sortKey(latency) − the
-// smallest key, 11 bits a pass. It sorts 8-byte words that hold key digits
-// above the client id, so a pass moves one word per client, and its
-// ping-pong buffers are its two outputs, the array behind every Members[t]
-// and Assignment. Those words are ints, so Partition returns an error on a
-// 32-bit platform.
+// The order comes from a stable MSD radix sort of int32 client ids on
+// sortKey(latency) − the smallest key. The first pass reads the latencies
+// in id order and buckets the ids by the key's top 14 bits (fewer for
+// fewer than 16384 clients); later passes sort one bucket at a time on
+// the next 8 bits, gathering each member's latency, which stays in cache
+// while its bucket is sorted. The sort allocates two n-entry id buffers
+// and nothing else: the sorted one backs every Members[t], and the other,
+// its scatter scratch, is overwritten with each client's tier and becomes
+// Assignment.
 func Partition(latencies []float64, m int) (*Tiers, error) {
 	n := len(latencies)
 	if m <= 0 || m > n {
 		return nil, fmt.Errorf("tiering: cannot split %d clients into %d tiers", n, m)
 	}
-	if bits.UintSize < 64 {
-		return nil, fmt.Errorf("tiering: Partition needs a 64-bit platform: its radix sort packs key digits and the client id into one int")
-	}
 	if n > math.MaxInt32 {
-		return nil, fmt.Errorf("tiering: %d clients do not fit the radix sort's 31-bit ids", n)
+		return nil, fmt.Errorf("tiering: %d clients do not fit int32 ids", n)
 	}
-	// Offset keys: the smallest is 0, so every digit above the keys' spread
-	// is 0 for all of them and only ⌈keyBits/11⌉ passes can move anything.
+	// Offset keys: the smallest is 0, so only the low bits.Len64(hi−lo)
+	// bits of any key can differ.
 	lo, hi := ^uint64(0), uint64(0)
 	for _, v := range latencies {
 		k := sortKey(v)
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	keyBits, idBits := bits.Len64(hi-lo), bits.Len(uint(n-1))
-	digits := (keyBits + radixBits - 1) / radixBits
-	// A word holds the key's digits from lowDigits up, above the client id.
-	// When the whole key and the id overflow 64 bits, the low digits that do
-	// not fit stay out of the words: pass 0 takes its digit from the key it
-	// computes, and any other low pass from the client's latency.
-	lowDigits := (max(keyBits+idBits-64, 0) + radixBits - 1) / radixBits
-	lowBits, idMask := uint(lowDigits*radixBits), uint64(1)<<idBits-1
+	ids, assign := make([]int32, n), make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	s := bucketSorter{latencies: latencies, lo: lo, ids: ids, scratch: assign}
+	// More top buckets than clients would only cost histogram sweeps.
+	spread := bits.Len64(hi - lo)
+	w := min(spread, topBits, bits.Len(uint(n)))
+	var hist [1<<topBits + 1]int32
+	s.pass(0, n, spread, w, hist[:1<<w+1])
 
-	var hist [radixPasses][1 << radixBits]int32
-	for _, v := range latencies {
-		k := sortKey(v) - lo
-		// One line per digit: unrolled, the six counts do not wait on
-		// each other.
-		hist[0][k&radixMask]++
-		hist[1][k>>(1*radixBits)&radixMask]++
-		hist[2][k>>(2*radixBits)&radixMask]++
-		hist[3][k>>(3*radixBits)&radixMask]++
-		hist[4][k>>(4*radixBits)&radixMask]++
-		hist[5][k>>(5*radixBits)&radixMask]++
-	}
-	// offsets turns digit p's counts into each bucket's first slot.
-	offsets := func(p int) *[1 << radixBits]int32 {
-		h := &hist[p]
-		var sum int32
-		for d, c := range h {
-			h[d], sum = sum, sum+c
-		}
-		return h
-	}
-
-	order, assign := make([]int, n), make([]int, n)
-	words, spare := order, assign
-	// Pass 0 reads the clients in id order, so equal keys start, and stay,
-	// in id order. It always runs: it is what builds the words.
-	h := offsets(0)
-	for i, v := range latencies {
-		k := sortKey(v) - lo
-		d := k & radixMask
-		spare[h[d]] = int(k>>lowBits<<idBits | uint64(i))
-		h[d]++
-	}
-	words, spare = spare, words
-	for p := 1; p < digits; p++ {
-		if hist[p][0] == int32(n) {
-			continue // every key has digit 0 here: the pass would be the identity
-		}
-		h := offsets(p)
-		if p < lowDigits {
-			shift := uint(p * radixBits)
-			for _, w := range words {
-				d := (sortKey(latencies[uint64(w)&idMask]) - lo) >> shift & radixMask
-				spare[h[d]] = w
-				h[d]++
-			}
-		} else {
-			shift := uint(idBits+p*radixBits) - lowBits
-			for _, w := range words {
-				d := uint64(w) >> shift & radixMask
-				spare[h[d]] = w
-				h[d]++
-			}
-		}
-		words, spare = spare, words
-	}
-	for i, w := range words {
-		order[i] = int(uint64(w) & idMask)
-	}
-
-	t := &Tiers{Members: make([][]int, m), Assignment: assign}
-	base, rem := n/m, n%m
+	t := &Tiers{Members: make([][]int32, m), Assignment: assign}
 	pos := 0
 	for tier := range m {
-		size := base
-		if tier < rem {
-			size++
+		end := (tier+1)*(n/m) + min(tier+1, n%m)
+		for _, id := range ids[pos:end] {
+			assign[id] = int32(tier)
 		}
-		end := pos + size
-		for _, id := range order[pos:end] {
-			assign[id] = tier
-		}
-		t.Members[tier] = order[pos:end:end]
+		t.Members[tier] = ids[pos:end:end]
 		pos = end
 	}
 	return t, nil
 }
 
-// The radix sort's digits: six passes of 11 bits cover a 64-bit key (the
-// sixth sees 9), and one pass's histogram is 8 KiB. Partition's counting
-// loop is unrolled for the six.
+// The radix sort's digits: the first pass takes 14 bits into a 64 KiB
+// histogram on the stack, each later pass 8 bits into a 1 KiB one, and a
+// bucket of at most insertionMax ids is insertion-sorted instead.
 const (
-	radixBits   = 11
-	radixMask   = 1<<radixBits - 1
-	radixPasses = (64 + radixBits - 1) / radixBits
+	topBits      = 14
+	bucketBits   = 8
+	insertionMax = 24
 )
+
+// bucketSorter sorts buckets of Partition's ids on the offset key.
+type bucketSorter struct {
+	latencies []float64
+	lo        uint64
+	ids       []int32
+	scratch   []int32
+}
+
+func (s *bucketSorter) key(id int32) uint64 { return sortKey(s.latencies[id]) - s.lo }
+
+// sort stably orders ids[a:b], whose keys agree from bit top up, by their
+// bits below it.
+func (s *bucketSorter) sort(a, b, top int) {
+	if top == 0 {
+		return // equal keys: the ids already ascend
+	}
+	if b-a > insertionMax {
+		var hist [1<<bucketBits + 1]int32
+		s.pass(a, b, top, min(top, bucketBits), hist[:])
+		return
+	}
+	ids := s.ids[a:b]
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && s.key(ids[j-1]) > s.key(ids[j]); j-- {
+			ids[j-1], ids[j] = ids[j], ids[j-1]
+		}
+	}
+}
+
+// pass stably buckets ids[a:b], whose keys agree from bit top up, on the w
+// bits below top, counting into hist (zeroed, at least 1<<w + 1 entries),
+// and sorts each bucket on the bits below those.
+func (s *bucketSorter) pass(a, b, top, w int, hist []int32) {
+	top -= w
+	shift, mask := uint(top), uint64(1)<<w-1
+	ids, tmp := s.ids[a:b], s.scratch[a:b]
+	for _, id := range ids {
+		hist[s.key(id)>>shift&mask+1]++
+	}
+	for d := 1; d < len(hist); d++ {
+		hist[d] += hist[d-1]
+	}
+	for _, id := range ids {
+		d := s.key(id) >> shift & mask
+		tmp[hist[d]] = id
+		hist[d]++
+	}
+	copy(ids, tmp)
+	start := 0
+	for _, end := range hist[:1<<w] {
+		if int(end)-start > 1 {
+			s.sort(a+start, a+int(end), top)
+		}
+		start = int(end)
+	}
+}
 
 // sortKey maps a latency to a uint64 whose unsigned order is cmp.Compare's
 // order on float64: NaN gets 0, below −Inf; −0 becomes +0 (v + 0); a

@@ -1,10 +1,8 @@
 package tiering
 
 import (
-	"math/bits"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,7 +31,7 @@ func TestPartitionIsPermutation(t *testing.T) {
 		seen := make([]bool, n)
 		for _, members := range tiers.Members {
 			for _, id := range members {
-				if id < 0 || id >= n || seen[id] {
+				if id < 0 || int(id) >= n || seen[id] {
 					return false
 				}
 				seen[id] = true
@@ -88,9 +86,9 @@ func TestPartitionMatchesStableSort(t *testing.T) {
 			for i := range lat {
 				lat[i] = float64(r.Intn(distinct)) * 0.25
 			}
-			want := make([]int, n)
+			want := make([]int32, n)
 			for i := range want {
-				want[i] = i
+				want[i] = int32(i)
 			}
 			sort.SliceStable(want, func(a, b int) bool { return lat[want[a]] < lat[want[b]] })
 
@@ -113,7 +111,7 @@ func TestPartitionAssignmentConsistent(t *testing.T) {
 	}
 	for tier, members := range tiers.Members {
 		for _, id := range members {
-			if tiers.Assignment[id] != tier {
+			if int(tiers.Assignment[id]) != tier {
 				t.Fatalf("assignment mismatch for client %d", id)
 			}
 		}
@@ -152,23 +150,6 @@ func TestPartitionValidation(t *testing.T) {
 	}
 	if _, err := Partition(nil, 1); err == nil {
 		t.Fatal("a tier over no clients accepted")
-	}
-}
-
-// TestPartitionNeeds64BitInts: the radix sort packs key digits and the
-// client id into one int, so on a 32-bit platform Partition refuses with an
-// error that names the requirement instead of indexing out of range, and on
-// a 64-bit one it partitions.
-func TestPartitionNeeds64BitInts(t *testing.T) {
-	_, err := Partition([]float64{3, 1, 2}, 2)
-	if bits.UintSize == 64 {
-		if err != nil {
-			t.Fatalf("64-bit platform: %v", err)
-		}
-		return
-	}
-	if err == nil || !strings.Contains(err.Error(), "64-bit") {
-		t.Fatalf("%d-bit platform: error %v, want one naming the 64-bit requirement", bits.UintSize, err)
 	}
 }
 
