@@ -116,6 +116,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(1, err)
 	}
 	var observers []fl.Observer
+	node := 0 // the event stream's node: the edge id, or 0 for a flat server
 	if *role == "edge" {
 		up, err := transport.DialUplink(transport.UplinkConfig{
 			Root: *rootAddr, EdgeID: *edgeID, NumClients: *clients,
@@ -127,8 +128,11 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		defer up.Close()
 		observers = append(observers, up)
+		node = *edgeID
 		logger.Printf("fedserver: edge %d folding up to root %s", *edgeID, *rootAddr)
 	}
+	// The event stream goes to the log, one fl.TraceLine per event.
+	observers = append(observers, fl.ObserverFunc(func(ev fl.Event) { logger.Printf("%s", fl.TraceLine(node, ev)) }))
 
 	run := fl.RunConfig{Rounds: *rounds, ClientsPerRound: *perRound, NumTiers: *tiers,
 		LocalEpochs: *epochs, BatchSize: *batch, Codec: wire(*prec), Seed: *seed}

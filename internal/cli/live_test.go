@@ -185,7 +185,7 @@ func TestLoopback(t *testing.T) {
 	}{
 		{"fedavg", []string{"-method", "fedavg"}, ""},
 		{"fedat", []string{"-method", "fedat"}, ""},
-		{"fedat re-tiering", []string{"-method", "fedat", "-retier-every", "2"}, "re-tiered"},
+		{"fedat re-tiering", []string{"-method", "fedat", "-retier-every", "2"}, `"Kind":"retier"`},
 		{"fedasync through fedbuff", []string{"-method", "fedasync", "-pacer", "fedbuff", "-agg", "fedasync", "-buffer-k", "2", "-adaptive-lr"}, ""},
 		{"fedat without lambda", []string{"-method", "fedat", "-lambda", "0"}, ""},
 	} {
@@ -247,12 +247,21 @@ func TestHierarchyLoopback(t *testing.T) {
 	if !strings.Contains(root.out.String(), "fedserver: root done after ") {
 		t.Errorf("root printed no summary:\n%s", root.out.String())
 	}
-	if !strings.Contains(edges[0].log.String(), "re-tiered") {
+	if !strings.Contains(edges[0].log.String(), `"Kind":"retier"`) {
 		t.Errorf("edge 0 never re-tiered:\n%s", edges[0].log.String())
 	}
-	for _, edge := range edges {
+	if !strings.Contains(root.log.String(), `{"Node":-1,"Kind":"edgefold",`) {
+		t.Errorf("root logged no cloud fold:\n%s", root.log.String())
+	}
+	for e, edge := range edges {
 		if !strings.Contains(edge.out.String(), "; test accuracy ") {
 			t.Errorf("%s printed no summary:\n%s", edge.name, edge.out.String())
+		}
+		// Every trace line an edge logs carries its own id.
+		log := edge.log.String()
+		all, own := strings.Count(log, `{"Node":`), strings.Count(log, `{"Node":`+strconv.Itoa(e)+`,`)
+		if all == 0 || own != all {
+			t.Errorf("%s logged %d trace lines, %d of them as node %d:\n%s", edge.name, all, own, e, log)
 		}
 	}
 }

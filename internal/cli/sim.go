@@ -47,7 +47,7 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// attack/DP and edge→cloud policy knobs are the shared flags
 		// (Bind); the rest are the simulator's own.
 		compose = fs.String("compose", "", "run a single method composition: a registry method name used as the base spec (see -select/-pacer/-agg)")
-		trace   = fs.Bool("trace", false, "with -compose, print the run's event stream to stderr")
+		trace   = fs.Bool("trace", false, "with -compose, print the run's event stream to stderr as JSON Lines, one per event, stamped with the emitting node")
 
 		// Hierarchical topology (compose mode): shard the population
 		// across K edge aggregators; see the 'hierarchy' experiment.
@@ -97,9 +97,6 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		m, err := fl.Compose(*compose, shared.Select, shared.Pacer, shared.Agg, shared.Name)
 		if err != nil {
 			return fail(2, "%v", err)
-		}
-		if *trace && edges > 0 {
-			return fail(2, "-trace is a flat-topology feature (a hierarchy has one event stream per edge)")
 		}
 		job = func() error { return runComposition(p, m, shared, *trace, stdout, stderr) }
 	} else {
@@ -257,29 +254,14 @@ func runExperiments(id string, p experiments.Preset, format, outDir string, work
 // runComposition runs method m on the standard ablation testbed at preset
 // p with the shared flags' overrides and prints a run summary.
 func runComposition(p experiments.Preset, m fl.Method, over *Shared, trace bool, stdout, stderr io.Writer) error {
-	var obs []fl.Observer
+	var traceTo io.Writer
 	if trace {
-		obs = append(obs, fl.ObserverFunc(func(ev fl.Event) {
-			switch e := ev.(type) {
-			case fl.RoundStartEvent:
-				fmt.Fprintf(stderr, "t=%8.1fs  round %4d  tier %d: %d clients selected\n", e.Time, e.Round, e.Tier, len(e.Clients))
-			case fl.ClientDoneEvent:
-				if e.Dropped {
-					fmt.Fprintf(stderr, "t=%8.1fs  client %d dropped mid-round\n", e.Time, e.Client)
-				}
-			case fl.TierFoldEvent:
-				fmt.Fprintf(stderr, "t=%8.1fs  fold  %4d  tier %d: %d updates\n", e.Time, e.Round, e.Tier, e.Kept)
-			case fl.EvalEvent:
-				fmt.Fprintf(stderr, "t=%8.1fs  eval  %4d  acc=%.3f loss=%.3f var=%.2e\n", e.Time, e.Round, e.Result.Acc, e.Result.Loss, e.Result.Variance)
-			case fl.RetierEvent:
-				fmt.Fprintf(stderr, "t=%8.1fs  retier %3d  %d clients migrated\n", e.Time, e.Round, e.Migrations)
-			}
-		}))
+		traceTo = stderr
 	}
 
 	start := time.Now()
 	dyn := experiments.ComposeDynamics{Run: over.ApplyRun, Behavior: over.Behavior}
-	run, err := experiments.RunComposedTopology(p, m, dyn, over.Cloud, obs...)
+	run, err := experiments.RunComposedTopology(p, m, dyn, over.Cloud, traceTo)
 	if err != nil {
 		return err
 	}

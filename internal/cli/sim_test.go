@@ -3,8 +3,11 @@ package cli
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -124,6 +127,61 @@ func TestSimHierarchyDeterministic(t *testing.T) {
 	}
 	if code2, out2, _ := sim(args...); code2 != 0 || out2 != out1 {
 		t.Fatalf("second run exited %d and printed\n%s\nfirst printed\n%s", code2, out2, out1)
+	}
+}
+
+// TestSimTrace: -trace writes one JSON line per event to stderr, flat and
+// under a hierarchy, and the same line twice writes the same trace. Every
+// line parses, a hierarchy's lines come from each edge, and a run whose
+// loss goes NaN (a 1e308-scaled update poisons the first fold) still
+// traces every event.
+func TestSimTrace(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		args  string
+		nodes []int
+		has   string // a substring some line must contain
+		heavy bool   // skipped under -short (the race pass)
+	}{
+		{"flat", "-compose fedat", []int{0}, `"Kind":"fold"`, true},
+		{"edge:2", "-compose fedat -topology edge:2", []int{0, 1}, `"Kind":"edgefold"`, true},
+		{"non-finite loss", "-compose fedavg -attack scale -attack-frac 0.5 -attack-scale 1e308", []int{0}, `"Loss":"NaN"`, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.heavy && testing.Short() {
+				t.Skip("two fedat runs at the tiny preset")
+			}
+			args := strings.Fields(c.args + " -preset tiny -trace")
+			var traces [2][]string
+			for i := range traces {
+				code, out, errs := sim(args...)
+				if code != 0 {
+					t.Fatalf("exited %d; stdout:\n%s\nstderr:\n%s", code, out, errs)
+				}
+				for _, line := range strings.Split(errs, "\n") {
+					if strings.HasPrefix(line, "{") {
+						traces[i] = append(traces[i], line)
+					}
+				}
+			}
+			if !slices.Equal(traces[0], traces[1]) {
+				t.Fatalf("two runs traced differently: %d and %d lines", len(traces[0]), len(traces[1]))
+			}
+			nodes := map[int]int{}
+			for _, line := range traces[0] {
+				var ev struct{ Node int }
+				if err := json.Unmarshal([]byte(line), &ev); err != nil {
+					t.Fatalf("unparseable trace line %q: %v", line, err)
+				}
+				nodes[ev.Node]++
+			}
+			if got := slices.Sorted(maps.Keys(nodes)); !slices.Equal(got, c.nodes) {
+				t.Errorf("trace lines from nodes %v, want %v", got, c.nodes)
+			}
+			if !strings.Contains(strings.Join(traces[0], "\n"), c.has) {
+				t.Errorf("no trace line contains %s", c.has)
+			}
+		})
 	}
 }
 

@@ -11,9 +11,11 @@ import (
 
 // Child is one edge of a simulated hierarchy: a constructor binding the
 // edge's fabric to a clock handle of the shared merged timeline (for a
-// simulated edge, Env.FabricOn).
+// simulated edge, Env.FabricOn), and an optional observer of the edge's
+// event stream, attached after the edge's cloud syncer.
 type Child struct {
-	Fabric func(c simnet.Clock) fl.Fabric
+	Fabric   func(c simnet.Clock) fl.Fabric
+	Observer fl.Observer
 }
 
 // seedStride offsets edge e's engine seed by e*seedStride, so edges draw
@@ -81,7 +83,11 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, ccfg CloudConfig) (*Re
 	for e := 0; e < k; e++ {
 		cfgE := cfg
 		cfgE.Seed = cfg.Seed + uint64(e)*seedStride
-		if finishers[e], err = m.Start(fabrics[e], cfgE, &edgeSyncer{cloud: cloud, edge: e}); err != nil {
+		obs := []fl.Observer{&edgeSyncer{cloud: cloud, edge: e}}
+		if children[e].Observer != nil {
+			obs = append(obs, children[e].Observer)
+		}
+		if finishers[e], err = m.Start(fabrics[e], cfgE, obs...); err != nil {
 			return nil, err
 		}
 	}

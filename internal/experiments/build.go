@@ -138,7 +138,7 @@ func methodRoundCap(m fl.Method, base int) int {
 
 // applyRoundBudget scales the round cap and evaluation cadence to the
 // method's pacing granularity — one definition shared by scheduler cells
-// and RunComposedDynamics, so -compose runs stay comparable to cached
+// and RunComposedTopology, so -compose runs stay comparable to cached
 // experiment cells. Evaluation cadence grows with the round cap, but only
 // half as fast: cheap-update methods produce updates faster in TIME too,
 // so halving keeps the wall-clock eval density of their timelines
@@ -239,31 +239,6 @@ func (dyn ComposeDynamics) behavior() simnet.BehaviorConfig {
 	b.DriftInterval, b.DriftClamp = dynBehavior.DriftInterval, dynBehavior.DriftClamp
 	b.ChurnOn, b.ChurnOff = dynBehavior.ChurnOn, dynBehavior.ChurnOff
 	return b
-}
-
-// RunComposedDynamics runs an explicit policy composition on the standard
-// ablation testbed (cifar10, 2 classes per client) at preset p — cmd/fedsim's
-// -compose mode, where novel method variants are assembled from flags —
-// over an optionally drifting, churning (and possibly adversarial)
-// population with runtime re-tiering. The round cap and evaluation cadence
-// scale with the composition's pacer exactly as they do for registry
-// methods, so results are comparable to the cached experiment cells.
-// Observers subscribe to the run's event stream.
-func RunComposedDynamics(p Preset, m fl.Method, dyn ComposeDynamics, obs ...fl.Observer) (*metrics.Run, error) {
-	return simulateDirect(func() (*metrics.Run, error) {
-		env, err := buildEnvFull(p, dsSpec{name: "cifar10", classesPerClient: 2}, nil,
-			func(cfg *fl.RunConfig) {
-				dyn.applyRun(cfg)
-				applyRoundBudget(cfg, m)
-			},
-			func(cc *simnet.ClusterConfig) {
-				cc.Behavior = dyn.behavior()
-			})
-		if err != nil {
-			return nil, err
-		}
-		return m.Run(env, obs...)
-	})
 }
 
 // fmtAcc renders an accuracy like the paper's tables.

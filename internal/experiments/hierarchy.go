@@ -55,7 +55,7 @@ func Hierarchy(p Preset) (*Report, error) {
 		"topology", "best acc", "final acc", "sec/update", "edge folds", "mean staleness", "cloud MB up")
 	timeline := map[string]*metrics.Run{}
 	for _, row := range rows {
-		run, err := RunComposedTopology(p, m, dyn, row.cloud)
+		run, err := RunComposedTopology(p, m, dyn, row.cloud, nil)
 		if err != nil {
 			return nil, err
 		}

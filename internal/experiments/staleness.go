@@ -323,7 +323,7 @@ func Staleness(p Preset) (*Report, error) {
 		{"edge1/sync", edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}},
 		{"edge2/sync", edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}},
 	} {
-		run, err := RunComposedTopology(p, edgeMethod, dyn, row.cloud)
+		run, err := RunComposedTopology(p, edgeMethod, dyn, row.cloud, nil)
 		if err != nil {
 			return nil, err
 		}

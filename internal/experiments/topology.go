@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/dataset"
 	"repro/internal/edge"
@@ -19,7 +20,8 @@ const edgeSeedStride = 1009
 // population contiguously — edge e gets its own federated dataset and its
 // own cluster, seeds offset by e so shards draw distinct data and latency
 // populations — and runs the simulated hierarchy on one merged timeline.
-func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, cloud edge.CloudConfig) (*edge.Result, error) {
+// A non-nil trace gets every edge's events, stamped with the edge id.
+func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, cloud edge.CloudConfig, trace io.Writer) (*edge.Result, error) {
 	k := cloud.Edges
 	if k <= 0 {
 		return nil, fmt.Errorf("experiments: hierarchy needs at least one edge")
@@ -69,6 +71,9 @@ func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, cloud ed
 			return nil, err
 		}
 		children[e] = edge.Child{Fabric: env.FabricOn}
+		if trace != nil {
+			children[e].Observer = fl.Trace(trace, e)
+		}
 	}
 
 	if k > 1 {
@@ -102,27 +107,39 @@ func buildFedSized(p Preset, d dsSpec, clients int, seedOffset uint64) (*dataset
 	}
 }
 
-// RunComposedTopology is RunComposedDynamics over an optional hierarchy.
-// cloud is the edge→cloud policy (Fold, Buffer, StaleExp, TopKFrac) and
-// cloud.Edges is K; the model, the labels and the merged-model evaluator
-// come from the testbed. K = 0 is flat: exactly RunComposedDynamics. K = 1
-// runs the hierarchy machinery as a pass-through, bit-identical to flat.
-// Larger K runs K engines over sharded populations on one merged timeline
-// and returns the cloud-level run (edge folds, staleness, cloud traffic,
-// merged-model evaluations). Event observers are a flat-topology feature —
-// a hierarchy has K event streams, so -trace style observers are rejected.
-func RunComposedTopology(p Preset, m fl.Method, dyn ComposeDynamics, cloud edge.CloudConfig, obs ...fl.Observer) (*metrics.Run, error) {
-	if cloud.Edges <= 0 {
-		return RunComposedDynamics(p, m, dyn, obs...)
-	}
-	if len(obs) > 0 {
-		return nil, fmt.Errorf("experiments: event observers are not supported with an edge topology (a hierarchy has one stream per edge)")
-	}
+// RunComposedTopology runs an explicit policy composition on the standard
+// ablation testbed (cifar10, 2 classes per client) at preset p — fedsim's
+// -compose mode — over an optionally drifting, churning or adversarial
+// population, with the round cap and eval cadence scaled as for the cached
+// registry cells. cloud is the edge→cloud policy and cloud.Edges is K: K = 0
+// is flat, K = 1 a pass-through bit-identical to flat, and larger K runs K
+// engines over sharded populations on one merged timeline and returns the
+// cloud-level run. A non-nil trace receives the event stream as
+// fl.TraceLine lines (node 0 flat, else the edge id) in timeline order.
+func RunComposedTopology(p Preset, m fl.Method, dyn ComposeDynamics, cloud edge.CloudConfig, trace io.Writer) (*metrics.Run, error) {
+	d := dsSpec{name: "cifar10", classesPerClient: 2}
 	return simulateDirect(func() (*metrics.Run, error) {
-		res, err := runHierarchy(p, dsSpec{name: "cifar10", classesPerClient: 2}, m, dyn, cloud)
+		if cloud.Edges > 0 {
+			res, err := runHierarchy(p, d, m, dyn, cloud, trace)
+			if err != nil {
+				return nil, err
+			}
+			return res.Cloud, nil
+		}
+		env, err := buildEnvFull(p, d, nil,
+			func(cfg *fl.RunConfig) {
+				dyn.applyRun(cfg)
+				applyRoundBudget(cfg, m)
+			},
+			func(cc *simnet.ClusterConfig) {
+				cc.Behavior = dyn.behavior()
+			})
 		if err != nil {
 			return nil, err
 		}
-		return res.Cloud, nil
+		if trace == nil {
+			return m.Run(env)
+		}
+		return m.Run(env, fl.Trace(trace, 0))
 	})
 }

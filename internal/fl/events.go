@@ -1,11 +1,17 @@
 package fl
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"strconv"
+
 	"repro/internal/metrics"
 	"repro/internal/tiering"
 )
 
-// The run event stream. Every method emits the same four event kinds as it
+// The run event stream. Every method emits the same event kinds as it
 // executes, no matter how its policies are composed; observers subscribe to
 // the stream instead of being wired into each method's loop. The built-in
 // recorder (the thing that produces metrics.Run) is itself just the first
@@ -19,8 +25,9 @@ import (
 // Clients) are shared with the engine and must not be mutated or retained.
 
 // Event is one occurrence in a training run. The concrete types below are
-// the full set; observers type-switch on them.
-type Event interface{ event() }
+// the full set; observers type-switch on them. kind names the type in a
+// trace line.
+type Event interface{ kind() string }
 
 // RoundStartEvent fires when a cohort has been selected and is about to
 // train. Tier is the training tier (-1 when the selecting policy is
@@ -52,7 +59,7 @@ type TierFoldEvent struct {
 	// engine; read-only, and some update rules reuse the buffer on the
 	// next fold — observers that retain it must copy). The live transport
 	// server uses it to report the final trained model.
-	Global []float64
+	Global []float64 `json:"-"`
 }
 
 // EvalEvent fires when the engine evaluated the global model at the
@@ -92,15 +99,56 @@ type RetierEvent struct {
 	Migrations int // clients whose tier changed in this pass
 	// Tiers is the partition in effect after the pass (shared with the
 	// engine; read-only).
-	Tiers *tiering.Tiers
+	Tiers *tiering.Tiers `json:"-"`
 }
 
-func (RoundStartEvent) event() {}
-func (ClientDoneEvent) event() {}
-func (TierFoldEvent) event()   {}
-func (EvalEvent) event()       {}
-func (RetierEvent) event()     {}
-func (EdgeFoldEvent) event()   {}
+func (RoundStartEvent) kind() string { return "round" }
+func (ClientDoneEvent) kind() string { return "done" }
+func (TierFoldEvent) kind() string   { return "fold" }
+func (EvalEvent) kind() string       { return "eval" }
+func (RetierEvent) kind() string     { return "retier" }
+func (EdgeFoldEvent) kind() string   { return "edgefold" }
+
+// TraceLine encodes ev as one JSON object without a line terminator: the
+// emitting node (0 for a flat run, the edge id in a hierarchy, -1 for the
+// cloud), the event kind, then the event's own fields, e.g.
+//
+//	{"Node":1,"Kind":"fold","Tier":0,"Round":7,"Time":412.5,"Kept":3}
+//
+// The sink stamps the node, so no event type carries one. The model and
+// the partition are left out; a non-finite Result value is written as the
+// string "NaN", "+Inf" or "-Inf", which encoding/json would refuse.
+func TraceLine(node int, ev Event) []byte {
+	line := fmt.Appendf(nil, `{"Node":%d,"Kind":%q`, node, ev.kind())
+	body, err := json.Marshal(ev)
+	if err != nil { // a non-finite float outside Result: keep the line
+		return fmt.Appendf(line, `,"Error":%q}`, err.Error())
+	}
+	return append(append(line, ','), body[1:]...)
+}
+
+// Trace is an observer that writes each event to w as a TraceLine
+// followed by a newline.
+func Trace(w io.Writer, node int) Observer {
+	return ObserverFunc(func(ev Event) { w.Write(append(TraceLine(node, ev), '\n')) })
+}
+
+// MarshalJSON encodes a Result for the trace, spelling a non-finite value
+// (a diverged model's NaN or infinite loss) as a string.
+func (r Result) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct{ Acc, Loss, Variance traceFloat }{
+		traceFloat(r.Acc), traceFloat(r.Loss), traceFloat(r.Variance)})
+}
+
+// traceFloat is a float64 that encodes NaN and ±Inf as JSON strings.
+type traceFloat float64
+
+func (f traceFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsNaN(v) || math.IsInf(v, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(float64(f))
+}
 
 // Observer receives the run event stream in engine-execution order (which
 // for the simulator-paced methods is virtual-time order of the fold and

@@ -71,12 +71,6 @@ type Fabric interface {
 	// latency hints on the live one.
 	Partition(cfg RunConfig) (*tiering.Tiers, error)
 
-	// Repartition informs the fabric that the engine re-tiered the
-	// population at runtime (RunConfig.RetierEvery) from observed
-	// latencies. Fabrics may use it for diagnostics or scheduling; it must
-	// not advance the clock, draw randomness or touch engine state.
-	Repartition(t *tiering.Tiers)
-
 	// Dispatch starts one cohort round at time now from the global
 	// snapshot: ship the model to each client, train locally with lc, and
 	// hand the per-client outcomes (index-aligned with cohort) to deliver.
@@ -152,10 +146,6 @@ func (f *simFabric) Shapes() []codec.ShapeInfo { return f.env.Shapes() }
 func (f *simFabric) Partition(RunConfig) (*tiering.Tiers, error) {
 	return ProfileTiers(f.env)
 }
-
-// Repartition is a no-op on the simulator: the engine owns the partition,
-// and the simulated cluster has no per-tier execution state to update.
-func (f *simFabric) Repartition(*tiering.Tiers) {}
 
 func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error)) {
 	deliver(f.env.runCohort(cohort, now, global, comm, lc), nil)

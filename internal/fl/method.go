@@ -397,8 +397,8 @@ func (rs *runState) postFold(tier, round int, now float64, kept int, g []float64
 
 // maybeRetier runs a re-tiering pass when RetierEvery global updates have
 // accumulated since the last one: the current partition is recomputed from
-// the tracker's smoothed observed latencies with hysteresis, the update
-// rule and the fabric are informed, and a RetierEvent fires. It reports
+// the tracker's smoothed observed latencies with hysteresis, a tier-aware
+// update rule is informed, and a RetierEvent fires. It reports
 // whether a pass ran. Pacers whose loops depend on tier membership call it
 // after each fold; synchronous pacing never does — the paper's baselines
 // do not re-profile. A run with no tier partition at all (client pacing
@@ -420,7 +420,6 @@ func (rs *runState) maybeRetier(now float64) (bool, error) {
 	if ta, ok := rs.rule.(TierAware); ok {
 		ta.Repartition(next)
 	}
-	rs.fab.Repartition(next)
 	rs.emit(RetierEvent{Round: t, Time: now, Migrations: moved, Tiers: next})
 	return true, nil
 }

@@ -74,16 +74,6 @@ func (f *liveFabric) Partition(cfg fl.RunConfig) (*tiering.Tiers, error) {
 	return tiering.Partition(lat, cfg.NumTiers)
 }
 
-// Repartition records the engine's runtime re-tiering (observed-latency
-// refinement of the hint partition) for operator visibility.
-func (f *liveFabric) Repartition(t *tiering.Tiers) {
-	sizes := make([]int, t.M())
-	for m, members := range t.Members {
-		sizes[m] = len(members)
-	}
-	f.s.cfg.Logf("fed server: re-tiered from measured latencies, tier sizes %v", sizes)
-}
-
 // Dispatch pushes the model to every cohort member and spawns one reader
 // per connection; when the last response resolves, the results (and their
 // byte accounting) are posted back to the clock goroutine. Clients whose

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/edge"
+	"repro/internal/fl"
 	"repro/internal/metrics"
 )
 
@@ -176,7 +177,7 @@ func (r *RootServer) edgePush(id int, typ byte, payload []byte) error {
 		return fmt.Errorf("push rejected: %w", err)
 	}
 	if folded {
-		r.cfg.Logf("fed root: cloud fold %d (%d members, staleness %.0f)", ev.Round, ev.Members, ev.Staleness)
+		r.cfg.Logf("%s", fl.TraceLine(-1, ev))
 		r.broadcastAdoption()
 		r.checkFinished()
 	}

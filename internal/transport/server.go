@@ -214,12 +214,8 @@ func (s *Server) Run() (*metrics.Run, []float64, error) {
 	// update rules reuse the event's buffer).
 	final := fab.InitialWeights()
 	capture := fl.ObserverFunc(func(ev fl.Event) {
-		switch e := ev.(type) {
-		case fl.TierFoldEvent:
+		if e, ok := ev.(fl.TierFoldEvent); ok {
 			final = append(final[:0], e.Global...)
-			s.cfg.Logf("fed server: tier %d folded %d updates (global t=%d)", e.Tier, e.Kept, e.Round)
-		case fl.RetierEvent:
-			s.cfg.Logf("fed server: re-tiered at t=%d: %d clients migrated", e.Round, e.Migrations)
 		}
 	})
 
