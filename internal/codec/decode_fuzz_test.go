@@ -46,6 +46,8 @@ func FuzzDecoders(f *testing.F) {
 	}
 	// A top-k entry whose index lies past the destination.
 	f.Add(uint8(0), []byte{1, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0x80, 0x3f}, 8)
+	// k = 2²⁹, whose 4+8k wraps to 4 in a 32-bit int.
+	f.Add(uint8(0), []byte{0, 0, 0, 0x20}, 8)
 	f.Fuzz(func(t *testing.T, which uint8, data []byte, n int) {
 		if n < 0 || n > 1<<12 {
 			n = 8

@@ -75,10 +75,12 @@ func (t *TopK) Decode(data []byte, out []float64) error {
 	if len(data) < 4 {
 		return fmt.Errorf("%w: topk payload too short", ErrCorrupt)
 	}
-	k := int(binary.LittleEndian.Uint32(data))
-	if len(data) != 4+8*k {
-		return fmt.Errorf("%w: topk payload %d bytes for k=%d", ErrCorrupt, len(data), k)
+	// Size the count in 64 bits: 4+8k wraps a 32-bit int for k ≥ 2²⁸.
+	k32 := binary.LittleEndian.Uint32(data)
+	if uint64(len(data)) != 4+8*uint64(k32) {
+		return fmt.Errorf("%w: topk payload %d bytes for k=%d", ErrCorrupt, len(data), k32)
 	}
+	k := int(k32)
 	for i := range out {
 		out[i] = 0
 	}

@@ -53,6 +53,12 @@ func FuzzDecodeUplinkInto(f *testing.F) {
 				binary.LittleEndian.PutUint32(corrupt[lenAt:], bad)
 				f.Add(corrupt, n)
 			}
+			if _, ok := cdc.(*codec.TopK); ok {
+				// A 4-byte top-k payload announcing k = 2²⁹, whose 4+8k
+				// wraps to 4 in a 32-bit int.
+				wrap := binary.LittleEndian.AppendUint32(bytes.Clone(msg[:lenAt]), 4)
+				f.Add(append(wrap, 0, 0, 0, 0x20), n)
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, n int) {

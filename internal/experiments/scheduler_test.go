@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -176,7 +177,7 @@ func TestSchedulerWorkers(t *testing.T) {
 	if w := schedulerWorkers(1); w != 1 {
 		t.Fatalf("schedulerWorkers(1) after negative SetWorkers = %d", w)
 	}
-	SetWorkers(1 << 40) // beyond int32 saturates instead of wrapping
+	SetWorkers(math.MaxInt) // beyond int32 saturates instead of wrapping
 	if w := schedulerWorkers(7); w != 7 {
 		t.Fatalf("schedulerWorkers(7) after huge SetWorkers = %d", w)
 	}

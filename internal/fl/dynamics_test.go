@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/simnet"
+	"repro/internal/tiering"
 )
 
 // dynamicEnv is testEnv over a drifting, churning population.
@@ -116,12 +118,13 @@ func TestRetierFiresAndMigrates(t *testing.T) {
 		if e.Tiers == nil || e.Tiers.M() != cfg.NumTiers {
 			t.Fatalf("retier event carries a bad partition: %+v", e.Tiers)
 		}
+		assign := e.Tiers.Assignment()
 		for tier, members := range e.Tiers.Members {
 			if len(members) == 0 {
 				t.Fatalf("retier pass emptied tier %d", tier)
 			}
 			for _, id := range members {
-				if int(e.Tiers.Assignment[id]) != tier {
+				if int(assign[id]) != tier {
 					t.Fatalf("member/assignment mismatch for client %d", id)
 				}
 			}
@@ -224,5 +227,80 @@ func TestRetierRevivesDeadTier(t *testing.T) {
 	if lastTier0Fold <= 15 {
 		t.Fatalf("tier 0 never folded again after its members dropped at t=%.0f (last fold t=%.1f)",
 			dropAt, lastTier0Fold)
+	}
+}
+
+// routeProbe is the eq5 fold with a witness: before each untiered fold it
+// checks every update's routed tier against the member lists of the
+// partition in effect, and counts the folds of clients that partition has
+// moved away from their profiled tier.
+type routeProbe struct {
+	*eq5Rule
+	current        *tiering.Tiers
+	profiled       []int32
+	checked, moved int
+	wrong          []string
+}
+
+func (p *routeProbe) Init(rs *runState) error {
+	if err := p.eq5Rule.Init(rs); err != nil {
+		return err
+	}
+	p.current = p.eq5Rule.tiers
+	p.profiled = p.current.Assignment()
+	return nil
+}
+
+func (p *routeProbe) Repartition(t *tiering.Tiers) {
+	p.current = t
+	p.eq5Rule.Repartition(t)
+}
+
+func (p *routeProbe) Fold(f Fold) ([]float64, error) {
+	if f.Tier < 0 {
+		for _, u := range f.Updates {
+			want := slices.IndexFunc(p.current.Members, func(members []int32) bool {
+				return slices.Contains(members, int32(u.Client))
+			})
+			got, err := p.tierOf(u.Client)
+			if err != nil {
+				return nil, err
+			}
+			if got != want {
+				p.wrong = append(p.wrong, fmt.Sprintf("client %d routed to tier %d, listed in %d", u.Client, got, want))
+			}
+			p.checked++
+			if want != int(p.profiled[u.Client]) {
+				p.moved++
+			}
+		}
+	}
+	return p.eq5Rule.Fold(f)
+}
+
+// TestEq5UntieredFoldsFollowRetier: a client-paced eq5 run (every fold is
+// one untiered arrival) across runtime retier passes on a drifting
+// population routes each arrival into the tier the partition in effect
+// lists its client in — including clients a retier moved away from their
+// profiled tier, which the id → tier table built before the retier would
+// send to the old tier.
+func TestEq5UntieredFoldsFollowRetier(t *testing.T) {
+	probe := &routeProbe{eq5Rule: &eq5Rule{}}
+	UpdateRules["eq5-probe"] = func() UpdateRule { return probe }
+	defer delete(UpdateRules, "eq5-probe")
+	cfg := baseCfg()
+	cfg.Rounds = 200
+	cfg.RetierEvery = 3
+	m := Method{Name: "Async+eq5", Select: "all", Pace: "client", Update: "eq5-probe"}
+	run, err := m.Run(dynamicEnv(t, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if run.TierMigrations == 0 || probe.moved == 0 {
+		t.Fatalf("%d migrations, %d of %d folds from a migrated client; the row needs both", run.TierMigrations, probe.moved, probe.checked)
+	}
+	t.Logf("%d untiered updates routed, %d of them from clients off their profiled tier", probe.checked, probe.moved)
+	if len(probe.wrong) > 0 {
+		t.Fatalf("%d of %d untiered updates routed off the current partition, first: %s", len(probe.wrong), probe.checked, probe.wrong[0])
 	}
 }

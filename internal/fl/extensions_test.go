@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -50,8 +51,9 @@ func TestMisTieringScramblesTiers(t *testing.T) {
 	dirty := mustTiers(t, envBad)
 
 	moved := 0
-	for id := range clean.Assignment {
-		if clean.Assignment[id] != dirty.Assignment[id] {
+	cleanAssign, dirtyAssign := clean.Assignment(), dirty.Assignment()
+	for id := range cleanAssign {
+		if cleanAssign[id] != dirtyAssign[id] {
 			moved++
 		}
 	}
@@ -59,7 +61,7 @@ func TestMisTieringScramblesTiers(t *testing.T) {
 		t.Fatal("MisTierFrac=0.5 changed no tier assignments")
 	}
 	// Partition invariants still hold under corruption.
-	seen := make([]bool, len(dirty.Assignment))
+	seen := make([]bool, len(dirtyAssign))
 	for _, members := range dirty.Members {
 		for _, id := range members {
 			if seen[id] {
@@ -89,9 +91,7 @@ func TestMisTieringDeterministic(t *testing.T) {
 	cfg.MisTierFrac = 0.3
 	a := mustTiers(t, testEnv(t, 0, cfg))
 	b := mustTiers(t, testEnv(t, 0, cfg))
-	for id := range a.Assignment {
-		if a.Assignment[id] != b.Assignment[id] {
-			t.Fatal("mis-tiering not deterministic for a fixed seed")
-		}
+	if !slices.Equal(a.Assignment(), b.Assignment()) {
+		t.Fatal("mis-tiering not deterministic for a fixed seed")
 	}
 }

@@ -1,7 +1,9 @@
 package fl
 
 import (
-	"repro/internal/parallel"
+	"cmp"
+	"slices"
+
 	"repro/internal/rng"
 	"repro/internal/tiering"
 )
@@ -13,25 +15,43 @@ import (
 // values, modelling the mis-profiling §2.1 describes ("a portion of clients
 // are incorrectly profiled and assigned to a wrong tier"). Latencies and
 // sample counts are pure queries on the environment's sources: profiling a
-// derived population materializes no client, and each slot is filled on
-// its own, so the profile splits over parallel workers and does not depend
-// on their count.
+// derived population materializes no client, and the profile is a function
+// the partition calls from parallel workers rather than a table, so it
+// does not depend on their count and no client's latency is stored. The
+// scrambled profiles are the one exception: an id-sorted table of
+// MisTierFrac·N entries the function checks first.
 func ProfileTiers(env *Env) (*tiering.Tiers, error) {
 	lc := LocalConfig{Epochs: env.Cfg.LocalEpochs, BatchSize: env.Cfg.BatchSize}
-	lat := make([]float64, env.n)
-	parallel.For(len(lat), func(i int) {
-		lat[i] = env.runtimes.ExpectedLatency(i, lc.Steps(env.shards.NumTrain(i)))
-	})
+	latency := func(i int) float64 {
+		return env.runtimes.ExpectedLatency(i, lc.Steps(env.shards.NumTrain(i)))
+	}
 	if f := env.Cfg.MisTierFrac; f > 0 {
 		lo, hi := 1e300, 0.0
-		for _, v := range lat {
+		for i := range env.n {
+			v := latency(i)
 			lo, hi = min(lo, v), max(hi, v)
 		}
 		r := rng.New(env.Cfg.Seed).SplitLabeled(hashName("mistier"))
-		n := int(f * float64(len(lat)))
-		for _, i := range r.Choose(len(lat), n) {
-			lat[i] = r.Uniform(lo, hi) // profile scrambled within range
+		picks := r.Choose(env.n, int(f*float64(env.n)))
+		scrambled := make([]scrambledProfile, len(picks))
+		for j, i := range picks {
+			scrambled[j] = scrambledProfile{int32(i), r.Uniform(lo, hi)} // profile scrambled within range
+		}
+		byID := func(s scrambledProfile, id int32) int { return cmp.Compare(s.id, id) }
+		slices.SortFunc(scrambled, func(a, b scrambledProfile) int { return byID(a, b.id) })
+		profiled := latency
+		latency = func(i int) float64 {
+			if j, ok := slices.BinarySearchFunc(scrambled, int32(i), byID); ok {
+				return scrambled[j].latency
+			}
+			return profiled(i)
 		}
 	}
-	return tiering.Partition(lat, env.Cfg.NumTiers)
+	return tiering.PartitionFunc(env.n, env.Cfg.NumTiers, latency)
+}
+
+// scrambledProfile is one mis-profiled client's replacement latency.
+type scrambledProfile struct {
+	id      int32
+	latency float64
 }

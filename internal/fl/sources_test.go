@@ -360,15 +360,21 @@ func heapDelta(f func()) (live, alloc int64) {
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
-// TestProfileTiersIndependentOfWorkers: ProfileTiers fills its latency
-// slice on parallel workers, so the partition must not depend on how many
-// there are. A 50k-client derived population is profiled under GOMAXPROCS
-// 1 and 4, without and with mis-profiling (whose range pass reads the
-// finished profile), and Members and Assignment must match exactly.
+// TestProfileTiersIndependentOfWorkers: the partition calls ProfileTiers'
+// latency function from parallel workers, so it must not depend on how
+// many there are. A 600k-client derived population, enough for two
+// partition workers, is profiled under GOMAXPROCS 1 and 4, without and
+// with mis-profiling (whose override table the function checks first),
+// and Members must match exactly. Under -short it is 50k clients, one
+// worker.
 func TestProfileTiersIndependentOfWorkers(t *testing.T) {
+	n := 600_000
+	if testing.Short() {
+		n = 50_000
+	}
 	for _, frac := range []float64{0, 0.3} {
 		c := baseSourceCase(7)
-		c.dcfg.NumClients, c.ccfg.NumClients, c.ccfg.NumUnstable = 50_000, 50_000, 5_000
+		c.dcfg.NumClients, c.ccfg.NumClients, c.ccfg.NumUnstable = n, n, n/10
 		c.rcfg.NumTiers, c.rcfg.MisTierFrac = 5, frac
 		env, _ := c.derived(t)
 		profile := func(procs int) *tiering.Tiers {
@@ -391,11 +397,12 @@ func TestProfileTiersIndependentOfWorkers(t *testing.T) {
 //   - Allocated by that construction: ≤ 18 B per client — chiefly the three
 //     n-entry int32 permutation scratches (part order, unstable choice,
 //     evaluation panel), 12 B, on top of what is retained.
-//   - Allocated by the run's first tier partition: ≤ N·16 B + 1 MB — the
-//     profiled float64 latencies, then the radix sort's two int32 id
-//     buffers.
-//   - Retained by that partition: ≤ N·8 B + 1 MB — the two buffers, which
-//     Members and Assignment keep for the run.
+//   - Allocated by the run's first tier partition: ≤ N·4 B + 2 MB — the
+//     radix sort's one int32 id array, plus its histograms and pair
+//     buffers. The profile is a function the partition calls; no latency
+//     is stored.
+//   - Retained by that partition: ≤ N·4 B + 1 MB — the id array, which
+//     Members keeps for the run. No id → tier table is kept.
 //
 // It logs each owner's share of the set-up peak (construction plus the
 // partition on top of it), then runs FedAT at that scale to check the
@@ -481,11 +488,11 @@ func TestDerivedPopulationFootprint(t *testing.T) {
 	if perClient := float64(alloc) / n; perClient > 18 {
 		t.Errorf("construction allocates %.2f B/client; want ≤ 18", perClient)
 	}
-	if limit := int64(n*16 + mb); partAlloc > limit {
-		t.Errorf("the first partition allocates %d B; want ≤ N·16 + 1 MB = %d B", partAlloc, limit)
+	if limit := int64(n*4 + 2*mb); partAlloc > limit {
+		t.Errorf("the first partition allocates %d B; want ≤ N·4 + 2 MB = %d B", partAlloc, limit)
 	}
-	if limit := int64(n*8 + mb); partLive > limit {
-		t.Errorf("the first partition retains %d B; want ≤ N·8 + 1 MB = %d B", partLive, limit)
+	if limit := int64(n*4 + mb); partLive > limit {
+		t.Errorf("the first partition retains %d B; want ≤ N·4 + 1 MB = %d B", partLive, limit)
 	}
 
 	run := mustRun(t, "fedat", env)

@@ -144,8 +144,12 @@ func (r *avgRule) Rebase(w []float64) []float64 { return r.agg.Rebase(w) }
 // latency partition.
 
 type eq5Rule struct {
-	agg          *core.Aggregator
-	assignment   []int32 // client id → tier, for folds that don't name a tier
+	agg   *core.Aggregator
+	tiers *tiering.Tiers
+	// assignment maps client id → tier for folds that don't name a tier,
+	// built from tiers on the first such fold: a tier-paced run never
+	// needs it.
+	assignment   []int32
 	forceUniform bool
 }
 
@@ -159,7 +163,7 @@ func (r *eq5Rule) Init(rs *runState) error {
 		return err
 	}
 	r.agg = agg
-	r.assignment = tiers.Assignment
+	r.tiers = tiers
 	return nil
 }
 
@@ -169,7 +173,18 @@ func (r *eq5Rule) Rounds() int       { return r.agg.Rounds() }
 // Repartition implements TierAware: after a runtime retier, untiered folds
 // route by the NEW assignment. Per-tier model state persists — a migrated
 // client simply starts contributing to its new tier's model.
-func (r *eq5Rule) Repartition(t *tiering.Tiers) { r.assignment = t.Assignment }
+func (r *eq5Rule) Repartition(t *tiering.Tiers) { r.tiers, r.assignment = t, nil }
+
+// tierOf returns client's tier for an untiered fold.
+func (r *eq5Rule) tierOf(client int) (int, error) {
+	if r.assignment == nil {
+		r.assignment = r.tiers.Assignment()
+	}
+	if client < 0 || client >= len(r.assignment) {
+		return 0, fmt.Errorf("eq5 fold: client %d out of range [0,%d)", client, len(r.assignment))
+	}
+	return int(r.assignment[client]), nil
+}
 
 // Rebase implements Rebaser: every tier model restarts from the merged
 // cloud model, exactly as Algorithm 2 initializes every tier from w0.
@@ -187,20 +202,20 @@ func (r *eq5Rule) Fold(f Fold) ([]float64, error) {
 	if len(f.Updates) == 1 {
 		// The wait-free loops fold one arrival at a time; skip the grouping
 		// machinery entirely.
-		u := f.Updates[0]
-		if u.Client < 0 || u.Client >= len(r.assignment) {
-			return nil, fmt.Errorf("eq5 fold: client %d out of range [0,%d)", u.Client, len(r.assignment))
+		t, err := r.tierOf(f.Updates[0].Client)
+		if err != nil {
+			return nil, err
 		}
-		return r.agg.UpdateTierRef(int(r.assignment[u.Client]), f.Updates)
+		return r.agg.UpdateTierRef(t, f.Updates)
 	}
 	var g []float64
 	var order []int
 	byTier := map[int][]core.ClientUpdate{}
 	for _, u := range f.Updates {
-		if u.Client < 0 || u.Client >= len(r.assignment) {
-			return nil, fmt.Errorf("eq5 fold: client %d out of range [0,%d)", u.Client, len(r.assignment))
+		t, err := r.tierOf(u.Client)
+		if err != nil {
+			return nil, err
 		}
-		t := int(r.assignment[u.Client])
 		if _, ok := byTier[t]; !ok {
 			order = append(order, t)
 		}

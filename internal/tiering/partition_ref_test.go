@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -35,10 +36,7 @@ func refPartition(latencies []float64, m int) (*Tiers, error) {
 		return cmp.Compare(a, b)
 	})
 
-	t := &Tiers{
-		Members:    make([][]int32, m),
-		Assignment: make([]int32, n),
-	}
+	t := &Tiers{Members: make([][]int32, m)}
 	base, rem := n/m, n%m
 	pos := 0
 	for tier := range t.Members {
@@ -49,44 +47,73 @@ func refPartition(latencies []float64, m int) (*Tiers, error) {
 		t.Members[tier] = make([]int32, size)
 		copy(t.Members[tier], order[pos:pos+size])
 		pos += size
-		for _, id := range t.Members[tier] {
-			t.Assignment[id] = int32(tier)
-		}
 	}
 	return t, nil
 }
 
-// partitionMatchesReference runs Partition and the reference over one input
-// and requires the same members in the same order in every tier, the same
-// tier for every id, and tier views clipped to their length.
+// withWorkers runs f at GOMAXPROCS procs with PartitionFunc's scale
+// shrunk: its key range sampled from about 8 clients, worker blocks of 64
+// ids and pair buffers of 64 pairs, so inputs of any size clamp keys
+// outside the sampled range, split across workers and split buckets.
+func withWorkers(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer func(bits, block, pairs int) {
+		sampleBits, minBlock, pairMax = bits, block, pairs
+	}(sampleBits, minBlock, pairMax)
+	sampleBits, minBlock, pairMax = 3, 64, 64
+	f()
+}
+
+// partitionMatchesReference runs Partition, and PartitionFunc at GOMAXPROCS
+// 1 and 4, against the reference over one input.
 func partitionMatchesReference(t testing.TB, lat []float64, m int) {
 	t.Helper()
-	got, err := Partition(lat, m)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, err := refPartition(lat, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.M() != want.M() {
-		t.Fatalf("n=%d m=%d: %d tiers, reference %d", len(lat), m, got.M(), want.M())
+	got, err := Partition(lat, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiersMatchReference(t, "Partition", lat, got, want)
+	membersMatchAssignment(t, got)
+	for _, procs := range []int{1, 4} {
+		withWorkers(procs, func() {
+			got, err = PartitionFunc(len(lat), m, func(i int) float64 { return lat[i] })
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tiersMatchReference(t, fmt.Sprintf("PartitionFunc at GOMAXPROCS %d", procs), lat, got, want)
+		membersMatchAssignment(t, got)
+	}
+}
+
+// tiersMatchReference requires the same members in the same order in every
+// tier, the same tier for every id, and tier views clipped to their length.
+func tiersMatchReference(t testing.TB, name string, lat []float64, got, want *Tiers) {
+	t.Helper()
+	m := want.M()
+	if got.M() != m {
+		t.Fatalf("%s, n=%d m=%d: %d tiers", name, len(lat), m, got.M())
 	}
 	for tier, w := range want.Members {
 		g := got.Members[tier]
 		if len(g) != len(w) || cap(g) != len(g) {
-			t.Fatalf("n=%d m=%d tier %d: len %d cap %d, reference len %d", len(lat), m, tier, len(g), cap(g), len(w))
+			t.Fatalf("%s, n=%d m=%d tier %d: len %d cap %d, reference len %d", name, len(lat), m, tier, len(g), cap(g), len(w))
 		}
 		for i := range w {
 			if g[i] != w[i] {
-				t.Fatalf("n=%d m=%d tier %d position %d: client %d (latency %v), reference client %d (latency %v)",
-					len(lat), m, tier, i, g[i], lat[g[i]], w[i], lat[w[i]])
+				t.Fatalf("%s, n=%d m=%d tier %d position %d: client %d (latency %v), reference client %d (latency %v)",
+					name, len(lat), m, tier, i, g[i], lat[g[i]], w[i], lat[w[i]])
 			}
 		}
 	}
-	for id, tier := range want.Assignment {
-		if got.Assignment[id] != tier {
-			t.Fatalf("n=%d m=%d: client %d in tier %d, reference tier %d", len(lat), m, id, got.Assignment[id], tier)
+	gotAssign := got.Assignment()
+	for id, tier := range want.Assignment() {
+		if gotAssign[id] != tier {
+			t.Fatalf("%s, n=%d m=%d: client %d in tier %d, reference tier %d", name, len(lat), m, id, gotAssign[id], tier)
 		}
 	}
 }
@@ -143,6 +170,43 @@ func TestPartitionMatchesReference(t *testing.T) {
 				t.Run(fmt.Sprintf("n=%d/%s/m=%d", n, fam.name, m), func(t *testing.T) {
 					partitionMatchesReference(t, lat, m)
 				})
+			}
+		}
+	}
+}
+
+// TestPartitionFuncAllocation holds PartitionFunc at 10⁶ clients of every
+// latency family, at the default worker blocks and GOMAXPROCS 1 and 4, to
+// N·16 B allocated — what profiling into a float64 table and sorting two id
+// buffers used to take. The id array is 4 B of it; the rest bounds the
+// histograms, pair buffers and the re-split scratch of buckets too large
+// for the pair buffers (every bucket of the all-equal and 3-distinct
+// families).
+func TestPartitionFuncAllocation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10⁶-client partitions; skipped in -short")
+	}
+	const n = 1_000_000
+	lat := make([]float64, n)
+	for fi, fam := range latencyFamilies {
+		g := rng.New(uint64(n*len(latencyFamilies) + fi))
+		for i := range lat {
+			lat[i] = fam.gen(g, i, n)
+		}
+		for _, procs := range []int{1, 4} {
+			var before, after runtime.MemStats
+			prev := runtime.GOMAXPROCS(procs)
+			runtime.ReadMemStats(&before)
+			_, err := PartitionFunc(n, 5, func(i int) float64 { return lat[i] })
+			runtime.ReadMemStats(&after)
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%-10s GOMAXPROCS %d: %5.2f B/client", fam.name, procs, float64(alloc)/n)
+			if alloc > n*16 {
+				t.Errorf("%s at GOMAXPROCS %d: PartitionFunc allocated %.2f B/client; want ≤ 16", fam.name, procs, float64(alloc)/n)
 			}
 		}
 	}

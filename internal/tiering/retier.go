@@ -90,7 +90,7 @@ type RetierOpts struct {
 // smoothed observations and walks to its new tier across passes.
 func Retier(smoothed []float64, prev *Tiers, opts RetierOpts) (*Tiers, int, error) {
 	n := len(smoothed)
-	if prev == nil || len(prev.Assignment) != n {
+	if prev == nil || prev.size() != n {
 		return nil, 0, fmt.Errorf("tiering: retier needs a previous partition over the same %d clients", n)
 	}
 	m := prev.M()
@@ -103,10 +103,11 @@ func Retier(smoothed []float64, prev *Tiers, opts RetierOpts) (*Tiers, int, erro
 	}
 	med := tierMedians(smoothed, prev)
 
+	prevAssign := prev.Assignment()
 	assign := make([]int32, n)
 	moved := 0
 	for i, est := range smoothed {
-		p := int(prev.Assignment[i])
+		p := int(prevAssign[i])
 		assign[i] = int32(p)
 		if math.IsNaN(est) {
 			continue // no evidence, no movement
@@ -139,22 +140,21 @@ func Retier(smoothed []float64, prev *Tiers, opts RetierOpts) (*Tiers, int, erro
 	// current estimates (unobserved clients standing in at their previous
 	// tier's median) — every tier stays populated by construction.
 	if slices.Contains(sizes, 0) {
-		filled := slices.Clone(smoothed)
-		for i, v := range filled {
-			if math.IsNaN(v) {
-				filled[i] = med[prev.Assignment[i]]
+		flat, err := PartitionFunc(n, m, func(i int) float64 {
+			if v := smoothed[i]; !math.IsNaN(v) {
+				return v
 			}
-		}
-		flat, err := Partition(filled, m)
+			return med[prevAssign[i]]
+		})
 		if err != nil {
 			return nil, 0, err
 		}
-		return flat, migrations(prev, flat), nil
+		return flat, migrations(prevAssign, flat.Assignment()), nil
 	}
 	// The tiers are views of one id array, as Partition's are: each starts
 	// empty with its size as capacity, and the appends fill it in id order.
 	ids := make([]int32, n)
-	next := &Tiers{Members: make([][]int32, m), Assignment: assign}
+	next := &Tiers{Members: make([][]int32, m)}
 	pos := 0
 	for tier, size := range sizes {
 		next.Members[tier] = ids[pos : pos : pos+size]
@@ -204,11 +204,11 @@ func median(vs []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-// migrations counts assignment differences between two partitions.
-func migrations(a, b *Tiers) int {
+// migrations counts the clients two id → tier tables place differently.
+func migrations(a, b []int32) int {
 	n := 0
-	for i := range a.Assignment {
-		if a.Assignment[i] != b.Assignment[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			n++
 		}
 	}

@@ -99,7 +99,7 @@ func TestRetierHysteresisPreventsOscillation(t *testing.T) {
 		}
 		cur = next
 	}
-	if cur.Assignment[4] != prev.Assignment[4] {
+	if cur.Assignment()[4] != prev.Assignment()[4] {
 		t.Fatal("client 4 ended in a different tier")
 	}
 }
@@ -110,7 +110,7 @@ func TestRetierHysteresisPreventsOscillation(t *testing.T) {
 func TestRetierStepChangeMigrates(t *testing.T) {
 	lat := twoGroups(10, 1, 10)
 	prev := mustPartition(t, lat, 2)
-	if prev.Assignment[2] != 0 {
+	if prev.Assignment()[2] != 0 {
 		t.Fatal("setup: client 2 should start in the fast tier")
 	}
 	tr := NewTracker(10, 0.5)
@@ -126,7 +126,7 @@ func TestRetierStepChangeMigrates(t *testing.T) {
 			t.Fatal(err)
 		}
 		cur = next
-		if cur.Assignment[2] == 1 && migratedAt < 0 {
+		if cur.Assignment()[2] == 1 && migratedAt < 0 {
 			migratedAt = pass
 		}
 	}
@@ -137,7 +137,7 @@ func TestRetierStepChangeMigrates(t *testing.T) {
 	if migratedAt > 3 {
 		t.Fatalf("step-change client took %d observations to migrate, want <= 3", migratedAt)
 	}
-	if cur.Assignment[2] != 1 {
+	if cur.Assignment()[2] != 1 {
 		t.Fatal("client 2 did not stay in the slow tier")
 	}
 	membersMatchAssignment(t, cur)
@@ -167,8 +167,8 @@ func TestRetierMigrationAtScale(t *testing.T) {
 		t.Fatalf("%d clients moved, want %d", moved, 2*walkers)
 	}
 	for i := range walkers {
-		if next.Assignment[i] != 1 || next.Assignment[n-1-i] != m-2 {
-			t.Fatalf("walkers %d and %d are in tiers %d and %d, want 1 and %d", i, n-1-i, next.Assignment[i], next.Assignment[n-1-i], m-2)
+		if next.Assignment()[i] != 1 || next.Assignment()[n-1-i] != m-2 {
+			t.Fatalf("walkers %d and %d are in tiers %d and %d, want 1 and %d", i, n-1-i, next.Assignment()[i], next.Assignment()[n-1-i], m-2)
 		}
 	}
 	membersMatchAssignment(t, next)
@@ -181,15 +181,16 @@ func TestRetierMigrationAtScale(t *testing.T) {
 
 // membersMatchAssignment requires every client in exactly one member list,
 // the one its Assignment names, and every list clipped to its length.
-func membersMatchAssignment(t *testing.T, tiers *Tiers) {
+func membersMatchAssignment(t testing.TB, tiers *Tiers) {
 	t.Helper()
-	seen := make([]bool, len(tiers.Assignment))
+	assign := tiers.Assignment()
+	seen := make([]bool, len(assign))
 	for tier, members := range tiers.Members {
 		if cap(members) != len(members) {
 			t.Fatalf("tier %d: len %d cap %d, want a clipped view", tier, len(members), cap(members))
 		}
 		for _, id := range members {
-			if seen[id] || int(tiers.Assignment[id]) != tier {
+			if id < 0 || int(id) >= len(seen) || seen[id] || int(assign[id]) != tier {
 				t.Fatalf("member list / assignment mismatch for client %d", id)
 			}
 			seen[id] = true
@@ -208,7 +209,7 @@ func TestRetierUnobservedClientsAnchored(t *testing.T) {
 	smoothed := make([]float64, 10)
 	for i := range smoothed {
 		// Invert the world: fast clients now slow and vice versa...
-		if prev.Assignment[i] == 0 {
+		if prev.Assignment()[i] == 0 {
 			smoothed[i] = 20
 		} else {
 			smoothed[i] = 1
@@ -219,7 +220,7 @@ func TestRetierUnobservedClientsAnchored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Assignment[0] != prev.Assignment[0] {
+	if next.Assignment()[0] != prev.Assignment()[0] {
 		t.Fatal("unobserved client migrated without evidence")
 	}
 	if moved == 0 {
@@ -245,6 +246,7 @@ func TestRetierNeverEmptiesATier(t *testing.T) {
 			t.Fatalf("tier %d emptied", tier)
 		}
 	}
+	membersMatchAssignment(t, next)
 }
 
 // TestTrackerEWMA: first observation seeds the estimate, later ones blend

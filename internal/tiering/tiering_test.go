@@ -111,7 +111,7 @@ func TestPartitionAssignmentConsistent(t *testing.T) {
 	}
 	for tier, members := range tiers.Members {
 		for _, id := range members {
-			if int(tiers.Assignment[id]) != tier {
+			if int(tiers.Assignment()[id]) != tier {
 				t.Fatalf("assignment mismatch for client %d", id)
 			}
 		}

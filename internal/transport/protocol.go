@@ -101,10 +101,13 @@ func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, limit int) (byte, []byte,
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:4]))
-	if n == 0 || n > limit {
-		return 0, nil, fmt.Errorf("transport: invalid frame length %d (limit %d)", n, limit)
+	// Compare before converting: where int is 32 bits a length past
+	// MaxInt32 would turn negative and slip under the limit.
+	u := binary.LittleEndian.Uint32(hdr[:4])
+	if u == 0 || uint64(u) > uint64(limit) {
+		return 0, nil, fmt.Errorf("transport: invalid frame length %d (limit %d)", u, limit)
 	}
+	n := int(u)
 	if n == 1 {
 		return hdr[4], nil, nil
 	}
