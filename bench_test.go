@@ -30,7 +30,7 @@ func benchEnv(b testing.TB) *fl.Env {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{
 		NumClients: 15, NumUnstable: 1, DropHorizon: 3000,
 		SecPerBatch: 0.5, UpBW: 1 << 20, DownBW: 1 << 20, ServerBW: 16 << 20,
 		Seed: seed,
@@ -41,7 +41,7 @@ func benchEnv(b testing.TB) *fl.Env {
 	factory := func(s uint64) *nn.Network {
 		return nn.NewMLP(rng.New(s), fed.InDim, 16, fed.Classes)
 	}
-	env, err := fl.NewEnv(fed, cluster, factory, fl.RunConfig{
+	env, err := fl.NewEnv(fed, pop, factory, fl.RunConfig{
 		Rounds: 20, ClientsPerRound: 5, LocalEpochs: 2, BatchSize: 8,
 		Lambda: 0.4, LearningRate: 0.005, NumTiers: 5,
 		Codec: codec.Raw{}, EvalEvery: 5, Seed: seed,

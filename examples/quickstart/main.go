@@ -27,9 +27,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. A virtual cluster: five latency tiers (0s .. 20-30s injected
+	// 2. A virtual population: five latency tiers (0s .. 20-30s injected
 	// delays), three unstable clients that drop out mid-training.
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{
 		NumClients:  30,
 		NumUnstable: 3,
 		DropHorizon: 20000,
@@ -50,7 +50,7 @@ func main() {
 	}
 
 	// 4. FedAT with the paper's hyperparameters and polyline compression.
-	env, err := fl.NewEnv(fed, cluster, factory, fl.RunConfig{
+	env, err := fl.NewEnv(fed, pop, factory, fl.RunConfig{
 		Rounds:          500,
 		ClientsPerRound: 5,
 		LocalEpochs:     3,

@@ -71,10 +71,9 @@ type Config struct {
 	Name             string
 	NumClients       int
 	Classes          int
-	SamplesPerClient int     // mean local dataset size (train+test)
-	ClassesPerClient int     // non-IID level; 0 or >= Classes means IID
-	PowerLaw         bool    // LEAF-style heterogeneous sample counts
-	TrainFrac        float64 // defaults to 0.8
+	SamplesPerClient int  // mean local dataset size (train+test)
+	ClassesPerClient int  // non-IID level; 0 or >= Classes means IID
+	PowerLaw         bool // LEAF-style heterogeneous sample counts
 	Seed             uint64
 
 	// Image mode (exclusive with token mode).
@@ -140,13 +139,14 @@ func Generate(cfg Config) (*Federated, error) {
 	return src.Federated(), nil
 }
 
-// genClientInto draws n samples for a client restricted to its class subset
-// and splits them train/test into c, reusing c's matrices and label slices
-// when their capacity suffices. Every element is overwritten, so a dirty c
-// yields the shard a fresh one would. The split keeps at least one sample
-// on each side so the evaluation harness always has per-client accuracies
-// to aggregate (Definition 3.1 needs them for the variance metric).
-func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n int, trainFrac float64, inDim int) {
+// trainFrac is the share of a client's samples that train; the rest test.
+const trainFrac = 0.8
+
+// numTrain is how many of a client's n samples train: trainFrac of them,
+// keeping at least one sample on each side so the evaluation harness always
+// has per-client accuracies to aggregate (Definition 3.1 needs them for the
+// variance metric).
+func numTrain(n int) int {
 	nTrain := int(float64(n) * trainFrac)
 	if nTrain >= n {
 		nTrain = n - 1
@@ -154,6 +154,15 @@ func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n in
 	if nTrain < 1 {
 		nTrain = 1
 	}
+	return nTrain
+}
+
+// genClientInto draws n samples for a client restricted to its class subset
+// and splits them train/test (numTrain) into c, reusing c's matrices and
+// label slices when their capacity suffices. Every element is overwritten,
+// so a dirty c yields the shard a fresh one would.
+func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n int, inDim int) {
+	nTrain := numTrain(n)
 	nTest := n - nTrain
 
 	c.TrainX = tensor.EnsureMat(c.TrainX, nTrain, inDim)

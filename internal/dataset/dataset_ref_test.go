@@ -13,9 +13,6 @@ func generateEager(cfg Config) (*Federated, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.8
-	}
 	perClient := cfg.ClassesPerClient
 	if perClient <= 0 || perClient > cfg.Classes {
 		perClient = cfg.Classes // IID
@@ -43,7 +40,7 @@ func generateEager(cfg Config) (*Federated, error) {
 		classes := appendClasses(nil, i, perClient, cfg.Classes)
 		cr := root.SplitLabeled(uint64(100 + i))
 		fed.Clients[i] = new(ClientData)
-		genClientInto(fed.Clients[i], cr, gen, classes, sizes[i], cfg.TrainFrac, fed.InDim)
+		genClientInto(fed.Clients[i], cr, gen, classes, sizes[i], fed.InDim)
 	}
 	return fed, nil
 }

@@ -24,7 +24,7 @@ import (
 // requested — and a caller that synthesizes into its own scratch shard
 // (ClientInto) generates no garbage per request either.
 type Source struct {
-	cfg       Config // resolved: TrainFrac and ClassesPerClient normalized
+	cfg       Config
 	perClient int
 	inDim     int
 	gen       sampleGen
@@ -37,9 +37,6 @@ type Source struct {
 func NewSource(cfg Config) (*Source, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.8
 	}
 	perClient := cfg.ClassesPerClient
 	if perClient <= 0 || perClient > cfg.Classes {
@@ -75,19 +72,9 @@ func (s *Source) InDim() int { return s.inDim }
 func (s *Source) Classes() int { return s.cfg.Classes }
 
 // NumTrain returns client i's local training-set size n_k without
-// generating the shard — the same clamp-to-[1, n-1] split arithmetic
-// genClientInto applies, over the client's derived sample count.
-func (s *Source) NumTrain(i int) int {
-	n := s.size(i)
-	nTrain := int(float64(n) * s.cfg.TrainFrac)
-	if nTrain >= n {
-		nTrain = n - 1
-	}
-	if nTrain < 1 {
-		nTrain = 1
-	}
-	return nTrain
-}
+// generating the shard: genClientInto's split of the client's derived
+// sample count.
+func (s *Source) NumTrain(i int) int { return numTrain(s.size(i)) }
 
 // size returns client i's sample count (train + test), at least 5: ±20%
 // jitter around the mean by default, a heavy-tailed power law when
@@ -127,7 +114,7 @@ func (s *Source) Client(i int) *ClientData { return s.ClientInto(new(ClientData)
 func (s *Source) ClientInto(dst *ClientData, i int) *ClientData {
 	dst.classes = appendClasses(dst.classes[:0], i, s.perClient, s.cfg.Classes)
 	dst.stream = s.root.SplitLabeledValue(uint64(100 + i))
-	genClientInto(dst, &dst.stream, s.gen, dst.classes, s.size(i), s.cfg.TrainFrac, s.inDim)
+	genClientInto(dst, &dst.stream, s.gen, dst.classes, s.size(i), s.inDim)
 	return dst
 }
 

@@ -96,11 +96,11 @@ func TestSourceMatchesEagerGenerate(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"uniform-20k": {
 			Name: "scalelike", NumClients: 20_000, Classes: 10, SamplesPerClient: 24,
-			ClassesPerClient: 2, TrainFrac: 0.8, Seed: 42, ImgC: 1, ImgH: 4, ImgW: 4,
+			ClassesPerClient: 2, Seed: 42, ImgC: 1, ImgH: 4, ImgW: 4,
 		},
 		"powerlaw-20k": {
 			Name: "femnistlike", NumClients: 20_000, Classes: 12, SamplesPerClient: 30,
-			ClassesPerClient: 4, PowerLaw: true, TrainFrac: 0.8, Seed: 31, ImgC: 1, ImgH: 4, ImgW: 4,
+			ClassesPerClient: 4, PowerLaw: true, Seed: 31, ImgC: 1, ImgH: 4, ImgW: 4,
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -120,7 +120,7 @@ func TestSourceMatchesEagerGenerate(t *testing.T) {
 				}
 			}
 			for i, n := range clientSizes(rng.New(cfg.Seed).SplitLabeled(2), cfg) {
-				want := max(min(int(float64(n)*cfg.TrainFrac), n-1), 1)
+				want := max(min(int(float64(n)*trainFrac), n-1), 1)
 				if got := src.NumTrain(i); got != want {
 					t.Fatalf("client %d: NumTrain %d, oracle size %d splits to %d", i, got, n, want)
 				}

@@ -28,7 +28,7 @@ func buildEnv(t testing.TB, clients int, dataSeed uint64, cfg fl.RunConfig, beha
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{
 		NumClients:  clients,
 		SecPerBatch: 0.05,
 		UpBW:        1 << 20,
@@ -43,7 +43,7 @@ func buildEnv(t testing.TB, clients int, dataSeed uint64, cfg fl.RunConfig, beha
 	factory := func(seed uint64) *nn.Network {
 		return nn.NewMLP(rng.New(seed), fed.InDim, 16, fed.Classes)
 	}
-	env, err := fl.NewEnv(fed, cluster, factory, cfg)
+	env, err := fl.NewEnv(fed, pop, factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

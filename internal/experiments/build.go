@@ -176,11 +176,11 @@ func buildEnvFull(p Preset, d dsSpec, partSizes []int, mutate func(*fl.RunConfig
 	if cmutate != nil {
 		cmutate(&ccfg)
 	}
-	cluster, err := simnet.NewCluster(ccfg)
+	pop, err := simnet.NewPopulation(ccfg)
 	if err != nil {
 		return nil, err
 	}
-	return fl.NewEnv(fed, cluster, modelFactory(p, fed), cfg)
+	return fl.NewEnv(fed, pop, modelFactory(p, fed), cfg)
 }
 
 // simulateCell executes one scheduler cell on a fresh environment

@@ -62,11 +62,11 @@ func runHierarchy(p Preset, d dsSpec, m fl.Method, dyn ComposeDynamics, cloud ed
 		ccfg := clusterConfig(p, n, nil)
 		ccfg.Seed = p.Seed + uint64(e)*edgeSeedStride
 		ccfg.Behavior = behavior
-		cluster, err := simnet.NewCluster(ccfg)
+		pop, err := simnet.NewPopulation(ccfg)
 		if err != nil {
 			return nil, err
 		}
-		env, err := fl.NewEnv(fedE, cluster, factory, cfg)
+		env, err := fl.NewEnv(fedE, pop, factory, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -51,10 +51,10 @@ type Client struct {
 	perm        []int      // per-epoch shuffle order, reused across rounds
 	wOut        []float64  // result buffer: a live client's own, lent per round to a simulated replica
 
-	// shard is the scratch a derived population's shards are synthesized
-	// into, for the member the replica trains (Data then points here) or
-	// the panel member it evaluates; each use overwrites the last. A
-	// retained population never touches it.
+	// shard is the scratch derived shards are synthesized into, for the
+	// member the replica trains (Data then points here) or the panel member
+	// it evaluates; each use overwrites the last. Retained shards never
+	// touch it.
 	shard dataset.ClientData
 }
 

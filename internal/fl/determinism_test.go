@@ -125,20 +125,19 @@ func TestSeedChangesResults(t *testing.T) {
 func TestDropoutsReduceParticipants(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Rounds = 20
-	env, _, cluster := testEnvParts(t, 0, cfg)
 	// Force ALL clients to drop very early.
-	for _, c := range cluster.Clients {
-		c.DropAt = 3.0
+	dropAll := func() *dropFabric {
+		fab := newDropFabric(testEnv(t, 0, cfg))
+		for id := range fab.NumClients() {
+			fab.drop(id, 3.0)
+		}
+		return fab
 	}
-	run := mustRun(t, "fedavg", env)
+	run := mustRunOn(t, "fedavg", dropAll(), cfg)
 	if run.GlobalRounds > 3 {
 		t.Fatalf("rounds kept completing after universal dropout: %d", run.GlobalRounds)
 	}
-	env2, _, cluster2 := testEnvParts(t, 0, cfg)
-	for _, c := range cluster2.Clients {
-		c.DropAt = 3.0
-	}
-	run2 := mustRun(t, "fedat", env2)
+	run2 := mustRunOn(t, "fedat", dropAll(), cfg)
 	if run2.GlobalRounds > 10 {
 		t.Fatalf("FedAT kept updating after universal dropout: %d", run2.GlobalRounds)
 	}

@@ -20,7 +20,7 @@ func dynamicEnv(t *testing.T, cfg RunConfig) *Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{
 		NumClients:  20,
 		NumUnstable: 2,
 		DropHorizon: 2000,
@@ -43,7 +43,7 @@ func dynamicEnv(t *testing.T, cfg RunConfig) *Env {
 	factory := func(seed uint64) *nn.Network {
 		return nn.NewMLP(rng.New(seed), fed.InDim, 16, fed.Classes)
 	}
-	env, err := NewEnv(fed, cluster, factory, cfg)
+	env, err := NewEnv(fed, pop, factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,8 @@ func TestRetierRevivesDeadTier(t *testing.T) {
 	cfg.Rounds = 60
 	cfg.NumTiers = 2
 	cfg.RetierEvery = 2
-	env, _, cluster := testEnvParts(t, 0, cfg)
+	env := testEnv(t, 0, cfg)
+	fab := newDropFabric(env)
 	tiers := mustTiers(t, env)
 	// Tier 0 dies at t=5 — during its FIRST round, well before the slow
 	// tier's first fold (~t=30) produces the observation that promotes the
@@ -202,16 +203,16 @@ func TestRetierRevivesDeadTier(t *testing.T) {
 	// loop re-kick can revive.
 	dropsSet, fastSet := false, false
 	lastTier0Fold := 0.0
-	run := mustRun(t, "fedat", env, ObserverFunc(func(ev Event) {
+	run := mustRunOn(t, "fedat", fab, env.Cfg, ObserverFunc(func(ev Event) {
 		if !dropsSet {
 			dropsSet = true
 			for _, id := range tiers.Members[0] {
-				cluster.Clients[id].DropAt = dropAt
+				fab.drop(int(id), dropAt)
 			}
 		}
 		if e, ok := ev.(ClientDoneEvent); ok && !fastSet && e.Time >= 10 {
 			fastSet = true
-			fast := cluster.Clients[tiers.Members[1][0]]
+			fast := env.pop.Materialize(int(tiers.Members[1][0]))
 			fast.SecPerBatch = 0.001
 			fast.DelayLo, fast.DelayHi = 0, 0
 		}

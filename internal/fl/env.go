@@ -190,33 +190,22 @@ type shardSource interface {
 	ClientInto(dst *dataset.ClientData, id int) *dataset.ClientData
 }
 
-// runtimeSource is where an environment's simulated clients live: a
-// *simnet.Cluster built every runtime up front, a *simnet.Population
-// answers the pure queries from index tables and builds (then caches) a
-// runtime on first Materialize. Reset rewinds link reservations and delay
-// streams to time zero.
-type runtimeSource interface {
-	Available(id int, t float64) bool
-	NextOnline(id int, t float64) float64
-	ExpectedLatency(id, batchSteps int) float64
-	Materialize(id int) *simnet.ClientRuntime
-	Reset()
-}
-
-// Env is the simulated environment a method runs on: a population of
-// (shard, runtime) pairs addressed by id, the shared server links, an
-// evaluation harness and one pool of model replicas.
+// Env is the simulated environment a method runs on: client shards and a
+// simnet.Population (runtimes plus the server's shared links) addressed by
+// id, an evaluation harness and one pool of model replicas.
 //
-// There is one implementation over two kinds of source. NewEnv takes a
-// retained population — every shard and runtime already built, the shape
-// the paper-scale experiments use. NewLazyEnv takes a derived one — a
-// client is (seed, id) until a dispatch touches it, its shard is
+// Both constructors hold the population the same way: a client's runtime
+// is (seed, id) until a dispatch or a probe materializes it, and the pure
+// queries (availability, profiled latency) never do. They differ only in
+// shard source and evaluation panel. NewEnv takes retained shards — every
+// one built up front, the shape the paper-scale experiments use — and
+// evaluates all N clients. NewLazyEnv takes a derived dataset — a shard is
 // synthesized at dispatch into the scratch of the replica that trains it —
 // whose steady-state memory and heap traffic are O(cohort + model)
-// whatever N is (TestDerivedPopulationFootprint, TestEngineRoundByteCeiling).
-// Both are bit-identical in everything the engine observes; they differ
-// only in that a derived population is evaluated on a fixed panel of
-// DefaultEvalSample clients rather than all N.
+// whatever N is (TestDerivedPopulationFootprint, TestEngineRoundByteCeiling),
+// and evaluates a fixed panel of DefaultEvalSample clients. The two are
+// bit-identical in everything the engine observes up to that panel
+// (TestLazyEnvMatchesEagerRun).
 //
 // Either way the training machinery — model replica, optimizer, batch and
 // shard scratch — belongs to the environment, not to a client. newEnv
@@ -236,8 +225,7 @@ type Env struct {
 	dataset    string
 	n, classes int
 	shards     shardSource
-	runtimes   runtimeSource
-	links      *simnet.Cluster // only the server links are read through it
+	pop        *simnet.Population
 
 	w0     []float64
 	shapes []codec.ShapeInfo
@@ -288,33 +276,32 @@ type member struct {
 	out      []float64
 }
 
-// NewEnv wires a retained federated dataset to a materialized cluster. The
-// cluster must have exactly one runtime per dataset client. Evaluation
-// covers every client.
-func NewEnv(fed *dataset.Federated, cluster *simnet.Cluster, factory ModelFactory, cfg RunConfig) (*Env, error) {
-	if len(cluster.Clients) != len(fed.Clients) {
-		return nil, fmt.Errorf("fl: cluster has %d clients, dataset has %d", len(cluster.Clients), len(fed.Clients))
-	}
+// NewEnv wires a retained federated dataset to a population. The two must
+// agree on the population size. Evaluation covers every client.
+func NewEnv(fed *dataset.Federated, pop *simnet.Population, factory ModelFactory, cfg RunConfig) (*Env, error) {
 	n := len(fed.Clients)
-	return newEnv(fed.Name, n, fed.Classes, fed, cluster, cluster, n, factory, cfg), nil
+	if pop.NumClients() != n {
+		return nil, fmt.Errorf("fl: population has %d clients, dataset has %d", pop.NumClients(), n)
+	}
+	return newEnv(fed.Name, n, fed.Classes, fed, pop, n, factory, cfg), nil
 }
 
-// NewLazyEnv wires a synthesizing dataset source to a lazy population. The
+// NewLazyEnv wires a synthesizing dataset source to a population. The
 // two must agree on the population size. Evaluation covers a fixed panel
 // of DefaultEvalSample clients whose shards are synthesized per pass.
 func NewLazyEnv(src *dataset.Source, pop *simnet.Population, factory ModelFactory, cfg RunConfig) (*Env, error) {
 	if src.NumClients() != pop.NumClients() {
 		return nil, fmt.Errorf("fl: population has %d clients, dataset has %d", pop.NumClients(), src.NumClients())
 	}
-	return newEnv(src.Name(), src.NumClients(), src.Classes(), src, pop, pop.Links(), DefaultEvalSample, factory, cfg), nil
+	return newEnv(src.Name(), src.NumClients(), src.Classes(), src, pop, DefaultEvalSample, factory, cfg), nil
 }
 
 // newEnv is the one construction path: n clients of the named dataset,
-// their two sources, the links shell, and the evaluation panel size. It is
+// their shard source, the population, and the evaluation panel size. It is
 // also the one place a simulated environment builds model replicas and
 // optimizers: min(GOMAXPROCS, n) of them, the most a dispatch can train
 // at once.
-func newEnv(name string, n, classes int, shards shardSource, runtimes runtimeSource, links *simnet.Cluster, panel int, factory ModelFactory, cfg RunConfig) *Env {
+func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Population, panel int, factory ModelFactory, cfg RunConfig) *Env {
 	cfg = cfg.withDefaults()
 	replicas := make([]*Client, parallel.Workers(n))
 	for i := range replicas {
@@ -335,8 +322,7 @@ func newEnv(name string, n, classes int, shards shardSource, runtimes runtimeSou
 		n:        n,
 		classes:  classes,
 		shards:   shards,
-		runtimes: runtimes,
-		links:    links,
+		pop:      pop,
 		w0:       ref.WeightsCopy(),
 		shapes:   shapes,
 		root:     rng.New(cfg.Seed),
@@ -359,7 +345,7 @@ func (e *Env) Shapes() []codec.ShapeInfo { return e.shapes }
 // run several methods back-to-back under identical conditions. Replicas
 // need no reset: TrainLocal restarts everything they carry at every round
 // entry.
-func (e *Env) ResetState() { e.runtimes.Reset() }
+func (e *Env) ResetState() { e.pop.Reset() }
 
 // trainMember is one training body of a dispatch: borrow an idle replica,
 // bind it to cohort member m, run the member's local round into the

@@ -105,7 +105,7 @@ type Fabric interface {
 // injected delays, the lossy codec channel) and a simnet clock is the
 // timeline. It is the reference fabric: the bit-pinned golden runs define
 // its behavior. Every per-client question is answered by the
-// environment's sources, so a derived population is queried without
+// environment's population, so availability is queried without
 // materializing anyone.
 type simFabric struct {
 	simnet.Clock
@@ -132,10 +132,10 @@ func (f *simFabric) SampleCount(id int) int {
 	return f.env.shards.NumTrain(id)
 }
 func (f *simFabric) Available(id int, now float64) bool {
-	return f.env.runtimes.Available(id, now)
+	return f.env.pop.Available(id, now)
 }
 func (f *simFabric) NextAvailable(id int, now float64) float64 {
-	return f.env.runtimes.NextOnline(id, now)
+	return f.env.pop.NextOnline(id, now)
 }
 func (f *simFabric) InitialWeights() []float64 { return f.env.InitialWeights() }
 func (f *simFabric) Shapes() []codec.ShapeInfo { return f.env.Shapes() }
@@ -163,9 +163,9 @@ func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, reply
 	comm.CountControl(int64(replyBytes)*int64(len(ids)), true)
 	latest := now
 	for _, id := range ids {
-		rt := f.env.runtimes.Materialize(id)
-		done := f.env.links.DownloadArrival(now, rt, bytes)
-		done = f.env.links.UploadArrival(done, rt, replyBytes)
+		rt := f.env.pop.Materialize(id)
+		done := f.env.pop.DownloadArrival(now, rt, bytes)
+		done = f.env.pop.UploadArrival(done, rt, replyBytes)
 		if done > latest {
 			latest = done
 		}

@@ -18,20 +18,19 @@ import (
 // Fashion-MNIST stand-in with the paper's five delay tiers.
 func testEnv(t *testing.T, classesPerClient int, cfg RunConfig) *Env {
 	t.Helper()
-	env, _, _ := testEnvParts(t, classesPerClient, cfg)
+	env, _ := testEnvParts(t, classesPerClient, cfg)
 	return env
 }
 
-// testEnvParts is testEnv returning the retained population as well: tests
-// that script a client going off-profile edit cluster.Clients[id] (the Env
-// reads runtimes live), and tests of local training take shards from fed.
-func testEnvParts(t *testing.T, classesPerClient int, cfg RunConfig) (*Env, *dataset.Federated, *simnet.Cluster) {
+// testEnvParts is testEnv returning the retained shards as well, which
+// tests of local training take.
+func testEnvParts(t *testing.T, classesPerClient int, cfg RunConfig) (*Env, *dataset.Federated) {
 	t.Helper()
 	fed, err := dataset.FashionLike(20, classesPerClient, dataset.ScaleSmall, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{
 		NumClients:  20,
 		NumUnstable: 2,
 		DropHorizon: 2000,
@@ -44,11 +43,11 @@ func testEnvParts(t *testing.T, classesPerClient int, cfg RunConfig) (*Env, *dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(fed, cluster, testFactory(fed), cfg)
+	env, err := NewEnv(fed, pop, testFactory(fed), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return env, fed, cluster
+	return env, fed
 }
 
 func testFactory(fed *dataset.Federated) ModelFactory {
@@ -224,7 +223,7 @@ func TestWeightedVsUniformAggregationDiffer(t *testing.T) {
 
 func TestTrainLocalFixedSchedule(t *testing.T) {
 	cfg := baseCfg()
-	env, fed, _ := testEnvParts(t, 0, cfg)
+	env, fed := testEnvParts(t, 0, cfg)
 	c := testLocalClient(fed, 0, cfg)
 	w0 := env.InitialWeights()
 	lc := LocalConfig{Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, Lambda: 0.4, Round: 7}
@@ -257,7 +256,7 @@ func TestTrainLocalFixedSchedule(t *testing.T) {
 
 func TestTrainLocalProximalPullsTowardAnchor(t *testing.T) {
 	cfg := baseCfg()
-	env, fed, _ := testEnvParts(t, 0, cfg)
+	env, fed := testEnvParts(t, 0, cfg)
 	c := testLocalClient(fed, 1, cfg)
 	w0 := env.InitialWeights()
 	lc := LocalConfig{Epochs: 4, BatchSize: cfg.BatchSize, Round: 1}
@@ -291,10 +290,9 @@ func TestLocalConfigSteps(t *testing.T) {
 
 func TestSelectAvailableExcludesDropped(t *testing.T) {
 	cfg := baseCfg()
-	env, _, cluster := testEnvParts(t, 0, cfg)
+	fab := newDropFabric(testEnv(t, 0, cfg))
 	// Force one client offline.
-	cluster.Clients[3].DropAt = 0
-	fab := env.Fabric()
+	fab.drop(3, 0)
 	ids := []int{3}
 	var scratch []int
 	if got := selectAvailable(&scratch, rng.New(1), ids, fab, 1, 5); got != nil {
@@ -643,14 +641,14 @@ func TestEnvValidatesClientCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{NumClients: 5, Seed: 1})
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{NumClients: 5, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	factory := func(seed uint64) *nn.Network {
 		return nn.NewMLP(rng.New(seed), fed.InDim, 8, fed.Classes)
 	}
-	if _, err := NewEnv(fed, cluster, factory, RunConfig{}); err == nil {
+	if _, err := NewEnv(fed, pop, factory, RunConfig{}); err == nil {
 		t.Fatal("client-count mismatch accepted")
 	}
 }

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 	"unsafe"
 
@@ -112,9 +113,14 @@ func TestTierRunNeverListsPopulation(t *testing.T) {
 }
 
 // TestTrainResultSize pins the layout the fixed-point slot id relies on:
-// it sits in the padding after Dropped, so results stay 64 bytes.
+// it sits in the padding after Dropped, so results stay 64 bytes where int
+// is 64 bits and 40 where it is 32.
 func TestTrainResultSize(t *testing.T) {
-	if got := unsafe.Sizeof(TrainResult{}); got != 64 {
-		t.Fatalf("TrainResult is %d bytes, want 64", got)
+	want := uintptr(64)
+	if strconv.IntSize == 32 {
+		want = 40
+	}
+	if got := unsafe.Sizeof(TrainResult{}); got != want {
+		t.Fatalf("TrainResult is %d bytes, want %d", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/simnet"
 	"repro/internal/tiering"
 )
 
@@ -11,11 +12,60 @@ import (
 // or aggregation error.
 func mustRun(t testing.TB, name string, env *Env, obs ...Observer) *metrics.Run {
 	t.Helper()
-	run, err := Run(name, env, obs...)
+	return mustRunOn(t, name, env.Fabric(), env.Cfg, obs...)
+}
+
+// mustRunOn is mustRun on a given fabric.
+func mustRunOn(t testing.TB, name string, fab Fabric, cfg RunConfig, obs ...Observer) *metrics.Run {
+	t.Helper()
+	m, err := Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := m.RunOn(fab, cfg, obs...)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return run
+}
+
+// dropFabric is an environment's simulated fabric with permanent drops
+// scripted on top of the population's own. From its drop time on, a
+// scripted client is unavailable to selection, and its materialized runtime
+// carries the same drop time, so the round it is training in is lost.
+// Drops may be scripted mid-run, from an observer.
+type dropFabric struct {
+	Fabric
+	pop   *simnet.Population
+	drops map[int]float64
+}
+
+func newDropFabric(env *Env) *dropFabric {
+	return &dropFabric{Fabric: env.Fabric(), pop: env.pop, drops: map[int]float64{}}
+}
+
+// drop makes client id leave for good at time at.
+func (f *dropFabric) drop(id int, at float64) {
+	rt := f.pop.Materialize(id)
+	rt.DropAt = min(rt.DropAt, at)
+	f.drops[id] = rt.DropAt
+}
+
+func (f *dropFabric) dropped(id int, t float64) bool {
+	at, ok := f.drops[id]
+	return ok && t >= at
+}
+
+func (f *dropFabric) Available(id int, now float64) bool {
+	return !f.dropped(id, now) && f.Fabric.Available(id, now)
+}
+
+func (f *dropFabric) NextAvailable(id int, now float64) float64 {
+	t := f.Fabric.NextAvailable(id, now)
+	if f.dropped(id, t) {
+		return simnet.Inf
+	}
+	return t
 }
 
 // asyncAt builds the async family's shared rule state directly, skipping

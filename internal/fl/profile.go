@@ -14,8 +14,8 @@ import (
 // MisTierFrac > 0 that fraction of the profiles is replaced with random
 // values, modelling the mis-profiling §2.1 describes ("a portion of clients
 // are incorrectly profiled and assigned to a wrong tier"). Latencies and
-// sample counts are pure queries on the environment's sources: profiling a
-// derived population materializes no client, and the profile is a function
+// sample counts are pure queries on the environment's population and shard
+// source: profiling materializes no client, and the profile is a function
 // the partition calls from parallel workers rather than a table, so it
 // does not depend on their count and no client's latency is stored. The
 // scrambled profiles are the one exception: an id-sorted table of
@@ -23,7 +23,7 @@ import (
 func ProfileTiers(env *Env) (*tiering.Tiers, error) {
 	lc := LocalConfig{Epochs: env.Cfg.LocalEpochs, BatchSize: env.Cfg.BatchSize}
 	latency := func(i int) float64 {
-		return env.runtimes.ExpectedLatency(i, lc.Steps(env.shards.NumTrain(i)))
+		return env.pop.ExpectedLatency(i, lc.Steps(env.shards.NumTrain(i)))
 	}
 	if f := env.Cfg.MisTierFrac; f > 0 {
 		lo, hi := 1e300, 0.0

@@ -117,7 +117,7 @@ func attackEnv(t *testing.T, cfg RunConfig, b simnet.BehaviorConfig) *Env {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{
 		NumClients:  20,
 		NumUnstable: 2,
 		DropHorizon: 2000,
@@ -134,7 +134,7 @@ func attackEnv(t *testing.T, cfg RunConfig, b simnet.BehaviorConfig) *Env {
 	factory := func(seed uint64) *nn.Network {
 		return nn.NewMLP(rng.New(seed), fed.InDim, 16, fed.Classes)
 	}
-	env, err := NewEnv(fed, cluster, factory, cfg)
+	env, err := NewEnv(fed, pop, factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

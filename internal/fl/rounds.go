@@ -81,8 +81,8 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	for i, id := range sel {
 		m := &members[i]
 		m.id = id
-		m.rt = e.runtimes.Materialize(id) // not safe to call concurrently
-		m.downDone = e.links.DownloadArrival(start, m.rt, bytes)
+		m.rt = e.pop.Materialize(id) // not safe to call concurrently
+		m.downDone = e.pop.DownloadArrival(start, m.rt, bytes)
 	}
 
 	// Per-member local training is the eligible parallel section: body i
@@ -124,7 +124,7 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 		// flight, which the engine reads at arrival and releases after the
 		// fold. Dropped results above keep the member's buffer (no upload
 		// happened), which is why reads and releases must skip them.
-		r.Arrive = e.links.UploadArrival(computeDone, rt, comm.upload(r))
+		r.Arrive = e.pop.UploadArrival(computeDone, rt, comm.upload(r))
 	}
 	return results
 }

@@ -15,9 +15,9 @@ import (
 	"repro/internal/tiering"
 )
 
-// sourceCase is one paired (dataset, cluster, run) configuration from which
-// both kinds of environment are built: NewEnv over the generated federation
-// and materialized cluster, NewLazyEnv over the source and population.
+// sourceCase is one paired (dataset, population, run) configuration from
+// which both kinds of environment are built: NewEnv over the generated
+// federation, NewLazyEnv over the source, each with its own population.
 type sourceCase struct {
 	dcfg    dataset.Config
 	ccfg    simnet.ClusterConfig
@@ -64,25 +64,25 @@ func adversarialSourceCase(seed uint64) sourceCase {
 	return c
 }
 
-// retained builds the environment over a retained population.
+// retained builds the environment over retained shards.
 func (c sourceCase) retained(t testing.TB) *Env {
 	t.Helper()
 	fed, err := dataset.Generate(c.dcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := simnet.NewCluster(c.ccfg)
+	pop, err := simnet.NewPopulation(c.ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(fed, cluster, c.factory, c.rcfg)
+	env, err := NewEnv(fed, pop, c.factory, c.rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return env
 }
 
-// derived builds the environment over a derived population, returning the
+// derived builds the environment over derived shards, returning the
 // population so a test can count what a run materialized.
 func (c sourceCase) derived(t testing.TB) (*Env, *simnet.Population) {
 	t.Helper()
@@ -102,10 +102,9 @@ func (c sourceCase) derived(t testing.TB) (*Env, *simnet.Population) {
 }
 
 // TestLazyEnvMatchesEagerRun pins retained ≡ derived: a full run over an
-// environment built by NewLazyEnv — on-demand shards, runtimes materialized
-// at dispatch, an evaluation panel covering the whole (small) population —
-// produces a run record bit-identical to one over NewEnv's retained
-// federation and cluster. Every registry method and a composed fedbuff
+// environment built by NewLazyEnv — on-demand shards and an evaluation
+// panel covering the whole (small) population — produces a run record
+// bit-identical to one over NewEnv's retained federation. Every registry method and a composed fedbuff
 // method run on the base case; then one case each switches on DP, an
 // attack regime, churn/drift, and the dropout LSTM (whose mask
 // stream is the only training state a weight vector does not carry).

@@ -2,7 +2,7 @@ package simnet
 
 import "repro/internal/rng"
 
-// Time-varying client behavior. The static population NewCluster builds —
+// Time-varying client behavior. The static population NewPopulation builds —
 // fixed per-client speeds, permanent DropAt departures — matches the paper's
 // §6 testbed, where clients are profiled once and stay in character. Real
 // populations drift, churn and get mis-profiled; BehaviorConfig switches on
@@ -219,7 +219,7 @@ func (c *churnTrack) NextOnline(t float64) float64 {
 // AttackTargets returns the uniform attacker set for a population of n
 // clients under the given seed — the exact ids Population marks. It is
 // exported so the live transport fabric can select the same deterministic
-// attacker population from (seed, clients, frac) without a Cluster.
+// attacker population from (seed, clients, frac) without a Population.
 func AttackTargets(seed uint64, n int, frac float64) []int {
 	if frac <= 0 || n <= 0 {
 		return nil

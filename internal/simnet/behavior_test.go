@@ -16,23 +16,25 @@ func (c *ClientRuntime) SpeedMultiplier(t float64) float64 {
 	return c.drift.MultAt(t)
 }
 
-func behaviorCluster(t *testing.T, b BehaviorConfig) *Cluster {
+// behaviorClients materializes every client of a 20-client population
+// under b.
+func behaviorClients(t *testing.T, b BehaviorConfig) []*ClientRuntime {
 	t.Helper()
-	cl, err := NewCluster(ClusterConfig{
+	pop, err := NewPopulation(ClusterConfig{
 		NumClients: 20, SecPerBatch: 0.1, Seed: 11, Behavior: b,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl
+	return materializeAll(pop)
 }
 
 // TestBehaviorDisabledIsStatic: the zero BehaviorConfig must leave the
 // population bit-identical to the static model — same availability, same
 // compute arithmetic at any time.
 func TestBehaviorDisabledIsStatic(t *testing.T) {
-	cl := behaviorCluster(t, BehaviorConfig{})
-	for _, c := range cl.Clients {
+	cl := behaviorClients(t, BehaviorConfig{})
+	for _, c := range cl {
 		if c.drift != nil || c.churn != nil {
 			t.Fatalf("client %d has dynamic state without behavior config", c.ID)
 		}
@@ -58,11 +60,11 @@ func TestBehaviorDisabledIsStatic(t *testing.T) {
 // same-seed clusters, pure under out-of-order queries, and clamped.
 func TestDriftDeterministicAndClamped(t *testing.T) {
 	b := BehaviorConfig{DriftMag: 0.5, DriftInterval: 10, DriftClamp: 3}
-	a := behaviorCluster(t, b)
-	c := behaviorCluster(t, b)
+	a := behaviorClients(t, b)
+	c := behaviorClients(t, b)
 	changed := false
-	for id := range a.Clients {
-		ra, rc := a.Clients[id], c.Clients[id]
+	for id := range a {
+		ra, rc := a[id], c[id]
 		// Query rc far ahead first: lookups must stay pure under any order.
 		_ = rc.SpeedMultiplier(990)
 		for _, at := range []float64{0, 25, 990, 130} {
@@ -90,9 +92,9 @@ func TestDriftDeterministicAndClamped(t *testing.T) {
 // lands on an available instant; non-churned clients are unaffected.
 func TestChurnWindows(t *testing.T) {
 	b := BehaviorConfig{ChurnFrac: 0.5, ChurnOn: [2]float64{50, 100}, ChurnOff: [2]float64{20, 40}}
-	cl := behaviorCluster(t, b)
+	cl := behaviorClients(t, b)
 	churned, sawOffline, sawRejoin := 0, false, false
-	for _, c := range cl.Clients {
+	for _, c := range cl {
 		if c.churn == nil {
 			continue
 		}
@@ -128,9 +130,9 @@ func TestChurnWindows(t *testing.T) {
 // without churn the check reduces to the endpoint rule.
 func TestOfflineWithin(t *testing.T) {
 	b := BehaviorConfig{ChurnFrac: 1, ChurnOn: [2]float64{50, 100}, ChurnOff: [2]float64{10, 20}}
-	cl := behaviorCluster(t, b)
+	cl := behaviorClients(t, b)
 	checked := false
-	for _, c := range cl.Clients {
+	for _, c := range cl {
 		if c.churn == nil || len(c.churn.offline) == 0 {
 			c.Available(500) // force window generation
 		}
@@ -156,8 +158,8 @@ func TestOfflineWithin(t *testing.T) {
 	}
 
 	// No churn: OfflineWithin is exactly the endpoint check.
-	static := behaviorCluster(t, BehaviorConfig{})
-	for _, c := range static.Clients {
+	static := behaviorClients(t, BehaviorConfig{})
+	for _, c := range static {
 		for _, end := range []float64{10, 5000} {
 			if got, want := c.OfflineWithin(0, end), !c.Available(end); got != want {
 				t.Fatalf("client %d: static OfflineWithin(0,%v)=%v, want %v", c.ID, end, got, want)
@@ -169,15 +171,15 @@ func TestOfflineWithin(t *testing.T) {
 // TestFracClamped: behavior fractions above 1 (a CLI typo) mean "everyone",
 // not a Choose panic.
 func TestFracClamped(t *testing.T) {
-	cl := behaviorCluster(t, BehaviorConfig{ChurnFrac: 1.5})
+	cl := behaviorClients(t, BehaviorConfig{ChurnFrac: 1.5})
 	churned := 0
-	for _, c := range cl.Clients {
+	for _, c := range cl {
 		if c.churn != nil {
 			churned++
 		}
 	}
-	if churned != len(cl.Clients) {
-		t.Fatalf("a fraction above 1 churned %d/%d clients; want all", churned, len(cl.Clients))
+	if churned != len(cl) {
+		t.Fatalf("a fraction above 1 churned %d/%d clients; want all", churned, len(cl))
 	}
 }
 
@@ -186,17 +188,17 @@ func TestFracClamped(t *testing.T) {
 // under AttackTail.
 func TestAttackSelection(t *testing.T) {
 	b := BehaviorConfig{AttackKind: "scale", AttackFrac: 0.3, AttackScale: 5}
-	a := behaviorCluster(t, b)
-	c := behaviorCluster(t, b)
+	a := behaviorClients(t, b)
+	c := behaviorClients(t, b)
 	var attackers []int
-	for i := range a.Clients {
-		if a.Clients[i].Attack.Active() != c.Clients[i].Attack.Active() {
+	for i := range a {
+		if a[i].Attack.Active() != c[i].Attack.Active() {
 			t.Fatalf("attacker set differs between same-seed clusters at %d", i)
 		}
-		if a.Clients[i].Attack.Active() {
+		if a[i].Attack.Active() {
 			attackers = append(attackers, i)
-			if a.Clients[i].Attack.Kind != robust.ScaleUpdate || a.Clients[i].Attack.Scale != 5 {
-				t.Fatalf("client %d attack = %+v", i, a.Clients[i].Attack)
+			if a[i].Attack.Kind != robust.ScaleUpdate || a[i].Attack.Scale != 5 {
+				t.Fatalf("client %d attack = %+v", i, a[i].Attack)
 			}
 		}
 	}
@@ -223,10 +225,10 @@ func TestAttackSelection(t *testing.T) {
 // membership (separate population labels), and AttackFrac=0 or kind "none"
 // leaves everyone honest.
 func TestAttackIndependentOfChurn(t *testing.T) {
-	churnOnly := behaviorCluster(t, BehaviorConfig{ChurnFrac: 0.25})
-	both := behaviorCluster(t, BehaviorConfig{ChurnFrac: 0.25, AttackKind: "labelflip", AttackFrac: 0.4})
-	for i := range churnOnly.Clients {
-		if (churnOnly.Clients[i].churn == nil) != (both.Clients[i].churn == nil) {
+	churnOnly := behaviorClients(t, BehaviorConfig{ChurnFrac: 0.25})
+	both := behaviorClients(t, BehaviorConfig{ChurnFrac: 0.25, AttackKind: "labelflip", AttackFrac: 0.4})
+	for i := range churnOnly {
+		if (churnOnly[i].churn == nil) != (both[i].churn == nil) {
 			t.Fatalf("churn membership moved when attacks switched on (client %d)", i)
 		}
 	}
@@ -235,9 +237,9 @@ func TestAttackIndependentOfChurn(t *testing.T) {
 		{ChurnFrac: 0.25, AttackFrac: 0.4},
 		{ChurnFrac: 0.25, AttackKind: "none", AttackFrac: 0.4},
 	} {
-		cl := behaviorCluster(t, b)
-		for i := range cl.Clients {
-			if cl.Clients[i].Attack.Active() {
+		cl := behaviorClients(t, b)
+		for i := range cl {
+			if cl[i].Attack.Active() {
 				t.Fatalf("client %d attacks under %+v", i, b)
 			}
 		}
@@ -247,11 +249,11 @@ func TestAttackIndependentOfChurn(t *testing.T) {
 // TestAttackTailPicksSlowest: AttackTail marks exactly the highest-Part
 // clients, ties to lower ids, with no randomness.
 func TestAttackTailPicksSlowest(t *testing.T) {
-	cl := behaviorCluster(t, BehaviorConfig{AttackKind: "freeride", AttackFrac: 0.2, AttackTail: true})
+	cl := behaviorClients(t, BehaviorConfig{AttackKind: "freeride", AttackFrac: 0.2, AttackTail: true})
 	minAttackerPart := math.MaxInt
 	maxHonestPart := -1
 	count := 0
-	for _, c := range cl.Clients {
+	for _, c := range cl {
 		if c.Attack.Active() {
 			count++
 			if c.Part < minAttackerPart {
@@ -270,9 +272,9 @@ func TestAttackTailPicksSlowest(t *testing.T) {
 	}
 }
 
-// TestAttackUnknownKind: a bad kind surfaces as a NewCluster error.
+// TestAttackUnknownKind: a bad kind surfaces as a NewPopulation error.
 func TestAttackUnknownKind(t *testing.T) {
-	_, err := NewCluster(ClusterConfig{
+	_, err := NewPopulation(ClusterConfig{
 		NumClients: 5, Seed: 1,
 		Behavior: BehaviorConfig{AttackKind: "bogus", AttackFrac: 0.5},
 	})

@@ -91,26 +91,6 @@ func (c *ClientRuntime) OfflineWithin(start, end float64) bool {
 	return c.churn != nil && c.churn.OverlapsOffline(start, end)
 }
 
-// NextOnline returns the earliest time >= t at which the client is online
-// (+Inf if it never is again). For the static population this is t while
-// the client lives and +Inf after its permanent drop — churn windows are
-// the only source of finite waits.
-func (c *ClientRuntime) NextOnline(t float64) float64 {
-	if c.churn != nil {
-		t = c.churn.NextOnline(t)
-	}
-	if t >= c.DropAt {
-		return Inf
-	}
-	return t
-}
-
-// ExpectedLatency is the profiling estimate the tiering module uses: the
-// compute time for a nominal round plus the mean injected delay.
-func (c *ClientRuntime) ExpectedLatency(batchSteps int) float64 {
-	return c.ComputeTime(batchSteps) + (c.DelayLo+c.DelayHi)/2
-}
-
 // delayRanges are the paper's five injected-delay groups (§6), one per part.
 var delayRanges = [][2]float64{{0, 0}, {0, 5}, {6, 10}, {11, 15}, {20, 30}}
 
@@ -138,28 +118,13 @@ type ClusterConfig struct {
 	Seed     uint64
 }
 
-// Cluster is the simulated population plus the server's shared links.
-type Cluster struct {
-	Clients    []*ClientRuntime
-	ServerUp   *Link // client→server direction
-	ServerDown *Link // server→client direction
-}
+// Cluster and NewCluster are Population's names from when a population
+// was built eagerly, one runtime per client. Only the benchmark harness
+// still spells them.
+type Cluster = Population
 
-// NewCluster builds the population: clients are randomly divided into the
-// delay parts (even split unless PartSizes is set), receive persistent
-// compute-speed factors, and NumUnstable of them get finite drop times.
-//
-// It is now a thin shell over the lazy Population — "materialize every
-// client" — so the eager and lazy construction paths cannot drift apart.
-// The original direct construction survives as a test oracle
-// (cluster_ref_test.go) the equivalence test pins Population against.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) {
-	p, err := NewPopulation(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return p.Cluster(), nil
-}
+// NewCluster is NewPopulation.
+func NewCluster(cfg ClusterConfig) (*Cluster, error) { return NewPopulation(cfg) }
 
 func evenSplit(n, parts int) []int {
 	out := make([]int, parts)
@@ -172,62 +137,4 @@ func evenSplit(n, parts int) []int {
 		}
 	}
 	return out
-}
-
-// Reset clears the cluster's mutable simulation state — server link
-// reservations and every client's delay stream — so consecutive runs over
-// one cluster see identical conditions from time zero.
-func (c *Cluster) Reset() {
-	c.ServerUp.Reset()
-	c.ServerDown.Reset()
-	for _, cr := range c.Clients {
-		cr.Reset()
-	}
-}
-
-// The per-id queries below give a materialized cluster the same surface a
-// lazy Population answers from its index tables, so the federation layer
-// runs one environment over either. Each reads the live runtime, so a test
-// that edits cl.Clients[id] sees its edit.
-
-// Available reports whether client id is online at time t.
-func (c *Cluster) Available(id int, t float64) bool { return c.Clients[id].Available(t) }
-
-// NextOnline returns the earliest time >= t at which client id is online.
-func (c *Cluster) NextOnline(id int, t float64) float64 { return c.Clients[id].NextOnline(t) }
-
-// ExpectedLatency is the profiling estimate for client id.
-func (c *Cluster) ExpectedLatency(id, batchSteps int) float64 {
-	return c.Clients[id].ExpectedLatency(batchSteps)
-}
-
-// Materialize returns client id's runtime, which a cluster built up front.
-func (c *Cluster) Materialize(id int) *ClientRuntime { return c.Clients[id] }
-
-// UploadArrival models a client→server transfer started at now: the client
-// pushes at its own link speed while the server link serializes concurrent
-// transfers; the payload lands when both are done.
-func (c *Cluster) UploadArrival(now float64, client *ClientRuntime, bytes int) float64 {
-	clientDone := now
-	if client.UpBW > 0 {
-		clientDone = now + float64(bytes)/client.UpBW
-	}
-	serverDone := c.ServerUp.Transfer(now, bytes)
-	if clientDone > serverDone {
-		return clientDone
-	}
-	return serverDone
-}
-
-// DownloadArrival models a server→client transfer started at now.
-func (c *Cluster) DownloadArrival(now float64, client *ClientRuntime, bytes int) float64 {
-	clientDone := now
-	if client.DownBW > 0 {
-		clientDone = now + float64(bytes)/client.DownBW
-	}
-	serverDone := c.ServerDown.Transfer(now, bytes)
-	if clientDone > serverDone {
-		return clientDone
-	}
-	return serverDone
 }

@@ -8,11 +8,11 @@ import (
 	"repro/internal/robust"
 )
 
-// newClusterEager is the pre-lazy construction, byte-for-byte: every draw
-// in its original order. It exists as the specification the lazy
+// newClusterEager is the pre-lazy construction, byte-for-byte: every
+// client's runtime built up front, every draw in its original order. It exists as the specification the lazy
 // Population is tested against (TestPopulationMatchesEagerCluster) — if
 // the two ever disagree, the lazy derivation broke the RNG contract.
-func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
+func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("simnet: NumClients must be positive")
 	}
@@ -46,11 +46,7 @@ func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
 	order := make([]int, cfg.NumClients)
 	root.SplitLabeled(1).PermInto(order)
 
-	cl := &Cluster{
-		Clients:    make([]*ClientRuntime, cfg.NumClients),
-		ServerUp:   &Link{Bandwidth: cfg.ServerBW},
-		ServerDown: &Link{Bandwidth: cfg.ServerBW},
-	}
+	cl := make([]*ClientRuntime, cfg.NumClients)
 	idx := 0
 	for part, size := range parts {
 		for j := 0; j < size; j++ {
@@ -59,7 +55,7 @@ func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
 			cr := root.SplitLabeled(uint64(1000 + id))
 			speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
 			dr := cr.SplitLabeled(7)
-			cl.Clients[id] = &ClientRuntime{
+			cl[id] = &ClientRuntime{
 				ID:          id,
 				Part:        part,
 				DelayLo:     delayRanges[part][0],
@@ -76,7 +72,7 @@ func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
 	// Unstable clients: uniform choice, uniform drop times.
 	ur := root.SplitLabeled(2)
 	for _, id := range ur.Choose(cfg.NumClients, cfg.NumUnstable) {
-		cl.Clients[id].DropAt = ur.Uniform(0, dropHorizon)
+		cl[id].DropAt = ur.Uniform(0, dropHorizon)
 	}
 	if cfg.Behavior.Enabled() {
 		if err := applyBehavior(cl, cfg); err != nil {
@@ -87,16 +83,16 @@ func newClusterEager(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // applyBehavior decorates the built population with dynamic behavior. It
-// draws from streams labeled disjointly from everything NewCluster used, so
-// the static population (parts, speeds, delays, drop times) is unchanged.
-func applyBehavior(cl *Cluster, cfg ClusterConfig) error {
+// draws from streams labeled disjointly from everything the static
+// construction used, so the static population (parts, speeds, delays, drop times) is unchanged.
+func applyBehavior(cl []*ClientRuntime, cfg ClusterConfig) error {
 	b := cfg.Behavior.withDefaults()
 	root := rng.New(cfg.Seed)
 	pop := root.SplitLabeled(behaviorPopLabel)
-	n := len(cl.Clients)
+	n := len(cl)
 
 	if b.DriftMag > 0 {
-		for _, c := range cl.Clients {
+		for _, c := range cl {
 			cr := root.SplitLabeled(uint64(1000 + c.ID))
 			c.drift = newDriftTrack(cr.SplitLabeled(clientDriftLabel), b)
 		}
@@ -104,7 +100,7 @@ func applyBehavior(cl *Cluster, cfg ClusterConfig) error {
 	if b.ChurnFrac > 0 {
 		for _, id := range pop.Choose(n, fracCount(b.ChurnFrac, n)) {
 			cr := root.SplitLabeled(uint64(1000 + id))
-			cl.Clients[id].churn = newChurnTrack(cr.SplitLabeled(clientChurnLabel), b)
+			cl[id].churn = newChurnTrack(cr.SplitLabeled(clientChurnLabel), b)
 		}
 	}
 	if b.attackOn() {
@@ -114,12 +110,12 @@ func applyBehavior(cl *Cluster, cfg ClusterConfig) error {
 		}
 		var ids []int
 		if b.AttackTail {
-			ids = tailClients(cl.Clients, fracCount(b.AttackFrac, n))
+			ids = tailClients(cl, fracCount(b.AttackFrac, n))
 		} else {
 			ids = AttackTargets(cfg.Seed, n, b.AttackFrac)
 		}
 		for _, id := range ids {
-			cl.Clients[id].Attack = robust.Attack{Kind: kind, Scale: b.AttackScale}
+			cl[id].Attack = robust.Attack{Kind: kind, Scale: b.AttackScale}
 		}
 	}
 	return nil

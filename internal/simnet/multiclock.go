@@ -5,16 +5,48 @@ import (
 	"fmt"
 )
 
+// event is a scheduled callback.
+type event struct {
+	at  float64
+	seq int64 // tie-break: FIFO among equal timestamps
+	fn  func()
+}
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	n := len(old)
+	e := old[n-1]
+	*h = old[:n-1]
+	return e
+}
+
+// New returns a virtual clock at time zero: the one child of a one-child
+// MultiClock, whose merged timeline is exactly the child's.
+func New() Clock { return NewMultiClock(1).Child(0) }
+
 // MultiClock merges K child virtual timelines into one deterministic event
-// loop: the determinism backbone of the hierarchical edge topology. Each
-// child handle is a Clock an unmodified engine (fl.Method.Start) schedules
-// on; the composer starts the children in order, which fixes the seq
-// tie-break among equal timestamps, then Drive runs every child's callbacks
-// on the caller's goroutine in one global (time, seq) order. A child
-// retires when it stops (its queued events are discarded, like Sim.Stop) or
-// its queue drains, at a deterministic point of the Drive loop where the
-// OnChildDone hook fires — so cross-child bookkeeping (the edge→cloud fold
-// barrier shrinking when an edge finishes) is deterministic too.
+// loop. It is the simulator's only timeline: a flat run is its one-child
+// case (New), and it is the determinism backbone of the hierarchical edge
+// topology. Each child handle is a Clock an unmodified engine
+// (fl.Method.Start) schedules on; the composer starts the children in
+// order, which fixes the seq tie-break among equal timestamps, then Drive
+// runs every child's callbacks on the caller's goroutine in one global
+// (time, seq) order. A child retires when it stops (its queued events are
+// discarded) or its queue drains, at a deterministic point of the Drive
+// loop where the OnChildDone hook fires — so cross-child bookkeeping (the
+// edge→cloud fold barrier shrinking when an edge finishes) is
+// deterministic too.
 type MultiClock struct {
 	now    float64
 	seq    int64
@@ -71,15 +103,15 @@ func (c *childClock) At(t float64, fn func()) {
 }
 
 // owner is the child that scheduled e. It rides in seq's lowest base-K
-// digit, so seq order stays scheduling order and the merged timeline's
-// events are exactly Sim's.
+// digit, so seq order stays scheduling order; with one child, seq is the
+// scheduling count itself.
 func (m *MultiClock) owner(e event) int { return int(e.seq % int64(len(m.pending))) }
 
 // Run drives the merged timeline (see Drive).
 func (c *childClock) Run() { c.m.Drive() }
 
 // Stop discards the child's queued events; the child retires at the
-// driver's next retirement check (mirroring Sim.Stop's semantics).
+// driver's next retirement check.
 func (c *childClock) Stop() { c.m.stopped[c.i] = true }
 
 // retire marks child i retired and fires OnChildDone.
@@ -91,7 +123,9 @@ func (m *MultiClock) retire(i int) {
 }
 
 // Drive executes the merged timeline: events pop in (time, seq) order and
-// run on the caller's goroutine. It returns when every child has retired.
+// run on the caller's goroutine. It returns, with every child retired, once
+// no running child has an event queued: a stopped child's leftover events
+// are discarded where they lie, not popped.
 func (m *MultiClock) Drive() {
 	for {
 		// Retire every child that can no longer make progress: stopped, or
@@ -102,22 +136,27 @@ func (m *MultiClock) Drive() {
 				m.retire(i)
 			}
 		}
-		// Discard events owned by stopped children (Sim.Stop semantics).
-		for len(m.events) > 0 && m.stopped[m.owner(m.events[0])] {
-			e := heap.Pop(&m.events).(event)
-			m.pending[m.owner(e)]--
-		}
-		if len(m.events) == 0 {
-			break
+		if !m.running() {
+			return
 		}
 		e := heap.Pop(&m.events).(event)
-		m.pending[m.owner(e)]--
+		i := m.owner(e)
+		m.pending[i]--
+		if m.stopped[i] {
+			continue // a stopped child's events are discarded
+		}
 		m.now = e.at
 		e.fn()
 	}
-	for i := range m.retired {
-		if !m.retired[i] {
-			m.retire(i)
+}
+
+// running reports whether some child that has not stopped has an event
+// queued.
+func (m *MultiClock) running() bool {
+	for i, n := range m.pending {
+		if n > 0 && !m.stopped[i] {
+			return true
 		}
 	}
+	return false
 }

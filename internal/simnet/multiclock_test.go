@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -69,7 +70,7 @@ func TestMultiClockFIFOAmongTies(t *testing.T) {
 	}
 }
 
-// TestMultiClockStopDiscardsOneChild checks Sim.Stop semantics per child:
+// TestMultiClockStopDiscardsOneChild checks Stop per child:
 // a stopped child's queued events vanish, the others keep running.
 func TestMultiClockStopDiscardsOneChild(t *testing.T) {
 	var log []string
@@ -105,7 +106,8 @@ func TestMultiClockOnChildDone(t *testing.T) {
 	}
 }
 
-// TestMultiClockPastSchedulingPanics mirrors Sim.At's causality guard.
+// TestMultiClockPastSchedulingPanics: the causality guard holds on a merged
+// timeline.
 func TestMultiClockPastSchedulingPanics(t *testing.T) {
 	m := NewMultiClock(2)
 	panicked := false
@@ -119,5 +121,28 @@ func TestMultiClockPastSchedulingPanics(t *testing.T) {
 	runChildren(m, []func(c Clock){scheduler, idle})
 	if !panicked {
 		t.Fatal("scheduling in the past did not panic")
+	}
+}
+
+// TestMultiClockStoppedDriveAllocatesNothing: a flat run that stops with
+// events still queued leaves them where they lie. Popping them would box
+// each one (heap.Pop returns an any), so a run's end would allocate once per
+// discarded event.
+func TestMultiClockStoppedDriveAllocatesNothing(t *testing.T) {
+	m := NewMultiClock(1)
+	c := m.Child(0)
+	for i := 0; i < 1000; i++ {
+		c.At(float64(i), func() {})
+	}
+	c.Stop()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m.Drive()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("Drive on a stopped clock allocated %d times", n)
+	}
+	if !m.retired[0] {
+		t.Fatal("stopped child not retired")
 	}
 }

@@ -10,12 +10,13 @@ import (
 	"repro/internal/robust"
 )
 
-// Population is the lazy form of the client population: a client exists as
-// (seed, id) until someone asks for it. Every per-client attribute — part,
-// speed, delay stream, drop time, drift/churn schedule, attack role — is
-// derived on demand from the same labeled RNG streams NewCluster draws
-// eagerly, so a materialized client is bit-identical to its eager twin (the
-// equivalence is pinned by TestPopulationMatchesEagerCluster).
+// Population is the simulated client population plus the server's two
+// shared links. A client exists as (seed, id) until someone asks for it.
+// Every per-client attribute — part, speed, delay stream, drop time,
+// drift/churn schedule, attack role — is derived on demand from labeled RNG
+// streams, so a materialized client is bit-identical to the one an eager
+// construction draws in order (the equivalence is pinned by
+// TestPopulationMatchesEagerCluster against such a construction).
 //
 // What has to be precomputed is exactly the set of draws that are
 // sequential on a shared stream and therefore cannot be derived per id:
@@ -36,11 +37,11 @@ import (
 // Population is not safe for concurrent use: like the rest of the
 // simulator it lives on the single clock goroutine.
 type Population struct {
-	n                      int
-	secPerBatch            float64
-	dropHorizon            float64
-	upBW, downBW, serverBW float64
-	seed                   uint64
+	n            int
+	secPerBatch  float64
+	dropHorizon  float64
+	upBW, downBW float64
+	seed         uint64
 
 	behavior   BehaviorConfig // withDefaults applied when behaviorOn
 	behaviorOn bool
@@ -55,12 +56,14 @@ type Population struct {
 
 	churnTracks map[int]*churnTrack    // lazily built, shared with runtimes
 	runtimes    map[int]*ClientRuntime // touched-client cache
-	links       *Cluster               // the server's shared links (no clients)
+
+	serverUp   Link // client→server direction
+	serverDown Link // server→client direction
 }
 
 // NewPopulation validates the configuration and builds the lazy population:
 // the shared-stream index tables are drawn now, everything per-client is
-// deferred to Materialize. Validation and error text match NewCluster's.
+// deferred to Materialize.
 func NewPopulation(cfg ClusterConfig) (*Population, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("simnet: NumClients must be positive")
@@ -100,20 +103,17 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 		dropHorizon: dropHorizon,
 		upBW:        cfg.UpBW,
 		downBW:      cfg.DownBW,
-		serverBW:    cfg.ServerBW,
 		seed:        cfg.Seed,
 		root:        rng.New(cfg.Seed),
 		part:        make([]uint8, cfg.NumClients),
 		churnTracks: map[int]*churnTrack{},
 		runtimes:    map[int]*ClientRuntime{},
-		links: &Cluster{
-			ServerUp:   &Link{Bandwidth: cfg.ServerBW},
-			ServerDown: &Link{Bandwidth: cfg.ServerBW},
-		},
+		serverUp:    Link{Bandwidth: cfg.ServerBW},
+		serverDown:  Link{Bandwidth: cfg.ServerBW},
 	}
 
-	// Part assignment: the same permutation walk NewCluster does, stored
-	// as an id-indexed table instead of N runtimes.
+	// Part assignment: one permutation walk, stored as an id-indexed table
+	// instead of N runtimes.
 	order := p.root.SplitLabeled(1).Perm32(p.n)
 	idx := 0
 	for part, size := range parts {
@@ -220,8 +220,8 @@ func (p *Population) churnFor(id int) *churnTrack {
 	return t
 }
 
-// Available reports whether client id is online at time t — the lazy twin
-// of ClientRuntime.Available, answered from the index tables plus the
+// Available reports whether client id is online at time t — the twin of
+// ClientRuntime.Available, answered from the index tables plus the
 // client's (cached) churn schedule, without building a runtime.
 func (p *Population) Available(id int, t float64) bool {
 	if t >= p.DropTime(id) {
@@ -236,7 +236,9 @@ func (p *Population) Available(id int, t float64) bool {
 }
 
 // NextOnline returns the earliest time >= t at which client id is online
-// (+Inf if never again) — the lazy twin of ClientRuntime.NextOnline.
+// (+Inf if never again). For a static population this is t while the
+// client lives and +Inf after its permanent drop; churn windows are the
+// only source of finite waits.
 func (p *Population) NextOnline(id int, t float64) float64 {
 	if p.churnSet != nil {
 		if _, ok := p.churnSet[id]; ok {
@@ -249,15 +251,16 @@ func (p *Population) NextOnline(id int, t float64) float64 {
 	return t
 }
 
-// ExpectedLatency is the profiling estimate for client id — nominal
-// compute plus mean injected delay — derived without materializing it.
+// ExpectedLatency is the profiling estimate the tiering module uses for
+// client id — compute for a nominal round of batchSteps plus the mean
+// injected delay — derived without materializing it.
 func (p *Population) ExpectedLatency(id int, batchSteps int) float64 {
 	rg := delayRanges[p.part[id]]
 	return float64(batchSteps)*p.SecPerBatch(id) + (rg[0]+rg[1])/2
 }
 
-// Materialize builds (or returns the cached) full ClientRuntime for id,
-// bit-identical to the one NewCluster would have built eagerly. Touched
+// Materialize builds (or returns the cached) full ClientRuntime for id.
+// Touched
 // runtimes are cached for the population's lifetime: the per-round delay
 // stream is consumable state, so a client that trains twice must keep
 // drawing from where it left off.
@@ -300,32 +303,40 @@ func (p *Population) Materialized() int { return len(p.runtimes) }
 
 // Reset clears the population's mutable simulation state — server link
 // reservations and the delay stream of every touched runtime — so a fresh
-// run over the same population sees identical conditions from time zero,
-// as Cluster.Reset does. Untouched clients have no consumable state yet.
+// run over the same population sees identical conditions from time zero.
+// Untouched clients have no consumable state yet.
 func (p *Population) Reset() {
-	p.links.Reset()
+	p.serverUp.Reset()
+	p.serverDown.Reset()
 	for _, c := range p.runtimes {
 		c.Reset()
 	}
 }
 
-// Links returns the population's Cluster shell carrying only the server's
-// shared links — the piece of Cluster the transfer-arrival model needs. Its
-// Clients slice is empty: runtimes are resolved through Materialize.
-func (p *Population) Links() *Cluster { return p.links }
+// UploadArrival models a client→server transfer started at now: the client
+// pushes at its own link speed while the server link serializes concurrent
+// transfers; the payload lands when both are done.
+func (p *Population) UploadArrival(now float64, client *ClientRuntime, bytes int) float64 {
+	return arrival(now, client.UpBW, &p.serverUp, bytes)
+}
 
-// Cluster materializes the entire population — the eager construction,
-// now expressed as "touch every client". NewCluster delegates here.
-func (p *Population) Cluster() *Cluster {
-	cl := &Cluster{
-		Clients:    make([]*ClientRuntime, p.n),
-		ServerUp:   &Link{Bandwidth: p.serverBW},
-		ServerDown: &Link{Bandwidth: p.serverBW},
+// DownloadArrival models a server→client transfer started at now.
+func (p *Population) DownloadArrival(now float64, client *ClientRuntime, bytes int) float64 {
+	return arrival(now, client.DownBW, &p.serverDown, bytes)
+}
+
+// arrival is when a transfer of bytes started at now has crossed both the
+// client's link (bw bytes/second, <= 0 = infinite) and the server's.
+func arrival(now, bw float64, server *Link, bytes int) float64 {
+	clientDone := now
+	if bw > 0 {
+		clientDone = now + float64(bytes)/bw
 	}
-	for id := range cl.Clients {
-		cl.Clients[id] = p.Materialize(id)
+	serverDone := server.Transfer(now, bytes)
+	if clientDone > serverDone {
+		return clientDone
 	}
-	return cl
+	return serverDone
 }
 
 // tailParts picks the k slowest clients from the part table — largest part

@@ -8,6 +8,44 @@ import (
 // Part returns the delay part of client id without materializing it.
 func (p *Population) Part(id int) int { return int(p.part[id]) }
 
+// NextOnline returns the earliest time >= t at which the client is online
+// (+Inf if it never is again): the runtime-side reference for
+// Population.NextOnline.
+func (c *ClientRuntime) NextOnline(t float64) float64 {
+	if c.churn != nil {
+		t = c.churn.NextOnline(t)
+	}
+	if t >= c.DropAt {
+		return Inf
+	}
+	return t
+}
+
+// ExpectedLatency is the runtime-side reference for
+// Population.ExpectedLatency: the compute time for a nominal round plus the
+// mean injected delay.
+func (c *ClientRuntime) ExpectedLatency(batchSteps int) float64 {
+	return c.ComputeTime(batchSteps) + (c.DelayLo+c.DelayHi)/2
+}
+
+// materializeAll builds every client's runtime, in id order.
+func materializeAll(p *Population) []*ClientRuntime {
+	out := make([]*ClientRuntime, p.NumClients())
+	for id := range out {
+		out[id] = p.Materialize(id)
+	}
+	return out
+}
+
+// clients is NewPopulation with every client materialized.
+func clients(cfg ClusterConfig) ([]*ClientRuntime, error) {
+	p, err := NewPopulation(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return materializeAll(p), nil
+}
+
 // populationConfigs spans the regimes the lazy derivation must reproduce:
 // the static paper population, explicit part sizes, and every dynamic
 // regime at once (drift + churn + attack, uniform and tail).
@@ -43,7 +81,7 @@ func populationConfigs() map[string]ClusterConfig {
 
 // TestPopulationMatchesEagerCluster pins the lazy contract: a client
 // materialized on demand from (seed, id) is byte-for-byte the client the
-// original eager NewCluster built — same part, speed, drop time,
+// eager reference construction builds — same part, speed, drop time,
 // same delay stream state, same drift multipliers and churn windows, same
 // attack role.
 func TestPopulationMatchesEagerCluster(t *testing.T) {
@@ -62,7 +100,7 @@ func TestPopulationMatchesEagerCluster(t *testing.T) {
 			n := cfg.NumClients
 			for j := 0; j < n; j++ {
 				id := (j*17 + 5) % n
-				e, l := eager.Clients[id], pop.Materialize(id)
+				e, l := eager[id], pop.Materialize(id)
 				if e.ID != l.ID || e.Part != l.Part {
 					t.Fatalf("client %d: part %d vs %d", id, e.Part, l.Part)
 				}
@@ -151,8 +189,8 @@ func TestPopulationPureQueries(t *testing.T) {
 	}
 }
 
-// TestPopulationValidation: NewPopulation rejects what NewCluster rejects,
-// and a population too large for its int32 id tables — before it allocates
+// TestPopulationValidation: NewPopulation rejects what the eager reference
+// rejects, and a population too large for its int32 id tables — before it allocates
 // them.
 func TestPopulationValidation(t *testing.T) {
 	rows := map[string]ClusterConfig{
@@ -175,8 +213,8 @@ func TestPopulationValidation(t *testing.T) {
 	}
 }
 
-// TestPopulationResetRewindsTouchedStreams mirrors Cluster.Reset for the
-// lazy path: after Reset, a touched client's delay stream replays.
+// TestPopulationResetRewindsTouchedStreams: after Reset, a touched client's
+// delay stream replays.
 func TestPopulationResetRewindsTouchedStreams(t *testing.T) {
 	cfg := populationConfigs()["static"]
 	pop, err := NewPopulation(cfg)

@@ -7,27 +7,25 @@
 //
 // The simulator provides three building blocks:
 //
-//   - Sim: an event loop with a virtual clock (events fire in time order,
-//     FIFO among ties),
+//   - MultiClock: an event loop with a virtual clock (events fire in time
+//     order, FIFO among ties), merging one or more child timelines; New is
+//     its one-child case,
 //   - Link: a serialized bandwidth resource modelling the server's shared
 //     uplink/downlink — the thing asynchronous FL methods bottleneck on,
-//   - Cluster: the client population with per-part delay ranges, per-client
-//     compute speeds and the paper's 10 "unstable" clients that drop out
-//     permanently at a random time.
+//   - Population: the client population with per-part delay ranges,
+//     per-client compute speeds and the paper's 10 "unstable" clients that
+//     drop out permanently at a random time.
 package simnet
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Clock is the timeline half of an execution fabric: the surface the
-// engine's pacers use to observe time and sequence callbacks. Sim implements
-// it with a virtual clock (the simulated fabric); the live TCP transport
-// implements it with a wall clock behind a serialized run loop. Both promise
-// the same discipline: every callback runs on the single goroutine inside
-// Run (for a MultiClock child, inside the merged Drive), so engine state
-// never needs locking.
+// engine's pacers use to observe time and sequence callbacks. A MultiClock
+// child implements it with a virtual clock (the simulated fabric); the live
+// TCP transport implements it with a wall clock behind a serialized run
+// loop. Both promise the same discipline: every callback runs on the single
+// goroutine inside Run (for a MultiClock child, the merged Drive), so
+// engine state never needs locking.
 type Clock interface {
 	// Now returns the current time in seconds.
 	Now() float64
@@ -39,70 +37,6 @@ type Clock interface {
 	// Stop halts the loop; callbacks not yet executed are discarded.
 	Stop()
 }
-
-var _ Clock = (*Sim)(nil)
-
-// event is a scheduled callback.
-type event struct {
-	at  float64
-	seq int64 // tie-break: FIFO among equal timestamps
-	fn  func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-// Sim is the event loop. The zero value is ready to use at time 0.
-type Sim struct {
-	now     float64
-	events  eventHeap
-	seq     int64
-	stopped bool
-}
-
-// New returns a simulator at time zero.
-func New() *Sim { return &Sim{} }
-
-// Now returns the current virtual time in seconds.
-func (s *Sim) Now() float64 { return s.now }
-
-// At schedules fn at absolute time t. Scheduling in the past panics — it
-// would silently reorder causality.
-func (s *Sim) At(t float64, fn func()) {
-	if t < s.now {
-		panic("simnet: scheduling event in the past")
-	}
-	s.seq++
-	heap.Push(&s.events, event{at: t, seq: s.seq, fn: fn})
-}
-
-// Run fires events until the queue drains or Stop is called.
-func (s *Sim) Run() {
-	for !s.stopped && len(s.events) > 0 {
-		e := heap.Pop(&s.events).(event)
-		s.now = e.at
-		e.fn()
-	}
-}
-
-// Stop halts the loop; queued events are discarded by the next Run.
-func (s *Sim) Stop() { s.stopped = true }
 
 // Link is a serialized bandwidth resource (bytes/second). Concurrent
 // transfers queue for capacity — this is what turns "all clients talk to

@@ -181,13 +181,13 @@ func TestLinkQueueMonotone(t *testing.T) {
 }
 
 func TestClusterPartSizesAndRanges(t *testing.T) {
-	cl, err := NewCluster(ClusterConfig{NumClients: 50, NumUnstable: 5, DropHorizon: 100, Seed: 1})
+	cl, err := clients(ClusterConfig{NumClients: 50, NumUnstable: 5, DropHorizon: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 5)
 	unstable := 0
-	for _, c := range cl.Clients {
+	for _, c := range cl {
 		counts[c.Part]++
 		want := delayRanges[c.Part]
 		if c.DelayLo != want[0] || c.DelayHi != want[1] {
@@ -212,12 +212,12 @@ func TestClusterPartSizesAndRanges(t *testing.T) {
 
 func TestClusterCustomPartSizes(t *testing.T) {
 	sizes := []int{20, 10, 10, 5, 5}
-	cl, err := NewCluster(ClusterConfig{NumClients: 50, PartSizes: sizes, Seed: 2})
+	cl, err := clients(ClusterConfig{NumClients: 50, PartSizes: sizes, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 5)
-	for _, c := range cl.Clients {
+	for _, c := range cl {
 		counts[c.Part]++
 	}
 	for p := range sizes {
@@ -228,25 +228,25 @@ func TestClusterCustomPartSizes(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(ClusterConfig{NumClients: 0}); err == nil {
+	if _, err := NewPopulation(ClusterConfig{NumClients: 0}); err == nil {
 		t.Fatal("zero clients accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{NumClients: 10, PartSizes: []int{3, 3}}); err == nil {
+	if _, err := NewPopulation(ClusterConfig{NumClients: 10, PartSizes: []int{3, 3}}); err == nil {
 		t.Fatal("mismatched part sizes accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{NumClients: 10, PartSizes: []int{2, 2, 2, 2, 3}}); err == nil {
+	if _, err := NewPopulation(ClusterConfig{NumClients: 10, PartSizes: []int{2, 2, 2, 2, 3}}); err == nil {
 		t.Fatal("part sizes summing wrong accepted")
 	}
-	if _, err := NewCluster(ClusterConfig{NumClients: 3, NumUnstable: 5}); err == nil {
+	if _, err := NewPopulation(ClusterConfig{NumClients: 3, NumUnstable: 5}); err == nil {
 		t.Fatal("too many unstable clients accepted")
 	}
 }
 
 func TestClusterDeterminism(t *testing.T) {
-	a, _ := NewCluster(ClusterConfig{NumClients: 30, NumUnstable: 3, Seed: 7})
-	b, _ := NewCluster(ClusterConfig{NumClients: 30, NumUnstable: 3, Seed: 7})
-	for i := range a.Clients {
-		ca, cb := a.Clients[i], b.Clients[i]
+	a, _ := clients(ClusterConfig{NumClients: 30, NumUnstable: 3, Seed: 7})
+	b, _ := clients(ClusterConfig{NumClients: 30, NumUnstable: 3, Seed: 7})
+	for i := range a {
+		ca, cb := a[i], b[i]
 		if ca.Part != cb.Part || ca.SecPerBatch != cb.SecPerBatch || ca.DropAt != cb.DropAt {
 			t.Fatalf("cluster not deterministic at client %d", i)
 		}
@@ -257,8 +257,8 @@ func TestClusterDeterminism(t *testing.T) {
 }
 
 func TestRoundDelayWithinRange(t *testing.T) {
-	cl, _ := NewCluster(ClusterConfig{NumClients: 25, Seed: 3})
-	for _, c := range cl.Clients {
+	cl, _ := clients(ClusterConfig{NumClients: 25, Seed: 3})
+	for _, c := range cl {
 		for i := 0; i < 50; i++ {
 			d := c.RoundDelay()
 			if d < c.DelayLo || (c.DelayHi > c.DelayLo && d >= c.DelayHi) {
@@ -269,10 +269,10 @@ func TestRoundDelayWithinRange(t *testing.T) {
 }
 
 func TestFasterPartsHaveLowerExpectedLatency(t *testing.T) {
-	cl, _ := NewCluster(ClusterConfig{NumClients: 50, Seed: 4})
+	cl, _ := clients(ClusterConfig{NumClients: 50, Seed: 4})
 	meanByPart := make([]float64, 5)
 	countByPart := make([]int, 5)
-	for _, c := range cl.Clients {
+	for _, c := range cl {
 		meanByPart[c.Part] += c.ExpectedLatency(18)
 		countByPart[c.Part]++
 	}
@@ -288,12 +288,13 @@ func TestFasterPartsHaveLowerExpectedLatency(t *testing.T) {
 }
 
 func TestUploadArrivalBottleneck(t *testing.T) {
-	cl, _ := NewCluster(ClusterConfig{NumClients: 5, UpBW: 1000, ServerBW: 1000, Seed: 5})
+	pop, _ := NewPopulation(ClusterConfig{NumClients: 5, UpBW: 1000, ServerBW: 1000, Seed: 5})
+	cl := materializeAll(pop)
 	// Five simultaneous 1000-byte uploads: each client takes 1s locally, the
 	// server link serializes 5s of traffic → the last arrival is ~5s.
 	var last float64
-	for _, c := range cl.Clients {
-		if got := cl.UploadArrival(0, c, 1000); got > last {
+	for _, c := range cl {
+		if got := pop.UploadArrival(0, c, 1000); got > last {
 			last = got
 		}
 	}
@@ -305,8 +306,8 @@ func TestUploadArrivalBottleneck(t *testing.T) {
 func TestDropsAreHonored(t *testing.T) {
 	r := rng.New(1)
 	_ = r
-	cl, _ := NewCluster(ClusterConfig{NumClients: 10, NumUnstable: 10, DropHorizon: 50, Seed: 6})
-	for _, c := range cl.Clients {
+	cl, _ := clients(ClusterConfig{NumClients: 10, NumUnstable: 10, DropHorizon: 50, Seed: 6})
+	for _, c := range cl {
 		if c.Available(c.DropAt + 1) {
 			t.Fatal("client available after drop")
 		}

@@ -157,6 +157,12 @@ func (c *client) receive(payload []byte) (PushSpec, error) {
 // uploads the result in a frame built in place in a borrowed buffer.
 func (c *client) round(spec PushSpec) error {
 	cfg := c.cfg
+	// The push format carries batch size 0 (an edge's adoption pushes to its
+	// root), but local training needs at least one sample per mini-batch. A
+	// u32 at or above 2³¹ decodes negative where int is 32 bits.
+	if spec.Batch < 1 {
+		return fmt.Errorf("transport: client %d: push for round %d has batch size %d", cfg.ID, spec.Round, spec.Batch)
+	}
 	// The push is this round's only orders: local work, the DP stage and the
 	// attack directive (honest when the directive byte is 0).
 	c.trainer.Attack = robust.Attack{

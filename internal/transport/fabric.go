@@ -184,10 +184,8 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 // the weights are decoded out of it, into a buffer from pool that the result
 // carries to the engine.
 func (f *liveFabric) collect(cc *clientConn, round uint64, wire [2]byte, pool *tensor.Pool) (fl.TrainResult, int64, error) {
-	if t := f.s.cfg.RoundTimeout; t > 0 {
-		if err := cc.conn.SetReadDeadline(time.Now().Add(t)); err != nil {
-			return fl.TrainResult{}, 0, err
-		}
+	if err := cc.conn.SetReadDeadline(time.Now().Add(f.s.cfg.RoundTimeout)); err != nil {
+		return fl.TrainResult{}, 0, err
 	}
 	typ, payload, err := readFrame(cc.conn, &cc.rhdr, f.s.limit)
 	if err != nil {

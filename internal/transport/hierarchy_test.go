@@ -94,11 +94,11 @@ func TestLiveEdgeMatchesSimulated(t *testing.T) {
 	w0 := lf.factory(cfg.Seed).WeightsCopy()
 
 	// Flat simulated run.
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{NumClients: n, Seed: seed})
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{NumClients: n, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := fl.NewEnv(lf.fed, cluster, lf.factory, cfg)
+	env, err := fl.NewEnv(lf.fed, pop, lf.factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestLiveAttackAndDPMatchSimulated(t *testing.T) {
 	cfg.DPNoise = 0.3
 
 	// Simulated run: same federation, same attack regime on the same subset.
-	cluster, err := simnet.NewCluster(simnet.ClusterConfig{
+	pop, err := simnet.NewPopulation(simnet.ClusterConfig{
 		NumClients: n,
 		Behavior:   simnet.BehaviorConfig{AttackKind: "labelflip", AttackFrac: 0.5},
 		Seed:       seed,
@@ -102,7 +102,7 @@ func TestLiveAttackAndDPMatchSimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := fl.NewEnv(lf.fed, cluster, lf.factory, cfg)
+	env, err := fl.NewEnv(lf.fed, pop, lf.factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ type ServerConfig struct {
 	// response to a model push before dropping it — without it a silent
 	// peer (half-open connection, stopped process) would stall its round
 	// and the final drain forever. 0 means the 5-minute default; negative
-	// disables the deadline.
+	// is rejected.
 	RoundTimeout time.Duration
 	// Logf receives progress lines; nil silences logging.
 	Logf func(format string, args ...any)
@@ -147,6 +147,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if len(cfg.W0) == 0 {
 		return nil, fmt.Errorf("transport: empty initial model")
+	}
+	if cfg.RoundTimeout < 0 {
+		return nil, fmt.Errorf("transport: negative RoundTimeout %v", cfg.RoundTimeout)
 	}
 	if cfg.Method.Name == "" {
 		cfg.Method = fl.Methods["fedat"]

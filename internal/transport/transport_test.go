@@ -335,11 +335,11 @@ func TestLiveMatchesSimulated(t *testing.T) {
 			}
 
 			// Simulated run: same federation, stable population.
-			cluster, err := simnet.NewCluster(simnet.ClusterConfig{NumClients: n, Seed: seed})
+			pop, err := simnet.NewPopulation(simnet.ClusterConfig{NumClients: n, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
-			env, err := fl.NewEnv(lf.fed, cluster, lf.factory, cfg)
+			env, err := fl.NewEnv(lf.fed, pop, lf.factory, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -457,6 +457,56 @@ func TestAdaptiveLRScaleOverTCP(t *testing.T) {
 	base, _ := unscaled.TrainLocal(global, lc)
 	if !moved(base, wire) {
 		t.Fatal("LRScale 0.6 trained identically to the unscaled step — the wire scale had no effect")
+	}
+}
+
+// TestClientRejectsBatchZeroPush: a push that asks for mini-batches of size
+// 0 would never advance local training's batch loop. The client must fail
+// the push instead of spinning on it.
+func TestClientRejectsBatchZeroPush(t *testing.T) {
+	lf := newLiveFederation(t, 1, 0, 93)
+	seed := uint64(9)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(30 * time.Second))
+
+	clientDone := make(chan error, 1)
+	go func() {
+		clientDone <- RunClient(ClientConfig{
+			Addr: ln.Addr().String(), ID: 0, LatencyHintMs: 10,
+			Data: lf.fed.Clients[0], Net: lf.factory(seed),
+			Opt: opt.NewAdam(0.01), Codec: codec.Raw{}, Seed: seed,
+		})
+	}()
+
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	if typ, _, err := ReadFrame(conn); err != nil || typ != MsgRegister {
+		t.Fatalf("expected register, got type %d err %v", typ, err)
+	}
+	msg, err := codec.MarshalModel(codec.Raw{}, lf.shapes, lf.factory(seed).WeightsCopy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := PushSpec{Round: 0, Epochs: 1, Batch: 0, Lambda: 0.4}
+	if err := WriteFrame(conn, MsgModelPush, ModelPush(spec, msg)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-clientDone:
+		if err == nil {
+			t.Fatal("client accepted a push with batch size 0")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("client still busy 5s after a push with batch size 0")
 	}
 }
 
@@ -919,6 +969,9 @@ func TestServerValidation(t *testing.T) {
 	}
 	if _, err := NewServer(ServerConfig{NumClients: 2, Run: fl.RunConfig{Rounds: 1, NumTiers: 5}, W0: []float64{1}}); err == nil {
 		t.Fatal("more tiers than clients accepted")
+	}
+	if _, err := NewServer(ServerConfig{NumClients: 2, Run: valid, W0: []float64{1}, RoundTimeout: -time.Second}); err == nil {
+		t.Fatal("negative round timeout accepted")
 	}
 }
 

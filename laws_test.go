@@ -22,9 +22,10 @@ import (
 // that names no finding fails the gate, so the list cannot outlive the code
 // it excuses.
 var lawAllow = map[string]string{
-	"internal/tensor.(*Pool).SetPoison":         "use-after-Put detector the race tests switch on",
-	"internal/transport.(*framePool).SetPoison": "use-after-Put detector the race tests switch on",
-	"internal/testutil":                         "test-support package: only _test.go files import it",
+	"internal/tensor.(*Pool).SetPoison":            "use-after-Put detector the race tests switch on",
+	"internal/transport.(*framePool).SetPoison":    "use-after-Put detector the race tests switch on",
+	"internal/testutil":                            "test-support package: only _test.go files import it",
+	"internal/transport.ServerConfig.RoundTimeout": "deployment setting (5-minute default) that tests shorten",
 }
 
 // TestDeletionLaws enforces DESIGN.md §1h's two laws on every non-test Go
@@ -50,8 +51,9 @@ func TestDeletionLawsFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]string{
-		"p.Square.Dead":     "no reference outside tests",
-		"p.FooConfig.Unset": "a Config field no code outside tests sets",
+		"p.Square.Dead":         "no reference outside tests",
+		"p.FooConfig.Unset":     "a Config field no code outside tests sets",
+		"p.FooConfig.Defaulted": "a Config field no code outside tests sets",
 	}
 	got := map[string]string{}
 	for name, f := range findings {
@@ -67,9 +69,9 @@ func TestDeletionLawsFixture(t *testing.T) {
 		"p.Square.Dead": "allowlisted",
 		"p.Gone":        "names no finding",
 	})
-	if len(msgs) != 2 || !strings.HasPrefix(msgs[0], "p.FooConfig.Unset: ") ||
-		!strings.HasPrefix(msgs[1], "p.Gone: ") {
-		t.Errorf("gate with a stale entry: got %q, want the unset field and the stale entry", msgs)
+	if len(msgs) != 3 || !strings.HasPrefix(msgs[0], "p.FooConfig.Defaulted: ") ||
+		!strings.HasPrefix(msgs[1], "p.FooConfig.Unset: ") || !strings.HasPrefix(msgs[2], "p.Gone: ") {
+		t.Errorf("gate with a stale entry: got %q, want the two unset fields and the stale entry", msgs)
 	}
 }
 
@@ -315,17 +317,55 @@ func lawRecv(e ast.Expr) string {
 }
 
 // reference records every object the files use and every field they set:
-// a composite-literal element, an assignment, ++/-- or &x.f.
+// a composite-literal element, an assignment, ++/-- or &x.f. An assignment
+// inside an if whose condition reads the same field is a default, not a
+// setter: `if c.N <= 0 { c.N = 10 }` leaves N a constant until some other
+// code sets it.
 func (p *lawPass) reference(files []*ast.File, info *types.Info) {
 	for _, obj := range info.Uses {
 		p.used[obj.Pos()] = true
 	}
-	setField := func(e ast.Expr) {
+	field := func(e ast.Expr) types.Object {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
 			if s := info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
-				p.set[s.Obj().Pos()] = true
+				return s.Obj()
 			}
 		}
+		return nil
+	}
+	setField := func(e ast.Expr) {
+		if obj := field(e); obj != nil {
+			p.set[obj.Pos()] = true
+		}
+	}
+	defaults := map[ast.Expr]bool{} // assignment targets that only default their field
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			ifs, ok := n.(*ast.IfStmt)
+			if !ok {
+				return true
+			}
+			read := map[types.Object]bool{}
+			ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+				if e, ok := n.(ast.Expr); ok {
+					if obj := field(e); obj != nil {
+						read[obj] = true
+					}
+				}
+				return true
+			})
+			ast.Inspect(ifs.Body, func(n ast.Node) bool {
+				if as, ok := n.(*ast.AssignStmt); ok {
+					for _, l := range as.Lhs {
+						if obj := field(l); obj != nil && read[obj] {
+							defaults[l] = true
+						}
+					}
+				}
+				return true
+			})
+			return true
+		})
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -348,7 +388,9 @@ func (p *lawPass) reference(files []*ast.File, info *types.Info) {
 				}
 			case *ast.AssignStmt:
 				for _, l := range n.Lhs {
-					setField(l)
+					if !defaults[l] {
+						setField(l)
+					}
 				}
 			case *ast.IncDecStmt:
 				setField(n.X)

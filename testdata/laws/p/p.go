@@ -29,11 +29,12 @@ type Tile struct{ base }
 
 func (Tile) Label() string { return "tile" }
 
-// FooConfig's Unset is read here but set only in p_test.go: the gate
-// reports it.
+// FooConfig's Unset is read here but set only in p_test.go, and Defaulted
+// is written only where it is still zero: the gate reports both.
 type FooConfig struct {
-	Read  int
-	Unset int
+	Read      int
+	Unset     int
+	Defaulted int
 }
 
 // armOnly is called only from p_arm64.go.
@@ -41,8 +42,11 @@ func armOnly() int { return 2 }
 
 // Total reads every case above.
 func Total(cfg FooConfig) float64 {
+	if cfg.Defaulted == 0 {
+		cfg.Defaulted = 3
+	}
 	var l Labelled = Tile{}
-	sum := float64(cfg.Read+cfg.Unset+kernel()) + l.Perimeter() + float64(len(l.Label()))
+	sum := float64(cfg.Read+cfg.Unset+cfg.Defaulted+kernel()) + l.Perimeter() + float64(len(l.Label()))
 	for _, s := range []Shape{Square{Side: 2}} {
 		sum += s.Area()
 	}
