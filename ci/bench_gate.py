@@ -11,11 +11,11 @@ Two subcommands, shared by CI and local use:
       "population/<n>" with their custom bytes/client metric carried in
       bytes_per_client — so BENCH_trajectory.json tracks the per-client
       footprint of the million-client substrate alongside the method
-      suite. BenchmarkPolyline{Encode,Decode,Transmit}/<params> rows
-      (internal/codec: the wire kernels and the simulator's fused
-      channel) are recorded as "codec/Polyline<Op>/<params>"; their
-      MB/s column is skipped, and check gates their allocs/op and B/op
-      (both 0) like any other row. Benchmark{Gemm,Im2Col,Col2Im}/<shape>
+      suite. BenchmarkPolyline{Encode,Decode,Transmit,TransmitFixed}/<params>
+      rows (internal/codec: the wire kernels, the fused channel and the
+      simulator's fixed-point uplink) are recorded as
+      "codec/Polyline<Op>/<params>"; their MB/s column is skipped, and
+      check gates their allocs/op and B/op (both 0) like any other row. Benchmark{Gemm,Im2Col,Col2Im}/<shape>
       rows (internal/tensor: the GEMM row kernel and the convolution
       lowering) are recorded as "tensor/<Op>/<shape>", gated the same
       way, and BenchmarkFold/<fold>/<cohort>x<dim> rows (internal/robust:
@@ -67,7 +67,7 @@ Two subcommands, shared by CI and local use:
 Regenerate the committed baseline after a deliberate perf change:
 
   go test -run '^$' -bench 'BenchmarkMethod/|BenchmarkPopulation/' -benchtime 5x -count 1 . > bench.out
-  go test -run '^$' -bench 'BenchmarkPolyline(Encode|Decode|Transmit)$' -benchtime 2000x -count 1 ./internal/codec >> bench.out
+  go test -run '^$' -bench 'BenchmarkPolyline(Encode|Decode|Transmit|TransmitFixed)$' -benchtime 2000x -count 1 ./internal/codec >> bench.out
   go test -run '^$' -bench 'Benchmark(Gemm|Im2Col|Col2Im)$' -benchtime 500x -count 1 ./internal/tensor >> bench.out
   go test -run '^$' -bench 'BenchmarkFold$' -benchtime 500x -count 1 ./internal/robust >> bench.out
   go test -run '^$' -bench 'BenchmarkPartition$' -benchtime 20x -count 1 ./internal/tiering >> bench.out
@@ -78,7 +78,7 @@ import re
 import sys
 
 LINE = re.compile(
-    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|Transmit)|Gemm|Im2Col|Col2Im|Fold|Partition)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|TransmitFixed|Transmit)|Gemm|Im2Col|Col2Im|Fold|Partition)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
     r"(?:\s+\d+(?:\.\d+)? MB/s)?"
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"

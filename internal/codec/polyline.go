@@ -98,35 +98,114 @@ func (p *Polyline) Transmit(dst, w []float64) int {
 	return n
 }
 
-// TransmitFixed is Transmit stopped before the rescale: q receives the
+// Fixed is a polyline-quantized vector held at 16 bits a value, the form a
+// simulated upload waits in while it is in flight (TransmitFixed,
+// Reconstruct). One int16 array holds it: q[:n] is every value's low 16
+// bits, which is the value itself when it fits an int16. Each value that
+// does not is also listed after them as an (index, value) pair of int32s,
+// two int16s each and in ascending index order, and Reconstruct patches it
+// over the int16 pass. Past n/4 such values the list would cost more than
+// an int32 a value, so the vector is held dense instead: q[n:2n] is then
+// every value's high 16 bits. Either way q never needs more than 2n int16s,
+// the bytes of an int32 a value. A Fixed is reused from vector to vector
+// and its array grows to the largest form it has held; the first array is
+// sized for n values, and the allocator's round-up leaves a short list
+// room.
+type Fixed struct {
+	q     []int16
+	n     int
+	dense bool
+}
+
+// Len is the length of the vector f holds.
+func (f *Fixed) Len() int { return f.n }
+
+// resize sets len(q) to size, reallocating only when q has no room: to
+// size or a quarter more than now, up to the dense form's 2n.
+func (f *Fixed) resize(size int) {
+	if size <= cap(f.q) {
+		f.q = f.q[:size]
+		return
+	}
+	q := slices.Grow([]int16(nil), min(max(size, cap(f.q)+cap(f.q)/4), 2*f.n))
+	f.q = append(q, f.q...)[:size]
+}
+
+// put32 stores x in two int16s, low half first; get32 reads it back.
+func put32(d []int16, x int32) { d[0], d[1] = int16(x), int16(x>>16) }
+
+func get32(d []int16) int32 { return int32(uint16(d[0])) | int32(d[1])<<16 }
+
+// TransmitFixed is Transmit stopped before the rescale: f receives the
 // quantized integers and the return is the same payload size, so
-// Reconstruct(dst, q) later writes Transmit's floats bit for bit. A
-// simulated upload held this way costs 4 bytes a parameter while it is in
-// flight instead of 8. ok is false when some quantized value does not fit in
-// an int32 — a weight of magnitude about 2³¹·10⁻ᴾ or more, ±Inf included —
-// and q and the size are then unspecified; the caller takes Transmit.
-func (p *Polyline) TransmitFixed(q []int32, w []float64) (payloadBytes int, ok bool) {
+// Reconstruct(dst, f) later writes Transmit's floats bit for bit. ok is
+// false when some quantized value does not fit in an int32 — a weight of
+// magnitude about 2³¹·10⁻ᴾ or more, ±Inf included — and f and the size are
+// then unspecified; the caller takes Transmit.
+func (p *Polyline) TransmitFixed(f *Fixed, w []float64) (payloadBytes int, ok bool) {
+	f.n, f.dense = len(w), false
+	f.resize(len(w))
+	q := f.q
 	s := p.scale()
-	q = q[:len(w)]
+	n := 0
+	for i, v := range w {
+		x := quantize(v * s)
+		q[i] = int16(x)
+		if x != int64(int16(x)) {
+			if x != int64(int32(x)) {
+				return 0, false
+			}
+			k := len(q)
+			if k+4 > 2*len(w) {
+				return p.transmitDense(f, w)
+			}
+			f.resize(k + 4)
+			q = f.q
+			put32(q[k:], int32(i))
+			put32(q[k+2:], int32(x))
+		}
+		n += int(chunkCount[bits.Len64(zigzag(x))])
+	}
+	return n, true
+}
+
+// transmitDense is TransmitFixed's pass, from the start, over a vector with
+// more than n/4 values outside int16: low halves in q[:n], high in q[n:].
+func (p *Polyline) transmitDense(f *Fixed, w []float64) (int, bool) {
+	f.dense = true
+	f.resize(2 * len(w))
+	lo, hi := f.q[:len(w)], f.q[len(w):]
+	s := p.scale()
 	n := 0
 	for i, v := range w {
 		x := quantize(v * s)
 		if x != int64(int32(x)) {
 			return 0, false
 		}
+		lo[i], hi[i] = int16(x), int16(x>>16)
 		n += int(chunkCount[bits.Len64(zigzag(x))])
-		q[i] = int32(x)
 	}
 	return n, true
 }
 
 // Reconstruct writes the weights TransmitFixed's integers decode to,
 // float64(q)/s each — what Transmit would have written.
-func (p *Polyline) Reconstruct(dst []float64, q []int32) {
+func (p *Polyline) Reconstruct(dst []float64, f *Fixed) {
 	s := p.scale()
-	dst = dst[:len(q)]
-	for i, x := range q {
+	lo, tail := f.q[:f.n], f.q[f.n:]
+	dst = dst[:f.n]
+	if f.dense {
+		hi := tail[:f.n]
+		for i, x := range lo {
+			dst[i] = float64(int32(hi[i])<<16|int32(uint16(x))) / s
+		}
+		return
+	}
+	for i, x := range lo {
 		dst[i] = float64(x) / s
+	}
+	for k := 0; k+4 <= len(tail); k += 4 {
+		dst[get32(tail[k:])] = float64(get32(tail[k+2:])) / s
 	}
 }
 

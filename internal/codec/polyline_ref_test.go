@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -154,16 +155,22 @@ func FuzzPolylineAgainstReference(f *testing.F) {
 // FuzzTransmitFixed holds the fixed-point channel to Transmit over
 // (precision 3..6, raw float bits): ok is false exactly when some
 // reference-quantized value falls outside int32, and when it is true the
-// payload size and Reconstruct's floats are Transmit's bit for bit. Every
-// seed vector is also added negated: int32's range is one wider below zero
-// than above, and zigzag gives the signs different lengths.
+// payload size and Reconstruct's floats are Transmit's bit for bit. Up to
+// n/4 values outside int16 are listed, exactly those indices in ascending
+// order with their values; past that the vector is held dense. Either form
+// stays inside what an int32 slot of n values would allocate. The
+// destination Fixed first holds a different vector of the same length,
+// most of it outside int16, so nothing carries over from one transmit to
+// the next. Every seed vector is also added negated: the integer ranges
+// are one wider below zero than above, and zigzag gives the signs
+// different lengths.
 func FuzzTransmitFixed(f *testing.F) {
-	add := func(prec int, w ...float64) {
-		f.Add(uint8(prec), Raw{}.Encode(w))
+	add := func(prec int, w ...float64) { // the target runs at precision 3 + arg%4
+		f.Add(uint8(prec-3), Raw{}.Encode(w))
 		for i := range w {
 			w[i] = -w[i]
 		}
-		f.Add(uint8(prec), Raw{}.Encode(w))
+		f.Add(uint8(prec-3), Raw{}.Encode(w))
 	}
 	for prec := 3; prec <= 6; prec++ {
 		s := math.Pow(10, float64(prec))
@@ -178,6 +185,25 @@ func FuzzTransmitFixed(f *testing.F) {
 				add(prec, -0.2, v, 0.4)
 			}
 		}
+		// Both sides of the int16 edge: ±32767.5·10⁻ᵖ, the integers on
+		// either side of it, and the neighbours of each.
+		for _, x := range []float64{32767.5, 32767, 32768, 32768.5} {
+			for _, v := range []float64{x / s, -x / s, math.Nextafter(x/s, 0), math.Nextafter(x/s, math.Inf(1))} {
+				add(prec, 0.2, -0.4, v, 0.1, -0.3)
+			}
+		}
+		// Both sides of the n/4 cap at n = 8, 9 and 1: the list at the cap,
+		// then one value past it.
+		wide := 40000 / s
+		add(prec, wide, 0.1, 0.2, -wide, 0.3, 0.1, -0.1, 0)
+		add(prec, wide, 0.1, 0.2, -wide, 0.3, wide, -0.1, 0)
+		add(prec, 0.1, wide, 0.2, 0.3, -wide, 0.1, -0.1, 0, 0.5)
+		add(prec, 0.1, wide, 0.2, 0.3, -wide, 0.1, -0.1, 0, wide)
+		add(prec, wide)
+		// A dense vector across int32's range, and a listed one with a
+		// value past it after its first overflow.
+		add(prec, 1e6/s, -3e8/s, 7e4/s, -5e4/s, 0.2, 1e9/s, 0.1)
+		add(prec, 0.1, 0.2, wide, 0.3, 0.4, (1<<31)/s, 0.5, 0.6)
 	}
 	f.Fuzz(func(t *testing.T, prec uint8, raw []byte) {
 		p := NewPolyline(3 + int(prec%4))
@@ -186,13 +212,25 @@ func FuzzTransmitFixed(f *testing.F) {
 			t.Fatal(err)
 		}
 		fits := true
-		for _, v := range w {
-			if q := refQuantize(v, p.scale()); q != int64(int32(q)) {
+		var wideIdx []int32
+		for i, v := range w {
+			q := refQuantize(v, p.scale())
+			if q != int64(int32(q)) {
 				fits = false
 			}
+			if q != int64(int16(q)) {
+				wideIdx = append(wideIdx, int32(i))
+			}
 		}
-		q := make([]int32, len(w))
-		n, ok := p.TransmitFixed(q, w)
+		var q Fixed
+		dirty := make([]float64, len(w))
+		for i := range dirty {
+			dirty[i] = float64(40000*(i%3-1)) / p.scale()
+		}
+		if _, ok := p.TransmitFixed(&q, dirty); !ok {
+			t.Fatalf("%s: TransmitFixed rejects a vector inside int32", p.Name())
+		}
+		n, ok := p.TransmitFixed(&q, w)
 		if ok != fits {
 			t.Fatalf("%s: TransmitFixed ok = %v, every value fits int32 = %v", p.Name(), ok, fits)
 		}
@@ -207,11 +245,36 @@ func FuzzTransmitFixed(f *testing.F) {
 		for i := range got {
 			got[i] = math.NaN()
 		}
-		p.Reconstruct(got, q)
+		p.Reconstruct(got, &q)
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: Reconstruct value %d = %v, Transmit gives %v", p.Name(), i, got[i], want[i])
 			}
+		}
+
+		if q.Len() != len(w) {
+			t.Fatalf("%s: Fixed holds %d values, want %d", p.Name(), q.Len(), len(w))
+		}
+		// An int32 slot's allocation: the allocator rounds 4n bytes up alike.
+		if limit := cap(slices.Grow([]int16(nil), 2*len(w))); cap(q.q) > limit {
+			t.Fatalf("%s: Fixed holds %d int16s for %d values, past an int32 slot's %d", p.Name(), cap(q.q), len(w), limit)
+		}
+		if dense := 4*len(wideIdx) > len(w); q.dense != dense {
+			t.Fatalf("%s: %d of %d values outside int16, held dense = %v", p.Name(), len(wideIdx), len(w), q.dense)
+		}
+		if q.dense {
+			return
+		}
+		var listed []int32
+		for k := len(w); k < len(q.q); k += 4 {
+			i := get32(q.q[k:])
+			listed = append(listed, i)
+			if x := refQuantize(w[i], p.scale()); int64(get32(q.q[k+2:])) != x {
+				t.Fatalf("%s: overflow entry %d holds %d, the value quantizes to %d", p.Name(), i, get32(q.q[k+2:]), x)
+			}
+		}
+		if !slices.Equal(listed, wideIdx) {
+			t.Fatalf("%s: overflow list holds indices %v, the values outside int16 are at %v", p.Name(), listed, wideIdx)
 		}
 	})
 }
@@ -299,19 +362,16 @@ func BenchmarkPolylineTransmit(b *testing.B) {
 }
 
 // BenchmarkPolylineTransmitFixed is the simulator's polyline uplink: the
-// quantizing pass into int32 fixed point, then the rescale the server does
-// when it reads the update.
+// quantizing pass into 16-bit fixed point with its overflow list, then the
+// rescale the server does when it reads the update.
 func BenchmarkPolylineTransmitFixed(b *testing.B) {
-	var q []int32
+	var q Fixed
 	benchPolyline(b, func(c *polyBench) error {
-		if len(q) != len(c.w) {
-			q = make([]int32, len(c.w))
-		}
-		n, ok := c.p.TransmitFixed(q, c.w)
+		n, ok := c.p.TransmitFixed(&q, c.w)
 		if !ok {
 			return fmt.Errorf("weights overflow int32")
 		}
-		c.p.Reconstruct(c.out, q)
+		c.p.Reconstruct(c.out, &q)
 		benchSink += n
 		return nil
 	})

@@ -137,6 +137,26 @@ func TestFoldAllocFree(t *testing.T) {
 	})
 }
 
+// TestHarvestAllocatesOnce: a harvest copies a cohort's survivors into one
+// slice sized for the whole cohort, rather than growing it by appends.
+func TestHarvestAllocatesOnce(t *testing.T) {
+	skipUnderRace(t)
+	results := make([]TrainResult, 10)
+	for i := range results {
+		results[i] = TrainResult{Client: i, N: 5, Arrive: float64(i)}
+	}
+	results[4].Dropped = true
+	var s randomSelector
+	if allocs := testing.AllocsPerRun(20, func() {
+		surv, done := s.Harvest(nil, results)
+		if len(surv) != 9 || done != 9 {
+			t.Fatalf("harvest kept %d results, done at %v; want 9 at 9", len(surv), done)
+		}
+	}); allocs > 1 {
+		t.Errorf("harvesting 10 results with one drop allocates %.0f times, want at most 1", allocs)
+	}
+}
+
 // TestEngineRoundAllocCeiling pins the allocation budget of full engine
 // runs on the simulated fabric: after the first run has grown the per-run
 // pools and scratch to size, a whole R-round run must stay under a small

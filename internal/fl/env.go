@@ -384,9 +384,11 @@ func (e *Env) trainMember(m *member, global []float64, lc LocalConfig) TrainResu
 // ever materialized: numerics and byte accounting are identical to the real
 // Encode/Decode by the interface's contract. It also holds the simulator's
 // uploads in flight: under polyline an upload is its quantized integers in
-// a fixed-point slot, and becomes a float64 vector only when the server
-// reads it (Receive). A Comm belongs to its run's engine goroutine; only the
-// weight pool it hands out (Pool) may be used from other goroutines.
+// a fixed-point slot (codec.Fixed: 16 bits a value plus a short list of the
+// values wider than that), and becomes a float64 vector only when the
+// server reads it (Receive). A Comm belongs to its run's engine goroutine;
+// only the weight pool it hands out (Pool) may be used from other
+// goroutines.
 type Comm struct {
 	channel     codec.Channel
 	headerBytes int
@@ -398,11 +400,11 @@ type Comm struct {
 	pool *tensor.Pool
 
 	// fixed is the codec when it is polyline, whose uploads can wait in
-	// flight as int32 fixed point. Slot id k is slots[k-1]; free lists the
-	// idle ids, so the slots grow to the most uploads ever in flight at once
-	// and are then reused.
+	// flight as fixed point. Slot id k is slots[k-1]; free lists the idle
+	// ids, so the slots grow to the most uploads ever in flight at once and
+	// are then reused.
 	fixed *codec.Polyline
-	slots [][]int32
+	slots []codec.Fixed
 	free  []int32
 }
 
@@ -451,8 +453,8 @@ func (cm *Comm) transmit(w []float64, uplink bool) ([]float64, int) {
 // returns the message size.
 func (cm *Comm) upload(r *TrainResult) int {
 	if cm.fixed != nil {
-		slot := cm.takeSlot(len(r.Weights))
-		if n, ok := cm.fixed.TransmitFixed(cm.slots[slot-1], r.Weights); ok {
+		slot := cm.takeSlot()
+		if n, ok := cm.fixed.TransmitFixed(&cm.slots[slot-1], r.Weights); ok {
 			size := cm.headerBytes + n
 			cm.CountControl(int64(size), true)
 			r.Weights, r.slot = nil, slot
@@ -465,15 +467,15 @@ func (cm *Comm) upload(r *TrainResult) int {
 	return size
 }
 
-// takeSlot returns an idle fixed-point slot for a length-n upload, adding
-// one when none is idle.
-func (cm *Comm) takeSlot(n int) int32 {
+// takeSlot returns an idle fixed-point slot, adding an empty one when none
+// is idle; TransmitFixed sizes it.
+func (cm *Comm) takeSlot() int32 {
 	if k := len(cm.free); k > 0 {
 		slot := cm.free[k-1]
 		cm.free = cm.free[:k-1]
 		return slot
 	}
-	cm.slots = append(cm.slots, make([]int32, n))
+	cm.slots = append(cm.slots, codec.Fixed{})
 	return int32(len(cm.slots))
 }
 
@@ -486,9 +488,9 @@ func (cm *Comm) Receive(r TrainResult) []float64 {
 	if r.slot == 0 {
 		return r.Weights
 	}
-	q := cm.slots[r.slot-1]
-	w := cm.Pool(len(q)).Get()
-	cm.fixed.Reconstruct(w, q)
+	f := &cm.slots[r.slot-1]
+	w := cm.Pool(f.Len()).Get()
+	cm.fixed.Reconstruct(w, f)
 	cm.free = append(cm.free, r.slot)
 	return w
 }

@@ -551,9 +551,12 @@ func TestCommChannelMatchesWire(t *testing.T) {
 
 // TestCommUploadMatchesTransmit: a simulated upload that waits in a
 // fixed-point slot reads back as exactly what transmit hands the server, at
-// the same byte charge, and one with a weight that overflows int32 (1e6 at
-// precision 4) or is infinite takes transmit's float64 path itself. Discarded and read slots are reused, so the steady state
-// allocates nothing.
+// the same byte charge — with every weight inside int16 at precision 4
+// (|w| < 3.27675), with a few outside it on the slot's overflow list, and
+// with more than n/4 outside it, held dense. One with a weight that
+// overflows int32 (1e6 at precision 4) or is infinite takes transmit's
+// float64 path itself. Discarded and read slots are reused, so the steady
+// state allocates nothing, overflow entries included.
 func TestCommUploadMatchesTransmit(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{300}}}
 	r := rng.New(8)
@@ -562,7 +565,16 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 		inRange[i] = 0.4 * r.Norm()
 	}
 	inRange[7] = math.NaN()
-	overflow := slices.Clone(inRange)
+	fewWide := slices.Clone(inRange)
+	for _, i := range []int{3, 150, 299} {
+		fewWide[i] = 1000 * inRange[i]
+	}
+	fewWide[40] = 3.27675 // the first tie outside int16
+	denseWide := slices.Clone(inRange)
+	for i := 0; i < len(denseWide); i += 3 { // 100 > 300/4
+		denseWide[i] = 50 + inRange[i]
+	}
+	overflow := slices.Clone(fewWide)
 	overflow[100] = 1e6
 	infinite := slices.Clone(inRange)
 	infinite[200] = math.Inf(-1)
@@ -571,9 +583,11 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 		w     []float64
 		fixed bool
 	}{
-		"in-range": {inRange, true},
-		"overflow": {overflow, false},
-		"infinite": {infinite, false},
+		"in-range":   {inRange, true},
+		"few wide":   {fewWide, true},
+		"dense wide": {denseWide, true},
+		"overflow":   {overflow, false},
+		"infinite":   {infinite, false},
 	} {
 		cm, ref := NewComm(codec.NewPolyline(4), shapes), NewComm(codec.NewPolyline(4), shapes)
 		res := TrainResult{Weights: slices.Clone(tc.w)}
@@ -597,21 +611,28 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 	skipUnderRace(t)
 	cm := NewComm(codec.NewPolyline(4), shapes)
 	var res [2]TrainResult
-	for i := range res {
-		res[i].Weights = slices.Clone(inRange)
-	}
+	// The idle slots are a stack, so the two uploads swap slots every cycle:
+	// a run is two cycles, and an allocation in either shows in the count.
 	if allocs := testing.AllocsPerRun(20, func() {
-		for i := range res {
-			res[i].Weights, res[i].slot = inRange, 0
-			cm.upload(&res[i])
+		for range 2 {
+			res[0].Weights, res[0].slot = inRange, 0
+			res[1].Weights, res[1].slot = fewWide, 0
+			for i := range res {
+				cm.upload(&res[i])
+			}
+			cm.Discard(res[0])
+			cm.Release(cm.Receive(res[1]))
 		}
-		cm.Discard(res[0])
-		cm.Release(cm.Receive(res[1]))
 	}); allocs != 0 {
 		t.Errorf("upload, Receive and Discard allocate %.0f times in steady state", allocs)
 	}
-	if len(cm.slots) != 2 {
-		t.Errorf("two uploads in flight at a time grew %d slots", len(cm.slots))
+	if len(cm.slots) != 2 || len(cm.free) != 2 {
+		t.Errorf("two uploads in flight at a time grew %d slots, %d idle", len(cm.slots), len(cm.free))
+	}
+	for i := range cm.slots {
+		if n := cm.slots[i].Len(); n != 300 {
+			t.Errorf("slot %d is sized for %d weights, want 300", i+1, n)
+		}
 	}
 }
 

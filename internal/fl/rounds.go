@@ -129,9 +129,11 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	return results
 }
 
-// survivors filters out dropped results.
+// survivors copies the results that were not dropped into one slice sized
+// for all of them. It cannot filter in place: the harvests read the
+// unfiltered results afterwards, and completionTime counts the dropped.
 func survivors(results []TrainResult) []TrainResult {
-	out := results[:0:0]
+	out := make([]TrainResult, 0, len(results))
 	for _, r := range results {
 		if !r.Dropped {
 			out = append(out, r)
