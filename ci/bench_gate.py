@@ -15,10 +15,15 @@ Two subcommands, shared by CI and local use:
       rows (internal/codec: the wire kernels, the fused channel and the
       simulator's fixed-point uplink) are recorded as
       "codec/Polyline<Op>/<params>"; their MB/s column is skipped, and
-      check gates their allocs/op and B/op (both 0) like any other row. Benchmark{Gemm,Im2Col,Col2Im}/<shape>
-      rows (internal/tensor: the GEMM row kernel and the convolution
-      lowering) are recorded as "tensor/<Op>/<shape>", gated the same
-      way, and BenchmarkFold/<fold>/<cohort>x<dim> rows (internal/robust:
+      check gates their allocs/op and B/op (both 0) like any other row.
+      Benchmark{Gemm,GemmParallel,Im2Col,Col2Im}/<shape> rows
+      (internal/tensor: the GEMM row kernel, the three GEMMs fanned out
+      through internal/parallel, and the convolution lowering) are
+      recorded as "tensor/<Op>/<shape>", gated the same way;
+      BenchmarkForOverhead/<region> rows (internal/parallel: an empty
+      region fanned out to the helpers, or nested and run inline) as
+      "parallel/ForOverhead/<region>", also at 0 allocs/op; and
+      BenchmarkFold/<fold>/<cohort>x<dim> rows (internal/robust:
       coordinate median and trimmed mean on the tile kernel) as
       "robust/Fold/<fold>/<cohort>x<dim>", also at 0 B/op and 0
       allocs/op. BenchmarkPartition/<clients> rows (internal/tiering:
@@ -68,7 +73,8 @@ Regenerate the committed baseline after a deliberate perf change:
 
   go test -run '^$' -bench 'BenchmarkMethod/|BenchmarkPopulation/' -benchtime 5x -count 1 . > bench.out
   go test -run '^$' -bench 'BenchmarkPolyline(Encode|Decode|Transmit|TransmitFixed)$' -benchtime 2000x -count 1 ./internal/codec >> bench.out
-  go test -run '^$' -bench 'Benchmark(Gemm|Im2Col|Col2Im)$' -benchtime 500x -count 1 ./internal/tensor >> bench.out
+  go test -run '^$' -bench 'Benchmark(Gemm|GemmParallel|Im2Col|Col2Im)$' -benchtime 500x -count 1 ./internal/tensor >> bench.out
+  go test -run '^$' -bench 'BenchmarkForOverhead$' -benchtime 2000x -count 1 ./internal/parallel >> bench.out
   go test -run '^$' -bench 'BenchmarkFold$' -benchtime 500x -count 1 ./internal/robust >> bench.out
   go test -run '^$' -bench 'BenchmarkPartition$' -benchtime 20x -count 1 ./internal/tiering >> bench.out
   python3 ci/bench_gate.py parse bench.out BENCH_baseline.json
@@ -78,7 +84,7 @@ import re
 import sys
 
 LINE = re.compile(
-    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|TransmitFixed|Transmit)|Gemm|Im2Col|Col2Im|Fold|Partition)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|TransmitFixed|Transmit)|GemmParallel|Gemm|Im2Col|Col2Im|Fold|Partition|ForOverhead)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
     r"(?:\s+\d+(?:\.\d+)? MB/s)?"
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"
@@ -96,8 +102,8 @@ def parse(bench_out, out_json):
             m = LINE.match(line)
             if m:
                 suite, name = m.group(1), m.group(2)
-                # Population rungs and the codec, robust, tiering and tensor
-                # kernels are namespaced so they can never collide with a
+                # Population rungs and the codec, robust, tiering, tensor
+                # and parallel kernels are namespaced so they can never collide with a
                 # registry method name.
                 if suite == "Population":
                     name = "population/" + name
@@ -107,6 +113,8 @@ def parse(bench_out, out_json):
                     name = "robust/Fold/" + name
                 elif suite == "Partition":
                     name = "tiering/Partition/" + name
+                elif suite == "ForOverhead":
+                    name = "parallel/ForOverhead/" + name
                 elif suite != "Method":
                     name = "tensor/%s/%s" % (suite, name)
                 row = {

@@ -163,32 +163,42 @@ func TestHarvestAllocatesOnce(t *testing.T) {
 // per-round ceiling. The ceilings have headroom over measured steady state
 // (a few allocs/round from cohort bookkeeping and eval) but sit far below
 // one alloc per client per parameter-vector — the regression this test
-// exists to catch.
+// exists to catch. The wide row's 100×512 weight gradient crosses
+// parallelRowThreshold, so its GEMMs fan out (or run inline inside the
+// cohort's region) every batch step: a fan-out that allocated would cost
+// hundreds of allocations a round.
 func TestEngineRoundAllocCeiling(t *testing.T) {
 	skipUnderRace(t)
 	if testing.Short() {
 		t.Skip("full engine runs in -short")
 	}
 	const rounds = 6
-	for _, m := range []string{"fedavg", "fedat"} {
-		t.Run(m, func(t *testing.T) {
+	for _, c := range []struct {
+		name, method string
+		hidden       int
+		perRound     float64
+	}{
+		{"fedavg", "fedavg", 16, 80},       // measured ~24/round
+		{"fedat", "fedat", 16, 80},         // measured ~38/round
+		{"fedavg-wide", "fedavg", 512, 35}, // measured ~24/round
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			cfg := baseCfg()
 			cfg.Rounds = rounds
 			cfg.EvalEvery = 3
-			env := testEnv(t, 0, cfg)
+			env, _ := testEnvWidth(t, 0, cfg, c.hidden)
 			run := func() {
 				env.ResetState()
-				mustRun(t, m, env)
+				mustRun(t, c.method, env)
 			}
 			run() // warm up pools, caches, replica and member-slot scratch
 			run()
 			perRun := testing.AllocsPerRun(3, run)
-			ceiling := 80.0 * rounds // measured ~33/round fedavg, ~51/round fedat
-			if perRun > ceiling {
+			if ceiling := c.perRound * rounds; perRun > ceiling {
 				t.Errorf("%s: %.0f allocs per %d-round run (%.1f/round), ceiling %.0f",
-					m, perRun, rounds, perRun/rounds, ceiling)
+					c.name, perRun, rounds, perRun/rounds, ceiling)
 			}
-			t.Logf("%s: %.1f allocs/round steady state", m, perRun/rounds)
+			t.Logf("%s: %.1f allocs/round steady state", c.name, perRun/rounds)
 		})
 	}
 }

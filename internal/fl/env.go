@@ -621,28 +621,22 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 		accs[i], correct[i], totals[i], losses[i] = 0, 0, 0, 0
 	}
 
-	var wg sync.WaitGroup
 	nw := len(e.reps)
-	wg.Add(nw)
-	for wk := 0; wk < nw; wk++ {
-		go func(wk int) {
-			defer wg.Done()
-			rep := e.reps[wk]
-			rep.Net.SetWeights(w)
-			for i := wk; i < len(e.ids); i += nw {
-				d := e.shard(&rep.shard, e.ids[i])
-				if d.NumTest() == 0 {
-					continue
-				}
-				cor, loss := rep.Net.Eval(d.TestX, d.TestY)
-				correct[i] = cor
-				totals[i] = d.NumTest()
-				losses[i] = loss * float64(totals[i])
-				accs[i] = float64(cor) / float64(totals[i])
+	parallel.ForWorkers(nw, nw, func(wk int) {
+		rep := e.reps[wk]
+		rep.Net.SetWeights(w)
+		for i := wk; i < len(e.ids); i += nw {
+			d := e.shard(&rep.shard, e.ids[i])
+			if d.NumTest() == 0 {
+				continue
 			}
-		}(wk)
-	}
-	wg.Wait()
+			cor, loss := rep.Net.Eval(d.TestX, d.TestY)
+			correct[i] = cor
+			totals[i] = d.NumTest()
+			losses[i] = loss * float64(totals[i])
+			accs[i] = float64(cor) / float64(totals[i])
+		}
+	})
 
 	totCorrect, totSamples := 0, 0
 	totLoss := 0.0

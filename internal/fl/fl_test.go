@@ -26,6 +26,12 @@ func testEnv(t *testing.T, classesPerClient int, cfg RunConfig) *Env {
 // tests of local training take.
 func testEnvParts(t *testing.T, classesPerClient int, cfg RunConfig) (*Env, *dataset.Federated) {
 	t.Helper()
+	return testEnvWidth(t, classesPerClient, cfg, 16)
+}
+
+// testEnvWidth is testEnvParts with an MLP of the given hidden width.
+func testEnvWidth(t *testing.T, classesPerClient int, cfg RunConfig, hidden int) (*Env, *dataset.Federated) {
+	t.Helper()
 	fed, err := dataset.FashionLike(20, classesPerClient, dataset.ScaleSmall, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +49,8 @@ func testEnvParts(t *testing.T, classesPerClient int, cfg RunConfig) (*Env, *dat
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := NewEnv(fed, pop, testFactory(fed), cfg)
+	factory := func(seed uint64) *nn.Network { return nn.NewMLP(rng.New(seed), fed.InDim, hidden, fed.Classes) }
+	env, err := NewEnv(fed, pop, factory, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

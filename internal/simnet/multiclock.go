@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // event is a scheduled callback.
 type event struct {
@@ -12,22 +9,55 @@ type event struct {
 	fn  func()
 }
 
+// eventHeap is a binary min-heap of events in (at, seq) order. push and pop
+// are typed rather than container/heap's, whose Push(any) and Pop() any box
+// every event on the way in and again on the way out. The keys are unique,
+// so the pop order is the (at, seq) order whatever the sift details.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+
+func (h *eventHeap) push(e event) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	e := s[0]
+	s[0] = s[n]
+	s[n] = event{} // drop the callback so it can be collected
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.less(r, c) {
+			c = r
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
 	return e
 }
 
@@ -99,7 +129,7 @@ func (c *childClock) At(t float64, fn func()) {
 	}
 	m.seq++
 	m.pending[c.i]++
-	heap.Push(&m.events, event{at: t, seq: m.seq*int64(len(m.pending)) + int64(c.i), fn: fn})
+	m.events.push(event{at: t, seq: m.seq*int64(len(m.pending)) + int64(c.i), fn: fn})
 }
 
 // owner is the child that scheduled e. It rides in seq's lowest base-K
@@ -139,7 +169,7 @@ func (m *MultiClock) Drive() {
 		if !m.running() {
 			return
 		}
-		e := heap.Pop(&m.events).(event)
+		e := m.events.pop()
 		i := m.owner(e)
 		m.pending[i]--
 		if m.stopped[i] {

@@ -124,25 +124,40 @@ func TestMultiClockPastSchedulingPanics(t *testing.T) {
 	}
 }
 
-// TestMultiClockStoppedDriveAllocatesNothing: a flat run that stops with
-// events still queued leaves them where they lie. Popping them would box
-// each one (heap.Pop returns an any), so a run's end would allocate once per
-// discarded event.
+// TestMultiClockStoppedDriveAllocatesNothing: Drive allocates nothing of
+// its own. A flat run that stops with events still queued leaves them where
+// they lie, and a run that drains its queue pops each event by value: the
+// heap is typed, so neither path boxes an event the way container/heap's
+// Pop() any did once per event.
 func TestMultiClockStoppedDriveAllocatesNothing(t *testing.T) {
-	m := NewMultiClock(1)
-	c := m.Child(0)
-	for i := 0; i < 1000; i++ {
-		c.At(float64(i), func() {})
-	}
-	c.Stop()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m.Drive()
-	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("Drive on a stopped clock allocated %d times", n)
-	}
-	if !m.retired[0] {
-		t.Fatal("stopped child not retired")
+	fn := func() {}
+	for _, c := range []struct {
+		name string
+		stop bool
+		left int // events still queued after Drive
+	}{
+		{"stopped", true, 1000},
+		{"drained", false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := NewMultiClock(1)
+			ch := m.Child(0)
+			for i := 0; i < 1000; i++ {
+				ch.At(float64(i%37), fn)
+			}
+			if c.stop {
+				ch.Stop()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m.Drive()
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Fatalf("Drive allocated %d times", n)
+			}
+			if !m.retired[0] || len(m.events) != c.left {
+				t.Fatalf("retired %v with %d events left", m.retired[0], len(m.events))
+			}
+		})
 	}
 }

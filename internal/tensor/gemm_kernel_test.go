@@ -200,3 +200,29 @@ func BenchmarkGemm(b *testing.B) {
 func BenchmarkGemmReference(b *testing.B) {
 	benchGemm(b, func(dst *Mat, c gemmCase) { gemmRowsGo(dst, c.a, c.b, c.transA, 0, c.m) })
 }
+
+// BenchmarkGemmParallel times the three GEMMs through their public entry
+// points at the wide MLP's 100×512 weight shape (a batch of 32), which
+// crosses parallelRowThreshold: the row kernel plus the fan-out to the
+// parallel helpers, whose pooled job keeps allocs/op at 0.
+func BenchmarkGemmParallel(b *testing.B) {
+	const m, k, n = 100, 32, 512
+	mat := func(seed uint64, r, c int) *Mat { return MatFrom(r, c, fillVec(seed, r*c)) }
+	x, xt, w, wt := mat(1, m, k), mat(2, k, m), mat(3, k, n), mat(4, n, k)
+	dst := NewMat(m, n)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"mul100x32x512", func() { MulInto(dst, x, w) }},
+		{"transA100x32x512", func() { MulTransAInto(dst, xt, w) }},
+		{"transB100x32x512", func() { MulTransBInto(dst, x, wt) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.call()
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -63,8 +64,8 @@ func (m *Mat) Set(i, j int, v float64) { m.Data[i*m.C+j] = v }
 // Row returns a view of row i (no copy).
 func (m *Mat) Row(i int) []float64 { return m.Data[i*m.C : (i+1)*m.C] }
 
-// parallelRowThreshold: below this many result elements the goroutine
-// fan-out costs more than it saves.
+// parallelRowThreshold: below this many result elements waking helpers
+// costs more than it saves.
 const parallelRowThreshold = 16 * 1024
 
 // gemmStrides describes how output row i of a GEMM reads its a operand:
@@ -98,16 +99,47 @@ func gemmRowsGo(dst, a, b *Mat, transA bool, lo, hi int) {
 	}
 }
 
-// rowBlock returns worker c's share of n output rows when a GEMM is split
-// over parallel.Workers(n) workers: one contiguous block each (the split
-// parallel.For itself would make), so the row kernel's scratch is set up
-// once per worker rather than once per row. It is recomputed inside the
-// worker instead of captured: the closures below capture exactly dst, a
-// and b, which keeps them in the allocation size class they always had.
-func rowBlock(n, c int) (lo, hi int) {
-	w := parallel.Workers(n)
-	per := (n + w - 1) / w
-	return min(c*per, n), min((c+1)*per, n)
+// gemmJob is one GEMM fanned out over parallel.Workers(dst.R) contiguous
+// row blocks. rows is bound once, when the pool builds the job, so the
+// fan-out hands parallel a prebuilt body and allocates nothing; a block
+// covers many rows, so the row kernel's scratch is set up once per block
+// rather than once per row.
+type gemmJob struct {
+	dst, a, b      *Mat
+	transA, transB bool
+	per            int // rows per block
+	rows           func(c int)
+}
+
+var gemmJobs = sync.Pool{New: func() any {
+	g := new(gemmJob)
+	g.rows = g.block
+	return g
+}}
+
+// block computes block c of dst's rows.
+func (g *gemmJob) block(c int) {
+	lo, hi := min(c*g.per, g.dst.R), min((c+1)*g.per, g.dst.R)
+	if g.transB {
+		for i := lo; i < hi; i++ {
+			mulTransBRow(g.dst, g.a, g.b, i)
+		}
+		return
+	}
+	gemmRows(g.dst, g.a, g.b, g.transA, lo, hi)
+}
+
+// gemmParallel computes dst = op(a)·op(b) block by block through parallel,
+// which runs the blocks inline when no helper is idle (the GEMM is nested
+// in a cohort member's training).
+func gemmParallel(dst, a, b *Mat, transA, transB bool) {
+	w := parallel.Workers(dst.R)
+	g := gemmJobs.Get().(*gemmJob)
+	g.dst, g.a, g.b, g.transA, g.transB = dst, a, b, transA, transB
+	g.per = (dst.R + w - 1) / w
+	parallel.For(w, g.rows)
+	g.dst, g.a, g.b = nil, nil, nil
+	gemmJobs.Put(g)
 }
 
 // checkNoAlias panics when dst shares storage with an operand. The GEMMs
@@ -128,14 +160,9 @@ func MulInto(dst, a, b *Mat) {
 	}
 	checkNoAlias("MulInto", dst, a, b)
 	if dst.R*dst.C >= parallelRowThreshold && dst.R > 1 {
-		parallel.For(parallel.Workers(dst.R), func(c int) {
-			lo, hi := rowBlock(dst.R, c)
-			gemmRows(dst, a, b, false, lo, hi)
-		})
+		gemmParallel(dst, a, b, false, false)
 		return
 	}
-	// Serial path: no closure, so small multiplies (every batch step of the
-	// training hot path) allocate nothing.
 	gemmRows(dst, a, b, false, 0, dst.R)
 }
 
@@ -149,10 +176,7 @@ func MulTransAInto(dst, a, b *Mat) {
 	}
 	checkNoAlias("MulTransAInto", dst, a, b)
 	if dst.R >= 4 && dst.R*dst.C >= parallelRowThreshold {
-		parallel.For(parallel.Workers(dst.R), func(c int) {
-			lo, hi := rowBlock(dst.R, c)
-			gemmRows(dst, a, b, true, lo, hi)
-		})
+		gemmParallel(dst, a, b, true, false)
 		return
 	}
 	gemmRows(dst, a, b, true, 0, dst.R)
@@ -168,10 +192,9 @@ func MulTransBInto(dst, a, b *Mat) {
 	}
 	checkNoAlias("MulTransBInto", dst, a, b)
 	if dst.R*dst.C >= parallelRowThreshold && dst.R > 1 {
-		parallel.For(a.R, func(i int) { mulTransBRow(dst, a, b, i) })
+		gemmParallel(dst, a, b, false, true)
 		return
 	}
-	// Serial path kept closure-free for the per-batch-step callers.
 	for i := 0; i < a.R; i++ {
 		mulTransBRow(dst, a, b, i)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/rng"
+	"repro/internal/testutil"
 )
 
 func randMat(r *rng.RNG, rows, cols int) *Mat {
@@ -83,6 +84,32 @@ func TestMulParallelPathMatchesNaive(t *testing.T) {
 	b := randMat(r, 120, 150)
 	if !Equal(Mul(a, b), naiveMul(a, b), 1e-9) {
 		t.Fatal("parallel Mul path diverges from naive")
+	}
+}
+
+// TestGemmParallelPathAllocatesNothing: the three GEMMs at the wide MLP's
+// 100×512 weight shape cross parallelRowThreshold and fan out through a
+// pooled job with a prebuilt body, so a call allocates nothing.
+func TestGemmParallelPathAllocatesNothing(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race instruments allocations; AllocsPerRun counts are meaningless")
+	}
+	r := rng.New(4)
+	const m, k, n = 100, 32, 512
+	dst := NewMat(m, n)
+	x, xt, w, wt := randMat(r, m, k), randMat(r, k, m), randMat(r, k, n), randMat(r, n, k)
+	for _, op := range []struct {
+		name string
+		call func()
+	}{
+		{"MulInto", func() { MulInto(dst, x, w) }},
+		{"MulTransAInto", func() { MulTransAInto(dst, xt, w) }},
+		{"MulTransBInto", func() { MulTransBInto(dst, x, wt) }},
+	} {
+		op.call() // warm the job pools
+		if got := testing.AllocsPerRun(50, op.call); got != 0 {
+			t.Errorf("%s %dx%d: %.1f allocations per call, want 0", op.name, m, n, got)
+		}
 	}
 }
 
