@@ -13,6 +13,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
@@ -169,7 +170,11 @@ func runExperiments(id string, p experiments.Preset, format, outDir string, work
 
 	// Independent experiments run concurrently over a bounded pool; shared
 	// cells dedupe inside the scheduler. Results become available in id
-	// order as soon as each is ready.
+	// order as soon as each is ready. The pool is plain goroutines, not a
+	// parallel region: an experiment spends much of its life waiting on
+	// cells another experiment has in flight, and a wait must not hold a
+	// helper of the core budget that the cells, cohorts and GEMMs under
+	// the running experiments could use.
 	type result struct {
 		rep *experiments.Report
 		err error
@@ -183,14 +188,19 @@ func runExperiments(id string, p experiments.Preset, format, outDir string, work
 	if expWorkers <= 0 {
 		expWorkers = parallel.Workers(len(ids))
 	}
-	go parallel.Dynamic(len(ids), expWorkers, func(i int) {
-		start := time.Now()
-		rep, err := experiments.RunByID(ids[i], p)
-		if err == nil {
-			rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-		}
-		results[i] <- result{rep: rep, err: err, dur: time.Since(start)}
-	})
+	var next atomic.Int64
+	for range min(expWorkers, len(ids)) {
+		go func() {
+			for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
+				start := time.Now()
+				rep, err := experiments.RunByID(ids[i], p)
+				if err == nil {
+					rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
+				}
+				results[i] <- result{rep: rep, err: err, dur: time.Since(start)}
+			}
+		}()
+	}
 
 	// Progress framing goes to stdout only in text mode; json/csv keep
 	// stdout clean for the machine-readable payload.
