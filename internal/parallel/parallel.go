@@ -105,9 +105,9 @@ func Dynamic(n, workers int, body func(i int)) {
 // a busy machine the caller simply takes every chunk itself.
 func run(n, workers, chunk int, body func(i int)) {
 	chunks := (n + chunk - 1) / chunk
-	workers = min(workers, chunks)
 	hs := helpers()
-	if workers <= 1 || len(hs) == 0 {
+	workers = min(workers, chunks, len(hs)+1)
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
