@@ -17,24 +17,19 @@
 // Every region runs on one process-wide core budget: GOMAXPROCS−1
 // persistent helper goroutines, started on first use and grown when
 // GOMAXPROCS rises. A region runs on its caller plus the helpers that are
-// idle when it starts; it never queues work for a busy helper. So a region
-// nested inside another — a GEMM inside a cohort member's training, a
-// training cohort inside a scheduler cell — finds the helpers held by its
-// enclosing region and starts inline on its caller: no goroutine is
-// started, the cores are not oversubscribed, and a body that blocks cannot
-// starve a region of the one participant it always has. A region short of
-// its worker count stays open while chunks remain, and a helper that frees
-// up joins the oldest open region before it parks, so a core released by
-// one region goes to another that is still running. A region never has
-// more participants than its worker count, and returns once every index
-// has run, without waiting for a claimed helper the Go scheduler has not
-// started yet. In steady state a region allocates nothing, whether it fans
-// out or runs inline.
+// idle at the moment it starts; it never queues work for a busy helper. So
+// a region nested inside another — a GEMM inside a cohort member's
+// training, a training cohort inside a scheduler cell — finds the helpers
+// held by its enclosing region and runs inline on its caller: no goroutine
+// is started, the cores are not oversubscribed, and a body that blocks
+// cannot starve a region of the one participant it always has. A region
+// returns once every index has run, without waiting for a claimed helper
+// the Go scheduler has not started yet. In steady state a region allocates
+// nothing, whether it fans out or runs inline.
 package parallel
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -96,87 +91,54 @@ func Dynamic(n, workers int, body func(i int)) {
 }
 
 // run executes body over [0, n) in chunks of chunk indices on the caller
-// and at most workers−1 helpers. It claims the helpers idle right now; if
-// that leaves it short of workers and chunks remain, it also lists itself
-// as open, so a helper that frees up later joins it. With no helper at all
-// it is the serial loop. It returns once every chunk has run; a helper
-// that arrives after the last chunk was taken finds none left and moves
-// on, so a region never waits for a helper the scheduler has not run — on
-// a busy machine the caller simply takes every chunk itself.
+// and at most workers−1 helpers, taking only helpers idle right now. With
+// none idle it is the serial loop. It returns once every chunk has run; a
+// claimed helper that had not started by then finds none left and goes
+// idle, so a region never waits for a helper the scheduler has not run —
+// on a busy machine the caller simply takes every chunk itself.
 func run(n, workers, chunk int, body func(i int)) {
+	var j *job
 	chunks := (n + chunk - 1) / chunk
-	hs := helpers()
-	workers = min(workers, chunks, len(hs)+1)
-	if workers <= 1 {
+	if claim := min(workers, chunks) - 1; claim > 0 {
+		for _, h := range helpers() {
+			if !h.idle.CompareAndSwap(true, false) {
+				continue
+			}
+			if j == nil {
+				j = jobs.Get().(*job)
+				j.body, j.n, j.chunk = body, n, chunk
+				j.pending.Add(chunks)
+				j.refs.Store(1)
+			}
+			j.refs.Add(1)
+			h.work <- j
+			if claim--; claim == 0 {
+				break
+			}
+		}
+	}
+	if j == nil {
 		for i := 0; i < n; i++ {
 			body(i)
 		}
 		return
 	}
-	j := jobs.Get().(*job)
-	j.body, j.n, j.chunk, j.chunks, j.workers = body, n, chunk, chunks, int32(workers)
-	j.pending.Add(chunks)
-	j.refs.Store(1)
-	j.parts.Store(1)
-	j.claim(hs)
-	listed := j.parts.Load() < j.workers
-	if listed {
-		// A helper that went idle after the first claim looked at the open
-		// list before the job was on it; the second claim catches it.
-		open.add(j)
-		j.claim(hs)
-	}
 	j.take()
-	if listed {
-		open.remove(j)
-	}
 	j.pending.Wait()
 	j.release()
 }
 
-// job is one region that may run on more than its caller. Jobs are pooled,
-// so a region allocates nothing once the pool is warm.
+// job is one region fanned out to helpers. Jobs are pooled, so a region
+// that fans out allocates nothing once the pool is warm.
 type job struct {
-	body             func(i int)
-	n, chunk, chunks int
-	workers          int32
-	parts            atomic.Int32   // participants so far, caller included; never above workers
-	next             atomic.Int64   // next chunk to take
-	pending          sync.WaitGroup // chunks not yet finished
-	refs             atomic.Int32   // participants that may still touch the job
+	body     func(i int)
+	n, chunk int
+	next     atomic.Int64   // next chunk to take
+	pending  sync.WaitGroup // chunks not yet finished
+	refs     atomic.Int32   // participants that may still touch the job
 }
 
 var jobs = sync.Pool{New: func() any { return new(job) }}
-
-// reserve books one more participant if the job has chunks left and fewer
-// than workers participants.
-func (j *job) reserve() bool {
-	for {
-		p := j.parts.Load()
-		if p >= j.workers || int(j.next.Load()) >= j.chunks {
-			return false
-		}
-		if j.parts.CompareAndSwap(p, p+1) {
-			return true
-		}
-	}
-}
-
-// claim hands the job to idle helpers in hs until it has workers
-// participants.
-func (j *job) claim(hs []*helper) {
-	for _, h := range hs {
-		if !j.reserve() {
-			return
-		}
-		if !h.idle.CompareAndSwap(true, false) {
-			j.parts.Add(-1)
-			continue
-		}
-		j.refs.Add(1)
-		h.work <- j
-	}
-}
 
 // take runs chunks until none is left.
 func (j *job) take() {
@@ -207,38 +169,11 @@ func (j *job) release() {
 	}
 }
 
-// open lists the regions still short of participants, oldest first, so a
-// helper that frees up joins the outermost one it can. A region leaves the
-// list before it drops its own hold on its job, so a helper that finds a
-// job on the list under mu may take a hold on it.
-var open openList
-
-type openList struct {
-	mu   sync.Mutex
-	jobs []*job
-}
-
-func (o *openList) add(j *job) {
-	o.mu.Lock()
-	o.jobs = append(o.jobs, j)
-	o.mu.Unlock()
-}
-
-func (o *openList) remove(j *job) {
-	o.mu.Lock()
-	if i := slices.Index(o.jobs, j); i >= 0 {
-		o.jobs = slices.Delete(o.jobs, i, i+1)
-	}
-	o.mu.Unlock()
-}
-
 // helper is one persistent goroutine of the core budget. A region owns it
-// from the moment it wins the CAS on idle, or the helper joins it from the
-// open list, until the helper has run out of the region's chunks. work has
-// room for one job because only the region that won the CAS sends, so the
-// send never blocks.
+// from the moment it wins the CAS on idle until the helper has run out of
+// the region's chunks. work has room for one job because only the region
+// that won the CAS sends, so the send never blocks.
 type helper struct {
-	id   int
 	idle atomic.Bool
 	work chan *job
 }
@@ -246,31 +181,10 @@ type helper struct {
 // loop serves regions for the life of the process.
 func (h *helper) loop() {
 	for j := range h.work {
-		for j != nil {
-			j.take()
-			j.release()
-			j = h.join()
-		}
+		j.take()
+		h.idle.Store(true)
+		j.release()
 	}
-}
-
-// join returns the oldest open region that can still take the helper, with
-// a participant booked for it, or marks the helper idle and returns nil.
-// Both happen under the open list's lock, so a region listed after the
-// helper looked finds it idle on its second claim.
-func (h *helper) join() *job {
-	open.mu.Lock()
-	defer open.mu.Unlock()
-	if h.id < len(helpers()) {
-		for _, j := range open.jobs {
-			if j.reserve() {
-				j.refs.Add(1)
-				return j
-			}
-		}
-	}
-	h.idle.Store(true)
-	return nil
 }
 
 var (
@@ -293,7 +207,7 @@ func helpers() []*helper {
 		hs = append(hs, *old...)
 	}
 	for len(hs) < want {
-		h := &helper{id: len(hs), work: make(chan *job, 1)}
+		h := &helper{work: make(chan *job, 1)}
 		h.idle.Store(true)
 		go h.loop()
 		hs = append(hs, h)
