@@ -30,7 +30,10 @@ Two subcommands, shared by CI and local use:
       the radix partition of a profiled population into five tiers) are
       recorded as "tiering/Partition/<clients>"; they allocate their
       outputs, so the gate holds their B/op and allocs/op to the
-      baseline rather than to zero. The ...Reference benchmarks beside
+      baseline rather than to zero. BenchmarkCNNBackprop/<shape> rows
+      (internal/nn: one forward+backward pass of SmallCNN at batch 10)
+      are recorded as "nn/CNNBackprop/<shape>", at 0 B/op and 0
+      allocs/op. The ...Reference benchmarks beside
       the codec, tensor, robust and tiering kernels are same-process
       denominators and are not recorded.
 
@@ -77,6 +80,7 @@ Regenerate the committed baseline after a deliberate perf change:
   go test -run '^$' -bench 'BenchmarkForOverhead$' -benchtime 2000x -count 1 ./internal/parallel >> bench.out
   go test -run '^$' -bench 'BenchmarkFold$' -benchtime 500x -count 1 ./internal/robust >> bench.out
   go test -run '^$' -bench 'BenchmarkPartition$' -benchtime 20x -count 1 ./internal/tiering >> bench.out
+  go test -run '^$' -bench 'BenchmarkCNNBackprop/^1x10x10$' -benchtime 200x -count 1 ./internal/nn >> bench.out
   python3 ci/bench_gate.py parse bench.out BENCH_baseline.json
 """
 import json
@@ -84,7 +88,7 @@ import re
 import sys
 
 LINE = re.compile(
-    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|TransmitFixed|Transmit)|GemmParallel|Gemm|Im2Col|Col2Im|Fold|Partition|ForOverhead)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|TransmitFixed|Transmit)|GemmParallel|Gemm|Im2Col|Col2Im|Fold|Partition|ForOverhead|CNNBackprop)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
     r"(?:\s+\d+(?:\.\d+)? MB/s)?"
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"
@@ -102,9 +106,9 @@ def parse(bench_out, out_json):
             m = LINE.match(line)
             if m:
                 suite, name = m.group(1), m.group(2)
-                # Population rungs and the codec, robust, tiering, tensor
-                # and parallel kernels are namespaced so they can never collide with a
-                # registry method name.
+                # Population rungs and the codec, robust, tiering, tensor,
+                # parallel and nn kernels are namespaced so they can never
+                # collide with a registry method name.
                 if suite == "Population":
                     name = "population/" + name
                 elif suite.startswith("Polyline"):
@@ -115,6 +119,8 @@ def parse(bench_out, out_json):
                     name = "tiering/Partition/" + name
                 elif suite == "ForOverhead":
                     name = "parallel/ForOverhead/" + name
+                elif suite == "CNNBackprop":
+                    name = "nn/CNNBackprop/" + name
                 elif suite != "Method":
                     name = "tensor/%s/%s" % (suite, name)
                 row = {

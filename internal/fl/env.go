@@ -264,16 +264,11 @@ func (p *replicaPool) put(c *Client) {
 }
 
 // member is one cohort position's state for the dispatch in flight: the
-// member's id, runtime and download arrival, and the result buffer its
-// local round writes into. The buffer belongs to the position, not to the
-// replica that trained it, so the replica is free for the next member the
-// moment TrainLocal returns while the result waits for the sequential
-// uplink.
+// member's id, runtime and download arrival.
 type member struct {
 	id       int
 	rt       *simnet.ClientRuntime
 	downDone float64
-	out      []float64
 }
 
 // NewEnv wires a retained federated dataset to a population. The two must
@@ -348,15 +343,15 @@ func (e *Env) Shapes() []codec.ShapeInfo { return e.shapes }
 func (e *Env) ResetState() { e.pop.Reset() }
 
 // trainMember is one training body of a dispatch: borrow an idle replica,
-// bind it to cohort member m, run the member's local round into the
-// member's result buffer, and return the replica to the pool. Binding
-// fetches the shard (or synthesizes it into the replica's scratch,
-// overwriting the previous binding's) and rederives the labeled RNG
-// streams; both are pure in (seed, id), so a borrowed replica is
-// indistinguishable from a client that owned its data and replica forever.
-// Distinct members may train concurrently: each body writes only its
-// replica and its own slot.
-func (e *Env) trainMember(m *member, global []float64, lc LocalConfig) TrainResult {
+// bind it to cohort member m, run the member's local round into out (a
+// buffer of the run's weight pool, which the result then holds), and return
+// the replica to the pool. Binding fetches the shard (or synthesizes it
+// into the replica's scratch, overwriting the previous binding's) and
+// rederives the labeled RNG streams; both are pure in (seed, id), so a
+// borrowed replica is indistinguishable from a client that owned its data
+// and replica forever. Distinct members may train concurrently: each body
+// writes only its replica and its own slot.
+func (e *Env) trainMember(m *member, out, global []float64, lc LocalConfig) TrainResult {
 	c, id := e.pool.get(), m.id
 	c.ID = id
 	c.Data = e.shards.ClientInto(&c.shard, id)
@@ -364,10 +359,9 @@ func (e *Env) trainMember(m *member, global []float64, lc LocalConfig) TrainResu
 	c.Attack.Classes = e.classes // simnet can't know the label space
 	c.scheduleRNG = e.root.SplitLabeledValue(uint64(scheduleStreamBase + id))
 	c.dpRNG = e.root.SplitLabeledValue(uint64(dpStreamBase + id))
-	c.wOut = m.out
+	c.wOut = out
 	w, steps := c.TrainLocal(global, lc)
 	res := TrainResult{Client: id, Weights: w, N: c.Data.NumTrain(), Steps: steps}
-	m.out = w
 	// The replica keeps neither the result buffer nor the shard: a
 	// synthesized shard is only valid until the replica's next binding.
 	c.wOut, c.Data = nil, nil
@@ -450,20 +444,27 @@ func (cm *Comm) transmit(w []float64, uplink bool) ([]float64, int) {
 // through the channel, charges the bytes, and leaves in r what is in flight.
 // Under polyline that is a fixed-point slot (r.Weights nil), unless some
 // weight overflows int32; otherwise it is transmit's reconstruction. It
-// returns the message size.
+// returns the message size. upload takes ownership of r.Weights, which must
+// be a buffer of the run's weight pool: once the slot is written, or
+// transmit has copied it, the trained buffer goes back to the pool, so a
+// result in flight holds a slot or one pooled reconstruction and never the
+// buffer it was trained into as well.
 func (cm *Comm) upload(r *TrainResult) int {
+	trained := r.Weights
 	if cm.fixed != nil {
 		slot := cm.takeSlot()
-		if n, ok := cm.fixed.TransmitFixed(&cm.slots[slot-1], r.Weights); ok {
+		if n, ok := cm.fixed.TransmitFixed(&cm.slots[slot-1], trained); ok {
 			size := cm.headerBytes + n
 			cm.CountControl(int64(size), true)
 			r.Weights, r.slot = nil, slot
+			cm.Release(trained)
 			return size
 		}
 		cm.free = append(cm.free, slot)
 	}
 	var size int
-	r.Weights, size = cm.transmit(r.Weights, true)
+	r.Weights, size = cm.transmit(trained, true)
+	cm.Release(trained)
 	return size
 }
 

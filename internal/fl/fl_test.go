@@ -562,7 +562,10 @@ func TestCommChannelMatchesWire(t *testing.T) {
 // (|w| < 3.27675), with a few outside it on the slot's overflow list, and
 // with more than n/4 outside it, held dense. One with a weight that
 // overflows int32 (1e6 at precision 4) or is infinite takes transmit's
-// float64 path itself. Discarded and read slots are reused, so the steady
+// float64 path itself. Every upload starts from a buffer of the run's weight
+// pool, which upload owns from then on: the pool panics on a second release
+// of any buffer, and once the read is released it holds every buffer it
+// handed out again. Discarded and read slots are reused, so the steady
 // state allocates nothing, overflow entries included.
 func TestCommUploadMatchesTransmit(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{300}}}
@@ -586,6 +589,34 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 	infinite := slices.Clone(inRange)
 	infinite[200] = math.Inf(-1)
 
+	// stock puts k fresh buffers in the pool and returns their addresses;
+	// holdsAll checks the pool hands back exactly those k, which it can
+	// only do if every buffer drawn since came back to it.
+	stock := func(pool *tensor.Pool, k int) map[*float64]bool {
+		bufs := make([][]float64, k)
+		for i := range bufs {
+			bufs[i] = pool.Get()
+		}
+		own := map[*float64]bool{}
+		for _, b := range bufs {
+			own[&b[0]] = true
+			pool.Put(b)
+		}
+		return own
+	}
+	holdsAll := func(what string, pool *tensor.Pool, own map[*float64]bool) {
+		t.Helper()
+		bufs := make([][]float64, len(own))
+		for i := range bufs {
+			if bufs[i] = pool.Get(); !own[&bufs[i][0]] {
+				t.Errorf("%s: the pool got back %d of its %d buffers", what, i, len(own))
+			}
+		}
+		for _, b := range bufs {
+			pool.Put(b)
+		}
+	}
+
 	for name, tc := range map[string]struct {
 		w     []float64
 		fixed bool
@@ -597,7 +628,10 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 		"infinite":   {infinite, false},
 	} {
 		cm, ref := NewComm(codec.NewPolyline(4), shapes), NewComm(codec.NewPolyline(4), shapes)
-		res := TrainResult{Weights: slices.Clone(tc.w)}
+		pool := cm.Pool(len(tc.w))
+		own := stock(pool, 2) // the trained buffer and the server's read
+		res := TrainResult{Weights: pool.Get()}
+		copy(res.Weights, tc.w)
 		n := cm.upload(&res)
 		if (res.slot != 0) != tc.fixed || (res.Weights == nil) != tc.fixed {
 			t.Fatalf("%s: slot %d, weights held %v; want the fixed-point path %v", name, res.slot, res.Weights != nil, tc.fixed)
@@ -613,17 +647,22 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 			}
 		}
 		cm.Release(got)
+		holdsAll(name, pool, own)
 	}
 
 	skipUnderRace(t)
 	cm := NewComm(codec.NewPolyline(4), shapes)
+	pool := cm.Pool(len(inRange))
+	own := stock(pool, 2)
 	var res [2]TrainResult
 	// The idle slots are a stack, so the two uploads swap slots every cycle:
 	// a run is two cycles, and an allocation in either shows in the count.
 	if allocs := testing.AllocsPerRun(20, func() {
 		for range 2 {
-			res[0].Weights, res[0].slot = inRange, 0
-			res[1].Weights, res[1].slot = fewWide, 0
+			res[0].Weights, res[0].slot = pool.Get(), 0
+			res[1].Weights, res[1].slot = pool.Get(), 0
+			copy(res[0].Weights, inRange)
+			copy(res[1].Weights, fewWide)
 			for i := range res {
 				cm.upload(&res[i])
 			}
@@ -633,6 +672,7 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("upload, Receive and Discard allocate %.0f times in steady state", allocs)
 	}
+	holdsAll("steady state", pool, own)
 	if len(cm.slots) != 2 || len(cm.free) != 2 {
 		t.Errorf("two uploads in flight at a time grew %d slots, %d idle", len(cm.slots), len(cm.free))
 	}

@@ -60,8 +60,10 @@ func selectAvailable[ID int | int32](scratch *[]int, r *rng.RNG, ids []ID, fab F
 // their update (§6's unstable clients). A surviving result holds its upload
 // as the Comm holds it in flight — a fixed-point slot under polyline, a
 // pooled reconstruction otherwise — and the server's weights exist only once
-// a pacer reads it with Comm.Receive. A dropped result still points at its
-// member position's buffer and is never read after delivery, so the
+// a pacer reads it with Comm.Receive. Each member trains into a buffer of
+// the run's weight pool, which the upload hands back once it has sent it; a
+// dropped member's buffer goes back unsent and its result holds no weights.
+// So the weight pool is the only owner of model-sized results, and the
 // positions are reusable the moment this returns.
 func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) []TrainResult {
 	if len(sel) == 0 {
@@ -78,11 +80,14 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 		e.members = append(e.members, make([]member, len(sel)-len(e.members))...)
 	}
 	members := e.members[:len(sel)]
+	results := make([]TrainResult, len(sel))
+	pool := comm.Pool(len(global))
 	for i, id := range sel {
 		m := &members[i]
 		m.id = id
 		m.rt = e.pop.Materialize(id) // not safe to call concurrently
 		m.downDone = e.pop.DownloadArrival(start, m.rt, bytes)
+		results[i].Weights = pool.Get() // member i trains into it
 	}
 
 	// Per-member local training is the eligible parallel section: body i
@@ -96,9 +101,8 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	// link reservations stay sequential around it. The body's closure is
 	// allocated every dispatch, so it captures only what it cannot reach
 	// through e.
-	results := make([]TrainResult, len(sel))
 	parallel.Dynamic(len(sel), min(parallel.Workers(len(sel)), len(e.replicas)), func(i int) {
-		results[i] = e.trainMember(&e.members[i], received, lc)
+		results[i] = e.trainMember(&e.members[i], results[i].Weights, received, lc)
 	})
 	// All training is done; the downlink snapshot is dead.
 	comm.Release(received)
@@ -118,12 +122,13 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 		if rt.OfflineWithin(start, computeDone) {
 			r.Dropped = true
 			r.Arrive = computeDone
+			comm.Release(r.Weights) // no upload happened
+			r.Weights = nil
 			continue
 		}
 		// The uplink replaces the member's training buffer with the upload in
 		// flight, which the engine reads at arrival and releases after the
-		// fold. Dropped results above keep the member's buffer (no upload
-		// happened), which is why reads and releases must skip them.
+		// fold.
 		r.Arrive = e.pop.UploadArrival(computeDone, rt, comm.upload(r))
 	}
 	return results

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/rng"
@@ -70,40 +71,128 @@ func TestConvHotPathAllocFree(t *testing.T) {
 	})
 }
 
-// TestConvColCacheSurvivesBatchGrowth: a batch larger than any seen before
-// grows the per-sample im2col cache without dropping the matrices it
-// already holds. Over batch sizes 2→5→3→5 exactly five cols×p matrices are
-// ever allocated (not seven), and once the largest size has been seen,
-// alternating sizes allocates nothing.
-func TestConvColCacheSurvivesBatchGrowth(t *testing.T) {
-	conv := NewConv2D(1, 10, 10, 4, 3, 1, 1)
-	c, h, w := conv.OutShape()
-	net := NewNetwork(rng.New(3), NewSoftmaxCE(), conv, NewDense(c*h*w, 2))
-	batches := map[int]*tensor.Mat{}
-	for _, b := range []int{2, 3, 5} {
-		batches[b], _ = randBatch(uint64(b), b, 100, 2)
+// TestConvColScratchSharedAcrossBatches: a conv layer holds one cols×p
+// im2col scratch whatever the batch size — the same 9×100 matrix at batch
+// sizes 2, 5 and 3 — alternating batch sizes allocates nothing, and the
+// gradients Backprop accumulates from columns it lowers again in Backward
+// are bit-equal to those of colCacheConv, which keeps every sample's
+// forward columns, over growing and shrinking batches.
+func TestConvColScratchSharedAcrossBatches(t *testing.T) {
+	newNet := func(wrap func(*Conv2D) Layer) (*Network, *Conv2D) {
+		head := NewConv2D(1, 10, 10, 4, 3, 1, 1)
+		mid := NewConv2D(4, 10, 10, 4, 3, 1, 1)
+		c, h, w := mid.OutShape()
+		return NewNetwork(rng.New(3), NewSoftmaxCE(), wrap(head), NewReLU(), wrap(mid), NewDense(c*h*w, 2)), head
 	}
-	seen := map[*tensor.Mat]bool{}
-	for _, b := range []int{2, 5, 3, 5} {
+	net, conv := newNet(func(c *Conv2D) Layer { return c })
+	ref, _ := newNet(func(c *Conv2D) Layer { return &colCacheConv{Conv2D: c} })
+	batches := map[int]*tensor.Mat{}
+	labels := map[int][]int{}
+	for _, b := range []int{1, 2, 3, 5} {
+		batches[b], labels[b] = randBatch(uint64(b), b, 100, 2)
+	}
+
+	var scratch *tensor.Mat
+	for _, b := range []int{2, 5, 3} {
 		net.Forward(batches[b], false)
-		for s := 0; s < b; s++ {
-			m := conv.colCache[s]
-			if m == nil || m.R != 9 || m.C != 100 {
-				t.Fatalf("batch %d: colCache[%d] = %+v, want a 9x100 matrix", b, s, m)
+		m := conv.colsBuf
+		if m == nil || m.R != 9 || m.C != 100 {
+			t.Fatalf("batch %d: im2col scratch = %+v, want a 9x100 matrix", b, m)
+		}
+		if scratch != nil && m != scratch {
+			t.Fatalf("batch %d: the layer replaced its im2col scratch", b)
+		}
+		scratch = m
+	}
+
+	for _, b := range []int{2, 5, 3, 1, 5} {
+		net.ZeroGrad()
+		ref.ZeroGrad()
+		loss, refLoss := net.Backprop(batches[b], labels[b]), ref.Backprop(batches[b], labels[b])
+		if math.Float64bits(loss) != math.Float64bits(refLoss) {
+			t.Fatalf("batch %d: loss %v, reference %v", b, loss, refLoss)
+		}
+		for i, g := range net.Grads() {
+			if math.Float64bits(g) != math.Float64bits(ref.Grads()[i]) {
+				t.Fatalf("batch %d: gradient %d is %v, per-sample cached columns give %v", b, i, g, ref.Grads()[i])
 			}
-			seen[m] = true
 		}
 	}
-	if len(seen) != 5 {
-		t.Errorf("batches 2,5,3,5 allocated %d im2col matrices, want 5: growing the cache dropped cached ones", len(seen))
+	if conv.colsBuf != scratch {
+		t.Fatal("Backprop replaced the im2col scratch")
 	}
+
 	if testutil.RaceEnabled {
 		return // AllocsPerRun is meaningless under -race
 	}
 	if got := testing.AllocsPerRun(10, func() {
 		net.Forward(batches[3], false)
+		net.Backprop(batches[5], labels[5])
 		net.Forward(batches[5], false)
+		net.Backprop(batches[3], labels[3])
 	}); got != 0 {
-		t.Errorf("alternating batch sizes 3 and 5 allocates %.1f times per pair, want 0", got)
+		t.Errorf("alternating batch sizes 3 and 5 allocates %.1f times per cycle, want 0", got)
 	}
+}
+
+// colCacheConv is the reference lowering: Forward keeps one im2col matrix
+// per sample and Backward multiplies by the cached columns instead of
+// lowering the input again.
+type colCacheConv struct {
+	*Conv2D
+	cache           []*tensor.Mat
+	dcols           *tensor.Mat
+	scratchW        *tensor.Mat
+	doutMat, outMat tensor.Mat
+}
+
+func (c *colCacheConv) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+	b, p := x.R, c.outH*c.outW
+	c.out = tensor.EnsureMat(c.out, b, c.OutC*p)
+	for len(c.cache) < b {
+		c.cache = append(c.cache, tensor.NewMat(c.cols, p))
+	}
+	for s := 0; s < b; s++ {
+		tensor.Im2Col(x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, c.cache[s])
+		out := c.outMat.View(c.OutC, p, c.out.Row(s))
+		tensor.MulInto(out, c.weight(), c.cache[s])
+		for oc, bv := range c.bias() {
+			row := out.Row(oc)
+			for i := range row {
+				row[i] += bv
+			}
+		}
+	}
+	return c.out
+}
+
+func (c *colCacheConv) Backward(dout *tensor.Mat) *tensor.Mat {
+	b, p := dout.R, c.outH*c.outW
+	if c.scratchW == nil {
+		c.scratchW = tensor.NewMat(c.OutC, c.cols)
+		c.dcols = tensor.NewMat(c.cols, p)
+	}
+	if !c.skipInputGrad {
+		c.dx = tensor.EnsureMat(c.dx, b, c.InC*c.H*c.W)
+	}
+	gb := c.gradB()
+	for s := 0; s < b; s++ {
+		d := c.doutMat.View(c.OutC, p, dout.Row(s))
+		tensor.MulTransBInto(c.scratchW, d, c.cache[s])
+		tensor.AddTo(c.gradW().Data, c.scratchW.Data)
+		for oc := range gb {
+			gb[oc] += tensor.Sum(d.Row(oc))
+		}
+		if c.skipInputGrad {
+			continue
+		}
+		tensor.MulTransAInto(c.dcols, c.weight(), d)
+		dst := c.dx.Row(s)
+		tensor.Zero(dst)
+		tensor.Col2Im(c.dcols, c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, dst)
+	}
+	if c.skipInputGrad {
+		return nil
+	}
+	return c.dx
 }

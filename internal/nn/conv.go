@@ -22,12 +22,15 @@ type Conv2D struct {
 	wMat, gwMat       tensor.Mat
 	outView, doutView tensor.Mat
 
-	// caches (owned by a single goroutine)
-	colCache []*tensor.Mat // im2col output per sample
+	// caches (owned by a single goroutine). colsBuf is the one cols × p
+	// im2col scratch: Forward lowers each sample into it, and Backward
+	// lowers sample s again from x before dW, then reuses it for dcols.
+	// Im2Col is a pure copy, so the rebuilt columns are the forward's bits,
+	// and the scratch does not grow with the batch or a test split.
 	x        *tensor.Mat
 	out, dx  *tensor.Mat
+	colsBuf  *tensor.Mat
 	scratchW *tensor.Mat
-	scratchC *tensor.Mat
 
 	skipInputGrad bool // set when this is a network's first layer
 }
@@ -88,6 +91,14 @@ func (c *Conv2D) bias() []float64     { return c.w[c.OutC*c.cols:] }
 func (c *Conv2D) gradW() *tensor.Mat  { return &c.gwMat }
 func (c *Conv2D) gradB() []float64    { return c.g[c.OutC*c.cols:] }
 
+// colScratch returns the layer's im2col scratch, allocating it on first use.
+func (c *Conv2D) colScratch() *tensor.Mat {
+	if c.colsBuf == nil {
+		c.colsBuf = tensor.NewMat(c.cols, c.outH*c.outW)
+	}
+	return c.colsBuf
+}
+
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != c.InC*c.H*c.W {
@@ -96,18 +107,10 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	b := x.R
 	p := c.outH * c.outW
 	c.out = tensor.EnsureMat(c.out, b, c.OutC*p)
-	if n := len(c.colCache); n < b {
-		// Grow, keeping the im2col matrices already cached: batch sizes
-		// wander upward (the evaluator feeds whole test splits).
-		c.colCache = append(c.colCache, make([]*tensor.Mat, b-n)...)
-	}
+	cols := c.colScratch()
 	w := c.weight()
 	bias := c.bias()
 	for s := 0; s < b; s++ {
-		if c.colCache[s] == nil {
-			c.colCache[s] = tensor.NewMat(c.cols, p)
-		}
-		cols := c.colCache[s]
 		tensor.Im2Col(x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, cols)
 		outView := c.outView.View(c.OutC, p, c.out.Row(s))
 		tensor.MulInto(outView, w, cols)
@@ -137,15 +140,16 @@ func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	}
 	if c.scratchW == nil {
 		c.scratchW = tensor.NewMat(c.OutC, c.cols)
-		c.scratchC = tensor.NewMat(c.cols, p)
 	}
+	cols := c.colScratch()
 	gw := c.gradW()
 	gb := c.gradB()
 	w := c.weight()
 	for s := 0; s < b; s++ {
 		doutView := c.doutView.View(c.OutC, p, dout.Row(s))
-		// dW += dout·colsᵀ
-		tensor.MulTransBInto(c.scratchW, doutView, c.colCache[s])
+		// dW += dout·colsᵀ, over sample s's columns lowered again
+		tensor.Im2Col(c.x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, cols)
+		tensor.MulTransBInto(c.scratchW, doutView, cols)
 		tensor.AddTo(gw.Data, c.scratchW.Data)
 		// db += row sums of dout
 		for oc := 0; oc < c.OutC; oc++ {
@@ -155,10 +159,10 @@ func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 			continue
 		}
 		// dcols = Wᵀ·dout, then scatter back to image space
-		tensor.MulTransAInto(c.scratchC, w, doutView)
+		tensor.MulTransAInto(cols, w, doutView)
 		dst := c.dx.Row(s)
 		tensor.Zero(dst)
-		tensor.Col2Im(c.scratchC, c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, dst)
+		tensor.Col2Im(cols, c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, dst)
 	}
 	if c.skipInputGrad {
 		return nil

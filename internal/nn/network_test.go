@@ -206,18 +206,36 @@ func BenchmarkMLPBackprop(b *testing.B) {
 	}
 }
 
+// BenchmarkCNNBackprop times one forward+backward pass of SmallCNN at batch
+// 10: with its pooling on 12×12 images, and as the fedavg_cnn_sim workload
+// trains it, on 1×10×10 images without pooling. The first pass, which
+// sizes every layer buffer, runs before the timer, so a steady-state
+// allocation shows in allocs/op.
 func BenchmarkCNNBackprop(b *testing.B) {
-	r := rng.New(1)
-	n := NewCNN(r, SmallCNN(1, 12, 12, 10))
-	x := tensor.NewMat(10, 144)
-	for i := range x.Data {
-		x.Data[i] = r.Norm()
-	}
-	y := make([]int, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.ZeroGrad()
-		n.Backprop(x, y)
+	for _, tc := range []struct {
+		name            string
+		h, w, poolEvery int
+	}{
+		{"1x12x12-pool", 12, 12, 1},
+		{"1x10x10", 10, 10, 0},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			r := rng.New(1)
+			cfg := SmallCNN(1, tc.h, tc.w, 10)
+			cfg.PoolEvery = tc.poolEvery
+			n := NewCNN(r, cfg)
+			x := tensor.NewMat(10, tc.h*tc.w)
+			for i := range x.Data {
+				x.Data[i] = r.Norm()
+			}
+			y := make([]int, 10)
+			n.Backprop(x, y)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				n.ZeroGrad()
+				n.Backprop(x, y)
+			}
+		})
 	}
 }

@@ -60,7 +60,7 @@ func col2imNaive(cols *Mat, channels, h, w, kh, kw, stride, pad int) []float64 {
 }
 
 // FuzzIm2colScratch drives Im2Col into a DIRTY reused scratch matrix (the
-// conv layer's per-sample colCache) across fuzzer-chosen geometries and
+// conv layer's one im2col scratch, lowered into once per sample) across fuzzer-chosen geometries and
 // checks it bit-matches the naive fresh-allocation reference — i.e. the
 // in-place path fully overwrites the scratch, padding zeros included, and
 // never leaks a stale value from the previous sample. Col2Im is checked as
