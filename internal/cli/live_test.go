@@ -3,6 +3,7 @@ package cli
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"regexp"
 	"strconv"
@@ -176,7 +177,9 @@ func flatRun(t *testing.T, extra ...string) *proc {
 // TestLoopback: the policy engine over real TCP, for a synchronous method,
 // FedAT's asynchronous tiers, FedAT re-tiering from measured latencies, the
 // staleness family with the adaptive LR riding the push, and the
-// explicit-zero law on the live side (-lambda 0 is no proximal term).
+// explicit-zero law on the live side (-lambda 0 is no proximal term). Each
+// server's logged trace opens with a start line and closes with an end
+// line whose Round is the update count the server prints.
 func TestLoopback(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -194,6 +197,12 @@ func TestLoopback(t *testing.T) {
 			srv := flatRun(t, c.args...)
 			if !strings.Contains(srv.log.String(), c.log) {
 				t.Fatalf("server never logged %q:\n%s", c.log, srv.log.String())
+			}
+			// The log is the run's record: its trace opens with a start
+			// line, and the end line holds the update count printed.
+			end := endOf(t, 0, runTraces(t, srv.log.String())[0])
+			if want := fmt.Sprintf(" done after %d global updates;", end.Round); !strings.Contains(srv.out.String(), want) {
+				t.Errorf("stdout does not say%s:\n%s", want, srv.out.String())
 			}
 		})
 	}
@@ -257,11 +266,14 @@ func TestHierarchyLoopback(t *testing.T) {
 		if !strings.Contains(edge.out.String(), "; test accuracy ") {
 			t.Errorf("%s printed no summary:\n%s", edge.name, edge.out.String())
 		}
-		// Every trace line an edge logs carries its own id.
+		// Every trace line an edge logs carries its own id, from one start
+		// line to one end line.
 		log := edge.log.String()
 		all, own := strings.Count(log, `{"Node":`), strings.Count(log, `{"Node":`+strconv.Itoa(e)+`,`)
 		if all == 0 || own != all {
 			t.Errorf("%s logged %d trace lines, %d of them as node %d:\n%s", edge.name, all, own, e, log)
+			continue
 		}
+		endOf(t, e, runTraces(t, log)[e])
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -134,18 +135,21 @@ func TestSimHierarchyDeterministic(t *testing.T) {
 // under a hierarchy, and the same line twice writes the same trace. Every
 // line parses, a hierarchy's lines come from each edge, and a run whose
 // loss goes NaN (a 1e308-scaled update poisons the first fold) still
-// traces every event.
+// traces every event. Each node's lines open with one start line naming
+// the method and close with one end line; a flat run's end line holds the
+// global update count fedsim prints.
 func TestSimTrace(t *testing.T) {
 	for _, c := range []struct {
-		name  string
-		args  string
-		nodes []int
-		has   string // a substring some line must contain
-		heavy bool   // skipped under -short (the race pass)
+		name   string
+		args   string
+		method string
+		nodes  []int
+		has    string // a substring some line must contain
+		heavy  bool   // skipped under -short (the race pass)
 	}{
-		{"flat", "-compose fedat", []int{0}, `"Kind":"fold"`, true},
-		{"edge:2", "-compose fedat -topology edge:2", []int{0, 1}, `"Kind":"edgefold"`, true},
-		{"non-finite loss", "-compose fedavg -attack scale -attack-frac 0.5 -attack-scale 1e308", []int{0}, `"Loss":"NaN"`, false},
+		{"flat", "-compose fedat", "FedAT", []int{0}, `"Kind":"fold"`, true},
+		{"edge:2", "-compose fedat -topology edge:2", "FedAT", []int{0, 1}, `"Kind":"edgefold"`, true},
+		{"non-finite loss", "-compose fedavg -attack scale -attack-frac 0.5 -attack-scale 1e308", "FedAvg", []int{0}, `"Loss":"NaN"`, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.heavy && testing.Short() {
@@ -153,6 +157,7 @@ func TestSimTrace(t *testing.T) {
 			}
 			args := strings.Fields(c.args + " -preset tiny -trace")
 			var traces [2][]string
+			var stdout string
 			for i := range traces {
 				code, out, errs := sim(args...)
 				if code != 0 {
@@ -163,26 +168,73 @@ func TestSimTrace(t *testing.T) {
 						traces[i] = append(traces[i], line)
 					}
 				}
+				stdout = out
 			}
 			if !slices.Equal(traces[0], traces[1]) {
 				t.Fatalf("two runs traced differently: %d and %d lines", len(traces[0]), len(traces[1]))
 			}
-			nodes := map[int]int{}
-			for _, line := range traces[0] {
-				var ev struct{ Node int }
-				if err := json.Unmarshal([]byte(line), &ev); err != nil {
-					t.Fatalf("unparseable trace line %q: %v", line, err)
-				}
-				nodes[ev.Node]++
-			}
-			if got := slices.Sorted(maps.Keys(nodes)); !slices.Equal(got, c.nodes) {
+			byNode := runTraces(t, strings.Join(traces[0], "\n"))
+			if got := slices.Sorted(maps.Keys(byNode)); !slices.Equal(got, c.nodes) {
 				t.Errorf("trace lines from nodes %v, want %v", got, c.nodes)
+			}
+			for node, lines := range byNode {
+				if end := endOf(t, node, lines); len(c.nodes) == 1 && !strings.Contains(stdout, fmt.Sprintf("global updates    %d\n", end.Round)) {
+					t.Errorf("the end line's Round %d is not the global update count printed:\n%s", end.Round, stdout)
+				}
+				if lines[0].Method != c.method {
+					t.Errorf("node %d's start line names %q, want %q", node, lines[0].Method, c.method)
+				}
 			}
 			if !strings.Contains(strings.Join(traces[0], "\n"), c.has) {
 				t.Errorf("no trace line contains %s", c.has)
 			}
 		})
 	}
+}
+
+// traceLine is the part of an fl.TraceLine the CLI tests read.
+type traceLine struct {
+	Node   int
+	Kind   string
+	Method string
+	Round  int
+}
+
+// runTraces parses the trace lines in a log, each from its `{"Node":` on
+// (a server's log prefixes a timestamp), and groups them by node.
+func runTraces(t *testing.T, log string) map[int][]traceLine {
+	t.Helper()
+	byNode := map[int][]traceLine{}
+	for _, line := range strings.Split(log, "\n") {
+		i := strings.Index(line, `{"Node":`)
+		if i < 0 {
+			continue
+		}
+		var l traceLine
+		if err := json.Unmarshal([]byte(line[i:]), &l); err != nil {
+			t.Fatalf("unparseable trace line %q: %v", line, err)
+		}
+		byNode[l.Node] = append(byNode[l.Node], l)
+	}
+	return byNode
+}
+
+// endOf fails the test unless one node's trace lines open with its one
+// start line and close with its one end line, and returns the end line.
+func endOf(t *testing.T, node int, lines []traceLine) traceLine {
+	t.Helper()
+	if len(lines) == 0 {
+		t.Fatalf("node %d wrote no trace line", node)
+	}
+	kinds := map[string]int{}
+	for _, l := range lines {
+		kinds[l.Kind]++
+	}
+	if kinds["start"] != 1 || kinds["end"] != 1 || lines[0].Kind != "start" || lines[len(lines)-1].Kind != "end" {
+		t.Fatalf("node %d's %d trace lines run from %q to %q with %d start and %d end lines, want one of each, first and last",
+			node, len(lines), lines[0].Kind, lines[len(lines)-1].Kind, kinds["start"], kinds["end"])
+	}
+	return lines[len(lines)-1]
 }
 
 // TestSimProfiles: a usage error starts no profile, so it leaves no file

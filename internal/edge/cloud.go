@@ -130,7 +130,11 @@ type Cloud struct {
 	delta   []float64
 	arrival []float64
 
-	run *metrics.Run // cloud-level accounting (folds, staleness, bytes, evals)
+	// Cloud-level accounting: the traffic the cloud link carried, the
+	// latest fold's time, and the record its own events fold into.
+	up, down int64
+	lastFold float64
+	rec      fl.Recorder
 }
 
 // NewCloud builds the fold state machine.
@@ -157,8 +161,8 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 		pending: make([]bool, cfg.Edges),
 		retired: make([]bool, cfg.Edges),
 		global:  tensor.Copy(cfg.W0),
-		run:     &metrics.Run{Method: cfg.Method, Dataset: cfg.Dataset},
 	}
+	c.rec.OnEvent(fl.StartEvent{Method: cfg.Method, Dataset: cfg.Dataset})
 	return c, nil
 }
 
@@ -253,7 +257,7 @@ func (c *Cloud) Push(e int, w []float64, now float64) (fl.EdgeFoldEvent, bool) {
 			panic(fmt.Sprintf("edge: uplink decode: %v", err))
 		}
 		arrival = c.arrival
-		c.run.UpBytes += int64(len(c.wire))
+		c.up += int64(len(c.wire))
 	}
 	return c.arriveLocked(e, arrival, now)
 }
@@ -275,7 +279,7 @@ func (c *Cloud) PushWire(e int, data []byte, now float64) (fl.EdgeFoldEvent, boo
 	if err := DecodeUplinkInto(data, c.refs[e], c.arrival); err != nil {
 		return fl.EdgeFoldEvent{}, false, err
 	}
-	c.run.UpBytes += int64(len(data))
+	c.up += int64(len(data))
 	ev, folded := c.arriveLocked(e, c.arrival, now)
 	return ev, folded, nil
 }
@@ -338,10 +342,10 @@ func (c *Cloud) foldReadyLocked() bool {
 	return true
 }
 
-// foldLocked merges the live slots into the global model and stamps the
-// cloud record. trigger/staleness describe the push that completed the
-// policy (for the event); a retirement-triggered fold passes the lowest
-// still-pending edge.
+// foldLocked merges the live slots into the global model and feeds the
+// fold, and the merged model's evaluation, to the cloud record.
+// trigger/staleness describe the push that completed the policy (for the
+// event); a retirement-triggered fold passes the lowest still-pending edge.
 func (c *Cloud) foldLocked(trigger int, staleness float64, now float64) fl.EdgeFoldEvent {
 	var members []int
 	for e := range c.slots {
@@ -378,16 +382,11 @@ func (c *Cloud) foldLocked(trigger int, staleness float64, now float64) fl.EdgeF
 		Staleness: staleness,
 		Members:   len(members),
 	}
-	c.run.EdgeFolds++
-	c.run.EdgeStaleness += staleness
-	c.run.GlobalRounds = c.epoch
+	c.lastFold = now
+	c.rec.OnEvent(ev)
 	if c.cfg.Eval != nil && c.epoch%c.cfg.EvalEvery == 0 {
 		if res, ok := c.cfg.Eval(c.global); ok {
-			c.run.Add(metrics.Point{
-				Round: c.epoch, Time: now,
-				UpBytes: c.run.UpBytes, DownBytes: c.run.DownBytes,
-				Acc: res.Acc, Loss: res.Loss, Var: res.Variance,
-			})
+			c.rec.OnEvent(fl.EvalEvent{Round: c.epoch, Time: now, Result: res, UpBytes: c.up, DownBytes: c.down})
 		}
 	}
 	return ev
@@ -405,7 +404,7 @@ func (c *Cloud) Adopt(e int) (w []float64, epoch int, ok bool) {
 		return nil, 0, false
 	}
 	c.adopted[e] = c.epoch
-	c.run.DownBytes += int64(rawWireBytes(c.cfg.Shapes, len(c.global)))
+	c.down += int64(rawWireBytes(c.cfg.Shapes, len(c.global)))
 	return tensor.Copy(c.global), c.epoch, true
 }
 
@@ -462,13 +461,14 @@ func (c *Cloud) Global() []float64 {
 	return tensor.Copy(c.global)
 }
 
-// Record returns the cloud-level run record (fold counts, staleness,
-// uplink/downlink bytes, merged-model evaluations). The caller owns it
-// after the hierarchy finishes.
+// Record closes the cloud's event stream and returns the cloud-level run
+// record (fold counts, staleness, uplink/downlink bytes, merged-model
+// evaluations). The caller owns it after the hierarchy finishes.
 func (c *Cloud) Record() *metrics.Run {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.run
+	c.rec.OnEvent(fl.EndEvent{Round: c.epoch, Time: c.lastFold, UpBytes: c.up, DownBytes: c.down})
+	return (*metrics.Run)(&c.rec)
 }
 
 // rawWireBytes is the marshalled size of a raw-float64 model message — the

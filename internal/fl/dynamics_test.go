@@ -142,7 +142,7 @@ func TestRetierFiresAndMigrates(t *testing.T) {
 // config) with RetierEvery unset must produce runs with zero retier
 // bookkeeping — the default path carries no trace of the dynamics
 // subsystem. (Bit-exactness of the default path is pinned separately by
-// TestMethodRunEquivalence against golden_runs.json.)
+// TestTraceGoldens, whose goldens hold each method's run record.)
 func TestStaticRunsUntouchedByDynamicsCode(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Rounds = 8

@@ -13,11 +13,13 @@ import (
 
 // The run event stream. Every method emits the same event kinds as it
 // executes, no matter how its policies are composed; observers subscribe to
-// the stream instead of being wired into each method's loop. The built-in
-// recorder (the thing that produces metrics.Run) is itself just the first
-// subscriber — callers can attach more via Method.Run's variadic observers
-// to trace folds, collect per-client statistics or stream progress without
-// touching the engine.
+// the stream instead of being wired into each method's loop. The stream is
+// the run's one record: a run opens with a StartEvent and, unless it
+// failed, closes with an EndEvent, and the Recorder that produces the
+// metrics.Run every method returns is just the first subscriber — callers
+// can attach more via Method.Run's variadic observers to trace folds,
+// collect per-client statistics or stream progress without touching the
+// engine.
 //
 // Events are observations only: emitting them never draws randomness,
 // reserves link capacity or advances the virtual clock, so attaching an
@@ -28,6 +30,12 @@ import (
 // the full set; observers type-switch on them. kind names the type in a
 // trace line.
 type Event interface{ kind() string }
+
+// StartEvent opens a run's stream, before the first cohort is dispatched.
+type StartEvent struct {
+	Method  string // the method's display name
+	Dataset string
+}
 
 // RoundStartEvent fires when a cohort has been selected and is about to
 // train. Tier is the training tier (-1 when the selecting policy is
@@ -76,7 +84,7 @@ type EvalEvent struct {
 // the cloud model. In a simulated hierarchy it is emitted into the
 // triggering edge's event stream right after the TierFoldEvent whose push
 // caused the cloud fold; on the live fabric each edge emits it when the
-// root's merged model arrives. The cloud-level recorder tallies these into
+// root's merged model arrives. The Recorder tallies these into
 // metrics.Run.EdgeFolds.
 type EdgeFoldEvent struct {
 	Edge  int     // edge id whose push triggered (or delivered) the fold
@@ -102,6 +110,17 @@ type RetierEvent struct {
 	Tiers *tiering.Tiers `json:"-"`
 }
 
+// EndEvent closes the stream of a run that did not fail: the global update
+// count, the clock and the communication totals when the run stopped.
+type EndEvent struct {
+	Round     int
+	Time      float64
+	UpBytes   int64
+	DownBytes int64
+}
+
+func (StartEvent) kind() string      { return "start" }
+func (EndEvent) kind() string        { return "end" }
 func (RoundStartEvent) kind() string { return "round" }
 func (ClientDoneEvent) kind() string { return "done" }
 func (TierFoldEvent) kind() string   { return "fold" }
@@ -163,21 +182,19 @@ type ObserverFunc func(Event)
 // OnEvent implements Observer.
 func (f ObserverFunc) OnEvent(ev Event) { f(ev) }
 
-// recorder is the built-in observer that turns Eval events into the
-// metrics.Run record every method returns, and tallies retier activity.
-type recorder struct {
-	run *metrics.Run
-}
-
-func newRecorder(method, dataset string) *recorder {
-	return &recorder{run: &metrics.Run{Method: method, Dataset: dataset}}
-}
+// Recorder is the fold from the event stream to a run's record: the start
+// event names it, each eval adds a point, retier and edge-fold events are
+// tallied, and the end event stamps the totals. It is the one place events
+// become a metrics.Run; convert a *Recorder with (*metrics.Run)(rec).
+type Recorder metrics.Run
 
 // OnEvent implements Observer.
-func (rec *recorder) OnEvent(ev Event) {
+func (rec *Recorder) OnEvent(ev Event) {
 	switch e := ev.(type) {
+	case StartEvent:
+		rec.Method, rec.Dataset = e.Method, e.Dataset
 	case EvalEvent:
-		rec.run.Add(metrics.Point{
+		rec.Points = append(rec.Points, metrics.Point{
 			Round:     e.Round,
 			Time:      e.Time,
 			UpBytes:   e.UpBytes,
@@ -187,18 +204,12 @@ func (rec *recorder) OnEvent(ev Event) {
 			Var:       e.Result.Variance,
 		})
 	case RetierEvent:
-		rec.run.Retiers++
-		rec.run.TierMigrations += e.Migrations
+		rec.Retiers++
+		rec.TierMigrations += e.Migrations
 	case EdgeFoldEvent:
-		rec.run.EdgeFolds++
-		rec.run.EdgeStaleness += e.Staleness
+		rec.EdgeFolds++
+		rec.EdgeStaleness += e.Staleness
+	case EndEvent:
+		rec.GlobalRounds, rec.UpBytes, rec.DownBytes = e.Round, e.UpBytes, e.DownBytes
 	}
-}
-
-// finish stamps the run totals once the pacer returns.
-func (rec *recorder) finish(comm *Comm, rounds int) *metrics.Run {
-	rec.run.UpBytes = comm.Up
-	rec.run.DownBytes = comm.Down
-	rec.run.GlobalRounds = rounds
-	return rec.run
 }

@@ -30,7 +30,7 @@ import (
 // scratch. The slot vectors are the
 // Comm's fixed-point slots, one per upload in flight. The slack is two
 // float64 vectors for everything smaller than a model: shards, activations,
-// the median's tile, the event queue and the recorder. Each vector counts
+// the median's tile, the event queue and the Recorder. Each vector counts
 // at the size the allocator hands out for it, which above 32 kB is whole
 // 8 kB pages: at 22,210 parameters, 176 kB for a float64 vector and 48 kB
 // for an int16 one, whose 43.4 kB of values take six pages.
@@ -124,7 +124,7 @@ func TestInFlightUplinkFootprint(t *testing.T) {
 // outputs and ReLU masks at the larger of a batch and the largest test
 // split (10 rows), and its input gradients at a batch. The slack is two
 // float64 vectors, for everything smaller than a model (per-client
-// runtimes, tiers, batch scratch, events, the recorder) and the
+// runtimes, tiers, batch scratch, events, the Recorder) and the
 // allocator's rounding. A model-sized buffer outside the pool, such as a
 // result buffer per cohort position (five vectors more than the pool's
 // high-water), or im2col matrices kept per sample (ten more per replica

@@ -139,7 +139,7 @@ func (m Method) Run(env *Env, obs ...Observer) (*metrics.Run, error) {
 
 // RunOn executes the method on an execution fabric — the simulator or the
 // live TCP transport — and returns the run record. Extra observers
-// subscribe to the run event stream alongside the built-in recorder.
+// subscribe to the run event stream alongside the built-in Recorder.
 // Composition errors (unknown policy keys, a pacer/selector mismatch),
 // aggregation errors and channel errors surface here instead of panicking.
 func (m Method) RunOn(fab Fabric, cfg RunConfig, obs ...Observer) (*metrics.Run, error) {
@@ -153,8 +153,9 @@ func (m Method) RunOn(fab Fabric, cfg RunConfig, obs ...Observer) (*metrics.Run,
 
 // Start is RunOn up to the pacer's initial scheduling, leaving the clock to
 // the caller (a hierarchy drives every edge's clock from one merged
-// timeline). After the clock has run, finish returns the run record, or the
-// error that failed the run.
+// timeline). The run's StartEvent is emitted before the pacer's first
+// dispatch. After the clock has run, finish emits the EndEvent and returns
+// the run record, or the error that failed the run (with no EndEvent).
 func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func() (*metrics.Run, error), err error) {
 	if m.Name == "" {
 		return nil, fmt.Errorf("fl: method has no name")
@@ -169,7 +170,7 @@ func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func()
 	}
 
 	root := rng.New(cfg.Seed).SplitLabeled(hashName(m.Name))
-	rec := newRecorder(m.Name, fab.Dataset())
+	rec := new(Recorder)
 	rs := &runState{
 		fab:      fab,
 		cfg:      cfg,
@@ -198,6 +199,7 @@ func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func()
 	if err := rs.sel.Init(rs); err != nil {
 		return nil, fmt.Errorf("fl: method %s: %w", m.Name, err)
 	}
+	rs.emit(StartEvent{Method: m.Name, Dataset: fab.Dataset()})
 	if err := pacer.Start(rs); err != nil {
 		return nil, fmt.Errorf("fl: method %s: %w", m.Name, err)
 	}
@@ -205,7 +207,8 @@ func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func()
 		if rs.runErr != nil {
 			return nil, fmt.Errorf("fl: method %s: %w", m.Name, rs.runErr)
 		}
-		return rec.finish(rs.comm, rs.rule.Rounds()), nil
+		rs.emit(EndEvent{Round: rs.rule.Rounds(), Time: fab.Now(), UpBytes: rs.comm.Up, DownBytes: rs.comm.Down})
+		return (*metrics.Run)(rec), nil
 	}, nil
 }
 
@@ -425,7 +428,7 @@ func (rs *runState) maybeRetier(now float64) (bool, error) {
 }
 
 // maybeEval evaluates the global model at the configured cadence and emits
-// the Eval event the recorder (and any other observer) consumes. Fabrics
+// the Eval event the Recorder (and any other observer) consumes. Fabrics
 // without an evaluation harness skip the event.
 func (rs *runState) maybeEval(round int, now float64, w []float64) {
 	if round < rs.nextEvalAt {
@@ -446,7 +449,7 @@ func (rs *runState) maybeEval(round int, now float64, w []float64) {
 // first label the method's selection policies do not already claim off the
 // same root, so a composition's epoch counts are never correlated with its
 // selection draws. The historical label assignments are fixed by the
-// bit-pinned golden runs — FedProx (random/sync) must keep label 2 — which
+// bit-pinned trace goldens — FedProx (random/sync) must keep label 2 — which
 // is why this walks forward from 2 instead of hashing a fresh namespace.
 func epochLabel(m Method, cfg RunConfig) uint64 {
 	claimed := map[uint64]bool{}

@@ -43,9 +43,6 @@ type Run struct {
 	EdgeStaleness float64
 }
 
-// Add appends an evaluation point.
-func (r *Run) Add(p Point) { r.Points = append(r.Points, p) }
-
 // BestAcc returns the best accuracy any evaluation reached — the paper's
 // "best test accuracy after each training process converges".
 func (r *Run) BestAcc() float64 {

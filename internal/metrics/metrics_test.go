@@ -10,7 +10,7 @@ func sampleRun() *Run {
 	r := &Run{Method: "m", Dataset: "d"}
 	accs := []float64{0.1, 0.2, 0.35, 0.5, 0.48, 0.6}
 	for i, a := range accs {
-		r.Add(Point{
+		r.Points = append(r.Points, Point{
 			Round: i, Time: float64(i) * 10,
 			UpBytes: int64(i) * 100, DownBytes: int64(i) * 50,
 			Acc: a, Loss: 1 - a, Var: 0.01 * float64(i+1),
@@ -104,7 +104,7 @@ func TestSmoothPreservesMean(t *testing.T) {
 		for i, v := range raw {
 			a := float64(v) / 255
 			sum += a
-			r.Add(Point{Round: i, Acc: a})
+			r.Points = append(r.Points, Point{Round: i, Acc: a})
 		}
 		w := int(wRaw%5) + 1
 		sm := r.Smooth(w)

@@ -44,7 +44,7 @@ func sampleRun() *metrics.Run {
 	r := &metrics.Run{Method: "fedat", Dataset: "cifar10like"}
 	accs := []float64{0.1, 0.2, 0.35, 0.5, 0.48, 0.6}
 	for i, a := range accs {
-		r.Add(metrics.Point{
+		r.Points = append(r.Points, metrics.Point{
 			Round: i, Time: float64(i) * 10.5,
 			UpBytes: int64(i) * 100, DownBytes: int64(i) * 50,
 			Acc: a, Loss: 1 - a, Var: 0.01 * float64(i+1),

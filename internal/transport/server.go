@@ -45,7 +45,7 @@ type ServerConfig struct {
 	// TiFL's accuracy-driven selection degrades to credit-only behavior.
 	Eval *fl.Evaluator
 	// Observers subscribe to the engine's run event stream alongside the
-	// built-in recorder. The edge role of a hierarchy attaches its cloud
+	// built-in Recorder. The edge role of a hierarchy attaches its cloud
 	// uplink here — an fl.Syncer rides the observer list, so the engine
 	// pushes to (and rebases from) the root after its own folds.
 	Observers []fl.Observer
