@@ -144,7 +144,7 @@ func TestMethodRunAllocBudget(t *testing.T) {
 			env := benchEnv(t)
 			run := func() {
 				env.ResetState()
-				if _, err := fl.Run(bud.method, env); err != nil {
+				if _, err := fl.Methods[bud.method].Run(env); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -74,7 +74,7 @@ func main() {
 			foldsPerTier[f.Tier]++
 		}
 	})
-	run, err := fl.Run("fedat", env, counter)
+	run, err := fl.Methods["fedat"].Run(env, counter)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,12 +13,10 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/fl"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/simnet"
 )
@@ -37,7 +35,7 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list experiments and exit")
 		format  = fs.String("format", "text", "output format: text, json, or csv")
 		outDir  = fs.String("out", "", "directory to write output files into (required for csv; optional for text/json, which default to stdout)")
-		workers = fs.Int("workers", 0, "global cap on concurrently executing simulations (0 = GOMAXPROCS); with -exp all, also caps concurrent experiments")
+		workers = fs.Int("workers", 0, "global cap on concurrently executing simulations (0 = GOMAXPROCS)")
 
 		// Profiling and scale knobs.
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -168,37 +166,28 @@ func runExperiments(id string, p experiments.Preset, format, outDir string, work
 		ids = experiments.IDs()
 	}
 
-	// Independent experiments run concurrently over a bounded pool; shared
-	// cells dedupe inside the scheduler. Results become available in id
-	// order as soon as each is ready. The pool is plain goroutines, not a
-	// parallel region: an experiment spends much of its life waiting on
-	// cells another experiment has in flight, and a wait must not hold a
-	// helper of the core budget that the cells, cohorts and GEMMs under
-	// the running experiments could use.
+	// Independent experiments run concurrently, one goroutine each; shared
+	// cells dedupe inside the scheduler, whose gate caps the simulations
+	// at -workers. Results become available in id order as soon as each
+	// is ready. The goroutines are plain ones, not a parallel region: an
+	// experiment spends most of its life waiting on cells, and a wait must
+	// not hold a helper of the core budget that the cells, cohorts and
+	// GEMMs under the running experiments could use.
 	type result struct {
 		rep *experiments.Report
 		err error
 		dur time.Duration
 	}
 	results := make([]chan result, len(ids))
-	for i := range results {
+	for i, id := range ids {
 		results[i] = make(chan result, 1)
-	}
-	expWorkers := workers
-	if expWorkers <= 0 {
-		expWorkers = parallel.Workers(len(ids))
-	}
-	var next atomic.Int64
-	for range min(expWorkers, len(ids)) {
 		go func() {
-			for i := int(next.Add(1) - 1); i < len(ids); i = int(next.Add(1) - 1) {
-				start := time.Now()
-				rep, err := experiments.RunByID(ids[i], p)
-				if err == nil {
-					rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-				}
-				results[i] <- result{rep: rep, err: err, dur: time.Since(start)}
+			start := time.Now()
+			rep, err := experiments.RunByID(id, p)
+			if err == nil {
+				rep.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
 			}
+			results[i] <- result{rep: rep, err: err, dur: time.Since(start)}
 		}()
 	}
 

@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/fl"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/report"
+	"repro/internal/simnet"
 )
 
 // Figure6 reproduces the weighted-vs-uniform aggregation comparison: FedAT
@@ -24,7 +24,7 @@ func Figure6(p Preset) (*Report, error) {
 	uniform := make([]cell, len(figure2Specs))
 	for i, spec := range figure2Specs {
 		weighted[i] = cell{p: p, d: spec, method: "fedat"}
-		uniform[i] = cell{p: p, d: spec, method: "fedat", variant: "agg=uniform", spec: &uniformFedAT}
+		uniform[i] = cell{p: p, d: spec, method: "fedat", variant: "agg=uniform", spec: &uniformFedAT, mutate: polyline4}
 	}
 	if err := scheduleCells(append(append([]cell{}, weighted...), uniform...)); err != nil {
 		return nil, err
@@ -127,55 +127,43 @@ var figure10Configs = []struct {
 
 // Figure10 reproduces the robustness study over client distributions across
 // tiers (the paper's 100/100/100/100/100 … 200/100/100/50/50 splits of 500
-// clients, scaled to the preset).
+// clients, scaled to the preset). Each distribution is the registry FedAT
+// cell of Figure 7 with its tier sizes set, so it trains to the same budget.
 func Figure10(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig10", Title: "Impact of client distribution across tiers (paper Figure 10)"}
 	spec := dsSpec{name: "femnist", large: true}
-	fed, err := buildFed(p, spec)
-	if err != nil {
+	sizes := make([][]int, len(figure10Configs))
+	cells := make([]cell, len(figure10Configs))
+	for i, cfg := range figure10Configs {
+		sizes[i] = fracSizes(p.LargeClients, cfg.frac)
+		cells[i] = cell{p: p, d: spec, method: "fedat", variant: "tiers=" + cfg.label,
+			cmutate: func(cc *simnet.ClusterConfig) { cc.PartSizes = sizes[i] }}
+	}
+	if err := scheduleCells(cells); err != nil {
 		return nil, err
 	}
-	n := len(fed.Clients)
 
 	tb := report.NewTable("FedAT on femnist across tier-size distributions",
 		"distribution", "part sizes", "best acc", "final time")
 	tl := map[string]*metrics.Run{}
 	var order []string
-	// The four distributions are independent simulations on disjoint Envs;
-	// run them concurrently and render from the index-ordered results.
-	allSizes := make([][]int, len(figure10Configs))
-	runs := make([]*metrics.Run, len(figure10Configs))
-	errs := make([]error, len(figure10Configs))
-	parallel.Dynamic(len(figure10Configs), schedulerWorkers(len(figure10Configs)), func(i int) {
-		allSizes[i] = fracSizes(n, figure10Configs[i].frac)
-		runs[i], errs[i] = simulateDirect(func() (*metrics.Run, error) {
-			env, err := buildEnvParts(p, spec, allSizes[i], nil)
-			if err != nil {
-				return nil, err
-			}
-			return fl.Run("fedat", env)
-		})
-		if errs[i] == nil {
-			runs[i].Method = figure10Configs[i].label
+	for i, cfg := range figure10Configs {
+		run, err := cellRun(cells[i])
+		if err != nil {
+			return nil, err
 		}
-	})
-	for i, cfgEntry := range figure10Configs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		run := runs[i]
-		rep.Keep(cfgEntry.label, run)
-		tl[cfgEntry.label] = run
-		order = append(order, cfgEntry.label)
+		rep.Keep(cfg.label, run)
+		tl[cfg.label] = run
+		order = append(order, cfg.label)
 		finalTime := 0.0
 		if len(run.Points) > 0 {
 			finalTime = run.Points[len(run.Points)-1].Time
 		}
-		tb.AddRow(report.Str(cfgEntry.label), report.Str(fmt.Sprint(allSizes[i])),
+		tb.AddRow(report.Str(cfg.label), report.Str(fmt.Sprint(sizes[i])),
 			accCell(run.BestAcc()), timeCell(finalTime))
 	}
 	rep.AddTable(tb)
-	rep.AddTable(timelineTable("Smoothed accuracy over time", tl, order, p.SmoothWindow, false))
+	rep.AddTable(timelineTable("Smoothed accuracy over time", tl, order, p.SmoothWindow, true))
 	timelineSeries(rep, "", tl, order, p.SmoothWindow)
 	rep.AddNote("Paper shape: all four distributions converge to close accuracy; Slow/Medium " +
 		"converge slightly faster than Fast (fast-heavy tiers hold less total data per round of work).")

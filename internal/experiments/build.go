@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/codec"
 	"repro/internal/dataset"
@@ -33,13 +34,24 @@ func (d dsSpec) label() string {
 	return d.name + "(iid)"
 }
 
-// buildFed constructs the federated dataset for a spec.
-func buildFed(p Preset, d dsSpec) (*dataset.Federated, error) {
-	clients := p.Clients
-	if d.large {
-		clients = p.LargeClients
+// buildFed constructs n clients of the spec's federated dataset, the data
+// seed offset by off: an edge shard's offset, 0 for a flat run.
+func buildFed(p Preset, d dsSpec, n int, off uint64) (*dataset.Federated, error) {
+	seed := p.Seed + uint64(d.classesPerClient) + off
+	switch d.name {
+	case "cifar10":
+		return dataset.CIFAR10Like(n, d.classesPerClient, p.DataScale, seed)
+	case "fashion":
+		return dataset.FashionLike(n, d.classesPerClient, p.DataScale, seed)
+	case "sent140":
+		return dataset.Sent140Like(n, d.classesPerClient, p.DataScale, seed)
+	case "femnist":
+		return dataset.FEMNISTLike(n, p.DataScale, seed)
+	case "reddit":
+		return dataset.RedditLike(n, p.DataScale, seed)
+	default:
+		return nil, fmt.Errorf("experiments: unknown dataset %q", d.name)
 	}
-	return buildFedSized(p, d, clients, 0)
 }
 
 // modelFactory picks the paper's architecture for a dataset (§6 "Models").
@@ -76,10 +88,9 @@ func modelFactory(p Preset, fed *dataset.Federated) fl.ModelFactory {
 // double the slow tiers' round times (≈2-4x spread between the fastest and
 // slowest tier). Making compute negligible instead would exaggerate the
 // tier-frequency skew far beyond the regime Eq. 5 was designed for.
-func clusterConfig(p Preset, numClients int, partSizes []int) simnet.ClusterConfig {
+func clusterConfig(p Preset, numClients int) simnet.ClusterConfig {
 	return simnet.ClusterConfig{
 		NumClients:  numClients,
-		PartSizes:   partSizes,
 		NumUnstable: numClients / 10,
 		DropHorizon: 20000,
 		SecPerBatch: 1.0,
@@ -137,10 +148,9 @@ func methodRoundCap(m fl.Method, base int) int {
 }
 
 // applyRoundBudget scales the round cap and evaluation cadence to the
-// method's pacing granularity — one definition shared by scheduler cells
-// and RunComposedTopology, so -compose runs stay comparable to cached
-// experiment cells. Evaluation cadence grows with the round cap, but only
-// half as fast: cheap-update methods produce updates faster in TIME too,
+// method's pacing granularity; every cell's RunConfig goes through it, so
+// -compose runs stay comparable to cached experiment cells. Evaluation
+// cadence grows with the round cap, but only half as fast: cheap-update methods produce updates faster in TIME too,
 // so halving keeps the wall-clock eval density of their timelines
 // comparable to the synchronous baselines'.
 func applyRoundBudget(cfg *fl.RunConfig, m fl.Method) {
@@ -153,92 +163,78 @@ func applyRoundBudget(cfg *fl.RunConfig, m fl.Method) {
 	}
 }
 
-// buildEnvParts assembles a ready environment for (preset, dataset spec)
-// with an explicit tier-size distribution (the Figure 10 configurations)
-// and optional RunConfig mutation.
-func buildEnvParts(p Preset, d dsSpec, partSizes []int, mutate func(*fl.RunConfig)) (*fl.Env, error) {
-	return buildEnvFull(p, d, partSizes, mutate, nil)
-}
+// polyline4 is §6's transmit codec: FedAT uses polyline precision 4
+// throughout the evaluation; baselines transmit raw models.
+func polyline4(cfg *fl.RunConfig) { cfg.Codec = codec.NewPolyline(4) }
 
-// buildEnvFull is the common body: explicit tier sizes, a RunConfig
-// mutation, and a ClusterConfig mutation (the dynamics experiments switch
-// on drift/churn behavior through the latter).
-func buildEnvFull(p Preset, d dsSpec, partSizes []int, mutate func(*fl.RunConfig), cmutate func(*simnet.ClusterConfig)) (*fl.Env, error) {
-	fed, err := buildFed(p, d)
+// runCell is the one body that runs a cell, cached or not: it builds the
+// cell's RunConfig and environment (one per edge under a hierarchy) and
+// runs its method. Cells sharing a preset and spec start from the same
+// dataset, cluster and seed, and every method from the same time budget. A
+// non-nil trace receives the event stream as fl.TraceLine lines (node 0
+// flat, else the edge id) in timeline order.
+func runCell(c cell, trace io.Writer) (*metrics.Run, error) {
+	m, err := c.methodSpec()
 	if err != nil {
 		return nil, err
 	}
-	cfg := runConfig(p, d)
-	if mutate != nil {
-		mutate(&cfg)
+	cfg := c.runConfig(m)
+	if c.cloud.Edges > 0 {
+		return runHierarchy(c, m, cfg, trace)
 	}
-	ccfg := clusterConfig(p, len(fed.Clients), partSizes)
-	if cmutate != nil {
-		cmutate(&ccfg)
+	env, _, err := c.env(cfg, c.clients(), 0)
+	if err != nil {
+		return nil, err
+	}
+	if trace == nil {
+		return m.Run(env)
+	}
+	return m.Run(env, fl.Trace(trace, 0))
+}
+
+// runConfig is the cell's RunConfig, flat or per edge: the preset's
+// block, polyline4 for the registry's FedAT (an explicit composition
+// transmits what its mutate sets), the cell's mutate, then the round
+// budget of the method's pacing.
+func (c cell) runConfig(m fl.Method) fl.RunConfig {
+	cfg := runConfig(c.p, c.d)
+	if c.method == "fedat" && c.spec == nil {
+		polyline4(&cfg)
+	}
+	if c.mutate != nil {
+		c.mutate(&cfg)
+	}
+	applyRoundBudget(&cfg, m)
+	return cfg
+}
+
+// clients is the cell's population size over all edges.
+func (c cell) clients() int {
+	if c.d.large {
+		return c.p.LargeClients
+	}
+	return c.p.Clients
+}
+
+// env builds one engine's environment over n clients of the cell's
+// dataset and cluster, both seeds offset by off (see buildFed). It returns
+// the dataset too, for a hierarchy's cloud evaluator.
+func (c cell) env(cfg fl.RunConfig, n int, off uint64) (*fl.Env, *dataset.Federated, error) {
+	fed, err := buildFed(c.p, c.d, n, off)
+	if err != nil {
+		return nil, nil, err
+	}
+	ccfg := clusterConfig(c.p, n)
+	ccfg.Seed += off
+	if c.cmutate != nil {
+		c.cmutate(&ccfg)
 	}
 	pop, err := simnet.NewPopulation(ccfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return fl.NewEnv(fed, pop, modelFactory(p, fed), cfg)
-}
-
-// simulateCell executes one scheduler cell on a fresh environment
-// (identical dataset, cluster and seed for every cell sharing a preset and
-// spec). Every method shares the same time budget; round caps and
-// evaluation cadence scale with the method's update granularity so
-// evaluation counts stay comparable.
-func simulateCell(c cell) (*metrics.Run, error) {
-	acquireSlot() // the global -workers budget, shared by every batch
-	defer releaseSlot()
-	method, err := c.methodSpec()
-	if err != nil {
-		return nil, err
-	}
-	env, err := buildEnvFull(c.p, c.d, nil, func(cfg *fl.RunConfig) {
-		if c.method == "fedat" {
-			// §6: FedAT uses polyline precision 4 throughout the
-			// evaluation; baselines transmit raw models. Experiment
-			// variants (Figure 5) may override via mutate.
-			cfg.Codec = codec.NewPolyline(4)
-		}
-		if c.mutate != nil {
-			c.mutate(cfg)
-		}
-		applyRoundBudget(cfg, method)
-	}, c.cmutate)
-	if err != nil {
-		return nil, err
-	}
-	simulations.Add(1)
-	return method.Run(env)
-}
-
-// ComposeDynamics is what fedsim's compose mode lays over the standard
-// testbed, in the two shapes the testbed is built from. The zero value
-// runs the static testbed.
-type ComposeDynamics struct {
-	// Run writes the engine-side knobs (re-tiering, DP, fedbuff buffer,
-	// staleness, adaptive LR) into the preset's RunConfig; nil leaves it
-	// alone.
-	Run func(*fl.RunConfig)
-	// Behavior is the population regime: DriftMag, ChurnFrac and the
-	// Attack* fields are the caller's; the drift interval, clamp and churn
-	// windows are always the dynamics experiment's.
-	Behavior simnet.BehaviorConfig
-}
-
-func (dyn ComposeDynamics) applyRun(cfg *fl.RunConfig) {
-	if dyn.Run != nil {
-		dyn.Run(cfg)
-	}
-}
-
-func (dyn ComposeDynamics) behavior() simnet.BehaviorConfig {
-	b := dyn.Behavior
-	b.DriftInterval, b.DriftClamp = dynBehavior.DriftInterval, dynBehavior.DriftClamp
-	b.ChurnOn, b.ChurnOff = dynBehavior.ChurnOn, dynBehavior.ChurnOff
-	return b
+	env, err := fl.NewEnv(fed, pop, modelFactory(c.p, fed), cfg)
+	return env, fed, err
 }
 
 // fmtAcc renders an accuracy like the paper's tables.

@@ -11,30 +11,34 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/edge"
 	"repro/internal/fl"
 	"repro/internal/metrics"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/simnet"
 )
 
-// Runs are deterministic given (preset, dataset spec, method, config
-// variant), so experiments that share underlying runs (Figure 2, Figure 4
-// and Table 2 all analyze the same training) reuse them through a shared
-// cell cache instead of re-simulating.
+// Every experiment run is a cell: a simulation fully described by (preset,
+// dataset spec, method, variant), and so deterministic given them.
+// Experiments that share runs (Figure 2, Figure 4 and Table 2 all analyze
+// the same training) reuse them through a shared cell cache instead of
+// re-simulating.
 //
-// The scheduler below replaces the old lock-and-run-missing loop with a
-// plan/execute model:
+// The scheduler runs a plan/execute/fill sequence:
 //
 //  1. Plan: collect every cache-missing cell of the request and CLAIM it
 //     under one critical section. A cell already claimed by a concurrent
 //     experiment is not re-claimed — the requester just waits on it
 //     (singleflight dedup), so concurrent experiments sharing cells never
 //     simulate the same cell twice.
-//  2. Execute: dispatch the claimed cells over a parallel.Dynamic worker
-//     pool in sorted key order. Each cell builds a fresh Env (own dataset,
-//     own cluster, own RNG streams) and runs its method, so cells never
-//     share mutable state and the result is bit-identical to a serial run.
+//  2. Execute: each claimed cell runs on its own goroutine, which takes a
+//     slot of the one process-wide gate before it builds anything. The
+//     goroutines are plain ones, not a parallel region: a cell waiting for
+//     a slot must not hold a helper of the core budget that the running
+//     cells' cohorts and GEMMs could use. Each cell builds a fresh Env
+//     (own dataset, own cluster, own RNG streams) and runs its method, so
+//     cells never share mutable state and the result is bit-identical to a
+//     serial run.
 //  3. Fill: publish each finished run by closing the cell's done channel;
 //     waiters read the result without re-entering the critical section.
 //
@@ -51,13 +55,17 @@ type cell struct {
 	variant string
 	mutate  func(*fl.RunConfig)
 	// cmutate adjusts the simulated cluster (the dynamics experiments
-	// switch on drift/churn behavior). Like mutate it must be a
-	// deterministic function of variant.
+	// switch on drift/churn behavior, Figure 10 sets the tier sizes). Like
+	// mutate it must be a deterministic function of variant.
 	cmutate func(*simnet.ClusterConfig)
 	// spec overrides the registry lookup with an explicit policy
 	// composition (the composition-ablation cells). When set, method must
 	// be a unique label for the composition — it keys the cache.
 	spec *fl.Method
+	// cloud is the topology: Edges 0 runs flat, K >= 1 runs K edge engines
+	// over sharded populations folding into a cloud model (runHierarchy).
+	// Like mutate it must be named by the method label or the variant.
+	cloud edge.CloudConfig
 }
 
 func (c cell) key() string { return cacheKey(c.p, c.d, c.method, c.variant) }
@@ -91,8 +99,8 @@ var runCache = struct {
 
 // simulations counts every simulation executed in-process (not served
 // from cache or deduped onto another experiment's in-flight run):
-// scheduler cells and simulateDirect's runs. Tests use deltas of it to
-// assert the exactly-once property.
+// scheduler cells and simulateDirect's uncached runs. Tests use deltas of
+// it to assert the exactly-once property.
 var simulations atomic.Int64
 
 // SimulationCount reports how many simulations this process has executed.
@@ -114,8 +122,8 @@ func CacheHitCount() int64 { return cacheHits.Load() }
 // SchedulerMeta snapshots the scheduler's account of the process so far:
 // total simulations, cache hits, and the per-cell record (key, simulation
 // wall-clock, hit count) in key order. Cells still in flight are skipped —
-// their timing is not yet known. Figure 10's direct simulations count in
-// Simulations but have no cell entry (they bypass the cache by design).
+// their timing is not yet known. Uncached runs (the scale experiment's
+// ladder, fedsim -compose) count in Simulations but have no cell entry.
 func SchedulerMeta() *report.SchedulerMeta {
 	meta := &report.SchedulerMeta{
 		Simulations: simulations.Load(),
@@ -154,21 +162,8 @@ func SetWorkers(n int) {
 	gate.cond.Broadcast() // the cap may have risen; wake waiting acquirers
 }
 
-// schedulerWorkers returns the dispatch width for a batch of n cells. The
-// global gate below is what actually bounds concurrency across batches.
-func schedulerWorkers(n int) int {
-	w := slotCap()
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// gate bounds how many simulations execute at once PROCESS-WIDE. Batches
-// from concurrent experiments (and Figure 10's direct runs) all draw from
+// gate bounds how many simulations execute at once PROCESS-WIDE. Cells
+// from concurrent experiments (and simulateDirect's runs) all draw from
 // this one budget, so -workers is a true global cap rather than a
 // per-batch one: '-exp all -workers 2' never runs more than two
 // simulations at a time no matter how many experiments are in flight.
@@ -204,8 +199,8 @@ func releaseSlot() {
 	gate.cond.Broadcast()
 }
 
-// simulateDirect runs one uncached simulation (Figure 10's per-
-// distribution FedAT runs) under the same global gate and counter as
+// simulateDirect runs one uncached simulation (the scale experiment's
+// ladder, fedsim -compose) under the same global gate and counter as
 // scheduler cells, so -workers and the fedsim summary line account for
 // it. run should do ALL its work inside — including building the Env,
 // the memory-heavy phase the gate exists to bound.
@@ -250,21 +245,18 @@ func scheduleCells(cells []cell) error {
 	}
 	runCache.Unlock()
 
-	// Execute claimed cells in sorted key order so the dispatch order (and
-	// with one worker, the execution order) is independent of request
-	// order. Dynamic dispatch, not static chunks: cell costs vary wildly
-	// (a large-scale reddit cell is orders slower than a sent140 one), so
-	// chunking would let one worker serialize the expensive cells while
-	// the others idle.
-	keys := slices.Sorted(maps.Keys(owned))
-	parallel.Dynamic(len(keys), schedulerWorkers(len(keys)), func(i int) {
-		oc := owned[keys[i]]
-		st := oc.st
-		start := time.Now()
-		st.run, st.err = simulateCell(oc.c)
-		st.simMS = float64(time.Since(start)) / float64(time.Millisecond)
-		close(st.done)
-	})
+	// Execute: one goroutine per claimed cell, each behind the gate.
+	for _, oc := range owned {
+		go func() {
+			acquireSlot()
+			start := time.Now()
+			simulations.Add(1)
+			oc.st.run, oc.st.err = runCell(oc.c, nil)
+			oc.st.simMS = float64(time.Since(start)) / float64(time.Millisecond)
+			releaseSlot()
+			close(oc.st.done)
+		}()
+	}
 
 	// Fill/wait: collect every requested cell, evicting this batch's own
 	// failures so they can be retried. Failed cells owned by concurrent
@@ -289,15 +281,13 @@ func scheduleCells(cells []cell) error {
 	return firstErr
 }
 
-// cachedRunMethods schedules the named methods' cells (sharing in-flight
-// and cached runs with every other experiment) and returns the run records
-// keyed by method. variant must uniquely describe the mutation applied to
-// the RunConfig ("" for none); mutations must be deterministic functions
-// of the variant string.
-func cachedRunMethods(p Preset, d dsSpec, names []string, variant string, mutate func(*fl.RunConfig)) (map[string]*metrics.Run, error) {
+// cachedRunMethods schedules the named methods' plain cells (sharing
+// in-flight and cached runs with every other experiment) and returns the
+// run records keyed by method.
+func cachedRunMethods(p Preset, d dsSpec, names []string) (map[string]*metrics.Run, error) {
 	cells := make([]cell, len(names))
 	for i, name := range names {
-		cells[i] = cell{p: p, d: d, method: name, variant: variant, mutate: mutate}
+		cells[i] = cell{p: p, d: d, method: name}
 	}
 	if err := scheduleCells(cells); err != nil {
 		return nil, err
@@ -336,11 +326,11 @@ func cellRun(c cell) (*metrics.Run, error) {
 // serially (one cachedRunMethods call per spec) instead runs concurrently
 // across the whole grid. The follow-up cachedRunMethods calls then hit the
 // cache.
-func prefetch(p Preset, specs []dsSpec, names []string, variant string, mutate func(*fl.RunConfig)) error {
+func prefetch(p Preset, specs []dsSpec, names []string) error {
 	cells := make([]cell, 0, len(specs)*len(names))
 	for _, d := range specs {
 		for _, name := range names {
-			cells = append(cells, cell{p: p, d: d, method: name, variant: variant, mutate: mutate})
+			cells = append(cells, cell{p: p, d: d, method: name})
 		}
 	}
 	return scheduleCells(cells)

@@ -14,11 +14,11 @@ import (
 // bytes each method had consumed.
 func Figure4(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig4", Title: "Accuracy vs cumulative uploaded bytes (paper Figure 4)"}
-	if err := prefetch(p, figure2Specs, table1Methods, "", nil); err != nil {
+	if err := prefetch(p, figure2Specs, table1Methods); err != nil {
 		return nil, err
 	}
 	for _, spec := range figure2Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods, "", nil)
+		runs, err := cachedRunMethods(p, spec, table1Methods)
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +52,7 @@ func Figure4(p Preset) (*Report, error) {
 // to achieve the target accuracy" (up+down, in MB).
 func Table2(p Preset) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Data transferred to reach target accuracy (paper Table 2)"}
-	if err := prefetch(p, figure2Specs, table1Methods, "", nil); err != nil {
+	if err := prefetch(p, figure2Specs, table1Methods); err != nil {
 		return nil, err
 	}
 	tb := report.NewTable("Bytes (up+down) to reach 90% of FedAT's best accuracy",
@@ -63,7 +63,7 @@ func Table2(p Preset) (*Report, error) {
 		rows[m] = []report.Cell{report.Str(methodLabel(m))}
 	}
 	for _, spec := range figure2Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods, "", nil)
+		runs, err := cachedRunMethods(p, spec, table1Methods)
 		if err != nil {
 			return nil, err
 		}

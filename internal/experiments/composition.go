@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/codec"
 	"repro/internal/fl"
 	"repro/internal/report"
 )
@@ -52,7 +51,7 @@ func AblationCompose(p Preset) (*Report, error) {
 		v := v
 		c := cell{p: p, d: spec, method: v.label, spec: &v.spec}
 		if v.poly {
-			c.mutate = func(cfg *fl.RunConfig) { cfg.Codec = codec.NewPolyline(4) }
+			c.mutate = polyline4
 		}
 		cells = append(cells, c)
 	}

@@ -21,11 +21,11 @@ var figure2Specs = []dsSpec{
 // probes the same region of the curve.
 func Figure2(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig2", Title: "Convergence timelines and time-to-target accuracy (paper Figure 2)"}
-	if err := prefetch(p, figure2Specs, table1Methods, "", nil); err != nil {
+	if err := prefetch(p, figure2Specs, table1Methods); err != nil {
 		return nil, err
 	}
 	for _, spec := range figure2Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods, "", nil)
+		runs, err := cachedRunMethods(p, spec, table1Methods)
 		if err != nil {
 			return nil, err
 		}
@@ -72,7 +72,7 @@ var figure3Specs = []dsSpec{
 // Figure3 reproduces the convergence comparison across non-IID levels.
 func Figure3(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig3", Title: "Convergence vs non-IID level on CIFAR-10 (paper Figure 3)"}
-	if err := prefetch(p, figure3Specs, table1Methods, "", nil); err != nil {
+	if err := prefetch(p, figure3Specs, table1Methods); err != nil {
 		return nil, err
 	}
 	finals := report.NewTable("Best accuracy per non-IID level",
@@ -82,7 +82,7 @@ func Figure3(p Preset) (*Report, error) {
 		rows[m] = []report.Cell{report.Str(methodLabel(m))}
 	}
 	for _, spec := range figure3Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods, "", nil)
+		runs, err := cachedRunMethods(p, spec, table1Methods)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // The experiment tests read the Tiny batch (golden_test.go): TestGoldenText
 // pins every report's bytes, and the tests here check the properties of the
@@ -133,6 +136,18 @@ func TestFigure10Tiny(t *testing.T) {
 		if rep.Runs[cfg.label].GlobalRounds == 0 {
 			t.Fatalf("distribution %s completed no rounds", cfg.label)
 		}
+	}
+}
+
+// TestFigure10UniformIsFigure7FedAT checks that Figure 10 trains each
+// distribution as the registry FedAT cell trains at large scale: every
+// preset's LargeClients divides by five, so the Uniform split is the
+// default one and its record must be Figure 7's FedAT record.
+func TestFigure10UniformIsFigure7FedAT(t *testing.T) {
+	got := fmt.Sprintf("%+v", *tinyReport(t, "fig10").Runs["Uniform"])
+	want := fmt.Sprintf("%+v", *tinyReport(t, "fig7").Runs["fedat"])
+	if got != want {
+		t.Fatalf("fig10 Uniform record differs from fig7 FedAT:\n--- fig10 ---\n%s\n--- fig7 ---\n%s", got, want)
 	}
 }
 

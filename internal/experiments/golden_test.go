@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/parallel"
 )
 
 // update regenerates the golden files from the current renderer:
@@ -26,15 +24,22 @@ type tinyResult struct {
 }
 
 // tinyBatch runs every registry id at the Tiny preset as one concurrent
-// batch, the way fedsim -exp all does, once per test binary: cells that
+// batch, one goroutine per experiment the way fedsim -exp all does, once
+// per test binary: cells that
 // several experiments request are simulated once by the scheduler's shared
 // cache. TestGoldenText and the per-experiment tests all read from it.
 var tinyBatch = sync.OnceValue(func() map[string]tinyResult {
 	ids := IDs()
 	results := make([]tinyResult, len(ids))
-	parallel.Dynamic(len(ids), parallel.Workers(len(ids)), func(i int) {
-		results[i].rep, results[i].err = RunByID(ids[i], Tiny)
-	})
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i].rep, results[i].err = RunByID(id, Tiny)
+		}()
+	}
+	wg.Wait()
 	out := make(map[string]tinyResult, len(ids))
 	for i, id := range ids {
 		out[id] = results[i]

@@ -7,6 +7,7 @@ import (
 	"repro/internal/fl"
 	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/simnet"
 )
 
 // The hierarchy experiment: the paper's FedAT is a two-level system —
@@ -34,10 +35,6 @@ type hierarchyRow struct {
 // differs) — the table doubles as a standing correctness check.
 func Hierarchy(p Preset) (*Report, error) {
 	rep := &Report{ID: "hierarchy", Title: "Hierarchical edge fabric: flat vs K-edge topologies"}
-	dyn := ComposeDynamics{
-		Run:      func(cfg *fl.RunConfig) { cfg.RetierEvery = dynRetierEvery },
-		Behavior: dynBehavior,
-	}
 	m, err := fl.Lookup("fedat")
 	if err != nil {
 		return nil, err
@@ -50,12 +47,25 @@ func Hierarchy(p Preset) (*Report, error) {
 		{"edge2/async", edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1}},
 		{"edge2/async+topk", edge.CloudConfig{Edges: 2, Fold: edge.FoldAsync, Buffer: 1, TopKFrac: 0.25}},
 	}
+	// Every row is the registry FedAT as an explicit composition, so it
+	// transmits raw like fedsim -compose; the variant names the topology.
+	cells := make([]cell, len(rows))
+	for i, row := range rows {
+		cells[i] = cell{p: p, d: dsSpec{name: "cifar10", classesPerClient: 2}, method: "fedat", spec: &m,
+			variant: "hier/" + row.key,
+			mutate:  func(cfg *fl.RunConfig) { cfg.RetierEvery = dynRetierEvery },
+			cmutate: func(cc *simnet.ClusterConfig) { cc.Behavior = dynBehavior },
+			cloud:   row.cloud}
+	}
+	if err := scheduleCells(cells); err != nil {
+		return nil, err
+	}
 
 	tb := report.NewTable("fedat on cifar10(#2) under speed drift + churn",
 		"topology", "best acc", "final acc", "sec/update", "edge folds", "mean staleness", "cloud MB up")
 	timeline := map[string]*metrics.Run{}
-	for _, row := range rows {
-		run, err := RunComposedTopology(p, m, dyn, row.cloud, nil)
+	for i, row := range rows {
+		run, err := cellRun(cells[i])
 		if err != nil {
 			return nil, err
 		}

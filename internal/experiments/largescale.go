@@ -10,12 +10,11 @@ var figure7Methods = []string{"fedat", "tifl", "fedavg", "fedprox", "fedasync", 
 
 // Figure7 reproduces the large-scale FEMNIST experiment: accuracy over time
 // and accuracy over uploaded bytes with the large client population. The
-// single cachedRunMethods call schedules all six methods' cells over the
-// parallel worker pool at once.
+// single cachedRunMethods call schedules all six methods' cells at once.
 func Figure7(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig7", Title: "Large-scale FEMNIST: accuracy over time and bytes (paper Figure 7)"}
 	spec := dsSpec{name: "femnist", large: true}
-	runs, err := cachedRunMethods(p, spec, figure7Methods, "", nil)
+	runs, err := cachedRunMethods(p, spec, figure7Methods)
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +51,7 @@ var figure8Methods = []string{"fedat", "tifl", "fedprox"}
 func Figure8(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig8", Title: "Reddit LSTM: accuracy and loss over time (paper Figure 8)"}
 	spec := dsSpec{name: "reddit", large: true}
-	runs, err := cachedRunMethods(p, spec, figure8Methods, "", nil)
+	runs, err := cachedRunMethods(p, spec, figure8Methods)
 	if err != nil {
 		return nil, err
 	}

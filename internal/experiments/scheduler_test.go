@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/edge"
+	"repro/internal/simnet"
 )
 
 // microPreset builds a minimal preset for scheduler tests. Presets that
@@ -26,12 +30,42 @@ func microPreset(name string) Preset {
 	}
 }
 
+// topologyCells are the two cell kinds beyond a plain flat run: an edge:2
+// hierarchy over the large population (five clients an edge, one a tier)
+// and a flat run with explicit tier sizes, as Figure 10 builds it.
+func topologyCells(p Preset) []cell {
+	sizes := fracSizes(p.Clients, figure10Configs[1].frac)
+	return []cell{
+		{p: p, d: dsSpec{name: "cifar10", classesPerClient: 2, large: true}, method: "fedat",
+			variant: "edge2/sync", cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}},
+		{p: p, d: dsSpec{name: "cifar10", classesPerClient: 2}, method: "fedat",
+			variant: "tiers=Slow", cmutate: func(cc *simnet.ClusterConfig) { cc.PartSizes = sizes }},
+	}
+}
+
+// cellRecords schedules cs and renders each record as %+v.
+func cellRecords(cs []cell) ([]string, error) {
+	if err := scheduleCells(cs); err != nil {
+		return nil, err
+	}
+	out := make([]string, len(cs))
+	for i, c := range cs {
+		run, err := cellRun(c)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = fmt.Sprintf("%+v", *run)
+	}
+	return out, nil
+}
+
 // TestSchedulerByteIdenticalAndExactlyOnce is the scheduler's core
 // contract: two experiments that share simulation cells (Figure 6 and the
 // theory check both need FedAT on cifar10(#2) and sent140(#2)) run
-// concurrently, and (a) their reports are byte-identical to a serial
-// -workers 1 run, (b) every unique cell is simulated exactly once despite
-// the concurrent requests.
+// concurrently beside a hierarchy cell and a tier-sized cell, and (a)
+// their reports and records are byte-identical to a serial -workers 1
+// run, (b) every unique cell is simulated exactly once despite the
+// concurrent requests.
 func TestSchedulerByteIdenticalAndExactlyOnce(t *testing.T) {
 	defer SetWorkers(0)
 
@@ -47,28 +81,33 @@ func TestSchedulerByteIdenticalAndExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	topoSerial, err := cellRecords(topologyCells(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
 	serialSims := SimulationCount() - base
 
-	// Concurrent: both experiments at once on a fresh namespace with a
-	// parallel worker pool.
+	// Concurrent: everything at once on a fresh namespace with eight
+	// simulation slots.
 	SetWorkers(8)
 	pc := microPreset("sched-conc")
 	base = SimulationCount()
 	var (
-		wg         sync.WaitGroup
-		fig6Conc   *Report
-		theoryConc *Report
-		errA, errB error
+		wg               sync.WaitGroup
+		fig6Conc         *Report
+		theoryConc       *Report
+		topoConc         []string
+		errA, errB, errC error
 	)
-	wg.Add(2)
+	wg.Add(3)
 	go func() { defer wg.Done(); fig6Conc, errA = Figure6(pc) }()
 	go func() { defer wg.Done(); theoryConc, errB = TheoryValidation(pc) }()
+	go func() { defer wg.Done(); topoConc, errC = cellRecords(topologyCells(pc)) }()
 	wg.Wait()
-	if errA != nil {
-		t.Fatal(errA)
-	}
-	if errB != nil {
-		t.Fatal(errB)
+	for _, err := range []error{errA, errB, errC} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	concSims := SimulationCount() - base
 
@@ -78,11 +117,18 @@ func TestSchedulerByteIdenticalAndExactlyOnce(t *testing.T) {
 	if got, want := theoryConc.String(), theorySerial.String(); got != want {
 		t.Fatalf("theory report differs between concurrent and serial execution:\n--- serial ---\n%s\n--- concurrent ---\n%s", want, got)
 	}
+	for i, c := range topologyCells(pc) {
+		if topoConc[i] != topoSerial[i] {
+			t.Fatalf("cell %s differs between concurrent and serial execution:\n--- serial ---\n%s\n--- concurrent ---\n%s",
+				c.variant, topoSerial[i], topoConc[i])
+		}
+	}
 
 	// Figure 6 needs 3 weighted + 3 uniform FedAT cells; the theory check's
-	// two cells are a subset of the weighted three. Exactly-once dedup must
-	// hold both serially (cache) and concurrently (singleflight).
-	const uniqueCells = 6
+	// two cells are a subset of the weighted three; the topology cells are
+	// two more. Exactly-once dedup must hold both serially (cache) and
+	// concurrently (singleflight).
+	const uniqueCells = 8
 	if serialSims != uniqueCells {
 		t.Fatalf("serial pass simulated %d cells, want %d", serialSims, uniqueCells)
 	}
@@ -96,15 +142,15 @@ func TestSchedulerByteIdenticalAndExactlyOnce(t *testing.T) {
 func TestSchedulerErrorNotPoisoned(t *testing.T) {
 	p := microPreset("sched-err")
 	spec := dsSpec{name: "no-such-dataset", classesPerClient: 2}
-	if _, err := cachedRunMethods(p, spec, []string{"fedat"}, "", nil); err == nil {
+	if _, err := cachedRunMethods(p, spec, []string{"fedat"}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 	// The failed cell must not satisfy the next request from the cache: the
 	// retry must run (and fail) afresh rather than panic or hang.
-	if _, err := cachedRunMethods(p, spec, []string{"fedat"}, "", nil); err == nil {
+	if _, err := cachedRunMethods(p, spec, []string{"fedat"}); err == nil {
 		t.Fatal("unknown dataset accepted on retry")
 	}
-	if _, err := cachedRunMethods(p, spec, []string{"no-such-method"}, "", nil); err == nil {
+	if _, err := cachedRunMethods(p, spec, []string{"no-such-method"}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 }
@@ -159,26 +205,25 @@ func TestSchedulerMeta(t *testing.T) {
 	}
 }
 
-// TestSchedulerWorkers covers the worker-count plumbing.
+// TestSchedulerWorkers covers the worker-count plumbing: SetWorkers sets
+// the gate's cap, zero or a negative count restores GOMAXPROCS, and counts
+// beyond int32 saturate instead of wrapping.
 func TestSchedulerWorkers(t *testing.T) {
 	defer SetWorkers(0)
 	SetWorkers(3)
-	if w := schedulerWorkers(10); w != 3 {
-		t.Fatalf("schedulerWorkers(10) with cap 3 = %d", w)
-	}
-	if w := schedulerWorkers(2); w != 2 {
-		t.Fatalf("schedulerWorkers(2) with cap 3 = %d", w)
+	if w := slotCap(); w != 3 {
+		t.Fatalf("slotCap() with cap 3 = %d", w)
 	}
 	SetWorkers(0)
-	if w := schedulerWorkers(0); w != 1 {
-		t.Fatalf("schedulerWorkers(0) = %d, want 1", w)
+	if w, want := slotCap(), runtime.GOMAXPROCS(0); w != want {
+		t.Fatalf("slotCap() after SetWorkers(0) = %d, want GOMAXPROCS %d", w, want)
 	}
 	SetWorkers(-5) // negative resets to auto
-	if w := schedulerWorkers(1); w != 1 {
-		t.Fatalf("schedulerWorkers(1) after negative SetWorkers = %d", w)
+	if w, want := slotCap(), runtime.GOMAXPROCS(0); w != want {
+		t.Fatalf("slotCap() after negative SetWorkers = %d, want GOMAXPROCS %d", w, want)
 	}
 	SetWorkers(math.MaxInt) // beyond int32 saturates instead of wrapping
-	if w := schedulerWorkers(7); w != 7 {
-		t.Fatalf("schedulerWorkers(7) after huge SetWorkers = %d", w)
+	if w := slotCap(); w != math.MaxInt32 {
+		t.Fatalf("slotCap() after huge SetWorkers = %d, want %d", w, math.MaxInt32)
 	}
 }

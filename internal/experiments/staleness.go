@@ -176,6 +176,28 @@ func Staleness(p Preset) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+
+	// Topology pair: the headline buffered composition, on the plain round
+	// budget, re-run through the hierarchy machinery (edge:1 is the
+	// pass-through control; edge:2 shards the population).
+	topoRows := []struct {
+		key   string
+		cloud edge.CloudConfig
+	}{
+		{"edge1/sync", edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}},
+		{"edge2/sync", edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}},
+	}
+	topoCells := make([]cell, len(topoRows))
+	for i, row := range topoRows {
+		c, err := staleCell(p, "fedbuff", "fedasync", fl.StaleFuncPoly, 0.5, "topo/"+row.key,
+			func(cfg *fl.RunConfig) { cfg.BufferK = staleBufferK })
+		if err != nil {
+			return nil, err
+		}
+		c.cloud = row.cloud
+		topoCells[i] = c
+		cells = append(cells, c)
+	}
 	if err := scheduleCells(cells); err != nil {
 		return nil, err
 	}
@@ -299,31 +321,10 @@ func Staleness(p Preset) (*Report, error) {
 	lt.AddRow(report.Str("fedbuff"), report.Str("on"), accCell(alrBufRun.BestAcc()), accCell(alrBufRun.FinalAcc()))
 	rep.AddTable(lt)
 
-	// Topology pair: the headline buffered composition re-run through the
-	// hierarchy machinery (edge:1 is the pass-through control; edge:2 shards
-	// the population). The staleness knobs ride through ComposeDynamics —
-	// the same path fedsim's -stale-* flags take.
-	dyn := ComposeDynamics{
-		Run: func(cfg *fl.RunConfig) {
-			cfg.BufferK = staleBufferK
-			cfg.Staleness = fl.StalenessConfig{Func: fl.StaleFuncPoly, Alpha: 0.5}
-		},
-		Behavior: dynBehavior,
-	}
-	edgeMethod, err := fl.Compose("fedasync", "", "fedbuff", "fedasync", "fedasync:poly:0.5@fedbuff")
-	if err != nil {
-		return nil, err
-	}
 	et := report.NewTable("fedasync:poly:0.5@fedbuff across topologies",
 		"topology", "best acc", "final acc", "edge folds", "mean staleness")
-	for _, row := range []struct {
-		key   string
-		cloud edge.CloudConfig
-	}{
-		{"edge1/sync", edge.CloudConfig{Edges: 1, Fold: edge.FoldSync}},
-		{"edge2/sync", edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}},
-	} {
-		run, err := RunComposedTopology(p, edgeMethod, dyn, row.cloud, nil)
+	for i, row := range topoRows {
+		run, err := cellRun(topoCells[i])
 		if err != nil {
 			return nil, err
 		}

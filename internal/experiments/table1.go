@@ -31,7 +31,7 @@ func Table1(p Preset) (*Report, error) {
 	rep := &Report{ID: "table1", Title: "Prediction performance and accuracy variance (paper Table 1)"}
 	// Schedule the whole method × dataset grid at once; the per-spec loop
 	// below then collects from the cache.
-	if err := prefetch(p, table1Specs, table1Methods, "", nil); err != nil {
+	if err := prefetch(p, table1Specs, table1Methods); err != nil {
 		return nil, err
 	}
 
@@ -50,7 +50,7 @@ func Table1(p Preset) (*Report, error) {
 	}
 
 	for _, spec := range table1Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods, "", nil)
+		runs, err := cachedRunMethods(p, spec, table1Methods)
 		if err != nil {
 			return nil, err
 		}

@@ -26,12 +26,12 @@ func TheoryValidation(p Preset) (*Report, error) {
 	// cifar10), shared with Table 1 / Figure 2 when those already ran.
 	spec := dsSpec{name: "sent140", classesPerClient: 2}
 	specNC := dsSpec{name: "cifar10", classesPerClient: 2}
-	if err := prefetch(p, []dsSpec{spec, specNC}, []string{"fedat"}, "", nil); err != nil {
+	if err := prefetch(p, []dsSpec{spec, specNC}, []string{"fedat"}); err != nil {
 		return nil, err
 	}
 
 	// Convex case: logistic regression (Theorem 5.1).
-	runs, err := cachedRunMethods(p, spec, []string{"fedat"}, "", nil)
+	runs, err := cachedRunMethods(p, spec, []string{"fedat"})
 	if err != nil {
 		return nil, err
 	}
@@ -74,7 +74,7 @@ func TheoryValidation(p Preset) (*Report, error) {
 		firstHalf, secondHalf, verdict))
 
 	// Non-convex case (Theorem 5.2): the loss trend on the image model.
-	runsNC, err := cachedRunMethods(p, specNC, []string{"fedat"}, "", nil)
+	runsNC, err := cachedRunMethods(p, specNC, []string{"fedat"})
 	if err != nil {
 		return nil, err
 	}

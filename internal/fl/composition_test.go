@@ -148,7 +148,7 @@ func TestTieringErrorPropagates(t *testing.T) {
 		cfg := baseCfg()
 		cfg.NumTiers = 50 // testEnv has 20 clients
 		env := testEnv(t, 0, cfg)
-		if _, err := Run(name, env); err == nil {
+		if _, err := Methods[name].Run(env); err == nil {
 			t.Errorf("%s: impossible tiering accepted", name)
 		}
 	}

@@ -121,16 +121,6 @@ func (m Method) policies() (Selector, Pacer, UpdateRule, error) {
 	return sel(), pacer, rule(), nil
 }
 
-// Run looks up a registry method and runs it — the common path for callers
-// that address methods by name.
-func Run(name string, env *Env, obs ...Observer) (*metrics.Run, error) {
-	m, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(env, obs...)
-}
-
 // Run executes the method on the simulated environment and returns the run
 // record — shorthand for RunOn over a fresh simulated fabric.
 func (m Method) Run(env *Env, obs ...Observer) (*metrics.Run, error) {

@@ -1,6 +1,5 @@
 // Package parallel provides the small set of fork-join helpers used by the
-// tensor kernels, the client trainers, the evaluation harness and the
-// experiment scheduler.
+// tensor kernels, the client trainers and the evaluation harness.
 //
 // All helpers are deterministic with respect to the result: workers write to
 // disjoint index ranges, so the outcome never depends on scheduling. That
@@ -19,8 +18,7 @@
 // GOMAXPROCS rises. A region runs on its caller plus the helpers that are
 // idle at the moment it starts; it never queues work for a busy helper. So
 // a region nested inside another — a GEMM inside a cohort member's
-// training, a training cohort inside a scheduler cell — finds the helpers
-// held by its enclosing region and runs inline on its caller: no goroutine
+// training — finds the helpers held by its enclosing region and runs inline on its caller: no goroutine
 // is started, the cores are not oversubscribed, and a body that blocks
 // cannot starve a region of the one participant it always has. A region
 // returns once every index has run, without waiting for a claimed helper

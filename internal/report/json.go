@@ -27,8 +27,9 @@ type Envelope struct {
 }
 
 // SchedulerMeta is the experiment scheduler's account of the run: how many
-// simulations executed, how many cell requests the cache absorbed, and the
-// per-cell record. Hit counts are request-level: an experiment that
+// simulations executed (uncached ones, such as the scale experiment's
+// ladder, included), how many cell requests the cache absorbed, and the
+// per-cell record of every cached cell. Hit counts are request-level: an experiment that
 // prefetches its whole grid and then collects per spec re-requests its own
 // cells, so cache_hits bounds cross-experiment sharing from above rather
 // than measuring it exactly.
@@ -39,7 +40,7 @@ type SchedulerMeta struct {
 }
 
 // CellMeta describes one scheduler cell: its cache key, the wall-clock its
-// one simulation took, and how many later requests (including the owning
+// one simulation took once it held a simulation slot, and how many later requests (including the owning
 // experiment's own re-requests) were served from the result.
 type CellMeta struct {
 	Key   string  `json:"key"`
