@@ -52,6 +52,7 @@ func deploy(fed *dataset.Federated, factory fl.ModelFactory, method string) {
 		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
 	}
 
+	ev := fl.NewDataEvaluator(factory, seed, fed.Clients)
 	srv, err := transport.NewServer(transport.ServerConfig{
 		Addr:       "127.0.0.1:0",
 		NumClients: numClients,
@@ -69,7 +70,7 @@ func deploy(fed *dataset.Federated, factory fl.ModelFactory, method string) {
 		Shapes:  shapes,
 		W0:      ref.WeightsCopy(),
 		Dataset: fed.Name,
-		Eval:    fl.NewDataEvaluator(factory, seed, fed.Clients),
+		Eval:    ev,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -106,17 +107,8 @@ func deploy(fed *dataset.Federated, factory fl.ModelFactory, method string) {
 	}
 	wg.Wait()
 
-	// Evaluate the final global model on the pooled held-out data.
-	eval := factory(seed)
-	eval.SetWeights(final)
-	correct, total := 0, 0
-	for _, c := range fed.Clients {
-		cor, _ := eval.Eval(c.TestX, c.TestY)
-		correct += cor
-		total += c.NumTest()
-	}
 	fmt.Printf("%s finished %d global updates over TCP (%.2f MB up)\n",
 		run.Method, run.GlobalRounds, float64(run.UpBytes)/1e6)
-	fmt.Printf("final model accuracy on held-out data: %.3f (%d/%d)\n\n",
-		float64(correct)/float64(total), correct, total)
+	// The final global model's accuracy on the pooled held-out data.
+	fmt.Printf("final model accuracy on held-out data: %.3f\n\n", ev.Evaluate(final).Acc)
 }

@@ -163,16 +163,8 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// The closing summary: the final model's quality on the pooled
 	// held-out data.
-	ref.SetWeights(final)
-	correct, total := 0, 0
-	for _, c := range fed.Clients {
-		cor, _ := ref.Eval(c.TestX, c.TestY)
-		correct += cor
-		total += c.NumTest()
-	}
-	fmt.Fprintf(stdout, "fedserver: %s done after %d global updates; best recorded accuracy %.3f; test accuracy %.3f (%d/%d); %.2f MB up, %.2f MB down\n",
-		res.Method, res.GlobalRounds, res.BestAcc(),
-		float64(correct)/float64(total), correct, total,
+	fmt.Fprintf(stdout, "fedserver: %s done after %d global updates; best recorded accuracy %.3f; test accuracy %.3f; %.2f MB up, %.2f MB down\n",
+		res.Method, res.GlobalRounds, res.BestAcc(), ev.Evaluate(final).Acc,
 		float64(res.UpBytes)/1e6, float64(res.DownBytes)/1e6)
 	return 0
 }

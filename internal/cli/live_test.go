@@ -3,7 +3,6 @@ package cli
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"io"
 	"regexp"
 	"strconv"
@@ -198,12 +197,9 @@ func TestLoopback(t *testing.T) {
 			if !strings.Contains(srv.log.String(), c.log) {
 				t.Fatalf("server never logged %q:\n%s", c.log, srv.log.String())
 			}
-			// The log is the run's record: its trace opens with a start
-			// line, and the end line holds the update count printed.
-			end := endOf(t, 0, runTraces(t, srv.log.String())[0])
-			if want := fmt.Sprintf(" done after %d global updates;", end.Round); !strings.Contains(srv.out.String(), want) {
-				t.Errorf("stdout does not say%s:\n%s", want, srv.out.String())
-			}
+			// The log is the run's record: -report reads it back, and its
+			// update count is the one the server printed.
+			checkReport(t, srv, 0)
 		})
 	}
 }
@@ -266,14 +262,24 @@ func TestHierarchyLoopback(t *testing.T) {
 		if !strings.Contains(edge.out.String(), "; test accuracy ") {
 			t.Errorf("%s printed no summary:\n%s", edge.name, edge.out.String())
 		}
-		// Every trace line an edge logs carries its own id, from one start
-		// line to one end line.
-		log := edge.log.String()
-		all, own := strings.Count(log, `{"Node":`), strings.Count(log, `{"Node":`+strconv.Itoa(e)+`,`)
-		if all == 0 || own != all {
-			t.Errorf("%s logged %d trace lines, %d of them as node %d:\n%s", edge.name, all, own, e, log)
-			continue
-		}
-		endOf(t, e, runTraces(t, log)[e])
+		// Every trace line an edge logs carries its own id.
+		checkReport(t, edge, e)
+	}
+}
+
+var reportUpdates = regexp.MustCompile(`^node (-?\d+): .*\nglobal updates +(\d+)\n`)
+
+// checkReport runs fedsim -report on a flat or edge server's log. The log
+// must hold one node's run, the given node, and the update count the
+// report reads must be the one the server printed.
+func checkReport(t *testing.T, srv *proc, node int) {
+	t.Helper()
+	out := readReport(t, srv.log.String())
+	m := reportUpdates.FindStringSubmatch(out)
+	if m == nil || m[1] != strconv.Itoa(node) || strings.Count(out, "\nglobal updates ") != 1 {
+		t.Fatalf("%s: -report on the log printed\n%s\nwant node %d's summary alone", srv.name, out, node)
+	}
+	if want := " done after " + m[2] + " global updates;"; !strings.Contains(srv.out.String(), want) {
+		t.Errorf("%s: -report reads %s updates, but stdout does not say%s:\n%s", srv.name, m[2], want, srv.out.String())
 	}
 }

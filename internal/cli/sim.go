@@ -6,17 +6,20 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/fl"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/simnet"
 )
@@ -47,6 +50,7 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// (Bind); the rest are the simulator's own.
 		compose = fs.String("compose", "", "run a single method composition: a registry method name used as the base spec (see -select/-pacer/-agg)")
 		trace   = fs.Bool("trace", false, "with -compose, print the run's event stream to stderr as JSON Lines, one per event, stamped with the emitting node")
+		rep     = fs.String("report", "", "print each node's run summary from a file of trace lines (a -trace capture or a fedserver log) and run nothing; takes no other flag")
 
 		// Hierarchical topology (compose mode): shard the population
 		// across K edge aggregators; see the 'hierarchy' experiment.
@@ -66,6 +70,21 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
+	if *rep != "" {
+		var others []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "report" {
+				others = append(others, "-"+f.Name)
+			}
+		})
+		if len(others) > 0 {
+			return fail(2, "-report takes no other flag (got %s)", strings.Join(others, ", "))
+		}
+		if err := runReport(*rep, stdout); err != nil {
+			return fail(1, "%v", err)
+		}
+		return 0
+	}
 	if *list {
 		fmt.Fprintln(stdout, "experiments:")
 		for _, id := range experiments.IDs() {
@@ -264,25 +283,51 @@ func runComposition(p experiments.Preset, m fl.Method, over *Shared, trace bool,
 	if err != nil {
 		return err
 	}
-	finalTime := 0.0
-	if len(run.Points) > 0 {
-		finalTime = run.Points[len(run.Points)-1].Time
-	}
 	fmt.Fprintf(stdout, "method %s (%s) on cifar10(#2) at preset %s\n", run.Method, m, p.Name)
-	fmt.Fprintf(stdout, "global updates    %d\n", run.GlobalRounds)
-	fmt.Fprintf(stdout, "best accuracy     %.3f\n", run.BestAcc())
-	fmt.Fprintf(stdout, "final accuracy    %.3f\n", run.FinalAcc())
-	fmt.Fprintf(stdout, "accuracy variance %.2e\n", run.MeanVariance())
-	fmt.Fprintf(stdout, "sec/update        %.1fs (%.1fs virtual total)\n", run.SecPerUpdate(), finalTime)
-	fmt.Fprintf(stdout, "communication     %.2f MB up, %.2f MB down\n", float64(run.UpBytes)/1e6, float64(run.DownBytes)/1e6)
-	if run.Retiers > 0 {
-		fmt.Fprintf(stdout, "re-tiering        %d passes, %d client migrations\n", run.Retiers, run.TierMigrations)
-	}
-	if run.EdgeFolds > 0 {
-		fmt.Fprintf(stdout, "edge folds        %d cloud folds, mean staleness %.2f\n", run.EdgeFolds, run.MeanEdgeStaleness())
-	}
+	printSummary(stdout, run)
 	fmt.Fprintf(stderr, "(completed in %s)\n", time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// runReport prints, for each node of the trace lines in the file at path,
+// a header naming the run and the summary a -compose run prints.
+func runReport(path string, stdout io.Writer) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runs, err := fl.ReadTrace(f)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if len(runs) == 0 {
+		return fmt.Errorf("%s holds no trace line", path)
+	}
+	for _, node := range slices.Sorted(maps.Keys(runs)) {
+		run := runs[node]
+		fmt.Fprintf(stdout, "node %d: %s on %s\n", node, run.Method, run.Dataset)
+		printSummary(stdout, run)
+	}
+	return nil
+}
+
+// printSummary prints a run's summary body: its update count, accuracy,
+// time per update, traffic and, when they happened, re-tiering and edge
+// folds.
+func printSummary(w io.Writer, run *metrics.Run) {
+	fmt.Fprintf(w, "global updates    %d\n", run.GlobalRounds)
+	fmt.Fprintf(w, "best accuracy     %.3f\n", run.BestAcc())
+	fmt.Fprintf(w, "final accuracy    %.3f\n", run.FinalAcc())
+	fmt.Fprintf(w, "accuracy variance %.2e\n", run.MeanVariance())
+	fmt.Fprintf(w, "sec/update        %.1fs (%.1fs virtual total)\n", run.SecPerUpdate(), run.EndTime)
+	fmt.Fprintf(w, "communication     %.2f MB up, %.2f MB down\n", float64(run.UpBytes)/1e6, float64(run.DownBytes)/1e6)
+	if run.Retiers > 0 {
+		fmt.Fprintf(w, "re-tiering        %d passes, %d client migrations\n", run.Retiers, run.TierMigrations)
+	}
+	if run.EdgeFolds > 0 {
+		fmt.Fprintf(w, "edge folds        %d cloud folds, mean staleness %.2f\n", run.EdgeFolds, run.MeanEdgeStaleness())
+	}
 }
 
 // startProfiles switches on the requested pprof collectors and returns

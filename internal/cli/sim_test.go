@@ -3,7 +3,6 @@ package cli
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"maps"
 	"os"
@@ -11,6 +10,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/fl"
 )
 
 // Sim's rows run serially: experiments.SetWorkers, the cell cache and the
@@ -132,12 +133,14 @@ func TestSimHierarchyDeterministic(t *testing.T) {
 }
 
 // TestSimTrace: -trace writes one JSON line per event to stderr, flat and
-// under a hierarchy, and the same line twice writes the same trace. Every
-// line parses, a hierarchy's lines come from each edge, and a run whose
-// loss goes NaN (a 1e308-scaled update poisons the first fold) still
-// traces every event. Each node's lines open with one start line naming
-// the method and close with one end line; a flat run's end line holds the
-// global update count fedsim prints.
+// under a hierarchy, and the same line twice writes the same trace. The
+// stderr reads back through fl.ReadTrace: a hierarchy's lines come from
+// each edge, each node's lines run from one start line naming the method
+// to one end line, and a run whose loss goes NaN (a 1e308-scaled update
+// poisons the first fold) still traces every event. -report on the
+// captured stderr prints, under a header per node, the summary -compose
+// printed: byte for byte for a flat run, whose end line holds the update
+// count and the virtual total.
 func TestSimTrace(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -157,7 +160,7 @@ func TestSimTrace(t *testing.T) {
 			}
 			args := strings.Fields(c.args + " -preset tiny -trace")
 			var traces [2][]string
-			var stdout string
+			var stdout, stderr string
 			for i := range traces {
 				code, out, errs := sim(args...)
 				if code != 0 {
@@ -168,73 +171,84 @@ func TestSimTrace(t *testing.T) {
 						traces[i] = append(traces[i], line)
 					}
 				}
-				stdout = out
+				stdout, stderr = out, errs
 			}
 			if !slices.Equal(traces[0], traces[1]) {
 				t.Fatalf("two runs traced differently: %d and %d lines", len(traces[0]), len(traces[1]))
 			}
-			byNode := runTraces(t, strings.Join(traces[0], "\n"))
-			if got := slices.Sorted(maps.Keys(byNode)); !slices.Equal(got, c.nodes) {
-				t.Errorf("trace lines from nodes %v, want %v", got, c.nodes)
-			}
-			for node, lines := range byNode {
-				if end := endOf(t, node, lines); len(c.nodes) == 1 && !strings.Contains(stdout, fmt.Sprintf("global updates    %d\n", end.Round)) {
-					t.Errorf("the end line's Round %d is not the global update count printed:\n%s", end.Round, stdout)
-				}
-				if lines[0].Method != c.method {
-					t.Errorf("node %d's start line names %q, want %q", node, lines[0].Method, c.method)
-				}
-			}
-			if !strings.Contains(strings.Join(traces[0], "\n"), c.has) {
+			if !strings.Contains(stderr, c.has) {
 				t.Errorf("no trace line contains %s", c.has)
+			}
+			runs, err := fl.ReadTrace(strings.NewReader(stderr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := slices.Sorted(maps.Keys(runs)); !slices.Equal(got, c.nodes) {
+				t.Fatalf("trace lines from nodes %v, want %v", got, c.nodes)
+			}
+			var want strings.Builder
+			for _, node := range c.nodes {
+				run := runs[node]
+				if run.Method != c.method {
+					t.Errorf("node %d's start line names %q, want %q", node, run.Method, c.method)
+				}
+				fmt.Fprintf(&want, "node %d: %s on %s\n", node, run.Method, run.Dataset)
+				if len(c.nodes) == 1 {
+					_, body, _ := strings.Cut(stdout, "\n")
+					want.WriteString(body)
+				} else {
+					printSummary(&want, run)
+				}
+			}
+			if got := readReport(t, stderr); got != want.String() {
+				t.Errorf("-report printed\n%s\nwant\n%s", got, want.String())
 			}
 		})
 	}
 }
 
-// traceLine is the part of an fl.TraceLine the CLI tests read.
-type traceLine struct {
-	Node   int
-	Kind   string
-	Method string
-	Round  int
+// readReport runs fedsim -report on a file holding log and returns its stdout.
+// It touches none of Sim's process-global state, so parallel rows may call
+// it.
+func readReport(t *testing.T, log string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.log")
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errs := sim("-report", path)
+	if code != 0 {
+		t.Fatalf("-report exited %d; stdout:\n%s\nstderr:\n%s", code, out, errs)
+	}
+	return out
 }
 
-// runTraces parses the trace lines in a log, each from its `{"Node":` on
-// (a server's log prefixes a timestamp), and groups them by node.
-func runTraces(t *testing.T, log string) map[int][]traceLine {
-	t.Helper()
-	byNode := map[int][]traceLine{}
-	for _, line := range strings.Split(log, "\n") {
-		i := strings.Index(line, `{"Node":`)
-		if i < 0 {
-			continue
-		}
-		var l traceLine
-		if err := json.Unmarshal([]byte(line[i:]), &l); err != nil {
-			t.Fatalf("unparseable trace line %q: %v", line, err)
-		}
-		byNode[l.Node] = append(byNode[l.Node], l)
+// TestSimReportErrors: -report beside any other flag is a usage error, and
+// a file that holds no readable trace fails the run.
+func TestSimReportErrors(t *testing.T) {
+	dir := t.TempDir()
+	cut := filepath.Join(dir, "cut.log")
+	if err := os.WriteFile(cut, []byte(`{"Node":0,"Kind":"start","Method":"FedAT","Dataset":"x"}`+"\n"+`{"Node":0,"Kind":"end","Ro`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return byNode
-}
-
-// endOf fails the test unless one node's trace lines open with its one
-// start line and close with its one end line, and returns the end line.
-func endOf(t *testing.T, node int, lines []traceLine) traceLine {
-	t.Helper()
-	if len(lines) == 0 {
-		t.Fatalf("node %d wrote no trace line", node)
+	for _, c := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"with -compose", []string{"-report", cut, "-compose", "fedat"}, 2},
+		{"with -exp", []string{"-report", cut, "-exp", "fig6"}, 2},
+		{"with a run flag", []string{"-report", cut, "-trace"}, 2},
+		{"missing file", []string{"-report", filepath.Join(dir, "missing.log")}, 1},
+		{"cut mid-line", []string{"-report", cut}, 1},
+		{"no trace line", []string{"-report", os.DevNull}, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if code, out, errs := sim(c.args...); code != c.want || out != "" {
+				t.Fatalf("exited %d, want %d; stdout %q, stderr:\n%s", code, c.want, out, errs)
+			}
+		})
 	}
-	kinds := map[string]int{}
-	for _, l := range lines {
-		kinds[l.Kind]++
-	}
-	if kinds["start"] != 1 || kinds["end"] != 1 || lines[0].Kind != "start" || lines[len(lines)-1].Kind != "end" {
-		t.Fatalf("node %d's %d trace lines run from %q to %q with %d start and %d end lines, want one of each, first and last",
-			node, len(lines), lines[0].Kind, lines[len(lines)-1].Kind, kinds["start"], kinds["end"])
-	}
-	return lines[len(lines)-1]
 }
 
 // TestSimProfiles: a usage error starts no profile, so it leaves no file

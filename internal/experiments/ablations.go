@@ -155,12 +155,8 @@ func Figure10(p Preset) (*Report, error) {
 		rep.Keep(cfg.label, run)
 		tl[cfg.label] = run
 		order = append(order, cfg.label)
-		finalTime := 0.0
-		if len(run.Points) > 0 {
-			finalTime = run.Points[len(run.Points)-1].Time
-		}
 		tb.AddRow(report.Str(cfg.label), report.Str(fmt.Sprint(sizes[i])),
-			accCell(run.BestAcc()), timeCell(finalTime))
+			accCell(run.BestAcc()), timeCell(run.EndTime))
 	}
 	rep.AddTable(tb)
 	rep.AddTable(timelineTable("Smoothed accuracy over time", tl, order, p.SmoothWindow, true))

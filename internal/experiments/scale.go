@@ -147,15 +147,11 @@ func Scale(p Preset) (*Report, error) {
 		}
 		wall := time.Since(start)
 		touched := pop.Materialized()
-		lastTime := 0.0
-		if len(run.Points) > 0 {
-			lastTime = run.Points[len(run.Points)-1].Time
-		}
 		tb.AddRow(
 			report.Num(float64(n), fmt.Sprint(n)),
 			report.Num(float64(run.GlobalRounds), fmt.Sprint(run.GlobalRounds)),
 			accCell(run.BestAcc()),
-			timeCell(lastTime),
+			timeCell(run.EndTime),
 			report.Numf("%.2f", float64(run.UpBytes)/1e6),
 			report.Num(float64(touched), fmt.Sprint(touched)),
 			report.Numf("%.4f", float64(touched)/float64(n)),

@@ -1,10 +1,15 @@
 package fl
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -169,6 +174,122 @@ func (f traceFloat) MarshalJSON() ([]byte, error) {
 	return json.Marshal(float64(f))
 }
 
+// ReadTrace reads a stream of TraceLines, such as a fedsim -trace capture
+// or a fedserver log, and returns each node's run record, folded through
+// the Recorder a running method uses. Text before a line's first '{' (a
+// log timestamp) is skipped, and so is a line with no '{' (log chatter).
+// A line that does not decode, a cut-off last line included, is an error
+// that quotes it; so is a node whose lines do not open with one start line
+// and close with one end line.
+func ReadTrace(r io.Reader) (map[int]*metrics.Run, error) {
+	runs := map[int]*metrics.Run{}
+	ended := map[int]bool{}
+	br := bufio.NewReader(r)
+	for {
+		line, readErr := br.ReadBytes('\n')
+		if readErr != nil && readErr != io.EOF {
+			return nil, readErr
+		}
+		if i := bytes.IndexByte(line, '{'); i >= 0 {
+			node, ev, err := decodeTraceLine(bytes.TrimRight(line[i:], "\r\n"))
+			if err != nil {
+				return nil, err
+			}
+			run, seen := runs[node]
+			_, start := ev.(StartEvent)
+			switch {
+			case ended[node]:
+				return nil, fmt.Errorf("trace node %d: %s line after the end line", node, ev.kind())
+			case !seen && !start:
+				return nil, fmt.Errorf("trace node %d: first line is %s, want start", node, ev.kind())
+			case seen && start:
+				return nil, fmt.Errorf("trace node %d: a second start line", node)
+			case !seen:
+				run = new(metrics.Run)
+				runs[node] = run
+			}
+			(*Recorder)(run).OnEvent(ev)
+			if _, end := ev.(EndEvent); end {
+				ended[node] = true
+			}
+		}
+		if readErr == io.EOF {
+			break
+		}
+	}
+	for _, node := range slices.Sorted(maps.Keys(runs)) {
+		if !ended[node] {
+			return nil, fmt.Errorf("trace node %d: no end line", node)
+		}
+	}
+	return runs, nil
+}
+
+// decodeTraceLine reverses TraceLine. The model and the partition, which
+// the line leaves out, decode as nil. A line that carries an encoding
+// error, or names no known kind, is an error that quotes it.
+func decodeTraceLine(line []byte) (int, Event, error) {
+	var head struct {
+		Node  int
+		Kind  string
+		Error *string
+	}
+	if err := json.Unmarshal(line, &head); err != nil {
+		return 0, nil, fmt.Errorf("trace line %s: %w", line, err)
+	}
+	if head.Error != nil {
+		return 0, nil, fmt.Errorf("trace line %s: the event did not encode", line)
+	}
+	decode, ok := traceKinds[head.Kind]
+	if !ok {
+		return 0, nil, fmt.Errorf("trace line %s: unknown kind %q", line, head.Kind)
+	}
+	ev, err := decode(line)
+	if err != nil {
+		return 0, nil, fmt.Errorf("trace line %s: %w", line, err)
+	}
+	return head.Node, ev, nil
+}
+
+// traceKinds decodes a line's event by its kind.
+var traceKinds = map[string]func([]byte) (Event, error){
+	StartEvent{}.kind():      decodeAs[StartEvent],
+	RoundStartEvent{}.kind(): decodeAs[RoundStartEvent],
+	ClientDoneEvent{}.kind(): decodeAs[ClientDoneEvent],
+	TierFoldEvent{}.kind():   decodeAs[TierFoldEvent],
+	EvalEvent{}.kind():       decodeEval,
+	RetierEvent{}.kind():     decodeAs[RetierEvent],
+	EdgeFoldEvent{}.kind():   decodeAs[EdgeFoldEvent],
+	EndEvent{}.kind():        decodeAs[EndEvent],
+}
+
+func decodeAs[E Event](line []byte) (Event, error) {
+	var e E
+	err := json.Unmarshal(line, &e)
+	return e, err
+}
+
+// decodeEval reads the Result's values as traceFloat writes them: a JSON
+// number, or the string "NaN", "+Inf" or "-Inf".
+func decodeEval(line []byte) (Event, error) {
+	var e struct {
+		EvalEvent
+		Result struct{ Acc, Loss, Variance json.RawMessage }
+	}
+	err := json.Unmarshal(line, &e)
+	num := func(raw json.RawMessage) float64 {
+		s := string(raw)
+		if u, uerr := strconv.Unquote(s); uerr == nil {
+			s = u
+		}
+		v, perr := strconv.ParseFloat(s, 64)
+		err = cmp.Or(err, perr)
+		return v
+	}
+	e.EvalEvent.Result = Result{Acc: num(e.Result.Acc), Loss: num(e.Result.Loss), Variance: num(e.Result.Variance)}
+	return e.EvalEvent, err
+}
+
 // Observer receives the run event stream in engine-execution order (which
 // for the simulator-paced methods is virtual-time order of the fold and
 // eval events).
@@ -210,6 +331,6 @@ func (rec *Recorder) OnEvent(ev Event) {
 		rec.EdgeFolds++
 		rec.EdgeStaleness += e.Staleness
 	case EndEvent:
-		rec.GlobalRounds, rec.UpBytes, rec.DownBytes = e.Round, e.UpBytes, e.DownBytes
+		rec.GlobalRounds, rec.EndTime, rec.UpBytes, rec.DownBytes = e.Round, e.Time, e.UpBytes, e.DownBytes
 	}
 }

@@ -27,8 +27,7 @@ func TestOverSelectionShortensRounds(t *testing.T) {
 	plain := mustRun(t, "fedavg", envA)
 	envB := testEnv(t, 0, cfg)
 	over := mustRun(t, "fedavg-oversel", envB)
-	pa := plain.Points[len(plain.Points)-1].Time / float64(plain.GlobalRounds)
-	po := over.Points[len(over.Points)-1].Time / float64(over.GlobalRounds)
+	pa, po := plain.SecPerUpdate(), over.SecPerUpdate()
 	if po > pa*1.02 {
 		t.Fatalf("over-selection per-update time %.2fs not below FedAvg's %.2fs", po, pa)
 	}

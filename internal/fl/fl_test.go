@@ -183,10 +183,7 @@ func TestFedATUpdatesFasterThanFedAvg(t *testing.T) {
 	if fedat.GlobalRounds < cfg.Rounds || fedavg.GlobalRounds < cfg.Rounds/2 {
 		t.Fatalf("runs too short: fedat=%d fedavg=%d", fedat.GlobalRounds, fedavg.GlobalRounds)
 	}
-	ta := fedat.Points[len(fedat.Points)-1].Time
-	tb := fedavg.Points[len(fedavg.Points)-1].Time
-	perRoundA := ta / float64(fedat.GlobalRounds)
-	perRoundB := tb / float64(fedavg.GlobalRounds)
+	perRoundA, perRoundB := fedat.SecPerUpdate(), fedavg.SecPerUpdate()
 	if perRoundA*2 > perRoundB {
 		t.Fatalf("FedAT %.2fs/update not well below FedAvg %.2fs/update", perRoundA, perRoundB)
 	}

@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,6 +95,64 @@ func TestTraceLine(t *testing.T) {
 	}
 }
 
+// TestReadTrace: the reader skips a log prefix before a line's first '{'
+// and a line with no '{', folds each node's lines into that node's record,
+// and refuses a line that does not decode (quoting it) and a node whose
+// lines do not run from one start line to one end line (naming it).
+func TestReadTrace(t *testing.T) {
+	line := func(node int, ev Event) string { return string(TraceLine(node, ev)) + "\n" }
+	start0, start1 := line(0, StartEvent{Method: "FedAT", Dataset: "fashion"}), line(1, StartEvent{Method: "FedAvg", Dataset: "cifar"})
+	eval0 := line(0, EvalEvent{Round: 2, Time: 5, Result: Result{Acc: 0.5, Loss: 1}, UpBytes: 10, DownBytes: 20})
+	retier1 := line(1, RetierEvent{Round: 1, Time: 3, Migrations: 2})
+	end0, end1 := line(0, EndEvent{Round: 3, Time: 7.5, UpBytes: 15, DownBytes: 30}), line(1, EndEvent{Round: 1, Time: 4})
+	run0 := metrics.Run{Method: "FedAT", Dataset: "fashion",
+		Points:  []metrics.Point{{Round: 2, Time: 5, UpBytes: 10, DownBytes: 20, Acc: 0.5, Loss: 1}},
+		UpBytes: 15, DownBytes: 30, GlobalRounds: 3, EndTime: 7.5}
+	run1 := metrics.Run{Method: "FedAvg", Dataset: "cifar", GlobalRounds: 1, EndTime: 4, Retiers: 1, TierMigrations: 2}
+	cut := `{"Node":0,"Kind":"end","Round":3,"Ti`
+	for _, c := range []struct {
+		name  string
+		trace string
+		want  map[int]metrics.Run
+		err   string // a substring the error must contain; "" wants none
+	}{
+		{"plain", start0 + eval0 + end0, map[int]metrics.Run{0: run0}, ""},
+		{"timestamp prefix", "2026/01/02 03:04:05 " + start0 + "2026/01/02 03:04:05 " + eval0 + "2026/01/02 03:04:05 " + end0,
+			map[int]metrics.Run{0: run0}, ""},
+		{"chatter line", "fed server: client 0 registered\n" + start0 + "fed server: 3 clients registered\n" + eval0 + end0 + "done\n",
+			map[int]metrics.Run{0: run0}, ""},
+		{"last line without a newline", start0 + eval0 + strings.TrimSuffix(end0, "\n"), map[int]metrics.Run{0: run0}, ""},
+		{"two interleaved nodes", start1 + start0 + retier1 + eval0 + end1 + end0, map[int]metrics.Run{0: run0, 1: run1}, ""},
+		{"cut mid-object", start0 + eval0 + cut, nil, cut},
+		{"unknown kind", start0 + `{"Node":0,"Kind":"bogus"}` + "\n" + end0, nil, `{"Node":0,"Kind":"bogus"}`},
+		{"no end", start0 + start1 + eval0 + end0 + retier1, nil, "node 1: no end line"},
+		{"no start", start0 + retier1 + end0 + end1, nil, "node 1: first line is retier, want start"},
+		{"a second start", start0 + start0 + end0, nil, "node 0: a second start line"},
+		{"a line after the end", start0 + end0 + eval0, nil, "node 0: eval line after the end line"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runs, err := ReadTrace(strings.NewReader(c.trace))
+			if c.err != "" {
+				if err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Fatalf("error %v, want one containing %s", err, c.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(runs) != len(c.want) {
+				t.Fatalf("records for nodes %v, want %d nodes", slices.Sorted(maps.Keys(runs)), len(c.want))
+			}
+			for node, want := range c.want {
+				if g, w := fmt.Sprintf("%+v", runs[node]), fmt.Sprintf("%+v", &want); g != w {
+					t.Errorf("node %d:\n got %s\nwant %s", node, g, w)
+				}
+			}
+		})
+	}
+}
+
 // TestTraceGoldens pins every registry method's full event stream at
 // goldenCfg, byte for byte, at GOMAXPROCS 1 and 4: a change to cohort
 // selection shows on the first line. The trace is also the run's record:
@@ -130,18 +189,24 @@ func TestTraceGoldens(t *testing.T) {
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Errorf("%s at GOMAXPROCS %d: trace diverged from %s:\n%s", name, procs, path, firstDiff(buf.Bytes(), want))
 			}
-			evs, err := readTrace(want)
+			rec, err := recordOf(want)
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
-			rec, err := recordOf(evs)
+			read, err := ReadTrace(bytes.NewReader(want))
 			if err != nil {
 				t.Fatalf("%s: %v", path, err)
 			}
 			// %v writes each float as its shortest round-trip decimal, so
 			// the strings differ whenever any field's bits do.
-			if g, w := fmt.Sprintf("%+v", *run), fmt.Sprintf("%+v", *rec); g != w {
+			g := fmt.Sprintf("%+v", *run)
+			if w := fmt.Sprintf("%+v", *rec); g != w {
 				t.Errorf("%s at GOMAXPROCS %d: the run's record differs from the one %s holds:\n got %s\nwant %s", name, procs, path, g, w)
+			}
+			if len(read) != 1 || read[0] == nil {
+				t.Errorf("%s: ReadTrace returned nodes %v, want node 0 alone", path, slices.Collect(maps.Keys(read)))
+			} else if r := fmt.Sprintf("%+v", *read[0]); r != g {
+				t.Errorf("%s at GOMAXPROCS %d: ReadTrace of %s differs from the run's record:\n got %s\nwant %s", name, procs, path, r, g)
 			}
 		}
 	}
@@ -158,111 +223,31 @@ func firstDiff(got, want []byte) string {
 	return fmt.Sprintf("got %d lines, want %d", len(g), len(w))
 }
 
-// tracedEvent is one decoded trace line.
-type tracedEvent struct {
-	node int
-	ev   Event
-}
-
-// readTrace decodes a trace, one TraceLine per line.
-func readTrace(data []byte) ([]tracedEvent, error) {
-	var out []tracedEvent
-	for line := range bytes.Lines(data) {
-		node, ev, err := decodeTraceLine(bytes.TrimSuffix(line, []byte("\n")))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tracedEvent{node, ev})
-	}
-	return out, nil
-}
-
-// decodeTraceLine reverses TraceLine. The model and the partition, which
-// the line leaves out, decode as nil. A line that carries an encoding
-// error, or names no known kind, is an error that quotes it.
-func decodeTraceLine(line []byte) (int, Event, error) {
-	var head struct {
-		Node  int
-		Kind  string
-		Error *string
-	}
-	if err := json.Unmarshal(line, &head); err != nil {
-		return 0, nil, fmt.Errorf("trace line %s: %w", line, err)
-	}
-	if head.Error != nil {
-		return 0, nil, fmt.Errorf("trace line %s: the event did not encode", line)
-	}
-	decode, ok := traceKinds[head.Kind]
-	if !ok {
-		return 0, nil, fmt.Errorf("trace line %s: unknown kind %q", line, head.Kind)
-	}
-	ev, err := decode(line)
-	if err != nil {
-		return 0, nil, fmt.Errorf("trace line %s: %w", line, err)
-	}
-	return head.Node, ev, nil
-}
-
-// traceKinds decodes a line's event by its kind.
-var traceKinds = map[string]func([]byte) (Event, error){
-	StartEvent{}.kind():      decodeAs[StartEvent],
-	RoundStartEvent{}.kind(): decodeAs[RoundStartEvent],
-	ClientDoneEvent{}.kind(): decodeAs[ClientDoneEvent],
-	TierFoldEvent{}.kind():   decodeAs[TierFoldEvent],
-	EvalEvent{}.kind():       decodeEval,
-	RetierEvent{}.kind():     decodeAs[RetierEvent],
-	EdgeFoldEvent{}.kind():   decodeAs[EdgeFoldEvent],
-	EndEvent{}.kind():        decodeAs[EndEvent],
-}
-
-func decodeAs[E Event](line []byte) (Event, error) {
-	var e E
-	err := json.Unmarshal(line, &e)
-	return e, err
-}
-
-// decodeEval reads the Result's values as traceFloat writes them.
-func decodeEval(line []byte) (Event, error) {
-	var e struct {
-		EvalEvent
-		Result struct{ Acc, Loss, Variance traceNum }
-	}
-	err := json.Unmarshal(line, &e)
-	e.EvalEvent.Result = Result{Acc: float64(e.Result.Acc), Loss: float64(e.Result.Loss), Variance: float64(e.Result.Variance)}
-	return e.EvalEvent, err
-}
-
-// traceNum is a float64 read from a JSON number or from the string "NaN",
-// "+Inf" or "-Inf".
-type traceNum float64
-
-func (f *traceNum) UnmarshalJSON(b []byte) error {
-	v, err := strconv.Unquote(string(b))
-	if err != nil { // a number
-		return json.Unmarshal(b, (*float64)(f))
-	}
-	x, err := strconv.ParseFloat(v, 64)
-	*f = traceNum(x)
-	return err
-}
-
 // recordOf reads the run record a trace holds, field by field: the start
 // line names the run, each eval line is a point, retier and edge-fold lines
 // are tallied, and the end line holds the totals. It shares no code with
 // Recorder, so a fault in that fold cannot cancel against itself.
-func recordOf(evs []tracedEvent) (*metrics.Run, error) {
+func recordOf(data []byte) (*metrics.Run, error) {
+	var evs []Event
+	for line := range bytes.Lines(data) {
+		_, ev, err := decodeTraceLine(bytes.TrimSuffix(line, []byte("\n")))
+		if err != nil {
+			return nil, err
+		}
+		evs = append(evs, ev)
+	}
 	if len(evs) == 0 {
 		return nil, fmt.Errorf("empty trace")
 	}
-	if _, ok := evs[0].ev.(StartEvent); !ok {
-		return nil, fmt.Errorf("trace opens with %T, want a start line", evs[0].ev)
+	if _, ok := evs[0].(StartEvent); !ok {
+		return nil, fmt.Errorf("trace opens with %T, want a start line", evs[0])
 	}
-	if _, ok := evs[len(evs)-1].ev.(EndEvent); !ok {
-		return nil, fmt.Errorf("trace closes with %T, want an end line", evs[len(evs)-1].ev)
+	if _, ok := evs[len(evs)-1].(EndEvent); !ok {
+		return nil, fmt.Errorf("trace closes with %T, want an end line", evs[len(evs)-1])
 	}
 	r := new(metrics.Run)
-	for _, te := range evs {
-		switch e := te.ev.(type) {
+	for _, ev := range evs {
+		switch e := ev.(type) {
 		case StartEvent:
 			r.Method = e.Method
 			r.Dataset = e.Dataset
@@ -284,6 +269,7 @@ func recordOf(evs []tracedEvent) (*metrics.Run, error) {
 			r.EdgeStaleness += e.Staleness
 		case EndEvent:
 			r.GlobalRounds = e.Round
+			r.EndTime = e.Time
 			r.UpBytes = e.UpBytes
 			r.DownBytes = e.DownBytes
 		}

@@ -27,8 +27,9 @@ type Run struct {
 	Dataset string
 	Points  []Point
 
-	UpBytes, DownBytes int64 // totals at the end of the run
-	GlobalRounds       int
+	UpBytes, DownBytes int64   // totals at the end of the run
+	GlobalRounds       int     // global updates when the run ended
+	EndTime            float64 // the clock when the run ended (virtual or wall seconds)
 
 	// Retiers counts runtime re-tiering passes (RetierEvery runs) and
 	// TierMigrations the total client tier changes they caused; both stay 0
@@ -71,13 +72,13 @@ func (r *Run) FinalLoss() float64 {
 	return r.Points[len(r.Points)-1].Loss
 }
 
-// SecPerUpdate returns the virtual seconds per global update: the last
-// evaluation's time over GlobalRounds, 0 when the run has neither.
+// SecPerUpdate returns the seconds per global update: EndTime over
+// GlobalRounds, 0 when the run made no update.
 func (r *Run) SecPerUpdate() float64 {
-	if r.GlobalRounds == 0 || len(r.Points) == 0 {
+	if r.GlobalRounds == 0 {
 		return 0
 	}
-	return r.Points[len(r.Points)-1].Time / float64(r.GlobalRounds)
+	return r.EndTime / float64(r.GlobalRounds)
 }
 
 // MeanEdgeStaleness returns the mean staleness, in cloud epochs, of the

@@ -45,6 +45,19 @@ func TestEmptyRun(t *testing.T) {
 	}
 }
 
+// TestSecPerUpdate: the time per update divides the run's end, not its
+// last evaluation, which a synchronous pacer makes before its last fold.
+func TestSecPerUpdate(t *testing.T) {
+	r := sampleRun() // last eval at 50 s
+	r.GlobalRounds, r.EndTime = 8, 60
+	if got := r.SecPerUpdate(); got != 7.5 {
+		t.Fatalf("SecPerUpdate %v, want 60/8", got)
+	}
+	if got := (&Run{EndTime: 60}).SecPerUpdate(); got != 0 {
+		t.Fatalf("SecPerUpdate of a run with no update %v, want 0", got)
+	}
+}
+
 func TestTimeToAccuracy(t *testing.T) {
 	r := sampleRun()
 	tt, ok := r.TimeToAccuracy(0.5)
