@@ -314,13 +314,16 @@ func runReport(path string, stdout io.Writer) error {
 
 // printSummary prints a run's summary body: its update count, accuracy,
 // time per update, traffic and, when they happened, re-tiering and edge
-// folds.
+// folds. Times are on the run's own clock — virtual seconds on the
+// simulator, wall seconds since the server's run began on a fedserver
+// log — and printed to four significant digits, so a sub-second live run
+// does not read 0.
 func printSummary(w io.Writer, run *metrics.Run) {
 	fmt.Fprintf(w, "global updates    %d\n", run.GlobalRounds)
 	fmt.Fprintf(w, "best accuracy     %.3f\n", run.BestAcc())
 	fmt.Fprintf(w, "final accuracy    %.3f\n", run.FinalAcc())
 	fmt.Fprintf(w, "accuracy variance %.2e\n", run.MeanVariance())
-	fmt.Fprintf(w, "sec/update        %.1fs (%.1fs virtual total)\n", run.SecPerUpdate(), run.EndTime)
+	fmt.Fprintf(w, "sec/update        %.4gs (%.4gs on the run's clock)\n", run.SecPerUpdate(), run.EndTime)
 	fmt.Fprintf(w, "communication     %.2f MB up, %.2f MB down\n", float64(run.UpBytes)/1e6, float64(run.DownBytes)/1e6)
 	if run.Retiers > 0 {
 		fmt.Fprintf(w, "re-tiering        %d passes, %d client migrations\n", run.Retiers, run.TierMigrations)

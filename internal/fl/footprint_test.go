@@ -108,13 +108,15 @@ func TestInFlightUplinkFootprint(t *testing.T) {
 // added since the dataset and population were built must be within a
 // slack of
 //
-//	replicas × (w, g, gradient scratch) + trained replicas × (m, v)
+//	replicas × (w, g) + trained replicas × (m, v)
 //	+ w0 + pool high-water + rule state
 //	+ replicas × (per-layer cols × p im2col scratch + activations)
 //
-// w and g are each replica's flat weights and gradients, the gradient
-// scratch its layers' per-batch weight gradients (together no larger than
-// the weights), and m and v the Adam moments of a replica that trained.
+// w and g are each replica's flat weights and gradients, and m and v the
+// Adam moments of a replica that trained. The layers keep no weight-sized
+// gradient scratch: Dense and Conv2D accumulate their weight gradients
+// straight into g, so a layer that summed dW into a scratch first (one
+// vector more per replica) costs more than the slack allows.
 // The pool high-water is counted from the run's traffic by ledgerFabric: a
 // dispatch draws the downlink snapshot and one training buffer per member
 // from the run's weight pool on top of the uploads already in flight, and
@@ -206,7 +208,7 @@ func TestEnvFootprint(t *testing.T) {
 				fwd += 3*cnn.Hidden + 2*cnn.Classes                 // dense out, ReLU out and mask, logits, dlogits
 				bwd += cnn.ConvC[len(cnn.ConvC)-1]*p + 2*cnn.Hidden // dense dx, ReLU dx, head dx
 				act := fwdRows*fwd + batch*bwd
-				vectors := replicas*3 + trained*2 + 1 + uint64(midHighWater) + ruleState
+				vectors := replicas*2 + trained*2 + 1 + uint64(midHighWater) + ruleState
 				ledger := vectors*vec + replicas*(allocSize(8*cols)+allocSize(8*act))
 				const slack = 2 // float64 vectors
 				got := int64(mid - base)

@@ -27,10 +27,9 @@ type Conv2D struct {
 	// lowers sample s again from x before dW, then reuses it for dcols.
 	// Im2Col is a pure copy, so the rebuilt columns are the forward's bits,
 	// and the scratch does not grow with the batch or a test split.
-	x        *tensor.Mat
-	out, dx  *tensor.Mat
-	colsBuf  *tensor.Mat
-	scratchW *tensor.Mat
+	x       *tensor.Mat
+	out, dx *tensor.Mat
+	colsBuf *tensor.Mat
 
 	skipInputGrad bool // set when this is a network's first layer
 }
@@ -138,19 +137,16 @@ func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	if !c.skipInputGrad {
 		c.dx = tensor.EnsureMat(c.dx, b, c.InC*c.H*c.W)
 	}
-	if c.scratchW == nil {
-		c.scratchW = tensor.NewMat(c.OutC, c.cols)
-	}
 	cols := c.colScratch()
 	gw := c.gradW()
 	gb := c.gradB()
 	w := c.weight()
 	for s := 0; s < b; s++ {
 		doutView := c.doutView.View(c.OutC, p, dout.Row(s))
-		// dW += dout·colsᵀ, over sample s's columns lowered again
+		// dW += dout·colsᵀ, over sample s's columns lowered again; each
+		// element adds its dot product, summed from +0, onto g
 		tensor.Im2Col(c.x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, cols)
-		tensor.MulTransBInto(c.scratchW, doutView, cols)
-		tensor.AddTo(gw.Data, c.scratchW.Data)
+		tensor.AddMulTransB(gw, doutView, cols)
 		// db += row sums of dout
 		for oc := 0; oc < c.OutC; oc++ {
 			gb[oc] += tensor.Sum(doutView.Row(oc))

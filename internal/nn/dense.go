@@ -17,10 +17,9 @@ type Dense struct {
 	wMat, gwMat tensor.Mat
 
 	// caches
-	x       *tensor.Mat // input of last training forward
-	out     *tensor.Mat
-	dx      *tensor.Mat
-	scratch *tensor.Mat // Out×In gradient scratch for accumulation
+	x   *tensor.Mat // input of last training forward
+	out *tensor.Mat
+	dx  *tensor.Mat
 
 	skipInputGrad bool // set when this is a network's first layer
 }
@@ -86,10 +85,13 @@ func (d *Dense) Backward(dout *tensor.Mat) *tensor.Mat {
 	if d.x == nil {
 		panic("nn: Dense Backward before training Forward")
 	}
-	// dW += doutᵀ·x
-	d.scratch = tensor.EnsureMat(d.scratch, d.Out, d.In)
-	tensor.MulTransAInto(d.scratch, dout, d.x)
-	tensor.AddTo(d.gradW().Data, d.scratch.Data)
+	// dW += doutᵀ·x as one chain from g: each element's batch terms are
+	// added onto g in row order, not summed into a scratch that is then
+	// added once. After ZeroGrad, which TrainLocal runs before every
+	// Backprop, the two agree bit for bit: g is +0, and a chain that starts
+	// at +0 never yields −0, so +0 plus the scratch's sum is that sum. A
+	// second Backprop onto a non-zero g rounds once per term instead.
+	tensor.AddMulTransA(d.gradW(), dout, d.x)
 	// db += column sums of dout
 	gb := d.gradB()
 	for i := 0; i < dout.R; i++ {

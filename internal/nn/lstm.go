@@ -23,7 +23,6 @@ type LSTM struct {
 	gates         []*tensor.Mat // pre-activation storage reused as post-activation
 	cs, hs        []*tensor.Mat // cell and hidden states (index t+1 holds step t output)
 	dx            *tensor.Mat
-	scratch4H     *tensor.Mat
 	scratchWx     *tensor.Mat
 	scratchWh     *tensor.Mat
 	dh, dc, dhNew *tensor.Mat
@@ -109,7 +108,6 @@ func (l *LSTM) ensureCaches(b int) {
 		l.cs[t] = tensor.NewMat(b, h)
 		l.hs[t] = tensor.NewMat(b, h)
 	}
-	l.scratch4H = tensor.NewMat(b, 4*h)
 	l.scratchWx = tensor.NewMat(4*h, l.In)
 	l.scratchWh = tensor.NewMat(4*h, h)
 	l.dh = tensor.NewMat(b, h)
@@ -135,8 +133,7 @@ func (l *LSTM) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		gates := l.gates[t]
 		// gates = xt·Wxᵀ + h_{t-1}·Whᵀ + b
 		tensor.MulTransBInto(gates, xt, wx)
-		tensor.MulTransBInto(l.scratch4H, l.hs[t], wh)
-		tensor.AddTo(gates.Data, l.scratch4H.Data)
+		tensor.AddMulTransB(gates, l.hs[t], wh)
 		gates.AddRowVec(bias)
 		cPrev := l.cs[t]
 		cNew := l.cs[t+1]
@@ -215,7 +212,10 @@ func (l *LSTM) Backward(dout *tensor.Mat) *tensor.Mat {
 				dcRow[j] = dc * f // flows to previous step
 			}
 		}
-		// parameter grads: dWx += dgatesᵀ·x_t ; dWh += dgatesᵀ·h_{t-1}
+		// parameter grads: dWx += dgatesᵀ·x_t ; dWh += dgatesᵀ·h_{t-1}.
+		// Each step's product is summed into a scratch and added once: g
+		// already holds the later steps' sums, so adding the terms onto it
+		// one by one (AddMulTransA) would round differently.
 		xt := l.stepInput(l.xs, t)
 		tensor.MulTransAInto(l.scratchWx, dgates, xt)
 		tensor.AddTo(gwx.Data, l.scratchWx.Data)

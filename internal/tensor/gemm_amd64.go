@@ -35,18 +35,22 @@ func gemmRowAsm(out *float64, n int, b *float64, terms *gemmTerm, cnt int)
 // written, and the cursor advances by the non-zero test computed on the
 // value's bits (x|-x has its top bit set iff x != 0; the shift drops the
 // sign, so ±0 are skipped and NaN is kept, exactly as av == 0 decides).
-func gemmRows(dst, a, b *Mat, transA bool, lo, hi int) {
+func gemmRows(dst, a, b *Mat, transA, acc bool, lo, hi int) {
 	n := dst.C
 	rowStep, lda, kn := gemmStrides(a, transA)
 	if n == 0 || kn == 0 {
-		Zero(dst.Data[lo*n : hi*n])
+		if !acc {
+			Zero(dst.Data[lo*n : hi*n])
+		}
 		return
 	}
 	bd := b.Data[:kn*n]
 	var terms [gemmChunk]gemmTerm
 	for i := lo; i < hi; i++ {
 		out := dst.Data[i*n : (i+1)*n]
-		Zero(out)
+		if !acc {
+			Zero(out)
+		}
 		arow := a.Data[i*rowStep:]
 		for k := 0; k < kn; {
 			cnt := 0
@@ -61,4 +65,20 @@ func gemmRows(dst, a, b *Mat, transA bool, lo, hi int) {
 			}
 		}
 	}
+}
+
+// mulTransBRowAsm computes out[0:n] = a[0:k]·bᵀ, b n rows of k, or with acc
+// adds each dot product onto out (gemm_amd64.s). k and n must be positive.
+//
+//go:noescape
+func mulTransBRowAsm(out, a *float64, k int, b *float64, n int, acc bool)
+
+// mulTransBRow computes row i of dst = a·bᵀ (dst += with acc) with the
+// SSE2 dot kernel, bit-identical to mulTransBRowGo.
+func mulTransBRow(dst, a, b *Mat, i int, acc bool) {
+	if a.C == 0 || b.R == 0 {
+		mulTransBRowGo(dst, a, b, i, acc)
+		return
+	}
+	mulTransBRowAsm(&dst.Data[i*dst.C], &a.Data[i*a.C], a.C, &b.Data[0], b.R, acc)
 }

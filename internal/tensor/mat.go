@@ -78,17 +78,20 @@ func gemmStrides(a *Mat, transA bool) (rowStep, lda, kn int) {
 	return a.C, 1, a.C
 }
 
-// gemmRowsGo computes rows [lo, hi) of dst = a·b (or aᵀ·b):
-// out_i = Σ_k a_ik · b_k, k ascending, terms with a_ik == 0 skipped. The
+// gemmRowsGo computes rows [lo, hi) of dst = a·b (or aᵀ·b), or with acc
+// dst += a·b: out_i = Σ_k a_ik · b_k, k ascending, terms with a_ik == 0
+// skipped, the chain starting from +0 (from dst's row with acc). The
 // k-outer loop streams through b row by row, so the inner loop is a
-// contiguous axpy. This is the portable body behind MulInto and
-// MulTransAInto and the oracle the amd64 row kernel is held to bit for bit
-// (TestGemmMatchesReference, FuzzGemmRow).
-func gemmRowsGo(dst, a, b *Mat, transA bool, lo, hi int) {
+// contiguous axpy. This is the portable body behind MulInto, MulTransAInto
+// and AddMulTransA and the oracle the amd64 row kernel is held to bit for
+// bit (TestGemmMatchesReference, FuzzGemmRow).
+func gemmRowsGo(dst, a, b *Mat, transA, acc bool, lo, hi int) {
 	rowStep, lda, kn := gemmStrides(a, transA)
 	for i := lo; i < hi; i++ {
 		out := dst.Row(i)
-		Zero(out)
+		if !acc {
+			Zero(out)
+		}
 		for k := 0; k < kn; k++ {
 			av := a.Data[i*rowStep+k*lda]
 			if av == 0 {
@@ -105,10 +108,10 @@ func gemmRowsGo(dst, a, b *Mat, transA bool, lo, hi int) {
 // covers many rows, so the row kernel's scratch is set up once per block
 // rather than once per row.
 type gemmJob struct {
-	dst, a, b      *Mat
-	transA, transB bool
-	per            int // rows per block
-	rows           func(c int)
+	dst, a, b           *Mat
+	transA, transB, acc bool
+	per                 int // rows per block
+	rows                func(c int)
 }
 
 var gemmJobs = sync.Pool{New: func() any {
@@ -122,20 +125,20 @@ func (g *gemmJob) block(c int) {
 	lo, hi := min(c*g.per, g.dst.R), min((c+1)*g.per, g.dst.R)
 	if g.transB {
 		for i := lo; i < hi; i++ {
-			mulTransBRow(g.dst, g.a, g.b, i)
+			mulTransBRow(g.dst, g.a, g.b, i, g.acc)
 		}
 		return
 	}
-	gemmRows(g.dst, g.a, g.b, g.transA, lo, hi)
+	gemmRows(g.dst, g.a, g.b, g.transA, g.acc, lo, hi)
 }
 
-// gemmParallel computes dst = op(a)·op(b) block by block through parallel,
-// which runs the blocks inline when no helper is idle (the GEMM is nested
-// in a cohort member's training).
-func gemmParallel(dst, a, b *Mat, transA, transB bool) {
+// gemmParallel computes dst = op(a)·op(b) (dst += with acc) block by block
+// through parallel, which runs the blocks inline when no helper is idle
+// (the GEMM is nested in a cohort member's training).
+func gemmParallel(dst, a, b *Mat, transA, transB, acc bool) {
 	w := parallel.Workers(dst.R)
 	g := gemmJobs.Get().(*gemmJob)
-	g.dst, g.a, g.b, g.transA, g.transB = dst, a, b, transA, transB
+	g.dst, g.a, g.b, g.transA, g.transB, g.acc = dst, a, b, transA, transB, acc
 	g.per = (dst.R + w - 1) / w
 	parallel.For(w, g.rows)
 	g.dst, g.a, g.b = nil, nil, nil
@@ -160,56 +163,85 @@ func MulInto(dst, a, b *Mat) {
 	}
 	checkNoAlias("MulInto", dst, a, b)
 	if dst.R*dst.C >= parallelRowThreshold && dst.R > 1 {
-		gemmParallel(dst, a, b, false, false)
+		gemmParallel(dst, a, b, false, false, false)
 		return
 	}
-	gemmRows(dst, a, b, false, 0, dst.R)
+	gemmRows(dst, a, b, false, false, 0, dst.R)
 }
 
 // MulTransAInto computes dst = aᵀ·b without materializing aᵀ.
 // Shapes: a is K×M, b is K×N, dst is M×N. dst must not alias a or b
 // (panics).
-func MulTransAInto(dst, a, b *Mat) {
+func MulTransAInto(dst, a, b *Mat) { mulTransA("MulTransAInto", dst, a, b, false) }
+
+// AddMulTransA computes dst += aᵀ·b: each element's terms are added onto
+// it in k order, exactly as MulTransAInto adds them onto +0, so on a dst
+// of +0s the result is MulTransAInto's bit for bit (a chain that starts
+// at +0 never yields −0). On any other dst it differs from MulTransAInto
+// plus AddTo, which rounds the finished sum once more. Shapes and aliasing
+// as MulTransAInto.
+func AddMulTransA(dst, a, b *Mat) { mulTransA("AddMulTransA", dst, a, b, true) }
+
+func mulTransA(op string, dst, a, b *Mat, acc bool) {
 	if a.R != b.R || dst.R != a.C || dst.C != b.C {
-		panic(fmt.Sprintf("tensor: MulTransAInto shape mismatch (%dx%d)ᵀ·(%dx%d)→(%dx%d)",
-			a.R, a.C, b.R, b.C, dst.R, dst.C))
+		panic(fmt.Sprintf("tensor: %s shape mismatch (%dx%d)ᵀ·(%dx%d)→(%dx%d)",
+			op, a.R, a.C, b.R, b.C, dst.R, dst.C))
 	}
-	checkNoAlias("MulTransAInto", dst, a, b)
+	checkNoAlias(op, dst, a, b)
 	if dst.R >= 4 && dst.R*dst.C >= parallelRowThreshold {
-		gemmParallel(dst, a, b, true, false)
+		gemmParallel(dst, a, b, true, false, acc)
 		return
 	}
-	gemmRows(dst, a, b, true, 0, dst.R)
+	gemmRows(dst, a, b, true, acc, 0, dst.R)
 }
 
 // MulTransBInto computes dst = a·bᵀ without materializing bᵀ.
 // Shapes: a is M×K, b is N×K, dst is M×N. dst must not alias a or b
 // (panics).
-func MulTransBInto(dst, a, b *Mat) {
+func MulTransBInto(dst, a, b *Mat) { mulTransB("MulTransBInto", dst, a, b, false) }
+
+// AddMulTransB computes dst += a·bᵀ as dst + ⟨a_i, b_j⟩ per element, the
+// dot product summed from +0 first: bit for bit MulTransBInto into a
+// scratch followed by AddTo(dst, scratch), for any dst. Shapes and
+// aliasing as MulTransBInto.
+func AddMulTransB(dst, a, b *Mat) { mulTransB("AddMulTransB", dst, a, b, true) }
+
+func mulTransB(op string, dst, a, b *Mat, acc bool) {
 	if a.C != b.C || dst.R != a.R || dst.C != b.R {
-		panic(fmt.Sprintf("tensor: MulTransBInto shape mismatch (%dx%d)·(%dx%d)ᵀ→(%dx%d)",
-			a.R, a.C, b.R, b.C, dst.R, dst.C))
+		panic(fmt.Sprintf("tensor: %s shape mismatch (%dx%d)·(%dx%d)ᵀ→(%dx%d)",
+			op, a.R, a.C, b.R, b.C, dst.R, dst.C))
 	}
-	checkNoAlias("MulTransBInto", dst, a, b)
+	checkNoAlias(op, dst, a, b)
 	if dst.R*dst.C >= parallelRowThreshold && dst.R > 1 {
-		gemmParallel(dst, a, b, false, true)
+		gemmParallel(dst, a, b, false, true, acc)
 		return
 	}
 	for i := 0; i < a.R; i++ {
-		mulTransBRow(dst, a, b, i)
+		mulTransBRow(dst, a, b, i, acc)
 	}
 }
 
-// mulTransBRow computes row i of dst = a·bᵀ: out_j = ⟨a_i, b_j⟩.
+// mulTransBRowGo computes row i of dst = a·bᵀ: out_j = ⟨a_i, b_j⟩, or with
+// acc out_j += ⟨a_i, b_j⟩, the dot product summed from +0 before it is
+// added. It is the portable body of mulTransBRow and the oracle the amd64
+// kernel is held to bit for bit (TestMulTransBMatchesReference,
+// FuzzMulTransBRow).
 //
 // Four output columns are produced per pass with four independent
 // accumulators — one per dot product, each fed in plain index order, so
 // every out_j sees exactly the summation sequence of a naive Dot. The
 // interleave exists for instruction-level parallelism: a single dot's adds
 // form one dependency chain, four chains keep the FP adder busy.
-func mulTransBRow(dst, a, b *Mat, i int) {
+func mulTransBRowGo(dst, a, b *Mat, i int, acc bool) {
 	arow := a.Row(i)
 	out := dst.Row(i)
+	put := func(j int, s float64) {
+		if acc {
+			out[j] += s
+		} else {
+			out[j] = s
+		}
+	}
 	n := len(arow)
 	j := 0
 	for ; j+4 <= b.R; j += 4 {
@@ -224,13 +256,13 @@ func mulTransBRow(dst, a, b *Mat, i int) {
 			s2 += av * b2[k]
 			s3 += av * b3[k]
 		}
-		out[j] = s0
-		out[j+1] = s1
-		out[j+2] = s2
-		out[j+3] = s3
+		put(j, s0)
+		put(j+1, s1)
+		put(j+2, s2)
+		put(j+3, s3)
 	}
 	for ; j < b.R; j++ {
-		out[j] = Dot(arow, b.Row(j))
+		put(j, Dot(arow, b.Row(j)))
 	}
 }
 
