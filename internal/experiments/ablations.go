@@ -15,7 +15,7 @@ import (
 func Figure6(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig6", Title: "Weighted vs uniform cross-tier aggregation (paper Figure 6)"}
 	// Both aggregation variants across all three datasets, each cell
-	// defined once and collected back via cellRun. The ablation is FedAT
+	// defined once and read back from the request. The ablation is FedAT
 	// under the "uniform" rule; it keeps FedAT's name because the name
 	// labels the run's RNG streams.
 	uniformFedAT := fl.Methods["fedat"]
@@ -26,20 +26,14 @@ func Figure6(p Preset) (*Report, error) {
 		weighted[i] = cell{p: p, d: spec, method: "fedat"}
 		uniform[i] = cell{p: p, d: spec, method: "fedat", variant: "agg=uniform", spec: &uniformFedAT, mutate: polyline4}
 	}
-	if err := scheduleCells(append(append([]cell{}, weighted...), uniform...)); err != nil {
+	r, err := runCells(append(append([]cell{}, weighted...), uniform...))
+	if err != nil {
 		return nil, err
 	}
 	tb := report.NewTable("Best accuracy with and without the weighted aggregation heuristic",
 		"dataset", "Weighted (Eq. 5)", "Uniform", "delta")
 	for i, spec := range figure2Specs {
-		w, err := cellRun(weighted[i])
-		if err != nil {
-			return nil, err
-		}
-		u, err := cellRun(uniform[i])
-		if err != nil {
-			return nil, err
-		}
+		w, u := r.of(weighted[i]), r.of(uniform[i])
 		rep.Keep(spec.label()+"/weighted", w)
 		rep.Keep(spec.label()+"/uniform", u)
 		tb.AddRow(report.Str(spec.label()), accCell(w.BestAcc()), accCell(u.BestAcc()),
@@ -79,7 +73,8 @@ func Figure9(p Preset) (*Report, error) {
 			}
 		}
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 	for _, spec := range specs {
@@ -94,10 +89,7 @@ func Figure9(p Preset) (*Report, error) {
 		}
 		for _, k := range figure9Participation {
 			for _, m := range figure9Methods {
-				run, err := cellRun(cellFor(spec, k, m))
-				if err != nil {
-					return nil, err
-				}
+				run := r.of(cellFor(spec, k, m))
 				rep.Keep(fmt.Sprintf("%s/%s/k=%d", spec.label(), m, k), run)
 				rows[m] = append(rows[m], accCell(run.BestAcc()))
 			}
@@ -139,7 +131,8 @@ func Figure10(p Preset) (*Report, error) {
 		cells[i] = cell{p: p, d: spec, method: "fedat", variant: "tiers=" + cfg.label,
 			cmutate: func(cc *simnet.ClusterConfig) { cc.PartSizes = sizes[i] }}
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 
@@ -148,10 +141,7 @@ func Figure10(p Preset) (*Report, error) {
 	tl := map[string]*metrics.Run{}
 	var order []string
 	for i, cfg := range figure10Configs {
-		run, err := cellRun(cells[i])
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(cells[i])
 		rep.Keep(cfg.label, run)
 		tl[cfg.label] = run
 		order = append(order, cfg.label)

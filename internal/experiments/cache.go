@@ -24,7 +24,11 @@ import (
 // the same training) reuse them through a shared cell cache instead of
 // re-simulating.
 //
-// The scheduler runs a plan/execute/fill sequence:
+// An experiment builds its whole grid of cells, makes one runCells request
+// and reads each run back from the lookup that request returns. A request
+// either fails with its first error or holds every cell it asked for.
+//
+// runCells runs a plan/execute/fill sequence:
 //
 //  1. Plan: collect every cache-missing cell of the request and CLAIM it
 //     under one critical section. A cell already claimed by a concurrent
@@ -106,13 +110,11 @@ var simulations atomic.Int64
 // SimulationCount reports how many simulations this process has executed.
 func SimulationCount() int64 { return simulations.Load() }
 
-// cacheHits counts cell REQUESTS served from an existing (cached or
-// in-flight) cell instead of triggering a fresh simulation. This is a
-// request-level metric, not a cross-experiment dedup count: an experiment
-// that prefetches its grid and then collects per spec re-requests its own
-// cells, and those re-requests count too. It answers "how much re-request
-// traffic did the cache absorb", and is an upper bound on sharing between
-// experiments.
+// cacheHits counts the cells a runCells request found already cached or
+// in flight, each once per request, instead of simulating them. An
+// experiment makes one request for its grid, so on a fresh cache it records
+// none: every hit is a run shared between requests, such as Figure 4
+// reading Figure 2's runs.
 var cacheHits atomic.Int64
 
 // CacheHitCount reports how many cell requests the cache has absorbed (see
@@ -211,37 +213,74 @@ func simulateDirect(run func() (*metrics.Run, error)) (*metrics.Run, error) {
 	return run()
 }
 
-// scheduleCells runs the plan/execute/fill sequence for a batch of cells
-// and blocks until every one (claimed here or by a concurrent experiment)
-// has a result. The first error observed is returned; failed cells are
-// evicted so a later request can retry them.
-func scheduleCells(cells []cell) error {
-	// Plan: claim missing cells under one critical section. Deduplicate
-	// within the batch too — experiments may request overlapping cells.
-	// Requests absorbed by an existing slot (cached or in flight) count as
-	// cache hits for the scheduler metadata.
+// ran holds the runs of one runCells request, keyed by cell.key().
+type ran map[string]*metrics.Run
+
+// of returns c's run. Asking for a cell outside the request is a
+// programming error.
+func (r ran) of(c cell) *metrics.Run {
+	run, ok := r[c.key()]
+	if !ok {
+		panic("experiments: cell " + c.key() + " was not in the request")
+	}
+	return run
+}
+
+// methods returns the plain runs of the named methods on d, keyed by
+// method, as timelineTable reads them.
+func (r ran) methods(p Preset, d dsSpec, names []string) map[string]*metrics.Run {
+	out := make(map[string]*metrics.Run, len(names))
+	for _, name := range names {
+		out[name] = r.of(cell{p: p, d: d, method: name})
+	}
+	return out
+}
+
+// methodCells is the plain (spec × method) grid of a registry experiment.
+func methodCells(p Preset, specs []dsSpec, names []string) []cell {
+	cells := make([]cell, 0, len(specs)*len(names))
+	for _, d := range specs {
+		for _, name := range names {
+			cells = append(cells, cell{p: p, d: d, method: name})
+		}
+	}
+	return cells
+}
+
+// runCells runs the plan/execute/fill sequence for a batch of cells,
+// blocks until every one (claimed here or by a concurrent experiment) has
+// a result, and returns the runs of exactly those cells. The first error
+// in request order is returned; this batch's failed cells are evicted so a
+// later request can retry them.
+func runCells(cells []cell) (ran, error) {
+	// Plan: claim missing cells under one critical section. A cell asked
+	// for twice in one request is one wait; a cell another request already
+	// holds (cached or in flight) counts as one cache hit.
 	type claimedCell struct {
+		k  string
 		c  cell
 		st *cellState
 	}
-	waiters := make([]*cellState, 0, len(cells))
-	owned := map[string]claimedCell{}
+	keys := make([]string, 0, len(cells))
+	waiters := make(map[string]*cellState, len(cells))
+	var owned []claimedCell
 	runCache.Lock()
 	for _, c := range cells {
 		k := c.key()
-		if st, ok := runCache.m[k]; ok {
-			st.hits.Add(1)
-			cacheHits.Add(1)
-			waiters = append(waiters, st)
+		if _, ok := waiters[k]; ok {
 			continue
 		}
-		if _, ok := owned[k]; ok {
-			continue // duplicate within this batch; first claim covers it
+		st, ok := runCache.m[k]
+		if ok {
+			st.hits.Add(1)
+			cacheHits.Add(1)
+		} else {
+			st = &cellState{done: make(chan struct{})}
+			runCache.m[k] = st
+			owned = append(owned, claimedCell{k: k, c: c, st: st})
 		}
-		st := &cellState{done: make(chan struct{})}
-		runCache.m[k] = st
-		owned[k] = claimedCell{c: c, st: st}
-		waiters = append(waiters, st)
+		keys = append(keys, k)
+		waiters[k] = st
 	}
 	runCache.Unlock()
 
@@ -258,82 +297,31 @@ func scheduleCells(cells []cell) error {
 		}()
 	}
 
-	// Fill/wait: collect every requested cell, evicting this batch's own
-	// failures so they can be retried. Failed cells owned by concurrent
-	// batches are their owners' to evict — every owner observes its own
-	// cells' errors in this loop.
+	// Fill/wait: collect every requested cell. A closed done channel
+	// publishes run and err, including those of cells a concurrent batch
+	// owns. This batch evicts its own failures so they can be retried;
+	// failed cells owned by concurrent batches are their owners' to evict.
 	var firstErr error
-	for _, st := range waiters {
+	out := make(ran, len(keys))
+	for _, k := range keys {
+		st := waiters[k]
 		<-st.done
 		if st.err != nil && firstErr == nil {
 			firstErr = st.err
 		}
+		out[k] = st.run
 	}
-	if firstErr != nil {
-		runCache.Lock()
-		for k, oc := range owned {
-			if oc.st.err != nil && runCache.m[k] == oc.st {
-				delete(runCache.m, k)
-			}
-		}
-		runCache.Unlock()
+	if firstErr == nil {
+		return out, nil
 	}
-	return firstErr
-}
-
-// cachedRunMethods schedules the named methods' plain cells (sharing
-// in-flight and cached runs with every other experiment) and returns the
-// run records keyed by method.
-func cachedRunMethods(p Preset, d dsSpec, names []string) (map[string]*metrics.Run, error) {
-	cells := make([]cell, len(names))
-	for i, name := range names {
-		cells[i] = cell{p: p, d: d, method: name}
-	}
-	if err := scheduleCells(cells); err != nil {
-		return nil, err
-	}
-	out := make(map[string]*metrics.Run, len(names))
-	for i, name := range names {
-		run, err := cellRun(cells[i])
-		if err != nil {
-			return nil, err
-		}
-		out[name] = run
-	}
-	return out, nil
-}
-
-// cellRun fetches the completed run for a cell previously passed to
-// scheduleCells. Experiments that sweep variants keep each cell's
-// (variant, mutate) definition in exactly one place by building the cell
-// once, scheduling the batch, and collecting through this accessor.
-func cellRun(c cell) (*metrics.Run, error) {
 	runCache.Lock()
-	st, ok := runCache.m[c.key()]
-	runCache.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("experiments: cell %s was never scheduled (or failed and was evicted)", c.key())
-	}
-	<-st.done
-	if st.err != nil {
-		return nil, st.err
-	}
-	return st.run, nil
-}
-
-// prefetch schedules every (spec × method) cell of an experiment in one
-// batch, so work that the experiment's rendering loop would request
-// serially (one cachedRunMethods call per spec) instead runs concurrently
-// across the whole grid. The follow-up cachedRunMethods calls then hit the
-// cache.
-func prefetch(p Preset, specs []dsSpec, names []string) error {
-	cells := make([]cell, 0, len(specs)*len(names))
-	for _, d := range specs {
-		for _, name := range names {
-			cells = append(cells, cell{p: p, d: d, method: name})
+	for _, oc := range owned {
+		if oc.st.err != nil && runCache.m[oc.k] == oc.st {
+			delete(runCache.m, oc.k)
 		}
 	}
-	return scheduleCells(cells)
+	runCache.Unlock()
+	return nil, firstErr
 }
 
 func cacheKey(p Preset, d dsSpec, method, variant string) string {

@@ -14,14 +14,12 @@ import (
 // bytes each method had consumed.
 func Figure4(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig4", Title: "Accuracy vs cumulative uploaded bytes (paper Figure 4)"}
-	if err := prefetch(p, figure2Specs, table1Methods); err != nil {
+	r, err := runCells(methodCells(p, figure2Specs, table1Methods))
+	if err != nil {
 		return nil, err
 	}
 	for _, spec := range figure2Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods)
-		if err != nil {
-			return nil, err
-		}
+		runs := r.methods(p, spec, table1Methods)
 		best := runs["fedat"].BestAcc()
 		milestones := []float64{0.5 * best, 0.75 * best, 0.9 * best}
 		tb := report.NewTable(spec.label(), "method",
@@ -52,7 +50,8 @@ func Figure4(p Preset) (*Report, error) {
 // to achieve the target accuracy" (up+down, in MB).
 func Table2(p Preset) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Data transferred to reach target accuracy (paper Table 2)"}
-	if err := prefetch(p, figure2Specs, table1Methods); err != nil {
+	r, err := runCells(methodCells(p, figure2Specs, table1Methods))
+	if err != nil {
 		return nil, err
 	}
 	tb := report.NewTable("Bytes (up+down) to reach 90% of FedAT's best accuracy",
@@ -63,10 +62,7 @@ func Table2(p Preset) (*Report, error) {
 		rows[m] = []report.Cell{report.Str(methodLabel(m))}
 	}
 	for _, spec := range figure2Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods)
-		if err != nil {
-			return nil, err
-		}
+		runs := r.methods(p, spec, table1Methods)
 		target := 0.9 * runs["fedat"].BestAcc()
 		for _, m := range order {
 			run := runs[m]
@@ -107,7 +103,6 @@ func Figure5(p Preset) (*Report, error) {
 	spec := dsSpec{name: "cifar10", classesPerClient: 2}
 
 	// One batch across all codec variants, so the sweep runs concurrently.
-	// Each cell is defined once here and collected back via cellRun.
 	cells := make([]cell, len(figure5Codecs))
 	for i, entry := range figure5Codecs {
 		entry := entry
@@ -115,17 +110,15 @@ func Figure5(p Preset) (*Report, error) {
 			variant: "codec=" + entry.label,
 			mutate:  func(cfg *fl.RunConfig) { cfg.Codec = entry.c }}
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 
 	var rawPerUpdate float64
 	runsByLabel := map[string]*metrics.Run{}
 	for i, entry := range figure5Codecs {
-		run, err := cellRun(cells[i])
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(cells[i])
 		rep.Keep(entry.label, run)
 		runsByLabel[entry.label] = run
 		if entry.label == "No Compression" {

@@ -56,17 +56,15 @@ func AblationCompose(p Preset) (*Report, error) {
 		cells = append(cells, c)
 	}
 	cells = append(cells, cell{p: p, d: spec, method: "fedavg"}, cell{p: p, d: spec, method: "fedavg-oversel"})
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 
 	tb := report.NewTable("cifar10(#2): parent methods vs policy compositions",
 		"method", "composition", "best acc", "acc variance", "sec/update", "up-MB", "up-bytes/update")
 	for _, c := range cells {
-		run, err := cellRun(c)
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(c)
 		bytesPer := float64(run.UpBytes) / float64(max(run.GlobalRounds, 1))
 		rep.Keep(c.method, run)
 		m, err := c.methodSpec()

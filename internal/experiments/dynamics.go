@@ -71,7 +71,8 @@ func Dynamics(p Preset) (*Report, error) {
 			cells = append(cells, cellFor(m, mode.retier))
 		}
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 
@@ -80,10 +81,7 @@ func Dynamics(p Preset) (*Report, error) {
 	timeline := map[string]*metrics.Run{}
 	for _, m := range methods {
 		for _, mode := range modes {
-			run, err := cellRun(cellFor(m, mode.retier))
-			if err != nil {
-				return nil, err
-			}
+			run := r.of(cellFor(m, mode.retier))
 			key := m + "/" + mode.name
 			rep.Keep(key, run)
 			timeline[key] = run

@@ -34,7 +34,8 @@ func AblationMisTier(p Preset) (*Report, error) {
 			cells = append(cells, cellFor(m, f))
 		}
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 	header := []string{"method"}
@@ -46,10 +47,7 @@ func AblationMisTier(p Preset) (*Report, error) {
 	for _, m := range []string{"fedat", "tifl"} {
 		row := []report.Cell{report.Str(methodLabel(m))}
 		for _, f := range fracs {
-			run, err := cellRun(cellFor(m, f))
-			if err != nil {
-				return nil, err
-			}
+			run := r.of(cellFor(m, f))
 			rep.Keep(fmt.Sprintf("%s/%.0f%%", m, 100*f), run)
 			row = append(row, accCell(run.BestAcc()), report.Numf("%.1fs", run.SecPerUpdate()))
 		}
@@ -85,15 +83,13 @@ func AblationLambda(p Preset) (*Report, error) {
 	for i, l := range lambdas {
 		cells[i] = cellFor(l)
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 	tb := report.NewTable("FedAT on cifar10(#2) across λ", "lambda", "best acc", "acc variance")
 	for _, l := range lambdas {
-		run, err := cellRun(cellFor(l))
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(cellFor(l))
 		rep.Keep(fmt.Sprintf("lambda=%.2f", l), run)
 		tb.AddRow(report.Numf("%.2f", l), accCell(run.BestAcc()), report.Numf("%.2e", run.MeanVariance()))
 	}

@@ -57,7 +57,8 @@ func Hierarchy(p Preset) (*Report, error) {
 			cmutate: func(cc *simnet.ClusterConfig) { cc.Behavior = dynBehavior },
 			cloud:   row.cloud}
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 
@@ -65,10 +66,7 @@ func Hierarchy(p Preset) (*Report, error) {
 		"topology", "best acc", "final acc", "sec/update", "edge folds", "mean staleness", "cloud MB up")
 	timeline := map[string]*metrics.Run{}
 	for i, row := range rows {
-		run, err := cellRun(cells[i])
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(cells[i])
 		rep.Keep(row.key, run)
 		timeline[row.key] = run
 		// Flat has no edge→cloud hop at all; its telemetry columns are

@@ -148,7 +148,8 @@ func Robustness(p Preset) (*Report, error) {
 		cmutate: func(cc *simnet.ClusterConfig) { cc.Behavior = robBehavior(0, false) },
 	}
 	cells = append(cells, dpCell)
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 
@@ -166,10 +167,7 @@ func Robustness(p Preset) (*Report, error) {
 			row := []report.Cell{report.Str(fam.key), report.Str(robAggLabel(fam, agg))}
 			var accs []float64
 			for _, frac := range robFracs {
-				run, err := cellRun(grid[gridKey{fam.key, agg, frac}])
-				if err != nil {
-					return nil, err
-				}
+				run := r.of(grid[gridKey{fam.key, agg, frac}])
 				rep.Keep(fmt.Sprintf("%s/%s/f%02d", fam.key, robAggLabel(fam, agg), int(frac*100+0.5)), run)
 				accs = append(accs, run.BestAcc())
 				row = append(row, accCell(run.BestAcc()))
@@ -186,14 +184,8 @@ func Robustness(p Preset) (*Report, error) {
 	tt := report.NewTable("latency-correlated attackers: slowest 40% poisoned vs seed-drawn 40%",
 		"family", "fold", "random 40%", "slowest 40%", "delta")
 	for _, tr := range tailRows {
-		randRun, err := cellRun(grid[gridKey{tr.fam.key, tr.agg, 0.4}])
-		if err != nil {
-			return nil, err
-		}
-		tailRun, err := cellRun(tailCells[tr.fam.key+"/"+tr.agg])
-		if err != nil {
-			return nil, err
-		}
+		randRun := r.of(grid[gridKey{tr.fam.key, tr.agg, 0.4}])
+		tailRun := r.of(tailCells[tr.fam.key+"/"+tr.agg])
 		rep.Keep(fmt.Sprintf("%s/%s/tail", tr.fam.key, robAggLabel(tr.fam, tr.agg)), tailRun)
 		tt.AddRow(report.Str(tr.fam.key), report.Str(robAggLabel(tr.fam, tr.agg)),
 			accCell(randRun.BestAcc()), accCell(tailRun.BestAcc()),
@@ -202,14 +194,7 @@ func Robustness(p Preset) (*Report, error) {
 	rep.AddTable(tt)
 
 	// DP control row.
-	honest, err := cellRun(grid[gridKey{"fedavg", "", 0}])
-	if err != nil {
-		return nil, err
-	}
-	dpRun, err := cellRun(dpCell)
-	if err != nil {
-		return nil, err
-	}
+	honest, dpRun := r.of(grid[gridKey{"fedavg", "", 0}]), r.of(dpCell)
 	rep.Keep("fedavg/dp", dpRun)
 	dp := report.NewTable("per-client DP stage on the honest population (clip 1.0, noise 0.1)",
 		"run", "best acc", "final acc")

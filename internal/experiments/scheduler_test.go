@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,13 +14,17 @@ import (
 	"repro/internal/simnet"
 )
 
+// microRuns numbers microPreset's namespaces.
+var microRuns atomic.Int64
+
 // microPreset builds a minimal preset for scheduler tests. Presets that
 // differ only in Name produce identical simulations — Name feeds only the
-// cache key — so each test gets a disjoint cache namespace without
-// touching the Tiny cells other tests share.
+// cache key — so each call gets a disjoint cache namespace without
+// touching the Tiny cells other tests share, and a test repeated in one
+// process (go test -count=N) starts from a cold cache every time.
 func microPreset(name string) Preset {
 	return Preset{
-		Name:         name,
+		Name:         fmt.Sprintf("%s#%d", name, microRuns.Add(1)),
 		Clients:      8,
 		LargeClients: 10,
 		Rounds:       6,
@@ -43,18 +49,15 @@ func topologyCells(p Preset) []cell {
 	}
 }
 
-// cellRecords schedules cs and renders each record as %+v.
+// cellRecords runs cs and renders each record as %+v.
 func cellRecords(cs []cell) ([]string, error) {
-	if err := scheduleCells(cs); err != nil {
+	r, err := runCells(cs)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]string, len(cs))
 	for i, c := range cs {
-		run, err := cellRun(c)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = fmt.Sprintf("%+v", *run)
+		out[i] = fmt.Sprintf("%+v", *r.of(c))
 	}
 	return out, nil
 }
@@ -138,33 +141,93 @@ func TestSchedulerByteIdenticalAndExactlyOnce(t *testing.T) {
 }
 
 // TestSchedulerErrorNotPoisoned checks that a failed cell is evicted so a
-// later request retries instead of inheriting a stale error forever.
+// later request retries instead of inheriting a stale error forever, and
+// that a request's failure costs none of its good cells.
 func TestSchedulerErrorNotPoisoned(t *testing.T) {
 	p := microPreset("sched-err")
-	spec := dsSpec{name: "no-such-dataset", classesPerClient: 2}
-	if _, err := cachedRunMethods(p, spec, []string{"fedat"}); err == nil {
+	bad := cell{p: p, d: dsSpec{name: "no-such-dataset", classesPerClient: 2}, method: "fedat"}
+	if _, err := runCells([]cell{bad}); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
 	// The failed cell must not satisfy the next request from the cache: the
 	// retry must run (and fail) afresh rather than panic or hang.
-	if _, err := cachedRunMethods(p, spec, []string{"fedat"}); err == nil {
+	if _, err := runCells([]cell{bad}); err == nil {
 		t.Fatal("unknown dataset accepted on retry")
 	}
-	if _, err := cachedRunMethods(p, spec, []string{"no-such-method"}); err == nil {
+	if _, err := runCells([]cell{{p: p, d: dsSpec{name: "cifar10", classesPerClient: 2}, method: "no-such-method"}}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
+
+	// A request that mixes a good cell with a failing one returns the
+	// error, keeps the good run cached and evicts only the failure.
+	good := cell{p: p, d: dsSpec{name: "cifar10", classesPerClient: 2}, method: "fedat"}
+	sims := SimulationCount()
+	if _, err := runCells([]cell{good, bad}); err == nil {
+		t.Fatal("request with an unknown dataset accepted")
+	}
+	if got := SimulationCount() - sims; got != 2 {
+		t.Fatalf("mixed request ran %d simulations, want 2", got)
+	}
+	runCache.Lock()
+	_, goodKept := runCache.m[good.key()]
+	_, badKept := runCache.m[bad.key()]
+	runCache.Unlock()
+	if !goodKept || badKept {
+		t.Fatalf("after a failed request: good cell cached %v (want true), failed cell cached %v (want false)",
+			goodKept, badKept)
+	}
+	sims, hits := SimulationCount(), CacheHitCount()
+	r, err := runCells([]cell{good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.of(good) == nil {
+		t.Fatal("good cell has no run")
+	}
+	if gotSims, gotHits := SimulationCount()-sims, CacheHitCount()-hits; gotSims != 0 || gotHits != 1 {
+		t.Fatalf("asking again for the good cell: %d simulations and %d hits, want 0 and 1", gotSims, gotHits)
+	}
+}
+
+// TestSchedulerUnrequestedCellPanics: reading a cell that was not in the
+// request is a programming error, and the panic names the cell.
+func TestSchedulerUnrequestedCellPanics(t *testing.T) {
+	c := cell{p: microPreset("sched-unrequested"), d: dsSpec{name: "cifar10", classesPerClient: 2}, method: "fedat"}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), c.key()) {
+			t.Fatalf("reading a cell outside the request recovered %v, want a panic naming %s", r, c.key())
+		}
+	}()
+	ran{}.of(c)
 }
 
 // TestSchedulerMeta checks the per-cell metadata the JSON renderer
 // publishes: every simulated cell appears with its key, a hit count that
 // grows as later requests are served from cache, and timing fields.
 func TestSchedulerMeta(t *testing.T) {
+	// An experiment requests its grid once, so on a fresh cache it records
+	// no hits: Figure 2 simulates its 15 (dataset × method) cells and
+	// serves none of them from the cache (see cacheHits).
+	p2 := microPreset("sched-meta-fig2")
+	sims, hits := SimulationCount(), CacheHitCount()
+	if _, err := Figure2(p2); err != nil {
+		t.Fatal(err)
+	}
+	if gotSims, gotHits := SimulationCount()-sims, CacheHitCount()-hits; gotSims != 15 || gotHits != 0 {
+		t.Fatalf("fresh Figure2 ran %d simulations with %d cache hits, want 15 and 0", gotSims, gotHits)
+	}
+	// A cell named twice in one request is one simulation and no hit.
+	twice := cell{p: p2, d: dsSpec{name: "cifar10", classesPerClient: 2}, method: "fedat", variant: "twice"}
+	sims, hits = SimulationCount(), CacheHitCount()
+	if _, err := runCells([]cell{twice, twice}); err != nil {
+		t.Fatal(err)
+	}
+	if gotSims, gotHits := SimulationCount()-sims, CacheHitCount()-hits; gotSims != 1 || gotHits != 0 {
+		t.Fatalf("a cell named twice ran %d simulations with %d cache hits, want 1 and 0", gotSims, gotHits)
+	}
+
 	p := microPreset("sched-meta")
 	hitsBase := CacheHitCount()
-	// Figure 6 schedules its whole batch once and collects via cellRun, so
-	// a fresh run records no hits. Prefetch-then-collect experiments
-	// (Table 1, Figure 2) re-request their own cells and DO count hits on
-	// a fresh run — the metric is request-level by design (see cacheHits).
 	if _, err := Figure6(p); err != nil {
 		t.Fatal(err)
 	}
@@ -193,8 +256,8 @@ func TestSchedulerMeta(t *testing.T) {
 		}
 	}
 	for _, key := range []string{
-		"sched-meta|cifar10(#2)|false|fedat|",
-		"sched-meta|cifar10(#2)|false|fedat|agg=uniform",
+		p.Name + "|cifar10(#2)|false|fedat|",
+		p.Name + "|cifar10(#2)|false|fedat|agg=uniform",
 	} {
 		if !cells[key] {
 			t.Fatalf("cell %q missing from scheduler meta (have %v)", key, cells)

@@ -198,7 +198,8 @@ func Staleness(p Preset) (*Report, error) {
 		topoCells[i] = c
 		cells = append(cells, c)
 	}
-	if err := scheduleCells(cells); err != nil {
+	r, err := runCells(cells)
+	if err != nil {
 		return nil, err
 	}
 
@@ -216,10 +217,7 @@ func Staleness(p Preset) (*Report, error) {
 		row := []report.Cell{report.Str(fn)}
 		var mid *metrics.Run
 		for _, alpha := range staleAlphas {
-			run, err := cellRun(grid[gridKey{fn, alpha}])
-			if err != nil {
-				return nil, err
-			}
+			run := r.of(grid[gridKey{fn, alpha}])
 			rep.Keep(fmt.Sprintf("fedasync/%s/a%g", fn, alpha), run)
 			row = append(row, accCell(run.FinalAcc()))
 			if alpha == 0.5 {
@@ -229,10 +227,7 @@ func Staleness(p Preset) (*Report, error) {
 		row = append(row, accCell(mid.BestAcc()))
 		tb.AddRow(row...)
 	}
-	constRun, err := cellRun(constCell)
-	if err != nil {
-		return nil, err
-	}
+	constRun := r.of(constCell)
 	rep.Keep("fedasync/const", constRun)
 	constRow := []report.Cell{report.Str(fl.StaleFuncConst)}
 	for range staleAlphas {
@@ -247,10 +242,7 @@ func Staleness(p Preset) (*Report, error) {
 	polyRuns := map[string]*metrics.Run{}
 	var polyOrder []string
 	for _, alpha := range staleAlphas {
-		run, err := cellRun(grid[gridKey{fl.StaleFuncPoly, alpha}])
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(grid[gridKey{fl.StaleFuncPoly, alpha}])
 		key := fmt.Sprintf("poly/a%g", alpha)
 		polyRuns[key] = run
 		polyOrder = append(polyOrder, key)
@@ -263,10 +255,7 @@ func Staleness(p Preset) (*Report, error) {
 	pt := report.NewTable("rule x pacer at poly:0.5",
 		"rule", "pacer", "best acc", "final acc", "updates", "sec/update")
 	for _, pr := range pacerRows {
-		run, err := cellRun(pacerCells[pr])
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(pacerCells[pr])
 		pacer := pr.pacer
 		if pacer == "" {
 			pacer = "client"
@@ -278,14 +267,7 @@ func Staleness(p Preset) (*Report, error) {
 
 	// Anchor table: per-update vs oldest-member staleness on the buffered
 	// pacer. delta > 0 is the per-update anchor's final-accuracy edge.
-	perUpdateRun, err := cellRun(pacerCells[pacerRow{"fedasync", "fedbuff"}])
-	if err != nil {
-		return nil, err
-	}
-	batchRun, err := cellRun(batchCell)
-	if err != nil {
-		return nil, err
-	}
+	perUpdateRun, batchRun := r.of(pacerCells[pacerRow{"fedasync", "fedbuff"}]), r.of(batchCell)
 	rep.Keep("anchor/batch", batchRun)
 	at := report.NewTable(fmt.Sprintf("staleness anchor granularity (fedbuff pacer, K=%d)", staleBufferK),
 		"anchor", "rule", "best acc", "final acc")
@@ -299,18 +281,8 @@ func Staleness(p Preset) (*Report, error) {
 	rep.AddTable(at)
 
 	// Adaptive-LR table: each pacer's off row is the matching cell above.
-	alrClientRun, err := cellRun(alrClient)
-	if err != nil {
-		return nil, err
-	}
-	alrBufRun, err := cellRun(alrBuf)
-	if err != nil {
-		return nil, err
-	}
-	clientOff, err := cellRun(pacerCells[pacerRow{"fedasync", ""}])
-	if err != nil {
-		return nil, err
-	}
+	alrClientRun, alrBufRun := r.of(alrClient), r.of(alrBuf)
+	clientOff := r.of(pacerCells[pacerRow{"fedasync", ""}])
 	rep.Keep("adaptive-lr/client", alrClientRun)
 	rep.Keep("adaptive-lr/fedbuff", alrBufRun)
 	lt := report.NewTable("staleness-adaptive local LR (fedasync:poly:0.5)",
@@ -324,10 +296,7 @@ func Staleness(p Preset) (*Report, error) {
 	et := report.NewTable("fedasync:poly:0.5@fedbuff across topologies",
 		"topology", "best acc", "final acc", "edge folds", "mean staleness")
 	for i, row := range topoRows {
-		run, err := cellRun(topoCells[i])
-		if err != nil {
-			return nil, err
-		}
+		run := r.of(topoCells[i])
 		rep.Keep("topo/"+row.key, run)
 		et.AddRow(report.Str(row.key),
 			accCell(run.BestAcc()), accCell(run.FinalAcc()),

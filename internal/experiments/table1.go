@@ -29,9 +29,10 @@ var table1Specs = []dsSpec{
 // FedAT's improvement over the best and worst baselines.
 func Table1(p Preset) (*Report, error) {
 	rep := &Report{ID: "table1", Title: "Prediction performance and accuracy variance (paper Table 1)"}
-	// Schedule the whole method × dataset grid at once; the per-spec loop
-	// below then collects from the cache.
-	if err := prefetch(p, table1Specs, table1Methods); err != nil {
+	// Run the whole method × dataset grid at once; the per-spec loop below
+	// reads from the request's runs.
+	r, err := runCells(methodCells(p, table1Specs, table1Methods))
+	if err != nil {
 		return nil, err
 	}
 
@@ -50,10 +51,7 @@ func Table1(p Preset) (*Report, error) {
 	}
 
 	for _, spec := range table1Specs {
-		runs, err := cachedRunMethods(p, spec, table1Methods)
-		if err != nil {
-			return nil, err
-		}
+		runs := r.methods(p, spec, table1Methods)
 		fedatVar := runs["fedat"].MeanVariance()
 		bestBase, worstBase := 0.0, 1.0
 		var bestName, worstName string

@@ -26,16 +26,14 @@ func TheoryValidation(p Preset) (*Report, error) {
 	// cifar10), shared with Table 1 / Figure 2 when those already ran.
 	spec := dsSpec{name: "sent140", classesPerClient: 2}
 	specNC := dsSpec{name: "cifar10", classesPerClient: 2}
-	if err := prefetch(p, []dsSpec{spec, specNC}, []string{"fedat"}); err != nil {
+	convex, nonConvex := cell{p: p, d: spec, method: "fedat"}, cell{p: p, d: specNC, method: "fedat"}
+	r, err := runCells([]cell{convex, nonConvex})
+	if err != nil {
 		return nil, err
 	}
 
 	// Convex case: logistic regression (Theorem 5.1).
-	runs, err := cachedRunMethods(p, spec, []string{"fedat"})
-	if err != nil {
-		return nil, err
-	}
-	run := runs["fedat"]
+	run := r.of(convex)
 	rep.Keep("convex", run)
 
 	// f* is unknown; the best observed loss is the plug-in estimate, and
@@ -74,11 +72,7 @@ func TheoryValidation(p Preset) (*Report, error) {
 		firstHalf, secondHalf, verdict))
 
 	// Non-convex case (Theorem 5.2): the loss trend on the image model.
-	runsNC, err := cachedRunMethods(p, specNC, []string{"fedat"})
-	if err != nil {
-		return nil, err
-	}
-	runNC := runsNC["fedat"]
+	runNC := r.of(nonConvex)
 	rep.Keep("nonconvex", runNC)
 	first, last := runNC.Points[0].Loss, runNC.FinalLoss()
 	rep.AddScalar("nonconvex/first_loss", first, "loss")

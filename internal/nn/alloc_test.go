@@ -57,6 +57,23 @@ func TestDenseHotPathAllocFree(t *testing.T) {
 	})
 }
 
+// TestLSTMHotPathAllocFree pins the sequence stack (Embedding + LSTM +
+// Dropout + Dense head), including the LSTM's per-step input and gate
+// gradient scratch, at zero steady-state allocations. BatchNorm is left out:
+// its Forward allocates the matrix it returns.
+func TestLSTMHotPathAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	cfg := LSTMConfig{Vocab: 9, Emb: 5, Hidden: 6, SeqLen: 4, Classes: 3, Dropout: 0.1}
+	net := NewLSTMClassifier(rng.New(7), cfg)
+	x := tokenInputs(cfg)(rng.New(3), 8)
+	_, labels := randBatch(3, 8, 1, cfg.Classes)
+	assertAllocFree(t, "LSTM forward", 0, func() { net.Forward(x, true) })
+	assertAllocFree(t, "LSTM forward+backward", 0, func() {
+		net.ZeroGrad()
+		net.Backprop(x, labels)
+	})
+}
+
 // TestConvHotPathAllocFree pins the convolutional stack (Conv2D + pool +
 // Dense head), including the per-sample im2col scratch, at zero
 // steady-state allocations.

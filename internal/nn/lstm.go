@@ -18,6 +18,9 @@ type LSTM struct {
 
 	w, g []float64 // Wx (4H×In), Wh (4H×H), b (4H)
 
+	// View headers onto Wx and Wh in w and g, set once in Bind.
+	wxMat, whMat, gwxMat, gwhMat tensor.Mat
+
 	// per-step caches, each SeqLen long, batch-major matrices
 	xs            *tensor.Mat
 	gates         []*tensor.Mat // pre-activation storage reused as post-activation
@@ -26,6 +29,10 @@ type LSTM struct {
 	scratchWx     *tensor.Mat
 	scratchWh     *tensor.Mat
 	dh, dc, dhNew *tensor.Mat
+	// per-step scratch, refilled every step: the step's input rows (B×In),
+	// and Backward's pre-activation gate gradient (B×4H) and step input
+	// gradient (B×In)
+	xt, dgates, dxt *tensor.Mat
 }
 
 // NewLSTM constructs an LSTM over seqLen steps of in features with the given
@@ -50,6 +57,12 @@ func (l *LSTM) ParamShapes() []Shape {
 func (l *LSTM) Bind(w, g []float64) {
 	checkBind(l, w, g)
 	l.w, l.g = w, g
+	h4, nx := 4*l.Hidden, 4*l.Hidden*l.In
+	nh := h4 * l.Hidden
+	l.wxMat.View(h4, l.In, w[:nx])
+	l.whMat.View(h4, l.Hidden, w[nx:nx+nh])
+	l.gwxMat.View(h4, l.In, g[:nx])
+	l.gwhMat.View(h4, l.Hidden, g[nx:nx+nh])
 }
 
 // Init implements Layer. Forget-gate biases start at 1, the standard trick
@@ -70,22 +83,12 @@ func (l *LSTM) Init(r *rng.RNG) {
 // OutDim implements Layer.
 func (l *LSTM) OutDim(int) int { return l.Hidden }
 
-func (l *LSTM) wx() *tensor.Mat {
-	return tensor.MatFrom(4*l.Hidden, l.In, l.w[:4*l.Hidden*l.In])
-}
-func (l *LSTM) wh() *tensor.Mat {
-	nx := 4 * l.Hidden * l.In
-	return tensor.MatFrom(4*l.Hidden, l.Hidden, l.w[nx:nx+4*l.Hidden*l.Hidden])
-}
+func (l *LSTM) wx() *tensor.Mat  { return &l.wxMat }
+func (l *LSTM) wh() *tensor.Mat  { return &l.whMat }
+func (l *LSTM) gwx() *tensor.Mat { return &l.gwxMat }
+func (l *LSTM) gwh() *tensor.Mat { return &l.gwhMat }
 func (l *LSTM) bias() []float64 {
 	return l.w[4*l.Hidden*(l.In+l.Hidden):]
-}
-func (l *LSTM) gwx() *tensor.Mat {
-	return tensor.MatFrom(4*l.Hidden, l.In, l.g[:4*l.Hidden*l.In])
-}
-func (l *LSTM) gwh() *tensor.Mat {
-	nx := 4 * l.Hidden * l.In
-	return tensor.MatFrom(4*l.Hidden, l.Hidden, l.g[nx:nx+4*l.Hidden*l.Hidden])
 }
 func (l *LSTM) gbias() []float64 {
 	return l.g[4*l.Hidden*(l.In+l.Hidden):]
@@ -114,6 +117,9 @@ func (l *LSTM) ensureCaches(b int) {
 	l.dc = tensor.NewMat(b, h)
 	l.dhNew = tensor.NewMat(b, h)
 	l.dx = tensor.NewMat(b, l.SeqLen*l.In)
+	l.xt = tensor.NewMat(b, l.In)
+	l.dgates = tensor.NewMat(b, 4*h)
+	l.dxt = tensor.NewMat(b, l.In)
 }
 
 // Forward implements Layer.
@@ -159,12 +165,11 @@ func (l *LSTM) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 // stepInput returns the batch view of step t: rows are x[s][t*In:(t+1)*In].
-// The rows are strided in the original matrix, so we copy into a scratch
-// matrix sized B×In.
+// The rows are strided in the original matrix, so they are copied into the
+// B×In scratch, which the next call overwrites.
 func (l *LSTM) stepInput(x *tensor.Mat, t int) *tensor.Mat {
-	b := x.R
-	out := tensor.NewMat(b, l.In)
-	for s := 0; s < b; s++ {
+	out := l.xt
+	for s := 0; s < x.R; s++ {
 		copy(out.Row(s), x.Row(s)[t*l.In:(t+1)*l.In])
 	}
 	return out
@@ -183,8 +188,7 @@ func (l *LSTM) Backward(dout *tensor.Mat) *tensor.Mat {
 	copy(l.dh.Data, dout.Data)
 	tensor.Zero(l.dc.Data)
 	tensor.Zero(l.dx.Data)
-	dgates := tensor.NewMat(b, 4*h)
-	dxt := tensor.NewMat(b, l.In)
+	dgates, dxt := l.dgates, l.dxt
 	for t := l.SeqLen - 1; t >= 0; t-- {
 		gates := l.gates[t]
 		cPrev := l.cs[t]

@@ -28,11 +28,10 @@ type Envelope struct {
 
 // SchedulerMeta is the experiment scheduler's account of the run: how many
 // simulations executed (uncached ones, such as the scale experiment's
-// ladder, included), how many cell requests the cache absorbed, and the
-// per-cell record of every cached cell. Hit counts are request-level: an experiment that
-// prefetches its whole grid and then collects per spec re-requests its own
-// cells, so cache_hits bounds cross-experiment sharing from above rather
-// than measuring it exactly.
+// ladder, included), how many cells a request found already cached or in
+// flight, and the per-cell record of every cached cell. An experiment
+// requests its grid once, so cache_hits counts runs shared between
+// requests.
 type SchedulerMeta struct {
 	Simulations int64      `json:"simulations"`
 	CacheHits   int64      `json:"cache_hits"`
@@ -40,8 +39,8 @@ type SchedulerMeta struct {
 }
 
 // CellMeta describes one scheduler cell: its cache key, the wall-clock its
-// one simulation took once it held a simulation slot, and how many later requests (including the owning
-// experiment's own re-requests) were served from the result.
+// one simulation took once it held a simulation slot, and how many later
+// requests were served from the result.
 type CellMeta struct {
 	Key   string  `json:"key"`
 	SimMS float64 `json:"sim_ms"`
