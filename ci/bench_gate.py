@@ -16,10 +16,11 @@ Two subcommands, shared by CI and local use:
       simulator's fixed-point uplink) are recorded as
       "codec/Polyline<Op>/<params>"; their MB/s column is skipped, and
       check gates their allocs/op and B/op (both 0) like any other row.
-      Benchmark{Gemm,GemmParallel,MulTransB,Im2Col,Col2Im}/<shape> rows
-      (internal/tensor: the GEMM row kernel, the three GEMMs fanned out
-      through internal/parallel, the a·bᵀ row kernel at M×K×N shapes, and
-      the convolution lowering) are recorded as "tensor/<Op>/<shape>",
+      Benchmark{Gemm,GemmParallel,MulTransB,Im2Col,Col2Im,FreeList}/<shape>
+      rows (internal/tensor: the GEMM row kernel, the three GEMMs fanned
+      out through internal/parallel, the a·bᵀ row kernel at M×K×N shapes,
+      the convolution lowering, and a borrow and return through the
+      weight pool and the frame list) are recorded as "tensor/<Op>/<shape>",
       gated the same way;
       BenchmarkForOverhead/<region> rows (internal/parallel: an empty
       region fanned out to the helpers, or nested and run inline) as
@@ -77,7 +78,7 @@ Regenerate the committed baseline after a deliberate perf change:
 
   go test -run '^$' -bench 'BenchmarkMethod/|BenchmarkPopulation/' -benchtime 5x -count 1 . > bench.out
   go test -run '^$' -bench 'BenchmarkPolyline(Encode|Decode|Transmit|TransmitFixed)$' -benchtime 2000x -count 1 ./internal/codec >> bench.out
-  go test -run '^$' -bench 'Benchmark(Gemm|GemmParallel|MulTransB|Im2Col|Col2Im)$' -benchtime 500x -count 1 ./internal/tensor >> bench.out
+  go test -run '^$' -bench 'Benchmark(Gemm|GemmParallel|MulTransB|Im2Col|Col2Im|FreeList)$' -benchtime 500x -count 1 ./internal/tensor >> bench.out
   go test -run '^$' -bench 'BenchmarkForOverhead$' -benchtime 2000x -count 1 ./internal/parallel >> bench.out
   go test -run '^$' -bench 'BenchmarkFold$' -benchtime 500x -count 1 ./internal/robust >> bench.out
   go test -run '^$' -bench 'BenchmarkPartition$' -benchtime 20x -count 1 ./internal/tiering >> bench.out
@@ -89,7 +90,7 @@ import re
 import sys
 
 LINE = re.compile(
-    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|TransmitFixed|Transmit)|GemmParallel|Gemm|MulTransB|Im2Col|Col2Im|Fold|Partition|ForOverhead|CNNBackprop)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
+    r"Benchmark(Method|Population|Polyline(?:Encode|Decode|TransmitFixed|Transmit)|GemmParallel|Gemm|MulTransB|Im2Col|Col2Im|FreeList|Fold|Partition|ForOverhead|CNNBackprop)/(\S+?)(?:-\d+)?\s+(\d+)\s+(\d+(?:\.\d+)?) ns/op"
     r"(?:\s+\d+(?:\.\d+)? MB/s)?"
     r"(?:\s+(\d+(?:\.\d+)?) bytes/client)?"
     r"\s+(\d+) B/op\s+(\d+) allocs/op"

@@ -47,11 +47,6 @@ func main() {
 // model's pooled held-out accuracy.
 func deploy(fed *dataset.Federated, factory fl.ModelFactory, method string) {
 	ref := factory(seed)
-	var shapes []codec.ShapeInfo
-	for _, s := range ref.ParamShapes() {
-		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
-	}
-
 	ev := fl.NewDataEvaluator(factory, seed, fed.Clients)
 	srv, err := transport.NewServer(transport.ServerConfig{
 		Addr:       "127.0.0.1:0",
@@ -67,7 +62,7 @@ func deploy(fed *dataset.Federated, factory fl.ModelFactory, method string) {
 			Codec:           codec.NewPolyline(4),
 			Seed:            seed,
 		},
-		Shapes:  shapes,
+		Shapes:  ref.ParamShapes(),
 		W0:      ref.WeightsCopy(),
 		Dataset: fed.Name,
 		Eval:    ev,

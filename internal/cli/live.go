@@ -78,10 +78,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return fail(1, err)
 	}
 	ref := factory(*seed)
-	var shapes []codec.ShapeInfo
-	for _, s := range ref.ParamShapes() {
-		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
-	}
+	shapes := ref.ParamShapes()
 	// Every role mirrors the federation from the shared seed, so it can
 	// evaluate the global model (and feed TiFL's accuracy-driven selection)
 	// without extra client traffic.

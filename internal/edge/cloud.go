@@ -240,26 +240,21 @@ func (c *Cloud) Push(e int, w []float64, now float64) (fl.EdgeFoldEvent, bool) {
 	if e < 0 || e >= c.cfg.Edges {
 		panic(fmt.Sprintf("edge: push from edge %d, have %d edges", e, c.cfg.Edges))
 	}
-	arrival := w
-	if c.cfg.Edges > 1 {
-		// Run the actual wire path, so the accounted bytes are the frame
-		// payload and the lossy codec's effect is simulation-faithful.
-		if c.refs[e] == nil {
-			c.refs[e] = tensor.Copy(c.cfg.W0)
-		}
-		var err error
-		c.wire, c.delta, err = AppendUplink(c.wire[:0], c.uplinkCodec(), c.cfg.Shapes, c.refs[e], w, c.delta)
-		if err != nil {
-			panic(fmt.Sprintf("edge: uplink encode: %v", err))
-		}
-		c.arrival = tensor.EnsureVec(c.arrival, len(c.refs[e]))
-		if err := DecodeUplinkInto(c.wire, c.refs[e], c.arrival); err != nil {
-			panic(fmt.Sprintf("edge: uplink decode: %v", err))
-		}
-		arrival = c.arrival
-		c.up += int64(len(c.wire))
+	if c.cfg.Edges == 1 {
+		return c.arriveLocked(e, w, now)
 	}
-	return c.arriveLocked(e, arrival, now)
+	// Run the actual wire path, so the accounted bytes are the frame
+	// payload and the lossy codec's effect is simulation-faithful.
+	var err error
+	c.wire, c.delta, err = AppendUplink(c.wire[:0], c.uplinkCodec(), c.cfg.Shapes, c.refLocked(e), w, c.delta)
+	if err != nil {
+		panic(fmt.Sprintf("edge: uplink encode: %v", err))
+	}
+	ev, folded, err := c.decodeLocked(e, c.wire, now)
+	if err != nil {
+		panic(fmt.Sprintf("edge: uplink decode: %v", err))
+	}
+	return ev, folded
 }
 
 // PushWire folds an already-encoded uplink frame — the live root's path:
@@ -272,11 +267,24 @@ func (c *Cloud) PushWire(e int, data []byte, now float64) (fl.EdgeFoldEvent, boo
 	if e < 0 || e >= c.cfg.Edges {
 		return fl.EdgeFoldEvent{}, false, fmt.Errorf("edge: push from edge %d, have %d edges", e, c.cfg.Edges)
 	}
+	return c.decodeLocked(e, data, now)
+}
+
+// refLocked returns edge e's shared uplink reference, starting it at W0 on
+// the edge's first push.
+func (c *Cloud) refLocked(e int) []float64 {
 	if c.refs[e] == nil {
 		c.refs[e] = tensor.Copy(c.cfg.W0)
 	}
-	c.arrival = tensor.EnsureVec(c.arrival, len(c.refs[e]))
-	if err := DecodeUplinkInto(data, c.refs[e], c.arrival); err != nil {
+	return c.refs[e]
+}
+
+// decodeLocked reconstructs edge e's push from its uplink message,
+// accounts the message's bytes and registers the arrival.
+func (c *Cloud) decodeLocked(e int, data []byte, now float64) (fl.EdgeFoldEvent, bool, error) {
+	ref := c.refLocked(e)
+	c.arrival = tensor.EnsureVec(c.arrival, len(ref))
+	if err := DecodeUplinkInto(data, ref, c.arrival); err != nil {
 		return fl.EdgeFoldEvent{}, false, err
 	}
 	c.up += int64(len(data))

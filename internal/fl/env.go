@@ -305,10 +305,6 @@ func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Populat
 		replicas[i] = &Client{Net: factory(cfg.Seed), Opt: opt.NewAdam(cfg.LearningRate)}
 	}
 	ref := replicas[0].Net // untrained: w0 and the shapes are read off it
-	shapes := make([]codec.ShapeInfo, 0, len(ref.ParamShapes()))
-	for _, s := range ref.ParamShapes() {
-		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
-	}
 	ids := evalSampleIDs(n, panel, cfg.Seed)
 	return &Env{
 		Eval:     &Evaluator{ids: ids, shard: shards.ClientInto, reps: replicas[:min(len(replicas), len(ids))]},
@@ -319,7 +315,7 @@ func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Populat
 		shards:   shards,
 		pop:      pop,
 		w0:       ref.WeightsCopy(),
-		shapes:   shapes,
+		shapes:   ref.ParamShapes(),
 		root:     rng.New(cfg.Seed),
 		replicas: replicas,
 		pool:     replicaPool{idle: slices.Clone(replicas)},

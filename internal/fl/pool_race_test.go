@@ -31,7 +31,8 @@ func TestSharedPoolConcurrentTierFolds(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := tensor.NewPool(dim)
-	pool.SetPoison(true)
+	nan := math.NaN()
+	pool.SetPoison(&nan)
 
 	var mu sync.Mutex
 	var folded int

@@ -1,8 +1,9 @@
 package fl
 
 import (
+	"slices"
+
 	"repro/internal/rng"
-	"repro/internal/tiering"
 )
 
 // Selector is the client-selection policy of a method. Every selector
@@ -173,7 +174,17 @@ func sortByArrival(rs []TrainResult) {
 // an accuracy refresh with real communication.
 
 type tiflSelector struct {
-	sel     *tiering.TiFLSelector
+	// credits bounds how often each tier may still be selected; when every
+	// tier's are spent they replenish to tiflCredits, so training continues
+	// past the paper's round budget.
+	credits []int
+	// probs weights each tier ∝ 1 − its last measured accuracy, so
+	// under-trained (typically slower) tiers catch up; 1 until the first
+	// refresh.
+	probs []float64
+	// weights is drawTier's scratch: probs masked to the tiers with credits.
+	weights []float64
+	picks   int // tiers drawn so far; every tiflInterval-th triggers a refresh
 	tierRNG *rng.RNG
 	selRNG  *rng.RNG
 	avail   []int // selectAvailable's swap log; accuracyRefresh's online list
@@ -184,21 +195,63 @@ func (s *tiflSelector) Init(rs *runState) error {
 	if err != nil {
 		return err
 	}
-	s.sel = tiering.NewTiFLSelector(tiers.M(), tiflCredits, tiflInterval)
+	s.setTiers(tiers.M())
 	s.tierRNG = rs.root.SplitLabeled(1)
 	s.selRNG = rs.root.SplitLabeled(2)
 	return nil
 }
 
+// setTiers starts the selection state over m tiers: full credits and equal
+// weights.
+func (s *tiflSelector) setTiers(m int) {
+	s.credits, s.probs, s.weights = make([]int, m), make([]float64, m), make([]float64, m)
+	for i := range m {
+		s.credits[i], s.probs[i] = tiflCredits, 1
+	}
+}
+
+// refreshDue reports whether an accuracy refresh is due: the draw count
+// crossed the interval. TiFL pays for this refresh with an extra round of
+// test-accuracy collection from every tier — the communication overhead
+// §2.1 calls out.
+func (s *tiflSelector) refreshDue() bool {
+	return s.picks > 0 && s.picks%tiflInterval == 0
+}
+
+// drawTier draws the next tier to train from tierRNG, weighting each tier
+// that has credits left by its probability; when all are spent the credits
+// replenish first.
+func (s *tiflSelector) drawTier() int {
+	if !slices.ContainsFunc(s.credits, func(c int) bool { return c > 0 }) {
+		for i := range s.credits {
+			s.credits[i] = tiflCredits
+		}
+	}
+	for i, p := range s.probs {
+		s.weights[i] = 0
+		if s.credits[i] > 0 {
+			s.weights[i] = p
+		}
+	}
+	tier := s.tierRNG.ChooseWeighted(s.weights)
+	s.credits[tier]--
+	s.picks++
+	return tier
+}
+
+// tiflProb is a tier's selection weight at test accuracy acc: 1 − acc,
+// floored so every tier stays selectable.
+func tiflProb(acc float64) float64 { return max(1-acc, 0.05) }
+
 func (s *tiflSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
-	if s.sel.NeedsAccuracyRefresh() {
+	if s.refreshDue() {
 		var err error
 		now, err = s.accuracyRefresh(rs, rs.rule.Global(), now)
 		if err != nil {
 			return nil, 0, now, SelectStop, err
 		}
 	}
-	tier := s.sel.Select(s.tierRNG)
+	tier := s.drawTier()
 	sel := selectAvailable(&s.avail, s.selRNG, rs.tiers.Members[tier], rs.fab, now, rs.cfg.ClientsPerRound)
 	if len(sel) == 0 {
 		return nil, 0, now, SelectSkip, nil // tier fully offline; the selector will pick others
@@ -212,15 +265,15 @@ func (s *tiflSelector) Harvest(rs *runState, results []TrainResult) ([]TrainResu
 
 // accuracyRefresh models TiFL's adaptive-selection bookkeeping: the
 // current model goes out to every available client, each evaluates locally
-// and reports its test accuracy (a small control message). The fabric
-// accounts the cost — on the simulator the transfers serialize on the
-// server downlink and advance the clock; the live fabric tallies the bytes.
-// Each tier's online list is built in the selector's scratch and is dead
-// before the next tier's (or the following selectAvailable) reuses it.
+// and reports its test accuracy (a small control message), and each tier's
+// accuracy becomes its selection weight. The fabric accounts the cost — on
+// the simulator the transfers serialize on the server downlink and advance
+// the clock; the live fabric tallies the bytes. Each tier's online list is
+// built in the selector's scratch and is dead before the next tier's (or
+// the following selectAvailable) reuses it.
 func (s *tiflSelector) accuracyRefresh(rs *runState, global []float64, now float64) (float64, error) {
 	const accMsgBytes = 32
 	latest := now
-	accs := make([]float64, rs.tiers.M())
 	for m, members := range rs.tiers.Members {
 		online := s.avail[:0]
 		for _, id := range members {
@@ -236,9 +289,8 @@ func (s *tiflSelector) accuracyRefresh(rs *runState, global []float64, now float
 		if done > latest {
 			latest = done
 		}
-		accs[m] = rs.fab.EvaluateSubset(global, online)
+		s.probs[m] = tiflProb(rs.fab.EvaluateSubset(global, online))
 	}
-	s.sel.UpdateAccuracies(accs)
 	return latest, nil
 }
 

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -23,7 +24,7 @@ type ReLU struct {
 func NewReLU() *ReLU { return &ReLU{} }
 
 // ParamShapes implements Layer.
-func (l *ReLU) ParamShapes() []Shape { return nil }
+func (l *ReLU) ParamShapes() []codec.ShapeInfo { return nil }
 
 // Bind implements Layer.
 func (l *ReLU) Bind(w, g []float64) { checkBind(l, w, g) }
@@ -87,7 +88,7 @@ func NewDropout(rate float64) *Dropout {
 }
 
 // ParamShapes implements Layer.
-func (l *Dropout) ParamShapes() []Shape { return nil }
+func (l *Dropout) ParamShapes() []codec.ShapeInfo { return nil }
 
 // Bind implements Layer.
 func (l *Dropout) Bind(w, g []float64) { checkBind(l, w, g) }

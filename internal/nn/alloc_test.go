@@ -57,21 +57,37 @@ func TestDenseHotPathAllocFree(t *testing.T) {
 	})
 }
 
-// TestLSTMHotPathAllocFree pins the sequence stack (Embedding + LSTM +
+// TestLSTMHotPathAllocFree pins the sequence stacks (Embedding + LSTM +
 // Dropout + Dense head), including the LSTM's per-step input and gate
-// gradient scratch, at zero steady-state allocations. BatchNorm is left out:
-// its Forward allocates the matrix it returns.
+// gradient scratch, at zero steady-state allocations. The reddit case is
+// the paper's Reddit classifier, with BatchNorm after the dropout; each
+// step alternates a training batch with a smaller split, as training and
+// evaluation do, so every scratch must hold across row counts.
 func TestLSTMHotPathAllocFree(t *testing.T) {
 	skipUnderRace(t)
-	cfg := LSTMConfig{Vocab: 9, Emb: 5, Hidden: 6, SeqLen: 4, Classes: 3, Dropout: 0.1}
-	net := NewLSTMClassifier(rng.New(7), cfg)
-	x := tokenInputs(cfg)(rng.New(3), 8)
-	_, labels := randBatch(3, 8, 1, cfg.Classes)
-	assertAllocFree(t, "LSTM forward", 0, func() { net.Forward(x, true) })
-	assertAllocFree(t, "LSTM forward+backward", 0, func() {
-		net.ZeroGrad()
-		net.Backprop(x, labels)
-	})
+	for _, tc := range []struct {
+		name string
+		cfg  LSTMConfig
+	}{
+		{"dropout", LSTMConfig{Vocab: 9, Emb: 5, Hidden: 6, SeqLen: 4, Classes: 3, Dropout: 0.1}},
+		{"reddit", LSTMConfig{Vocab: 9, Emb: 5, Hidden: 6, SeqLen: 4, Classes: 3, Dropout: 0.1, BatchNorm: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := NewLSTMClassifier(rng.New(7), tc.cfg)
+			x, split := tokenInputs(tc.cfg)(rng.New(3), 8), tokenInputs(tc.cfg)(rng.New(4), 5)
+			_, labels := randBatch(3, 8, 1, tc.cfg.Classes)
+			_, splitLabels := randBatch(4, 5, 1, tc.cfg.Classes)
+			assertAllocFree(t, "LSTM forward", 0, func() {
+				net.Forward(x, true)
+				net.Forward(split, false)
+			})
+			assertAllocFree(t, "LSTM forward+backward", 0, func() {
+				net.ZeroGrad()
+				net.Backprop(x, labels)
+				net.Backprop(split, splitLabels)
+			})
+		})
+	}
 }
 
 // TestConvHotPathAllocFree pins the convolutional stack (Conv2D + pool +

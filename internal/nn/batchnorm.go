@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -17,10 +18,10 @@ type BatchNorm struct {
 
 	w, g []float64 // gamma (Dim), beta (Dim), runMean (Dim), runVar (Dim)
 
-	// caches
-	xhat, dx  *tensor.Mat
-	mean, inv []float64
-	usedBatch bool // whether the last forward normalized with batch stats
+	// caches, grown by capacity: out is Forward's result, dx Backward's
+	xhat, out, dx *tensor.Mat
+	mean, inv     []float64
+	usedBatch     bool // whether the last forward normalized with batch stats
 }
 
 // NewBatchNorm constructs a batch-norm layer over dim features.
@@ -34,8 +35,8 @@ func NewBatchNorm(dim int) *BatchNorm {
 // ParamShapes implements Layer. The running statistics ride along in the
 // parameter vector so that federated aggregation averages them the same way
 // TensorFlow's FL setups transmit BN statistics with the weights.
-func (b *BatchNorm) ParamShapes() []Shape {
-	return []Shape{
+func (b *BatchNorm) ParamShapes() []codec.ShapeInfo {
+	return []codec.ShapeInfo{
 		{Name: "gamma", Dims: []int{b.Dim}},
 		{Name: "beta", Dims: []int{b.Dim}},
 		{Name: "runMean", Dims: []int{b.Dim}},
@@ -71,9 +72,9 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	n := x.R
 	gamma, beta := b.w[:d], b.w[d:2*d]
 	runMean, runVar := b.w[2*d:3*d], b.w[3*d:4*d]
-	if b.xhat == nil || b.xhat.R != n {
-		b.xhat = tensor.NewMat(n, d)
-		b.dx = tensor.NewMat(n, d)
+	b.xhat = tensor.EnsureMat(b.xhat, n, d)
+	b.out = tensor.EnsureMat(b.out, n, d)
+	if b.mean == nil {
 		b.mean = make([]float64, d)
 		b.inv = make([]float64, d)
 	}
@@ -105,18 +106,14 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 			xh[j] = (xr[j] - b.mean[j]) * b.inv[j]
 		}
 	}
-	out := b.dx // reuse buffer shape; write normalized*gamma+beta into fresh view
 	for i := 0; i < n; i++ {
 		xh := b.xhat.Row(i)
-		or := out.Row(i)
+		or := b.out.Row(i)
 		for j := 0; j < d; j++ {
 			or[j] = gamma[j]*xh[j] + beta[j]
 		}
 	}
-	// out currently aliases b.dx; swap so Backward can use dx freely.
-	res := tensor.NewMat(n, d)
-	copy(res.Data, out.Data)
-	return res
+	return b.out
 }
 
 // Backward implements Layer (batch-statistics gradient).
@@ -125,6 +122,7 @@ func (b *BatchNorm) Backward(dout *tensor.Mat) *tensor.Mat {
 	n := dout.R
 	gamma := b.w[:d]
 	gGamma, gBeta := b.g[:d], b.g[d:2*d]
+	b.dx = tensor.EnsureMat(b.dx, n, d)
 	if !b.usedBatch {
 		// Running statistics were constants in the forward pass, so the
 		// input gradient is a plain per-feature scaling.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -59,8 +60,8 @@ func NewConv2D(inC, h, w, outC, k, stride, pad int) *Conv2D {
 func (c *Conv2D) OutShape() (int, int, int) { return c.OutC, c.outH, c.outW }
 
 // ParamShapes implements Layer.
-func (c *Conv2D) ParamShapes() []Shape {
-	return []Shape{
+func (c *Conv2D) ParamShapes() []codec.ShapeInfo {
+	return []codec.ShapeInfo{
 		{Name: "W", Dims: []int{c.OutC, c.InC, c.K, c.K}},
 		{Name: "b", Dims: []int{c.OutC}},
 	}
@@ -195,7 +196,7 @@ func NewMaxPool2D(inC, h, w, k, stride int) *MaxPool2D {
 func (m *MaxPool2D) OutShape() (int, int, int) { return m.InC, m.outH, m.outW }
 
 // ParamShapes implements Layer.
-func (m *MaxPool2D) ParamShapes() []Shape { return nil }
+func (m *MaxPool2D) ParamShapes() []codec.ShapeInfo { return nil }
 
 // Bind implements Layer.
 func (m *MaxPool2D) Bind(w, g []float64) { checkBind(m, w, g) }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -38,8 +39,8 @@ func NewDense(in, out int) *Dense {
 }
 
 // ParamShapes implements Layer.
-func (d *Dense) ParamShapes() []Shape {
-	return []Shape{{Name: "W", Dims: []int{d.Out, d.In}}, {Name: "b", Dims: []int{d.Out}}}
+func (d *Dense) ParamShapes() []codec.ShapeInfo {
+	return []codec.ShapeInfo{{Name: "W", Dims: []int{d.Out, d.In}}, {Name: "b", Dims: []int{d.Out}}}
 }
 
 // Bind implements Layer.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -27,8 +28,8 @@ func NewEmbedding(vocab, dim, seqLen int) *Embedding {
 }
 
 // ParamShapes implements Layer.
-func (e *Embedding) ParamShapes() []Shape {
-	return []Shape{{Name: "E", Dims: []int{e.Vocab, e.Dim}}}
+func (e *Embedding) ParamShapes() []codec.ShapeInfo {
+	return []codec.ShapeInfo{{Name: "E", Dims: []int{e.Vocab, e.Dim}}}
 }
 
 // Bind implements Layer.
@@ -52,10 +53,12 @@ func (e *Embedding) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		panic("nn: Embedding input width mismatch")
 	}
 	b := x.R
-	if e.out == nil || e.out.R != b {
-		e.out = tensor.NewMat(b, e.SeqLen*e.Dim)
+	// Capacity-based reuse: every element of both is written below.
+	e.out = tensor.EnsureMat(e.out, b, e.SeqLen*e.Dim)
+	if cap(e.ids) < b*e.SeqLen {
 		e.ids = make([]int32, b*e.SeqLen)
 	}
+	e.ids = e.ids[:b*e.SeqLen]
 	for s := 0; s < b; s++ {
 		in := x.Row(s)
 		out := e.out.Row(s)
@@ -85,9 +88,7 @@ func (e *Embedding) Backward(dout *tensor.Mat) *tensor.Mat {
 			tensor.AddTo(e.g[id*e.Dim:(id+1)*e.Dim], src[t*e.Dim:(t+1)*e.Dim])
 		}
 	}
-	if e.dx == nil || e.dx.R != b {
-		e.dx = tensor.NewMat(b, e.SeqLen)
-	}
+	e.dx = tensor.EnsureMat(e.dx, b, e.SeqLen)
 	tensor.Zero(e.dx.Data)
 	return e.dx
 }

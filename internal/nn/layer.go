@@ -23,25 +23,10 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
-
-// Shape describes one named parameter block of a layer, used by the codec to
-// transmit layer dimensions alongside compressed weights (§4.3 step 2).
-type Shape struct {
-	Name string
-	Dims []int
-}
-
-// Size returns the number of elements in the block.
-func (s Shape) Size() int {
-	n := 1
-	for _, d := range s.Dims {
-		n *= d
-	}
-	return n
-}
 
 // Layer is a differentiable network stage.
 //
@@ -50,9 +35,10 @@ func (s Shape) Size() int {
 // receives dL/d(output) and returns dL/d(input) while accumulating parameter
 // gradients into the bound gradient subslice.
 type Layer interface {
-	// ParamShapes lists the layer's parameter blocks in binding order.
-	// Parameter-free layers return nil.
-	ParamShapes() []Shape
+	// ParamShapes lists the layer's parameter blocks in binding order, in
+	// the form the codec transmits alongside compressed weights (§4.3 step
+	// 2). Parameter-free layers return nil.
+	ParamShapes() []codec.ShapeInfo
 	// Bind hands the layer its weight and gradient subslices. len(w) ==
 	// len(g) == total size of ParamShapes.
 	Bind(w, g []float64)

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -45,8 +46,8 @@ func NewLSTM(in, hidden, seqLen int) *LSTM {
 }
 
 // ParamShapes implements Layer.
-func (l *LSTM) ParamShapes() []Shape {
-	return []Shape{
+func (l *LSTM) ParamShapes() []codec.ShapeInfo {
+	return []codec.ShapeInfo{
 		{Name: "Wx", Dims: []int{4 * l.Hidden, l.In}},
 		{Name: "Wh", Dims: []int{4 * l.Hidden, l.Hidden}},
 		{Name: "b", Dims: []int{4 * l.Hidden}},
@@ -96,30 +97,33 @@ func (l *LSTM) gbias() []float64 {
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
+// ensureCaches sizes the per-step caches for a batch of b rows, growing
+// them by capacity: every one is fully overwritten before it is read, so a
+// batch that alternates row counts (training batches, evaluation splits)
+// allocates nothing once the largest has been seen.
 func (l *LSTM) ensureCaches(b int) {
-	if l.gates != nil && l.gates[0].R == b {
-		return
-	}
 	h := l.Hidden
-	l.gates = make([]*tensor.Mat, l.SeqLen)
-	l.cs = make([]*tensor.Mat, l.SeqLen+1)
-	l.hs = make([]*tensor.Mat, l.SeqLen+1)
-	for t := 0; t < l.SeqLen; t++ {
-		l.gates[t] = tensor.NewMat(b, 4*h)
+	if l.gates == nil {
+		l.gates = make([]*tensor.Mat, l.SeqLen)
+		l.cs = make([]*tensor.Mat, l.SeqLen+1)
+		l.hs = make([]*tensor.Mat, l.SeqLen+1)
+		l.scratchWx = tensor.NewMat(4*h, l.In)
+		l.scratchWh = tensor.NewMat(4*h, h)
 	}
-	for t := 0; t <= l.SeqLen; t++ {
-		l.cs[t] = tensor.NewMat(b, h)
-		l.hs[t] = tensor.NewMat(b, h)
+	for t := range l.gates {
+		l.gates[t] = tensor.EnsureMat(l.gates[t], b, 4*h)
 	}
-	l.scratchWx = tensor.NewMat(4*h, l.In)
-	l.scratchWh = tensor.NewMat(4*h, h)
-	l.dh = tensor.NewMat(b, h)
-	l.dc = tensor.NewMat(b, h)
-	l.dhNew = tensor.NewMat(b, h)
-	l.dx = tensor.NewMat(b, l.SeqLen*l.In)
-	l.xt = tensor.NewMat(b, l.In)
-	l.dgates = tensor.NewMat(b, 4*h)
-	l.dxt = tensor.NewMat(b, l.In)
+	for t := range l.cs {
+		l.cs[t] = tensor.EnsureMat(l.cs[t], b, h)
+		l.hs[t] = tensor.EnsureMat(l.hs[t], b, h)
+	}
+	l.dh = tensor.EnsureMat(l.dh, b, h)
+	l.dc = tensor.EnsureMat(l.dc, b, h)
+	l.dhNew = tensor.EnsureMat(l.dhNew, b, h)
+	l.dx = tensor.EnsureMat(l.dx, b, l.SeqLen*l.In)
+	l.xt = tensor.EnsureMat(l.xt, b, l.In)
+	l.dgates = tensor.EnsureMat(l.dgates, b, 4*h)
+	l.dxt = tensor.EnsureMat(l.dxt, b, l.In)
 }
 
 // Forward implements Layer.

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 
+	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -16,7 +17,7 @@ type Network struct {
 	loss    Loss
 	weights []float64
 	grads   []float64
-	shapes  []Shape // concatenated layer shapes, for the codec
+	shapes  []codec.ShapeInfo // concatenated layer shapes, for the codec
 
 	dlogits *tensor.Mat
 }
@@ -85,7 +86,7 @@ func (n *Network) Grads() []float64 { return n.grads }
 
 // ParamShapes returns the parameter block shapes in vector order, which the
 // codec transmits so the receiver can unmarshal (§4.3).
-func (n *Network) ParamShapes() []Shape { return n.shapes }
+func (n *Network) ParamShapes() []codec.ShapeInfo { return n.shapes }
 
 // SetWeights copies v into the parameter vector.
 func (n *Network) SetWeights(v []float64) {

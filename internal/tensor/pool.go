@@ -2,42 +2,112 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"sync"
 )
 
-// Pool is a free-list of equally-sized []float64 buffers — the per-run
-// weight pool behind the zero-alloc training hot path. One run allocates a
-// handful of model-sized vectors on its first round and then recycles them
-// across every subsequent round, cohort and tier fold.
+// FreeList is a bounded LIFO free list of []E buffers: the weight pool
+// behind the zero-alloc training hot path (through Pool) and the frame
+// buffers behind the allocation-free wire path (transport) are its two
+// views.
 //
 // Ownership contract (see DESIGN.md §"Buffer ownership & aliasing rules"):
 // Get transfers exclusive ownership to the caller; Put transfers it back.
 // Buffers come back DIRTY — callers must fully overwrite a gotten buffer
 // before reading it, and must not touch a buffer after putting it. Put of a
-// buffer that is already in the pool panics (double-release), which turns
-// the classic silent pool corruption into an immediate, attributable
-// failure. Pool is safe for concurrent use (the live fabric's collector
-// goroutines Get decode buffers the engine goroutine later Puts); the free
-// list is bounded so a producer that puts without ever getting cannot grow
-// it without bound.
-type Pool struct {
+// buffer that is already free panics (double-release), which turns the
+// classic silent pool corruption into an immediate, attributable failure.
+// A FreeList is safe for concurrent use (the live fabric's collector
+// goroutines Get decode buffers the engine goroutine later Puts); the list
+// is bounded so a producer that puts without ever getting cannot grow it
+// without bound. The zero value is an empty list with poisoning off.
+type FreeList[E any] struct {
 	mu   sync.Mutex
-	size int
-	free [][]float64
+	free [][]E
 	// inPool tracks the base pointer of every buffer currently in the free
 	// list, strictly to detect double-Put. Entries exist only while the
 	// buffer is free, so a dropped or gotten buffer can never produce a
 	// stale match against recycled memory.
-	inPool map[*float64]struct{}
+	inPool map[*E]struct{}
 
-	poison bool
+	poison *E
 }
 
-// poolCap bounds the free list. Steady-state runs check out at most a
-// cohort's worth of buffers at a time, so this is generous; it only guards
-// against one-way producers.
-const poolCap = 64
+// freeListCap bounds the free list. Steady-state runs check out at most a
+// cohort's worth of buffers (or rounds in flight) at a time, so this is
+// generous; it only guards against one-way producers.
+const freeListCap = 64
+
+// Get returns a length-n buffer with unspecified contents. It pops the most
+// recently freed buffer and drops it for a fresh one when its capacity is
+// under n, so a list serving mixed sizes converges on buffers that fit the
+// largest in use. The caller owns the buffer — and whatever it grows into
+// by append — until Put.
+func (l *FreeList[E]) Get(n int) []E {
+	var buf []E
+	l.mu.Lock()
+	if k := len(l.free); k > 0 {
+		buf = l.free[k-1]
+		l.free[k-1] = nil
+		l.free = l.free[:k-1]
+		delete(l.inPool, &buf[0])
+	}
+	l.mu.Unlock()
+	if cap(buf) < n {
+		return make([]E, n)
+	}
+	return buf[:n]
+}
+
+// Put returns a buffer — or any slice sharing its start, such as the
+// payload a read returned — to the list at its full capacity. Put accepts
+// buffers the list did not create; a buffer without storage is ignored, and
+// one beyond the bound is dropped.
+func (l *FreeList[E]) Put(buf []E) {
+	if cap(buf) == 0 {
+		return
+	}
+	buf = buf[:cap(buf)]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, dup := l.inPool[&buf[0]]; dup {
+		panic(fmt.Sprintf("tensor: FreeList.Put of a buffer already free (cap %d) — double release", cap(buf)))
+	}
+	if len(l.free) >= freeListCap {
+		return
+	}
+	if l.poison != nil {
+		for i := range buf {
+			buf[i] = *l.poison
+		}
+	}
+	if l.inPool == nil {
+		l.inPool = make(map[*E]struct{})
+	}
+	l.free = append(l.free, buf)
+	l.inPool[&buf[0]] = struct{}{}
+}
+
+// SetPoison sets the value Put fills every returned buffer with, or turns
+// poisoning off with nil. A use-after-put then reads the poison — NaN for
+// weights, a byte no decoder accepts for frames — instead of silently
+// reading recycled data, and races with the fill under -race. Tests enable
+// it; production paths leave it off (Get contents are unspecified either
+// way).
+func (l *FreeList[E]) SetPoison(v *E) {
+	l.mu.Lock()
+	l.poison = v
+	l.mu.Unlock()
+}
+
+// Pool is the fixed-length view of a FreeList: the per-run weight pool,
+// whose buffers all have one model's length. One run allocates a handful of
+// model-sized vectors on its first round and then recycles them across
+// every subsequent round, cohort and tier fold; SetPoison with a NaN is its
+// use-after-Put detector.
+type Pool struct {
+	FreeList[float64]
+	size int
+}
 
 // NewPool builds a pool of length-size buffers. The pool starts empty; Get
 // allocates until Puts start recycling.
@@ -45,7 +115,7 @@ func NewPool(size int) *Pool {
 	if size <= 0 {
 		panic("tensor: NewPool size must be positive")
 	}
-	return &Pool{size: size, inPool: make(map[*float64]struct{})}
+	return &Pool{size: size}
 }
 
 // Size returns the buffer length this pool serves.
@@ -53,51 +123,14 @@ func (p *Pool) Size() int { return p.size }
 
 // Get returns a length-Size buffer with unspecified contents. The caller
 // owns it until Put.
-func (p *Pool) Get() []float64 {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		buf := p.free[n-1]
-		p.free = p.free[:n-1]
-		delete(p.inPool, &buf[0])
-		p.mu.Unlock()
-		return buf
-	}
-	p.mu.Unlock()
-	return make([]float64, p.size)
-}
+func (p *Pool) Get() []float64 { return p.FreeList.Get(p.size) }
 
 // Put returns a buffer to the pool. Buffers of the wrong length are
 // rejected (dropped) rather than corrupting the free list; putting a buffer
-// that is already free panics. Put accepts buffers the pool did not create
-// — a right-sized foreign buffer simply joins the free list.
+// that is already free panics.
 func (p *Pool) Put(buf []float64) {
 	if len(buf) != p.size {
 		return
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, dup := p.inPool[&buf[0]]; dup {
-		panic(fmt.Sprintf("tensor: Pool.Put of a buffer already in the pool (len %d) — double release", len(buf)))
-	}
-	if len(p.free) >= poolCap {
-		return
-	}
-	if p.poison {
-		for i := range buf {
-			buf[i] = math.NaN()
-		}
-	}
-	p.free = append(p.free, buf)
-	p.inPool[&buf[0]] = struct{}{}
-}
-
-// SetPoison toggles debug poisoning: when on, Put fills the buffer with
-// NaNs, so any use-after-put immediately propagates NaN through whatever
-// consumed the stale alias instead of silently reading recycled weights.
-// Tests enable it; production paths leave it off (Get contents are
-// unspecified either way).
-func (p *Pool) SetPoison(on bool) {
-	p.mu.Lock()
-	p.poison = on
-	p.mu.Unlock()
+	p.FreeList.Put(buf)
 }

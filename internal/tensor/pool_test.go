@@ -8,15 +8,16 @@ import (
 	"repro/internal/parallel"
 )
 
-// FreeLen reports how many buffers are currently in the free list.
-func (p *Pool) FreeLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
+// freeLen reports how many buffers are currently in the free list.
+func (l *FreeList[E]) freeLen() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.free)
 }
 
-// TestPoolRecycles pins the basic contract: Get after Put returns the same
-// storage instead of allocating, and FreeLen tracks the free list.
+// TestPoolRecycles pins the basic contract of both views: Get after Put
+// returns the same storage instead of allocating, a prefix Put returns the
+// whole buffer, and the free list's length tracks both.
 func TestPoolRecycles(t *testing.T) {
 	p := NewPool(16)
 	if p.Size() != 16 {
@@ -27,39 +28,68 @@ func TestPoolRecycles(t *testing.T) {
 		t.Fatalf("Get returned len %d, want 16", len(buf))
 	}
 	p.Put(buf)
-	if p.FreeLen() != 1 {
-		t.Fatalf("FreeLen = %d after one Put, want 1", p.FreeLen())
+	if p.freeLen() != 1 {
+		t.Fatalf("freeLen = %d after one Put, want 1", p.freeLen())
 	}
 	again := p.Get()
 	if &again[0] != &buf[0] {
 		t.Fatal("Get did not recycle the freed buffer")
 	}
-	if p.FreeLen() != 0 {
-		t.Fatalf("FreeLen = %d after re-Get, want 0", p.FreeLen())
+	if p.freeLen() != 0 {
+		t.Fatalf("freeLen = %d after re-Get, want 0", p.freeLen())
+	}
+
+	var l FreeList[byte]
+	b := append(l.Get(100)[:0], "frame bytes"...)
+	if cap(b) < 100 {
+		t.Fatalf("Get(100) returned capacity %d", cap(b))
+	}
+	l.Put(b[:4]) // any slice sharing the buffer's start returns all of it
+	if got := l.Get(50); &got[0] != &b[0] || len(got) != 50 {
+		t.Errorf("Get(50) after a prefix Put: len %d, recycled %v", len(got), &got[0] == &b[0])
+	}
+	l.Put(nil) // a buffer without storage is ignored
+	if l.freeLen() != 0 {
+		t.Errorf("Put(nil) joined the free list")
 	}
 }
 
 // TestPoolDoubleReleasePanics pins the misuse contract: putting a buffer
 // that is already in the free list is a double release and must panic
-// immediately rather than hand the same storage to two owners later.
+// immediately rather than hand the same storage to two owners later — also
+// when the second Put is a prefix of the first.
 func TestPoolDoubleReleasePanics(t *testing.T) {
 	p := NewPool(8)
 	buf := p.Get()
 	p.Put(buf)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second Put of the same buffer did not panic")
+			}
+		}()
+		p.Put(buf)
+	}()
+
+	var l FreeList[byte]
+	b := l.Get(10)
+	l.Put(b)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("second Put of the same buffer did not panic")
+			t.Fatal("Put of a prefix of a free buffer did not panic")
 		}
 	}()
-	p.Put(buf)
+	l.Put(b[:1])
 }
 
 // TestPoolPoisonCatchesUseAfterPut pins the debug mode: with poisoning on,
-// a stale alias held across Put reads NaN, so any computation consuming it
-// loudly propagates NaN instead of silently reading recycled weights.
+// a stale alias held across Put reads the poison — NaN for weights, the
+// poison byte for frames — so any computation consuming it fails loudly
+// instead of silently reading recycled data; a nil poison turns it off.
 func TestPoolPoisonCatchesUseAfterPut(t *testing.T) {
 	p := NewPool(4)
-	p.SetPoison(true)
+	nan := math.NaN()
+	p.SetPoison(&nan)
 	buf := p.Get()
 	Fill(buf, 1.5)
 	stale := buf // the bug under test: retaining an alias across Put
@@ -76,22 +106,57 @@ func TestPoolPoisonCatchesUseAfterPut(t *testing.T) {
 	if got[0] != 2.0 {
 		t.Fatal("pooled buffer unusable after poison round-trip")
 	}
+
+	var l FreeList[byte]
+	poison := byte(0x2A)
+	l.SetPoison(&poison)
+	b := append(l.Get(16)[:0], "frame"...)
+	l.Put(b[:2])
+	for i, c := range b[:cap(b)] {
+		if c != poison {
+			t.Fatalf("returned frame byte %d = %#x, want the poison %#x across the whole capacity", i, c, poison)
+		}
+	}
+	l.SetPoison(nil)
+	b = l.Get(16)
+	b[0] = 7
+	l.Put(b)
+	if b[0] != 7 {
+		t.Fatal("Put poisoned a buffer after SetPoison(nil)")
+	}
 }
 
-// TestPoolRejectsWrongSizeAndBounds pins the two defensive edges: a
-// wrong-length Put is dropped (not pooled, no panic), and the free list
-// never grows past poolCap even against a put-only producer.
+// TestPoolRejectsWrongSizeAndBounds pins the defensive edges: a
+// wrong-length Pool.Put is dropped (not pooled, no panic), FreeList.Get
+// drops a free buffer too small for the request, and neither view's list
+// grows past freeListCap even against a put-only producer.
 func TestPoolRejectsWrongSizeAndBounds(t *testing.T) {
 	p := NewPool(8)
 	p.Put(make([]float64, 7))
-	if p.FreeLen() != 0 {
-		t.Fatalf("wrong-size Put was pooled; FreeLen = %d", p.FreeLen())
+	if p.freeLen() != 0 {
+		t.Fatalf("wrong-size Put was pooled; freeLen = %d", p.freeLen())
 	}
-	for i := 0; i < poolCap+10; i++ {
+	for i := 0; i < freeListCap+10; i++ {
 		p.Put(make([]float64, 8))
 	}
-	if p.FreeLen() != poolCap {
-		t.Fatalf("FreeLen = %d after put-only flood, want cap %d", p.FreeLen(), poolCap)
+	if p.freeLen() != freeListCap {
+		t.Fatalf("freeLen = %d after put-only flood, want cap %d", p.freeLen(), freeListCap)
+	}
+
+	var l FreeList[byte]
+	small := l.Get(10)
+	l.Put(small)
+	if got := l.Get(4 * cap(small)); cap(got) < 4*cap(small) || len(got) != 4*cap(small) {
+		t.Errorf("Get beyond the free buffer's capacity returned len %d cap %d", len(got), cap(got))
+	}
+	if l.freeLen() != 0 {
+		t.Error("an undersized buffer stayed in the list")
+	}
+	for i := 0; i < freeListCap+10; i++ {
+		l.Put(make([]byte, 8))
+	}
+	if l.freeLen() != freeListCap {
+		t.Errorf("free list holds %d buffers, bound is %d", l.freeLen(), freeListCap)
 	}
 }
 
@@ -125,12 +190,11 @@ func TestPoolConcurrentHammer(t *testing.T) {
 		Fill(buf, tag)
 		// Ownership is exclusive between Get and Put: nobody else may have
 		// scribbled on the buffer while we held it.
-		for j, v := range buf {
+		for _, v := range buf {
 			if v != tag {
 				mu.Lock()
 				errs = append(errs, "worker saw foreign write")
 				mu.Unlock()
-				_ = j
 				break
 			}
 		}
@@ -140,7 +204,33 @@ func TestPoolConcurrentHammer(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatalf("pool ownership violated %d times: %s", len(errs), errs[0])
 	}
-	if p.FreeLen() > poolCap {
-		t.Fatalf("free list overgrew: %d > %d", p.FreeLen(), poolCap)
+	if p.freeLen() > freeListCap {
+		t.Fatalf("free list overgrew: %d > %d", p.freeLen(), freeListCap)
 	}
+}
+
+// BenchmarkFreeList times one borrow and return through each view at the
+// benchmark's sizes: weights is a Pool Get+Put of the 56,842-weight wide
+// MLP, frames a Get(n)+Put of a 150 kB frame. Both recycle one buffer, so
+// neither allocates.
+func BenchmarkFreeList(b *testing.B) {
+	b.Run("weights", func(b *testing.B) {
+		p := NewPool(56842)
+		p.Put(p.Get())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Put(p.Get())
+		}
+	})
+	b.Run("frames", func(b *testing.B) {
+		var l FreeList[byte]
+		const n = 150_000
+		l.Put(l.Get(n))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l.Put(l.Get(n))
+		}
+	})
 }

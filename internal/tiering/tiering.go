@@ -1,8 +1,7 @@
 // Package tiering implements FedAT's tiering module (§4): it takes profiled
 // client response latencies and partitions clients into M logical tiers,
 // tier 1 fastest. FedAT reuses TiFL's tiering approach (§2.1), so the same
-// partition feeds both systems; the package also provides TiFL's adaptive,
-// accuracy-based tier selector used by the TiFL baseline.
+// partition feeds both systems.
 package tiering
 
 import (
@@ -11,7 +10,6 @@ import (
 	"math/bits"
 
 	"repro/internal/parallel"
-	"repro/internal/rng"
 )
 
 // Tiers is a partition of clients into latency tiers. Tier 0 is the
@@ -361,98 +359,4 @@ func sortKey(v float64) uint64 {
 	}
 	b := math.Float64bits(v + 0)
 	return b ^ (uint64(int64(b)>>63) | 1<<63)
-}
-
-// TiFLSelector implements TiFL's adaptive tier selection: every Interval
-// selections the per-tier test accuracies refresh the selection
-// probabilities, which weight tiers inversely to their accuracy so
-// under-trained (typically slower) tiers catch up. Each tier carries
-// credits bounding how often it may be selected; when every tier's credits
-// are spent they are replenished so training can continue past the paper's
-// round budget.
-type TiFLSelector struct {
-	Interval int
-
-	credits   []int
-	initial   int
-	accs      []float64
-	probs     []float64
-	selectCnt int
-}
-
-// NewTiFLSelector builds a selector for m tiers with the given credits per
-// tier and probability-refresh interval.
-func NewTiFLSelector(m, creditsPerTier, interval int) *TiFLSelector {
-	if m <= 0 || creditsPerTier <= 0 || interval <= 0 {
-		panic("tiering: invalid TiFL selector configuration")
-	}
-	s := &TiFLSelector{
-		Interval: interval,
-		credits:  make([]int, m),
-		initial:  creditsPerTier,
-		accs:     make([]float64, m),
-		probs:    make([]float64, m),
-	}
-	for i := range s.credits {
-		s.credits[i] = creditsPerTier
-	}
-	for i := range s.probs {
-		s.probs[i] = 1
-	}
-	return s
-}
-
-// UpdateAccuracies records fresh per-tier test accuracies; the next
-// refresh interval converts them into selection probabilities ∝ (1−acc).
-func (s *TiFLSelector) UpdateAccuracies(accs []float64) {
-	if len(accs) != len(s.accs) {
-		panic("tiering: accuracy count mismatch")
-	}
-	copy(s.accs, accs)
-	s.refreshProbs()
-}
-
-func (s *TiFLSelector) refreshProbs() {
-	for i, a := range s.accs {
-		p := 1 - a
-		if p < 0.05 {
-			p = 0.05 // keep every tier selectable
-		}
-		s.probs[i] = p
-	}
-}
-
-// Select draws the next tier to train. Tiers without credits are skipped;
-// when all are spent the credits replenish.
-func (s *TiFLSelector) Select(r *rng.RNG) int {
-	anyCredit := false
-	for _, c := range s.credits {
-		if c > 0 {
-			anyCredit = true
-			break
-		}
-	}
-	if !anyCredit {
-		for i := range s.credits {
-			s.credits[i] = s.initial
-		}
-	}
-	w := make([]float64, len(s.probs))
-	for i := range w {
-		if s.credits[i] > 0 {
-			w[i] = s.probs[i]
-		}
-	}
-	tier := r.ChooseWeighted(w)
-	s.credits[tier]--
-	s.selectCnt++
-	return tier
-}
-
-// NeedsAccuracyRefresh reports whether a probability refresh is due, i.e.
-// the selection count crossed the interval. TiFL pays for this refresh
-// with an extra round of test-accuracy collection from every tier — the
-// communication overhead §2.1 calls out.
-func (s *TiFLSelector) NeedsAccuracyRefresh() bool {
-	return s.selectCnt > 0 && s.selectCnt%s.Interval == 0
 }

@@ -9,9 +9,6 @@ import (
 	"repro/internal/rng"
 )
 
-// Credits returns the remaining credits of each tier (copy).
-func (s *TiFLSelector) Credits() []int { return slices.Clone(s.credits) }
-
 func TestPartitionIsPermutation(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint8) bool {
 		n := int(nRaw%60) + 5
@@ -150,91 +147,5 @@ func TestPartitionValidation(t *testing.T) {
 	}
 	if _, err := Partition(nil, 1); err == nil {
 		t.Fatal("a tier over no clients accepted")
-	}
-}
-
-func TestTiFLSelectorFavorsLowAccuracy(t *testing.T) {
-	s := NewTiFLSelector(3, 1000000, 10)
-	s.UpdateAccuracies([]float64{0.9, 0.5, 0.1})
-	r := rng.New(1)
-	counts := make([]int, 3)
-	for i := 0; i < 30000; i++ {
-		counts[s.Select(r)]++
-	}
-	if !(counts[2] > counts[1] && counts[1] > counts[0]) {
-		t.Fatalf("selection does not favor low accuracy: %v", counts)
-	}
-	// probs ∝ 0.1 : 0.5 : 0.9 → tier2/tier0 ≈ 9
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 6 || ratio > 12 {
-		t.Fatalf("selection ratio %v, want ~9", ratio)
-	}
-}
-
-func TestTiFLCreditsDecrementAndReplenish(t *testing.T) {
-	s := NewTiFLSelector(2, 2, 5)
-	r := rng.New(2)
-	for i := 0; i < 4; i++ {
-		s.Select(r)
-	}
-	c := s.Credits()
-	if c[0]+c[1] != 0 {
-		t.Fatalf("credits not exhausted: %v", c)
-	}
-	// Next select must replenish rather than fail.
-	tier := s.Select(r)
-	if tier < 0 || tier > 1 {
-		t.Fatalf("invalid tier %d", tier)
-	}
-	c = s.Credits()
-	if c[0]+c[1] != 3 {
-		t.Fatalf("credits after replenish: %v", c)
-	}
-}
-
-func TestTiFLSkipsSpentTiers(t *testing.T) {
-	s := NewTiFLSelector(2, 1, 100)
-	s.UpdateAccuracies([]float64{0.0, 0.99})
-	r := rng.New(3)
-	first := s.Select(r)
-	second := s.Select(r)
-	if first == second {
-		t.Fatalf("second selection reused spent tier %d", first)
-	}
-}
-
-func TestNeedsAccuracyRefresh(t *testing.T) {
-	s := NewTiFLSelector(2, 100, 3)
-	r := rng.New(4)
-	if s.NeedsAccuracyRefresh() {
-		t.Fatal("refresh requested before any selection")
-	}
-	s.Select(r)
-	s.Select(r)
-	if s.NeedsAccuracyRefresh() {
-		t.Fatal("refresh too early")
-	}
-	s.Select(r)
-	if !s.NeedsAccuracyRefresh() {
-		t.Fatal("refresh not requested at interval")
-	}
-}
-
-func TestSelectorDeterminism(t *testing.T) {
-	mk := func() []int {
-		s := NewTiFLSelector(4, 10, 5)
-		s.UpdateAccuracies([]float64{0.2, 0.4, 0.6, 0.8})
-		r := rng.New(9)
-		out := make([]int, 50)
-		for i := range out {
-			out[i] = s.Select(r)
-		}
-		return out
-	}
-	a, b := mk(), mk()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("selector not deterministic")
-		}
 	}
 }

@@ -93,9 +93,7 @@ func RunClient(cfg ClientConfig) error {
 
 	c := &client{cfg: cfg, conn: conn}
 	c.trainer = fl.NewLocalClient(int(cfg.ID), cfg.Data, cfg.Net, cfg.Opt, cfg.Seed)
-	for _, s := range cfg.Net.ParamShapes() {
-		c.shapes = append(c.shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
-	}
+	c.shapes = cfg.Net.ParamShapes()
 	c.global = make([]float64, cfg.Net.NumParams())
 	limit := frameLimit(c.shapes)
 

@@ -105,7 +105,7 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 		aspec.AttackScale = f.s.cfg.Attack.Scale
 		// Same bytes under a directive header — same length as push, so
 		// the byte accounting is unchanged.
-		atkPush = append(frames.Get(len(push)), push...)
+		atkPush = append(frames.Get(len(push))[:0], push...)
 		putPushHeader(atkPush[frameHeaderLen:], aspec)
 	}
 	downBytes := int64(len(push))

@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/tensor"
 )
 
 // Fuzz targets for the decoders that read bytes a peer sent: the frame
 // reader and the three payload parsers. They assert no panic, that a read
-// borrows at most limit − 1 bytes from the frame pool and returns what it
+// borrows at most limit − 1 bytes from the frame list and returns what it
 // borrowed when it fails, and that whatever a decoder accepts encodes back
 // to the bytes it was read from.
 
@@ -87,28 +88,23 @@ func seedFrames(tb testing.TB) [][]byte {
 	return out
 }
 
-// isolateFrames leaves buf as the frame pool's only free buffer and returns
-// the function that puts the pool's own free list back. With one buffer of
-// capacity c free, a read that borrows at most c bytes gets exactly buf and
-// a read that borrows more gets a fresh one.
+// isolateFrames swaps in a frame list whose only free buffer is buf and
+// returns the function that puts the package's own list back. With one
+// buffer of capacity c free, a read that borrows at most c bytes gets
+// exactly buf and a read that borrows more gets a fresh one.
 func isolateFrames(buf []byte) (restore func()) {
-	buf = buf[:cap(buf)]
-	frames.mu.Lock()
-	free, inPool := frames.free, frames.inPool
-	frames.free, frames.inPool = [][]byte{buf}, map[*byte]struct{}{&buf[0]: {}}
-	frames.mu.Unlock()
-	return func() {
-		frames.mu.Lock()
-		frames.free, frames.inPool = free, inPool
-		frames.mu.Unlock()
-	}
+	saved := frames
+	frames = new(tensor.FreeList[byte])
+	frames.Put(buf)
+	return func() { frames = saved }
 }
 
-// freeFrames is a snapshot of the frame pool's free list.
-func freeFrames() [][]byte {
-	frames.mu.Lock()
-	defer frames.mu.Unlock()
-	return slices.Clone(frames.free)
+// drainFrames empties the frame list through Get and returns what it held.
+func drainFrames() (free [][]byte) {
+	for b := frames.Get(0); cap(b) > 0; b = frames.Get(0) {
+		free = append(free, b)
+	}
+	return free
 }
 
 // sameBuffer reports whether a and b start at the same byte.
@@ -117,7 +113,7 @@ func sameBuffer(a, b []byte) bool {
 }
 
 // FuzzReadFrame feeds readFrame arbitrary bytes under a limit folded into
-// [1, 65536], with the frame pool holding one buffer of exactly limit − 1
+// [1, 65536], with the frame list holding one buffer of exactly limit − 1
 // bytes. An accepted frame must sit in that buffer (nothing larger was
 // borrowed) and re-frame to the bytes it consumed; a rejected one, or one
 // without payload, must leave that buffer in the pool (nothing borrowed
@@ -136,7 +132,7 @@ func FuzzReadFrame(f *testing.F) {
 		var hdr [frameHeaderLen]byte
 		r := bytes.NewReader(data)
 		typ, payload, err := readFrame(r, &hdr, limit)
-		free := freeFrames()
+		free := drainFrames()
 		if err != nil || payload == nil {
 			if len(free) != 1 || !sameBuffer(free[0], sentinel) {
 				t.Fatalf("limit %d, err %v: the pool holds %d buffers, not the one it lent", limit, err, len(free))

@@ -23,6 +23,7 @@ import (
 	"math"
 
 	"repro/internal/codec"
+	"repro/internal/tensor"
 )
 
 // Message types.
@@ -51,6 +52,16 @@ const maxFrame = 64 << 20
 // frameHeaderLen is the [len u32][type u8] prefix; the length counts the
 // type byte and the payload.
 const frameHeaderLen = 5
+
+// frames is the free list behind the allocation-free wire path: every frame
+// this package builds or reads lives in a buffer borrowed from it for as
+// long as the round needs the bytes and not a moment longer — a connection
+// that is idle (a client training, a server waiting for a header) holds
+// none. Frames differ by codec and direction, so Get takes the length it
+// needs and the list converges on buffers that fit the largest frame in
+// use (DESIGN.md §2a). Clients, servers, roots and uplinks in one process
+// (tests, the in-process benchmark deployment) share it.
+var frames = new(tensor.FreeList[byte])
 
 // registerLimit is the only frame length a not yet registered peer may
 // announce.
@@ -85,13 +96,13 @@ func writeFrame(w io.Writer, frame []byte) error {
 
 // WriteFrame sends one message whose payload was built elsewhere.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	frame := append(beginFrame(frames.Get(frameHeaderLen+len(payload)), typ), payload...)
+	frame := append(beginFrame(frames.Get(frameHeaderLen + len(payload))[:0], typ), payload...)
 	defer frames.Put(frame)
 	return writeFrame(w, frame)
 }
 
 // readFrame receives one message. The payload lands in a buffer borrowed
-// from the frame pool only once the header has announced its length — a
+// from the frame list only once the header has announced its length — a
 // connection blocked waiting for its next frame holds no buffer — and the
 // caller owns it until frames.Put(payload). limit is the largest length
 // the peer may announce, checked before anything is borrowed. hdr is the
@@ -111,7 +122,7 @@ func readFrame(r io.Reader, hdr *[frameHeaderLen]byte, limit int) (byte, []byte,
 	if n == 1 {
 		return hdr[4], nil, nil
 	}
-	payload := frames.Get(n - 1)[:n-1]
+	payload := frames.Get(n - 1)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		frames.Put(payload)
 		return 0, nil, fmt.Errorf("transport: read payload: %w", err)

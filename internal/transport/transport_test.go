@@ -110,12 +110,7 @@ func newLiveFederation(t *testing.T, n, classesPer int, seed uint64) *liveFedera
 	factory := func(s uint64) *nn.Network {
 		return nn.NewMLP(rng.New(s), fed.InDim, 8, fed.Classes)
 	}
-	ref := factory(seed)
-	shapes := make([]codec.ShapeInfo, 0)
-	for _, s := range ref.ParamShapes() {
-		shapes = append(shapes, codec.ShapeInfo{Name: s.Name, Dims: s.Dims})
-	}
-	return &liveFederation{fed: fed, factory: factory, shapes: shapes, n: n}
+	return &liveFederation{fed: fed, factory: factory, shapes: factory(seed).ParamShapes(), n: n}
 }
 
 // runLive deploys the method over loopback TCP: one server, lf.n in-process

@@ -37,6 +37,14 @@ type FooConfig struct {
 	Defaulted int
 }
 
+// Stack is generic: Push is called through an instance, Drop has no caller
+// and the gate reports it without the type parameter.
+type Stack[E any] struct{ items []E }
+
+func (s *Stack[E]) Push(v E) { s.items = append(s.items, v) }
+
+func (s *Stack[E]) Drop() {}
+
 // armOnly is called only from p_arm64.go.
 func armOnly() int { return 2 }
 
@@ -46,6 +54,8 @@ func Total(cfg FooConfig) float64 {
 		cfg.Defaulted = 3
 	}
 	var l Labelled = Tile{}
+	var st Stack[int]
+	st.Push(1)
 	sum := float64(cfg.Read+cfg.Unset+cfg.Defaulted+kernel()) + l.Perimeter() + float64(len(l.Label()))
 	for _, s := range []Shape{Square{Side: 2}} {
 		sum += s.Area()
