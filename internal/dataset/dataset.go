@@ -33,9 +33,9 @@ type ClientData struct {
 	TrainX, TestX *tensor.Mat
 	TrainY, TestY []int
 
-	// Synthesis scratch of Source.ClientInto — the shard's class subset and
-	// its sample stream — kept here so refilling a reused shard allocates
-	// nothing.
+	// Synthesis scratch of Source's ClientInto, TrainInto and TestInto —
+	// the shard's class subset and its sample stream — kept here so
+	// refilling a reused shard allocates nothing.
 	classes []int
 	stream  rng.RNG
 }
@@ -61,10 +61,13 @@ type Federated struct {
 // NumTrain returns client i's local training-set size n_k.
 func (f *Federated) NumTrain(i int) int { return f.Clients[i].NumTrain() }
 
-// ClientInto returns client i's retained shard and ignores dst — the same
-// surface a lazy Source answers by synthesizing into dst, so the federation
-// layer runs over either.
-func (f *Federated) ClientInto(_ *ClientData, i int) *ClientData { return f.Clients[i] }
+// TrainInto returns client i's retained shard, both splits, and ignores
+// dst — the same surface a lazy Source answers by synthesizing the training
+// split into dst, so the federation layer runs over either.
+func (f *Federated) TrainInto(_ *ClientData, i int) *ClientData { return f.Clients[i] }
+
+// TestInto is TrainInto for a caller that reads the test split.
+func (f *Federated) TestInto(_ *ClientData, i int) *ClientData { return f.Clients[i] }
 
 // Config drives the synthetic generators.
 type Config struct {
@@ -124,6 +127,9 @@ func appendClasses(dst []int, client, perClient, classes int) []int {
 // the label.
 type sampleGen interface {
 	sample(r *rng.RNG, class int, row []float64) int
+	// skip advances r past one sample of the class, as sample would; row
+	// is scratch of the sample's width it may overwrite.
+	skip(r *rng.RNG, class int, row []float64)
 }
 
 // Generate builds a federated dataset from cfg. It is a thin shell over
@@ -157,24 +163,51 @@ func numTrain(n int) int {
 	return nTrain
 }
 
+// split names the part of a shard a synthesis writes: both, or one of the
+// two, leaving the other empty.
+type split int
+
+const (
+	splitAll split = iota
+	splitTrain
+	splitTest
+)
+
 // genClientInto draws n samples for a client restricted to its class subset
 // and splits them train/test (numTrain) into c, reusing c's matrices and
-// label slices when their capacity suffices. Every element is overwritten,
-// so a dirty c yields the shard a fresh one would.
-func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n int, inDim int) {
+// label slices when their capacity suffices. Every element of the written
+// split is overwritten, so a dirty c yields the rows a fresh one would; the
+// split that is not written is left with no rows. Rows draw in order from
+// one stream, so a train-only shard stops after its last training row, and
+// a test-only shard passes the training rows with the generator's skip: each
+// still draws its class (Intn's draw count varies with its rejections), and
+// the sample draws are skipped or, where their count varies, drawn into the
+// first test row, which the test rows overwrite.
+func genClientInto(c *ClientData, r *rng.RNG, gen sampleGen, classes []int, n int, inDim int, part split) {
 	nTrain := numTrain(n)
 	nTest := n - nTrain
+	rows := n
+	switch part {
+	case splitTrain:
+		nTest, rows = 0, nTrain
+	case splitTest:
+		nTrain = 0
+	}
 
 	c.TrainX = tensor.EnsureMat(c.TrainX, nTrain, inDim)
 	c.TestX = tensor.EnsureMat(c.TestX, nTest, inDim)
 	c.TrainY = slices.Grow(c.TrainY[:0], nTrain)[:nTrain]
 	c.TestY = slices.Grow(c.TestY[:0], nTest)[:nTest]
-	for i := 0; i < n; i++ {
+	first := rows - nTest // the first test row's index
+	for i := 0; i < rows; i++ {
 		cls := classes[r.Intn(len(classes))]
-		if i < nTrain {
+		switch {
+		case i < nTrain:
 			c.TrainY[i] = gen.sample(r, cls, c.TrainX.Row(i))
-		} else {
-			c.TestY[i-nTrain] = gen.sample(r, cls, c.TestX.Row(i-nTrain))
+		case i >= first:
+			c.TestY[i-first] = gen.sample(r, cls, c.TestX.Row(i-first))
+		default:
+			gen.skip(r, cls, c.TestX.Row(0))
 		}
 	}
 }

@@ -40,7 +40,7 @@ func generateEager(cfg Config) (*Federated, error) {
 		classes := appendClasses(nil, i, perClient, cfg.Classes)
 		cr := root.SplitLabeled(uint64(100 + i))
 		fed.Clients[i] = new(ClientData)
-		genClientInto(fed.Clients[i], cr, gen, classes, sizes[i], fed.InDim)
+		genClientInto(fed.Clients[i], cr, gen, classes, sizes[i], fed.InDim, splitAll)
 	}
 	return fed, nil
 }

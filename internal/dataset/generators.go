@@ -43,6 +43,9 @@ func (g *imageGen) sample(r *rng.RNG, class int, row []float64) int {
 	return class
 }
 
+// skip passes one sample's 2·len(row) draws: every Norm is exactly two.
+func (g *imageGen) skip(r *rng.RNG, _ int, row []float64) { r.Skip(2 * len(row)) }
+
 // tokenGen produces sequences from a random walk over a fixed, deterministic
 // transition structure on the vocabulary. The label is a sampled successor
 // of the final token (next-token prediction, as in the Reddit task). The
@@ -86,6 +89,10 @@ func (g *tokenGen) sample(r *rng.RNG, class int, row []float64) int {
 	}
 	return g.next(r, t)
 }
+
+// skip draws the sample into row: a walk's draw count varies with its
+// fallback branch, so it cannot be skipped without being taken.
+func (g *tokenGen) skip(r *rng.RNG, class int, row []float64) { g.sample(r, class, row) }
 
 // ---------------------------------------------------------------------------
 // Named dataset constructors matching the paper's five benchmarks (§6).

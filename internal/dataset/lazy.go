@@ -111,10 +111,24 @@ func (s *Source) Client(i int) *ClientData { return s.ClientInto(new(ClientData)
 // shard is the one Client(i) builds, bit for bit, whatever dst held before;
 // it is valid until dst's owner passes dst here again. Calls on distinct
 // dsts may run concurrently.
-func (s *Source) ClientInto(dst *ClientData, i int) *ClientData {
+func (s *Source) ClientInto(dst *ClientData, i int) *ClientData { return s.into(dst, i, splitAll) }
+
+// TrainInto is ClientInto for a caller that reads only the training split:
+// dst's training rows are ClientInto's, bit for bit, and its test split is
+// left empty. Synthesis stops after the last training row.
+func (s *Source) TrainInto(dst *ClientData, i int) *ClientData { return s.into(dst, i, splitTrain) }
+
+// TestInto is ClientInto for a caller that reads only the test split: dst's
+// test rows are ClientInto's, bit for bit, and its training split is left
+// empty. An image source skips the training rows' sample draws instead of
+// synthesizing them.
+func (s *Source) TestInto(dst *ClientData, i int) *ClientData { return s.into(dst, i, splitTest) }
+
+// into synthesizes the named split of client i's shard into dst.
+func (s *Source) into(dst *ClientData, i int, part split) *ClientData {
 	dst.classes = appendClasses(dst.classes[:0], i, s.perClient, s.cfg.Classes)
 	dst.stream = s.root.SplitLabeledValue(uint64(100 + i))
-	genClientInto(dst, &dst.stream, s.gen, dst.classes, s.size(i), s.inDim)
+	genClientInto(dst, &dst.stream, s.gen, dst.classes, s.size(i), s.inDim, part)
 	return dst
 }
 

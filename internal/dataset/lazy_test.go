@@ -210,3 +210,51 @@ func poison(c *ClientData) {
 	}
 	c.stream.Uint64()
 }
+
+// TestSplitIntoMatchesClientInto pins the one-split forms to ClientInto: the
+// split TrainInto or TestInto writes is the same rows, bit for bit, the other
+// is left empty, over one poisoned scratch shared by both forms in scrambled
+// client order — image, power-law and token sources, plus the benchmark's
+// scale-like shape (1×10×10 images, two classes a client) — and a refill of
+// a grown scratch allocates nothing.
+func TestSplitIntoMatchesClientInto(t *testing.T) {
+	cfgs := sourceConfigs()
+	cfgs["scalelike"] = Config{
+		Name: "fashionlike", NumClients: 40, Classes: 10, SamplesPerClient: 24,
+		ClassesPerClient: 2, Seed: 42, ImgC: 1, ImgH: 10, ImgW: 10, Signal: 0.34, Noise: 1,
+	}
+	for name, cfg := range cfgs {
+		t.Run(name, func(t *testing.T) {
+			src, err := NewSource(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := cfg.NumClients
+			var scratch ClientData
+			for j := 0; j < 2*n; j++ {
+				i := (j*7 + 3) % n
+				want := src.Client(i)
+				train := src.TrainInto(&scratch, i)
+				if train != &scratch || train.NumTest() != 0 {
+					t.Fatalf("client %d: TrainInto returned %p with %d test rows", i, train, train.NumTest())
+				}
+				sameClient(t, name+" train", i, &ClientData{TrainX: want.TrainX, TrainY: want.TrainY, TestX: train.TestX}, train)
+				poison(&scratch)
+				test := src.TestInto(&scratch, i)
+				if test != &scratch || test.NumTrain() != 0 {
+					t.Fatalf("client %d: TestInto returned %p with %d training rows", i, test, test.NumTrain())
+				}
+				sameClient(t, name+" test", i, &ClientData{TestX: want.TestX, TestY: want.TestY, TrainX: test.TrainX}, test)
+				poison(&scratch)
+			}
+			next := 0
+			if allocs := testing.AllocsPerRun(3*n, func() {
+				src.TrainInto(&scratch, next%n)
+				src.TestInto(&scratch, next%n)
+				next++
+			}); allocs != 0 {
+				t.Fatalf("refilling a grown scratch split by split allocates %.1f times per shard", allocs)
+			}
+		})
+	}
+}

@@ -538,3 +538,69 @@ func TestAsofedRefusesHierarchicalRebase(t *testing.T) {
 		t.Fatalf("two-edge asofed hierarchy returned %v, want the rebase refusal", err)
 	}
 }
+
+// startTimes is a fabric that checks the times dispatches and probes start
+// at never decrease; the population's links forget reservations that end
+// before the latest one.
+type startTimes struct {
+	fl.Fabric
+	t      *testing.T
+	edge   int
+	last   float64
+	starts *int
+}
+
+func (f *startTimes) saw(now float64) {
+	if now < f.last {
+		f.t.Errorf("edge %d: a round starts at %v, after one at %v", f.edge, now, f.last)
+	}
+	f.last = now
+	*f.starts++
+}
+
+func (f *startTimes) Dispatch(comm *fl.Comm, cohort []int, now float64, global []float64, lc fl.LocalConfig, deliver func([]fl.TrainResult, error)) {
+	f.saw(now)
+	f.Fabric.Dispatch(comm, cohort, now, global, lc, deliver)
+}
+
+func (f *startTimes) Probe(comm *fl.Comm, ids []int, now float64, w []float64, replyBytes int) (float64, error) {
+	f.saw(now)
+	return f.Fabric.Probe(comm, ids, now, w, replyBytes)
+}
+
+// TestEdgeDispatchTimesNeverDecrease: on two edges driven by one merged
+// clock, each edge's dispatch and probe times never decrease, whatever the
+// pacer and the cloud's fold policy.
+func TestEdgeDispatchTimesNeverDecrease(t *testing.T) {
+	fedbuff, err := fl.Compose("fedasync", "", "fedbuff", "", "fedbuff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []fl.Method{fl.Methods["fedat"], fl.Methods["fedavg"], fl.Methods["tifl"], fl.Methods["fedasync"], fedbuff} {
+		for _, fold := range []string{edge.FoldSync, edge.FoldAsync} {
+			t.Run(m.Name+"/"+fold, func(t *testing.T) {
+				cfg := edgeCfg()
+				cfg.BufferK = 3
+				starts := 0
+				children := make([]edge.Child, 2)
+				for e := range children {
+					cfgE := cfg
+					cfgE.Seed = cfg.Seed + uint64(e)
+					env := buildEnv(t, 8, 11+uint64(e), cfgE, dynamicsBehavior())
+					children[e] = edge.Child{Fabric: func(c simnet.Clock) fl.Fabric {
+						return &startTimes{Fabric: env.FabricOn(c), t: t, edge: e, starts: &starts}
+					}}
+				}
+				if _, err := edge.Run(m, cfg, children, edge.CloudConfig{
+					Fold: fold,
+					Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if starts == 0 {
+					t.Fatal("nothing was dispatched")
+				}
+			})
+		}
+	}
+}

@@ -138,7 +138,8 @@ func TestFoldAllocFree(t *testing.T) {
 }
 
 // TestHarvestAllocatesOnce: a harvest copies a cohort's survivors into one
-// slice sized for the whole cohort, rather than growing it by appends.
+// slice sized for the whole cohort, rather than growing it by appends, and
+// into a buffer that has held a cohort it allocates nothing.
 func TestHarvestAllocatesOnce(t *testing.T) {
 	skipUnderRace(t)
 	results := make([]TrainResult, 10)
@@ -147,49 +148,84 @@ func TestHarvestAllocatesOnce(t *testing.T) {
 	}
 	results[4].Dropped = true
 	var s randomSelector
-	if allocs := testing.AllocsPerRun(20, func() {
-		surv, done := s.Harvest(nil, results)
-		if len(surv) != 9 || done != 9 {
-			t.Fatalf("harvest kept %d results, done at %v; want 9 at 9", len(surv), done)
+	var kept []TrainResult
+	harvest := func() {
+		if done := s.Harvest(nil, results, &kept); len(kept) != 9 || done != 9 {
+			t.Fatalf("harvest kept %d results, done at %v; want 9 at 9", len(kept), done)
 		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		kept = nil
+		harvest()
 	}); allocs > 1 {
 		t.Errorf("harvesting 10 results with one drop allocates %.0f times, want at most 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, harvest); allocs != 0 {
+		t.Errorf("harvesting into a buffer that held a cohort allocates %.0f times, want 0", allocs)
 	}
 }
 
 // TestEngineRoundAllocCeiling pins the allocation budget of full engine
 // runs on the simulated fabric: after the first run has grown the per-run
 // pools and scratch to size, a whole R-round run must stay under a small
-// per-round ceiling. The ceilings have headroom over measured steady state
-// (a few allocs/round from cohort bookkeeping and eval) but sit far below
-// one alloc per client per parameter-vector — the regression this test
-// exists to catch. The wide row's 100×512 weight gradient crosses
-// parallelRowThreshold, so its GEMMs fan out (or run inline inside the
-// cohort's region) every batch step: a fan-out that allocated would cost
-// hundreds of allocations a round.
+// per-round ceiling. A run's count includes its set-up (the run state,
+// channel, rule and selector, and the pacer's loops) and the events every
+// round emits; the ceilings sit a few allocations above the measured
+// figures, so one allocation per dispatch creeping back anywhere in the
+// round loop (selection, pacing, training, transport, folding) fails them,
+// before the benchmark gate notices it. The wide row's 100×512 weight
+// gradient crosses parallelRowThreshold, so its GEMMs fan out (or run
+// inline inside the cohort's region) every batch step: a fan-out that
+// allocated would cost hundreds of allocations a round. The fedbuff row
+// folds every K = 10 arrivals, so ten dispatches go into each round; the
+// derived row runs FedAT over 2,000 lazily derived clients, where most
+// dispatches first-touch their clients.
 func TestEngineRoundAllocCeiling(t *testing.T) {
 	skipUnderRace(t)
 	if testing.Short() {
 		t.Skip("full engine runs in -short")
 	}
 	const rounds = 6
+	fedbuff, err := Compose("fedasync", "", "fedbuff", "", "fedbuff")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := func(hidden int) func(*testing.T, RunConfig) *Env {
+		return func(t *testing.T, cfg RunConfig) *Env {
+			env, _ := testEnvWidth(t, 0, cfg, hidden)
+			return env
+		}
+	}
+	derived := func(t *testing.T, cfg RunConfig) *Env {
+		c := baseSourceCase(cfg.Seed)
+		c.dcfg.NumClients, c.ccfg.NumClients, c.ccfg.NumUnstable = 2000, 2000, 200
+		c.rcfg = cfg
+		env, _ := c.derived(t)
+		return env
+	}
 	for _, c := range []struct {
-		name, method string
-		hidden       int
-		perRound     float64
+		name     string
+		m        Method
+		env      func(*testing.T, RunConfig) *Env
+		perRound float64
 	}{
-		{"fedavg", "fedavg", 16, 80},       // measured ~24/round
-		{"fedat", "fedat", 16, 80},         // measured ~38/round
-		{"fedavg-wide", "fedavg", 512, 35}, // measured ~24/round
+		{"fedavg", Methods["fedavg"], retained(16), 19},       // measured 17.0/round
+		{"fedat", Methods["fedat"], retained(16), 32},         // measured 29.8–30.0/round
+		{"fedavg-wide", Methods["fedavg"], retained(512), 19}, // measured 17.0–17.2/round
+		{"fedbuff", fedbuff, retained(16), 37},                // measured 34.2–34.5/round
+		{"fedat-derived", Methods["fedat"], derived, 35},      // measured 32.5/round
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := baseCfg()
 			cfg.Rounds = rounds
 			cfg.EvalEvery = 3
-			env, _ := testEnvWidth(t, 0, cfg, c.hidden)
+			cfg.BufferK = 10
+			env := c.env(t, cfg)
 			run := func() {
 				env.ResetState()
-				mustRun(t, c.method, env)
+				if _, err := c.m.Run(env); err != nil {
+					t.Fatal(err)
+				}
 			}
 			run() // warm up pools, caches, replica and member-slot scratch
 			run()
@@ -276,6 +312,111 @@ func TestEngineRoundByteCeiling(t *testing.T) {
 				t.Errorf("%s: %.0f bytes allocated per update in steady state, one model is %.0f", tc.name, perRound, model)
 			}
 			t.Logf("%s: %.0f B/update steady state (model %.0f B)", tc.name, perRound, model)
+		})
+	}
+}
+
+// TestPacerRoundAllocFree pins what a steady client round allocates on the
+// simulated fabric: the events it emits (each boxed into the Event
+// interface, one allocation apiece) and nothing else but a small stated
+// allowance. Every pacer loop keeps its dispatch's state in its own struct,
+// the engine owns the cohort buffers, and a touched runtime costs no
+// allocation of its own, so a per-dispatch closure, a fresh cohort or
+// results slice, or a per-client runtime shows up as at least one
+// allocation per dispatch — at least 60 over the 60 folds measured, more
+// than the allowance. Heap counts are read from inside the run, between two
+// folds, so per-run set-up is excluded. The derived row runs over a
+// population of 2,000 clients, where most dispatches first-touch their
+// clients.
+func TestPacerRoundAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	if testing.Short() {
+		t.Skip("full engine runs in -short")
+	}
+	const warm, rounds = 10, 70
+	// slack is the allowance beyond the events over the whole measured
+	// window: the Go runtime's own allocations and the occasional growth of
+	// the clock's queue, the population's runtime table and its storage
+	// chunks (one per 64 first touches). Measured: 3 to 12.
+	const slack = 20
+	compose := func(base, pace string) Method {
+		m, err := Compose(base, "", pace, "", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	retained := func(t *testing.T, cfg RunConfig) *Env { return testEnv(t, 0, cfg) }
+	derived := func(t *testing.T, cfg RunConfig) *Env {
+		c := baseSourceCase(cfg.Seed)
+		c.dcfg.NumClients, c.ccfg.NumClients, c.ccfg.NumUnstable = 2000, 2000, 200
+		cfg.ClientsPerRound, cfg.LocalEpochs, cfg.BatchSize = 10, 1, 10
+		c.rcfg = cfg
+		env, _ := c.derived(t)
+		return env
+	}
+	for _, tc := range []struct {
+		name string
+		m    Method
+		env  func(*testing.T, RunConfig) *Env
+	}{
+		{"sync", Methods["fedavg"], retained},
+		{"sync-tifl", Methods["tifl"], retained},
+		{"sync-oversel", Methods["fedavg-oversel"], retained},
+		{"tier", Methods["fedat"], retained},
+		{"client", Methods["fedasync"], retained},
+		{"fedbuff", compose("fedasync", "fedbuff"), retained},
+		{"tier-derived", Methods["fedat"], derived},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseCfg()
+			cfg.Rounds = rounds
+			cfg.EvalEvery = 8
+			cfg.BufferK = 4
+			// measure runs the method on a fresh environment and returns
+			// the allocations, events and client rounds of the window.
+			measure := func() (allocs, events, clientRounds int) {
+				env := tc.env(t, cfg)
+				var before, after runtime.MemStats
+				folds := 0
+				if _, err := tc.m.Run(env, ObserverFunc(func(ev Event) {
+					if folds >= warm && folds < rounds {
+						events++
+						if _, ok := ev.(ClientDoneEvent); ok {
+							clientRounds++
+						}
+					}
+					if _, ok := ev.(TierFoldEvent); !ok {
+						return
+					}
+					switch folds++; folds {
+					case warm:
+						runtime.ReadMemStats(&before)
+					case rounds:
+						runtime.ReadMemStats(&after)
+					}
+				})); err != nil {
+					t.Fatal(err)
+				}
+				if folds < rounds || clientRounds == 0 {
+					t.Fatalf("only %d of %d folds, %d client rounds", folds, rounds, clientRounds)
+				}
+				return int(after.Mallocs - before.Mallocs), events, clientRounds
+			}
+			// A busy machine adds the runtime's own allocations in bursts
+			// (a blocked region's wait, say); the engine's are the same
+			// every run. So the best of three runs is compared.
+			allocs, events, clientRounds := measure()
+			for range 2 {
+				if a, e, _ := measure(); a-e < allocs-events {
+					allocs, events = a, e
+				}
+			}
+			if allocs > events+slack {
+				t.Errorf("%s: %d allocations over %d folds and %d client rounds, which emitted %d events: %d beyond them, allowance %d",
+					tc.name, allocs, rounds-warm, clientRounds, events, allocs-events, slack)
+			}
+			t.Logf("%s: %d allocations, %d events, %d client rounds (%d beyond the events)", tc.name, allocs, events, clientRounds, allocs-events)
 		})
 	}
 }

@@ -181,13 +181,16 @@ const DefaultEvalSample = 256
 
 // shardSource is where an environment's client data lives: a retained
 // *dataset.Federated hands out the shard it has held since construction
-// and ignores dst, a *dataset.Source synthesizes the shard from (seed, id)
-// into dst and returns dst. Callers pass a scratch shard they own — the
-// replica's, whether it is training or evaluating — and may read the result
-// until they next pass the same scratch.
+// and ignores dst, a *dataset.Source synthesizes the split the caller reads
+// from (seed, id) into dst and returns dst. Callers pass a scratch shard
+// they own — the replica's, whether it is training or evaluating — and may
+// read the result until they next pass the same scratch. Training reads
+// only the training split and evaluation only the test split, so each asks
+// for that split alone.
 type shardSource interface {
 	NumTrain(id int) int
-	ClientInto(dst *dataset.ClientData, id int) *dataset.ClientData
+	TrainInto(dst *dataset.ClientData, id int) *dataset.ClientData
+	TestInto(dst *dataset.ClientData, id int) *dataset.ClientData
 }
 
 // Env is the simulated environment a method runs on: client shards and a
@@ -235,9 +238,16 @@ type Env struct {
 	// newEnv; pool lends them to the training bodies of a dispatch.
 	replicas []*Client
 	pool     replicaPool
-	// members holds one slot per position of the largest cohort dispatched
-	// (see runCohort).
+	// members and results hold one slot per position of the largest cohort
+	// dispatched (see runCohort): the member's binding and its outcome,
+	// which runCohort hands to deliver and the fabric clears after it.
 	members []member
+	results []TrainResult
+	// train is the parallel body of every dispatch (trainAt), bound once;
+	// received and lc are the inputs of the dispatch in flight it reads.
+	train    func(i int)
+	received []float64
+	lc       LocalConfig
 }
 
 // replicaPool is the set of idle replicas a dispatch's training bodies
@@ -306,8 +316,8 @@ func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Populat
 	}
 	ref := replicas[0].Net // untrained: w0 and the shapes are read off it
 	ids := evalSampleIDs(n, panel, cfg.Seed)
-	return &Env{
-		Eval:     &Evaluator{ids: ids, shard: shards.ClientInto, reps: replicas[:min(len(replicas), len(ids))]},
+	e := &Env{
+		Eval:     &Evaluator{ids: ids, shard: shards.TestInto, reps: replicas[:min(len(replicas), len(ids))]},
 		Cfg:      cfg,
 		dataset:  name,
 		n:        n,
@@ -320,6 +330,8 @@ func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Populat
 		replicas: replicas,
 		pool:     replicaPool{idle: slices.Clone(replicas)},
 	}
+	e.train = e.trainAt
+	return e
 }
 
 // InitialWeights returns a copy of w0.
@@ -350,7 +362,7 @@ func (e *Env) ResetState() { e.pop.Reset() }
 func (e *Env) trainMember(m *member, out, global []float64, lc LocalConfig) TrainResult {
 	c, id := e.pool.get(), m.id
 	c.ID = id
-	c.Data = e.shards.ClientInto(&c.shard, id)
+	c.Data = e.shards.TrainInto(&c.shard, id)
 	c.Attack = m.rt.Attack
 	c.Attack.Classes = e.classes // simnet can't know the label space
 	c.scheduleRNG = e.root.SplitLabeledValue(uint64(scheduleStreamBase + id))
@@ -540,10 +552,11 @@ func (cm *Comm) CountControl(bytes int64, uplink bool) {
 // panel of clients, producing the three robustness metrics of Definition
 // 3.1: prediction accuracy (sample-weighted mean), cross-client accuracy
 // variance, and — through the caller's time series — convergence speed.
-// Shards are fetched through a function that may synthesize into the
-// calling replica's scratch shard, and each is measured before the replica
-// fetches the next, so a pass over synthesized shards costs O(1) memory —
-// and, once the scratch has grown, no allocation — in the population size.
+// Shards are fetched through a function that may synthesize the test split
+// alone into the calling replica's scratch shard, and each is measured
+// before the replica fetches the next, so a pass over synthesized shards
+// costs O(1) memory — and, once the scratch has grown, no allocation — in
+// the population size.
 // Evaluation costs no virtual time and no simulated communication; the
 // paper likewise excludes test-set evaluation from its measurements.
 type Evaluator struct {
@@ -553,6 +566,12 @@ type Evaluator struct {
 	// touches only their Net and shard scratch. A simulated environment
 	// lends its training replicas, NewDataEvaluator builds its own.
 	reps []*Client
+
+	// pass is Evaluate's parallel body (evalWorker), bound on the first
+	// pass so a pass allocates no closure; w is the model the pass in
+	// flight measures.
+	pass func(wk int)
+	w    []float64
 
 	// Per-panel-member scratch reused across Evaluate calls. Evaluate is
 	// not safe for concurrent use (the run loops serialize evaluation).
@@ -619,21 +638,12 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 	}
 
 	nw := len(e.reps)
-	parallel.ForWorkers(nw, nw, func(wk int) {
-		rep := e.reps[wk]
-		rep.Net.SetWeights(w)
-		for i := wk; i < len(e.ids); i += nw {
-			d := e.shard(&rep.shard, e.ids[i])
-			if d.NumTest() == 0 {
-				continue
-			}
-			cor, loss := rep.Net.Eval(d.TestX, d.TestY)
-			correct[i] = cor
-			totals[i] = d.NumTest()
-			losses[i] = loss * float64(totals[i])
-			accs[i] = float64(cor) / float64(totals[i])
-		}
-	})
+	if e.pass == nil {
+		e.pass = e.evalWorker
+	}
+	e.w = w
+	parallel.ForWorkers(nw, nw, e.pass)
+	e.w = nil
 
 	totCorrect, totSamples := 0, 0
 	totLoss := 0.0
@@ -649,6 +659,24 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 		Acc:      float64(totCorrect) / float64(totSamples),
 		Loss:     totLoss / float64(totSamples),
 		Variance: metrics.Variance(accs),
+	}
+}
+
+// evalWorker is Evaluate's parallel body: worker wk measures e.w on every
+// nw-th panel member from wk on, with replica wk, into their slots.
+func (e *Evaluator) evalWorker(wk int) {
+	rep, nw := e.reps[wk], len(e.reps)
+	rep.Net.SetWeights(e.w)
+	for i := wk; i < len(e.ids); i += nw {
+		d := e.shard(&rep.shard, e.ids[i])
+		if d.NumTest() == 0 {
+			continue
+		}
+		cor, loss := rep.Net.Eval(d.TestX, d.TestY)
+		e.correct[i] = cor
+		e.totals[i] = d.NumTest()
+		e.losses[i] = loss * float64(e.totals[i])
+		e.accs[i] = float64(cor) / float64(e.totals[i])
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // Events are observations only: emitting them never draws randomness,
 // reserves link capacity or advances the virtual clock, so attaching an
 // observer cannot perturb a run. Slices carried by events (RoundStart's
-// Clients) are shared with the engine and must not be mutated or retained.
+// Clients, TierFold's Global) are the engine's buffers: valid during
+// OnEvent, never to be mutated, and copied by an observer that retains them.
 
 // Event is one occurrence in a training run. The concrete types below are
 // the full set; observers type-switch on them. kind names the type in a
@@ -46,10 +47,14 @@ type StartEvent struct {
 // train. Tier is the training tier (-1 when the selecting policy is
 // untiered — population-wide sampling or the wait-free client loops).
 type RoundStartEvent struct {
-	Tier    int
-	Round   int     // global update count when the round started
-	Time    float64 // virtual seconds
-	Clients []int   // selected client ids (shared; read-only)
+	Tier  int
+	Round int     // global update count when the round started
+	Time  float64 // virtual seconds
+	// Clients are the selected client ids (shared with the engine;
+	// read-only, and valid only during OnEvent: the selecting loop picks
+	// its next cohort into the same buffer — observers that retain it
+	// must copy).
+	Clients []int
 }
 
 // ClientDoneEvent fires when one client's local round has been resolved:

@@ -77,7 +77,12 @@ type Fabric interface {
 	// The fabric decides when deliver runs: the simulated fabric computes
 	// outcomes immediately and calls deliver before Dispatch returns; the
 	// live fabric trains over TCP and calls deliver from the run loop when
-	// the last response resolves. Model bytes are tallied on comm.
+	// the last response resolves. Model bytes are tallied on comm. The
+	// results are valid only during deliver (the simulated fabric's are
+	// the environment's buffer, cleared when deliver returns): deliver
+	// copies what it keeps. The cohort is the calling loop's buffer, which
+	// it picks into again only after this round's deliver and fold, so a
+	// fabric may read it until it calls deliver.
 	Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error))
 
 	// Probe accounts a control round-trip to each listed client — w
@@ -147,8 +152,14 @@ func (f *simFabric) Partition(RunConfig) (*tiering.Tiers, error) {
 	return ProfileTiers(f.env)
 }
 
+// Dispatch delivers the environment's results buffer and then clears it:
+// the results are valid only during deliver, and a buffer still pointing at
+// their weights would keep a finished run's weight pool reachable from the
+// environment into the next run.
 func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []float64, lc LocalConfig, deliver func([]TrainResult, error)) {
-	deliver(f.env.runCohort(cohort, now, global, comm, lc), nil)
+	results := f.env.runCohort(cohort, now, global, comm, lc)
+	deliver(results, nil)
+	clear(results)
 }
 
 // Probe sends w across the codec once for the whole sweep (every client

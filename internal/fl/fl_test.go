@@ -298,12 +298,12 @@ func TestSelectAvailableExcludesDropped(t *testing.T) {
 	// Force one client offline.
 	fab.drop(3, 0)
 	ids := []int{3}
-	var scratch []int
-	if got := selectAvailable(&scratch, rng.New(1), ids, fab, 1, 5); got != nil {
+	var scratch, picks []int
+	if got := selectAvailable(&scratch, &picks, rng.New(1), ids, fab, 1, 5); got != nil {
 		t.Fatalf("dropped client selected: %v", got)
 	}
 	ids = []int{2, 3, 4}
-	got := selectAvailable(&scratch, rng.New(1), ids, fab, 1, 5)
+	got := selectAvailable(&scratch, &picks, rng.New(1), ids, fab, 1, 5)
 	if len(got) != 2 {
 		t.Fatalf("selection %v, want the two online clients", got)
 	}
@@ -344,11 +344,11 @@ func TestSelectAvailableUniform(t *testing.T) {
 		}
 	}
 	included, first := make([]float64, n), make([]float64, n)
-	var scratch []int
+	var scratch, picks []int
 	for seed := uint64(1); seed <= seeds; seed++ {
 		r := rng.New(seed)
 		for trial := 0; trial < perSeed; trial++ {
-			sel := selectAvailable(&scratch, r, ids, fab, 0, k)
+			sel := selectAvailable(&scratch, &picks, r, ids, fab, 0, k)
 			if len(sel) != k {
 				t.Fatalf("picked %d of %d online, want %d", len(sel), online, k)
 			}
@@ -389,7 +389,7 @@ func TestSelectAvailableUniform(t *testing.T) {
 // nobody is online (or k <= 0, which draws nothing), every online member is
 // returned when k covers them, and at most len(ids) draws are consumed.
 func TestSelectAvailableInvariants(t *testing.T) {
-	var scratch []int
+	var scratch, picks []int
 	r := rng.New(9)
 	for _, n := range []int{0, 1, 2, 7, 50} {
 		for _, offlineEvery := range []int{0, 3, 1} { // nobody, every third, everybody offline
@@ -405,7 +405,7 @@ func TestSelectAvailableInvariants(t *testing.T) {
 			before := slices.Clone(ids)
 			for _, k := range []int{-1, 0, 1, 3, n, n + 5} {
 				at := *r
-				sel := selectAvailable(&scratch, r, ids, fab, 0, k)
+				sel := selectAvailable(&scratch, &picks, r, ids, fab, 0, k)
 				draws := 0
 				for ; at != *r && draws <= n; draws++ {
 					at.Uint64()
@@ -443,11 +443,11 @@ func TestSelectAvailableProbesOnlyCandidates(t *testing.T) {
 	for i := range ids {
 		ids[i] = i
 	}
-	var scratch []int
+	var scratch, picks []int
 	r := rng.New(4)
 	for round := 0; round < 20; round++ {
 		fab.probes = 0
-		if sel := selectAvailable(&scratch, r, ids, fab, 0, k); len(sel) != k {
+		if sel := selectAvailable(&scratch, &picks, r, ids, fab, 0, k); len(sel) != k {
 			t.Fatalf("picked %d, want %d", len(sel), k)
 		}
 		if fab.probes >= 100 {

@@ -16,24 +16,26 @@ import (
 // and a cohort costs O(k) draws and availability probes while most of ids
 // is online — O(len(ids)) only when most of it is not. The swaps are then
 // undone in reverse from the log kept in the selector's scratch, leaving
-// ids exactly as found. The picks are a fresh slice: tier rounds overlap,
-// so a cohort must outlive the next call. ids is a tier's int32 members or
-// the whole population's int ids.
-func selectAvailable[ID int | int32](scratch *[]int, r *rng.RNG, ids []ID, fab Fabric, now float64, k int) []int {
+// ids exactly as found. The picks are written into *cohort, the calling
+// loop's buffer, which keeps its storage for that loop's next cohort: tier
+// rounds overlap, so each loop picks into its own buffer, and a loop picks
+// again only after its last cohort has been dispatched and folded. ids is a
+// tier's int32 members or the whole population's int ids.
+func selectAvailable[ID int | int32](scratch *[]int, cohort *[]int, r *rng.RNG, ids []ID, fab Fabric, now float64, k int) []int {
 	if k <= 0 {
 		return nil
 	}
 	n := len(ids)
-	var picks []int
+	picks := (*cohort)[:0]
 	swaps := (*scratch)[:0]
 	for t := 0; t < n && len(picks) < k; t++ {
 		j := t + r.Intn(n-t)
 		ids[t], ids[j] = ids[j], ids[t]
 		swaps = append(swaps, j)
 		if fab.Available(int(ids[t]), now) {
-			if picks == nil {
-				// One allocation, at the first accept: growing from nil
-				// by append would cost several per cohort.
+			if len(picks) == 0 && cap(picks) < min(k, n) {
+				// One allocation, at the first accept of a buffer too
+				// small: growing by append would cost several.
 				picks = make([]int, 0, min(k, n))
 			}
 			picks = append(picks, int(ids[t]))
@@ -43,7 +45,10 @@ func selectAvailable[ID int | int32](scratch *[]int, r *rng.RNG, ids []ID, fab F
 		j := swaps[t]
 		ids[t], ids[j] = ids[j], ids[t]
 	}
-	*scratch = swaps
+	*scratch, *cohort = swaps, picks
+	if len(picks) == 0 {
+		return nil
+	}
 	return picks
 }
 
@@ -65,6 +70,10 @@ func selectAvailable[ID int | int32](scratch *[]int, r *rng.RNG, ids []ID, fab F
 // dropped member's buffer goes back unsent and its result holds no weights.
 // So the weight pool is the only owner of model-sized results, and the
 // positions are reusable the moment this returns.
+//
+// The returned results are the prefix of e.results, which the simulated
+// fabric clears once deliver returns: a deliver callback copies what it
+// keeps (Harvest, the wait-free loops' result in flight).
 func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, lc LocalConfig) []TrainResult {
 	if len(sel) == 0 {
 		return nil
@@ -78,16 +87,16 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	received, bytes := comm.Broadcast(global, len(sel))
 	if len(e.members) < len(sel) {
 		e.members = append(e.members, make([]member, len(sel)-len(e.members))...)
+		e.results = append(e.results, make([]TrainResult, len(sel)-len(e.results))...)
 	}
-	members := e.members[:len(sel)]
-	results := make([]TrainResult, len(sel))
+	members, results := e.members[:len(sel)], e.results[:len(sel)]
 	pool := comm.Pool(len(global))
 	for i, id := range sel {
 		m := &members[i]
 		m.id = id
 		m.rt = e.pop.Materialize(id) // not safe to call concurrently
 		m.downDone = e.pop.DownloadArrival(start, m.rt, bytes)
-		results[i].Weights = pool.Get() // member i trains into it
+		results[i] = TrainResult{Weights: pool.Get()} // member i trains into it
 	}
 
 	// Per-member local training is the eligible parallel section: body i
@@ -98,13 +107,12 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	// chunks would serialize the expensive clients on one worker. No more
 	// workers run than there are replicas, whatever GOMAXPROCS has become
 	// since newEnv, so a body always finds one idle. Selection, timing and
-	// link reservations stay sequential around it. The body's closure is
-	// allocated every dispatch, so it captures only what it cannot reach
-	// through e.
-	parallel.Dynamic(len(sel), min(parallel.Workers(len(sel)), len(e.replicas)), func(i int) {
-		results[i] = e.trainMember(&e.members[i], results[i].Weights, received, lc)
-	})
+	// link reservations stay sequential around it. The body is e.train,
+	// bound once, and reads the dispatch's inputs from e.
+	e.received, e.lc = received, lc
+	parallel.Dynamic(len(sel), min(parallel.Workers(len(sel)), len(e.replicas)), e.train)
 	// All training is done; the downlink snapshot is dead.
+	e.received = nil
 	comm.Release(received)
 
 	// Sequential post-pass: delays, drops and uplink in selection order.
@@ -134,16 +142,28 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	return results
 }
 
-// survivors copies the results that were not dropped into one slice sized
-// for all of them. It cannot filter in place: the harvests read the
-// unfiltered results afterwards, and completionTime counts the dropped.
-func survivors(results []TrainResult) []TrainResult {
-	out := make([]TrainResult, 0, len(results))
+// trainAt is the parallel body of a dispatch: member i trains from the
+// dispatch's downlink snapshot into the buffer its result holds.
+func (e *Env) trainAt(i int) {
+	e.results[i] = e.trainMember(&e.members[i], e.results[i].Weights, e.received, e.lc)
+}
+
+// survivors copies the results that were not dropped into *kept, the
+// calling loop's buffer, sized once for a whole cohort, and returns them.
+// It cannot filter in place: the harvests read the unfiltered results
+// afterwards, completionTime counts the dropped, and the results are the
+// engine's, cleared before this round folds.
+func survivors(kept *[]TrainResult, results []TrainResult) []TrainResult {
+	out := (*kept)[:0]
+	if cap(out) < len(results) {
+		out = make([]TrainResult, 0, len(results))
+	}
 	for _, r := range results {
 		if !r.Dropped {
 			out = append(out, r)
 		}
 	}
+	*kept = out
 	return out
 }
 
@@ -163,11 +183,16 @@ func completionTime(results []TrainResult) float64 {
 
 // toUpdates reads surviving results into aggregator updates (Comm.Receive),
 // stamping the cohort's shared staleness anchor (the global update count at
-// dispatch) on each.
-func toUpdates(comm *Comm, results []TrainResult, startRound int) []core.ClientUpdate {
-	ups := make([]core.ClientUpdate, 0, len(results))
-	for _, r := range results {
-		ups = append(ups, core.ClientUpdate{Weights: comm.Receive(r), N: r.N, Client: r.Client, StartRound: startRound})
+// dispatch) on each. The updates are written into *ups, the calling loop's
+// buffer; the fold reads them and retains none.
+func toUpdates(ups *[]core.ClientUpdate, comm *Comm, results []TrainResult, startRound int) []core.ClientUpdate {
+	out := (*ups)[:0]
+	if cap(out) < len(results) {
+		out = make([]core.ClientUpdate, 0, len(results))
 	}
-	return ups
+	for _, r := range results {
+		out = append(out, core.ClientUpdate{Weights: comm.Receive(r), N: r.N, Client: r.Client, StartRound: startRound})
+	}
+	*ups = out
+	return out
 }

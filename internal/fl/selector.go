@@ -21,30 +21,34 @@ type Selector interface {
 // and decides which of the round's results count.
 type RoundSelector interface {
 	Selector
-	// Pick selects the next round's cohort at time now. It may advance
+	// Pick selects the next round's cohort at time now, into *cohort —
+	// the pacer's buffer, which the cohort returned shares. It may advance
 	// the clock past selection bookkeeping (TiFL's accuracy refresh costs
 	// real communication) and reports the training tier the cohort
 	// belongs to (-1 when the selector is untiered; tier-aware update
 	// rules then route each update by its client's profiled tier).
-	Pick(rs *runState, now float64) (sel []int, tier int, newNow float64, outcome SelectOutcome, err error)
-	// Harvest filters the round's results down to the updates that count
-	// and returns the round's completion time — over-selection keeps only
-	// the earliest arrivals, so the straggler tail stops gating the clock.
-	// A delivered update Harvest discards never reaches the fold site, so
-	// Harvest hands it back (rs.comm.Discard) itself.
-	Harvest(rs *runState, results []TrainResult) (kept []TrainResult, now float64)
+	Pick(rs *runState, now float64, cohort *[]int) (sel []int, tier int, newNow float64, outcome SelectOutcome, err error)
+	// Harvest filters the round's results down to the updates that count,
+	// writing them into *kept — the pacer's buffer, which holds them until
+	// the round folds, since the results themselves are valid only during
+	// deliver — and returns the round's completion time.
+	// Over-selection keeps only the earliest arrivals, so the straggler
+	// tail stops gating the clock. A delivered update Harvest discards
+	// never reaches the fold site, so Harvest hands it back
+	// (rs.comm.Discard) itself.
+	Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) (now float64)
 }
 
 // TierSelector drives tier pacing: each tier's loop asks for a cohort
 // within that tier.
 type TierSelector interface {
 	Selector
-	// PickTier samples a cohort from tier m at time now (nil when the
-	// tier has no available clients).
-	PickTier(rs *runState, m int, now float64) []int
+	// PickTier samples a cohort from tier m at time now into *cohort, the
+	// tier loop's buffer (nil when the tier has no available clients).
+	PickTier(rs *runState, m int, now float64, cohort *[]int) []int
 	// Harvest plays the same role as RoundSelector.Harvest for one tier's
 	// round.
-	Harvest(rs *runState, results []TrainResult) (kept []TrainResult, now float64)
+	Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) (now float64)
 }
 
 // SelectOutcome is a RoundSelector's verdict for one pacing attempt.
@@ -97,19 +101,19 @@ func (s *randomSelector) Init(rs *runState) error {
 	return nil
 }
 
-func (s *randomSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
+func (s *randomSelector) Pick(rs *runState, now float64, cohort *[]int) ([]int, int, float64, SelectOutcome, error) {
 	if s.all == nil {
 		s.all = allClientIDs(rs.fab)
 	}
-	sel := selectAvailable(&s.avail, s.selRNG, s.all, rs.fab, now, s.cohortSize(rs))
+	sel := selectAvailable(&s.avail, cohort, s.selRNG, s.all, rs.fab, now, s.cohortSize(rs))
 	if len(sel) == 0 {
 		return nil, -1, now, SelectStop, nil // everyone is offline; training cannot continue
 	}
 	return sel, -1, now, SelectOK, nil
 }
 
-func (s *randomSelector) PickTier(rs *runState, m int, now float64) []int {
-	return selectAvailable(&s.avail, s.tierStream(m), rs.tiers.Members[m], rs.fab, now, s.cohortSize(rs))
+func (s *randomSelector) PickTier(rs *runState, m int, now float64, cohort *[]int) []int {
+	return selectAvailable(&s.avail, cohort, s.tierStream(m), rs.tiers.Members[m], rs.fab, now, s.cohortSize(rs))
 }
 
 // tierStream lazily derives tier m's RNG stream, labelled by tier index —
@@ -121,8 +125,9 @@ func (s *randomSelector) tierStream(m int) *rng.RNG {
 	return s.tierRNG[m]
 }
 
-func (s *randomSelector) Harvest(rs *runState, results []TrainResult) ([]TrainResult, float64) {
-	return survivors(results), completionTime(results)
+func (s *randomSelector) Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) float64 {
+	survivors(kept, results)
+	return completionTime(results)
 }
 
 // ---------------------------------------------------------------------------
@@ -136,10 +141,10 @@ type overselSelector struct {
 	randomSelector // samples the enlarged cohorts (over = overFactor); only the harvest differs
 }
 
-func (s *overselSelector) Harvest(rs *runState, results []TrainResult) ([]TrainResult, float64) {
-	surv := survivors(results)
+func (s *overselSelector) Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) float64 {
+	surv := survivors(kept, results)
 	if len(surv) == 0 {
-		return nil, completionTime(results)
+		return completionTime(results)
 	}
 	// Keep the earliest arrivals up to the target count; the rest are
 	// received later but ignored (their bytes were already counted), so
@@ -153,8 +158,8 @@ func (s *overselSelector) Harvest(rs *runState, results []TrainResult) ([]TrainR
 	for _, late := range surv[keep:] {
 		rs.comm.Discard(late)
 	}
-	kept := surv[:keep]
-	return kept, completionTime(kept)
+	*kept = surv[:keep]
+	return completionTime(*kept)
 }
 
 // sortByArrival orders results by server arrival time (stable insertion
@@ -243,7 +248,7 @@ func (s *tiflSelector) drawTier() int {
 // floored so every tier stays selectable.
 func tiflProb(acc float64) float64 { return max(1-acc, 0.05) }
 
-func (s *tiflSelector) Pick(rs *runState, now float64) ([]int, int, float64, SelectOutcome, error) {
+func (s *tiflSelector) Pick(rs *runState, now float64, cohort *[]int) ([]int, int, float64, SelectOutcome, error) {
 	if s.refreshDue() {
 		var err error
 		now, err = s.accuracyRefresh(rs, rs.rule.Global(), now)
@@ -252,15 +257,16 @@ func (s *tiflSelector) Pick(rs *runState, now float64) ([]int, int, float64, Sel
 		}
 	}
 	tier := s.drawTier()
-	sel := selectAvailable(&s.avail, s.selRNG, rs.tiers.Members[tier], rs.fab, now, rs.cfg.ClientsPerRound)
+	sel := selectAvailable(&s.avail, cohort, s.selRNG, rs.tiers.Members[tier], rs.fab, now, rs.cfg.ClientsPerRound)
 	if len(sel) == 0 {
 		return nil, 0, now, SelectSkip, nil // tier fully offline; the selector will pick others
 	}
 	return sel, tier, now, SelectOK, nil
 }
 
-func (s *tiflSelector) Harvest(rs *runState, results []TrainResult) ([]TrainResult, float64) {
-	return survivors(results), completionTime(results)
+func (s *tiflSelector) Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) float64 {
+	survivors(kept, results)
+	return completionTime(results)
 }
 
 // accuracyRefresh models TiFL's adaptive-selection bookkeeping: the

@@ -105,10 +105,10 @@ func TestSelectorDeterminism(t *testing.T) {
 	}
 }
 
-// TestTiFLPickAllocFree pins TiFL's selection at no allocation beyond the
-// cohort slice it returns, across whole refresh intervals: the tier draw
-// masks credits in the selector's own scratch and the accuracy refresh
-// writes each tier's weight in place.
+// TestTiFLPickAllocFree pins TiFL's selection at no allocation across whole
+// refresh intervals: the tier draw masks credits in the selector's own
+// scratch, the accuracy refresh writes each tier's weight in place, and
+// each cohort is picked into the caller's buffer.
 func TestTiFLPickAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	cfg := baseCfg().withDefaults()
@@ -123,10 +123,11 @@ func TestTiFLPickAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cohorts int // of the last interval
+	var cohort []int
 	interval := func() {
 		cohorts = 0
 		for range tiflInterval {
-			_, _, _, out, err := s.Pick(rs, 0)
+			_, _, _, out, err := s.Pick(rs, 0, &cohort)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestTiFLPickAllocFree(t *testing.T) {
 	}
 	interval() // warm up: the first refresh grows the evaluator's scratch
 	interval()
-	if allocs := testing.AllocsPerRun(1, interval); allocs > float64(cohorts) {
-		t.Errorf("%d picks allocate %.0f times, beyond their %d cohorts", tiflInterval, allocs, cohorts)
+	if allocs := testing.AllocsPerRun(1, interval); allocs != 0 || cohorts == 0 {
+		t.Errorf("%d picks (%d cohorts) allocate %.0f times, want 0", tiflInterval, cohorts, allocs)
 	}
 }

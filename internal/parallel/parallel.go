@@ -103,7 +103,7 @@ func run(n, workers, chunk int, body func(i int)) {
 				continue
 			}
 			if j == nil {
-				j = jobs.Get().(*job)
+				j = getJob()
 				j.body, j.n, j.chunk = body, n, chunk
 				j.pending.Add(chunks)
 				j.refs.Store(1)
@@ -126,8 +126,8 @@ func run(n, workers, chunk int, body func(i int)) {
 	j.release()
 }
 
-// job is one region fanned out to helpers. Jobs are pooled, so a region
-// that fans out allocates nothing once the pool is warm.
+// job is one region fanned out to helpers. Jobs are recycled through a free
+// list, so a region that fans out allocates nothing once the list is warm.
 type job struct {
 	body     func(i int)
 	n, chunk int
@@ -136,7 +136,27 @@ type job struct {
 	refs     atomic.Int32   // participants that may still touch the job
 }
 
-var jobs = sync.Pool{New: func() any { return new(job) }}
+// jobs is the free list of idle jobs. Unlike a sync.Pool it is not emptied
+// by a collection, and a job the last participant returns from another P is
+// found by the next region on any P, so it holds as many jobs as regions
+// have ever fanned out at once and allocates no more.
+var jobs struct {
+	mu   sync.Mutex
+	free []*job
+}
+
+// getJob takes an idle job, or makes one when none is idle.
+func getJob() *job {
+	jobs.mu.Lock()
+	defer jobs.mu.Unlock()
+	k := len(jobs.free)
+	if k == 0 {
+		return new(job)
+	}
+	j := jobs.free[k-1]
+	jobs.free = jobs.free[:k-1]
+	return j
+}
 
 // take runs chunks until none is left.
 func (j *job) take() {
@@ -163,7 +183,9 @@ func (j *job) release() {
 	if j.refs.Add(-1) == 0 {
 		j.body = nil
 		j.next.Store(0)
-		jobs.Put(j)
+		jobs.mu.Lock()
+		jobs.free = append(jobs.free, j)
+		jobs.mu.Unlock()
 	}
 }
 

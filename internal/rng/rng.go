@@ -102,6 +102,11 @@ func (r *RNG) Float64At(i int) float64 {
 	return unit(mix(r.state + goldenGamma*(uint64(i)+1)))
 }
 
+// Skip advances r past n draws without computing them: SplitMix64's state
+// after n steps is state + n·γ, so the stream continues exactly where n
+// calls to Uint64 would have left it.
+func (r *RNG) Skip(n int) { r.state += goldenGamma * uint64(n) }
+
 // unit maps 64 uniform bits to a uniform float64 in [0, 1).
 func unit(u uint64) float64 { return float64(u>>11) / (1 << 53) }
 

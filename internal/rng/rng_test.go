@@ -324,3 +324,26 @@ func BenchmarkNorm(b *testing.B) {
 	}
 	_ = sink
 }
+
+// TestSkipMatchesStream: Skip(n) leaves the generator where n draws would,
+// for every n below 300 and from a generator that has already advanced, and
+// Skip(0) changes nothing.
+func TestSkipMatchesStream(t *testing.T) {
+	for _, seed := range []uint64{0, 7, 1 << 63} {
+		r := New(seed)
+		r.Uint64()
+		for n := range 300 {
+			skipped, stepped := *r, *r
+			skipped.Skip(n)
+			for range n {
+				stepped.Uint64()
+			}
+			if skipped != stepped {
+				t.Fatalf("seed %d: Skip(%d) left %+v, %d draws %+v", seed, n, skipped, n, stepped)
+			}
+			if a, b := skipped.Uint64(), stepped.Uint64(); a != b {
+				t.Fatalf("seed %d: the draw after Skip(%d) is %d, want %d", seed, n, a, b)
+			}
+		}
+	}
+}

@@ -29,7 +29,7 @@ type ClientRuntime struct {
 	// attackers are indistinguishable from honest clients in time.
 	Attack robust.Attack
 
-	delayRNG  *rng.RNG
+	delayRNG  rng.RNG
 	delayRNG0 rng.RNG     // construction-time snapshot, restored by Reset
 	drift     *driftTrack // nil = fixed compute speed
 	churn     *churnTrack // nil = no transient offline windows
@@ -39,11 +39,7 @@ type ClientRuntime struct {
 // stream) to its construction-time state, so a fresh run over the same
 // cluster draws the same delays. Drift and churn schedules need no reset:
 // both are pure functions of (seed, t) regardless of query order.
-func (c *ClientRuntime) Reset() {
-	if c.delayRNG != nil {
-		*c.delayRNG = c.delayRNG0
-	}
-}
+func (c *ClientRuntime) Reset() { c.delayRNG = c.delayRNG0 }
 
 // RoundDelay draws this round's injected delay.
 func (c *ClientRuntime) RoundDelay() float64 {

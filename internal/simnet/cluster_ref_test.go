@@ -64,7 +64,7 @@ func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 				UpBW:        cfg.UpBW,
 				DownBW:      cfg.DownBW,
 				DropAt:      Inf,
-				delayRNG:    dr,
+				delayRNG:    *dr,
 				delayRNG0:   *dr,
 			}
 		}

@@ -30,6 +30,9 @@ import (
 // (an int32 id and a float64 time) per unstable client, sorted by id —
 // while everything heavy (the delay stream, drift/churn tracks, the
 // ClientRuntime itself) stays un-built until a dispatch touches the client.
+// A touched runtime is a value in a fixed-size chunk that never moves, so
+// its pointer stays valid for the population's lifetime and a first touch
+// costs no allocation of its own (one chunk serves runtimeChunk of them).
 // Ids are stored as int32, so a population holds at most math.MaxInt32
 // clients. Steady-state live state is O(touched clients), which under
 // cohort sampling is O(cohort · rounds), not O(N).
@@ -55,11 +58,19 @@ type Population struct {
 	attacked map[int]struct{} // attacker membership
 
 	churnTracks map[int]*churnTrack    // lazily built, shared with runtimes
-	runtimes    map[int]*ClientRuntime // touched-client cache
+	runtimes    map[int]*ClientRuntime // touched-client cache, pointing into chunks
+	chunks      [][]ClientRuntime      // runtime storage; each chunk's backing array is fixed
 
 	serverUp   Link // client→server direction
 	serverDown Link // server→client direction
+	// floor is the latest dispatch time a download started at. Dispatch
+	// times never decrease, so no later transfer on either link starts
+	// before it, and both links forget the reservations that end before it.
+	floor float64
 }
+
+// runtimeChunk is how many runtimes one allocation of storage holds.
+const runtimeChunk = 64
 
 // NewPopulation validates the configuration and builds the lazy population:
 // the shared-stream index tables are drawn now, everything per-client is
@@ -260,19 +271,24 @@ func (p *Population) ExpectedLatency(id int, batchSteps int) float64 {
 }
 
 // Materialize builds (or returns the cached) full ClientRuntime for id.
-// Touched
-// runtimes are cached for the population's lifetime: the per-round delay
-// stream is consumable state, so a client that trains twice must keep
-// drawing from where it left off.
+// Touched runtimes are cached for the population's lifetime: the per-round
+// delay stream is consumable state, so a client that trains twice must keep
+// drawing from where it left off. The runtime is built in place in the
+// newest storage chunk, which is appended to only within its capacity, so
+// the pointer returned stays valid for the population's lifetime.
 func (p *Population) Materialize(id int) *ClientRuntime {
 	if c, ok := p.runtimes[id]; ok {
 		return c
 	}
-	cr := p.root.SplitLabeled(uint64(1000 + id))
+	if k := len(p.chunks); k == 0 || len(p.chunks[k-1]) == runtimeChunk {
+		p.chunks = append(p.chunks, make([]ClientRuntime, 0, runtimeChunk))
+	}
+	chunk := &p.chunks[len(p.chunks)-1]
+	cr := p.root.SplitLabeledValue(uint64(1000 + id))
 	speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
-	dr := cr.SplitLabeled(7)
+	dr := cr.SplitLabeledValue(7)
 	rg := delayRanges[p.part[id]]
-	c := &ClientRuntime{
+	*chunk = append(*chunk, ClientRuntime{
 		ID:          id,
 		Part:        int(p.part[id]),
 		DelayLo:     rg[0],
@@ -283,8 +299,9 @@ func (p *Population) Materialize(id int) *ClientRuntime {
 		DropAt:      p.DropTime(id),
 		Attack:      p.AttackOf(id),
 		delayRNG:    dr,
-		delayRNG0:   *dr,
-	}
+		delayRNG0:   dr,
+	})
+	c := &(*chunk)[len(*chunk)-1]
 	if p.behaviorOn && p.behavior.DriftMag > 0 {
 		c.drift = newDriftTrack(cr.SplitLabeled(clientDriftLabel), p.behavior)
 	}
@@ -302,14 +319,17 @@ func (p *Population) Materialize(id int) *ClientRuntime {
 func (p *Population) Materialized() int { return len(p.runtimes) }
 
 // Reset clears the population's mutable simulation state — server link
-// reservations and the delay stream of every touched runtime — so a fresh
-// run over the same population sees identical conditions from time zero.
-// Untouched clients have no consumable state yet.
+// reservations, the dispatch floor and the delay stream of every touched
+// runtime — so a fresh run over the same population sees identical
+// conditions from time zero. Untouched clients have no consumable state yet.
 func (p *Population) Reset() {
 	p.serverUp.Reset()
 	p.serverDown.Reset()
-	for _, c := range p.runtimes {
-		c.Reset()
+	p.floor = 0
+	for _, chunk := range p.chunks {
+		for i := range chunk {
+			chunk[i].Reset()
+		}
 	}
 }
 
@@ -320,8 +340,18 @@ func (p *Population) UploadArrival(now float64, client *ClientRuntime, bytes int
 	return arrival(now, client.UpBW, &p.serverUp, bytes)
 }
 
-// DownloadArrival models a server→client transfer started at now.
+// DownloadArrival models a server→client transfer started at now. A
+// download starts every dispatch and every probe, at the fabric's clock, so
+// now is also the floor below which no later transfer on either link
+// starts: both links forget what ends before it (Link.forget), which keeps
+// each one's reservations to the transfers still in flight instead of every
+// transfer since the run began.
 func (p *Population) DownloadArrival(now float64, client *ClientRuntime, bytes int) float64 {
+	if now > p.floor {
+		p.floor = now
+		p.serverUp.forget(now)
+		p.serverDown.forget(now)
+	}
 	return arrival(now, client.DownBW, &p.serverDown, bytes)
 }
 

@@ -49,13 +49,19 @@ type Clock interface {
 // ones). Each transfer therefore gets the earliest free GAP at or after its
 // start time, kept in a sorted, merged busy-interval list — a plain
 // "free-at" cursor would let a far-future reservation block every earlier
-// one.
+// one. The population trims the list at every dispatch (forget), so it
+// holds the reservations still in flight, not every one since the run
+// began.
 type Link struct {
 	Bandwidth float64 // bytes/second; <= 0 means infinite
 	busy      []interval
 }
 
 type interval struct{ start, end float64 }
+
+// mergeEps is the gap below which two reservations count as touching and
+// merge into one interval.
+const mergeEps = 1e-9
 
 // Transfer reserves capacity for a payload starting no earlier than start
 // and returns the completion time.
@@ -98,16 +104,32 @@ func (l *Link) insert(idx int, iv interval) {
 	copy(l.busy[idx+1:], l.busy[idx:])
 	l.busy[idx] = iv
 	// Merge backwards and forwards while neighbours touch.
-	const eps = 1e-9
 	i := idx
-	if i > 0 && l.busy[i-1].end+eps >= l.busy[i].start {
+	if i > 0 && l.busy[i-1].end+mergeEps >= l.busy[i].start {
 		l.busy[i-1].end = max(l.busy[i-1].end, l.busy[i].end)
 		l.busy = append(l.busy[:i], l.busy[i+1:]...)
 		i--
 	}
-	for i+1 < len(l.busy) && l.busy[i].end+eps >= l.busy[i+1].start {
+	for i+1 < len(l.busy) && l.busy[i].end+mergeEps >= l.busy[i+1].start {
 		l.busy[i].end = max(l.busy[i].end, l.busy[i+1].end)
 		l.busy = append(l.busy[:i+1], l.busy[i+2:]...)
+	}
+}
+
+// forget drops the busy intervals that end before floor by more than the
+// merge tolerance, for a caller whose later transfers all start at or after
+// floor. Such a transfer's scan skips every dropped interval (each ends
+// before its start), and the merge in insert never joins one (the gap
+// exceeds mergeEps), so every completion time is the one the full list
+// gives. The intervals are sorted and disjoint, so the dropped ones are a
+// prefix.
+func (l *Link) forget(floor float64) {
+	i := 0
+	for i < len(l.busy) && l.busy[i].end+mergeEps < floor {
+		i++
+	}
+	if i > 0 {
+		l.busy = l.busy[:copy(l.busy, l.busy[i:])]
 	}
 }
 

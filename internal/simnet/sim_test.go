@@ -316,3 +316,121 @@ func TestDropsAreHonored(t *testing.T) {
 		}
 	}
 }
+
+// TestLinkForgetIsExact replays randomized schedules on two links, one that
+// forgets the reservations ending before each dispatch's floor and one that
+// keeps everything, and requires bit-equal completion times. Each dispatch
+// raises the floor (sometimes not at all) and reserves transfers that start
+// at or after it, some far in the future and some exactly at the floor or
+// one merge tolerance past an interval's end, where a wrong inequality in
+// forget would show.
+func TestLinkForgetIsExact(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rng.New(seed)
+		pruned, full := &Link{Bandwidth: 100}, &Link{Bandwidth: 100}
+		floor := 0.0
+		var ends []float64
+		for dispatch := 0; dispatch < 300; dispatch++ {
+			switch r.Intn(4) {
+			case 0: // the floor stays
+			case 1: // the floor lands exactly on, or just past, an earlier end
+				if len(ends) > 0 {
+					if e := ends[r.Intn(len(ends))] + mergeEps*float64(r.Intn(3)); e > floor {
+						floor = e
+					}
+				}
+			default:
+				floor += r.Uniform(0, 3)
+			}
+			pruned.forget(floor)
+			for range 1 + r.Intn(6) {
+				start := floor
+				switch r.Intn(3) {
+				case 0:
+					start += r.Uniform(0, 40) // a far-future reservation
+				case 1:
+					start += r.Uniform(0, 2)
+				}
+				bytes := 1 + r.Intn(300)
+				got, want := pruned.Transfer(start, bytes), full.Transfer(start, bytes)
+				if got != want {
+					t.Fatalf("seed %d dispatch %d: transfer at %v completes at %v, the full list says %v", seed, dispatch, start, got, want)
+				}
+				ends = append(ends, got)
+			}
+		}
+		if pruned.Reservations() >= full.Reservations() {
+			t.Fatalf("seed %d: the pruned link holds %d intervals, the full one %d: nothing was forgotten", seed, pruned.Reservations(), full.Reservations())
+		}
+	}
+}
+
+// TestPopulationLinksStayBounded runs a long FedAT-shaped schedule through
+// the population — five tier loops over the five delay parts, each round
+// downloading to a cohort at dispatch and uploading at its completion, the
+// next round dispatched at the slowest arrival — and checks that after
+// every dispatch each server link holds no more intervals than there are
+// transfers still in flight (arriving at or after the floor), that the
+// floor never decreases, and that the link's length stays small while the
+// transfers reserved grow with the run.
+func TestPopulationLinksStayBounded(t *testing.T) {
+	pop, err := NewPopulation(ClusterConfig{
+		NumClients: 50, SecPerBatch: 0.05, UpBW: 1 << 17, DownBW: 1 << 17, ServerBW: 1 << 18, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([][]int, len(delayRanges))
+	for id := range pop.NumClients() {
+		members[pop.part[id]] = append(members[pop.part[id]], id)
+	}
+	const rounds, cohort, bytes = 3000, 3, 40_000
+	clock := New()
+	var arrivals []float64 // every transfer's arrival, both directions
+	done, peak := 0, 0
+	lastFloor := 0.0
+	var round func(m int)
+	round = func(m int) {
+		if done >= rounds {
+			clock.Stop()
+			return
+		}
+		done++
+		now := clock.Now()
+		latest := now
+		for j := range cohort {
+			rt := pop.Materialize(members[m][(done+j)%len(members[m])])
+			down := pop.DownloadArrival(now, rt, bytes)
+			up := pop.UploadArrival(down+rt.ComputeTime(3)+rt.RoundDelay(), rt, bytes)
+			arrivals = append(arrivals, down, up)
+			latest = max(latest, up)
+		}
+		if pop.floor < lastFloor || pop.floor != now {
+			t.Fatalf("round %d: floor %v after a dispatch at %v (was %v)", done, pop.floor, now, lastFloor)
+		}
+		lastFloor = pop.floor
+		inFlight := 0
+		for _, a := range arrivals {
+			if a+mergeEps >= pop.floor {
+				inFlight++
+			}
+		}
+		for name, l := range map[string]*Link{"uplink": &pop.serverUp, "downlink": &pop.serverDown} {
+			if l.Reservations() > inFlight {
+				t.Fatalf("round %d: the %s holds %d intervals for %d transfers in flight", done, name, l.Reservations(), inFlight)
+			}
+			peak = max(peak, l.Reservations())
+		}
+		clock.At(latest, func() { round(m) })
+	}
+	for m := range members {
+		clock.At(0, func() { round(m) })
+	}
+	clock.Run()
+	if done < rounds {
+		t.Fatalf("only %d of %d rounds ran", done, rounds)
+	}
+	if limit := 2 * len(members) * cohort; peak > limit {
+		t.Fatalf("a link peaked at %d intervals over %d transfers, want at most %d", peak, len(arrivals), limit)
+	}
+}
