@@ -20,10 +20,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// Shared is what the common flags bind onto. A flag that was not given
+// shared is what the common flags bind onto. A flag that was not given
 // leaves its destination at the zero value, so the engine's own defaults
 // apply.
-type Shared struct {
+type shared struct {
 	// Select, Pacer, Agg and Name are fl.Compose's override arguments.
 	Select, Pacer, Agg, Name string
 	// Behavior receives the adversarial regime (-attack, -attack-frac,
@@ -54,9 +54,9 @@ func zeroOff(v, off float64) float64 {
 	return v
 }
 
-// Bind declares the shared flags on fs.
-func Bind(fs *flag.FlagSet) *Shared {
-	s := &Shared{fs: fs}
+// bind declares the shared flags on fs.
+func bind(fs *flag.FlagSet) *shared {
+	s := &shared{fs: fs}
 
 	// Method composition.
 	s.str("select", "override the selection `policy`: random, oversel, tifl, all", &s.Select)
@@ -121,7 +121,7 @@ func Bind(fs *flag.FlagSet) *Shared {
 
 // BindServer declares the two flags only fedserver has that fall under the
 // explicit-zero law.
-func (s *Shared) BindServer() {
+func (s *shared) BindServer() {
 	s.runFloat("lambda", "proximal `coefficient` for Prox methods (Eq. 3); unset inherits the engine default, explicit 0 or negative disables",
 		func(c *fl.RunConfig, v float64) { c.Lambda = zeroOff(v, fl.LambdaOff) })
 	s.cloudFlag("edge-stale-exp", "async fold: staleness discount `exponent` (unset = default 0.5; explicit 0 = no discount)", func(v string) error {
@@ -133,7 +133,7 @@ func (s *Shared) BindServer() {
 
 // cloudUnused is the usage error for edge→cloud flags given where no
 // hierarchy consumes them; without names what would build one.
-func (s *Shared) cloudUnused(hierarchy bool, without string) error {
+func (s *shared) cloudUnused(hierarchy bool, without string) error {
 	if hierarchy || len(s.GivenCloud) == 0 {
 		return nil
 	}
@@ -142,48 +142,48 @@ func (s *Shared) cloudUnused(hierarchy bool, without string) error {
 
 // ApplyRun writes every engine flag that was given into cfg and leaves the
 // rest of cfg alone.
-func (s *Shared) ApplyRun(cfg *fl.RunConfig) {
+func (s *shared) ApplyRun(cfg *fl.RunConfig) {
 	for _, set := range s.run {
 		set(cfg)
 	}
 }
 
 // Attack is the -attack/-attack-scale regime as the live fabric takes it.
-func (s *Shared) Attack() robust.Attack {
+func (s *shared) Attack() robust.Attack {
 	return robust.Attack{Kind: s.attack, Scale: s.Behavior.AttackScale}
 }
 
 // declare registers one value flag whose parse records that it was given;
 // declareVia is the same over fs.Func or fs.BoolFunc.
-func (s *Shared) declare(name, usage string, set func(string) error) {
+func (s *shared) declare(name, usage string, set func(string) error) {
 	s.declareVia(s.fs.Func, name, usage, set)
 }
 
-func (s *Shared) declareVia(register func(name, usage string, fn func(string) error), name, usage string, set func(string) error) {
+func (s *shared) declareVia(register func(name, usage string, fn func(string) error), name, usage string, set func(string) error) {
 	register(name, usage, func(v string) error {
 		s.Given = append(s.Given, "-"+name)
 		return set(v)
 	})
 }
 
-func (s *Shared) cloudFlag(name, usage string, set func(string) error) {
+func (s *shared) cloudFlag(name, usage string, set func(string) error) {
 	s.declare(name, usage, func(v string) error {
 		s.GivenCloud = append(s.GivenCloud, "-"+name)
 		return set(v)
 	})
 }
 
-func (s *Shared) str(name, usage string, dst *string) {
+func (s *shared) str(name, usage string, dst *string) {
 	s.declare(name, usage, func(v string) error { *dst = v; return nil })
 }
 
-func (s *Shared) float(name, usage string, dst *float64) {
+func (s *shared) float(name, usage string, dst *float64) {
 	s.declare(name, usage, func(v string) (err error) { *dst, err = strconv.ParseFloat(v, 64); return err })
 }
 
 // runInt and runFloat declare an engine flag: giving it records a setter
 // that ApplyRun replays onto whichever RunConfig the binary assembles.
-func (s *Shared) runInt(name, usage string, set func(*fl.RunConfig, int)) {
+func (s *shared) runInt(name, usage string, set func(*fl.RunConfig, int)) {
 	s.declare(name, usage, func(v string) error {
 		n, err := strconv.Atoi(v)
 		s.run = append(s.run, func(c *fl.RunConfig) { set(c, n) })
@@ -191,7 +191,7 @@ func (s *Shared) runInt(name, usage string, set func(*fl.RunConfig, int)) {
 	})
 }
 
-func (s *Shared) runFloat(name, usage string, set func(*fl.RunConfig, float64)) {
+func (s *shared) runFloat(name, usage string, set func(*fl.RunConfig, float64)) {
 	s.declare(name, usage, func(v string) error {
 		f, err := strconv.ParseFloat(v, 64)
 		s.run = append(s.run, func(c *fl.RunConfig) { set(c, f) })

@@ -53,7 +53,7 @@ func TestBind(t *testing.T) {
 			cloud: edge.CloudConfig{Fold: edge.FoldAsync, Buffer: 2, TopKFrac: 0.25},
 			given: []string{"-edge-fold", "-edge-buffer", "-uplink-topk"}},
 		{name: "attack", args: []string{"-attack", "scale", "-attack-scale", "5", "-attack-frac", "0.3"},
-			attack: robust.Attack{Kind: robust.ScaleUpdate, Scale: 5},
+			attack: robust.Attack{Kind: mustKind("scale"), Scale: 5},
 			given:  []string{"-attack", "-attack-scale", "-attack-frac"}},
 		{name: "unknown attack kind", args: []string{"-attack", "bogus"}, wantError: true},
 		{name: "malformed number", args: []string{"-buffer-k", "four"}, wantError: true},
@@ -65,7 +65,7 @@ func TestBind(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
-			s := Bind(fs)
+			s := bind(fs)
 			s.BindServer()
 			err := fs.Parse(c.args)
 			if c.wantError {
@@ -101,12 +101,22 @@ func TestBind(t *testing.T) {
 	}
 }
 
+// mustKind is the attack kind robust.ParseKind names s; robust's own tests
+// pin each name to its kind.
+func mustKind(s string) robust.Kind {
+	k, err := robust.ParseKind(s)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
 // TestApplyRunLeavesTheRestAlone: only the flags given overwrite the
 // RunConfig a binary assembled, and only the edge→cloud flags count as
 // GivenCloud.
 func TestApplyRunLeavesTheRestAlone(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	s := Bind(fs)
+	s := bind(fs)
 	if err := fs.Parse([]string{"-buffer-k", "3", "-uplink-topk", "0.5"}); err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// Method composition, staleness, attack/DP and edge→cloud policy flags
 	// are fedsim's: the attack regime directs simnet.AttackTargets over
 	// -seed, the same subset the simulator poisons.
-	shared := Bind(fs)
+	shared := bind(fs)
 	shared.BindServer()
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)

@@ -47,7 +47,7 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// Composition mode: run one method assembled from policies. The
 		// -select/-pacer/-agg overrides and the staleness, re-tiering,
 		// attack/DP and edge→cloud policy knobs are the shared flags
-		// (Bind); the rest are the simulator's own.
+		// (bind); the rest are the simulator's own.
 		compose = fs.String("compose", "", "run a single method composition: a registry method name used as the base spec (see -select/-pacer/-agg)")
 		trace   = fs.Bool("trace", false, "with -compose, print the run's event stream to stderr as JSON Lines, one per event, stamped with the emitting node")
 		rep     = fs.String("report", "", "print each node's run summary from a file of trace lines (a -trace capture or a fedserver log) and run nothing; takes no other flag")
@@ -56,7 +56,7 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		// across K edge aggregators; see the 'hierarchy' experiment.
 		topology = fs.String("topology", "flat", "with -compose, client topology: flat, or edge:K (K edge aggregators over sharded clients; edge:1 is bit-identical to flat)")
 	)
-	shared := Bind(fs)
+	shared := bind(fs)
 	// Dynamic-population knobs (compose mode): time-varying client behavior
 	// beside the shared -retier-every; see the 'dynamics' experiment.
 	fs.Float64Var(&shared.Behavior.DriftMag, "drift", 0, "with -compose, speed-drift magnitude per interval (e.g. 0.45; 0 = static speeds)")
@@ -271,7 +271,7 @@ func runExperiments(id string, p experiments.Preset, format, outDir string, work
 
 // runComposition runs method m on the standard ablation testbed at preset
 // p with the shared flags' overrides and prints a run summary.
-func runComposition(p experiments.Preset, m fl.Method, over *Shared, trace bool, stdout, stderr io.Writer) error {
+func runComposition(p experiments.Preset, m fl.Method, over *shared, trace bool, stdout, stderr io.Writer) error {
 	var traceTo io.Writer
 	if trace {
 		traceTo = stderr

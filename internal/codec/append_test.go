@@ -69,7 +69,7 @@ func TestUnmarshalModelIntoMatchesUnmarshal(t *testing.T) {
 			}
 		}
 		for _, n := range []int{len(w) - 1, len(w) + 1, 0} {
-			if err := UnmarshalModelInto(msg, make([]float64, n)); !errors.Is(err, ErrCorrupt) {
+			if err := UnmarshalModelInto(msg, make([]float64, n)); !errors.Is(err, errCorrupt) {
 				t.Fatalf("%s: destination of %d for %d elements: %v, want ErrCorrupt", c.Name(), n, len(w), err)
 			}
 		}
@@ -165,10 +165,10 @@ func deletedWireIDs(t testing.TB) [][]byte {
 // corrupt, however well-formed its header and payload.
 func TestDeletedWireIDsRejected(t *testing.T) {
 	for _, msg := range deletedWireIDs(t) {
-		if err := UnmarshalModelInto(msg, make([]float64, 8)); !errors.Is(err, ErrCorrupt) {
+		if err := UnmarshalModelInto(msg, make([]float64, 8)); !errors.Is(err, errCorrupt) {
 			t.Errorf("id %d: UnmarshalModelInto gives %v, want ErrCorrupt", msg[0], err)
 		}
-		if _, _, err := UnmarshalModel(msg); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := UnmarshalModel(msg); !errors.Is(err, errCorrupt) {
 			t.Errorf("id %d: UnmarshalModel gives %v, want ErrCorrupt", msg[0], err)
 		}
 	}

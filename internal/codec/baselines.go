@@ -49,7 +49,7 @@ func (Raw) AppendEncode(dst []byte, w []float64) []byte {
 // Decode implements Codec.
 func (Raw) Decode(data []byte, out []float64) error {
 	if len(data) != 8*len(out) {
-		return fmt.Errorf("%w: raw payload %d bytes, want %d", ErrCorrupt, len(data), 8*len(out))
+		return fmt.Errorf("%w: raw payload %d bytes, want %d", errCorrupt, len(data), 8*len(out))
 	}
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))

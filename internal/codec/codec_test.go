@@ -202,7 +202,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		for _, at := range []int{0, len(enc) - 1} {
 			bad := append([]byte{}, enc...)
 			bad[at] = b
-			if err := c.Decode(bad, out); !errors.Is(err, ErrCorrupt) {
+			if err := c.Decode(bad, out); !errors.Is(err, errCorrupt) {
 				t.Fatalf("byte %d at %d of %d: %v, want ErrCorrupt", b, at, len(enc), err)
 			}
 		}
@@ -212,7 +212,7 @@ func TestDecodeCorruptPayloads(t *testing.T) {
 		long[12] = last
 		if err := c.Decode(long, out[:1]); (err == nil) != ok {
 			t.Fatalf("13-chunk varint ending in %d: %v, want accepted=%v", last, err, ok)
-		} else if err != nil && !errors.Is(err, ErrCorrupt) {
+		} else if err != nil && !errors.Is(err, errCorrupt) {
 			t.Fatalf("13-chunk varint ending in %d: %v, want ErrCorrupt", last, err)
 		}
 	}

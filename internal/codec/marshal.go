@@ -66,12 +66,12 @@ func decodeWire(id, precision byte, payload []byte, out []float64) error {
 		return p.Decode(payload, out)
 	case wireTopK:
 		if precision < 1 || precision > 100 {
-			return fmt.Errorf("%w: top-k percent %d", ErrCorrupt, precision)
+			return fmt.Errorf("%w: top-k percent %d", errCorrupt, precision)
 		}
 		t := TopK{Frac: float64(precision) / 100}
 		return t.Decode(payload, out)
 	default:
-		return fmt.Errorf("%w: codec id %d", ErrCorrupt, id)
+		return fmt.Errorf("%w: codec id %d", errCorrupt, id)
 	}
 }
 
@@ -165,7 +165,7 @@ const maxElements = math.MaxInt32
 // otherwise, so the decode-into path allocates nothing.
 func parseModelHeader(data []byte, shapes *[]ShapeInfo) (id, prec byte, total int, payload []byte, err error) {
 	fail := func(what string) (byte, byte, int, []byte, error) {
-		return 0, 0, 0, nil, fmt.Errorf("%w: %s", ErrCorrupt, what)
+		return 0, 0, 0, nil, fmt.Errorf("%w: %s", errCorrupt, what)
 	}
 	if len(data) < 4 {
 		return fail("short header")
@@ -232,7 +232,7 @@ func UnmarshalModelInto(msg []byte, dst []float64) error {
 		return err
 	}
 	if total != len(dst) {
-		return fmt.Errorf("%w: message carries %d elements, want %d", ErrCorrupt, total, len(dst))
+		return fmt.Errorf("%w: message carries %d elements, want %d", errCorrupt, total, len(dst))
 	}
 	return decodeWire(id, prec, payload, dst)
 }

@@ -47,8 +47,8 @@ type Channel interface {
 	Transmit(dst, w []float64) (payloadBytes int)
 }
 
-// ErrCorrupt is returned when a payload cannot be decoded.
-var ErrCorrupt = errors.New("codec: corrupt payload")
+// errCorrupt is returned when a payload cannot be decoded.
+var errCorrupt = errors.New("codec: corrupt payload")
 
 // polyline chunking constants (Google Encoded Polyline Algorithm Format).
 const (
@@ -274,7 +274,7 @@ func (p *Polyline) Decode(data []byte, out []float64) error {
 		out[i] = float64(unzigzag(u)) / s
 	}
 	if pos != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+		return fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(data)-pos)
 	}
 	return nil
 }
@@ -342,11 +342,11 @@ func readVarint(data []byte) (uint64, int, error) {
 	for i, b := range data {
 		c := b - asciiOffset // wraps above the alphabet for b < 63
 		if c > chunkMask|continueBit {
-			return 0, 0, fmt.Errorf("%w: byte %d outside the polyline alphabet", ErrCorrupt, b)
+			return 0, 0, fmt.Errorf("%w: byte %d outside the polyline alphabet", errCorrupt, b)
 		}
 		v := uint64(c & chunkMask)
 		if v<<shift>>shift != v {
-			return 0, 0, fmt.Errorf("%w: varint overflow", ErrCorrupt)
+			return 0, 0, fmt.Errorf("%w: varint overflow", errCorrupt)
 		}
 		u |= v << shift
 		if c&continueBit == 0 {
@@ -354,8 +354,8 @@ func readVarint(data []byte) (uint64, int, error) {
 		}
 		shift += chunkBits
 		if shift > 63 {
-			return 0, 0, fmt.Errorf("%w: varint overflow", ErrCorrupt)
+			return 0, 0, fmt.Errorf("%w: varint overflow", errCorrupt)
 		}
 	}
-	return 0, 0, fmt.Errorf("%w: truncated varint", ErrCorrupt)
+	return 0, 0, fmt.Errorf("%w: truncated varint", errCorrupt)
 }

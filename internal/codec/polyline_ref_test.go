@@ -48,7 +48,7 @@ func refDecode(p *Polyline, data []byte, out []float64) error {
 		out[i] = float64(unzigzag(u)) / s
 	}
 	if pos != len(data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-pos)
+		return fmt.Errorf("%w: %d trailing bytes", errCorrupt, len(data)-pos)
 	}
 	return nil
 }

@@ -73,12 +73,12 @@ func (t *TopK) AppendEncode(dst []byte, w []float64) []byte {
 // Decode implements Codec.
 func (t *TopK) Decode(data []byte, out []float64) error {
 	if len(data) < 4 {
-		return fmt.Errorf("%w: topk payload too short", ErrCorrupt)
+		return fmt.Errorf("%w: topk payload too short", errCorrupt)
 	}
 	// Size the count in 64 bits: 4+8k wraps a 32-bit int for k ≥ 2²⁸.
 	k32 := binary.LittleEndian.Uint32(data)
 	if uint64(len(data)) != 4+8*uint64(k32) {
-		return fmt.Errorf("%w: topk payload %d bytes for k=%d", ErrCorrupt, len(data), k32)
+		return fmt.Errorf("%w: topk payload %d bytes for k=%d", errCorrupt, len(data), k32)
 	}
 	k := int(k32)
 	for i := range out {
@@ -87,7 +87,7 @@ func (t *TopK) Decode(data []byte, out []float64) error {
 	for i := 0; i < k; i++ {
 		j := int(binary.LittleEndian.Uint32(data[4+8*i:]))
 		if j < 0 || j >= len(out) {
-			return fmt.Errorf("%w: topk index %d out of range", ErrCorrupt, j)
+			return fmt.Errorf("%w: topk index %d out of range", errCorrupt, j)
 		}
 		out[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(data[8+8*i:])))
 	}

@@ -263,7 +263,7 @@ func TestAssignClassesProperties(t *testing.T) {
 }
 
 func TestScaleSamples(t *testing.T) {
-	if ScaleSmall.samples(1, 2, 3) != 1 || ScaleMedium.samples(1, 2, 3) != 2 || ScalePaper.samples(1, 2, 3) != 3 {
+	if ScaleSmall.samples(1, 2, 3) != 1 || ScaleMedium.samples(1, 2, 3) != 2 || scalePaper.samples(1, 2, 3) != 3 {
 		t.Fatal("Scale.samples mapping wrong")
 	}
 }

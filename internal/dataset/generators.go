@@ -106,14 +106,14 @@ type Scale int
 const (
 	ScaleSmall  Scale = iota // CI-sized: fast tests
 	ScaleMedium              // default experiment size
-	ScalePaper               // closest to the paper's client/sample counts
+	scalePaper               // closest to the paper's client/sample counts
 )
 
 func (s Scale) samples(small, medium, paper int) int {
 	switch s {
 	case ScaleSmall:
 		return small
-	case ScalePaper:
+	case scalePaper:
 		return paper
 	default:
 		return medium
@@ -125,7 +125,7 @@ func (s Scale) samples(small, medium, paper int) int {
 // paper's Table 1; 0 = IID).
 func CIFAR10Like(numClients, classesPerClient int, scale Scale, seed uint64) (*Federated, error) {
 	side := 10
-	if scale == ScalePaper {
+	if scale == scalePaper {
 		side = 32
 	}
 	return Generate(Config{
@@ -146,7 +146,7 @@ func CIFAR10Like(numClients, classesPerClient int, scale Scale, seed uint64) (*F
 // CIFAR (the paper's accuracies are ~0.86 vs ~0.59).
 func FashionLike(numClients, classesPerClient int, scale Scale, seed uint64) (*Federated, error) {
 	side := 10
-	if scale == ScalePaper {
+	if scale == scalePaper {
 		side = 28
 	}
 	return Generate(Config{
@@ -202,7 +202,7 @@ func FEMNISTLike(numClients int, scale Scale, seed uint64) (*Federated, error) {
 // vocabulary with per-client start-region skew and power-law sizes.
 func RedditLike(numClients int, scale Scale, seed uint64) (*Federated, error) {
 	vocab := 64
-	if scale == ScalePaper {
+	if scale == scalePaper {
 		vocab = 625 // the paper's 10,000-token vocabulary at 1/16 scale
 	}
 	return Generate(Config{

@@ -9,10 +9,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// Figure6 reproduces the weighted-vs-uniform aggregation comparison: FedAT
+// figure6 reproduces the weighted-vs-uniform aggregation comparison: FedAT
 // with the Eq. 5 heuristic against a uniform-weights ablation on the three
 // 2-class datasets.
-func Figure6(p Preset) (*Report, error) {
+func figure6(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig6", Title: "Weighted vs uniform cross-tier aggregation (paper Figure 6)"}
 	// Both aggregation variants across all three datasets, each cell
 	// defined once and read back from the request. The ablation is FedAT
@@ -50,9 +50,9 @@ var figure9Participation = []int{2, 5, 10, 15}
 // figure9Methods are the synchronous-update methods the sweep compares.
 var figure9Methods = []string{"fedat", "tifl", "fedavg", "fedprox"}
 
-// Figure9 reproduces the participation-level sensitivity study on CIFAR-10
+// figure9 reproduces the participation-level sensitivity study on CIFAR-10
 // (2-class) and Sentiment140.
-func Figure9(p Preset) (*Report, error) {
+func figure9(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig9", Title: "Impact of client participation level (paper Figure 9)"}
 	specs := []dsSpec{
 		{name: "cifar10", classesPerClient: 2},
@@ -117,11 +117,11 @@ var figure10Configs = []struct {
 	{"Fast", [5]float64{0.4, 0.2, 0.2, 0.1, 0.1}},
 }
 
-// Figure10 reproduces the robustness study over client distributions across
+// figure10 reproduces the robustness study over client distributions across
 // tiers (the paper's 100/100/100/100/100 … 200/100/100/50/50 splits of 500
 // clients, scaled to the preset). Each distribution is the registry FedAT
 // cell of Figure 7 with its tier sizes set, so it trains to the same budget.
-func Figure10(p Preset) (*Report, error) {
+func figure10(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig10", Title: "Impact of client distribution across tiers (paper Figure 10)"}
 	spec := dsSpec{name: "femnist", large: true}
 	sizes := make([][]int, len(figure10Configs))

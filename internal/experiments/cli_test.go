@@ -12,7 +12,7 @@ import (
 // TestFedsimJSON is fedsim's machine-readable path end to end: -exp table1
 // -preset tiny -format json prints one valid JSON envelope on stdout, with
 // the progress framing kept off it. It is a CLI row that lives here because
-// the cell cache is per process: in this binary the Tiny batch has already
+// the cell cache is per process: in this binary the tiny batch has already
 // simulated table1's grid, so the row costs a render, not a second grid.
 func TestFedsimJSON(t *testing.T) {
 	if testing.Short() {

@@ -9,10 +9,10 @@ import (
 	"repro/internal/report"
 )
 
-// Figure4 reproduces "test accuracy as a function of cumulative uploaded
+// figure4 reproduces "test accuracy as a function of cumulative uploaded
 // bytes" for the three 2-class datasets: per accuracy milestone, the uplink
 // bytes each method had consumed.
-func Figure4(p Preset) (*Report, error) {
+func figure4(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig4", Title: "Accuracy vs cumulative uploaded bytes (paper Figure 4)"}
 	r, err := runCells(methodCells(p, figure2Specs, table1Methods))
 	if err != nil {
@@ -46,9 +46,9 @@ func Figure4(p Preset) (*Report, error) {
 	return rep, nil
 }
 
-// Table2 reproduces "amounts of data transferred between clients and server
+// table2 reproduces "amounts of data transferred between clients and server
 // to achieve the target accuracy" (up+down, in MB).
-func Table2(p Preset) (*Report, error) {
+func table2(p Preset) (*Report, error) {
 	rep := &Report{ID: "table2", Title: "Data transferred to reach target accuracy (paper Table 2)"}
 	r, err := runCells(methodCells(p, figure2Specs, table1Methods))
 	if err != nil {
@@ -96,9 +96,9 @@ var figure5Codecs = []struct {
 	{"No Compression", codec.Raw{}},
 }
 
-// Figure5 reproduces the accuracy/communication tradeoff of FedAT's
+// figure5 reproduces the accuracy/communication tradeoff of FedAT's
 // compressor precision on CIFAR-10 (2-class non-IID).
-func Figure5(p Preset) (*Report, error) {
+func figure5(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig5", Title: "Compression precision tradeoff (paper Figure 5)"}
 	spec := dsSpec{name: "cifar10", classesPerClient: 2}
 

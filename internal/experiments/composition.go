@@ -32,14 +32,14 @@ var composeVariants = []struct {
 	},
 }
 
-// AblationCompose exercises the policy-composition API end to end: two
+// ablationCompose exercises the policy-composition API end to end: two
 // novel method variants, assembled purely from existing selector/pacer/
 // update-rule registry entries, run against the methods they derive from on
 // the standard straggler-heavy testbed. Beside them sits the registry's one
 // composition of a baseline, FedAvg with over-selection (Bonawitz et al.,
 // discussed in §2.1): shorter rounds bought by wasting the slowest 30% of
 // selected clients' work.
-func AblationCompose(p Preset) (*Report, error) {
+func ablationCompose(p Preset) (*Report, error) {
 	rep := &Report{ID: "ablation-compose", Title: "Novel policy compositions (pluggable method API)"}
 	spec := dsSpec{name: "cifar10", classesPerClient: 2}
 

@@ -14,12 +14,12 @@ var figure2Specs = []dsSpec{
 	{name: "sent140", classesPerClient: 2},
 }
 
-// Figure2 reproduces the accuracy-over-time curves and the
+// figure2 reproduces the accuracy-over-time curves and the
 // time-to-target-accuracy bar charts. The paper uses absolute targets
 // (0.47 / 0.76 / 0.735); since absolute accuracies depend on the substrate,
 // the target here is 90% of FedAT's best accuracy on each dataset, which
 // probes the same region of the curve.
-func Figure2(p Preset) (*Report, error) {
+func figure2(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig2", Title: "Convergence timelines and time-to-target accuracy (paper Figure 2)"}
 	r, err := runCells(methodCells(p, figure2Specs, table1Methods))
 	if err != nil {
@@ -67,8 +67,8 @@ var figure3Specs = []dsSpec{
 	{name: "cifar10", classesPerClient: 0},
 }
 
-// Figure3 reproduces the convergence comparison across non-IID levels.
-func Figure3(p Preset) (*Report, error) {
+// figure3 reproduces the convergence comparison across non-IID levels.
+func figure3(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig3", Title: "Convergence vs non-IID level on CIFAR-10 (paper Figure 3)"}
 	r, err := runCells(methodCells(p, figure3Specs, table1Methods))
 	if err != nil {

@@ -37,11 +37,11 @@ var dynBehavior = simnet.BehaviorConfig{
 // re-tiering roughly once per few tier rounds without thrashing.
 const dynRetierEvery = 8
 
-// Dynamics compares static tiers against periodic runtime re-tiering under
+// dynamics compares static tiers against periodic runtime re-tiering under
 // speed drift and churn for FedAT, TiFL and FedAvg. Re-tiering only touches
 // tier-paced loops (FedAT); the synchronous baselines ignore the knob —
 // their rows double as a no-op control.
-func Dynamics(p Preset) (*Report, error) {
+func dynamics(p Preset) (*Report, error) {
 	rep := &Report{ID: "dynamics", Title: "Dynamic clients: static tiers vs runtime re-tiering"}
 	spec := dsSpec{name: "cifar10", classesPerClient: 2}
 	methods := []string{"fedat", "tifl", "fedavg"}

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// The experiment tests read the Tiny batch (golden_test.go): TestGoldenText
+// The experiment tests read the tiny batch (golden_test.go): TestGoldenText
 // pins every report's bytes, and the tests here check the properties of the
 // runs behind them (every run learns, shared cells are shared, compression
 // shrinks payloads) rather than paper-scale numbers.
@@ -23,7 +23,7 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 }
 
 func TestRunByIDUnknown(t *testing.T) {
-	if _, err := RunByID("nope", Tiny); err == nil {
+	if _, err := RunByID("nope", tiny); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }

@@ -12,12 +12,12 @@ import (
 // tolerance) and of a design parameter it fixes without sweeping (the
 // proximal coefficient λ). DESIGN.md lists them as extension work.
 
-// AblationMisTier corrupts a growing fraction of the latency profiles
+// ablationMisTier corrupts a growing fraction of the latency profiles
 // before tiering and compares FedAT with TiFL. §2.1 claims FedAT's
 // asynchronous cross-tier updates tolerate mis-tiering while TiFL's
 // synchronous tier rounds suffer (a fast round stalls on a mis-placed slow
 // client).
-func AblationMisTier(p Preset) (*Report, error) {
+func ablationMisTier(p Preset) (*Report, error) {
 	rep := &Report{ID: "ablation-mistier", Title: "Mis-tiering tolerance (extension of §2.1's claim)"}
 	spec := dsSpec{name: "cifar10", classesPerClient: 2}
 	fracs := []float64{0, 0.2, 0.4}
@@ -60,10 +60,10 @@ func AblationMisTier(p Preset) (*Report, error) {
 	return rep, nil
 }
 
-// AblationLambda sweeps the proximal coefficient λ of Eq. 3 for FedAT. The
+// ablationLambda sweeps the proximal coefficient λ of Eq. 3 for FedAT. The
 // paper fixes λ=0.4; the sweep shows the tradeoff it balances: λ=0 lets
 // non-IID clients drift, large λ blocks local learning.
-func AblationLambda(p Preset) (*Report, error) {
+func ablationLambda(p Preset) (*Report, error) {
 	rep := &Report{ID: "ablation-lambda", Title: "Proximal coefficient sweep (Eq. 3 design choice)"}
 	spec := dsSpec{name: "cifar10", classesPerClient: 2}
 	lambdas := []float64{0, 0.1, 0.4, 1.0, 4.0}

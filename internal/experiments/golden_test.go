@@ -23,7 +23,7 @@ type tinyResult struct {
 	err error
 }
 
-// tinyBatch runs every registry id at the Tiny preset as one concurrent
+// tinyBatch runs every registry id at the tiny preset as one concurrent
 // batch, one goroutine per experiment the way fedsim -exp all does, once
 // per test binary: cells that
 // several experiments request are simulated once by the scheduler's shared
@@ -36,7 +36,7 @@ var tinyBatch = sync.OnceValue(func() map[string]tinyResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i].rep, results[i].err = RunByID(id, Tiny)
+			results[i].rep, results[i].err = RunByID(id, tiny)
 		}()
 	}
 	wg.Wait()
@@ -47,7 +47,7 @@ var tinyBatch = sync.OnceValue(func() map[string]tinyResult {
 	return out
 })
 
-// tinyReport is experiment id's report from the Tiny batch.
+// tinyReport is experiment id's report from the tiny batch.
 func tinyReport(t *testing.T, id string) *Report {
 	t.Helper()
 	if testing.Short() {

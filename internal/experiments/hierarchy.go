@@ -28,12 +28,12 @@ type hierarchyRow struct {
 	cloud edge.CloudConfig
 }
 
-// Hierarchy compares flat FedAT against K-edge topologies under speed
+// hierarchy compares flat FedAT against K-edge topologies under speed
 // drift + churn, on both edge→cloud fold policies. The edge:1 row runs the
 // full hierarchy machinery as a pass-through and must reproduce the flat
 // row bit for bit (same acc/time columns; only the edge-fold telemetry
 // differs) — the table doubles as a standing correctness check.
-func Hierarchy(p Preset) (*Report, error) {
+func hierarchy(p Preset) (*Report, error) {
 	rep := &Report{ID: "hierarchy", Title: "Hierarchical edge fabric: flat vs K-edge topologies"}
 	m, err := fl.Lookup("fedat")
 	if err != nil {

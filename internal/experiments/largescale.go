@@ -8,10 +8,10 @@ import (
 // scale (§7.4).
 var figure7Methods = []string{"fedat", "tifl", "fedavg", "fedprox", "fedasync", "asofed"}
 
-// Figure7 reproduces the large-scale FEMNIST experiment: accuracy over time
+// figure7 reproduces the large-scale FEMNIST experiment: accuracy over time
 // and accuracy over uploaded bytes with the large client population. One
 // request runs all six methods' cells at once.
-func Figure7(p Preset) (*Report, error) {
+func figure7(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig7", Title: "Large-scale FEMNIST: accuracy over time and bytes (paper Figure 7)"}
 	spec := dsSpec{name: "femnist", large: true}
 	r, err := runCells(methodCells(p, []dsSpec{spec}, figure7Methods))
@@ -47,9 +47,9 @@ func Figure7(p Preset) (*Report, error) {
 // async baselines fail to converge on Reddit, §7.4).
 var figure8Methods = []string{"fedat", "tifl", "fedprox"}
 
-// Figure8 reproduces the Reddit LSTM experiment: accuracy and loss over
+// figure8 reproduces the Reddit LSTM experiment: accuracy and loss over
 // time.
-func Figure8(p Preset) (*Report, error) {
+func figure8(p Preset) (*Report, error) {
 	rep := &Report{ID: "fig8", Title: "Reddit LSTM: accuracy and loss over time (paper Figure 8)"}
 	spec := dsSpec{name: "reddit", large: true}
 	r, err := runCells(methodCells(p, []dsSpec{spec}, figure8Methods))

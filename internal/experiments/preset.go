@@ -43,9 +43,9 @@ type Preset struct {
 	Seed uint64
 }
 
-// Tiny is the CI preset: everything small enough for unit tests and
+// tiny is the CI preset: everything small enough for unit tests and
 // benchmarks.
-var Tiny = Preset{
+var tiny = Preset{
 	Name:         "tiny",
 	Clients:      15,
 	LargeClients: 25,
@@ -58,8 +58,8 @@ var Tiny = Preset{
 	Seed:         42,
 }
 
-// Small runs in tens of seconds per experiment.
-var Small = Preset{
+// small runs in tens of seconds per experiment.
+var small = Preset{
 	Name:         "small",
 	Clients:      40,
 	LargeClients: 80,
@@ -72,10 +72,10 @@ var Small = Preset{
 	Seed:         42,
 }
 
-// Medium is the default CLI preset: paper-scale clients and local work
+// medium is the default CLI preset: paper-scale clients and local work
 // (~50 local steps per round, where non-IID client drift is material) with
 // the fast MLP stand-in model so a full experiment takes minutes.
-var Medium = Preset{
+var medium = Preset{
 	Name:         "medium",
 	Clients:      100,
 	LargeClients: 200,
@@ -88,8 +88,8 @@ var Medium = Preset{
 	Seed:         42,
 }
 
-// Paper approaches the paper's scales (100/500 clients); expect long runs.
-var Paper = Preset{
+// paper approaches the paper's scales (100/500 clients); expect long runs.
+var paper = Preset{
 	Name:         "paper",
 	Clients:      100,
 	LargeClients: 500,
@@ -102,13 +102,13 @@ var Paper = Preset{
 	Seed:         42,
 }
 
-// Huge exists for the scale experiment: its client count is the base of
+// huge exists for the scale experiment: its client count is the base of
 // the 8x population ladder {c, 8c, 64c}, so 15625 tops the ladder at
 // exactly one million simulated clients. Only the lazy-environment
 // experiments are meant to run at this preset — an eager experiment at a
 // million clients would materialize the population it is the whole point
 // not to. Round budgets are bounded accordingly.
-var Huge = Preset{
+var huge = Preset{
 	Name:         "huge",
 	Clients:      15625,
 	LargeClients: 15625,
@@ -121,18 +121,18 @@ var Huge = Preset{
 	Seed:         42,
 }
 
-// Presets indexes the scale presets by name.
-var Presets = map[string]Preset{
-	"tiny":   Tiny,
-	"small":  Small,
-	"medium": Medium,
-	"paper":  Paper,
-	"huge":   Huge,
+// presets indexes the scale presets by name.
+var presets = map[string]Preset{
+	"tiny":   tiny,
+	"small":  small,
+	"medium": medium,
+	"paper":  paper,
+	"huge":   huge,
 }
 
 // PresetByName resolves a preset.
 func PresetByName(name string) (Preset, error) {
-	p, ok := Presets[name]
+	p, ok := presets[name]
 	if !ok {
 		return Preset{}, fmt.Errorf("experiments: unknown preset %q (have tiny, small, medium, paper, huge)", name)
 	}

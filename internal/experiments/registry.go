@@ -14,28 +14,28 @@ type Experiment struct {
 
 // Registry maps experiment ids to runners, one per paper table/figure.
 var Registry = map[string]Experiment{
-	"table1": {"Prediction performance and variance", Table1},
-	"fig2":   {"Convergence timelines + time to target", Figure2},
-	"fig3":   {"Convergence vs non-IID level", Figure3},
-	"fig4":   {"Accuracy vs uploaded bytes", Figure4},
-	"table2": {"Data transferred to target accuracy", Table2},
-	"fig5":   {"Compression precision tradeoff", Figure5},
-	"fig6":   {"Weighted vs uniform aggregation", Figure6},
-	"fig7":   {"Large-scale FEMNIST", Figure7},
-	"fig8":   {"Reddit LSTM", Figure8},
-	"fig9":   {"Client participation sweep", Figure9},
-	"fig10":  {"Tier-size distributions", Figure10},
+	"table1": {"Prediction performance and variance", table1},
+	"fig2":   {"Convergence timelines + time to target", figure2},
+	"fig3":   {"Convergence vs non-IID level", figure3},
+	"fig4":   {"Accuracy vs uploaded bytes", figure4},
+	"table2": {"Data transferred to target accuracy", table2},
+	"fig5":   {"Compression precision tradeoff", figure5},
+	"fig6":   {"Weighted vs uniform aggregation", figure6},
+	"fig7":   {"Large-scale FEMNIST", figure7},
+	"fig8":   {"Reddit LSTM", figure8},
+	"fig9":   {"Client participation sweep", figure9},
+	"fig10":  {"Tier-size distributions", figure10},
 
 	// Extensions beyond the paper's figures (see DESIGN.md §3).
-	"ablation-compose": {"Novel policy compositions", AblationCompose},
-	"dynamics":         {"Dynamic clients: static vs runtime re-tiering", Dynamics},
-	"hierarchy":        {"Hierarchical edge fabric: flat vs K-edge topologies", Hierarchy},
-	"ablation-mistier": {"Mis-tiering tolerance", AblationMisTier},
-	"robustness":       {"Adversarial robustness: attacks, robust folds, DP", Robustness},
-	"staleness":        {"Staleness-aware async family: weight functions, anchors, adaptive LR", Staleness},
-	"ablation-lambda":  {"Proximal λ sweep", AblationLambda},
-	"theory":           {"Empirical §5 convergence check", TheoryValidation},
-	"scale":            {"Million-client simnet: lazy population ladder", Scale},
+	"ablation-compose": {"Novel policy compositions", ablationCompose},
+	"dynamics":         {"Dynamic clients: static vs runtime re-tiering", dynamics},
+	"hierarchy":        {"Hierarchical edge fabric: flat vs K-edge topologies", hierarchy},
+	"ablation-mistier": {"Mis-tiering tolerance", ablationMisTier},
+	"robustness":       {"Adversarial robustness: attacks, robust folds, DP", robustness},
+	"staleness":        {"Staleness-aware async family: weight functions, anchors, adaptive LR", staleness},
+	"ablation-lambda":  {"Proximal λ sweep", ablationLambda},
+	"theory":           {"Empirical §5 convergence check", theoryValidation},
+	"scale":            {"Million-client simnet: lazy population ladder", scale},
 }
 
 // IDs returns the experiment ids in a stable order.

@@ -93,10 +93,10 @@ func robAggLabel(fam robFamily, agg string) string {
 	return fl.Methods[fam.base].Update + " (native)"
 }
 
-// Robustness sweeps attack fraction × aggregation rule × pacing family
+// robustness sweeps attack fraction × aggregation rule × pacing family
 // under the poisoning regime, then pins the latency-correlated-attacker
 // comparison and the DP stage's honest-run cost.
-func Robustness(p Preset) (*Report, error) {
+func robustness(p Preset) (*Report, error) {
 	rep := &Report{ID: "robustness", Title: "Adversarial robustness: attacks, robust folds, DP"}
 
 	// The full grid plus the tail comparison and the DP control, scheduled

@@ -117,12 +117,12 @@ func (h *heapSampler) OnEvent(ev fl.Event) {
 	}
 }
 
-// Scale runs the population ladder and reports, per rung, everything
+// scale runs the population ladder and reports, per rung, everything
 // deterministic about the run (update count, sampled accuracy, virtual
 // time, uplink traffic, how much of the population was ever touched) in
 // the table, with wall-clock and peak-heap measurements attached as
 // data-only scalars for the machine-readable report.
-func Scale(p Preset) (*Report, error) {
+func scale(p Preset) (*Report, error) {
 	rep := &Report{ID: "scale", Title: "Million-client simnet: lazy population ladder"}
 	m, err := fl.Lookup("fedat")
 	if err != nil {

@@ -20,7 +20,7 @@ var microRuns atomic.Int64
 // microPreset builds a minimal preset for scheduler tests. Presets that
 // differ only in Name produce identical simulations — Name feeds only the
 // cache key — so each call gets a disjoint cache namespace without
-// touching the Tiny cells other tests share, and a test repeated in one
+// touching the tiny cells other tests share, and a test repeated in one
 // process (go test -count=N) starts from a cold cache every time.
 func microPreset(name string) Preset {
 	return Preset{
@@ -76,11 +76,11 @@ func TestSchedulerByteIdenticalAndExactlyOnce(t *testing.T) {
 	SetWorkers(1)
 	ps := microPreset("sched-serial")
 	base := SimulationCount()
-	fig6Serial, err := Figure6(ps)
+	fig6Serial, err := figure6(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	theorySerial, err := TheoryValidation(ps)
+	theorySerial, err := theoryValidation(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestSchedulerByteIdenticalAndExactlyOnce(t *testing.T) {
 		errA, errB, errC error
 	)
 	wg.Add(3)
-	go func() { defer wg.Done(); fig6Conc, errA = Figure6(pc) }()
-	go func() { defer wg.Done(); theoryConc, errB = TheoryValidation(pc) }()
+	go func() { defer wg.Done(); fig6Conc, errA = figure6(pc) }()
+	go func() { defer wg.Done(); theoryConc, errB = theoryValidation(pc) }()
 	go func() { defer wg.Done(); topoConc, errC = cellRecords(topologyCells(pc)) }()
 	wg.Wait()
 	for _, err := range []error{errA, errB, errC} {
@@ -210,7 +210,7 @@ func TestSchedulerMeta(t *testing.T) {
 	// serves none of them from the cache (see cacheHits).
 	p2 := microPreset("sched-meta-fig2")
 	sims, hits := SimulationCount(), CacheHitCount()
-	if _, err := Figure2(p2); err != nil {
+	if _, err := figure2(p2); err != nil {
 		t.Fatal(err)
 	}
 	if gotSims, gotHits := SimulationCount()-sims, CacheHitCount()-hits; gotSims != 15 || gotHits != 0 {
@@ -228,13 +228,13 @@ func TestSchedulerMeta(t *testing.T) {
 
 	p := microPreset("sched-meta")
 	hitsBase := CacheHitCount()
-	if _, err := Figure6(p); err != nil {
+	if _, err := figure6(p); err != nil {
 		t.Fatal(err)
 	}
 	if got := CacheHitCount() - hitsBase; got != 0 {
 		t.Fatalf("fresh Figure6 recorded %d cache hits, want 0", got)
 	}
-	if _, err := Figure6(p); err != nil {
+	if _, err := figure6(p); err != nil {
 		t.Fatal(err)
 	}
 	// The re-run requests the same 6 cells; all must be absorbed by the

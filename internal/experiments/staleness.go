@@ -90,11 +90,11 @@ func staleRow(run *metrics.Run) []report.Cell {
 	}
 }
 
-// Staleness sweeps the async method family: weight function × discount
+// staleness sweeps the async method family: weight function × discount
 // strength, rule × pacer, per-update vs batch staleness anchors, the
 // adaptive-LR stage, and the flat-vs-edge deployment of the headline
 // composition.
-func Staleness(p Preset) (*Report, error) {
+func staleness(p Preset) (*Report, error) {
 	rep := &Report{ID: "staleness", Title: "Staleness-aware async family: weight functions, anchors, adaptive LR"}
 
 	// Plan the full grid as one batch so independent cells simulate

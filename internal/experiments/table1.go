@@ -23,11 +23,11 @@ var table1Specs = []dsSpec{
 	{name: "sent140", classesPerClient: 2},
 }
 
-// Table1 reproduces "Comparison of prediction performance and variance to
+// table1 reproduces "Comparison of prediction performance and variance to
 // baseline approaches": best accuracy and cross-client accuracy variance
 // (normalized to FedAT) for every method × dataset configuration, plus
 // FedAT's improvement over the best and worst baselines.
-func Table1(p Preset) (*Report, error) {
+func table1(p Preset) (*Report, error) {
 	rep := &Report{ID: "table1", Title: "Prediction performance and accuracy variance (paper Table 1)"}
 	// Run the whole method × dataset grid at once; the per-spec loop below
 	// reads from the request's runs.

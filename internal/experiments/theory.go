@@ -7,7 +7,7 @@ import (
 	"repro/internal/report"
 )
 
-// TheoryValidation empirically checks the convergence claims of §5 on the
+// theoryValidation empirically checks the convergence claims of §5 on the
 // convex objective (logistic regression / Sentiment140, the setting of
 // Theorem 5.1):
 //
@@ -19,7 +19,7 @@ import (
 //  3. the non-convex counterpart (Theorem 5.2) predicts the average
 //     gradient-norm proxy decreases, observed here through the training
 //     loss trend on the CNN/MLP objective.
-func TheoryValidation(p Preset) (*Report, error) {
+func theoryValidation(p Preset) (*Report, error) {
 	rep := &Report{ID: "theory", Title: "Empirical check of the §5 convergence analysis"}
 
 	// Both theorem checks' cells in one batch (convex sent140, non-convex

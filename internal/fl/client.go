@@ -1,6 +1,6 @@
 // Package fl assembles the substrates into runnable federated-learning
 // methods. A method is a declarative composition of pluggable policies —
-// a Selector (who trains), a Pacer (when rounds happen), an UpdateRule
+// a selector (who trains), a pacer (when rounds happen), an update rule
 // (how updates fold into the global model) and a LocalPolicy (how clients
 // train locally) — plus an Observer event stream every run emits. The
 // registry expresses the seven methods the paper compares (FedAT and the

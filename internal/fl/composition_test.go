@@ -244,9 +244,9 @@ func TestClientPacingIgnoresBufferK(t *testing.T) {
 func TestRebaseContract(t *testing.T) {
 	cfg := baseCfg().withDefaults()
 	env := testEnv(t, 0, cfg)
-	for _, key := range slices.Sorted(maps.Keys(UpdateRules)) {
+	for _, key := range slices.Sorted(maps.Keys(updateRules)) {
 		t.Run(key, func(t *testing.T) {
-			rule := UpdateRules[key]()
+			rule := updateRules[key]()
 			rs := &runState{fab: env.Fabric(), cfg: cfg}
 			if err := rule.Init(rs); err != nil {
 				t.Fatal(err)
@@ -262,7 +262,7 @@ func TestRebaseContract(t *testing.T) {
 				t.Fatalf("rule %q is not a Rebaser", key)
 			}
 			dim := len(rule.Global())
-			if _, err := rule.Fold(Fold{Tier: 0, Updates: []core.ClientUpdate{{Weights: fuzzVec(3, dim), N: 5, Client: 1}}}); err != nil {
+			if _, err := rule.Fold(fold{Tier: 0, Updates: []core.ClientUpdate{{Weights: fuzzVec(3, dim), N: 5, Client: 1}}}); err != nil {
 				t.Fatal(err)
 			}
 			if rule.Rounds() != 1 {

@@ -110,7 +110,7 @@ func TestRetierFiresAndMigrates(t *testing.T) {
 	cfg.RetierEvery = 3
 	var events int
 	run := mustRun(t, "fedat", dynamicEnv(t, cfg), ObserverFunc(func(ev Event) {
-		e, ok := ev.(RetierEvent)
+		e, ok := ev.(retierEvent)
 		if !ok {
 			return
 		}
@@ -257,7 +257,7 @@ func (p *routeProbe) Repartition(t *tiering.Tiers) {
 	p.eq5Rule.Repartition(t)
 }
 
-func (p *routeProbe) Fold(f Fold) ([]float64, error) {
+func (p *routeProbe) Fold(f fold) ([]float64, error) {
 	if f.Tier < 0 {
 		for _, u := range f.Updates {
 			want := slices.IndexFunc(p.current.Members, func(members []int32) bool {
@@ -287,8 +287,8 @@ func (p *routeProbe) Fold(f Fold) ([]float64, error) {
 // send to the old tier.
 func TestEq5UntieredFoldsFollowRetier(t *testing.T) {
 	probe := &routeProbe{eq5Rule: &eq5Rule{}}
-	UpdateRules["eq5-probe"] = func() UpdateRule { return probe }
-	defer delete(UpdateRules, "eq5-probe")
+	updateRules["eq5-probe"] = func() updateRule { return probe }
+	defer delete(updateRules, "eq5-probe")
 	cfg := baseCfg()
 	cfg.Rounds = 200
 	cfg.RetierEvery = 3

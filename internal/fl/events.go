@@ -107,11 +107,11 @@ type EdgeFoldEvent struct {
 	Members int
 }
 
-// RetierEvent fires when the engine re-partitioned the tiers at runtime
+// retierEvent fires when the engine re-partitioned the tiers at runtime
 // (RunConfig.RetierEvery) from EWMA-smoothed observed latencies. It fires
 // every retier pass, even when hysteresis held every client in place
 // (Migrations 0).
-type RetierEvent struct {
+type retierEvent struct {
 	Round      int
 	Time       float64
 	Migrations int // clients whose tier changed in this pass
@@ -135,7 +135,7 @@ func (RoundStartEvent) kind() string { return "round" }
 func (ClientDoneEvent) kind() string { return "done" }
 func (TierFoldEvent) kind() string   { return "fold" }
 func (EvalEvent) kind() string       { return "eval" }
-func (RetierEvent) kind() string     { return "retier" }
+func (retierEvent) kind() string     { return "retier" }
 func (EdgeFoldEvent) kind() string   { return "edgefold" }
 
 // TraceLine encodes ev as one JSON object without a line terminator: the
@@ -263,7 +263,7 @@ var traceKinds = map[string]func([]byte) (Event, error){
 	ClientDoneEvent{}.kind(): decodeAs[ClientDoneEvent],
 	TierFoldEvent{}.kind():   decodeAs[TierFoldEvent],
 	EvalEvent{}.kind():       decodeEval,
-	RetierEvent{}.kind():     decodeAs[RetierEvent],
+	retierEvent{}.kind():     decodeAs[retierEvent],
 	EdgeFoldEvent{}.kind():   decodeAs[EdgeFoldEvent],
 	EndEvent{}.kind():        decodeAs[EndEvent],
 }
@@ -329,7 +329,7 @@ func (rec *Recorder) OnEvent(ev Event) {
 			Loss:      e.Result.Loss,
 			Var:       e.Result.Variance,
 		})
-	case RetierEvent:
+	case retierEvent:
 		rec.Retiers++
 		rec.TierMigrations += e.Migrations
 	case EdgeFoldEvent:

@@ -29,7 +29,7 @@ type TrainResult struct {
 }
 
 // Fabric is the execution substrate a method runs on — the small surface a
-// Pacer actually touches: dispatch local work to a cohort, observe the
+// pacer actually touches: dispatch local work to a cohort, observe the
 // arrivals, account communication through Comm, and advance the clock. The
 // engine (Method.RunOn) drives exactly one fabric per run and owns all
 // policy decisions; the fabric owns execution and time.
@@ -149,7 +149,7 @@ func (f *simFabric) Shapes() []codec.ShapeInfo { return f.env.Shapes() }
 // drives profiling (nominal round length, MisTierFrac corruption), so the
 // cfg parameter is redundant here; it exists for fabrics with no Env.
 func (f *simFabric) Partition(RunConfig) (*tiering.Tiers, error) {
-	return ProfileTiers(f.env)
+	return profileTiers(f.env)
 }
 
 // Dispatch delivers the environment's results buffer and then clears it:

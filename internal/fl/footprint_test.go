@@ -262,13 +262,13 @@ func allocSize(bytes int) uint64 { return uint64(cap(slices.Grow([]byte(nil), by
 // population never builds it, while a FedAvg run builds it once.
 func TestTierRunNeverListsPopulation(t *testing.T) {
 	var sels []*randomSelector
-	orig := Selectors["random"]
-	Selectors["random"] = func() Selector {
+	orig := selectors["random"]
+	selectors["random"] = func() selector {
 		s := orig().(*randomSelector)
 		sels = append(sels, s)
 		return s
 	}
-	t.Cleanup(func() { Selectors["random"] = orig })
+	t.Cleanup(func() { selectors["random"] = orig })
 
 	c := baseSourceCase(43)
 	env, _ := c.derived(t)

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/metrics"
@@ -63,7 +64,7 @@ func (f *dropFabric) Available(id int, now float64) bool {
 func (f *dropFabric) NextAvailable(id int, now float64) float64 {
 	t := f.Fabric.NextAvailable(id, now)
 	if f.dropped(id, t) {
-		return simnet.Inf
+		return math.Inf(1)
 	}
 	return t
 }
@@ -77,7 +78,7 @@ func asyncAt(global []float64, version int, alpha float64, sc StalenessConfig) a
 // mustTiers profiles the environment's latency tiers.
 func mustTiers(t testing.TB, env *Env) *tiering.Tiers {
 	t.Helper()
-	tiers, err := ProfileTiers(env)
+	tiers, err := profileTiers(env)
 	if err != nil {
 		t.Fatal(err)
 	}

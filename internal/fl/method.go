@@ -21,9 +21,9 @@ import (
 // different field values, no new loop code.
 type Method struct {
 	Name   string // display name, also the method's RNG stream label
-	Select string // key into Selectors
-	Pace   string // key into Pacers
-	Update string // key into UpdateRules
+	Select string // key into selectors
+	Pace   string // key into pacers
+	Update string // key into updateRules
 	Local  LocalPolicy
 }
 
@@ -105,18 +105,18 @@ func Compose(base, sel, pace, update, name string) (Method, error) {
 // policies looks the method's three policy keys up in their registries and
 // builds fresh instances. Compose and Start share it, so a mistyped key
 // fails when the method is composed, before a server waits for clients.
-func (m Method) policies() (Selector, Pacer, UpdateRule, error) {
-	sel, ok := Selectors[m.Select]
+func (m Method) policies() (selector, pacer, updateRule, error) {
+	sel, ok := selectors[m.Select]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("unknown selector %q (have %v)", m.Select, slices.Sorted(maps.Keys(Selectors)))
+		return nil, nil, nil, fmt.Errorf("unknown selector %q (have %v)", m.Select, slices.Sorted(maps.Keys(selectors)))
 	}
-	pacer, ok := Pacers[m.Pace]
+	pacer, ok := pacers[m.Pace]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("unknown pacer %q (have %v)", m.Pace, slices.Sorted(maps.Keys(Pacers)))
+		return nil, nil, nil, fmt.Errorf("unknown pacer %q (have %v)", m.Pace, slices.Sorted(maps.Keys(pacers)))
 	}
-	rule, ok := UpdateRules[m.Update]
+	rule, ok := updateRules[m.Update]
 	if !ok {
-		return nil, nil, nil, fmt.Errorf("unknown update rule %q (have %v)", m.Update, slices.Sorted(maps.Keys(UpdateRules)))
+		return nil, nil, nil, fmt.Errorf("unknown update rule %q (have %v)", m.Update, slices.Sorted(maps.Keys(updateRules)))
 	}
 	return sel(), pacer, rule(), nil
 }
@@ -212,8 +212,8 @@ type runState struct {
 	comm     *Comm
 	root     *rng.RNG // method-labelled RNG root; policies split their streams off it
 	epochRNG *rng.RNG // FedProx's variable-epoch stream (label 2)
-	sel      Selector
-	rule     UpdateRule
+	sel      selector
+	rule     updateRule
 	obs      []Observer
 	syncers  []Syncer // observers that intervene after folds (edge uplinks)
 
@@ -287,7 +287,7 @@ func (rs *runState) localConfig(round uint64, loop int) LocalConfig {
 
 // observeStale records a dispatch loop's realized fold staleness — the
 // global updates that accumulated between the loop's dispatch (startRound)
-// and its fold — for the adaptive-LR stage. Pacers call it at their fold
+// and its fold — for the adaptive-LR stage. pacers call it at their fold
 // sites, before the fold advances the version; sync pacing never does (its
 // staleness is 0 by construction).
 func (rs *runState) observeStale(loop, startRound int) {
@@ -346,7 +346,7 @@ func (rs *runState) fail(err error) {
 // differ. It reports false when the fold failed, in which case the run has
 // already been failed.
 func (rs *runState) fold(tier int, updates []core.ClientUpdate, now float64) bool {
-	g, err := rs.rule.Fold(Fold{Tier: tier, Updates: updates})
+	g, err := rs.rule.Fold(fold{Tier: tier, Updates: updates})
 	if err != nil {
 		rs.fail(err)
 		return false
@@ -391,8 +391,8 @@ func (rs *runState) postFold(tier, round int, now float64, kept int, g []float64
 // maybeRetier runs a re-tiering pass when RetierEvery global updates have
 // accumulated since the last one: the current partition is recomputed from
 // the tracker's smoothed observed latencies with hysteresis, a tier-aware
-// update rule is informed, and a RetierEvent fires. It reports
-// whether a pass ran. Pacers whose loops depend on tier membership call it
+// update rule is informed, and a retierEvent fires. It reports
+// whether a pass ran. pacers whose loops depend on tier membership call it
 // after each fold; synchronous pacing never does — the paper's baselines
 // do not re-profile. A run with no tier partition at all (client pacing
 // over an untiered update rule) has nothing to re-tier and never passes.
@@ -410,10 +410,10 @@ func (rs *runState) maybeRetier(now float64) (bool, error) {
 		return false, err
 	}
 	rs.tiers = next
-	if ta, ok := rs.rule.(TierAware); ok {
+	if ta, ok := rs.rule.(tierAware); ok {
 		ta.Repartition(next)
 	}
-	rs.emit(RetierEvent{Round: t, Time: now, Migrations: moved, Tiers: next})
+	rs.emit(retierEvent{Round: t, Time: now, Migrations: moved, Tiers: next})
 	return true, nil
 }
 

@@ -21,14 +21,14 @@ func earliestRejoin(rs *runState, ids []int32, now float64) float64 {
 	return earliest
 }
 
-// Pacer is the loop-structure policy of a method: it decides when cohorts
+// pacer is the loop-structure policy of a method: it decides when cohorts
 // train and when the update rule folds. The three loops below are the
 // paper's three temporal regimes — lock-step synchronous rounds (FedAvg,
 // FedProx, TiFL, over-selection), concurrent per-tier round loops (FedAT),
 // and wait-free per-client loops folding every K arrivals (FedBuff; FedAsync
 // and ASO-Fed are its K = 1 case).
 //
-// Pacers are written once against the Fabric interface in continuation
+// pacers are written once against the Fabric interface in continuation
 // style: Start kicks off the loops without running the clock (its caller
 // does), work is started with Dispatch, folds are scheduled with the
 // fabric's At, and the fabric's clock decides what "concurrent" means. On
@@ -41,14 +41,14 @@ func earliestRejoin(rs *runState, ids []int32, now float64) float64 {
 // in the same callback. Each loop keeps its state in one struct whose
 // continuations are method values bound once (oneInFlight says why that
 // is sound), so a round allocates no closures.
-type Pacer interface {
+type pacer interface {
 	Start(rs *runState) error
 }
 
-// Pacers is the registry of pacing policies: three loops under four keys.
+// pacers is the registry of pacing policies: three loops under four keys.
 // "client" is the wait-free loop at K = 1 — a registry datum, so it folds
 // on every arrival whatever cfg.BufferK says.
-var Pacers = map[string]Pacer{
+var pacers = map[string]pacer{
 	"sync":    syncPacer{},
 	"tier":    tierPacer{},
 	"client":  bufferPacer{k: 1},
@@ -84,7 +84,7 @@ func (g *oneInFlight) end() { g.busy = false }
 type syncPacer struct{}
 
 func (syncPacer) Start(rs *runState) error {
-	sel, ok := rs.sel.(RoundSelector)
+	sel, ok := rs.sel.(roundSelector)
 	if !ok {
 		return fmt.Errorf("sync pacing needs a round selector, %q is not one", rs.method.Select)
 	}
@@ -93,7 +93,7 @@ func (syncPacer) Start(rs *runState) error {
 }
 
 // newSyncLoop builds the run's sync loop with its continuations bound.
-func newSyncLoop(rs *runState, sel RoundSelector) *syncLoop {
+func newSyncLoop(rs *runState, sel roundSelector) *syncLoop {
 	l := &syncLoop{rs: rs, sel: sel}
 	l.deliverFn, l.foldFn = l.deliver, l.fold
 	return l
@@ -105,7 +105,7 @@ func newSyncLoop(rs *runState, sel RoundSelector) *syncLoop {
 // kept results and updates are written into.
 type syncLoop struct {
 	rs      *runState
-	sel     RoundSelector
+	sel     roundSelector
 	attempt int // guards against a fully-dropped population
 
 	flight      oneInFlight
@@ -137,10 +137,10 @@ func (l *syncLoop) step(now float64) {
 			return
 		}
 		now = selNow
-		if outcome == SelectStop {
+		if outcome == selectStop {
 			return
 		}
-		if outcome == SelectSkip {
+		if outcome == selectSkip {
 			continue
 		}
 		l.flight.begin()
@@ -181,7 +181,7 @@ func (l *syncLoop) fold() {
 type tierPacer struct{}
 
 func (tierPacer) Start(rs *runState) error {
-	tsel, ok := rs.sel.(TierSelector)
+	tsel, ok := rs.sel.(tierSelector)
 	if !ok {
 		return fmt.Errorf("tier pacing needs a tier selector, %q is not one", rs.method.Select)
 	}
@@ -197,7 +197,7 @@ func (tierPacer) Start(rs *runState) error {
 }
 
 // newTierLoops builds the loops of m tiers with their continuations bound.
-func newTierLoops(rs *runState, tsel TierSelector, m int) []tierLoop {
+func newTierLoops(rs *runState, tsel tierSelector, m int) []tierLoop {
 	loops := make([]tierLoop, m)
 	for i := range loops {
 		l := &loops[i]
@@ -212,7 +212,7 @@ func newTierLoops(rs *runState, tsel TierSelector, m int) []tierLoop {
 // updates are written into — and whether the loop is running at all.
 type tierLoop struct {
 	rs    *runState
-	tsel  TierSelector
+	tsel  tierSelector
 	loops []tierLoop // every tier's loop, for the re-kick after a retier pass
 	m     int
 
@@ -329,7 +329,7 @@ func (l *tierLoop) fold() {
 type bufferPacer struct{ k int }
 
 func (p bufferPacer) Start(rs *runState) error {
-	if _, ok := rs.sel.(FreeSelector); !ok {
+	if _, ok := rs.sel.(freeSelector); !ok {
 		return fmt.Errorf("%s pacing performs no cohort selection, so selector %q would be ignored; use \"all\"", rs.method.Pace, rs.method.Select)
 	}
 	k := p.k
@@ -355,7 +355,7 @@ func (p bufferPacer) Start(rs *runState) error {
 // only after the fold that consumes it; until then it waits in flight at
 // the Comm's cost. Each arrival carries its own start round, so per-update
 // rules discount buffer members individually (batch-anchored rules recover
-// the oldest via Fold.StartRound).
+// the oldest via fold.StartRound).
 type arrivalBuffer struct {
 	rs    *runState
 	k     int

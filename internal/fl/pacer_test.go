@@ -57,10 +57,10 @@ func TestDispatchLoopsOneInFlight(t *testing.T) {
 	}
 	// newRun builds a run over a deferred fabric whose first deliveries
 	// stay queued on its clock, which nothing runs.
-	newRun := func(t *testing.T, sel Selector) *runState {
+	newRun := func(t *testing.T, sel selector) *runState {
 		env := testEnv(t, 0, cfg)
 		rs := &runState{fab: &deferredFabric{Fabric: env.Fabric(), t: t}, cfg: env.Cfg, root: rng.New(5), comm: NewComm(env.Cfg.Codec, env.Shapes()), sel: sel}
-		rs.rule = UpdateRules["avg"]()
+		rs.rule = updateRules["avg"]()
 		if err := rs.rule.Init(rs); err != nil {
 			t.Fatal(err)
 		}

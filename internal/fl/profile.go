@@ -8,7 +8,7 @@ import (
 	"repro/internal/tiering"
 )
 
-// ProfileTiers runs the tiering module over the clients' profiled response
+// profileTiers runs the tiering module over the clients' profiled response
 // latencies (compute for a nominal round plus mean injected delay) — shared
 // by TiFL and FedAT, which reuses TiFL's tiering approach (§2.1). When
 // MisTierFrac > 0 that fraction of the profiles is replaced with random
@@ -20,7 +20,7 @@ import (
 // does not depend on their count and no client's latency is stored. The
 // scrambled profiles are the one exception: an id-sorted table of
 // MisTierFrac·N entries the function checks first.
-func ProfileTiers(env *Env) (*tiering.Tiers, error) {
+func profileTiers(env *Env) (*tiering.Tiers, error) {
 	lc := LocalConfig{Epochs: env.Cfg.LocalEpochs, BatchSize: env.Cfg.BatchSize}
 	latency := func(i int) float64 {
 		return env.pop.ExpectedLatency(i, lc.Steps(env.shards.NumTrain(i)))

@@ -7,7 +7,7 @@ import (
 )
 
 // robustRule adapts the internal/robust aggregation kernels to the
-// UpdateRule contract: each fold replaces the global model with the robust
+// updateRule contract: each fold replaces the global model with the robust
 // aggregate of the arrived cohort — coordinate-median, β-trimmed mean, or
 // the Krum(f) winner. The rules are deliberately tier-agnostic: robustness
 // comes from comparing a cohort's updates against each other, so whatever
@@ -31,7 +31,7 @@ func (r *robustRule) Init(rs *runState) error {
 	return nil
 }
 
-func (r *robustRule) Fold(f Fold) ([]float64, error) {
+func (r *robustRule) Fold(f fold) ([]float64, error) {
 	if len(f.Updates) == 0 {
 		return nil, fmt.Errorf("%s fold with no client updates", r.kind)
 	}

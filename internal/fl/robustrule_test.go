@@ -27,7 +27,7 @@ func TestRobustRulesFoldHandComputed(t *testing.T) {
 	fold := func(kind string) []float64 {
 		t.Helper()
 		rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind}
-		g, err := rule.Fold(Fold{Tier: -1, Updates: cohort})
+		g, err := rule.Fold(fold{Tier: -1, Updates: cohort})
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -65,7 +65,7 @@ func TestRobustRulesFoldFiniteUnderNaNUpdate(t *testing.T) {
 			}
 			cohort[pos].Weights = []float64{nan, nan}
 			rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind}
-			g, err := rule.Fold(Fold{Tier: -1, Updates: cohort})
+			g, err := rule.Fold(fold{Tier: -1, Updates: cohort})
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
@@ -96,13 +96,13 @@ func TestRobustFoldAllocFree(t *testing.T) {
 			rule := &robustRule{modelState: modelState{global: fuzzVec(1, dim)}, kind: kind}
 			us := cohort(5)
 			assertFoldAllocs(t, kind+" cohort fold", 0, func() {
-				if _, err := rule.Fold(Fold{Tier: 0, Updates: us}); err != nil {
+				if _, err := rule.Fold(fold{Tier: 0, Updates: us}); err != nil {
 					t.Fatal(err)
 				}
 			})
 			one := cohort(1)
 			assertFoldAllocs(t, kind+" single fold", 0, func() {
-				if _, err := rule.Fold(Fold{Tier: -1, Updates: one}); err != nil {
+				if _, err := rule.Fold(fold{Tier: -1, Updates: one}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -304,7 +304,7 @@ func TestFedBuffPacer(t *testing.T) {
 // hierarchical fold path) without losing their version counters.
 func TestRobustRuleRebase(t *testing.T) {
 	rule := &robustRule{modelState: modelState{global: []float64{1, 2}}, kind: "median"}
-	if _, err := rule.Fold(Fold{Updates: []core.ClientUpdate{{Weights: []float64{5, 6}, N: 1}}}); err != nil {
+	if _, err := rule.Fold(fold{Updates: []core.ClientUpdate{{Weights: []float64{5, 6}, N: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	var reb Rebaser = rule

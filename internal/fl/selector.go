@@ -6,28 +6,28 @@ import (
 	"repro/internal/rng"
 )
 
-// Selector is the client-selection policy of a method. Every selector
+// selector is the client-selection policy of a method. Every selector
 // implements Init; the pacing-specific capabilities are the two optional
 // interfaces below, and a pacer validates at run start that its selector
 // provides the capability it needs.
-type Selector interface {
+type selector interface {
 	// Init prepares per-run state: selectors split their RNG streams off
 	// rs.root here so their randomness is independent of every other
 	// policy's.
 	Init(rs *runState) error
 }
 
-// RoundSelector drives synchronous pacing: it picks one cohort per round
+// roundSelector drives synchronous pacing: it picks one cohort per round
 // and decides which of the round's results count.
-type RoundSelector interface {
-	Selector
+type roundSelector interface {
+	selector
 	// Pick selects the next round's cohort at time now, into *cohort —
 	// the pacer's buffer, which the cohort returned shares. It may advance
 	// the clock past selection bookkeeping (TiFL's accuracy refresh costs
 	// real communication) and reports the training tier the cohort
 	// belongs to (-1 when the selector is untiered; tier-aware update
 	// rules then route each update by its client's profiled tier).
-	Pick(rs *runState, now float64, cohort *[]int) (sel []int, tier int, newNow float64, outcome SelectOutcome, err error)
+	Pick(rs *runState, now float64, cohort *[]int) (sel []int, tier int, newNow float64, outcome selectOutcome, err error)
 	// Harvest filters the round's results down to the updates that count,
 	// writing them into *kept — the pacer's buffer, which holds them until
 	// the round folds, since the results themselves are valid only during
@@ -39,38 +39,38 @@ type RoundSelector interface {
 	Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) (now float64)
 }
 
-// TierSelector drives tier pacing: each tier's loop asks for a cohort
+// tierSelector drives tier pacing: each tier's loop asks for a cohort
 // within that tier.
-type TierSelector interface {
-	Selector
+type tierSelector interface {
+	selector
 	// PickTier samples a cohort from tier m at time now into *cohort, the
 	// tier loop's buffer (nil when the tier has no available clients).
 	PickTier(rs *runState, m int, now float64, cohort *[]int) []int
-	// Harvest plays the same role as RoundSelector.Harvest for one tier's
+	// Harvest plays the same role as roundSelector.Harvest for one tier's
 	// round.
 	Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) (now float64)
 }
 
-// SelectOutcome is a RoundSelector's verdict for one pacing attempt.
-type SelectOutcome int
+// selectOutcome is a roundSelector's verdict for one pacing attempt.
+type selectOutcome int
 
 const (
-	// SelectOK: a cohort was picked; train it.
-	SelectOK SelectOutcome = iota
-	// SelectSkip: nothing selectable this attempt (e.g. the picked tier is
+	// selectOK: a cohort was picked; train it.
+	selectOK selectOutcome = iota
+	// selectSkip: nothing selectable this attempt (e.g. the picked tier is
 	// offline) but other attempts may succeed; consume an attempt and
 	// retry.
-	SelectSkip
-	// SelectStop: the population is exhausted; end the run.
-	SelectStop
+	selectSkip
+	// selectStop: the population is exhausted; end the run.
+	selectStop
 )
 
-// Selectors is the registry of selection policies.
-var Selectors = map[string]func() Selector{
-	"random":  func() Selector { return &randomSelector{} },
-	"oversel": func() Selector { return &overselSelector{randomSelector{over: overFactor}} },
-	"tifl":    func() Selector { return &tiflSelector{} },
-	"all":     func() Selector { return allSelector{} },
+// selectors is the registry of selection policies.
+var selectors = map[string]func() selector{
+	"random":  func() selector { return &randomSelector{} },
+	"oversel": func() selector { return &overselSelector{randomSelector{over: overFactor}} },
+	"tifl":    func() selector { return &tiflSelector{} },
+	"all":     func() selector { return allSelector{} },
 }
 
 // ---------------------------------------------------------------------------
@@ -101,15 +101,15 @@ func (s *randomSelector) Init(rs *runState) error {
 	return nil
 }
 
-func (s *randomSelector) Pick(rs *runState, now float64, cohort *[]int) ([]int, int, float64, SelectOutcome, error) {
+func (s *randomSelector) Pick(rs *runState, now float64, cohort *[]int) ([]int, int, float64, selectOutcome, error) {
 	if s.all == nil {
 		s.all = allClientIDs(rs.fab)
 	}
 	sel := selectAvailable(&s.avail, cohort, s.selRNG, s.all, rs.fab, now, s.cohortSize(rs))
 	if len(sel) == 0 {
-		return nil, -1, now, SelectStop, nil // everyone is offline; training cannot continue
+		return nil, -1, now, selectStop, nil // everyone is offline; training cannot continue
 	}
-	return sel, -1, now, SelectOK, nil
+	return sel, -1, now, selectOK, nil
 }
 
 func (s *randomSelector) PickTier(rs *runState, m int, now float64, cohort *[]int) []int {
@@ -248,20 +248,20 @@ func (s *tiflSelector) drawTier() int {
 // floored so every tier stays selectable.
 func tiflProb(acc float64) float64 { return max(1-acc, 0.05) }
 
-func (s *tiflSelector) Pick(rs *runState, now float64, cohort *[]int) ([]int, int, float64, SelectOutcome, error) {
+func (s *tiflSelector) Pick(rs *runState, now float64, cohort *[]int) ([]int, int, float64, selectOutcome, error) {
 	if s.refreshDue() {
 		var err error
 		now, err = s.accuracyRefresh(rs, rs.rule.Global(), now)
 		if err != nil {
-			return nil, 0, now, SelectStop, err
+			return nil, 0, now, selectStop, err
 		}
 	}
 	tier := s.drawTier()
 	sel := selectAvailable(&s.avail, cohort, s.selRNG, rs.tiers.Members[tier], rs.fab, now, rs.cfg.ClientsPerRound)
 	if len(sel) == 0 {
-		return nil, 0, now, SelectSkip, nil // tier fully offline; the selector will pick others
+		return nil, 0, now, selectSkip, nil // tier fully offline; the selector will pick others
 	}
-	return sel, tier, now, SelectOK, nil
+	return sel, tier, now, selectOK, nil
 }
 
 func (s *tiflSelector) Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) float64 {
@@ -304,11 +304,11 @@ func (s *tiflSelector) accuracyRefresh(rs *runState, global []float64, now float
 // all: no selection at all — the wait-free client loops train the whole
 // population continuously.
 
-// FreeSelector marks selectors compatible with wait-free client pacing,
+// freeSelector marks selectors compatible with wait-free client pacing,
 // which performs no cohort selection at all. The client pacer rejects any
 // other selector rather than silently ignoring it.
-type FreeSelector interface {
-	Selector
+type freeSelector interface {
+	selector
 	freeRunning()
 }
 

@@ -359,7 +359,7 @@ func heapDelta(f func()) (live, alloc int64) {
 	return int64(after.HeapAlloc) - int64(before.HeapAlloc), int64(after.TotalAlloc - before.TotalAlloc)
 }
 
-// TestProfileTiersIndependentOfWorkers: the partition calls ProfileTiers'
+// TestProfileTiersIndependentOfWorkers: the partition calls profileTiers'
 // latency function from parallel workers, so it must not depend on how
 // many there are. A 600k-client derived population, enough for two
 // partition workers, is profiled under GOMAXPROCS 1 and 4, without and
@@ -457,7 +457,7 @@ func TestDerivedPopulationFootprint(t *testing.T) {
 	})
 	envLive, envAlloc = envLive-repLive, envAlloc-repAlloc
 	var tiers *tiering.Tiers
-	partLive, partAlloc := heapDelta(func() { tiers, err = ProfileTiers(env) })
+	partLive, partAlloc := heapDelta(func() { tiers, err = profileTiers(env) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func (sc StalenessConfig) Weight(s float64) float64 {
 	}
 	switch sc.Func {
 	case StaleFuncExp:
-		return math.Exp(-a * s)
+		return tensor.Exp(-a * s)
 	case StaleFuncConst:
 		return 1
 	case StaleFuncHinge:
@@ -90,7 +90,7 @@ func (a *asyncState) weight(start int) float64 {
 // blends into the global model with weight α·g(t − τ), g the configured
 // weight function (polynomial (s+1)^(−a) by default). The two registry keys
 // are one rule with two anchors τ: "staleness" measures the whole fold from
-// its OLDEST member's download (the batch anchor, Fold.StartRound),
+// its OLDEST member's download (the batch anchor, fold.StartRound),
 // "fedasync" each update from its OWN (core.ClientUpdate.StartRound). On a
 // fold of one (client pacing) they are identical; under fedbuff buffering
 // (K > 1) the per-update anchor discounts each buffered update individually
@@ -101,7 +101,7 @@ type stalenessRule struct {
 	perUpdate bool
 }
 
-func (r *stalenessRule) Fold(f Fold) ([]float64, error) {
+func (r *stalenessRule) Fold(f fold) ([]float64, error) {
 	if len(f.Updates) == 0 {
 		return nil, fmt.Errorf("staleness fold with no client updates")
 	}
@@ -140,7 +140,7 @@ func (r *asyncSGDRule) Init(rs *runState) error {
 	return err
 }
 
-func (r *asyncSGDRule) Fold(f Fold) ([]float64, error) {
+func (r *asyncSGDRule) Fold(f fold) ([]float64, error) {
 	if len(f.Updates) == 0 {
 		return nil, fmt.Errorf("asyncsgd fold with no client updates")
 	}

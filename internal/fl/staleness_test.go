@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/tensor"
 )
 
 // TestStalenessWeightFunctions pins each weight function against
@@ -85,7 +86,7 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 	}
 
 	r := &stalenessRule{asyncState: asyncAt([]float64{0.25, -0.75}, 8, alpha, sc), perUpdate: true}
-	got, err := r.Fold(Fold{Tier: -1, Updates: updates})
+	got, err := r.Fold(fold{Tier: -1, Updates: updates})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 	}
 
 	legacy := &stalenessRule{asyncState: asyncAt([]float64{0.25, -0.75}, 8, alpha, sc)}
-	lgot, err := legacy.Fold(Fold{Tier: -1, Updates: updates})
+	lgot, err := legacy.Fold(fold{Tier: -1, Updates: updates})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +126,8 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 	one := []core.ClientUpdate{staleUpdate(1, -2, 5)}
 	ra := &stalenessRule{asyncState: asyncAt([]float64{0, 0}, 9, alpha, sc), perUpdate: true}
 	rb := &stalenessRule{asyncState: asyncAt([]float64{0, 0}, 9, alpha, sc)}
-	ga, _ := ra.Fold(Fold{Tier: -1, Updates: one})
-	gb, _ := rb.Fold(Fold{Tier: -1, Updates: one})
+	ga, _ := ra.Fold(fold{Tier: -1, Updates: one})
+	gb, _ := rb.Fold(fold{Tier: -1, Updates: one})
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatalf("cohort-of-one fold diverged from legacy rule at [%d]: %v vs %v", i, ga[i], gb[i])
@@ -147,7 +148,7 @@ func TestAsyncSGDFold(t *testing.T) {
 	}
 
 	r := &asyncSGDRule{asyncState: asyncAt(append([]float64(nil), global...), 5, alpha, sc), delta: make([]float64, 2)}
-	got, err := r.Fold(Fold{Tier: -1, Updates: updates})
+	got, err := r.Fold(fold{Tier: -1, Updates: updates})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +174,13 @@ func TestAsyncSGDFold(t *testing.T) {
 // TestFoldStartRound: the batch accessor reports the oldest member's anchor
 // (the legacy rule's whole-fold staleness) and 0 on an empty fold.
 func TestFoldStartRound(t *testing.T) {
-	f := Fold{Updates: []core.ClientUpdate{
+	f := fold{Updates: []core.ClientUpdate{
 		staleUpdate(0, 0, 6), staleUpdate(0, 0, 2), staleUpdate(0, 0, 4),
 	}}
 	if got := f.StartRound(); got != 2 {
 		t.Fatalf("StartRound() = %d, want oldest member 2", got)
 	}
-	if got := (Fold{}).StartRound(); got != 0 {
+	if got := (fold{}).StartRound(); got != 0 {
 		t.Fatalf("empty fold StartRound() = %d, want 0", got)
 	}
 }
@@ -215,7 +216,7 @@ func TestAdaptiveLRReadsRunStaleness(t *testing.T) {
 	stale := 0
 	for i, scale := range fab.scales {
 		s := math.Round(-math.Log(scale) / 0.3)
-		if scale != math.Exp(-0.3*s) {
+		if scale != tensor.Exp(-0.3*s) {
 			t.Fatalf("dispatch %d: LR scale %v is not e^(-0.3·s) for a whole s", i, scale)
 		}
 		if s >= 1 {

@@ -114,7 +114,7 @@ func TestTiFLPickAllocFree(t *testing.T) {
 	cfg := baseCfg().withDefaults()
 	env := testEnv(t, 0, cfg)
 	rs := &runState{fab: env.Fabric(), cfg: cfg, root: rng.New(5), comm: NewComm(cfg.Codec, env.Shapes())}
-	rs.rule = UpdateRules["avg"]()
+	rs.rule = updateRules["avg"]()
 	if err := rs.rule.Init(rs); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestTiFLPickAllocFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if out == SelectOK {
+			if out == selectOK {
 				cohorts++
 			}
 		}

@@ -60,7 +60,7 @@ func TestTraceLine(t *testing.T) {
 			`{"Node":0,"Kind":"eval","Round":4,"Time":10,"Result":{"Acc":0.5,"Loss":1.25,"Variance":0.01},"UpBytes":100,"DownBytes":200}`},
 		{0, EvalEvent{Round: 6, Time: 12, Result: Result{Acc: math.NaN(), Loss: math.Inf(1), Variance: math.Inf(-1)}},
 			`{"Node":0,"Kind":"eval","Round":6,"Time":12,"Result":{"Acc":"NaN","Loss":"+Inf","Variance":"-Inf"},"UpBytes":0,"DownBytes":0}`},
-		{3, RetierEvent{Round: 8, Time: 20, Migrations: 1, Tiers: &tiering.Tiers{}},
+		{3, retierEvent{Round: 8, Time: 20, Migrations: 1, Tiers: &tiering.Tiers{}},
 			`{"Node":3,"Kind":"retier","Round":8,"Time":20,"Migrations":1}`},
 		{0, ClientDoneEvent{Client: 1, Time: math.Inf(1)},
 			`{"Node":0,"Kind":"done","Error":"json: unsupported value: +Inf"}`},
@@ -103,7 +103,7 @@ func TestReadTrace(t *testing.T) {
 	line := func(node int, ev Event) string { return string(TraceLine(node, ev)) + "\n" }
 	start0, start1 := line(0, StartEvent{Method: "FedAT", Dataset: "fashion"}), line(1, StartEvent{Method: "FedAvg", Dataset: "cifar"})
 	eval0 := line(0, EvalEvent{Round: 2, Time: 5, Result: Result{Acc: 0.5, Loss: 1}, UpBytes: 10, DownBytes: 20})
-	retier1 := line(1, RetierEvent{Round: 1, Time: 3, Migrations: 2})
+	retier1 := line(1, retierEvent{Round: 1, Time: 3, Migrations: 2})
 	end0, end1 := line(0, EndEvent{Round: 3, Time: 7.5, UpBytes: 15, DownBytes: 30}), line(1, EndEvent{Round: 1, Time: 4})
 	run0 := metrics.Run{Method: "FedAT", Dataset: "fashion",
 		Points:  []metrics.Point{{Round: 2, Time: 5, UpBytes: 10, DownBytes: 20, Acc: 0.5, Loss: 1}},
@@ -261,7 +261,7 @@ func recordOf(data []byte) (*metrics.Run, error) {
 			p.Loss = e.Result.Loss
 			p.Var = e.Result.Variance
 			r.Points = append(r.Points, p)
-		case RetierEvent:
+		case retierEvent:
 			r.Retiers++
 			r.TierMigrations += e.Migrations
 		case EdgeFoldEvent:

@@ -8,10 +8,10 @@ import (
 	"repro/internal/tiering"
 )
 
-// Fold is one batch of client updates arriving at the server: the tier they
+// fold is one batch of client updates arriving at the server: the tier they
 // trained in, with each update carrying its own staleness anchor
 // (core.ClientUpdate.StartRound).
-type Fold struct {
+type fold struct {
 	Tier    int
 	Updates []core.ClientUpdate
 }
@@ -22,7 +22,7 @@ type Fold struct {
 // rule keeps that semantics through this accessor so its pinned runs stay
 // byte-identical, while the per-update rules (fedasync, asyncsgd) read
 // each update's own anchor instead.
-func (f Fold) StartRound() int {
+func (f fold) StartRound() int {
 	if len(f.Updates) == 0 {
 		return 0
 	}
@@ -35,10 +35,10 @@ func (f Fold) StartRound() int {
 	return start
 }
 
-// UpdateRule is the aggregation policy of a method: it owns the server-side
+// updateRule is the aggregation policy of a method: it owns the server-side
 // model state, hands out download snapshots, and folds arrived updates into
 // a new global model.
-type UpdateRule interface {
+type updateRule interface {
 	// Init allocates the per-run server state.
 	Init(rs *runState) error
 	// Global returns the current global model for download. The slice may
@@ -49,15 +49,15 @@ type UpdateRule interface {
 	Rounds() int
 	// Fold incorporates one batch of client updates and returns the fresh
 	// global model (aliasing rules as for Global).
-	Fold(f Fold) ([]float64, error)
+	Fold(f fold) ([]float64, error)
 }
 
-// TierAware marks update rules that track the tier partition and must be
+// tierAware marks update rules that track the tier partition and must be
 // told when the engine re-tiers at runtime (RunConfig.RetierEvery). The
 // Eq. 5 fold routes untiered arrivals by the client's current tier, so a
 // stale assignment would keep feeding a migrated client's updates to its
 // old tier's model.
-type TierAware interface {
+type tierAware interface {
 	Repartition(t *tiering.Tiers)
 }
 
@@ -75,20 +75,20 @@ type Rebaser interface {
 	Rebase(w []float64) []float64
 }
 
-// UpdateRules is the registry of aggregation policies, keyed by the names
+// updateRules is the registry of aggregation policies, keyed by the names
 // Method.Update takes. No rule takes parameters: the async family's
 // staleness discount is the run-level RunConfig.Staleness.
-var UpdateRules = map[string]func() UpdateRule{
-	"avg":       func() UpdateRule { return &avgRule{} },
-	"eq5":       func() UpdateRule { return &eq5Rule{} },
-	"uniform":   func() UpdateRule { return &eq5Rule{forceUniform: true} },
-	"staleness": func() UpdateRule { return &stalenessRule{} },
-	"fedasync":  func() UpdateRule { return &stalenessRule{perUpdate: true} },
-	"asyncsgd":  func() UpdateRule { return &asyncSGDRule{} },
-	"asofed":    func() UpdateRule { return &asoRule{} },
-	"median":    func() UpdateRule { return &robustRule{kind: "median"} },
-	"trimmed":   func() UpdateRule { return &robustRule{kind: "trimmed"} },
-	"krum":      func() UpdateRule { return &robustRule{kind: "krum"} },
+var updateRules = map[string]func() updateRule{
+	"avg":       func() updateRule { return &avgRule{} },
+	"eq5":       func() updateRule { return &eq5Rule{} },
+	"uniform":   func() updateRule { return &eq5Rule{forceUniform: true} },
+	"staleness": func() updateRule { return &stalenessRule{} },
+	"fedasync":  func() updateRule { return &stalenessRule{perUpdate: true} },
+	"asyncsgd":  func() updateRule { return &asyncSGDRule{} },
+	"asofed":    func() updateRule { return &asoRule{} },
+	"median":    func() updateRule { return &robustRule{kind: "median"} },
+	"trimmed":   func() updateRule { return &robustRule{kind: "trimmed"} },
+	"krum":      func() updateRule { return &robustRule{kind: "krum"} },
 }
 
 // modelState is the server state of every rule whose global model is one
@@ -130,7 +130,7 @@ func (r *avgRule) Init(rs *runState) error {
 func (r *avgRule) Global() []float64 { return r.agg.GlobalRef() }
 func (r *avgRule) Rounds() int       { return r.agg.Rounds() }
 
-func (r *avgRule) Fold(f Fold) ([]float64, error) {
+func (r *avgRule) Fold(f fold) ([]float64, error) {
 	return r.agg.UpdateTierRef(0, f.Updates)
 }
 
@@ -170,7 +170,7 @@ func (r *eq5Rule) Init(rs *runState) error {
 func (r *eq5Rule) Global() []float64 { return r.agg.GlobalRef() }
 func (r *eq5Rule) Rounds() int       { return r.agg.Rounds() }
 
-// Repartition implements TierAware: after a runtime retier, untiered folds
+// Repartition implements tierAware: after a runtime retier, untiered folds
 // route by the NEW assignment. Per-tier model state persists — a migrated
 // client simply starts contributing to its new tier's model.
 func (r *eq5Rule) Repartition(t *tiering.Tiers) { r.tiers, r.assignment = t, nil }
@@ -190,7 +190,7 @@ func (r *eq5Rule) tierOf(client int) (int, error) {
 // cloud model, exactly as Algorithm 2 initializes every tier from w0.
 func (r *eq5Rule) Rebase(w []float64) []float64 { return r.agg.Rebase(w) }
 
-func (r *eq5Rule) Fold(f Fold) ([]float64, error) {
+func (r *eq5Rule) Fold(f fold) ([]float64, error) {
 	if f.Tier >= 0 {
 		return r.agg.UpdateTierRef(f.Tier, f.Updates)
 	}
@@ -268,7 +268,7 @@ func (r *asoRule) Init(rs *runState) error {
 func (r *asoRule) Global() []float64 { return r.global }
 func (r *asoRule) Rounds() int       { return r.version }
 
-func (r *asoRule) Fold(f Fold) ([]float64, error) {
+func (r *asoRule) Fold(f fold) ([]float64, error) {
 	if len(f.Updates) == 0 {
 		return nil, fmt.Errorf("asofed fold with no client updates")
 	}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// ReLU applies max(0, x) element-wise.
-type ReLU struct {
+// relu applies max(0, x) element-wise.
+type relu struct {
 	out, dx *tensor.Mat
 	// mask holds all-ones where the forward input was positive and zero
 	// elsewhere, so both passes gate values with a single AND instead of a
@@ -20,23 +20,23 @@ type ReLU struct {
 	mask []uint64
 }
 
-// NewReLU constructs a ReLU activation.
-func NewReLU() *ReLU { return &ReLU{} }
+// newReLU constructs a ReLU activation.
+func newReLU() *relu { return &relu{} }
 
-// ParamShapes implements Layer.
-func (l *ReLU) ParamShapes() []codec.ShapeInfo { return nil }
+// ParamShapes implements layer.
+func (l *relu) ParamShapes() []codec.ShapeInfo { return nil }
 
-// Bind implements Layer.
-func (l *ReLU) Bind(w, g []float64) { checkBind(l, w, g) }
+// Bind implements layer.
+func (l *relu) Bind(w, g []float64) { checkBind(l, w, g) }
 
-// Init implements Layer.
-func (l *ReLU) Init(*rng.RNG) {}
+// Init implements layer.
+func (l *relu) Init(*rng.RNG) {}
 
-// OutDim implements Layer.
-func (l *ReLU) OutDim(in int) int { return in }
+// OutDim implements layer.
+func (l *relu) OutDim(in int) int { return in }
 
-// Forward implements Layer.
-func (l *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+// Forward implements layer.
+func (l *relu) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	n := len(x.Data)
 	l.out = tensor.EnsureMat(l.out, x.R, x.C)
 	if cap(l.mask) >= n {
@@ -57,8 +57,8 @@ func (l *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return l.out
 }
 
-// Backward implements Layer.
-func (l *ReLU) Backward(dout *tensor.Mat) *tensor.Mat {
+// Backward implements layer.
+func (l *relu) Backward(dout *tensor.Mat) *tensor.Mat {
 	l.dx = tensor.EnsureMat(l.dx, dout.R, dout.C)
 	mask := l.mask[:len(dout.Data)]
 	dx := l.dx.Data[:len(dout.Data)]
@@ -68,10 +68,10 @@ func (l *ReLU) Backward(dout *tensor.Mat) *tensor.Mat {
 	return l.dx
 }
 
-// Dropout randomly zeroes activations during training with probability Rate
+// dropout randomly zeroes activations during training with probability Rate
 // and rescales survivors by 1/(1-Rate) (inverted dropout), matching the
 // dropout used inside the paper's Reddit LSTM model.
-type Dropout struct {
+type dropout struct {
 	Rate float64
 
 	r       rng.RNG
@@ -79,34 +79,34 @@ type Dropout struct {
 	mask    []float64
 }
 
-// NewDropout constructs a Dropout layer; rate must be in [0, 1).
-func NewDropout(rate float64) *Dropout {
+// newDropout constructs a dropout layer; rate must be in [0, 1).
+func newDropout(rate float64) *dropout {
 	if rate < 0 || rate >= 1 {
 		panic("nn: Dropout rate must be in [0,1)")
 	}
-	return &Dropout{Rate: rate}
+	return &dropout{Rate: rate}
 }
 
-// ParamShapes implements Layer.
-func (l *Dropout) ParamShapes() []codec.ShapeInfo { return nil }
+// ParamShapes implements layer.
+func (l *dropout) ParamShapes() []codec.ShapeInfo { return nil }
 
-// Bind implements Layer.
-func (l *Dropout) Bind(w, g []float64) { checkBind(l, w, g) }
+// Bind implements layer.
+func (l *dropout) Bind(w, g []float64) { checkBind(l, w, g) }
 
-// Init implements Layer; it seeds the layer's private mask stream.
-func (l *Dropout) Init(r *rng.RNG) { l.r = *r.Split() }
+// Init implements layer; it seeds the layer's private mask stream.
+func (l *dropout) Init(r *rng.RNG) { l.r = *r.Split() }
 
 // Reseed restarts the mask stream. The stream is the one piece of layer
 // state SetWeights cannot overwrite, so whoever needs a replica's training
 // pass to be a function of its inputs alone reseeds it first
 // (Network.Reseed).
-func (l *Dropout) Reseed(r rng.RNG) { l.r = r }
+func (l *dropout) Reseed(r rng.RNG) { l.r = r }
 
-// OutDim implements Layer.
-func (l *Dropout) OutDim(in int) int { return in }
+// OutDim implements layer.
+func (l *dropout) OutDim(in int) int { return in }
 
-// Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+// Forward implements layer.
+func (l *dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if !train || l.Rate == 0 {
 		return x
 	}
@@ -131,8 +131,8 @@ func (l *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return l.out
 }
 
-// Backward implements Layer.
-func (l *Dropout) Backward(dout *tensor.Mat) *tensor.Mat {
+// Backward implements layer.
+func (l *dropout) Backward(dout *tensor.Mat) *tensor.Mat {
 	if l.mask == nil { // eval-mode forward: identity
 		return dout
 	}

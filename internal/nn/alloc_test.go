@@ -111,14 +111,14 @@ func TestConvHotPathAllocFree(t *testing.T) {
 // are bit-equal to those of colCacheConv, which keeps every sample's
 // forward columns, over growing and shrinking batches.
 func TestConvColScratchSharedAcrossBatches(t *testing.T) {
-	newNet := func(wrap func(*Conv2D) Layer) (*Network, *Conv2D) {
-		head := NewConv2D(1, 10, 10, 4, 3, 1, 1)
-		mid := NewConv2D(4, 10, 10, 4, 3, 1, 1)
+	newNet := func(wrap func(*conv2D) layer) (*Network, *conv2D) {
+		head := newConv2D(1, 10, 10, 4, 3, 1, 1)
+		mid := newConv2D(4, 10, 10, 4, 3, 1, 1)
 		c, h, w := mid.OutShape()
-		return NewNetwork(rng.New(3), NewSoftmaxCE(), wrap(head), NewReLU(), wrap(mid), NewDense(c*h*w, 2)), head
+		return newNetwork(rng.New(3), newSoftmaxCE(), wrap(head), newReLU(), wrap(mid), newDense(c*h*w, 2)), head
 	}
-	net, conv := newNet(func(c *Conv2D) Layer { return c })
-	ref, _ := newNet(func(c *Conv2D) Layer { return &colCacheConv{Conv2D: c} })
+	net, conv := newNet(func(c *conv2D) layer { return c })
+	ref, _ := newNet(func(c *conv2D) layer { return &colCacheConv{conv2D: c} })
 	batches := map[int]*tensor.Mat{}
 	labels := map[int][]int{}
 	for _, b := range []int{1, 2, 3, 5} {
@@ -172,7 +172,7 @@ func TestConvColScratchSharedAcrossBatches(t *testing.T) {
 // per sample and Backward multiplies by the cached columns instead of
 // lowering the input again.
 type colCacheConv struct {
-	*Conv2D
+	*conv2D
 	cache           []*tensor.Mat
 	dcols           *tensor.Mat
 	scratchW        *tensor.Mat

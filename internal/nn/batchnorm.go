@@ -8,10 +8,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// BatchNorm normalizes each feature over the batch dimension with learned
+// batchNorm normalizes each feature over the batch dimension with learned
 // scale and shift, keeping running statistics for evaluation mode. The
 // paper's Reddit model places one after the LSTM layer.
-type BatchNorm struct {
+type batchNorm struct {
 	Dim      int
 	Eps      float64
 	Momentum float64 // running-stat update rate
@@ -24,18 +24,18 @@ type BatchNorm struct {
 	usedBatch     bool // whether the last forward normalized with batch stats
 }
 
-// NewBatchNorm constructs a batch-norm layer over dim features.
-func NewBatchNorm(dim int) *BatchNorm {
+// newBatchNorm constructs a batch-norm layer over dim features.
+func newBatchNorm(dim int) *batchNorm {
 	if dim <= 0 {
 		panic("nn: BatchNorm dim must be positive")
 	}
-	return &BatchNorm{Dim: dim, Eps: 1e-5, Momentum: 0.1}
+	return &batchNorm{Dim: dim, Eps: 1e-5, Momentum: 0.1}
 }
 
-// ParamShapes implements Layer. The running statistics ride along in the
+// ParamShapes implements layer. The running statistics ride along in the
 // parameter vector so that federated aggregation averages them the same way
 // TensorFlow's FL setups transmit BN statistics with the weights.
-func (b *BatchNorm) ParamShapes() []codec.ShapeInfo {
+func (b *batchNorm) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{
 		{Name: "gamma", Dims: []int{b.Dim}},
 		{Name: "beta", Dims: []int{b.Dim}},
@@ -44,14 +44,14 @@ func (b *BatchNorm) ParamShapes() []codec.ShapeInfo {
 	}
 }
 
-// Bind implements Layer.
-func (b *BatchNorm) Bind(w, g []float64) {
+// Bind implements layer.
+func (b *batchNorm) Bind(w, g []float64) {
 	checkBind(b, w, g)
 	b.w, b.g = w, g
 }
 
-// Init implements Layer.
-func (b *BatchNorm) Init(*rng.RNG) {
+// Init implements layer.
+func (b *batchNorm) Init(*rng.RNG) {
 	d := b.Dim
 	tensor.Fill(b.w[:d], 1)      // gamma
 	tensor.Zero(b.w[d : 2*d])    // beta
@@ -60,11 +60,11 @@ func (b *BatchNorm) Init(*rng.RNG) {
 	tensor.Zero(b.g[2*d : 4*d])  // stats carry no gradient
 }
 
-// OutDim implements Layer.
-func (b *BatchNorm) OutDim(in int) int { return in }
+// OutDim implements layer.
+func (b *batchNorm) OutDim(in int) int { return in }
 
-// Forward implements Layer.
-func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+// Forward implements layer.
+func (b *batchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != b.Dim {
 		panic("nn: BatchNorm input width mismatch")
 	}
@@ -116,8 +116,8 @@ func (b *BatchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return b.out
 }
 
-// Backward implements Layer (batch-statistics gradient).
-func (b *BatchNorm) Backward(dout *tensor.Mat) *tensor.Mat {
+// Backward implements layer (batch-statistics gradient).
+func (b *batchNorm) Backward(dout *tensor.Mat) *tensor.Mat {
 	d := b.Dim
 	n := dout.R
 	gamma := b.w[:d]

@@ -6,10 +6,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over channel-major (CHW) images flattened one
+// conv2D is a 2-D convolution over channel-major (CHW) images flattened one
 // per batch row. The convolution is computed per sample via im2col followed
 // by a single matrix multiply, the standard lowering.
-type Conv2D struct {
+type conv2D struct {
 	InC, H, W        int // input geometry
 	OutC, K          int // filters and (square) kernel size
 	Stride, Pad      int
@@ -38,15 +38,15 @@ type Conv2D struct {
 // SkipInputGrad implements inputGradSkipper: when this layer heads a
 // network, its dx (the gradient w.r.t. the data batch) is never consumed,
 // so Backward skips the Wᵀ·dout matmul and col2im scatter and returns nil.
-func (c *Conv2D) SkipInputGrad() { c.skipInputGrad = true }
+func (c *conv2D) SkipInputGrad() { c.skipInputGrad = true }
 
-// NewConv2D constructs a convolution layer for inC×h×w inputs with outC
+// newConv2D constructs a convolution layer for inC×h×w inputs with outC
 // k×k filters.
-func NewConv2D(inC, h, w, outC, k, stride, pad int) *Conv2D {
+func newConv2D(inC, h, w, outC, k, stride, pad int) *conv2D {
 	if inC <= 0 || h <= 0 || w <= 0 || outC <= 0 || k <= 0 || stride <= 0 || pad < 0 {
 		panic("nn: Conv2D invalid geometry")
 	}
-	c := &Conv2D{InC: inC, H: h, W: w, OutC: outC, K: k, Stride: stride, Pad: pad}
+	c := &conv2D{InC: inC, H: h, W: w, OutC: outC, K: k, Stride: stride, Pad: pad}
 	c.outH = tensor.ConvOutSize(h, k, stride, pad)
 	c.outW = tensor.ConvOutSize(w, k, stride, pad)
 	if c.outH <= 0 || c.outW <= 0 {
@@ -57,50 +57,50 @@ func NewConv2D(inC, h, w, outC, k, stride, pad int) *Conv2D {
 }
 
 // OutShape returns the output geometry (channels, height, width).
-func (c *Conv2D) OutShape() (int, int, int) { return c.OutC, c.outH, c.outW }
+func (c *conv2D) OutShape() (int, int, int) { return c.OutC, c.outH, c.outW }
 
-// ParamShapes implements Layer.
-func (c *Conv2D) ParamShapes() []codec.ShapeInfo {
+// ParamShapes implements layer.
+func (c *conv2D) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{
 		{Name: "W", Dims: []int{c.OutC, c.InC, c.K, c.K}},
 		{Name: "b", Dims: []int{c.OutC}},
 	}
 }
 
-// Bind implements Layer.
-func (c *Conv2D) Bind(w, g []float64) {
+// Bind implements layer.
+func (c *conv2D) Bind(w, g []float64) {
 	checkBind(c, w, g)
 	c.w, c.g = w, g
 	c.wMat.View(c.OutC, c.cols, w[:c.OutC*c.cols])
 	c.gwMat.View(c.OutC, c.cols, g[:c.OutC*c.cols])
 }
 
-// Init implements Layer.
-func (c *Conv2D) Init(r *rng.RNG) {
+// Init implements layer.
+func (c *conv2D) Init(r *rng.RNG) {
 	fanIn := c.cols
 	fanOut := c.OutC * c.K * c.K
 	initUniform(r, c.w[:c.OutC*c.cols], glorot(fanIn, fanOut))
 	tensor.Zero(c.w[c.OutC*c.cols:])
 }
 
-// OutDim implements Layer.
-func (c *Conv2D) OutDim(int) int { return c.OutC * c.outH * c.outW }
+// OutDim implements layer.
+func (c *conv2D) OutDim(int) int { return c.OutC * c.outH * c.outW }
 
-func (c *Conv2D) weight() *tensor.Mat { return &c.wMat }
-func (c *Conv2D) bias() []float64     { return c.w[c.OutC*c.cols:] }
-func (c *Conv2D) gradW() *tensor.Mat  { return &c.gwMat }
-func (c *Conv2D) gradB() []float64    { return c.g[c.OutC*c.cols:] }
+func (c *conv2D) weight() *tensor.Mat { return &c.wMat }
+func (c *conv2D) bias() []float64     { return c.w[c.OutC*c.cols:] }
+func (c *conv2D) gradW() *tensor.Mat  { return &c.gwMat }
+func (c *conv2D) gradB() []float64    { return c.g[c.OutC*c.cols:] }
 
 // colScratch returns the layer's im2col scratch, allocating it on first use.
-func (c *Conv2D) colScratch() *tensor.Mat {
+func (c *conv2D) colScratch() *tensor.Mat {
 	if c.colsBuf == nil {
 		c.colsBuf = tensor.NewMat(c.cols, c.outH*c.outW)
 	}
 	return c.colsBuf
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+// Forward implements layer.
+func (c *conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != c.InC*c.H*c.W {
 		panic("nn: Conv2D input width mismatch")
 	}
@@ -128,8 +128,8 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return c.out
 }
 
-// Backward implements Layer.
-func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
+// Backward implements layer.
+func (c *conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	if c.x == nil {
 		panic("nn: Conv2D Backward before training Forward")
 	}
@@ -167,9 +167,9 @@ func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	return c.dx
 }
 
-// MaxPool2D is a non-overlapping (or strided) max pooling layer over CHW
+// maxPool2D is a non-overlapping (or strided) max pooling layer over CHW
 // images flattened one per batch row.
-type MaxPool2D struct {
+type maxPool2D struct {
 	InC, H, W  int
 	K, Stride  int
 	outH, outW int
@@ -178,12 +178,12 @@ type MaxPool2D struct {
 	argmax  []int32 // flat index into the input row for each output element
 }
 
-// NewMaxPool2D constructs a max-pool layer with k×k windows.
-func NewMaxPool2D(inC, h, w, k, stride int) *MaxPool2D {
+// newMaxPool2D constructs a max-pool layer with k×k windows.
+func newMaxPool2D(inC, h, w, k, stride int) *maxPool2D {
 	if inC <= 0 || h <= 0 || w <= 0 || k <= 0 || stride <= 0 {
 		panic("nn: MaxPool2D invalid geometry")
 	}
-	m := &MaxPool2D{InC: inC, H: h, W: w, K: k, Stride: stride}
+	m := &maxPool2D{InC: inC, H: h, W: w, K: k, Stride: stride}
 	m.outH = tensor.ConvOutSize(h, k, stride, 0)
 	m.outW = tensor.ConvOutSize(w, k, stride, 0)
 	if m.outH <= 0 || m.outW <= 0 {
@@ -193,22 +193,22 @@ func NewMaxPool2D(inC, h, w, k, stride int) *MaxPool2D {
 }
 
 // OutShape returns the output geometry (channels, height, width).
-func (m *MaxPool2D) OutShape() (int, int, int) { return m.InC, m.outH, m.outW }
+func (m *maxPool2D) OutShape() (int, int, int) { return m.InC, m.outH, m.outW }
 
-// ParamShapes implements Layer.
-func (m *MaxPool2D) ParamShapes() []codec.ShapeInfo { return nil }
+// ParamShapes implements layer.
+func (m *maxPool2D) ParamShapes() []codec.ShapeInfo { return nil }
 
-// Bind implements Layer.
-func (m *MaxPool2D) Bind(w, g []float64) { checkBind(m, w, g) }
+// Bind implements layer.
+func (m *maxPool2D) Bind(w, g []float64) { checkBind(m, w, g) }
 
-// Init implements Layer.
-func (m *MaxPool2D) Init(*rng.RNG) {}
+// Init implements layer.
+func (m *maxPool2D) Init(*rng.RNG) {}
 
-// OutDim implements Layer.
-func (m *MaxPool2D) OutDim(int) int { return m.InC * m.outH * m.outW }
+// OutDim implements layer.
+func (m *maxPool2D) OutDim(int) int { return m.InC * m.outH * m.outW }
 
-// Forward implements Layer.
-func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+// Forward implements layer.
+func (m *maxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != m.InC*m.H*m.W {
 		panic("nn: MaxPool2D input width mismatch")
 	}
@@ -260,8 +260,8 @@ func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return m.out
 }
 
-// Backward implements Layer.
-func (m *MaxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
+// Backward implements layer.
+func (m *maxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	b := dout.R
 	m.dx = tensor.EnsureMat(m.dx, b, m.InC*m.H*m.W)
 	tensor.Zero(m.dx.Data)

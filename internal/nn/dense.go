@@ -6,8 +6,8 @@ import (
 	"repro/internal/tensor"
 )
 
-// Dense is a fully connected layer: y = x·Wᵀ + b with W stored Out×In.
-type Dense struct {
+// dense is a fully connected layer: y = x·Wᵀ + b with W stored Out×In.
+type dense struct {
 	In, Out int
 
 	w, g []float64 // bound storage: W (Out*In) then b (Out)
@@ -28,45 +28,45 @@ type Dense struct {
 // SkipInputGrad implements inputGradSkipper: when this layer heads a
 // network, its dx (the gradient w.r.t. the data batch) is never consumed,
 // so Backward skips the dout·W matmul and returns nil.
-func (d *Dense) SkipInputGrad() { d.skipInputGrad = true }
+func (d *dense) SkipInputGrad() { d.skipInputGrad = true }
 
-// NewDense constructs a Dense layer with the given fan-in and fan-out.
-func NewDense(in, out int) *Dense {
+// newDense constructs a dense layer with the given fan-in and fan-out.
+func newDense(in, out int) *dense {
 	if in <= 0 || out <= 0 {
 		panic("nn: Dense dimensions must be positive")
 	}
-	return &Dense{In: in, Out: out}
+	return &dense{In: in, Out: out}
 }
 
-// ParamShapes implements Layer.
-func (d *Dense) ParamShapes() []codec.ShapeInfo {
+// ParamShapes implements layer.
+func (d *dense) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{{Name: "W", Dims: []int{d.Out, d.In}}, {Name: "b", Dims: []int{d.Out}}}
 }
 
-// Bind implements Layer.
-func (d *Dense) Bind(w, g []float64) {
+// Bind implements layer.
+func (d *dense) Bind(w, g []float64) {
 	checkBind(d, w, g)
 	d.w, d.g = w, g
 	d.wMat.View(d.Out, d.In, w[:d.Out*d.In])
 	d.gwMat.View(d.Out, d.In, g[:d.Out*d.In])
 }
 
-// Init implements Layer (Glorot uniform weights, zero bias).
-func (d *Dense) Init(r *rng.RNG) {
+// Init implements layer (Glorot uniform weights, zero bias).
+func (d *dense) Init(r *rng.RNG) {
 	initUniform(r, d.w[:d.Out*d.In], glorot(d.In, d.Out))
 	tensor.Zero(d.w[d.Out*d.In:])
 }
 
-// OutDim implements Layer.
-func (d *Dense) OutDim(int) int { return d.Out }
+// OutDim implements layer.
+func (d *dense) OutDim(int) int { return d.Out }
 
-func (d *Dense) weight() *tensor.Mat { return &d.wMat }
-func (d *Dense) bias() []float64     { return d.w[d.Out*d.In:] }
-func (d *Dense) gradW() *tensor.Mat  { return &d.gwMat }
-func (d *Dense) gradB() []float64    { return d.g[d.Out*d.In:] }
+func (d *dense) weight() *tensor.Mat { return &d.wMat }
+func (d *dense) bias() []float64     { return d.w[d.Out*d.In:] }
+func (d *dense) gradW() *tensor.Mat  { return &d.gwMat }
+func (d *dense) gradB() []float64    { return d.g[d.Out*d.In:] }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+// Forward implements layer.
+func (d *dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != d.In {
 		panic("nn: Dense input width mismatch")
 	}
@@ -81,8 +81,8 @@ func (d *Dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return d.out
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(dout *tensor.Mat) *tensor.Mat {
+// Backward implements layer.
+func (d *dense) Backward(dout *tensor.Mat) *tensor.Mat {
 	if d.x == nil {
 		panic("nn: Dense Backward before training Forward")
 	}

@@ -6,10 +6,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Embedding maps integer token ids (carried as float64s for interface
+// embedding maps integer token ids (carried as float64s for interface
 // uniformity) to dense vectors. Input rows are sequences of SeqLen ids;
 // output rows are the SeqLen embedding vectors concatenated.
-type Embedding struct {
+type embedding struct {
 	Vocab, Dim, SeqLen int
 
 	w, g []float64 // Vocab×Dim table
@@ -18,37 +18,37 @@ type Embedding struct {
 	out, dx *tensor.Mat
 }
 
-// NewEmbedding constructs an embedding table for sequences of seqLen tokens
+// newEmbedding constructs an embedding table for sequences of seqLen tokens
 // drawn from a vocab of the given size.
-func NewEmbedding(vocab, dim, seqLen int) *Embedding {
+func newEmbedding(vocab, dim, seqLen int) *embedding {
 	if vocab <= 0 || dim <= 0 || seqLen <= 0 {
 		panic("nn: Embedding invalid dimensions")
 	}
-	return &Embedding{Vocab: vocab, Dim: dim, SeqLen: seqLen}
+	return &embedding{Vocab: vocab, Dim: dim, SeqLen: seqLen}
 }
 
-// ParamShapes implements Layer.
-func (e *Embedding) ParamShapes() []codec.ShapeInfo {
+// ParamShapes implements layer.
+func (e *embedding) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{{Name: "E", Dims: []int{e.Vocab, e.Dim}}}
 }
 
-// Bind implements Layer.
-func (e *Embedding) Bind(w, g []float64) {
+// Bind implements layer.
+func (e *embedding) Bind(w, g []float64) {
 	checkBind(e, w, g)
 	e.w, e.g = w, g
 }
 
-// Init implements Layer.
-func (e *Embedding) Init(r *rng.RNG) {
+// Init implements layer.
+func (e *embedding) Init(r *rng.RNG) {
 	initUniform(r, e.w, 0.05)
 }
 
-// OutDim implements Layer.
-func (e *Embedding) OutDim(int) int { return e.SeqLen * e.Dim }
+// OutDim implements layer.
+func (e *embedding) OutDim(int) int { return e.SeqLen * e.Dim }
 
-// Forward implements Layer. Out-of-range ids are clamped into the vocab so a
+// Forward implements layer. Out-of-range ids are clamped into the vocab so a
 // corrupted sample cannot crash a training run.
-func (e *Embedding) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+func (e *embedding) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != e.SeqLen {
 		panic("nn: Embedding input width mismatch")
 	}
@@ -77,9 +77,9 @@ func (e *Embedding) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return e.out
 }
 
-// Backward implements Layer. The returned input gradient is zero (token ids
+// Backward implements layer. The returned input gradient is zero (token ids
 // are not differentiable); the embedding table gradient is scattered.
-func (e *Embedding) Backward(dout *tensor.Mat) *tensor.Mat {
+func (e *embedding) Backward(dout *tensor.Mat) *tensor.Mat {
 	b := dout.R
 	for s := 0; s < b; s++ {
 		src := dout.Row(s)

@@ -69,7 +69,7 @@ func gradCheckNet(t *testing.T, n *Network, in, batch, classes int, tol float64)
 }
 
 func TestGradCheckDense(t *testing.T) {
-	n := NewNetwork(rng.New(1), NewSoftmaxCE(), NewDense(5, 4))
+	n := newNetwork(rng.New(1), newSoftmaxCE(), newDense(5, 4))
 	gradCheckNet(t, n, 5, 3, 4, 1e-5)
 }
 
@@ -79,23 +79,23 @@ func TestGradCheckMLP(t *testing.T) {
 }
 
 func TestGradCheckConv(t *testing.T) {
-	conv := NewConv2D(2, 5, 5, 3, 3, 1, 1)
+	conv := newConv2D(2, 5, 5, 3, 3, 1, 1)
 	c, h, w := conv.OutShape()
-	n := NewNetwork(rng.New(5), NewSoftmaxCE(), conv, NewReLU(), NewDense(c*h*w, 3))
+	n := newNetwork(rng.New(5), newSoftmaxCE(), conv, newReLU(), newDense(c*h*w, 3))
 	gradCheckNet(t, n, 2*5*5, 2, 3, 1e-4)
 }
 
 func TestGradCheckConvStride2NoPad(t *testing.T) {
-	conv := NewConv2D(1, 6, 6, 2, 2, 2, 0)
+	conv := newConv2D(1, 6, 6, 2, 2, 2, 0)
 	c, h, w := conv.OutShape()
-	n := NewNetwork(rng.New(6), NewSoftmaxCE(), conv, NewDense(c*h*w, 2))
+	n := newNetwork(rng.New(6), newSoftmaxCE(), conv, newDense(c*h*w, 2))
 	gradCheckNet(t, n, 36, 2, 2, 1e-4)
 }
 
 func TestGradCheckMaxPool(t *testing.T) {
-	pool := NewMaxPool2D(2, 4, 4, 2, 2)
+	pool := newMaxPool2D(2, 4, 4, 2, 2)
 	c, h, w := pool.OutShape()
-	n := NewNetwork(rng.New(7), NewSoftmaxCE(), pool, NewDense(c*h*w, 3))
+	n := newNetwork(rng.New(7), newSoftmaxCE(), pool, newDense(c*h*w, 3))
 	gradCheckNet(t, n, 2*4*4, 2, 3, 1e-4)
 }
 
@@ -105,8 +105,8 @@ func TestGradCheckCNN(t *testing.T) {
 }
 
 func TestGradCheckLSTM(t *testing.T) {
-	lstm := NewLSTM(3, 4, 3)
-	n := NewNetwork(rng.New(9), NewSoftmaxCE(), lstm, NewDense(4, 3))
+	lstm := newLSTM(3, 4, 3)
+	n := newNetwork(rng.New(9), newSoftmaxCE(), lstm, newDense(4, 3))
 	gradCheckNet(t, n, 3*3, 2, 3, 1e-4)
 }
 
@@ -136,12 +136,12 @@ func TestGradCheckBatchNorm(t *testing.T) {
 	// BatchNorm updates running stats on every training forward, but in
 	// train mode the loss depends only on batch statistics, so finite
 	// differences remain valid.
-	n := NewNetwork(rng.New(12), NewSoftmaxCE(), NewDense(4, 6), NewBatchNorm(6), NewDense(6, 3))
+	n := newNetwork(rng.New(12), newSoftmaxCE(), newDense(4, 6), newBatchNorm(6), newDense(6, 3))
 	gradCheckNet(t, n, 4, 5, 3, 1e-4)
 }
 
 func TestDropoutBackwardMatchesMask(t *testing.T) {
-	d := NewDropout(0.5)
+	d := newDropout(0.5)
 	d.Bind(nil, nil)
 	d.Init(rng.New(13))
 	x := tensor.NewMat(4, 8)
@@ -167,7 +167,7 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 }
 
 func TestDropoutEvalIsIdentity(t *testing.T) {
-	d := NewDropout(0.9)
+	d := newDropout(0.9)
 	d.Bind(nil, nil)
 	d.Init(rng.New(14))
 	x := tensor.NewMat(2, 4)

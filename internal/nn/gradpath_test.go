@@ -21,7 +21,7 @@ import (
 func TestBackpropMatchesScratchPath(t *testing.T) {
 	cnn := SmallCNN(1, 6, 6, 4)
 	cnn.PoolEvery = 0
-	lstm := LSTMConfig{Vocab: 9, Emb: 5, Hidden: 6, SeqLen: 4, Classes: 3}
+	lstmCfg := LSTMConfig{Vocab: 9, Emb: 5, Hidden: 6, SeqLen: 4, Classes: 3}
 	for _, c := range []struct {
 		name    string
 		build   func() *Network
@@ -30,19 +30,19 @@ func TestBackpropMatchesScratchPath(t *testing.T) {
 	}{
 		{"mlp", func() *Network { return NewMLP(rng.New(5), 12, 16, 8, 3) }, denseInputs(12), 3},
 		{"cnn", func() *Network { return NewCNN(rng.New(6), cnn) }, denseInputs(36), 4},
-		{"lstm", func() *Network { return NewLSTMClassifier(rng.New(7), lstm) }, tokenInputs(lstm), 3},
+		{"lstm", func() *Network { return NewLSTMClassifier(rng.New(7), lstmCfg) }, tokenInputs(lstmCfg), 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			net, ref := c.build(), c.build()
 			wrapped := 0
 			for i, l := range ref.layers {
 				switch l := l.(type) {
-				case *Dense:
-					ref.layers[i] = &scratchDense{Dense: l}
-				case *Conv2D:
-					ref.layers[i] = &scratchConv{Conv2D: l}
-				case *LSTM:
-					ref.layers[i] = &scratchLSTM{LSTM: l}
+				case *dense:
+					ref.layers[i] = &scratchDense{dense: l}
+				case *conv2D:
+					ref.layers[i] = &scratchConv{conv2D: l}
+				case *lstm:
+					ref.layers[i] = &scratchLSTM{lstm: l}
 				default:
 					continue
 				}
@@ -115,10 +115,10 @@ func tokenInputs(cfg LSTMConfig) func(r *rng.RNG, rows int) *tensor.Mat {
 	}
 }
 
-// scratchDense is Dense with its weight gradient summed into a scratch and
+// scratchDense is dense with its weight gradient summed into a scratch and
 // added to g by AddTo.
 type scratchDense struct {
-	*Dense
+	*dense
 	scratch *tensor.Mat
 }
 
@@ -138,10 +138,10 @@ func (d *scratchDense) Backward(dout *tensor.Mat) *tensor.Mat {
 	return d.dx
 }
 
-// scratchConv is Conv2D with each sample's weight gradient computed into a
+// scratchConv is conv2D with each sample's weight gradient computed into a
 // scratch and added to g by AddTo.
 type scratchConv struct {
-	*Conv2D
+	*conv2D
 	scratchW *tensor.Mat
 }
 
@@ -177,10 +177,10 @@ func (c *scratchConv) Backward(dout *tensor.Mat) *tensor.Mat {
 	return c.dx
 }
 
-// scratchLSTM is LSTM with the recurrent product h_{t-1}·Whᵀ computed into
+// scratchLSTM is lstm with the recurrent product h_{t-1}·Whᵀ computed into
 // a scratch and added to the gates by AddTo.
 type scratchLSTM struct {
-	*LSTM
+	*lstm
 	scratch4H *tensor.Mat
 }
 

@@ -28,13 +28,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// Layer is a differentiable network stage.
+// layer is a differentiable network stage.
 //
 // The lifecycle is: construct → Bind(w, g) → Init(rng) → Forward/Backward.
 // Forward with train=true must cache whatever Backward needs; Backward
 // receives dL/d(output) and returns dL/d(input) while accumulating parameter
 // gradients into the bound gradient subslice.
-type Layer interface {
+type layer interface {
 	// ParamShapes lists the layer's parameter blocks in binding order, in
 	// the form the codec transmits alongside compressed weights (§4.3 step
 	// 2). Parameter-free layers return nil.
@@ -52,7 +52,7 @@ type Layer interface {
 	OutDim(in int) int
 }
 
-func paramSize(l Layer) int {
+func paramSize(l layer) int {
 	n := 0
 	for _, s := range l.ParamShapes() {
 		n += s.Size()
@@ -72,7 +72,7 @@ func initUniform(r *rng.RNG, w []float64, a float64) {
 	}
 }
 
-func checkBind(l Layer, w, g []float64) {
+func checkBind(l layer, w, g []float64) {
 	want := paramSize(l)
 	if len(w) != want || len(g) != want {
 		panic(fmt.Sprintf("nn: Bind got %d/%d floats, want %d", len(w), len(g), want))

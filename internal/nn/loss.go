@@ -6,26 +6,26 @@ import (
 	"repro/internal/tensor"
 )
 
-// Loss turns final-layer outputs and integer labels into a scalar loss and
+// loss turns final-layer outputs and integer labels into a scalar loss and
 // the gradient with respect to the outputs. Implementations must average
 // over the batch so learning rates are batch-size independent.
-type Loss interface {
+type loss interface {
 	// Compute returns the mean loss over the batch and writes dL/dlogits
 	// into dlogits (same shape as logits).
 	Compute(logits *tensor.Mat, labels []int, dlogits *tensor.Mat) float64
 }
 
-// SoftmaxCE is the softmax cross-entropy loss used by every classification
+// softmaxCE is the softmax cross-entropy loss used by every classification
 // model in the paper.
-type SoftmaxCE struct {
+type softmaxCE struct {
 	probs []float64
 }
 
-// NewSoftmaxCE constructs the loss.
-func NewSoftmaxCE() *SoftmaxCE { return &SoftmaxCE{} }
+// newSoftmaxCE constructs the loss.
+func newSoftmaxCE() *softmaxCE { return &softmaxCE{} }
 
-// Compute implements Loss.
-func (l *SoftmaxCE) Compute(logits *tensor.Mat, labels []int, dlogits *tensor.Mat) float64 {
+// Compute implements loss.
+func (l *softmaxCE) Compute(logits *tensor.Mat, labels []int, dlogits *tensor.Mat) float64 {
 	if len(labels) != logits.R {
 		panic("nn: SoftmaxCE label count mismatch")
 	}

@@ -8,13 +8,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// LSTM processes a sequence and emits the final hidden state, matching the
+// lstm processes a sequence and emits the final hidden state, matching the
 // "LSTM layer" of the paper's Reddit model. Input rows are SeqLen steps of
 // In features concatenated (the layout Embedding produces); output rows are
 // the Hidden-dimensional state after the last step.
 //
 // Gate layout in the 4H dimension is [i | f | g | o].
-type LSTM struct {
+type lstm struct {
 	In, Hidden, SeqLen int
 
 	w, g []float64 // Wx (4H×In), Wh (4H×H), b (4H)
@@ -36,17 +36,17 @@ type LSTM struct {
 	xt, dgates, dxt *tensor.Mat
 }
 
-// NewLSTM constructs an LSTM over seqLen steps of in features with the given
+// newLSTM constructs an LSTM over seqLen steps of in features with the given
 // hidden size.
-func NewLSTM(in, hidden, seqLen int) *LSTM {
+func newLSTM(in, hidden, seqLen int) *lstm {
 	if in <= 0 || hidden <= 0 || seqLen <= 0 {
 		panic("nn: LSTM invalid dimensions")
 	}
-	return &LSTM{In: in, Hidden: hidden, SeqLen: seqLen}
+	return &lstm{In: in, Hidden: hidden, SeqLen: seqLen}
 }
 
-// ParamShapes implements Layer.
-func (l *LSTM) ParamShapes() []codec.ShapeInfo {
+// ParamShapes implements layer.
+func (l *lstm) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{
 		{Name: "Wx", Dims: []int{4 * l.Hidden, l.In}},
 		{Name: "Wh", Dims: []int{4 * l.Hidden, l.Hidden}},
@@ -54,8 +54,8 @@ func (l *LSTM) ParamShapes() []codec.ShapeInfo {
 	}
 }
 
-// Bind implements Layer.
-func (l *LSTM) Bind(w, g []float64) {
+// Bind implements layer.
+func (l *lstm) Bind(w, g []float64) {
 	checkBind(l, w, g)
 	l.w, l.g = w, g
 	h4, nx := 4*l.Hidden, 4*l.Hidden*l.In
@@ -66,9 +66,9 @@ func (l *LSTM) Bind(w, g []float64) {
 	l.gwhMat.View(h4, l.Hidden, g[nx:nx+nh])
 }
 
-// Init implements Layer. Forget-gate biases start at 1, the standard trick
+// Init implements layer. Forget-gate biases start at 1, the standard trick
 // that keeps gradients flowing early in training.
-func (l *LSTM) Init(r *rng.RNG) {
+func (l *lstm) Init(r *rng.RNG) {
 	h := l.Hidden
 	nx := 4 * h * l.In
 	nh := 4 * h * h
@@ -81,27 +81,27 @@ func (l *LSTM) Init(r *rng.RNG) {
 	}
 }
 
-// OutDim implements Layer.
-func (l *LSTM) OutDim(int) int { return l.Hidden }
+// OutDim implements layer.
+func (l *lstm) OutDim(int) int { return l.Hidden }
 
-func (l *LSTM) wx() *tensor.Mat  { return &l.wxMat }
-func (l *LSTM) wh() *tensor.Mat  { return &l.whMat }
-func (l *LSTM) gwx() *tensor.Mat { return &l.gwxMat }
-func (l *LSTM) gwh() *tensor.Mat { return &l.gwhMat }
-func (l *LSTM) bias() []float64 {
+func (l *lstm) wx() *tensor.Mat  { return &l.wxMat }
+func (l *lstm) wh() *tensor.Mat  { return &l.whMat }
+func (l *lstm) gwx() *tensor.Mat { return &l.gwxMat }
+func (l *lstm) gwh() *tensor.Mat { return &l.gwhMat }
+func (l *lstm) bias() []float64 {
 	return l.w[4*l.Hidden*(l.In+l.Hidden):]
 }
-func (l *LSTM) gbias() []float64 {
+func (l *lstm) gbias() []float64 {
 	return l.g[4*l.Hidden*(l.In+l.Hidden):]
 }
 
-func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
+func sigmoid(v float64) float64 { return 1 / (1 + tensor.Exp(-v)) }
 
 // ensureCaches sizes the per-step caches for a batch of b rows, growing
 // them by capacity: every one is fully overwritten before it is read, so a
 // batch that alternates row counts (training batches, evaluation splits)
 // allocates nothing once the largest has been seen.
-func (l *LSTM) ensureCaches(b int) {
+func (l *lstm) ensureCaches(b int) {
 	h := l.Hidden
 	if l.gates == nil {
 		l.gates = make([]*tensor.Mat, l.SeqLen)
@@ -126,8 +126,8 @@ func (l *LSTM) ensureCaches(b int) {
 	l.dxt = tensor.EnsureMat(l.dxt, b, l.In)
 }
 
-// Forward implements Layer.
-func (l *LSTM) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+// Forward implements layer.
+func (l *lstm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != l.SeqLen*l.In {
 		panic("nn: LSTM input width mismatch")
 	}
@@ -171,7 +171,7 @@ func (l *LSTM) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // stepInput returns the batch view of step t: rows are x[s][t*In:(t+1)*In].
 // The rows are strided in the original matrix, so they are copied into the
 // B×In scratch, which the next call overwrites.
-func (l *LSTM) stepInput(x *tensor.Mat, t int) *tensor.Mat {
+func (l *lstm) stepInput(x *tensor.Mat, t int) *tensor.Mat {
 	out := l.xt
 	for s := 0; s < x.R; s++ {
 		copy(out.Row(s), x.Row(s)[t*l.In:(t+1)*l.In])
@@ -179,8 +179,8 @@ func (l *LSTM) stepInput(x *tensor.Mat, t int) *tensor.Mat {
 	return out
 }
 
-// Backward implements Layer (full backpropagation through time).
-func (l *LSTM) Backward(dout *tensor.Mat) *tensor.Mat {
+// Backward implements layer (full backpropagation through time).
+func (l *lstm) Backward(dout *tensor.Mat) *tensor.Mat {
 	if l.xs == nil {
 		panic("nn: LSTM Backward before training Forward")
 	}

@@ -26,24 +26,24 @@ func SmallCNN(inC, h, w, classes int) CNNConfig {
 
 // NewCNN builds the convolutional classifier.
 func NewCNN(r *rng.RNG, cfg CNNConfig) *Network {
-	var layers []Layer
+	var layers []layer
 	c, h, w := cfg.InC, cfg.H, cfg.W
 	for i, outC := range cfg.ConvC {
-		conv := NewConv2D(c, h, w, outC, cfg.Kernel, 1, cfg.Kernel/2)
-		layers = append(layers, conv, NewReLU())
+		conv := newConv2D(c, h, w, outC, cfg.Kernel, 1, cfg.Kernel/2)
+		layers = append(layers, conv, newReLU())
 		c, h, w = conv.OutShape()
 		if cfg.PoolEvery > 0 && (i+1)%cfg.PoolEvery == 0 && h >= 2 && w >= 2 {
-			pool := NewMaxPool2D(c, h, w, 2, 2)
+			pool := newMaxPool2D(c, h, w, 2, 2)
 			layers = append(layers, pool)
 			c, h, w = pool.OutShape()
 		}
 	}
 	layers = append(layers,
-		NewDense(c*h*w, cfg.Hidden),
-		NewReLU(),
-		NewDense(cfg.Hidden, cfg.Classes),
+		newDense(c*h*w, cfg.Hidden),
+		newReLU(),
+		newDense(cfg.Hidden, cfg.Classes),
 	)
-	return NewNetwork(r, NewSoftmaxCE(), layers...)
+	return newNetwork(r, newSoftmaxCE(), layers...)
 }
 
 // NewMLP builds a plain multilayer perceptron with ReLU between layers;
@@ -53,20 +53,20 @@ func NewMLP(r *rng.RNG, dims ...int) *Network {
 	if len(dims) < 2 {
 		panic("nn: NewMLP needs at least input and output dims")
 	}
-	var layers []Layer
+	var layers []layer
 	for i := 0; i < len(dims)-1; i++ {
-		layers = append(layers, NewDense(dims[i], dims[i+1]))
+		layers = append(layers, newDense(dims[i], dims[i+1]))
 		if i < len(dims)-2 {
-			layers = append(layers, NewReLU())
+			layers = append(layers, newReLU())
 		}
 	}
-	return NewNetwork(r, NewSoftmaxCE(), layers...)
+	return newNetwork(r, newSoftmaxCE(), layers...)
 }
 
 // NewLogistic builds the multinomial logistic-regression model the paper
 // uses for Sentiment140 (its convex objective).
 func NewLogistic(r *rng.RNG, in, classes int) *Network {
-	return NewNetwork(r, NewSoftmaxCE(), NewDense(in, classes))
+	return newNetwork(r, newSoftmaxCE(), newDense(in, classes))
 }
 
 // LSTMConfig describes the Reddit next-token-style classifier: embedding →
@@ -81,16 +81,16 @@ type LSTMConfig struct {
 
 // NewLSTMClassifier builds the sequence classifier.
 func NewLSTMClassifier(r *rng.RNG, cfg LSTMConfig) *Network {
-	layers := []Layer{
-		NewEmbedding(cfg.Vocab, cfg.Emb, cfg.SeqLen),
-		NewLSTM(cfg.Emb, cfg.Hidden, cfg.SeqLen),
+	layers := []layer{
+		newEmbedding(cfg.Vocab, cfg.Emb, cfg.SeqLen),
+		newLSTM(cfg.Emb, cfg.Hidden, cfg.SeqLen),
 	}
 	if cfg.Dropout > 0 {
-		layers = append(layers, NewDropout(cfg.Dropout))
+		layers = append(layers, newDropout(cfg.Dropout))
 	}
 	if cfg.BatchNorm {
-		layers = append(layers, NewBatchNorm(cfg.Hidden))
+		layers = append(layers, newBatchNorm(cfg.Hidden))
 	}
-	layers = append(layers, NewDense(cfg.Hidden, cfg.Classes))
-	return NewNetwork(r, NewSoftmaxCE(), layers...)
+	layers = append(layers, newDense(cfg.Hidden, cfg.Classes))
+	return newNetwork(r, newSoftmaxCE(), layers...)
 }

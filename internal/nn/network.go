@@ -13,8 +13,8 @@ import (
 // codec compresses it, the server aggregates it, and the proximal term
 // penalizes distance from it.
 type Network struct {
-	layers  []Layer
-	loss    Loss
+	layers  []layer
+	loss    loss
 	weights []float64
 	grads   []float64
 	shapes  []codec.ShapeInfo // concatenated layer shapes, for the codec
@@ -23,16 +23,16 @@ type Network struct {
 }
 
 // inputGradSkipper is implemented by layers that can skip computing the
-// gradient with respect to their input. NewNetwork marks the stack's first
+// gradient with respect to their input. newNetwork marks the stack's first
 // layer: its input is the data batch, so nothing consumes that gradient
 // and the (often largest) dx matmul of every backward pass can be dropped.
 // A marked layer's Backward returns nil.
 type inputGradSkipper interface{ SkipInputGrad() }
 
-// NewNetwork builds a network from layers, allocates the flat parameter
+// newNetwork builds a network from layers, allocates the flat parameter
 // store, binds every layer and initializes weights from r. loss may be nil
 // for feature extractors; Backprop then panics.
-func NewNetwork(r *rng.RNG, loss Loss, layers ...Layer) *Network {
+func newNetwork(r *rng.RNG, loss loss, layers ...layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: NewNetwork needs at least one layer")
 	}

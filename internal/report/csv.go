@@ -54,10 +54,10 @@ func (s Series) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteRunCSV emits a run's evaluation points as CSV (one row per point),
+// writeRunCSV emits a run's evaluation points as CSV (one row per point),
 // the format the plotting scripts and spreadsheet users consume. Columns:
 // round, time_s, up_bytes, down_bytes, acc, loss, var.
-func WriteRunCSV(w io.Writer, r *metrics.Run) error {
+func writeRunCSV(w io.Writer, r *metrics.Run) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"round", "time_s", "up_bytes", "down_bytes", "acc", "loss", "var"}); err != nil {
 		return fmt.Errorf("report: write run csv header: %w", err)
@@ -85,7 +85,7 @@ func WriteRunCSV(w io.Writer, r *metrics.Run) error {
 
 // WriteCSVDir writes the report's machine-readable pieces into dir — one
 // file per table artifact, one per series artifact, and one full
-// evaluation dump per kept run (via WriteRunCSV) — and returns the
+// evaluation dump per kept run (via writeRunCSV) — and returns the
 // file names written, in order.
 func WriteCSVDir(dir string, r *Report) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -112,13 +112,13 @@ func WriteCSVDir(dir string, r *Report) ([]string, error) {
 		switch art := a.(type) {
 		case *Table:
 			nTables++
-			name := fmt.Sprintf("%s__table%02d_%s.csv", r.ID, nTables, Slug(art.Caption))
+			name := fmt.Sprintf("%s__table%02d_%s.csv", r.ID, nTables, slug(art.Caption))
 			if err := emit(name, art.WriteCSV); err != nil {
 				return written, err
 			}
 		case Series:
 			nSeries++
-			name := fmt.Sprintf("%s__series%02d_%s.csv", r.ID, nSeries, Slug(art.Name))
+			name := fmt.Sprintf("%s__series%02d_%s.csv", r.ID, nSeries, slug(art.Name))
 			if err := emit(name, art.WriteCSV); err != nil {
 				return written, err
 			}
@@ -126,18 +126,18 @@ func WriteCSVDir(dir string, r *Report) ([]string, error) {
 	}
 	for _, key := range slices.Sorted(maps.Keys(r.Runs)) {
 		run := r.Runs[key]
-		name := fmt.Sprintf("%s__run_%s.csv", r.ID, Slug(key))
-		if err := emit(name, func(w io.Writer) error { return WriteRunCSV(w, run) }); err != nil {
+		name := fmt.Sprintf("%s__run_%s.csv", r.ID, slug(key))
+		if err := emit(name, func(w io.Writer) error { return writeRunCSV(w, run) }); err != nil {
 			return written, err
 		}
 	}
 	return written, nil
 }
 
-// Slug maps an artifact caption or run key to a filesystem-safe token:
+// slug maps an artifact caption or run key to a filesystem-safe token:
 // alphanumerics, '.', '-' and '_' pass through, everything else becomes
 // '_'. Long slugs are truncated so paths stay manageable.
-func Slug(s string) string {
+func slug(s string) string {
 	out := []byte(s)
 	for i, c := range out {
 		switch {

@@ -10,10 +10,10 @@ import (
 	"repro/internal/metrics"
 )
 
-// SchemaVersion identifies the JSON layout; bump on breaking changes so
+// schemaVersion identifies the JSON layout; bump on breaking changes so
 // downstream consumers (BENCH trajectories, regression gates, plotting)
 // can detect schema rot instead of misparsing.
-const SchemaVersion = 1
+const schemaVersion = 1
 
 // Envelope is the root JSON document: one or more reports plus the run
 // metadata shared by all of them.
@@ -52,7 +52,7 @@ type CellMeta struct {
 // through a sorted-key traversal, so two runs of the same experiments
 // differ only in those fields — strip them before byte-diffing documents.
 func WriteJSON(w io.Writer, env *Envelope) error {
-	env.SchemaVersion = SchemaVersion
+	env.SchemaVersion = schemaVersion
 	if env.Generator == "" {
 		env.Generator = "fedsim"
 	}
@@ -147,7 +147,7 @@ func runJSON(key string, run *metrics.Run) jsonRun {
 		TierMigrations: run.TierMigrations,
 		EdgeFolds:      run.EdgeFolds,
 		EdgeStaleness:  run.EdgeStaleness,
-		Series:         SeriesFromRun(key, run),
+		Series:         seriesFromRun(key, run),
 	}
 }
 
@@ -174,9 +174,9 @@ func (s Series) json() any {
 	return jsonArtifact{Kind: "series", Name: s.Name, X: s.X, Y: s.Y, Points: pts}
 }
 
-func (s Scalar) json() any {
+func (s scalar) json() any {
 	v := s.Value
 	return jsonArtifact{Kind: "scalar", Name: s.Name, Value: &v, Unit: s.Unit}
 }
 
-func (n Note) json() any { return jsonArtifact{Kind: "note", Text: n.Text} }
+func (n note) json() any { return jsonArtifact{Kind: "note", Text: n.Text} }

@@ -1,10 +1,10 @@
 // Package report is the typed artifact model behind every experiment
 // output. Experiments used to render themselves straight into []string
 // sections, which made the terminal the only consumer the system could
-// serve; they now emit structured artifacts — Table, Series, Scalar, Note
+// serve; they now emit structured artifacts — Table, Series, scalar, note
 // — and pluggable renderers turn one Report into any consumer's format:
 //
-//   - Text reproduces the human-readable report (byte-identical to the
+//   - text reproduces the human-readable report (byte-identical to the
 //     pre-artifact-model output, pinned by golden tests in
 //     internal/experiments/testdata),
 //   - JSON emits a stable machine-readable schema with run metadata
@@ -39,7 +39,7 @@ type Report struct {
 
 // Artifact is one typed element of a report. Its text form is either a
 // self-contained block ending in exactly one blank line, or "" for
-// data-only artifacts (Series, Scalar) that exist for the machine-readable
+// data-only artifacts (Series, scalar) that exist for the machine-readable
 // renderers.
 type Artifact interface {
 	text() string
@@ -53,12 +53,12 @@ func (r *Report) Add(a Artifact) { r.Artifacts = append(r.Artifacts, a) }
 func (r *Report) AddTable(t *Table) { r.Add(t) }
 
 // AddNote appends a free-form human-readable note.
-func (r *Report) AddNote(text string) { r.Add(Note{Text: text}) }
+func (r *Report) AddNote(text string) { r.Add(note{Text: text}) }
 
 // AddScalar appends a named machine-readable value (data-only: scalars
 // appear in JSON, not in the text report).
 func (r *Report) AddScalar(name string, value float64, unit string) {
-	r.Add(Scalar{Name: name, Value: value, Unit: unit})
+	r.Add(scalar{Name: name, Value: value, Unit: unit})
 }
 
 // AddSeries appends an x/y series (data-only: series feed the JSON and CSV
@@ -122,16 +122,16 @@ type XY struct {
 	X, Y float64
 }
 
-// Scalar is a single named machine-readable value. Data-only: the text
+// scalar is a single named machine-readable value. Data-only: the text
 // renderer skips it.
-type Scalar struct {
+type scalar struct {
 	Name  string
 	Value float64
 	Unit  string
 }
 
-// Note is a free-form human-readable block.
-type Note struct {
+// note is a free-form human-readable block.
+type note struct {
 	Text string
 }
 
@@ -178,7 +178,7 @@ func (t *Table) text() string {
 
 // text renders the note followed by one blank line; trailing newlines in
 // the note itself are normalized away so the artifact owns its spacing.
-func (n Note) text() string { return strings.TrimRight(n.Text, "\n") + "\n\n" }
+func (n note) text() string { return strings.TrimRight(n.Text, "\n") + "\n\n" }
 
 func (s Series) text() string { return "" }
-func (s Scalar) text() string { return "" }
+func (s scalar) text() string { return "" }

@@ -81,17 +81,17 @@ func TestTextGrid(t *testing.T) {
 		"------  -----\n" +
 		"FedAT   0.591\n" +
 		"FedAvg  0.547\n\n"
-	if got := Text(rep); got != want {
+	if got := text(rep); got != want {
 		t.Fatalf("text grid mismatch:\n--- got ---\n%q\n--- want ---\n%q", got, want)
 	}
 }
 
 func TestDataOnlyArtifactsInvisibleInText(t *testing.T) {
 	rep := &Report{ID: "demo", Title: "Data only"}
-	base := Text(rep)
+	base := text(rep)
 	rep.AddSeries(Series{Name: "s", X: "x", Y: "y", Pts: []XY{{1, 2}}})
 	rep.AddScalar("v", 1.5, "")
-	if got := Text(rep); got != base {
+	if got := text(rep); got != base {
 		t.Fatalf("series/scalar artifacts leaked into text output:\n%q", got)
 	}
 }
@@ -100,7 +100,7 @@ func TestNoteOwnsSpacing(t *testing.T) {
 	rep := &Report{ID: "demo", Title: "Spacing"}
 	rep.AddNote("no trailing newline")
 	rep.AddNote("trailing newline\n")
-	s := Text(rep)
+	s := text(rep)
 	if strings.Contains(s, "\n\n\n") {
 		t.Fatalf("note spacing not normalized:\n%q", s)
 	}
@@ -113,7 +113,7 @@ func TestNoteOwnsSpacing(t *testing.T) {
 // bytes: renderers must not mutate the report.
 func TestRendererIdempotence(t *testing.T) {
 	rep := sampleReport()
-	if a, b := Text(rep), Text(rep); a != b {
+	if a, b := text(rep), text(rep); a != b {
 		t.Fatal("text renderer not idempotent")
 	}
 	render := func() []byte {
@@ -173,7 +173,7 @@ func TestJSONSchema(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.SchemaVersion != SchemaVersion || doc.Preset != "tiny" || doc.Seed != 42 {
+	if doc.SchemaVersion != schemaVersion || doc.Preset != "tiny" || doc.Seed != 42 {
 		t.Fatalf("envelope metadata wrong: %+v", doc)
 	}
 	r := doc.Reports[0]
@@ -224,7 +224,7 @@ func TestTableCellValues(t *testing.T) {
 func TestWriteRunCSV(t *testing.T) {
 	r := sampleRun()
 	var buf bytes.Buffer
-	if err := WriteRunCSV(&buf, r); err != nil {
+	if err := writeRunCSV(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -244,7 +244,7 @@ func TestWriteRunCSV(t *testing.T) {
 	}
 
 	var empty bytes.Buffer
-	if err := WriteRunCSV(&empty, &metrics.Run{}); err != nil {
+	if err := writeRunCSV(&empty, &metrics.Run{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Count(empty.String(), "\n"); got != 1 {
@@ -256,7 +256,7 @@ func TestWriteRunCSV(t *testing.T) {
 // derived series survive CSV emission exactly.
 func TestSeriesCSVRoundTrip(t *testing.T) {
 	run := sampleRun()
-	for _, s := range SeriesFromRun("cifar10(#2)/fedat", run) {
+	for _, s := range seriesFromRun("cifar10(#2)/fedat", run) {
 		var buf bytes.Buffer
 		if err := s.WriteCSV(&buf); err != nil {
 			t.Fatal(err)
@@ -276,7 +276,7 @@ func TestSeriesCSVRoundTrip(t *testing.T) {
 
 func TestSeriesFromRunShapes(t *testing.T) {
 	run := sampleRun()
-	ss := SeriesFromRun("k", run)
+	ss := seriesFromRun("k", run)
 	if len(ss) != 3 {
 		t.Fatalf("got %d series, want 3", len(ss))
 	}
@@ -317,11 +317,11 @@ func TestWriteCSVDir(t *testing.T) {
 }
 
 func TestSlug(t *testing.T) {
-	if got := Slug("cifar10(#2)/fedat acc=1"); got != "cifar10__2__fedat_acc_1" {
+	if got := slug("cifar10(#2)/fedat acc=1"); got != "cifar10__2__fedat_acc_1" {
 		t.Fatalf("Slug = %q", got)
 	}
 	long := strings.Repeat("x", 200)
-	if len(Slug(long)) != 80 {
-		t.Fatalf("Slug did not truncate: %d", len(Slug(long)))
+	if len(slug(long)) != 80 {
+		t.Fatalf("Slug did not truncate: %d", len(slug(long)))
 	}
 }

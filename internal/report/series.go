@@ -2,12 +2,12 @@ package report
 
 import "repro/internal/metrics"
 
-// SeriesFromRun converts a run record into the standard machine-readable
+// seriesFromRun converts a run record into the standard machine-readable
 // timelines the paper's figures are built from: accuracy vs virtual time,
 // loss vs virtual time, and accuracy vs cumulative uploaded bytes. Every
 // experiment's JSON/CSV output derives its curves through this one
 // conversion instead of re-deriving them per experiment.
-func SeriesFromRun(name string, run *metrics.Run) []Series {
+func seriesFromRun(name string, run *metrics.Run) []Series {
 	acc := Series{Name: name + "/acc_vs_time", X: "time_s", Y: "acc"}
 	loss := Series{Name: name + "/loss_vs_time", X: "time_s", Y: "loss"}
 	bytes := Series{Name: name + "/acc_vs_up_bytes", X: "up_bytes", Y: "acc"}

@@ -5,11 +5,11 @@ import (
 	"strings"
 )
 
-// Text renders the human-readable report. Each artifact contributes its
+// text renders the human-readable report. Each artifact contributes its
 // own self-contained block (data-only artifacts contribute nothing), so
 // rendering is a pure concatenation — no newline patch-ups — and calling
 // it repeatedly yields identical bytes.
-func Text(r *Report) string {
+func text(r *Report) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# %s — %s\n\n", r.ID, r.Title)
 	for _, a := range r.Artifacts {
@@ -19,4 +19,4 @@ func Text(r *Report) string {
 }
 
 // String makes a Report print as its text rendering.
-func (r *Report) String() string { return Text(r) }
+func (r *Report) String() string { return text(r) }

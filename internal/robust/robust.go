@@ -5,7 +5,7 @@
 // differential-privacy stage. The fl engine wires these pieces into both
 // execution fabrics: simulated clients apply attacks selected by
 // simnet.BehaviorConfig, live transport clients apply the same transforms
-// from flags or server directives, and the robust fl.UpdateRules fold with
+// from flags or server directives, and the robust update rules in fl fold with
 // the kernels below.
 //
 // Everything here is deterministic and allocation-disciplined: attack and
@@ -26,29 +26,29 @@ import (
 type Kind uint8
 
 const (
-	// None is the zero value: an honest client.
-	None Kind = iota
-	// LabelFlip trains on flipped labels y -> (classes-1)-y, the classic
+	// none is the zero value: an honest client.
+	none Kind = iota
+	// labelFlip trains on flipped labels y -> (classes-1)-y, the classic
 	// data-poisoning baseline.
-	LabelFlip
-	// ScaleUpdate returns global + Scale*(w-global): the model-poisoning
+	labelFlip
+	// scaleUpdate returns global + Scale*(w-global): the model-poisoning
 	// attack that multiplies the local delta by a factor.
-	ScaleUpdate
-	// FreeRide returns the stale global unchanged (a zero delta): the
+	scaleUpdate
+	// freeRide returns the stale global unchanged (a zero delta): the
 	// client takes the model and contributes nothing.
-	FreeRide
+	freeRide
 )
 
 // String returns the flag-level name of the kind.
 func (k Kind) String() string {
 	switch k {
-	case None:
+	case none:
 		return "none"
-	case LabelFlip:
+	case labelFlip:
 		return "labelflip"
-	case ScaleUpdate:
+	case scaleUpdate:
 		return "scale"
-	case FreeRide:
+	case freeRide:
 		return "freeride"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
@@ -58,58 +58,58 @@ func (k Kind) String() string {
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "", "none":
-		return None, nil
+		return none, nil
 	case "labelflip":
-		return LabelFlip, nil
+		return labelFlip, nil
 	case "scale":
-		return ScaleUpdate, nil
+		return scaleUpdate, nil
 	case "freeride":
-		return FreeRide, nil
+		return freeRide, nil
 	}
-	return None, fmt.Errorf("robust: unknown attack %q (have labelflip, scale, freeride)", s)
+	return none, fmt.Errorf("robust: unknown attack %q (have labelflip, scale, freeride)", s)
 }
 
-// DefaultScale is the delta multiplier ScaleUpdate uses when none is
+// defaultScale is the delta multiplier scaleUpdate uses when none is
 // configured — large enough to visibly poison a mean but trivially clipped
 // by the robust folds.
-const DefaultScale = 10.0
+const defaultScale = 10.0
 
 // Attack is one client's malicious behavior. The zero value is honest.
 type Attack struct {
 	Kind Kind
-	// Scale is ScaleUpdate's delta multiplier (DefaultScale when 0).
+	// Scale is scaleUpdate's delta multiplier (defaultScale when 0).
 	Scale float64
-	// Classes is the label-space size LabelFlip mirrors within.
+	// Classes is the label-space size labelFlip mirrors within.
 	Classes int
 }
 
 // Active reports whether the client behaves maliciously.
-func (a Attack) Active() bool { return a.Kind != None }
+func (a Attack) Active() bool { return a.Kind != none }
 
-// FlipLabel returns the poisoned label for y under LabelFlip (y itself for
+// FlipLabel returns the poisoned label for y under labelFlip (y itself for
 // every other kind, so callers can apply it unconditionally).
 func (a Attack) FlipLabel(y int) int {
-	if a.Kind != LabelFlip || a.Classes < 2 {
+	if a.Kind != labelFlip || a.Classes < 2 {
 		return y
 	}
 	return a.Classes - 1 - y
 }
 
 // ApplyDelta rewrites the trained weights w in place according to the
-// attack, with global the snapshot the client trained from: ScaleUpdate
-// multiplies the local delta, FreeRide zeroes it. LabelFlip (and None)
+// attack, with global the snapshot the client trained from: scaleUpdate
+// multiplies the local delta, freeRide zeroes it. labelFlip (and none)
 // leave w alone — the poison already happened during training.
 func (a Attack) ApplyDelta(w, global []float64) {
 	switch a.Kind {
-	case ScaleUpdate:
+	case scaleUpdate:
 		s := a.Scale
 		if s == 0 {
-			s = DefaultScale
+			s = defaultScale
 		}
 		for i := range w {
 			w[i] = global[i] + s*(w[i]-global[i])
 		}
-	case FreeRide:
+	case freeRide:
 		copy(w, global)
 	}
 }

@@ -134,31 +134,31 @@ func TestFoldAllocFree(t *testing.T) {
 }
 
 func TestAttackTransforms(t *testing.T) {
-	flip := Attack{Kind: LabelFlip, Classes: 10}
+	flip := Attack{Kind: labelFlip, Classes: 10}
 	if got := flip.FlipLabel(3); got != 6 {
 		t.Fatalf("flip(3) = %d, want 6", got)
 	}
-	if got := (Attack{Kind: ScaleUpdate, Classes: 10}).FlipLabel(3); got != 3 {
+	if got := (Attack{Kind: scaleUpdate, Classes: 10}).FlipLabel(3); got != 3 {
 		t.Fatalf("non-flip attacks must leave labels alone, got %d", got)
 	}
 
 	global := []float64{1, 2}
 	w := []float64{1.5, 1.0}
-	Attack{Kind: ScaleUpdate, Scale: 10}.ApplyDelta(w, global)
+	Attack{Kind: scaleUpdate, Scale: 10}.ApplyDelta(w, global)
 	if w[0] != 6 || w[1] != -8 {
 		t.Fatalf("scale delta = %v, want [6 -8]", w)
 	}
 	w = []float64{1.5, 1.0}
-	Attack{Kind: ScaleUpdate}.ApplyDelta(w, global) // DefaultScale
+	Attack{Kind: scaleUpdate}.ApplyDelta(w, global) // defaultScale
 	if w[0] != 6 || w[1] != -8 {
 		t.Fatalf("default scale delta = %v, want [6 -8]", w)
 	}
-	Attack{Kind: FreeRide}.ApplyDelta(w, global)
+	Attack{Kind: freeRide}.ApplyDelta(w, global)
 	if w[0] != 1 || w[1] != 2 {
 		t.Fatalf("freeride = %v, want the global back", w)
 	}
 	w = []float64{9, 9}
-	Attack{Kind: None}.ApplyDelta(w, global)
+	Attack{Kind: none}.ApplyDelta(w, global)
 	if w[0] != 9 || w[1] != 9 {
 		t.Fatalf("honest ApplyDelta must be a no-op, got %v", w)
 	}
@@ -166,8 +166,8 @@ func TestAttackTransforms(t *testing.T) {
 
 func TestParseKind(t *testing.T) {
 	for s, want := range map[string]Kind{
-		"": None, "none": None, "labelflip": LabelFlip,
-		"scale": ScaleUpdate, "freeride": FreeRide,
+		"": none, "none": none, "labelflip": labelFlip,
+		"scale": scaleUpdate, "freeride": freeRide,
 	} {
 		got, err := ParseKind(s)
 		if err != nil || got != want {

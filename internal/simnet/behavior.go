@@ -47,7 +47,7 @@ type BehaviorConfig struct {
 	AttackFrac float64
 	AttackKind string
 	// AttackScale is the delta multiplier for the "scale" attack
-	// (robust.DefaultScale when 0).
+	// (robust's default multiplier when 0).
 	AttackScale float64
 	// AttackTail makes the attacker population latency-correlated instead
 	// of uniform: attackers are the AttackFrac·n clients with the largest

@@ -3,8 +3,6 @@ package simnet
 import (
 	"math"
 	"testing"
-
-	"repro/internal/robust"
 )
 
 // SpeedMultiplier reports the drift multiplier in effect at time t (1 for
@@ -47,7 +45,7 @@ func TestBehaviorDisabledIsStatic(t *testing.T) {
 			}
 			want := at
 			if at >= c.DropAt {
-				want = Inf
+				want = inf
 			}
 			if got := c.NextOnline(at); got != want {
 				t.Fatalf("client %d: NextOnline(%v)=%v, want %v", c.ID, at, got, want)
@@ -197,7 +195,7 @@ func TestAttackSelection(t *testing.T) {
 		}
 		if a[i].Attack.Active() {
 			attackers = append(attackers, i)
-			if a[i].Attack.Kind != robust.ScaleUpdate || a[i].Attack.Scale != 5 {
+			if a[i].Attack.Kind.String() != "scale" || a[i].Attack.Scale != 5 {
 				t.Fatalf("client %d attack = %+v", i, a[i].Attack)
 			}
 		}

@@ -114,13 +114,10 @@ type ClusterConfig struct {
 	Seed     uint64
 }
 
-// Cluster and NewCluster are Population's names from when a population
-// was built eagerly, one runtime per client. Only the benchmark harness
-// still spells them.
-type Cluster = Population
-
-// NewCluster is NewPopulation.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return NewPopulation(cfg) }
+// NewCluster is NewPopulation under its name from when a population was
+// built eagerly, one runtime per client. Only the benchmark harness still
+// spells it.
+func NewCluster(cfg ClusterConfig) (*Population, error) { return NewPopulation(cfg) }
 
 func evenSplit(n, parts int) []int {
 	out := make([]int, parts)

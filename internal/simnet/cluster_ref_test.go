@@ -63,7 +63,7 @@ func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 				SecPerBatch: secPerBatch * speed,
 				UpBW:        cfg.UpBW,
 				DownBW:      cfg.DownBW,
-				DropAt:      Inf,
+				DropAt:      inf,
 				delayRNG:    *dr,
 				delayRNG0:   *dr,
 			}

@@ -193,7 +193,7 @@ func (p *Population) DropTime(id int) float64 {
 	if k, ok := slices.BinarySearch(p.drops.ids, int32(id)); ok {
 		return p.drops.times[k]
 	}
-	return Inf
+	return inf
 }
 
 // dropTable holds the unstable clients' ids and drop times, index for index;
@@ -257,7 +257,7 @@ func (p *Population) NextOnline(id int, t float64) float64 {
 		}
 	}
 	if t >= p.DropTime(id) {
-		return Inf
+		return inf
 	}
 	return t
 }

@@ -16,7 +16,7 @@ func (c *ClientRuntime) NextOnline(t float64) float64 {
 		t = c.churn.NextOnline(t)
 	}
 	if t >= c.DropAt {
-		return Inf
+		return inf
 	}
 	return t
 }

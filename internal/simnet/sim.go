@@ -139,5 +139,5 @@ func (l *Link) Reservations() int { return len(l.busy) }
 // Reset clears all reservations (used between experiment repetitions).
 func (l *Link) Reset() { l.busy = nil }
 
-// Inf is the canonical "never" timestamp for drop times.
-var Inf = math.Inf(1)
+// inf is the canonical "never" timestamp for drop times.
+var inf = math.Inf(1)

@@ -69,11 +69,11 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 
 	ax := NewMat(rows, cols)
 	Im2Col(x, channels, h, w, kh, kw, stride, pad, ax)
-	lhs := Dot(ax.Data, y.Data)
+	lhs := dot(ax.Data, y.Data)
 
 	aty := make([]float64, channels*h*w)
 	Col2Im(y, channels, h, w, kh, kw, stride, pad, aty)
-	rhs := Dot(x, aty)
+	rhs := dot(x, aty)
 
 	if !almostEq(lhs, rhs, 1e-9) {
 		t.Fatalf("adjoint identity violated: %v vs %v", lhs, rhs)

@@ -229,7 +229,7 @@ func mulTransB(op string, dst, a, b *Mat, acc bool) {
 //
 // Four output columns are produced per pass with four independent
 // accumulators — one per dot product, each fed in plain index order, so
-// every out_j sees exactly the summation sequence of a naive Dot. The
+// every out_j sees exactly the summation sequence of a naive dot. The
 // interleave exists for instruction-level parallelism: a single dot's adds
 // form one dependency chain, four chains keep the FP adder busy.
 func mulTransBRowGo(dst, a, b *Mat, i int, acc bool) {
@@ -262,7 +262,7 @@ func mulTransBRowGo(dst, a, b *Mat, i int, acc bool) {
 		put(j+3, s3)
 	}
 	for ; j < b.R; j++ {
-		put(j, Dot(arow, b.Row(j)))
+		put(j, dot(arow, b.Row(j)))
 	}
 }
 

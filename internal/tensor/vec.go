@@ -16,10 +16,7 @@
 // bounds checks where the compiler can prove ranges.
 package tensor
 
-import (
-	"math"
-	"unsafe"
-)
+import "unsafe"
 
 // The element-wise kernels below are unrolled 4-wide with the length
 // equality hoisted into a reslice, which lets the compiler drop the
@@ -60,10 +57,10 @@ func overlaps(x, y []float64) bool {
 	return xs < ys+uintptr(len(y))*8 && ys < xs+uintptr(len(x))*8
 }
 
-// Dot returns the inner product of x and y. The unroll keeps a single
+// dot returns the inner product of x and y. The unroll keeps a single
 // accumulator with strictly sequential adds — the exact summation order of
 // the naive loop.
-func Dot(x, y []float64) float64 {
+func dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic("tensor: Dot length mismatch")
 	}
@@ -167,8 +164,8 @@ func Sum(x []float64) float64 {
 	return s
 }
 
-// Max returns the maximum element of x and its index. It panics on empty x.
-func Max(x []float64) (float64, int) {
+// maxOf returns the maximum element of x and its index. It panics on empty x.
+func maxOf(x []float64) (float64, int) {
 	if len(x) == 0 {
 		panic("tensor: Max of empty slice")
 	}
@@ -183,7 +180,7 @@ func Max(x []float64) (float64, int) {
 
 // ArgMax returns the index of the maximum element of x.
 func ArgMax(x []float64) int {
-	_, i := Max(x)
+	_, i := maxOf(x)
 	return i
 }
 
@@ -229,10 +226,10 @@ func Softmax(logits, out []float64) {
 	if len(logits) != len(out) {
 		panic("tensor: Softmax length mismatch")
 	}
-	m, _ := Max(logits)
+	m, _ := maxOf(logits)
 	sum := 0.0
 	for i, v := range logits {
-		e := math.Exp(v - m)
+		e := Exp(v - m)
 		out[i] = e
 		sum += e
 	}

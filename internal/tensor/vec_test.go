@@ -30,7 +30,7 @@ func TestAxpyMismatchPanics(t *testing.T) {
 }
 
 func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
+	if got := dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
 }
@@ -59,7 +59,7 @@ func TestNorm2SqDist(t *testing.T) {
 }
 
 func TestMaxArgMax(t *testing.T) {
-	v, i := Max([]float64{1, 9, 3, 9})
+	v, i := maxOf([]float64{1, 9, 3, 9})
 	if v != 9 || i != 1 {
 		t.Fatalf("Max = (%v,%d)", v, i)
 	}

@@ -82,12 +82,12 @@ func RunClient(cfg ClientConfig) error {
 	}
 	defer conn.Close()
 
-	reg := Register{
+	reg := register{
 		ClientID:      cfg.ID,
 		NumSamples:    uint32(cfg.Data.NumTrain()),
 		LatencyHintMs: cfg.LatencyHintMs,
 	}
-	if err := WriteFrame(conn, MsgRegister, reg.Marshal()); err != nil {
+	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
 		return err
 	}
 
@@ -106,7 +106,7 @@ func RunClient(cfg ClientConfig) error {
 			return fmt.Errorf("transport: client %d read: %w", cfg.ID, err)
 		}
 		switch typ {
-		case MsgShutdown:
+		case msgShutdown:
 			frames.Put(payload)
 			cfg.Logf("client %d: shutdown", cfg.ID)
 			return nil
@@ -141,7 +141,7 @@ type client struct {
 
 // receive parses a push payload and decodes its model into c.global.
 func (c *client) receive(payload []byte) (PushSpec, error) {
-	spec, modelMsg, err := ParseModelPush(payload)
+	spec, modelMsg, err := parseModelPush(payload)
 	if err != nil {
 		return spec, err
 	}

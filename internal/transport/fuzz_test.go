@@ -24,15 +24,15 @@ var payloadDecoders = []struct {
 	typ       byte
 	remarshal func(p []byte) ([]byte, error)
 }{
-	{"register", MsgRegister, func(p []byte) ([]byte, error) {
-		r, err := ParseRegister(p)
+	{"register", msgRegister, func(p []byte) ([]byte, error) {
+		r, err := parseRegister(p)
 		if err != nil {
 			return nil, err
 		}
 		return r.Marshal(), nil
 	}},
 	{"model push", MsgModelPush, func(p []byte) ([]byte, error) {
-		spec, model, err := ParseModelPush(p)
+		spec, model, err := parseModelPush(p)
 		if err != nil {
 			return nil, err
 		}
@@ -67,10 +67,10 @@ func seedFrames(tb testing.TB) [][]byte {
 		typ     byte
 		payload []byte
 	}{
-		{MsgRegister, Register{ClientID: 7, NumSamples: 123, LatencyHintMs: 4500}.Marshal()},
+		{msgRegister, register{ClientID: 7, NumSamples: 123, LatencyHintMs: 4500}.Marshal()},
 		{MsgModelPush, ModelPush(PushSpec{Round: 9, Epochs: 2, Batch: 8, Lambda: 0.4, Attack: 1, AttackScale: -4, LRScale: 0.5}, model)},
 		{MsgModelUpdate, ModelUpdate(3, 50, 9, model)},
-		{MsgShutdown, nil},
+		{msgShutdown, nil},
 	} {
 		var b bytes.Buffer
 		if err := WriteFrame(&b, msg.typ, msg.payload); err != nil {

@@ -196,8 +196,8 @@ func dialScriptedEdge(t *testing.T, addr string, id int, w0 []float64) *scripted
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := Register{ClientID: uint32(id), NumSamples: 1}
-	if err := WriteFrame(conn, MsgRegister, reg.Marshal()); err != nil {
+	reg := register{ClientID: uint32(id), NumSamples: 1}
+	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
 		t.Fatal(err)
 	}
 	se := &scriptedEdge{
@@ -218,7 +218,7 @@ func dialScriptedEdge(t *testing.T, addr string, id int, w0 []float64) *scripted
 			switch typ {
 			case MsgModelPush:
 				se.adoptions++
-			case MsgShutdown:
+			case msgShutdown:
 				se.shutdown = true
 			}
 			se.mu.Unlock()

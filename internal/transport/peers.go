@@ -9,7 +9,7 @@ import (
 )
 
 // registerTimeout bounds how long a fresh connection may take to send its
-// Register. Registration is serial, so without it one connection that
+// register. Registration is serial, so without it one connection that
 // opens and says nothing (a port scanner, a half-open socket) would hold
 // every peer queued behind it — and the run — forever.
 const registerTimeout = 3 * time.Second
@@ -42,12 +42,12 @@ func newPeers(ln net.Listener, want int, role, kind string, logf func(string, ..
 
 // accept blocks until want distinct peers have registered, calling
 // onRegister (may be nil) for each under the registry lock. Connections
-// that never send a valid Register — port scanners, protocol mismatches,
+// that never send a valid register — port scanners, protocol mismatches,
 // peers silent past registerTimeout — are closed and skipped. A well-formed
 // registration with a bad id means the fleet is misconfigured (two peers
 // sharing an id, or an id outside 0..want-1): that fails fast instead of
 // waiting forever for a distinct id that will never arrive.
-func (p *peers) accept(onRegister func(Register)) error {
+func (p *peers) accept(onRegister func(register)) error {
 	for {
 		n := p.count()
 		if n >= p.want {

@@ -28,9 +28,9 @@ import (
 
 // Message types.
 const (
-	// MsgRegister (client→server): clientID u32, numSamples u32,
+	// msgRegister (client→server): clientID u32, numSamples u32,
 	// latencyHintMs u32.
-	MsgRegister byte = iota + 1
+	msgRegister byte = iota + 1
 	// MsgModelPush (server→client): a PushSpec header (round, epochs,
 	// batch, lambda, attack directive, DP stage, LR scale) followed by the
 	// model message. The local-training settings ride with the push because
@@ -41,8 +41,8 @@ const (
 	// MsgModelUpdate (client→server): clientID u32, numSamples u32,
 	// round u64, model message.
 	MsgModelUpdate
-	// MsgShutdown (server→client): empty payload; the client exits.
-	MsgShutdown
+	// msgShutdown (server→client): empty payload; the client exits.
+	msgShutdown
 )
 
 // maxFrame bounds a frame on a connection whose model is not known; an
@@ -136,18 +136,18 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	return readFrame(r, &hdr, maxFrame)
 }
 
-// Register is the client hello.
-type Register struct {
+// register is the client hello.
+type register struct {
 	ClientID      uint32
 	NumSamples    uint32
 	LatencyHintMs uint32
 }
 
-// registerLen is the fixed Register payload.
+// registerLen is the fixed register payload.
 const registerLen = 12
 
 // Marshal encodes the register payload.
-func (m Register) Marshal() []byte {
+func (m register) Marshal() []byte {
 	out := make([]byte, registerLen)
 	binary.LittleEndian.PutUint32(out[0:], m.ClientID)
 	binary.LittleEndian.PutUint32(out[4:], m.NumSamples)
@@ -155,12 +155,12 @@ func (m Register) Marshal() []byte {
 	return out
 }
 
-// ParseRegister decodes a register payload.
-func ParseRegister(p []byte) (Register, error) {
+// parseRegister decodes a register payload.
+func parseRegister(p []byte) (register, error) {
 	if len(p) != registerLen {
-		return Register{}, fmt.Errorf("transport: register payload %d bytes, want %d", len(p), registerLen)
+		return register{}, fmt.Errorf("transport: register payload %d bytes, want %d", len(p), registerLen)
 	}
-	return Register{
+	return register{
 		ClientID:      binary.LittleEndian.Uint32(p[0:]),
 		NumSamples:    binary.LittleEndian.Uint32(p[4:]),
 		LatencyHintMs: binary.LittleEndian.Uint32(p[8:]),
@@ -224,8 +224,8 @@ func ModelPush(spec PushSpec, model []byte) []byte {
 	return append(out, model...)
 }
 
-// ParseModelPush splits a push payload.
-func ParseModelPush(p []byte) (spec PushSpec, model []byte, err error) {
+// parseModelPush splits a push payload.
+func parseModelPush(p []byte) (spec PushSpec, model []byte, err error) {
 	if len(p) < pushHeaderLen {
 		return PushSpec{}, nil, fmt.Errorf("transport: model push payload too short")
 	}

@@ -13,6 +13,17 @@ import (
 	"repro/internal/simnet"
 )
 
+// attackOf is the attack of the kind robust.ParseKind names kind, at the
+// default scale; robust's own tests pin each name to its kind.
+func attackOf(t *testing.T, kind string) robust.Attack {
+	t.Helper()
+	k, err := robust.ParseKind(kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return robust.Attack{Kind: k}
+}
+
 // runLiveRobust deploys a method over loopback TCP under a server-side
 // attack regime. All clients are honest unless the server's push directs
 // otherwise.
@@ -113,7 +124,7 @@ func TestLiveAttackAndDPMatchSimulated(t *testing.T) {
 
 	// Live run: the server marks the attacker subset per push.
 	_, liveFinal := lf.runLiveRobust(t, fl.Methods["fedavg"], cfg,
-		robust.Attack{Kind: robust.LabelFlip}, 0.5)
+		attackOf(t, "labelflip"), 0.5)
 
 	if len(simFinal) == 0 || len(simFinal) != len(liveFinal) {
 		t.Fatalf("weight vectors missing or mismatched: sim=%d live=%d", len(simFinal), len(liveFinal))
@@ -139,7 +150,7 @@ func TestLiveRobustFoldOverLoopback(t *testing.T) {
 	cfg := liveCfg(17)
 	cfg.Rounds = 3
 	cfg.ClientsPerRound = 4
-	run, final := lf.runLiveRobust(t, m, cfg, robust.Attack{Kind: robust.ScaleUpdate}, 0.34)
+	run, final := lf.runLiveRobust(t, m, cfg, attackOf(t, "scale"), 0.34)
 	if run.GlobalRounds < cfg.Rounds {
 		t.Fatalf("only %d global rounds completed", run.GlobalRounds)
 	}

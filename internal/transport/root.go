@@ -80,7 +80,7 @@ func (r *RootServer) now() float64 { return time.Since(r.start).Seconds() }
 func (r *RootServer) Run() (*metrics.Run, []float64, error) {
 	defer r.ln.Close()
 	r.start = time.Now()
-	err := r.accept(func(reg Register) {
+	err := r.accept(func(reg register) {
 		r.cfg.Logf("fed root: edge %d registered (%d clients)", reg.ClientID, reg.NumSamples)
 	})
 	if err != nil {

@@ -74,7 +74,7 @@ type Server struct {
 	codec codec.Codec
 
 	fab  *liveFabric
-	regs []Register // by client id; survives disconnects
+	regs []register // by client id; survives disconnects
 
 	// limit is the longest frame a registered client may announce (see
 	// frameLimit).
@@ -86,7 +86,7 @@ type Server struct {
 }
 
 type clientConn struct {
-	reg  Register
+	reg  register
 	conn net.Conn
 	wmu  sync.Mutex
 	// rhdr is readFrame's header scratch; a connection has one reader at a
@@ -111,23 +111,23 @@ func (cc *clientConn) send(frame []byte) error {
 // sendShutdown writes the empty shutdown frame.
 func (cc *clientConn) sendShutdown() error {
 	var frame [frameHeaderLen]byte
-	return cc.send(beginFrame(frame[:0], MsgShutdown))
+	return cc.send(beginFrame(frame[:0], msgShutdown))
 }
 
 // readRegister reads and parses the hello a fresh connection must open
-// with; anything else — including a frame longer than a Register — is an
+// with; anything else — including a frame longer than a register — is an
 // error.
-func readRegister(conn net.Conn) (Register, error) {
+func readRegister(conn net.Conn) (register, error) {
 	var hdr [frameHeaderLen]byte
 	typ, payload, err := readFrame(conn, &hdr, registerLimit)
 	if err != nil {
-		return Register{}, err
+		return register{}, err
 	}
 	defer frames.Put(payload)
-	if typ != MsgRegister {
-		return Register{}, fmt.Errorf("transport: message type %d before registration", typ)
+	if typ != msgRegister {
+		return register{}, fmt.Errorf("transport: message type %d before registration", typ)
 	}
-	return ParseRegister(payload)
+	return parseRegister(payload)
 }
 
 // NewServer binds the listener; call Run to serve.
@@ -179,7 +179,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		peers:     newPeers(ln, cfg.NumClients, "server", "client", cfg.Logf),
 		cfg:       cfg,
 		codec:     cfg.Run.Codec,
-		regs:      make([]Register, cfg.NumClients),
+		regs:      make([]register, cfg.NumClients),
 		limit:     frameLimit(cfg.Shapes),
 		attackers: attackers,
 	}, nil
@@ -194,7 +194,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // returns the run record and the final global model.
 func (s *Server) Run() (*metrics.Run, []float64, error) {
 	defer s.ln.Close()
-	err := s.accept(func(reg Register) {
+	err := s.accept(func(reg register) {
 		s.regs[reg.ClientID] = reg
 		s.cfg.Logf("fed server: client %d registered (%d samples, %dms hint)", reg.ClientID, reg.NumSamples, reg.LatencyHintMs)
 	})

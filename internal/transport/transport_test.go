@@ -38,18 +38,18 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, MsgShutdown, nil); err != nil {
+	if err := WriteFrame(&buf, msgShutdown, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := ReadFrame(&buf)
-	if err != nil || typ != MsgShutdown || len(got) != 0 {
+	if err != nil || typ != msgShutdown || len(got) != 0 {
 		t.Fatalf("empty frame: %v %d %v", err, typ, got)
 	}
 }
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, MsgRegister, []byte{1, 2, 3})
+	WriteFrame(&buf, msgRegister, []byte{1, 2, 3})
 	data := buf.Bytes()[:buf.Len()-2]
 	if _, _, err := ReadFrame(bytes.NewReader(data)); err == nil {
 		t.Fatal("truncated frame accepted")
@@ -57,15 +57,15 @@ func TestReadFrameTruncated(t *testing.T) {
 }
 
 func TestRegisterRoundTrip(t *testing.T) {
-	r := Register{ClientID: 7, NumSamples: 123, LatencyHintMs: 4500}
-	got, err := ParseRegister(r.Marshal())
+	r := register{ClientID: 7, NumSamples: 123, LatencyHintMs: 4500}
+	got, err := parseRegister(r.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != r {
 		t.Fatalf("register corrupted: %+v", got)
 	}
-	if _, err := ParseRegister([]byte{1, 2}); err == nil {
+	if _, err := parseRegister([]byte{1, 2}); err == nil {
 		t.Fatal("short register accepted")
 	}
 }
@@ -73,7 +73,7 @@ func TestRegisterRoundTrip(t *testing.T) {
 func TestModelMessagesRoundTrip(t *testing.T) {
 	model := []byte("model-bytes")
 	spec := PushSpec{Round: 42, Epochs: 3, Batch: 10, Lambda: 0.4, LRScale: 0.75}
-	gotSpec, m, err := ParseModelPush(ModelPush(spec, model))
+	gotSpec, m, err := parseModelPush(ModelPush(spec, model))
 	if err != nil || gotSpec != spec || string(m) != string(model) {
 		t.Fatalf("push corrupted: %v %+v %q", err, gotSpec, m)
 	}
@@ -81,7 +81,7 @@ func TestModelMessagesRoundTrip(t *testing.T) {
 	if err != nil || cid != 3 || n != 99 || rd != 42 || string(m2) != string(model) {
 		t.Fatalf("update corrupted: %v %d %d %d %q", err, cid, n, rd, m2)
 	}
-	if _, _, err := ParseModelPush([]byte{1}); err == nil {
+	if _, _, err := parseModelPush([]byte{1}); err == nil {
 		t.Fatal("short push accepted")
 	}
 	if _, _, _, _, err := ParseModelUpdate([]byte{1, 2, 3}); err == nil {
@@ -395,7 +395,7 @@ func TestAdaptiveLRScaleOverTCP(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
 	typ, _, err := ReadFrame(conn)
-	if err != nil || typ != MsgRegister {
+	if err != nil || typ != msgRegister {
 		t.Fatalf("expected register, got type %d err %v", typ, err)
 	}
 
@@ -426,7 +426,7 @@ func TestAdaptiveLRScaleOverTCP(t *testing.T) {
 	}
 
 	wire := push(0.6)
-	if err := WriteFrame(conn, MsgShutdown, nil); err != nil {
+	if err := WriteFrame(conn, msgShutdown, nil); err != nil {
 		t.Fatal(err)
 	}
 	if cerr := <-clientDone; cerr != nil {
@@ -484,7 +484,7 @@ func TestClientRejectsBatchZeroPush(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	if typ, _, err := ReadFrame(conn); err != nil || typ != MsgRegister {
+	if typ, _, err := ReadFrame(conn); err != nil || typ != msgRegister {
 		t.Fatalf("expected register, got type %d err %v", typ, err)
 	}
 	msg, err := codec.MarshalModel(codec.Raw{}, lf.shapes, lf.factory(seed).WeightsCopy())
@@ -517,8 +517,8 @@ func flakyClient(t *testing.T, addr string, id uint32, respond func(conn net.Con
 		return
 	}
 	defer conn.Close()
-	reg := Register{ClientID: id, NumSamples: 50, LatencyHintMs: 10}
-	if err := WriteFrame(conn, MsgRegister, reg.Marshal()); err != nil {
+	reg := register{ClientID: id, NumSamples: 50, LatencyHintMs: 10}
+	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
 		t.Errorf("flaky client register: %v", err)
 		return
 	}
@@ -598,7 +598,7 @@ func TestClientDisconnectMidRound(t *testing.T) {
 // the remaining updates.
 func TestDecodeErrorOnPush(t *testing.T) {
 	runWithFlaky(t, func(conn net.Conn, payload []byte) {
-		spec, _, err := ParseModelPush(payload)
+		spec, _, err := parseModelPush(payload)
 		if err != nil {
 			return
 		}
@@ -631,7 +631,7 @@ func TestUpdateInAnotherCodecDropsClient(t *testing.T) {
 				}
 			})
 			runWithFlaky(t, func(conn net.Conn, payload []byte) {
-				spec, pushed, err := ParseModelPush(payload)
+				spec, pushed, err := parseModelPush(payload)
 				if err != nil {
 					return
 				}
@@ -726,7 +726,7 @@ func TestSilentPeerTimesOut(t *testing.T) {
 }
 
 // TestSilentRegistrantDoesNotStallFleet: a peer that connects ahead of the
-// fleet and never sends its Register holds the serial accept loop only for
+// fleet and never sends its register holds the serial accept loop only for
 // registerTimeout; it is then closed, and the real clients queued behind it
 // register and finish the run.
 func TestSilentRegistrantDoesNotStallFleet(t *testing.T) {
@@ -816,8 +816,8 @@ func TestDuplicateClientIDFailsFast(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		reg := Register{ClientID: 0, NumSamples: 10, LatencyHintMs: 10} // same id twice
-		if err := WriteFrame(conn, MsgRegister, reg.Marshal()); err != nil {
+		reg := register{ClientID: 0, NumSamples: 10, LatencyHintMs: 10} // same id twice
+		if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -1034,7 +1034,7 @@ func TestLiveRetierFromMeasuredLatencies(t *testing.T) {
 	cfg.ClientsPerRound = 3
 	cfg.RetierEvery = 2
 
-	var retiers, migrations int
+	var rec fl.Recorder // tallies the retier passes and their migrations
 	srv, err := NewServer(ServerConfig{
 		Addr:       "127.0.0.1:0",
 		NumClients: lf.n,
@@ -1043,12 +1043,7 @@ func TestLiveRetierFromMeasuredLatencies(t *testing.T) {
 		Shapes:     lf.shapes,
 		W0:         lf.factory(cfg.Seed).WeightsCopy(),
 		Dataset:    lf.fed.Name,
-		Observers: []fl.Observer{fl.ObserverFunc(func(ev fl.Event) {
-			if e, ok := ev.(fl.RetierEvent); ok {
-				retiers++
-				migrations += e.Migrations
-			}
-		})},
+		Observers:  []fl.Observer{&rec},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -1095,10 +1090,10 @@ func TestLiveRetierFromMeasuredLatencies(t *testing.T) {
 			t.Fatalf("client %d error: %v", i, cerr)
 		}
 	}
-	if retiers == 0 {
+	if rec.Retiers == 0 {
 		t.Fatal("no retier pass fired on the live fabric")
 	}
-	if migrations == 0 {
+	if rec.TierMigrations == 0 {
 		t.Fatal("measured latencies never overturned the inverted hints")
 	}
 }

@@ -77,8 +77,8 @@ func DialUplink(cfg UplinkConfig) (*EdgeUplink, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := Register{ClientID: uint32(cfg.EdgeID), NumSamples: uint32(cfg.NumClients)}
-	if err := WriteFrame(conn, MsgRegister, reg.Marshal()); err != nil {
+	reg := register{ClientID: uint32(cfg.EdgeID), NumSamples: uint32(cfg.NumClients)}
+	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -112,7 +112,7 @@ func (u *EdgeUplink) readLoop() {
 			return
 		}
 		switch typ {
-		case MsgShutdown:
+		case msgShutdown:
 			frames.Put(payload)
 			u.degrade("root completed its fold budget")
 			return
@@ -136,7 +136,7 @@ func (u *EdgeUplink) readLoop() {
 // they can arrive out of epoch order: one no newer than the mailbox's epoch
 // is dropped.
 func (u *EdgeUplink) receiveAdoption(payload []byte) error {
-	spec, modelMsg, err := ParseModelPush(payload)
+	spec, modelMsg, err := parseModelPush(payload)
 	if err != nil {
 		return fmt.Errorf("malformed adoption push: %w", err)
 	}

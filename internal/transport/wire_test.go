@@ -128,7 +128,7 @@ func TestOversizedAnnouncementDropsPeer(t *testing.T) {
 }
 
 // TestUnregisteredPeerCannotAnnounceLargeFrame: before registration the
-// only acceptable frame is a Register; a connection opening with a large
+// only acceptable frame is a register; a connection opening with a large
 // announcement is closed without the server reading (or buffering) on.
 func TestUnregisteredPeerCannotAnnounceLargeFrame(t *testing.T) {
 	lf := newLiveFederation(t, 1, 0, 41)
@@ -153,7 +153,7 @@ func TestUnregisteredPeerCannotAnnounceLargeFrame(t *testing.T) {
 	defer conn.Close()
 	var hdr [frameHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[:], 1<<20)
-	hdr[4] = MsgRegister
+	hdr[4] = msgRegister
 	if _, err := conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,11 @@ var lawAllow = map[string]string{
 	"internal/transport.ServerConfig.RoundTimeout": "deployment setting (5-minute default) that tests shorten",
 }
 
-// TestDeletionLaws enforces DESIGN.md §1h's two laws on every non-test Go
+// TestDeletionLaws enforces DESIGN.md §1h's three laws on every non-test Go
 // file of the module and of bench/: a declaration that no non-test file
-// references is deleted, and a field of a *Config struct that no non-test
-// code sets is a constant, not a knob.
+// references is deleted, a field of a *Config struct that no non-test code
+// sets is a constant, not a knob, and a top-level name under internal/
+// that no other package needs is not exported.
 func TestDeletionLaws(t *testing.T) {
 	findings, err := lawFindings(".", "repro", "internal", "cmd", "examples", "bench")
 	if err != nil {
@@ -41,19 +42,23 @@ func TestDeletionLaws(t *testing.T) {
 	}
 }
 
-// TestDeletionLawsFixture runs the gate on testdata/laws, a module of one
-// library and one main whose declarations are the cases the gate must tell
-// apart.
+// TestDeletionLawsFixture runs the gate on testdata/laws, a module of two
+// libraries and one main whose declarations are the cases the gate must
+// tell apart. p holds the deletion laws' cases; internal/e, under the
+// export law, holds its cases.
 func TestDeletionLawsFixture(t *testing.T) {
 	findings, err := lawFindings("testdata/laws", "fixture", ".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	const unexport = "exported, but no other package's non-test code uses it"
 	want := map[string]string{
 		"p.Square.Dead":         "no reference outside tests",
 		"p.(*Stack).Drop":       "no reference outside tests",
 		"p.FooConfig.Unset":     "a Config field no code outside tests sets",
 		"p.FooConfig.Defaulted": "a Config field no code outside tests sets",
+		"internal/e.OwnOnly":    unexport,
+		"internal/e.TestOnly":   unexport,
 	}
 	got := map[string]string{}
 	for name, f := range findings {
@@ -61,18 +66,27 @@ func TestDeletionLawsFixture(t *testing.T) {
 	}
 	// Not reported: Square.Area (called only through Shape), base.Perimeter
 	// (Labelled is implemented only by Tile, through embedding), Stack.Push
-	// (called on an instance) and armOnly (called only from p_arm64.go).
+	// (called on an instance), armOnly (called only from p_arm64.go), and
+	// p's exports, which sit outside internal/. Under the export law
+	// e.Run (called only from a main package), e.Result (named only in
+	// Run's result) and e.Sink (implemented only by cmd/app's bin).
 	if !maps.Equal(got, want) {
 		t.Errorf("findings %v, want %v", got, want)
 	}
 	msgs := lawGate(findings, map[string]string{
-		"p.Square.Dead":   "allowlisted",
-		"p.(*Stack).Drop": "allowlisted",
-		"p.Gone":          "names no finding",
+		"p.Square.Dead":       "allowlisted",
+		"p.(*Stack).Drop":     "allowlisted",
+		"internal/e.TestOnly": "allowlisted",
+		"p.Gone":              "names no finding",
+		"internal/e.Result":   "kept by Run's signature, so no finding",
 	})
-	if len(msgs) != 3 || !strings.HasPrefix(msgs[0], "p.FooConfig.Defaulted: ") ||
-		!strings.HasPrefix(msgs[1], "p.FooConfig.Unset: ") || !strings.HasPrefix(msgs[2], "p.Gone: ") {
-		t.Errorf("gate with a stale entry: got %q, want the two unset fields and the stale entry", msgs)
+	wantMsgs := []string{"internal/e.OwnOnly: ", "internal/e.Result: ", "p.FooConfig.Defaulted: ", "p.FooConfig.Unset: ", "p.Gone: "}
+	ok := len(msgs) == len(wantMsgs)
+	for i := 0; ok && i < len(msgs); i++ {
+		ok = strings.HasPrefix(msgs[i], wantMsgs[i])
+	}
+	if !ok {
+		t.Errorf("gate with stale entries: got %q, want one message each for %q", msgs, wantMsgs)
 	}
 }
 
@@ -138,18 +152,28 @@ type lawScan struct {
 	decls  map[token.Pos]lawDecl
 	used   map[token.Pos]bool
 	set    map[token.Pos]bool
+
+	// The export law's state: the exported package-level objects of
+	// packages under internal/, and which of them non-test code of another
+	// package names or a type of another package implements.
+	exports map[token.Pos]types.Object
+	kept    map[token.Pos]bool
 }
 
 // lawFindings type-checks the non-test files of every package under dirs
 // (relative to root, the directory of module) once per GOARCH in lawArches
 // and returns, keyed by qualified name, each declaration no non-test file
-// references and each *Config field no non-test code sets.
+// references, each *Config field no non-test code sets, and each exported
+// package-level declaration under internal/ that neither another package's
+// non-test code names, nor a kept export's signature names, nor another
+// package's type implements.
 func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, error) {
 	fset, std := lawStd()
 	s := &lawScan{
 		module: module, fset: fset, std: std,
 		dirs: map[string]string{}, files: map[string]*ast.File{},
 		decls: map[token.Pos]lawDecl{}, used: map[token.Pos]bool{}, set: map[token.Pos]bool{},
+		exports: map[token.Pos]types.Object{}, kept: map[token.Pos]bool{},
 	}
 	for _, d := range dirs {
 		err := filepath.WalkDir(filepath.Join(root, d), func(path string, e fs.DirEntry, err error) error {
@@ -194,7 +218,9 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 			}
 		}
 		p.markInterfaceMethods()
+		p.markImplemented()
 	}
+	s.keepSignatureTypes()
 	findings := map[string]lawFinding{}
 	for pos, d := range s.decls {
 		switch {
@@ -202,6 +228,8 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 			findings[d.name] = lawFinding{d.pkg, "no reference outside tests"}
 		case d.config && !s.set[pos]:
 			findings[d.name] = lawFinding{d.pkg, "a Config field no code outside tests sets"}
+		case s.exports[pos] != nil && !s.kept[pos]:
+			findings[d.name] = lawFinding{d.pkg, "exported, but no other package's non-test code uses it"}
 		}
 	}
 	return findings, nil
@@ -254,7 +282,14 @@ func (p *lawPass) Import(path string) (*types.Package, error) {
 	p.pkgs[path] = pkg
 	p.infos = append(p.infos, info)
 	p.declare(pkg, files, info)
-	p.reference(files, info)
+	p.reference(pkg, files, info)
+	if strings.HasPrefix(path, p.module+"/internal/") {
+		for _, name := range pkg.Scope().Names() {
+			if obj := pkg.Scope().Lookup(name); obj.Exported() {
+				p.exports[obj.Pos()] = obj
+			}
+		}
+	}
 	return pkg, nil
 }
 
@@ -322,14 +357,18 @@ func lawRecv(e ast.Expr) string {
 	return "?"
 }
 
-// reference records every object the files use and every field they set:
+// reference records every object the files use, which of them belong to
+// another package, and every field the files set:
 // a composite-literal element, an assignment, ++/-- or &x.f. An assignment
 // inside an if whose condition reads the same field is a default, not a
 // setter: `if c.N <= 0 { c.N = 10 }` leaves N a constant until some other
 // code sets it.
-func (p *lawPass) reference(files []*ast.File, info *types.Info) {
+func (p *lawPass) reference(pkg *types.Package, files []*ast.File, info *types.Info) {
 	for _, obj := range info.Uses {
 		p.used[obj.Pos()] = true
+		if obj.Pkg() != nil && obj.Pkg() != pkg {
+			p.kept[obj.Pos()] = true
+		}
 	}
 	field := func(e ast.Expr) types.Object {
 		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
@@ -441,27 +480,13 @@ func (p *lawPass) markInterfaceMethods() {
 			if t.IsMethodSet() && t.NumMethods() > 0 {
 				ifaces = append(ifaces, t)
 			}
-		case *types.Pointer:
-			walk(t.Elem())
-		case *types.Slice:
-			walk(t.Elem())
-		case *types.Array:
-			walk(t.Elem())
-		case *types.Chan:
-			walk(t.Elem())
-		case *types.Map:
-			walk(t.Key())
-			walk(t.Elem())
-		case *types.Signature:
-			walk(t.Params())
-			walk(t.Results())
-		case *types.Tuple:
-			for i := 0; i < t.Len(); i++ {
-				walk(t.At(i).Type())
-			}
 		case *types.Struct:
 			for i := 0; i < t.NumFields(); i++ {
 				walk(t.Field(i).Type())
+			}
+		default:
+			for _, u := range lawParts(t) {
+				walk(u)
 			}
 		}
 	}
@@ -493,5 +518,131 @@ func (p *lawPass) markInterfaceMethods() {
 				}
 			}
 		}
+	}
+}
+
+// lawParts returns the types a composite type is built from: the element
+// of a pointer, slice, array or channel, a map's key and element, a
+// signature's parameter and result tuples and a tuple's members.
+func lawParts(t types.Type) []types.Type {
+	switch t := t.(type) {
+	case *types.Pointer:
+		return []types.Type{t.Elem()}
+	case *types.Slice:
+		return []types.Type{t.Elem()}
+	case *types.Array:
+		return []types.Type{t.Elem()}
+	case *types.Chan:
+		return []types.Type{t.Elem()}
+	case *types.Map:
+		return []types.Type{t.Key(), t.Elem()}
+	case *types.Signature:
+		return []types.Type{t.Params(), t.Results()}
+	case *types.Tuple:
+		parts := make([]types.Type, t.Len())
+		for i := range parts {
+			parts[i] = t.At(i).Type()
+		}
+		return parts
+	}
+	return nil
+}
+
+// markImplemented keeps every exported interface under internal/ that a
+// package-level type of another package implements: that package satisfies
+// it by its method set without naming it (transport.EdgeUplink is an
+// fl.Syncer).
+func (p *lawPass) markImplemented() {
+	var impls []*types.TypeName
+	for _, pkg := range p.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					impls = append(impls, tn)
+				}
+			}
+		}
+	}
+	for _, pkg := range p.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			it, ok := obj.Type().Underlying().(*types.Interface)
+			if _, export := p.exports[obj.Pos()]; !ok || !export || it.NumMethods() == 0 {
+				continue
+			}
+			for _, tn := range impls {
+				if tn.Pkg() != pkg && types.Implements(types.NewPointer(tn.Type()), it) {
+					p.kept[obj.Pos()] = true
+					break
+				}
+			}
+		}
+	}
+}
+
+// keepSignatureTypes keeps, to a fixed point, every exported type under
+// internal/ that a kept export names in its parameters, results, exported
+// fields or exported methods' signatures: a caller that may call the
+// export must be able to name what it takes and returns.
+func (s *lawScan) keepSignatureTypes() {
+	var queue []types.Object
+	for pos, obj := range s.exports {
+		if s.kept[pos] {
+			queue = append(queue, obj)
+		}
+	}
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Alias:
+			walk(types.Unalias(t))
+		case *types.Named:
+			if obj := s.exports[t.Obj().Pos()]; obj != nil && !s.kept[obj.Pos()] {
+				s.kept[obj.Pos()] = true
+				queue = append(queue, obj)
+			}
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				walk(t.TypeArgs().At(i))
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				if t.Field(i).Exported() {
+					walk(t.Field(i).Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < t.NumMethods(); i++ {
+				if t.Method(i).Exported() {
+					walk(t.Method(i).Type())
+				}
+			}
+		default:
+			for _, u := range lawParts(t) {
+				walk(u)
+			}
+		}
+	}
+	for len(queue) > 0 {
+		obj := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		tn, ok := obj.(*types.TypeName)
+		if !ok {
+			walk(obj.Type())
+			continue
+		}
+		t := tn.Type()
+		if n, ok := t.(*types.Named); ok {
+			for i := 0; i < n.NumMethods(); i++ {
+				if n.Method(i).Exported() {
+					walk(n.Method(i).Type())
+				}
+			}
+		}
+		walk(t.Underlying())
 	}
 }

@@ -1,5 +1,16 @@
 package main
 
-import "fixture/p"
+import (
+	"fixture/internal/e"
+	"fixture/p"
+)
 
-func main() { println(p.Total(p.FooConfig{Read: 1})) }
+// bin implements e.Sink without naming it.
+type bin struct{ n int }
+
+func (b *bin) Put(n int) { b.n = n }
+
+func main() {
+	var b bin
+	println(p.Total(p.FooConfig{Read: 1}), e.Run(&b).N, b.n)
+}

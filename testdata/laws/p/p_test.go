@@ -1,10 +1,14 @@
 package p
 
-import "testing"
+import (
+	"testing"
+
+	"fixture/internal/e"
+)
 
 func TestTotal(t *testing.T) {
 	Square{}.Dead()
-	if Total(FooConfig{Unset: 1}) == 0 {
+	if Total(FooConfig{Unset: 1}) == 0 || e.TestOnly() == 0 {
 		t.Fatal("zero total")
 	}
 }
