@@ -1,9 +1,8 @@
 package dataset
 
 import (
-	"math"
-
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // Source is the lazy form of a federated dataset: client shards are
@@ -98,7 +97,7 @@ func powerLawRaw(u float64) float64 {
 	if u < 1e-9 {
 		u = 1e-9
 	}
-	return 1 / math.Pow(u, 0.6)
+	return 1 / tensor.Pow(u, 0.6)
 }
 
 // Client synthesizes client i's shard into fresh storage the caller owns

@@ -418,7 +418,7 @@ func NewComm(c codec.Channel, shapes []codec.ShapeInfo) *Comm {
 
 // Pool returns the run's weight pool for length-n vectors, creating it on
 // first use. The pool itself is safe for concurrent Get/Put: the live
-// fabric's collector goroutines decode arrivals into buffers drawn from it,
+// fabric's connection readers decode arrivals into buffers drawn from it,
 // and the engine's Release calls after each fold hand them back.
 func (cm *Comm) Pool(n int) *tensor.Pool {
 	if cm.pool == nil || cm.pool.Size() != n {

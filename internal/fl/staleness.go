@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -50,7 +49,7 @@ func (sc StalenessConfig) Weight(s float64) float64 {
 	case StaleFuncHinge:
 		return 1 / (a*s + 1)
 	default: // "" and StaleFuncPoly
-		return math.Pow(s+1, -a)
+		return tensor.Pow(s+1, -a)
 	}
 }
 

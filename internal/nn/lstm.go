@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/codec"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -156,12 +154,12 @@ func (l *lstm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 			for j := 0; j < h; j++ {
 				i := sigmoid(gr[j])
 				f := sigmoid(gr[h+j])
-				g := math.Tanh(gr[2*h+j])
+				g := tensor.Tanh(gr[2*h+j])
 				o := sigmoid(gr[3*h+j])
 				// store post-activation values for backward
 				gr[j], gr[h+j], gr[2*h+j], gr[3*h+j] = i, f, g, o
 				cn[j] = f*cp[j] + i*g
-				hn[j] = o * math.Tanh(cn[j])
+				hn[j] = o * tensor.Tanh(cn[j])
 			}
 		}
 	}
@@ -206,7 +204,7 @@ func (l *lstm) Backward(dout *tensor.Mat) *tensor.Mat {
 			cn := cNew.Row(s)
 			for j := 0; j < h; j++ {
 				i, f, g, o := gr[j], gr[h+j], gr[2*h+j], gr[3*h+j]
-				tc := math.Tanh(cn[j])
+				tc := tensor.Tanh(cn[j])
 				dc := dcRow[j] + dhRow[j]*o*(1-tc*tc)
 				do := dhRow[j] * tc
 				di := dc * g

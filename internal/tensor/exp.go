@@ -74,3 +74,170 @@ func Exp(x float64) float64 {
 	}
 	return float64(x * math.Float64frombits(uint64(bx)<<52))
 }
+
+// Tanh returns the hyperbolic tangent of x, bit-identical on every GOARCH
+// and CPU. It is a port of math.Tanh's Go body ($GOROOT/src/math/tanh.go,
+// the Cephes algorithm) with Exp in place of math.Exp, which is what made
+// math.Tanh follow the CPU's FMA branch; on an FMA host it returns
+// math.Tanh's bits. The explicit float64 conversions keep a compiler that
+// fuses x*y+z from fusing the rational approximation's products.
+func Tanh(x float64) float64 {
+	const maxLog = 8.8029691931113054295988e+01 // log(2**127)
+	z := math.Abs(x)
+	switch {
+	case z > 0.5*maxLog:
+		if x < 0 {
+			return -1
+		}
+		return 1
+	case z >= 0.625:
+		s := Exp(2 * z)
+		z = 1 - 2/(s+1)
+		if x < 0 {
+			z = -z
+		}
+	default:
+		if x == 0 {
+			return x
+		}
+		s := x * x
+		p := float64(float64(float64(tanhP[0]*s)+tanhP[1])*s) + tanhP[2]
+		q := float64(float64(float64((s+tanhQ[0])*s)+tanhQ[1])*s) + tanhQ[2]
+		z = x + float64(x*s)*p/q
+	}
+	return z
+}
+
+var (
+	tanhP = [...]float64{
+		-9.64399179425052238628e-1,
+		-9.92877231001918586564e1,
+		-1.61468768441708447952e3,
+	}
+	tanhQ = [...]float64{
+		1.12811678491632931402e2,
+		2.23548839060100448583e3,
+		4.84406305325125486048e3,
+	}
+)
+
+// Pow returns x**y, bit-identical on every GOARCH and CPU. It is a port of
+// math.Pow's Go body ($GOROOT/src/math/pow.go) with Exp in place of
+// math.Exp, which a fractional exponent reaches through Exp(yf*Log(x)); on
+// an FMA host it returns math.Pow's bits. Special cases are math.Pow's.
+func Pow(x, y float64) float64 {
+	switch {
+	case y == 0 || x == 1:
+		return 1
+	case y == 1:
+		return x
+	case math.IsNaN(x) || math.IsNaN(y):
+		return math.NaN()
+	case x == 0:
+		switch {
+		case y < 0:
+			if math.Signbit(x) && isOddInt(y) {
+				return math.Inf(-1)
+			}
+			return math.Inf(1)
+		case y > 0:
+			if math.Signbit(x) && isOddInt(y) {
+				return x
+			}
+			return 0
+		}
+	case math.IsInf(y, 0):
+		switch {
+		case x == -1:
+			return 1
+		case (math.Abs(x) < 1) == math.IsInf(y, 1):
+			return 0
+		default:
+			return math.Inf(1)
+		}
+	case math.IsInf(x, 0):
+		if math.IsInf(x, -1) {
+			return Pow(1/x, -y) // Pow(-0, -y)
+		}
+		switch {
+		case y < 0:
+			return 0
+		case y > 0:
+			return math.Inf(1)
+		}
+	case y == 0.5:
+		return math.Sqrt(x)
+	case y == -0.5:
+		return 1 / math.Sqrt(x)
+	}
+
+	yi, yf := math.Modf(math.Abs(y))
+	if yf != 0 && x < 0 {
+		return math.NaN()
+	}
+	if yi >= 1<<63 {
+		// yi is a large even int that will lead to overflow (or underflow
+		// to 0) for all x except -1 (x == 1 was handled earlier).
+		switch {
+		case x == -1:
+			return 1
+		case (math.Abs(x) < 1) == (y > 0):
+			return 0
+		default:
+			return math.Inf(1)
+		}
+	}
+
+	// ans = a1 * 2**ae (= 1 for now).
+	a1 := 1.0
+	ae := 0
+
+	// ans *= x**yf
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = Exp(yf * math.Log(x))
+	}
+
+	// ans *= x**yi by multiplying in successive squarings of x according
+	// to the bits of yi, accumulating powers of two into ae.
+	x1, xe := math.Frexp(x)
+	for i := int64(yi); i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			// Catch xe before it overflows the left shift below: the
+			// final Ldexp under- or overflows anyway.
+			ae += xe
+			break
+		}
+		if i&1 == 1 {
+			a1 *= x1
+			ae += xe
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+
+	// ans = a1*2**ae; if y < 0 { ans = 1 / ans }, in the opposite order.
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
+}
+
+// isOddInt reports whether x is an odd integer.
+func isOddInt(x float64) bool {
+	if math.Abs(x) >= 1<<53 {
+		// Past 2**53 every float64 is an even integer (and int64(xi)
+		// below could overflow).
+		return false
+	}
+	xi, xf := math.Modf(x)
+	return xf == 0 && int64(xi)&1 == 1
+}

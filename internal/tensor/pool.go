@@ -16,8 +16,8 @@ import (
 // before reading it, and must not touch a buffer after putting it. Put of a
 // buffer that is already free panics (double-release), which turns the
 // classic silent pool corruption into an immediate, attributable failure.
-// A FreeList is safe for concurrent use (the live fabric's collector
-// goroutines Get decode buffers the engine goroutine later Puts); the list
+// A FreeList is safe for concurrent use (the live fabric's connection
+// readers Get decode buffers the engine goroutine later Puts); the list
 // is bounded so a producer that puts without ever getting cannot grow it
 // without bound. The zero value is an empty list with poisoning off.
 type FreeList[E any] struct {

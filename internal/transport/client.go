@@ -40,7 +40,8 @@ type ClientConfig struct {
 	// Classes is the size of the label space, which a server-directed label
 	// flip needs; fedclient fills it from its dataset.
 	Classes int
-	Logf    func(format string, args ...any)
+	// Logf receives progress lines; nil silences logging.
+	Logf func(format string, args ...any)
 }
 
 // dialWindow bounds how long the initial connect retries before giving up.
@@ -72,9 +73,6 @@ func RunClient(cfg ClientConfig) error {
 	}
 	if cfg.Codec == nil {
 		cfg.Codec = codec.NewPolyline(4)
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
 	}
 	conn, err := dialRetry(cfg.Addr)
 	if err != nil {
@@ -108,7 +106,9 @@ func RunClient(cfg ClientConfig) error {
 		switch typ {
 		case msgShutdown:
 			frames.Put(payload)
-			cfg.Logf("client %d: shutdown", cfg.ID)
+			if cfg.Logf != nil {
+				cfg.Logf("client %d: shutdown", cfg.ID)
+			}
 			return nil
 		case MsgModelPush:
 			spec, err := c.receive(payload)
@@ -192,6 +192,10 @@ func (c *client) round(spec PushSpec) error {
 	if err != nil {
 		return err
 	}
-	cfg.Logf("client %d: round %d done (%d steps, %d epochs)", cfg.ID, spec.Round, steps, spec.Epochs)
+	// Guarded rather than defaulted to a no-op: boxing the arguments would
+	// cost allocations every round with nobody listening.
+	if cfg.Logf != nil {
+		cfg.Logf("client %d: round %d done (%d steps, %d epochs)", cfg.ID, spec.Round, steps, spec.Epochs)
+	}
 	return nil
 }

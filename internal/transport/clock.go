@@ -19,9 +19,13 @@ import (
 type rtClock struct {
 	start time.Time
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// queue[head:] are the posted callbacks not yet run. Run pops by
+	// advancing head and resets both once the queue drains, so the
+	// backing array is reused rather than regrown by every post.
 	queue   []func()
+	head    int
 	holds   int // in-flight work that will post a callback when it resolves
 	stopped bool
 }
@@ -44,6 +48,13 @@ func (c *rtClock) post(fn func()) {
 	defer c.mu.Unlock()
 	if c.stopped {
 		return
+	}
+	if len(c.queue) == cap(c.queue) && c.head > 0 {
+		// Full behind a run that has not drained yet: slide the pending
+		// callbacks to the front instead of growing.
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
 	}
 	c.queue = append(c.queue, fn)
 	c.cond.Signal()
@@ -83,15 +94,18 @@ func (c *rtClock) At(t float64, fn func()) {
 func (c *rtClock) Run() {
 	for {
 		c.mu.Lock()
-		for !c.stopped && len(c.queue) == 0 && c.holds > 0 {
+		for !c.stopped && c.head == len(c.queue) && c.holds > 0 {
 			c.cond.Wait()
 		}
-		if c.stopped || len(c.queue) == 0 {
+		if c.stopped || c.head == len(c.queue) {
 			c.mu.Unlock()
 			return
 		}
-		fn := c.queue[0]
-		c.queue = c.queue[1:]
+		fn := c.queue[c.head]
+		c.queue[c.head] = nil
+		if c.head++; c.head == len(c.queue) {
+			c.queue, c.head = c.queue[:0], 0
+		}
 		c.mu.Unlock()
 		fn()
 	}
@@ -101,14 +115,14 @@ func (c *rtClock) Run() {
 func (c *rtClock) Stop() {
 	c.mu.Lock()
 	c.stopped = true
-	c.queue = nil
+	c.queue, c.head = nil, 0
 	c.cond.Broadcast()
 	c.mu.Unlock()
 }
 
-// drain blocks until no in-flight work remains — used at shutdown so
-// collector goroutines finish reading their last responses before the
-// server closes the connections, letting clients exit cleanly.
+// drain blocks until no in-flight work remains — used at shutdown so the
+// rounds still in flight resolve before the server closes the connections,
+// letting clients exit cleanly.
 func (c *rtClock) drain() {
 	c.mu.Lock()
 	for c.holds > 0 {

@@ -3,7 +3,8 @@ package transport
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
@@ -13,14 +14,18 @@ import (
 )
 
 // liveFabric implements fl.Fabric over the server's registered TCP
-// connections: Dispatch ships the global model to a cohort and collects the
-// trained responses concurrently, the rtClock is the timeline, and the
+// connections: Dispatch ships the global model to a cohort and arms each
+// member's reader for its response, the rtClock is the timeline, and the
 // latency partition comes from registration hints. The engine goroutine
-// (the clock loop) is the only one that touches fl engine state; collector
-// goroutines hand results back through the clock's queue.
+// (the clock loop) is the only one that touches fl engine state; the
+// connections' readers fill a round's results and the last one posts the
+// round back through the clock's queue.
 type liveFabric struct {
 	*rtClock
 	s *Server
+	// free holds the round records no round is using; engine goroutine
+	// only.
+	free []*liveRound
 }
 
 var _ fl.Fabric = (*liveFabric)(nil)
@@ -74,11 +79,13 @@ func (f *liveFabric) Partition(cfg fl.RunConfig) (*tiering.Tiers, error) {
 	return tiering.Partition(lat, cfg.NumTiers)
 }
 
-// Dispatch pushes the model to every cohort member and spawns one reader
-// per connection; when the last response resolves, the results (and their
-// byte accounting) are posted back to the clock goroutine. Clients whose
-// connection fails mid-round come back Dropped — the live analogue of the
-// simulator's unstable clients — and the round proceeds without them.
+// Dispatch pushes the model to every cohort member and arms each member's
+// reader for its response; when the last member resolves, the round's
+// finish (byte accounting, then deliver) runs on the clock goroutine.
+// Dispatch starts no goroutine: the round is a record from the fabric's
+// free list, back on it once deliver returns. Clients whose connection
+// fails mid-round come back Dropped — the live analogue of the simulator's
+// unstable clients — and the round proceeds without them.
 //
 // With a server-side attack regime configured, the deterministic attacker
 // subset gets a second payload whose header carries the directive; honest
@@ -90,14 +97,13 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 		DPClip: lc.DPClip, DPNoise: lc.DPNoise, LRScale: lc.LRScale,
 	}
 	// The push is encoded once, in place, into a frame buffer borrowed until
-	// the sends return; wire is its model message's codec id and precision.
+	// the sends return.
 	push, err := codec.AppendModel(beginPush(frames.Get(0), spec), f.s.codec, f.s.cfg.Shapes, global)
 	if err != nil {
 		frames.Put(push)
 		deliver(nil, fmt.Errorf("transport: marshal model: %w", err))
 		return
 	}
-	wire := [2]byte(push[frameHeaderLen+pushHeaderLen:])
 	var atkPush []byte
 	if len(f.s.attackers) > 0 {
 		aspec := spec
@@ -108,116 +114,213 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 		atkPush = append(frames.Get(len(push))[:0], push...)
 		putPushHeader(atkPush[frameHeaderLen:], aspec)
 	}
-	downBytes := int64(len(push))
 
+	rd := f.newRound(len(cohort))
+	rd.comm, rd.deliver = comm, deliver
 	// Arrivals decode into buffers from the run's weight pool, which the
 	// engine's releases after each fold feed; the pool is resolved here, on
-	// the engine goroutine, and only Get/Put from the collectors.
-	pool := comm.Pool(len(global))
-
-	results := make([]fl.TrainResult, len(cohort))
-	upBytes := make([]int64, len(cohort))
-	pushed := 0
-	var wg sync.WaitGroup
+	// the engine goroutine, and only Get/Put from the readers.
+	rd.pool = comm.Pool(len(global))
+	rd.wire = [2]byte(push[frameHeaderLen+pushHeaderLen:])
+	rd.round = lc.Round
+	rd.downBytes = int64(len(push))
+	rd.pending.Store(1) // Dispatch's own, retired once every member is armed
+	f.hold()
+	deadline := time.Now().Add(f.s.cfg.RoundTimeout)
 	for i, id := range cohort {
-		results[i] = fl.TrainResult{Client: id, Dropped: true, Arrive: now}
+		rd.results[i] = fl.TrainResult{Client: id, Dropped: true, Arrive: now}
 		cc := f.s.get(uint32(id))
-		if cc == nil {
+		if cc == nil || !f.s.arm(cc, rd, i, deadline) {
 			continue
 		}
+		cc.inRound = true
 		p := push
 		if atkPush != nil && f.s.attackers[id] {
 			p = atkPush
 		}
 		if err := cc.send(p); err != nil {
+			// Closing the connection ends its reader, which resolves the
+			// slot as dropped.
 			f.s.drop(cc, err)
-			results[i].Arrive = f.Now()
 			continue
 		}
-		pushed++
-		cc.inRound = true
-		wg.Add(1)
-		go func(i int, id int, cc *clientConn) {
-			defer wg.Done()
-			r, up, err := f.collect(cc, lc.Round, wire, pool)
-			if err != nil {
-				f.s.drop(cc, err)
-				results[i] = fl.TrainResult{Client: id, Dropped: true, Arrive: f.Now()}
-				return
-			}
-			r.Client = id
-			results[i] = r
-			upBytes[i] = up
-		}(i, id, cc)
+		rd.pushed++
 	}
 	frames.Put(push)
 	frames.Put(atkPush)
-
-	f.hold()
-	go func() {
-		defer f.release()
-		wg.Wait()
-		f.post(func() {
-			// Byte accounting happens on the engine goroutine: comm is not
-			// safe for concurrent use.
-			comm.CountControl(downBytes*int64(pushed), false)
-			for _, up := range upBytes {
-				comm.CountControl(up, true)
-			}
-			for _, id := range cohort {
-				if cc := f.s.get(uint32(id)); cc != nil {
-					cc.inRound = false
-				}
-			}
-			deliver(results, nil)
-		})
-	}()
+	rd.resolve()
 }
 
-// collect reads one client's trained response for the given round. The
-// round timeout bounds the read so a silent peer cannot stall its round
-// (and the shutdown drain) forever; hitting it drops the client like any
-// other connection failure, as does a frame longer than the model allows,
-// or a model message in any other codec than wire, the push's: a top-k delta
-// or a lossier polyline would otherwise fold as if it were the model. The
-// frame is held in a borrowed buffer only from its header's arrival until
-// the weights are decoded out of it, into a buffer from pool that the result
-// carries to the engine.
-func (f *liveFabric) collect(cc *clientConn, round uint64, wire [2]byte, pool *tensor.Pool) (fl.TrainResult, int64, error) {
-	if err := cc.conn.SetReadDeadline(time.Now().Add(f.s.cfg.RoundTimeout)); err != nil {
-		return fl.TrainResult{}, 0, err
+// liveRound is one dispatched cohort round: the members' results and
+// uplink bytes, which their readers fill, and what finish needs to account
+// for and deliver them. Records cycle through the fabric's free list, so a
+// round allocates nothing once the list is warm.
+type liveRound struct {
+	f       *liveFabric
+	results []fl.TrainResult // index-aligned with the cohort
+	upBytes []int64
+	// pending counts the armed members still unresolved, plus one that
+	// Dispatch holds while it arms; whoever retires the last posts finish.
+	pending atomic.Int32
+	// pool lends the arrivals' weight buffers; wire is the push's model
+	// codec id and precision, the only one an update may come back in.
+	pool      *tensor.Pool
+	wire      [2]byte
+	round     uint64
+	downBytes int64 // one push frame
+	pushed    int   // members the push reached
+	comm      *fl.Comm
+	deliver   func([]fl.TrainResult, error)
+	finish    func() // complete, bound once
+}
+
+// newRound takes a record from the free list (or makes one) sized for n
+// members, every upBytes slot zero.
+func (f *liveFabric) newRound(n int) *liveRound {
+	var rd *liveRound
+	if k := len(f.free); k > 0 {
+		rd, f.free = f.free[k-1], f.free[:k-1]
+	} else {
+		rd = &liveRound{f: f}
+		rd.finish = rd.complete
 	}
-	typ, payload, err := readFrame(cc.conn, &cc.rhdr, f.s.limit)
+	rd.results = slices.Grow(rd.results[:0], n)[:n]
+	rd.upBytes = slices.Grow(rd.upBytes[:0], n)[:n]
+	clear(rd.upBytes)
+	rd.pushed = 0
+	return rd
+}
+
+// resolve retires one member (or Dispatch's own count); the last posts
+// finish to the clock goroutine and releases the round's hold on it.
+func (rd *liveRound) resolve() {
+	if rd.pending.Add(-1) == 0 {
+		rd.f.post(rd.finish)
+		rd.f.release()
+	}
+}
+
+// complete is the round's finish, on the clock goroutine: byte accounting
+// (comm is not safe for concurrent use), the members freed for their next
+// round, deliver, and the record back on the free list. The results live
+// only during deliver (see fl.Fabric); clearing them and the run's
+// references keeps a Server that outlives its Run from holding the run's
+// weight buffers and engine state through the list.
+func (rd *liveRound) complete() {
+	rd.comm.CountControl(rd.downBytes*int64(rd.pushed), false)
+	for _, up := range rd.upBytes {
+		rd.comm.CountControl(up, true)
+	}
+	for _, r := range rd.results {
+		if cc := rd.f.s.get(uint32(r.Client)); cc != nil {
+			cc.inRound = false
+		}
+	}
+	rd.deliver(rd.results, nil)
+	clear(rd.results)
+	rd.comm, rd.deliver, rd.pool = nil, nil, nil
+	rd.f.free = append(rd.f.free, rd)
+}
+
+// arm makes slot i of rd the round cc's reader answers next and sets the
+// read deadline, before the push goes out, so a silent peer cannot hold the
+// round past it. It reports false, arming nothing, once cc's reader has
+// exited (nothing would resolve the slot) or shutdown has begun.
+func (s *Server) arm(cc *clientConn, rd *liveRound, i int, deadline time.Time) bool {
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if cc.closed || s.stopping.Load() {
+		return false
+	}
+	cc.round, cc.slot = rd, i
+	rd.pending.Add(1)
+	cc.conn.SetReadDeadline(deadline)
+	return true
+}
+
+// answer is a client reader's frame handler: the frame must be cc's update
+// for the round armed on it. It clears the read deadline and fills the
+// member's slot. A frame with no round pending, or an update that fails
+// collect, is an error: the reader ends, and hangUp drops the client and
+// resolves any slot still armed as dropped.
+func (s *Server) answer(cc *clientConn, typ byte, payload []byte) error {
+	cc.mu.Lock()
+	rd, i := cc.round, cc.slot
+	cc.mu.Unlock()
+	if rd == nil {
+		frames.Put(payload)
+		return fmt.Errorf("transport: client %d sent message type %d with no round pending", cc.reg.ClientID, typ)
+	}
+	r, err := rd.collect(cc, typ, payload)
 	if err != nil {
-		return fl.TrainResult{}, 0, err
+		return err
 	}
+	cc.mu.Lock()
+	cc.round = nil
+	cc.conn.SetReadDeadline(time.Time{})
+	cc.mu.Unlock()
+	rd.results[i] = r
+	rd.upBytes[i] = int64(frameBytes(len(payload)))
+	rd.resolve()
+	return nil
+}
+
+// hangUp runs once when a client's reader ends: the client is dropped (the
+// error logged unless the server is shutting down, when it is teardown
+// noise), no round can arm on it again, and a round it owed an update
+// resolves its slot as dropped, so the round never waits on a reader that
+// is gone.
+func (s *Server) hangUp(cc *clientConn, err error) {
+	if s.stopping.Load() {
+		err = nil
+	}
+	s.drop(cc, err)
+	cc.mu.Lock()
+	cc.closed = true
+	rd, i := cc.round, cc.slot
+	cc.round = nil
+	cc.mu.Unlock()
+	if rd != nil {
+		rd.results[i].Arrive = rd.f.Now()
+		rd.resolve()
+	}
+}
+
+// collect decodes one client's trained response to rd, always returning the
+// frame's buffer. An update is refused when it is not for rd's round, has
+// no samples, or carries a model message in any other codec than the push's
+// (a top-k delta or a lossier polyline would otherwise fold as if it were
+// the model). The weights decode into a buffer from rd's pool, which the
+// result carries to the engine.
+func (rd *liveRound) collect(cc *clientConn, typ byte, payload []byte) (fl.TrainResult, error) {
 	defer frames.Put(payload)
 	if typ != MsgModelUpdate {
-		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d sent message type %d mid-round", cc.reg.ClientID, typ)
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d sent message type %d mid-round", cc.reg.ClientID, typ)
 	}
 	_, numSamples, gotRound, model, err := ParseModelUpdate(payload)
 	if err != nil {
-		return fl.TrainResult{}, 0, err
+		return fl.TrainResult{}, err
 	}
-	if gotRound != round {
-		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d answered round %d, want %d", cc.reg.ClientID, gotRound, round)
+	if gotRound != rd.round {
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d answered round %d, want %d", cc.reg.ClientID, gotRound, rd.round)
 	}
 	if numSamples == 0 {
-		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d update with zero samples", cc.reg.ClientID)
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d update with zero samples", cc.reg.ClientID)
 	}
-	if len(model) < 2 || [2]byte(model) != wire {
-		return fl.TrainResult{}, 0, fmt.Errorf("transport: client %d update is not in the push's codec", cc.reg.ClientID)
+	if len(model) < 2 || [2]byte(model) != rd.wire {
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d update is not in the push's codec", cc.reg.ClientID)
 	}
-	w := pool.Get()
+	w := rd.pool.Get()
 	if err := codec.UnmarshalModelInto(model, w); err != nil {
-		pool.Put(w)
-		return fl.TrainResult{}, 0, err
+		rd.pool.Put(w)
+		return fl.TrainResult{}, err
 	}
 	return fl.TrainResult{
+		Client:  int(cc.reg.ClientID),
 		Weights: w,
 		N:       int(numSamples),
-		Arrive:  f.Now(),
-	}, int64(frameBytes(len(payload))), nil
+		Arrive:  rd.f.Now(),
+	}, nil
 }
 
 // Probe tallies the control traffic of a bookkeeping sweep (model down,

@@ -16,10 +16,11 @@ const registerTimeout = 3 * time.Second
 
 // peers is the registry of registered connections a fold-serving loop owns:
 // a Server's clients, a RootServer's edges. It accepts registrations with
-// ids 0..want-1 until all have arrived, hands connections out by id, drops
-// the ones that die, and closes the rest at shutdown. Both servers embed
-// one, so the registration rules (what is skipped, what is fatal, what a
-// silent peer costs) exist once.
+// ids 0..want-1 until all have arrived, runs one reader per connection,
+// hands connections out by id, drops the ones that die, and closes the
+// rest at shutdown. Both servers embed one, so the registration rules (what
+// is skipped, what is fatal, what a silent peer costs) and the read loop
+// exist once; each server supplies only what a frame means to it.
 type peers struct {
 	ln   net.Listener
 	want int
@@ -34,6 +35,10 @@ type peers struct {
 
 	mu    sync.Mutex
 	conns map[uint32]*clientConn
+
+	// readers are the read loops serve started; a server's Run joins them
+	// after shutdown has closed every connection.
+	readers sync.WaitGroup
 }
 
 func newPeers(ln net.Listener, want int, role, kind string, logf func(string, ...any)) peers {
@@ -125,16 +130,46 @@ func (p *peers) drop(cc *clientConn, err error) {
 	}
 }
 
+// serve starts one reader per registered peer, once registration is
+// complete. A reader reads frames of at most limit bytes and hands each to
+// frame, which owns the payload. The first error, from the read or from
+// frame, ends the reader, and gone runs once with it. After shutdown has
+// closed the connections every reader ends; readers.Wait joins them.
+func (p *peers) serve(limit int, frame func(cc *clientConn, typ byte, payload []byte) error, gone func(cc *clientConn, err error)) {
+	for _, cc := range p.all() {
+		p.readers.Add(1)
+		go func() {
+			defer p.readers.Done()
+			for {
+				typ, payload, err := readFrame(cc.conn, &cc.rhdr, limit)
+				if err == nil {
+					err = frame(cc, typ, payload)
+				}
+				if err != nil {
+					gone(cc, err)
+					return
+				}
+			}
+		}()
+	}
+}
+
 // interrupt begins shutdown from another goroutine: registration stops
-// accepting and every blocked read expires immediately, so loops waiting on
-// a slow or silent peer resolve. Idle connections are unaffected (no read
-// in progress) and still receive a clean shutdown frame from shutdown.
+// accepting and every read awaiting a round's update expires immediately,
+// so a round waiting on a slow or silent peer resolves. Idle connections
+// are unaffected (their readers wait on no deadline) and still receive a
+// clean shutdown frame from shutdown. A round armed after this arms nothing
+// (see Server.arm), so none can wait out its deadline.
 func (p *peers) interrupt() {
 	p.stopping.Store(true)
 	p.ln.Close()
 	now := time.Now()
 	for _, cc := range p.all() {
-		cc.conn.SetReadDeadline(now)
+		cc.mu.Lock()
+		if cc.round != nil {
+			cc.conn.SetReadDeadline(now)
+		}
+		cc.mu.Unlock()
 	}
 }
 

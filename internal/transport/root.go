@@ -89,18 +89,10 @@ func (r *RootServer) Run() (*metrics.Run, []float64, error) {
 	}
 	r.cfg.Logf("fed root: %d edges registered; folding %s (budget %d)", r.cfg.Cloud.Edges, r.cloudFold(), r.cfg.Rounds)
 
-	var wg sync.WaitGroup
-	for _, ec := range r.all() {
-		wg.Add(1)
-		go func(ec *clientConn) {
-			defer wg.Done()
-			r.serveEdge(ec)
-		}(ec)
-	}
-
+	r.serve(frameLimit(r.cfg.Cloud.Shapes), r.serveEdge, r.edgeGone)
 	<-r.done
 	r.shutdown()
-	wg.Wait()
+	r.readers.Wait()
 	return r.cloud.Record(), r.cloud.Global(), nil
 }
 
@@ -125,37 +117,41 @@ func (r *RootServer) finish() {
 	r.stopOnce.Do(func() { close(r.done) })
 }
 
-// serveEdge reads one edge's pushes until its connection dies, it sends a
-// frame the cloud cannot fold, or the run ends. Either way the edge retires
-// from the fold barrier and the survivors keep folding (a retirement that
-// completes the sync barrier folds inside Retire): a kept edge whose pushes
-// never fold would stall a sync cloud forever.
-func (r *RootServer) serveEdge(ec *clientConn) {
-	id := int(ec.reg.ClientID)
-	limit := frameLimit(r.cfg.Cloud.Shapes)
-	for {
-		typ, payload, err := readFrame(ec.conn, &ec.rhdr, limit)
-		if err == nil {
-			err = r.edgePush(id, typ, payload)
-			frames.Put(payload) // PushWire decoded the model into the cloud's own state
-		}
-		if err == nil {
-			continue
-		}
-		if !r.stopping.Load() {
-			r.cfg.Logf("fed root: edge %d departed: %v", id, err)
-			before := r.cloud.Epoch()
-			r.cloud.Retire(id, r.now())
-			r.drop(ec, nil)
-			if r.cloud.Epoch() > before {
-				// Its departure completed the barrier: the survivors' fold
-				// happened inside Retire; broadcast it.
-				r.broadcastAdoption()
-			}
-			r.checkFinished()
-		}
+// serveEdge is an edge reader's frame handler: it folds the push and
+// returns the frame's buffer (PushWire decoded the model into the cloud's
+// own state). A frame the cloud cannot fold ends the reader. Once the run
+// has finished, frames are read and discarded unfolded, so no push folds
+// past the budget and the connection closes with nothing left unread.
+func (r *RootServer) serveEdge(ec *clientConn, typ byte, payload []byte) error {
+	var err error
+	if !r.stopping.Load() {
+		err = r.edgePush(int(ec.reg.ClientID), typ, payload)
+	}
+	frames.Put(payload)
+	return err
+}
+
+// edgeGone runs once when an edge's reader ends, because its connection
+// died or it sent a frame the cloud cannot fold. Unless the run has
+// finished (then the error is teardown noise), the edge retires from the
+// fold barrier and the survivors keep folding (a retirement that completes
+// the sync barrier folds inside Retire): a kept edge whose pushes never
+// fold would stall a sync cloud forever.
+func (r *RootServer) edgeGone(ec *clientConn, err error) {
+	if r.stopping.Load() {
 		return
 	}
+	id := int(ec.reg.ClientID)
+	r.cfg.Logf("fed root: edge %d departed: %v", id, err)
+	before := r.cloud.Epoch()
+	r.cloud.Retire(id, r.now())
+	r.drop(ec, nil)
+	if r.cloud.Epoch() > before {
+		// Its departure completed the barrier: the survivors' fold
+		// happened inside Retire; broadcast it.
+		r.broadcastAdoption()
+	}
+	r.checkFinished()
 }
 
 // edgePush folds one frame from edge id into the cloud and broadcasts the

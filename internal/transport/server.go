@@ -89,14 +89,22 @@ type clientConn struct {
 	reg  register
 	conn net.Conn
 	wmu  sync.Mutex
-	// rhdr is readFrame's header scratch; a connection has one reader at a
-	// time (its round's collector, or the root's per-edge loop).
+	// rhdr is readFrame's header scratch, used only by the connection's
+	// reader (see peers.serve).
 	rhdr [frameHeaderLen]byte
 	// inRound marks a client between a push and the delivery of its round.
 	// Engine goroutine only. Such a client is not Available: a second push
 	// (a runtime retier can migrate it into another tier's cohort mid-round)
-	// would put two collectors on one connection.
+	// would arm a second round on a connection that answers one at a time.
 	inRound bool
+
+	// mu guards the round the reader answers next and whether the reader is
+	// gone: a Dispatch arms a round under it (Server.arm), the reader takes
+	// the round when its update arrives or when it exits.
+	mu     sync.Mutex
+	round  *liveRound // awaiting this peer's update; nil when none is pending
+	slot   int        // this peer's index in round's results
+	closed bool       // the reader has exited; arming fails
 }
 
 // send writes one frame built behind beginFrame; a mutex serializes writers
@@ -205,6 +213,7 @@ func (s *Server) Run() (*metrics.Run, []float64, error) {
 	s.cfg.Logf("fed server: %d clients registered; running %s (%s) for %d global updates",
 		s.cfg.NumClients, s.cfg.Method.Name, s.cfg.Method, s.cfg.Run.Rounds)
 
+	s.serve(s.limit, s.answer, s.hangUp)
 	fab := &liveFabric{rtClock: newRTClock(), s: s}
 	s.mu.Lock()
 	s.fab = fab
@@ -224,10 +233,12 @@ func (s *Server) Run() (*metrics.Run, []float64, error) {
 
 	obs := append([]fl.Observer{capture}, s.cfg.Observers...)
 	run, err := s.cfg.Method.RunOn(fab, s.cfg.Run, obs...)
-	// Let in-flight collectors finish reading their last responses before
-	// connections close, so idle clients get a clean shutdown frame.
+	// Let the rounds still in flight resolve before connections close, so
+	// their clients are idle and get a clean shutdown frame; closing the
+	// connections then ends every reader.
 	fab.drain()
 	s.shutdown()
+	s.readers.Wait()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -235,8 +246,8 @@ func (s *Server) Run() (*metrics.Run, []float64, error) {
 }
 
 // Shutdown stops the server from another goroutine: the engine loop halts
-// after its current callback, registration stops accepting, in-flight
-// response reads are interrupted (clients mid-round are dropped rather
+// after its current callback, registration stops accepting, reads awaiting
+// a round's update are interrupted (clients mid-round are dropped rather
 // than waited for, so Run's drain cannot stall behind a slow or silent
 // peer), and Run proceeds to notify the remaining registered clients.
 func (s *Server) Shutdown() {
