@@ -24,19 +24,19 @@ import (
 // leaves its destination at the zero value, so the engine's own defaults
 // apply.
 type shared struct {
-	// Select, Pacer, Agg and Name are fl.Compose's override arguments.
-	Select, Pacer, Agg, Name string
-	// Behavior receives the adversarial regime (-attack, -attack-frac,
-	// -attack-scale); Attack is the same regime in the live fabric's terms.
-	Behavior simnet.BehaviorConfig
-	// Cloud receives the edge→cloud policy: -edge-fold, -edge-buffer,
-	// -uplink-topk and, where BindServer declared it, -edge-stale-exp.
-	Cloud edge.CloudConfig
+	// sel, pacer, agg and name are fl.Compose's override arguments.
+	sel, pacer, agg, name string
+	// behavior receives the adversarial regime (-attack, -attack-frac,
+	// -attack-scale); liveAttack is the same regime in the live fabric's terms.
+	behavior simnet.BehaviorConfig
+	// cloud receives the edge→cloud policy: -edge-fold, -edge-buffer,
+	// -uplink-topk and, where bindServer declared it, -edge-stale-exp.
+	cloud edge.CloudConfig
 
-	// Given lists, dash included and in command-line order, the flags
-	// declared here that were given; GivenCloud the ones among them that
+	// given lists, dash included and in command-line order, the flags
+	// declared here that were given; givenCloud the ones among them that
 	// only an edge topology consumes.
-	Given, GivenCloud []string
+	given, givenCloud []string
 
 	fs     *flag.FlagSet
 	attack robust.Kind
@@ -59,10 +59,10 @@ func bind(fs *flag.FlagSet) *shared {
 	s := &shared{fs: fs}
 
 	// Method composition.
-	s.str("select", "override the selection `policy`: random, oversel, tifl, all", &s.Select)
-	s.str("pacer", "override the pacing `policy`: sync, tier, client, fedbuff", &s.Pacer)
-	s.str("agg", "override the aggregation `rule`: avg, eq5, uniform, staleness, asofed, fedasync, asyncsgd, median, trimmed, krum", &s.Agg)
-	s.str("name", "display `name` for the composed method (default derived from the overrides)", &s.Name)
+	s.str("select", "override the selection `policy`: random, oversel, tifl, all", &s.sel)
+	s.str("pacer", "override the pacing `policy`: sync, tier, client, fedbuff", &s.pacer)
+	s.str("agg", "override the aggregation `rule`: avg, eq5, uniform, staleness, asofed, fedasync, asyncsgd, median, trimmed, krum", &s.agg)
+	s.str("name", "display `name` for the composed method (default derived from the overrides)", &s.name)
 	s.runInt("buffer-k", "fedbuff pacer: buffer `K` arrivals per fold (0 = clients per round)",
 		func(c *fl.RunConfig, v int) { c.BufferK = v })
 
@@ -99,11 +99,11 @@ func bind(fs *flag.FlagSet) *shared {
 	// Adversarial regime and the per-client DP stage.
 	s.declare("attack", "attack `regime` a deterministic subset of the population runs: labelflip, scale, freeride", func(v string) error {
 		kind, err := robust.ParseKind(v)
-		s.attack, s.Behavior.AttackKind = kind, v
+		s.attack, s.behavior.AttackKind = kind, v
 		return err
 	})
-	s.float("attack-frac", "`fraction` of the population attacking (e.g. 0.3)", &s.Behavior.AttackFrac)
-	s.float("attack-scale", "scale attack amplification `factor` (0 = default 10x)", &s.Behavior.AttackScale)
+	s.float("attack-frac", "`fraction` of the population attacking (e.g. 0.3)", &s.behavior.AttackFrac)
+	s.float("attack-scale", "scale attack amplification `factor` (0 = default 10x)", &s.behavior.AttackScale)
 	s.runFloat("dp-clip", "per-client DP: clip each local delta to this L2 `norm` (0 = off)",
 		func(c *fl.RunConfig, v float64) { c.DPClip = v })
 	s.runFloat("dp-noise", "DP Gaussian noise `multiplier` (sigma = multiplier * clip)",
@@ -111,22 +111,22 @@ func bind(fs *flag.FlagSet) *shared {
 
 	// The edge→cloud policy of a hierarchy.
 	s.cloudFlag("edge-fold", "edge→cloud fold `policy`: sync (barrier, the default) or async (buffered, staleness-weighted)",
-		func(v string) error { s.Cloud.Fold = v; return nil })
+		func(v string) error { s.cloud.Fold = v; return nil })
 	s.cloudFlag("edge-buffer", "async fold: buffer `K` edge pushes per cloud fold (default 1)",
-		func(v string) (err error) { s.Cloud.Buffer, err = strconv.Atoi(v); return err })
+		func(v string) (err error) { s.cloud.Buffer, err = strconv.Atoi(v); return err })
 	s.cloudFlag("uplink-topk", "edge→cloud top-k delta compression: `fraction` of coordinates kept per push (0 = raw, bit-lossless; an edge's setting, the root decodes whichever codec a push names)",
-		func(v string) (err error) { s.Cloud.TopKFrac, err = strconv.ParseFloat(v, 64); return err })
+		func(v string) (err error) { s.cloud.TopKFrac, err = strconv.ParseFloat(v, 64); return err })
 	return s
 }
 
-// BindServer declares the two flags only fedserver has that fall under the
+// bindServer declares the two flags only fedserver has that fall under the
 // explicit-zero law.
-func (s *shared) BindServer() {
+func (s *shared) bindServer() {
 	s.runFloat("lambda", "proximal `coefficient` for Prox methods (Eq. 3); unset inherits the engine default, explicit 0 or negative disables",
 		func(c *fl.RunConfig, v float64) { c.Lambda = zeroOff(v, fl.LambdaOff) })
 	s.cloudFlag("edge-stale-exp", "async fold: staleness discount `exponent` (unset = default 0.5; explicit 0 = no discount)", func(v string) error {
 		a, err := strconv.ParseFloat(v, 64)
-		s.Cloud.StaleExp = zeroOff(a, fl.StaleExpOff)
+		s.cloud.StaleExp = zeroOff(a, fl.StaleExpOff)
 		return err
 	})
 }
@@ -134,23 +134,23 @@ func (s *shared) BindServer() {
 // cloudUnused is the usage error for edge→cloud flags given where no
 // hierarchy consumes them; without names what would build one.
 func (s *shared) cloudUnused(hierarchy bool, without string) error {
-	if hierarchy || len(s.GivenCloud) == 0 {
+	if hierarchy || len(s.givenCloud) == 0 {
 		return nil
 	}
-	return fmt.Errorf("%s given without %s (only a hierarchy has an edge→cloud hop)", strings.Join(s.GivenCloud, ", "), without)
+	return fmt.Errorf("%s given without %s (only a hierarchy has an edge→cloud hop)", strings.Join(s.givenCloud, ", "), without)
 }
 
-// ApplyRun writes every engine flag that was given into cfg and leaves the
+// applyRun writes every engine flag that was given into cfg and leaves the
 // rest of cfg alone.
-func (s *shared) ApplyRun(cfg *fl.RunConfig) {
+func (s *shared) applyRun(cfg *fl.RunConfig) {
 	for _, set := range s.run {
 		set(cfg)
 	}
 }
 
-// Attack is the -attack/-attack-scale regime as the live fabric takes it.
-func (s *shared) Attack() robust.Attack {
-	return robust.Attack{Kind: s.attack, Scale: s.Behavior.AttackScale}
+// liveAttack is the -attack/-attack-scale regime as the live fabric takes it.
+func (s *shared) liveAttack() robust.Attack {
+	return robust.Attack{Kind: s.attack, Scale: s.behavior.AttackScale}
 }
 
 // declare registers one value flag whose parse records that it was given;
@@ -161,14 +161,14 @@ func (s *shared) declare(name, usage string, set func(string) error) {
 
 func (s *shared) declareVia(register func(name, usage string, fn func(string) error), name, usage string, set func(string) error) {
 	register(name, usage, func(v string) error {
-		s.Given = append(s.Given, "-"+name)
+		s.given = append(s.given, "-"+name)
 		return set(v)
 	})
 }
 
 func (s *shared) cloudFlag(name, usage string, set func(string) error) {
 	s.declare(name, usage, func(v string) error {
-		s.GivenCloud = append(s.GivenCloud, "-"+name)
+		s.givenCloud = append(s.givenCloud, "-"+name)
 		return set(v)
 	})
 }

@@ -66,7 +66,7 @@ func TestBind(t *testing.T) {
 			fs := flag.NewFlagSet("test", flag.ContinueOnError)
 			fs.SetOutput(io.Discard)
 			s := bind(fs)
-			s.BindServer()
+			s.bindServer()
 			err := fs.Parse(c.args)
 			if c.wantError {
 				if err == nil {
@@ -78,24 +78,24 @@ func TestBind(t *testing.T) {
 				t.Fatal(err)
 			}
 			var run fl.RunConfig
-			s.ApplyRun(&run)
+			s.applyRun(&run)
 			if !reflect.DeepEqual(run, c.run) {
 				t.Errorf("RunConfig = %+v, want %+v", run, c.run)
 			}
-			if !reflect.DeepEqual(s.Cloud, c.cloud) {
-				t.Errorf("Cloud = %+v, want %+v", s.Cloud, c.cloud)
+			if !reflect.DeepEqual(s.cloud, c.cloud) {
+				t.Errorf("Cloud = %+v, want %+v", s.cloud, c.cloud)
 			}
-			if s.Agg != c.agg {
-				t.Errorf("Agg = %q, want %q", s.Agg, c.agg)
+			if s.agg != c.agg {
+				t.Errorf("Agg = %q, want %q", s.agg, c.agg)
 			}
-			if s.Attack() != c.attack {
-				t.Errorf("Attack = %+v, want %+v", s.Attack(), c.attack)
+			if s.liveAttack() != c.attack {
+				t.Errorf("Attack = %+v, want %+v", s.liveAttack(), c.attack)
 			}
-			if c.attack.Active() && (s.Behavior.AttackKind != "scale" || s.Behavior.AttackScale != 5 || s.Behavior.AttackFrac != 0.3) {
-				t.Errorf("Behavior = %+v does not carry the attack regime", s.Behavior)
+			if c.attack.Active() && (s.behavior.AttackKind != "scale" || s.behavior.AttackScale != 5 || s.behavior.AttackFrac != 0.3) {
+				t.Errorf("Behavior = %+v does not carry the attack regime", s.behavior)
 			}
-			if !reflect.DeepEqual(s.Given, c.given) {
-				t.Errorf("Given = %v, want %v", s.Given, c.given)
+			if !reflect.DeepEqual(s.given, c.given) {
+				t.Errorf("Given = %v, want %v", s.given, c.given)
 			}
 		})
 	}
@@ -113,7 +113,7 @@ func mustKind(s string) robust.Kind {
 
 // TestApplyRunLeavesTheRestAlone: only the flags given overwrite the
 // RunConfig a binary assembled, and only the edge→cloud flags count as
-// GivenCloud.
+// givenCloud.
 func TestApplyRunLeavesTheRestAlone(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	s := bind(fs)
@@ -121,11 +121,11 @@ func TestApplyRunLeavesTheRestAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := fl.RunConfig{Rounds: 7, BufferK: 9, RetierEvery: 2}
-	s.ApplyRun(&run)
+	s.applyRun(&run)
 	if want := (fl.RunConfig{Rounds: 7, BufferK: 3, RetierEvery: 2}); !reflect.DeepEqual(run, want) {
 		t.Fatalf("RunConfig = %+v, want %+v", run, want)
 	}
-	if want := []string{"-uplink-topk"}; !reflect.DeepEqual(s.GivenCloud, want) {
-		t.Fatalf("GivenCloud = %v, want %v", s.GivenCloud, want)
+	if want := []string{"-uplink-topk"}; !reflect.DeepEqual(s.givenCloud, want) {
+		t.Fatalf("GivenCloud = %v, want %v", s.givenCloud, want)
 	}
 }

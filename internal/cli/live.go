@@ -51,7 +51,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	// are fedsim's: the attack regime directs simnet.AttackTargets over
 	// -seed, the same subset the simulator poisons.
 	shared := bind(fs)
-	shared.BindServer()
+	shared.bindServer()
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
@@ -87,7 +87,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *role == "root" {
 		// The cloud tier: no engine, no clients of its own — it folds the K
 		// edges' pushed models and broadcasts the merged model back.
-		cloud := shared.Cloud
+		cloud := shared.cloud
 		cloud.Edges = *edges
 		cloud.W0, cloud.Shapes = ref.WeightsCopy(), shapes
 		cloud.Eval = func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true }
@@ -108,7 +108,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	m, err := fl.Compose(*method, shared.Select, shared.Pacer, shared.Agg, shared.Name)
+	m, err := fl.Compose(*method, shared.sel, shared.pacer, shared.agg, shared.name)
 	if err != nil {
 		return fail(1, err)
 	}
@@ -117,7 +117,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if *role == "edge" {
 		up, err := transport.DialUplink(transport.UplinkConfig{
 			Root: *rootAddr, EdgeID: *edgeID, NumClients: *clients,
-			TopKFrac: shared.Cloud.TopKFrac, W0: ref.WeightsCopy(), Shapes: shapes,
+			TopKFrac: shared.cloud.TopKFrac, W0: ref.WeightsCopy(), Shapes: shapes,
 			Logf: logger.Printf,
 		})
 		if err != nil {
@@ -133,7 +133,7 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	run := fl.RunConfig{Rounds: *rounds, ClientsPerRound: *perRound, NumTiers: *tiers,
 		LocalEpochs: *epochs, BatchSize: *batch, Codec: wire(*prec), Seed: *seed}
-	shared.ApplyRun(&run) // an unset -lambda stays 0 → fl.DefaultLambda
+	shared.applyRun(&run) // an unset -lambda stays 0 → fl.DefaultLambda
 	srv, err := transport.NewServer(transport.ServerConfig{
 		Addr:       *addr,
 		NumClients: *clients,
@@ -143,8 +143,8 @@ func Server(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		W0:         ref.WeightsCopy(),
 		Dataset:    fed.Name,
 		Observers:  observers,
-		Attack:     shared.Attack(),
-		AttackFrac: shared.Behavior.AttackFrac,
+		Attack:     shared.liveAttack(),
+		AttackFrac: shared.behavior.AttackFrac,
 		Eval:       ev,
 		Logf:       logger.Printf,
 	})

@@ -59,9 +59,9 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	shared := bind(fs)
 	// Dynamic-population knobs (compose mode): time-varying client behavior
 	// beside the shared -retier-every; see the 'dynamics' experiment.
-	fs.Float64Var(&shared.Behavior.DriftMag, "drift", 0, "with -compose, speed-drift magnitude per interval (e.g. 0.45; 0 = static speeds)")
-	fs.Float64Var(&shared.Behavior.ChurnFrac, "churn", 0, "with -compose, fraction of clients cycling offline (e.g. 0.2; 0 = no churn)")
-	fs.BoolVar(&shared.Behavior.AttackTail, "attack-tail", false, "with -compose, aim the attack at the slowest clients instead of a seed-drawn subset")
+	fs.Float64Var(&shared.behavior.DriftMag, "drift", 0, "with -compose, speed-drift magnitude per interval (e.g. 0.45; 0 = static speeds)")
+	fs.Float64Var(&shared.behavior.ChurnFrac, "churn", 0, "with -compose, fraction of clients cycling offline (e.g. 0.2; 0 = no churn)")
+	fs.BoolVar(&shared.behavior.AttackTail, "attack-tail", false, "with -compose, aim the attack at the slowest clients instead of a seed-drawn subset")
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
@@ -104,7 +104,7 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := shared.cloudUnused(edges > 0, "-compose -topology edge:K"); err != nil {
 		return fail(2, "%v", err)
 	}
-	shared.Cloud.Edges = edges
+	shared.cloud.Edges = edges
 	p, err := experiments.PresetByName(*preset)
 	if err != nil {
 		return fail(2, "%v", err)
@@ -112,16 +112,16 @@ func Sim(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	var job func() error
 	if *compose != "" {
-		m, err := fl.Compose(*compose, shared.Select, shared.Pacer, shared.Agg, shared.Name)
+		m, err := fl.Compose(*compose, shared.sel, shared.pacer, shared.agg, shared.name)
 		if err != nil {
 			return fail(2, "%v", err)
 		}
 		job = func() error { return runComposition(p, m, shared, *trace, stdout, stderr) }
 	} else {
 		switch {
-		case len(shared.Given) > 0:
-			return fail(2, "%s given without -compose (the 'dynamics', 'robustness', 'staleness' and 'hierarchy' experiments carry their own)", strings.Join(shared.Given, ", "))
-		case shared.Behavior != (simnet.BehaviorConfig{}):
+		case len(shared.given) > 0:
+			return fail(2, "%s given without -compose (the 'dynamics', 'robustness', 'staleness' and 'hierarchy' experiments carry their own)", strings.Join(shared.given, ", "))
+		case shared.behavior != (simnet.BehaviorConfig{}):
 			return fail(2, "-drift/-churn/-attack-tail require -compose (the 'dynamics' and 'robustness' experiments carry their own)")
 		case edges > 0:
 			return fail(2, "-topology requires -compose (the 'hierarchy' experiment carries its own)")
@@ -278,8 +278,8 @@ func runComposition(p experiments.Preset, m fl.Method, over *shared, trace bool,
 	}
 
 	start := time.Now()
-	dyn := experiments.ComposeDynamics{Run: over.ApplyRun, Behavior: over.Behavior}
-	run, err := experiments.RunComposedTopology(p, m, dyn, over.Cloud, traceTo)
+	dyn := experiments.ComposeDynamics{Run: over.applyRun, Behavior: over.behavior}
+	run, err := experiments.RunComposedTopology(p, m, dyn, over.cloud, traceTo)
 	if err != nil {
 		return err
 	}

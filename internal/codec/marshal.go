@@ -37,10 +37,10 @@ func codecWireID(c Codec) (id byte, precision byte, err error) {
 	case Raw, *Raw:
 		return wireRaw, 0, nil
 	case *Polyline:
-		if v.Precision < 0 || v.Precision > 12 {
-			return 0, 0, fmt.Errorf("codec: polyline precision %d out of range", v.Precision)
+		if v.precision < 0 || v.precision > 12 {
+			return 0, 0, fmt.Errorf("codec: polyline precision %d out of range", v.precision)
 		}
-		return wirePolyline, byte(v.Precision), nil
+		return wirePolyline, byte(v.precision), nil
 	case *TopK:
 		// The precision byte carries the kept fraction in percent, so the
 		// wire supports 1%..100% in whole-percent steps — the edge→cloud
@@ -62,7 +62,7 @@ func decodeWire(id, precision byte, payload []byte, out []float64) error {
 	case wireRaw:
 		return Raw{}.Decode(payload, out)
 	case wirePolyline:
-		p := Polyline{Precision: int(precision)}
+		p := Polyline{precision: int(precision)}
 		return p.Decode(payload, out)
 	case wireTopK:
 		if precision < 1 || precision > 100 {

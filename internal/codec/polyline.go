@@ -61,25 +61,25 @@ const (
 	maxMagnitude = 1 << 46
 )
 
-// Polyline is the paper's compressor. Precision is the number of decimal
+// Polyline is the paper's compressor. precision is the number of decimal
 // places kept (the paper evaluates 3..6 in Figure 5 and defaults to 4).
 type Polyline struct {
-	Precision int
+	precision int
 }
 
 // NewPolyline returns the codec at the given precision.
-func NewPolyline(precision int) *Polyline { return &Polyline{Precision: precision} }
+func NewPolyline(precision int) *Polyline { return &Polyline{precision: precision} }
 
 // Name implements Codec.
-func (p *Polyline) Name() string { return fmt.Sprintf("polyline%d", p.Precision) }
+func (p *Polyline) Name() string { return fmt.Sprintf("polyline%d", p.precision) }
 
-// MaxError implements Codec: rounding to Precision decimals is off by at
+// MaxError implements Codec: rounding to precision decimals is off by at
 // most half a unit in the last place.
 func (p *Polyline) MaxError() float64 {
-	return 0.5 * math.Pow(10, -float64(p.Precision))
+	return 0.5 * math.Pow(10, -float64(p.precision))
 }
 
-func (p *Polyline) scale() float64 { return math.Pow(10, float64(p.Precision)) }
+func (p *Polyline) scale() float64 { return math.Pow(10, float64(p.precision)) }
 
 // Encode implements Codec.
 func (p *Polyline) Encode(w []float64) []byte { return p.AppendEncode(nil, w) }

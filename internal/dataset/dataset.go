@@ -33,7 +33,7 @@ type ClientData struct {
 	TrainX, TestX *tensor.Mat
 	TrainY, TestY []int
 
-	// Synthesis scratch of Source's ClientInto, TrainInto and TestInto —
+	// Synthesis scratch of Source's clientInto, TrainInto and TestInto —
 	// the shard's class subset and its sample stream — kept here so
 	// refilling a reused shard allocates nothing.
 	classes []int
@@ -142,7 +142,7 @@ func Generate(cfg Config) (*Federated, error) {
 	if err != nil {
 		return nil, err
 	}
-	return src.Federated(), nil
+	return src.federated(), nil
 }
 
 // trainFrac is the share of a client's samples that train; the rest test.

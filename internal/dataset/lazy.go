@@ -21,7 +21,7 @@ import (
 // The prototype table is O(Classes · InDim); nothing per client is
 // retained, so a million-client dataset costs kilobytes until shards are
 // requested — and a caller that synthesizes into its own scratch shard
-// (ClientInto) generates no garbage per request either.
+// (clientInto) generates no garbage per request either.
 type Source struct {
 	cfg       Config
 	perClient int
@@ -102,23 +102,23 @@ func powerLawRaw(u float64) float64 {
 
 // Client synthesizes client i's shard into fresh storage the caller owns
 // outright — the form for shards that are retained.
-func (s *Source) Client(i int) *ClientData { return s.ClientInto(new(ClientData), i) }
+func (s *Source) Client(i int) *ClientData { return s.clientInto(new(ClientData), i) }
 
-// ClientInto synthesizes client i's shard into dst and returns dst, reusing
+// clientInto synthesizes client i's shard into dst and returns dst, reusing
 // dst's matrices and label slices when their capacity suffices — once dst
 // has held the largest shard it will see, a call allocates nothing. The
 // shard is the one Client(i) builds, bit for bit, whatever dst held before;
 // it is valid until dst's owner passes dst here again. Calls on distinct
 // dsts may run concurrently.
-func (s *Source) ClientInto(dst *ClientData, i int) *ClientData { return s.into(dst, i, splitAll) }
+func (s *Source) clientInto(dst *ClientData, i int) *ClientData { return s.into(dst, i, splitAll) }
 
-// TrainInto is ClientInto for a caller that reads only the training split:
-// dst's training rows are ClientInto's, bit for bit, and its test split is
+// TrainInto is clientInto for a caller that reads only the training split:
+// dst's training rows are clientInto's, bit for bit, and its test split is
 // left empty. Synthesis stops after the last training row.
 func (s *Source) TrainInto(dst *ClientData, i int) *ClientData { return s.into(dst, i, splitTrain) }
 
-// TestInto is ClientInto for a caller that reads only the test split: dst's
-// test rows are ClientInto's, bit for bit, and its training split is left
+// TestInto is clientInto for a caller that reads only the test split: dst's
+// test rows are clientInto's, bit for bit, and its training split is left
 // empty. An image source skips the training rows' sample draws instead of
 // synthesizing them.
 func (s *Source) TestInto(dst *ClientData, i int) *ClientData { return s.into(dst, i, splitTest) }
@@ -131,9 +131,9 @@ func (s *Source) into(dst *ClientData, i int, part split) *ClientData {
 	return dst
 }
 
-// Federated materializes every shard — the eager construction, now
+// federated materializes every shard — the eager construction, now
 // expressed as "generate every client". Generate delegates here.
-func (s *Source) Federated() *Federated {
+func (s *Source) federated() *Federated {
 	fed := &Federated{
 		Name:    s.cfg.Name,
 		Classes: s.cfg.Classes,

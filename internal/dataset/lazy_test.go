@@ -170,7 +170,7 @@ func TestClientIntoMatchesClient(t *testing.T) {
 			for j := 0; j < 2*n; j++ {
 				i := (j*7 + 3) % n
 				prev := cap(scratch.TrainY)
-				got := src.ClientInto(&scratch, i)
+				got := src.clientInto(&scratch, i)
 				if got != &scratch {
 					t.Fatal("ClientInto did not return its destination")
 				}
@@ -184,7 +184,7 @@ func TestClientIntoMatchesClient(t *testing.T) {
 			}
 			next := 0
 			if allocs := testing.AllocsPerRun(3*n, func() {
-				src.ClientInto(&scratch, next%n)
+				src.clientInto(&scratch, next%n)
 				next++
 			}); allocs != 0 {
 				t.Fatalf("refilling a grown scratch allocates %.1f times per shard", allocs)
@@ -208,10 +208,10 @@ func poison(c *ClientData) {
 			y[i] = -1
 		}
 	}
-	c.stream.Uint64()
+	c.stream.Skip(1)
 }
 
-// TestSplitIntoMatchesClientInto pins the one-split forms to ClientInto: the
+// TestSplitIntoMatchesClientInto pins the one-split forms to clientInto: the
 // split TrainInto or TestInto writes is the same rows, bit for bit, the other
 // is left empty, over one poisoned scratch shared by both forms in scrambled
 // client order — image, power-law and token sources, plus the benchmark's

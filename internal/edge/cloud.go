@@ -455,6 +455,10 @@ func (c *Cloud) Live() int {
 	return n
 }
 
+// Fold returns the fold policy the cloud resolved: FoldSync where the
+// config left it empty.
+func (c *Cloud) Fold() string { return c.cfg.Fold }
+
 // Epoch returns the cloud fold count.
 func (c *Cloud) Epoch() int {
 	c.mu.Lock()

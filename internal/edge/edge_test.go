@@ -115,19 +115,22 @@ func TestEdgeOneEqualsFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			// At edge:1 the cloud is a pass-through, so the edge's last
+			// fold is the merged model.
+			var edgeFinal []float64
 			edgeEnv := buildEnv(t, 16, 11, cfg, simnet.BehaviorConfig{})
-			res, err := edge.Run(m, cfg, []edge.Child{{Fabric: edgeEnv.FabricOn}}, edge.CloudConfig{})
+			cloudRun, err := edge.Run(m, cfg, []edge.Child{{Fabric: edgeEnv.FabricOn, Observer: finalCapture(&edgeFinal)}}, edge.CloudConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			if got, want := sig(res.Cloud), sig(flatRun); got != want {
+			if got, want := sig(cloudRun), sig(flatRun); got != want {
 				t.Errorf("edge:1 run diverged from flat\n got %s\nwant %s", got, want)
 			}
-			if res.Cloud.EdgeFolds == 0 {
+			if cloudRun.EdgeFolds == 0 {
 				t.Error("edge:1 run recorded no edge folds (pass-through should still count)")
 			}
-			if got, want := weightsBits(res.Final), weightsBits(flatFinal); got != want {
+			if got, want := weightsBits(edgeFinal), weightsBits(flatFinal); got != want {
 				t.Error("edge:1 final model bits diverged from flat")
 			}
 		})
@@ -186,9 +189,18 @@ func TestEdgeTwoDeterministic(t *testing.T) {
 		{name: "dynamics/asyncsgd", method: compose("", "asyncsgd", "asyncsgd"), edges: 3, fold: edge.FoldSync, behavior: dynamicsBehavior(),
 			mutate: func(cfg *fl.RunConfig) { cfg.Staleness = fl.StalenessConfig{Func: fl.StaleFuncExp, Alpha: 0.3} }},
 	}
+	// hierarchy is one run's records: the cloud's, each edge's through an
+	// fl.Recorder on its observer, and the last merged model the cloud's
+	// evaluator saw (it evaluates after every fold).
+	type hierarchy struct {
+		cloud *metrics.Run
+		edges []*metrics.Run
+		final []float64
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			once := func() (*edge.Result, error) {
+			once := func() (*hierarchy, error) {
+				h := &hierarchy{edges: make([]*metrics.Run, c.edges)}
 				cfg := edgeCfg()
 				cfg.RetierEvery = 4
 				if c.mutate != nil {
@@ -199,12 +211,18 @@ func TestEdgeTwoDeterministic(t *testing.T) {
 					cfgE := cfg
 					cfgE.Seed = cfg.Seed + uint64(e)
 					env := buildEnv(t, 8, 11+uint64(e), cfgE, c.behavior)
-					children[e] = edge.Child{Fabric: env.FabricOn}
+					h.edges[e] = new(metrics.Run)
+					children[e] = edge.Child{Fabric: env.FabricOn, Observer: (*fl.Recorder)(h.edges[e])}
 				}
-				return edge.Run(c.method, cfg, children, edge.CloudConfig{
+				var err error
+				h.cloud, err = edge.Run(c.method, cfg, children, edge.CloudConfig{
 					Fold: c.fold,
-					Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
+					Eval: func(w []float64) (fl.Result, bool) {
+						h.final = append(h.final[:0], w...)
+						return fl.Result{}, true
+					},
 				})
+				return h, err
 			}
 			a, err := once()
 			if err != nil {
@@ -214,25 +232,25 @@ func TestEdgeTwoDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sig(a.Cloud) != sig(b.Cloud) {
-				t.Errorf("cloud records diverged across same-seed runs\n a %s\n b %s", sig(a.Cloud), sig(b.Cloud))
+			if sig(a.cloud) != sig(b.cloud) {
+				t.Errorf("cloud records diverged across same-seed runs\n a %s\n b %s", sig(a.cloud), sig(b.cloud))
 			}
-			for e := range a.Edges {
-				if sig(a.Edges[e]) != sig(b.Edges[e]) {
+			for e := range a.edges {
+				if sig(a.edges[e]) != sig(b.edges[e]) {
 					t.Errorf("edge %d records diverged across same-seed runs", e)
 				}
 			}
-			if weightsBits(a.Final) != weightsBits(b.Final) {
+			if a.final == nil || weightsBits(a.final) != weightsBits(b.final) {
 				t.Error("final merged models diverged across same-seed runs")
 			}
-			if a.Cloud.EdgeFolds == 0 {
+			if a.cloud.EdgeFolds == 0 {
 				t.Error("no cloud folds recorded")
 			}
 			if c.method.Pace != "tier" {
 				return
 			}
 			retiers := 0
-			for _, r := range a.Edges {
+			for _, r := range a.edges {
 				retiers += r.Retiers
 			}
 			if retiers == 0 {
@@ -258,9 +276,10 @@ func TestChurnedEdgeRevives(t *testing.T) {
 		ChurnOn:   [2]float64{10, 12},
 		ChurnOff:  [2]float64{30, 40},
 	})
-	res, err := edge.Run(fl.Methods["fedat"], cfg, []edge.Child{
+	var churned metrics.Run
+	cloudRun, err := edge.Run(fl.Methods["fedat"], cfg, []edge.Child{
 		{Fabric: env0.FabricOn},
-		{Fabric: env1.FabricOn},
+		{Fabric: env1.FabricOn, Observer: (*fl.Recorder)(&churned)},
 	}, edge.CloudConfig{
 		Fold: edge.FoldSync,
 		Eval: func([]float64) (fl.Result, bool) { return fl.Result{}, true },
@@ -272,7 +291,7 @@ func TestChurnedEdgeRevives(t *testing.T) {
 	// shortest stay-away), so any cloud fold after 40 is post-revival.
 	earliestRejoin := 10.0 + 30.0
 	lastFold := 0.0
-	for _, p := range res.Cloud.Points {
+	for _, p := range cloudRun.Points {
 		if p.Time > lastFold {
 			lastFold = p.Time
 		}
@@ -280,7 +299,7 @@ func TestChurnedEdgeRevives(t *testing.T) {
 	if lastFold <= earliestRejoin {
 		t.Errorf("no cloud fold after the churned edge's revival: last fold at %.1f, revival no earlier than %.1f", lastFold, earliestRejoin)
 	}
-	if res.Edges[1].GlobalRounds == 0 {
+	if churned.GlobalRounds == 0 {
 		t.Error("churned edge folded nothing at all")
 	}
 }

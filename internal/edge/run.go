@@ -23,22 +23,14 @@ type Child struct {
 // what makes a 1-edge hierarchy replay the flat run exactly.
 const seedStride = 1_000_003
 
-// Result is a hierarchical run's record: the cloud-level run (edge folds,
-// staleness, cloud traffic, merged-model evaluations), each edge engine's
-// own run, and the final merged model. With one edge the cloud is a
-// pass-through, so Cloud is that edge's run itself.
-type Result struct {
-	Cloud *metrics.Run
-	Edges []*metrics.Run
-	Final []float64
-}
-
 // Run executes one engine per edge — the UNMODIFIED method engine, so each
 // edge is a full FedAT server with its own cohort dispatch, availability,
 // tiering and (with cfg.RetierEvery) runtime re-tiering — over one
 // deterministically merged virtual timeline, with the cloud folding pushed
 // edge models per the fold policy and each edge rebasing onto the merged
-// model it later adopts.
+// model it later adopts. It returns the cloud-level run: edge folds,
+// staleness, cloud traffic and merged-model evaluations. With one edge the
+// cloud is a pass-through, so that is the edge's run itself.
 //
 // ccfg is the edge→cloud policy: the fold, its async parameters, the uplink
 // compressor and the merged-model evaluator. Run derives Edges, W0, Shapes,
@@ -49,7 +41,7 @@ type Result struct {
 // Drive interleaves all callbacks in global (time, seq) order, so same seed
 // → bit-identical runs. An edge that fails to start fails the run before
 // the timeline is driven.
-func Run(m fl.Method, cfg fl.RunConfig, children []Child, ccfg CloudConfig) (*Result, error) {
+func Run(m fl.Method, cfg fl.RunConfig, children []Child, ccfg CloudConfig) (*metrics.Run, error) {
 	k := len(children)
 	if k == 0 {
 		return nil, fmt.Errorf("edge: hierarchy with zero edges")
@@ -100,16 +92,12 @@ func Run(m fl.Method, cfg fl.RunConfig, children []Child, ccfg CloudConfig) (*Re
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-
-	res := &Result{Edges: runs, Final: cloud.Global()}
 	if k == 1 {
 		// Pass-through: the single edge IS the cloud; its run record is the
 		// authoritative trajectory (bit-identical to the flat run).
-		res.Cloud = runs[0]
-	} else {
-		res.Cloud = cloud.Record()
+		return runs[0], nil
 	}
-	return res, nil
+	return cloud.Record(), nil
 }
 
 // edgeSyncer connects one edge's engine to the cloud: after each of the

@@ -127,7 +127,7 @@ func figure10(p Preset) (*Report, error) {
 	sizes := make([][]int, len(figure10Configs))
 	cells := make([]cell, len(figure10Configs))
 	for i, cfg := range figure10Configs {
-		sizes[i] = fracSizes(p.LargeClients, cfg.frac)
+		sizes[i] = fracSizes(p.largeClients, cfg.frac)
 		cells[i] = cell{p: p, d: spec, method: "fedat", variant: "tiers=" + cfg.label,
 			cmutate: func(cc *simnet.ClusterConfig) { cc.PartSizes = sizes[i] }}
 	}
@@ -149,8 +149,8 @@ func figure10(p Preset) (*Report, error) {
 			accCell(run.BestAcc()), timeCell(run.EndTime))
 	}
 	rep.AddTable(tb)
-	rep.AddTable(timelineTable("Smoothed accuracy over time", tl, order, p.SmoothWindow, true))
-	timelineSeries(rep, "", tl, order, p.SmoothWindow)
+	rep.AddTable(timelineTable("Smoothed accuracy over time", tl, order, p.smoothWindow, true))
+	timelineSeries(rep, "", tl, order, p.smoothWindow)
 	rep.AddNote("Paper shape: all four distributions converge to close accuracy; Slow/Medium " +
 		"converge slightly faster than Fast (fast-heavy tiers hold less total data per round of work).")
 	return rep, nil

@@ -40,15 +40,15 @@ func buildFed(p Preset, d dsSpec, n int, off uint64) (*dataset.Federated, error)
 	seed := p.Seed + uint64(d.classesPerClient) + off
 	switch d.name {
 	case "cifar10":
-		return dataset.CIFAR10Like(n, d.classesPerClient, p.DataScale, seed)
+		return dataset.CIFAR10Like(n, d.classesPerClient, p.dataScale, seed)
 	case "fashion":
-		return dataset.FashionLike(n, d.classesPerClient, p.DataScale, seed)
+		return dataset.FashionLike(n, d.classesPerClient, p.dataScale, seed)
 	case "sent140":
-		return dataset.Sent140Like(n, d.classesPerClient, p.DataScale, seed)
+		return dataset.Sent140Like(n, d.classesPerClient, p.dataScale, seed)
 	case "femnist":
-		return dataset.FEMNISTLike(n, p.DataScale, seed)
+		return dataset.FEMNISTLike(n, p.dataScale, seed)
 	case "reddit":
-		return dataset.RedditLike(n, p.DataScale, seed)
+		return dataset.RedditLike(n, p.dataScale, seed)
 	default:
 		return nil, fmt.Errorf("experiments: unknown dataset %q", d.name)
 	}
@@ -59,7 +59,7 @@ func modelFactory(p Preset, fed *dataset.Federated) fl.ModelFactory {
 	switch {
 	case fed.Vocab > 0: // Reddit: embedding + LSTM classifier
 		emb, hidden := 8, 16
-		if p.UseCNN { // reuse the fidelity knob for sequence width
+		if p.useCNN { // reuse the fidelity knob for sequence width
 			emb, hidden = 16, 32
 		}
 		cfg := nn.LSTMConfig{
@@ -70,7 +70,7 @@ func modelFactory(p Preset, fed *dataset.Federated) fl.ModelFactory {
 		return func(seed uint64) *nn.Network { return nn.NewLSTMClassifier(rng.New(seed), cfg) }
 	case fed.Name == "sent140like": // logistic regression (convex)
 		return func(seed uint64) *nn.Network { return nn.NewLogistic(rng.New(seed), fed.InDim, fed.Classes) }
-	case p.UseCNN:
+	case p.useCNN:
 		cfg := nn.SmallCNN(fed.ImgC, fed.ImgH, fed.ImgW, fed.Classes)
 		return func(seed uint64) *nn.Network { return nn.NewCNN(rng.New(seed), cfg) }
 	default:
@@ -108,9 +108,9 @@ func clusterConfig(p Preset, numClients int) simnet.ClusterConfig {
 // update counts instead would handicap FedAT and FedAsync, whose updates
 // are individually much cheaper than a full synchronous round.
 func runConfig(p Preset, d dsSpec) fl.RunConfig {
-	rounds := p.Rounds
+	rounds := p.rounds
 	if d.large {
-		rounds = p.LargeRounds
+		rounds = p.largeRounds
 	}
 	return fl.RunConfig{
 		Rounds:          rounds,
@@ -120,7 +120,7 @@ func runConfig(p Preset, d dsSpec) fl.RunConfig {
 		// Lambda unset: inherits fl.DefaultLambda (the paper's 0.4).
 		LearningRate: 0.005,
 		NumTiers:     5,
-		EvalEvery:    p.EvalEvery,
+		EvalEvery:    p.evalEvery,
 		// ~35s is the typical synchronous round under the calibrated
 		// compute model, so this budget lets FedAvg finish its cap.
 		MaxSimTime: float64(rounds) * 35,
@@ -211,9 +211,9 @@ func (c cell) runConfig(m fl.Method) fl.RunConfig {
 // clients is the cell's population size over all edges.
 func (c cell) clients() int {
 	if c.d.large {
-		return c.p.LargeClients
+		return c.p.largeClients
 	}
-	return c.p.Clients
+	return c.p.clients
 }
 
 // env builds one engine's environment over n clients of the cell's

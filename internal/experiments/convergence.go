@@ -32,8 +32,8 @@ func figure2(p Preset) (*Report, error) {
 		}
 		rep.AddTable(timelineTable(
 			fmt.Sprintf("%s: smoothed test accuracy over virtual time", spec.label()),
-			runs, table1Methods, p.SmoothWindow, false))
-		timelineSeries(rep, spec.label(), runs, table1Methods, p.SmoothWindow)
+			runs, table1Methods, p.smoothWindow, false))
+		timelineSeries(rep, spec.label(), runs, table1Methods, p.smoothWindow)
 
 		target := 0.9 * runs["fedat"].BestAcc()
 		rep.AddScalar(spec.label()+"/target_acc", target, "fraction")
@@ -88,8 +88,8 @@ func figure3(p Preset) (*Report, error) {
 		}
 		rep.AddTable(timelineTable(
 			fmt.Sprintf("%s: smoothed accuracy over time", spec.label()),
-			runs, table1Methods, p.SmoothWindow, false))
-		timelineSeries(rep, spec.label(), runs, table1Methods, p.SmoothWindow)
+			runs, table1Methods, p.smoothWindow, false))
+		timelineSeries(rep, spec.label(), runs, table1Methods, p.smoothWindow)
 	}
 	for _, m := range table1Methods {
 		finals.AddRow(rows[m]...)

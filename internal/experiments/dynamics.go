@@ -97,8 +97,8 @@ func dynamics(p Preset) (*Report, error) {
 	// Accuracy-over-virtual-time for the tier-paced pair — the curves the
 	// static-vs-retier claim rides on — plus the synchronous control.
 	order := []string{"fedat/static", "fedat/retier", "fedavg/static"}
-	timelineSeries(rep, "", timeline, order, p.SmoothWindow)
-	rep.AddTable(timelineTable("smoothed accuracy over virtual time", timeline, order, p.SmoothWindow, true))
+	timelineSeries(rep, "", timeline, order, p.smoothWindow)
+	rep.AddTable(timelineTable("smoothed accuracy over virtual time", timeline, order, p.smoothWindow, true))
 
 	rep.AddNote("All runs share one drifting, churning population (speed random-walk ×[0.55,1.45] per 40s " +
 		"clamped to [1/4,4]; 20% of clients cycle offline). With static tiers FedAT's fast tiers inherit " +

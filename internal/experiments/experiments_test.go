@@ -141,7 +141,7 @@ func TestFigure10Tiny(t *testing.T) {
 
 // TestFigure10UniformIsFigure7FedAT checks that Figure 10 trains each
 // distribution as the registry FedAT cell trains at large scale: every
-// preset's LargeClients divides by five, so the Uniform split is the
+// preset's largeClients divides by five, so the Uniform split is the
 // default one and its record must be Figure 7's FedAT record.
 func TestFigure10UniformIsFigure7FedAT(t *testing.T) {
 	got := fmt.Sprintf("%+v", *tinyReport(t, "fig10").Runs["Uniform"])

@@ -91,8 +91,8 @@ func hierarchy(p Preset) (*Report, error) {
 	// Accuracy-over-virtual-time for the topology spread: the flat baseline,
 	// the pass-through proof, and the two genuine 2-edge policies.
 	order := []string{"flat", "edge1/sync", "edge2/sync", "edge2/async"}
-	timelineSeries(rep, "", timeline, order, p.SmoothWindow)
-	rep.AddTable(timelineTable("smoothed accuracy over virtual time", timeline, order, p.SmoothWindow, true))
+	timelineSeries(rep, "", timeline, order, p.smoothWindow)
+	rep.AddTable(timelineTable("smoothed accuracy over virtual time", timeline, order, p.smoothWindow, true))
 
 	rep.AddNote("Every topology runs the same unmodified FedAT engine; the hierarchy only changes who it " +
 		"answers to. edge:1 is the flat run routed through the full edge machinery (cloud overlay, fold " +

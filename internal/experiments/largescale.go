@@ -23,8 +23,8 @@ func figure7(p Preset) (*Report, error) {
 		rep.Keep(m, run)
 	}
 	rep.AddTable(timelineTable("Smoothed accuracy over virtual time",
-		runs, figure7Methods, p.SmoothWindow, false))
-	timelineSeries(rep, "", runs, figure7Methods, p.SmoothWindow)
+		runs, figure7Methods, p.smoothWindow, false))
+	timelineSeries(rep, "", runs, figure7Methods, p.smoothWindow)
 
 	tb := report.NewTable("Accuracy vs communication",
 		"method", "best acc", "total up-bytes", "up-bytes to 90% of FedAT best")
@@ -61,8 +61,8 @@ func figure8(p Preset) (*Report, error) {
 		rep.Keep(m, run)
 	}
 	rep.AddTable(timelineTable("Smoothed accuracy over virtual time",
-		runs, figure8Methods, p.SmoothWindow, false))
-	timelineSeries(rep, "", runs, figure8Methods, p.SmoothWindow)
+		runs, figure8Methods, p.smoothWindow, false))
+	timelineSeries(rep, "", runs, figure8Methods, p.smoothWindow)
 
 	loss := report.NewTable("Test loss trajectory", "method", "first loss", "final loss", "best acc")
 	for _, m := range figure8Methods {

@@ -18,27 +18,27 @@ import (
 type Preset struct {
 	Name string
 
-	// Clients for the Chameleon-style experiments (paper: 100) and the
+	// clients for the Chameleon-style experiments (paper: 100) and the
 	// large-scale AWS-style ones (paper: 500).
-	Clients      int
-	LargeClients int
+	clients      int
+	largeClients int
 
-	// Rounds is the global update budget for the standard experiments;
-	// LargeRounds for the large-scale ones.
-	Rounds      int
-	LargeRounds int
+	// rounds is the global update budget for the standard experiments;
+	// largeRounds for the large-scale ones.
+	rounds      int
+	largeRounds int
 
-	// EvalEvery controls evaluation cadence (global updates per eval).
-	EvalEvery int
-	// SmoothWindow is the report smoothing (the paper smooths 40 rounds).
-	SmoothWindow int
+	// evalEvery controls evaluation cadence (global updates per eval).
+	evalEvery int
+	// smoothWindow is the report smoothing (the paper smooths 40 rounds).
+	smoothWindow int
 
-	// DataScale picks the synthetic dataset size.
-	DataScale dataset.Scale
-	// UseCNN selects the paper's CNN for the image datasets; false swaps
+	// dataScale picks the synthetic dataset size.
+	dataScale dataset.Scale
+	// useCNN selects the paper's CNN for the image datasets; false swaps
 	// in an MLP, which keeps CI-scale runs fast without changing the FL
 	// dynamics under study.
-	UseCNN bool
+	useCNN bool
 
 	Seed uint64
 }
@@ -47,28 +47,28 @@ type Preset struct {
 // benchmarks.
 var tiny = Preset{
 	Name:         "tiny",
-	Clients:      15,
-	LargeClients: 25,
-	Rounds:       24,
-	LargeRounds:  30,
-	EvalEvery:    3,
-	SmoothWindow: 2,
-	DataScale:    dataset.ScaleSmall,
-	UseCNN:       false,
+	clients:      15,
+	largeClients: 25,
+	rounds:       24,
+	largeRounds:  30,
+	evalEvery:    3,
+	smoothWindow: 2,
+	dataScale:    dataset.ScaleSmall,
+	useCNN:       false,
 	Seed:         42,
 }
 
 // small runs in tens of seconds per experiment.
 var small = Preset{
 	Name:         "small",
-	Clients:      40,
-	LargeClients: 80,
-	Rounds:       120,
-	LargeRounds:  150,
-	EvalEvery:    4,
-	SmoothWindow: 5,
-	DataScale:    dataset.ScaleSmall,
-	UseCNN:       false,
+	clients:      40,
+	largeClients: 80,
+	rounds:       120,
+	largeRounds:  150,
+	evalEvery:    4,
+	smoothWindow: 5,
+	dataScale:    dataset.ScaleSmall,
+	useCNN:       false,
 	Seed:         42,
 }
 
@@ -77,28 +77,28 @@ var small = Preset{
 // the fast MLP stand-in model so a full experiment takes minutes.
 var medium = Preset{
 	Name:         "medium",
-	Clients:      100,
-	LargeClients: 200,
-	Rounds:       300,
-	LargeRounds:  200,
-	EvalEvery:    5,
-	SmoothWindow: 8,
-	DataScale:    dataset.ScaleMedium,
-	UseCNN:       false,
+	clients:      100,
+	largeClients: 200,
+	rounds:       300,
+	largeRounds:  200,
+	evalEvery:    5,
+	smoothWindow: 8,
+	dataScale:    dataset.ScaleMedium,
+	useCNN:       false,
 	Seed:         42,
 }
 
 // paper approaches the paper's scales (100/500 clients); expect long runs.
 var paper = Preset{
 	Name:         "paper",
-	Clients:      100,
-	LargeClients: 500,
-	Rounds:       1000,
-	LargeRounds:  600,
-	EvalEvery:    5,
-	SmoothWindow: 40,
-	DataScale:    dataset.ScaleMedium,
-	UseCNN:       true,
+	clients:      100,
+	largeClients: 500,
+	rounds:       1000,
+	largeRounds:  600,
+	evalEvery:    5,
+	smoothWindow: 40,
+	dataScale:    dataset.ScaleMedium,
+	useCNN:       true,
 	Seed:         42,
 }
 
@@ -110,14 +110,14 @@ var paper = Preset{
 // not to. Round budgets are bounded accordingly.
 var huge = Preset{
 	Name:         "huge",
-	Clients:      15625,
-	LargeClients: 15625,
-	Rounds:       8,
-	LargeRounds:  8,
-	EvalEvery:    2,
-	SmoothWindow: 2,
-	DataScale:    dataset.ScaleSmall,
-	UseCNN:       false,
+	clients:      15625,
+	largeClients: 15625,
+	rounds:       8,
+	largeRounds:  8,
+	evalEvery:    2,
+	smoothWindow: 2,
+	dataScale:    dataset.ScaleSmall,
+	useCNN:       false,
 	Seed:         42,
 }
 

@@ -9,7 +9,7 @@ import (
 // Experiment is a runnable paper artifact reproduction.
 type Experiment struct {
 	Title string
-	Run   func(Preset) (*Report, error)
+	run   func(Preset) (*Report, error)
 }
 
 // Registry maps experiment ids to runners, one per paper table/figure.
@@ -47,5 +47,5 @@ func RunByID(id string, p Preset) (*Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	return exp.Run(p)
+	return exp.run(p)
 }

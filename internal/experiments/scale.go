@@ -33,7 +33,7 @@ const scaleRounds = 8
 // count c: tiny tops out at 960 (the golden pins that run), huge at
 // exactly 1,000,000.
 func scaleLadder(p Preset) []int {
-	c := p.Clients
+	c := p.clients
 	return []int{c, 8 * c, 64 * c}
 }
 
@@ -103,7 +103,9 @@ func scaleFactory(src *dataset.Source) fl.ModelFactory {
 // heapSampler records the live-heap peak across a run's folds and
 // evaluations — the points where a lazy run's footprint crests (cohort
 // shards just released, eval shards in flight). GC timing makes the value
-// machine-dependent, so it feeds a data-only scalar, never the table.
+// machine-dependent, so it feeds a data-only scalar, never the table. The
+// heap is the process's, so the peak includes every cell running
+// concurrently (fedsim -exp all), not only the rung.
 type heapSampler struct{ peak uint64 }
 
 func (h *heapSampler) OnEvent(ev fl.Event) {
@@ -133,19 +135,25 @@ func scale(p Preset) (*Report, error) {
 		fmt.Sprintf("fedat on scalelike(#2), %d global updates per rung, sampled evaluation", scaleRounds),
 		"clients", "updates", "best acc", "virtual time", "client MB up", "touched", "touched frac")
 	for _, n := range scaleLadder(p) {
-		env, pop, err := buildLazyEnv(p, n)
-		if err != nil {
-			return nil, err
-		}
+		// The rung's population is built inside the gate, which exists to
+		// bound that memory-heavy build, and wall_ms times the build and
+		// the run from when the rung holds its slot, not its wait for one.
 		sampler := &heapSampler{}
-		start := time.Now()
+		var pop *simnet.Population
+		var wall time.Duration
 		run, err := simulateDirect(func() (*metrics.Run, error) {
+			start := time.Now()
+			defer func() { wall = time.Since(start) }()
+			env, built, err := buildLazyEnv(p, n)
+			if err != nil {
+				return nil, err
+			}
+			pop = built
 			return m.Run(env, sampler)
 		})
 		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start)
 		touched := pop.Materialized()
 		tb.AddRow(
 			report.Num(float64(n), fmt.Sprint(n)),

@@ -25,13 +25,13 @@ var microRuns atomic.Int64
 func microPreset(name string) Preset {
 	return Preset{
 		Name:         fmt.Sprintf("%s#%d", name, microRuns.Add(1)),
-		Clients:      8,
-		LargeClients: 10,
-		Rounds:       6,
-		LargeRounds:  6,
-		EvalEvery:    2,
-		SmoothWindow: 2,
-		DataScale:    dataset.ScaleSmall,
+		clients:      8,
+		largeClients: 10,
+		rounds:       6,
+		largeRounds:  6,
+		evalEvery:    2,
+		smoothWindow: 2,
+		dataScale:    dataset.ScaleSmall,
 		Seed:         7,
 	}
 }
@@ -40,7 +40,7 @@ func microPreset(name string) Preset {
 // hierarchy over the large population (five clients an edge, one a tier)
 // and a flat run with explicit tier sizes, as Figure 10 builds it.
 func topologyCells(p Preset) []cell {
-	sizes := fracSizes(p.Clients, figure10Configs[1].frac)
+	sizes := fracSizes(p.clients, figure10Configs[1].frac)
 	return []cell{
 		{p: p, d: dsSpec{name: "cifar10", classesPerClient: 2, large: true}, method: "fedat",
 			variant: "edge2/sync", cloud: edge.CloudConfig{Edges: 2, Fold: edge.FoldSync}},

@@ -247,9 +247,9 @@ func staleness(p Preset) (*Report, error) {
 		polyRuns[key] = run
 		polyOrder = append(polyOrder, key)
 	}
-	timelineSeries(rep, "", polyRuns, polyOrder, p.SmoothWindow)
+	timelineSeries(rep, "", polyRuns, polyOrder, p.smoothWindow)
 	rep.AddTable(timelineTable("smoothed accuracy over virtual time (poly discount sweep)",
-		polyRuns, polyOrder, p.SmoothWindow, true))
+		polyRuns, polyOrder, p.smoothWindow, true))
 
 	// Rule × pacer table.
 	pt := report.NewTable("rule x pacer at poly:0.5",

@@ -61,11 +61,7 @@ func runHierarchy(c cell, m fl.Method, cfg fl.RunConfig, trace io.Writer) (*metr
 		cloud.Eval = func(w []float64) (fl.Result, bool) { return ev.Evaluate(w), true }
 		cloud.EvalEvery = cfg.EvalEvery
 	}
-	res, err := edge.Run(m, cfg, children, cloud)
-	if err != nil {
-		return nil, err
-	}
-	return res.Cloud, nil
+	return edge.Run(m, cfg, children, cloud)
 }
 
 // ComposeDynamics is what fedsim's compose mode lays over the standard

@@ -58,7 +58,7 @@ func TestFoldAllocFree(t *testing.T) {
 		rule := &avgRule{agg: agg}
 		us := cohort(5)
 		assertFoldAllocs(t, "avg fold", 0, func() {
-			if _, err := rule.Fold(fold{Tier: 0, Updates: us}); err != nil {
+			if _, err := rule.Fold(fold{tier: 0, updates: us}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -78,14 +78,14 @@ func TestFoldAllocFree(t *testing.T) {
 			us := cohort(3)
 			tier := 0
 			assertFoldAllocs(t, name+" tiered fold", 0, func() {
-				if _, err := rule.Fold(fold{Tier: tier % 3, Updates: us}); err != nil {
+				if _, err := rule.Fold(fold{tier: tier % 3, updates: us}); err != nil {
 					t.Fatal(err)
 				}
 				tier++
 			})
 			one := cohort(1)
 			assertFoldAllocs(t, name+" untiered single fold", 0, func() {
-				if _, err := rule.Fold(fold{Tier: -1, Updates: one}); err != nil {
+				if _, err := rule.Fold(fold{tier: -1, updates: one}); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -96,7 +96,7 @@ func TestFoldAllocFree(t *testing.T) {
 		rule := &stalenessRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5})}
 		us := cohort(1)
 		assertFoldAllocs(t, "staleness fold", 0, func() {
-			if _, err := rule.Fold(fold{Tier: -1, Updates: us}); err != nil {
+			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -106,7 +106,7 @@ func TestFoldAllocFree(t *testing.T) {
 		rule := &stalenessRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5}), perUpdate: true}
 		us := cohort(4)
 		assertFoldAllocs(t, "fedasync fold", 0, func() {
-			if _, err := rule.Fold(fold{Tier: -1, Updates: us}); err != nil {
+			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -116,7 +116,7 @@ func TestFoldAllocFree(t *testing.T) {
 		rule := &asyncSGDRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncExp, Alpha: 0.3}), delta: make([]float64, dim)}
 		us := cohort(4)
 		assertFoldAllocs(t, "asyncsgd fold", 0, func() {
-			if _, err := rule.Fold(fold{Tier: -1, Updates: us}); err != nil {
+			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -130,7 +130,7 @@ func TestFoldAllocFree(t *testing.T) {
 		}
 		us := cohort(1)
 		assertFoldAllocs(t, "asofed fold", 0, func() {
-			if _, err := rule.Fold(fold{Tier: -1, Updates: us}); err != nil {
+			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -307,7 +307,7 @@ func TestEngineRoundByteCeiling(t *testing.T) {
 				t.Fatalf("only %d of %d folds", folds, rounds)
 			}
 			perRound := float64(after.TotalAlloc-before.TotalAlloc) / (rounds - warm)
-			model := float64(8 * len(env.InitialWeights()))
+			model := float64(8 * len(env.initialWeights()))
 			if perRound >= model {
 				t.Errorf("%s: %.0f bytes allocated per update in steady state, one model is %.0f", tc.name, perRound, model)
 			}

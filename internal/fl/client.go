@@ -27,14 +27,13 @@ import (
 // machinery carries nothing from one TrainLocal to the next — weights are
 // overwritten, optimizer moments and dropout masks restart — so the
 // simulated environment builds min(GOMAXPROCS, N) Clients as its replicas
-// and rebinds one (ID, Data, Attack, streams) for every cohort member it
+// and rebinds one (data, Attack, streams) for every cohort member it
 // trains. A Client is owned by one goroutine at a time; the round runners
 // enforce that.
 type Client struct {
-	ID   int
-	Data *dataset.ClientData
-	Net  *nn.Network
-	Opt  opt.Optimizer
+	data *dataset.ClientData
+	net  *nn.Network
+	opt  opt.Optimizer
 	// Attack is the client's malicious behavior (zero value = honest).
 	// Applied inside TrainLocal, so the simulated and live fabrics poison
 	// identically.
@@ -71,10 +70,9 @@ const (
 // (tests, examples).
 func NewLocalClient(id int, data *dataset.ClientData, net *nn.Network, o opt.Optimizer, seed uint64) *Client {
 	return &Client{
-		ID:          id,
-		Data:        data,
-		Net:         net,
-		Opt:         o,
+		data:        data,
+		net:         net,
+		opt:         o,
 		scheduleRNG: rng.New(seed).SplitLabeledValue(uint64(scheduleStreamBase + id)),
 		dpRNG:       rng.New(seed).SplitLabeledValue(uint64(dpStreamBase + id)),
 	}
@@ -126,23 +124,23 @@ func (lc LocalConfig) Steps(n int) int {
 // trains again. The round runners satisfy this by construction — a client's
 // upload is transmitted before its next round starts.
 func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) {
-	n := c.Data.NumTrain()
+	n := c.data.NumTrain()
 	if n == 0 {
 		c.wOut = tensor.EnsureVec(c.wOut, len(globalW))
 		copy(c.wOut, globalW)
 		return c.wOut, 0
 	}
-	c.Net.SetWeights(globalW)
-	c.Opt.Reset()
+	c.net.SetWeights(globalW)
+	c.opt.Reset()
 	if lc.LRScale > 0 && lc.LRScale != 1 {
-		defer scaleLR(c.Opt, lc.LRScale)()
+		defer scaleLR(c.opt, lc.LRScale)()
 	}
 
 	// The batch scratch is sized by capacity — BatchSize rows whatever this
 	// client's n — and a short batch views its first m rows, so a pooled
 	// replica rebinding across clients with n < BatchSize never reallocates.
-	if c.batchX == nil || c.batchX.R != lc.BatchSize || c.batchX.C != c.Data.TrainX.C {
-		c.batchX = tensor.NewMat(lc.BatchSize, c.Data.TrainX.C)
+	if c.batchX == nil || c.batchX.R != lc.BatchSize || c.batchX.C != c.data.TrainX.C {
+		c.batchX = tensor.NewMat(lc.BatchSize, c.data.TrainX.C)
 		c.batchY = make([]int, lc.BatchSize)
 	}
 	if cap(c.perm) >= n {
@@ -152,12 +150,12 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 	}
 
 	sched := c.scheduleRNG.SplitLabeledValue(lc.Round)
-	// Dropout masks are the one thing SetWeights and Opt.Reset leave behind
+	// Dropout masks are the one thing SetWeights and opt.Reset leave behind
 	// in a replica. Restart them from labeled children of this (client,
 	// round)'s schedule stream — a split, so the permutation draws below do
 	// not move and a dropout-free network draws nothing — and the round is a
 	// function of (client, round, globalW), whichever replica runs it.
-	c.Net.Reseed(&sched)
+	c.net.Reseed(&sched)
 	steps := 0
 	for e := 0; e < lc.Epochs; e++ {
 		sched.PermInto(c.perm)
@@ -171,23 +169,23 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 			bx := c.batchX
 			by := c.batchY
 			if m != lc.BatchSize {
-				bx = c.batchView.View(m, c.Data.TrainX.C, c.batchX.Data[:m*c.Data.TrainX.C])
+				bx = c.batchView.View(m, c.data.TrainX.C, c.batchX.Data[:m*c.data.TrainX.C])
 				by = c.batchY[:m]
 			}
 			for i := 0; i < m; i++ {
 				src := order[lo+i]
-				copy(bx.Row(i), c.Data.TrainX.Row(src))
-				by[i] = c.Attack.FlipLabel(c.Data.TrainY[src])
+				copy(bx.Row(i), c.data.TrainX.Row(src))
+				by[i] = c.Attack.FlipLabel(c.data.TrainY[src])
 			}
-			c.Net.ZeroGrad()
-			c.Net.Backprop(bx, by)
-			opt.AddProximal(c.Net.Grads(), c.Net.Weights(), globalW, lc.Lambda)
-			c.Opt.Step(c.Net.Weights(), c.Net.Grads())
+			c.net.ZeroGrad()
+			c.net.Backprop(bx, by)
+			opt.AddProximal(c.net.Grads(), c.net.Weights(), globalW, lc.Lambda)
+			c.opt.Step(c.net.Weights(), c.net.Grads())
 			steps++
 		}
 	}
 	c.wOut = tensor.EnsureVec(c.wOut, len(globalW))
-	copy(c.wOut, c.Net.Weights())
+	copy(c.wOut, c.net.Weights())
 	c.Attack.ApplyDelta(c.wOut, globalW)
 	if lc.DPClip > 0 {
 		g := c.dpRNG.SplitLabeledValue(lc.Round)

@@ -262,7 +262,7 @@ func TestRebaseContract(t *testing.T) {
 				t.Fatalf("rule %q is not a Rebaser", key)
 			}
 			dim := len(rule.Global())
-			if _, err := rule.Fold(fold{Tier: 0, Updates: []core.ClientUpdate{{Weights: fuzzVec(3, dim), N: 5, Client: 1}}}); err != nil {
+			if _, err := rule.Fold(fold{tier: 0, updates: []core.ClientUpdate{{Weights: fuzzVec(3, dim), N: 5, Client: 1}}}); err != nil {
 				t.Fatal(err)
 			}
 			if rule.Rounds() != 1 {

@@ -103,23 +103,29 @@ func TestRetierNoOpForSyncPacing(t *testing.T) {
 
 // TestRetierFiresAndMigrates: FedAT on a strongly drifting population with
 // periodic re-tiering performs retier passes and actually migrates clients;
-// the event stream carries consistent partitions.
+// each pass hands the Eq. 5 fold a consistent partition, which the retier
+// event follows.
 func TestRetierFiresAndMigrates(t *testing.T) {
 	cfg := baseCfg()
 	cfg.Rounds = 60
 	cfg.RetierEvery = 3
+	probe := &routeProbe{eq5Rule: &eq5Rule{}}
+	updateRules["eq5-retier"] = func() updateRule { return probe }
+	defer delete(updateRules, "eq5-retier")
+	m := Methods["fedat"]
+	m.Update = "eq5-retier"
 	var events int
-	run := mustRun(t, "fedat", dynamicEnv(t, cfg), ObserverFunc(func(ev Event) {
-		e, ok := ev.(retierEvent)
-		if !ok {
+	run, err := m.Run(dynamicEnv(t, cfg), ObserverFunc(func(ev Event) {
+		if _, ok := ev.(retierEvent); !ok {
 			return
 		}
 		events++
-		if e.Tiers == nil || e.Tiers.M() != cfg.NumTiers {
-			t.Fatalf("retier event carries a bad partition: %+v", e.Tiers)
+		tiers := probe.current // the partition the pass just handed the rule
+		if tiers == nil || tiers.M() != cfg.NumTiers {
+			t.Fatalf("retier pass handed the rule a bad partition: %+v", tiers)
 		}
-		assign := e.Tiers.Assignment()
-		for tier, members := range e.Tiers.Members {
+		assign := tiers.Assignment()
+		for tier, members := range tiers.Members {
 			if len(members) == 0 {
 				t.Fatalf("retier pass emptied tier %d", tier)
 			}
@@ -130,6 +136,9 @@ func TestRetierFiresAndMigrates(t *testing.T) {
 			}
 		}
 	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if run.Retiers == 0 || run.Retiers != events {
 		t.Fatalf("retier passes: run records %d, observer saw %d, want > 0 and equal", run.Retiers, events)
 	}
@@ -203,7 +212,7 @@ func TestRetierRevivesDeadTier(t *testing.T) {
 	// loop re-kick can revive.
 	dropsSet, fastSet := false, false
 	lastTier0Fold := 0.0
-	run := mustRunOn(t, "fedat", fab, env.Cfg, ObserverFunc(func(ev Event) {
+	run := mustRunOn(t, "fedat", fab, env.cfg, ObserverFunc(func(ev Event) {
 		if !dropsSet {
 			dropsSet = true
 			for _, id := range tiers.Members[0] {
@@ -258,8 +267,8 @@ func (p *routeProbe) Repartition(t *tiering.Tiers) {
 }
 
 func (p *routeProbe) Fold(f fold) ([]float64, error) {
-	if f.Tier < 0 {
-		for _, u := range f.Updates {
+	if f.tier < 0 {
+		for _, u := range f.updates {
 			want := slices.IndexFunc(p.current.Members, func(members []int32) bool {
 				return slices.Contains(members, int32(u.Client))
 			})

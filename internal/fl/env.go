@@ -222,8 +222,8 @@ type shardSource interface {
 // An Env is single-run-at-a-time: the replicas, the link reservations and
 // the runtimes' delay streams are not safe for concurrent runs.
 type Env struct {
-	Eval *Evaluator
-	Cfg  RunConfig
+	eval *Evaluator
+	cfg  RunConfig
 
 	dataset    string
 	n, classes int
@@ -312,13 +312,13 @@ func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Populat
 	for i := range replicas {
 		// Adam is the paper's local solver (§6); the same init everywhere,
 		// server state rules.
-		replicas[i] = &Client{Net: factory(cfg.Seed), Opt: opt.NewAdam(cfg.LearningRate)}
+		replicas[i] = &Client{net: factory(cfg.Seed), opt: opt.NewAdam(cfg.LearningRate)}
 	}
-	ref := replicas[0].Net // untrained: w0 and the shapes are read off it
+	ref := replicas[0].net // untrained: w0 and the shapes are read off it
 	ids := evalSampleIDs(n, panel, cfg.Seed)
 	e := &Env{
-		Eval:     &Evaluator{ids: ids, shard: shards.TestInto, reps: replicas[:min(len(replicas), len(ids))]},
-		Cfg:      cfg,
+		eval:     &Evaluator{ids: ids, shard: shards.TestInto, reps: replicas[:min(len(replicas), len(ids))]},
+		cfg:      cfg,
 		dataset:  name,
 		n:        n,
 		classes:  classes,
@@ -334,15 +334,12 @@ func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Populat
 	return e
 }
 
-// InitialWeights returns a copy of w0.
-func (e *Env) InitialWeights() []float64 {
+// initialWeights returns a copy of w0.
+func (e *Env) initialWeights() []float64 {
 	out := make([]float64, len(e.w0))
 	copy(out, e.w0)
 	return out
 }
-
-// Shapes returns the model's parameter-block shapes (for the codec).
-func (e *Env) Shapes() []codec.ShapeInfo { return e.shapes }
 
 // ResetState rewinds link reservations and delay streams so one Env can
 // run several methods back-to-back under identical conditions. Replicas
@@ -361,18 +358,17 @@ func (e *Env) ResetState() { e.pop.Reset() }
 // writes only its replica and its own slot.
 func (e *Env) trainMember(m *member, out, global []float64, lc LocalConfig) TrainResult {
 	c, id := e.pool.get(), m.id
-	c.ID = id
-	c.Data = e.shards.TrainInto(&c.shard, id)
+	c.data = e.shards.TrainInto(&c.shard, id)
 	c.Attack = m.rt.Attack
 	c.Attack.Classes = e.classes // simnet can't know the label space
 	c.scheduleRNG = e.root.SplitLabeledValue(uint64(scheduleStreamBase + id))
 	c.dpRNG = e.root.SplitLabeledValue(uint64(dpStreamBase + id))
 	c.wOut = out
 	w, steps := c.TrainLocal(global, lc)
-	res := TrainResult{Client: id, Weights: w, N: c.Data.NumTrain(), Steps: steps}
+	res := TrainResult{Client: id, Weights: w, N: c.data.NumTrain(), steps: steps}
 	// The replica keeps neither the result buffer nor the shard: a
 	// synthesized shard is only valid until the replica's next binding.
-	c.wOut, c.Data = nil, nil
+	c.wOut, c.data = nil, nil
 	e.pool.put(c)
 	return res
 }
@@ -388,13 +384,13 @@ func (e *Env) trainMember(m *member, out, global []float64, lc LocalConfig) Trai
 // uploads in flight: under polyline an upload is its quantized integers in
 // a fixed-point slot (codec.Fixed: 16 bits a value plus a short list of the
 // values wider than that), and becomes a float64 vector only when the
-// server reads it (Receive). A Comm belongs to its run's engine goroutine;
+// server reads it (receive). A Comm belongs to its run's engine goroutine;
 // only the weight pool it hands out (Pool) may be used from other
 // goroutines.
 type Comm struct {
 	channel     codec.Channel
 	headerBytes int
-	Up, Down    int64
+	up, down    int64
 
 	// pool recycles receiver-side weight buffers across rounds and cohorts
 	// (see tensor.Pool for the ownership contract). Sized lazily from the
@@ -488,12 +484,12 @@ func (cm *Comm) takeSlot() int32 {
 	return int32(len(cm.slots))
 }
 
-// Receive is where the server reads a delivered update: it returns the
+// receive is where the server reads a delivered update: it returns the
 // weights the server reconstructs, in a buffer the caller hands back with
 // Release after the fold. A slot-held upload is rebuilt into a pooled buffer
 // and its slot freed; any other result already holds that buffer. r is taken
 // by value so the arrival callbacks that call it capture nothing new.
-func (cm *Comm) Receive(r TrainResult) []float64 {
+func (cm *Comm) receive(r TrainResult) []float64 {
 	if r.slot == 0 {
 		return r.Weights
 	}
@@ -504,9 +500,9 @@ func (cm *Comm) Receive(r TrainResult) []float64 {
 	return w
 }
 
-// Discard gives back what a delivered update holds without reading it — a
-// selector that drops an arrival calls it instead of Receive.
-func (cm *Comm) Discard(r TrainResult) {
+// discard gives back what a delivered update holds without reading it — a
+// selector that drops an arrival calls it instead of receive.
+func (cm *Comm) discard(r TrainResult) {
 	if r.slot == 0 {
 		cm.Release(r.Weights)
 		return
@@ -514,18 +510,18 @@ func (cm *Comm) Discard(r TrainResult) {
 	cm.free = append(cm.free, r.slot)
 }
 
-// Broadcast is the downlink of one model to n receivers: the model crosses
+// broadcast is the downlink of one model to n receivers: the model crosses
 // the codec once and every receiver reads the same reconstruction (they all
-// would decode the identical bytes), while Down is charged n messages. The
+// would decode the identical bytes), while down is charged n messages. The
 // snapshot is shared and read-only; the caller releases it once, when the
 // last reader is done.
-func (cm *Comm) Broadcast(w []float64, n int) ([]float64, int) {
+func (cm *Comm) broadcast(w []float64, n int) ([]float64, int) {
 	snap, size := cm.transmit(w, false)
 	cm.CountControl(int64(size)*int64(n-1), false)
 	return snap, size
 }
 
-// Release returns a buffer obtained from transmit, Broadcast or the
+// Release returns a buffer obtained from transmit, broadcast or the
 // weight pool (the live fabric's decoded arrivals) to the pool; buffers of
 // any other length are ignored.
 func (cm *Comm) Release(w []float64) {
@@ -539,9 +535,9 @@ func (cm *Comm) Release(w []float64) {
 // collection) to the byte totals.
 func (cm *Comm) CountControl(bytes int64, uplink bool) {
 	if uplink {
-		cm.Up += bytes
+		cm.up += bytes
 	} else {
-		cm.Down += bytes
+		cm.down += bytes
 	}
 }
 
@@ -563,7 +559,7 @@ type Evaluator struct {
 	ids   []int // the panel, ascending
 	shard func(dst *dataset.ClientData, id int) *dataset.ClientData
 	// reps are the replicas a pass runs on, one per parallel worker; a pass
-	// touches only their Net and shard scratch. A simulated environment
+	// touches only their net and shard scratch. A simulated environment
 	// lends its training replicas, NewDataEvaluator builds its own.
 	reps []*Client
 
@@ -605,7 +601,7 @@ func evalSampleIDs(n, k int, seed uint64) []int {
 func NewDataEvaluator(factory ModelFactory, seed uint64, shards []*dataset.ClientData) *Evaluator {
 	reps := make([]*Client, parallel.Workers(len(shards)))
 	for i := range reps {
-		reps[i] = &Client{Net: factory(seed)}
+		reps[i] = &Client{net: factory(seed)}
 	}
 	return &Evaluator{
 		ids:   evalSampleIDs(len(shards), len(shards), seed),
@@ -666,13 +662,13 @@ func (e *Evaluator) Evaluate(w []float64) Result {
 // nw-th panel member from wk on, with replica wk, into their slots.
 func (e *Evaluator) evalWorker(wk int) {
 	rep, nw := e.reps[wk], len(e.reps)
-	rep.Net.SetWeights(e.w)
+	rep.net.SetWeights(e.w)
 	for i := wk; i < len(e.ids); i += nw {
 		d := e.shard(&rep.shard, e.ids[i])
 		if d.NumTest() == 0 {
 			continue
 		}
-		cor, loss := rep.Net.Eval(d.TestX, d.TestY)
+		cor, loss := rep.net.Eval(d.TestX, d.TestY)
 		e.correct[i] = cor
 		e.totals[i] = d.NumTest()
 		e.losses[i] = loss * float64(e.totals[i])
@@ -685,14 +681,14 @@ func (e *Evaluator) evalWorker(wk int) {
 // the subset's sample-weighted accuracy.
 func (e *Evaluator) EvaluateSubset(w []float64, ids []int) float64 {
 	rep := e.reps[0]
-	rep.Net.SetWeights(w)
+	rep.net.SetWeights(w)
 	correct, total := 0, 0
 	for _, id := range ids {
 		d := e.shard(&rep.shard, id)
 		if d.NumTest() == 0 {
 			continue
 		}
-		cor, _ := rep.Net.Eval(d.TestX, d.TestY)
+		cor, _ := rep.net.Eval(d.TestX, d.TestY)
 		correct += cor
 		total += d.NumTest()
 	}

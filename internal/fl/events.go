@@ -13,7 +13,6 @@ import (
 	"strconv"
 
 	"repro/internal/metrics"
-	"repro/internal/tiering"
 )
 
 // The run event stream. Every method emits the same event kinds as it
@@ -115,9 +114,6 @@ type retierEvent struct {
 	Round      int
 	Time       float64
 	Migrations int // clients whose tier changed in this pass
-	// Tiers is the partition in effect after the pass (shared with the
-	// engine; read-only).
-	Tiers *tiering.Tiers `json:"-"`
 }
 
 // EndEvent closes the stream of a run that did not fail: the global update

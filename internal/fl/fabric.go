@@ -12,7 +12,7 @@ import (
 // disconnected) before its update landed; Arrive then holds the time the
 // loss was discovered.
 //
-// The update is read only through Comm.Receive, which returns the weights
+// The update is read only through Comm.receive, which returns the weights
 // the server reconstructs after the uplink. A live result arrives already
 // decoded, in Weights. A simulated polyline upload is still its quantized
 // integers in one of the Comm's fixed-point slots (slot > 0, Weights nil)
@@ -22,7 +22,7 @@ type TrainResult struct {
 	Client  int
 	Weights []float64
 	N       int // n_k, the client's local sample count
-	Steps   int // batch steps executed (simulated fabrics use it for compute time)
+	steps   int // batch steps executed (simulated fabrics use it for compute time)
 	Arrive  float64
 	Dropped bool
 	slot    int32 // 1-based Comm fixed-point slot; 0 means Weights holds the update
@@ -142,8 +142,8 @@ func (f *simFabric) Available(id int, now float64) bool {
 func (f *simFabric) NextAvailable(id int, now float64) float64 {
 	return f.env.pop.NextOnline(id, now)
 }
-func (f *simFabric) InitialWeights() []float64 { return f.env.InitialWeights() }
-func (f *simFabric) Shapes() []codec.ShapeInfo { return f.env.Shapes() }
+func (f *simFabric) InitialWeights() []float64 { return f.env.initialWeights() }
+func (f *simFabric) Shapes() []codec.ShapeInfo { return f.env.shapes }
 
 // Partition profiles the simulated latencies. The environment's own config
 // drives profiling (nominal round length, MisTierFrac corruption), so the
@@ -169,7 +169,7 @@ func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, reply
 	if len(ids) == 0 {
 		return now, nil
 	}
-	probed, bytes := comm.Broadcast(w, len(ids))
+	probed, bytes := comm.broadcast(w, len(ids))
 	comm.Release(probed) // probes only need the byte accounting
 	comm.CountControl(int64(replyBytes)*int64(len(ids)), true)
 	latest := now
@@ -185,8 +185,8 @@ func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, reply
 }
 
 func (f *simFabric) Evaluate(w []float64) (Result, bool) {
-	return f.env.Eval.Evaluate(w), true
+	return f.env.eval.Evaluate(w), true
 }
 func (f *simFabric) EvaluateSubset(w []float64, ids []int) float64 {
-	return f.env.Eval.EvaluateSubset(w, ids)
+	return f.env.eval.EvaluateSubset(w, ids)
 }

@@ -229,7 +229,7 @@ func TestTrainLocalFixedSchedule(t *testing.T) {
 	cfg := baseCfg()
 	env, fed := testEnvParts(t, 0, cfg)
 	c := testLocalClient(fed, 0, cfg)
-	w0 := env.InitialWeights()
+	w0 := env.initialWeights()
 	lc := LocalConfig{Epochs: cfg.LocalEpochs, BatchSize: cfg.BatchSize, Lambda: 0.4, Round: 7}
 	// TrainLocal reuses its result buffer across calls; copy to compare.
 	w1t, s1 := c.TrainLocal(w0, lc)
@@ -262,7 +262,7 @@ func TestTrainLocalProximalPullsTowardAnchor(t *testing.T) {
 	cfg := baseCfg()
 	env, fed := testEnvParts(t, 0, cfg)
 	c := testLocalClient(fed, 1, cfg)
-	w0 := env.InitialWeights()
+	w0 := env.initialWeights()
 	lc := LocalConfig{Epochs: 4, BatchSize: cfg.BatchSize, Round: 1}
 	freeT, _ := c.TrainLocal(w0, lc)
 	free := tensor.Copy(freeT) // TrainLocal reuses its result buffer
@@ -408,7 +408,7 @@ func TestSelectAvailableInvariants(t *testing.T) {
 				sel := selectAvailable(&scratch, &picks, r, ids, fab, 0, k)
 				draws := 0
 				for ; at != *r && draws <= n; draws++ {
-					at.Uint64()
+					at.Skip(1)
 				}
 				if draws > n || (k <= 0 && draws != 0) {
 					t.Fatalf("n=%d k=%d: consumed %d draws", n, k, draws)
@@ -470,8 +470,8 @@ func TestCommAccounting(t *testing.T) {
 		if n != len(msg) {
 			t.Fatalf("%s: transmit size %d != marshalled message %d", c.Name(), n, len(msg))
 		}
-		if cm.Up != int64(n) || cm.Down != 0 {
-			t.Fatalf("uplink accounting wrong: up=%d down=%d", cm.Up, cm.Down)
+		if cm.up != int64(n) || cm.down != 0 {
+			t.Fatalf("uplink accounting wrong: up=%d down=%d", cm.up, cm.down)
 		}
 		for i := range w {
 			if got[i] != w[i] {
@@ -479,13 +479,13 @@ func TestCommAccounting(t *testing.T) {
 			}
 		}
 		cm.Release(got)
-		snap, _ := cm.Broadcast(w, 3)
+		snap, _ := cm.broadcast(w, 3)
 		cm.Release(snap)
-		if cm.Down != 3*int64(n) {
-			t.Fatalf("broadcast to 3 charged %d bytes down, want %d", cm.Down, 3*n)
+		if cm.down != 3*int64(n) {
+			t.Fatalf("broadcast to 3 charged %d bytes down, want %d", cm.down, 3*n)
 		}
 		cm.CountControl(10, true)
-		if cm.Up != int64(n)+10 {
+		if cm.up != int64(n)+10 {
 			t.Fatal("control accounting wrong")
 		}
 	}
@@ -525,9 +525,9 @@ func TestCommChannelMatchesWire(t *testing.T) {
 			} else {
 				down += int64(len(msg))
 			}
-			if n != len(msg) || cm.Up != up || cm.Down != down {
+			if n != len(msg) || cm.up != up || cm.down != down {
 				t.Fatalf("%s round %d: charges %d (up %d, down %d), message is %d (up %d, down %d)",
-					c.Name(), round, n, cm.Up, cm.Down, len(msg), up, down)
+					c.Name(), round, n, cm.up, cm.down, len(msg), up, down)
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -634,10 +634,10 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 			t.Fatalf("%s: slot %d, weights held %v; want the fixed-point path %v", name, res.slot, res.Weights != nil, tc.fixed)
 		}
 		want, wn := ref.transmit(tc.w, true)
-		if n != wn || cm.Up != ref.Up {
-			t.Fatalf("%s: upload charges %d (up %d), transmit %d (up %d)", name, n, cm.Up, wn, ref.Up)
+		if n != wn || cm.up != ref.up {
+			t.Fatalf("%s: upload charges %d (up %d), transmit %d (up %d)", name, n, cm.up, wn, ref.up)
 		}
-		got := cm.Receive(res)
+		got := cm.receive(res)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: weight %d reads back %v, transmit gives %v", name, i, got[i], want[i])
@@ -663,8 +663,8 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 			for i := range res {
 				cm.upload(&res[i])
 			}
-			cm.Discard(res[0])
-			cm.Release(cm.Receive(res[1]))
+			cm.discard(res[0])
+			cm.Release(cm.receive(res[1]))
 		}
 	}); allocs != 0 {
 		t.Errorf("upload, Receive and Discard allocate %.0f times in steady state", allocs)
@@ -683,7 +683,7 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 func TestEvaluatorWeightsAndVariance(t *testing.T) {
 	cfg := baseCfg()
 	env := testEnv(t, 2, cfg)
-	res := env.Eval.Evaluate(env.InitialWeights())
+	res := env.eval.Evaluate(env.initialWeights())
 	if res.Acc < 0 || res.Acc > 1 {
 		t.Fatalf("accuracy out of range: %v", res.Acc)
 	}
@@ -695,7 +695,7 @@ func TestEvaluatorWeightsAndVariance(t *testing.T) {
 	}
 	// Subset evaluation should match full evaluation when given all ids.
 	all := allClientIDs(env.Fabric())
-	sub := env.Eval.EvaluateSubset(env.InitialWeights(), all)
+	sub := env.eval.EvaluateSubset(env.initialWeights(), all)
 	if math.Abs(sub-res.Acc) > 1e-12 {
 		t.Fatalf("subset accuracy %v != full %v", sub, res.Acc)
 	}

@@ -140,7 +140,7 @@ func FuzzFoldInPlace(f *testing.F) {
 			ref := newNaiveAgg(1, w0, true)
 			for fd := 0; fd < folds; fd++ {
 				iu, nu := mkUpdates(fd, int(seed%3)+1, rule.Global(), ref.global)
-				got, err := rule.Fold(fold{Tier: 0, Updates: iu})
+				got, err := rule.Fold(fold{tier: 0, updates: iu})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -162,7 +162,7 @@ func FuzzFoldInPlace(f *testing.F) {
 					// Untiered fold (tier -1): the rule routes each update
 					// by its client's assignment, folding tier groups in
 					// first-seen order. Mirror that routing naively.
-					got, err := rule.Fold(fold{Tier: -1, Updates: iu})
+					got, err := rule.Fold(fold{tier: -1, updates: iu})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -182,7 +182,7 @@ func FuzzFoldInPlace(f *testing.F) {
 					check(fd, got, want)
 					continue
 				}
-				got, err := rule.Fold(fold{Tier: tier, Updates: iu})
+				got, err := rule.Fold(fold{tier: tier, updates: iu})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,7 +199,7 @@ func FuzzFoldInPlace(f *testing.F) {
 				for i := range iu {
 					iu[i].StartRound = start
 				}
-				got, err := rule.Fold(fold{Tier: -1, Updates: iu})
+				got, err := rule.Fold(fold{tier: -1, updates: iu})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -238,7 +238,7 @@ func FuzzFoldInPlace(f *testing.F) {
 			}
 			for fd := 0; fd < folds; fd++ {
 				iu, nu := mkUpdates(fd, int(seed%3)+1, rule.global, refG)
-				got, err := rule.Fold(fold{Tier: -1, Updates: iu})
+				got, err := rule.Fold(fold{tier: -1, updates: iu})
 				if err != nil {
 					t.Fatal(err)
 				}

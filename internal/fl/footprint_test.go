@@ -137,8 +137,21 @@ func TestEnvFootprint(t *testing.T) {
 		t.Skip("full engine runs in -short")
 	}
 	const n, cohort, batch, rounds = 30, 6, 8, 12
-	cnn := nn.SmallCNN(1, 6, 6, 10)
+	const inC, side, classes = 1, 6, 10
+	cnn := nn.SmallCNN(inC, side, side, classes)
 	cnn.PoolEvery = 0
+	// The ledger's architecture, read off the parameter shapes: a conv's
+	// weight is [out, in, k, k], a dense layer's [out, in].
+	var convC []int
+	var kernel, hidden int
+	for _, s := range nn.NewCNN(rng.New(1), cnn).ParamShapes() {
+		switch {
+		case s.Name == "W" && len(s.Dims) == 4:
+			convC, kernel = append(convC, s.Dims[0]), s.Dims[2]
+		case s.Name == "W" && hidden == 0:
+			hidden = s.Dims[0]
+		}
+	}
 	for _, name := range []string{"fedavg", "fedat", "tifl"} {
 		t.Run(name, func(t *testing.T) {
 			c := baseSourceCase(47)
@@ -164,7 +177,7 @@ func TestEnvFootprint(t *testing.T) {
 				fab := &ledgerFabric{Fabric: env.Fabric()}
 				var mid uint64
 				var midHighWater, folds int
-				mustRunOn(t, name, fab, env.Cfg, ObserverFunc(func(ev Event) {
+				mustRunOn(t, name, fab, env.cfg, ObserverFunc(func(ev Event) {
 					if f, ok := ev.(TierFoldEvent); ok {
 						fab.inFlight -= f.Kept
 						if folds++; folds == rounds/2 {
@@ -188,7 +201,7 @@ func TestEnvFootprint(t *testing.T) {
 				}
 				ruleState := uint64(2) // the global model and the one tier's
 				if name == "fedat" {
-					ruleState = uint64(env.Cfg.NumTiers) + 1
+					ruleState = uint64(env.cfg.NumTiers) + 1
 				}
 				// Forward buffers grow to the larger of a batch and the
 				// largest test split the evaluator feeds; backward ones to
@@ -197,16 +210,16 @@ func TestEnvFootprint(t *testing.T) {
 				for _, cd := range fed.Clients {
 					fwdRows = max(fwdRows, cd.NumTest())
 				}
-				p := cnn.H * cnn.W
+				p := side * side
 				var cols, fwd, bwd int // float64s a replica holds
-				for i, inC := range append([]int{cnn.InC}, cnn.ConvC[:len(cnn.ConvC)-1]...) {
-					outC := cnn.ConvC[i]
-					cols += inC * cnn.Kernel * cnn.Kernel * p
-					fwd += 3 * outC * p             // conv out, ReLU out and mask
-					bwd += outC*p + min(i, 1)*inC*p // ReLU dx, conv dx but the first's
+				for i, in := range append([]int{inC}, convC[:len(convC)-1]...) {
+					outC := convC[i]
+					cols += in * kernel * kernel * p
+					fwd += 3 * outC * p            // conv out, ReLU out and mask
+					bwd += outC*p + min(i, 1)*in*p // ReLU dx, conv dx but the first's
 				}
-				fwd += 3*cnn.Hidden + 2*cnn.Classes                 // dense out, ReLU out and mask, logits, dlogits
-				bwd += cnn.ConvC[len(cnn.ConvC)-1]*p + 2*cnn.Hidden // dense dx, ReLU dx, head dx
+				fwd += 3*hidden + 2*classes             // dense out, ReLU out and mask, logits, dlogits
+				bwd += convC[len(convC)-1]*p + 2*hidden // dense dx, ReLU dx, head dx
 				act := fwdRows*fwd + batch*bwd
 				vectors := replicas*2 + trained*2 + 1 + uint64(midHighWater) + ruleState
 				ledger := vectors*vec + replicas*(allocSize(8*cols)+allocSize(8*act))

@@ -13,7 +13,7 @@ import (
 // or aggregation error.
 func mustRun(t testing.TB, name string, env *Env, obs ...Observer) *metrics.Run {
 	t.Helper()
-	return mustRunOn(t, name, env.Fabric(), env.Cfg, obs...)
+	return mustRunOn(t, name, env.Fabric(), env.cfg, obs...)
 }
 
 // mustRunOn is mustRun on a given fabric.

@@ -32,9 +32,9 @@ type LocalPolicy struct {
 	// Prox trains with the Eq. 3 proximal constraint (λ = cfg.Lambda);
 	// false trains plain local SGD (λ = 0).
 	Prox bool
-	// VariableEpochs draws each round's local epoch count uniformly from
+	// variableEpochs draws each round's local epoch count uniformly from
 	// 1..cfg.LocalEpochs (FedProx's device-heterogeneity mechanism).
-	VariableEpochs bool
+	variableEpochs bool
 }
 
 // String renders the composition, e.g. "random/sync/avg".
@@ -48,7 +48,7 @@ func (m Method) String() string {
 var Methods = map[string]Method{
 	"fedat":          {Name: "FedAT", Select: "random", Pace: "tier", Update: "eq5", Local: LocalPolicy{Prox: true}},
 	"fedavg":         {Name: "FedAvg", Select: "random", Pace: "sync", Update: "avg"},
-	"fedprox":        {Name: "FedProx", Select: "random", Pace: "sync", Update: "avg", Local: LocalPolicy{Prox: true, VariableEpochs: true}},
+	"fedprox":        {Name: "FedProx", Select: "random", Pace: "sync", Update: "avg", Local: LocalPolicy{Prox: true, variableEpochs: true}},
 	"tifl":           {Name: "TiFL", Select: "tifl", Pace: "sync", Update: "avg"},
 	"fedasync":       {Name: "FedAsync", Select: "all", Pace: "client", Update: "staleness"},
 	"asofed":         {Name: "ASO-Fed", Select: "all", Pace: "client", Update: "asofed", Local: LocalPolicy{Prox: true}},
@@ -124,7 +124,7 @@ func (m Method) policies() (selector, pacer, updateRule, error) {
 // Run executes the method on the simulated environment and returns the run
 // record — shorthand for RunOn over a fresh simulated fabric.
 func (m Method) Run(env *Env, obs ...Observer) (*metrics.Run, error) {
-	return m.RunOn(env.Fabric(), env.Cfg, obs...)
+	return m.RunOn(env.Fabric(), env.cfg, obs...)
 }
 
 // RunOn executes the method on an execution fabric — the simulator or the
@@ -197,7 +197,7 @@ func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func()
 		if rs.runErr != nil {
 			return nil, fmt.Errorf("fl: method %s: %w", m.Name, rs.runErr)
 		}
-		rs.emit(EndEvent{Round: rs.rule.Rounds(), Time: fab.Now(), UpBytes: rs.comm.Up, DownBytes: rs.comm.Down})
+		rs.emit(EndEvent{Round: rs.rule.Rounds(), Time: fab.Now(), UpBytes: rs.comm.up, DownBytes: rs.comm.down})
 		return (*metrics.Run)(rec), nil
 	}, nil
 }
@@ -241,10 +241,10 @@ type runState struct {
 	lrStale map[int]int
 }
 
-// Tiers returns the fabric's latency partition, computing it on first use —
+// partition returns the fabric's latency partition, computing it on first use —
 // tier-paced methods, tier-aware selectors and the Eq. 5 fold all share one
 // partition per run, exactly as FedAT reuses TiFL's tiering (§2.1).
-func (rs *runState) Tiers() (*tiering.Tiers, error) {
+func (rs *runState) partition() (*tiering.Tiers, error) {
 	if rs.tiers == nil {
 		t, err := rs.fab.Partition(rs.cfg)
 		if err != nil {
@@ -279,7 +279,7 @@ func (rs *runState) localConfig(round uint64, loop int) LocalConfig {
 	if rs.cfg.AdaptiveLR {
 		lc.LRScale = rs.cfg.Staleness.Weight(float64(rs.lrStale[loop]))
 	}
-	if rs.method.Local.VariableEpochs {
+	if rs.method.Local.variableEpochs {
 		lc.Epochs = 1 + rs.epochRNG.Intn(rs.cfg.LocalEpochs)
 	}
 	return lc
@@ -346,7 +346,7 @@ func (rs *runState) fail(err error) {
 // differ. It reports false when the fold failed, in which case the run has
 // already been failed.
 func (rs *runState) fold(tier int, updates []core.ClientUpdate, now float64) bool {
-	g, err := rs.rule.Fold(fold{Tier: tier, Updates: updates})
+	g, err := rs.rule.Fold(fold{tier: tier, updates: updates})
 	if err != nil {
 		rs.fail(err)
 		return false
@@ -373,7 +373,7 @@ func (rs *runState) fold(tier int, updates []core.ClientUpdate, now float64) boo
 func (rs *runState) postFold(tier, round int, now float64, kept int, g []float64) ([]float64, error) {
 	rs.emit(TierFoldEvent{Tier: tier, Round: round, Time: now, Kept: kept, Global: g})
 	for _, s := range rs.syncers {
-		d := s.AfterFold(FoldInfo{Tier: tier, Round: round, Time: now, Global: g})
+		d := s.AfterFold(FoldInfo{Time: now, Global: g})
 		for _, ev := range d.Events {
 			rs.emit(ev)
 		}
@@ -413,7 +413,7 @@ func (rs *runState) maybeRetier(now float64) (bool, error) {
 	if ta, ok := rs.rule.(tierAware); ok {
 		ta.Repartition(next)
 	}
-	rs.emit(retierEvent{Round: t, Time: now, Migrations: moved, Tiers: next})
+	rs.emit(retierEvent{Round: t, Time: now, Migrations: moved})
 	return true, nil
 }
 
@@ -431,7 +431,7 @@ func (rs *runState) maybeEval(round int, now float64, w []float64) {
 	}
 	rs.emit(EvalEvent{
 		Round: round, Time: now, Result: res,
-		UpBytes: rs.comm.Up, DownBytes: rs.comm.Down,
+		UpBytes: rs.comm.up, DownBytes: rs.comm.down,
 	})
 }
 

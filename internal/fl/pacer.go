@@ -185,7 +185,7 @@ func (tierPacer) Start(rs *runState) error {
 	if !ok {
 		return fmt.Errorf("tier pacing needs a tier selector, %q is not one", rs.method.Select)
 	}
-	tiers, err := rs.Tiers()
+	tiers, err := rs.partition()
 	if err != nil {
 		return err
 	}
@@ -351,11 +351,11 @@ func (p bufferPacer) Start(rs *runState) error {
 
 // arrivalBuffer is the wait-free pacer's shared state: the client loops
 // and the arrivals waiting for the next fold. An update is read
-// (Comm.Receive) as it arrives, into a pooled buffer the engine recycles
+// (Comm.receive) as it arrives, into a pooled buffer the engine recycles
 // only after the fold that consumes it; until then it waits in flight at
 // the Comm's cost. Each arrival carries its own start round, so per-update
 // rules discount buffer members individually (batch-anchored rules recover
-// the oldest via fold.StartRound).
+// the oldest via fold.startRound).
 type arrivalBuffer struct {
 	rs    *runState
 	k     int
@@ -448,7 +448,7 @@ func (l *clientLoop) arrive() {
 	l.flight.end()
 	r := l.res
 	rs.emit(ClientDoneEvent{Client: r.Client, Tier: -1, Time: r.Arrive})
-	b.buf = append(b.buf, core.ClientUpdate{Weights: rs.comm.Receive(r), N: r.N, Client: r.Client, StartRound: l.startRound})
+	b.buf = append(b.buf, core.ClientUpdate{Weights: rs.comm.receive(r), N: r.N, Client: r.Client, StartRound: l.startRound})
 	if len(b.buf) >= b.k {
 		for _, u := range b.buf {
 			rs.observeStale(u.Client, u.StartRound)

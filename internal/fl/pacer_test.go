@@ -59,7 +59,7 @@ func TestDispatchLoopsOneInFlight(t *testing.T) {
 	// stay queued on its clock, which nothing runs.
 	newRun := func(t *testing.T, sel selector) *runState {
 		env := testEnv(t, 0, cfg)
-		rs := &runState{fab: &deferredFabric{Fabric: env.Fabric(), t: t}, cfg: env.Cfg, root: rng.New(5), comm: NewComm(env.Cfg.Codec, env.Shapes()), sel: sel}
+		rs := &runState{fab: &deferredFabric{Fabric: env.Fabric(), t: t}, cfg: env.cfg, root: rng.New(5), comm: NewComm(env.cfg.Codec, env.shapes), sel: sel}
 		rs.rule = updateRules["avg"]()
 		if err := rs.rule.Init(rs); err != nil {
 			t.Fatal(err)
@@ -78,7 +78,7 @@ func TestDispatchLoopsOneInFlight(t *testing.T) {
 	t.Run("tier loop", func(t *testing.T) {
 		sel := &randomSelector{}
 		rs := newRun(t, sel)
-		tiers, err := rs.Tiers()
+		tiers, err := rs.partition()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestDispatchLoopsOneInFlight(t *testing.T) {
 	for _, m := range []Method{Methods["fedavg"], Methods["tifl"], Methods["fedavg-oversel"], Methods["fedat"], Methods["fedasync"], fedbuff} {
 		t.Run(m.String(), func(t *testing.T) {
 			env := testEnv(t, 0, cfg)
-			run, err := m.RunOn(&deferredFabric{Fabric: env.Fabric(), t: t}, env.Cfg)
+			run, err := m.RunOn(&deferredFabric{Fabric: env.Fabric(), t: t}, env.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,7 +173,7 @@ func TestDispatchTimesNeverDecrease(t *testing.T) {
 					env = testEnv(t, 0, cfg)
 				}
 				fab := &startTimes{Fabric: env.Fabric(), t: t}
-				if _, err := m.RunOn(fab, env.Cfg); err != nil {
+				if _, err := m.RunOn(fab, env.cfg); err != nil {
 					t.Fatal(err)
 				}
 				if fab.starts == 0 {

@@ -21,17 +21,17 @@ import (
 // scrambled profiles are the one exception: an id-sorted table of
 // MisTierFrac·N entries the function checks first.
 func profileTiers(env *Env) (*tiering.Tiers, error) {
-	lc := LocalConfig{Epochs: env.Cfg.LocalEpochs, BatchSize: env.Cfg.BatchSize}
+	lc := LocalConfig{Epochs: env.cfg.LocalEpochs, BatchSize: env.cfg.BatchSize}
 	latency := func(i int) float64 {
 		return env.pop.ExpectedLatency(i, lc.Steps(env.shards.NumTrain(i)))
 	}
-	if f := env.Cfg.MisTierFrac; f > 0 {
+	if f := env.cfg.MisTierFrac; f > 0 {
 		lo, hi := 1e300, 0.0
 		for i := range env.n {
 			v := latency(i)
 			lo, hi = min(lo, v), max(hi, v)
 		}
-		r := rng.New(env.Cfg.Seed).SplitLabeled(hashName("mistier"))
+		r := rng.New(env.cfg.Seed).SplitLabeled(hashName("mistier"))
 		picks := r.Choose(env.n, int(f*float64(env.n)))
 		scrambled := make([]scrambledProfile, len(picks))
 		for j, i := range picks {
@@ -47,7 +47,7 @@ func profileTiers(env *Env) (*tiering.Tiers, error) {
 			return profiled(i)
 		}
 	}
-	return tiering.PartitionFunc(env.n, env.Cfg.NumTiers, latency)
+	return tiering.PartitionFunc(env.n, env.cfg.NumTiers, latency)
 }
 
 // scrambledProfile is one mis-profiled client's replacement latency.

@@ -32,11 +32,11 @@ func (r *robustRule) Init(rs *runState) error {
 }
 
 func (r *robustRule) Fold(f fold) ([]float64, error) {
-	if len(f.Updates) == 0 {
+	if len(f.updates) == 0 {
 		return nil, fmt.Errorf("%s fold with no client updates", r.kind)
 	}
 	r.vecs = r.vecs[:0]
-	for _, u := range f.Updates {
+	for _, u := range f.updates {
 		r.vecs = append(r.vecs, u.Weights)
 	}
 	var err error

@@ -65,7 +65,7 @@ func selectAvailable[ID int | int32](scratch *[]int, cohort *[]int, r *rng.RNG, 
 // their update (§6's unstable clients). A surviving result holds its upload
 // as the Comm holds it in flight — a fixed-point slot under polyline, a
 // pooled reconstruction otherwise — and the server's weights exist only once
-// a pacer reads it with Comm.Receive. Each member trains into a buffer of
+// a pacer reads it with Comm.receive. Each member trains into a buffer of
 // the run's weight pool, which the upload hands back once it has sent it; a
 // dropped member's buffer goes back unsent and its result holds no weights.
 // So the weight pool is the only owner of model-sized results, and the
@@ -84,7 +84,7 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	// the identical bytes. Bytes and link time are still charged per
 	// member. The snapshot only needs to live until local training ends, so
 	// it goes back to the pool before this function returns.
-	received, bytes := comm.Broadcast(global, len(sel))
+	received, bytes := comm.broadcast(global, len(sel))
 	if len(e.members) < len(sel) {
 		e.members = append(e.members, make([]member, len(sel)-len(e.members))...)
 		e.results = append(e.results, make([]TrainResult, len(sel)-len(e.results))...)
@@ -122,7 +122,7 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 	for i := range results {
 		r := &results[i]
 		rt, downDone := members[i].rt, members[i].downDone
-		computeDone := downDone + rt.ComputeTimeAt(r.Steps, downDone) + rt.RoundDelay()
+		computeDone := downDone + rt.ComputeTimeAt(r.steps, downDone) + rt.RoundDelay()
 		// A round is lost if the client is offline at ANY point of it —
 		// a churn window wholly inside the round disrupts training even
 		// though the client is back by the end. Without churn this is
@@ -181,7 +181,7 @@ func completionTime(results []TrainResult) float64 {
 	return t
 }
 
-// toUpdates reads surviving results into aggregator updates (Comm.Receive),
+// toUpdates reads surviving results into aggregator updates (Comm.receive),
 // stamping the cohort's shared staleness anchor (the global update count at
 // dispatch) on each. The updates are written into *ups, the calling loop's
 // buffer; the fold reads them and retains none.
@@ -191,7 +191,7 @@ func toUpdates(ups *[]core.ClientUpdate, comm *Comm, results []TrainResult, star
 		out = make([]core.ClientUpdate, 0, len(results))
 	}
 	for _, r := range results {
-		out = append(out, core.ClientUpdate{Weights: comm.Receive(r), N: r.N, Client: r.Client, StartRound: startRound})
+		out = append(out, core.ClientUpdate{Weights: comm.receive(r), N: r.N, Client: r.Client, StartRound: startRound})
 	}
 	*ups = out
 	return out

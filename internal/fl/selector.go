@@ -35,7 +35,7 @@ type roundSelector interface {
 	// Over-selection keeps only the earliest arrivals, so the straggler
 	// tail stops gating the clock. A delivered update Harvest discards
 	// never reaches the fold site, so Harvest hands it back
-	// (rs.comm.Discard) itself.
+	// (rs.comm.discard) itself.
 	Harvest(rs *runState, results []TrainResult, kept *[]TrainResult) (now float64)
 }
 
@@ -156,7 +156,7 @@ func (s *overselSelector) Harvest(rs *runState, results []TrainResult, kept *[]T
 	}
 	sortByArrival(surv)
 	for _, late := range surv[keep:] {
-		rs.comm.Discard(late)
+		rs.comm.discard(late)
 	}
 	*kept = surv[:keep]
 	return completionTime(*kept)
@@ -196,7 +196,7 @@ type tiflSelector struct {
 }
 
 func (s *tiflSelector) Init(rs *runState) error {
-	tiers, err := rs.Tiers()
+	tiers, err := rs.partition()
 	if err != nil {
 		return err
 	}

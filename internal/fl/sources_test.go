@@ -452,7 +452,7 @@ func TestDerivedPopulationFootprint(t *testing.T) {
 	var reps []*Client
 	repLive, repAlloc := heapDelta(func() {
 		for range env.replicas {
-			reps = append(reps, &Client{Net: factory(env.Cfg.Seed), Opt: opt.NewAdam(env.Cfg.LearningRate)})
+			reps = append(reps, &Client{net: factory(env.cfg.Seed), opt: opt.NewAdam(env.cfg.LearningRate)})
 		}
 	})
 	envLive, envAlloc = envLive-repLive, envAlloc-repAlloc

@@ -89,7 +89,7 @@ func (a *asyncState) weight(start int) float64 {
 // blends into the global model with weight α·g(t − τ), g the configured
 // weight function (polynomial (s+1)^(−a) by default). The two registry keys
 // are one rule with two anchors τ: "staleness" measures the whole fold from
-// its OLDEST member's download (the batch anchor, fold.StartRound),
+// its OLDEST member's download (the batch anchor, fold.startRound),
 // "fedasync" each update from its OWN (core.ClientUpdate.StartRound). On a
 // fold of one (client pacing) they are identical; under fedbuff buffering
 // (K > 1) the per-update anchor discounts each buffered update individually
@@ -101,11 +101,11 @@ type stalenessRule struct {
 }
 
 func (r *stalenessRule) Fold(f fold) ([]float64, error) {
-	if len(f.Updates) == 0 {
+	if len(f.updates) == 0 {
 		return nil, fmt.Errorf("staleness fold with no client updates")
 	}
-	start := f.StartRound()
-	for _, u := range f.Updates {
+	start := f.startRound()
+	for _, u := range f.updates {
 		if len(u.Weights) != len(r.global) {
 			return nil, fmt.Errorf("staleness fold: update has %d weights, want %d", len(u.Weights), len(r.global))
 		}
@@ -140,11 +140,11 @@ func (r *asyncSGDRule) Init(rs *runState) error {
 }
 
 func (r *asyncSGDRule) Fold(f fold) ([]float64, error) {
-	if len(f.Updates) == 0 {
+	if len(f.updates) == 0 {
 		return nil, fmt.Errorf("asyncsgd fold with no client updates")
 	}
 	tensor.Zero(r.delta)
-	for _, u := range f.Updates {
+	for _, u := range f.updates {
 		if len(u.Weights) != len(r.global) {
 			return nil, fmt.Errorf("asyncsgd fold: update has %d weights, want %d", len(u.Weights), len(r.global))
 		}
@@ -153,7 +153,7 @@ func (r *asyncSGDRule) Fold(f fold) ([]float64, error) {
 			r.delta[i] += g * (w - r.global[i])
 		}
 	}
-	tensor.Axpy(r.alpha/float64(len(f.Updates)), r.delta, r.global)
+	tensor.Axpy(r.alpha/float64(len(f.updates)), r.delta, r.global)
 	r.version++
 	return r.global, nil
 }

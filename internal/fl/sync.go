@@ -11,9 +11,7 @@ package fl
 
 // FoldInfo describes one completed engine fold, as handed to Syncers.
 type FoldInfo struct {
-	Tier  int
-	Round int     // global update count after the fold
-	Time  float64 // the run's clock
+	Time float64 // the run's clock
 	// Global is the fold's resulting model. Shared with the engine:
 	// read-only, valid only until the next fold — a Syncer that retains it
 	// must copy (the edge uplink encodes it immediately).

@@ -113,7 +113,7 @@ func TestTiFLPickAllocFree(t *testing.T) {
 	skipUnderRace(t)
 	cfg := baseCfg().withDefaults()
 	env := testEnv(t, 0, cfg)
-	rs := &runState{fab: env.Fabric(), cfg: cfg, root: rng.New(5), comm: NewComm(cfg.Codec, env.Shapes())}
+	rs := &runState{fab: env.Fabric(), cfg: cfg, root: rng.New(5), comm: NewComm(cfg.Codec, env.shapes)}
 	rs.rule = updateRules["avg"]()
 	if err := rs.rule.Init(rs); err != nil {
 		t.Fatal(err)

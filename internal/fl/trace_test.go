@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
-	"repro/internal/tiering"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the trace goldens")
@@ -60,7 +59,7 @@ func TestTraceLine(t *testing.T) {
 			`{"Node":0,"Kind":"eval","Round":4,"Time":10,"Result":{"Acc":0.5,"Loss":1.25,"Variance":0.01},"UpBytes":100,"DownBytes":200}`},
 		{0, EvalEvent{Round: 6, Time: 12, Result: Result{Acc: math.NaN(), Loss: math.Inf(1), Variance: math.Inf(-1)}},
 			`{"Node":0,"Kind":"eval","Round":6,"Time":12,"Result":{"Acc":"NaN","Loss":"+Inf","Variance":"-Inf"},"UpBytes":0,"DownBytes":0}`},
-		{3, retierEvent{Round: 8, Time: 20, Migrations: 1, Tiers: &tiering.Tiers{}},
+		{3, retierEvent{Round: 8, Time: 20, Migrations: 1},
 			`{"Node":3,"Kind":"retier","Round":8,"Time":20,"Migrations":1}`},
 		{0, ClientDoneEvent{Client: 1, Time: math.Inf(1)},
 			`{"Node":0,"Kind":"done","Error":"json: unsupported value: +Inf"}`},

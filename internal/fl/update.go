@@ -12,22 +12,22 @@ import (
 // trained in, with each update carrying its own staleness anchor
 // (core.ClientUpdate.StartRound).
 type fold struct {
-	Tier    int
-	Updates []core.ClientUpdate
+	tier    int
+	updates []core.ClientUpdate
 }
 
-// StartRound returns the fold's batch-level staleness anchor: the oldest
+// startRound returns the fold's batch-level staleness anchor: the oldest
 // member's StartRound. This is exactly the pre-redesign batch field, which
 // stamped a whole fold at its most stale member — the legacy staleness
 // rule keeps that semantics through this accessor so its pinned runs stay
 // byte-identical, while the per-update rules (fedasync, asyncsgd) read
 // each update's own anchor instead.
-func (f fold) StartRound() int {
-	if len(f.Updates) == 0 {
+func (f fold) startRound() int {
+	if len(f.updates) == 0 {
 		return 0
 	}
-	start := f.Updates[0].StartRound
-	for _, u := range f.Updates[1:] {
+	start := f.updates[0].StartRound
+	for _, u := range f.updates[1:] {
 		if u.StartRound < start {
 			start = u.StartRound
 		}
@@ -131,7 +131,7 @@ func (r *avgRule) Global() []float64 { return r.agg.GlobalRef() }
 func (r *avgRule) Rounds() int       { return r.agg.Rounds() }
 
 func (r *avgRule) Fold(f fold) ([]float64, error) {
-	return r.agg.UpdateTierRef(0, f.Updates)
+	return r.agg.UpdateTierRef(0, f.updates)
 }
 
 // Rebase implements Rebaser via the aggregator's state replacement.
@@ -154,7 +154,7 @@ type eq5Rule struct {
 }
 
 func (r *eq5Rule) Init(rs *runState) error {
-	tiers, err := rs.Tiers()
+	tiers, err := rs.partition()
 	if err != nil {
 		return err
 	}
@@ -191,27 +191,27 @@ func (r *eq5Rule) tierOf(client int) (int, error) {
 func (r *eq5Rule) Rebase(w []float64) []float64 { return r.agg.Rebase(w) }
 
 func (r *eq5Rule) Fold(f fold) ([]float64, error) {
-	if f.Tier >= 0 {
-		return r.agg.UpdateTierRef(f.Tier, f.Updates)
+	if f.tier >= 0 {
+		return r.agg.UpdateTierRef(f.tier, f.updates)
 	}
 	// Untiered fold (tier -1: the wait-free client loops, or a sync
 	// selector with no tier concept): route each update into its client's
 	// profiled tier, so the Eq. 5 weighting still sees a per-tier update
 	// stream. Groups fold in first-seen order — deterministic, since the
 	// update order is.
-	if len(f.Updates) == 1 {
+	if len(f.updates) == 1 {
 		// The wait-free loops fold one arrival at a time; skip the grouping
 		// machinery entirely.
-		t, err := r.tierOf(f.Updates[0].Client)
+		t, err := r.tierOf(f.updates[0].Client)
 		if err != nil {
 			return nil, err
 		}
-		return r.agg.UpdateTierRef(t, f.Updates)
+		return r.agg.UpdateTierRef(t, f.updates)
 	}
 	var g []float64
 	var order []int
 	byTier := map[int][]core.ClientUpdate{}
-	for _, u := range f.Updates {
+	for _, u := range f.updates {
 		t, err := r.tierOf(u.Client)
 		if err != nil {
 			return nil, err
@@ -269,10 +269,10 @@ func (r *asoRule) Global() []float64 { return r.global }
 func (r *asoRule) Rounds() int       { return r.version }
 
 func (r *asoRule) Fold(f fold) ([]float64, error) {
-	if len(f.Updates) == 0 {
+	if len(f.updates) == 0 {
 		return nil, fmt.Errorf("asofed fold with no client updates")
 	}
-	for _, u := range f.Updates {
+	for _, u := range f.updates {
 		if u.Client < 0 || u.Client >= len(r.copies) {
 			return nil, fmt.Errorf("asofed fold: client %d out of range [0,%d)", u.Client, len(r.copies))
 		}

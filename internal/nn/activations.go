@@ -72,7 +72,7 @@ func (l *relu) Backward(dout *tensor.Mat) *tensor.Mat {
 // and rescales survivors by 1/(1-Rate) (inverted dropout), matching the
 // dropout used inside the paper's Reddit LSTM model.
 type dropout struct {
-	Rate float64
+	rate float64
 
 	r       rng.RNG
 	out, dx *tensor.Mat
@@ -84,7 +84,7 @@ func newDropout(rate float64) *dropout {
 	if rate < 0 || rate >= 1 {
 		panic("nn: Dropout rate must be in [0,1)")
 	}
-	return &dropout{Rate: rate}
+	return &dropout{rate: rate}
 }
 
 // ParamShapes implements layer.
@@ -107,7 +107,7 @@ func (l *dropout) OutDim(in int) int { return in }
 
 // Forward implements layer.
 func (l *dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if !train || l.Rate == 0 {
+	if !train || l.rate == 0 {
 		return x
 	}
 	n := len(x.Data)
@@ -117,7 +117,7 @@ func (l *dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	} else {
 		l.mask = make([]float64, n)
 	}
-	keep := 1 - l.Rate
+	keep := 1 - l.rate
 	inv := 1 / keep
 	for i, v := range x.Data {
 		if l.r.Float64() < keep {

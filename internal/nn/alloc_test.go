@@ -114,7 +114,7 @@ func TestConvColScratchSharedAcrossBatches(t *testing.T) {
 	newNet := func(wrap func(*conv2D) layer) (*Network, *conv2D) {
 		head := newConv2D(1, 10, 10, 4, 3, 1, 1)
 		mid := newConv2D(4, 10, 10, 4, 3, 1, 1)
-		c, h, w := mid.OutShape()
+		c, h, w := mid.outShape()
 		return newNetwork(rng.New(3), newSoftmaxCE(), wrap(head), newReLU(), wrap(mid), newDense(c*h*w, 2)), head
 	}
 	net, conv := newNet(func(c *conv2D) layer { return c })
@@ -181,13 +181,13 @@ type colCacheConv struct {
 
 func (c *colCacheConv) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	b, p := x.R, c.outH*c.outW
-	c.out = tensor.EnsureMat(c.out, b, c.OutC*p)
+	c.out = tensor.EnsureMat(c.out, b, c.outC*p)
 	for len(c.cache) < b {
 		c.cache = append(c.cache, tensor.NewMat(c.cols, p))
 	}
 	for s := 0; s < b; s++ {
-		tensor.Im2Col(x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, c.cache[s])
-		out := c.outMat.View(c.OutC, p, c.out.Row(s))
+		tensor.Im2Col(x.Row(s), c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad, c.cache[s])
+		out := c.outMat.View(c.outC, p, c.out.Row(s))
 		tensor.MulInto(out, c.weight(), c.cache[s])
 		for oc, bv := range c.bias() {
 			row := out.Row(oc)
@@ -202,15 +202,15 @@ func (c *colCacheConv) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 func (c *colCacheConv) Backward(dout *tensor.Mat) *tensor.Mat {
 	b, p := dout.R, c.outH*c.outW
 	if c.scratchW == nil {
-		c.scratchW = tensor.NewMat(c.OutC, c.cols)
+		c.scratchW = tensor.NewMat(c.outC, c.cols)
 		c.dcols = tensor.NewMat(c.cols, p)
 	}
 	if !c.skipInputGrad {
-		c.dx = tensor.EnsureMat(c.dx, b, c.InC*c.H*c.W)
+		c.dx = tensor.EnsureMat(c.dx, b, c.inC*c.inH*c.inW)
 	}
 	gb := c.gradB()
 	for s := 0; s < b; s++ {
-		d := c.doutMat.View(c.OutC, p, dout.Row(s))
+		d := c.doutMat.View(c.outC, p, dout.Row(s))
 		tensor.MulTransBInto(c.scratchW, d, c.cache[s])
 		tensor.AddTo(c.gradW().Data, c.scratchW.Data)
 		for oc := range gb {
@@ -222,7 +222,7 @@ func (c *colCacheConv) Backward(dout *tensor.Mat) *tensor.Mat {
 		tensor.MulTransAInto(c.dcols, c.weight(), d)
 		dst := c.dx.Row(s)
 		tensor.Zero(dst)
-		tensor.Col2Im(c.dcols, c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, dst)
+		tensor.Col2Im(c.dcols, c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad, dst)
 	}
 	if c.skipInputGrad {
 		return nil

@@ -12,9 +12,9 @@ import (
 // scale and shift, keeping running statistics for evaluation mode. The
 // paper's Reddit model places one after the LSTM layer.
 type batchNorm struct {
-	Dim      int
-	Eps      float64
-	Momentum float64 // running-stat update rate
+	dim      int
+	eps      float64
+	momentum float64 // running-stat update rate
 
 	w, g []float64 // gamma (Dim), beta (Dim), runMean (Dim), runVar (Dim)
 
@@ -29,7 +29,7 @@ func newBatchNorm(dim int) *batchNorm {
 	if dim <= 0 {
 		panic("nn: BatchNorm dim must be positive")
 	}
-	return &batchNorm{Dim: dim, Eps: 1e-5, Momentum: 0.1}
+	return &batchNorm{dim: dim, eps: 1e-5, momentum: 0.1}
 }
 
 // ParamShapes implements layer. The running statistics ride along in the
@@ -37,10 +37,10 @@ func newBatchNorm(dim int) *batchNorm {
 // TensorFlow's FL setups transmit BN statistics with the weights.
 func (b *batchNorm) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{
-		{Name: "gamma", Dims: []int{b.Dim}},
-		{Name: "beta", Dims: []int{b.Dim}},
-		{Name: "runMean", Dims: []int{b.Dim}},
-		{Name: "runVar", Dims: []int{b.Dim}},
+		{Name: "gamma", Dims: []int{b.dim}},
+		{Name: "beta", Dims: []int{b.dim}},
+		{Name: "runMean", Dims: []int{b.dim}},
+		{Name: "runVar", Dims: []int{b.dim}},
 	}
 }
 
@@ -52,7 +52,7 @@ func (b *batchNorm) Bind(w, g []float64) {
 
 // Init implements layer.
 func (b *batchNorm) Init(*rng.RNG) {
-	d := b.Dim
+	d := b.dim
 	tensor.Fill(b.w[:d], 1)      // gamma
 	tensor.Zero(b.w[d : 2*d])    // beta
 	tensor.Zero(b.w[2*d : 3*d])  // running mean
@@ -65,10 +65,10 @@ func (b *batchNorm) OutDim(in int) int { return in }
 
 // Forward implements layer.
 func (b *batchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != b.Dim {
+	if x.C != b.dim {
 		panic("nn: BatchNorm input width mismatch")
 	}
-	d := b.Dim
+	d := b.dim
 	n := x.R
 	gamma, beta := b.w[:d], b.w[d:2*d]
 	runMean, runVar := b.w[2*d:3*d], b.w[3*d:4*d]
@@ -89,14 +89,14 @@ func (b *batchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 				v += diff * diff
 			}
 			v /= float64(n)
-			b.inv[j] = 1 / math.Sqrt(v+b.Eps)
-			runMean[j] = (1-b.Momentum)*runMean[j] + b.Momentum*b.mean[j]
-			runVar[j] = (1-b.Momentum)*runVar[j] + b.Momentum*v
+			b.inv[j] = 1 / math.Sqrt(v+b.eps)
+			runMean[j] = (1-b.momentum)*runMean[j] + b.momentum*b.mean[j]
+			runVar[j] = (1-b.momentum)*runVar[j] + b.momentum*v
 		}
 	} else {
 		copy(b.mean, runMean)
 		for j := 0; j < d; j++ {
-			b.inv[j] = 1 / math.Sqrt(runVar[j]+b.Eps)
+			b.inv[j] = 1 / math.Sqrt(runVar[j]+b.eps)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -118,7 +118,7 @@ func (b *batchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward implements layer (batch-statistics gradient).
 func (b *batchNorm) Backward(dout *tensor.Mat) *tensor.Mat {
-	d := b.Dim
+	d := b.dim
 	n := dout.R
 	gamma := b.w[:d]
 	gGamma, gBeta := b.g[:d], b.g[d:2*d]

@@ -10,9 +10,9 @@ import (
 // per batch row. The convolution is computed per sample via im2col followed
 // by a single matrix multiply, the standard lowering.
 type conv2D struct {
-	InC, H, W        int // input geometry
-	OutC, K          int // filters and (square) kernel size
-	Stride, Pad      int
+	inC, inH, inW    int // input geometry
+	outC, k          int // filters and (square) kernel size
+	stride, pad      int
 	outH, outW, cols int
 
 	w, g []float64 // W (OutC × InC*K*K) then b (OutC)
@@ -46,7 +46,7 @@ func newConv2D(inC, h, w, outC, k, stride, pad int) *conv2D {
 	if inC <= 0 || h <= 0 || w <= 0 || outC <= 0 || k <= 0 || stride <= 0 || pad < 0 {
 		panic("nn: Conv2D invalid geometry")
 	}
-	c := &conv2D{InC: inC, H: h, W: w, OutC: outC, K: k, Stride: stride, Pad: pad}
+	c := &conv2D{inC: inC, inH: h, inW: w, outC: outC, k: k, stride: stride, pad: pad}
 	c.outH = tensor.ConvOutSize(h, k, stride, pad)
 	c.outW = tensor.ConvOutSize(w, k, stride, pad)
 	if c.outH <= 0 || c.outW <= 0 {
@@ -56,14 +56,14 @@ func newConv2D(inC, h, w, outC, k, stride, pad int) *conv2D {
 	return c
 }
 
-// OutShape returns the output geometry (channels, height, width).
-func (c *conv2D) OutShape() (int, int, int) { return c.OutC, c.outH, c.outW }
+// outShape returns the output geometry (channels, height, width).
+func (c *conv2D) outShape() (int, int, int) { return c.outC, c.outH, c.outW }
 
 // ParamShapes implements layer.
 func (c *conv2D) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{
-		{Name: "W", Dims: []int{c.OutC, c.InC, c.K, c.K}},
-		{Name: "b", Dims: []int{c.OutC}},
+		{Name: "W", Dims: []int{c.outC, c.inC, c.k, c.k}},
+		{Name: "b", Dims: []int{c.outC}},
 	}
 }
 
@@ -71,25 +71,25 @@ func (c *conv2D) ParamShapes() []codec.ShapeInfo {
 func (c *conv2D) Bind(w, g []float64) {
 	checkBind(c, w, g)
 	c.w, c.g = w, g
-	c.wMat.View(c.OutC, c.cols, w[:c.OutC*c.cols])
-	c.gwMat.View(c.OutC, c.cols, g[:c.OutC*c.cols])
+	c.wMat.View(c.outC, c.cols, w[:c.outC*c.cols])
+	c.gwMat.View(c.outC, c.cols, g[:c.outC*c.cols])
 }
 
 // Init implements layer.
 func (c *conv2D) Init(r *rng.RNG) {
 	fanIn := c.cols
-	fanOut := c.OutC * c.K * c.K
-	initUniform(r, c.w[:c.OutC*c.cols], glorot(fanIn, fanOut))
-	tensor.Zero(c.w[c.OutC*c.cols:])
+	fanOut := c.outC * c.k * c.k
+	initUniform(r, c.w[:c.outC*c.cols], glorot(fanIn, fanOut))
+	tensor.Zero(c.w[c.outC*c.cols:])
 }
 
 // OutDim implements layer.
-func (c *conv2D) OutDim(int) int { return c.OutC * c.outH * c.outW }
+func (c *conv2D) OutDim(int) int { return c.outC * c.outH * c.outW }
 
 func (c *conv2D) weight() *tensor.Mat { return &c.wMat }
-func (c *conv2D) bias() []float64     { return c.w[c.OutC*c.cols:] }
+func (c *conv2D) bias() []float64     { return c.w[c.outC*c.cols:] }
 func (c *conv2D) gradW() *tensor.Mat  { return &c.gwMat }
-func (c *conv2D) gradB() []float64    { return c.g[c.OutC*c.cols:] }
+func (c *conv2D) gradB() []float64    { return c.g[c.outC*c.cols:] }
 
 // colScratch returns the layer's im2col scratch, allocating it on first use.
 func (c *conv2D) colScratch() *tensor.Mat {
@@ -101,20 +101,20 @@ func (c *conv2D) colScratch() *tensor.Mat {
 
 // Forward implements layer.
 func (c *conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != c.InC*c.H*c.W {
+	if x.C != c.inC*c.inH*c.inW {
 		panic("nn: Conv2D input width mismatch")
 	}
 	b := x.R
 	p := c.outH * c.outW
-	c.out = tensor.EnsureMat(c.out, b, c.OutC*p)
+	c.out = tensor.EnsureMat(c.out, b, c.outC*p)
 	cols := c.colScratch()
 	w := c.weight()
 	bias := c.bias()
 	for s := 0; s < b; s++ {
-		tensor.Im2Col(x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, cols)
-		outView := c.outView.View(c.OutC, p, c.out.Row(s))
+		tensor.Im2Col(x.Row(s), c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad, cols)
+		outView := c.outView.View(c.outC, p, c.out.Row(s))
 		tensor.MulInto(outView, w, cols)
-		for oc := 0; oc < c.OutC; oc++ {
+		for oc := 0; oc < c.outC; oc++ {
 			row := outView.Row(oc)
 			bv := bias[oc]
 			for i := range row {
@@ -136,20 +136,20 @@ func (c *conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	b := dout.R
 	p := c.outH * c.outW
 	if !c.skipInputGrad {
-		c.dx = tensor.EnsureMat(c.dx, b, c.InC*c.H*c.W)
+		c.dx = tensor.EnsureMat(c.dx, b, c.inC*c.inH*c.inW)
 	}
 	cols := c.colScratch()
 	gw := c.gradW()
 	gb := c.gradB()
 	w := c.weight()
 	for s := 0; s < b; s++ {
-		doutView := c.doutView.View(c.OutC, p, dout.Row(s))
+		doutView := c.doutView.View(c.outC, p, dout.Row(s))
 		// dW += dout·colsᵀ, over sample s's columns lowered again; each
 		// element adds its dot product, summed from +0, onto g
-		tensor.Im2Col(c.x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, cols)
+		tensor.Im2Col(c.x.Row(s), c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad, cols)
 		tensor.AddMulTransB(gw, doutView, cols)
 		// db += row sums of dout
-		for oc := 0; oc < c.OutC; oc++ {
+		for oc := 0; oc < c.outC; oc++ {
 			gb[oc] += tensor.Sum(doutView.Row(oc))
 		}
 		if c.skipInputGrad {
@@ -159,7 +159,7 @@ func (c *conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 		tensor.MulTransAInto(cols, w, doutView)
 		dst := c.dx.Row(s)
 		tensor.Zero(dst)
-		tensor.Col2Im(cols, c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, dst)
+		tensor.Col2Im(cols, c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad, dst)
 	}
 	if c.skipInputGrad {
 		return nil
@@ -170,8 +170,8 @@ func (c *conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 // maxPool2D is a non-overlapping (or strided) max pooling layer over CHW
 // images flattened one per batch row.
 type maxPool2D struct {
-	InC, H, W  int
-	K, Stride  int
+	inC, h, w  int
+	k, stride  int
 	outH, outW int
 
 	out, dx *tensor.Mat
@@ -183,7 +183,7 @@ func newMaxPool2D(inC, h, w, k, stride int) *maxPool2D {
 	if inC <= 0 || h <= 0 || w <= 0 || k <= 0 || stride <= 0 {
 		panic("nn: MaxPool2D invalid geometry")
 	}
-	m := &maxPool2D{InC: inC, H: h, W: w, K: k, Stride: stride}
+	m := &maxPool2D{inC: inC, h: h, w: w, k: k, stride: stride}
 	m.outH = tensor.ConvOutSize(h, k, stride, 0)
 	m.outW = tensor.ConvOutSize(w, k, stride, 0)
 	if m.outH <= 0 || m.outW <= 0 {
@@ -192,8 +192,8 @@ func newMaxPool2D(inC, h, w, k, stride int) *maxPool2D {
 	return m
 }
 
-// OutShape returns the output geometry (channels, height, width).
-func (m *maxPool2D) OutShape() (int, int, int) { return m.InC, m.outH, m.outW }
+// outShape returns the output geometry (channels, height, width).
+func (m *maxPool2D) outShape() (int, int, int) { return m.inC, m.outH, m.outW }
 
 // ParamShapes implements layer.
 func (m *maxPool2D) ParamShapes() []codec.ShapeInfo { return nil }
@@ -205,45 +205,45 @@ func (m *maxPool2D) Bind(w, g []float64) { checkBind(m, w, g) }
 func (m *maxPool2D) Init(*rng.RNG) {}
 
 // OutDim implements layer.
-func (m *maxPool2D) OutDim(int) int { return m.InC * m.outH * m.outW }
+func (m *maxPool2D) OutDim(int) int { return m.inC * m.outH * m.outW }
 
 // Forward implements layer.
 func (m *maxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != m.InC*m.H*m.W {
+	if x.C != m.inC*m.h*m.w {
 		panic("nn: MaxPool2D input width mismatch")
 	}
 	b := x.R
 	p := m.outH * m.outW
 	// Both out and argmax are fully overwritten below, so capacity reuse is
 	// safe across batch-shape changes.
-	m.out = tensor.EnsureMat(m.out, b, m.InC*p)
-	if cap(m.argmax) >= b*m.InC*p {
-		m.argmax = m.argmax[:b*m.InC*p]
+	m.out = tensor.EnsureMat(m.out, b, m.inC*p)
+	if cap(m.argmax) >= b*m.inC*p {
+		m.argmax = m.argmax[:b*m.inC*p]
 	} else {
-		m.argmax = make([]int32, b*m.InC*p)
+		m.argmax = make([]int32, b*m.inC*p)
 	}
 	for s := 0; s < b; s++ {
 		in := x.Row(s)
 		out := m.out.Row(s)
-		amBase := s * m.InC * p
-		for c := 0; c < m.InC; c++ {
-			chn := in[c*m.H*m.W:]
+		amBase := s * m.inC * p
+		for c := 0; c < m.inC; c++ {
+			chn := in[c*m.h*m.w:]
 			o := c * p
 			for oy := 0; oy < m.outH; oy++ {
 				for ox := 0; ox < m.outW; ox++ {
 					best := -1
 					bestV := 0.0
-					for ky := 0; ky < m.K; ky++ {
-						iy := oy*m.Stride + ky
-						if iy >= m.H {
+					for ky := 0; ky < m.k; ky++ {
+						iy := oy*m.stride + ky
+						if iy >= m.h {
 							break
 						}
-						for kx := 0; kx < m.K; kx++ {
-							ix := ox*m.Stride + kx
-							if ix >= m.W {
+						for kx := 0; kx < m.k; kx++ {
+							ix := ox*m.stride + kx
+							if ix >= m.w {
 								break
 							}
-							idx := iy*m.W + ix
+							idx := iy*m.w + ix
 							if best == -1 || chn[idx] > bestV {
 								best = idx
 								bestV = chn[idx]
@@ -251,7 +251,7 @@ func (m *maxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 						}
 					}
 					out[o] = bestV
-					m.argmax[amBase+o] = int32(c*m.H*m.W + best)
+					m.argmax[amBase+o] = int32(c*m.h*m.w + best)
 					o++
 				}
 			}
@@ -263,9 +263,9 @@ func (m *maxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // Backward implements layer.
 func (m *maxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	b := dout.R
-	m.dx = tensor.EnsureMat(m.dx, b, m.InC*m.H*m.W)
+	m.dx = tensor.EnsureMat(m.dx, b, m.inC*m.h*m.w)
 	tensor.Zero(m.dx.Data)
-	p := m.InC * m.outH * m.outW
+	p := m.inC * m.outH * m.outW
 	for s := 0; s < b; s++ {
 		dst := m.dx.Row(s)
 		src := dout.Row(s)

@@ -8,7 +8,7 @@ import (
 
 // dense is a fully connected layer: y = x·Wᵀ + b with W stored Out×In.
 type dense struct {
-	In, Out int
+	inDim, outDim int
 
 	w, g []float64 // bound storage: W (Out*In) then b (Out)
 
@@ -35,44 +35,44 @@ func newDense(in, out int) *dense {
 	if in <= 0 || out <= 0 {
 		panic("nn: Dense dimensions must be positive")
 	}
-	return &dense{In: in, Out: out}
+	return &dense{inDim: in, outDim: out}
 }
 
 // ParamShapes implements layer.
 func (d *dense) ParamShapes() []codec.ShapeInfo {
-	return []codec.ShapeInfo{{Name: "W", Dims: []int{d.Out, d.In}}, {Name: "b", Dims: []int{d.Out}}}
+	return []codec.ShapeInfo{{Name: "W", Dims: []int{d.outDim, d.inDim}}, {Name: "b", Dims: []int{d.outDim}}}
 }
 
 // Bind implements layer.
 func (d *dense) Bind(w, g []float64) {
 	checkBind(d, w, g)
 	d.w, d.g = w, g
-	d.wMat.View(d.Out, d.In, w[:d.Out*d.In])
-	d.gwMat.View(d.Out, d.In, g[:d.Out*d.In])
+	d.wMat.View(d.outDim, d.inDim, w[:d.outDim*d.inDim])
+	d.gwMat.View(d.outDim, d.inDim, g[:d.outDim*d.inDim])
 }
 
 // Init implements layer (Glorot uniform weights, zero bias).
 func (d *dense) Init(r *rng.RNG) {
-	initUniform(r, d.w[:d.Out*d.In], glorot(d.In, d.Out))
-	tensor.Zero(d.w[d.Out*d.In:])
+	initUniform(r, d.w[:d.outDim*d.inDim], glorot(d.inDim, d.outDim))
+	tensor.Zero(d.w[d.outDim*d.inDim:])
 }
 
 // OutDim implements layer.
-func (d *dense) OutDim(int) int { return d.Out }
+func (d *dense) OutDim(int) int { return d.outDim }
 
 func (d *dense) weight() *tensor.Mat { return &d.wMat }
-func (d *dense) bias() []float64     { return d.w[d.Out*d.In:] }
+func (d *dense) bias() []float64     { return d.w[d.outDim*d.inDim:] }
 func (d *dense) gradW() *tensor.Mat  { return &d.gwMat }
-func (d *dense) gradB() []float64    { return d.g[d.Out*d.In:] }
+func (d *dense) gradB() []float64    { return d.g[d.outDim*d.inDim:] }
 
 // Forward implements layer.
 func (d *dense) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != d.In {
+	if x.C != d.inDim {
 		panic("nn: Dense input width mismatch")
 	}
 	// Capacity-based reuse: MulTransBInto writes every element, so dirty
 	// storage from a differently-shaped batch is fine.
-	d.out = tensor.EnsureMat(d.out, x.R, d.Out)
+	d.out = tensor.EnsureMat(d.out, x.R, d.outDim)
 	tensor.MulTransBInto(d.out, x, d.weight())
 	d.out.AddRowVec(d.bias())
 	if train {
@@ -102,7 +102,7 @@ func (d *dense) Backward(dout *tensor.Mat) *tensor.Mat {
 		return nil
 	}
 	// dx = dout·W
-	d.dx = tensor.EnsureMat(d.dx, dout.R, d.In)
+	d.dx = tensor.EnsureMat(d.dx, dout.R, d.inDim)
 	tensor.MulInto(d.dx, dout, d.weight())
 	return d.dx
 }

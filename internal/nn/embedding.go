@@ -10,7 +10,7 @@ import (
 // uniformity) to dense vectors. Input rows are sequences of SeqLen ids;
 // output rows are the SeqLen embedding vectors concatenated.
 type embedding struct {
-	Vocab, Dim, SeqLen int
+	vocab, dim, seqLen int
 
 	w, g []float64 // Vocab×Dim table
 
@@ -24,12 +24,12 @@ func newEmbedding(vocab, dim, seqLen int) *embedding {
 	if vocab <= 0 || dim <= 0 || seqLen <= 0 {
 		panic("nn: Embedding invalid dimensions")
 	}
-	return &embedding{Vocab: vocab, Dim: dim, SeqLen: seqLen}
+	return &embedding{vocab: vocab, dim: dim, seqLen: seqLen}
 }
 
 // ParamShapes implements layer.
 func (e *embedding) ParamShapes() []codec.ShapeInfo {
-	return []codec.ShapeInfo{{Name: "E", Dims: []int{e.Vocab, e.Dim}}}
+	return []codec.ShapeInfo{{Name: "E", Dims: []int{e.vocab, e.dim}}}
 }
 
 // Bind implements layer.
@@ -44,34 +44,34 @@ func (e *embedding) Init(r *rng.RNG) {
 }
 
 // OutDim implements layer.
-func (e *embedding) OutDim(int) int { return e.SeqLen * e.Dim }
+func (e *embedding) OutDim(int) int { return e.seqLen * e.dim }
 
 // Forward implements layer. Out-of-range ids are clamped into the vocab so a
 // corrupted sample cannot crash a training run.
 func (e *embedding) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != e.SeqLen {
+	if x.C != e.seqLen {
 		panic("nn: Embedding input width mismatch")
 	}
 	b := x.R
 	// Capacity-based reuse: every element of both is written below.
-	e.out = tensor.EnsureMat(e.out, b, e.SeqLen*e.Dim)
-	if cap(e.ids) < b*e.SeqLen {
-		e.ids = make([]int32, b*e.SeqLen)
+	e.out = tensor.EnsureMat(e.out, b, e.seqLen*e.dim)
+	if cap(e.ids) < b*e.seqLen {
+		e.ids = make([]int32, b*e.seqLen)
 	}
-	e.ids = e.ids[:b*e.SeqLen]
+	e.ids = e.ids[:b*e.seqLen]
 	for s := 0; s < b; s++ {
 		in := x.Row(s)
 		out := e.out.Row(s)
-		for t := 0; t < e.SeqLen; t++ {
+		for t := 0; t < e.seqLen; t++ {
 			id := int(in[t])
 			if id < 0 {
 				id = 0
 			}
-			if id >= e.Vocab {
-				id = e.Vocab - 1
+			if id >= e.vocab {
+				id = e.vocab - 1
 			}
-			e.ids[s*e.SeqLen+t] = int32(id)
-			copy(out[t*e.Dim:(t+1)*e.Dim], e.w[id*e.Dim:(id+1)*e.Dim])
+			e.ids[s*e.seqLen+t] = int32(id)
+			copy(out[t*e.dim:(t+1)*e.dim], e.w[id*e.dim:(id+1)*e.dim])
 		}
 	}
 	return e.out
@@ -83,12 +83,12 @@ func (e *embedding) Backward(dout *tensor.Mat) *tensor.Mat {
 	b := dout.R
 	for s := 0; s < b; s++ {
 		src := dout.Row(s)
-		for t := 0; t < e.SeqLen; t++ {
-			id := int(e.ids[s*e.SeqLen+t])
-			tensor.AddTo(e.g[id*e.Dim:(id+1)*e.Dim], src[t*e.Dim:(t+1)*e.Dim])
+		for t := 0; t < e.seqLen; t++ {
+			id := int(e.ids[s*e.seqLen+t])
+			tensor.AddTo(e.g[id*e.dim:(id+1)*e.dim], src[t*e.dim:(t+1)*e.dim])
 		}
 	}
-	e.dx = tensor.EnsureMat(e.dx, b, e.SeqLen)
+	e.dx = tensor.EnsureMat(e.dx, b, e.seqLen)
 	tensor.Zero(e.dx.Data)
 	return e.dx
 }

@@ -80,27 +80,27 @@ func TestGradCheckMLP(t *testing.T) {
 
 func TestGradCheckConv(t *testing.T) {
 	conv := newConv2D(2, 5, 5, 3, 3, 1, 1)
-	c, h, w := conv.OutShape()
+	c, h, w := conv.outShape()
 	n := newNetwork(rng.New(5), newSoftmaxCE(), conv, newReLU(), newDense(c*h*w, 3))
 	gradCheckNet(t, n, 2*5*5, 2, 3, 1e-4)
 }
 
 func TestGradCheckConvStride2NoPad(t *testing.T) {
 	conv := newConv2D(1, 6, 6, 2, 2, 2, 0)
-	c, h, w := conv.OutShape()
+	c, h, w := conv.outShape()
 	n := newNetwork(rng.New(6), newSoftmaxCE(), conv, newDense(c*h*w, 2))
 	gradCheckNet(t, n, 36, 2, 2, 1e-4)
 }
 
 func TestGradCheckMaxPool(t *testing.T) {
 	pool := newMaxPool2D(2, 4, 4, 2, 2)
-	c, h, w := pool.OutShape()
+	c, h, w := pool.outShape()
 	n := newNetwork(rng.New(7), newSoftmaxCE(), pool, newDense(c*h*w, 3))
 	gradCheckNet(t, n, 2*4*4, 2, 3, 1e-4)
 }
 
 func TestGradCheckCNN(t *testing.T) {
-	n := NewCNN(rng.New(8), CNNConfig{InC: 1, H: 6, W: 6, ConvC: []int{2, 3}, Kernel: 3, Hidden: 5, Classes: 3, PoolEvery: 1})
+	n := NewCNN(rng.New(8), CNNConfig{inC: 1, h: 6, w: 6, convC: []int{2, 3}, kernel: 3, hidden: 5, classes: 3, PoolEvery: 1})
 	gradCheckNet(t, n, 36, 2, 3, 5e-4)
 }
 

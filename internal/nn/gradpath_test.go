@@ -123,7 +123,7 @@ type scratchDense struct {
 }
 
 func (d *scratchDense) Backward(dout *tensor.Mat) *tensor.Mat {
-	d.scratch = tensor.EnsureMat(d.scratch, d.Out, d.In)
+	d.scratch = tensor.EnsureMat(d.scratch, d.outDim, d.inDim)
 	tensor.MulTransAInto(d.scratch, dout, d.x)
 	tensor.AddTo(d.gradW().Data, d.scratch.Data)
 	gb := d.gradB()
@@ -133,7 +133,7 @@ func (d *scratchDense) Backward(dout *tensor.Mat) *tensor.Mat {
 	if d.skipInputGrad {
 		return nil
 	}
-	d.dx = tensor.EnsureMat(d.dx, dout.R, d.In)
+	d.dx = tensor.EnsureMat(d.dx, dout.R, d.inDim)
 	tensor.MulInto(d.dx, dout, d.weight())
 	return d.dx
 }
@@ -148,19 +148,19 @@ type scratchConv struct {
 func (c *scratchConv) Backward(dout *tensor.Mat) *tensor.Mat {
 	b, p := dout.R, c.outH*c.outW
 	if !c.skipInputGrad {
-		c.dx = tensor.EnsureMat(c.dx, b, c.InC*c.H*c.W)
+		c.dx = tensor.EnsureMat(c.dx, b, c.inC*c.inH*c.inW)
 	}
 	if c.scratchW == nil {
-		c.scratchW = tensor.NewMat(c.OutC, c.cols)
+		c.scratchW = tensor.NewMat(c.outC, c.cols)
 	}
 	cols := c.colScratch()
 	gb := c.gradB()
 	for s := 0; s < b; s++ {
-		doutView := c.doutView.View(c.OutC, p, dout.Row(s))
-		tensor.Im2Col(c.x.Row(s), c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, cols)
+		doutView := c.doutView.View(c.outC, p, dout.Row(s))
+		tensor.Im2Col(c.x.Row(s), c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad, cols)
 		tensor.MulTransBInto(c.scratchW, doutView, cols)
 		tensor.AddTo(c.gradW().Data, c.scratchW.Data)
-		for oc := 0; oc < c.OutC; oc++ {
+		for oc := 0; oc < c.outC; oc++ {
 			gb[oc] += tensor.Sum(doutView.Row(oc))
 		}
 		if c.skipInputGrad {
@@ -169,7 +169,7 @@ func (c *scratchConv) Backward(dout *tensor.Mat) *tensor.Mat {
 		tensor.MulTransAInto(cols, c.weight(), doutView)
 		dst := c.dx.Row(s)
 		tensor.Zero(dst)
-		tensor.Col2Im(cols, c.InC, c.H, c.W, c.K, c.K, c.Stride, c.Pad, dst)
+		tensor.Col2Im(cols, c.inC, c.inH, c.inW, c.k, c.k, c.stride, c.pad, dst)
 	}
 	if c.skipInputGrad {
 		return nil
@@ -185,14 +185,14 @@ type scratchLSTM struct {
 }
 
 func (l *scratchLSTM) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	b, h := x.R, l.Hidden
+	b, h := x.R, l.hidden
 	l.ensureCaches(b)
 	l.scratch4H = tensor.EnsureMat(l.scratch4H, b, 4*h)
 	l.xs = x
 	wx, wh, bias := l.wx(), l.wh(), l.bias()
 	tensor.Zero(l.cs[0].Data)
 	tensor.Zero(l.hs[0].Data)
-	for t := 0; t < l.SeqLen; t++ {
+	for t := 0; t < l.seqLen; t++ {
 		gates := l.gates[t]
 		tensor.MulTransBInto(gates, l.stepInput(x, t), wx)
 		tensor.MulTransBInto(l.scratch4H, l.hs[t], wh)
@@ -208,5 +208,5 @@ func (l *scratchLSTM) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 			}
 		}
 	}
-	return l.hs[l.SeqLen]
+	return l.hs[l.seqLen]
 }

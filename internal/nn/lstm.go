@@ -13,7 +13,7 @@ import (
 //
 // Gate layout in the 4H dimension is [i | f | g | o].
 type lstm struct {
-	In, Hidden, SeqLen int
+	in, hidden, seqLen int
 
 	w, g []float64 // Wx (4H×In), Wh (4H×H), b (4H)
 
@@ -40,15 +40,15 @@ func newLSTM(in, hidden, seqLen int) *lstm {
 	if in <= 0 || hidden <= 0 || seqLen <= 0 {
 		panic("nn: LSTM invalid dimensions")
 	}
-	return &lstm{In: in, Hidden: hidden, SeqLen: seqLen}
+	return &lstm{in: in, hidden: hidden, seqLen: seqLen}
 }
 
 // ParamShapes implements layer.
 func (l *lstm) ParamShapes() []codec.ShapeInfo {
 	return []codec.ShapeInfo{
-		{Name: "Wx", Dims: []int{4 * l.Hidden, l.In}},
-		{Name: "Wh", Dims: []int{4 * l.Hidden, l.Hidden}},
-		{Name: "b", Dims: []int{4 * l.Hidden}},
+		{Name: "Wx", Dims: []int{4 * l.hidden, l.in}},
+		{Name: "Wh", Dims: []int{4 * l.hidden, l.hidden}},
+		{Name: "b", Dims: []int{4 * l.hidden}},
 	}
 }
 
@@ -56,21 +56,21 @@ func (l *lstm) ParamShapes() []codec.ShapeInfo {
 func (l *lstm) Bind(w, g []float64) {
 	checkBind(l, w, g)
 	l.w, l.g = w, g
-	h4, nx := 4*l.Hidden, 4*l.Hidden*l.In
-	nh := h4 * l.Hidden
-	l.wxMat.View(h4, l.In, w[:nx])
-	l.whMat.View(h4, l.Hidden, w[nx:nx+nh])
-	l.gwxMat.View(h4, l.In, g[:nx])
-	l.gwhMat.View(h4, l.Hidden, g[nx:nx+nh])
+	h4, nx := 4*l.hidden, 4*l.hidden*l.in
+	nh := h4 * l.hidden
+	l.wxMat.View(h4, l.in, w[:nx])
+	l.whMat.View(h4, l.hidden, w[nx:nx+nh])
+	l.gwxMat.View(h4, l.in, g[:nx])
+	l.gwhMat.View(h4, l.hidden, g[nx:nx+nh])
 }
 
 // Init implements layer. Forget-gate biases start at 1, the standard trick
 // that keeps gradients flowing early in training.
 func (l *lstm) Init(r *rng.RNG) {
-	h := l.Hidden
-	nx := 4 * h * l.In
+	h := l.hidden
+	nx := 4 * h * l.in
 	nh := 4 * h * h
-	initUniform(r, l.w[:nx], glorot(l.In, h))
+	initUniform(r, l.w[:nx], glorot(l.in, h))
 	initUniform(r, l.w[nx:nx+nh], glorot(h, h))
 	b := l.w[nx+nh:]
 	tensor.Zero(b)
@@ -80,17 +80,17 @@ func (l *lstm) Init(r *rng.RNG) {
 }
 
 // OutDim implements layer.
-func (l *lstm) OutDim(int) int { return l.Hidden }
+func (l *lstm) OutDim(int) int { return l.hidden }
 
 func (l *lstm) wx() *tensor.Mat  { return &l.wxMat }
 func (l *lstm) wh() *tensor.Mat  { return &l.whMat }
 func (l *lstm) gwx() *tensor.Mat { return &l.gwxMat }
 func (l *lstm) gwh() *tensor.Mat { return &l.gwhMat }
 func (l *lstm) bias() []float64 {
-	return l.w[4*l.Hidden*(l.In+l.Hidden):]
+	return l.w[4*l.hidden*(l.in+l.hidden):]
 }
 func (l *lstm) gbias() []float64 {
-	return l.g[4*l.Hidden*(l.In+l.Hidden):]
+	return l.g[4*l.hidden*(l.in+l.hidden):]
 }
 
 func sigmoid(v float64) float64 { return 1 / (1 + tensor.Exp(-v)) }
@@ -100,12 +100,12 @@ func sigmoid(v float64) float64 { return 1 / (1 + tensor.Exp(-v)) }
 // batch that alternates row counts (training batches, evaluation splits)
 // allocates nothing once the largest has been seen.
 func (l *lstm) ensureCaches(b int) {
-	h := l.Hidden
+	h := l.hidden
 	if l.gates == nil {
-		l.gates = make([]*tensor.Mat, l.SeqLen)
-		l.cs = make([]*tensor.Mat, l.SeqLen+1)
-		l.hs = make([]*tensor.Mat, l.SeqLen+1)
-		l.scratchWx = tensor.NewMat(4*h, l.In)
+		l.gates = make([]*tensor.Mat, l.seqLen)
+		l.cs = make([]*tensor.Mat, l.seqLen+1)
+		l.hs = make([]*tensor.Mat, l.seqLen+1)
+		l.scratchWx = tensor.NewMat(4*h, l.in)
 		l.scratchWh = tensor.NewMat(4*h, h)
 	}
 	for t := range l.gates {
@@ -118,25 +118,25 @@ func (l *lstm) ensureCaches(b int) {
 	l.dh = tensor.EnsureMat(l.dh, b, h)
 	l.dc = tensor.EnsureMat(l.dc, b, h)
 	l.dhNew = tensor.EnsureMat(l.dhNew, b, h)
-	l.dx = tensor.EnsureMat(l.dx, b, l.SeqLen*l.In)
-	l.xt = tensor.EnsureMat(l.xt, b, l.In)
+	l.dx = tensor.EnsureMat(l.dx, b, l.seqLen*l.in)
+	l.xt = tensor.EnsureMat(l.xt, b, l.in)
 	l.dgates = tensor.EnsureMat(l.dgates, b, 4*h)
-	l.dxt = tensor.EnsureMat(l.dxt, b, l.In)
+	l.dxt = tensor.EnsureMat(l.dxt, b, l.in)
 }
 
 // Forward implements layer.
 func (l *lstm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if x.C != l.SeqLen*l.In {
+	if x.C != l.seqLen*l.in {
 		panic("nn: LSTM input width mismatch")
 	}
 	b := x.R
 	l.ensureCaches(b)
 	l.xs = x
-	h := l.Hidden
+	h := l.hidden
 	wx, wh, bias := l.wx(), l.wh(), l.bias()
 	tensor.Zero(l.cs[0].Data)
 	tensor.Zero(l.hs[0].Data)
-	for t := 0; t < l.SeqLen; t++ {
+	for t := 0; t < l.seqLen; t++ {
 		xt := l.stepInput(x, t)
 		gates := l.gates[t]
 		// gates = xt·Wxᵀ + h_{t-1}·Whᵀ + b
@@ -163,7 +163,7 @@ func (l *lstm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 			}
 		}
 	}
-	return l.hs[l.SeqLen]
+	return l.hs[l.seqLen]
 }
 
 // stepInput returns the batch view of step t: rows are x[s][t*In:(t+1)*In].
@@ -172,7 +172,7 @@ func (l *lstm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 func (l *lstm) stepInput(x *tensor.Mat, t int) *tensor.Mat {
 	out := l.xt
 	for s := 0; s < x.R; s++ {
-		copy(out.Row(s), x.Row(s)[t*l.In:(t+1)*l.In])
+		copy(out.Row(s), x.Row(s)[t*l.in:(t+1)*l.in])
 	}
 	return out
 }
@@ -183,7 +183,7 @@ func (l *lstm) Backward(dout *tensor.Mat) *tensor.Mat {
 		panic("nn: LSTM Backward before training Forward")
 	}
 	b := dout.R
-	h := l.Hidden
+	h := l.hidden
 	wx, wh := l.wx(), l.wh()
 	gwx, gwh, gb := l.gwx(), l.gwh(), l.gbias()
 
@@ -191,7 +191,7 @@ func (l *lstm) Backward(dout *tensor.Mat) *tensor.Mat {
 	tensor.Zero(l.dc.Data)
 	tensor.Zero(l.dx.Data)
 	dgates, dxt := l.dgates, l.dxt
-	for t := l.SeqLen - 1; t >= 0; t-- {
+	for t := l.seqLen - 1; t >= 0; t-- {
 		gates := l.gates[t]
 		cPrev := l.cs[t]
 		cNew := l.cs[t+1]
@@ -233,7 +233,7 @@ func (l *lstm) Backward(dout *tensor.Mat) *tensor.Mat {
 		// input grad for this step: dx_t = dgates·Wx
 		tensor.MulInto(dxt, dgates, wx)
 		for s := 0; s < b; s++ {
-			copy(l.dx.Row(s)[t*l.In:(t+1)*l.In], dxt.Row(s))
+			copy(l.dx.Row(s)[t*l.in:(t+1)*l.in], dxt.Row(s))
 		}
 		// hidden grad for previous step: dh_{t-1} = dgates·Wh
 		tensor.MulInto(l.dhNew, dgates, wh)

@@ -11,37 +11,37 @@ import "repro/internal/rng"
 // defaults here keep that shape at reduced channel counts so a full
 // federated experiment runs in seconds.
 type CNNConfig struct {
-	InC, H, W int   // input geometry
-	ConvC     []int // channels per conv layer
-	Kernel    int
-	Hidden    int
-	Classes   int
+	inC, h, w int   // input geometry
+	convC     []int // channels per conv layer
+	kernel    int
+	hidden    int
+	classes   int
 	PoolEvery int // insert a 2×2 max-pool after every PoolEvery convs (0 = none)
 }
 
 // SmallCNN returns a reduced config that preserves the three-conv shape.
 func SmallCNN(inC, h, w, classes int) CNNConfig {
-	return CNNConfig{InC: inC, H: h, W: w, ConvC: []int{8, 16, 16}, Kernel: 3, Hidden: 32, Classes: classes, PoolEvery: 1}
+	return CNNConfig{inC: inC, h: h, w: w, convC: []int{8, 16, 16}, kernel: 3, hidden: 32, classes: classes, PoolEvery: 1}
 }
 
 // NewCNN builds the convolutional classifier.
 func NewCNN(r *rng.RNG, cfg CNNConfig) *Network {
 	var layers []layer
-	c, h, w := cfg.InC, cfg.H, cfg.W
-	for i, outC := range cfg.ConvC {
-		conv := newConv2D(c, h, w, outC, cfg.Kernel, 1, cfg.Kernel/2)
+	c, h, w := cfg.inC, cfg.h, cfg.w
+	for i, outC := range cfg.convC {
+		conv := newConv2D(c, h, w, outC, cfg.kernel, 1, cfg.kernel/2)
 		layers = append(layers, conv, newReLU())
-		c, h, w = conv.OutShape()
+		c, h, w = conv.outShape()
 		if cfg.PoolEvery > 0 && (i+1)%cfg.PoolEvery == 0 && h >= 2 && w >= 2 {
 			pool := newMaxPool2D(c, h, w, 2, 2)
 			layers = append(layers, pool)
-			c, h, w = pool.OutShape()
+			c, h, w = pool.outShape()
 		}
 	}
 	layers = append(layers,
-		newDense(c*h*w, cfg.Hidden),
+		newDense(c*h*w, cfg.hidden),
 		newReLU(),
-		newDense(cfg.Hidden, cfg.Classes),
+		newDense(cfg.hidden, cfg.classes),
 	)
 	return newNetwork(r, newSoftmaxCE(), layers...)
 }

@@ -132,7 +132,7 @@ func TestGradAccumulation(t *testing.T) {
 }
 
 func TestParamShapesCoverVector(t *testing.T) {
-	n := NewCNN(rng.New(28), CNNConfig{InC: 1, H: 8, W: 8, ConvC: []int{2, 3}, Kernel: 3, Hidden: 6, Classes: 4, PoolEvery: 1})
+	n := NewCNN(rng.New(28), CNNConfig{inC: 1, h: 8, w: 8, convC: []int{2, 3}, kernel: 3, hidden: 6, classes: 4, PoolEvery: 1})
 	total := 0
 	for _, s := range n.ParamShapes() {
 		total += s.Size()

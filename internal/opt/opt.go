@@ -27,7 +27,7 @@ type Optimizer interface {
 
 // Adam implements Kingma & Ba's optimizer with bias correction.
 type Adam struct {
-	LR, Beta1, Beta2, Eps float64
+	LR, beta1, beta2, eps float64
 
 	t    int
 	m, v []float64
@@ -36,7 +36,7 @@ type Adam struct {
 // NewAdam returns Adam with the standard defaults (β1=0.9, β2=0.999,
 // ε=1e-8).
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
+	return &Adam{LR: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
 // Step implements Optimizer.
@@ -53,11 +53,11 @@ func (a *Adam) Step(w, g []float64) {
 	}
 	a.t++
 	c := adamConsts{
-		b1: a.Beta1, b2: a.Beta2,
-		u1: 1 - a.Beta1, u2: 1 - a.Beta2,
-		c1: 1 - math.Pow(a.Beta1, float64(a.t)),
-		c2: 1 - math.Pow(a.Beta2, float64(a.t)),
-		lr: a.LR, eps: a.Eps,
+		b1: a.beta1, b2: a.beta2,
+		u1: 1 - a.beta1, u2: 1 - a.beta2,
+		c1: 1 - math.Pow(a.beta1, float64(a.t)),
+		c2: 1 - math.Pow(a.beta2, float64(a.t)),
+		lr: a.LR, eps: a.eps,
 	}
 	adamStep(w[:len(g)], g, a.m[:len(g)], a.v[:len(g)], &c)
 }

@@ -13,9 +13,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// WriteCSV emits the table as CSV: the header row then one row per data
+// writeCSV emits the table as CSV: the header row then one row per data
 // row, using each cell's exact text rendering.
-func (t *Table) WriteCSV(w io.Writer) error {
+func (t *Table) writeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.Header); err != nil {
 		return fmt.Errorf("report: write table csv header: %w", err)
@@ -33,10 +33,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// WriteCSV emits the series as two-column CSV. Values use the shortest
+// writeCSV emits the series as two-column CSV. Values use the shortest
 // round-trip float formatting, so parsing the file back yields the exact
 // points.
-func (s Series) WriteCSV(w io.Writer) error {
+func (s Series) writeCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{s.X, s.Y}); err != nil {
 		return fmt.Errorf("report: write series csv header: %w", err)
@@ -113,13 +113,13 @@ func WriteCSVDir(dir string, r *Report) ([]string, error) {
 		case *Table:
 			nTables++
 			name := fmt.Sprintf("%s__table%02d_%s.csv", r.ID, nTables, slug(art.Caption))
-			if err := emit(name, art.WriteCSV); err != nil {
+			if err := emit(name, art.writeCSV); err != nil {
 				return written, err
 			}
 		case Series:
 			nSeries++
 			name := fmt.Sprintf("%s__series%02d_%s.csv", r.ID, nSeries, slug(art.Name))
-			if err := emit(name, art.WriteCSV); err != nil {
+			if err := emit(name, art.writeCSV); err != nil {
 				return written, err
 			}
 		}

@@ -125,7 +125,7 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 		Runs:      make([]jsonRun, 0, len(r.Runs)),
 	}
 	for _, a := range r.Artifacts {
-		jr.Artifacts = append(jr.Artifacts, a.json().(jsonArtifact))
+		jr.Artifacts = append(jr.Artifacts, a.json())
 	}
 	for _, key := range slices.Sorted(maps.Keys(r.Runs)) {
 		jr.Runs = append(jr.Runs, runJSON(key, r.Runs[key]))
@@ -155,7 +155,7 @@ func runJSON(key string, run *metrics.Run) jsonRun {
 // same conversion artifact-level series use.
 func (s Series) MarshalJSON() ([]byte, error) { return json.Marshal(s.json()) }
 
-func (t *Table) json() any {
+func (t *Table) json() jsonArtifact {
 	rows := make([][]jsonCell, len(t.Rows))
 	for i, row := range t.Rows {
 		rows[i] = make([]jsonCell, len(row))
@@ -166,7 +166,7 @@ func (t *Table) json() any {
 	return jsonArtifact{Kind: "table", Caption: t.Caption, Header: t.Header, Rows: rows}
 }
 
-func (s Series) json() any {
+func (s Series) json() jsonArtifact {
 	pts := make([][2]float64, len(s.Pts))
 	for i, p := range s.Pts {
 		pts[i] = [2]float64{p.X, p.Y}
@@ -174,9 +174,9 @@ func (s Series) json() any {
 	return jsonArtifact{Kind: "series", Name: s.Name, X: s.X, Y: s.Y, Points: pts}
 }
 
-func (s scalar) json() any {
+func (s scalar) json() jsonArtifact {
 	v := s.Value
 	return jsonArtifact{Kind: "scalar", Name: s.Name, Value: &v, Unit: s.Unit}
 }
 
-func (n note) json() any { return jsonArtifact{Kind: "note", Text: n.Text} }
+func (n note) json() jsonArtifact { return jsonArtifact{Kind: "note", Text: n.Text} }

@@ -43,27 +43,27 @@ type Report struct {
 // renderers.
 type Artifact interface {
 	text() string
-	json() any
+	json() jsonArtifact
 }
 
-// Add appends any artifact.
-func (r *Report) Add(a Artifact) { r.Artifacts = append(r.Artifacts, a) }
+// add appends any artifact.
+func (r *Report) add(a Artifact) { r.Artifacts = append(r.Artifacts, a) }
 
 // AddTable appends a table artifact.
-func (r *Report) AddTable(t *Table) { r.Add(t) }
+func (r *Report) AddTable(t *Table) { r.add(t) }
 
 // AddNote appends a free-form human-readable note.
-func (r *Report) AddNote(text string) { r.Add(note{Text: text}) }
+func (r *Report) AddNote(text string) { r.add(note{Text: text}) }
 
 // AddScalar appends a named machine-readable value (data-only: scalars
 // appear in JSON, not in the text report).
 func (r *Report) AddScalar(name string, value float64, unit string) {
-	r.Add(scalar{Name: name, Value: value, Unit: unit})
+	r.add(scalar{Name: name, Value: value, Unit: unit})
 }
 
 // AddSeries appends an x/y series (data-only: series feed the JSON and CSV
 // renderers, the text report keeps its sampled timeline tables).
-func (r *Report) AddSeries(s Series) { r.Add(s) }
+func (r *Report) AddSeries(s Series) { r.add(s) }
 
 // Keep stores a run record under a key.
 func (r *Report) Keep(key string, run *metrics.Run) {

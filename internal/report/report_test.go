@@ -16,7 +16,7 @@ import (
 	"repro/internal/metrics"
 )
 
-// ParseSeriesCSV reads back a series written by Series.WriteCSV.
+// ParseSeriesCSV reads back a series written by Series.writeCSV.
 func ParseSeriesCSV(r io.Reader) (Series, error) {
 	recs, err := csv.NewReader(r).ReadAll()
 	if err != nil {
@@ -258,7 +258,7 @@ func TestSeriesCSVRoundTrip(t *testing.T) {
 	run := sampleRun()
 	for _, s := range seriesFromRun("cifar10(#2)/fedat", run) {
 		var buf bytes.Buffer
-		if err := s.WriteCSV(&buf); err != nil {
+		if err := s.writeCSV(&buf); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ParseSeriesCSV(&buf)

@@ -32,7 +32,7 @@ func New(seed uint64) *RNG {
 // does not overlap r's continuation for any practical horizon, and calling
 // Split repeatedly yields distinct children.
 func (r *RNG) Split() *RNG {
-	s := mix(r.Uint64())
+	s := mix(r.uint64())
 	return &RNG{state: s, seed0: s}
 }
 
@@ -53,8 +53,8 @@ func (r *RNG) SplitLabeledValue(label uint64) RNG {
 	return RNG{state: s, seed0: s}
 }
 
-// Uint64 advances the generator and returns 64 uniform bits.
-func (r *RNG) Uint64() uint64 {
+// uint64 advances the generator and returns 64 uniform bits.
+func (r *RNG) uint64() uint64 {
 	r.state += goldenGamma
 	return mix(r.state)
 }
@@ -73,7 +73,7 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's multiply-shift rejection method for an unbiased bounded draw.
 	bound := uint64(n)
 	for {
-		v := r.Uint64()
+		v := r.uint64()
 		hi, lo := mulHiLo(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
@@ -92,7 +92,7 @@ func mulHiLo(a, b uint64) (hi, lo uint64) {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+func (r *RNG) Float64() float64 { return unit(r.uint64()) }
 
 // Float64At returns the value Float64 would return after i earlier draws —
 // draw i of r's stream, counting from r's current position — without
@@ -104,7 +104,7 @@ func (r *RNG) Float64At(i int) float64 {
 
 // Skip advances r past n draws without computing them: SplitMix64's state
 // after n steps is state + n·γ, so the stream continues exactly where n
-// calls to Uint64 would have left it.
+// calls to uint64 would have left it.
 func (r *RNG) Skip(n int) { r.state += goldenGamma * uint64(n) }
 
 // unit maps 64 uniform bits to a uniform float64 in [0, 1).

@@ -10,7 +10,7 @@ import (
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.uint64() != b.uint64() {
 			t.Fatalf("streams diverged at draw %d", i)
 		}
 	}
@@ -20,7 +20,7 @@ func TestSeedSensitivity(t *testing.T) {
 	a, b := New(1), New(2)
 	same := 0
 	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
+		if a.uint64() == b.uint64() {
 			same++
 		}
 	}
@@ -33,7 +33,7 @@ func TestSplitIndependence(t *testing.T) {
 	parent := New(7)
 	c1 := parent.Split()
 	c2 := parent.Split()
-	if c1.Uint64() == c2.Uint64() {
+	if c1.uint64() == c2.uint64() {
 		t.Fatal("sibling splits produced identical first draws")
 	}
 }
@@ -42,12 +42,12 @@ func TestSplitLabeledStable(t *testing.T) {
 	// The labeled split must not depend on how many draws the parent made.
 	p1 := New(9)
 	p2 := New(9)
-	p2.Uint64()
-	p2.Uint64()
-	if p1.SplitLabeled(5).Uint64() != p2.SplitLabeled(5).Uint64() {
+	p2.uint64()
+	p2.uint64()
+	if p1.SplitLabeled(5).uint64() != p2.SplitLabeled(5).uint64() {
 		t.Fatal("SplitLabeled depends on parent draw position")
 	}
-	if p1.SplitLabeled(5).Uint64() == p1.SplitLabeled(6).Uint64() {
+	if p1.SplitLabeled(5).uint64() == p1.SplitLabeled(6).uint64() {
 		t.Fatal("different labels produced identical streams")
 	}
 }
@@ -196,7 +196,7 @@ func TestPermutationsMatchLegacy(t *testing.T) {
 			next := func(f func(r *RNG)) uint64 {
 				r := New(seed)
 				f(r)
-				return r.Uint64()
+				return r.uint64()
 			}
 			wantNext := next(func(r *RNG) { legacyPerm(r, n) })
 			got := make([]int, n)
@@ -232,7 +232,7 @@ func TestIndexedDrawMatchesStream(t *testing.T) {
 		for _, skip := range []int{0, 3} {
 			r := New(seed)
 			for range skip {
-				r.Uint64()
+				r.uint64()
 			}
 			seq := *r
 			for i := range 10_000 {
@@ -261,7 +261,7 @@ func TestIndexedDrawMatchesStream(t *testing.T) {
 		for _, i := range []int{math.MaxInt32 - 100, math.MaxInt - 100} {
 			a, b := New(seed), New(seed)
 			for k := 1; k <= 50; k++ {
-				b.Uint64()
+				b.uint64()
 				if got, want := b.Float64At(i), a.Float64At(i+k); got != want {
 					t.Fatalf("seed %d: after %d draws Float64At(%d) = %v, want Float64At(%d) = %v", seed, k, i, got, i+k, want)
 				}
@@ -311,7 +311,7 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink = r.Uint64()
+		sink = r.uint64()
 	}
 	_ = sink
 }
@@ -331,17 +331,17 @@ func BenchmarkNorm(b *testing.B) {
 func TestSkipMatchesStream(t *testing.T) {
 	for _, seed := range []uint64{0, 7, 1 << 63} {
 		r := New(seed)
-		r.Uint64()
+		r.uint64()
 		for n := range 300 {
 			skipped, stepped := *r, *r
 			skipped.Skip(n)
 			for range n {
-				stepped.Uint64()
+				stepped.uint64()
 			}
 			if skipped != stepped {
 				t.Fatalf("seed %d: Skip(%d) left %+v, %d draws %+v", seed, n, skipped, n, stepped)
 			}
-			if a, b := skipped.Uint64(), stepped.Uint64(); a != b {
+			if a, b := skipped.uint64(), stepped.uint64(); a != b {
 				t.Fatalf("seed %d: the draw after Skip(%d) is %d, want %d", seed, n, a, b)
 			}
 		}

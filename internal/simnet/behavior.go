@@ -58,8 +58,8 @@ type BehaviorConfig struct {
 	AttackTail bool
 }
 
-// Enabled reports whether any dynamic regime is switched on.
-func (b BehaviorConfig) Enabled() bool {
+// enabled reports whether any dynamic regime is switched on.
+func (b BehaviorConfig) enabled() bool {
 	return b.DriftMag > 0 || b.ChurnFrac > 0 || b.attackOn()
 }
 
@@ -105,7 +105,7 @@ const (
 
 // driftTrack is one client's multiplicative random-walk compute multiplier.
 // Factors are generated sequentially from a dedicated stream as the queried
-// horizon extends, so MultAt is a pure function of (seed, t) regardless of
+// horizon extends, so multAt is a pure function of (seed, t) regardless of
 // query order.
 type driftTrack struct {
 	r             *rng.RNG
@@ -125,8 +125,8 @@ func newDriftTrack(r *rng.RNG, cfg BehaviorConfig) *driftTrack {
 	}
 }
 
-// MultAt returns the compute multiplier in effect at virtual time t.
-func (d *driftTrack) MultAt(t float64) float64 {
+// multAt returns the compute multiplier in effect at virtual time t.
+func (d *driftTrack) multAt(t float64) float64 {
 	k := 0
 	if t > 0 {
 		k = int(t / d.interval)
@@ -172,8 +172,8 @@ func (c *churnTrack) extend(t float64) {
 	}
 }
 
-// OfflineAt reports whether the client is inside an offline window at t.
-func (c *churnTrack) OfflineAt(t float64) bool {
+// offlineAt reports whether the client is inside an offline window at t.
+func (c *churnTrack) offlineAt(t float64) bool {
 	c.extend(t)
 	for i := len(c.offline) - 1; i >= 0; i-- {
 		w := c.offline[i]
@@ -187,9 +187,9 @@ func (c *churnTrack) OfflineAt(t float64) bool {
 	return false
 }
 
-// OverlapsOffline reports whether any offline window intersects the span
+// overlapsOffline reports whether any offline window intersects the span
 // (start, end].
-func (c *churnTrack) OverlapsOffline(start, end float64) bool {
+func (c *churnTrack) overlapsOffline(start, end float64) bool {
 	c.extend(end)
 	for _, w := range c.offline {
 		if w[0] > end {
@@ -202,8 +202,8 @@ func (c *churnTrack) OverlapsOffline(start, end float64) bool {
 	return false
 }
 
-// NextOnline returns the earliest time >= t the client is back online.
-func (c *churnTrack) NextOnline(t float64) float64 {
+// nextOnline returns the earliest time >= t the client is back online.
+func (c *churnTrack) nextOnline(t float64) float64 {
 	c.extend(t)
 	for _, w := range c.offline {
 		if t >= w[0] && t < w[1] {

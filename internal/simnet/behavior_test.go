@@ -11,7 +11,7 @@ func (c *ClientRuntime) SpeedMultiplier(t float64) float64 {
 	if c.drift == nil {
 		return 1
 	}
-	return c.drift.MultAt(t)
+	return c.drift.multAt(t)
 }
 
 // behaviorClients materializes every client of a 20-client population
@@ -29,26 +29,29 @@ func behaviorClients(t *testing.T, b BehaviorConfig) []*ClientRuntime {
 
 // TestBehaviorDisabledIsStatic: the zero BehaviorConfig must leave the
 // population bit-identical to the static model — same availability, same
-// compute arithmetic at any time.
+// compute arithmetic at any time. An attack kind at frac 0 is as disabled.
 func TestBehaviorDisabledIsStatic(t *testing.T) {
+	if (BehaviorConfig{AttackKind: "scale"}).enabled() {
+		t.Fatal("frac 0 must not enable the behavior model")
+	}
 	cl := behaviorClients(t, BehaviorConfig{})
-	for _, c := range cl {
+	for id, c := range cl {
 		if c.drift != nil || c.churn != nil {
-			t.Fatalf("client %d has dynamic state without behavior config", c.ID)
+			t.Fatalf("client %d has dynamic state without behavior config", id)
 		}
 		for _, at := range []float64{0, 17.3, 5000} {
-			if got, want := c.ComputeTimeAt(12, at), c.ComputeTime(12); got != want {
-				t.Fatalf("client %d: ComputeTimeAt(12, %v)=%v, want %v", c.ID, at, got, want)
+			if got, want := c.ComputeTimeAt(12, at), c.computeTime(12); got != want {
+				t.Fatalf("client %d: ComputeTimeAt(12, %v)=%v, want %v", id, at, got, want)
 			}
-			if c.Available(at) != (at < c.DropAt) {
-				t.Fatalf("client %d: availability diverged from the static rule at %v", c.ID, at)
+			if c.available(at) != (at < c.DropAt) {
+				t.Fatalf("client %d: availability diverged from the static rule at %v", id, at)
 			}
 			want := at
 			if at >= c.DropAt {
 				want = inf
 			}
 			if got := c.NextOnline(at); got != want {
-				t.Fatalf("client %d: NextOnline(%v)=%v, want %v", c.ID, at, got, want)
+				t.Fatalf("client %d: NextOnline(%v)=%v, want %v", id, at, got, want)
 			}
 		}
 	}
@@ -92,13 +95,13 @@ func TestChurnWindows(t *testing.T) {
 	b := BehaviorConfig{ChurnFrac: 0.5, ChurnOn: [2]float64{50, 100}, ChurnOff: [2]float64{20, 40}}
 	cl := behaviorClients(t, b)
 	churned, sawOffline, sawRejoin := 0, false, false
-	for _, c := range cl {
+	for id, c := range cl {
 		if c.churn == nil {
 			continue
 		}
 		churned++
 		for at := 0.0; at < 2000; at += 7 {
-			if c.Available(at) {
+			if c.available(at) {
 				continue
 			}
 			sawOffline = true
@@ -107,10 +110,10 @@ func TestChurnWindows(t *testing.T) {
 				continue // permanent drop can coincide with a window
 			}
 			if back <= at {
-				t.Fatalf("client %d: NextOnline(%v)=%v did not advance", c.ID, at, back)
+				t.Fatalf("client %d: NextOnline(%v)=%v did not advance", id, at, back)
 			}
-			if !c.Available(back) {
-				t.Fatalf("client %d: not available at its own NextOnline time %v", c.ID, back)
+			if !c.available(back) {
+				t.Fatalf("client %d: not available at its own NextOnline time %v", id, back)
 			}
 			sawRejoin = true
 		}
@@ -130,9 +133,9 @@ func TestOfflineWithin(t *testing.T) {
 	b := BehaviorConfig{ChurnFrac: 1, ChurnOn: [2]float64{50, 100}, ChurnOff: [2]float64{10, 20}}
 	cl := behaviorClients(t, b)
 	checked := false
-	for _, c := range cl {
+	for id, c := range cl {
 		if c.churn == nil || len(c.churn.offline) == 0 {
-			c.Available(500) // force window generation
+			c.available(500) // force window generation
 		}
 		if len(c.churn.offline) == 0 {
 			continue
@@ -144,11 +147,11 @@ func TestOfflineWithin(t *testing.T) {
 		checked = true
 		// Span strictly containing the window: disrupted.
 		if !c.OfflineWithin(w[0]-1, w[1]+1) {
-			t.Fatalf("client %d: window [%v,%v) inside span not detected", c.ID, w[0], w[1])
+			t.Fatalf("client %d: window [%v,%v) inside span not detected", id, w[0], w[1])
 		}
 		// Span entirely before the first window: clean.
 		if c.OfflineWithin(0, w[0]-1) {
-			t.Fatalf("client %d: clean span flagged as disrupted", c.ID)
+			t.Fatalf("client %d: clean span flagged as disrupted", id)
 		}
 	}
 	if !checked {
@@ -157,10 +160,10 @@ func TestOfflineWithin(t *testing.T) {
 
 	// No churn: OfflineWithin is exactly the endpoint check.
 	static := behaviorClients(t, BehaviorConfig{})
-	for _, c := range static {
+	for id, c := range static {
 		for _, end := range []float64{10, 5000} {
-			if got, want := c.OfflineWithin(0, end), !c.Available(end); got != want {
-				t.Fatalf("client %d: static OfflineWithin(0,%v)=%v, want %v", c.ID, end, got, want)
+			if got, want := c.OfflineWithin(0, end), !c.available(end); got != want {
+				t.Fatalf("client %d: static OfflineWithin(0,%v)=%v, want %v", id, end, got, want)
 			}
 		}
 	}
@@ -254,11 +257,11 @@ func TestAttackTailPicksSlowest(t *testing.T) {
 	for _, c := range cl {
 		if c.Attack.Active() {
 			count++
-			if c.Part < minAttackerPart {
-				minAttackerPart = c.Part
+			if partOf(c) < minAttackerPart {
+				minAttackerPart = partOf(c)
 			}
-		} else if c.Part > maxHonestPart {
-			maxHonestPart = c.Part
+		} else if partOf(c) > maxHonestPart {
+			maxHonestPart = partOf(c)
 		}
 	}
 	if count != 4 { // fracCount(0.2, 20)

@@ -7,19 +7,14 @@ import (
 
 // ClientRuntime models one client's performance characteristics.
 type ClientRuntime struct {
-	ID int
-	// Part is the ground-truth speed group the delay range came from
-	// (0 = fastest). The tiering module profiles latencies and should
-	// approximately recover these parts.
-	Part int
 	// DelayLo/DelayHi bound the per-round injected delay (seconds),
 	// reproducing the paper's 0s, 0–5s, 6–10s, 11–15s, 20–30s groups.
 	DelayLo, DelayHi float64
 	// SecPerBatch is this client's compute time per mini-batch step.
 	SecPerBatch float64
-	// UpBW/DownBW are the client-side link speeds in bytes/second
+	// upBW/downBW are the client-side link speeds in bytes/second
 	// (<=0 = infinite).
-	UpBW, DownBW float64
+	upBW, downBW float64
 	// DropAt is the virtual time at which the client permanently leaves
 	// (+Inf for stable clients).
 	DropAt float64
@@ -30,16 +25,16 @@ type ClientRuntime struct {
 	Attack robust.Attack
 
 	delayRNG  rng.RNG
-	delayRNG0 rng.RNG     // construction-time snapshot, restored by Reset
+	delayRNG0 rng.RNG     // construction-time snapshot, restored by reset
 	drift     *driftTrack // nil = fixed compute speed
 	churn     *churnTrack // nil = no transient offline windows
 }
 
-// Reset rewinds the runtime's consumable randomness (the per-round delay
+// reset rewinds the runtime's consumable randomness (the per-round delay
 // stream) to its construction-time state, so a fresh run over the same
 // cluster draws the same delays. Drift and churn schedules need no reset:
 // both are pure functions of (seed, t) regardless of query order.
-func (c *ClientRuntime) Reset() { c.delayRNG = c.delayRNG0 }
+func (c *ClientRuntime) reset() { c.delayRNG = c.delayRNG0 }
 
 // RoundDelay draws this round's injected delay.
 func (c *ClientRuntime) RoundDelay() float64 {
@@ -49,29 +44,29 @@ func (c *ClientRuntime) RoundDelay() float64 {
 	return c.delayRNG.Uniform(c.DelayLo, c.DelayHi)
 }
 
-// ComputeTime returns the compute portion of a round that runs the given
+// computeTime returns the compute portion of a round that runs the given
 // number of mini-batch steps, at the client's nominal (profiling-time)
 // speed.
-func (c *ClientRuntime) ComputeTime(batchSteps int) float64 {
+func (c *ClientRuntime) computeTime(batchSteps int) float64 {
 	return float64(batchSteps) * c.SecPerBatch
 }
 
 // ComputeTimeAt returns the compute portion of a round starting at virtual
-// time t, honoring speed drift. Without drift it is exactly ComputeTime.
+// time t, honoring speed drift. Without drift it is exactly computeTime.
 func (c *ClientRuntime) ComputeTimeAt(batchSteps int, t float64) float64 {
 	if c.drift == nil {
-		return c.ComputeTime(batchSteps)
+		return c.computeTime(batchSteps)
 	}
-	return float64(batchSteps) * c.SecPerBatch * c.drift.MultAt(t)
+	return float64(batchSteps) * c.SecPerBatch * c.drift.multAt(t)
 }
 
-// Available reports whether the client is online at time t: it has not
+// available reports whether the client is online at time t: it has not
 // permanently dropped and is not inside a churn window.
-func (c *ClientRuntime) Available(t float64) bool {
+func (c *ClientRuntime) available(t float64) bool {
 	if t >= c.DropAt {
 		return false
 	}
-	return c.churn == nil || !c.churn.OfflineAt(t)
+	return c.churn == nil || !c.churn.offlineAt(t)
 }
 
 // OfflineWithin reports whether the client is offline at any instant in
@@ -81,10 +76,10 @@ func (c *ClientRuntime) Available(t float64) bool {
 // monotone, and start is an instant the caller already knows the client was
 // online).
 func (c *ClientRuntime) OfflineWithin(start, end float64) bool {
-	if !c.Available(end) {
+	if !c.available(end) {
 		return true
 	}
-	return c.churn != nil && c.churn.OverlapsOffline(start, end)
+	return c.churn != nil && c.churn.overlapsOffline(start, end)
 }
 
 // delayRanges are the paper's five injected-delay groups (§6), one per part.

@@ -56,13 +56,11 @@ func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 			speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
 			dr := cr.SplitLabeled(7)
 			cl[id] = &ClientRuntime{
-				ID:          id,
-				Part:        part,
 				DelayLo:     delayRanges[part][0],
 				DelayHi:     delayRanges[part][1],
 				SecPerBatch: secPerBatch * speed,
-				UpBW:        cfg.UpBW,
-				DownBW:      cfg.DownBW,
+				upBW:        cfg.UpBW,
+				downBW:      cfg.DownBW,
 				DropAt:      inf,
 				delayRNG:    *dr,
 				delayRNG0:   *dr,
@@ -74,7 +72,7 @@ func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 	for _, id := range ur.Choose(cfg.NumClients, cfg.NumUnstable) {
 		cl[id].DropAt = ur.Uniform(0, dropHorizon)
 	}
-	if cfg.Behavior.Enabled() {
+	if cfg.Behavior.enabled() {
 		if err := applyBehavior(cl, cfg); err != nil {
 			return nil, err
 		}
@@ -92,8 +90,8 @@ func applyBehavior(cl []*ClientRuntime, cfg ClusterConfig) error {
 	n := len(cl)
 
 	if b.DriftMag > 0 {
-		for _, c := range cl {
-			cr := root.SplitLabeled(uint64(1000 + c.ID))
+		for id, c := range cl {
+			cr := root.SplitLabeled(uint64(1000 + id))
 			c.drift = newDriftTrack(cr.SplitLabeled(clientDriftLabel), b)
 		}
 	}
@@ -121,7 +119,7 @@ func applyBehavior(cl []*ClientRuntime, cfg ClusterConfig) error {
 	return nil
 }
 
-// tailClients picks the k slowest clients — largest Part wins, ties to the
+// tailClients picks the k slowest clients — largest part wins, ties to the
 // lower id — giving the deterministic latency-correlated attacker set.
 func tailClients(clients []*ClientRuntime, k int) []int {
 	ids := make([]int, len(clients))
@@ -129,7 +127,7 @@ func tailClients(clients []*ClientRuntime, k int) []int {
 		ids[i] = i
 	}
 	sort.SliceStable(ids, func(a, b int) bool {
-		pa, pb := clients[ids[a]].Part, clients[ids[b]].Part
+		pa, pb := partOf(clients[ids[a]]), partOf(clients[ids[b]])
 		if pa != pb {
 			return pa > pb
 		}
@@ -139,4 +137,14 @@ func tailClients(clients []*ClientRuntime, k int) []int {
 		k = len(ids)
 	}
 	return ids[:k]
+}
+
+// partOf is the delay part a runtime's delay range came from.
+func partOf(c *ClientRuntime) int {
+	for part, r := range delayRanges {
+		if r == [2]float64{c.DelayLo, c.DelayHi} {
+			return part
+		}
+	}
+	return -1
 }

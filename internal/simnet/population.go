@@ -42,9 +42,7 @@ import (
 type Population struct {
 	n            int
 	secPerBatch  float64
-	dropHorizon  float64
 	upBW, downBW float64
-	seed         uint64
 
 	behavior   BehaviorConfig // withDefaults applied when behaviorOn
 	behaviorOn bool
@@ -111,10 +109,8 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 	p := &Population{
 		n:           cfg.NumClients,
 		secPerBatch: secPerBatch,
-		dropHorizon: dropHorizon,
 		upBW:        cfg.UpBW,
 		downBW:      cfg.DownBW,
-		seed:        cfg.Seed,
 		root:        rng.New(cfg.Seed),
 		part:        make([]uint8, cfg.NumClients),
 		churnTracks: map[int]*churnTrack{},
@@ -144,7 +140,7 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 	}
 	sort.Sort(p.drops)
 
-	if cfg.Behavior.Enabled() {
+	if cfg.Behavior.enabled() {
 		b := cfg.Behavior.withDefaults()
 		p.behavior = b
 		p.behaviorOn = true
@@ -178,18 +174,18 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 // NumClients returns the population size.
 func (p *Population) NumClients() int { return p.n }
 
-// Speed returns the client's persistent compute-speed factor — the first
+// speed returns the client's persistent compute-speed factor — the first
 // draw of its labeled stream, derived without allocation.
-func (p *Population) Speed(id int) float64 {
+func (p *Population) speed(id int) float64 {
 	cr := p.root.SplitLabeledValue(uint64(1000 + id))
 	return 0.7 + 0.6*cr.Float64()
 }
 
-// SecPerBatch returns the client's per-mini-batch compute time.
-func (p *Population) SecPerBatch(id int) float64 { return p.secPerBatch * p.Speed(id) }
+// secPerBatchOf returns the client's per-mini-batch compute time.
+func (p *Population) secPerBatchOf(id int) float64 { return p.secPerBatch * p.speed(id) }
 
-// DropTime returns the client's permanent departure time (+Inf if stable).
-func (p *Population) DropTime(id int) float64 {
+// dropTime returns the client's permanent departure time (+Inf if stable).
+func (p *Population) dropTime(id int) float64 {
 	if k, ok := slices.BinarySearch(p.drops.ids, int32(id)); ok {
 		return p.drops.times[k]
 	}
@@ -210,8 +206,8 @@ func (d dropTable) Swap(a, b int) {
 	d.times[a], d.times[b] = d.times[b], d.times[a]
 }
 
-// AttackOf returns the client's malicious role (zero value = honest).
-func (p *Population) AttackOf(id int) robust.Attack {
+// attackOf returns the client's malicious role (zero value = honest).
+func (p *Population) attackOf(id int) robust.Attack {
 	if _, ok := p.attacked[id]; ok {
 		return robust.Attack{Kind: p.attackKind, Scale: p.behavior.AttackScale}
 	}
@@ -232,15 +228,15 @@ func (p *Population) churnFor(id int) *churnTrack {
 }
 
 // Available reports whether client id is online at time t — the twin of
-// ClientRuntime.Available, answered from the index tables plus the
+// ClientRuntime.available, answered from the index tables plus the
 // client's (cached) churn schedule, without building a runtime.
 func (p *Population) Available(id int, t float64) bool {
-	if t >= p.DropTime(id) {
+	if t >= p.dropTime(id) {
 		return false
 	}
 	if p.churnSet != nil {
 		if _, ok := p.churnSet[id]; ok {
-			return !p.churnFor(id).OfflineAt(t)
+			return !p.churnFor(id).offlineAt(t)
 		}
 	}
 	return true
@@ -253,10 +249,10 @@ func (p *Population) Available(id int, t float64) bool {
 func (p *Population) NextOnline(id int, t float64) float64 {
 	if p.churnSet != nil {
 		if _, ok := p.churnSet[id]; ok {
-			t = p.churnFor(id).NextOnline(t)
+			t = p.churnFor(id).nextOnline(t)
 		}
 	}
-	if t >= p.DropTime(id) {
+	if t >= p.dropTime(id) {
 		return inf
 	}
 	return t
@@ -267,7 +263,7 @@ func (p *Population) NextOnline(id int, t float64) float64 {
 // injected delay — derived without materializing it.
 func (p *Population) ExpectedLatency(id int, batchSteps int) float64 {
 	rg := delayRanges[p.part[id]]
-	return float64(batchSteps)*p.SecPerBatch(id) + (rg[0]+rg[1])/2
+	return float64(batchSteps)*p.secPerBatchOf(id) + (rg[0]+rg[1])/2
 }
 
 // Materialize builds (or returns the cached) full ClientRuntime for id.
@@ -289,15 +285,13 @@ func (p *Population) Materialize(id int) *ClientRuntime {
 	dr := cr.SplitLabeledValue(7)
 	rg := delayRanges[p.part[id]]
 	*chunk = append(*chunk, ClientRuntime{
-		ID:          id,
-		Part:        int(p.part[id]),
 		DelayLo:     rg[0],
 		DelayHi:     rg[1],
 		SecPerBatch: p.secPerBatch * speed,
-		UpBW:        p.upBW,
-		DownBW:      p.downBW,
-		DropAt:      p.DropTime(id),
-		Attack:      p.AttackOf(id),
+		upBW:        p.upBW,
+		downBW:      p.downBW,
+		DropAt:      p.dropTime(id),
+		Attack:      p.attackOf(id),
 		delayRNG:    dr,
 		delayRNG0:   dr,
 	})
@@ -328,7 +322,7 @@ func (p *Population) Reset() {
 	p.floor = 0
 	for _, chunk := range p.chunks {
 		for i := range chunk {
-			chunk[i].Reset()
+			chunk[i].reset()
 		}
 	}
 }
@@ -337,7 +331,7 @@ func (p *Population) Reset() {
 // pushes at its own link speed while the server link serializes concurrent
 // transfers; the payload lands when both are done.
 func (p *Population) UploadArrival(now float64, client *ClientRuntime, bytes int) float64 {
-	return arrival(now, client.UpBW, &p.serverUp, bytes)
+	return arrival(now, client.upBW, &p.serverUp, bytes)
 }
 
 // DownloadArrival models a server→client transfer started at now. A
@@ -352,7 +346,7 @@ func (p *Population) DownloadArrival(now float64, client *ClientRuntime, bytes i
 		p.serverUp.forget(now)
 		p.serverDown.forget(now)
 	}
-	return arrival(now, client.DownBW, &p.serverDown, bytes)
+	return arrival(now, client.downBW, &p.serverDown, bytes)
 }
 
 // arrival is when a transfer of bytes started at now has crossed both the

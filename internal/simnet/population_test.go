@@ -13,7 +13,7 @@ func (p *Population) Part(id int) int { return int(p.part[id]) }
 // Population.NextOnline.
 func (c *ClientRuntime) NextOnline(t float64) float64 {
 	if c.churn != nil {
-		t = c.churn.NextOnline(t)
+		t = c.churn.nextOnline(t)
 	}
 	if t >= c.DropAt {
 		return inf
@@ -25,7 +25,7 @@ func (c *ClientRuntime) NextOnline(t float64) float64 {
 // Population.ExpectedLatency: the compute time for a nominal round plus the
 // mean injected delay.
 func (c *ClientRuntime) ExpectedLatency(batchSteps int) float64 {
-	return c.ComputeTime(batchSteps) + (c.DelayLo+c.DelayHi)/2
+	return c.computeTime(batchSteps) + (c.DelayLo+c.DelayHi)/2
 }
 
 // materializeAll builds every client's runtime, in id order.
@@ -101,8 +101,8 @@ func TestPopulationMatchesEagerCluster(t *testing.T) {
 			for j := 0; j < n; j++ {
 				id := (j*17 + 5) % n
 				e, l := eager[id], pop.Materialize(id)
-				if e.ID != l.ID || e.Part != l.Part {
-					t.Fatalf("client %d: part %d vs %d", id, e.Part, l.Part)
+				if got := pop.Part(id); got != partOf(e) {
+					t.Fatalf("client %d: part %d vs %d", id, partOf(e), got)
 				}
 				if e.DelayLo != l.DelayLo || e.DelayHi != l.DelayHi {
 					t.Fatalf("client %d: delay range (%v,%v) vs (%v,%v)", id, e.DelayLo, e.DelayHi, l.DelayLo, l.DelayHi)
@@ -110,7 +110,7 @@ func TestPopulationMatchesEagerCluster(t *testing.T) {
 				if e.SecPerBatch != l.SecPerBatch {
 					t.Fatalf("client %d: SecPerBatch %v vs %v", id, e.SecPerBatch, l.SecPerBatch)
 				}
-				if e.UpBW != l.UpBW || e.DownBW != l.DownBW {
+				if e.upBW != l.upBW || e.downBW != l.downBW {
 					t.Fatalf("client %d: link speeds differ", id)
 				}
 				if e.DropAt != l.DropAt && !(math.IsInf(e.DropAt, 1) && math.IsInf(l.DropAt, 1)) {
@@ -133,7 +133,7 @@ func TestPopulationMatchesEagerCluster(t *testing.T) {
 				}
 				// Churn windows: probe availability across the horizon.
 				for at := 0.0; at < 2000; at += 93 {
-					if ea, la := e.Available(at), l.Available(at); ea != la {
+					if ea, la := e.available(at), l.available(at); ea != la {
 						t.Fatalf("client %d: available(%v) %v vs %v", id, at, ea, la)
 					}
 					if en, ln := e.NextOnline(at), l.NextOnline(at); en != ln {
@@ -162,10 +162,10 @@ func TestPopulationPureQueries(t *testing.T) {
 			}
 			for id := 0; id < cfg.NumClients; id++ {
 				rt := materialized.Materialize(id)
-				if got := queried.Part(id); got != rt.Part {
-					t.Fatalf("client %d: Part %d vs runtime %d", id, got, rt.Part)
+				if got := queried.Part(id); got != partOf(rt) {
+					t.Fatalf("client %d: Part %d vs runtime %d", id, got, partOf(rt))
 				}
-				if got := queried.SecPerBatch(id); got != rt.SecPerBatch {
+				if got := queried.secPerBatchOf(id); got != rt.SecPerBatch {
 					t.Fatalf("client %d: SecPerBatch %v vs runtime %v", id, got, rt.SecPerBatch)
 				}
 				for _, steps := range []int{1, 9} {
@@ -174,7 +174,7 @@ func TestPopulationPureQueries(t *testing.T) {
 					}
 				}
 				for at := 0.0; at < 1200; at += 111 {
-					if got, want := queried.Available(id, at), rt.Available(at); got != want {
+					if got, want := queried.Available(id, at), rt.available(at); got != want {
 						t.Fatalf("client %d: Available(%v) %v vs %v", id, at, got, want)
 					}
 					if got, want := queried.NextOnline(id, at), rt.NextOnline(at); got != want {

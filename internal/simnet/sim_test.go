@@ -181,17 +181,18 @@ func TestLinkQueueMonotone(t *testing.T) {
 }
 
 func TestClusterPartSizesAndRanges(t *testing.T) {
-	cl, err := clients(ClusterConfig{NumClients: 50, NumUnstable: 5, DropHorizon: 100, Seed: 1})
+	pop, err := NewPopulation(ClusterConfig{NumClients: 50, NumUnstable: 5, DropHorizon: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	counts := make([]int, 5)
 	unstable := 0
-	for _, c := range cl {
-		counts[c.Part]++
-		want := delayRanges[c.Part]
+	for id, c := range materializeAll(pop) {
+		part := pop.Part(id)
+		counts[part]++
+		want := delayRanges[part]
 		if c.DelayLo != want[0] || c.DelayHi != want[1] {
-			t.Fatalf("client %d delay range %v-%v for part %d", c.ID, c.DelayLo, c.DelayHi, c.Part)
+			t.Fatalf("client %d delay range %v-%v for part %d", id, c.DelayLo, c.DelayHi, part)
 		}
 		if !math.IsInf(c.DropAt, 1) {
 			unstable++
@@ -218,7 +219,7 @@ func TestClusterCustomPartSizes(t *testing.T) {
 	}
 	counts := make([]int, 5)
 	for _, c := range cl {
-		counts[c.Part]++
+		counts[partOf(c)]++
 	}
 	for p := range sizes {
 		if counts[p] != sizes[p] {
@@ -247,7 +248,7 @@ func TestClusterDeterminism(t *testing.T) {
 	b, _ := clients(ClusterConfig{NumClients: 30, NumUnstable: 3, Seed: 7})
 	for i := range a {
 		ca, cb := a[i], b[i]
-		if ca.Part != cb.Part || ca.SecPerBatch != cb.SecPerBatch || ca.DropAt != cb.DropAt {
+		if partOf(ca) != partOf(cb) || ca.SecPerBatch != cb.SecPerBatch || ca.DropAt != cb.DropAt {
 			t.Fatalf("cluster not deterministic at client %d", i)
 		}
 		if ca.RoundDelay() != cb.RoundDelay() {
@@ -258,11 +259,11 @@ func TestClusterDeterminism(t *testing.T) {
 
 func TestRoundDelayWithinRange(t *testing.T) {
 	cl, _ := clients(ClusterConfig{NumClients: 25, Seed: 3})
-	for _, c := range cl {
+	for id, c := range cl {
 		for i := 0; i < 50; i++ {
 			d := c.RoundDelay()
 			if d < c.DelayLo || (c.DelayHi > c.DelayLo && d >= c.DelayHi) {
-				t.Fatalf("client %d delay %v outside [%v,%v)", c.ID, d, c.DelayLo, c.DelayHi)
+				t.Fatalf("client %d delay %v outside [%v,%v)", id, d, c.DelayLo, c.DelayHi)
 			}
 		}
 	}
@@ -273,8 +274,8 @@ func TestFasterPartsHaveLowerExpectedLatency(t *testing.T) {
 	meanByPart := make([]float64, 5)
 	countByPart := make([]int, 5)
 	for _, c := range cl {
-		meanByPart[c.Part] += c.ExpectedLatency(18)
-		countByPart[c.Part]++
+		meanByPart[partOf(c)] += c.ExpectedLatency(18)
+		countByPart[partOf(c)]++
 	}
 	for p := range meanByPart {
 		meanByPart[p] /= float64(countByPart[p])
@@ -308,10 +309,10 @@ func TestDropsAreHonored(t *testing.T) {
 	_ = r
 	cl, _ := clients(ClusterConfig{NumClients: 10, NumUnstable: 10, DropHorizon: 50, Seed: 6})
 	for _, c := range cl {
-		if c.Available(c.DropAt + 1) {
+		if c.available(c.DropAt + 1) {
 			t.Fatal("client available after drop")
 		}
-		if !c.Available(0) && c.DropAt > 0 {
+		if !c.available(0) && c.DropAt > 0 {
 			t.Fatal("client unavailable before drop")
 		}
 	}
@@ -401,7 +402,7 @@ func TestPopulationLinksStayBounded(t *testing.T) {
 		for j := range cohort {
 			rt := pop.Materialize(members[m][(done+j)%len(members[m])])
 			down := pop.DownloadArrival(now, rt, bytes)
-			up := pop.UploadArrival(down+rt.ComputeTime(3)+rt.RoundDelay(), rt, bytes)
+			up := pop.UploadArrival(down+rt.computeTime(3)+rt.RoundDelay(), rt, bytes)
 			arrivals = append(arrivals, down, up)
 			latest = max(latest, up)
 		}

@@ -81,11 +81,11 @@ func RunClient(cfg ClientConfig) error {
 	defer conn.Close()
 
 	reg := register{
-		ClientID:      cfg.ID,
-		NumSamples:    uint32(cfg.Data.NumTrain()),
-		LatencyHintMs: cfg.LatencyHintMs,
+		clientID:      cfg.ID,
+		numSamples:    uint32(cfg.Data.NumTrain()),
+		latencyHintMs: cfg.LatencyHintMs,
 	}
-	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
+	if err := WriteFrame(conn, msgRegister, reg.marshal()); err != nil {
 		return err
 	}
 
@@ -164,8 +164,8 @@ func (c *client) round(spec PushSpec) error {
 	// The push is this round's only orders: local work, the DP stage and the
 	// attack directive (honest when the directive byte is 0).
 	c.trainer.Attack = robust.Attack{
-		Kind:    robust.Kind(spec.Attack),
-		Scale:   spec.AttackScale,
+		Kind:    robust.Kind(spec.attack),
+		Scale:   spec.attackScale,
 		Classes: cfg.Classes,
 	}
 	lc := fl.LocalConfig{
@@ -173,9 +173,9 @@ func (c *client) round(spec PushSpec) error {
 		BatchSize: spec.Batch,
 		Lambda:    spec.Lambda,
 		Round:     spec.Round,
-		DPClip:    spec.DPClip,
-		DPNoise:   spec.DPNoise,
-		LRScale:   spec.LRScale,
+		DPClip:    spec.dpClip,
+		DPNoise:   spec.dpNoise,
+		LRScale:   spec.lrScale,
 	}
 	w, steps := c.trainer.TrainLocal(c.global, lc)
 	if cfg.ArtificialDelay > 0 {

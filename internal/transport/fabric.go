@@ -35,7 +35,7 @@ func (f *liveFabric) NumClients() int { return f.s.cfg.NumClients }
 
 // SampleCount reports the size the client declared at registration; it
 // survives a disconnect so update rules keyed on n_k stay consistent.
-func (f *liveFabric) SampleCount(id int) int { return int(f.s.regs[id].NumSamples) }
+func (f *liveFabric) SampleCount(id int) int { return int(f.s.regs[id].numSamples) }
 
 // Available means "still connected and not mid-round": a live client has no
 // simulated drop schedule, it can take work until its connection goes away,
@@ -74,7 +74,7 @@ func (f *liveFabric) Shapes() []codec.ShapeInfo { return f.s.cfg.Shapes }
 func (f *liveFabric) Partition(cfg fl.RunConfig) (*tiering.Tiers, error) {
 	lat := make([]float64, f.s.cfg.NumClients)
 	for id := range lat {
-		lat[id] = float64(f.s.regs[id].LatencyHintMs)
+		lat[id] = float64(f.s.regs[id].latencyHintMs)
 	}
 	return tiering.Partition(lat, cfg.NumTiers)
 }
@@ -94,7 +94,7 @@ func (f *liveFabric) Partition(cfg fl.RunConfig) (*tiering.Tiers, error) {
 func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global []float64, lc fl.LocalConfig, deliver func([]fl.TrainResult, error)) {
 	spec := PushSpec{
 		Round: lc.Round, Epochs: lc.Epochs, Batch: lc.BatchSize, Lambda: lc.Lambda,
-		DPClip: lc.DPClip, DPNoise: lc.DPNoise, LRScale: lc.LRScale,
+		dpClip: lc.DPClip, dpNoise: lc.DPNoise, lrScale: lc.LRScale,
 	}
 	// The push is encoded once, in place, into a frame buffer borrowed until
 	// the sends return.
@@ -107,8 +107,8 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 	var atkPush []byte
 	if len(f.s.attackers) > 0 {
 		aspec := spec
-		aspec.Attack = uint8(f.s.cfg.Attack.Kind)
-		aspec.AttackScale = f.s.cfg.Attack.Scale
+		aspec.attack = uint8(f.s.cfg.Attack.Kind)
+		aspec.attackScale = f.s.cfg.Attack.Scale
 		// Same bytes under a directive header — same length as push, so
 		// the byte accounting is unchanged.
 		atkPush = append(frames.Get(len(push))[:0], push...)
@@ -249,7 +249,7 @@ func (s *Server) answer(cc *clientConn, typ byte, payload []byte) error {
 	cc.mu.Unlock()
 	if rd == nil {
 		frames.Put(payload)
-		return fmt.Errorf("transport: client %d sent message type %d with no round pending", cc.reg.ClientID, typ)
+		return fmt.Errorf("transport: client %d sent message type %d with no round pending", cc.reg.clientID, typ)
 	}
 	r, err := rd.collect(cc, typ, payload)
 	if err != nil {
@@ -295,20 +295,20 @@ func (s *Server) hangUp(cc *clientConn, err error) {
 func (rd *liveRound) collect(cc *clientConn, typ byte, payload []byte) (fl.TrainResult, error) {
 	defer frames.Put(payload)
 	if typ != MsgModelUpdate {
-		return fl.TrainResult{}, fmt.Errorf("transport: client %d sent message type %d mid-round", cc.reg.ClientID, typ)
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d sent message type %d mid-round", cc.reg.clientID, typ)
 	}
 	_, numSamples, gotRound, model, err := ParseModelUpdate(payload)
 	if err != nil {
 		return fl.TrainResult{}, err
 	}
 	if gotRound != rd.round {
-		return fl.TrainResult{}, fmt.Errorf("transport: client %d answered round %d, want %d", cc.reg.ClientID, gotRound, rd.round)
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d answered round %d, want %d", cc.reg.clientID, gotRound, rd.round)
 	}
 	if numSamples == 0 {
-		return fl.TrainResult{}, fmt.Errorf("transport: client %d update with zero samples", cc.reg.ClientID)
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d update with zero samples", cc.reg.clientID)
 	}
 	if len(model) < 2 || [2]byte(model) != rd.wire {
-		return fl.TrainResult{}, fmt.Errorf("transport: client %d update is not in the push's codec", cc.reg.ClientID)
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d update is not in the push's codec", cc.reg.clientID)
 	}
 	w := rd.pool.Get()
 	if err := codec.UnmarshalModelInto(model, w); err != nil {
@@ -316,7 +316,7 @@ func (rd *liveRound) collect(cc *clientConn, typ byte, payload []byte) (fl.Train
 		return fl.TrainResult{}, err
 	}
 	return fl.TrainResult{
-		Client:  int(cc.reg.ClientID),
+		Client:  int(cc.reg.clientID),
 		Weights: w,
 		N:       int(numSamples),
 		Arrive:  rd.f.Now(),

@@ -29,7 +29,7 @@ var payloadDecoders = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return r.Marshal(), nil
+		return r.marshal(), nil
 	}},
 	{"model push", MsgModelPush, func(p []byte) ([]byte, error) {
 		spec, model, err := parseModelPush(p)
@@ -67,8 +67,8 @@ func seedFrames(tb testing.TB) [][]byte {
 		typ     byte
 		payload []byte
 	}{
-		{msgRegister, register{ClientID: 7, NumSamples: 123, LatencyHintMs: 4500}.Marshal()},
-		{MsgModelPush, ModelPush(PushSpec{Round: 9, Epochs: 2, Batch: 8, Lambda: 0.4, Attack: 1, AttackScale: -4, LRScale: 0.5}, model)},
+		{msgRegister, register{clientID: 7, numSamples: 123, latencyHintMs: 4500}.marshal()},
+		{MsgModelPush, ModelPush(PushSpec{Round: 9, Epochs: 2, Batch: 8, Lambda: 0.4, attack: 1, attackScale: -4, lrScale: 0.5}, model)},
 		{MsgModelUpdate, ModelUpdate(3, 50, 9, model)},
 		{msgShutdown, nil},
 	} {

@@ -137,8 +137,8 @@ func TestLiveEdgeMatchesSimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, liveFinal := lf.runLiveEdge(t, fl.Methods["fedavg"], cfg, up)
-	healthy := !up.Degraded() // sample before Close tears the connection down
-	up.Close()                // edge engine done; root sees the departure and finishes
+	healthy := !up.isDegraded() // sample before Close tears the connection down
+	up.Close()                  // edge engine done; root sees the departure and finishes
 
 	var ro rootOut
 	select {
@@ -196,8 +196,8 @@ func dialScriptedEdge(t *testing.T, addr string, id int, w0 []float64) *scripted
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := register{ClientID: uint32(id), NumSamples: 1}
-	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
+	reg := register{clientID: uint32(id), numSamples: 1}
+	if err := WriteFrame(conn, msgRegister, reg.marshal()); err != nil {
 		t.Fatal(err)
 	}
 	se := &scriptedEdge{
@@ -235,7 +235,7 @@ func (se *scriptedEdge) push(shapes []codec.ShapeInfo, w []float64) {
 		return
 	}
 	se.seq++
-	if err := WriteFrame(se.conn.conn, MsgModelUpdate, ModelUpdate(se.conn.reg.ClientID, 0, se.seq, msg)); err != nil {
+	if err := WriteFrame(se.conn.conn, MsgModelUpdate, ModelUpdate(se.conn.reg.clientID, 0, se.seq, msg)); err != nil {
 		se.t.Logf("scripted edge push: %v", err)
 	}
 }
@@ -454,7 +454,7 @@ func TestUplinkDegradesToStandalone(t *testing.T) {
 	if !moved(w0, final) {
 		t.Fatal("degraded edge's model never moved")
 	}
-	if !up.Degraded() {
+	if !up.isDegraded() {
 		t.Fatal("uplink should have degraded after the root's shutdown")
 	}
 }
@@ -501,7 +501,7 @@ func TestUplinkDropsOlderAdoption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	d := up.AfterFold(fl.FoldInfo{Round: 1, Global: make([]float64, 4)})
+	d := up.AfterFold(fl.FoldInfo{Global: make([]float64, 4)})
 	if want := []float64{3, 3, 3, 3}; !slices.Equal(d.Rebase, want) {
 		t.Fatalf("rebased onto %v, want epoch 3's %v", d.Rebase, want)
 	}

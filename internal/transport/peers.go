@@ -72,17 +72,17 @@ func (p *peers) accept(onRegister func(register)) error {
 			continue
 		}
 		conn.SetReadDeadline(time.Time{})
-		if int(reg.ClientID) >= p.want {
+		if int(reg.clientID) >= p.want {
 			conn.Close()
-			return fmt.Errorf("transport: %s id %d out of range [0,%d)", p.kind, reg.ClientID, p.want)
+			return fmt.Errorf("transport: %s id %d out of range [0,%d)", p.kind, reg.clientID, p.want)
 		}
 		p.mu.Lock()
-		if _, dup := p.conns[reg.ClientID]; dup {
+		if _, dup := p.conns[reg.clientID]; dup {
 			p.mu.Unlock()
 			conn.Close()
-			return fmt.Errorf("transport: duplicate %s id %d", p.kind, reg.ClientID)
+			return fmt.Errorf("transport: duplicate %s id %d", p.kind, reg.clientID)
 		}
-		p.conns[reg.ClientID] = &clientConn{reg: reg, conn: conn}
+		p.conns[reg.clientID] = &clientConn{reg: reg, conn: conn}
 		if onRegister != nil {
 			onRegister(reg)
 		}
@@ -120,13 +120,13 @@ func (p *peers) all() []*clientConn {
 func (p *peers) drop(cc *clientConn, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, ok := p.conns[cc.reg.ClientID]; !ok {
+	if _, ok := p.conns[cc.reg.clientID]; !ok {
 		return
 	}
-	delete(p.conns, cc.reg.ClientID)
+	delete(p.conns, cc.reg.clientID)
 	cc.conn.Close()
 	if err != nil {
-		p.logf("fed %s: dropping %s %d: %v", p.role, p.kind, cc.reg.ClientID, err)
+		p.logf("fed %s: dropping %s %d: %v", p.role, p.kind, cc.reg.clientID, err)
 	}
 }
 
@@ -178,7 +178,7 @@ func (p *peers) shutdown() {
 	p.stopping.Store(true)
 	for _, cc := range p.all() {
 		if err := cc.sendShutdown(); err != nil {
-			p.logf("fed %s: shutdown to %s %d: %v", p.role, p.kind, cc.reg.ClientID, err)
+			p.logf("fed %s: shutdown to %s %d: %v", p.role, p.kind, cc.reg.clientID, err)
 		}
 		cc.conn.Close()
 	}

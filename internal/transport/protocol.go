@@ -138,20 +138,20 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 
 // register is the client hello.
 type register struct {
-	ClientID      uint32
-	NumSamples    uint32
-	LatencyHintMs uint32
+	clientID      uint32
+	numSamples    uint32
+	latencyHintMs uint32
 }
 
 // registerLen is the fixed register payload.
 const registerLen = 12
 
-// Marshal encodes the register payload.
-func (m register) Marshal() []byte {
+// marshal encodes the register payload.
+func (m register) marshal() []byte {
 	out := make([]byte, registerLen)
-	binary.LittleEndian.PutUint32(out[0:], m.ClientID)
-	binary.LittleEndian.PutUint32(out[4:], m.NumSamples)
-	binary.LittleEndian.PutUint32(out[8:], m.LatencyHintMs)
+	binary.LittleEndian.PutUint32(out[0:], m.clientID)
+	binary.LittleEndian.PutUint32(out[4:], m.numSamples)
+	binary.LittleEndian.PutUint32(out[8:], m.latencyHintMs)
 	return out
 }
 
@@ -161,33 +161,33 @@ func parseRegister(p []byte) (register, error) {
 		return register{}, fmt.Errorf("transport: register payload %d bytes, want %d", len(p), registerLen)
 	}
 	return register{
-		ClientID:      binary.LittleEndian.Uint32(p[0:]),
-		NumSamples:    binary.LittleEndian.Uint32(p[4:]),
-		LatencyHintMs: binary.LittleEndian.Uint32(p[8:]),
+		clientID:      binary.LittleEndian.Uint32(p[0:]),
+		numSamples:    binary.LittleEndian.Uint32(p[4:]),
+		latencyHintMs: binary.LittleEndian.Uint32(p[8:]),
 	}, nil
 }
 
 // PushSpec is the per-round local-training instruction carried by a model
 // push: which fixed mini-batch schedule to use (Round) and how to train
 // (Epochs, Batch, Lambda, and the DP stage — mirroring fl.LocalConfig),
-// plus an optional attack directive (Attack, AttackScale) for simulated-
+// plus an optional attack directive (attack, attackScale) for simulated-
 // adversary deployments: the server marks the deterministic attacker
 // subset of the cohort and ships them a directive header; honest members
-// get Attack 0. The push is a client's only source of these orders.
+// get attack 0. The push is a client's only source of these orders.
 type PushSpec struct {
 	Round  uint64
 	Epochs int
 	Batch  int
 	Lambda float64
-	// Attack is the wire value of a robust.Kind (0 = honest).
-	Attack      uint8
-	AttackScale float64
-	DPClip      float64
-	DPNoise     float64
-	// LRScale is the staleness-adaptive learning-rate factor (0 = stage
+	// attack is the wire value of a robust.Kind (0 = honest).
+	attack      uint8
+	attackScale float64
+	dpClip      float64
+	dpNoise     float64
+	// lrScale is the staleness-adaptive learning-rate factor (0 = stage
 	// off), mirroring fl.LocalConfig.LRScale so live rounds train with
 	// exactly the scale the engine computed.
-	LRScale float64
+	lrScale float64
 }
 
 // pushHeaderLen is the fixed ModelPush header: round u64, epochs u32,
@@ -201,11 +201,11 @@ func putPushHeader(out []byte, spec PushSpec) {
 	binary.LittleEndian.PutUint32(out[8:], uint32(spec.Epochs))
 	binary.LittleEndian.PutUint32(out[12:], uint32(spec.Batch))
 	binary.LittleEndian.PutUint64(out[16:], math.Float64bits(spec.Lambda))
-	out[24] = spec.Attack
-	binary.LittleEndian.PutUint64(out[25:], math.Float64bits(spec.AttackScale))
-	binary.LittleEndian.PutUint64(out[33:], math.Float64bits(spec.DPClip))
-	binary.LittleEndian.PutUint64(out[41:], math.Float64bits(spec.DPNoise))
-	binary.LittleEndian.PutUint64(out[49:], math.Float64bits(spec.LRScale))
+	out[24] = spec.attack
+	binary.LittleEndian.PutUint64(out[25:], math.Float64bits(spec.attackScale))
+	binary.LittleEndian.PutUint64(out[33:], math.Float64bits(spec.dpClip))
+	binary.LittleEndian.PutUint64(out[41:], math.Float64bits(spec.dpNoise))
+	binary.LittleEndian.PutUint64(out[49:], math.Float64bits(spec.lrScale))
 }
 
 // beginPush starts a model-push frame in dst: frame header and push header,
@@ -234,11 +234,11 @@ func parseModelPush(p []byte) (spec PushSpec, model []byte, err error) {
 		Epochs:      int(binary.LittleEndian.Uint32(p[8:])),
 		Batch:       int(binary.LittleEndian.Uint32(p[12:])),
 		Lambda:      math.Float64frombits(binary.LittleEndian.Uint64(p[16:])),
-		Attack:      p[24],
-		AttackScale: math.Float64frombits(binary.LittleEndian.Uint64(p[25:])),
-		DPClip:      math.Float64frombits(binary.LittleEndian.Uint64(p[33:])),
-		DPNoise:     math.Float64frombits(binary.LittleEndian.Uint64(p[41:])),
-		LRScale:     math.Float64frombits(binary.LittleEndian.Uint64(p[49:])),
+		attack:      p[24],
+		attackScale: math.Float64frombits(binary.LittleEndian.Uint64(p[25:])),
+		dpClip:      math.Float64frombits(binary.LittleEndian.Uint64(p[33:])),
+		dpNoise:     math.Float64frombits(binary.LittleEndian.Uint64(p[41:])),
+		lrScale:     math.Float64frombits(binary.LittleEndian.Uint64(p[49:])),
 	}
 	return spec, p[pushHeaderLen:], nil
 }

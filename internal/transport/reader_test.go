@@ -96,8 +96,8 @@ func newFabricRig(t *testing.T, n int) *fabricRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reg := register{ClientID: uint32(i), NumSamples: 50, LatencyHintMs: 10}
-		if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
+		reg := register{clientID: uint32(i), numSamples: 50, latencyHintMs: 10}
+		if err := WriteFrame(conn, msgRegister, reg.marshal()); err != nil {
 			t.Fatal(err)
 		}
 		rig.peers = append(rig.peers, &rawPeer{t: t, id: uint32(i), conn: conn})
@@ -159,12 +159,12 @@ func (r *fabricRig) waitGone(cc *clientConn) {
 	r.t.Helper()
 	for i := 0; ; i++ {
 		if i > 1000 {
-			r.t.Fatalf("peer %d's reader never exited", cc.reg.ClientID)
+			r.t.Fatalf("peer %d's reader never exited", cc.reg.clientID)
 		}
 		cc.mu.Lock()
 		closed := cc.closed
 		cc.mu.Unlock()
-		if closed && r.srv.get(cc.reg.ClientID) == nil {
+		if closed && r.srv.get(cc.reg.clientID) == nil {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -81,26 +81,19 @@ func (r *RootServer) Run() (*metrics.Run, []float64, error) {
 	defer r.ln.Close()
 	r.start = time.Now()
 	err := r.accept(func(reg register) {
-		r.cfg.Logf("fed root: edge %d registered (%d clients)", reg.ClientID, reg.NumSamples)
+		r.cfg.Logf("fed root: edge %d registered (%d clients)", reg.clientID, reg.numSamples)
 	})
 	if err != nil {
 		r.shutdown()
 		return nil, nil, err
 	}
-	r.cfg.Logf("fed root: %d edges registered; folding %s (budget %d)", r.cfg.Cloud.Edges, r.cloudFold(), r.cfg.Rounds)
+	r.cfg.Logf("fed root: %d edges registered; folding %s (budget %d)", r.cfg.Cloud.Edges, r.cloud.Fold(), r.cfg.Rounds)
 
 	r.serve(frameLimit(r.cfg.Cloud.Shapes), r.serveEdge, r.edgeGone)
 	<-r.done
 	r.shutdown()
 	r.readers.Wait()
 	return r.cloud.Record(), r.cloud.Global(), nil
-}
-
-func (r *RootServer) cloudFold() string {
-	if r.cfg.Cloud.Fold == "" {
-		return edge.FoldSync
-	}
-	return r.cfg.Cloud.Fold
 }
 
 // Shutdown stops the root from another goroutine.
@@ -125,7 +118,7 @@ func (r *RootServer) finish() {
 func (r *RootServer) serveEdge(ec *clientConn, typ byte, payload []byte) error {
 	var err error
 	if !r.stopping.Load() {
-		err = r.edgePush(int(ec.reg.ClientID), typ, payload)
+		err = r.edgePush(int(ec.reg.clientID), typ, payload)
 	}
 	frames.Put(payload)
 	return err
@@ -141,7 +134,7 @@ func (r *RootServer) edgeGone(ec *clientConn, err error) {
 	if r.stopping.Load() {
 		return
 	}
-	id := int(ec.reg.ClientID)
+	id := int(ec.reg.clientID)
 	r.cfg.Logf("fed root: edge %d departed: %v", id, err)
 	before := r.cloud.Epoch()
 	r.cloud.Retire(id, r.now())
@@ -185,7 +178,7 @@ func (r *RootServer) edgePush(id int, typ byte, payload []byte) error {
 // round — the edge's uplink uses it to stamp staleness.
 func (r *RootServer) broadcastAdoption() {
 	for _, ec := range r.all() {
-		w, epoch, ok := r.cloud.Adopt(int(ec.reg.ClientID))
+		w, epoch, ok := r.cloud.Adopt(int(ec.reg.clientID))
 		if !ok {
 			continue
 		}
@@ -196,7 +189,7 @@ func (r *RootServer) broadcastAdoption() {
 		}
 		frames.Put(push)
 		if err != nil {
-			r.cfg.Logf("fed root: adoption to edge %d: %v", ec.reg.ClientID, err)
+			r.cfg.Logf("fed root: adoption to edge %d: %v", ec.reg.clientID, err)
 		}
 	}
 }

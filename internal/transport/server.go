@@ -203,8 +203,8 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 func (s *Server) Run() (*metrics.Run, []float64, error) {
 	defer s.ln.Close()
 	err := s.accept(func(reg register) {
-		s.regs[reg.ClientID] = reg
-		s.cfg.Logf("fed server: client %d registered (%d samples, %dms hint)", reg.ClientID, reg.NumSamples, reg.LatencyHintMs)
+		s.regs[reg.clientID] = reg
+		s.cfg.Logf("fed server: client %d registered (%d samples, %dms hint)", reg.clientID, reg.numSamples, reg.latencyHintMs)
 	})
 	if err != nil {
 		s.shutdown()

@@ -57,8 +57,8 @@ func TestReadFrameTruncated(t *testing.T) {
 }
 
 func TestRegisterRoundTrip(t *testing.T) {
-	r := register{ClientID: 7, NumSamples: 123, LatencyHintMs: 4500}
-	got, err := parseRegister(r.Marshal())
+	r := register{clientID: 7, numSamples: 123, latencyHintMs: 4500}
+	got, err := parseRegister(r.marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestRegisterRoundTrip(t *testing.T) {
 
 func TestModelMessagesRoundTrip(t *testing.T) {
 	model := []byte("model-bytes")
-	spec := PushSpec{Round: 42, Epochs: 3, Batch: 10, Lambda: 0.4, LRScale: 0.75}
+	spec := PushSpec{Round: 42, Epochs: 3, Batch: 10, Lambda: 0.4, lrScale: 0.75}
 	gotSpec, m, err := parseModelPush(ModelPush(spec, model))
 	if err != nil || gotSpec != spec || string(m) != string(model) {
 		t.Fatalf("push corrupted: %v %+v %q", err, gotSpec, m)
@@ -406,7 +406,7 @@ func TestAdaptiveLRScaleOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := PushSpec{Round: 0, Epochs: 1, Batch: 8, Lambda: 0.4, LRScale: scale}
+		spec := PushSpec{Round: 0, Epochs: 1, Batch: 8, Lambda: 0.4, lrScale: scale}
 		if err := WriteFrame(conn, MsgModelPush, ModelPush(spec, msg)); err != nil {
 			t.Fatal(err)
 		}
@@ -517,8 +517,8 @@ func flakyClient(t *testing.T, addr string, id uint32, respond func(conn net.Con
 		return
 	}
 	defer conn.Close()
-	reg := register{ClientID: id, NumSamples: 50, LatencyHintMs: 10}
-	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
+	reg := register{clientID: id, numSamples: 50, latencyHintMs: 10}
+	if err := WriteFrame(conn, msgRegister, reg.marshal()); err != nil {
 		t.Errorf("flaky client register: %v", err)
 		return
 	}
@@ -816,8 +816,8 @@ func TestDuplicateClientIDFailsFast(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		reg := register{ClientID: 0, NumSamples: 10, LatencyHintMs: 10} // same id twice
-		if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
+		reg := register{clientID: 0, numSamples: 10, latencyHintMs: 10} // same id twice
+		if err := WriteFrame(conn, msgRegister, reg.marshal()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -77,8 +77,8 @@ func DialUplink(cfg UplinkConfig) (*EdgeUplink, error) {
 	if err != nil {
 		return nil, err
 	}
-	reg := register{ClientID: uint32(cfg.EdgeID), NumSamples: uint32(cfg.NumClients)}
-	if err := WriteFrame(conn, msgRegister, reg.Marshal()); err != nil {
+	reg := register{clientID: uint32(cfg.EdgeID), numSamples: uint32(cfg.NumClients)}
+	if err := WriteFrame(conn, msgRegister, reg.marshal()); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -95,8 +95,8 @@ func DialUplink(cfg UplinkConfig) (*EdgeUplink, error) {
 // Close tears the connection down (after the edge engine has finished).
 func (u *EdgeUplink) Close() { u.conn.Close() }
 
-// Degraded reports whether the uplink has fallen back to standalone.
-func (u *EdgeUplink) Degraded() bool {
+// isDegraded reports whether the uplink has fallen back to standalone.
+func (u *EdgeUplink) isDegraded() bool {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	return u.degraded
@@ -177,7 +177,7 @@ func (u *EdgeUplink) OnEvent(fl.Event) {}
 // between engine steps exactly as in the simulated hierarchy.
 func (u *EdgeUplink) AfterFold(f fl.FoldInfo) fl.SyncDirective {
 	var d fl.SyncDirective
-	if u.Degraded() {
+	if u.isDegraded() {
 		return d
 	}
 	// The engine rebased from the previous fold's adoption before it got

@@ -31,7 +31,7 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 func TestFrameBuiltInPlace(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{5}}}
 	w := []float64{0.1, -0.2, 0.3, -0.4, 0.5}
-	spec := PushSpec{Round: 9, Epochs: 2, Batch: 8, Lambda: 0.4, Attack: 1, AttackScale: -4, LRScale: 0.5}
+	spec := PushSpec{Round: 9, Epochs: 2, Batch: 8, Lambda: 0.4, attack: 1, attackScale: -4, lrScale: 0.5}
 	c := codec.NewPolyline(4)
 
 	model, err := codec.MarshalModel(c, shapes, w)

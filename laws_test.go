@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"maps"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -25,13 +26,24 @@ var lawAllow = map[string]string{
 	"internal/tensor.(*FreeList).SetPoison":        "use-after-Put detector the race tests switch on",
 	"internal/testutil":                            "test-support package: only _test.go files import it",
 	"internal/transport.ServerConfig.RoundTimeout": "deployment setting (5-minute default) that tests shorten",
+
+	// fl's tests build populations no non-test caller builds. No exported
+	// path sets these, and a test is no taker, so no rule sees the reader.
+	"internal/dataset.Config.PowerLaw":          "fl's useLSTM case (TestLazyEnvMatchesEagerRun, TestEnvReuseDeterministic) builds a token-like population",
+	"internal/dataset.Config.SeqLen":            "fl's useLSTM case (TestLazyEnvMatchesEagerRun, TestEnvReuseDeterministic) builds a token-like population",
+	"internal/dataset.Config.Vocab":             "fl's useLSTM case (TestLazyEnvMatchesEagerRun, TestEnvReuseDeterministic) builds a token-like population",
+	"internal/simnet.ClientRuntime.DropAt":      "fl's dropFabric scripts a departure mid-run (TestDropoutsReduceParticipants, TestRetierRevivesDeadTier)",
+	"internal/simnet.ClientRuntime.DelayLo":     "TestRetierRevivesDeadTier speeds one materialized client up mid-run",
+	"internal/simnet.ClientRuntime.DelayHi":     "TestRetierRevivesDeadTier speeds one materialized client up mid-run",
+	"internal/simnet.ClientRuntime.SecPerBatch": "TestRetierRevivesDeadTier speeds one materialized client up mid-run",
 }
 
-// TestDeletionLaws enforces DESIGN.md §1h's three laws on every non-test Go
+// TestDeletionLaws enforces DESIGN.md §1h's five laws on every non-test Go
 // file of the module and of bench/: a declaration that no non-test file
 // references is deleted, a field of a *Config struct that no non-test code
-// sets is a constant, not a knob, and a top-level name under internal/
-// that no other package needs is not exported.
+// sets is a constant, not a knob, a top-level name or a method or field
+// under internal/ that no other package needs is not exported, and a
+// field under internal/ that non-test code only writes is deleted.
 func TestDeletionLaws(t *testing.T) {
 	findings, err := lawFindings(".", "repro", "internal", "cmd", "examples", "bench")
 	if err != nil {
@@ -45,20 +57,25 @@ func TestDeletionLaws(t *testing.T) {
 // TestDeletionLawsFixture runs the gate on testdata/laws, a module of two
 // libraries and one main whose declarations are the cases the gate must
 // tell apart. p holds the deletion laws' cases; internal/e, under the
-// export law, holds its cases.
+// export law, holds its cases and the member laws'.
 func TestDeletionLawsFixture(t *testing.T) {
 	findings, err := lawFindings("testdata/laws", "fixture", ".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	const unexport = "exported, but no other package's non-test code uses it"
+	const dead = "a field non-test code only writes"
 	want := map[string]string{
-		"p.Square.Dead":         "no reference outside tests",
-		"p.(*Stack).Drop":       "no reference outside tests",
-		"p.FooConfig.Unset":     "a Config field no code outside tests sets",
-		"p.FooConfig.Defaulted": "a Config field no code outside tests sets",
-		"internal/e.OwnOnly":    unexport,
-		"internal/e.TestOnly":   unexport,
+		"p.Square.Dead":             "no reference outside tests",
+		"p.(*Stack).Drop":           "no reference outside tests",
+		"p.FooConfig.Unset":         "a Config field no code outside tests sets",
+		"p.FooConfig.Defaulted":     "a Config field no code outside tests sets",
+		"internal/e.OwnOnly":        unexport,
+		"internal/e.TestOnly":       unexport,
+		"internal/e.Meter.Count":    unexport,
+		"internal/e.(*Meter).Reset": unexport,
+		"internal/e.Meter.hits":     dead,
+		"internal/e.Meter.seen":     dead,
 	}
 	got := map[string]string{}
 	for name, f := range findings {
@@ -69,7 +86,10 @@ func TestDeletionLawsFixture(t *testing.T) {
 	// (called on an instance), armOnly (called only from p_arm64.go), and
 	// p's exports, which sit outside internal/. Under the export law
 	// e.Run (called only from a main package), e.Result (named only in
-	// Run's result) and e.Sink (implemented only by cmd/app's bin).
+	// Run's result) and e.Sink (implemented only by cmd/app's bin). Under
+	// the member laws Meter.Label (selected by cmd/app), (*Meter).Probe
+	// (implements cmd/app's prober), tick.At (reaches json.Marshal through
+	// an interface) and vec's X and Y (named by a body-less func).
 	if !maps.Equal(got, want) {
 		t.Errorf("findings %v, want %v", got, want)
 	}
@@ -80,7 +100,8 @@ func TestDeletionLawsFixture(t *testing.T) {
 		"p.Gone":              "names no finding",
 		"internal/e.Result":   "kept by Run's signature, so no finding",
 	})
-	wantMsgs := []string{"internal/e.OwnOnly: ", "internal/e.Result: ", "p.FooConfig.Defaulted: ", "p.FooConfig.Unset: ", "p.Gone: "}
+	wantMsgs := []string{"internal/e.(*Meter).Reset: ", "internal/e.Meter.Count: ", "internal/e.Meter.hits: ", "internal/e.Meter.seen: ",
+		"internal/e.OwnOnly: ", "internal/e.Result: ", "p.FooConfig.Defaulted: ", "p.FooConfig.Unset: ", "p.Gone: "}
 	ok := len(msgs) == len(wantMsgs)
 	for i := 0; ok && i < len(msgs); i++ {
 		ok = strings.HasPrefix(msgs[i], wantMsgs[i])
@@ -138,6 +159,8 @@ var lawStd = sync.OnceValues(func() (*token.FileSet, types.Importer) {
 type lawDecl struct {
 	name, pkg string
 	config    bool // a field of a struct type named *Config: non-test code must set it
+	field     bool // a field of a type under internal/: non-test code must read it
+	member    bool // an exported method or field of a type under internal/
 }
 
 // lawScan accumulates declarations, references and field writes over every
@@ -158,6 +181,13 @@ type lawScan struct {
 	// package names or a type of another package implements.
 	exports map[token.Pos]types.Object
 	kept    map[token.Pos]bool
+
+	// The member laws' state: fields non-test code reads, methods an
+	// interface keeps, and fields encoding/json or assembly reads where
+	// the type-checker cannot see it.
+	read   map[token.Pos]bool
+	iface  map[token.Pos]bool
+	opaque map[token.Pos]bool
 }
 
 // lawFindings type-checks the non-test files of every package under dirs
@@ -166,7 +196,10 @@ type lawScan struct {
 // references, each *Config field no non-test code sets, and each exported
 // package-level declaration under internal/ that neither another package's
 // non-test code names, nor a kept export's signature names, nor another
-// package's type implements.
+// package's type implements. Of the types under internal/ it also returns
+// each field that non-test code only writes, and each exported method or
+// field that another package's non-test code does not select, unless an
+// interface keeps the method or encoding/json or assembly reads the field.
 func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, error) {
 	fset, std := lawStd()
 	s := &lawScan{
@@ -174,6 +207,7 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 		dirs: map[string]string{}, files: map[string]*ast.File{},
 		decls: map[token.Pos]lawDecl{}, used: map[token.Pos]bool{}, set: map[token.Pos]bool{},
 		exports: map[token.Pos]types.Object{}, kept: map[token.Pos]bool{},
+		read: map[token.Pos]bool{}, iface: map[token.Pos]bool{}, opaque: map[token.Pos]bool{},
 	}
 	for _, d := range dirs {
 		err := filepath.WalkDir(filepath.Join(root, d), func(path string, e fs.DirEntry, err error) error {
@@ -219,6 +253,7 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 		}
 		p.markInterfaceMethods()
 		p.markImplemented()
+		p.markOpaque()
 	}
 	s.keepSignatureTypes()
 	findings := map[string]lawFinding{}
@@ -229,6 +264,10 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 		case d.config && !s.set[pos]:
 			findings[d.name] = lawFinding{d.pkg, "a Config field no code outside tests sets"}
 		case s.exports[pos] != nil && !s.kept[pos]:
+			findings[d.name] = lawFinding{d.pkg, "exported, but no other package's non-test code uses it"}
+		case d.field && !s.read[pos] && !s.opaque[pos]:
+			findings[d.name] = lawFinding{d.pkg, "a field non-test code only writes"}
+		case d.member && !s.kept[pos] && !s.iface[pos] && !s.opaque[pos]:
 			findings[d.name] = lawFinding{d.pkg, "exported, but no other package's non-test code uses it"}
 		}
 	}
@@ -241,6 +280,10 @@ type lawPass struct {
 	ctx   build.Context
 	pkgs  map[string]*types.Package
 	infos []*types.Info
+
+	// jsonArgs are the static types of the values non-test code hands to
+	// encoding/json; asmArgs are the signatures of body-less funcs.
+	jsonArgs, asmArgs []types.Type
 }
 
 // Import type-checks a scanned package from its non-test files for the
@@ -298,37 +341,44 @@ func (p *lawPass) Import(path string) (*types.Package, error) {
 // fields, main, init and blank names are exempt.
 func (p *lawPass) declare(pkg *types.Package, files []*ast.File, info *types.Info) {
 	rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), p.module), "/")
-	add := func(id *ast.Ident, name string, config bool) {
+	internal := strings.HasPrefix(rel, "internal/")
+	add := func(id *ast.Ident, name string, d lawDecl) {
 		if id.Name != "_" {
-			p.decls[id.Pos()] = lawDecl{rel + "." + name, rel, config}
+			d.name, d.pkg = rel+"."+name, rel
+			p.decls[id.Pos()] = d
 		}
 	}
 	for _, f := range files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
 			case *ast.FuncDecl:
+				if d.Body == nil && d.Recv == nil {
+					p.asmArgs = append(p.asmArgs, pkg.Scope().Lookup(d.Name.Name).Type())
+				}
 				switch {
 				case d.Recv != nil:
-					add(d.Name, lawRecv(d.Recv.List[0].Type)+"."+d.Name.Name, false)
+					add(d.Name, lawRecv(d.Recv.List[0].Type)+"."+d.Name.Name, lawDecl{member: internal && d.Name.IsExported()})
 				case d.Name.Name != "init" && (d.Name.Name != "main" || pkg.Name() != "main"):
-					add(d.Name, d.Name.Name, false)
+					add(d.Name, d.Name.Name, lawDecl{})
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					switch spec := spec.(type) {
 					case *ast.ValueSpec:
 						for _, id := range spec.Names {
-							add(id, id.Name, false)
+							add(id, id.Name, lawDecl{})
 						}
 					case *ast.TypeSpec:
-						add(spec.Name, spec.Name.Name, false)
+						add(spec.Name, spec.Name.Name, lawDecl{})
 						st, direct := spec.Type.(*ast.StructType)
 						config := direct && strings.HasSuffix(spec.Name.Name, "Config")
 						ast.Inspect(spec.Type, func(n ast.Node) bool {
 							if s, ok := n.(*ast.StructType); ok {
 								for _, fld := range s.Fields.List {
 									for _, id := range fld.Names {
-										add(id, spec.Name.Name+"."+id.Name, config && s == st)
+										add(id, spec.Name.Name+"."+id.Name, lawDecl{
+											config: config && s == st, field: internal, member: internal && id.IsExported(),
+										})
 									}
 								}
 							}
@@ -358,16 +408,18 @@ func lawRecv(e ast.Expr) string {
 }
 
 // reference records every object the files use, which of them belong to
-// another package, and every field the files set:
+// another package, every field the files read, every value they hand to
+// encoding/json, and every field the files set:
 // a composite-literal element, an assignment, ++/-- or &x.f. An assignment
 // inside an if whose condition reads the same field is a default, not a
 // setter: `if c.N <= 0 { c.N = 10 }` leaves N a constant until some other
-// code sets it.
+// code sets it. A field use is a read unless it is a write: a
+// composite-literal element, an assignment target or ++/--.
 func (p *lawPass) reference(pkg *types.Package, files []*ast.File, info *types.Info) {
-	for _, obj := range info.Uses {
-		p.used[obj.Pos()] = true
-		if obj.Pkg() != nil && obj.Pkg() != pkg {
-			p.kept[obj.Pos()] = true
+	writes := map[*ast.Ident]bool{} // the selector of each field write
+	write := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
 		}
 	}
 	field := func(e ast.Expr) types.Object {
@@ -426,6 +478,7 @@ func (p *lawPass) reference(pkg *types.Package, files []*ast.File, info *types.I
 				}
 				for i, e := range n.Elts {
 					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						writes[kv.Key.(*ast.Ident)] = true
 						p.set[info.Uses[kv.Key.(*ast.Ident)].Pos()] = true
 					} else { // an unkeyed element sets its field but reads nothing
 						p.set[st.Field(i).Pos()] = true
@@ -433,20 +486,54 @@ func (p *lawPass) reference(pkg *types.Package, files []*ast.File, info *types.I
 				}
 			case *ast.AssignStmt:
 				for _, l := range n.Lhs {
+					write(l)
 					if !defaults[l] {
 						setField(l)
 					}
 				}
 			case *ast.IncDecStmt:
+				write(n.X)
 				setField(n.X)
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
 					setField(n.X)
 				}
+			case *ast.CallExpr:
+				var fn types.Object
+				switch f := ast.Unparen(n.Fun).(type) {
+				case *ast.SelectorExpr:
+					fn = info.Uses[f.Sel]
+				case *ast.Ident:
+					fn = info.Uses[f]
+				}
+				if fn, ok := fn.(*types.Func); ok {
+					if arg, ok := lawJSONArg[fn.FullName()]; ok && arg < len(n.Args) {
+						p.jsonArgs = append(p.jsonArgs, info.Types[n.Args[arg]].Type)
+					}
+				}
 			}
 			return true
 		})
 	}
+	for id, obj := range info.Uses {
+		p.used[obj.Pos()] = true
+		if obj.Pkg() != nil && obj.Pkg() != pkg {
+			p.kept[obj.Pos()] = true
+		}
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			p.read[obj.Pos()] = true
+		}
+	}
+}
+
+// lawJSONArg maps each encoding/json entry point that reflects on a value
+// to the index of that value among its arguments.
+var lawJSONArg = map[string]int{
+	"encoding/json.Marshal":           0,
+	"encoding/json.MarshalIndent":     0,
+	"encoding/json.Unmarshal":         1,
+	"(*encoding/json.Encoder).Encode": 0,
+	"(*encoding/json.Decoder).Decode": 0,
 }
 
 // markInterfaceMethods marks as used every method that sits, declared or
@@ -515,6 +602,7 @@ func (p *lawPass) markInterfaceMethods() {
 				m := it.Method(i)
 				if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
 					p.used[sel.Obj().Pos()] = true
+					p.iface[sel.Obj().Pos()] = true
 				}
 			}
 		}
@@ -644,5 +732,66 @@ func (s *lawScan) keepSignatureTypes() {
 			}
 		}
 		walk(t.Underlying())
+	}
+}
+
+// markOpaque marks the fields that code the type-checker cannot see reads.
+// encoding/json reads the exported fields of every struct type a json call
+// reaches: through the call's static argument type, with pointers, slices,
+// maps and arrays unwrapped; through every module type that implements an
+// interface or type-parameter argument; and on through exported and
+// embedded field types, except a field tagged json:"-". Assembly reads
+// every field of a struct type a body-less func's signature names.
+func (p *lawPass) markOpaque() {
+	var impls []types.Type
+	for _, pkg := range p.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
+					impls = append(impls, n)
+				}
+			}
+		}
+	}
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type, all bool)
+	walk = func(t types.Type, all bool) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Alias:
+			walk(types.Unalias(t), all)
+		case *types.Named:
+			walk(t.Underlying(), all)
+		case *types.TypeParam:
+			walk(t.Constraint().Underlying(), all)
+		case *types.Interface:
+			for _, impl := range impls {
+				if types.Implements(types.NewPointer(impl), t) {
+					walk(impl, all)
+				}
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				f := t.Field(i)
+				if all || (f.Exported() || f.Embedded()) && reflect.StructTag(t.Tag(i)).Get("json") != "-" {
+					p.opaque[f.Pos()] = true
+					walk(f.Type(), all)
+				}
+			}
+		case *types.Pointer, *types.Slice, *types.Array, *types.Map, *types.Signature, *types.Tuple:
+			for _, u := range lawParts(t) {
+				walk(u, all)
+			}
+		}
+	}
+	for _, t := range p.jsonArgs {
+		walk(t, false)
+	}
+	clear(seen)
+	for _, t := range p.asmArgs {
+		walk(t, true)
 	}
 }

@@ -10,7 +10,12 @@ type bin struct{ n int }
 
 func (b *bin) Put(n int) { b.n = n }
 
+// prober is implemented by *e.Meter, whose Probe no code calls by name.
+type prober interface{ Probe() int }
+
 func main() {
 	var b bin
-	println(p.Total(p.FooConfig{Read: 1}), e.Run(&b).N, b.n)
+	m := e.NewMeter()
+	var pr prober = m
+	println(p.Total(p.FooConfig{Read: 1}), e.Run(&b).N, b.n, pr.Probe(), m.Label)
 }
