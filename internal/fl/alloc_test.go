@@ -336,7 +336,7 @@ func TestPacerRoundAllocFree(t *testing.T) {
 	const warm, rounds = 10, 70
 	// slack is the allowance beyond the events over the whole measured
 	// window: the Go runtime's own allocations and the occasional growth of
-	// the clock's queue, the population's runtime table and its storage
+	// the clock's queue, the population's touched-client index and its storage
 	// chunks (one per 64 first touches). Measured: 3 to 12.
 	const slack = 20
 	compose := func(base, pace string) Method {

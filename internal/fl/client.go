@@ -48,7 +48,6 @@ type Client struct {
 	batchY      []int
 	batchView   tensor.Mat // retargeted remainder-batch view over batchX
 	perm        []int      // per-epoch shuffle order, reused across rounds
-	wOut        []float64  // result buffer: a live client's own, lent per round to a simulated replica
 
 	// shard is the scratch derived shards are synthesized into, for the
 	// member the replica trains (Data then points here) or the panel member
@@ -119,18 +118,18 @@ func (lc LocalConfig) Steps(n int) int {
 // h_k(w) = F_k(w) + λ/2·‖w−globalW‖² (Eq. 3), and return the resulting
 // weights plus the number of batch steps executed.
 //
-// The returned slice is a per-client buffer reused by this client's next
-// TrainLocal call: callers must encode, copy or fold it before the client
-// trains again. The round runners satisfy this by construction — a client's
-// upload is transmitted before its next round starts.
+// The returned slice is the replica's own weight vector, which the attack
+// and the DP stage finish in place: callers must encode, copy or fold it
+// before the client trains again. The round runners satisfy this by
+// construction — a simulated member's result is copied into its pool
+// buffer before the replica goes back, and a live client's upload is
+// transmitted before its next round starts.
 func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) {
+	c.net.SetWeights(globalW)
 	n := c.data.NumTrain()
 	if n == 0 {
-		c.wOut = tensor.EnsureVec(c.wOut, len(globalW))
-		copy(c.wOut, globalW)
-		return c.wOut, 0
+		return c.net.Weights(), 0
 	}
-	c.net.SetWeights(globalW)
 	c.opt.Reset()
 	if lc.LRScale > 0 && lc.LRScale != 1 {
 		defer scaleLR(c.opt, lc.LRScale)()
@@ -184,14 +183,13 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 			steps++
 		}
 	}
-	c.wOut = tensor.EnsureVec(c.wOut, len(globalW))
-	copy(c.wOut, c.net.Weights())
-	c.Attack.ApplyDelta(c.wOut, globalW)
+	w := c.net.Weights()
+	c.Attack.ApplyDelta(w, globalW)
 	if lc.DPClip > 0 {
 		g := c.dpRNG.SplitLabeledValue(lc.Round)
-		robust.Sanitize(c.wOut, globalW, lc.DPClip, lc.DPNoise, &g)
+		robust.Sanitize(w, globalW, lc.DPClip, lc.DPNoise, &g)
 	}
-	return c.wOut, steps
+	return w, steps
 }
 
 // scaleLR multiplies the optimizer's learning rate for the duration of one

@@ -251,19 +251,27 @@ type Env struct {
 }
 
 // replicaPool is the set of idle replicas a dispatch's training bodies
-// borrow from. It is a LIFO: a serial run takes and returns the same
-// replica every time, so only that one grows optimizer moments and layer
-// scratch, where a FIFO would rotate through all of them.
+// borrow from. A body asks for the replica its cohort position maps to and
+// gets it when it is idle, else the most recently returned one. So which
+// replicas grow optimizer moments and layer scratch follows the cohort
+// sizes, not the scheduler: a dispatch of k members trains on min(k,
+// replicas) of them whether its bodies ran at once or, on a busy machine,
+// one after another on the caller, and a run of one-member dispatches
+// warms one.
 type replicaPool struct {
 	mu   sync.Mutex
 	idle []*Client
 }
 
-func (p *replicaPool) get() *Client {
+func (p *replicaPool) get(want *Client) *Client {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := p.idle[len(p.idle)-1]
-	p.idle = p.idle[:len(p.idle)-1]
+	i := slices.Index(p.idle, want)
+	if i < 0 {
+		i = len(p.idle) - 1
+	}
+	c := p.idle[i]
+	p.idle = slices.Delete(p.idle, i, i+1)
 	return c
 }
 
@@ -347,30 +355,32 @@ func (e *Env) initialWeights() []float64 {
 // entry.
 func (e *Env) ResetState() { e.pop.Reset() }
 
-// trainMember is one training body of a dispatch: borrow an idle replica,
-// bind it to cohort member m, run the member's local round into out (a
-// buffer of the run's weight pool, which the result then holds), and return
-// the replica to the pool. Binding fetches the shard (or synthesizes it
+// trainAt is the parallel body of a dispatch: borrow an idle replica (the
+// one cohort position i maps to, when idle), bind it to member i, run the
+// member's local round from the dispatch's downlink snapshot, copy the
+// result into the buffer member i's result holds (drawn from the run's
+// weight pool by runCohort), and return the replica to the pool. Binding
+// fetches the shard (or synthesizes it
 // into the replica's scratch, overwriting the previous binding's) and
 // rederives the labeled RNG streams; both are pure in (seed, id), so a
 // borrowed replica is indistinguishable from a client that owned its data
 // and replica forever. Distinct members may train concurrently: each body
 // writes only its replica and its own slot.
-func (e *Env) trainMember(m *member, out, global []float64, lc LocalConfig) TrainResult {
-	c, id := e.pool.get(), m.id
+func (e *Env) trainAt(i int) {
+	c, id := e.pool.get(e.replicas[i%len(e.replicas)]), e.members[i].id
 	c.data = e.shards.TrainInto(&c.shard, id)
-	c.Attack = m.rt.Attack
+	c.Attack = e.pop.Attack(id)
 	c.Attack.Classes = e.classes // simnet can't know the label space
 	c.scheduleRNG = e.root.SplitLabeledValue(uint64(scheduleStreamBase + id))
 	c.dpRNG = e.root.SplitLabeledValue(uint64(dpStreamBase + id))
-	c.wOut = out
-	w, steps := c.TrainLocal(global, lc)
-	res := TrainResult{Client: id, Weights: w, N: c.data.NumTrain(), steps: steps}
-	// The replica keeps neither the result buffer nor the shard: a
-	// synthesized shard is only valid until the replica's next binding.
-	c.wOut, c.data = nil, nil
+	w, steps := c.TrainLocal(e.received, e.lc)
+	out := e.results[i].Weights
+	copy(out, w)
+	e.results[i] = TrainResult{Client: id, Weights: out, N: c.data.NumTrain(), steps: steps}
+	// The replica does not keep the shard: a synthesized shard is only
+	// valid until the replica's next binding.
+	c.data = nil
 	e.pool.put(c)
-	return res
 }
 
 // ---------------------------------------------------------------------------

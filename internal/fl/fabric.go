@@ -164,7 +164,8 @@ func (f *simFabric) Dispatch(comm *Comm, cohort []int, now float64, global []flo
 
 // Probe sends w across the codec once for the whole sweep (every client
 // would receive the same bytes, and a probe only needs their count), then
-// charges each client the download, its reply and the link time.
+// charges each client the download, its reply and the link time. Link
+// speeds are the population's, so a probe builds no client runtime.
 func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, replyBytes int) (float64, error) {
 	if len(ids) == 0 {
 		return now, nil
@@ -173,10 +174,9 @@ func (f *simFabric) Probe(comm *Comm, ids []int, now float64, w []float64, reply
 	comm.Release(probed) // probes only need the byte accounting
 	comm.CountControl(int64(replyBytes)*int64(len(ids)), true)
 	latest := now
-	for _, id := range ids {
-		rt := f.env.pop.Materialize(id)
-		done := f.env.pop.DownloadArrival(now, rt, bytes)
-		done = f.env.pop.UploadArrival(done, rt, replyBytes)
+	for range ids {
+		done := f.env.pop.DownloadArrival(now, bytes)
+		done = f.env.pop.UploadArrival(done, replyBytes)
 		if done > latest {
 			latest = done
 		}

@@ -95,7 +95,7 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 		m := &members[i]
 		m.id = id
 		m.rt = e.pop.Materialize(id) // not safe to call concurrently
-		m.downDone = e.pop.DownloadArrival(start, m.rt, bytes)
+		m.downDone = e.pop.DownloadArrival(start, bytes)
 		results[i] = TrainResult{Weights: pool.Get()} // member i trains into it
 	}
 
@@ -137,15 +137,9 @@ func (e *Env) runCohort(sel []int, start float64, global []float64, comm *Comm, 
 		// The uplink replaces the member's training buffer with the upload in
 		// flight, which the engine reads at arrival and releases after the
 		// fold.
-		r.Arrive = e.pop.UploadArrival(computeDone, rt, comm.upload(r))
+		r.Arrive = e.pop.UploadArrival(computeDone, comm.upload(r))
 	}
 	return results
-}
-
-// trainAt is the parallel body of a dispatch: member i trains from the
-// dispatch's downlink snapshot into the buffer its result holds.
-func (e *Env) trainAt(i int) {
-	e.results[i] = e.trainMember(&e.members[i], e.results[i].Weights, e.received, e.lc)
 }
 
 // survivors copies the results that were not dropped into *kept, the

@@ -252,8 +252,10 @@ func TestEnvReplicasBoundedByCores(t *testing.T) {
 // is built neither panics on an empty replica pool nor deadlocks — a
 // dispatch runs no more workers than there are replicas — and the run is
 // the one the environment gives at the core count it was built with. A
-// serial run keeps taking the same replica, so on a two-replica environment
-// only one ever trains.
+// cohort position asks for its own replica, so which replicas train follows
+// the cohort sizes and not the scheduler: on a two-replica environment a
+// serial FedAT run (cohorts of several) trains both, as a parallel one
+// would, and a serial FedAsync run (one member a dispatch) trains one.
 func TestEnvWorkersBoundedByReplicas(t *testing.T) {
 	c := baseSourceCase(23)
 	var want, got *metrics.Run
@@ -265,19 +267,21 @@ func TestEnvWorkersBoundedByReplicas(t *testing.T) {
 		t.Fatalf("run at GOMAXPROCS 4 on an env built at 1 diverged:\nwant: %+v\ngot:  %+v", want, got)
 	}
 
-	withProcs(2, func() { env = c.retained(t) })
-	if len(env.replicas) != 2 {
-		t.Fatalf("env built at GOMAXPROCS 2 holds %d replicas", len(env.replicas))
-	}
-	withProcs(1, func() { mustRun(t, "fedat", env) })
-	trained := 0
-	for _, r := range env.replicas {
-		if r.batchX != nil {
-			trained++
+	for method, want := range map[string]int{"fedat": 2, "fedasync": 1} {
+		withProcs(2, func() { env = c.retained(t) })
+		if len(env.replicas) != 2 {
+			t.Fatalf("env built at GOMAXPROCS 2 holds %d replicas", len(env.replicas))
 		}
-	}
-	if trained != 1 {
-		t.Fatalf("a serial run trained on %d of 2 replicas; want 1", trained)
+		withProcs(1, func() { mustRun(t, method, env) })
+		trained := 0
+		for _, r := range env.replicas {
+			if r.batchX != nil {
+				trained++
+			}
+		}
+		if trained != want {
+			t.Fatalf("a serial %s run trained on %d of 2 replicas; want %d", method, trained, want)
+		}
 	}
 }
 

@@ -14,9 +14,8 @@ func (c *ClientRuntime) SpeedMultiplier(t float64) float64 {
 	return c.drift.multAt(t)
 }
 
-// behaviorClients materializes every client of a 20-client population
-// under b.
-func behaviorClients(t *testing.T, b BehaviorConfig) []*ClientRuntime {
+// behaviorPopulation is a 20-client population under b.
+func behaviorPopulation(t *testing.T, b BehaviorConfig) *Population {
 	t.Helper()
 	pop, err := NewPopulation(ClusterConfig{
 		NumClients: 20, SecPerBatch: 0.1, Seed: 11, Behavior: b,
@@ -24,7 +23,13 @@ func behaviorClients(t *testing.T, b BehaviorConfig) []*ClientRuntime {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return materializeAll(pop)
+	return pop
+}
+
+// behaviorClients materializes every client of behaviorPopulation(b).
+func behaviorClients(t *testing.T, b BehaviorConfig) []*ClientRuntime {
+	t.Helper()
+	return materializeAll(behaviorPopulation(t, b))
 }
 
 // TestBehaviorDisabledIsStatic: the zero BehaviorConfig must leave the
@@ -189,17 +194,17 @@ func TestFracClamped(t *testing.T) {
 // under AttackTail.
 func TestAttackSelection(t *testing.T) {
 	b := BehaviorConfig{AttackKind: "scale", AttackFrac: 0.3, AttackScale: 5}
-	a := behaviorClients(t, b)
-	c := behaviorClients(t, b)
+	a := behaviorPopulation(t, b)
+	c := behaviorPopulation(t, b)
 	var attackers []int
-	for i := range a {
-		if a[i].Attack.Active() != c[i].Attack.Active() {
+	for i := range a.NumClients() {
+		if a.Attack(i).Active() != c.Attack(i).Active() {
 			t.Fatalf("attacker set differs between same-seed clusters at %d", i)
 		}
-		if a[i].Attack.Active() {
+		if atk := a.Attack(i); atk.Active() {
 			attackers = append(attackers, i)
-			if a[i].Attack.Kind.String() != "scale" || a[i].Attack.Scale != 5 {
-				t.Fatalf("client %d attack = %+v", i, a[i].Attack)
+			if atk.Kind.String() != "scale" || atk.Scale != 5 {
+				t.Fatalf("client %d attack = %+v", i, atk)
 			}
 		}
 	}
@@ -238,9 +243,9 @@ func TestAttackIndependentOfChurn(t *testing.T) {
 		{ChurnFrac: 0.25, AttackFrac: 0.4},
 		{ChurnFrac: 0.25, AttackKind: "none", AttackFrac: 0.4},
 	} {
-		cl := behaviorClients(t, b)
-		for i := range cl {
-			if cl[i].Attack.Active() {
+		pop := behaviorPopulation(t, b)
+		for i := range pop.NumClients() {
+			if pop.Attack(i).Active() {
 				t.Fatalf("client %d attacks under %+v", i, b)
 			}
 		}
@@ -250,18 +255,16 @@ func TestAttackIndependentOfChurn(t *testing.T) {
 // TestAttackTailPicksSlowest: AttackTail marks exactly the highest-Part
 // clients, ties to lower ids, with no randomness.
 func TestAttackTailPicksSlowest(t *testing.T) {
-	cl := behaviorClients(t, BehaviorConfig{AttackKind: "freeride", AttackFrac: 0.2, AttackTail: true})
+	pop := behaviorPopulation(t, BehaviorConfig{AttackKind: "freeride", AttackFrac: 0.2, AttackTail: true})
 	minAttackerPart := math.MaxInt
 	maxHonestPart := -1
 	count := 0
-	for _, c := range cl {
-		if c.Attack.Active() {
+	for id := range pop.NumClients() {
+		if pop.Attack(id).Active() {
 			count++
-			if partOf(c) < minAttackerPart {
-				minAttackerPart = partOf(c)
-			}
-		} else if partOf(c) > maxHonestPart {
-			maxHonestPart = partOf(c)
+			minAttackerPart = min(minAttackerPart, pop.Part(id))
+		} else {
+			maxHonestPart = max(maxHonestPart, pop.Part(id))
 		}
 	}
 	if count != 4 { // fracCount(0.2, 20)

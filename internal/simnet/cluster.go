@@ -1,40 +1,27 @@
 package simnet
 
-import (
-	"repro/internal/rng"
-	"repro/internal/robust"
-)
+import "repro/internal/rng"
 
-// ClientRuntime models one client's performance characteristics.
+// ClientRuntime is the part of one client the population cannot recompute
+// cheaply: the fields tests steer (delay range, compute speed, drop time),
+// the consumable per-round delay stream, and the drift and churn schedules.
+// Everything else about the client — its link speeds, attack role and the
+// delay stream's starting state — the Population derives from (seed, id)
+// when it is needed. On a 64-bit platform a runtime is 64 bytes.
 type ClientRuntime struct {
 	// DelayLo/DelayHi bound the per-round injected delay (seconds),
 	// reproducing the paper's 0s, 0–5s, 6–10s, 11–15s, 20–30s groups.
 	DelayLo, DelayHi float64
 	// SecPerBatch is this client's compute time per mini-batch step.
 	SecPerBatch float64
-	// upBW/downBW are the client-side link speeds in bytes/second
-	// (<=0 = infinite).
-	upBW, downBW float64
 	// DropAt is the virtual time at which the client permanently leaves
 	// (+Inf for stable clients).
 	DropAt float64
-	// Attack is the client's malicious behavior (zero value = honest; the
-	// attack regime of BehaviorConfig). The federation layer reads it when
-	// building trainers — the simnet clock model itself never does:
-	// attackers are indistinguishable from honest clients in time.
-	Attack robust.Attack
 
-	delayRNG  rng.RNG
-	delayRNG0 rng.RNG     // construction-time snapshot, restored by reset
-	drift     *driftTrack // nil = fixed compute speed
-	churn     *churnTrack // nil = no transient offline windows
+	delayRNG rng.RNG     // rewound by Population.Reset, which re-derives it
+	drift    *driftTrack // nil = fixed compute speed
+	churn    *churnTrack // nil = no transient offline windows
 }
-
-// reset rewinds the runtime's consumable randomness (the per-round delay
-// stream) to its construction-time state, so a fresh run over the same
-// cluster draws the same delays. Drift and churn schedules need no reset:
-// both are pure functions of (seed, t) regardless of query order.
-func (c *ClientRuntime) reset() { c.delayRNG = c.delayRNG0 }
 
 // RoundDelay draws this round's injected delay.
 func (c *ClientRuntime) RoundDelay() float64 {

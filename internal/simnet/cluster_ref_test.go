@@ -8,11 +8,20 @@ import (
 	"repro/internal/robust"
 )
 
+// eagerClient is one client as the pre-lazy construction held it: its
+// runtime together with the attributes a lazy runtime leaves to the
+// population (link speeds and attack role).
+type eagerClient struct {
+	*ClientRuntime
+	upBW, downBW float64
+	attack       robust.Attack
+}
+
 // newClusterEager is the pre-lazy construction, byte-for-byte: every
 // client's runtime built up front, every draw in its original order. It exists as the specification the lazy
 // Population is tested against (TestPopulationMatchesEagerCluster) — if
 // the two ever disagree, the lazy derivation broke the RNG contract.
-func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
+func newClusterEager(cfg ClusterConfig) ([]eagerClient, error) {
 	if cfg.NumClients <= 0 {
 		return nil, fmt.Errorf("simnet: NumClients must be positive")
 	}
@@ -46,7 +55,7 @@ func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 	order := make([]int, cfg.NumClients)
 	root.SplitLabeled(1).PermInto(order)
 
-	cl := make([]*ClientRuntime, cfg.NumClients)
+	cl := make([]eagerClient, cfg.NumClients)
 	idx := 0
 	for part, size := range parts {
 		for j := 0; j < size; j++ {
@@ -55,15 +64,16 @@ func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 			cr := root.SplitLabeled(uint64(1000 + id))
 			speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
 			dr := cr.SplitLabeled(7)
-			cl[id] = &ClientRuntime{
-				DelayLo:     delayRanges[part][0],
-				DelayHi:     delayRanges[part][1],
-				SecPerBatch: secPerBatch * speed,
-				upBW:        cfg.UpBW,
-				downBW:      cfg.DownBW,
-				DropAt:      inf,
-				delayRNG:    *dr,
-				delayRNG0:   *dr,
+			cl[id] = eagerClient{
+				ClientRuntime: &ClientRuntime{
+					DelayLo:     delayRanges[part][0],
+					DelayHi:     delayRanges[part][1],
+					SecPerBatch: secPerBatch * speed,
+					DropAt:      inf,
+					delayRNG:    *dr,
+				},
+				upBW:   cfg.UpBW,
+				downBW: cfg.DownBW,
 			}
 		}
 	}
@@ -83,7 +93,7 @@ func newClusterEager(cfg ClusterConfig) ([]*ClientRuntime, error) {
 // applyBehavior decorates the built population with dynamic behavior. It
 // draws from streams labeled disjointly from everything the static
 // construction used, so the static population (parts, speeds, delays, drop times) is unchanged.
-func applyBehavior(cl []*ClientRuntime, cfg ClusterConfig) error {
+func applyBehavior(cl []eagerClient, cfg ClusterConfig) error {
 	b := cfg.Behavior.withDefaults()
 	root := rng.New(cfg.Seed)
 	pop := root.SplitLabeled(behaviorPopLabel)
@@ -113,7 +123,7 @@ func applyBehavior(cl []*ClientRuntime, cfg ClusterConfig) error {
 			ids = AttackTargets(cfg.Seed, n, b.AttackFrac)
 		}
 		for _, id := range ids {
-			cl[id].Attack = robust.Attack{Kind: kind, Scale: b.AttackScale}
+			cl[id].attack = robust.Attack{Kind: kind, Scale: b.AttackScale}
 		}
 	}
 	return nil
@@ -121,13 +131,13 @@ func applyBehavior(cl []*ClientRuntime, cfg ClusterConfig) error {
 
 // tailClients picks the k slowest clients — largest part wins, ties to the
 // lower id — giving the deterministic latency-correlated attacker set.
-func tailClients(clients []*ClientRuntime, k int) []int {
+func tailClients(clients []eagerClient, k int) []int {
 	ids := make([]int, len(clients))
 	for i := range ids {
 		ids[i] = i
 	}
 	sort.SliceStable(ids, func(a, b int) bool {
-		pa, pb := partOf(clients[ids[a]]), partOf(clients[ids[b]])
+		pa, pb := partOf(clients[ids[a]].ClientRuntime), partOf(clients[ids[b]].ClientRuntime)
 		if pa != pb {
 			return pa > pb
 		}

@@ -33,9 +33,13 @@ import (
 // A touched runtime is a value in a fixed-size chunk that never moves, so
 // its pointer stays valid for the population's lifetime and a first touch
 // costs no allocation of its own (one chunk serves runtimeChunk of them).
-// Ids are stored as int32, so a population holds at most math.MaxInt32
-// clients. Steady-state live state is O(touched clients), which under
-// cohort sampling is O(cohort · rounds), not O(N).
+// The runtime keeps only what cannot be recomputed from the tables above;
+// link speeds, the attack role and the delay stream's starting state are
+// derived again when asked for. The index from id to chunk slot holds no
+// pointers, so the collector never scans it. Ids are stored as int32, so a
+// population holds at most math.MaxInt32 clients. Steady-state live state
+// is O(touched clients), which under cohort sampling is O(cohort · rounds),
+// not O(N).
 //
 // Population is not safe for concurrent use: like the rest of the
 // simulator it lives on the single clock goroutine.
@@ -55,9 +59,9 @@ type Population struct {
 	churnSet map[int]struct{} // churn membership (population draw)
 	attacked map[int]struct{} // attacker membership
 
-	churnTracks map[int]*churnTrack    // lazily built, shared with runtimes
-	runtimes    map[int]*ClientRuntime // touched-client cache, pointing into chunks
-	chunks      [][]ClientRuntime      // runtime storage; each chunk's backing array is fixed
+	churnTracks map[int]*churnTrack            // lazily built, shared with runtimes
+	touched     map[int32]int32                // touched id → its runtime's slot in chunks
+	chunks      []*[runtimeChunk]ClientRuntime // runtime storage; slot k is chunks[k/runtimeChunk][k%runtimeChunk]
 
 	serverUp   Link // client→server direction
 	serverDown Link // server→client direction
@@ -67,7 +71,8 @@ type Population struct {
 	floor float64
 }
 
-// runtimeChunk is how many runtimes one allocation of storage holds.
+// runtimeChunk is how many runtimes one allocation of storage holds: 4 KiB
+// of 64-byte runtimes on a 64-bit platform.
 const runtimeChunk = 64
 
 // NewPopulation validates the configuration and builds the lazy population:
@@ -114,7 +119,7 @@ func NewPopulation(cfg ClusterConfig) (*Population, error) {
 		root:        rng.New(cfg.Seed),
 		part:        make([]uint8, cfg.NumClients),
 		churnTracks: map[int]*churnTrack{},
-		runtimes:    map[int]*ClientRuntime{},
+		touched:     map[int32]int32{},
 		serverUp:    Link{Bandwidth: cfg.ServerBW},
 		serverDown:  Link{Bandwidth: cfg.ServerBW},
 	}
@@ -206,8 +211,11 @@ func (d dropTable) Swap(a, b int) {
 	d.times[a], d.times[b] = d.times[b], d.times[a]
 }
 
-// attackOf returns the client's malicious role (zero value = honest).
-func (p *Population) attackOf(id int) robust.Attack {
+// Attack returns the client's malicious role (zero value = honest). The
+// federation layer reads it when it trains the client; the clock model never
+// does, since attackers are indistinguishable from honest clients in time.
+// It reads only tables fixed at construction, so concurrent calls are safe.
+func (p *Population) Attack(id int) robust.Attack {
 	if _, ok := p.attacked[id]; ok {
 		return robust.Attack{Kind: p.attackKind, Scale: p.behavior.AttackScale}
 	}
@@ -266,37 +274,37 @@ func (p *Population) ExpectedLatency(id int, batchSteps int) float64 {
 	return float64(batchSteps)*p.secPerBatchOf(id) + (rg[0]+rg[1])/2
 }
 
-// Materialize builds (or returns the cached) full ClientRuntime for id.
+// delayStream returns the client's per-round delay stream at its start.
+func (p *Population) delayStream(id int) rng.RNG {
+	cr := p.root.SplitLabeledValue(uint64(1000 + id))
+	return cr.SplitLabeledValue(7)
+}
+
+// Materialize builds (or returns the cached) ClientRuntime for id.
 // Touched runtimes are cached for the population's lifetime: the per-round
 // delay stream is consumable state, so a client that trains twice must keep
-// drawing from where it left off. The runtime is built in place in the
-// newest storage chunk, which is appended to only within its capacity, so
-// the pointer returned stays valid for the population's lifetime.
+// drawing from where it left off. The runtime is built in place in the next
+// free slot of the newest storage chunk; chunks never move, so the pointer
+// returned stays valid for the population's lifetime.
 func (p *Population) Materialize(id int) *ClientRuntime {
-	if c, ok := p.runtimes[id]; ok {
-		return c
+	if k, ok := p.touched[int32(id)]; ok {
+		return p.slot(k)
 	}
-	if k := len(p.chunks); k == 0 || len(p.chunks[k-1]) == runtimeChunk {
-		p.chunks = append(p.chunks, make([]ClientRuntime, 0, runtimeChunk))
+	k := int32(len(p.touched))
+	if k%runtimeChunk == 0 {
+		p.chunks = append(p.chunks, new([runtimeChunk]ClientRuntime))
 	}
-	chunk := &p.chunks[len(p.chunks)-1]
-	cr := p.root.SplitLabeledValue(uint64(1000 + id))
-	speed := 0.7 + 0.6*cr.Float64() // persistent ±30% factor
-	dr := cr.SplitLabeledValue(7)
+	c := p.slot(k)
 	rg := delayRanges[p.part[id]]
-	*chunk = append(*chunk, ClientRuntime{
+	*c = ClientRuntime{
 		DelayLo:     rg[0],
 		DelayHi:     rg[1],
-		SecPerBatch: p.secPerBatch * speed,
-		upBW:        p.upBW,
-		downBW:      p.downBW,
+		SecPerBatch: p.secPerBatchOf(id),
 		DropAt:      p.dropTime(id),
-		Attack:      p.attackOf(id),
-		delayRNG:    dr,
-		delayRNG0:   dr,
-	})
-	c := &(*chunk)[len(*chunk)-1]
+		delayRNG:    p.delayStream(id),
+	}
 	if p.behaviorOn && p.behavior.DriftMag > 0 {
+		cr := p.root.SplitLabeledValue(uint64(1000 + id))
 		c.drift = newDriftTrack(cr.SplitLabeled(clientDriftLabel), p.behavior)
 	}
 	if p.churnSet != nil {
@@ -304,34 +312,40 @@ func (p *Population) Materialize(id int) *ClientRuntime {
 			c.churn = p.churnFor(id)
 		}
 	}
-	p.runtimes[id] = c
+	p.touched[int32(id)] = k
 	return c
+}
+
+// slot returns the runtime stored in slot k.
+func (p *Population) slot(k int32) *ClientRuntime {
+	return &p.chunks[k/runtimeChunk][k%runtimeChunk]
 }
 
 // Materialized reports how many runtimes have been built — the number the
 // memory-ceiling assertions watch.
-func (p *Population) Materialized() int { return len(p.runtimes) }
+func (p *Population) Materialized() int { return len(p.touched) }
 
 // Reset clears the population's mutable simulation state — server link
 // reservations, the dispatch floor and the delay stream of every touched
 // runtime — so a fresh run over the same population sees identical
-// conditions from time zero. Untouched clients have no consumable state yet.
+// conditions from time zero. Each touched delay stream is derived again from
+// (seed, id), exactly as Materialize first derived it. Untouched clients have
+// no consumable state yet. Drift and churn schedules need no reset: both are
+// pure functions of (seed, t) regardless of query order.
 func (p *Population) Reset() {
 	p.serverUp.Reset()
 	p.serverDown.Reset()
 	p.floor = 0
-	for _, chunk := range p.chunks {
-		for i := range chunk {
-			chunk[i].reset()
-		}
+	for id, k := range p.touched {
+		p.slot(k).delayRNG = p.delayStream(int(id))
 	}
 }
 
 // UploadArrival models a client→server transfer started at now: the client
-// pushes at its own link speed while the server link serializes concurrent
-// transfers; the payload lands when both are done.
-func (p *Population) UploadArrival(now float64, client *ClientRuntime, bytes int) float64 {
-	return arrival(now, client.upBW, &p.serverUp, bytes)
+// pushes at the population's client link speed while the server link
+// serializes concurrent transfers; the payload lands when both are done.
+func (p *Population) UploadArrival(now float64, bytes int) float64 {
+	return arrival(now, p.upBW, &p.serverUp, bytes)
 }
 
 // DownloadArrival models a server→client transfer started at now. A
@@ -340,13 +354,13 @@ func (p *Population) UploadArrival(now float64, client *ClientRuntime, bytes int
 // starts: both links forget what ends before it (Link.forget), which keeps
 // each one's reservations to the transfers still in flight instead of every
 // transfer since the run began.
-func (p *Population) DownloadArrival(now float64, client *ClientRuntime, bytes int) float64 {
+func (p *Population) DownloadArrival(now float64, bytes int) float64 {
 	if now > p.floor {
 		p.floor = now
 		p.serverUp.forget(now)
 		p.serverDown.forget(now)
 	}
-	return arrival(now, client.downBW, &p.serverDown, bytes)
+	return arrival(now, p.downBW, &p.serverDown, bytes)
 }
 
 // arrival is when a transfer of bytes started at now has crossed both the

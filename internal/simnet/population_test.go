@@ -2,7 +2,10 @@ package simnet
 
 import (
 	"math"
+	"runtime"
 	"testing"
+
+	"repro/internal/testutil"
 )
 
 // Part returns the delay part of client id without materializing it.
@@ -83,7 +86,7 @@ func populationConfigs() map[string]ClusterConfig {
 // materialized on demand from (seed, id) is byte-for-byte the client the
 // eager reference construction builds — same part, speed, drop time,
 // same delay stream state, same drift multipliers and churn windows, same
-// attack role.
+// link-speed arrival times, same attack role (Population.Attack).
 func TestPopulationMatchesEagerCluster(t *testing.T) {
 	for name, cfg := range populationConfigs() {
 		t.Run(name, func(t *testing.T) {
@@ -95,14 +98,17 @@ func TestPopulationMatchesEagerCluster(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The eager side's server links carry the same transfers as
+			// the population's, in the same order.
+			eagerUp, eagerDown := Link{Bandwidth: cfg.ServerBW}, Link{Bandwidth: cfg.ServerBW}
 			// Touch lazy clients in a scrambled order: derivation must not
 			// depend on materialization order.
 			n := cfg.NumClients
 			for j := 0; j < n; j++ {
 				id := (j*17 + 5) % n
 				e, l := eager[id], pop.Materialize(id)
-				if got := pop.Part(id); got != partOf(e) {
-					t.Fatalf("client %d: part %d vs %d", id, partOf(e), got)
+				if got := pop.Part(id); got != partOf(e.ClientRuntime) {
+					t.Fatalf("client %d: part %d vs %d", id, partOf(e.ClientRuntime), got)
 				}
 				if e.DelayLo != l.DelayLo || e.DelayHi != l.DelayHi {
 					t.Fatalf("client %d: delay range (%v,%v) vs (%v,%v)", id, e.DelayLo, e.DelayHi, l.DelayLo, l.DelayHi)
@@ -110,14 +116,18 @@ func TestPopulationMatchesEagerCluster(t *testing.T) {
 				if e.SecPerBatch != l.SecPerBatch {
 					t.Fatalf("client %d: SecPerBatch %v vs %v", id, e.SecPerBatch, l.SecPerBatch)
 				}
-				if e.upBW != l.upBW || e.downBW != l.downBW {
-					t.Fatalf("client %d: link speeds differ", id)
+				now := float64(j)
+				if ea, la := arrival(now, e.downBW, &eagerDown, 3000), pop.DownloadArrival(now, 3000); ea != la {
+					t.Fatalf("client %d: download arrival %v vs %v", id, ea, la)
+				}
+				if ea, la := arrival(now, e.upBW, &eagerUp, 5000), pop.UploadArrival(now, 5000); ea != la {
+					t.Fatalf("client %d: upload arrival %v vs %v", id, ea, la)
 				}
 				if e.DropAt != l.DropAt && !(math.IsInf(e.DropAt, 1) && math.IsInf(l.DropAt, 1)) {
 					t.Fatalf("client %d: DropAt %v vs %v", id, e.DropAt, l.DropAt)
 				}
-				if e.Attack != l.Attack {
-					t.Fatalf("client %d: attack %+v vs %+v", id, e.Attack, l.Attack)
+				if la := pop.Attack(id); e.attack != la {
+					t.Fatalf("client %d: attack %+v vs %+v", id, e.attack, la)
 				}
 				// Consumable delay stream: identical draw sequences.
 				for k := 0; k < 5; k++ {
@@ -213,20 +223,65 @@ func TestPopulationValidation(t *testing.T) {
 	}
 }
 
-// TestPopulationResetRewindsTouchedStreams: after Reset, a touched client's
-// delay stream replays.
+// TestPopulationResetRewindsTouchedStreams: after Reset, every touched
+// client's delay stream replays from its start, which the eager reference
+// construction holds untouched.
 func TestPopulationResetRewindsTouchedStreams(t *testing.T) {
-	cfg := populationConfigs()["static"]
-	pop, err := NewPopulation(cfg)
+	for name, cfg := range populationConfigs() {
+		t.Run(name, func(t *testing.T) {
+			eager, err := newClusterEager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop, err := NewPopulation(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			touched := materializeAll(pop)
+			for _, c := range touched {
+				c.RoundDelay()
+				c.RoundDelay()
+			}
+			pop.Reset()
+			for id, c := range touched {
+				for k := 0; k < 3; k++ {
+					if want, got := eager[id].RoundDelay(), c.RoundDelay(); got != want {
+						t.Fatalf("client %d draw %d after Reset: %v, want %v", id, k, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMaterializeByteCeiling pins what a first touch costs: materializing
+// 100k distinct clients of a 1M population allocates at most 128 bytes and
+// 0.03 allocations per client, the runtime's 64-byte chunk slot and its
+// share of the pointer-free index included. A runtime that carried what the
+// population can recompute (link speeds, attack role, a reset snapshot of
+// its delay stream) read 176 bytes, and an index of pointers adds its own.
+func TestMaterializeByteCeiling(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race instruments allocations")
+	}
+	const n, touches = 1_000_000, 100_000
+	pop, err := NewPopulation(ClusterConfig{NumClients: n, NumUnstable: n / 10, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := pop.Materialize(3)
-	first := []float64{c.RoundDelay(), c.RoundDelay(), c.RoundDelay()}
-	pop.Reset()
-	for i, want := range first {
-		if got := c.RoundDelay(); got != want {
-			t.Fatalf("draw %d after Reset: %v, want %v", i, got, want)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for j := range touches {
+		pop.Materialize(j * 7919 % n) // 7919 is prime to n: distinct ids, scattered
+	}
+	runtime.ReadMemStats(&after)
+	if got := pop.Materialized(); got != touches {
+		t.Fatalf("%d runtimes built, want %d", got, touches)
+	}
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / touches
+	allocs := float64(after.Mallocs-before.Mallocs) / touches
+	t.Logf("first touch: %.1f B, %.4f allocations", bytes, allocs)
+	if bytes > 128 || allocs > 0.03 {
+		t.Fatalf("a first touch allocates %.1f B in %.4f allocations; want at most 128 B and 0.03", bytes, allocs)
 	}
 }

@@ -290,12 +290,11 @@ func TestFasterPartsHaveLowerExpectedLatency(t *testing.T) {
 
 func TestUploadArrivalBottleneck(t *testing.T) {
 	pop, _ := NewPopulation(ClusterConfig{NumClients: 5, UpBW: 1000, ServerBW: 1000, Seed: 5})
-	cl := materializeAll(pop)
 	// Five simultaneous 1000-byte uploads: each client takes 1s locally, the
 	// server link serializes 5s of traffic → the last arrival is ~5s.
 	var last float64
-	for _, c := range cl {
-		if got := pop.UploadArrival(0, c, 1000); got > last {
+	for range pop.NumClients() {
+		if got := pop.UploadArrival(0, 1000); got > last {
 			last = got
 		}
 	}
@@ -401,8 +400,8 @@ func TestPopulationLinksStayBounded(t *testing.T) {
 		latest := now
 		for j := range cohort {
 			rt := pop.Materialize(members[m][(done+j)%len(members[m])])
-			down := pop.DownloadArrival(now, rt, bytes)
-			up := pop.UploadArrival(down+rt.computeTime(3)+rt.RoundDelay(), rt, bytes)
+			down := pop.DownloadArrival(now, bytes)
+			up := pop.UploadArrival(down+rt.computeTime(3)+rt.RoundDelay(), bytes)
 			arrivals = append(arrivals, down, up)
 			latest = max(latest, up)
 		}

@@ -21,6 +21,14 @@ import (
 // is bounded so a producer that puts without ever getting cannot grow it
 // without bound. The zero value is an empty list with poisoning off.
 type FreeList[E any] struct {
+	// Spare is how many buffers beyond the one asked for a Get that finds
+	// the list empty allocates and frees onto it. A list whose peak of
+	// buffers in use is reached only now and then (frames on a wall-clock
+	// fabric, where the peak follows arrival timing) then stays Spare
+	// buffers ahead of each new peak instead of allocating at the next one.
+	// A list whose peak is set by the work itself (Pool) leaves it 0.
+	Spare int
+
 	mu   sync.Mutex
 	free [][]E
 	// inPool tracks the base pointer of every buffer currently in the free
@@ -28,6 +36,9 @@ type FreeList[E any] struct {
 	// buffer is free, so a dropped or gotten buffer can never produce a
 	// stale match against recycled memory.
 	inPool map[*E]struct{}
+	// largest is the largest capacity ever put back: the size a buffer
+	// must have to serve every use seen so far.
+	largest int
 
 	poison *E
 }
@@ -39,9 +50,12 @@ const freeListCap = 64
 
 // Get returns a length-n buffer with unspecified contents. It pops the most
 // recently freed buffer and drops it for a fresh one when its capacity is
-// under n, so a list serving mixed sizes converges on buffers that fit the
-// largest in use. The caller owns the buffer — and whatever it grows into
-// by append — until Put.
+// under n. A fresh buffer gets the capacity of the largest buffer ever put
+// back, when that is more than n, so a list serving mixed sizes (a frame
+// read at its exact length, a frame built by append) holds buffers that
+// each fit every use seen so far. A list of one length (Pool) allocates
+// exactly that length. Get(0) on an empty list returns nil. The caller owns the
+// buffer — and whatever it grows into by append — until Put.
 func (l *FreeList[E]) Get(n int) []E {
 	var buf []E
 	l.mu.Lock()
@@ -51,11 +65,18 @@ func (l *FreeList[E]) Get(n int) []E {
 		l.free = l.free[:k-1]
 		delete(l.inPool, &buf[0])
 	}
+	largest := l.largest
 	l.mu.Unlock()
-	if cap(buf) < n {
-		return make([]E, n)
+	if cap(buf) >= n {
+		return buf[:n]
 	}
-	return buf[:n]
+	size := max(n, largest)
+	if buf == nil {
+		for range l.Spare {
+			l.Put(make([]E, size))
+		}
+	}
+	return make([]E, n, size)
 }
 
 // Put returns a buffer — or any slice sharing its start, such as the
@@ -72,6 +93,7 @@ func (l *FreeList[E]) Put(buf []E) {
 	if _, dup := l.inPool[&buf[0]]; dup {
 		panic(fmt.Sprintf("tensor: FreeList.Put of a buffer already free (cap %d) — double release", cap(buf)))
 	}
+	l.largest = max(l.largest, cap(buf))
 	if len(l.free) >= freeListCap {
 		return
 	}

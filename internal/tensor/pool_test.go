@@ -160,6 +160,43 @@ func TestPoolRejectsWrongSizeAndBounds(t *testing.T) {
 	}
 }
 
+// TestFreeListSizesFreshBuffers pins how a list serving mixed sizes
+// allocates: a fresh buffer has the capacity of the largest buffer ever put
+// back, so it serves every use seen so far, and a Get that finds the list
+// empty frees Spare more such buffers onto it. A Pool's fresh buffers are
+// exactly its length.
+func TestFreeListSizesFreshBuffers(t *testing.T) {
+	var l FreeList[byte]
+	l.Put(make([]byte, 0, 1000)) // a frame grown by append
+	small := l.Get(10)           // recycles it
+	if fresh := l.Get(300); len(fresh) != 300 || cap(fresh) != 1000 {
+		t.Errorf("fresh Get(300) has len %d cap %d, want 300 and the largest capacity 1000", len(fresh), cap(fresh))
+	}
+	if l.freeLen() != 0 {
+		t.Fatalf("Spare 0 freed %d spares", l.freeLen())
+	}
+	l.Put(small)
+
+	l.Spare = 2
+	l.Get(1) // recycles small
+	if l.freeLen() != 0 {
+		t.Fatal("a Get that popped a buffer freed spares")
+	}
+	if got := l.Get(1); cap(got) != 1000 || l.freeLen() != 2 {
+		t.Errorf("Get on an empty list: cap %d and %d spares, want 1000 and 2", cap(got), l.freeLen())
+	}
+	if got := l.Get(0); cap(got) != 1000 {
+		t.Errorf("a spare has capacity %d, want 1000", cap(got))
+	}
+
+	p := NewPool(8)
+	p.Put(p.Get())
+	p.Get()
+	if got := p.Get(); cap(got) != 8 {
+		t.Errorf("a fresh Pool buffer has capacity %d, want its length 8", cap(got))
+	}
+}
+
 // TestPoolConcurrentHammer hammers one shared pool from many goroutines in
 // the same shape as the hot path: parallel.For client training checks
 // buffers out, fills them, and releases them, while a separate put-only

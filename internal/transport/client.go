@@ -182,7 +182,7 @@ func (c *client) round(spec PushSpec) error {
 		time.Sleep(cfg.ArtificialDelay)
 	}
 
-	frame := appendUpdateHeader(beginFrame(frames.Get(0), MsgModelUpdate),
+	frame := appendUpdateHeader(beginFrame(newFrame(), MsgModelUpdate),
 		cfg.ID, uint32(cfg.Data.NumTrain()), spec.Round)
 	frame, err := codec.AppendModel(frame, cfg.Codec, c.shapes, w)
 	if err == nil {

@@ -98,7 +98,7 @@ func (f *liveFabric) Dispatch(comm *fl.Comm, cohort []int, now float64, global [
 	}
 	// The push is encoded once, in place, into a frame buffer borrowed until
 	// the sends return.
-	push, err := codec.AppendModel(beginPush(frames.Get(0), spec), f.s.codec, f.s.cfg.Shapes, global)
+	push, err := codec.AppendModel(beginPush(newFrame(), spec), f.s.codec, f.s.cfg.Shapes, global)
 	if err != nil {
 		frames.Put(push)
 		deliver(nil, fmt.Errorf("transport: marshal model: %w", err))
@@ -331,7 +331,7 @@ func (f *liveFabric) Probe(comm *fl.Comm, ids []int, now float64, w []float64, r
 	if len(ids) == 0 {
 		return now, nil
 	}
-	msg, err := codec.AppendModel(frames.Get(0), f.s.codec, f.s.cfg.Shapes, w)
+	msg, err := codec.AppendModel(newFrame(), f.s.codec, f.s.cfg.Shapes, w)
 	size := int64(frameBytes(len(msg)))
 	frames.Put(msg)
 	if err != nil {

@@ -59,9 +59,19 @@ const frameHeaderLen = 5
 // that is idle (a client training, a server waiting for a header) holds
 // none. Frames differ by codec and direction, so Get takes the length it
 // needs and the list converges on buffers that fit the largest frame in
-// use (DESIGN.md §2a). Clients, servers, roots and uplinks in one process
+// use (DESIGN.md §2a). How many frames are in use at once follows the
+// wall clock's arrival timing, so each time the list runs dry it also
+// allocates two spares: a new peak late in a run then finds them instead
+// of allocating (over loopback, eight clients in 2-member tier cohorts
+// peak at 2–4 frames in use). Clients, servers, roots and uplinks in one process
 // (tests, the in-process benchmark deployment) share it.
-var frames = new(tensor.FreeList[byte])
+var frames = &tensor.FreeList[byte]{Spare: 2}
+
+// newFrame borrows an empty buffer to build a frame in by append. It asks
+// the list for one byte rather than none, so on an empty list it allocates a
+// buffer of the largest size in use (and the list's spare) instead of
+// leaving append to grow one from nothing.
+func newFrame() []byte { return frames.Get(1)[:0] }
 
 // registerLimit is the only frame length a not yet registered peer may
 // announce.

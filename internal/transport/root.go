@@ -183,7 +183,7 @@ func (r *RootServer) broadcastAdoption() {
 			continue
 		}
 		spec := PushSpec{Round: uint64(epoch), Epochs: r.cloud.Live()}
-		push, err := codec.AppendModel(beginPush(frames.Get(0), spec), codec.Raw{}, r.cfg.Cloud.Shapes, w)
+		push, err := codec.AppendModel(beginPush(newFrame(), spec), codec.Raw{}, r.cfg.Cloud.Shapes, w)
 		if err == nil {
 			err = ec.send(push)
 		}

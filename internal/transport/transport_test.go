@@ -99,6 +99,9 @@ type liveFederation struct {
 	factory fl.ModelFactory
 	shapes  []codec.ShapeInfo
 	n       int
+	// running is the server of the deployment runLiveObserved started
+	// last, set before its run begins, so an observer can end the run.
+	running *Server
 }
 
 func newLiveFederation(t *testing.T, n, classesPer int, seed uint64) *liveFederation {
@@ -203,6 +206,7 @@ func (lf *liveFederation) runLiveObserved(t *testing.T, method fl.Method, cfg fl
 	if err != nil {
 		t.Fatal(err)
 	}
+	lf.running = srv
 
 	var wg sync.WaitGroup
 	clientErrs := make([]error, lf.n)

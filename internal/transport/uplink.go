@@ -209,7 +209,7 @@ func (u *EdgeUplink) AfterFold(f fl.FoldInfo) fl.SyncDirective {
 // borrowed buffer, then advances the shared reference exactly as the root
 // reconstructs it. It reports false after degrading.
 func (u *EdgeUplink) push(global []float64) bool {
-	frame, err := u.pushFrame(frames.Get(0), global)
+	frame, err := u.pushFrame(newFrame(), global)
 	frames.Put(frame)
 	if err != nil {
 		u.degrade("%v", err)

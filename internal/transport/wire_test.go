@@ -172,12 +172,15 @@ func TestUnregisteredPeerCannotAnnounceLargeFrame(t *testing.T) {
 // folds. The window opens at the first fold after warm at which every
 // client has trained a round: a client's first round allocates its
 // training scratch, and how late a tier's first rounds come is a
-// scheduling race between the two tier loops. It returns the counters at
-// the window's ends and the events emitted inside it.
+// scheduling race between the two tier loops, which a loaded machine can
+// stretch well past warm. The run ends when the window closes, the way it
+// ends at its budget (the fabric stops; rounds in flight resolve), so the
+// budget is only a bound on a window that never opens. It returns the
+// counters at the window's ends and the events emitted inside it.
 func (lf *liveFederation) steadyWindow(t *testing.T, warm, steady int) (before, after runtime.MemStats, events int) {
 	t.Helper()
 	cfg := liveCfg(5)
-	cfg.Rounds = warm + 2*steady // room for the window to open late
+	cfg.Rounds = warm + 20*steady
 	cfg.ClientsPerRound = 2
 	cfg.Codec = codec.NewPolyline(4)
 	trained := make([]bool, lf.n)
@@ -201,6 +204,7 @@ func (lf *liveFederation) steadyWindow(t *testing.T, warm, steady int) (before, 
 				runtime.ReadMemStats(&before)
 			case open >= 0 && folds == open+steady:
 				runtime.ReadMemStats(&after)
+				lf.running.fab.Stop()
 			}
 		}
 	}))
@@ -209,10 +213,7 @@ func (lf *liveFederation) steadyWindow(t *testing.T, warm, steady int) (before, 
 			t.Fatalf("client %d: %v", i, err)
 		}
 	}
-	if run.GlobalRounds < cfg.Rounds {
-		t.Fatalf("only %d global rounds completed", run.GlobalRounds)
-	}
-	if open < 0 || folds < open+steady {
+	if open < 0 || folds < open+steady || run.GlobalRounds < open+steady {
 		t.Fatalf("no window of %d steady folds in %d: it opened at fold %d, %d clients untrained", steady, folds, open, untrained)
 	}
 	return before, after, events
