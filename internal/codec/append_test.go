@@ -28,10 +28,10 @@ func TestAppendEncodeMatchesEncode(t *testing.T) {
 			prefix := buf[:11]
 			got := c.AppendEncode(prefix, w)
 			if !bytes.Equal(got[:11], bytes.Repeat([]byte{0xA5}, 11)) {
-				t.Fatalf("%s: AppendEncode clobbered its prefix", c.Name())
+				t.Fatalf("%s: AppendEncode clobbered its prefix", codecName(c))
 			}
 			if !bytes.Equal(got[11:], want) {
-				t.Fatalf("%s: AppendEncode(prefix, w)[len(prefix):] != Encode(w) (spare %d)", c.Name(), spare)
+				t.Fatalf("%s: AppendEncode(prefix, w)[len(prefix):] != Encode(w) (spare %d)", codecName(c), spare)
 			}
 		}
 	}
@@ -50,7 +50,7 @@ func TestUnmarshalModelIntoMatchesUnmarshal(t *testing.T) {
 		}
 		msg = msg[len("dirty prefix"):]
 		if plain, _ := MarshalModel(c, shapes, w); !bytes.Equal(msg, plain) {
-			t.Fatalf("%s: AppendModel behind a prefix differs from MarshalModel", c.Name())
+			t.Fatalf("%s: AppendModel behind a prefix differs from MarshalModel", codecName(c))
 		}
 		_, want, err := UnmarshalModel(msg)
 		if err != nil {
@@ -61,16 +61,16 @@ func TestUnmarshalModelIntoMatchesUnmarshal(t *testing.T) {
 			got[i] = math.NaN() // pooled destinations come back dirty
 		}
 		if err := UnmarshalModelInto(msg, got); err != nil {
-			t.Fatalf("%s: %v", c.Name(), err)
+			t.Fatalf("%s: %v", codecName(c), err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s: weight %d = %v, UnmarshalModel gives %v", c.Name(), i, got[i], want[i])
+				t.Fatalf("%s: weight %d = %v, UnmarshalModel gives %v", codecName(c), i, got[i], want[i])
 			}
 		}
 		for _, n := range []int{len(w) - 1, len(w) + 1, 0} {
 			if err := UnmarshalModelInto(msg, make([]float64, n)); !errors.Is(err, errCorrupt) {
-				t.Fatalf("%s: destination of %d for %d elements: %v, want ErrCorrupt", c.Name(), n, len(w), err)
+				t.Fatalf("%s: destination of %d for %d elements: %v, want ErrCorrupt", codecName(c), n, len(w), err)
 			}
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
@@ -78,7 +78,7 @@ func TestUnmarshalModelIntoMatchesUnmarshal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}); allocs != 0 {
-			t.Errorf("%s: UnmarshalModelInto allocates %.0f times", c.Name(), allocs)
+			t.Errorf("%s: UnmarshalModelInto allocates %.0f times", codecName(c), allocs)
 		}
 	}
 }
@@ -118,7 +118,7 @@ func TestMaxModelBytesBoundsEveryCodec(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(msg) > MaxModelBytes(shapes) {
-				t.Errorf("%s: message of %d bytes exceeds MaxModelBytes %d", c.Name(), len(msg), MaxModelBytes(shapes))
+				t.Errorf("%s: message of %d bytes exceeds MaxModelBytes %d", codecName(c), len(msg), MaxModelBytes(shapes))
 			}
 		}
 	}

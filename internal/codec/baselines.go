@@ -28,12 +28,6 @@ type Verbatim interface {
 // Figure 5.
 type Raw struct{}
 
-// Name implements Codec.
-func (Raw) Name() string { return "raw" }
-
-// MaxError implements Codec.
-func (Raw) MaxError() float64 { return 0 }
-
 // Encode implements Codec.
 func (c Raw) Encode(w []float64) []byte { return c.AppendEncode(nil, w) }
 

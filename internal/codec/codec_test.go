@@ -3,12 +3,37 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/rng"
 )
+
+// codecName labels a codec in test messages.
+func codecName(c Codec) string {
+	switch c := c.(type) {
+	case *Polyline:
+		return fmt.Sprintf("polyline%d", c.precision)
+	case *TopK:
+		return fmt.Sprintf("topk%.2f", c.Frac)
+	}
+	return "raw"
+}
+
+// maxError is a codec's worst-case absolute reconstruction error per
+// coordinate: half a unit in polyline's last decimal place, 0 for raw, and
+// unbounded for top-k, whose dropped coordinates can be arbitrarily large.
+func maxError(c Codec) float64 {
+	switch c := c.(type) {
+	case *Polyline:
+		return 0.5 * math.Pow(10, -float64(c.precision))
+	case *TopK:
+		return math.Inf(1)
+	}
+	return 0
+}
 
 func randWeights(r *rng.RNG, n int, scale float64) []float64 {
 	w := make([]float64, n)
@@ -23,7 +48,7 @@ func roundTrip(t *testing.T, c Codec, w []float64) []float64 {
 	enc := c.Encode(w)
 	out := make([]float64, len(w))
 	if err := c.Decode(enc, out); err != nil {
-		t.Fatalf("%s decode failed: %v", c.Name(), err)
+		t.Fatalf("%s decode failed: %v", codecName(c), err)
 	}
 	return out
 }
@@ -34,10 +59,10 @@ func TestPolylineRoundTripErrorBound(t *testing.T) {
 		c := NewPolyline(p)
 		w := randWeights(r, 500, 0.3)
 		out := roundTrip(t, c, w)
-		bound := c.MaxError() + 1e-12
+		bound := maxError(c) + 1e-12
 		for i := range w {
 			if math.Abs(w[i]-out[i]) > bound {
-				t.Fatalf("%s error %v exceeds bound %v", c.Name(), math.Abs(w[i]-out[i]), bound)
+				t.Fatalf("%s error %v exceeds bound %v", codecName(c), math.Abs(w[i]-out[i]), bound)
 			}
 		}
 	}
@@ -56,7 +81,7 @@ func TestPolylineRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for i := range vals {
-			if math.Abs(vals[i]-out[i]) > c.MaxError()+1e-12 {
+			if math.Abs(vals[i]-out[i]) > maxError(c)+1e-12 {
 				return false
 			}
 		}
@@ -105,7 +130,7 @@ func TestPolylineHandlesNonFinite(t *testing.T) {
 			t.Fatalf("non-finite survived the codec: %v", out)
 		}
 	}
-	if math.Abs(out[5]-0.5) > c.MaxError() {
+	if math.Abs(out[5]-0.5) > maxError(c) {
 		t.Fatal("finite value corrupted by clamping neighbours")
 	}
 }
@@ -227,21 +252,21 @@ func TestMarshalModelRoundTrip(t *testing.T) {
 	for _, c := range []Channel{Raw{}, NewPolyline(4), NewPolyline(5)} {
 		msg, err := MarshalModel(c, shapes, w)
 		if err != nil {
-			t.Fatalf("%s marshal: %v", c.Name(), err)
+			t.Fatalf("%s marshal: %v", codecName(c), err)
 		}
 		gotShapes, gotW, err := UnmarshalModel(msg)
 		if err != nil {
-			t.Fatalf("%s unmarshal: %v", c.Name(), err)
+			t.Fatalf("%s unmarshal: %v", codecName(c), err)
 		}
 		if len(gotShapes) != 2 || gotShapes[0].Name != "W" || gotShapes[1].Dims[0] != 4 {
-			t.Fatalf("%s shapes corrupted: %+v", c.Name(), gotShapes)
+			t.Fatalf("%s shapes corrupted: %+v", codecName(c), gotShapes)
 		}
 		if len(gotW) != 16 {
-			t.Fatalf("%s weight count %d", c.Name(), len(gotW))
+			t.Fatalf("%s weight count %d", codecName(c), len(gotW))
 		}
 		for i := range w {
-			if math.Abs(w[i]-gotW[i]) > c.MaxError()+1e-9 {
-				t.Fatalf("%s weight %d error %v", c.Name(), i, math.Abs(w[i]-gotW[i]))
+			if math.Abs(w[i]-gotW[i]) > maxError(c)+1e-9 {
+				t.Fatalf("%s weight %d error %v", codecName(c), i, math.Abs(w[i]-gotW[i]))
 			}
 		}
 	}

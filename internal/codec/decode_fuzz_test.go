@@ -59,13 +59,13 @@ func FuzzDecoders(f *testing.F) {
 		out := buf[1 : n+1]
 		err := d.codec.Decode(data, out)
 		if buf[0] != guard || buf[n+1] != guard {
-			t.Fatalf("%s: decode wrote outside its %d-coordinate output", d.codec.Name(), n)
+			t.Fatalf("%s: decode wrote outside its %d-coordinate output", codecName(d.codec), n)
 		}
 		if err != nil || !d.verbatim {
 			return
 		}
 		if re := d.codec.Encode(out); !bytes.Equal(re, data) {
-			t.Fatalf("%s: accepted payload of %d bytes re-encodes to %d different bytes", d.codec.Name(), len(data), len(re))
+			t.Fatalf("%s: accepted payload of %d bytes re-encodes to %d different bytes", codecName(d.codec), len(data), len(re))
 		}
 	})
 }

@@ -18,11 +18,8 @@ import (
 	"slices"
 )
 
-// Codec turns a weight vector into bytes and back. Encodings may be lossy;
-// MaxError reports the worst-case absolute reconstruction error (0 for
-// lossless, +Inf when input-dependent).
+// Codec turns a weight vector into bytes and back. Encodings may be lossy.
 type Codec interface {
-	Name() string
 	// AppendEncode appends the encoding of w to dst and returns the extended
 	// slice — the allocation-free entry point: a caller that recycles dst
 	// encodes without touching the heap once dst has grown to size.
@@ -31,8 +28,6 @@ type Codec interface {
 	Encode(w []float64) []byte
 	// Decode reconstructs into out, which must have the original length.
 	Decode(data []byte, out []float64) error
-	// MaxError is the absolute error bound per coordinate.
-	MaxError() float64
 }
 
 // Channel is a codec the simulated channel can take a shortcut through, and
@@ -69,15 +64,6 @@ type Polyline struct {
 
 // NewPolyline returns the codec at the given precision.
 func NewPolyline(precision int) *Polyline { return &Polyline{precision: precision} }
-
-// Name implements Codec.
-func (p *Polyline) Name() string { return fmt.Sprintf("polyline%d", p.precision) }
-
-// MaxError implements Codec: rounding to precision decimals is off by at
-// most half a unit in the last place.
-func (p *Polyline) MaxError() float64 {
-	return 0.5 * math.Pow(10, -float64(p.precision))
-}
 
 func (p *Polyline) scale() float64 { return math.Pow(10, float64(p.precision)) }
 

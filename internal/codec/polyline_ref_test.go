@@ -89,14 +89,14 @@ func decodeBoth(t *testing.T, p *Polyline, data []byte, n int) []float64 {
 	}
 	refErr, err := refDecode(p, data, want), p.Decode(data, got)
 	if (refErr == nil) != (err == nil) {
-		t.Fatalf("%s: Decode(%q) error %v, reference %v", p.Name(), data, err, refErr)
+		t.Fatalf("%s: Decode(%q) error %v, reference %v", codecName(p), data, err, refErr)
 	}
 	if err != nil {
 		return nil
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: Decode value %d = %v, reference %v", p.Name(), i, got[i], want[i])
+			t.Fatalf("%s: Decode value %d = %v, reference %v", codecName(p), i, got[i], want[i])
 		}
 	}
 	return got
@@ -123,20 +123,20 @@ func FuzzPolylineAgainstReference(f *testing.F) {
 
 		want := refAppendEncode(p, nil, w)
 		if got := p.AppendEncode(nil, w); !bytes.Equal(got, want) {
-			t.Fatalf("%s: AppendEncode %q, reference %q", p.Name(), got, want)
+			t.Fatalf("%s: AppendEncode %q, reference %q", codecName(p), got, want)
 		}
 		decoded := decodeBoth(t, p, want, len(w))
 		if decoded == nil {
-			t.Fatalf("%s: the reference payload %q does not decode", p.Name(), want)
+			t.Fatalf("%s: the reference payload %q does not decode", codecName(p), want)
 		}
 
 		sent := make([]float64, len(w))
 		if n := p.Transmit(sent, w); n != len(want) {
-			t.Fatalf("%s: Transmit charges %d bytes, payload has %d", p.Name(), n, len(want))
+			t.Fatalf("%s: Transmit charges %d bytes, payload has %d", codecName(p), n, len(want))
 		}
 		for i := range sent {
 			if math.Float64bits(sent[i]) != math.Float64bits(decoded[i]) {
-				t.Fatalf("%s: Transmit value %d = %v, Decode gives %v", p.Name(), i, sent[i], decoded[i])
+				t.Fatalf("%s: Transmit value %d = %v, Decode gives %v", codecName(p), i, sent[i], decoded[i])
 			}
 		}
 
@@ -228,18 +228,18 @@ func FuzzTransmitFixed(f *testing.F) {
 			dirty[i] = float64(40000*(i%3-1)) / p.scale()
 		}
 		if _, ok := p.TransmitFixed(&q, dirty); !ok {
-			t.Fatalf("%s: TransmitFixed rejects a vector inside int32", p.Name())
+			t.Fatalf("%s: TransmitFixed rejects a vector inside int32", codecName(p))
 		}
 		n, ok := p.TransmitFixed(&q, w)
 		if ok != fits {
-			t.Fatalf("%s: TransmitFixed ok = %v, every value fits int32 = %v", p.Name(), ok, fits)
+			t.Fatalf("%s: TransmitFixed ok = %v, every value fits int32 = %v", codecName(p), ok, fits)
 		}
 		if !ok {
 			return
 		}
 		want := make([]float64, len(w))
 		if wn := p.Transmit(want, w); n != wn {
-			t.Fatalf("%s: TransmitFixed charges %d bytes, Transmit %d", p.Name(), n, wn)
+			t.Fatalf("%s: TransmitFixed charges %d bytes, Transmit %d", codecName(p), n, wn)
 		}
 		got := make([]float64, len(w))
 		for i := range got {
@@ -248,19 +248,19 @@ func FuzzTransmitFixed(f *testing.F) {
 		p.Reconstruct(got, &q)
 		for i := range got {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("%s: Reconstruct value %d = %v, Transmit gives %v", p.Name(), i, got[i], want[i])
+				t.Fatalf("%s: Reconstruct value %d = %v, Transmit gives %v", codecName(p), i, got[i], want[i])
 			}
 		}
 
 		if q.Len() != len(w) {
-			t.Fatalf("%s: Fixed holds %d values, want %d", p.Name(), q.Len(), len(w))
+			t.Fatalf("%s: Fixed holds %d values, want %d", codecName(p), q.Len(), len(w))
 		}
 		// An int32 slot's allocation: the allocator rounds 4n bytes up alike.
 		if limit := cap(slices.Grow([]int16(nil), 2*len(w))); cap(q.q) > limit {
-			t.Fatalf("%s: Fixed holds %d int16s for %d values, past an int32 slot's %d", p.Name(), cap(q.q), len(w), limit)
+			t.Fatalf("%s: Fixed holds %d int16s for %d values, past an int32 slot's %d", codecName(p), cap(q.q), len(w), limit)
 		}
 		if dense := 4*len(wideIdx) > len(w); q.dense != dense {
-			t.Fatalf("%s: %d of %d values outside int16, held dense = %v", p.Name(), len(wideIdx), len(w), q.dense)
+			t.Fatalf("%s: %d of %d values outside int16, held dense = %v", codecName(p), len(wideIdx), len(w), q.dense)
 		}
 		if q.dense {
 			return
@@ -270,11 +270,11 @@ func FuzzTransmitFixed(f *testing.F) {
 			i := get32(q.q[k:])
 			listed = append(listed, i)
 			if x := refQuantize(w[i], p.scale()); int64(get32(q.q[k+2:])) != x {
-				t.Fatalf("%s: overflow entry %d holds %d, the value quantizes to %d", p.Name(), i, get32(q.q[k+2:]), x)
+				t.Fatalf("%s: overflow entry %d holds %d, the value quantizes to %d", codecName(p), i, get32(q.q[k+2:]), x)
 			}
 		}
 		if !slices.Equal(listed, wideIdx) {
-			t.Fatalf("%s: overflow list holds indices %v, the values outside int16 are at %v", p.Name(), listed, wideIdx)
+			t.Fatalf("%s: overflow list holds indices %v, the values outside int16 are at %v", codecName(p), listed, wideIdx)
 		}
 	})
 }

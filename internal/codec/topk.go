@@ -30,13 +30,6 @@ func NewTopK(frac float64) *TopK {
 	return &TopK{Frac: frac}
 }
 
-// Name implements Codec.
-func (t *TopK) Name() string { return fmt.Sprintf("topk%.2f", t.Frac) }
-
-// MaxError implements Codec: dropped coordinates can be arbitrarily large,
-// so the bound is input-dependent.
-func (t *TopK) MaxError() float64 { return math.Inf(1) }
-
 // Encode implements Codec.
 func (t *TopK) Encode(w []float64) []byte { return t.AppendEncode(nil, w) }
 

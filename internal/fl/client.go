@@ -33,7 +33,7 @@ import (
 type Client struct {
 	data *dataset.ClientData
 	net  *nn.Network
-	opt  opt.Optimizer
+	opt  *opt.Adam
 	// Attack is the client's malicious behavior (zero value = honest).
 	// Applied inside TrainLocal, so the simulated and live fabrics poison
 	// identically.
@@ -67,7 +67,7 @@ const (
 // NewLocalClient builds a Client without a simulated runtime, for callers
 // that live on real clocks (the TCP transport) or drive training directly
 // (tests, examples).
-func NewLocalClient(id int, data *dataset.ClientData, net *nn.Network, o opt.Optimizer, seed uint64) *Client {
+func NewLocalClient(id int, data *dataset.ClientData, net *nn.Network, o *opt.Adam, seed uint64) *Client {
 	return &Client{
 		data:        data,
 		net:         net,
@@ -132,7 +132,10 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 	}
 	c.opt.Reset()
 	if lc.LRScale > 0 && lc.LRScale != 1 {
-		defer scaleLR(c.opt, lc.LRScale)()
+		// The moments are rate-independent, so the scale composes with them;
+		// the rate is restored when the round ends.
+		defer func(lr float64) { c.opt.LR = lr }(c.opt.LR)
+		c.opt.LR *= lc.LRScale
 	}
 
 	// The batch scratch is sized by capacity — BatchSize rows whatever this
@@ -190,18 +193,4 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 		robust.Sanitize(w, globalW, lc.DPClip, lc.DPNoise, &g)
 	}
 	return w, steps
-}
-
-// scaleLR multiplies the optimizer's learning rate for the duration of one
-// local round and returns the restore function. Adam exports its rate, so
-// the scale composes with its per-coordinate state (the moments are
-// rate-independent); any other optimizer type trains unscaled — the
-// engine's LR scale is an optimization hint, not a correctness contract.
-func scaleLR(o opt.Optimizer, s float64) func() {
-	if v, ok := o.(*opt.Adam); ok {
-		old := v.LR
-		v.LR *= s
-		return func() { v.LR = old }
-	}
-	return func() {}
 }

@@ -468,14 +468,14 @@ func TestCommAccounting(t *testing.T) {
 		}
 		got, n := cm.transmit(w, true)
 		if n != len(msg) {
-			t.Fatalf("%s: transmit size %d != marshalled message %d", c.Name(), n, len(msg))
+			t.Fatalf("%T: transmit size %d != marshalled message %d", c, n, len(msg))
 		}
 		if cm.up != int64(n) || cm.down != 0 {
 			t.Fatalf("uplink accounting wrong: up=%d down=%d", cm.up, cm.down)
 		}
 		for i := range w {
 			if got[i] != w[i] {
-				t.Fatalf("%s transmit corrupted weights", c.Name())
+				t.Fatalf("%T transmit corrupted weights", c)
 			}
 		}
 		cm.Release(got)
@@ -526,12 +526,12 @@ func TestCommChannelMatchesWire(t *testing.T) {
 				down += int64(len(msg))
 			}
 			if n != len(msg) || cm.up != up || cm.down != down {
-				t.Fatalf("%s round %d: charges %d (up %d, down %d), message is %d (up %d, down %d)",
-					c.Name(), round, n, cm.up, cm.down, len(msg), up, down)
+				t.Fatalf("%T round %d: charges %d (up %d, down %d), message is %d (up %d, down %d)",
+					c, round, n, cm.up, cm.down, len(msg), up, down)
 			}
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("%s round %d: weight %d is %v through the channel, %v over the wire", c.Name(), round, i, got[i], want[i])
+					t.Fatalf("%T round %d: weight %d is %v through the channel, %v over the wire", c, round, i, got[i], want[i])
 				}
 			}
 			w = append(w[:0], got...) // the next round retransmits the reconstruction
@@ -548,7 +548,7 @@ func TestCommChannelMatchesWire(t *testing.T) {
 			}
 			cm.Release(out)
 		}); allocs != 0 {
-			t.Errorf("%s TransmitPooled allocates %.0f times in steady state", cm.channel.Name(), allocs)
+			t.Errorf("%T TransmitPooled allocates %.0f times in steady state", cm.channel, allocs)
 		}
 	}
 }

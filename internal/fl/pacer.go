@@ -329,7 +329,7 @@ func (l *tierLoop) fold() {
 type bufferPacer struct{ k int }
 
 func (p bufferPacer) Start(rs *runState) error {
-	if _, ok := rs.sel.(freeSelector); !ok {
+	if _, ok := rs.sel.(allSelector); !ok {
 		return fmt.Errorf("%s pacing performs no cohort selection, so selector %q would be ignored; use \"all\"", rs.method.Pace, rs.method.Select)
 	}
 	k := p.k

@@ -304,18 +304,12 @@ func (s *tiflSelector) accuracyRefresh(rs *runState, global []float64, now float
 // all: no selection at all — the wait-free client loops train the whole
 // population continuously.
 
-// freeSelector marks selectors compatible with wait-free client pacing,
+// allSelector is the one selector compatible with wait-free client pacing,
 // which performs no cohort selection at all. The client pacer rejects any
 // other selector rather than silently ignoring it.
-type freeSelector interface {
-	selector
-	freeRunning()
-}
-
 type allSelector struct{}
 
 func (allSelector) Init(*runState) error { return nil }
-func (allSelector) freeRunning()         {}
 
 // allClientIDs lists every client id on the fabric.
 func allClientIDs(fab Fabric) []int {

@@ -32,9 +32,6 @@ func (l *relu) Bind(w, g []float64) { checkBind(l, w, g) }
 // Init implements layer.
 func (l *relu) Init(*rng.RNG) {}
 
-// OutDim implements layer.
-func (l *relu) OutDim(in int) int { return in }
-
 // Forward implements layer.
 func (l *relu) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	n := len(x.Data)
@@ -101,9 +98,6 @@ func (l *dropout) Init(r *rng.RNG) { l.r = *r.Split() }
 // pass to be a function of its inputs alone reseeds it first
 // (Network.Reseed).
 func (l *dropout) Reseed(r rng.RNG) { l.r = r }
-
-// OutDim implements layer.
-func (l *dropout) OutDim(in int) int { return in }
 
 // Forward implements layer.
 func (l *dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {

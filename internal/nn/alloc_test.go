@@ -115,7 +115,7 @@ func TestConvColScratchSharedAcrossBatches(t *testing.T) {
 		head := newConv2D(1, 10, 10, 4, 3, 1, 1)
 		mid := newConv2D(4, 10, 10, 4, 3, 1, 1)
 		c, h, w := mid.outShape()
-		return newNetwork(rng.New(3), newSoftmaxCE(), wrap(head), newReLU(), wrap(mid), newDense(c*h*w, 2)), head
+		return newNetwork(rng.New(3), wrap(head), newReLU(), wrap(mid), newDense(c*h*w, 2)), head
 	}
 	net, conv := newNet(func(c *conv2D) layer { return c })
 	ref, _ := newNet(func(c *conv2D) layer { return &colCacheConv{conv2D: c} })

@@ -60,9 +60,6 @@ func (b *batchNorm) Init(*rng.RNG) {
 	tensor.Zero(b.g[2*d : 4*d])  // stats carry no gradient
 }
 
-// OutDim implements layer.
-func (b *batchNorm) OutDim(in int) int { return in }
-
 // Forward implements layer.
 func (b *batchNorm) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.C != b.dim {

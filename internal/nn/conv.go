@@ -83,9 +83,6 @@ func (c *conv2D) Init(r *rng.RNG) {
 	tensor.Zero(c.w[c.outC*c.cols:])
 }
 
-// OutDim implements layer.
-func (c *conv2D) OutDim(int) int { return c.outC * c.outH * c.outW }
-
 func (c *conv2D) weight() *tensor.Mat { return &c.wMat }
 func (c *conv2D) bias() []float64     { return c.w[c.outC*c.cols:] }
 func (c *conv2D) gradW() *tensor.Mat  { return &c.gwMat }
@@ -203,9 +200,6 @@ func (m *maxPool2D) Bind(w, g []float64) { checkBind(m, w, g) }
 
 // Init implements layer.
 func (m *maxPool2D) Init(*rng.RNG) {}
-
-// OutDim implements layer.
-func (m *maxPool2D) OutDim(int) int { return m.inC * m.outH * m.outW }
 
 // Forward implements layer.
 func (m *maxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {

@@ -57,9 +57,6 @@ func (d *dense) Init(r *rng.RNG) {
 	tensor.Zero(d.w[d.outDim*d.inDim:])
 }
 
-// OutDim implements layer.
-func (d *dense) OutDim(int) int { return d.outDim }
-
 func (d *dense) weight() *tensor.Mat { return &d.wMat }
 func (d *dense) bias() []float64     { return d.w[d.outDim*d.inDim:] }
 func (d *dense) gradW() *tensor.Mat  { return &d.gwMat }

@@ -43,9 +43,6 @@ func (e *embedding) Init(r *rng.RNG) {
 	initUniform(r, e.w, 0.05)
 }
 
-// OutDim implements layer.
-func (e *embedding) OutDim(int) int { return e.seqLen * e.dim }
-
 // Forward implements layer. Out-of-range ids are clamped into the vocab so a
 // corrupted sample cannot crash a training run.
 func (e *embedding) Forward(x *tensor.Mat, train bool) *tensor.Mat {

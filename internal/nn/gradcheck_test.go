@@ -46,7 +46,7 @@ func GradCheck(n *Network, x *tensor.Mat, labels []int, eps float64) float64 {
 func (n *Network) lossOnly(x *tensor.Mat, labels []int) float64 {
 	logits := n.Forward(x, true)
 	d := tensor.NewMat(logits.R, logits.C)
-	return n.loss.Compute(logits, labels, d)
+	return n.loss.compute(logits, labels, d)
 }
 
 // gradCheckNet verifies the full analytic backward pass of a network
@@ -69,7 +69,7 @@ func gradCheckNet(t *testing.T, n *Network, in, batch, classes int, tol float64)
 }
 
 func TestGradCheckDense(t *testing.T) {
-	n := newNetwork(rng.New(1), newSoftmaxCE(), newDense(5, 4))
+	n := newNetwork(rng.New(1), newDense(5, 4))
 	gradCheckNet(t, n, 5, 3, 4, 1e-5)
 }
 
@@ -81,21 +81,21 @@ func TestGradCheckMLP(t *testing.T) {
 func TestGradCheckConv(t *testing.T) {
 	conv := newConv2D(2, 5, 5, 3, 3, 1, 1)
 	c, h, w := conv.outShape()
-	n := newNetwork(rng.New(5), newSoftmaxCE(), conv, newReLU(), newDense(c*h*w, 3))
+	n := newNetwork(rng.New(5), conv, newReLU(), newDense(c*h*w, 3))
 	gradCheckNet(t, n, 2*5*5, 2, 3, 1e-4)
 }
 
 func TestGradCheckConvStride2NoPad(t *testing.T) {
 	conv := newConv2D(1, 6, 6, 2, 2, 2, 0)
 	c, h, w := conv.outShape()
-	n := newNetwork(rng.New(6), newSoftmaxCE(), conv, newDense(c*h*w, 2))
+	n := newNetwork(rng.New(6), conv, newDense(c*h*w, 2))
 	gradCheckNet(t, n, 36, 2, 2, 1e-4)
 }
 
 func TestGradCheckMaxPool(t *testing.T) {
 	pool := newMaxPool2D(2, 4, 4, 2, 2)
 	c, h, w := pool.outShape()
-	n := newNetwork(rng.New(7), newSoftmaxCE(), pool, newDense(c*h*w, 3))
+	n := newNetwork(rng.New(7), pool, newDense(c*h*w, 3))
 	gradCheckNet(t, n, 2*4*4, 2, 3, 1e-4)
 }
 
@@ -106,7 +106,7 @@ func TestGradCheckCNN(t *testing.T) {
 
 func TestGradCheckLSTM(t *testing.T) {
 	lstm := newLSTM(3, 4, 3)
-	n := newNetwork(rng.New(9), newSoftmaxCE(), lstm, newDense(4, 3))
+	n := newNetwork(rng.New(9), lstm, newDense(4, 3))
 	gradCheckNet(t, n, 3*3, 2, 3, 1e-4)
 }
 
@@ -136,7 +136,7 @@ func TestGradCheckBatchNorm(t *testing.T) {
 	// BatchNorm updates running stats on every training forward, but in
 	// train mode the loss depends only on batch statistics, so finite
 	// differences remain valid.
-	n := newNetwork(rng.New(12), newSoftmaxCE(), newDense(4, 6), newBatchNorm(6), newDense(6, 3))
+	n := newNetwork(rng.New(12), newDense(4, 6), newBatchNorm(6), newDense(6, 3))
 	gradCheckNet(t, n, 4, 5, 3, 1e-4)
 }
 

@@ -48,8 +48,6 @@ type layer interface {
 	Forward(x *tensor.Mat, train bool) *tensor.Mat
 	// Backward consumes dL/doutput and returns dL/dinput.
 	Backward(dout *tensor.Mat) *tensor.Mat
-	// OutDim reports the per-sample output width for input width in.
-	OutDim(in int) int
 }
 
 func paramSize(l layer) int {

@@ -6,26 +6,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// loss turns final-layer outputs and integer labels into a scalar loss and
-// the gradient with respect to the outputs. Implementations must average
-// over the batch so learning rates are batch-size independent.
-type loss interface {
-	// Compute returns the mean loss over the batch and writes dL/dlogits
-	// into dlogits (same shape as logits).
-	Compute(logits *tensor.Mat, labels []int, dlogits *tensor.Mat) float64
-}
-
 // softmaxCE is the softmax cross-entropy loss used by every classification
-// model in the paper.
+// model in the paper. It averages over the batch, so learning rates are
+// batch-size independent.
 type softmaxCE struct {
 	probs []float64
 }
 
-// newSoftmaxCE constructs the loss.
-func newSoftmaxCE() *softmaxCE { return &softmaxCE{} }
-
-// Compute implements loss.
-func (l *softmaxCE) Compute(logits *tensor.Mat, labels []int, dlogits *tensor.Mat) float64 {
+// compute returns the mean loss over the batch and writes dL/dlogits into
+// dlogits (same shape as logits).
+func (l *softmaxCE) compute(logits *tensor.Mat, labels []int, dlogits *tensor.Mat) float64 {
 	if len(labels) != logits.R {
 		panic("nn: SoftmaxCE label count mismatch")
 	}

@@ -79,9 +79,6 @@ func (l *lstm) Init(r *rng.RNG) {
 	}
 }
 
-// OutDim implements layer.
-func (l *lstm) OutDim(int) int { return l.hidden }
-
 func (l *lstm) wx() *tensor.Mat  { return &l.wxMat }
 func (l *lstm) wh() *tensor.Mat  { return &l.whMat }
 func (l *lstm) gwx() *tensor.Mat { return &l.gwxMat }

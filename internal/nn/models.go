@@ -43,7 +43,7 @@ func NewCNN(r *rng.RNG, cfg CNNConfig) *Network {
 		newReLU(),
 		newDense(cfg.hidden, cfg.classes),
 	)
-	return newNetwork(r, newSoftmaxCE(), layers...)
+	return newNetwork(r, layers...)
 }
 
 // NewMLP builds a plain multilayer perceptron with ReLU between layers;
@@ -60,13 +60,13 @@ func NewMLP(r *rng.RNG, dims ...int) *Network {
 			layers = append(layers, newReLU())
 		}
 	}
-	return newNetwork(r, newSoftmaxCE(), layers...)
+	return newNetwork(r, layers...)
 }
 
 // NewLogistic builds the multinomial logistic-regression model the paper
 // uses for Sentiment140 (its convex objective).
 func NewLogistic(r *rng.RNG, in, classes int) *Network {
-	return newNetwork(r, newSoftmaxCE(), newDense(in, classes))
+	return newNetwork(r, newDense(in, classes))
 }
 
 // LSTMConfig describes the Reddit next-token-style classifier: embedding →
@@ -92,5 +92,5 @@ func NewLSTMClassifier(r *rng.RNG, cfg LSTMConfig) *Network {
 		layers = append(layers, newBatchNorm(cfg.Hidden))
 	}
 	layers = append(layers, newDense(cfg.Hidden, cfg.Classes))
-	return newNetwork(r, newSoftmaxCE(), layers...)
+	return newNetwork(r, layers...)
 }

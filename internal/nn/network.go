@@ -14,7 +14,7 @@ import (
 // penalizes distance from it.
 type Network struct {
 	layers  []layer
-	loss    loss
+	loss    softmaxCE
 	weights []float64
 	grads   []float64
 	shapes  []codec.ShapeInfo // concatenated layer shapes, for the codec
@@ -30,9 +30,8 @@ type Network struct {
 type inputGradSkipper interface{ SkipInputGrad() }
 
 // newNetwork builds a network from layers, allocates the flat parameter
-// store, binds every layer and initializes weights from r. loss may be nil
-// for feature extractors; Backprop then panics.
-func newNetwork(r *rng.RNG, loss loss, layers ...layer) *Network {
+// store, binds every layer and initializes weights from r.
+func newNetwork(r *rng.RNG, layers ...layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: NewNetwork needs at least one layer")
 	}
@@ -42,7 +41,6 @@ func newNetwork(r *rng.RNG, loss loss, layers ...layer) *Network {
 	}
 	n := &Network{
 		layers:  layers,
-		loss:    loss,
 		weights: make([]float64, total),
 		grads:   make([]float64, total),
 	}
@@ -115,12 +113,9 @@ func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // and backpropagates, accumulating gradients. It returns the mean loss.
 // Call ZeroGrad first unless gradient accumulation is intended.
 func (n *Network) Backprop(x *tensor.Mat, labels []int) float64 {
-	if n.loss == nil {
-		panic("nn: Backprop on a network without a loss")
-	}
 	logits := n.Forward(x, true)
 	n.dlogits = tensor.EnsureMat(n.dlogits, logits.R, logits.C)
-	lv := n.loss.Compute(logits, labels, n.dlogits)
+	lv := n.loss.compute(logits, labels, n.dlogits)
 	d := n.dlogits
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		d = n.layers[i].Backward(d)
@@ -133,9 +128,7 @@ func (n *Network) Backprop(x *tensor.Mat, labels []int) float64 {
 func (n *Network) Eval(x *tensor.Mat, labels []int) (correct int, loss float64) {
 	logits := n.Forward(x, false)
 	n.dlogits = tensor.EnsureMat(n.dlogits, logits.R, logits.C)
-	if n.loss != nil {
-		loss = n.loss.Compute(logits, labels, n.dlogits)
-	}
+	loss = n.loss.compute(logits, labels, n.dlogits)
 	for i := 0; i < logits.R; i++ {
 		if tensor.ArgMax(logits.Row(i)) == labels[i] {
 			correct++

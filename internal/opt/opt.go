@@ -4,8 +4,8 @@
 //
 //	h_k(w) = F_k(w) + λ/2·‖w − w_global‖².
 //
-// Optimizers operate on the flat weight/gradient vectors exposed by
-// nn.Network, which keeps them oblivious to layer structure.
+// Adam operates on the flat weight/gradient vectors exposed by nn.Network,
+// which keeps it oblivious to layer structure.
 package opt
 
 import (
@@ -14,18 +14,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates a flat weight vector in place from a flat gradient
-// vector. Implementations keep per-coordinate state sized on first use and
-// reset it with Reset.
-type Optimizer interface {
-	// Step applies one update. len(w) must equal len(g) and stay constant
-	// across calls between Resets.
-	Step(w, g []float64)
-	// Reset clears accumulated state (momentum, moment estimates).
-	Reset()
-}
-
-// Adam implements Kingma & Ba's optimizer with bias correction.
+// Adam implements Kingma & Ba's optimizer with bias correction. It updates
+// a flat weight vector in place from a flat gradient vector, keeping
+// per-coordinate moment estimates sized on first use and cleared by Reset.
 type Adam struct {
 	LR, beta1, beta2, eps float64
 
@@ -39,7 +30,8 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, beta1: 0.9, beta2: 0.999, eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update. len(w) must equal len(g) and stay constant
+// across calls between Resets.
 func (a *Adam) Step(w, g []float64) {
 	if len(w) != len(g) {
 		panic("opt: Adam weight/gradient length mismatch")
@@ -90,9 +82,8 @@ func adamStepGo(w, g, m, v []float64, c *adamConsts) {
 	}
 }
 
-// Reset implements Optimizer. Moment estimates are zeroed in place, keeping
-// their storage; the numeric state after Reset is identical to a fresh
-// optimizer's.
+// Reset clears the moment estimates in place, keeping their storage; the
+// numeric state after Reset is identical to a fresh optimizer's.
 func (a *Adam) Reset() {
 	tensor.Zero(a.m)
 	tensor.Zero(a.v)

@@ -15,7 +15,7 @@ func quadGrad(w, target []float64) []float64 {
 	return g
 }
 
-func runToConvergence(t *testing.T, o Optimizer, steps int) []float64 {
+func runToConvergence(t *testing.T, o *Adam, steps int) []float64 {
 	t.Helper()
 	w := []float64{5, -3, 0.5}
 	target := []float64{1, 2, -1}

@@ -28,7 +28,7 @@ type ClientConfig struct {
 
 	Data *dataset.ClientData
 	Net  *nn.Network
-	Opt  opt.Optimizer
+	Opt  *opt.Adam
 
 	// Codec compresses uploads; defaults to polyline precision 4. It must
 	// match the server's Run.Codec: the server drops a client whose update

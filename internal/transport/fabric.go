@@ -288,16 +288,17 @@ func (s *Server) hangUp(cc *clientConn, err error) {
 
 // collect decodes one client's trained response to rd, always returning the
 // frame's buffer. An update is refused when it is not for rd's round, has
-// no samples, or carries a model message in any other codec than the push's
-// (a top-k delta or a lossier polyline would otherwise fold as if it were
-// the model). The weights decode into a buffer from rd's pool, which the
+// no samples, names another client or sample count than the connection
+// registered (a claimed count would outweigh the cohort in the fold), or
+// carries a model message in any other codec than the push's (a top-k delta
+// or a lossier polyline would otherwise fold as if it were the model). The weights decode into a buffer from rd's pool, which the
 // result carries to the engine.
 func (rd *liveRound) collect(cc *clientConn, typ byte, payload []byte) (fl.TrainResult, error) {
 	defer frames.Put(payload)
 	if typ != MsgModelUpdate {
 		return fl.TrainResult{}, fmt.Errorf("transport: client %d sent message type %d mid-round", cc.reg.clientID, typ)
 	}
-	_, numSamples, gotRound, model, err := ParseModelUpdate(payload)
+	id, numSamples, gotRound, model, err := ParseModelUpdate(payload)
 	if err != nil {
 		return fl.TrainResult{}, err
 	}
@@ -306,6 +307,10 @@ func (rd *liveRound) collect(cc *clientConn, typ byte, payload []byte) (fl.Train
 	}
 	if numSamples == 0 {
 		return fl.TrainResult{}, fmt.Errorf("transport: client %d update with zero samples", cc.reg.clientID)
+	}
+	if id != cc.reg.clientID || numSamples != cc.reg.numSamples {
+		return fl.TrainResult{}, fmt.Errorf("transport: client %d (%d samples) sent an update as client %d with %d samples",
+			cc.reg.clientID, cc.reg.numSamples, id, numSamples)
 	}
 	if len(model) < 2 || [2]byte(model) != rd.wire {
 		return fl.TrainResult{}, fmt.Errorf("transport: client %d update is not in the push's codec", cc.reg.clientID)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -456,6 +457,33 @@ func TestUplinkDegradesToStandalone(t *testing.T) {
 	}
 	if !up.isDegraded() {
 		t.Fatal("uplink should have degraded after the root's shutdown")
+	}
+}
+
+// TestDialUplinkRejectsTopKOutOfRange: a top-k fraction outside [0, 1] is
+// refused before the edge dials the root. Above 1 the codec would slice
+// past the weight vector at the edge's first push.
+func TestDialUplinkRejectsTopKOutOfRange(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	for _, frac := range []float64{1.5, -0.1} {
+		up, err := DialUplink(UplinkConfig{Root: ln.Addr().String(), TopKFrac: frac, W0: make([]float64, 10),
+			Shapes: []codec.ShapeInfo{{Name: "W", Dims: []int{10}}}})
+		if err == nil {
+			up.Close()
+			t.Fatalf("DialUplink accepted top-k fraction %g", frac)
+		}
+		if !strings.Contains(err.Error(), "top-k fraction") {
+			t.Fatalf("fraction %g: error %q, want the out-of-range message", frac, err)
+		}
+	}
+	ln.(*net.TCPListener).SetDeadline(time.Now().Add(50 * time.Millisecond))
+	if c, err := ln.Accept(); err == nil {
+		c.Close()
+		t.Fatal("DialUplink dialed the root before checking its fraction")
 	}
 }
 

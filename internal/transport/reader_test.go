@@ -50,6 +50,12 @@ type rawPeer struct {
 // pushed model message, which is in the push's codec by construction.
 func (p *rawPeer) answer() {
 	p.t.Helper()
+	p.answerAs(p.id, 50)
+}
+
+// answerAs is answer with the update's client id and sample count given.
+func (p *rawPeer) answerAs(id, numSamples uint32) {
+	p.t.Helper()
 	p.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	typ, payload, err := ReadFrame(p.conn)
 	if err != nil || typ != MsgModelPush {
@@ -59,7 +65,7 @@ func (p *rawPeer) answer() {
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	if err := WriteFrame(p.conn, MsgModelUpdate, ModelUpdate(p.id, 50, spec.Round, model)); err != nil {
+	if err := WriteFrame(p.conn, MsgModelUpdate, ModelUpdate(id, numSamples, spec.Round, model)); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -251,6 +257,28 @@ func TestUnsolicitedFrameDropsPeer(t *testing.T) {
 	rig.dispatch(0, 1)
 	rig.peers[1].answer()
 	wantDropped(t, rig.run(), 0)
+}
+
+// TestMisregisteredUpdateDropsPeer: an update whose client id or sample
+// count differs from the peer's registration drops the peer, and the round
+// resolves with its slot marked dropped. Folded, a claimed count would
+// outweigh the rest of the cohort.
+func TestMisregisteredUpdateDropsPeer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		id, n uint32
+	}{{"count", 1, 5000}, {"id", 0, 50}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rig := newFabricRig(t, 2)
+			rig.dispatch(0, 1)
+			rig.peers[0].answer()
+			rig.peers[1].answerAs(tc.id, tc.n)
+			wantDropped(t, rig.run(), 1)
+			if rig.srv.get(1) != nil {
+				t.Error("the peer that misstated its registration is still registered")
+			}
+		})
+	}
 }
 
 // TestReadersEndWithRun: Server.Run and RootServer.Run start one reader

@@ -23,6 +23,7 @@ import (
 // that names no finding fails the gate, so the list cannot outlive the code
 // it excuses.
 var lawAllow = map[string]string{
+	"internal/codec.Verbatim":                      "bench/layers.go asserts it: a verbatim codec never encodes on the simulated channel, so its ledger leaves the encode cost out",
 	"internal/tensor.(*FreeList).SetPoison":        "use-after-Put detector the race tests switch on",
 	"internal/testutil":                            "test-support package: only _test.go files import it",
 	"internal/transport.ServerConfig.RoundTimeout": "deployment setting (5-minute default) that tests shorten",
@@ -38,12 +39,14 @@ var lawAllow = map[string]string{
 	"internal/simnet.ClientRuntime.SecPerBatch": "TestRetierRevivesDeadTier speeds one materialized client up mid-run",
 }
 
-// TestDeletionLaws enforces DESIGN.md §1h's five laws on every non-test Go
+// TestDeletionLaws enforces DESIGN.md §1h's six laws on every non-test Go
 // file of the module and of bench/: a declaration that no non-test file
 // references is deleted, a field of a *Config struct that no non-test code
 // sets is a constant, not a knob, a top-level name or a method or field
-// under internal/ that no other package needs is not exported, and a
-// field under internal/ that non-test code only writes is deleted.
+// under internal/ that no other package needs is not exported, a field
+// under internal/ that non-test code only writes is deleted, and an
+// interface under internal/ needs a caller for every method and two
+// implementing types.
 func TestDeletionLaws(t *testing.T) {
 	findings, err := lawFindings(".", "repro", "internal", "cmd", "examples", "bench")
 	if err != nil {
@@ -57,7 +60,7 @@ func TestDeletionLaws(t *testing.T) {
 // TestDeletionLawsFixture runs the gate on testdata/laws, a module of two
 // libraries and one main whose declarations are the cases the gate must
 // tell apart. p holds the deletion laws' cases; internal/e, under the
-// export law, holds its cases and the member laws'.
+// export law, holds its cases, the member laws' and the interface law's.
 func TestDeletionLawsFixture(t *testing.T) {
 	findings, err := lawFindings("testdata/laws", "fixture", ".")
 	if err != nil {
@@ -66,16 +69,20 @@ func TestDeletionLawsFixture(t *testing.T) {
 	const unexport = "exported, but no other package's non-test code uses it"
 	const dead = "a field non-test code only writes"
 	want := map[string]string{
-		"p.Square.Dead":             "no reference outside tests",
-		"p.(*Stack).Drop":           "no reference outside tests",
-		"p.FooConfig.Unset":         "a Config field no code outside tests sets",
-		"p.FooConfig.Defaulted":     "a Config field no code outside tests sets",
-		"internal/e.OwnOnly":        unexport,
-		"internal/e.TestOnly":       unexport,
-		"internal/e.Meter.Count":    unexport,
-		"internal/e.(*Meter).Reset": unexport,
-		"internal/e.Meter.hits":     dead,
-		"internal/e.Meter.seen":     dead,
+		"internal/e.shape.name":       "an interface method non-test code never calls",
+		"internal/e.solver":           "an interface with fewer than two implementing types",
+		"internal/e.tally.span.Start": unexport,
+		"internal/e.tally.span.end":   dead,
+		"p.Square.Dead":               "no reference outside tests",
+		"p.(*Stack).Drop":             "no reference outside tests",
+		"p.FooConfig.Unset":           "a Config field no code outside tests sets",
+		"p.FooConfig.Defaulted":       "a Config field no code outside tests sets",
+		"internal/e.OwnOnly":          unexport,
+		"internal/e.TestOnly":         unexport,
+		"internal/e.Meter.Count":      unexport,
+		"internal/e.(*Meter).Reset":   unexport,
+		"internal/e.Meter.hits":       dead,
+		"internal/e.Meter.seen":       dead,
 	}
 	got := map[string]string{}
 	for name, f := range findings {
@@ -86,10 +93,15 @@ func TestDeletionLawsFixture(t *testing.T) {
 	// (called on an instance), armOnly (called only from p_arm64.go), and
 	// p's exports, which sit outside internal/. Under the export law
 	// e.Run (called only from a main package), e.Result (named only in
-	// Run's result) and e.Sink (implemented only by cmd/app's bin). Under
+	// Run's result) and e.Sink (outside e's tests, implemented only by cmd/app's bin). Under
 	// the member laws Meter.Label (selected by cmd/app), (*Meter).Probe
 	// (implements cmd/app's prober), tick.At (reaches json.Marshal through
-	// an interface) and vec's X and Y (named by a body-less func).
+	// an interface) and vec's X and Y (named by a body-less func). Under the
+	// interface law shape.area (called only through shape), solver.step
+	// (called only on gradient), cornered.corners (kept by a type assertion
+	// alone), Sink (implemented by cmd/app's bin
+	// and e's test fake) and event (tick and tock). In tally key's a and b
+	// (read by the map that hashes key).
 	if !maps.Equal(got, want) {
 		t.Errorf("findings %v, want %v", got, want)
 	}
@@ -101,7 +113,8 @@ func TestDeletionLawsFixture(t *testing.T) {
 		"internal/e.Result":   "kept by Run's signature, so no finding",
 	})
 	wantMsgs := []string{"internal/e.(*Meter).Reset: ", "internal/e.Meter.Count: ", "internal/e.Meter.hits: ", "internal/e.Meter.seen: ",
-		"internal/e.OwnOnly: ", "internal/e.Result: ", "p.FooConfig.Defaulted: ", "p.FooConfig.Unset: ", "p.Gone: "}
+		"internal/e.OwnOnly: ", "internal/e.Result: ", "internal/e.shape.name: ", "internal/e.solver: ",
+		"internal/e.tally.span.Start: ", "internal/e.tally.span.end: ", "p.FooConfig.Defaulted: ", "p.FooConfig.Unset: ", "p.Gone: "}
 	ok := len(msgs) == len(wantMsgs)
 	for i := 0; ok && i < len(msgs); i++ {
 		ok = strings.HasPrefix(msgs[i], wantMsgs[i])
@@ -161,6 +174,8 @@ type lawDecl struct {
 	config    bool // a field of a struct type named *Config: non-test code must set it
 	field     bool // a field of a type under internal/: non-test code must read it
 	member    bool // an exported method or field of a type under internal/
+	iface     bool // an interface type under internal/: it needs two implementing types
+	method    bool // a method an interface under internal/ declares: non-test code must call it
 }
 
 // lawScan accumulates declarations, references and field writes over every
@@ -188,6 +203,12 @@ type lawScan struct {
 	read   map[token.Pos]bool
 	iface  map[token.Pos]bool
 	opaque map[token.Pos]bool
+
+	// The interface law's state: the interface methods non-test code calls
+	// or a type assertion keeps, and each interface's implementing types,
+	// keyed by the position of the type's name.
+	needed map[token.Pos]bool
+	impls  map[token.Pos]map[token.Pos]bool
 }
 
 // lawFindings type-checks the non-test files of every package under dirs
@@ -200,6 +221,9 @@ type lawScan struct {
 // each field that non-test code only writes, and each exported method or
 // field that another package's non-test code does not select, unless an
 // interface keeps the method or encoding/json or assembly reads the field.
+// Of the interfaces under internal/ it returns each method non-test code
+// never calls and no type assertion keeps, and each interface with fewer
+// than two implementing types, a fake in the package's own tests counted.
 func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, error) {
 	fset, std := lawStd()
 	s := &lawScan{
@@ -208,6 +232,7 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 		decls: map[token.Pos]lawDecl{}, used: map[token.Pos]bool{}, set: map[token.Pos]bool{},
 		exports: map[token.Pos]types.Object{}, kept: map[token.Pos]bool{},
 		read: map[token.Pos]bool{}, iface: map[token.Pos]bool{}, opaque: map[token.Pos]bool{},
+		needed: map[token.Pos]bool{}, impls: map[token.Pos]map[token.Pos]bool{},
 	}
 	for _, d := range dirs {
 		err := filepath.WalkDir(filepath.Join(root, d), func(path string, e fs.DirEntry, err error) error {
@@ -243,8 +268,9 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 		paths = append(paths, ip)
 	}
 	sort.Strings(paths)
+	var p *lawPass
 	for _, arch := range lawArches {
-		p := &lawPass{lawScan: s, ctx: build.Default, pkgs: map[string]*types.Package{}}
+		p = &lawPass{lawScan: s, ctx: build.Default, pkgs: map[string]*types.Package{}, selected: map[token.Pos]bool{}}
 		p.ctx.GOARCH = arch
 		for _, ip := range paths {
 			if _, err := p.Import(ip); err != nil && !errors.As(err, new(*build.NoGoError)) {
@@ -254,11 +280,19 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 		p.markInterfaceMethods()
 		p.markImplemented()
 		p.markOpaque()
+		p.markInterfaceNeeds(p.named)
+	}
+	if err := p.markTestFakes(paths); err != nil {
+		return nil, err
 	}
 	s.keepSignatureTypes()
 	findings := map[string]lawFinding{}
 	for pos, d := range s.decls {
 		switch {
+		case d.method:
+			if !s.needed[pos] {
+				findings[d.name] = lawFinding{d.pkg, "an interface method non-test code never calls"}
+			}
 		case !s.used[pos]:
 			findings[d.name] = lawFinding{d.pkg, "no reference outside tests"}
 		case d.config && !s.set[pos]:
@@ -269,6 +303,8 @@ func lawFindings(root, module string, dirs ...string) (map[string]lawFinding, er
 			findings[d.name] = lawFinding{d.pkg, "a field non-test code only writes"}
 		case d.member && !s.kept[pos] && !s.iface[pos] && !s.opaque[pos]:
 			findings[d.name] = lawFinding{d.pkg, "exported, but no other package's non-test code uses it"}
+		case d.iface && len(s.impls[pos]) < 2:
+			findings[d.name] = lawFinding{d.pkg, "an interface with fewer than two implementing types"}
 		}
 	}
 	return findings, nil
@@ -284,6 +320,12 @@ type lawPass struct {
 	// jsonArgs are the static types of the values non-test code hands to
 	// encoding/json; asmArgs are the signatures of body-less funcs.
 	jsonArgs, asmArgs []types.Type
+
+	// named are the pass's non-generic defined types, package-level or
+	// declared inside a func; selected holds the methods non-test code
+	// calls or takes as a value.
+	named    []*types.TypeName
+	selected map[token.Pos]bool
 }
 
 // Import type-checks a scanned package from its non-test files for the
@@ -300,20 +342,13 @@ func (p *lawPass) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
-	for _, name := range bp.GoFiles {
-		fn := filepath.Join(dir, name)
-		f, ok := p.files[fn]
-		if !ok {
-			if f, err = parser.ParseFile(p.fset, fn, nil, 0); err != nil {
-				return nil, err
-			}
-			p.files[fn] = f
-		}
-		files = append(files, f)
+	files, err := p.parse(dir, bp.GoFiles)
+	if err != nil {
+		return nil, err
 	}
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
@@ -324,6 +359,7 @@ func (p *lawPass) Import(path string) (*types.Package, error) {
 	}
 	p.pkgs[path] = pkg
 	p.infos = append(p.infos, info)
+	p.named = append(p.named, lawNamed(info.Defs)...)
 	p.declare(pkg, files, info)
 	p.reference(pkg, files, info)
 	if strings.HasPrefix(path, p.module+"/internal/") {
@@ -336,9 +372,30 @@ func (p *lawPass) Import(path string) (*types.Package, error) {
 	return pkg, nil
 }
 
+// parse returns the named files of dir, each parsed once per scan.
+func (p *lawPass) parse(dir string, names []string) ([]*ast.File, error) {
+	var files []*ast.File
+	for _, name := range names {
+		fn := filepath.Join(dir, name)
+		f, ok := p.files[fn]
+		if !ok {
+			var err error
+			if f, err = parser.ParseFile(p.fset, fn, nil, 0); err != nil {
+				return nil, err
+			}
+			p.files[fn] = f
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
 // declare records the package's package-level funcs, types, consts and
-// vars, its methods and the named fields of its type declarations. Embedded
-// fields, main, init and blank names are exempt.
+// vars, its methods, the types declared inside its funcs, the named fields
+// of its type declarations, and, under internal/, the interfaces and the
+// methods they declare. Embedded fields, main, init and blank names are
+// exempt. A type declared inside a func is named after the func:
+// experiments.robustness.gridKey.
 func (p *lawPass) declare(pkg *types.Package, files []*ast.File, info *types.Info) {
 	rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path(), p.module), "/")
 	internal := strings.HasPrefix(rel, "internal/")
@@ -348,6 +405,35 @@ func (p *lawPass) declare(pkg *types.Package, files []*ast.File, info *types.Inf
 			p.decls[id.Pos()] = d
 		}
 	}
+	typeSpec := func(spec *ast.TypeSpec, scope string) {
+		name := scope + spec.Name.Name
+		var iface bool
+		if it, ok := spec.Type.(*ast.InterfaceType); ok && internal && spec.TypeParams == nil {
+			t := info.Defs[spec.Name].Type().Underlying().(*types.Interface)
+			if iface = t.IsMethodSet() && t.NumMethods() > 0; iface {
+				for _, m := range it.Methods.List {
+					for _, id := range m.Names {
+						add(id, name+"."+id.Name, lawDecl{method: true})
+					}
+				}
+			}
+		}
+		add(spec.Name, name, lawDecl{iface: iface})
+		st, direct := spec.Type.(*ast.StructType)
+		config := direct && strings.HasSuffix(spec.Name.Name, "Config")
+		ast.Inspect(spec.Type, func(n ast.Node) bool {
+			if s, ok := n.(*ast.StructType); ok {
+				for _, fld := range s.Fields.List {
+					for _, id := range fld.Names {
+						add(id, name+"."+id.Name, lawDecl{
+							config: config && s == st, field: internal, member: internal && id.IsExported(),
+						})
+					}
+				}
+			}
+			return true
+		})
+	}
 	for _, f := range files {
 		for _, d := range f.Decls {
 			switch d := d.(type) {
@@ -355,11 +441,25 @@ func (p *lawPass) declare(pkg *types.Package, files []*ast.File, info *types.Inf
 				if d.Body == nil && d.Recv == nil {
 					p.asmArgs = append(p.asmArgs, pkg.Scope().Lookup(d.Name.Name).Type())
 				}
+				name := d.Name.Name
 				switch {
 				case d.Recv != nil:
-					add(d.Name, lawRecv(d.Recv.List[0].Type)+"."+d.Name.Name, lawDecl{member: internal && d.Name.IsExported()})
-				case d.Name.Name != "init" && (d.Name.Name != "main" || pkg.Name() != "main"):
-					add(d.Name, d.Name.Name, lawDecl{})
+					name = lawRecv(d.Recv.List[0].Type) + "." + name
+					add(d.Name, name, lawDecl{member: internal && d.Name.IsExported()})
+				case name != "init" && (name != "main" || pkg.Name() != "main"):
+					add(d.Name, name, lawDecl{})
+				}
+				if d.Body != nil {
+					ast.Inspect(d.Body, func(n ast.Node) bool {
+						if ds, ok := n.(*ast.DeclStmt); ok {
+							for _, spec := range ds.Decl.(*ast.GenDecl).Specs {
+								if spec, ok := spec.(*ast.TypeSpec); ok {
+									typeSpec(spec, name+".")
+								}
+							}
+						}
+						return true
+					})
 				}
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
@@ -369,21 +469,7 @@ func (p *lawPass) declare(pkg *types.Package, files []*ast.File, info *types.Inf
 							add(id, id.Name, lawDecl{})
 						}
 					case *ast.TypeSpec:
-						add(spec.Name, spec.Name.Name, lawDecl{})
-						st, direct := spec.Type.(*ast.StructType)
-						config := direct && strings.HasSuffix(spec.Name.Name, "Config")
-						ast.Inspect(spec.Type, func(n ast.Node) bool {
-							if s, ok := n.(*ast.StructType); ok {
-								for _, fld := range s.Fields.List {
-									for _, id := range fld.Names {
-										add(id, spec.Name.Name+"."+id.Name, lawDecl{
-											config: config && s == st, field: internal, member: internal && id.IsExported(),
-										})
-									}
-								}
-							}
-							return true
-						})
+						typeSpec(spec, "")
 					}
 				}
 			}
@@ -498,6 +584,16 @@ func (p *lawPass) reference(pkg *types.Package, files []*ast.File, info *types.I
 				if n.Op == token.AND {
 					setField(n.X)
 				}
+			case *ast.TypeAssertExpr:
+				if n.Type != nil {
+					p.assert(info.Types[n.Type].Type)
+				}
+			case *ast.TypeSwitchStmt:
+				for _, c := range n.Body.List {
+					for _, e := range c.(*ast.CaseClause).List {
+						p.assert(info.Types[e].Type)
+					}
+				}
 			case *ast.CallExpr:
 				var fn types.Object
 				switch f := ast.Unparen(n.Fun).(type) {
@@ -517,6 +613,9 @@ func (p *lawPass) reference(pkg *types.Package, files []*ast.File, info *types.I
 	}
 	for id, obj := range info.Uses {
 		p.used[obj.Pos()] = true
+		if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+			p.selected[obj.Pos()] = true
+		}
 		if obj.Pkg() != nil && obj.Pkg() != pkg {
 			p.kept[obj.Pos()] = true
 		}
@@ -637,20 +736,9 @@ func lawParts(t types.Type) []types.Type {
 }
 
 // markImplemented keeps every exported interface under internal/ that a
-// package-level type of another package implements: that package satisfies
-// it by its method set without naming it (transport.EdgeUplink is an
-// fl.Syncer).
+// type of another package implements: that package satisfies it by its
+// method set without naming it (transport.EdgeUplink is an fl.Syncer).
 func (p *lawPass) markImplemented() {
-	var impls []*types.TypeName
-	for _, pkg := range p.pkgs {
-		for _, name := range pkg.Scope().Names() {
-			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
-					impls = append(impls, tn)
-				}
-			}
-		}
-	}
 	for _, pkg := range p.pkgs {
 		for _, name := range pkg.Scope().Names() {
 			obj := pkg.Scope().Lookup(name)
@@ -658,14 +746,107 @@ func (p *lawPass) markImplemented() {
 			if _, export := p.exports[obj.Pos()]; !ok || !export || it.NumMethods() == 0 {
 				continue
 			}
-			for _, tn := range impls {
-				if tn.Pkg() != pkg && types.Implements(types.NewPointer(tn.Type()), it) {
+			for _, tn := range p.named {
+				if tn.Pkg() != pkg && !types.IsInterface(tn.Type()) && types.Implements(types.NewPointer(tn.Type()), it) {
 					p.kept[obj.Pos()] = true
 					break
 				}
 			}
 		}
 	}
+}
+
+// lawNamed returns the non-generic defined types among defs.
+func lawNamed(defs map[*ast.Ident]types.Object) []*types.TypeName {
+	var named []*types.TypeName
+	for _, obj := range defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				named = append(named, tn)
+			}
+		}
+	}
+	return named
+}
+
+// assert keeps every method the interface a type assertion or a type
+// switch case names declares: there the method marks a capability the value
+// may have, and no call has to reach it.
+func (p *lawPass) assert(t types.Type) {
+	if t == nil {
+		return
+	}
+	if it, ok := t.Underlying().(*types.Interface); ok {
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			p.needed[it.ExplicitMethod(i).Pos()] = true
+		}
+	}
+}
+
+// markInterfaceNeeds applies the interface law to the interfaces under
+// internal/ among named. Each non-interface type among named that
+// implements one is counted as its implementer, and a method the interface
+// declares is needed if non-test code selects it through the interface, an
+// interface embedding it, or an implementing type.
+func (p *lawPass) markInterfaceNeeds(named []*types.TypeName) {
+	for _, in := range named {
+		if !p.decls[in.Pos()].iface {
+			continue
+		}
+		it := in.Type().Underlying().(*types.Interface)
+		for i := 0; i < it.NumExplicitMethods(); i++ {
+			if m := it.ExplicitMethod(i); p.selected[m.Pos()] {
+				p.needed[m.Pos()] = true
+			}
+		}
+		for _, tn := range named {
+			ptr := types.NewPointer(tn.Type())
+			if types.IsInterface(tn.Type()) || !types.Implements(ptr, it) {
+				continue
+			}
+			if p.impls[in.Pos()] == nil {
+				p.impls[in.Pos()] = map[token.Pos]bool{}
+			}
+			p.impls[in.Pos()][tn.Pos()] = true
+			mset := types.NewMethodSet(ptr)
+			for i := 0; i < it.NumExplicitMethods(); i++ {
+				m := it.ExplicitMethod(i)
+				if p.selected[mset.Lookup(m.Pkg(), m.Name()).Obj().Pos()] {
+					p.needed[m.Pos()] = true
+				}
+			}
+		}
+	}
+}
+
+// markTestFakes type-checks each package under internal/ together with its
+// own _test.go files (not an external _test package's) and counts the
+// types those files declare toward the implementers of the package's
+// interfaces: a fake a test substitutes is a second implementation.
+func (p *lawPass) markTestFakes(paths []string) error {
+	for _, ip := range paths {
+		if !strings.HasPrefix(ip, p.module+"/internal/") {
+			continue
+		}
+		bp, err := p.ctx.ImportDir(p.dirs[ip], 0)
+		if err != nil {
+			return err
+		}
+		if len(bp.TestGoFiles) == 0 {
+			continue
+		}
+		files, err := p.parse(bp.Dir, append(bp.GoFiles, bp.TestGoFiles...))
+		if err != nil {
+			return err
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}}
+		conf := types.Config{Importer: p, Sizes: types.SizesFor("gc", p.ctx.GOARCH)}
+		if _, err := conf.Check(ip, p.fset, files, info); err != nil {
+			return err
+		}
+		p.markInterfaceNeeds(lawNamed(info.Defs))
+	}
+	return nil
 }
 
 // keepSignatureTypes keeps, to a fixed point, every exported type under
@@ -741,18 +922,9 @@ func (s *lawScan) keepSignatureTypes() {
 // maps and arrays unwrapped; through every module type that implements an
 // interface or type-parameter argument; and on through exported and
 // embedded field types, except a field tagged json:"-". Assembly reads
-// every field of a struct type a body-less func's signature names.
+// every field of a struct type a body-less func's signature names, and a map
+// hashes and compares every field of its key type: those count as used, too.
 func (p *lawPass) markOpaque() {
-	var impls []types.Type
-	for _, pkg := range p.pkgs {
-		for _, name := range pkg.Scope().Names() {
-			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
-				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
-					impls = append(impls, n)
-				}
-			}
-		}
-	}
 	seen := map[types.Type]bool{}
 	var walk func(t types.Type, all bool)
 	walk = func(t types.Type, all bool) {
@@ -768,9 +940,9 @@ func (p *lawPass) markOpaque() {
 		case *types.TypeParam:
 			walk(t.Constraint().Underlying(), all)
 		case *types.Interface:
-			for _, impl := range impls {
-				if types.Implements(types.NewPointer(impl), t) {
-					walk(impl, all)
+			for _, tn := range p.named {
+				if !types.IsInterface(tn.Type()) && types.Implements(types.NewPointer(tn.Type()), t) {
+					walk(tn.Type(), all)
 				}
 			}
 		case *types.Struct:
@@ -793,5 +965,25 @@ func (p *lawPass) markOpaque() {
 	clear(seen)
 	for _, t := range p.asmArgs {
 		walk(t, true)
+	}
+	var key func(t types.Type)
+	key = func(t types.Type) {
+		switch t := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				p.used[t.Field(i).Pos()] = true
+				p.read[t.Field(i).Pos()] = true
+				key(t.Field(i).Type())
+			}
+		case *types.Array:
+			key(t.Elem())
+		}
+	}
+	for _, info := range p.infos {
+		for _, tv := range info.Types {
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				key(m.Key())
+			}
+		}
 	}
 }

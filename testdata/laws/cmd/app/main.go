@@ -17,5 +17,5 @@ func main() {
 	var b bin
 	m := e.NewMeter()
 	var pr prober = m
-	println(p.Total(p.FooConfig{Read: 1}), e.Run(&b).N, b.n, pr.Probe(), m.Label)
+	println(p.Total(p.FooConfig{Read: 1}), e.Run(&b).N, b.n, pr.Probe(), m.Label, e.Sum())
 }

@@ -19,6 +19,7 @@ func NewMeter() *Meter {
 	m.hits++
 	sum(&vec{X: 1, Y: 2})
 	encode(tick{At: m.Count})
+	encode(tock{})
 	return m
 }
 
@@ -38,9 +39,13 @@ type tick struct{ At int }
 
 func (tick) kind() string { return "tick" }
 
+type tock struct{}
+
+func (tock) kind() string { return "tock" }
+
 func encode(ev event) []byte {
 	b, _ := json.Marshal(ev)
-	return b
+	return append([]byte(ev.kind()), b...)
 }
 
 // vec is named by sum's signature, and sum's body is assembly, which reads
