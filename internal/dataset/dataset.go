@@ -61,6 +61,15 @@ type Federated struct {
 // NumTrain returns client i's local training-set size n_k.
 func (f *Federated) NumTrain(i int) int { return f.Clients[i].NumTrain() }
 
+// MaxNumTrain returns the largest training split any client holds.
+func (f *Federated) MaxNumTrain() int {
+	m := 0
+	for _, c := range f.Clients {
+		m = max(m, c.NumTrain())
+	}
+	return m
+}
+
 // TrainInto returns client i's retained shard, both splits, and ignores
 // dst — the same surface a lazy Source answers by synthesizing the training
 // split into dst, so the federation layer runs over either.

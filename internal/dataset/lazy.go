@@ -75,12 +75,21 @@ func (s *Source) Classes() int { return s.cfg.Classes }
 // sample count.
 func (s *Source) NumTrain(i int) int { return numTrain(s.size(i)) }
 
-// size returns client i's sample count (train + test), at least 5: ±20%
-// jitter around the mean by default, a heavy-tailed power law when
+// MaxNumTrain bounds NumTrain over every client from the config alone. A
+// size is monotone in its draw u ∈ [0, 1): a jittered size rises with it,
+// staying below 1.2·SamplesPerClient, and a power-law size falls with it,
+// peaking at the 1e-9 clamp. So the larger of the sizes at the draw's two
+// ends bounds them all, and numTrain is monotone too.
+func (s *Source) MaxNumTrain() int { return numTrain(max(s.sizeAt(0), s.sizeAt(1))) }
+
+// size returns client i's sample count (train + test): sizeAt its draw.
+func (s *Source) size(i int) int { return s.sizeAt(s.sizes.Float64At(i)) }
+
+// sizeAt returns the sample count (train + test) for size draw u, at least
+// 5: ±20% jitter around the mean by default, a heavy-tailed power law when
 // PowerLaw is set (FEMNIST/Reddit heterogeneity), scaled so the counts sum
 // to about SamplesPerClient·N.
-func (s *Source) size(i int) int {
-	u := s.sizes.Float64At(i)
+func (s *Source) sizeAt(u float64) int {
 	var n int
 	if !s.cfg.PowerLaw {
 		jitter := 0.8 + 0.4*u

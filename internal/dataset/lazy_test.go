@@ -258,3 +258,32 @@ func TestSplitIntoMatchesClientInto(t *testing.T) {
 		})
 	}
 }
+
+// TestMaxNumTrainBoundsEveryClient: a Source's config-stated bound is at
+// least every client's training split, in both size families and at a
+// population large enough to draw near both ends of the jitter; a retained
+// federation's is exactly the largest split it holds.
+func TestMaxNumTrainBoundsEveryClient(t *testing.T) {
+	cfgs := sourceConfigs()
+	wide := cfgs["image"]
+	wide.NumClients = 20_000
+	cfgs["image-20k"] = wide
+	for name, cfg := range cfgs {
+		src, err := NewSource(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, largest := src.MaxNumTrain(), 0
+		for i := range cfg.NumClients {
+			largest = max(largest, src.NumTrain(i))
+		}
+		if largest > bound {
+			t.Errorf("%s: a client trains %d samples, above the bound %d", name, largest, bound)
+		}
+		if cfg.NumClients <= 20 {
+			if got := src.federated().MaxNumTrain(); got != largest {
+				t.Errorf("%s: retained MaxNumTrain %d, largest split %d", name, got, largest)
+			}
+		}
+	}
+}

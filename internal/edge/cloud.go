@@ -149,7 +149,7 @@ func NewCloud(cfg CloudConfig) (*Cloud, error) {
 	if len(cfg.W0) == 0 {
 		return nil, fmt.Errorf("edge: cloud needs the initial model")
 	}
-	if cfg.TopKFrac < 0 || cfg.TopKFrac > 1 {
+	if !(cfg.TopKFrac >= 0 && cfg.TopKFrac <= 1) { // NaN too: it would pick the raw codec
 		return nil, fmt.Errorf("edge: top-k fraction %g out of [0,1]", cfg.TopKFrac)
 	}
 	c := &Cloud{

@@ -433,6 +433,19 @@ func TestCloudFoldPolicies(t *testing.T) {
 	})
 }
 
+// TestNewCloudRejectsTopKOutOfRange: a top-k fraction outside [0, 1] is
+// refused. NaN fails every comparison, so a range test written as
+// "below 0 or above 1" would let it through to a raw uplink.
+func TestNewCloudRejectsTopKOutOfRange(t *testing.T) {
+	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{2}}}
+	for _, frac := range []float64{1.5, -0.1, math.NaN()} {
+		_, err := edge.NewCloud(edge.CloudConfig{Edges: 1, Fold: edge.FoldSync, W0: []float64{1, 2}, Shapes: shapes, TopKFrac: frac})
+		if err == nil || !strings.Contains(err.Error(), "top-k fraction") {
+			t.Errorf("fraction %g: error %v, want the out-of-range message", frac, err)
+		}
+	}
+}
+
 // TestUplinkRoundTrip is the satellite coverage for the top-k uplink: the
 // lossless path (compression disabled) reproduces the model bit-exactly
 // through the wire, and the delta path keeps both ends' shared references

@@ -47,7 +47,7 @@ type Client struct {
 	batchX      *tensor.Mat
 	batchY      []int
 	batchView   tensor.Mat // retargeted remainder-batch view over batchX
-	perm        []int      // per-epoch shuffle order, reused across rounds
+	perm        []int      // per-epoch shuffle order, sized for the largest shard the Client trains
 
 	// shard is the scratch derived shards are synthesized into, for the
 	// member the replica trains (Data then points here) or the panel member
@@ -72,6 +72,7 @@ func NewLocalClient(id int, data *dataset.ClientData, net *nn.Network, o *opt.Ad
 		data:        data,
 		net:         net,
 		opt:         o,
+		perm:        make([]int, data.NumTrain()),
 		scheduleRNG: rng.New(seed).SplitLabeledValue(uint64(scheduleStreamBase + id)),
 		dpRNG:       rng.New(seed).SplitLabeledValue(uint64(dpStreamBase + id)),
 	}
@@ -145,11 +146,10 @@ func (c *Client) TrainLocal(globalW []float64, lc LocalConfig) ([]float64, int) 
 		c.batchX = tensor.NewMat(lc.BatchSize, c.data.TrainX.C)
 		c.batchY = make([]int, lc.BatchSize)
 	}
-	if cap(c.perm) >= n {
-		c.perm = c.perm[:n]
-	} else {
+	if cap(c.perm) < n { // only past the bound its constructor sized it for
 		c.perm = make([]int, n)
 	}
+	c.perm = c.perm[:n]
 
 	sched := c.scheduleRNG.SplitLabeledValue(lc.Round)
 	// Dropout masks are the one thing SetWeights and opt.Reset leave behind

@@ -189,6 +189,7 @@ const DefaultEvalSample = 256
 // for that split alone.
 type shardSource interface {
 	NumTrain(id int) int
+	MaxNumTrain() int // a bound on NumTrain over every id
 	TrainInto(dst *dataset.ClientData, id int) *dataset.ClientData
 	TestInto(dst *dataset.ClientData, id int) *dataset.ClientData
 }
@@ -317,10 +318,13 @@ func NewLazyEnv(src *dataset.Source, pop *simnet.Population, factory ModelFactor
 func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Population, panel int, factory ModelFactory, cfg RunConfig) *Env {
 	cfg = cfg.withDefaults()
 	replicas := make([]*Client, parallel.Workers(n))
+	maxTrain := shards.MaxNumTrain()
 	for i := range replicas {
 		// Adam is the paper's local solver (§6); the same init everywhere,
-		// server state rules.
-		replicas[i] = &Client{net: factory(cfg.Seed), opt: opt.NewAdam(cfg.LearningRate)}
+		// server state rules. The shuffle order is sized for the largest
+		// shard up front, so which replica first trains a large shard — a
+		// matter of scheduling — never decides when it allocates.
+		replicas[i] = &Client{net: factory(cfg.Seed), opt: opt.NewAdam(cfg.LearningRate), perm: make([]int, maxTrain)}
 	}
 	ref := replicas[0].net // untrained: w0 and the shapes are read off it
 	ids := evalSampleIDs(n, panel, cfg.Seed)

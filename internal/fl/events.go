@@ -27,9 +27,14 @@ import (
 //
 // Events are observations only: emitting them never draws randomness,
 // reserves link capacity or advances the virtual clock, so attaching an
-// observer cannot perturb a run. Slices carried by events (RoundStart's
-// Clients, TierFold's Global) are the engine's buffers: valid during
-// OnEvent, never to be mutated, and copied by an observer that retains them.
+// observer cannot perturb a run. They come in two ownership classes. A
+// RoundStartEvent or TierFoldEvent — the two kinds every round emits — is
+// engine-owned: it points at a record the run rewrites for the next round
+// or fold, together with the engine's buffers it carries (the cohort, the
+// global model), so the whole event is valid only during OnEvent, is never
+// to be mutated, and an observer that retains any of it copies the fields
+// it needs. Emitting one allocates nothing. Every other kind is a plain
+// value an observer may keep.
 
 // Event is one occurrence in a training run. The concrete types below are
 // the full set; observers type-switch on them. kind names the type in a
@@ -43,16 +48,20 @@ type StartEvent struct {
 }
 
 // RoundStartEvent fires when a cohort has been selected and is about to
-// train. Tier is the training tier (-1 when the selecting policy is
-// untiered — population-wide sampling or the wait-free client loops).
-type RoundStartEvent struct {
+// train. It is engine-owned (valid only during OnEvent); its fields are
+// roundStart's.
+type RoundStartEvent struct{ *roundStart }
+
+// roundStart is the record a RoundStartEvent points at, one per run,
+// filled just before each emit. Tier is the training tier (-1 when the
+// selecting policy is untiered — population-wide sampling or the
+// wait-free client loops).
+type roundStart struct {
 	Tier  int
 	Round int     // global update count when the round started
 	Time  float64 // virtual seconds
-	// Clients are the selected client ids (shared with the engine;
-	// read-only, and valid only during OnEvent: the selecting loop picks
-	// its next cohort into the same buffer — observers that retain it
-	// must copy).
+	// Clients are the selected client ids, the selecting loop's buffer:
+	// it picks its next cohort into the same slice.
 	Clients []int
 }
 
@@ -66,16 +75,20 @@ type ClientDoneEvent struct {
 }
 
 // TierFoldEvent fires after the update rule folded a batch of client
-// updates into the global state — one global update.
-type TierFoldEvent struct {
+// updates into the global state — one global update. It is engine-owned
+// (valid only during OnEvent); its fields are tierFold's.
+type TierFoldEvent struct{ *tierFold }
+
+// tierFold is the record a TierFoldEvent points at, one per run, filled
+// just before each emit.
+type tierFold struct {
 	Tier  int
 	Round int     // global update count after the fold
 	Time  float64 // virtual seconds
 	Kept  int     // client updates that counted
-	// Global is the global model right after this fold (shared with the
-	// engine; read-only, and some update rules reuse the buffer on the
-	// next fold — observers that retain it must copy). The live transport
-	// server uses it to report the final trained model.
+	// Global is the global model right after this fold; some update rules
+	// reuse the buffer on the next fold. The live transport server uses it
+	// to report the final trained model.
 	Global []float64 `json:"-"`
 }
 
@@ -255,9 +268,9 @@ func decodeTraceLine(line []byte) (int, Event, error) {
 // traceKinds decodes a line's event by its kind.
 var traceKinds = map[string]func([]byte) (Event, error){
 	StartEvent{}.kind():      decodeAs[StartEvent],
-	RoundStartEvent{}.kind(): decodeAs[RoundStartEvent],
+	RoundStartEvent{}.kind(): decodeRoundStart,
 	ClientDoneEvent{}.kind(): decodeAs[ClientDoneEvent],
-	TierFoldEvent{}.kind():   decodeAs[TierFoldEvent],
+	TierFoldEvent{}.kind():   decodeTierFold,
 	EvalEvent{}.kind():       decodeEval,
 	retierEvent{}.kind():     decodeAs[retierEvent],
 	EdgeFoldEvent{}.kind():   decodeAs[EdgeFoldEvent],
@@ -268,6 +281,21 @@ func decodeAs[E Event](line []byte) (Event, error) {
 	var e E
 	err := json.Unmarshal(line, &e)
 	return e, err
+}
+
+// decodeRoundStart and decodeTierFold decode an engine-owned kind through
+// a fresh record: encoding/json cannot set the event's embedded pointer to
+// an unexported type itself.
+func decodeRoundStart(line []byte) (Event, error) {
+	r := new(roundStart)
+	err := json.Unmarshal(line, r)
+	return RoundStartEvent{r}, err
+}
+
+func decodeTierFold(line []byte) (Event, error) {
+	f := new(tierFold)
+	err := json.Unmarshal(line, f)
+	return TierFoldEvent{f}, err
 }
 
 // decodeEval reads the Result's values as traceFloat writes them: a JSON

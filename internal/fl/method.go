@@ -217,6 +217,13 @@ type runState struct {
 	obs      []Observer
 	syncers  []Syncer // observers that intervene after folds (edge uplinks)
 
+	// The records the run's engine-owned events point at, rewritten for
+	// every round start and fold, and whether an emit is under way (emit
+	// says why a nested one panics).
+	roundRec roundStart
+	foldRec  tierFold
+	emitting bool
+
 	tiers      *tiering.Tiers // memoized latency partition
 	nextEvalAt int
 
@@ -304,11 +311,26 @@ func (rs *runState) observeStale(loop, startRound int) {
 	rs.lrStale[loop] = s
 }
 
-// emit broadcasts one event to every observer.
+// emit broadcasts one event to every observer. An emit from inside an
+// observer's OnEvent on the same run panics: a nested round start or fold
+// would rewrite the record the outer event's remaining observers have yet
+// to read (TestNestedEmitPanics).
 func (rs *runState) emit(ev Event) {
+	if rs.emitting {
+		panic("fl: an event was emitted while observers were handling another")
+	}
+	rs.emitting = true
 	for _, o := range rs.obs {
 		o.OnEvent(ev)
 	}
+	rs.emitting = false
+}
+
+// emitRoundStart fills the run's round record and emits it: boxing the
+// pointer-shaped event allocates nothing.
+func (rs *runState) emitRoundStart(tier, round int, now float64, cohort []int) {
+	rs.roundRec = roundStart{Tier: tier, Round: round, Time: now, Clients: cohort}
+	rs.emit(RoundStartEvent{&rs.roundRec})
 }
 
 // emitClientDones reports each trained client's resolution and, when
@@ -371,7 +393,8 @@ func (rs *runState) fold(tier int, updates []core.ClientUpdate, now float64) boo
 // the rebased rule state after an adoption. Its one caller is fold, so
 // hierarchical sync policy lives in exactly one place.
 func (rs *runState) postFold(tier, round int, now float64, kept int, g []float64) ([]float64, error) {
-	rs.emit(TierFoldEvent{Tier: tier, Round: round, Time: now, Kept: kept, Global: g})
+	rs.foldRec = tierFold{Tier: tier, Round: round, Time: now, Kept: kept, Global: g}
+	rs.emit(TierFoldEvent{&rs.foldRec})
 	for _, s := range rs.syncers {
 		d := s.AfterFold(FoldInfo{Time: now, Global: g})
 		for _, ev := range d.Events {

@@ -145,7 +145,7 @@ func (l *syncLoop) step(now float64) {
 		}
 		l.flight.begin()
 		l.tier, l.round, l.start = tier, rs.rule.Rounds(), now
-		rs.emit(RoundStartEvent{Tier: tier, Round: l.round, Time: now, Clients: cohort})
+		rs.emitRoundStart(tier, l.round, now, cohort)
 		rs.fab.Dispatch(rs.comm, cohort, now, rs.rule.Global(), rs.localConfig(uint64(l.round), lrSyncLoop), l.deliverFn)
 		return // the round is in flight; resume from its completion
 	}
@@ -260,7 +260,7 @@ func (l *tierLoop) start() {
 	}
 	l.flight.begin()
 	l.now, l.round = now, rs.rule.Rounds()
-	rs.emit(RoundStartEvent{Tier: l.m, Round: l.round, Time: now, Clients: cohort})
+	rs.emitRoundStart(l.m, l.round, now, cohort)
 	rs.fab.Dispatch(rs.comm, cohort, now, rs.rule.Global(), rs.localConfig(uint64(l.round), l.m), l.deliverFn)
 }
 

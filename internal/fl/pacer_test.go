@@ -37,6 +37,41 @@ func (f *deferredFabric) Dispatch(comm *Comm, cohort []int, now float64, global 
 	})
 }
 
+// TestNestedEmitPanics pins the guard behind the engine-owned events: a
+// round start or fold emitted from inside an observer's OnEvent would
+// rewrite the record the outer event's remaining observers still read, so
+// emit panics; emits one after another reuse the records freely.
+func TestNestedEmitPanics(t *testing.T) {
+	rs := &runState{}
+	var rounds []int
+	nest := false
+	rs.obs = []Observer{ObserverFunc(func(ev Event) {
+		switch e := ev.(type) {
+		case RoundStartEvent:
+			rounds = append(rounds, e.Round)
+		case TierFoldEvent:
+			if nest {
+				rs.emitRoundStart(0, e.Round, e.Time, nil)
+			}
+		}
+	})}
+	rs.emitRoundStart(1, 0, 0, []int{3})
+	if _, err := rs.postFold(1, 1, 2, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	rs.emitRoundStart(1, 1, 2, []int{4})
+	if !slices.Equal(rounds, []int{0, 1}) {
+		t.Fatalf("sequential round starts observed rounds %v, want [0 1]", rounds)
+	}
+	nest = true
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a round start emitted while a fold's observers ran did not panic")
+		}
+	}()
+	rs.postFold(1, 2, 3, 1, nil)
+}
+
 // TestDispatchLoopsOneInFlight pins the invariant every pacer loop keeps its
 // state under (oneInFlight). Each loop kind panics when asked to dispatch
 // while its last dispatch is undelivered, and every pacer runs its whole

@@ -49,11 +49,11 @@ func TestTraceLine(t *testing.T) {
 	}{
 		{0, StartEvent{Method: "FedAT", Dataset: "fashionlike"},
 			`{"Node":0,"Kind":"start","Method":"FedAT","Dataset":"fashionlike"}`},
-		{0, RoundStartEvent{Tier: 1, Round: 3, Time: 2.5, Clients: []int{4, 7}},
+		{0, RoundStartEvent{&roundStart{Tier: 1, Round: 3, Time: 2.5, Clients: []int{4, 7}}},
 			`{"Node":0,"Kind":"round","Tier":1,"Round":3,"Time":2.5,"Clients":[4,7]}`},
 		{2, ClientDoneEvent{Client: 4, Tier: 1, Time: 9, Dropped: true},
 			`{"Node":2,"Kind":"done","Client":4,"Tier":1,"Time":9,"Dropped":true}`},
-		{1, TierFoldEvent{Tier: 0, Round: 4, Time: 10, Kept: 2, Global: []float64{1, 2}},
+		{1, TierFoldEvent{&tierFold{Tier: 0, Round: 4, Time: 10, Kept: 2, Global: []float64{1, 2}}},
 			`{"Node":1,"Kind":"fold","Tier":0,"Round":4,"Time":10,"Kept":2}`},
 		{0, EvalEvent{Round: 4, Time: 10, Result: Result{Acc: 0.5, Loss: 1.25, Variance: 0.01}, UpBytes: 100, DownBytes: 200},
 			`{"Node":0,"Kind":"eval","Round":4,"Time":10,"Result":{"Acc":0.5,"Loss":1.25,"Variance":0.01},"UpBytes":100,"DownBytes":200}`},

@@ -103,7 +103,7 @@ func gemmRowsGo(dst, a, b *Mat, transA, acc bool, lo, hi int) {
 }
 
 // gemmJob is one GEMM fanned out over parallel.Workers(dst.R) contiguous
-// row blocks. rows is bound once, when the pool builds the job, so the
+// row blocks. rows is bound once, when getGemmJob builds the job, so the
 // fan-out hands parallel a prebuilt body and allocates nothing; a block
 // covers many rows, so the row kernel's scratch is set up once per block
 // rather than once per row.
@@ -114,11 +114,29 @@ type gemmJob struct {
 	rows                func(c int)
 }
 
-var gemmJobs = sync.Pool{New: func() any {
-	g := new(gemmJob)
-	g.rows = g.block
+// gemmJobs is the free list of idle GEMM jobs. Unlike a sync.Pool it is not
+// emptied by a collection, and a job put back on one P is found by the next
+// GEMM on any P, so it holds as many jobs as GEMMs have ever run at once and
+// allocates no more.
+var gemmJobs struct {
+	mu   sync.Mutex
+	free []*gemmJob
+}
+
+// getGemmJob takes an idle job, or builds one when none is idle.
+func getGemmJob() *gemmJob {
+	gemmJobs.mu.Lock()
+	defer gemmJobs.mu.Unlock()
+	k := len(gemmJobs.free)
+	if k == 0 {
+		g := new(gemmJob)
+		g.rows = g.block
+		return g
+	}
+	g := gemmJobs.free[k-1]
+	gemmJobs.free = gemmJobs.free[:k-1]
 	return g
-}}
+}
 
 // block computes block c of dst's rows.
 func (g *gemmJob) block(c int) {
@@ -137,12 +155,14 @@ func (g *gemmJob) block(c int) {
 // (the GEMM is nested in a cohort member's training).
 func gemmParallel(dst, a, b *Mat, transA, transB, acc bool) {
 	w := parallel.Workers(dst.R)
-	g := gemmJobs.Get().(*gemmJob)
+	g := getGemmJob()
 	g.dst, g.a, g.b, g.transA, g.transB, g.acc = dst, a, b, transA, transB, acc
 	g.per = (dst.R + w - 1) / w
 	parallel.For(w, g.rows)
 	g.dst, g.a, g.b = nil, nil, nil
-	gemmJobs.Put(g)
+	gemmJobs.mu.Lock()
+	gemmJobs.free = append(gemmJobs.free, g)
+	gemmJobs.mu.Unlock()
 }
 
 // checkNoAlias panics when dst shares storage with an operand. The GEMMs

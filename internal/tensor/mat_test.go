@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -110,6 +111,27 @@ func TestGemmParallelPathAllocatesNothing(t *testing.T) {
 		if got := testing.AllocsPerRun(50, op.call); got != 0 {
 			t.Errorf("%s %dx%d: %.1f allocations per call, want 0", op.name, m, n, got)
 		}
+	}
+}
+
+// TestGemmAcrossGCAllocFree: a collection empties a sync.Pool, so a GEMM
+// job pooled in one is rebuilt after every GC, at points that depend on the
+// collector; the free list keeps its jobs, so a parallel GEMM allocates
+// nothing across collections either.
+func TestGemmAcrossGCAllocFree(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("-race instruments allocations; AllocsPerRun counts are meaningless")
+	}
+	r := rng.New(4)
+	const m, k, n = 100, 32, 512
+	dst, x, w := NewMat(m, n), randMat(r, m, k), randMat(r, k, n)
+	MulInto(dst, x, w) // warm the job lists
+	if got := testing.AllocsPerRun(10, func() {
+		runtime.GC()
+		runtime.GC()
+		MulInto(dst, x, w)
+	}); got != 0 {
+		t.Errorf("MulInto %dx%d after two collections: %.1f allocations per call, want 0", m, n, got)
 	}
 }
 

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"io"
+	"math"
 	"net"
 	"slices"
 	"strings"
@@ -462,14 +463,15 @@ func TestUplinkDegradesToStandalone(t *testing.T) {
 
 // TestDialUplinkRejectsTopKOutOfRange: a top-k fraction outside [0, 1] is
 // refused before the edge dials the root. Above 1 the codec would slice
-// past the weight vector at the edge's first push.
+// past the weight vector at the edge's first push; NaN would silently
+// send raw pushes.
 func TestDialUplinkRejectsTopKOutOfRange(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	for _, frac := range []float64{1.5, -0.1} {
+	for _, frac := range []float64{1.5, -0.1, math.NaN()} {
 		up, err := DialUplink(UplinkConfig{Root: ln.Addr().String(), TopKFrac: frac, W0: make([]float64, 10),
 			Shapes: []codec.ShapeInfo{{Name: "W", Dims: []int{10}}}})
 		if err == nil {

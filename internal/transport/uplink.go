@@ -73,7 +73,7 @@ func DialUplink(cfg UplinkConfig) (*EdgeUplink, error) {
 	if len(cfg.W0) == 0 {
 		return nil, fmt.Errorf("transport: uplink needs the initial model")
 	}
-	if cfg.TopKFrac < 0 || cfg.TopKFrac > 1 {
+	if !(cfg.TopKFrac >= 0 && cfg.TopKFrac <= 1) { // NaN too: it would pick the raw codec
 		return nil, fmt.Errorf("transport: top-k fraction %g out of [0,1]", cfg.TopKFrac)
 	}
 	conn, err := dialRetry(cfg.Root)
