@@ -177,22 +177,42 @@ func (p *Polyline) transmitDense(f *Fixed, w []float64) (int, bool) {
 // Reconstruct writes the weights TransmitFixed's integers decode to,
 // float64(q)/s each — what Transmit would have written.
 func (p *Polyline) Reconstruct(dst []float64, f *Fixed) {
+	p.ReconstructRange(dst[:f.n], f, 0, 0)
+}
+
+// ReconstructRange writes values [j0, j0+len(dst)) of what Reconstruct
+// writes, bit for bit, without touching the rest of f. at is a cursor into
+// the list of values outside int16: a read of ascending ranges passes each
+// call the cursor the previous one returned, so the list is walked once
+// over the whole vector rather than once per range. Any at up to the
+// number of listed values before j0 is valid, 0 always; the return is that
+// number for j0+len(dst), the cursor of the range that follows. A dense f
+// has no list and gives at back unchanged.
+func (p *Polyline) ReconstructRange(dst []float64, f *Fixed, j0, at int) int {
 	s := p.scale()
-	lo, tail := f.q[:f.n], f.q[f.n:]
-	dst = dst[:f.n]
+	end := j0 + len(dst)
+	lo, tail := f.q[j0:end], f.q[f.n:]
 	if f.dense {
-		hi := tail[:f.n]
+		hi := tail[j0:end]
 		for i, x := range lo {
 			dst[i] = float64(int32(hi[i])<<16|int32(uint16(x))) / s
 		}
-		return
+		return at
 	}
 	for i, x := range lo {
 		dst[i] = float64(x) / s
 	}
-	for k := 0; k+4 <= len(tail); k += 4 {
-		dst[get32(tail[k:])] = float64(get32(tail[k+2:])) / s
+	k := 4 * at
+	for ; k+4 <= len(tail); k += 4 {
+		i := int(get32(tail[k:]))
+		if i >= end {
+			break
+		}
+		if i >= j0 {
+			dst[i-j0] = float64(get32(tail[k+2:])) / s
+		}
 	}
+	return k / 4
 }
 
 // AppendEncode implements Codec. A value of up to four chunks — at

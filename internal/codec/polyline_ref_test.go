@@ -163,14 +163,17 @@ func FuzzPolylineAgainstReference(f *testing.F) {
 // most of it outside int16, so nothing carries over from one transmit to
 // the next. Every seed vector is also added negated: the integer ranges
 // are one wider below zero than above, and zigzag gives the signs
-// different lengths.
+// different lengths. ReconstructRange, over ranges cut at boundaries
+// drawn from tiles and each passed the cursor the last returned, writes
+// Reconstruct's floats bit for bit, as does one range read from cursor 0.
 func FuzzTransmitFixed(f *testing.F) {
 	add := func(prec int, w ...float64) { // the target runs at precision 3 + arg%4
-		f.Add(uint8(prec-3), Raw{}.Encode(w))
+		tiles := uint64(len(w))*0x9e3779b97f4a7c15 + uint64(prec)
+		f.Add(uint8(prec-3), Raw{}.Encode(w), tiles)
 		for i := range w {
 			w[i] = -w[i]
 		}
-		f.Add(uint8(prec-3), Raw{}.Encode(w))
+		f.Add(uint8(prec-3), Raw{}.Encode(w), tiles^1)
 	}
 	for prec := 3; prec <= 6; prec++ {
 		s := math.Pow(10, float64(prec))
@@ -205,7 +208,7 @@ func FuzzTransmitFixed(f *testing.F) {
 		add(prec, 1e6/s, -3e8/s, 7e4/s, -5e4/s, 0.2, 1e9/s, 0.1)
 		add(prec, 0.1, 0.2, wide, 0.3, 0.4, (1<<31)/s, 0.5, 0.6)
 	}
-	f.Fuzz(func(t *testing.T, prec uint8, raw []byte) {
+	f.Fuzz(func(t *testing.T, prec uint8, raw []byte, tiles uint64) {
 		p := NewPolyline(3 + int(prec%4))
 		w := make([]float64, len(raw)/8)
 		if err := (Raw{}).Decode(raw[:8*len(w)], w); err != nil {
@@ -251,6 +254,7 @@ func FuzzTransmitFixed(f *testing.F) {
 				t.Fatalf("%s: Reconstruct value %d = %v, Transmit gives %v", codecName(p), i, got[i], want[i])
 			}
 		}
+		checkRanges(t, p, &q, got, tiles)
 
 		if q.Len() != len(w) {
 			t.Fatalf("%s: Fixed holds %d values, want %d", codecName(p), q.Len(), len(w))
@@ -277,6 +281,45 @@ func FuzzTransmitFixed(f *testing.F) {
 			t.Fatalf("%s: overflow list holds indices %v, the values outside int16 are at %v", codecName(p), listed, wideIdx)
 		}
 	})
+}
+
+// checkRanges reads q through ReconstructRange in ascending ranges whose
+// widths tiles draws (most of them short, some to the end), each read
+// passed the cursor the previous one returned, then one range from cursor
+// 0, and holds every value to want, Reconstruct's output, bit for bit.
+func checkRanges(t *testing.T, p *Polyline, q *Fixed, want []float64, tiles uint64) {
+	t.Helper()
+	n := len(want)
+	buf := make([]float64, n)
+	draw := func(limit int) int { // in [1, limit]
+		tiles = tiles*6364136223846793005 + 1442695040888963407
+		x := int(tiles >> 33)
+		if x%4 == 0 {
+			return limit
+		}
+		return 1 + x%min(limit, 9)
+	}
+	check := func(j0, j1 int) {
+		for i := j0; i < j1; i++ {
+			if math.Float64bits(buf[i-j0]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: ReconstructRange [%d, %d) value %d = %v, Reconstruct gives %v", codecName(p), j0, j1, i, buf[i-j0], want[i])
+			}
+		}
+	}
+	at := 0
+	for j0 := 0; j0 < n; {
+		j1 := j0 + draw(n-j0)
+		at = p.ReconstructRange(buf[:j1-j0], q, j0, at)
+		check(j0, j1)
+		j0 = j1
+	}
+	if n == 0 {
+		return
+	}
+	j0 := draw(n) - 1
+	j1 := j0 + draw(n-j0)
+	p.ReconstructRange(buf[:j1-j0], q, j0, 0)
+	check(j0, j1)
 }
 
 // TestQuantizeMatchesReference: the biased truncation equals math.Round

@@ -70,6 +70,10 @@ func (f *Federated) MaxNumTrain() int {
 	return m
 }
 
+// Reserve does nothing: a retained shard is handed out, never written into
+// a caller's scratch.
+func (f *Federated) Reserve(*ClientData) {}
+
 // TrainInto returns client i's retained shard, both splits, and ignores
 // dst — the same surface a lazy Source answers by synthesizing the training
 // split into dst, so the federation layer runs over either.

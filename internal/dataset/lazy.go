@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"slices"
+
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -80,7 +82,26 @@ func (s *Source) NumTrain(i int) int { return numTrain(s.size(i)) }
 // staying below 1.2·SamplesPerClient, and a power-law size falls with it,
 // peaking at the 1e-9 clamp. So the larger of the sizes at the draw's two
 // ends bounds them all, and numTrain is monotone too.
-func (s *Source) MaxNumTrain() int { return numTrain(max(s.sizeAt(0), s.sizeAt(1))) }
+func (s *Source) MaxNumTrain() int { return numTrain(s.maxSize()) }
+
+// maxSize is the largest sample count any client draws (MaxNumTrain).
+func (s *Source) maxSize() int { return max(s.sizeAt(0), s.sizeAt(1)) }
+
+// Reserve grows dst to the largest shard TrainInto and TestInto write —
+// each split's rows and labels, and the class subset — so synthesizing any
+// client's split into dst allocates nothing from then on, whichever
+// clients it serves and in whatever order. Both splits are largest at the
+// largest sample count: the test split n − numTrain(n) never falls as n
+// rises, since numTrain rises by at most one a sample.
+func (s *Source) Reserve(dst *ClientData) {
+	n := s.maxSize()
+	nTrain, nTest := numTrain(n), n-numTrain(n)
+	dst.TrainX = tensor.EnsureMat(dst.TrainX, nTrain, s.inDim)
+	dst.TestX = tensor.EnsureMat(dst.TestX, nTest, s.inDim)
+	dst.TrainY = slices.Grow(dst.TrainY[:0], nTrain)
+	dst.TestY = slices.Grow(dst.TestY[:0], nTest)
+	dst.classes = slices.Grow(dst.classes[:0], s.perClient)
+}
 
 // size returns client i's sample count (train + test): sizeAt its draw.
 func (s *Source) size(i int) int { return s.sizeAt(s.sizes.Float64At(i)) }

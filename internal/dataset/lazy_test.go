@@ -259,6 +259,36 @@ func TestSplitIntoMatchesClientInto(t *testing.T) {
 	}
 }
 
+// TestReserveCoversEveryClient: a scratch shard Reserve has sized takes
+// every client's training and test split, in both size families and at a
+// population large enough to draw near both ends of the jitter, without
+// growing any of its buffers.
+func TestReserveCoversEveryClient(t *testing.T) {
+	cfgs := sourceConfigs()
+	wide := cfgs["image"]
+	wide.NumClients = 20_000
+	cfgs["image-20k"] = wide
+	for name, cfg := range cfgs {
+		src, err := NewSource(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dst ClientData
+		src.Reserve(&dst)
+		caps := func() [5]int {
+			return [5]int{cap(dst.TrainX.Data), cap(dst.TestX.Data), cap(dst.TrainY), cap(dst.TestY), cap(dst.classes)}
+		}
+		trainX, testX, want := dst.TrainX, dst.TestX, caps()
+		for i := range cfg.NumClients {
+			src.TrainInto(&dst, i)
+			src.TestInto(&dst, i)
+			if got := caps(); got != want || dst.TrainX != trainX || dst.TestX != testX {
+				t.Fatalf("%s: client %d grew the reserved scratch: capacities %v, reserved %v", name, i, got, want)
+			}
+		}
+	}
+}
+
 // TestMaxNumTrainBoundsEveryClient: a Source's config-stated bound is at
 // least every client's training split, in both size families and at a
 // population large enough to draw near both ends of the jitter; a retained

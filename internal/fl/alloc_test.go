@@ -57,9 +57,9 @@ func TestFoldAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		rule := &avgRule{agg: agg}
-		us := cohort(5)
+		f := foldOf(0, cohort(5))
 		assertFoldAllocs(t, "avg fold", 0, func() {
-			if _, err := rule.Fold(fold{tier: 0, updates: us}); err != nil {
+			if _, err := rule.Fold(f); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -76,17 +76,16 @@ func TestFoldAllocFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			rule := &eq5Rule{agg: agg, assignment: []int32{0, 1, 2, 0, 1}, forceUniform: uniform}
-			us := cohort(3)
-			tier := 0
+			f := foldOf(0, cohort(3))
 			assertFoldAllocs(t, name+" tiered fold", 0, func() {
-				if _, err := rule.Fold(fold{tier: tier % 3, updates: us}); err != nil {
+				if _, err := rule.Fold(f); err != nil {
 					t.Fatal(err)
 				}
-				tier++
+				f.tier = (f.tier + 1) % 3
 			})
-			one := cohort(1)
+			one := foldOf(-1, cohort(1))
 			assertFoldAllocs(t, name+" untiered single fold", 0, func() {
-				if _, err := rule.Fold(fold{tier: -1, updates: one}); err != nil {
+				if _, err := rule.Fold(one); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -95,9 +94,9 @@ func TestFoldAllocFree(t *testing.T) {
 
 	t.Run("staleness", func(t *testing.T) {
 		rule := &stalenessRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5})}
-		us := cohort(1)
+		f := foldOf(-1, cohort(1))
 		assertFoldAllocs(t, "staleness fold", 0, func() {
-			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
+			if _, err := rule.Fold(f); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -105,9 +104,9 @@ func TestFoldAllocFree(t *testing.T) {
 
 	t.Run("fedasync", func(t *testing.T) {
 		rule := &stalenessRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncPoly, Alpha: 0.5}), perUpdate: true}
-		us := cohort(4)
+		f := foldOf(-1, cohort(4))
 		assertFoldAllocs(t, "fedasync fold", 0, func() {
-			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
+			if _, err := rule.Fold(f); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -115,9 +114,9 @@ func TestFoldAllocFree(t *testing.T) {
 
 	t.Run("asyncsgd", func(t *testing.T) {
 		rule := &asyncSGDRule{asyncState: asyncAt(fuzzVec(1, dim), 0, 0.6, StalenessConfig{Func: StaleFuncExp, Alpha: 0.3}), delta: make([]float64, dim)}
-		us := cohort(4)
+		f := foldOf(-1, cohort(4))
 		assertFoldAllocs(t, "asyncsgd fold", 0, func() {
-			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
+			if _, err := rule.Fold(f); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -129,9 +128,9 @@ func TestFoldAllocFree(t *testing.T) {
 			rule.copies[c] = fuzzVec(1, dim)
 			rule.totalN += c + 3
 		}
-		us := cohort(1)
+		f := foldOf(-1, cohort(1))
 		assertFoldAllocs(t, "asofed fold", 0, func() {
-			if _, err := rule.Fold(fold{tier: -1, updates: us}); err != nil {
+			if _, err := rule.Fold(f); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -477,5 +476,37 @@ func TestReplicaPermAllocFree(t *testing.T) {
 					env.shards.NumTrain(large), env.shards.NumTrain(small), n)
 			}
 		})
+	}
+}
+
+// TestReplicaShardAllocFree: every replica of an environment over a
+// derived population has its shard scratch sized for the largest training
+// and test splits when it is built, so the first shard a replica
+// synthesizes for training, and the first it synthesizes for evaluation,
+// allocate nothing, however large; before, the scratch grew the first time
+// a replica met a shard larger than any it had held, a point scheduling
+// decides.
+func TestReplicaShardAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	env, _ := baseSourceCase(baseCfg().Seed).derived(t)
+	numTest := func(id int) int { return env.shards.TestInto(new(dataset.ClientData), id).NumTest() }
+	largeTrain, largeTest := 0, 0
+	for id := range env.n {
+		if env.shards.NumTrain(id) > env.shards.NumTrain(largeTrain) {
+			largeTrain = id
+		}
+		if numTest(id) > numTest(largeTest) {
+			largeTest = id
+		}
+	}
+	for i, rep := range env.replicas {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		train := env.shards.TrainInto(&rep.shard, largeTrain).NumTrain()
+		test := env.shards.TestInto(&rep.shard, largeTest).NumTest()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("replica %d: synthesizing the largest training split (%d samples) and test split (%d) allocated %d times, want 0", i, train, test, n)
+		}
 	}
 }

@@ -268,7 +268,7 @@ func (p *routeProbe) Repartition(t *tiering.Tiers) {
 
 func (p *routeProbe) Fold(f fold) ([]float64, error) {
 	if f.tier < 0 {
-		for _, u := range f.updates {
+		for _, u := range f.updates() {
 			want := slices.IndexFunc(p.current.Members, func(members []int32) bool {
 				return slices.Contains(members, int32(u.Client))
 			})

@@ -186,10 +186,12 @@ const DefaultEvalSample = 256
 // they own — the replica's, whether it is training or evaluating — and may
 // read the result until they next pass the same scratch. Training reads
 // only the training split and evaluation only the test split, so each asks
-// for that split alone.
+// for that split alone. Reserve sizes a scratch for every id's splits up
+// front, so no later fetch into it allocates.
 type shardSource interface {
 	NumTrain(id int) int
 	MaxNumTrain() int // a bound on NumTrain over every id
+	Reserve(dst *dataset.ClientData)
 	TrainInto(dst *dataset.ClientData, id int) *dataset.ClientData
 	TestInto(dst *dataset.ClientData, id int) *dataset.ClientData
 }
@@ -321,10 +323,13 @@ func newEnv(name string, n, classes int, shards shardSource, pop *simnet.Populat
 	maxTrain := shards.MaxNumTrain()
 	for i := range replicas {
 		// Adam is the paper's local solver (§6); the same init everywhere,
-		// server state rules. The shuffle order is sized for the largest
-		// shard up front, so which replica first trains a large shard — a
-		// matter of scheduling — never decides when it allocates.
-		replicas[i] = &Client{net: factory(cfg.Seed), opt: opt.NewAdam(cfg.LearningRate), perm: make([]int, maxTrain)}
+		// server state rules. The shuffle order and the shard scratch are
+		// sized for the largest shard up front, so which replica first
+		// trains or evaluates a large shard — a matter of scheduling —
+		// never decides when it allocates.
+		c := &Client{net: factory(cfg.Seed), opt: opt.NewAdam(cfg.LearningRate), perm: make([]int, maxTrain)}
+		shards.Reserve(&c.shard)
+		replicas[i] = c
 	}
 	ref := replicas[0].net // untrained: w0 and the shapes are read off it
 	ids := evalSampleIDs(n, panel, cfg.Seed)
@@ -395,12 +400,13 @@ func (e *Env) trainAt(i int) {
 // Figure 4. The codec is a codec.Channel (polyline, raw), so no payload is
 // ever materialized: numerics and byte accounting are identical to the real
 // Encode/Decode by the interface's contract. It also holds the simulator's
-// uploads in flight: under polyline an upload is its quantized integers in
-// a fixed-point slot (codec.Fixed: 16 bits a value plus a short list of the
-// values wider than that), and becomes a float64 vector only when the
-// server reads it (receive). A Comm belongs to its run's engine goroutine;
-// only the weight pool it hands out (Pool) may be used from other
-// goroutines.
+// uploads from the uplink to the fold that consumes them: under polyline an
+// upload is its quantized integers in a fixed-point slot (codec.Fixed: 16
+// bits a value plus a short list of the values wider than that) while it
+// is in flight and while it waits in the run's inbox, and becomes a
+// float64 vector only if the fold reads it whole (receive). A Comm belongs
+// to its run's engine goroutine; only the weight pool it hands out (Pool)
+// may be used from other goroutines.
 type Comm struct {
 	channel     codec.Channel
 	headerBytes int
@@ -411,10 +417,10 @@ type Comm struct {
 	// first transmitted vector.
 	pool *tensor.Pool
 
-	// fixed is the codec when it is polyline, whose uploads can wait in
-	// flight as fixed point. Slot id k is slots[k-1]; free lists the idle
-	// ids, so the slots grow to the most uploads ever in flight at once and
-	// are then reused.
+	// fixed is the codec when it is polyline, whose uploads can wait as
+	// fixed point. Slot id k is slots[k-1]; free lists the idle ids, so the
+	// slots grow to the most uploads ever in flight or buffered for their
+	// fold at once, and are then reused.
 	fixed *codec.Polyline
 	slots []codec.Fixed
 	free  []int32
@@ -498,30 +504,27 @@ func (cm *Comm) takeSlot() int32 {
 	return int32(len(cm.slots))
 }
 
-// receive is where the server reads a delivered update: it returns the
-// weights the server reconstructs, in a buffer the caller hands back with
-// Release after the fold. A slot-held upload is rebuilt into a pooled buffer
-// and its slot freed; any other result already holds that buffer. r is taken
-// by value so the arrival callbacks that call it capture nothing new.
-func (cm *Comm) receive(r TrainResult) []float64 {
-	if r.slot == 0 {
-		return r.Weights
-	}
-	f := &cm.slots[r.slot-1]
+// receive is where a fold reads a slot-held upload whole: it returns the
+// weights the server reconstructs, in a pooled buffer the fold's inbox hands
+// back with Release once the fold is done, and frees the slot. It runs at
+// fold time, so a buffered upload waits as fixed point, not as a vector.
+func (cm *Comm) receive(slot int32) []float64 {
+	f := &cm.slots[slot-1]
 	w := cm.Pool(f.Len()).Get()
 	cm.fixed.Reconstruct(w, f)
-	cm.free = append(cm.free, r.slot)
+	cm.free = append(cm.free, slot)
 	return w
 }
 
-// discard gives back what a delivered update holds without reading it — a
-// selector that drops an arrival calls it instead of receive.
-func (cm *Comm) discard(r TrainResult) {
-	if r.slot == 0 {
-		cm.Release(r.Weights)
+// discard gives back what a delivered update holds — slot id slot, or the
+// pooled buffer w when slot is 0 — without reading it: the inbox after its
+// fold, and a selector that drops an arrival.
+func (cm *Comm) discard(w []float64, slot int32) {
+	if slot == 0 {
+		cm.Release(w)
 		return
 	}
-	cm.free = append(cm.free, r.slot)
+	cm.free = append(cm.free, slot)
 }
 
 // broadcast is the downlink of one model to n receivers: the model crosses

@@ -12,12 +12,11 @@ import (
 // disconnected) before its update landed; Arrive then holds the time the
 // loss was discovered.
 //
-// The update is read only through Comm.receive, which returns the weights
-// the server reconstructs after the uplink. A live result arrives already
-// decoded, in Weights. A simulated polyline upload is still its quantized
-// integers in one of the Comm's fixed-point slots (slot > 0, Weights nil)
-// until the server reads it; the slot id sits in the padding after Dropped,
-// so the struct stays 64 bytes.
+// The update is read only through the run's inbox, at the fold that
+// consumes it. A live result arrives already decoded, in Weights. A
+// simulated polyline upload is still its quantized integers in one of the
+// Comm's fixed-point slots (slot > 0, Weights nil) until that fold; the slot
+// id sits in the padding after Dropped, so the struct stays 64 bytes.
 type TrainResult struct {
 	Client  int
 	Weights []float64

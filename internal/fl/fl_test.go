@@ -561,8 +561,8 @@ func TestCommChannelMatchesWire(t *testing.T) {
 // overflows int32 (1e6 at precision 4) or is infinite takes transmit's
 // float64 path itself. Every upload starts from a buffer of the run's weight
 // pool, which upload owns from then on: the pool panics on a second release
-// of any buffer, and once the read is released it holds every buffer it
-// handed out again. Discarded and read slots are reused, so the steady
+// of any buffer, and once the inbox that read it has released it, the pool
+// holds every buffer it handed out again. Discarded and read slots are reused, so the steady
 // state allocates nothing, overflow entries included.
 func TestCommUploadMatchesTransmit(t *testing.T) {
 	shapes := []codec.ShapeInfo{{Name: "W", Dims: []int{300}}}
@@ -637,13 +637,15 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 		if n != wn || cm.up != ref.up {
 			t.Fatalf("%s: upload charges %d (up %d), transmit %d (up %d)", name, n, cm.up, wn, ref.up)
 		}
-		got := cm.receive(res)
+		in := inbox{comm: cm}
+		in.add(res, 0)
+		got := in.vectors()[0].Weights
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s: weight %d reads back %v, transmit gives %v", name, i, got[i], want[i])
 			}
 		}
-		cm.Release(got)
+		in.release()
 		holdsAll(name, pool, own)
 	}
 
@@ -663,8 +665,8 @@ func TestCommUploadMatchesTransmit(t *testing.T) {
 			for i := range res {
 				cm.upload(&res[i])
 			}
-			cm.discard(res[0])
-			cm.Release(cm.receive(res[1]))
+			cm.discard(res[0].Weights, res[0].slot)
+			cm.Release(cm.receive(res[1].slot))
 		}
 	}); allocs != 0 {
 		t.Errorf("upload, Receive and Discard allocate %.0f times in steady state", allocs)

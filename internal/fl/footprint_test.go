@@ -19,28 +19,31 @@ import (
 // where every client always has an update in flight: a buffered-async
 // median run (all × fedbuff × median, K = 10) over 60 clients and a
 // 22,210-parameter MLP. At a mid-run fold the live heap the run added to
-// its environment must fit
+// its environment must be within a slack of
 //
-//	(K + replicas + 4) float64 vectors + N slot vectors + slack
+//	5 float64 vectors + (N + K − 1) slot vectors
 //
-// The float64 vectors are the K updates the buffer has read and the one
-// buffer a cohort of one trains into (both from the weight pool), the
-// rule's global model, the Adam moments (two) of the replica that cohort
-// trains on, and per replica up to one vector of gradient and layer
-// scratch. The slot vectors are the
-// Comm's fixed-point slots, one per upload in flight. The slack is two
-// float64 vectors for everything smaller than a model: shards, activations,
-// the median's tile, the event queue and the Recorder. Each vector counts
-// at the size the allocator hands out for it, which above 32 kB is whole
-// 8 kB pages: at 22,210 parameters, 176 kB for a float64 vector and 48 kB
-// for an int16 one, whose 43.4 kB of values take six pages.
+// The float64 vectors are the weight pool's two — the downlink snapshot a
+// cohort of one trains from and the buffer it trains into — the rule's
+// global model, and the Adam moments (two) of the one replica such cohorts
+// train on. The slot vectors are the Comm's fixed-point slots: an upload
+// keeps its slot from the uplink until the fold that consumes it, and
+// each of the K − 1 arrivals waiting in the inbox has already started its
+// client's next upload. The median reads the waiting uploads a tile at a
+// time from their slots, so none of them is a float64 vector at any point.
+// The slack is two float64 vectors either way, for everything smaller than
+// a model: shards, activations, the median's tile, the event queue and the
+// Recorder. Each vector counts at the size the allocator hands out for it,
+// which above 32 kB is whole 8 kB pages: at 22,210 parameters, 176 kB for a
+// float64 vector and 48 kB for an int16 one, whose 43.4 kB of values take
+// six pages.
 //
 // Under polyline(4) every weight of this model quantizes inside int16, so a
-// slot is an int16 vector; holding each upload in an int32 slot, or as a
-// float64 reconstruction, costs more than the bound allows. Under
-// polyline(6) most weights fall outside int16 and every slot is held dense:
-// its bound is an int32 vector, the four bytes a parameter no upload in
-// flight exceeds.
+// slot is an int16 vector; holding each upload in an int32 slot, or the
+// arrivals waiting for their fold as float64 vectors (K more), costs more
+// than the slack allows. Under polyline(6) most weights fall outside int16
+// and every slot is held dense: its size is an int32 vector, the four
+// bytes a parameter no upload exceeds.
 func TestInFlightUplinkFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full engine run in -short")
@@ -89,13 +92,13 @@ func TestInFlightUplinkFootprint(t *testing.T) {
 
 			f64, slot := allocSize(8*params), allocSize(tc.slotSize*params)
 			const slack = 2 // float64 vectors
-			replicas := uint64(len(env.replicas))
-			limit := (k+replicas+4+slack)*f64 + n*slot
-			got := mid - base
-			t.Logf("run holds %.2f MB at fold %d: %.1f float64 vectors; ledger limit %.2f MB ((K+%d+4+%d)·%d kB + N·%d kB)",
-				float64(got)/(1<<20), rounds/2, float64(got)/float64(f64), float64(limit)/(1<<20), replicas, slack, f64>>10, slot>>10)
-			if got > limit {
-				t.Errorf("the run holds %d bytes at a mid-run fold, over the ledger's %d: an upload in flight costs more than an %s vector", got, limit, tc.kind)
+			ledger := 5*f64 + (n+k-1)*slot
+			got := int64(mid - base)
+			t.Logf("run holds %.2f MB at fold %d, the ledger %.2f MB (5·%d kB + (N+K−1)·%d kB)",
+				float64(got)/(1<<20), rounds/2, float64(ledger)/(1<<20), f64>>10, slot>>10)
+			if d := got - int64(ledger); d > slack*int64(f64) || d < -slack*int64(f64) {
+				t.Errorf("the run holds %d bytes at a mid-run fold, %+d from the ledger's %d: more than the slack of %d float64 vectors (an upload waiting as more than an %s vector is over it)",
+					got, d, ledger, slack, tc.kind)
 			}
 		})
 	}

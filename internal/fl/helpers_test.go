@@ -4,10 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/simnet"
 	"repro/internal/tiering"
 )
+
+// foldOf is a fold of tier over updates that hold their weights, as a
+// live or raw-codec batch does.
+func foldOf(tier int, updates []core.ClientUpdate) fold {
+	return fold{tier: tier, in: &inbox{ups: updates, held: make([]heldUpdate, len(updates))}}
+}
 
 // mustRun executes a registry method, failing the test on any composition
 // or aggregation error.

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/tiering"
@@ -161,17 +160,22 @@ func (m Method) Start(fab Fabric, cfg RunConfig, obs ...Observer) (finish func()
 
 	root := rng.New(cfg.Seed).SplitLabeled(hashName(m.Name))
 	rec := new(Recorder)
+	comm := NewComm(cfg.Codec, fab.Shapes())
 	rs := &runState{
 		fab:      fab,
 		cfg:      cfg,
 		method:   m,
-		comm:     NewComm(cfg.Codec, fab.Shapes()),
+		comm:     comm,
+		in:       inbox{comm: comm},
 		root:     root,
 		epochRNG: root.SplitLabeled(epochLabel(m, cfg)),
 		sel:      sel,
 		rule:     rule,
 		obs:      append([]Observer{rec}, obs...),
 	}
+	// No fold takes more than a cohort (sync and tier pacing) or a buffer
+	// (the wait-free pacers), so the inbox is sized once.
+	rs.in.reserve(max(cfg.ClientsPerRound, cfg.BufferK))
 	for _, o := range obs {
 		if s, ok := o.(Syncer); ok {
 			rs.syncers = append(rs.syncers, s)
@@ -210,6 +214,7 @@ type runState struct {
 	cfg      RunConfig
 	method   Method
 	comm     *Comm
+	in       inbox    // the delivered updates the next fold consumes
 	root     *rng.RNG // method-labelled RNG root; policies split their streams off it
 	epochRNG *rng.RNG // FedProx's variable-epoch stream (label 2)
 	sel      selector
@@ -359,25 +364,25 @@ func (rs *runState) fail(err error) {
 	rs.finish()
 }
 
-// fold is the engine's one fold site, called by every pacer: the update
-// rule folds the batch, the batch's pooled uplink buffers go back to the
-// run's weight pool (the rule retains none of them), postFold tells the
+// fold is the engine's one fold site, called by every pacer with the
+// run's inbox filled: the update rule folds the batch, reading it as whole
+// vectors or a tile at a time as it needs, the batch's slots and pooled
+// buffers go back (the rule retains none of them), postFold tells the
 // observers and syncers, and the fresh model is evaluated at the configured
 // cadence. now is the fold's timestamp — the round's completion time under
 // sync pacing, the fabric clock under the others; on the live clock those
 // differ. It reports false when the fold failed, in which case the run has
 // already been failed.
-func (rs *runState) fold(tier int, updates []core.ClientUpdate, now float64) bool {
-	g, err := rs.rule.Fold(fold{tier: tier, updates: updates})
+func (rs *runState) fold(tier int, in *inbox, now float64) bool {
+	kept := in.Len()
+	g, err := rs.rule.Fold(fold{tier: tier, in: in})
 	if err != nil {
 		rs.fail(err)
 		return false
 	}
-	for i := range updates {
-		rs.comm.Release(updates[i].Weights)
-	}
+	in.release()
 	t := rs.rule.Rounds()
-	if g, err = rs.postFold(tier, t, now, len(updates), g); err != nil {
+	if g, err = rs.postFold(tier, t, now, kept, g); err != nil {
 		rs.fail(err)
 		return false
 	}

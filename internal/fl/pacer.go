@@ -3,8 +3,6 @@ package fl
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/core"
 )
 
 // earliestRejoin reports the soonest time any of the listed clients comes
@@ -101,8 +99,8 @@ func newSyncLoop(rs *runState, sel roundSelector) *syncLoop {
 
 // syncLoop is the sync pacer's one loop for the whole run: the selector,
 // the attempt budget, and the round in flight (oneInFlight) — its tier,
-// start round, start and completion times, and the buffers its cohort,
-// kept results and updates are written into.
+// start round, start and completion times, and the buffers its cohort and
+// kept results are written into.
 type syncLoop struct {
 	rs      *runState
 	sel     roundSelector
@@ -113,7 +111,6 @@ type syncLoop struct {
 	start, comp float64
 	cohort      []int
 	kept        []TrainResult
-	ups         []core.ClientUpdate
 
 	deliverFn func([]TrainResult, error)
 	foldFn    func()
@@ -167,7 +164,7 @@ func (l *syncLoop) fold() {
 	rs := l.rs
 	// No kept update: every counted client dropped, and the round folds
 	// nothing.
-	if len(l.kept) > 0 && !rs.fold(l.tier, toUpdates(&l.ups, rs.comm, l.kept, l.round), l.comp) {
+	if len(l.kept) > 0 && !rs.fold(l.tier, rs.in.take(l.kept, l.round), l.comp) {
 		return
 	}
 	l.step(l.comp)
@@ -208,8 +205,8 @@ func newTierLoops(rs *runState, tsel tierSelector, m int) []tierLoop {
 }
 
 // tierLoop is tier m's round loop: the round in flight (oneInFlight) — its
-// start time and round, and the buffers its cohort, kept results and
-// updates are written into — and whether the loop is running at all.
+// start time and round, and the buffers its cohort and kept results are
+// written into — and whether the loop is running at all.
 type tierLoop struct {
 	rs    *runState
 	tsel  tierSelector
@@ -227,7 +224,6 @@ type tierLoop struct {
 	round  int
 	cohort []int
 	kept   []TrainResult
-	ups    []core.ClientUpdate
 
 	deliverFn       func([]TrainResult, error)
 	foldFn, startFn func()
@@ -285,7 +281,7 @@ func (l *tierLoop) fold() {
 	l.flight.end()
 	if len(l.kept) > 0 {
 		rs.observeStale(l.m, l.round)
-		if !rs.fold(l.m, toUpdates(&l.ups, rs.comm, l.kept, l.round), rs.fab.Now()) {
+		if !rs.fold(l.m, rs.in.take(l.kept, l.round), rs.fab.Now()) {
 			return
 		}
 		if rs.rule.Rounds() >= rs.cfg.Rounds {
@@ -342,7 +338,7 @@ func (p bufferPacer) Start(rs *runState) error {
 		// deliver concurrently.
 		k = n
 	}
-	b := &arrivalBuffer{rs: rs, k: k, buf: make([]core.ClientUpdate, 0, k), loops: make([]clientLoop, n)}
+	b := &arrivalBuffer{rs: rs, k: k, loops: make([]clientLoop, n)}
 	for id := range n {
 		b.loop(id).start()
 	}
@@ -350,16 +346,16 @@ func (p bufferPacer) Start(rs *runState) error {
 }
 
 // arrivalBuffer is the wait-free pacer's shared state: the client loops
-// and the arrivals waiting for the next fold. An update is read
-// (Comm.receive) as it arrives, into a pooled buffer the engine recycles
-// only after the fold that consumes it; until then it waits in flight at
-// the Comm's cost. Each arrival carries its own start round, so per-update
-// rules discount buffer members individually (batch-anchored rules recover
-// the oldest via fold.startRound).
+// and the fold size k. An arrival lands in the run's inbox as it
+// travelled — under polyline its fixed-point slot, not a float64 vector —
+// and waits there for the fold of every k; the fold reads it whole or a
+// tile at a time, as the rule needs, and only then gives it back. Each
+// arrival carries its own start round, so per-update rules discount buffer
+// members individually (batch-anchored rules recover the oldest via
+// fold.startRound).
 type arrivalBuffer struct {
 	rs    *runState
 	k     int
-	buf   []core.ClientUpdate
 	loops []clientLoop // by client id; a loop is bound when its client first starts
 }
 
@@ -448,15 +444,14 @@ func (l *clientLoop) arrive() {
 	l.flight.end()
 	r := l.res
 	rs.emit(ClientDoneEvent{Client: r.Client, Tier: -1, Time: r.Arrive})
-	b.buf = append(b.buf, core.ClientUpdate{Weights: rs.comm.receive(r), N: r.N, Client: r.Client, StartRound: l.startRound})
-	if len(b.buf) >= b.k {
-		for _, u := range b.buf {
+	rs.in.add(r, l.startRound)
+	if rs.in.Len() >= b.k {
+		for _, u := range rs.in.ups {
 			rs.observeStale(u.Client, u.StartRound)
 		}
-		if !rs.fold(-1, b.buf, rs.fab.Now()) {
+		if !rs.fold(-1, &rs.in, rs.fab.Now()) {
 			return
 		}
-		b.buf = b.buf[:0]
 		if rs.rule.Rounds() >= rs.cfg.Rounds || (rs.cfg.MaxSimTime > 0 && rs.fab.Now() >= rs.cfg.MaxSimTime) {
 			rs.finish()
 			return

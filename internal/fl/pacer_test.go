@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/rng"
 )
 
@@ -94,7 +93,8 @@ func TestDispatchLoopsOneInFlight(t *testing.T) {
 	// stay queued on its clock, which nothing runs.
 	newRun := func(t *testing.T, sel selector) *runState {
 		env := testEnv(t, 0, cfg)
-		rs := &runState{fab: &deferredFabric{Fabric: env.Fabric(), t: t}, cfg: env.cfg, root: rng.New(5), comm: NewComm(env.cfg.Codec, env.shapes), sel: sel}
+		comm := NewComm(env.cfg.Codec, env.shapes)
+		rs := &runState{fab: &deferredFabric{Fabric: env.Fabric(), t: t}, cfg: env.cfg, root: rng.New(5), comm: comm, in: inbox{comm: comm}, sel: sel}
 		rs.rule = updateRules["avg"]()
 		if err := rs.rule.Init(rs); err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestDispatchLoopsOneInFlight(t *testing.T) {
 	})
 	t.Run("client loop", func(t *testing.T) {
 		rs := newRun(t, allSelector{})
-		b := &arrivalBuffer{rs: rs, k: 1, buf: make([]core.ClientUpdate, 0, 1), loops: make([]clientLoop, rs.fab.NumClients())}
+		b := &arrivalBuffer{rs: rs, k: 1, loops: make([]clientLoop, rs.fab.NumClients())}
 		b.loop(0).start()
 		b.loop(1).start()
 		mustPanic(t, "client 0's loop", b.loop(0).start)

@@ -16,6 +16,9 @@ import (
 // wants the "fedbuff" pacer, which buffers K arrivals per fold exactly so
 // the robust statistics see a real cohort.
 //
+// The median and the trimmed mean read the cohort a tile at a time
+// straight from the fold's inbox (robust.Rows), so buffered uploads are
+// never float64 vectors; Krum compares whole updates and reads vectors.
 // The kernels write into the rule's own global buffer and reuse a scratch,
 // so folding retains nothing from the update buffers the engine recycles
 // and allocates nothing in steady state (the PR 6 budgets).
@@ -23,7 +26,7 @@ type robustRule struct {
 	modelState        // a rebased model is just the next cohort's snapshot
 	kind       string // "median", "trimmed" or "krum"
 	scratch    robust.FoldScratch
-	vecs       [][]float64 // cohort view, reused across folds
+	vecs       [][]float64 // Krum's cohort view, reused across folds
 }
 
 func (r *robustRule) Init(rs *runState) error {
@@ -32,20 +35,20 @@ func (r *robustRule) Init(rs *runState) error {
 }
 
 func (r *robustRule) Fold(f fold) ([]float64, error) {
-	if len(f.updates) == 0 {
+	if f.in.Len() == 0 {
 		return nil, fmt.Errorf("%s fold with no client updates", r.kind)
-	}
-	r.vecs = r.vecs[:0]
-	for _, u := range f.updates {
-		r.vecs = append(r.vecs, u.Weights)
 	}
 	var err error
 	switch r.kind {
 	case "median":
-		err = r.scratch.Median(r.global, r.vecs)
+		err = r.scratch.MedianRows(r.global, f.in)
 	case "trimmed":
-		err = r.scratch.TrimmedMean(r.global, r.vecs, trimBeta)
+		err = r.scratch.TrimmedMeanRows(r.global, f.in, trimBeta)
 	case "krum":
+		r.vecs = r.vecs[:0]
+		for _, u := range f.updates() {
+			r.vecs = append(r.vecs, u.Weights)
+		}
 		_, err = r.scratch.Krum(r.global, r.vecs, krumAdaptive)
 	default:
 		err = fmt.Errorf("unknown robust rule %q", r.kind)

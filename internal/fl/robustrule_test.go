@@ -3,12 +3,15 @@ package fl
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/robust"
 	"repro/internal/simnet"
 )
 
@@ -27,7 +30,7 @@ func TestRobustRulesFoldHandComputed(t *testing.T) {
 	fold := func(kind string) []float64 {
 		t.Helper()
 		rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind}
-		g, err := rule.Fold(fold{tier: -1, updates: cohort})
+		g, err := rule.Fold(foldOf(-1, cohort))
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -65,7 +68,7 @@ func TestRobustRulesFoldFiniteUnderNaNUpdate(t *testing.T) {
 			}
 			cohort[pos].Weights = []float64{nan, nan}
 			rule := &robustRule{modelState: modelState{global: make([]float64, 2)}, kind: kind}
-			g, err := rule.Fold(fold{tier: -1, updates: cohort})
+			g, err := rule.Fold(foldOf(-1, cohort))
 			if err != nil {
 				t.Fatalf("%s: %v", kind, err)
 			}
@@ -94,17 +97,147 @@ func TestRobustFoldAllocFree(t *testing.T) {
 	for _, kind := range []string{"median", "trimmed", "krum"} {
 		t.Run(kind, func(t *testing.T) {
 			rule := &robustRule{modelState: modelState{global: fuzzVec(1, dim)}, kind: kind}
-			us := cohort(5)
+			f := foldOf(0, cohort(5))
 			assertFoldAllocs(t, kind+" cohort fold", 0, func() {
-				if _, err := rule.Fold(fold{tier: 0, updates: us}); err != nil {
+				if _, err := rule.Fold(f); err != nil {
 					t.Fatal(err)
 				}
 			})
-			one := cohort(1)
+			one := foldOf(-1, cohort(1))
 			assertFoldAllocs(t, kind+" single fold", 0, func() {
-				if _, err := rule.Fold(fold{tier: -1, updates: one}); err != nil {
+				if _, err := rule.Fold(one); err != nil {
 					t.Fatal(err)
 				}
+			})
+		})
+	}
+}
+
+// slotCohort lands k updates of dim weights in an inbox over a polyline(4)
+// Comm the way the engine's uplinks do, each of the given form: "sparse"
+// (a slot, a few values outside int16 on its list), "dense" (a slot held
+// dense, over a quarter outside int16), "overflow" (a value past int32, so
+// the upload takes the float64 fallback) and "pooled" (a buffer holding
+// what a live or raw-codec arrival can: NaN, ±Inf, -0). The forms cycle
+// through the cohort from the first.
+func slotCohort(t *testing.T, seed uint64, k, dim int, forms ...string) *inbox {
+	t.Helper()
+	cm := NewComm(codec.NewPolyline(4), []codec.ShapeInfo{{Name: "W", Dims: []int{dim}}})
+	pool := cm.Pool(dim)
+	in := &inbox{comm: cm}
+	for i := range k {
+		w := pool.Get()
+		copy(w, fuzzVec(seed+uint64(i), dim))
+		res := TrainResult{Weights: w, N: 5, Client: i}
+		form := forms[i%len(forms)]
+		switch form {
+		case "sparse":
+			for j := i; j < dim; j += 97 {
+				w[j] *= 1e3
+			}
+		case "dense":
+			for j := i % 3; j < dim; j += 3 {
+				w[j] += 40
+			}
+		case "overflow":
+			w[(17*i)%dim] = 1e6
+		case "pooled":
+			for j, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)} {
+				w[(31*i+257*j)%dim] = v
+			}
+			in.add(res, 0)
+			continue
+		}
+		cm.upload(&res)
+		if slotted := form != "overflow"; (res.slot != 0) != slotted {
+			t.Fatalf("a %s upload is held in slot %d", form, res.slot)
+		}
+		in.add(res, 0)
+	}
+	return in
+}
+
+// TestRobustFoldFromSlotsMatchesVectors: the median and the trimmed mean
+// read a cohort a tile at a time from the inbox — slots rebuilt range by
+// range, overflow lists walked by cursor, pooled vectors gathered — and
+// must equal, bit for bit, the same kernels over the whole vectors the
+// inbox reads for every other rule, which is the float64 path the engine
+// took before. Cohorts of 1 to 10 (odd and even), every update sparse,
+// every one dense, and the four forms mixed, over 700 weights: two whole
+// tiles and a partial one. Each batch is read twice.
+func TestRobustFoldFromSlotsMatchesVectors(t *testing.T) {
+	const dim = 700
+	for _, forms := range [][]string{{"sparse"}, {"dense"}, {"sparse", "dense", "overflow", "pooled"}, {"pooled", "overflow", "dense"}} {
+		for k := 1; k <= 10; k++ {
+			for _, kind := range []string{"median", "trimmed"} {
+				in := slotCohort(t, uint64(100*k), k, dim, forms...)
+				rule := &robustRule{modelState: modelState{global: make([]float64, dim)}, kind: kind}
+				// Twice: a second read of the same batch restarts every
+				// cursor.
+				if _, err := rule.Fold(fold{tier: -1, in: in}); err != nil {
+					t.Fatal(err)
+				}
+				got, err := rule.Fold(fold{tier: -1, in: in})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var vecs [][]float64
+				for _, u := range in.vectors() {
+					vecs = append(vecs, u.Weights)
+				}
+				want := make([]float64, dim)
+				var s robust.FoldScratch
+				if kind == "median" {
+					err = s.Median(want, vecs)
+				} else {
+					err = s.TrimmedMean(want, vecs, trimBeta)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("%s of %d %v updates: weight %d reads %v from the slots, %v from the vectors", kind, k, forms, j, got[j], want[j])
+					}
+				}
+				in.release()
+			}
+		}
+	}
+}
+
+// TestBufferedRobustFoldAllocFree: a steady buffered robust fold — K
+// uploads into recycled slots, the inbox filled, the fold, the inbox
+// released — allocates nothing. The median and trimmed mean hand the
+// kernel the inbox itself as their tile loader, a pointer that boxes for
+// free, so a loader closure built per fold would show here; Krum reads
+// whole vectors from the weight pool and returns them.
+func TestBufferedRobustFoldAllocFree(t *testing.T) {
+	skipUnderRace(t)
+	const k, dim = 10, 700
+	for _, kind := range []string{"median", "trimmed", "krum"} {
+		t.Run(kind, func(t *testing.T) {
+			in := slotCohort(t, 7, k, dim, "sparse", "dense", "overflow")
+			cm := in.comm
+			trained := make([][]float64, k)
+			for i, u := range in.vectors() {
+				trained[i] = slices.Clone(u.Weights)
+			}
+			in.release()
+			in.reserve(k)
+			rule := &robustRule{modelState: modelState{global: make([]float64, dim)}, kind: kind}
+			pool := cm.Pool(dim)
+			assertFoldAllocs(t, "buffered "+kind+" fold", 0, func() {
+				for i, w := range trained {
+					res := TrainResult{Weights: pool.Get(), N: 5, Client: i}
+					copy(res.Weights, w)
+					cm.upload(&res)
+					in.add(res, 0)
+				}
+				if _, err := rule.Fold(fold{tier: -1, in: in}); err != nil {
+					t.Fatal(err)
+				}
+				in.release()
 			})
 		})
 	}
@@ -301,7 +434,7 @@ func TestFedBuffPacer(t *testing.T) {
 // hierarchical fold path) without losing their version counters.
 func TestRobustRuleRebase(t *testing.T) {
 	rule := &robustRule{modelState: modelState{global: []float64{1, 2}}, kind: "median"}
-	if _, err := rule.Fold(fold{updates: []core.ClientUpdate{{Weights: []float64{5, 6}, N: 1}}}); err != nil {
+	if _, err := rule.Fold(foldOf(0, []core.ClientUpdate{{Weights: []float64{5, 6}, N: 1}})); err != nil {
 		t.Fatal(err)
 	}
 	var reb Rebaser = rule

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/rng"
 )
@@ -64,8 +63,8 @@ func selectAvailable[ID int | int32](scratch *[]int, cohort *[]int, r *rng.RNG, 
 // order, so results are deterministic. Clients that drop mid-round lose
 // their update (§6's unstable clients). A surviving result holds its upload
 // as the Comm holds it in flight — a fixed-point slot under polyline, a
-// pooled reconstruction otherwise — and the server's weights exist only once
-// a pacer reads it with Comm.receive. Each member trains into a buffer of
+// pooled reconstruction otherwise — and keeps that form in the run's inbox
+// until the fold that consumes it. Each member trains into a buffer of
 // the run's weight pool, which the upload hands back once it has sent it; a
 // dropped member's buffer goes back unsent and its result holds no weights.
 // So the weight pool is the only owner of model-sized results, and the
@@ -173,20 +172,4 @@ func completionTime(results []TrainResult) float64 {
 		}
 	}
 	return t
-}
-
-// toUpdates reads surviving results into aggregator updates (Comm.receive),
-// stamping the cohort's shared staleness anchor (the global update count at
-// dispatch) on each. The updates are written into *ups, the calling loop's
-// buffer; the fold reads them and retains none.
-func toUpdates(ups *[]core.ClientUpdate, comm *Comm, results []TrainResult, startRound int) []core.ClientUpdate {
-	out := (*ups)[:0]
-	if cap(out) < len(results) {
-		out = make([]core.ClientUpdate, 0, len(results))
-	}
-	for _, r := range results {
-		out = append(out, core.ClientUpdate{Weights: comm.receive(r), N: r.N, Client: r.Client, StartRound: startRound})
-	}
-	*ups = out
-	return out
 }

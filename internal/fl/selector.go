@@ -156,7 +156,7 @@ func (s *overselSelector) Harvest(rs *runState, results []TrainResult, kept *[]T
 	}
 	sortByArrival(surv)
 	for _, late := range surv[keep:] {
-		rs.comm.discard(late)
+		rs.comm.discard(late.Weights, late.slot)
 	}
 	*kept = surv[:keep]
 	return completionTime(*kept)

@@ -101,11 +101,12 @@ type stalenessRule struct {
 }
 
 func (r *stalenessRule) Fold(f fold) ([]float64, error) {
-	if len(f.updates) == 0 {
+	updates := f.updates()
+	if len(updates) == 0 {
 		return nil, fmt.Errorf("staleness fold with no client updates")
 	}
 	start := f.startRound()
-	for _, u := range f.updates {
+	for _, u := range updates {
 		if len(u.Weights) != len(r.global) {
 			return nil, fmt.Errorf("staleness fold: update has %d weights, want %d", len(u.Weights), len(r.global))
 		}
@@ -140,11 +141,12 @@ func (r *asyncSGDRule) Init(rs *runState) error {
 }
 
 func (r *asyncSGDRule) Fold(f fold) ([]float64, error) {
-	if len(f.updates) == 0 {
+	updates := f.updates()
+	if len(updates) == 0 {
 		return nil, fmt.Errorf("asyncsgd fold with no client updates")
 	}
 	tensor.Zero(r.delta)
-	for _, u := range f.updates {
+	for _, u := range updates {
 		if len(u.Weights) != len(r.global) {
 			return nil, fmt.Errorf("asyncsgd fold: update has %d weights, want %d", len(u.Weights), len(r.global))
 		}
@@ -153,7 +155,7 @@ func (r *asyncSGDRule) Fold(f fold) ([]float64, error) {
 			r.delta[i] += g * (w - r.global[i])
 		}
 	}
-	tensor.Axpy(r.alpha/float64(len(f.updates)), r.delta, r.global)
+	tensor.Axpy(r.alpha/float64(len(updates)), r.delta, r.global)
 	r.version++
 	return r.global, nil
 }

@@ -86,7 +86,7 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 	}
 
 	r := &stalenessRule{asyncState: asyncAt([]float64{0.25, -0.75}, 8, alpha, sc), perUpdate: true}
-	got, err := r.Fold(fold{tier: -1, updates: updates})
+	got, err := r.Fold(foldOf(-1, updates))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 	}
 
 	legacy := &stalenessRule{asyncState: asyncAt([]float64{0.25, -0.75}, 8, alpha, sc)}
-	lgot, err := legacy.Fold(fold{tier: -1, updates: updates})
+	lgot, err := legacy.Fold(foldOf(-1, updates))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +126,8 @@ func TestFedasyncMixedStalenessFold(t *testing.T) {
 	one := []core.ClientUpdate{staleUpdate(1, -2, 5)}
 	ra := &stalenessRule{asyncState: asyncAt([]float64{0, 0}, 9, alpha, sc), perUpdate: true}
 	rb := &stalenessRule{asyncState: asyncAt([]float64{0, 0}, 9, alpha, sc)}
-	ga, _ := ra.Fold(fold{tier: -1, updates: one})
-	gb, _ := rb.Fold(fold{tier: -1, updates: one})
+	ga, _ := ra.Fold(foldOf(-1, one))
+	gb, _ := rb.Fold(foldOf(-1, one))
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatalf("cohort-of-one fold diverged from legacy rule at [%d]: %v vs %v", i, ga[i], gb[i])
@@ -148,7 +148,7 @@ func TestAsyncSGDFold(t *testing.T) {
 	}
 
 	r := &asyncSGDRule{asyncState: asyncAt(append([]float64(nil), global...), 5, alpha, sc), delta: make([]float64, 2)}
-	got, err := r.Fold(fold{tier: -1, updates: updates})
+	got, err := r.Fold(foldOf(-1, updates))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,13 +174,13 @@ func TestAsyncSGDFold(t *testing.T) {
 // TestFoldStartRound: the batch accessor reports the oldest member's anchor
 // (the legacy rule's whole-fold staleness) and 0 on an empty fold.
 func TestFoldStartRound(t *testing.T) {
-	f := fold{updates: []core.ClientUpdate{
+	f := foldOf(0, []core.ClientUpdate{
 		staleUpdate(0, 0, 6), staleUpdate(0, 0, 2), staleUpdate(0, 0, 4),
-	}}
+	})
 	if got := f.startRound(); got != 2 {
 		t.Fatalf("StartRound() = %d, want oldest member 2", got)
 	}
-	if got := (fold{}).startRound(); got != 0 {
+	if got := foldOf(0, nil).startRound(); got != 0 {
 		t.Fatalf("empty fold StartRound() = %d, want 0", got)
 	}
 }

@@ -2,19 +2,24 @@ package fl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
+	"repro/internal/robust"
 	"repro/internal/tensor"
 	"repro/internal/tiering"
 )
 
 // fold is one batch of client updates arriving at the server: the tier they
-// trained in, with each update carrying its own staleness anchor
-// (core.ClientUpdate.StartRound).
+// trained in, and the updates, each carrying its own staleness anchor
+// (core.ClientUpdate.StartRound), read through in.
 type fold struct {
-	tier    int
-	updates []core.ClientUpdate
+	tier int
+	in   *inbox
 }
+
+// updates is the batch as whole vectors (inbox.vectors).
+func (f fold) updates() []core.ClientUpdate { return f.in.vectors() }
 
 // startRound returns the fold's batch-level staleness anchor: the oldest
 // member's StartRound. This is exactly the pre-redesign batch field, which
@@ -23,16 +28,114 @@ type fold struct {
 // byte-identical, while the per-update rules (fedasync, asyncsgd) read
 // each update's own anchor instead.
 func (f fold) startRound() int {
-	if len(f.updates) == 0 {
+	ups := f.in.ups
+	if len(ups) == 0 {
 		return 0
 	}
-	start := f.updates[0].StartRound
-	for _, u := range f.updates[1:] {
+	start := ups[0].StartRound
+	for _, u := range ups[1:] {
 		if u.StartRound < start {
 			start = u.StartRound
 		}
 	}
 	return start
+}
+
+// inbox is the batch of delivered updates the next fold consumes, each
+// held in the form it travelled in until that fold: a simulated polyline
+// upload in its Comm's fixed-point slot (held[i].slot > 0, ups[i].Weights
+// nil), any other in the pooled buffer ups[i].Weights. A rule reads the
+// batch one of two ways. As whole vectors (vectors), which rebuilds each
+// slot into a pooled buffer then, at fold time. Or a tile of coordinates
+// at a time (robust.Rows: the coordinate median and trimmed mean), which
+// rebuilds a slot's tile straight into the fold's scratch rows, so the
+// batch never becomes float64 vectors at all. The engine's fold gives back
+// whatever the batch holds afterwards (release). A run has one inbox: the
+// synchronous and tier loops fill it from a harvested cohort just before
+// their fold, the wait-free loops arrival by arrival until K have landed.
+type inbox struct {
+	comm *Comm
+	ups  []core.ClientUpdate
+	held []heldUpdate
+}
+
+// heldUpdate is where an inbox update waits — its slot id, 0 once the
+// update is a pooled vector — and, for a tile read, the update's cursor
+// into its slot's list of values outside int16 (Polyline.ReconstructRange).
+type heldUpdate struct {
+	slot, at int32
+}
+
+// reserve makes room for k more updates, with one allocation a slice when
+// the inbox has none.
+func (b *inbox) reserve(k int) {
+	b.ups = slices.Grow(b.ups, k)
+	b.held = slices.Grow(b.held, k)
+}
+
+// add lands one delivered update in the batch, anchored at startRound.
+func (b *inbox) add(r TrainResult, startRound int) {
+	b.ups = append(b.ups, core.ClientUpdate{Weights: r.Weights, N: r.N, Client: r.Client, StartRound: startRound})
+	b.held = append(b.held, heldUpdate{slot: r.slot})
+}
+
+// take lands a harvested cohort, which shares the anchor startRound, and
+// returns the inbox.
+func (b *inbox) take(results []TrainResult, startRound int) *inbox {
+	for _, r := range results {
+		b.add(r, startRound)
+	}
+	return b
+}
+
+// vectors reads every update of the batch as a whole vector: a slot is
+// rebuilt into a pooled buffer (Comm.receive) and freed. It returns the
+// updates, which the fold reads and retains none of.
+func (b *inbox) vectors() []core.ClientUpdate {
+	for i := range b.held {
+		if h := &b.held[i]; h.slot != 0 {
+			b.ups[i].Weights = b.comm.receive(h.slot)
+			h.slot = 0
+		}
+	}
+	return b.ups
+}
+
+// release gives back what every update holds — its slot, or its pooled
+// buffer — and empties the batch.
+func (b *inbox) release() {
+	for i, u := range b.ups {
+		b.comm.discard(u.Weights, b.held[i].slot)
+	}
+	clear(b.ups)
+	b.ups, b.held = b.ups[:0], b.held[:0]
+}
+
+// Len implements robust.Rows: the number of updates in the batch.
+func (b *inbox) Len() int { return len(b.ups) }
+
+// RowLen implements robust.Rows.
+func (b *inbox) RowLen(i int) int {
+	if s := b.held[i].slot; s != 0 {
+		return b.comm.slots[s-1].Len()
+	}
+	return len(b.ups[i].Weights)
+}
+
+// Load implements robust.Rows. A slot's tile is rebuilt in place, its
+// cursor carried from tile to tile; its values are float64(q)/s, never NaN
+// and never -0, so the reconstruction already obeys the gather law. A
+// pooled vector's tile is copied under it.
+func (b *inbox) Load(dst []float64, i, j0 int) {
+	h := &b.held[i]
+	if h.slot == 0 {
+		robust.Gather(dst, b.ups[i].Weights[j0:j0+len(dst)])
+		return
+	}
+	if j0 == 0 {
+		h.at = 0
+	}
+	h.at = int32(b.comm.fixed.ReconstructRange(dst, &b.comm.slots[h.slot-1], j0, int(h.at)))
 }
 
 // updateRule is the aggregation policy of a method: it owns the server-side
@@ -131,7 +234,7 @@ func (r *avgRule) Global() []float64 { return r.agg.GlobalRef() }
 func (r *avgRule) Rounds() int       { return r.agg.Rounds() }
 
 func (r *avgRule) Fold(f fold) ([]float64, error) {
-	return r.agg.UpdateTierRef(0, f.updates)
+	return r.agg.UpdateTierRef(0, f.updates())
 }
 
 // Rebase implements Rebaser via the aggregator's state replacement.
@@ -191,27 +294,28 @@ func (r *eq5Rule) tierOf(client int) (int, error) {
 func (r *eq5Rule) Rebase(w []float64) []float64 { return r.agg.Rebase(w) }
 
 func (r *eq5Rule) Fold(f fold) ([]float64, error) {
+	updates := f.updates()
 	if f.tier >= 0 {
-		return r.agg.UpdateTierRef(f.tier, f.updates)
+		return r.agg.UpdateTierRef(f.tier, updates)
 	}
 	// Untiered fold (tier -1: the wait-free client loops, or a sync
 	// selector with no tier concept): route each update into its client's
 	// profiled tier, so the Eq. 5 weighting still sees a per-tier update
 	// stream. Groups fold in first-seen order — deterministic, since the
 	// update order is.
-	if len(f.updates) == 1 {
+	if len(updates) == 1 {
 		// The wait-free loops fold one arrival at a time; skip the grouping
 		// machinery entirely.
-		t, err := r.tierOf(f.updates[0].Client)
+		t, err := r.tierOf(updates[0].Client)
 		if err != nil {
 			return nil, err
 		}
-		return r.agg.UpdateTierRef(t, f.updates)
+		return r.agg.UpdateTierRef(t, updates)
 	}
 	var g []float64
 	var order []int
 	byTier := map[int][]core.ClientUpdate{}
-	for _, u := range f.updates {
+	for _, u := range updates {
 		t, err := r.tierOf(u.Client)
 		if err != nil {
 			return nil, err
@@ -269,10 +373,11 @@ func (r *asoRule) Global() []float64 { return r.global }
 func (r *asoRule) Rounds() int       { return r.version }
 
 func (r *asoRule) Fold(f fold) ([]float64, error) {
-	if len(f.updates) == 0 {
+	updates := f.updates()
+	if len(updates) == 0 {
 		return nil, fmt.Errorf("asofed fold with no client updates")
 	}
-	for _, u := range f.updates {
+	for _, u := range updates {
 		if u.Client < 0 || u.Client >= len(r.copies) {
 			return nil, fmt.Errorf("asofed fold: client %d out of range [0,%d)", u.Client, len(r.copies))
 		}

@@ -16,6 +16,7 @@ import (
 type FoldScratch struct {
 	tile   []float64       // Median/TrimmedMean: cohort rows × foldTile coordinates
 	nets   map[int][]cmpEx // sorting network by cohort size
+	vecs   vecRows         // the vector cohort of the fold in progress, as Rows
 	col    []float64       // Krum: one candidate's neighbor distances
 	dists  []float64       // Krum pairwise squared distances, cohort² entries
 	scores []float64       // Krum per-candidate scores
@@ -23,14 +24,37 @@ type FoldScratch struct {
 
 var errEmptyCohort = errors.New("robust: fold over empty cohort")
 
-func cohort(dst []float64, vecs [][]float64) (int, error) {
-	k := len(vecs)
+// Rows is a cohort as the coordinate folds read it: a tile of coordinates
+// of one update at a time, so an update need not be a float64 vector
+// while it waits for its fold — the engine's wait in fixed point.
+type Rows interface {
+	// Len is the number of updates in the cohort.
+	Len() int
+	// RowLen is the number of weights update i holds.
+	RowLen(i int) int
+	// Load writes coordinates [j0, j0+len(dst)) of update i into dst under
+	// the gather law. A fold loads each update's tiles in ascending order
+	// from j0 = 0, once per fold.
+	Load(dst []float64, i, j0 int)
+}
+
+// vecRows is a cohort of float64 vectors as Rows.
+type vecRows [][]float64
+
+func (v *vecRows) Len() int         { return len(*v) }
+func (v *vecRows) RowLen(i int) int { return len((*v)[i]) }
+func (v *vecRows) Load(dst []float64, i, j0 int) {
+	Gather(dst, (*v)[i][j0:j0+len(dst)])
+}
+
+func cohort(dst []float64, rows Rows) (int, error) {
+	k := rows.Len()
 	if k == 0 {
 		return 0, errEmptyCohort
 	}
-	for i, v := range vecs {
-		if len(v) != len(dst) {
-			return 0, fmt.Errorf("robust: update %d has %d weights, want %d", i, len(v), len(dst))
+	for i := range k {
+		if n := rows.RowLen(i); n != len(dst) {
+			return 0, fmt.Errorf("robust: update %d has %d weights, want %d", i, n, len(dst))
 		}
 	}
 	return k, nil
@@ -53,11 +77,11 @@ func insertionSort(a []float64) {
 
 // The coordinate folds sort every coordinate's k values — one per update —
 // and read order statistics off the result. They do it a tile of foldTile
-// coordinates at a time: the k updates' slices of the tile are copied into
-// k scratch rows (loadRow, which applies the gather law below), a sorting
+// coordinates at a time: the k updates' slices of the tile are loaded into
+// k scratch rows (Rows.Load, which applies the gather law below), a sorting
 // network runs over the rows — each comparator one element-wise (min, max)
 // pass over two rows (cmpExRows), no branch on any value — and the
-// statistic is read out of the sorted rows in one more pass. loadRow and
+// statistic is read out of the sorted rows in one more pass. Gather and
 // cmpExRows are two-wide SSE2 on amd64 (fold_amd64.s); their Go twins
 // loadRowGo and cmpExRowsGo below run on every other GOARCH, and on amd64
 // TestFoldRowsMatchGo holds the assembly to them bit for bit.
@@ -93,7 +117,7 @@ func loadRowGo(dst, src []float64) {
 }
 
 // cmpExRowsGo leaves min(lo[i], hi[i]) in lo[i] and the max in hi[i]. The
-// rows hold no NaN and no -0 (loadRow), so the builtins' special cases
+// rows hold no NaN and no -0 (Gather), so the builtins' special cases
 // never fire and the pair of results is the pair of inputs, ordered.
 func cmpExRowsGo(lo, hi []float64) {
 	hi = hi[:len(lo)]
@@ -157,9 +181,9 @@ func (s *FoldScratch) row(r, w int) []float64 {
 // sortTile loads coordinates [j0, j0+w) of every update into the tile rows
 // and sorts them: afterwards row r holds, per coordinate, the r-th smallest
 // of the cohort's values under the gather law.
-func (s *FoldScratch) sortTile(vecs [][]float64, j0, w int, net []cmpEx) {
-	for r, v := range vecs {
-		loadRow(s.row(r, w), v[j0:j0+w])
+func (s *FoldScratch) sortTile(rows Rows, k, j0, w int, net []cmpEx) {
+	for r := range k {
+		rows.Load(s.row(r, w), r, j0)
 	}
 	for _, c := range net {
 		cmpExRows(s.row(c.lo, w), s.row(c.hi, w))
@@ -170,14 +194,23 @@ func (s *FoldScratch) sortTile(vecs [][]float64, j0, w int, net []cmpEx) {
 // cohort median averages the two middle values), reading every value under
 // the gather law. dst must not alias vecs.
 func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
-	k, err := cohort(dst, vecs)
+	s.vecs = vecs
+	err := s.MedianRows(dst, &s.vecs)
+	s.vecs = nil
+	return err
+}
+
+// MedianRows is Median over a cohort read through rows. dst must not alias
+// anything rows reads.
+func (s *FoldScratch) MedianRows(dst []float64, rows Rows) error {
+	k, err := cohort(dst, rows)
 	if err != nil {
 		return err
 	}
 	net := s.sortRows(k)
 	for j0 := 0; j0 < len(dst); j0 += foldTile {
 		out := dst[j0:min(j0+foldTile, len(dst))]
-		s.sortTile(vecs, j0, len(out), net)
+		s.sortTile(rows, k, j0, len(out), net)
 		mid := s.row(k/2, len(out))
 		if k%2 == 1 {
 			copy(out, mid)
@@ -197,7 +230,16 @@ func (s *FoldScratch) Median(dst []float64, vecs [][]float64) error {
 // at least one value survives; β=0 degrades to the plain coordinate mean.
 // dst must not alias vecs.
 func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64) error {
-	k, err := cohort(dst, vecs)
+	s.vecs = vecs
+	err := s.TrimmedMeanRows(dst, &s.vecs, beta)
+	s.vecs = nil
+	return err
+}
+
+// TrimmedMeanRows is TrimmedMean over a cohort read through rows. dst must
+// not alias anything rows reads.
+func (s *FoldScratch) TrimmedMeanRows(dst []float64, rows Rows, beta float64) error {
+	k, err := cohort(dst, rows)
 	if err != nil {
 		return err
 	}
@@ -212,7 +254,7 @@ func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64)
 	kept := float64(k - 2*t)
 	for j0 := 0; j0 < len(dst); j0 += foldTile {
 		out := dst[j0:min(j0+foldTile, len(dst))]
-		s.sortTile(vecs, j0, len(out), net)
+		s.sortTile(rows, k, j0, len(out), net)
 		// Per coordinate: ((0 + row[t]) + row[t+1]) + … left to right, then
 		// one division — the sum the per-coordinate loop formed.
 		tensor.Zero(out)
@@ -235,7 +277,9 @@ func (s *FoldScratch) TrimmedMean(dst []float64, vecs [][]float64, beta float64)
 // of byzantine updates the fold should tolerate; f<0 picks the standard
 // (k-3)/2. dst must not alias vecs.
 func (s *FoldScratch) Krum(dst []float64, vecs [][]float64, f int) (int, error) {
-	k, err := cohort(dst, vecs)
+	s.vecs = vecs
+	k, err := cohort(dst, &s.vecs)
+	s.vecs = nil
 	if err != nil {
 		return 0, err
 	}

@@ -20,9 +20,12 @@ func foldLoadAsm(dst, src *float64, n int)
 //go:noescape
 func foldCmpExAsm(lo, hi *float64, n int)
 
+// Gather copies src into dst under the gather law (fold.go), the form
+// Rows.Load writes; dst must hold len(src) values.
+//
 // The shims pass slice data pointers, not &x[0], so an empty row is a call
 // that touches nothing rather than an index panic.
-func loadRow(dst, src []float64) {
+func Gather(dst, src []float64) {
 	foldLoadAsm(unsafe.SliceData(dst), unsafe.SliceData(src), len(src))
 }
 

@@ -32,7 +32,7 @@ func sameBits(t *testing.T, what string, n int, got, want []float64) {
 	}
 }
 
-// TestFoldRowsMatchGo holds the tile kernel's two row operations — loadRow
+// TestFoldRowsMatchGo holds the tile kernel's two row operations — Gather
 // and cmpExRows, assembly on amd64 — to their Go twins bit for bit, at
 // every row length from 0 to two tiles and one past, so each length meets
 // the eight-wide body and every tail. The rows are plantedCohort's: every
@@ -45,9 +45,9 @@ func TestFoldRowsMatchGo(t *testing.T) {
 
 		got, gotBuf := guarded(n, nil)
 		want, wantBuf := guarded(n, nil)
-		loadRow(got, src[0])
+		Gather(got, src[0])
 		loadRowGo(want, src[0])
-		sameBits(t, "loadRow", n, gotBuf, wantBuf)
+		sameBits(t, "Gather", n, gotBuf, wantBuf)
 
 		// The comparator's inputs obey the gather law, as they do in a fold.
 		lo, hi := make([]float64, n), make([]float64, n)

@@ -82,7 +82,10 @@ func (l *FreeList[E]) Get(n int) []E {
 // Put returns a buffer — or any slice sharing its start, such as the
 // payload a read returned — to the list at its full capacity. Put accepts
 // buffers the list did not create; a buffer without storage is ignored, and
-// one beyond the bound is dropped.
+// one beyond the bound is dropped. The list keeps only buffers of the
+// largest capacity ever put back, so every free buffer serves every use
+// seen so far: a smaller one is dropped, and a larger one drops the free
+// buffers it outgrows. A list of one length (Pool) never drops by size.
 func (l *FreeList[E]) Put(buf []E) {
 	if cap(buf) == 0 {
 		return
@@ -93,7 +96,21 @@ func (l *FreeList[E]) Put(buf []E) {
 	if _, dup := l.inPool[&buf[0]]; dup {
 		panic(fmt.Sprintf("tensor: FreeList.Put of a buffer already free (cap %d) — double release", cap(buf)))
 	}
-	l.largest = max(l.largest, cap(buf))
+	switch c := cap(buf); {
+	case c > l.largest:
+		// Every free buffer is smaller than the new largest. Drop them now:
+		// kept, each would be replaced only when a use of the new size
+		// happened to pop it, so when the list allocates would follow the
+		// order of Gets and Puts — arrival timing, on a wall-clock fabric.
+		for _, f := range l.free {
+			delete(l.inPool, &f[0])
+		}
+		clear(l.free)
+		l.free = l.free[:0]
+		l.largest = c
+	case c < l.largest:
+		return
+	}
 	if len(l.free) >= freeListCap {
 		return
 	}

@@ -153,7 +153,7 @@ func TestPoolRejectsWrongSizeAndBounds(t *testing.T) {
 		t.Error("an undersized buffer stayed in the list")
 	}
 	for i := 0; i < freeListCap+10; i++ {
-		l.Put(make([]byte, 8))
+		l.Put(make([]byte, cap(small)))
 	}
 	if l.freeLen() != freeListCap {
 		t.Errorf("free list holds %d buffers, bound is %d", l.freeLen(), freeListCap)
@@ -194,6 +194,33 @@ func TestFreeListSizesFreshBuffers(t *testing.T) {
 	p.Get()
 	if got := p.Get(); cap(got) != 8 {
 		t.Errorf("a fresh Pool buffer has capacity %d, want its length 8", cap(got))
+	}
+}
+
+// TestFreeListKeepsOnlyLargest pins that the free buffers all have the
+// largest capacity ever put back: a smaller buffer is dropped at Put, and a
+// larger one drops the free buffers it outgrows. So a Get that pops never
+// has to replace its buffer for a size already seen, whichever buffer the
+// order of earlier Gets and Puts left on top.
+func TestFreeListKeepsOnlyLargest(t *testing.T) {
+	var l FreeList[byte]
+	l.Put(make([]byte, 100))
+	l.Put(make([]byte, 100))
+	l.Put(make([]byte, 50))
+	if l.freeLen() != 2 {
+		t.Fatalf("free list holds %d buffers after a smaller Put, want 2", l.freeLen())
+	}
+	big := make([]byte, 200)
+	l.Put(big)
+	if l.freeLen() != 1 {
+		t.Fatalf("free list holds %d buffers after a larger Put, want only it", l.freeLen())
+	}
+	if got := l.Get(10); &got[0] != &big[0] {
+		t.Error("Get did not pop the largest buffer")
+	}
+	l.Put(make([]byte, 100)) // a buffer the larger Put outgrew, back from use
+	if l.freeLen() != 0 {
+		t.Error("a buffer under the largest capacity joined the list")
 	}
 }
 
